@@ -11,7 +11,7 @@
 //!
 //! The paper's Fig 9 pseudo-code contains three apparent typos that its
 //! own Java excerpt (Fig 10) and generated artefact (Fig 14) contradict;
-//! we follow the latter (see DESIGN.md): the `update` handler's guard
+//! we follow the latter (see `docs/STORAGE.md`): the `update` handler's guard
 //! requires `!vote_sent`; commits are sent only when `!commit_sent`; and
 //! `could_choose` is modified **only** by `free`/`not_free` messages —
 //! Fig 14's `FREE` transition `T/2/F/0/F/F/F → T/2/T/0/T/T/T` shows

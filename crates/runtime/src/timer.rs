@@ -88,6 +88,8 @@ pub struct TimerWheel<T> {
     now: u64,
     /// Reused expiry output buffer.
     expired: Vec<T>,
+    /// Reused buffer for the slot list `advance` is draining.
+    chain: Vec<u32>,
     /// Cascade operations performed while advancing: a not-yet-due
     /// entry re-filed from a drained coarse slot into a finer level (or
     /// later slot). A telemetry counter — never consulted by wheel
@@ -114,6 +116,7 @@ impl<T: Copy + Eq + Hash> TimerWheel<T> {
             overdue: Vec::new(),
             now: 0,
             expired: Vec::new(),
+            chain: Vec::new(),
             cascades: 0,
         }
     }
@@ -211,7 +214,8 @@ impl<T: Copy + Eq + Hash> TimerWheel<T> {
             let mut idx = std::mem::replace(&mut self.slots[level * SLOTS + slot], NIL);
             self.occupied[level] &= !(1 << slot);
             // Drain preserving arm order (lists are push-front).
-            let mut chain: Vec<u32> = Vec::new();
+            let mut chain = std::mem::take(&mut self.chain);
+            chain.clear();
             while idx != NIL {
                 chain.push(idx);
                 idx = self.slab[idx as usize].next;
@@ -233,6 +237,7 @@ impl<T: Copy + Eq + Hash> TimerWheel<T> {
                     self.place(idx);
                 }
             }
+            self.chain = chain;
         }
         self.now = to;
         &self.expired

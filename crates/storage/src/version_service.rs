@@ -23,7 +23,7 @@
 //! commit (the only answer a Byzantine minority cannot forge) and operate
 //! the paper's timeout/retry scheme with configurable back-off.
 //!
-//! ## Reconstruction note (documented in DESIGN.md)
+//! ## Reconstruction note (documented in `docs/STORAGE.md`)
 //!
 //! The paper names the endpoint timeout/retry scheme but does not specify
 //! how a deadlocked attempt is abandoned at the peers. We model a retry
@@ -32,6 +32,11 @@
 //! not yet sent a `commit` for it, releasing its choice lock (`free`) so
 //! the new attempt can be voted for. Committed attempts for an
 //! already-recorded PID are deduplicated when appending to the history.
+//!
+//! `docs/STORAGE.md` also describes the peer's bookkeeping — what each
+//! collection is for and what every path costs as the history grows —
+//! and the durability model (checkpoint, volatile journal, what a
+//! restarted peer may have lost).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -194,6 +199,14 @@ enum PeerAction {
 /// forever, as replay protection — a replayed vote for a committed
 /// attempt must hit the absorbing finished session, not spawn a fresh
 /// execution.
+///
+/// A peer keeps serving as its history grows, so no path walks the
+/// history or the finished attempts: membership tests go through the
+/// ordered `slots`/`seen`/`recorded` collections (O(log history)),
+/// sibling signalling and the choice lock walk only `active` (the
+/// unfinished attempts), and a checkpoint write applies the journal of
+/// changes since the last write instead of re-cloning the bookkeeping
+/// (`docs/STORAGE.md` has the per-path cost table).
 #[derive(Debug)]
 pub struct CommitPeer<'m> {
     engine: &'m PeerEngine,
@@ -202,18 +215,29 @@ pub struct CommitPeer<'m> {
     /// The attempt-execution runtime: per-attempt state is one dense
     /// `u32` plus a generation counter.
     runtime: Runtime,
-    /// Which session serves each in-flight attempt.
+    /// Which session serves each tracked attempt: the unfinished ones
+    /// and, as replay protection, every finished one.
     slots: BTreeMap<AttemptId, SessionId>,
+    /// The unfinished subset of `slots`. Iterated in `AttemptId` order:
+    /// the order of sibling `free`/`not_free` fan-out decides the
+    /// simulator's message schedule.
+    active: BTreeMap<AttemptId, SessionId>,
     /// Action-kind buffer reused across deliveries (see
     /// [`CommitPeer::feed`]).
     action_scratch: Vec<PeerAction>,
+    /// Work queue of [`CommitPeer::feed`], empty between calls; kept
+    /// for its allocation.
+    feed_scratch: VecDeque<(AttemptId, CommitMessage)>,
     /// Sender-level deduplication: each peer's vote/commit for an attempt
     /// is counted once, whatever a Byzantine sender replays.
     seen: BTreeSet<(AttemptId, NodeId, u8)>,
     /// The client that requested each attempt (for completion reports).
     clients: BTreeMap<AttemptId, NodeId>,
     committed: BTreeSet<AttemptId>,
+    /// The recorded versions in commit order (the public view).
     history: Vec<Pid>,
+    /// The versions in `history`, for membership tests.
+    recorded: BTreeSet<Pid>,
     /// Abandon unfinished executions after this many ticks (paper §2.2:
     /// the tolerance bound "applies to the duration of a particular
     /// execution of the commit protocol" — executions have bounded
@@ -234,6 +258,11 @@ pub struct CommitPeer<'m> {
     /// `on_restart` recovers from *only* this — everything else above is
     /// treated as lost with the crash.
     checkpoint: Option<PeerCheckpoint>,
+    /// What changed in the checkpointed bookkeeping since `checkpoint`
+    /// was written. Volatile, recorded only while a checkpoint exists
+    /// (the first write is a full copy) and drained by every write, so
+    /// it never holds more than one checkpoint interval of changes.
+    journal: Vec<JournalEntry>,
     /// Flight-recorder ring capacity (0 = unobserved). Remembered so
     /// the recorder is re-attached after a crash recovery rebuilds the
     /// runtime — telemetry is volatile, not checkpointed.
@@ -269,6 +298,52 @@ struct PeerCheckpoint {
     history: Vec<Pid>,
 }
 
+/// One change to the bookkeeping a [`PeerCheckpoint`] carries. The
+/// history needs no entry: it only grows, so the checkpoint's length
+/// says which suffix is new.
+#[derive(Debug, Clone, Copy)]
+enum JournalEntry {
+    /// `slots` gained an attempt.
+    Spawned(AttemptId, SessionId),
+    /// `slots` lost an unfinished attempt (abort or GC).
+    Dropped(AttemptId),
+    /// `clients` learned who asked for an attempt.
+    Client(AttemptId, NodeId),
+    /// `seen` gained a dedup key.
+    Seen((AttemptId, NodeId, u8)),
+    /// `committed` gained an attempt.
+    Committed(AttemptId),
+}
+
+impl PeerCheckpoint {
+    /// Brings the bookkeeping up to date: replays `journal` in order
+    /// (an attempt can be spawned, dropped and spawned again between
+    /// two writes) and appends the part of `history` not yet held.
+    fn apply(&mut self, journal: &[JournalEntry], history: &[Pid]) {
+        for &entry in journal {
+            match entry {
+                JournalEntry::Spawned(attempt, session) => {
+                    self.slots.insert(attempt, session);
+                }
+                JournalEntry::Dropped(attempt) => {
+                    self.slots.remove(&attempt);
+                }
+                JournalEntry::Client(attempt, client) => {
+                    self.clients.insert(attempt, client);
+                }
+                JournalEntry::Seen(key) => {
+                    self.seen.insert(key);
+                }
+                JournalEntry::Committed(attempt) => {
+                    self.committed.insert(attempt);
+                }
+            }
+        }
+        self.history
+            .extend_from_slice(&history[self.history.len()..]);
+    }
+}
+
 /// Peer timer tag for the periodic checkpoint (GC tags count up from 0
 /// and can never reach it).
 const TAG_PEER_CHECKPOINT: u64 = u64::MAX;
@@ -289,17 +364,21 @@ impl<'m> CommitPeer<'m> {
             peer_count,
             runtime: engine.engine().runtime(),
             slots: BTreeMap::new(),
+            active: BTreeMap::new(),
             action_scratch: Vec::new(),
+            feed_scratch: VecDeque::new(),
             seen: BTreeSet::new(),
             clients: BTreeMap::new(),
             committed: BTreeSet::new(),
             history: Vec::new(),
+            recorded: BTreeSet::new(),
             gc_after,
             gc_tags: BTreeMap::new(),
             next_gc_tag: 0,
             checkpoint_every,
             checkpoint_armed: false,
             checkpoint: None,
+            journal: Vec::new(),
             recorder_capacity: 0,
         }
     }
@@ -362,6 +441,22 @@ impl<'m> CommitPeer<'m> {
         self.slots.len()
     }
 
+    /// Tracked attempts still executing. Bounded by what the clients
+    /// have outstanding, not by the history length: 0 at quiescence.
+    pub fn in_flight_attempts(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Notes a change to the checkpointed bookkeeping. Without a
+    /// checkpoint there is nothing to bring up to date — the next write
+    /// is a full copy — so nothing is recorded (in particular never
+    /// when checkpointing is disabled).
+    fn record(&mut self, entry: JournalEntry) {
+        if self.checkpoint.is_some() {
+            self.journal.push(entry);
+        }
+    }
+
     fn broadcast_peers(&self, ctx: &mut Context<'_, VhMsg>, message: VhMsg) {
         for i in 0..self.peer_count {
             if i != ctx.self_id().index() {
@@ -374,12 +469,16 @@ impl<'m> CommitPeer<'m> {
     /// propagates all resulting actions, including the node-local
     /// `free`/`not free` signals between sibling attempts.
     fn feed(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId, message: CommitMessage) {
-        let mut queue: VecDeque<(AttemptId, CommitMessage)> = VecDeque::new();
+        // The queue is reused across calls like `action_scratch`. `feed`
+        // never runs inside itself (`drop_instance` calls it once per
+        // sibling, each call draining its queue), so the scratch is
+        // always here to take.
+        let mut queue = std::mem::take(&mut self.feed_scratch);
         queue.push_back((attempt, message));
         while let Some((a, m)) = queue.pop_front() {
             // A fresh attempt for a PID this peer already recorded is not
             // re-executed (retries of a committed update are idempotent).
-            if m == CommitMessage::Update && self.history.contains(&a.pid) {
+            if m == CommitMessage::Update && self.recorded.contains(&a.pid) {
                 continue;
             }
             let message_id = self.engine.message_id(m);
@@ -399,6 +498,8 @@ impl<'m> CommitPeer<'m> {
                             .deliver(session, self.engine.message_id(CommitMessage::NotFree));
                     }
                     self.slots.insert(a, session);
+                    self.active.insert(a, session);
+                    self.record(JournalEntry::Spawned(a, session));
                     self.arm_gc(ctx, a);
                     self.arm_checkpoint(ctx);
                     session
@@ -425,25 +526,25 @@ impl<'m> CommitPeer<'m> {
                     }),
             );
             let finished = self.runtime.is_finished(session);
+            if finished {
+                self.active.remove(&a);
+            }
             for kind in &kinds {
                 match kind {
                     PeerAction::Vote => self.broadcast_peers(ctx, VhMsg::Vote(a)),
                     PeerAction::Commit => self.broadcast_peers(ctx, VhMsg::Commit(a)),
                     PeerAction::NotFree => {
-                        for sibling in self.local_siblings(a) {
-                            queue.push_back((sibling, CommitMessage::NotFree));
-                        }
+                        queue.extend(self.local_siblings(a).map(|s| (s, CommitMessage::NotFree)))
                     }
                     PeerAction::Free => {
-                        for sibling in self.local_siblings(a) {
-                            queue.push_back((sibling, CommitMessage::Free));
-                        }
+                        queue.extend(self.local_siblings(a).map(|s| (s, CommitMessage::Free)))
                     }
                 }
             }
             self.action_scratch = kinds;
             if finished && self.committed.insert(a) {
-                if !self.history.contains(&a.pid) {
+                self.record(JournalEntry::Committed(a));
+                if self.recorded.insert(a.pid) {
                     self.history.push(a.pid);
                 }
                 if let Some(&client) = self.clients.get(&a) {
@@ -457,24 +558,21 @@ impl<'m> CommitPeer<'m> {
                 }
             }
         }
+        self.feed_scratch = queue;
     }
 
     /// `true` while some unfinished attempt on this node has chosen its
     /// update (the node's choice lock is held). A per-state bitmap
     /// lookup, not a `StateVector` walk.
     fn node_has_chosen(&self) -> bool {
-        self.slots.values().any(|&session| {
-            !self.runtime.is_finished(session)
-                && self.engine.has_chosen[self.runtime.state(session) as usize]
-        })
+        self.active
+            .values()
+            .any(|&session| self.engine.has_chosen[self.runtime.state(session) as usize])
     }
 
-    fn local_siblings(&self, attempt: AttemptId) -> Vec<AttemptId> {
-        self.slots
-            .iter()
-            .filter(|(a, &session)| **a != attempt && !self.runtime.is_finished(session))
-            .map(|(a, _)| *a)
-            .collect()
+    /// The other unfinished attempts on this node, in `AttemptId` order.
+    fn local_siblings(&self, attempt: AttemptId) -> impl Iterator<Item = AttemptId> + '_ {
+        self.active.keys().copied().filter(move |a| *a != attempt)
     }
 
     /// Abandons an attempt on client request, unless this peer already
@@ -494,7 +592,12 @@ impl<'m> CommitPeer<'m> {
     }
 
     fn dedup(&mut self, attempt: AttemptId, from: NodeId, kind: u8) -> bool {
-        self.seen.insert((attempt, from, kind))
+        let key = (attempt, from, kind);
+        let fresh = self.seen.insert(key);
+        if fresh {
+            self.record(JournalEntry::Seen(key));
+        }
+        fresh
     }
 
     /// Drops an unfinished attempt — releasing its runtime session, so
@@ -511,9 +614,14 @@ impl<'m> CommitPeer<'m> {
         }
         let had_chosen = self.engine.has_chosen[self.runtime.state(session) as usize];
         self.slots.remove(&attempt);
+        self.active.remove(&attempt);
+        self.record(JournalEntry::Dropped(attempt));
         self.runtime.release(session);
         if had_chosen {
-            for sibling in self.local_siblings(attempt) {
+            // Each sibling's `free` runs to completion before the next
+            // one's, so the siblings are fixed up front.
+            let siblings: Vec<AttemptId> = self.local_siblings(attempt).collect();
+            for sibling in siblings {
                 self.feed(ctx, sibling, CommitMessage::Free);
             }
         }
@@ -527,13 +635,6 @@ impl<'m> CommitPeer<'m> {
         ctx.set_timer(self.gc_after, tag);
     }
 
-    /// `true` while some tracked attempt is still executing.
-    fn has_unfinished_attempts(&self) -> bool {
-        self.slots
-            .values()
-            .any(|&session| !self.runtime.is_finished(session))
-    }
-
     /// Starts the periodic checkpoint cadence if it is enabled and not
     /// already ticking.
     fn arm_checkpoint(&mut self, ctx: &mut Context<'_, VhMsg>) {
@@ -544,15 +645,59 @@ impl<'m> CommitPeer<'m> {
     }
 
     /// Writes the durable checkpoint: runtime snapshot + bookkeeping.
+    /// The first write copies the bookkeeping; later ones bring the
+    /// previous checkpoint up to date from the journal, so a write costs
+    /// the snapshot's memcpy plus O(changes · log history), not a
+    /// re-clone of every collection.
     fn write_checkpoint(&mut self) {
-        self.checkpoint = Some(PeerCheckpoint {
-            runtime: self.runtime.snapshot_all(),
-            slots: self.slots.clone(),
-            seen: self.seen.clone(),
-            clients: self.clients.clone(),
-            committed: self.committed.clone(),
-            history: self.history.clone(),
-        });
+        let runtime = self.runtime.snapshot_all();
+        match &mut self.checkpoint {
+            Some(checkpoint) => {
+                checkpoint.runtime = runtime;
+                checkpoint.apply(&self.journal, &self.history);
+                self.journal.clear();
+            }
+            None => {
+                self.checkpoint = Some(PeerCheckpoint {
+                    runtime,
+                    slots: self.slots.clone(),
+                    seen: self.seen.clone(),
+                    clients: self.clients.clone(),
+                    committed: self.committed.clone(),
+                    history: self.history.clone(),
+                });
+            }
+        }
+        debug_assert!(
+            self.checkpoint.as_ref().is_some_and(|c| self.holds(c)),
+            "journaled checkpoint differs from a copy of the bookkeeping"
+        );
+        debug_assert!(self.indexes_are_exact());
+    }
+
+    /// `true` when `checkpoint`'s bookkeeping equals the live one.
+    fn holds(&self, checkpoint: &PeerCheckpoint) -> bool {
+        checkpoint.slots == self.slots
+            && checkpoint.seen == self.seen
+            && checkpoint.clients == self.clients
+            && checkpoint.committed == self.committed
+            && checkpoint.history == self.history
+    }
+
+    /// The tracked attempts still executing, derived the long way: what
+    /// `active` must hold.
+    fn unfinished_slots(&self) -> impl Iterator<Item = (&AttemptId, &SessionId)> {
+        self.slots
+            .iter()
+            .filter(|(_, &session)| !self.runtime.is_finished(session))
+    }
+
+    /// `true` when `active` and `recorded` equal their derivations from
+    /// `slots` + [`Runtime::is_finished`] and from `history`.
+    fn indexes_are_exact(&self) -> bool {
+        self.active.iter().eq(self.unfinished_slots())
+            && self.recorded.len() == self.history.len()
+            && self.history.iter().all(|pid| self.recorded.contains(pid))
     }
 }
 
@@ -569,7 +714,7 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
             // synchronously, so re-arming would just keep the
             // simulation alive for nothing. `feed` resumes the cadence
             // on the next spawn.
-            if self.has_unfinished_attempts() {
+            if !self.active.is_empty() {
                 ctx.set_timer(self.checkpoint_every, TAG_PEER_CHECKPOINT);
             } else {
                 self.checkpoint_armed = false;
@@ -606,6 +751,14 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
                 self.history.clear();
             }
         }
+        // The live bookkeeping now equals the checkpoint, so the journal
+        // starts over; the two indexes are derived, not checkpointed.
+        self.journal.clear();
+        self.recorded = self.history.iter().copied().collect();
+        self.active = self
+            .unfinished_slots()
+            .map(|(&attempt, &session)| (attempt, session))
+            .collect();
         // Telemetry is volatile: the rebuilt runtime starts unobserved,
         // so re-attach the recorder the operator configured.
         if self.recorder_capacity > 0 {
@@ -616,12 +769,7 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
         // budget for every restored unfinished attempt so stalled
         // executions are still reclaimed.
         self.gc_tags.clear();
-        let unfinished: Vec<AttemptId> = self
-            .slots
-            .iter()
-            .filter(|(_, &session)| !self.runtime.is_finished(session))
-            .map(|(a, _)| *a)
-            .collect();
+        let unfinished: Vec<AttemptId> = self.active.keys().copied().collect();
         for attempt in unfinished {
             self.arm_gc(ctx, attempt);
         }
@@ -649,19 +797,20 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
                     | VhMsg::Abort(a) => a,
                     VhMsg::Committed(_) => return,
                 };
-                if self.seen.insert((attempt, NodeId(usize::MAX), u8::MAX)) {
+                if self.dedup(attempt, NodeId(usize::MAX), u8::MAX) {
                     self.broadcast_peers(ctx, VhMsg::Vote(attempt));
                     self.broadcast_peers(ctx, VhMsg::Commit(attempt));
                 }
             }
             PeerBehaviour::Correct => match message {
                 VhMsg::ClientUpdate(a) => {
-                    if self.history.contains(&a.pid) {
+                    if self.recorded.contains(&a.pid) {
                         // Already recorded (an earlier attempt won):
                         // confirm without re-executing the protocol.
                         ctx.send(from, VhMsg::Committed(a));
                     } else if self.dedup(a, from, 0) {
                         self.clients.insert(a, from);
+                        self.record(JournalEntry::Client(a, from));
                         self.feed(ctx, a, CommitMessage::Update);
                     }
                 }
@@ -1230,20 +1379,19 @@ impl HarnessReport {
     }
 }
 
-/// Runs a version-history simulation with the commit protocol served
-/// from the EFSM tier: one compiled 9-state machine, bound to the
-/// configured replication factor's thresholds at ingest.
-pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
-    let commit_config =
-        CommitConfig::new(config.replication_factor).expect("valid replication factor");
-    // Compile once per harness; every peer's session pool shares it.
-    let engine = PeerEngine::new(&commit_config);
+/// Wires `config`'s peer set (nodes `0..r`), client endpoints and
+/// fault schedule into a simulation that has not started yet.
+fn harness_simulation<'m>(
+    config: &HarnessConfig,
+    commit_config: &CommitConfig,
+    engine: &'m PeerEngine,
+) -> Simulation<VhMsg, VhNode<'m>> {
     let r = config.replication_factor as usize;
     let mut nodes: Vec<VhNode<'_>> = Vec::new();
     for i in 0..r {
         let behaviour = config.behaviours.get(i).copied().unwrap_or_default();
         let mut peer = CommitPeer::new(
-            &engine,
+            engine,
             r,
             behaviour,
             config.peer_gc,
@@ -1266,15 +1414,30 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
         ))));
     }
     let mut sim = Simulation::new(config.net.clone(), nodes);
-    let mut crashed = vec![false; r];
     for &(peer, crash_at, restart_at) in &config.crashes {
         let node = NodeId(peer as usize);
         assert!((peer as usize) < r, "crash schedule names a non-peer node");
-        crashed[peer as usize] = true;
         sim.schedule_crash(node, crash_at);
         if restart_at > crash_at {
             sim.schedule_restart(node, restart_at);
         }
+    }
+    sim
+}
+
+/// Runs a version-history simulation with the commit protocol served
+/// from the EFSM tier: one compiled 9-state machine, bound to the
+/// configured replication factor's thresholds at ingest.
+pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
+    let commit_config =
+        CommitConfig::new(config.replication_factor).expect("valid replication factor");
+    // Compile once per harness; every peer's session pool shares it.
+    let engine = PeerEngine::new(&commit_config);
+    let r = config.replication_factor as usize;
+    let mut sim = harness_simulation(config, &commit_config, &engine);
+    let mut crashed = vec![false; r];
+    for &(peer, _, _) in &config.crashes {
+        crashed[peer as usize] = true;
     }
     sim.run_until(config.deadline);
     let mut histories = Vec::with_capacity(r);
@@ -1324,3 +1487,6 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
         flight_dumps,
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -50,7 +50,15 @@
 #    than the unminimized original in paired passes);
 # 7. fails if the benchmark artefacts are missing required rows
 #    (including the runtime_facade, artifact_cold_load,
-#    hsm_minimized and storage_faulted rows).
+#    hsm_minimized and storage_faulted rows);
+# 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
+#    a workspace of its own, so steps 1-3 do not reach it) and one short
+#    traced storage_commit run, which must pass its output checks and
+#    keep a peer's on_message cost flat over a 2 000-commit history
+#    (storage.history_growth_ratio <= 3: the last tenth of a run's
+#    messages against the first, within one process, so machine speed
+#    cancels; it read 10 while CommitPeer scanned its history, 1.5
+#    since — docs/STORAGE.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,5 +111,17 @@ for r in 4 7 10; do
 done
 grep -q '"storage_faulted"' BENCH_storage.json \
     || { echo "BENCH_storage.json is missing the storage_faulted row" >&2; exit 1; }
+
+echo "== benchmark package gate (benchmark/check.sh) =="
+bash benchmark/check.sh
+
+echo "== storage_commit traced: output checks + history_growth_ratio <= 3 =="
+bash benchmark/run.sh --workload storage_commit --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+growth = metrics["storage.history_growth_ratio"]["value"]
+failed = metrics["check.failed_share"]["value"]
+print(f"storage.history_growth_ratio {growth:.2f}, check.failed_share {failed}")
+sys.exit(0 if growth <= 3 and failed == 0 else 1)'
 
 echo "verify.sh: all green"
