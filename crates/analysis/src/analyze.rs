@@ -1,7 +1,7 @@
 //! The analysis passes: interval fixpoint, reachability and dead-code
 //! lints, guard lints, overflow detection and equivalence reporting.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use stategen_core::efsm::{CmpOp, Guard, Operand, Update};
 use stategen_core::interval::{
@@ -10,7 +10,7 @@ use stategen_core::interval::{
 use stategen_core::{Diagnostic, FlatIr, FlatTransition, Level, Lint, StateRole, StategenError};
 
 use crate::lint::{AnalysisConfig, MAX_WITNESS_ENUM};
-use crate::minimize::{equivalence_classes, live_transitions};
+use crate::minimize::LiveIr;
 
 /// The result of one analyzer run: every finding plus the facts the
 /// passes established (reachability, per-state variable ranges).
@@ -48,7 +48,7 @@ impl Analysis {
 
     /// `true` when no finding is at [`Level::Deny`].
     pub fn is_clean(&self) -> bool {
-        self.deny().is_empty()
+        !self.diagnostics.iter().any(|d| d.level == Level::Deny)
     }
 
     /// The highest level among the findings (`None` when there are no
@@ -108,7 +108,8 @@ pub fn analyze_bound(ir: &FlatIr, params: &[i64], config: &AnalysisConfig) -> An
 }
 
 fn run(ir: &FlatIr, params: &[Interval], bound: bool, config: &AnalysisConfig) -> Analysis {
-    let env = fixpoint(ir, params, config.widen_after);
+    let live = LiveIr::new(ir);
+    let env = fixpoint(ir, &live, params, config.widen_after);
     let reachable: Vec<bool> = env.iter().map(|e| e.is_some()).collect();
     let mut diagnostics = Vec::new();
     let mut emit = |lint: Lint, message: String, state: Option<u32>, cap: Option<Level>| {
@@ -123,12 +124,12 @@ fn run(ir: &FlatIr, params: &[Interval], bound: bool, config: &AnalysisConfig) -
         diagnostics.push(d);
     };
 
-    structural_pass(ir, &reachable, &mut emit);
-    guard_pass(ir, &env, params, bound, config, &mut emit);
+    structural_pass(ir, &live, &reachable, &mut emit);
+    guard_pass(ir, &live, &env, params, bound, config, &mut emit);
     if bound || ir.params().is_empty() {
         overflow_pass(ir, &env, &mut emit);
     }
-    equivalence_pass(ir, &mut emit);
+    equivalence_pass(ir, &live, &mut emit);
 
     Analysis {
         machine: ir.name().to_string(),
@@ -144,7 +145,12 @@ fn run(ir: &FlatIr, params: &[Interval], bound: bool, config: &AnalysisConfig) -
 /// staged read-pre-transition semantics as the interpreters, joins
 /// switch to widening after `widen_after` growths per state so loops
 /// terminate.
-fn fixpoint(ir: &FlatIr, params: &[Interval], widen_after: usize) -> Vec<Option<Vec<Interval>>> {
+fn fixpoint(
+    ir: &FlatIr,
+    live: &LiveIr,
+    params: &[Interval],
+    widen_after: usize,
+) -> Vec<Option<Vec<Interval>>> {
     let n = ir.state_count();
     let nv = ir.variables().len();
     let mut env: Vec<Option<Vec<Interval>>> = vec![None; n];
@@ -160,7 +166,7 @@ fn fixpoint(ir: &FlatIr, params: &[Interval], widen_after: usize) -> Vec<Option<
             Some(e) => e.clone(),
             None => continue,
         };
-        for t in live_transitions(&ir.states()[s]) {
+        for t in live.of(s as u32) {
             let vars = match edge_post(&cur, params, t) {
                 Some(v) => v,
                 // The guard cannot hold under the ranges reachable
@@ -207,7 +213,7 @@ fn fixpoint(ir: &FlatIr, params: &[Interval], widen_after: usize) -> Vec<Option<
                 Some(e) => e.clone(),
                 None => continue,
             };
-            for t in live_transitions(&ir.states()[s]) {
+            for t in live.of(s as u32) {
                 let vars = match edge_post(&cur, params, t) {
                     Some(v) => v,
                     None => continue,
@@ -392,12 +398,13 @@ fn add1(b: i64) -> i64 {
 /// transitions, unhandled messages, absorbing sinks.
 fn structural_pass(
     ir: &FlatIr,
+    live: &LiveIr,
     reachable: &[bool],
     emit: &mut impl FnMut(Lint, String, Option<u32>, Option<Level>),
 ) {
-    let mut seen_names: Vec<&str> = Vec::new();
+    let mut seen_names: HashSet<&str> = HashSet::new();
     for (sid, state) in ir.states().iter().enumerate() {
-        if seen_names.contains(&state.name()) {
+        if !seen_names.insert(state.name()) {
             emit(
                 Lint::DuplicateStateName,
                 format!("state name `{}` is used more than once", state.name()),
@@ -405,7 +412,6 @@ fn structural_pass(
                 None,
             );
         }
-        seen_names.push(state.name());
     }
 
     let mut handled = vec![false; ir.messages().len()];
@@ -474,34 +480,24 @@ fn structural_pass(
             );
             continue;
         }
-        let live = live_transitions(state);
-        for t in &live {
+        let live_here = live.of(sid32);
+        for t in live_here {
             handled[t.message_index()] = true;
         }
-        // Shadowed transitions: present in the raw list but filtered
-        // out of the live projection by an earlier unconditional
-        // transition on the same message (a `guard_unsat` filter is the
-        // unsatisfiable-guard lint's job, not this one's).
-        let mut closed: Vec<usize> = Vec::new();
-        for t in state.transitions() {
-            if closed.contains(&t.message_index()) && !guard_unsat(t.guard()) {
-                emit(
-                    Lint::DeadTransition,
-                    format!(
-                        "transition on `{}` in state `{}` is shadowed by an earlier \
-                         unconditional transition on the same message",
-                        ir.messages()[t.message_index()],
-                        state.name()
-                    ),
-                    Some(sid32),
-                    None,
-                );
-            }
-            if t.guard().conditions().is_empty() && !closed.contains(&t.message_index()) {
-                closed.push(t.message_index());
-            }
+        for t in live.shadowed(sid32) {
+            emit(
+                Lint::DeadTransition,
+                format!(
+                    "transition on `{}` in state `{}` is shadowed by an earlier \
+                     unconditional transition on the same message",
+                    ir.messages()[t.message_index()],
+                    state.name()
+                ),
+                Some(sid32),
+                None,
+            );
         }
-        if !live.is_empty() && live.iter().all(|t| t.target() == sid32) {
+        if !live_here.is_empty() && live_here.iter().all(|t| t.target() == sid32) {
             emit(
                 Lint::AbsorbingSink,
                 format!(
@@ -530,6 +526,7 @@ fn structural_pass(
 /// guards.
 fn guard_pass(
     ir: &FlatIr,
+    live: &LiveIr,
     env: &[Option<Vec<Interval>>],
     params: &[Interval],
     bound: bool,
@@ -585,7 +582,7 @@ fn guard_pass(
 
         // Sibling overlap: pairs on the same message that the sound
         // disjointness check cannot separate.
-        let live = live_transitions(state);
+        let live = live.of(sid as u32);
         for i in 0..live.len() {
             for j in i + 1..live.len() {
                 let (a, b) = (live[i], live[j]);
@@ -695,8 +692,12 @@ fn overflow_pass(
 
 /// Equivalence lint: report every behavioural class with more than one
 /// member (the classes `minimize` would merge).
-fn equivalence_pass(ir: &FlatIr, emit: &mut impl FnMut(Lint, String, Option<u32>, Option<Level>)) {
-    for class in equivalence_classes(ir) {
+fn equivalence_pass(
+    ir: &FlatIr,
+    live: &LiveIr,
+    emit: &mut impl FnMut(Lint, String, Option<u32>, Option<Level>),
+) {
+    for class in live.classes() {
         if class.len() < 2 {
             continue;
         }

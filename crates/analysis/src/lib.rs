@@ -64,6 +64,8 @@
 mod analyze;
 mod lint;
 mod minimize;
+#[cfg(test)]
+mod reference;
 
 pub use analyze::{analyze, analyze_bound, Analysis};
 pub use lint::AnalysisConfig;

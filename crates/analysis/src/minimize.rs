@@ -31,9 +31,11 @@
 //! self-loop, so it computes the coarsest observational partition and
 //! [`minimize`] is a true minimizer there.
 
-use stategen_core::efsm::Guard;
+use std::collections::HashMap;
+
+use stategen_core::efsm::{Cond, Update};
 use stategen_core::interval::guard_unsat;
-use stategen_core::{FlatIr, FlatState, FlatTransition, StateRole};
+use stategen_core::{Action, FlatIr, FlatState, FlatTransition, StateRole};
 
 /// What [`minimize`] did, for reports and the bench harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,107 +61,212 @@ impl MinimizeReport {
     }
 }
 
-/// The transitions of `state` that can ever fire, in priority order:
-/// none for a finish state (finish absorbs everything), and otherwise
-/// every transition that is neither provably unsatisfiable
-/// ([`guard_unsat`], binding-independent) nor shadowed by an earlier
-/// unconditional transition on the same message.
-pub(crate) fn live_transitions(state: &FlatState) -> Vec<&FlatTransition> {
-    if state.role() == StateRole::Finish {
-        return Vec::new();
-    }
-    let mut closed: Vec<u16> = Vec::new();
-    let mut live = Vec::new();
-    for t in state.transitions() {
-        let message = t.message_index() as u16;
-        if closed.contains(&message) || guard_unsat(t.guard()) {
-            continue;
-        }
-        if t.guard().conditions().is_empty() {
-            closed.push(message);
-        }
-        live.push(t);
-    }
-    live
+/// Consecutive lists in one allocation: list `i` is
+/// `items[ends[i - 1]..ends[i]]`.
+struct Rows<T> {
+    ends: Vec<usize>,
+    items: Vec<T>,
 }
 
-/// Dense ids of the states reachable from the start along live
-/// transitions, in ascending order.
-pub(crate) fn live_reachable(ir: &FlatIr) -> Vec<u32> {
-    let n = ir.state_count();
-    let mut seen = vec![false; n];
-    let mut stack = vec![ir.start()];
-    seen[ir.start() as usize] = true;
-    while let Some(s) = stack.pop() {
-        for t in live_transitions(&ir.states()[s as usize]) {
-            if !seen[t.target() as usize] {
-                seen[t.target() as usize] = true;
-                stack.push(t.target());
+impl<T> Rows<T> {
+    fn new() -> Self {
+        Rows {
+            ends: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    /// Ends the list being pushed onto `items`.
+    fn close(&mut self) {
+        self.ends.push(self.items.len());
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.items[start..self.ends[i]]
+    }
+}
+
+/// The live-transition projection of an IR, computed once per
+/// `analyze`/`minimize` run and read by every pass. Per state, in
+/// priority order: the transitions that can ever fire — none for a
+/// finish state (finish absorbs everything), and otherwise every
+/// transition that is neither provably unsatisfiable ([`guard_unsat`],
+/// binding-independent) nor shadowed by an earlier unconditional
+/// transition on the same message — and, beside them, the shadowed ones
+/// the dead-transition lint reports (a `guard_unsat` transition is the
+/// unsatisfiable-guard lint's to report, so it is in neither list).
+pub(crate) struct LiveIr<'a> {
+    ir: &'a FlatIr,
+    live: Rows<&'a FlatTransition>,
+    shadowed: Rows<&'a FlatTransition>,
+}
+
+impl<'a> LiveIr<'a> {
+    pub(crate) fn new(ir: &'a FlatIr) -> Self {
+        let (mut live, mut shadowed) = (Rows::new(), Rows::new());
+        // `closed_in[m] == s`: an unconditional transition of state `s`,
+        // earlier in its list, already takes message `m`.
+        let mut closed_in = vec![u32::MAX; ir.messages().len()];
+        for (s, state) in ir.states().iter().enumerate() {
+            if state.role() != StateRole::Finish {
+                for t in state.transitions() {
+                    if guard_unsat(t.guard()) {
+                        continue;
+                    }
+                    let closed = &mut closed_in[t.message_index()];
+                    if *closed == s as u32 {
+                        shadowed.items.push(t);
+                    } else {
+                        if t.guard().conditions().is_empty() {
+                            *closed = s as u32;
+                        }
+                        live.items.push(t);
+                    }
+                }
+            }
+            live.close();
+            shadowed.close();
+        }
+        LiveIr { ir, live, shadowed }
+    }
+
+    /// The transitions of `state` that can ever fire, in priority order.
+    pub(crate) fn of(&self, state: u32) -> &[&'a FlatTransition] {
+        self.live.row(state as usize)
+    }
+
+    /// The transitions of `state` that an earlier unconditional
+    /// transition on the same message keeps from ever firing.
+    pub(crate) fn shadowed(&self, state: u32) -> &[&'a FlatTransition] {
+        self.shadowed.row(state as usize)
+    }
+
+    /// Dense ids of the states reachable from the start along live
+    /// transitions, in ascending order.
+    fn reachable(&self) -> Vec<u32> {
+        let n = self.ir.state_count();
+        let mut seen = vec![false; n];
+        let mut stack = vec![self.ir.start()];
+        seen[self.ir.start() as usize] = true;
+        while let Some(s) = stack.pop() {
+            for t in self.of(s) {
+                if !seen[t.target() as usize] {
+                    seen[t.target() as usize] = true;
+                    stack.push(t.target());
+                }
             }
         }
+        (0..n as u32).filter(|&s| seen[s as usize]).collect()
     }
-    (0..n as u32).filter(|&s| seen[s as usize]).collect()
-}
 
-/// One component of a state's behavioural signature under the current
-/// partition. Structural guard/update encodings keep the comparison
-/// binding-independent (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum SigPart {
-    /// Finish states absorb everything; their outgoing shape is
-    /// irrelevant.
-    Finish,
-    /// A guarded transition: message, structural guard and update
-    /// encodings, action names, and the target's class.
-    Guarded(usize, String, String, Vec<String>, usize),
-    /// An unguarded machine's cell for one message: action names and the
-    /// target's class (the implicit self-loop when the message is
-    /// unhandled).
-    Cell(Vec<String>, usize),
-}
+    /// [`equivalence_classes`] over this projection.
+    ///
+    /// Every live transition's structural label — message, guard,
+    /// updates, actions: everything two transitions must share besides
+    /// the class of their target — is interned to a `u32` once, and each
+    /// live state gets a row of `(label, target)` cells. A refinement
+    /// round then keys each state by `[class, label, class_of(target),
+    /// …]`, so it costs O(live transitions) whatever the class count.
+    pub(crate) fn classes(&self) -> Vec<Vec<u32>> {
+        type Label<'a> = (usize, &'a [Cond], &'a [Update], &'a [Action]);
+        let ir = self.ir;
+        let nodes = self.reachable();
+        let mut labels: HashMap<Label<'a>, u32> = HashMap::new();
+        let mut intern = |label: Label<'a>| {
+            let fresh = labels.len() as u32;
+            *labels.entry(label).or_insert(fresh)
+        };
+        let label_of = |t: &'a FlatTransition| -> Label<'a> {
+            (
+                t.message_index(),
+                t.guard().conditions(),
+                t.updates(),
+                t.actions(),
+            )
+        };
 
-fn encode_guard(guard: &Guard) -> String {
-    format!("{:?}", guard.conditions())
-}
+        // Guarded: one cell per live transition, in priority order.
+        // Unguarded: one cell per message — every transition there is
+        // unconditional, so at most one per message is live, and a
+        // missing handler is the implicit no-action self-loop (which is
+        // also how a finish state's empty live list reads: absorbing).
+        let guarded = ir.is_guarded();
+        let no_action: Vec<u32> = if guarded {
+            Vec::new()
+        } else {
+            (0..ir.messages().len())
+                .map(|m| intern((m, &[], &[], &[])))
+                .collect()
+        };
+        let mut cells: Rows<(u32, u32)> = Rows::new();
+        for &s in &nodes {
+            let base = cells.items.len();
+            cells
+                .items
+                .extend(no_action.iter().map(|&label| (label, s)));
+            for &t in self.of(s) {
+                let cell = (intern(label_of(t)), t.target());
+                if guarded {
+                    cells.items.push(cell);
+                } else {
+                    cells.items[base + t.message_index()] = cell;
+                }
+            }
+            cells.close();
+        }
 
-fn signature(
-    ir: &FlatIr,
-    state_id: u32,
-    live: &[&FlatTransition],
-    class_of: &[usize],
-) -> Vec<SigPart> {
-    let state = &ir.states()[state_id as usize];
-    if state.role() == StateRole::Finish {
-        return vec![SigPart::Finish];
-    }
-    let actions = |t: &FlatTransition| {
-        t.actions()
-            .iter()
-            .map(|a| a.message().to_string())
-            .collect::<Vec<_>>()
-    };
-    if ir.is_guarded() {
-        live.iter()
-            .map(|t| {
-                SigPart::Guarded(
-                    t.message_index(),
-                    encode_guard(t.guard()),
-                    format!("{:?}", t.updates()),
-                    actions(t),
-                    class_of[t.target() as usize],
-                )
-            })
-            .collect()
-    } else {
-        // Per-message normal form: the first live transition wins under
-        // first-match; a missing message is the implicit no-action
-        // self-loop.
-        (0..ir.messages().len())
-            .map(|m| match live.iter().find(|t| t.message_index() == m) {
-                Some(t) => SigPart::Cell(actions(t), class_of[t.target() as usize]),
-                None => SigPart::Cell(Vec::new(), class_of[state_id as usize]),
-            })
-            .collect()
+        // Initial partition: by role. `class_of` is indexed by original
+        // dense id (unreachable slots keep a dummy value nothing reads).
+        let mut class_of = vec![0u32; ir.state_count()];
+        let mut roles: Vec<StateRole> = Vec::new();
+        for &s in &nodes {
+            let role = ir.states()[s as usize].role();
+            let class = roles.iter().position(|&r| r == role).unwrap_or_else(|| {
+                roles.push(role);
+                roles.len() - 1
+            });
+            class_of[s as usize] = class as u32;
+        }
+        let mut count = roles.len();
+
+        // Refine until stable: split classes whose members' rows differ
+        // under the current partition. New class ids are assigned by
+        // first occurrence in dense-id order, which makes the numbering
+        // (and the rebuilt machine) deterministic and minimization
+        // idempotent.
+        let mut key: Vec<u32> = Vec::new();
+        loop {
+            let mut ids: HashMap<Vec<u32>, u32> = HashMap::with_capacity(count);
+            let mut next = vec![0u32; ir.state_count()];
+            for (i, &s) in nodes.iter().enumerate() {
+                key.clear();
+                key.push(class_of[s as usize]);
+                for &(label, target) in cells.row(i) {
+                    key.extend([label, class_of[target as usize]]);
+                }
+                let fresh = ids.len() as u32;
+                next[s as usize] = match ids.get(key.as_slice()) {
+                    Some(&class) => class,
+                    None => {
+                        ids.insert(key.clone(), fresh);
+                        fresh
+                    }
+                };
+            }
+            let stable = ids.len() == count;
+            class_of = next;
+            count = ids.len();
+            if stable {
+                break;
+            }
+        }
+
+        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); count];
+        for &s in &nodes {
+            classes[class_of[s as usize] as usize].push(s);
+        }
+        classes
     }
 }
 
@@ -169,63 +276,7 @@ fn signature(
 /// ids, ordered by first member — so `classes[k][0]` is the
 /// representative of quotient state `k`.
 pub fn equivalence_classes(ir: &FlatIr) -> Vec<Vec<u32>> {
-    let nodes = live_reachable(ir);
-    let live: Vec<Vec<&FlatTransition>> = nodes
-        .iter()
-        .map(|&s| live_transitions(&ir.states()[s as usize]))
-        .collect();
-
-    // Initial partition: by role. `class_of` is indexed by original
-    // dense id (unreachable slots keep a dummy value nothing reads).
-    let mut class_of = vec![0usize; ir.state_count()];
-    let mut count = 0usize;
-    let mut role_class: Vec<(StateRole, usize)> = Vec::new();
-    for &s in &nodes {
-        let role = ir.states()[s as usize].role();
-        let class = match role_class.iter().find(|(r, _)| *r == role) {
-            Some(&(_, c)) => c,
-            None => {
-                role_class.push((role, count));
-                count += 1;
-                count - 1
-            }
-        };
-        class_of[s as usize] = class;
-    }
-
-    // Refine until stable: split classes whose members' signatures under
-    // the current partition differ. New class ids are assigned by first
-    // occurrence in dense-id order, which makes the numbering (and the
-    // rebuilt machine) deterministic and minimization idempotent.
-    loop {
-        let mut keys: Vec<((usize, Vec<SigPart>), usize)> = Vec::new();
-        let mut next = vec![0usize; ir.state_count()];
-        let mut next_count = 0usize;
-        for (i, &s) in nodes.iter().enumerate() {
-            let key = (class_of[s as usize], signature(ir, s, &live[i], &class_of));
-            let class = match keys.iter().find(|(k, _)| *k == key) {
-                Some(&(_, c)) => c,
-                None => {
-                    keys.push((key, next_count));
-                    next_count += 1;
-                    next_count - 1
-                }
-            };
-            next[s as usize] = class;
-        }
-        let stable = next_count == count;
-        class_of = next;
-        count = next_count;
-        if stable {
-            break;
-        }
-    }
-
-    let mut classes: Vec<Vec<u32>> = vec![Vec::new(); count];
-    for &s in &nodes {
-        classes[class_of[s as usize]].push(s);
-    }
-    classes
+    LiveIr::new(ir).classes()
 }
 
 /// Rebuilds `ir` as its behavioural quotient: one state per
@@ -242,42 +293,39 @@ pub fn equivalence_classes(ir: &FlatIr) -> Vec<Vec<u32>> {
 /// `minimize` is idempotent: minimizing a quotient returns it
 /// unchanged.
 pub fn minimize(ir: &FlatIr) -> (FlatIr, MinimizeReport) {
-    let classes = equivalence_classes(ir);
-    let mut class_of = vec![0usize; ir.state_count()];
+    let live = LiveIr::new(ir);
+    let classes = live.classes();
+    let mut class_of = vec![0u32; ir.state_count()];
     for (k, class) in classes.iter().enumerate() {
         for &s in class {
-            class_of[s as usize] = k;
+            class_of[s as usize] = k as u32;
         }
     }
 
+    let guarded = ir.is_guarded();
     let states: Vec<FlatState> = classes
         .iter()
         .map(|class| {
             let rep = &ir.states()[class[0] as usize];
-            let live = live_transitions(rep);
+            let mut picked = live.of(class[0]).to_vec();
+            if !guarded {
+                // At most one live transition per message; the quotient
+                // lists them in alphabet order.
+                picked.sort_by_key(|t| t.message_index());
+            }
             let mut transitions: Vec<FlatTransition> = Vec::new();
-            if rep.role() != StateRole::Finish {
-                let picked: Vec<&FlatTransition> = if ir.is_guarded() {
-                    live
-                } else {
-                    // One transition per message: the first-match winner.
-                    (0..ir.messages().len())
-                        .filter_map(|m| live.iter().copied().find(|t| t.message_index() == m))
-                        .collect()
-                };
-                for t in picked {
-                    let rebuilt = FlatTransition::new(
-                        t.message_index(),
-                        t.guard().clone(),
-                        t.updates().to_vec(),
-                        t.actions().to_vec(),
-                        class_of[t.target() as usize] as u32,
-                    );
-                    // Merging targets can turn distinct transitions into
-                    // exact duplicates; the later one can never fire.
-                    if !transitions.contains(&rebuilt) {
-                        transitions.push(rebuilt);
-                    }
+            for t in picked {
+                let rebuilt = FlatTransition::new(
+                    t.message_index(),
+                    t.guard().clone(),
+                    t.updates().to_vec(),
+                    t.actions().to_vec(),
+                    class_of[t.target() as usize],
+                );
+                // Merging targets can turn distinct transitions into
+                // exact duplicates; the later one can never fire.
+                if !transitions.contains(&rebuilt) {
+                    transitions.push(rebuilt);
                 }
             }
             FlatState::new(rep.name(), rep.role(), transitions)
@@ -291,7 +339,7 @@ pub fn minimize(ir: &FlatIr) -> (FlatIr, MinimizeReport) {
         transitions_after: states.iter().map(|s| s.transitions().len()).sum(),
         classes,
     };
-    let start = class_of[ir.start() as usize] as u32;
+    let start = class_of[ir.start() as usize];
     let minimized = FlatIr::from_parts(
         ir.name(),
         ir.messages().to_vec(),

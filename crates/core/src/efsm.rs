@@ -54,7 +54,7 @@ impl EfsmStateId {
 }
 
 /// A term of a linear expression: a variable or a parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// An EFSM variable.
     Var(VarId),
@@ -64,7 +64,7 @@ pub enum Operand {
 
 /// A linear integer expression over variables and parameters:
 /// `constant + Σ coeff·operand`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
     constant: i64,
     terms: Vec<(i64, Operand)>,
@@ -145,7 +145,7 @@ impl LinExpr {
 }
 
 /// Comparison operator in a guard condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -176,7 +176,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// One atomic condition `lhs op rhs`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cond {
     /// Left-hand side.
     pub lhs: LinExpr,
@@ -203,7 +203,7 @@ impl Cond {
 }
 
 /// A conjunction of conditions; the empty guard is always true.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Guard {
     conds: Vec<Cond>,
 }
@@ -240,7 +240,7 @@ impl Guard {
 }
 
 /// An update to a variable performed when a transition fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Update {
     /// `var := expr` (evaluated against the pre-transition values).
     Set(VarId, LinExpr),

@@ -58,7 +58,12 @@
 #    (storage.history_growth_ratio <= 3: the last tenth of a run's
 #    messages against the first, within one process, so machine speed
 #    cancels; it read 10 while CommitPeer scanned its history, 1.5
-#    since — docs/STORAGE.md).
+#    since — docs/STORAGE.md), then one short traced build_deploy run,
+#    which must pass its output checks and spend no more of a corpus
+#    pass in `analyze` or in `minimize` than in the generator whose
+#    output they check (a ratio inside one run; both read about 3x the
+#    generator while a refinement round searched the classes seen so
+#    far, about 0.2x since — docs/ANALYSIS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -123,5 +128,16 @@ growth = metrics["storage.history_growth_ratio"]["value"]
 failed = metrics["check.failed_share"]["value"]
 print(f"storage.history_growth_ratio {growth:.2f}, check.failed_share {failed}")
 sys.exit(0 if growth <= 3 and failed == 0 else 1)'
+
+echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= generate_ms =="
+bash benchmark/run.sh --workload build_deploy --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+generate = metrics["core.generator.generate_ms"]["value"]
+analyze = metrics["analysis.analyze_ms"]["value"]
+minimize = metrics["analysis.minimize_ms"]["value"]
+failed = metrics["check.failed_share"]["value"]
+print(f"generate_ms {generate:.2f}, analyze_ms {analyze:.2f}, minimize_ms {minimize:.2f}, check.failed_share {failed}")
+sys.exit(0 if failed == 0 and analyze <= generate and minimize <= generate else 1)'
 
 echo "verify.sh: all green"
