@@ -5,7 +5,7 @@
 //!
 //! The batch-kernel gate: `batched_pool` / `efsm_pool` measure the
 //! *scalar* per-session batch walk (`deliver_all_scalar` on the core
-//! pools — the pre-kernel reference semantics), while `batched_kernel`
+//! `SessionStore` — the reference semantics), while `batched_kernel`
 //! / `efsm_kernel` measure the bucketed branchless kernels behind
 //! `deliver_all`. The paired alternating measurement at the bottom
 //! hard-fails unless the kernels win by ≥ 1.25× (dense) and ≥ 1.4×
@@ -22,9 +22,9 @@
 //! baseline as a reported row) at zero allocations per delivery, both
 //! hard assertions — the facade is only allowed to exist if it is
 //! free. `runtime_facade_sharded_4` tracks the same work with 4-way
-//! sharding as configuration; like the scoped `sharded_pool_*` rows it
-//! spawns scoped worker threads per batch, so it is exempt from the
-//! zero-alloc assertion and reported rather than gated.
+//! sharding as configuration; like the `sharded_pool_*` rows it opens
+//! the worker driver (threads, deques, mailboxes) per batch, so it is
+//! exempt from the zero-alloc assertion and reported rather than gated.
 //!
 //! Emits a machine-readable `BENCH_engine_tiers.json` at the workspace
 //! root (ns/delivery per tier, speedup ratios vs the interpreted
@@ -41,12 +41,13 @@
 //! a *guarded* statechart (retry-budget session lifecycle) flattened
 //! through the unified IR onto the compiled-EFSM tier and batch-served
 //! at 64k sessions, and the persistent-worker rows
-//! (`sharded_persistent_4`, `work_stealing_4`), whose workers are
-//! spawned once *outside* the measurement and whose shard scratch is
-//! worker-resident. Exempt from the assertion: only the scoped sharded
-//! rows (`sharded_pool_*`, `runtime_facade_sharded_4`), which spawn
-//! worker threads per batch by design, amortised over tens of
-//! thousands of sessions per batch.
+//! (`sharded_persistent_4` = 4 workers × 4 shards, `work_stealing_4` =
+//! 4 workers × 16 shards — the same driver, only the ratio differs),
+//! whose workers are spawned once *outside* the measurement and whose
+//! shard scratch is shard-resident. Exempt from the assertion: only the
+//! per-call sharded rows (`sharded_pool_*`,
+//! `runtime_facade_sharded_4`), which spawn worker threads per batch by
+//! design, amortised over tens of thousands of sessions per batch.
 //!
 //! The deployment path gets its own rows: `artifact_cold_load` times
 //! the full ship-and-boot cycle (encode to the versioned artifact
@@ -66,8 +67,7 @@ use stategen_commit::{
     commit_efsm, commit_efsm_instance, commit_efsm_params, CommitConfig, CommitModel,
 };
 use stategen_core::{
-    generate, CompiledEfsm, CompiledMachine, EfsmSessionPool, FsmInstance, ProtocolEngine,
-    SessionPool,
+    generate, CompiledEfsm, CompiledMachine, FsmInstance, ProtocolEngine, SessionStore, StepEngine,
 };
 use stategen_generated::GeneratedCommitR4;
 use stategen_models::{redundant_ring, session_lifecycle, session_lifecycle_guarded};
@@ -414,19 +414,18 @@ fn main() {
         small_best / full_best
     };
 
-    // Tier 4: batched sessions over the core struct-of-arrays pool —
+    // Tier 4: batched sessions over the core struct-of-arrays store —
     // two rows for the same work. `batched_pool` is the *scalar*
-    // reference walk (`deliver_all_scalar`: the per-session stepping
-    // loop every batch caller ran before the kernels landed, preserved
-    // as the semantic oracle and the observer visit-order path);
-    // `batched_kernel` is `deliver_all`, which counting-sorts the
-    // pending sessions into (state, message) buckets and steps each
-    // bucket with one branchless loop (table cell hoisted out, finished
-    // bits by mask arithmetic). The paired alternating gate below
-    // hard-asserts the kernel's ≥ 1.25× win at 0 allocs/delivery.
+    // reference walk (`deliver_all_scalar`: per-session stepping in
+    // slot order, kept as the semantic oracle and the observer
+    // visit-order path); `batched_kernel` is `deliver_all`, which
+    // counting-sorts the pending sessions into (state, message) buckets
+    // and steps each bucket with one branchless loop (table cell
+    // hoisted out). The paired alternating gate below hard-asserts the
+    // kernel's ≥ 1.25× win at 0 allocs/delivery.
     let pool_rounds = (SINGLE_DELIVERIES / (POOL_SESSIONS as u64 * TRACE.len() as u64)).max(1);
     let pool_deliveries = pool_rounds * POOL_SESSIONS as u64 * TRACE.len() as u64;
-    let mut pool = SessionPool::new(&compiled, POOL_SESSIONS);
+    let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), POOL_SESSIONS);
     results.push(measure("batched_pool", pool_deliveries, true, || {
         let mut transitions = 0;
         for _ in 0..pool_rounds {
@@ -452,7 +451,7 @@ fn main() {
     // this shared box hits both sides equally, so the best-of ratio
     // isolates the real effect of branch elimination + bucketing).
     let batched_kernel_ratio = {
-        let scalar_pass = |pool: &mut SessionPool| {
+        let scalar_pass = |pool: &mut SessionStore| {
             let mut transitions = 0u64;
             for _ in 0..pool_rounds {
                 for &id in &ids {
@@ -462,7 +461,7 @@ fn main() {
             }
             transitions
         };
-        let kernel_pass = |pool: &mut SessionPool| {
+        let kernel_pass = |pool: &mut SessionStore| {
             let mut transitions = 0u64;
             for _ in 0..pool_rounds {
                 for &id in &ids {
@@ -535,7 +534,7 @@ fn main() {
         },
     ));
 
-    // Tier 7: batched EFSM sessions over the core pool (variable
+    // Tier 7: batched EFSM sessions over the same store type (variable
     // registers struct-of-arrays) — the same scalar/kernel split as
     // tier 4. `efsm_pool` steps sessions one at a time through the
     // fused bytecode; `efsm_kernel` buckets by state and evaluates the
@@ -548,7 +547,10 @@ fn main() {
         0,
         "the commit EFSM must stay entirely on the fused kernel fast path"
     );
-    let mut efsm_pool = EfsmSessionPool::new(&compiled_efsm, efsm_params.clone(), POOL_SESSIONS);
+    let mut efsm_pool = SessionStore::new(
+        StepEngine::register(compiled_efsm.clone(), &efsm_params).expect("binding arity"),
+        POOL_SESSIONS,
+    );
     results.push(measure("efsm_pool", pool_deliveries, true, || {
         let mut transitions = 0;
         for _ in 0..pool_rounds {
@@ -571,7 +573,7 @@ fn main() {
     }));
     // The EFSM-kernel gate, paired like the dense one.
     let efsm_kernel_ratio = {
-        let scalar_pass = |pool: &mut EfsmSessionPool| {
+        let scalar_pass = |pool: &mut SessionStore| {
             let mut transitions = 0u64;
             for _ in 0..pool_rounds {
                 for &id in &efsm_ids {
@@ -581,7 +583,7 @@ fn main() {
             }
             transitions
         };
-        let kernel_pass = |pool: &mut EfsmSessionPool| {
+        let kernel_pass = |pool: &mut SessionStore| {
             let mut transitions = 0u64;
             for _ in 0..pool_rounds {
                 for &id in &efsm_ids {
@@ -660,9 +662,10 @@ fn main() {
     }
 
     // Tiers 8–10: sharded multi-core batch stepping over 64k sessions,
-    // one worker thread per shard. Shard results are bit-identical to a
-    // single pool; the rows track how batch throughput scales with
-    // worker count on this machine's cores.
+    // one worker thread per shard, the driver opened per call. Shard
+    // results are bit-identical to a single store; the rows track how
+    // batch throughput scales with worker count on this machine's
+    // cores.
     let sharded_rounds = 4u64;
     let sharded_deliveries = sharded_rounds * SHARDED_SESSIONS as u64 * TRACE.len() as u64;
     for shards in [1usize, 2, 4] {
@@ -685,16 +688,17 @@ fn main() {
         ));
     }
 
-    // Tier 10b: the same 4-shard batch work on persistent parked
-    // workers. The workers are spawned once, *outside* the measured
-    // passes, and every shard's kernel scratch lives in the shard
-    // itself — so unlike the scoped rows above, the steady state is
-    // pure condvar handshakes over pre-sized buffers and the row joins
-    // the hard zero-alloc gate.
+    // Tier 10b: the same 4-shard batch work with the driver held open:
+    // four workers, one shard each, parked between batches. The
+    // workers are spawned once, *outside* the measured passes, and
+    // every shard's kernel scratch lives in the shard itself — so
+    // unlike the per-call rows above, the steady state is pure condvar
+    // handshakes over pre-sized buffers and the row joins the hard
+    // zero-alloc gate.
     {
         let mut sharded = facade_engine.runtime().sharded(4);
         sharded.spawn_many(SHARDED_SESSIONS);
-        let row = sharded.with_workers(|workers| {
+        let row = sharded.with_workers(4, |workers| {
             measure("sharded_persistent_4", sharded_deliveries, true, || {
                 let mut transitions = 0;
                 for _ in 0..sharded_rounds {
@@ -709,10 +713,10 @@ fn main() {
         results.push(row);
     }
 
-    // Tier 10c: work stealing. Eight shards over four persistent
-    // workers: each worker drains its own deque front-first and steals
-    // from its neighbours' tails when empty, so an unlucky shard split
-    // can't idle three cores. Every shard is still processed exactly
+    // Tier 10c: the same driver with fewer workers than shards —
+    // sixteen shards over four persistent workers: each worker drains
+    // its own deque front-first and steals from its neighbours' tails
+    // when empty, so an unlucky shard split can't idle three cores. Every shard is still processed exactly
     // once per batch by exactly one worker, so the results are
     // bit-identical to the flat pool — asserted per batch against a
     // flat runtime before measuring, and the row joins the hard
@@ -720,9 +724,9 @@ fn main() {
     // capacity).
     {
         let mut flat = facade_engine.runtime_with(SHARDED_SESSIONS);
-        let mut sharded = facade_engine.runtime().sharded(8);
+        let mut sharded = facade_engine.runtime().sharded(16);
         sharded.spawn_many(SHARDED_SESSIONS);
-        let row = sharded.with_stealing_workers(4, |workers| {
+        let row = sharded.with_workers(4, |workers| {
             for &id in &ids {
                 assert_eq!(
                     workers.deliver_all(id),
@@ -968,7 +972,7 @@ fn main() {
          (gate: <= 1.05x, paired passes; the quotient must not cost anything)"
     );
     let persistent_vs_scoped = by_name("sharded_pool_4") / by_name("sharded_persistent_4");
-    println!("persistent vs scoped workers (4):    {persistent_vs_scoped:.2}x");
+    println!("persistent vs per-call workers (4):  {persistent_vs_scoped:.2}x");
     let stealing_vs_persistent = by_name("sharded_persistent_4") / by_name("work_stealing_4");
     println!("stealing vs persistent workers (4):  {stealing_vs_persistent:.2}x");
     // The batch-kernel gates: bucketed branchless stepping must beat

@@ -23,8 +23,8 @@ use stategen_commit::{
     ReferenceCommit, MESSAGE_NAMES,
 };
 use stategen_core::{
-    generate, CompiledEfsm, CompiledInstance, CompiledMachine, Efsm, EfsmSessionPool, FsmInstance,
-    ProtocolEngine, SessionPool, StateMachine,
+    generate, CompiledEfsm, CompiledInstance, CompiledMachine, Efsm, FsmInstance, ProtocolEngine,
+    SessionStore, StateMachine, StepEngine,
 };
 use stategen_runtime::{Engine, Spec};
 
@@ -123,7 +123,8 @@ fn check_compiled_efsm_equivalence(r: u32, messages: &[usize]) {
     let compiled = compiled_efsm();
     let mut interp = commit_efsm_instance(efsm(), &config);
     let mut single = compiled.instance(commit_efsm_params(&config));
-    let mut pool = EfsmSessionPool::new(compiled, commit_efsm_params(&config), 2);
+    let register = StepEngine::register(compiled.clone(), &commit_efsm_params(&config)).unwrap();
+    let mut pool = SessionStore::new(register, 2);
     let mut facade = facade_efsm_engine(r).runtime();
     let facade_session = facade.spawn();
     for (step, &mi) in messages.iter().enumerate() {
@@ -241,7 +242,7 @@ fn check_compiled_equivalence(r: u32, messages: &[usize]) {
     let compiled = compiled(r);
     let mut fsm = FsmInstance::new(machine(r));
     let mut single = CompiledInstance::new(compiled);
-    let mut pool = SessionPool::new(compiled, 2);
+    let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
     let mut facade = facade_engine(r).runtime();
     let facade_session = facade.spawn();
     for (step, &mi) in messages.iter().enumerate() {

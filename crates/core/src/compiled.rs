@@ -67,7 +67,7 @@ struct ActionRange {
 ///
 /// Compile once (at generation, startup or build time), then create any
 /// number of cheap execution cursors: [`CompiledInstance`] for a single
-/// protocol execution, or [`SessionPool`](crate::SessionPool) for
+/// protocol execution, or a [`SessionStore`](crate::SessionStore) for
 /// thousands of concurrent ones.
 #[derive(Debug, Clone)]
 pub struct CompiledMachine {

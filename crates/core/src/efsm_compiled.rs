@@ -260,8 +260,8 @@ impl Default for BoundCell {
 /// pre-evaluated `bounds` constants.
 ///
 /// An [`EfsmBinding`] is created once per instance — or once per
-/// [`EfsmSessionPool`](crate::EfsmSessionPool), shared by every session
-/// — via [`CompiledEfsm::bind`].
+/// [`StepEngine`](crate::StepEngine), shared by every session stepped
+/// through it — via [`CompiledEfsm::bind`].
 #[derive(Debug, Clone)]
 pub struct EfsmBinding {
     params: Vec<i64>,
@@ -295,9 +295,9 @@ impl EfsmBinding {
 /// tables.
 ///
 /// Compile once, then create any number of cheap execution cursors:
-/// [`CompiledEfsmInstance`] for a single protocol execution, or
-/// [`EfsmSessionPool`](crate::EfsmSessionPool) for thousands of
-/// concurrent ones sharing one parameter binding.
+/// [`CompiledEfsmInstance`] for a single protocol execution, or a
+/// [`SessionStore`](crate::SessionStore) for thousands of concurrent
+/// ones sharing one parameter binding.
 #[derive(Debug, Clone)]
 pub struct CompiledEfsm {
     name: String,
@@ -829,7 +829,7 @@ impl CompiledEfsm {
     /// and `scratch` at least [`CompiledEfsm::scratch_len`] (its
     /// contents are meaningless between calls). This is the
     /// allocation-free hot path shared by [`CompiledEfsmInstance`] and
-    /// [`EfsmSessionPool`](crate::EfsmSessionPool).
+    /// [`StepEngine::step`](crate::StepEngine::step).
     ///
     /// # Panics
     ///

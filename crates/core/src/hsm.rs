@@ -28,7 +28,7 @@
 //!   ([`HierarchicalMachine::flatten`]) and run on every dense-table
 //!   tier — [`FsmInstance`](crate::FsmInstance),
 //!   [`CompiledMachine`](crate::CompiledMachine) /
-//!   [`SessionPool`](crate::SessionPool) and
+//!   [`SessionStore`](crate::SessionStore) and
 //!   [`ShardedPool`](crate::ShardedPool) — with zero engine changes
 //!   (the compiled tier's action-arena interning folds the synthesized
 //!   sequences back together); guarded statecharts compile onto the

@@ -1,21 +1,21 @@
 //! Branchless batch kernels: `(state, message)`-bucketed dispatch for
 //! the dense and compiled-EFSM tiers.
 //!
-//! The scalar batch loops in [`session`](crate::session) step each
+//! The scalar batch walk in [`session`](crate::session) steps each
 //! session through [`CompiledMachine::step`] /
 //! [`CompiledEfsm::step`] — a per-session table walk whose
-//! applicability test, finish check and candidate cascade are all
-//! data-dependent branches. This module restructures the batch into the
+//! applicability test and candidate cascade are data-dependent
+//! branches. This module restructures the batch into the
 //! write-mask idiom: sessions are bucketed by current state with a
 //! counting sort into a reusable scratch index (no allocation), and
 //! each `(state, message)` bucket is then stepped by a single loop whose
-//! table cell — target, finish flag, fused check constants — is hoisted
-//! out of the loop, leaving only straight-line loads, masked compares
+//! table cell — target, fused check constants — is hoisted out of the
+//! loop, leaving only straight-line loads, masked compares
 //! and stores in the body.
 //!
 //! * **Dense tier** — every session in a bucket shares one table cell,
 //!   so the bucket body degenerates to a constant scatter over the SoA
-//!   state array plus a mask-OR into the finished bitset.
+//!   state array.
 //! * **EFSM tier** — a bucket shares one bound dispatch cell, so the
 //!   canonical fused check `sign·vars[v] + bound ≤ 0` (already lowered
 //!   to the branch-free `(v ^ m) − m + threshold` form by
@@ -39,19 +39,21 @@
 //! Results are bit-identical to the scalar loops: sessions are
 //! independent, every session is visited exactly once per batch, and
 //! each bucket body computes exactly the scalar step's outcome — the
-//! property suites pin states, finished bits, step counts and snapshots
-//! across both paths.
+//! property suites pin states, registers, finished counts, step counts
+//! and snapshots across both paths. The kernels write states and
+//! registers only: finish states are absorbing, so finished-ness is
+//! derivable from the state array and the
+//! [`SessionStore`](crate::SessionStore) rebuilds its bitset lazily.
 
 use crate::compiled::CompiledMachine;
 use crate::efsm_compiled::{BoundCand, BoundCell, CompiledEfsm, EfsmBinding, NO_INC16, SPILL};
 use crate::machine::MessageId;
-use crate::session::FinishedSet;
 
 /// Reusable bucketing scratch for the batch kernels: a counting-sort
 /// index of sessions grouped by current state.
 ///
-/// Create once per pool (or shard) and reuse across batches — the
-/// buffers grow to the pool's session count and the machine's state
+/// Create once per store and reuse across batches — the
+/// buffers grow to the store's session count and the machine's state
 /// count on first use and never shrink, so steady-state batches do not
 /// allocate.
 #[derive(Debug, Clone, Default)]
@@ -118,13 +120,12 @@ fn uniform(states: &[u32]) -> bool {
 }
 
 /// Dense-tier batch kernel: buckets `states` by current state and steps
-/// each bucket with its hoisted table cell. `finished` (when present)
-/// is updated by mask arithmetic; the caller owns the `steps` counter.
+/// each bucket with its hoisted table cell; returns the transitions
+/// taken. Out-of-range ids (retired slots) are skipped untouched.
 pub(crate) fn dense_batch(
     machine: &CompiledMachine,
     message: MessageId,
     states: &mut [u32],
-    mut finished: Option<&mut FinishedSet>,
     scratch: &mut KernelScratch,
 ) -> u64 {
     if states.is_empty() {
@@ -134,7 +135,6 @@ pub(crate) fn dense_batch(
     let column = machine.column(message);
     let stride = machine.message_column_classes();
     let targets = machine.targets();
-    let finish = machine.finish_flags();
     // Lockstep fast path: one shared state means one bucket, and one
     // bucket needs no sort — the cell is read once and the whole SoA
     // column becomes a constant fill.
@@ -148,17 +148,6 @@ pub(crate) fn dense_batch(
             return 0;
         }
         states.fill(target);
-        if let Some(set) = finished {
-            if finish[target as usize] {
-                let n = states.len();
-                for w in 0..n / 64 {
-                    set.or_word(w, !0);
-                }
-                if !n.is_multiple_of(64) {
-                    set.or_word(n / 64, (1u64 << (n % 64)) - 1);
-                }
-            }
-        }
         return states.len() as u64;
     }
     scratch.bucket(states, n_states);
@@ -177,21 +166,8 @@ pub(crate) fn dense_batch(
             continue;
         }
         transitions += bucket.len() as u64;
-        // `or_bit(i, 0)` is the identity, so a non-final target skips
-        // the finished pass outright — a bucket-constant branch, not a
-        // data-dependent one.
-        match finished.as_deref_mut() {
-            Some(set) if finish[target as usize] => {
-                for &i in bucket {
-                    states[i as usize] = target;
-                    set.or_bit(i as usize, 1);
-                }
-            }
-            _ => {
-                for &i in bucket {
-                    states[i as usize] = target;
-                }
-            }
+        for &i in bucket {
+            states[i as usize] = target;
         }
     }
     transitions
@@ -200,8 +176,7 @@ pub(crate) fn dense_batch(
 /// One [`BoundCand`] with its per-bucket constants pre-resolved for the
 /// masked sweep: absent checks are padded to *always pass* (they read
 /// the always-zero dummy register with threshold 0), an absent inline
-/// increment becomes a masked `+= 0` to the dummy register, and the
-/// target's finish flag is pre-looked-up.
+/// increment becomes a masked `+= 0` to the dummy register.
 struct HoistedCand {
     v0: usize,
     m0: i64,
@@ -212,11 +187,10 @@ struct HoistedCand {
     inc: usize,
     inc_amt: i64,
     target: u32,
-    fin: u64,
 }
 
 impl HoistedCand {
-    fn from_cand(cand: &BoundCand, dummy: usize, finish: &[bool]) -> Self {
+    fn from_cand(cand: &BoundCand, dummy: usize) -> Self {
         let n = cand.check_count;
         let c0 = cand.checks[0];
         let c1 = cand.checks[1];
@@ -245,7 +219,6 @@ impl HoistedCand {
             inc,
             inc_amt,
             target: cand.target,
-            fin: u64::from(finish[cand.target as usize]),
         }
     }
 
@@ -264,7 +237,6 @@ impl HoistedCand {
             inc: dummy,
             inc_amt: 0,
             target: 0,
-            fin: 0,
         }
     }
 }
@@ -355,7 +327,8 @@ fn masked_step_row<const C0: usize, const C1: usize>(
         row[h1.inc] += p1;
     }
     // Masked select over {cand0 target, cand1 target, stay}.
-    *st = (p0 as u32) * h0.target + (p1 as u32) * h1.target + (((p0 | p1) ^ 1) as u32) * state;
+    let (m0, m1) = ((p0 as u32).wrapping_neg(), (p1 as u32).wrapping_neg());
+    *st = (h0.target & m0) | (h1.target & m1) | (state & !(m0 | m1));
     (p0, p1)
 }
 
@@ -398,14 +371,9 @@ fn assert_lanes(h0: &HoistedCand, h1: &HoistedCand, n_regs: usize) {
 }
 
 /// The masked column sweep over a *contiguous* run of sessions — the
-/// lockstep fast path, where the whole pool shares one state. Walking
+/// lockstep fast path, where the whole store shares one state. Walking
 /// `states` zipped with `chunks_exact_mut` rows gives affine addressing
-/// with no `order` indirection and no per-session re-slice, and the
-/// finished bits are accumulated into a local word and flushed with one
-/// [`FinishedSet::or_word`] per 64 sessions: neighbouring sessions
-/// share a bitset word, so per-session read-modify-writes would
-/// serialize on it while the local accumulator stays in a register.
-#[allow(clippy::too_many_arguments)]
+/// with no `order` indirection and no per-session re-slice.
 fn sweep_range<const C0: usize, const C1: usize>(
     states: &mut [u32],
     vars: &mut [i64],
@@ -413,39 +381,12 @@ fn sweep_range<const C0: usize, const C1: usize>(
     state: u32,
     h0: &HoistedCand,
     h1: &HoistedCand,
-    finished: Option<&mut FinishedSet>,
 ) -> u64 {
     assert_lanes(h0, h1, n_regs);
-    let n = states.len();
     let mut transitions = 0u64;
-    match finished {
-        Some(set) if h0.fin | h1.fin != 0 => {
-            let mut acc = 0u64;
-            for (i, (st, row)) in states
-                .iter_mut()
-                .zip(vars.chunks_exact_mut(n_regs))
-                .enumerate()
-            {
-                let (p0, p1) = masked_step_row::<C0, C1>(st, row, state, h0, h1);
-                transitions += (p0 | p1) as u64;
-                acc |= ((p0 as u64) * h0.fin + (p1 as u64) * h1.fin) << (i & 63);
-                if i & 63 == 63 {
-                    set.or_word(i >> 6, acc);
-                    acc = 0;
-                }
-            }
-            if !n.is_multiple_of(64) {
-                set.or_word(n / 64, acc);
-            }
-        }
-        // Neither candidate targets a final state: the finished set is
-        // untouched, so the whole accumulate-and-flush layer drops out.
-        _ => {
-            for (st, row) in states.iter_mut().zip(vars.chunks_exact_mut(n_regs)) {
-                let (p0, p1) = masked_step_row::<C0, C1>(st, row, state, h0, h1);
-                transitions += (p0 | p1) as u64;
-            }
-        }
+    for (st, row) in states.iter_mut().zip(vars.chunks_exact_mut(n_regs)) {
+        let (p0, p1) = masked_step_row::<C0, C1>(st, row, state, h0, h1);
+        transitions += (p0 | p1) as u64;
     }
     transitions
 }
@@ -453,9 +394,8 @@ fn sweep_range<const C0: usize, const C1: usize>(
 /// The masked column sweep over one scattered EFSM bucket: every
 /// session listed in `bucket` is in `state`, shares the two hoisted
 /// candidates, and is stepped with no data-dependent branch — check
-/// outcomes, candidate selection, the inline increment, the state write
-/// and the finished bit are all computed as 0/1 masks.
-#[allow(clippy::too_many_arguments)]
+/// outcomes, candidate selection, the inline increment and the state
+/// write are all computed as 0/1 masks.
 fn sweep_bucket<const C0: usize, const C1: usize>(
     bucket: &[u32],
     states: &mut [u32],
@@ -464,31 +404,12 @@ fn sweep_bucket<const C0: usize, const C1: usize>(
     state: u32,
     h0: &HoistedCand,
     h1: &HoistedCand,
-    finished: Option<&mut FinishedSet>,
 ) -> u64 {
     assert_lanes(h0, h1, n_regs);
     let mut transitions = 0u64;
-    match finished {
-        Some(set) if h0.fin | h1.fin != 0 => {
-            for &i in bucket {
-                let i = i as usize;
-                let (p0, p1) = masked_step::<C0, C1>(i, states, vars, n_regs, state, h0, h1);
-                transitions += (p0 | p1) as u64;
-                set.or_bit(i, (p0 as u64) * h0.fin + (p1 as u64) * h1.fin);
-            }
-        }
-        // Neither candidate targets a final state, so the finished set
-        // is untouched (`or_bit(i, 0)` is the identity): drop the
-        // bitset read-modify-write — which serializes on a shared word
-        // across neighbouring sessions — from the whole bucket. A
-        // bucket-constant specialization, not a per-session branch.
-        _ => {
-            for &i in bucket {
-                let (p0, p1) =
-                    masked_step::<C0, C1>(i as usize, states, vars, n_regs, state, h0, h1);
-                transitions += (p0 | p1) as u64;
-            }
-        }
+    for &i in bucket {
+        let (p0, p1) = masked_step::<C0, C1>(i as usize, states, vars, n_regs, state, h0, h1);
+        transitions += (p0 | p1) as u64;
     }
     transitions
 }
@@ -496,16 +417,12 @@ fn sweep_bucket<const C0: usize, const C1: usize>(
 /// Pre-resolves one flat cell's candidates into their hoisted-constant
 /// form plus the const-generic check-count shape for [`dispatch_shape!`]
 /// (`NO_CAND` when the cell has a single candidate).
-fn hoist_cell(
-    cell: &BoundCell,
-    dummy: usize,
-    finish: &[bool],
-) -> (HoistedCand, usize, HoistedCand, usize) {
-    let h0 = HoistedCand::from_cand(&cell.cands[0], dummy, finish);
+fn hoist_cell(cell: &BoundCell, dummy: usize) -> (HoistedCand, usize, HoistedCand, usize) {
+    let h0 = HoistedCand::from_cand(&cell.cands[0], dummy);
     let c0 = cell.cands[0].check_count as usize;
     let (h1, c1) = if cell.count >= 2 {
         (
-            HoistedCand::from_cand(&cell.cands[1], dummy, finish),
+            HoistedCand::from_cand(&cell.cands[1], dummy),
             cell.cands[1].check_count as usize,
         )
     } else {
@@ -516,7 +433,6 @@ fn hoist_cell(
 
 /// Dispatches the lockstep contiguous run to the monomorphic
 /// [`sweep_range`] matching its cell's candidate/check shape.
-#[allow(clippy::too_many_arguments)]
 fn sweep_cell_range(
     states: &mut [u32],
     vars: &mut [i64],
@@ -524,13 +440,11 @@ fn sweep_cell_range(
     state: u32,
     cell: &BoundCell,
     dummy: usize,
-    finish: &[bool],
-    finished: Option<&mut FinishedSet>,
 ) -> u64 {
-    let (h0, c0, h1, c1) = hoist_cell(cell, dummy, finish);
+    let (h0, c0, h1, c1) = hoist_cell(cell, dummy);
     macro_rules! sweep {
         ($a:expr, $b:expr) => {
-            sweep_range::<$a, $b>(states, vars, n_regs, state, &h0, &h1, finished)
+            sweep_range::<$a, $b>(states, vars, n_regs, state, &h0, &h1)
         };
     }
     dispatch_shape!(c0, c1, sweep)
@@ -538,7 +452,6 @@ fn sweep_cell_range(
 
 /// Dispatches one scattered bucket to the monomorphic [`sweep_bucket`]
 /// matching its cell's candidate/check shape.
-#[allow(clippy::too_many_arguments)]
 fn sweep_cell_bucket(
     bucket: &[u32],
     states: &mut [u32],
@@ -547,13 +460,11 @@ fn sweep_cell_bucket(
     state: u32,
     cell: &BoundCell,
     dummy: usize,
-    finish: &[bool],
-    finished: Option<&mut FinishedSet>,
 ) -> u64 {
-    let (h0, c0, h1, c1) = hoist_cell(cell, dummy, finish);
+    let (h0, c0, h1, c1) = hoist_cell(cell, dummy);
     macro_rules! sweep {
         ($a:expr, $b:expr) => {
-            sweep_bucket::<$a, $b>(bucket, states, vars, n_regs, state, &h0, &h1, finished)
+            sweep_bucket::<$a, $b>(bucket, states, vars, n_regs, state, &h0, &h1)
         };
     }
     dispatch_shape!(c0, c1, sweep)
@@ -574,8 +485,6 @@ fn spill_bucket(
     vars: &mut [i64],
     n_regs: usize,
     spill_scratch: &mut [i64],
-    finish: &[bool],
-    mut finished: Option<&mut FinishedSet>,
 ) -> u64 {
     let mut transitions = 0u64;
     for i in sessions {
@@ -584,9 +493,6 @@ fn spill_bucket(
         {
             states[i] = target;
             transitions += 1;
-            if let Some(set) = finished.as_deref_mut() {
-                set.or_bit(i, u64::from(finish[target as usize]));
-            }
         }
     }
     transitions
@@ -595,8 +501,10 @@ fn spill_bucket(
 /// EFSM-tier batch kernel: buckets `states` by current state, sweeps
 /// each flat-cell bucket with masked compares over the register
 /// columns, and falls back to the scalar [`CompiledEfsm::step`] only
-/// for buckets whose cell spilled to the general tables.
-#[allow(clippy::too_many_arguments)]
+/// for buckets whose cell spilled to the general tables. `vars` holds
+/// [`CompiledEfsm::reg_count`] registers per session, `spill_scratch`
+/// at least [`CompiledEfsm::scratch_len`] slots; out-of-range ids
+/// (retired slots) are skipped with their registers untouched.
 pub(crate) fn efsm_batch(
     machine: &CompiledEfsm,
     binding: &EfsmBinding,
@@ -604,7 +512,6 @@ pub(crate) fn efsm_batch(
     states: &mut [u32],
     vars: &mut [i64],
     spill_scratch: &mut [i64],
-    mut finished: Option<&mut FinishedSet>,
     scratch: &mut KernelScratch,
 ) -> u64 {
     if states.is_empty() {
@@ -618,7 +525,6 @@ pub(crate) fn efsm_batch(
         "message id from a different machine"
     );
     let stride = machine.msg_stride();
-    let finish = machine.finish_flags();
     let cells = binding.cells();
     let dummy = machine.dummy_reg();
     // Lockstep fast path: one shared state means one bucket — skip the
@@ -643,20 +549,9 @@ pub(crate) fn efsm_batch(
                 vars,
                 n_regs,
                 spill_scratch,
-                finish,
-                finished,
             );
         }
-        return sweep_cell_range(
-            states,
-            vars,
-            n_regs,
-            state as u32,
-            cell,
-            dummy,
-            finish,
-            finished,
-        );
+        return sweep_cell_range(states, vars, n_regs, state as u32, cell, dummy);
     }
     scratch.bucket(states, n_states);
     let mut transitions = 0u64;
@@ -686,87 +581,10 @@ pub(crate) fn efsm_batch(
                 vars,
                 n_regs,
                 spill_scratch,
-                finish,
-                finished.as_deref_mut(),
             );
             continue;
         }
-        transitions += sweep_cell_bucket(
-            bucket,
-            states,
-            vars,
-            n_regs,
-            state as u32,
-            cell,
-            dummy,
-            finish,
-            finished.as_deref_mut(),
-        );
+        transitions += sweep_cell_bucket(bucket, states, vars, n_regs, state as u32, cell, dummy);
     }
     transitions
-}
-
-impl CompiledMachine {
-    /// Batched delivery over a raw slice of per-session dense state
-    /// ids, via the `(state, message)`-bucketed kernel: sessions are
-    /// counting-sorted by current state into `scratch` and each bucket
-    /// is stepped by one branchless loop with its table cell hoisted.
-    /// Returns the number of transitions taken; actions are not
-    /// materialised.
-    ///
-    /// Slots holding an out-of-range state id (for example a
-    /// retired-slot sentinel such as `u32::MAX`) are skipped untouched,
-    /// so callers with recycled slot arrays need no separate live mask.
-    /// Results are bit-identical to stepping each live slot through
-    /// [`CompiledMachine::step`] in any order.
-    pub fn deliver_batch_states(
-        &self,
-        message: MessageId,
-        states: &mut [u32],
-        scratch: &mut KernelScratch,
-    ) -> u64 {
-        dense_batch(self, message, states, None, scratch)
-    }
-}
-
-impl CompiledEfsm {
-    /// Batched delivery over raw per-session state ids and a
-    /// session-major register file, via the bucketed masked-sweep
-    /// kernel (see the [`kernel`](crate::kernel) module docs). Returns
-    /// the number of transitions taken; actions are not materialised.
-    ///
-    /// `vars` must hold [`CompiledEfsm::reg_count`] registers per
-    /// session and `spill_scratch` at least
-    /// [`CompiledEfsm::scratch_len`] slots (used only by buckets that
-    /// fall back to the scalar bytecode path). Slots holding an
-    /// out-of-range state id (retired-slot sentinels) are skipped with
-    /// their registers untouched. Results are bit-identical to stepping
-    /// each live slot through [`CompiledEfsm::step`] in any order.
-    ///
-    /// # Panics
-    ///
-    /// May panic (or, in release builds, misbehave) if `binding` was
-    /// not created by this machine's [`CompiledEfsm::bind`] or the
-    /// slice lengths disagree with the session count (debug builds
-    /// assert).
-    pub fn deliver_batch_states(
-        &self,
-        message: MessageId,
-        binding: &EfsmBinding,
-        states: &mut [u32],
-        vars: &mut [i64],
-        spill_scratch: &mut [i64],
-        scratch: &mut KernelScratch,
-    ) -> u64 {
-        efsm_batch(
-            self,
-            binding,
-            message,
-            states,
-            vars,
-            spill_scratch,
-            None,
-            scratch,
-        )
-    }
 }

@@ -22,9 +22,11 @@
 //!
 //! * [`FsmInstance`] — a runtime interpreter for generated machines
 //!   (the paper's "generate on the fly" deployment policy, §4.2);
-//! * [`CompiledMachine`] / [`SessionPool`] — the compiled execution tier:
-//!   dense transition tables with zero-allocation dispatch and batched
-//!   multi-instance stepping;
+//! * [`CompiledMachine`] — the compiled execution tier: dense
+//!   transition tables with zero-allocation dispatch;
+//! * [`StepEngine`] / [`SessionStore`] — one machine resolved onto one
+//!   tier (interpreted, dense, register) and the one struct-of-arrays
+//!   store that steps thousands of sessions over it;
 //! * [`efsm`] — extended finite state machines, the intermediate points on
 //!   the paper's algorithm↔FSM spectrum (§3.2, §5.3);
 //! * [`hsm`] — hierarchical statecharts (composite states, entry/exit
@@ -59,8 +61,8 @@
 //! | tier | type | dispatch cost | use when |
 //! |---|---|---|---|
 //! | interpreted | [`FsmInstance`] / [`EfsmInstance`] | `BTreeMap` walk / guard enum-tree walk per message | exploring freshly generated machines; debugging; one-off runs |
-//! | compiled | [`CompiledMachine`] → [`CompiledInstance`] / [`SessionPool`] | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
-//! | compiled EFSM | [`CompiledEfsm`] → [`CompiledEfsmInstance`] / [`EfsmSessionPool`] | guard/update bytecode over a flat op stream, zero allocation | the EFSM tier at runtime: one machine generic over the protocol parameter |
+//! | compiled | [`CompiledMachine`] → [`CompiledInstance`] / [`SessionStore`] | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
+//! | compiled EFSM | [`CompiledEfsm`] → [`CompiledEfsmInstance`] / [`SessionStore`] | guard/update bytecode over a flat op stream, zero allocation | the EFSM tier at runtime: one machine generic over the protocol parameter |
 //! | generated | `stategen-generated` (build-time rendered source) | `match` over enum states | machine known at *build* time; maximum specialisation, no machine data at runtime |
 //!
 //! The interpreted tier needs no preparation; the compiled tiers pay a
@@ -90,13 +92,13 @@
 //! and needs no compile step); flatten + compile for serving traffic,
 //! where dispatch cost and allocation behaviour are identical to any
 //! other compiled machine.
-//! [`SessionPool`] / [`EfsmSessionPool`] extend the compiled tiers to
-//! thousands of concurrent protocol instances stored struct-of-arrays
-//! (one `u32` — plus the EFSM's variable registers — per session),
-//! stepped with no per-event allocation, and [`ShardedPool`] partitions
-//! either pool across `std::thread` workers for multi-core batch
-//! stepping (sessions are independent, so sharded results are identical
-//! to single-threaded stepping).
+//! [`SessionStore`] extends every tier to thousands of concurrent
+//! protocol instances stored struct-of-arrays (one `u32` — plus the
+//! variable registers of a guarded machine — per session) over one
+//! [`StepEngine`], stepped with no per-event allocation, and
+//! [`ShardedPool`] partitions stores across `std::thread` workers for
+//! multi-core batch stepping (sessions are independent, so sharded
+//! results are identical to single-threaded stepping).
 //!
 //! ## Example
 //!
@@ -153,6 +155,7 @@ pub mod kernel;
 pub mod machine;
 pub mod model;
 pub mod session;
+pub mod step;
 pub mod validate;
 
 pub use artifact::Artifact;
@@ -183,9 +186,8 @@ pub use machine::{
     Action, MessageId, State, StateId, StateMachine, StateMachineBuilder, StateRole, Transition,
 };
 pub use model::{AbstractModel, Outcome, TransitionSpec};
-pub use session::{
-    BatchEngine, EfsmSessionPool, ParkedWorkers, SessionPool, ShardedPool, StealingWorkers,
-};
+pub use session::{BatchEngine, SessionStore, ShardedPool, Taken, Workers};
+pub use step::{StepEngine, Tier};
 pub use validate::{
     missing_transitions, structural_diagnostics, validate_machine, ValidationReport,
 };

@@ -1,77 +1,77 @@
-//! Batched execution of many protocol instances over one compiled
-//! machine.
+//! Batched execution of many protocol instances over one machine.
 //!
 //! A deployed protocol node does not run *one* state machine — it runs
 //! one instance per in-flight protocol execution (the paper's ASA peers
 //! hold an FSM instance per commit attempt, §2.2). Scaling that to
 //! "millions of users" means the per-instance representation must be
-//! tiny and stepping must not allocate. [`SessionPool`] stores sessions
-//! as a struct-of-arrays over a shared [`CompiledMachine`]:
+//! tiny and stepping must not allocate. [`SessionStore`] is the one
+//! struct-of-arrays store every serving path steps, over any
+//! [`StepEngine`]:
 //!
-//! * `current` — one dense `u32` state id per session;
-//! * a finished bitset (one bit per session), maintained incrementally;
+//! * one dense `u32` state id per session (a released slot holds the
+//!   [`SessionStore::RETIRED`] sentinel, which batch delivery skips);
+//! * the variable registers, session-major, `reg_count` per session —
+//!   zero for an unguarded machine, so a flat FSM is the same store
+//!   with empty rows, not a second type;
+//! * a finished bitset, maintained *lazily*: the batch kernels never
+//!   touch it (finish states are absorbing, so finished-ness is
+//!   derivable from the state array), single-session steps keep it
+//!   current while it is clean, and queries rebuild it on demand;
 //!
-//! so a pool of a million sessions is ~4 MB of state, stepping a session
-//! is two indexed loads and a store, and delivering a message to every
-//! live session walks a contiguous array. No session operation allocates.
+//! so a store of a million unguarded sessions is ~4 MB of state and no
+//! session operation allocates. [`SessionStore::deliver_all`] routes
+//! through the bucketed branchless kernels (see the
+//! [`kernel`](crate::kernel) module);
+//! [`SessionStore::deliver_all_scalar`] is the per-session walk the
+//! property suites hold them to.
 //!
-//! [`EfsmSessionPool`] is the same shape for compiled EFSMs
-//! ([`CompiledEfsm`]): the per-session variable registers are stored
-//! struct-of-arrays next to the state ids, and one parameter binding is
-//! shared by the whole pool.
-//!
-//! Sessions are independent, so pools scale across cores:
+//! Sessions are independent, so stores scale across cores:
 //! [`ShardedPool`] partitions sessions over any [`BatchEngine`] shards
-//! (each with its own scratch buffers) and steps them on `std::thread`
-//! workers, with results identical to single-threaded stepping whatever
-//! the scheduling.
+//! and one driver, [`ShardedPool::with_workers`], steps them on
+//! persistent `std::thread` workers, with results identical to
+//! single-threaded stepping whatever the scheduling.
 //!
 //! # Examples
 //!
 //! ```
-//! use stategen_core::{Action, CompiledMachine, SessionPool, StateMachineBuilder};
+//! use stategen_core::{Action, CompiledMachine, SessionStore, StateMachineBuilder, StepEngine};
 //!
 //! let mut b = StateMachineBuilder::new("ping", ["ping"]);
 //! let idle = b.add_state("idle");
 //! let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
 //! b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-//! let machine = b.build(idle);
-//! let compiled = CompiledMachine::compile(&machine);
+//! let engine = StepEngine::dense(CompiledMachine::compile(&b.build(idle)));
 //!
-//! let mut pool = SessionPool::new(&compiled, 3);
-//! let ping = compiled.message_id("ping").unwrap();
-//! assert_eq!(pool.deliver(1, ping), [Action::send("pong")]);
-//! assert_eq!(pool.finished_count(), 1);
-//! pool.deliver_all(ping); // steps the remaining live sessions
-//! assert!(pool.all_finished());
+//! let mut store = SessionStore::new(engine.clone(), 3);
+//! let ping = engine.message_id("ping").unwrap();
+//! assert_eq!(store.deliver(1, ping), [Action::send("pong")]);
+//! assert_eq!(store.finished_count(), 1);
+//! store.deliver_all(ping); // steps the remaining live sessions
+//! assert!(store.all_finished());
 //! ```
 
+use std::cell::RefCell;
 use std::sync::{Condvar, Mutex};
 
-use crate::compiled::CompiledMachine;
-use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
-use crate::kernel::{dense_batch, efsm_batch, KernelScratch};
+use crate::kernel::KernelScratch;
 use crate::machine::{Action, MessageId};
+use crate::step::StepEngine;
 
-/// Incrementally maintained finished-session bitset, shared by
-/// [`SessionPool`] and [`EfsmSessionPool`] so the word/bit arithmetic
-/// and the count bookkeeping live in exactly one place.
+/// Finished-session bitset, maintained *lazily*: batch delivery only
+/// marks it dirty (a per-transition finish check costs 25-50% of raw
+/// dense dispatch), the single-session path keeps it incrementally
+/// current while clean, and queries rebuild it from the state array on
+/// demand.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FinishedSet {
+struct FinishedBits {
     words: Vec<u64>,
     count: usize,
+    /// Set when the bits may lag the state array; cleared by
+    /// [`FinishedBits::rebuild`].
+    dirty: bool,
 }
 
-impl FinishedSet {
-    /// An empty set with words preallocated for `sessions` sessions.
-    fn with_capacity(sessions: usize) -> Self {
-        FinishedSet {
-            words: vec![0; sessions.div_ceil(64)],
-            count: 0,
-        }
-    }
-
-    /// Ensures capacity for `sessions` sessions (amortised O(1)).
+impl FinishedBits {
     fn grow_for(&mut self, sessions: usize) {
         let needed = sessions.div_ceil(64);
         if self.words.len() < needed {
@@ -79,329 +79,73 @@ impl FinishedSet {
         }
     }
 
-    fn get(&self, session: usize) -> bool {
-        self.words[session / 64] & (1 << (session % 64)) != 0
-    }
-
-    /// Branchless OR of a 0/1 `fin` mask into one session's bit, used
-    /// by the batch kernels: the count bookkeeping is mask arithmetic
-    /// (`setcc`/`cmov`), not a data-dependent branch.
+    /// Sets or clears one bit; a no-op while dirty (the rebuild will
+    /// recompute it from the state array anyway).
     #[inline]
-    pub(crate) fn or_bit(&mut self, session: usize, fin: u64) {
-        debug_assert!(fin <= 1);
-        let word = &mut self.words[session / 64];
-        let shift = session % 64;
-        let was = (*word >> shift) & 1;
-        self.count += (fin & (was ^ 1)) as usize;
-        *word |= fin << shift;
-    }
-
-    /// ORs a whole 64-session word of finished bits at once — the batch
-    /// kernels' bulk path. Neighbouring sessions share a word, so
-    /// per-session read-modify-writes serialize on it; sweeps that
-    /// visit sessions in ascending order accumulate the mask locally
-    /// and flush once per word to stay pipelined.
-    #[inline]
-    pub(crate) fn or_word(&mut self, word: usize, mask: u64) {
-        let w = &mut self.words[word];
-        self.count += (mask & !*w).count_ones() as usize;
-        *w |= mask;
-    }
-
-    #[inline]
-    fn set(&mut self, session: usize) {
-        let word = session / 64;
-        let bit = 1u64 << (session % 64);
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
-            self.count += 1;
+    fn put(&mut self, session: usize, finished: bool) {
+        if self.dirty {
+            return;
         }
-    }
-
-    fn clear(&mut self, session: usize) {
-        let word = session / 64;
+        let word = &mut self.words[session / 64];
         let bit = 1u64 << (session % 64);
-        if self.words[word] & bit != 0 {
-            self.words[word] &= !bit;
-            self.count -= 1;
+        if (*word & bit != 0) != finished {
+            *word ^= bit;
+            if finished {
+                self.count += 1;
+            } else {
+                self.count -= 1;
+            }
         }
     }
 
     fn clear_all(&mut self) {
         self.words.fill(0);
         self.count = 0;
+        self.dirty = false;
     }
 
-    fn count(&self) -> usize {
-        self.count
-    }
-}
-
-/// A pool of concurrent protocol sessions executing one
-/// [`CompiledMachine`], stored struct-of-arrays and stepped without
-/// per-event allocation.
-#[derive(Debug, Clone)]
-pub struct SessionPool<'m> {
-    machine: &'m CompiledMachine,
-    current: Vec<u32>,
-    finished: FinishedSet,
-    steps: u64,
-    /// Bucketing scratch for the batch kernel; pool-resident so batch
-    /// delivery stays allocation-free after the first call.
-    kernel: KernelScratch,
-}
-
-impl<'m> SessionPool<'m> {
-    /// Creates a pool of `count` sessions, all at the start state.
-    pub fn new(machine: &'m CompiledMachine, count: usize) -> Self {
-        let mut pool = SessionPool {
-            machine,
-            current: Vec::with_capacity(count),
-            finished: FinishedSet::with_capacity(count),
-            steps: 0,
-            kernel: KernelScratch::new(),
-        };
-        for _ in 0..count {
-            pool.spawn();
-        }
-        pool
-    }
-
-    /// The machine all sessions execute.
-    pub fn machine(&self) -> &'m CompiledMachine {
-        self.machine
-    }
-
-    /// Number of sessions in the pool.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// `true` if the pool holds no sessions.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Adds a session at the start state; returns its index.
-    ///
-    /// Amortised O(1); this is the only pool operation that may allocate
-    /// (growing the session arrays, never per-event).
-    pub fn spawn(&mut self) -> usize {
-        let session = self.current.len();
-        let start = self.machine.start();
-        self.current.push(start);
-        self.finished.grow_for(self.current.len());
-        if self.machine.is_finish_state(start) {
-            self.finished.set(session);
-        }
-        session
-    }
-
-    /// The dense state id of a session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn state(&self, session: usize) -> u32 {
-        self.current[session]
-    }
-
-    /// Display name of a session's state, borrowed from the machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn state_name(&self, session: usize) -> &'m str {
-        self.machine.state_name(self.current[session])
-    }
-
-    /// `true` once a session has reached a finish state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn is_finished(&self, session: usize) -> bool {
-        assert!(session < self.current.len(), "session out of range");
-        self.finished.get(session)
-    }
-
-    /// Number of finished sessions (maintained incrementally; O(1)).
-    pub fn finished_count(&self) -> usize {
-        self.finished.count()
-    }
-
-    /// `true` once every session has finished.
-    pub fn all_finished(&self) -> bool {
-        self.finished.count() == self.current.len()
-    }
-
-    /// Total transitions taken across all sessions.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Delivers a message to one session; returns the triggered actions,
-    /// borrowed from the machine's interned arena. Finished sessions
-    /// absorb every message. No allocation occurs on this path.
-    ///
-    /// `message` must come from this pool's machine (see
-    /// [`CompiledMachine::step`] for the exact contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    #[inline]
-    pub fn deliver(&mut self, session: usize, message: MessageId) -> &'m [Action] {
-        let machine = self.machine;
-        match machine.step(self.current[session], message) {
-            Some((target, actions)) => {
-                self.current[session] = target;
-                self.steps += 1;
-                if machine.is_finish_state(target) {
-                    self.finished.set(session);
-                }
-                actions
-            }
-            None => &[],
-        }
-    }
-
-    /// Delivers a message to every session, discarding actions; returns
-    /// the number of transitions taken. This is the batch hot loop: the
-    /// `(state, message)`-bucketed kernel (see the
-    /// [`kernel`](crate::kernel) module) counting-sorts sessions by
-    /// current state into pool-resident scratch and steps each bucket
-    /// with one branchless loop — no allocation, results bit-identical
-    /// to [`SessionPool::deliver_all_scalar`].
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        let transitions = dense_batch(
-            self.machine,
-            message,
-            &mut self.current,
-            Some(&mut self.finished),
-            &mut self.kernel,
-        );
-        self.steps += transitions;
-        transitions
-    }
-
-    /// The scalar reference form of [`SessionPool::deliver_all`]: a
-    /// per-session [`CompiledMachine::step`] walk in session order.
-    /// Kept public as the oracle the kernel-equivalence property suites
-    /// and the paired `batched_kernel` benchmark row compare against.
-    pub fn deliver_all_scalar(&mut self, message: MessageId) -> u64 {
-        self.deliver_all_with(message, |_, _| {})
-    }
-
-    /// Delivers a message to every session, invoking `visit(session,
-    /// actions)` for each delivery that triggered a non-empty action
-    /// list; returns the number of transitions taken.
-    ///
-    /// Visit order is ascending session order — this path deliberately
-    /// keeps the scalar walk rather than the bucketed kernel, so the
-    /// order observers see is independent of how sessions are
-    /// distributed across states (see `docs/KERNELS.md`).
-    pub fn deliver_all_with<F>(&mut self, message: MessageId, mut visit: F) -> u64
-    where
-        F: FnMut(usize, &'m [Action]),
-    {
-        let machine = self.machine;
-        let mut transitions = 0;
-        for session in 0..self.current.len() {
-            if let Some((target, actions)) = machine.step(self.current[session], message) {
-                self.current[session] = target;
-                transitions += 1;
-                if machine.is_finish_state(target) {
-                    self.finished.set(session);
-                }
-                if !actions.is_empty() {
-                    visit(session, actions);
-                }
-            }
-        }
-        self.steps += transitions;
-        transitions
-    }
-
-    /// Returns one session to the start state (recycling its slot for a
-    /// fresh protocol execution). O(1), no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn reset_session(&mut self, session: usize) {
-        assert!(session < self.current.len(), "session out of range");
-        self.finished.clear(session);
-        let start = self.machine.start();
-        self.current[session] = start;
-        if self.machine.is_finish_state(start) {
-            self.finished.set(session);
-        }
-    }
-
-    /// Returns every session to the start state.
-    pub fn reset_all(&mut self) {
-        let start = self.machine.start();
-        self.current.fill(start);
-        self.finished.clear_all();
-        self.steps = 0;
-        if self.machine.is_finish_state(start) {
-            for session in 0..self.current.len() {
-                self.finished.set(session);
-            }
-        }
-    }
-
-    /// Snapshot accessor: the dense state id of every session, in slot
-    /// order. Together with the machine this is the pool's complete
-    /// execution state (finished-ness is derivable — finish states are
-    /// absorbing).
-    pub fn states(&self) -> &[u32] {
-        &self.current
-    }
-
-    /// Restores every session's state from a snapshot taken via
-    /// [`SessionPool::states`] against the *same* machine, rebuilding
-    /// the finished set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` has a different length than the pool or names
-    /// a state id outside the machine.
-    pub fn restore_states(&mut self, states: &[u32]) {
-        assert_eq!(
-            states.len(),
-            self.current.len(),
-            "snapshot session count mismatch"
-        );
-        let n = self.machine.state_count() as u32;
-        self.finished.clear_all();
-        for (session, &state) in states.iter().enumerate() {
-            assert!(state < n, "snapshot state id {state} out of range");
-            self.current[session] = state;
-            if self.machine.is_finish_state(state) {
-                self.finished.set(session);
-            }
-        }
+    /// Recomputes every bit (and the count) from the state array.
+    /// Retired slots stay unset.
+    fn rebuild(&mut self, current: &[u32], engine: &StepEngine) {
+        self.clear_all();
+        engine.finished_slots(current, |session| {
+            self.words[session / 64] |= 1 << (session % 64);
+            self.count += 1;
+        });
     }
 }
 
-/// A pool of concurrent protocol sessions executing one
-/// [`CompiledEfsm`] under a shared parameter binding.
+/// One transition taken by [`SessionStore::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Taken<'a> {
+    /// The state the session left.
+    pub from: u32,
+    /// The state it entered.
+    pub to: u32,
+    /// The triggered actions, borrowed from the engine.
+    pub actions: &'a [Action],
+}
+
+/// A store of concurrent protocol sessions executing one
+/// [`StepEngine`], struct-of-arrays, stepped without per-event
+/// allocation (see the [module docs](self)).
 ///
-/// Per-session state is stored struct-of-arrays: a dense `u32` state id
-/// per session, plus the variable registers laid out contiguously
-/// (`vars[session * var_count ..][.. var_count]`), so stepping a session
-/// touches two cache lines and delivering a message to every session
-/// walks two contiguous arrays. A single scratch buffer (sized at
-/// compile time) serves all staged updates — no session operation
-/// allocates.
+/// Sessions are addressed by slot index. A slot is *live* from
+/// [`spawn`](SessionStore::spawn) (or
+/// [`reset_session`](SessionStore::reset_session)) until
+/// [`retire`](SessionStore::retire)d; retired slots keep their index,
+/// are skipped by every batch operation, and may be revived by a later
+/// `reset_session` — the recycling policy (free lists, generations) is
+/// the caller's.
 ///
 /// # Examples
 ///
+/// The same store type serves a guarded machine — here a counter bound
+/// to `limit = 2` — with one register row per session:
+///
 /// ```
 /// use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-/// use stategen_core::{Action, CompiledEfsm, EfsmSessionPool};
+/// use stategen_core::{Action, CompiledEfsm, SessionStore, StepEngine};
 ///
 /// let mut b = EfsmBuilder::new("counter", ["tick"]);
 /// let limit = b.add_param("limit");
@@ -419,345 +163,454 @@ impl<'m> SessionPool<'m> {
 ///     vec![Update::Inc(n)], vec![Action::send("done")], done,
 /// );
 /// let efsm = b.build(counting, Some(done));
-/// let compiled = CompiledEfsm::compile(&efsm)?;
+/// let engine = StepEngine::register(CompiledEfsm::compile(&efsm)?, &[2])?;
 ///
-/// let mut pool = EfsmSessionPool::new(&compiled, vec![2], 100);
-/// let tick = compiled.message_id("tick").unwrap();
-/// pool.deliver_all(tick);
-/// assert_eq!(pool.finished_count(), 0);
-/// pool.deliver_all(tick);
-/// assert!(pool.all_finished());
-/// assert_eq!(pool.vars(42), &[2]);
-/// # Ok::<(), stategen_core::CompileError>(())
+/// let mut store = SessionStore::new(engine.clone(), 100);
+/// let tick = engine.message_id("tick").unwrap();
+/// store.deliver_all(tick);
+/// assert_eq!(store.finished_count(), 0);
+/// store.deliver_all(tick);
+/// assert!(store.all_finished());
+/// assert_eq!(store.vars(42), &[2]);
+/// # Ok::<(), stategen_core::StategenError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct EfsmSessionPool<'e> {
-    machine: &'e CompiledEfsm,
-    /// One parameter-specialised dispatch table shared by every session
-    /// in the pool (see [`CompiledEfsm::bind`]).
-    binding: EfsmBinding,
+pub struct SessionStore {
+    engine: StepEngine,
+    /// Dense state id per slot; [`SessionStore::RETIRED`] marks
+    /// released slots.
     current: Vec<u32>,
-    /// Session-major variable registers: session `s`'s registers live at
-    /// `vars[s * n_regs .. (s + 1) * n_regs]` (see
-    /// [`CompiledEfsm::reg_count`]).
+    /// Session-major registers: slot `s`'s row is `vars[s * n_regs ..
+    /// (s + 1) * n_regs]` (empty rows when `n_regs == 0`).
     vars: Vec<i64>,
+    /// Staged-update scratch for the bytecode path, shared by all slots.
     scratch: Vec<i64>,
-    n_regs: usize,
-    finished: FinishedSet,
-    steps: u64,
-    /// Bucketing scratch for the batch kernel; pool-resident so batch
+    /// One register row for [`SessionStore::probe_tail`], so a what-if
+    /// step never touches the live row.
+    probe_row: Vec<i64>,
+    /// Bucketing scratch for the batch kernels; store-resident so batch
     /// delivery stays allocation-free after the first call.
     kernel: KernelScratch,
+    n_regs: usize,
+    /// Slots currently retired.
+    retired: usize,
+    steps: u64,
+    /// `RefCell` so `&self` queries can rebuild it on demand (a store
+    /// has one writer, so the dynamic borrow never contends).
+    finished: RefCell<FinishedBits>,
 }
 
-impl<'e> EfsmSessionPool<'e> {
-    /// Creates a pool of `count` sessions, all at the start state with
-    /// zeroed variables, sharing the given parameter binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of parameters differs from the EFSM's
-    /// declaration.
-    pub fn new(machine: &'e CompiledEfsm, params: Vec<i64>, count: usize) -> Self {
-        let binding = machine.bind(&params);
-        let n_regs = machine.reg_count();
-        let mut pool = EfsmSessionPool {
-            machine,
-            binding,
+impl SessionStore {
+    /// The state id marking a retired slot: out of range for every
+    /// engine, so batch delivery skips it and stepping it panics.
+    pub const RETIRED: u32 = u32::MAX;
+
+    /// Creates a store of `count` sessions, all at the start state with
+    /// zeroed registers.
+    pub fn new(engine: StepEngine, count: usize) -> Self {
+        let n_regs = engine.reg_count();
+        let mut store = SessionStore {
+            scratch: vec![0; engine.scratch_len()],
+            probe_row: Vec::new(),
+            engine,
             current: Vec::with_capacity(count),
             vars: Vec::with_capacity(count * n_regs),
-            scratch: vec![0; machine.scratch_len()],
-            n_regs,
-            finished: FinishedSet::with_capacity(count),
-            steps: 0,
             kernel: KernelScratch::new(),
+            n_regs,
+            retired: 0,
+            steps: 0,
+            finished: RefCell::default(),
         };
         for _ in 0..count {
-            pool.spawn();
+            store.spawn();
         }
-        pool
+        store
     }
 
-    /// The machine all sessions execute.
-    pub fn machine(&self) -> &'e CompiledEfsm {
-        self.machine
+    /// The engine all sessions execute.
+    #[inline]
+    pub fn engine(&self) -> &StepEngine {
+        &self.engine
     }
 
-    /// The shared parameter binding.
-    pub fn params(&self) -> &[i64] {
-        self.binding.params()
-    }
-
-    /// Number of sessions in the pool.
+    /// Number of slots, live and retired.
+    #[inline]
     pub fn len(&self) -> usize {
         self.current.len()
     }
 
-    /// `true` if the pool holds no sessions.
+    /// `true` if the store holds no slots.
     pub fn is_empty(&self) -> bool {
         self.current.is_empty()
     }
 
-    /// Adds a session at the start state with zeroed variables; returns
-    /// its index. Amortised O(1); the only pool operation that may
-    /// allocate (growing the arrays, never per-event).
+    /// Number of live (not retired) sessions.
+    #[inline]
+    pub fn live(&self) -> usize {
+        self.current.len() - self.retired
+    }
+
+    /// Appends a session at the start state with zeroed registers;
+    /// returns its slot. Amortised O(1); the only store operation that
+    /// may allocate (growing the arrays, never per-event).
+    #[inline]
     pub fn spawn(&mut self) -> usize {
         let session = self.current.len();
-        let start = self.machine.start();
+        let start = self.engine.start();
         self.current.push(start);
         self.vars.extend(std::iter::repeat_n(0, self.n_regs));
-        self.finished.grow_for(self.current.len());
-        if self.machine.is_finish_state(start) {
-            self.finished.set(session);
-        }
+        let finished = self.finished.get_mut();
+        finished.grow_for(session + 1);
+        finished.put(session, self.engine.is_finish_state(start));
         session
     }
 
-    /// The dense state id of a session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn state(&self, session: usize) -> u32 {
-        self.current[session]
-    }
-
-    /// Display name of a session's state, borrowed from the machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn state_name(&self, session: usize) -> &'e str {
-        self.machine.state_name(self.current[session])
-    }
-
-    /// A session's variable registers, in declaration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn vars(&self, session: usize) -> &[i64] {
-        assert!(session < self.current.len(), "session out of range");
-        &self.vars[session * self.n_regs..][..self.machine.var_count()]
-    }
-
-    /// `true` once a session has reached the finish state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn is_finished(&self, session: usize) -> bool {
-        assert!(session < self.current.len(), "session out of range");
-        self.finished.get(session)
-    }
-
-    /// Number of finished sessions (maintained incrementally; O(1)).
-    pub fn finished_count(&self) -> usize {
-        self.finished.count()
-    }
-
-    /// `true` once every session has finished.
-    pub fn all_finished(&self) -> bool {
-        self.finished.count() == self.current.len()
-    }
-
-    /// Total transitions taken across all sessions.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Delivers a message to one session; returns the triggered actions,
-    /// borrowed from the machine's interned arena. The finish state
-    /// absorbs every message. No allocation occurs on this path.
-    ///
-    /// `message` must come from this pool's machine (via
-    /// [`CompiledEfsm::message_id`]).
+    /// The dense state id of a slot ([`SessionStore::RETIRED`] if
+    /// retired).
     ///
     /// # Panics
     ///
     /// Panics if `session` is out of range.
     #[inline]
-    pub fn deliver(&mut self, session: usize, message: MessageId) -> &'e [Action] {
-        let machine = self.machine;
-        let vars = &mut self.vars[session * self.n_regs..][..self.n_regs];
-        match machine.step(
-            self.current[session],
-            message,
-            &self.binding,
-            vars,
-            &mut self.scratch,
-        ) {
-            Some((target, actions)) => {
-                self.current[session] = target;
-                self.steps += 1;
-                if machine.is_finish_state(target) {
-                    self.finished.set(session);
-                }
-                actions
+    pub fn state(&self, session: usize) -> u32 {
+        self.current[session]
+    }
+
+    /// Display name of a session's state, borrowed from the engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range or retired.
+    #[inline]
+    pub fn state_name(&self, session: usize) -> &str {
+        self.engine.state_name(self.current[session])
+    }
+
+    /// A session's declared variables, in declaration order (empty for
+    /// an unguarded machine).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range.
+    #[inline]
+    pub fn vars(&self, session: usize) -> &[i64] {
+        assert!(session < self.current.len(), "session out of range");
+        &self.vars[session * self.n_regs..][..self.engine.var_count()]
+    }
+
+    /// `true` if the slot is currently retired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range.
+    #[inline]
+    pub fn is_retired(&self, session: usize) -> bool {
+        self.current[session] == Self::RETIRED
+    }
+
+    /// `true` once a live session has reached a finish state (`false`
+    /// for a retired slot). The first query after a batch delivery
+    /// rebuilds the bitset at O(slots); later ones are O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range.
+    #[inline]
+    pub fn is_finished(&self, session: usize) -> bool {
+        assert!(session < self.current.len(), "session out of range");
+        self.synced().words[session / 64] & (1 << (session % 64)) != 0
+    }
+
+    /// Number of live finished sessions (rebuilt lazily like
+    /// [`SessionStore::is_finished`]).
+    pub fn finished_count(&self) -> usize {
+        self.synced().count
+    }
+
+    /// `true` once every live session has finished.
+    pub fn all_finished(&self) -> bool {
+        self.finished_count() == self.live()
+    }
+
+    /// The finished bitset, rebuilt first if a batch left it stale.
+    #[inline]
+    fn synced(&self) -> std::cell::RefMut<'_, FinishedBits> {
+        let mut finished = self.finished.borrow_mut();
+        if finished.dirty {
+            finished.rebuild(&self.current, &self.engine);
+        }
+        finished
+    }
+
+    /// Total transitions taken across all sessions.
+    #[inline]
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Delivers a message to one live session; returns the transition
+    /// taken, or `None` if the message is not applicable in the
+    /// session's state (finished sessions absorb every message). No
+    /// allocation occurs on this path.
+    ///
+    /// `message` must come from this store's engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range or retired.
+    #[inline]
+    pub fn step(&mut self, session: usize, message: MessageId) -> Option<Taken<'_>> {
+        let n = self.n_regs;
+        let from = self.current[session];
+        let regs = &mut self.vars[session * n..][..n];
+        let (to, actions) = self.engine.step(from, message, regs, &mut self.scratch)?;
+        self.current[session] = to;
+        self.steps += 1;
+        if self.engine.is_finish_state(to) {
+            self.finished.get_mut().put(session, true);
+        }
+        Some(Taken { from, to, actions })
+    }
+
+    /// [`SessionStore::step`], returning just the triggered actions
+    /// (empty when no transition was taken).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range or retired.
+    #[inline]
+    pub fn deliver(&mut self, session: usize, message: MessageId) -> &[Action] {
+        self.step(session, message).map_or(&[], |t| t.actions)
+    }
+
+    /// What [`SessionStore::deliver_all_with`] *would* visit last,
+    /// without touching any session: walks the last `window` slots
+    /// backwards, steps each live one against a copy of its register
+    /// row, and calls `visit(session, taken)` for every transition
+    /// found — in descending slot order — until `limit` have been.
+    pub fn probe_tail<F>(&mut self, message: MessageId, window: usize, limit: usize, mut visit: F)
+    where
+        F: FnMut(usize, Taken<'_>),
+    {
+        self.probe_row.resize(self.n_regs, 0); // sized by the first probe
+        let n_states = self.engine.state_count() as u32;
+        let mut rows = self.vars.rchunks_exact(self.n_regs.max(1));
+        let mut found = 0;
+        for (session, &from) in self.current.iter().enumerate().rev().take(window) {
+            if found == limit {
+                break;
             }
-            None => &[],
+            let row = rows.next().unwrap_or_default();
+            if from >= n_states {
+                continue; // retired
+            }
+            if !row.is_empty() {
+                self.probe_row.copy_from_slice(row);
+            }
+            let (regs, scratch) = (&mut self.probe_row, &mut self.scratch);
+            if let Some((to, actions)) = self.engine.step(from, message, regs, scratch) {
+                found += 1;
+                visit(session, Taken { from, to, actions });
+            }
         }
     }
 
-    /// Delivers a message to every session, discarding actions; returns
-    /// the number of transitions taken. The batch hot loop: the
-    /// bucketed masked-sweep kernel (see the [`kernel`](crate::kernel)
-    /// module) evaluates each bucket's fused threshold checks as masked
-    /// compares over the register columns, falling back to the scalar
-    /// bytecode path only for buckets whose cell spilled — no
-    /// allocation, results bit-identical to
-    /// [`EfsmSessionPool::deliver_all_scalar`].
+    /// Delivers a message to every live session, discarding actions;
+    /// returns the number of transitions taken. This is the batch hot
+    /// loop ([`StepEngine::deliver_batch`]): no allocation, no
+    /// finished-bit maintenance, results bit-identical to
+    /// [`SessionStore::deliver_all_scalar`].
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        let transitions = efsm_batch(
-            self.machine,
-            &self.binding,
+        let transitions = self.engine.deliver_batch(
             message,
             &mut self.current,
             &mut self.vars,
             &mut self.scratch,
-            Some(&mut self.finished),
             &mut self.kernel,
         );
+        self.took(transitions)
+    }
+
+    /// Accounts a batch's transitions: step count, stale finished bits.
+    fn took(&mut self, transitions: u64) -> u64 {
         self.steps += transitions;
+        if transitions > 0 {
+            self.finished.get_mut().dirty = true;
+        }
         transitions
     }
 
-    /// The scalar reference form of [`EfsmSessionPool::deliver_all`]: a
-    /// per-session [`CompiledEfsm::step`] walk in session order. Kept
-    /// public as the oracle the kernel-equivalence property suites and
-    /// the paired `efsm_kernel` benchmark row compare against.
+    /// The scalar reference form of [`SessionStore::deliver_all`]: a
+    /// per-session [`StepEngine::step`] walk in slot order. Kept public
+    /// as the oracle the kernel-equivalence property suites and the
+    /// paired `batched_kernel` / `efsm_kernel` benchmark rows compare
+    /// against.
     pub fn deliver_all_scalar(&mut self, message: MessageId) -> u64 {
         self.deliver_all_with(message, |_, _| {})
     }
 
-    /// Delivers a message to every session, invoking `visit(session,
-    /// actions)` for each delivery that triggered a non-empty action
-    /// list; returns the number of transitions taken.
+    /// Delivers a message to every live session by the scalar walk,
+    /// invoking `visit(session, taken)` for each transition *before*
+    /// the next session is stepped; returns the number of transitions.
     ///
-    /// Visit order is ascending session order — this path deliberately
+    /// Visit order is ascending slot order — this path deliberately
     /// keeps the scalar walk rather than the bucketed kernel, so the
     /// order observers see is independent of how sessions are
     /// distributed across states (see `docs/KERNELS.md`).
     pub fn deliver_all_with<F>(&mut self, message: MessageId, mut visit: F) -> u64
     where
-        F: FnMut(usize, &'e [Action]),
+        F: FnMut(usize, Taken<'_>),
     {
-        let machine = self.machine;
+        let n_states = self.engine.state_count() as u32;
+        // Rows ride along zipped, not indexed: with no registers the
+        // file is empty and every session gets the empty row.
+        let mut rows = self.vars.chunks_exact_mut(self.n_regs.max(1));
         let mut transitions = 0;
-        for session in 0..self.current.len() {
-            let vars = &mut self.vars[session * self.n_regs..][..self.n_regs];
-            if let Some((target, actions)) = machine.step(
-                self.current[session],
-                message,
-                &self.binding,
-                vars,
-                &mut self.scratch,
-            ) {
-                self.current[session] = target;
+        for (session, cur) in self.current.iter_mut().enumerate() {
+            let regs = rows.next().unwrap_or_default();
+            let from = *cur;
+            if from >= n_states {
+                continue; // retired
+            }
+            if let Some((to, actions)) = self.engine.step(from, message, regs, &mut self.scratch) {
+                *cur = to;
                 transitions += 1;
-                if machine.is_finish_state(target) {
-                    self.finished.set(session);
-                }
-                if !actions.is_empty() {
-                    visit(session, actions);
-                }
+                visit(session, Taken { from, to, actions });
             }
         }
-        self.steps += transitions;
-        transitions
+        self.took(transitions)
     }
 
-    /// Returns one session to the start state with zeroed variables
-    /// (recycling its slot for a fresh protocol execution).
+    /// Returns one slot to the start state with zeroed registers — a
+    /// fresh execution in the same slot. Reviving a retired slot this
+    /// way makes it live again. O(1), no allocation.
     ///
     /// # Panics
     ///
     /// Panics if `session` is out of range.
+    #[inline]
     pub fn reset_session(&mut self, session: usize) {
-        assert!(session < self.current.len(), "session out of range");
-        self.finished.clear(session);
-        let start = self.machine.start();
-        self.current[session] = start;
-        self.vars[session * self.n_regs..][..self.n_regs].fill(0);
-        if self.machine.is_finish_state(start) {
-            self.finished.set(session);
+        let start = self.engine.start();
+        if std::mem::replace(&mut self.current[session], start) == Self::RETIRED {
+            self.retired -= 1;
         }
+        self.vars[session * self.n_regs..][..self.n_regs].fill(0);
+        self.finished
+            .get_mut()
+            .put(session, self.engine.is_finish_state(start));
     }
 
-    /// Returns every session to the start state with zeroed variables.
+    /// Retires a live slot: it keeps its index but is skipped by every
+    /// batch operation until revived by
+    /// [`SessionStore::reset_session`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range or already retired.
+    #[inline]
+    pub fn retire(&mut self, session: usize) {
+        assert!(!self.is_retired(session), "session already retired");
+        self.current[session] = Self::RETIRED;
+        self.retired += 1;
+        self.finished.get_mut().put(session, false);
+    }
+
+    /// Returns every live session to the start state with zeroed
+    /// registers and zeroes the step count; retired slots stay retired.
     pub fn reset_all(&mut self) {
-        let start = self.machine.start();
-        self.current.fill(start);
-        self.vars.fill(0);
-        self.finished.clear_all();
-        self.steps = 0;
-        if self.machine.is_finish_state(start) {
-            for session in 0..self.current.len() {
-                self.finished.set(session);
+        let start = self.engine.start();
+        if self.retired == 0 {
+            self.current.fill(start);
+        } else {
+            for cur in &mut self.current {
+                if *cur != Self::RETIRED {
+                    *cur = start;
+                }
             }
         }
+        self.vars.fill(0);
+        self.steps = 0;
+        let finished = self.finished.get_mut();
+        finished.clear_all();
+        finished.dirty = self.engine.is_finish_state(start);
     }
 
-    /// Snapshot accessor: the dense state id of every session, in slot
-    /// order.
+    /// Snapshot accessor: the dense state id of every slot, in slot
+    /// order. Together with [`SessionStore::registers`] and the engine
+    /// this is the store's complete execution state (finished-ness is
+    /// derivable — finish states are absorbing).
     pub fn states(&self) -> &[u32] {
         &self.current
     }
 
-    /// Snapshot accessor: the session-major register file — session
-    /// `s`'s registers (declared variables first, then compiler
-    /// temporaries) are `registers()[s * reg_count .. (s+1) *
-    /// reg_count]`. Together with [`EfsmSessionPool::states`] and the
-    /// machine+binding, this is the pool's complete execution state.
+    /// Snapshot accessor: the session-major register file — slot `s`'s
+    /// registers (declared variables first, then compiler temporaries)
+    /// are `registers()[s * reg_count .. (s + 1) * reg_count]`.
     pub fn registers(&self) -> &[i64] {
         &self.vars
     }
 
-    /// Restores every session's state and registers from a snapshot
-    /// taken via [`EfsmSessionPool::states`] /
-    /// [`EfsmSessionPool::registers`] against the *same* machine and
-    /// binding, rebuilding the finished set.
+    /// Replaces every slot's state and registers (and the step count)
+    /// from a snapshot taken via [`SessionStore::states`] /
+    /// [`SessionStore::registers`] / [`SessionStore::steps`] under a
+    /// behaviourally identical engine. The store takes the snapshot's
+    /// size; the finished set is rebuilt lazily.
     ///
     /// # Panics
     ///
-    /// Panics if the slices do not match the pool's session count and
-    /// register width, or a state id is outside the machine.
-    pub fn restore(&mut self, states: &[u32], registers: &[i64]) {
-        assert_eq!(
-            states.len(),
-            self.current.len(),
-            "snapshot session count mismatch"
-        );
+    /// Panics if `registers` does not hold `reg_count` registers per
+    /// slot, or a state id is neither valid for the engine nor
+    /// [`SessionStore::RETIRED`].
+    pub fn restore(&mut self, states: &[u32], registers: &[i64], steps: u64) {
         assert_eq!(
             registers.len(),
-            self.vars.len(),
-            "snapshot register file size mismatch"
+            states.len() * self.n_regs,
+            "corrupt snapshot: {} registers for {} slots of {} registers each",
+            registers.len(),
+            states.len(),
+            self.n_regs,
         );
-        let n = self.machine.state_count() as u32;
-        self.finished.clear_all();
-        for (session, &state) in states.iter().enumerate() {
-            assert!(state < n, "snapshot state id {state} out of range");
-            self.current[session] = state;
-            if self.machine.is_finish_state(state) {
-                self.finished.set(session);
-            }
+        let n_states = self.engine.state_count() as u32;
+        for (slot, &state) in states.iter().enumerate() {
+            assert!(
+                state == Self::RETIRED || state < n_states,
+                "corrupt snapshot: slot {slot} in state {state} but the engine has {n_states} states",
+            );
         }
-        self.vars.copy_from_slice(registers);
+        self.current = states.to_vec();
+        self.vars = registers.to_vec();
+        self.steps = steps;
+        self.retired = states.iter().filter(|&&s| s == Self::RETIRED).count();
+        let finished = self.finished.get_mut();
+        finished.grow_for(states.len());
+        finished.dirty = true;
+    }
+
+    /// Re-targets a store with no live session at a different engine.
+    /// Every slot stays retired and keeps its index, while the register
+    /// file and scratch are rebuilt for the new machine — safe
+    /// precisely because no slot is live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a session is live.
+    pub fn retarget(&mut self, engine: StepEngine) {
+        assert_eq!(self.live(), 0, "retarget on a store with live sessions");
+        self.n_regs = engine.reg_count();
+        self.scratch = vec![0; engine.scratch_len()];
+        self.vars = vec![0; self.current.len() * self.n_regs];
+        self.engine = engine;
+        self.finished.get_mut().clear_all();
     }
 }
 
-/// The batch-stepping interface shared by [`SessionPool`] and
-/// [`EfsmSessionPool`], used by [`ShardedPool`] to scale either across
-/// worker threads.
+/// The batch-stepping interface [`ShardedPool`] scales across worker
+/// threads: implemented by [`SessionStore`] and by anything else that
+/// steps a block of sessions (the `stategen-runtime` shard wraps a
+/// store with generations and telemetry; tests substitute fakes).
 pub trait BatchEngine {
-    /// Number of sessions in the engine.
+    /// Number of session slots in the engine.
     fn session_count(&self) -> usize;
-
-    /// Dense state id of one session.
-    fn session_state(&self, session: usize) -> u32;
-
-    /// `true` once a session has finished.
-    fn session_finished(&self, session: usize) -> bool;
 
     /// Delivers a message to every session; returns transitions taken.
     fn deliver_all(&mut self, message: MessageId) -> u64;
@@ -770,73 +623,27 @@ pub trait BatchEngine {
 
     /// Returns every session to the start state.
     fn reset_all(&mut self);
-
-    /// Accumulates this engine's telemetry counters into `into`.
-    ///
-    /// The default is a no-op: plain pools carry no counter block, and
-    /// engines that do (the `stategen-runtime` shard) override this so
-    /// [`ShardedPool::metrics`] can merge per-shard counters on read
-    /// without knowing the shard type.
-    fn merge_metrics(&self, _into: &mut stategen_telemetry::MetricsSnapshot) {}
 }
 
-impl BatchEngine for SessionPool<'_> {
+impl BatchEngine for SessionStore {
     fn session_count(&self) -> usize {
         self.len()
     }
 
-    fn session_state(&self, session: usize) -> u32 {
-        self.state(session)
-    }
-
-    fn session_finished(&self, session: usize) -> bool {
-        self.is_finished(session)
-    }
-
     fn deliver_all(&mut self, message: MessageId) -> u64 {
-        SessionPool::deliver_all(self, message)
+        SessionStore::deliver_all(self, message)
     }
 
     fn finished_count(&self) -> usize {
-        SessionPool::finished_count(self)
+        SessionStore::finished_count(self)
     }
 
     fn steps(&self) -> u64 {
-        SessionPool::steps(self)
+        SessionStore::steps(self)
     }
 
     fn reset_all(&mut self) {
-        SessionPool::reset_all(self);
-    }
-}
-
-impl BatchEngine for EfsmSessionPool<'_> {
-    fn session_count(&self) -> usize {
-        self.len()
-    }
-
-    fn session_state(&self, session: usize) -> u32 {
-        self.state(session)
-    }
-
-    fn session_finished(&self, session: usize) -> bool {
-        self.is_finished(session)
-    }
-
-    fn deliver_all(&mut self, message: MessageId) -> u64 {
-        EfsmSessionPool::deliver_all(self, message)
-    }
-
-    fn finished_count(&self) -> usize {
-        EfsmSessionPool::finished_count(self)
-    }
-
-    fn steps(&self) -> u64 {
-        EfsmSessionPool::steps(self)
-    }
-
-    fn reset_all(&mut self) {
-        EfsmSessionPool::reset_all(self);
+        SessionStore::reset_all(self);
     }
 }
 
@@ -844,32 +651,29 @@ impl BatchEngine for EfsmSessionPool<'_> {
 ///
 /// Sessions are independent (no shard ever reads another shard's state)
 /// and each shard carries its own scratch buffers, so batch delivery
-/// parallelises embarrassingly: [`ShardedPool::deliver_all`] steps every
-/// shard on its own `std::thread` worker (scoped, so the shards may
-/// borrow their machine) and the result is bit-identical to stepping the
-/// same sessions in one pool, whatever the thread scheduling.
+/// parallelises embarrassingly: the result of stepping the shards on
+/// workers is bit-identical to stepping the same sessions in one store,
+/// whatever the thread scheduling.
 ///
-/// Shards are plain [`BatchEngine`] values — FSM pools, EFSM pools, or
-/// anything else that steps a session block. Sessions are numbered
-/// globally across shards in shard order, matching a single pool of the
-/// same total size split contiguously.
+/// Shards are plain [`BatchEngine`] values, in session order: a pool
+/// [`split`](ShardedPool::split) from `n` sessions holds the same
+/// sessions as one store of `n`, cut into contiguous blocks.
 ///
 /// # Examples
 ///
 /// ```
-/// use stategen_core::{Action, BatchEngine, CompiledMachine, SessionPool, ShardedPool,
-///     StateMachineBuilder};
+/// use stategen_core::{Action, CompiledMachine, SessionStore, ShardedPool,
+///     StateMachineBuilder, StepEngine};
 ///
 /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
 /// let idle = b.add_state("idle");
 /// let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
 /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-/// let machine = b.build(idle);
-/// let compiled = CompiledMachine::compile(&machine);
+/// let engine = StepEngine::dense(CompiledMachine::compile(&b.build(idle)));
 ///
-/// let mut pool = ShardedPool::split(1000, 4, |len| SessionPool::new(&compiled, len));
+/// let mut pool = ShardedPool::split(1000, 4, |len| SessionStore::new(engine.clone(), len));
 /// assert_eq!(pool.shard_count(), 4);
-/// let ping = compiled.message_id("ping").unwrap();
+/// let ping = engine.message_id("ping").unwrap();
 /// assert_eq!(pool.deliver_all(ping), 1000);
 /// assert!(pool.all_finished());
 /// ```
@@ -919,7 +723,7 @@ impl<P: BatchEngine> ShardedPool<P> {
         &mut self.shards
     }
 
-    /// Number of shards (worker threads used per batch delivery).
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -932,7 +736,7 @@ impl<P: BatchEngine> ShardedPool<P> {
         self.shards.push(shard);
     }
 
-    /// Total sessions across all shards.
+    /// Total session slots across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(P::session_count).sum()
     }
@@ -957,49 +761,6 @@ impl<P: BatchEngine> ShardedPool<P> {
         self.shards.iter().map(P::steps).sum()
     }
 
-    /// Merges every shard's telemetry counters into one snapshot (see
-    /// [`BatchEngine::merge_metrics`]). Shards are single-writer, so
-    /// this read-side merge needs no locks; pools without counters
-    /// contribute nothing.
-    pub fn metrics(&self) -> stategen_telemetry::MetricsSnapshot {
-        let mut merged = stategen_telemetry::MetricsSnapshot::default();
-        for shard in &self.shards {
-            shard.merge_metrics(&mut merged);
-        }
-        merged
-    }
-
-    /// Dense state id of a globally numbered session (shard blocks are
-    /// contiguous, in shard order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn state(&self, mut session: usize) -> u32 {
-        for shard in &self.shards {
-            if session < shard.session_count() {
-                return shard.session_state(session);
-            }
-            session -= shard.session_count();
-        }
-        panic!("session out of range");
-    }
-
-    /// `true` once a globally numbered session has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` is out of range.
-    pub fn is_finished(&self, mut session: usize) -> bool {
-        for shard in &self.shards {
-            if session < shard.session_count() {
-                return shard.session_finished(session);
-            }
-            session -= shard.session_count();
-        }
-        panic!("session out of range");
-    }
-
     /// Returns every session in every shard to the start state.
     pub fn reset_all(&mut self) {
         for shard in &mut self.shards {
@@ -1009,74 +770,58 @@ impl<P: BatchEngine> ShardedPool<P> {
 }
 
 impl<P: BatchEngine + Send> ShardedPool<P> {
-    /// Delivers a message to every session, one worker thread per shard;
-    /// returns the total number of transitions taken.
-    ///
-    /// With a single shard this degenerates to an in-place call (no
-    /// thread is spawned). Because shards never share session state and
-    /// each carries its own scratch buffers, the outcome is identical to
-    /// a single pool stepping the same sessions sequentially.
-    ///
-    /// Workers are scoped threads spawned per call — simple and safe
-    /// (shards may borrow their machine), but the spawn/join cost is
-    /// paid on every delivery, so sharding only wins once per-shard
-    /// batch work dwarfs ~10 µs of thread churn (tens of thousands of
-    /// sessions). For a *sequence* of batch deliveries, use
-    /// [`ShardedPool::with_workers`], which parks persistent workers on
-    /// a condvar and reuses them across calls.
+    /// Delivers a message to every session and returns the total number
+    /// of transitions taken: one command on a driver with a worker per
+    /// shard (see [`ShardedPool::with_workers`]), so a single shard is
+    /// stepped in place and several pay one thread spawn/join per call.
+    /// Sharding therefore only wins once per-shard batch work dwarfs
+    /// ~10 µs of thread churn; for a *sequence* of batch deliveries,
+    /// hold the driver open with `with_workers` instead.
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        if self.shards.len() == 1 {
-            return self.shards[0].deliver_all(message);
-        }
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.deliver_all(message)))
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("shard worker panicked"))
-                .sum()
-        })
+        let shards = self.shards.len();
+        self.with_workers(shards, |workers| workers.deliver_all(message))
     }
 
-    /// Runs `f` with persistent parked worker threads, one per shard.
+    /// Runs `f` with `workers` persistent threads driving the shards —
+    /// the one multi-core driver.
     ///
-    /// Each worker is spawned once, takes ownership of its shard's
-    /// `&mut` borrow for the duration of the call, and parks on a
-    /// condvar between batches — so a sequence of
-    /// [`ParkedWorkers::deliver_all`] calls pays one spawn/join total
-    /// instead of one per batch (the per-batch cost drops from thread
-    /// churn to a mutex/condvar handshake). Results are bit-identical
-    /// to [`ShardedPool::deliver_all`] and to a flat pool, whatever the
-    /// scheduling, because shards never share session state.
+    /// Each worker is spawned once, parks on a condvar between batches
+    /// (a sequence of [`Workers::deliver_all`] calls pays one spawn/join
+    /// total), and owns a deque holding a contiguous region of shard
+    /// indices: it drains its own deque from the front and, when that
+    /// runs dry, steals shards from the backs of the other workers'
+    /// deques. With a worker per shard (`workers ≥ shard_count`) every
+    /// deque holds one shard and nothing is stolen; with fewer, uneven
+    /// shards balance automatically and a machine with fewer cores than
+    /// shards isn't oversubscribed. With one worker — or one shard — no
+    /// thread is spawned and the driver steps the shards inline.
     ///
-    /// While `f` runs, the shards are mutably borrowed by the workers,
-    /// so per-session queries go through the aggregate accessors on
-    /// [`ParkedWorkers`]; full per-session state is available again as
-    /// soon as `with_workers` returns.
+    /// Each shard sits behind a mutex and is claimed by exactly one
+    /// worker per batch, so results are bit-identical to a flat store
+    /// regardless of which worker ends up stepping which shard. While
+    /// `f` runs the shards are borrowed by the driver, so queries go
+    /// through the aggregate accessors on [`Workers`]; full per-session
+    /// state is available again as soon as `with_workers` returns.
     ///
-    /// With a single shard no thread is spawned and the driver steps
-    /// the shard inline, mirroring [`ShardedPool::deliver_all`]'s
-    /// single-shard fast path.
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
     ///
     /// # Examples
     ///
     /// ```
-    /// use stategen_core::{Action, CompiledMachine, SessionPool, ShardedPool,
-    ///     StateMachineBuilder};
+    /// use stategen_core::{Action, CompiledMachine, SessionStore, ShardedPool,
+    ///     StateMachineBuilder, StepEngine};
     ///
     /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
     /// let idle = b.add_state("idle");
     /// let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
     /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-    /// let machine = b.build(idle);
-    /// let compiled = CompiledMachine::compile(&machine);
-    /// let ping = compiled.message_id("ping").unwrap();
+    /// let engine = StepEngine::dense(CompiledMachine::compile(&b.build(idle)));
+    /// let ping = engine.message_id("ping").unwrap();
     ///
-    /// let mut pool = ShardedPool::split(1000, 4, |len| SessionPool::new(&compiled, len));
-    /// let transitions = pool.with_workers(|workers| {
+    /// let mut pool = ShardedPool::split(1000, 4, |len| SessionStore::new(engine.clone(), len));
+    /// let transitions = pool.with_workers(2, |workers| {
     ///     let t = workers.deliver_all(ping);
     ///     assert_eq!(workers.finished_count(), 1000);
     ///     t + workers.deliver_all(ping) // finished sessions absorb
@@ -1084,61 +829,15 @@ impl<P: BatchEngine + Send> ShardedPool<P> {
     /// assert_eq!(transitions, 1000);
     /// assert!(pool.all_finished());
     /// ```
-    pub fn with_workers<R>(&mut self, f: impl FnOnce(&mut ParkedWorkers<'_, P>) -> R) -> R {
-        if let [only] = self.shards.as_mut_slice() {
-            return f(&mut ParkedWorkers {
-                inner: WorkersImpl::Inline(only),
-            });
-        }
-        let cells: Vec<WorkerCell> = self.shards.iter().map(|_| WorkerCell::new()).collect();
-        std::thread::scope(|scope| {
-            for (shard, cell) in self.shards.iter_mut().zip(&cells) {
-                scope.spawn(move || worker_loop(shard, cell));
-            }
-            let mut workers = ParkedWorkers {
-                inner: WorkersImpl::Parked {
-                    cells: &cells,
-                    seq: 0,
-                },
-            };
-            // Shutdown is published by `ParkedWorkers`'s `Drop`, so it
-            // reaches the workers even when `f` unwinds — otherwise the
-            // scope would join workers parked forever on the condvar.
-            f(&mut workers)
-        })
-    }
-
-    /// Runs `f` with `workers` persistent work-stealing threads over
-    /// the shards — the multi-core layer for `shard_count > workers`.
-    ///
-    /// Unlike [`ShardedPool::with_workers`] (one thread pinned per
-    /// shard), each stealing worker owns a deque holding a contiguous
-    /// region of shard indices; it drains its own deque from the front
-    /// and, when that runs dry, steals shards from the backs of the
-    /// other workers' deques. Uneven shards therefore balance
-    /// automatically, and a machine with fewer cores than shards isn't
-    /// oversubscribed. Each shard sits behind a mutex and is claimed by
-    /// exactly one worker per batch, so results are bit-identical to
-    /// [`ShardedPool::deliver_all`] and to a flat pool regardless of
-    /// which worker ends up stepping which shard.
-    ///
-    /// With one worker (or one shard) no thread is spawned and the
-    /// driver steps the shards inline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_stealing_workers<R>(
+    pub fn with_workers<R>(
         &mut self,
         workers: usize,
-        f: impl FnOnce(&mut StealingWorkers<'_, P>) -> R,
+        f: impl FnOnce(&mut Workers<'_, P>) -> R,
     ) -> R {
-        assert!(workers > 0, "need at least one stealing worker");
+        assert!(workers > 0, "need at least one worker");
         let workers = workers.min(self.shards.len());
         if workers == 1 {
-            return f(&mut StealingWorkers {
-                inner: StealingImpl::Inline(&mut self.shards),
-            });
+            return f(&mut Workers(Driver::Inline(&mut self.shards)));
         }
         // Contiguous shard regions per worker, earlier workers taking
         // the remainder (mirrors `ShardedPool::split`).
@@ -1149,89 +848,80 @@ impl<P: BatchEngine + Send> ShardedPool<P> {
             .map(|w| {
                 let start = next;
                 next += base + usize::from(w < extra);
-                ShardDeque::new(start, next)
+                ShardDeque::new(start..next)
             })
             .collect();
         let slots: Vec<Mutex<&mut P>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let cells: Vec<WorkerCell> = (0..workers).map(|_| WorkerCell::new()).collect();
+        let cells: Vec<WorkerCell> = (0..workers).map(|_| WorkerCell::default()).collect();
         std::thread::scope(|scope| {
-            let (slots, queues) = (&slots, &queues);
+            let (slots, queues) = (slots.as_slice(), queues.as_slice());
             for (index, cell) in cells.iter().enumerate() {
-                scope.spawn(move || stealing_worker_loop(index, slots, queues, cell));
+                scope.spawn(move || worker_loop(index, slots, queues, cell));
             }
-            let mut workers = StealingWorkers {
-                inner: StealingImpl::Parked {
-                    cells: &cells,
-                    queues,
-                    seq: 0,
-                },
-            };
-            // Shutdown is published by `StealingWorkers`'s `Drop`, so
-            // it reaches the workers even when `f` unwinds.
-            f(&mut workers)
+            // Shutdown is published by `Workers`'s `Drop`, so it
+            // reaches the workers even when `f` unwinds — otherwise the
+            // scope would join workers parked forever on the condvar.
+            f(&mut Workers(Driver::Threads {
+                cells: &cells,
+                queues,
+                slots,
+                seq: 0,
+            }))
         })
     }
 }
 
-/// What a parked shard worker should do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a parked worker should do next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum WorkerCommand {
-    /// Park until the first real command arrives.
-    Park,
-    /// Deliver a message to every session in the shard.
+    /// Deliver a message to every session of every claimed shard.
     Deliver(MessageId),
-    /// Return every session in the shard to the start state.
+    /// Return every session of every claimed shard to the start state.
     Reset,
-    /// Exit the worker loop.
+    /// Exit the worker loop (also the mailbox's initial content, never
+    /// read before the first published sequence).
+    #[default]
     Shutdown,
+}
+
+impl WorkerCommand {
+    /// Executes the command against one shard; returns transitions.
+    fn run<P: BatchEngine>(self, shard: &mut P) -> u64 {
+        match self {
+            WorkerCommand::Deliver(message) => shard.deliver_all(message),
+            WorkerCommand::Reset => {
+                shard.reset_all();
+                0
+            }
+            WorkerCommand::Shutdown => 0,
+        }
+    }
 }
 
 /// Per-worker mailbox: the driver publishes commands under the mutex
 /// and the worker publishes completions, both signalling the condvar.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct WorkerMailbox {
     /// Sequence number of the latest published command; the worker runs
-    /// whenever it exceeds the last sequence it completed.
+    /// whenever it differs from the last sequence it completed (`done`).
     seq: u64,
     command: WorkerCommand,
-    /// Last sequence the worker finished executing.
     done: u64,
-    /// Set when the worker dies abnormally (its shard panicked), so the
-    /// driver fails fast instead of waiting forever.
+    /// Set when the worker unwinds, so the driver fails fast.
     dead: bool,
-    /// Results of that execution, so the driver can aggregate without
-    /// touching the shard.
+    /// Transitions taken by command `done`, over the shards it claimed.
     transitions: u64,
-    finished: usize,
-    steps: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct WorkerCell {
     mailbox: Mutex<WorkerMailbox>,
     signal: Condvar,
 }
 
-impl WorkerCell {
-    fn new() -> Self {
-        WorkerCell {
-            mailbox: Mutex::new(WorkerMailbox {
-                seq: 0,
-                command: WorkerCommand::Park,
-                done: 0,
-                dead: false,
-                transitions: 0,
-                finished: 0,
-                steps: 0,
-            }),
-            signal: Condvar::new(),
-        }
-    }
-}
-
-/// Marks the worker's mailbox dead if the worker unwinds (its shard
-/// panicked mid-command), waking the driver so it fails fast instead of
-/// waiting on a completion that will never come.
+/// Marks the mailbox dead if the worker unwinds (a shard panicked
+/// mid-command), waking the driver instead of leaving it waiting on a
+/// completion that will never come.
 struct WorkerDeathNotice<'a> {
     cell: &'a WorkerCell,
     clean_exit: bool,
@@ -1248,229 +938,51 @@ impl Drop for WorkerDeathNotice<'_> {
     }
 }
 
-/// The loop run by each persistent shard worker: park on the condvar
-/// until a new command sequence appears, execute it against the owned
-/// shard, publish the results, repeat until shutdown.
-fn worker_loop<P: BatchEngine>(shard: &mut P, cell: &WorkerCell) {
-    let mut notice = WorkerDeathNotice {
-        cell,
-        clean_exit: false,
-    };
-    let mut seen = 0u64;
-    loop {
-        let command = {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.seq == seen {
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            seen = mailbox.seq;
-            mailbox.command
-        };
-        let transitions = match command {
-            WorkerCommand::Deliver(message) => shard.deliver_all(message),
-            WorkerCommand::Reset => {
-                shard.reset_all();
-                0
-            }
-            WorkerCommand::Park | WorkerCommand::Shutdown => 0,
-        };
-        {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.transitions = transitions;
-            mailbox.finished = shard.finished_count();
-            mailbox.steps = shard.steps();
-            mailbox.done = seen;
-        }
-        cell.signal.notify_all();
-        if command == WorkerCommand::Shutdown {
-            notice.clean_exit = true;
-            return;
-        }
-    }
-}
-
-/// How a [`ParkedWorkers`] driver reaches its shards: condvar-parked
-/// worker threads, or (single-shard fast path) the shard itself.
-#[derive(Debug)]
-enum WorkersImpl<'a, P> {
-    Parked { cells: &'a [WorkerCell], seq: u64 },
-    Inline(&'a mut P),
-}
-
-/// Driver handle for a [`ShardedPool`]'s persistent parked workers (see
-/// [`ShardedPool::with_workers`]). Each batch operation publishes one
-/// command to every worker mailbox and waits for all completions; with
-/// a single shard the driver steps it inline instead.
-#[derive(Debug)]
-pub struct ParkedWorkers<'a, P> {
-    inner: WorkersImpl<'a, P>,
-}
-
-impl<P: BatchEngine> ParkedWorkers<'_, P> {
-    /// Publishes `command` to every worker and waits for completion;
-    /// returns the summed per-shard transition counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker died (its shard panicked mid-command) —
-    /// mirroring the scoped path's `join().expect`; the panic unwinds
-    /// through `with_workers`, whose shutdown-on-drop releases the
-    /// remaining workers, and the worker's own panic is surfaced by the
-    /// thread scope.
-    fn broadcast(&mut self, command: WorkerCommand) -> u64 {
-        let (cells, seq) = match &mut self.inner {
-            WorkersImpl::Inline(shard) => {
-                return match command {
-                    WorkerCommand::Deliver(message) => shard.deliver_all(message),
-                    WorkerCommand::Reset => {
-                        shard.reset_all();
-                        0
-                    }
-                    WorkerCommand::Park | WorkerCommand::Shutdown => 0,
-                };
-            }
-            WorkersImpl::Parked { cells, seq } => (*cells, seq),
-        };
-        *seq += 1;
-        let seq = *seq;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.command = command;
-            mailbox.seq = seq;
-            drop(mailbox);
-            cell.signal.notify_all();
-        }
-        let mut transitions = 0;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.done < seq {
-                assert!(!mailbox.dead, "shard worker panicked");
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            transitions += mailbox.transitions;
-        }
-        transitions
-    }
-
-    /// Number of workers driving the pool (= shards; 1 means the
-    /// inline fast path, with no thread behind it).
-    pub fn worker_count(&self) -> usize {
-        match &self.inner {
-            WorkersImpl::Parked { cells, .. } => cells.len(),
-            WorkersImpl::Inline(_) => 1,
-        }
-    }
-
-    /// Delivers a message to every session across all shards on the
-    /// parked workers; returns the total number of transitions taken.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        self.broadcast(WorkerCommand::Deliver(message))
-    }
-
-    /// Returns every session in every shard to the start state.
-    pub fn reset_all(&mut self) {
-        self.broadcast(WorkerCommand::Reset);
-    }
-
-    /// Total finished sessions, as reported by each worker after its
-    /// most recent command (0 before the first command).
-    pub fn finished_count(&self) -> usize {
-        match &self.inner {
-            WorkersImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").finished)
-                .sum(),
-            WorkersImpl::Inline(shard) => shard.finished_count(),
-        }
-    }
-
-    /// Total transitions taken across all shards, as reported by each
-    /// worker after its most recent command (0 before the first).
-    pub fn steps(&self) -> u64 {
-        match &self.inner {
-            WorkersImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").steps)
-                .sum(),
-            WorkersImpl::Inline(shard) => shard.steps(),
-        }
-    }
-}
-
-impl<P> Drop for ParkedWorkers<'_, P> {
-    /// Publishes shutdown to every worker without waiting (the thread
-    /// scope does the joining). Running this from `Drop` — rather than
-    /// on `with_workers`' return path — means an unwinding closure
-    /// still releases the parked workers instead of deadlocking the
-    /// scope's implicit join.
-    fn drop(&mut self) {
-        if let WorkersImpl::Parked { cells, seq } = &mut self.inner {
-            *seq += 1;
-            for cell in *cells {
-                if let Ok(mut mailbox) = cell.mailbox.lock() {
-                    mailbox.command = WorkerCommand::Shutdown;
-                    mailbox.seq = *seq;
-                }
-                cell.signal.notify_all();
-            }
-        }
-    }
-}
-
-/// One worker's deque of shard work items for a work-stealing batch:
-/// the owner drains its contiguous region from the front, idle workers
-/// steal from the back. Refilled by the driver before each command, so
-/// the steady-state batch path never allocates (the `VecDeque` keeps
-/// its capacity across refills).
+/// One worker's deque of shard work items for a batch. A worker's
+/// region of shard indices is contiguous, so the deque is just the
+/// unclaimed sub-range: the owner takes from the front, idle workers
+/// steal from the back. Refilled by the driver before each command.
 #[derive(Debug)]
 struct ShardDeque {
-    /// The contiguous shard-index region this deque is refilled with.
-    start: usize,
-    end: usize,
-    items: Mutex<std::collections::VecDeque<usize>>,
+    region: std::ops::Range<usize>,
+    pending: Mutex<std::ops::Range<usize>>,
 }
 
 impl ShardDeque {
-    fn new(start: usize, end: usize) -> Self {
+    fn new(region: std::ops::Range<usize>) -> Self {
         ShardDeque {
-            start,
-            end,
-            items: Mutex::new(std::collections::VecDeque::with_capacity(end - start)),
+            pending: Mutex::new(region.start..region.start),
+            region,
         }
     }
 
-    /// Refills the deque with its shard region (driver side, workers
-    /// parked). Clearing keeps capacity, so no allocation after
-    /// construction.
+    /// Makes the whole region pending again (driver side, workers
+    /// parked).
     fn refill(&self) {
-        let mut items = self.items.lock().expect("shard deque poisoned");
-        items.clear();
-        items.extend(self.start..self.end);
+        *self.pending.lock().expect("shard deque poisoned") = self.region.clone();
     }
 
-    /// Owner pop: next shard from the front of the deque.
+    /// Owner pop: the next shard from the front.
     fn pop_own(&self) -> Option<usize> {
-        self.items.lock().expect("shard deque poisoned").pop_front()
+        self.pending.lock().expect("shard deque poisoned").next()
     }
 
-    /// Thief pop: a shard from the back of the deque.
+    /// Thief pop: a shard from the back.
     fn steal(&self) -> Option<usize> {
-        self.items.lock().expect("shard deque poisoned").pop_back()
+        self.pending
+            .lock()
+            .expect("shard deque poisoned")
+            .next_back()
     }
 }
 
-/// The loop run by each work-stealing worker: park until a command
-/// sequence appears, then drain the own deque front-to-back and steal
-/// from the other workers' deque backs until every deque is dry.
-///
-/// Exclusive shard access is enforced at runtime: a shard index is
-/// claimed by exactly one worker (deque pops are atomic under the deque
-/// mutex) and the shard itself sits behind its own mutex in `slots`, so
-/// the borrow handed to `deliver_all` is unique. Because every shard is
-/// processed exactly once per command and shards never share session
-/// state, results are bit-identical to sequential stepping whichever
-/// worker ends up running which shard.
-fn stealing_worker_loop<P: BatchEngine>(
+/// The loop run by each worker: park until a command sequence appears,
+/// then drain the own deque front-to-back and steal from the other
+/// workers' deque backs until every deque is dry. A shard index is
+/// claimed by exactly one worker (pops are atomic under the deque
+/// mutex), and the shard's own mutex in `slots` makes the borrow handed
+/// to the command unique.
+fn worker_loop<P: BatchEngine>(
     index: usize,
     slots: &[Mutex<&mut P>],
     queues: &[ShardDeque],
@@ -1491,29 +1003,17 @@ fn stealing_worker_loop<P: BatchEngine>(
             mailbox.command
         };
         let mut transitions = 0u64;
-        let mut finished = 0usize;
-        let mut steps = 0u64;
-        if matches!(command, WorkerCommand::Deliver(_) | WorkerCommand::Reset) {
-            // Own deque first; steal from the other deques' backs once
-            // it runs dry.
+        if command != WorkerCommand::Shutdown {
             while let Some(shard) = queues[index].pop_own().or_else(|| {
                 (1..queues.len()).find_map(|k| queues[(index + k) % queues.len()].steal())
             }) {
                 let mut shard = slots[shard].lock().expect("shard slot poisoned");
-                match command {
-                    WorkerCommand::Deliver(message) => transitions += shard.deliver_all(message),
-                    WorkerCommand::Reset => shard.reset_all(),
-                    WorkerCommand::Park | WorkerCommand::Shutdown => unreachable!(),
-                }
-                finished += shard.finished_count();
-                steps += shard.steps();
+                transitions += command.run(&mut **shard);
             }
         }
         {
             let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
             mailbox.transitions = transitions;
-            mailbox.finished = finished;
-            mailbox.steps = steps;
             mailbox.done = seen;
         }
         cell.signal.notify_all();
@@ -1524,58 +1024,46 @@ fn stealing_worker_loop<P: BatchEngine>(
     }
 }
 
-/// How a [`StealingWorkers`] driver reaches its shards: parked stealing
-/// workers, or (single-worker fast path) the shard slice itself.
+/// How a [`Workers`] handle reaches its shards: parked worker threads,
+/// or (one worker) the shard slice itself.
 #[derive(Debug)]
-enum StealingImpl<'a, P> {
-    Parked {
+enum Driver<'a, P> {
+    Threads {
         cells: &'a [WorkerCell],
         queues: &'a [ShardDeque],
+        slots: &'a [Mutex<&'a mut P>],
         seq: u64,
     },
     Inline(&'a mut [P]),
 }
 
-/// Driver handle for a [`ShardedPool`]'s work-stealing persistent
-/// workers (see [`ShardedPool::with_stealing_workers`]): fewer workers
-/// than shards, each owning a deque of shard work items and stealing
-/// from the others' deques when its own runs dry.
+/// Driver handle for a [`ShardedPool`]'s persistent workers (see
+/// [`ShardedPool::with_workers`]). Each batch operation refills the
+/// work deques, publishes one command to every worker mailbox and waits
+/// for all completions; with a single worker the driver steps the
+/// shards inline instead.
 #[derive(Debug)]
-pub struct StealingWorkers<'a, P> {
-    inner: StealingImpl<'a, P>,
-}
+pub struct Workers<'a, P>(Driver<'a, P>);
 
-impl<P: BatchEngine> StealingWorkers<'_, P> {
-    /// Refills every deque, publishes `command` to every worker and
-    /// waits for completion; returns the summed transition counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker died (its shard panicked mid-command), like
-    /// [`ShardedPool::with_workers`]'s driver.
+impl<P: BatchEngine> Workers<'_, P> {
+    /// Runs `command` over every shard and waits for completion;
+    /// returns the summed transition counts. Panics if a worker died (a
+    /// shard panicked mid-command): the panic unwinds through
+    /// `with_workers`, whose shutdown-on-drop releases the remaining
+    /// workers, and the thread scope surfaces the worker's own panic.
     fn broadcast(&mut self, command: WorkerCommand) -> u64 {
-        let (cells, queues, seq) = match &mut self.inner {
-            StealingImpl::Inline(shards) => {
-                let mut transitions = 0;
-                for shard in shards.iter_mut() {
-                    match command {
-                        WorkerCommand::Deliver(message) => {
-                            transitions += shard.deliver_all(message);
-                        }
-                        WorkerCommand::Reset => shard.reset_all(),
-                        WorkerCommand::Park | WorkerCommand::Shutdown => {}
-                    }
-                }
-                return transitions;
+        let (cells, queues, seq) = match &mut self.0 {
+            Driver::Inline(shards) => {
+                return shards.iter_mut().map(|shard| command.run(shard)).sum();
             }
-            StealingImpl::Parked { cells, queues, seq } => (*cells, *queues, seq),
+            Driver::Threads {
+                cells, queues, seq, ..
+            } => (*cells, *queues, seq),
         };
         // Refill the work deques before the command becomes visible —
         // workers only touch deques after observing the new sequence.
-        if matches!(command, WorkerCommand::Deliver(_) | WorkerCommand::Reset) {
-            for queue in queues {
-                queue.refill();
-            }
+        for queue in queues {
+            queue.refill();
         }
         *seq += 1;
         let seq = *seq;
@@ -1598,18 +1086,30 @@ impl<P: BatchEngine> StealingWorkers<'_, P> {
         transitions
     }
 
-    /// Number of stealing workers (1 means the inline fast path).
+    /// Sums `query` over every shard. Workers are parked between
+    /// commands, so the slot locks are uncontended.
+    fn sum<T: std::iter::Sum>(&self, query: impl Fn(&P) -> T) -> T {
+        match &self.0 {
+            Driver::Threads { slots, .. } => slots
+                .iter()
+                .map(|slot| query(&**slot.lock().expect("shard slot poisoned")))
+                .sum(),
+            Driver::Inline(shards) => shards.iter().map(query).sum(),
+        }
+    }
+
+    /// Number of workers driving the pool (1 means the inline path,
+    /// with no thread behind it).
     pub fn worker_count(&self) -> usize {
-        match &self.inner {
-            StealingImpl::Parked { cells, .. } => cells.len(),
-            StealingImpl::Inline(_) => 1,
+        match &self.0 {
+            Driver::Threads { cells, .. } => cells.len(),
+            Driver::Inline(_) => 1,
         }
     }
 
     /// Delivers a message to every session across all shards; returns
-    /// the total number of transitions taken. Bit-identical to
-    /// [`ShardedPool::deliver_all`] and to a flat pool, whichever
-    /// worker steals which shard.
+    /// the total number of transitions taken. Bit-identical to a flat
+    /// store, whichever worker steps which shard.
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
         self.broadcast(WorkerCommand::Deliver(message))
     }
@@ -1619,38 +1119,25 @@ impl<P: BatchEngine> StealingWorkers<'_, P> {
         self.broadcast(WorkerCommand::Reset);
     }
 
-    /// Total finished sessions, as aggregated by the workers over the
-    /// shards each processed during the most recent command (0 before
-    /// the first command).
+    /// Total finished sessions across all shards.
     pub fn finished_count(&self) -> usize {
-        match &self.inner {
-            StealingImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").finished)
-                .sum(),
-            StealingImpl::Inline(shards) => shards.iter().map(|s| s.finished_count()).sum(),
-        }
+        self.sum(P::finished_count)
     }
 
-    /// Total transitions taken across all shards, aggregated like
-    /// [`StealingWorkers::finished_count`].
+    /// Total transitions taken across all shards.
     pub fn steps(&self) -> u64 {
-        match &self.inner {
-            StealingImpl::Parked { cells, .. } => cells
-                .iter()
-                .map(|c| c.mailbox.lock().expect("worker mailbox poisoned").steps)
-                .sum(),
-            StealingImpl::Inline(shards) => shards.iter().map(|s| s.steps()).sum(),
-        }
+        self.sum(P::steps)
     }
 }
 
-impl<P> Drop for StealingWorkers<'_, P> {
-    /// Publishes shutdown without waiting, exactly like
-    /// [`ParkedWorkers`]'s drop, so an unwinding closure still releases
-    /// the parked workers.
+impl<P> Drop for Workers<'_, P> {
+    /// Publishes shutdown to every worker without waiting (the thread
+    /// scope does the joining). Running this from `Drop` — rather than
+    /// on `with_workers`' return path — means an unwinding closure
+    /// still releases the parked workers instead of deadlocking the
+    /// scope's implicit join.
     fn drop(&mut self) {
-        if let StealingImpl::Parked { cells, seq, .. } = &mut self.inner {
+        if let Driver::Threads { cells, seq, .. } = &mut self.0 {
             *seq += 1;
             for cell in *cells {
                 if let Ok(mut mailbox) = cell.mailbox.lock() {
@@ -1666,6 +1153,8 @@ impl<P> Drop for StealingWorkers<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledMachine;
+    use crate::efsm_compiled::CompiledEfsm;
     use crate::machine::{StateMachine, StateMachineBuilder, StateRole};
 
     fn finishing_machine() -> StateMachine {
@@ -1678,63 +1167,89 @@ mod tests {
         b.build(s0)
     }
 
+    fn dense() -> StepEngine {
+        StepEngine::dense(CompiledMachine::compile(&finishing_machine()))
+    }
+
+    fn msg(engine: &StepEngine, name: &str) -> MessageId {
+        engine.message_id(name).unwrap()
+    }
+
+    /// Every session's `(state, finished)` in global order: shard
+    /// blocks are contiguous, in shard order.
+    fn sessions(pool: &ShardedPool<SessionStore>) -> Vec<(u32, bool)> {
+        let per_shard = |shard| sessions_of(shard).collect::<Vec<_>>();
+        pool.shards().iter().flat_map(per_shard).collect()
+    }
+
+    fn sessions_of(store: &SessionStore) -> impl Iterator<Item = (u32, bool)> + '_ {
+        (0..store.len()).map(|s| (store.state(s), store.is_finished(s)))
+    }
+
     #[test]
     fn pool_steps_sessions_independently() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut pool = SessionPool::new(&compiled, 3);
-        assert_eq!(pool.len(), 3);
-        assert_eq!(pool.deliver(0, a), [Action::send("x")]);
-        assert_eq!(pool.state_name(0), "s1");
-        assert_eq!(pool.state_name(1), "s0");
-        pool.deliver(0, a);
-        assert!(pool.is_finished(0));
-        assert!(!pool.is_finished(1));
-        assert_eq!(pool.finished_count(), 1);
-        assert_eq!(pool.steps(), 2);
+        // The same body on the dense and the interpreted tier.
+        for engine in [dense(), StepEngine::interpreted(finishing_machine())] {
+            let a = msg(&engine, "a");
+            let mut pool = SessionStore::new(engine, 3);
+            assert_eq!(pool.len(), 3);
+            assert_eq!(pool.deliver(0, a), [Action::send("x")]);
+            assert_eq!(pool.state_name(0), "s1");
+            assert_eq!(pool.state_name(1), "s0");
+            let mut probed = Vec::new();
+            pool.probe_tail(a, 3, 2, |s, t| {
+                probed.push((s, t.from, t.to, t.actions.len()))
+            });
+            assert_eq!(probed, [(2, 0, 1, 1), (1, 0, 1, 1)]);
+            assert_eq!(pool.state_name(1), "s0", "a probe must not step");
+            pool.deliver(0, a);
+            assert!(pool.is_finished(0));
+            assert!(!pool.is_finished(1));
+            assert_eq!(pool.finished_count(), 1);
+            assert_eq!(pool.steps(), 2);
+        }
     }
 
     #[test]
     fn deliver_all_walks_every_live_session() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let b = compiled.message_id("b").unwrap();
-        let mut pool = SessionPool::new(&compiled, 100);
-        assert_eq!(pool.deliver_all(b), 0); // `b` applicable nowhere
-        assert_eq!(pool.deliver_all(a), 100);
-        assert_eq!(pool.finished_count(), 0);
-        assert_eq!(pool.deliver_all(a), 100);
-        assert!(pool.all_finished());
-        // Finished sessions absorb further messages.
-        assert_eq!(pool.deliver_all(a), 0);
-        assert_eq!(pool.steps(), 200);
+        for engine in [dense(), StepEngine::interpreted(finishing_machine())] {
+            let (a, b) = (msg(&engine, "a"), msg(&engine, "b"));
+            let mut pool = SessionStore::new(engine, 100);
+            pool.retire(7);
+            assert_eq!(pool.live(), 99);
+            assert_eq!(pool.deliver_all(b), 0); // `b` applicable nowhere
+            assert_eq!(pool.deliver_all(a), 99);
+            assert_eq!(pool.finished_count(), 0);
+            assert_eq!(pool.deliver_all_scalar(a), 99);
+            assert!(pool.all_finished());
+            assert!(!pool.is_finished(7), "a retired slot is not finished");
+            // Finished sessions absorb further messages.
+            assert_eq!(pool.deliver_all(a), 0);
+            assert_eq!(pool.steps(), 198);
+        }
     }
 
     #[test]
     fn deliver_all_with_visits_phase_transitions() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut pool = SessionPool::new(&compiled, 5);
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut pool = SessionStore::new(engine, 5);
         let mut seen = Vec::new();
-        pool.deliver_all_with(a, |session, actions| {
-            seen.push((session, actions.len()));
+        pool.deliver_all_with(a, |session, t| {
+            seen.push((session, t.from, t.to, t.actions.len()));
         });
-        assert_eq!(seen, (0..5).map(|s| (s, 1)).collect::<Vec<_>>());
-        // Second hop is a simple transition: no visits.
-        let mut visits = 0;
-        pool.deliver_all_with(a, |_, _| visits += 1);
-        assert_eq!(visits, 0);
+        assert_eq!(seen, (0..5).map(|s| (s, 0, 1, 1)).collect::<Vec<_>>());
+        // Second hop is a simple transition: visited, with no actions.
+        let mut hops = Vec::new();
+        pool.deliver_all_with(a, |_, t| hops.push((t.from, t.to, t.actions.len())));
+        assert_eq!(hops, vec![(1, 2, 0); 5]);
     }
 
     #[test]
     fn spawn_grows_pool_and_reset_restores() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut pool = SessionPool::new(&compiled, 0);
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut pool = SessionStore::new(engine, 0);
         assert!(pool.is_empty());
         for _ in 0..70 {
             pool.spawn(); // crosses a bitset word boundary
@@ -1751,15 +1266,12 @@ mod tests {
 
     #[test]
     fn matches_single_instance_semantics() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let mut pool = SessionPool::new(&compiled, 1);
+        let compiled = CompiledMachine::compile(&finishing_machine());
+        let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 1);
         let mut single = compiled.instance();
         for name in ["b", "a", "b", "a", "a"] {
             let id = compiled.message_id(name).unwrap();
-            let from_pool = pool.deliver(0, id);
-            let from_single = single.deliver_id(id);
-            assert_eq!(from_pool, from_single);
+            assert_eq!(pool.deliver(0, id), single.deliver_id(id));
             assert_eq!(pool.state(0), single.current_state());
         }
         assert!(pool.is_finished(0));
@@ -1767,10 +1279,9 @@ mod tests {
 
     #[test]
     fn reset_session_recycles_slot() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut pool = SessionPool::new(&compiled, 2);
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut pool = SessionStore::new(engine, 2);
         pool.deliver(0, a);
         pool.deliver(0, a);
         assert!(pool.is_finished(0));
@@ -1784,23 +1295,25 @@ mod tests {
         // The recycled slot runs a fresh execution.
         pool.deliver(0, a);
         assert_eq!(pool.state_name(0), "s1");
+        // A retired slot is revived by the same call.
+        pool.retire(1);
+        assert_eq!((pool.live(), pool.is_retired(1)), (1, true));
+        pool.reset_session(1);
+        assert_eq!((pool.live(), pool.state_name(1)), (2, "s0"));
     }
 
-    fn counter_efsm() -> crate::efsm::Efsm {
+    fn counter(limit: i64) -> (CompiledEfsm, StepEngine) {
         use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
         let mut b = EfsmBuilder::new("counter", ["tick"]);
-        let limit = b.add_param("limit");
+        let lim = b.add_param("limit");
         let n = b.add_var("n");
         let counting = b.add_state("counting");
         let done = b.add_state("done");
+        let next = LinExpr::var(n).plus_const(1);
         b.add_transition(
             counting,
             "tick",
-            Guard::when(
-                LinExpr::var(n).plus_const(1),
-                CmpOp::Lt,
-                LinExpr::param(limit),
-            ),
+            Guard::when(next.clone(), CmpOp::Lt, LinExpr::param(lim)),
             vec![Update::Inc(n)],
             vec![],
             counting,
@@ -1808,37 +1321,38 @@ mod tests {
         b.add_transition(
             counting,
             "tick",
-            Guard::when(
-                LinExpr::var(n).plus_const(1),
-                CmpOp::Ge,
-                LinExpr::param(limit),
-            ),
+            Guard::when(next, CmpOp::Ge, LinExpr::param(lim)),
             vec![Update::Inc(n)],
             vec![Action::send("done")],
             done,
         );
-        b.build(counting, Some(done))
+        let compiled = CompiledEfsm::compile(&b.build(counting, Some(done))).unwrap();
+        let engine = StepEngine::register(compiled.clone(), &[limit]).unwrap();
+        (compiled, engine)
     }
 
     #[test]
     fn efsm_pool_counts_independently() {
-        let efsm = counter_efsm();
-        let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let tick = compiled.message_id("tick").unwrap();
-        let mut pool = EfsmSessionPool::new(&compiled, vec![3], 5);
+        let (_, engine) = counter(3);
+        let tick = msg(&engine, "tick");
+        let mut pool = SessionStore::new(engine, 5);
         assert_eq!(pool.len(), 5);
-        assert_eq!(pool.params(), &[3]);
+        assert_eq!(pool.engine().params(), &[3]);
         // Step session 2 ahead of the rest.
         assert!(pool.deliver(2, tick).is_empty());
         assert_eq!(pool.vars(2), &[1]);
         assert_eq!(pool.vars(0), &[0]);
+        let mut probed = Vec::new();
+        pool.probe_tail(tick, 2, 3, |s, t| probed.push((s, t.to)));
+        assert_eq!(probed, [(4, 0), (3, 0)]);
+        assert_eq!(pool.vars(2), &[1], "a probe must not update registers");
         pool.deliver_all(tick);
         pool.deliver_all(tick);
         assert!(pool.is_finished(2));
         assert_eq!(pool.finished_count(), 1);
         assert_eq!(pool.state_name(2), "done");
         let mut fired = 0;
-        pool.deliver_all_with(tick, |_, actions| fired += actions.len());
+        pool.deliver_all_with(tick, |_, t| fired += t.actions.len());
         assert_eq!(fired, 4);
         assert!(pool.all_finished());
         assert_eq!(pool.steps(), 1 + 5 + 5 + 4);
@@ -1846,10 +1360,9 @@ mod tests {
 
     #[test]
     fn efsm_pool_reset_and_spawn() {
-        let efsm = counter_efsm();
-        let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let tick = compiled.message_id("tick").unwrap();
-        let mut pool = EfsmSessionPool::new(&compiled, vec![1], 0);
+        let (_, engine) = counter(1);
+        let tick = msg(&engine, "tick");
+        let mut pool = SessionStore::new(engine, 0);
         assert!(pool.is_empty());
         for _ in 0..70 {
             pool.spawn(); // crosses a bitset word boundary
@@ -1867,10 +1380,9 @@ mod tests {
 
     #[test]
     fn efsm_pool_matches_single_instance() {
-        let efsm = counter_efsm();
-        let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let tick = compiled.message_id("tick").unwrap();
-        let mut pool = EfsmSessionPool::new(&compiled, vec![4], 1);
+        let (compiled, engine) = counter(4);
+        let tick = msg(&engine, "tick");
+        let mut pool = SessionStore::new(engine, 1);
         let mut single = compiled.instance(vec![4]);
         for _ in 0..6 {
             assert_eq!(pool.deliver(0, tick), single.deliver_id(tick));
@@ -1881,12 +1393,10 @@ mod tests {
 
     #[test]
     fn sharded_pool_matches_single_pool() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let b = compiled.message_id("b").unwrap();
-        let mut single = SessionPool::new(&compiled, 103);
-        let mut sharded = ShardedPool::split(103, 4, |len| SessionPool::new(&compiled, len));
+        let engine = dense();
+        let (a, b) = (msg(&engine, "a"), msg(&engine, "b"));
+        let mut single = SessionStore::new(engine.clone(), 103);
+        let mut sharded = ShardedPool::split(103, 4, |len| SessionStore::new(engine.clone(), len));
         assert_eq!(sharded.len(), 103);
         assert_eq!(sharded.shard_count(), 4);
         assert!(!sharded.is_empty());
@@ -1896,10 +1406,7 @@ mod tests {
             assert_eq!(t_single, t_sharded);
             assert_eq!(single.finished_count(), sharded.finished_count());
             assert_eq!(single.steps(), sharded.steps());
-            for s in 0..single.len() {
-                assert_eq!(single.state(s), sharded.state(s), "session {s}");
-                assert_eq!(single.is_finished(s), sharded.is_finished(s), "session {s}");
-            }
+            assert_eq!(sessions(&sharded), sessions_of(&single).collect::<Vec<_>>());
         }
         assert!(sharded.all_finished());
         sharded.reset_all();
@@ -1909,11 +1416,9 @@ mod tests {
 
     #[test]
     fn sharded_pool_over_efsm_shards() {
-        let efsm = counter_efsm();
-        let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let tick = compiled.message_id("tick").unwrap();
-        let mut sharded =
-            ShardedPool::split(64, 2, |len| EfsmSessionPool::new(&compiled, vec![2], len));
+        let (_, engine) = counter(2);
+        let tick = msg(&engine, "tick");
+        let mut sharded = ShardedPool::split(64, 2, |len| SessionStore::new(engine.clone(), len));
         assert_eq!(sharded.deliver_all(tick), 64);
         assert_eq!(sharded.finished_count(), 0);
         assert_eq!(sharded.deliver_all(tick), 64);
@@ -1923,52 +1428,53 @@ mod tests {
 
     #[test]
     fn single_shard_steps_in_place() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(10, 1, |len| SessionPool::new(&compiled, len));
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut sharded = ShardedPool::split(10, 1, |len| SessionStore::new(engine.clone(), len));
         assert_eq!(sharded.shard_count(), 1);
         assert_eq!(sharded.deliver_all(a), 10);
-        assert_eq!(sharded.state(9), sharded.shards()[0].state(9));
+        assert_eq!(sessions(&sharded), vec![(1, false); 10]);
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn empty_shard_list_panics() {
-        let _ = ShardedPool::<SessionPool<'_>>::new(Vec::new());
+        let _ = ShardedPool::<SessionStore>::new(Vec::new());
     }
 
     #[test]
     fn parked_workers_match_flat_pool() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let b = compiled.message_id("b").unwrap();
-        let mut flat = SessionPool::new(&compiled, 103);
-        let mut sharded = ShardedPool::split(103, 4, |len| SessionPool::new(&compiled, len));
-        sharded.with_workers(|workers| {
-            assert_eq!(workers.worker_count(), 4);
-            for &mid in &[a, b, a, a, b] {
-                let t_flat = flat.deliver_all(mid);
-                assert_eq!(workers.deliver_all(mid), t_flat);
-                assert_eq!(workers.finished_count(), flat.finished_count());
-                assert_eq!(workers.steps(), flat.steps());
-            }
-        });
-        // Full per-session state is back once the workers have parked.
-        assert!(sharded.all_finished());
-        for s in 0..flat.len() {
-            assert_eq!(flat.state(s), sharded.state(s), "session {s}");
+        let engine = dense();
+        let (a, b) = (msg(&engine, "a"), msg(&engine, "b"));
+        let mut flat = SessionStore::new(engine.clone(), 103);
+        let mut sharded = ShardedPool::split(103, 4, |len| SessionStore::new(engine.clone(), len));
+        // A worker per shard, and more than that: both park one each.
+        for workers in [4, 9] {
+            sharded.with_workers(workers, |workers| {
+                assert_eq!(workers.worker_count(), 4);
+                for &mid in &[a, b, a, a, b] {
+                    let t_flat = flat.deliver_all(mid);
+                    assert_eq!(workers.deliver_all(mid), t_flat);
+                    assert_eq!(workers.finished_count(), flat.finished_count());
+                    assert_eq!(workers.steps(), flat.steps());
+                }
+            });
+            // Full per-session state is back once the driver is gone.
+            assert!(sharded.all_finished());
+            assert_eq!(sessions(&sharded), sessions_of(&flat).collect::<Vec<_>>());
+            flat.reset_all();
+            sharded.reset_all();
         }
     }
 
     #[test]
     fn parked_workers_reset_and_reuse() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(70, 3, |len| SessionPool::new(&compiled, len));
-        let total = sharded.with_workers(|workers| {
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut sharded = ShardedPool::split(70, 3, |len| SessionStore::new(engine.clone(), len));
+        // Fewer workers than shards: the third shard is stolen.
+        let total = sharded.with_workers(2, |workers| {
+            assert_eq!(workers.worker_count(), 2);
             let mut total = 0;
             for _ in 0..3 {
                 total += workers.deliver_all(a);
@@ -1987,22 +1493,20 @@ mod tests {
 
     #[test]
     fn with_workers_returns_closure_value() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(1, 1, |len| SessionPool::new(&compiled, len));
-        let echoed = sharded.with_workers(|workers| workers.deliver_all(a) + 41);
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut sharded = ShardedPool::split(1, 1, |len| SessionStore::new(engine.clone(), len));
+        let echoed = sharded.with_workers(1, |workers| workers.deliver_all(a) + 41);
         assert_eq!(echoed, 42);
     }
 
     #[test]
     fn with_workers_propagates_closure_panic_without_hanging() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
-        let mut sharded = ShardedPool::split(20, 3, |len| SessionPool::new(&compiled, len));
+        let engine = dense();
+        let a = msg(&engine, "a");
+        let mut sharded = ShardedPool::split(20, 3, |len| SessionStore::new(engine.clone(), len));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sharded.with_workers(|workers| {
+            sharded.with_workers(3, |workers| {
                 workers.deliver_all(a);
                 panic!("closure failed mid-batch");
             })
@@ -2026,12 +1530,6 @@ mod tests {
         fn session_count(&self) -> usize {
             1
         }
-        fn session_state(&self, _session: usize) -> u32 {
-            0
-        }
-        fn session_finished(&self, _session: usize) -> bool {
-            false
-        }
         fn deliver_all(&mut self, _message: MessageId) -> u64 {
             self.batches += 1;
             assert!(self.batches < 2, "shard blew up");
@@ -2049,12 +1547,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard worker panicked")]
     fn with_workers_fails_fast_when_a_shard_panics() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let a = compiled.message_id("a").unwrap();
+        let a = msg(&dense(), "a");
         let mut sharded =
             ShardedPool::new(vec![FaultyShard { batches: 0 }, FaultyShard { batches: 0 }]);
-        sharded.with_workers(|workers| {
+        sharded.with_workers(2, |workers| {
             workers.deliver_all(a);
             workers.deliver_all(a); // shard panics; driver must not hang
         });

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use stategen_core::{
     prune_unreachable, validate_machine, Action, CompiledMachine, FsmInstance, HierarchicalMachine,
-    HsmBuilder, HsmStateId, ProtocolEngine, SessionPool,
+    HsmBuilder, HsmStateId, ProtocolEngine, SessionStore, StepEngine,
 };
 
 /// The fixed alphabet random machines draw from.
@@ -148,7 +148,7 @@ proptest! {
         let mut reference = hsm.instance();
         let mut interp = FsmInstance::new(&flat);
         let mut fast = compiled.instance();
-        let mut pool = SessionPool::new(&compiled, 2);
+        let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
         prop_assert_eq!(reference.state_name(), interp.state_name());
         for (step, &mi) in trace.iter().enumerate() {
             let name = ALPHABET[mi];

@@ -1,17 +1,19 @@
 //! Kernel-equivalence properties: the bucketed batch kernels behind
-//! `deliver_all` (see `stategen_core::kernel`) are bit-identical to the
-//! scalar per-session walk (`deliver_all_scalar`) on both pool tiers —
-//! states, finished bits, transition totals, and the action streams a
-//! subsequent `deliver_all_with` observes — including under
-//! mid-sequence spawn/reset churn. Work-stealing workers are likewise
-//! pinned to flat-pool results.
+//! `SessionStore::deliver_all` (see `stategen_core::kernel`) are
+//! bit-identical to the scalar per-session walk (`deliver_all_scalar`)
+//! on the dense *and* the register engine, through one test body —
+//! states, registers, finished bits, transition totals, and the
+//! transition stream a subsequent `deliver_all_with` observes —
+//! including under mid-sequence spawn/reset/retire churn. The one
+//! worker driver (`ShardedPool::with_workers`) is likewise pinned to
+//! flat-store results for every worker count.
 
 use proptest::prelude::*;
 
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, EfsmSessionPool, Outcome,
-    SessionPool, ShardedPool, StateComponent, StateSpace, StateVector,
+    generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, MessageId, Outcome,
+    SessionStore, ShardedPool, StateComponent, StateSpace, StateVector, StepEngine,
 };
 
 // ---------------------------------------------------------------------
@@ -137,107 +139,146 @@ fn threshold_efsm(spill: bool) -> Efsm {
     b.build(wait, Some(done))
 }
 
-/// One step of pool churn, decoded from a proptest-drawn op stream:
+/// One step of store churn, decoded from a proptest-drawn op stream:
 /// deliver to everyone (the property under test), reset one session
-/// back to start, or spawn a fresh session (growing the SoA arrays and
-/// the kernel scratch mid-sequence).
+/// back to start (reviving it if retired), spawn a fresh session
+/// (growing the SoA arrays and the kernel scratch mid-sequence), or
+/// retire one (punching a hole the kernels must skip).
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Deliver(usize),
     Reset(usize),
     Spawn,
+    Retire(usize),
 }
 
 fn op_stream() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0u8..8, any::<usize>()), 0..48).prop_map(|raw| {
+    prop::collection::vec((0u8..9, any::<usize>()), 0..48).prop_map(|raw| {
         raw.into_iter()
             .map(|(kind, pick)| match kind {
                 0..=4 => Op::Deliver(pick % 2),
                 5..=6 => Op::Reset(pick),
-                _ => Op::Spawn,
+                7 => Op::Spawn,
+                _ => Op::Retire(pick),
             })
             .collect()
     })
 }
 
+fn dense_engine(model: &TwoCounter) -> StepEngine {
+    let g = generate(model).expect("generates");
+    StepEngine::dense(CompiledMachine::compile(&g.machine))
+}
+
+fn register_engine(t: i64, spill: bool) -> StepEngine {
+    let compiled = CompiledEfsm::compile(&threshold_efsm(spill)).expect("compiles");
+    assert_eq!(compiled.bind(&[t]).spill_cell_count() > 0, spill);
+    StepEngine::register(compiled, &[t]).expect("one parameter")
+}
+
+fn message(engine: &StepEngine, mi: usize) -> MessageId {
+    engine
+        .message_id(if mi == 0 { "a" } else { "b" })
+        .expect("declared message")
+}
+
 // ---------------------------------------------------------------------
-// Dense tier: kernel vs scalar.
+// Kernel vs scalar: one body, both compiled engines.
 // ---------------------------------------------------------------------
+
+/// The kernel behind `deliver_all` is bit-identical to the scalar walk
+/// on `engine`: same states, *registers*, finished bits, transition
+/// totals after every op, and the same `deliver_all_with` transition
+/// stream afterwards — through reset/spawn/retire churn between
+/// batches.
+fn kernel_matches_scalar(
+    engine: StepEngine,
+    sessions: usize,
+    ops: &[Op],
+    last: usize,
+) -> Result<(), TestCaseError> {
+    let mut kernel = SessionStore::new(engine.clone(), sessions);
+    let mut scalar = SessionStore::new(engine.clone(), sessions);
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Deliver(mi) => {
+                let mid = message(&engine, mi);
+                prop_assert_eq!(
+                    kernel.deliver_all(mid),
+                    scalar.deliver_all_scalar(mid),
+                    "step {}",
+                    step
+                );
+            }
+            Op::Reset(pick) if !kernel.is_empty() => {
+                kernel.reset_session(pick % kernel.len());
+                scalar.reset_session(pick % scalar.len());
+            }
+            Op::Retire(pick) if !kernel.is_empty() => {
+                let s = pick % kernel.len();
+                if !kernel.is_retired(s) {
+                    kernel.retire(s);
+                    scalar.retire(s);
+                }
+            }
+            Op::Spawn => prop_assert_eq!(kernel.spawn(), scalar.spawn(), "step {}", step),
+            Op::Reset(_) | Op::Retire(_) => {}
+        }
+        prop_assert_eq!(kernel.states(), scalar.states(), "step {}", step);
+        prop_assert_eq!(kernel.registers(), scalar.registers(), "step {}", step);
+        prop_assert_eq!(kernel.live(), scalar.live(), "step {}", step);
+        prop_assert_eq!(
+            kernel.finished_count(),
+            scalar.finished_count(),
+            "step {}",
+            step
+        );
+        prop_assert_eq!(kernel.steps(), scalar.steps(), "step {}", step);
+        for s in 0..kernel.len() {
+            prop_assert_eq!(
+                kernel.is_finished(s),
+                scalar.is_finished(s),
+                "step {} session {}",
+                step,
+                s
+            );
+        }
+    }
+    // The observing walk sees identical transition streams after any
+    // kernel-batched prefix.
+    let mid = message(&engine, last);
+    let mut seen_kernel: Vec<(usize, u32, u32, Vec<Action>)> = Vec::new();
+    let mut seen_scalar = seen_kernel.clone();
+    let t_k = kernel.deliver_all_with(mid, |s, t| {
+        seen_kernel.push((s, t.from, t.to, t.actions.to_vec()))
+    });
+    let t_s = scalar.deliver_all_with(mid, |s, t| {
+        seen_scalar.push((s, t.from, t.to, t.actions.to_vec()))
+    });
+    prop_assert_eq!(t_k, t_s);
+    prop_assert_eq!(t_k as usize, seen_kernel.len());
+    prop_assert_eq!(seen_kernel, seen_scalar);
+    prop_assert_eq!(kernel.states(), scalar.states());
+    prop_assert_eq!(kernel.registers(), scalar.registers());
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The bucketed dense kernel behind `SessionPool::deliver_all` is
-    /// bit-identical to the scalar walk: same states, finished bits,
-    /// transition totals, and the same `deliver_all_with` action stream
-    /// afterwards — through reset/spawn churn between batches.
+    /// The bucketed dense kernel matches the scalar walk.
     #[test]
     fn dense_kernel_matches_scalar(
         model in two_counter(),
         sessions in 0usize..96,
         ops in op_stream(),
     ) {
-        let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let mut kernel = SessionPool::new(&compiled, sessions);
-        let mut scalar = SessionPool::new(&compiled, sessions);
-        for (step, &op) in ops.iter().enumerate() {
-            match op {
-                Op::Deliver(mi) => {
-                    let name = if mi == 0 { "a" } else { "b" };
-                    let mid = compiled.message_id(name).expect("declared message");
-                    prop_assert_eq!(
-                        kernel.deliver_all(mid),
-                        scalar.deliver_all_scalar(mid),
-                        "step {}", step
-                    );
-                }
-                Op::Reset(pick) => {
-                    if !kernel.is_empty() {
-                        let s = pick % kernel.len();
-                        kernel.reset_session(s);
-                        scalar.reset_session(s);
-                    }
-                }
-                Op::Spawn => {
-                    prop_assert_eq!(kernel.spawn(), scalar.spawn(), "step {}", step);
-                }
-            }
-            prop_assert_eq!(kernel.states(), scalar.states(), "step {}", step);
-            prop_assert_eq!(kernel.finished_count(), scalar.finished_count(), "step {}", step);
-            prop_assert_eq!(kernel.steps(), scalar.steps(), "step {}", step);
-            for s in 0..kernel.len() {
-                prop_assert_eq!(
-                    kernel.is_finished(s), scalar.is_finished(s),
-                    "step {} session {}", step, s
-                );
-            }
-        }
-        // The observing walk sees identical (session, actions) streams
-        // after any kernel-batched prefix.
-        let mid = compiled.message_id("a").expect("declared message");
-        let mut seen_kernel: Vec<(usize, &[Action])> = Vec::new();
-        let mut seen_scalar: Vec<(usize, &[Action])> = Vec::new();
-        let t_k = kernel.deliver_all_with(mid, |s, acts| seen_kernel.push((s, acts)));
-        let t_s = scalar.deliver_all_with(mid, |s, acts| seen_scalar.push((s, acts)));
-        prop_assert_eq!(t_k, t_s);
-        prop_assert_eq!(seen_kernel, seen_scalar);
-        prop_assert_eq!(kernel.states(), scalar.states());
+        kernel_matches_scalar(dense_engine(&model), sessions, &ops, 0)?;
     }
-}
 
-// ---------------------------------------------------------------------
-// EFSM tier: masked sweep (and spill fallback) vs scalar.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// The per-column masked-compare kernel behind
-    /// `EfsmSessionPool::deliver_all` — including its scalar bytecode
-    /// fallback for non-fusable cells — matches the scalar walk on
-    /// states, *registers*, finished bits, totals and the subsequent
-    /// `deliver_all_with` stream, through reset/spawn churn.
+    /// The per-column masked-compare kernel — including its scalar
+    /// bytecode fallback for non-fusable cells — matches the scalar
+    /// walk.
     #[test]
     fn efsm_kernel_matches_scalar(
         t in 1i64..6,
@@ -245,136 +286,145 @@ proptest! {
         sessions in 0usize..96,
         ops in op_stream(),
     ) {
-        let efsm = threshold_efsm(spill);
-        let compiled = CompiledEfsm::compile(&efsm).expect("compiles");
-        prop_assert_eq!(compiled.bind(&[t]).spill_cell_count() > 0, spill);
-        let mut kernel = EfsmSessionPool::new(&compiled, vec![t], sessions);
-        let mut scalar = EfsmSessionPool::new(&compiled, vec![t], sessions);
-        for (step, &op) in ops.iter().enumerate() {
-            match op {
-                Op::Deliver(mi) => {
-                    let name = if mi == 0 { "a" } else { "b" };
-                    let mid = compiled.message_id(name).expect("declared message");
-                    prop_assert_eq!(
-                        kernel.deliver_all(mid),
-                        scalar.deliver_all_scalar(mid),
-                        "step {}", step
-                    );
-                }
-                Op::Reset(pick) => {
-                    if !kernel.is_empty() {
-                        let s = pick % kernel.len();
-                        kernel.reset_session(s);
-                        scalar.reset_session(s);
-                    }
-                }
-                Op::Spawn => {
-                    prop_assert_eq!(kernel.spawn(), scalar.spawn(), "step {}", step);
-                }
-            }
-            prop_assert_eq!(kernel.states(), scalar.states(), "step {}", step);
-            prop_assert_eq!(kernel.registers(), scalar.registers(), "step {}", step);
-            prop_assert_eq!(kernel.finished_count(), scalar.finished_count(), "step {}", step);
-            prop_assert_eq!(kernel.steps(), scalar.steps(), "step {}", step);
-        }
-        for s in 0..kernel.len() {
-            prop_assert_eq!(kernel.is_finished(s), scalar.is_finished(s), "session {}", s);
-        }
-        let mid = compiled.message_id("b").expect("declared message");
-        let mut seen_kernel: Vec<(usize, &[Action])> = Vec::new();
-        let mut seen_scalar: Vec<(usize, &[Action])> = Vec::new();
-        let t_k = kernel.deliver_all_with(mid, |s, acts| seen_kernel.push((s, acts)));
-        let t_s = scalar.deliver_all_with(mid, |s, acts| seen_scalar.push((s, acts)));
-        prop_assert_eq!(t_k, t_s);
-        prop_assert_eq!(seen_kernel, seen_scalar);
-        prop_assert_eq!(kernel.states(), scalar.states());
-        prop_assert_eq!(kernel.registers(), scalar.registers());
+        kernel_matches_scalar(register_engine(t, spill), sessions, &ops, 1)?;
     }
 }
 
 // ---------------------------------------------------------------------
-// Work stealing: fewer workers than shards, same answers.
+// The worker driver: any worker count, same answers.
 // ---------------------------------------------------------------------
+
+/// One command sent through the driver.
+#[derive(Debug, Clone, Copy)]
+enum Cmd {
+    Deliver(usize),
+    ResetAll,
+}
+
+fn cmd_stream() -> impl Strategy<Value = Vec<Cmd>> {
+    prop::collection::vec(0u8..9, 0..48).prop_map(|raw| {
+        raw.into_iter()
+            .map(|kind| match kind {
+                0..=7 => Cmd::Deliver(usize::from(kind % 2)),
+                _ => Cmd::ResetAll,
+            })
+            .collect()
+    })
+}
+
+/// Random shard sizes (empty shards included) and a worker count in
+/// `1..=shards + 2`: one worker is the inline case, fewer than shards
+/// steal, `≥ shards` park one each.
+fn shard_plan() -> impl Strategy<Value = (Vec<usize>, usize)> {
+    (prop::collection::vec(0usize..40, 1..8), any::<usize>()).prop_map(|(sizes, pick)| {
+        let workers = 1 + pick % (sizes.len() + 2);
+        (sizes, workers)
+    })
+}
+
+/// The driver is a pure scheduling change: for any shard sizes, worker
+/// count, pre-divergence and command sequence, per-command transition
+/// counts and aggregate finished/step totals equal one flat store's,
+/// and afterwards every shard's states and registers are the flat
+/// store's contiguous block — whichever worker stepped which shard.
+fn workers_match_flat(
+    engine: StepEngine,
+    sizes: &[usize],
+    workers: usize,
+    diverge: &[(usize, usize)],
+    cmds: &[Cmd],
+) -> Result<(), TestCaseError> {
+    let total: usize = sizes.iter().sum();
+    let regs = engine.reg_count();
+    let mut flat = SessionStore::new(engine.clone(), total);
+    let mut sharded = ShardedPool::new(
+        sizes
+            .iter()
+            .map(|&n| SessionStore::new(engine.clone(), n))
+            .collect(),
+    );
+    // Spread sessions over several states first, so shards hold
+    // different work and the kernels leave their lockstep path.
+    for &(pick, mi) in diverge.iter().filter(|_| total > 0) {
+        let (mid, mut local) = (message(&engine, mi), pick % total);
+        flat.deliver(local, mid);
+        let shard = sizes
+            .iter()
+            .position(|&n| {
+                let here = local < n;
+                if !here {
+                    local -= n;
+                }
+                here
+            })
+            .expect("in range");
+        sharded.shards_mut()[shard].deliver(local, mid);
+    }
+    let driven: Result<(), TestCaseError> = sharded.with_workers(workers, |w| {
+        prop_assert_eq!(w.worker_count(), workers.min(sizes.len()));
+        for (step, &cmd) in cmds.iter().enumerate() {
+            match cmd {
+                Cmd::Deliver(mi) => {
+                    let mid = message(&engine, mi);
+                    let t_flat = flat.deliver_all(mid);
+                    prop_assert_eq!(w.deliver_all(mid), t_flat, "step {}", step);
+                }
+                Cmd::ResetAll => {
+                    flat.reset_all();
+                    w.reset_all();
+                }
+            }
+            prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
+            prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
+        }
+        Ok(())
+    });
+    driven?;
+    // A sharded `deliver_all` is one command on the same driver.
+    let mid = message(&engine, 0);
+    prop_assert_eq!(sharded.deliver_all(mid), flat.deliver_all(mid));
+    let mut offset = 0;
+    for shard in sharded.shards() {
+        let n = shard.len();
+        prop_assert_eq!(shard.states(), &flat.states()[offset..offset + n]);
+        prop_assert_eq!(
+            shard.registers(),
+            &flat.registers()[offset * regs..(offset + n) * regs]
+        );
+        for s in 0..n {
+            prop_assert_eq!(shard.is_finished(s), flat.is_finished(offset + s));
+        }
+        offset += n;
+    }
+    prop_assert_eq!(flat.steps(), sharded.steps());
+    prop_assert_eq!(flat.finished_count(), sharded.finished_count());
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Work-stealing workers are a pure scheduling change: for any
-    /// machine, session/shard/worker split and message sequence, the
-    /// stealing drive yields per-step transition counts, aggregate
-    /// finished/step totals and final per-session states identical to
-    /// one flat pool — whichever worker steals which shard.
+    /// The driver over dense stores.
     #[test]
     fn stealing_workers_are_deterministic(
         model in two_counter(),
-        sessions in 1usize..150,
-        shards in 1usize..8,
-        workers in 1usize..5,
-        messages in prop::collection::vec(0usize..2, 0..48),
+        (sizes, workers) in shard_plan(),
+        diverge in prop::collection::vec((any::<usize>(), 0usize..2), 0..24),
+        cmds in cmd_stream(),
     ) {
-        let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let mut flat = SessionPool::new(&compiled, sessions);
-        let mut sharded =
-            ShardedPool::split(sessions, shards, |len| SessionPool::new(&compiled, len));
-        let checks: Result<(), TestCaseError> = sharded.with_stealing_workers(workers, |w| {
-            prop_assert!(w.worker_count() <= shards);
-            for (step, &mi) in messages.iter().enumerate() {
-                let name = if mi == 0 { "a" } else { "b" };
-                let mid = compiled.message_id(name).expect("declared message");
-                let t_flat = flat.deliver_all(mid);
-                prop_assert_eq!(w.deliver_all(mid), t_flat, "step {}", step);
-                prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
-                prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
-            }
-            Ok(())
-        });
-        checks?;
-        for s in 0..sessions {
-            prop_assert_eq!(flat.state(s), sharded.state(s), "session {}", s);
-            prop_assert_eq!(flat.is_finished(s), sharded.is_finished(s), "session {}", s);
-        }
-        prop_assert_eq!(flat.steps(), sharded.steps());
+        workers_match_flat(dense_engine(&model), &sizes, workers, &diverge, &cmds)?;
     }
 
-    /// Same for the EFSM tier, where shards also carry registers: the
-    /// stealing drive leaves every session's registers identical to the
-    /// flat pool's.
+    /// The same on the register engine, where shards also carry
+    /// registers.
     #[test]
     fn stealing_workers_match_flat_efsm_pool(
         t in 1i64..6,
         spill in any::<bool>(),
-        sessions in 1usize..150,
-        shards in 1usize..8,
-        workers in 1usize..5,
-        messages in prop::collection::vec(0usize..2, 0..48),
+        (sizes, workers) in shard_plan(),
+        diverge in prop::collection::vec((any::<usize>(), 0usize..2), 0..24),
+        cmds in cmd_stream(),
     ) {
-        let efsm = threshold_efsm(spill);
-        let compiled = CompiledEfsm::compile(&efsm).expect("compiles");
-        let mut flat = EfsmSessionPool::new(&compiled, vec![t], sessions);
-        let mut sharded = ShardedPool::split(sessions, shards, |len| {
-            EfsmSessionPool::new(&compiled, vec![t], len)
-        });
-        let checks: Result<(), TestCaseError> = sharded.with_stealing_workers(workers, |w| {
-            for (step, &mi) in messages.iter().enumerate() {
-                let name = if mi == 0 { "a" } else { "b" };
-                let mid = compiled.message_id(name).expect("declared message");
-                let t_flat = flat.deliver_all(mid);
-                prop_assert_eq!(w.deliver_all(mid), t_flat, "step {}", step);
-            }
-            Ok(())
-        });
-        checks?;
-        let flat_regs: Vec<&[i64]> = (0..sessions).map(|s| flat.vars(s)).collect();
-        let mut offset = 0;
-        for shard in sharded.shards() {
-            for s in 0..shard.len() {
-                prop_assert_eq!(shard.state(s), flat.state(offset + s));
-                prop_assert_eq!(shard.vars(s), flat_regs[offset + s]);
-            }
-            offset += shard.len();
-        }
-        prop_assert_eq!(flat.steps(), sharded.steps());
-        prop_assert_eq!(flat.finished_count(), sharded.finished_count());
+        workers_match_flat(register_engine(t, spill), &sizes, workers, &diverge, &cmds)?;
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use stategen_core::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, validate_machine,
     AbstractModel, Action, CompiledMachine, FsmInstance, GenerateOptions, MergeStrategy, Outcome,
-    ProtocolEngine, SessionPool, ShardedPool, StateComponent, StateSpace, StateVector,
+    ProtocolEngine, SessionStore, ShardedPool, StateComponent, StateSpace, StateVector, StepEngine,
 };
 
 // ---------------------------------------------------------------------
@@ -194,6 +194,19 @@ proptest! {
 // tables must not change its observable behaviour.
 // ---------------------------------------------------------------------
 
+/// Every session's `(state, finished)`, in slot order.
+fn per_session(store: &SessionStore) -> Vec<(u32, bool)> {
+    (0..store.len())
+        .map(|s| (store.state(s), store.is_finished(s)))
+        .collect()
+}
+
+/// The same across a sharded pool, in global session order (shard
+/// blocks are contiguous, in shard order).
+fn per_session_sharded(pool: &ShardedPool<SessionStore>) -> Vec<(u32, bool)> {
+    pool.shards().iter().flat_map(per_session).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -213,7 +226,7 @@ proptest! {
 
         let mut fsm = FsmInstance::new(&g.machine);
         let mut single = compiled.instance();
-        let mut pool = SessionPool::new(&compiled, 2);
+        let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
         for (step, &mi) in messages.iter().enumerate() {
             let name = if mi == 0 { "a" } else { "b" };
             let mid = compiled.message_id(name).expect("declared message");
@@ -221,10 +234,10 @@ proptest! {
 
             let a_fsm = fsm.deliver(name).expect("declared message");
             let a_single = single.deliver(name).expect("declared message");
-            let a_pool = pool.deliver(0, mid);
+            let a_pool = pool.deliver(0, mid).to_vec();
             pool.deliver(1, mid);
             prop_assert_eq!(&a_fsm, &a_single, "step {}", step);
-            prop_assert_eq!(a_fsm.as_slice(), a_pool, "step {}", step);
+            prop_assert_eq!(&a_fsm, &a_pool, "step {}", step);
             prop_assert_eq!(fsm.state_name_str(), single.state_name_str(), "step {}", step);
             prop_assert_eq!(single.current_state(), pool.state(0), "step {}", step);
             prop_assert_eq!(pool.state(0), pool.state(1), "step {}", step);
@@ -260,8 +273,10 @@ proptest! {
     ) {
         let g = generate(&model).expect("generates");
         let compiled = CompiledMachine::compile(&g.machine);
-        let mut flat = SessionPool::new(&compiled, sessions);
-        let mut sharded = ShardedPool::split(sessions, shards, |len| SessionPool::new(&compiled, len));
+        let engine = StepEngine::dense(compiled.clone());
+        let mut flat = SessionStore::new(engine.clone(), sessions);
+        let mut sharded =
+            ShardedPool::split(sessions, shards, |len| SessionStore::new(engine.clone(), len));
         prop_assert_eq!(sharded.len(), sessions);
         prop_assert_eq!(sharded.shard_count(), shards);
         for (step, &mi) in messages.iter().enumerate() {
@@ -272,19 +287,14 @@ proptest! {
             prop_assert_eq!(t_flat, t_sharded, "step {}", step);
             prop_assert_eq!(flat.finished_count(), sharded.finished_count(), "step {}", step);
             prop_assert_eq!(flat.steps(), sharded.steps(), "step {}", step);
-            for s in 0..sessions {
-                prop_assert_eq!(flat.state(s), sharded.state(s), "step {} session {}", step, s);
-                prop_assert_eq!(
-                    flat.is_finished(s), sharded.is_finished(s),
-                    "step {} session {}", step, s
-                );
-            }
+            prop_assert_eq!(per_session(&flat), per_session_sharded(&sharded), "step {}", step);
         }
     }
 
     /// Persistent parked workers are just a scheduling change: driving a
-    /// sharded pool through `with_workers` (workers kept alive across
-    /// `deliver_all` calls behind a condvar) yields per-step transition
+    /// sharded pool through `with_workers` with a worker per shard
+    /// (kept alive across `deliver_all` calls behind a condvar, nothing
+    /// to steal) yields per-step transition
     /// counts, aggregate finished/step totals and final per-session
     /// states identical to one flat pool stepping the same sessions.
     #[test]
@@ -296,9 +306,11 @@ proptest! {
     ) {
         let g = generate(&model).expect("generates");
         let compiled = CompiledMachine::compile(&g.machine);
-        let mut flat = SessionPool::new(&compiled, sessions);
-        let mut sharded = ShardedPool::split(sessions, shards, |len| SessionPool::new(&compiled, len));
-        let checks: Result<(), TestCaseError> = sharded.with_workers(|workers| {
+        let engine = StepEngine::dense(compiled.clone());
+        let mut flat = SessionStore::new(engine.clone(), sessions);
+        let mut sharded =
+            ShardedPool::split(sessions, shards, |len| SessionStore::new(engine.clone(), len));
+        let checks: Result<(), TestCaseError> = sharded.with_workers(shards, |workers| {
             for (step, &mi) in messages.iter().enumerate() {
                 let name = if mi == 0 { "a" } else { "b" };
                 let mid = compiled.message_id(name).expect("declared message");
@@ -310,10 +322,7 @@ proptest! {
             Ok(())
         });
         checks?;
-        for s in 0..sessions {
-            prop_assert_eq!(flat.state(s), sharded.state(s), "session {}", s);
-            prop_assert_eq!(flat.is_finished(s), sharded.is_finished(s), "session {}", s);
-        }
+        prop_assert_eq!(per_session(&flat), per_session_sharded(&sharded));
         prop_assert_eq!(flat.steps(), sharded.steps());
     }
 }

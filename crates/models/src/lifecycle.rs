@@ -284,7 +284,7 @@ pub fn session_lifecycle_guarded() -> HierarchicalMachine {
 mod tests {
     use super::*;
     use stategen_core::{
-        validate_machine, CompiledMachine, FsmInstance, ProtocolEngine, SessionPool,
+        validate_machine, CompiledMachine, FsmInstance, ProtocolEngine, SessionStore, StepEngine,
     };
 
     #[test]
@@ -472,10 +472,10 @@ mod tests {
     #[test]
     fn flattened_machine_serves_a_session_pool() {
         let hsm = session_lifecycle();
-        let compiled = CompiledMachine::compile(&hsm.flatten());
-        let mut pool = SessionPool::new(&compiled, 1000);
+        let engine = StepEngine::dense(CompiledMachine::compile(&hsm.flatten()));
+        let mut pool = SessionStore::new(engine.clone(), 1000);
         for m in ["connect", "update", "vote", "commit", "close"] {
-            let mid = compiled.message_id(m).unwrap();
+            let mid = engine.message_id(m).unwrap();
             assert_eq!(pool.deliver_all(mid), 1000, "at {m}");
         }
         assert!(pool.all_finished());

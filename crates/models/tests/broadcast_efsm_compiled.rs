@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use stategen_core::{CompiledEfsm, Efsm, EfsmSessionPool, ProtocolEngine};
+use stategen_core::{CompiledEfsm, Efsm, ProtocolEngine, SessionStore, StepEngine};
 use stategen_models::{
     broadcast_efsm, broadcast_efsm_instance, broadcast_efsm_params, BroadcastModel,
 };
@@ -30,7 +30,9 @@ fn check(n: u32, messages: &[usize]) {
     let model = BroadcastModel::new(n);
     let mut interp = broadcast_efsm_instance(efsm(), &model);
     let mut single = compiled().instance(broadcast_efsm_params(&model));
-    let mut pool = EfsmSessionPool::new(compiled(), broadcast_efsm_params(&model), 2);
+    let register =
+        StepEngine::register(compiled().clone(), &broadcast_efsm_params(&model)).unwrap();
+    let mut pool = SessionStore::new(register, 2);
     let engine =
         Engine::compile(Spec::efsm(broadcast_efsm(), broadcast_efsm_params(&model))).unwrap();
     let mut facade = engine.runtime();

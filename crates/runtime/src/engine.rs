@@ -1,83 +1,13 @@
 //! The owned, tier-agnostic execution artifact.
 
-use std::sync::Arc;
-
+pub use stategen_core::Tier;
 use stategen_core::{
-    fold_params, Artifact, CompiledEfsm, CompiledMachine, EfsmBinding, FlatIr, MessageId,
-    StateMachine, StategenError,
+    fold_params, Artifact, CompiledEfsm, CompiledMachine, FlatIr, MessageId, StategenError,
+    StepEngine,
 };
 
 use crate::runtime::Runtime;
 use crate::spec::Spec;
-
-/// Which execution tier an [`Engine`] runs on.
-///
-/// All tiers are behaviourally equivalent; they differ only in dispatch
-/// cost and preparation work (see the crate-level tier-selection guide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// Walking the generated machine's transition maps directly — no
-    /// preparation pass, slowest dispatch.
-    Interpreted,
-    /// Dense `states × messages` transition tables with an interned
-    /// action arena — dispatch in ~1 ns, zero allocation per delivery.
-    Compiled,
-    /// Guards and updates lowered to fused threshold checks plus
-    /// register-machine bytecode, parameters folded into a flat
-    /// dispatch table — one engine serves the whole protocol family.
-    CompiledEfsm,
-    /// An *unguarded* hierarchical statechart flattened into the dense
-    /// tables: reachable configurations became flat states, synthesized
-    /// exit/transition/entry action sequences became ordinary interned
-    /// action lists. Same dispatch cost class as [`Tier::Compiled`].
-    FlattenedHsm,
-    /// A *guarded* hierarchical statechart flattened onto the
-    /// compiled-EFSM tier: configurations became flat states, and the
-    /// transitions' guards and updates lowered to fused threshold checks
-    /// plus register-machine bytecode with the statechart's parameters
-    /// folded into the binding. Same dispatch cost class as
-    /// [`Tier::CompiledEfsm`].
-    FlattenedHsmEfsm,
-}
-
-impl Tier {
-    /// Stable lowercase label (for reports and benchmark rows).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Interpreted => "interpreted",
-            Tier::Compiled => "compiled",
-            Tier::CompiledEfsm => "compiled_efsm",
-            Tier::FlattenedHsm => "flattened_hsm",
-            Tier::FlattenedHsmEfsm => "flattened_hsm_efsm",
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The tier-resolved machine representation. Every variant is behind an
-/// `Arc`, so an [`Engine`] clone is two pointer bumps and engines are
-/// `Send + Sync + 'static` — sharable across threads and runtimes
-/// without the borrow lifetimes of the core pool types.
-#[derive(Debug, Clone)]
-pub(crate) enum EngineKind {
-    /// Interpreted: the generated machine itself.
-    Interpreted(Arc<StateMachine>),
-    /// Compiled (flat or flattened-HSM): dense tables.
-    Compiled(Arc<CompiledMachine>),
-    /// Compiled EFSM with its parameter binding folded in.
-    Efsm {
-        /// The lowered machine.
-        machine: Arc<CompiledEfsm>,
-        /// The parameter-specialised dispatch table every session
-        /// shares.
-        binding: Arc<EfsmBinding>,
-    },
-}
 
 /// An owned, `Send + Sync + 'static` execution artifact: one [`Spec`]
 /// resolved onto one tier.
@@ -87,8 +17,8 @@ pub(crate) enum EngineKind {
 /// [`Runtime`]s to serve sessions from it.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    pub(crate) kind: EngineKind,
-    tier: Tier,
+    /// The tier-resolved machine every session steps through.
+    pub(crate) step: StepEngine,
     name: String,
     /// Behavioural identity: [`FlatIr::fingerprint`] of the ingested
     /// spec with the bound parameter values folded in. Equal
@@ -119,78 +49,34 @@ impl Engine {
         match spec {
             Spec::Machine(machine) => Ok(Engine {
                 fingerprint: FlatIr::from_machine(&machine).fingerprint(),
-                kind: EngineKind::Compiled(Arc::new(CompiledMachine::compile(&machine))),
-                tier: Tier::Compiled,
+                step: StepEngine::dense(CompiledMachine::compile(&machine)),
                 name,
             }),
-            Spec::Efsm { machine, params } => {
-                let fingerprint = fold_params(FlatIr::from_efsm(&machine).fingerprint(), &params);
-                let compiled = CompiledEfsm::compile(&machine)?;
-                if params.len() != compiled.param_count() {
-                    return Err(StategenError::ParamCountMismatch {
-                        expected: compiled.param_count(),
-                        found: params.len(),
-                    });
-                }
-                let binding = Arc::new(compiled.bind(&params));
-                Ok(Engine {
-                    kind: EngineKind::Efsm {
-                        machine: Arc::new(compiled),
-                        binding,
-                    },
-                    tier: Tier::CompiledEfsm,
-                    name,
-                    fingerprint,
-                })
-            }
+            Spec::Efsm { machine, params } => Ok(Engine {
+                fingerprint: fold_params(FlatIr::from_efsm(&machine).fingerprint(), &params),
+                step: StepEngine::register(CompiledEfsm::compile(&machine)?, &params)?,
+                name,
+            }),
             Spec::Hierarchical { machine, params } => {
-                Engine::compile_hsm_ir(machine.flatten_ir(), params, name)
+                let ir = machine.flatten_ir();
+                Engine::lower(&ir, &params, name, fold_params(ir.fingerprint(), &params))
             }
         }
     }
 
-    /// Compiles a statechart's flattened IR onto its tier: the
-    /// compiled-EFSM tier (parameters bound) when guarded, the dense
-    /// table otherwise. Shared by [`Engine::compile`] and
-    /// [`Engine::interpret`] so each pays the flattening pass once.
-    fn compile_hsm_ir(
-        ir: stategen_core::FlatIr,
-        params: Vec<i64>,
+    /// The one lowered-IR → engine path ([`StepEngine::compile_ir`]),
+    /// shared by statechart specs and artifacts.
+    fn lower(
+        ir: &FlatIr,
+        params: &[i64],
         name: String,
+        fingerprint: u64,
     ) -> Result<Engine, StategenError> {
-        let fingerprint = fold_params(ir.fingerprint(), &params);
-        if ir.is_guarded() {
-            let compiled = CompiledEfsm::compile_ir(&ir)?;
-            if params.len() != compiled.param_count() {
-                return Err(StategenError::ParamCountMismatch {
-                    expected: compiled.param_count(),
-                    found: params.len(),
-                });
-            }
-            let binding = Arc::new(compiled.bind(&params));
-            Ok(Engine {
-                kind: EngineKind::Efsm {
-                    machine: Arc::new(compiled),
-                    binding,
-                },
-                tier: Tier::FlattenedHsmEfsm,
-                name,
-                fingerprint,
-            })
-        } else {
-            if !params.is_empty() {
-                return Err(StategenError::ParamCountMismatch {
-                    expected: 0,
-                    found: params.len(),
-                });
-            }
-            Ok(Engine {
-                kind: EngineKind::Compiled(Arc::new(CompiledMachine::compile_ir(&ir)?)),
-                tier: Tier::FlattenedHsm,
-                name,
-                fingerprint,
-            })
-        }
+        Ok(Engine {
+            step: StepEngine::compile_ir(ir, params)?,
+            name,
+            fingerprint,
+        })
     }
 
     /// Compiles a deployable [`Artifact`] — typically just
@@ -202,14 +88,11 @@ impl Engine {
     /// artifact bytes alone — no model, no generator, no spec.
     ///
     /// The resulting engine's [`Engine::fingerprint`] equals
-    /// [`Artifact::fingerprint`], and equals the fingerprint of an
-    /// engine compiled in-process from the same spec — so snapshots,
-    /// hot-swap compatibility checks and operator tooling treat
-    /// artifact-loaded and spec-compiled engines interchangeably. (An
-    /// artifact lowered from a statechart reports [`Tier::Compiled`] /
-    /// [`Tier::CompiledEfsm`] rather than the `FlattenedHsm*` tiers:
-    /// the artifact records the lowered machine, not its front-end
-    /// provenance. Behaviour and fingerprint are identical.)
+    /// [`Artifact::fingerprint`], and equals the fingerprint — and the
+    /// [`Engine::tier`] — of an engine compiled in-process from the same
+    /// spec, so snapshots, hot-swap compatibility checks and operator
+    /// tooling treat artifact-loaded and spec-compiled engines
+    /// interchangeably.
     ///
     /// # Errors
     ///
@@ -220,41 +103,12 @@ impl Engine {
     /// disagrees with the compiled machine.
     pub fn from_artifact(artifact: &Artifact) -> Result<Engine, StategenError> {
         let ir = artifact.ir();
-        let params = artifact.params();
-        let fingerprint = artifact.fingerprint();
-        let name = ir.name().to_string();
-        if ir.is_guarded() {
-            let compiled = CompiledEfsm::compile_ir(ir)?;
-            if params.len() != compiled.param_count() {
-                return Err(StategenError::ParamCountMismatch {
-                    expected: compiled.param_count(),
-                    found: params.len(),
-                });
-            }
-            let binding = Arc::new(compiled.bind(params));
-            Ok(Engine {
-                kind: EngineKind::Efsm {
-                    machine: Arc::new(compiled),
-                    binding,
-                },
-                tier: Tier::CompiledEfsm,
-                name,
-                fingerprint,
-            })
-        } else {
-            if !params.is_empty() {
-                return Err(StategenError::ParamCountMismatch {
-                    expected: 0,
-                    found: params.len(),
-                });
-            }
-            Ok(Engine {
-                kind: EngineKind::Compiled(Arc::new(CompiledMachine::compile_ir(ir)?)),
-                tier: Tier::Compiled,
-                name,
-                fingerprint,
-            })
-        }
+        Engine::lower(
+            ir,
+            artifact.params(),
+            ir.name().to_string(),
+            artifact.fingerprint(),
+        )
     }
 
     /// Resolves a spec onto the no-preparation tier: flat machines (and
@@ -268,11 +122,10 @@ impl Engine {
     /// form either way (the lowering is proven behaviourally equivalent
     /// to the tree-walking interpreter by the core property suites), so
     /// an EFSM spec resolves to [`Tier::CompiledEfsm`] here too. The
-    /// same applies to *guarded* statecharts: a guarded
-    /// `Spec::Hierarchical` resolves to [`Tier::FlattenedHsmEfsm`]
-    /// (paying the flatten + compile pass at ingest); only unguarded
-    /// statecharts get a genuinely interpreted flat walk. For truly
-    /// no-preparation guarded-statechart execution, drive
+    /// same applies to *guarded* statecharts (paying the flatten +
+    /// compile pass at ingest); only unguarded statecharts get a
+    /// genuinely interpreted flat walk. For truly no-preparation
+    /// guarded-statechart execution, drive
     /// [`HsmInstance`](stategen_core::HsmInstance) directly.
     ///
     /// # Errors
@@ -283,21 +136,17 @@ impl Engine {
         match spec {
             Spec::Machine(machine) => Ok(Engine {
                 fingerprint: FlatIr::from_machine(&machine).fingerprint(),
-                kind: EngineKind::Interpreted(Arc::new(machine)),
-                tier: Tier::Interpreted,
+                step: StepEngine::interpreted(machine),
                 name,
             }),
             efsm @ Spec::Efsm { .. } => Engine::compile(efsm),
             Spec::Hierarchical { machine, params } => {
+                // The already-built IR is reused either way — flattening
+                // is the one expensive ingest step.
                 let ir = machine.flatten_ir();
                 if ir.is_guarded() {
-                    // Guarded statecharts have no flat-machine walk; like
-                    // EFSMs they resolve onto the register-machine tier
-                    // either way (proven behaviourally equivalent to the
-                    // direct interpreters by the property suites). The
-                    // already-built IR is reused — flattening is the one
-                    // expensive ingest step.
-                    return Engine::compile_hsm_ir(ir, params, name);
+                    let fingerprint = fold_params(ir.fingerprint(), &params);
+                    return Engine::lower(&ir, &params, name, fingerprint);
                 }
                 if !params.is_empty() {
                     return Err(StategenError::ParamCountMismatch {
@@ -305,12 +154,10 @@ impl Engine {
                         found: params.len(),
                     });
                 }
-                let fingerprint = ir.fingerprint();
                 Ok(Engine {
-                    kind: EngineKind::Interpreted(Arc::new(ir.to_machine())),
-                    tier: Tier::Interpreted,
+                    fingerprint: ir.fingerprint(),
+                    step: StepEngine::interpreted(ir.to_machine()),
                     name,
-                    fingerprint,
                 })
             }
         }
@@ -318,7 +165,7 @@ impl Engine {
 
     /// The tier this engine executes on.
     pub fn tier(&self) -> Tier {
-        self.tier
+        self.step.tier()
     }
 
     /// The machine's display name.
@@ -349,37 +196,22 @@ impl Engine {
 
     /// Number of (flat) states in the resolved machine.
     pub fn state_count(&self) -> usize {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.state_count(),
-            EngineKind::Compiled(m) => m.state_count(),
-            EngineKind::Efsm { machine, .. } => machine.state_count(),
-        }
+        self.step.state_count()
     }
 
     /// The message alphabet, in declaration order.
     pub fn messages(&self) -> &[String] {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.messages(),
-            EngineKind::Compiled(m) => m.messages(),
-            EngineKind::Efsm { machine, .. } => machine.messages(),
-        }
+        self.step.messages()
     }
 
     /// Looks up a message id by name in O(1).
     pub fn message_id(&self, name: &str) -> Option<MessageId> {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.message_id(name),
-            EngineKind::Compiled(m) => m.message_id(name),
-            EngineKind::Efsm { machine, .. } => machine.message_id(name),
-        }
+        self.step.message_id(name)
     }
 
     /// The parameter values bound at ingest (empty for non-EFSM tiers).
     pub fn params(&self) -> &[i64] {
-        match &self.kind {
-            EngineKind::Efsm { binding, .. } => binding.params(),
-            _ => &[],
-        }
+        self.step.params()
     }
 
     /// Creates a serving runtime over this engine: one shard, no

@@ -32,18 +32,18 @@
 //! spec's parameters folded into the binding so one compiled artifact
 //! serves the whole machine *family*.
 //! * [`Engine`] — the compiled artifact, **owned** (`Send + Sync +
-//!   'static`, cheap to clone) behind `Arc`s instead of the borrow
-//!   lifetimes of `SessionPool<'m>` / `EfsmSessionPool<'e>`, so engines
-//!   move freely across threads, into servers, and outlive their
-//!   construction scope without self-referential gymnastics.
+//!   'static`, cheap to clone): a
+//!   [`StepEngine`](stategen_core::StepEngine) behind `Arc`s plus its
+//!   name and behavioural fingerprint, so engines move freely across
+//!   threads, into servers, and outlive their construction scope
+//!   without borrow lifetimes.
 //! * [`Runtime`] — the serving facade: [`spawn`](Runtime::spawn) →
 //!   [`SessionId`], [`deliver`](Runtime::deliver),
 //!   [`deliver_all`](Runtime::deliver_all), [`reset`](Runtime::reset),
 //!   [`release`](Runtime::release) and introspection, uniform across
 //!   every tier, with opt-in sharding ([`sharded`](Runtime::sharded))
-//!   and persistent parked workers
-//!   ([`with_workers`](Runtime::with_workers)) as *configuration*
-//!   rather than distinct types.
+//!   and persistent workers ([`with_workers`](Runtime::with_workers))
+//!   as *configuration* rather than distinct types.
 //!
 //! Everything fallible returns the unified
 //! [`StategenError`], and sessions are addressed by the generational
@@ -60,11 +60,15 @@
 //! | a freshly generated `StateMachine` | [`Engine::interpret`] | [`Tier::Interpreted`] | debugging, one-off runs; no preparation pass |
 //! | a `StateMachine` to serve traffic | [`Engine::compile`] | [`Tier::Compiled`] | dense-table dispatch in ~1 ns, zero allocation per delivery |
 //! | an `Efsm` + parameter values | [`Engine::compile`] | [`Tier::CompiledEfsm`] | one machine generic over the protocol parameter (e.g. replication factor) |
-//! | an unguarded `HierarchicalMachine` | [`Engine::compile`] | [`Tier::FlattenedHsm`] | statecharts flattened into the dense tables; same dispatch cost class as `Compiled` |
-//! | a *guarded* `HierarchicalMachine` + parameter values | [`Engine::compile`] with [`Spec::hsm_with_params`] | [`Tier::FlattenedHsmEfsm`] | statecharts with variables/guards/updates, flattened onto the compiled-EFSM tier; one compiled machine per statechart family |
+//! | an unguarded `HierarchicalMachine` | [`Engine::compile`] | [`Tier::Compiled`] | statecharts flatten into the same dense tables; the front-end is not a tier |
+//! | a *guarded* `HierarchicalMachine` + parameter values | [`Engine::compile`] with [`Spec::hsm_with_params`] | [`Tier::CompiledEfsm`] | statecharts with variables/guards/updates flatten onto the register tier; one compiled machine per statechart family |
+//! | [`Artifact`] bytes | [`Engine::from_artifact`] | whichever of the two its machine compiles onto | booting a serving host from shipped bytes alone |
 //! | a machine known at *build* time | `stategen-generated` | — | rendered source, no machine data at runtime |
 //!
-//! All tiers are behaviourally equivalent — the conformance suite in
+//! Three tiers, because that is what the two compilers (and their
+//! absence) distinguish; the same machine reports the same tier
+//! whether it arrived as a spec or as an artifact. All tiers are
+//! behaviourally equivalent — the conformance suite in
 //! this crate drives the same trace corpus through every tier and
 //! asserts identical action sequences, finished flags and state names.
 //!
@@ -186,9 +190,10 @@
 //! let mut rt = engine.runtime().sharded(4);
 //! rt.spawn_many(100_000);
 //! let ping = rt.message_id("ping").unwrap();
-//! rt.deliver_all(ping); // one scoped worker per shard
-//! rt.with_workers(|w| {
-//!     // parked persistent workers: reused across a batch sequence
+//! rt.deliver_all(ping); // one worker per shard, spawned for the call
+//! rt.with_workers(4, |w| {
+//!     // persistent workers, parked between the batches of a sequence;
+//!     // ask for fewer than shards and idle workers steal the rest
 //!     for _ in 0..64 {
 //!         w.deliver_all(ping);
 //!     }
@@ -205,7 +210,7 @@ mod timer;
 
 pub use engine::{Engine, Tier};
 pub use runtime::{
-    Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, Shard, SwapOutcome, Workers,
+    Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, SwapOutcome, Workers,
 };
 pub use spec::Spec;
 pub use stategen_analysis::{Analysis, AnalysisConfig};

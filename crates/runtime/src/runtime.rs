@@ -1,27 +1,20 @@
 //! The serving facade: typed session handles over an owned engine.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use stategen_core::{
-    Action, BatchEngine, CompiledEfsm, CompiledMachine, EfsmBinding, InterpError, KernelScratch,
-    MessageId, ParkedWorkers, ProtocolEngine, ShardedPool, StateRole, StategenError,
-    StealingWorkers, SwapError,
+    Action, BatchEngine, InterpError, MessageId, ProtocolEngine, SessionStore, ShardedPool,
+    StategenError, StepEngine, SwapError, Taken,
 };
 use stategen_telemetry::{
     FlightRecorder, LogHistogram, MetricsSnapshot, NoopObserver, RuntimeCounters, RuntimeObserver,
     ShardCounters, TransitionEvent,
 };
 
-use crate::engine::{Engine, EngineKind};
+use crate::engine::Engine;
 use crate::timer::TimerWheel;
-
-/// Sentinel state id marking a released (recycled, currently unowned)
-/// session slot. Slots in this state are skipped by batch delivery and
-/// rejected by every handle-addressed operation.
-const RETIRED: u32 = u32::MAX;
 
 /// Typed handle to one session in a [`Runtime`].
 ///
@@ -71,229 +64,116 @@ impl std::fmt::Debug for SessionId {
     }
 }
 
-/// Finished-session bitset, maintained *lazily*: the batch hot loop
-/// never touches it (a per-transition finish check costs ~25-50% of raw
-/// dispatch — measured by the `runtime_facade` gate), it only marks the
-/// set dirty; the single-session path keeps it incrementally current
-/// while clean; queries rebuild it from the state array on demand.
-/// Finish states are absorbing, so finished-ness is always derivable
-/// from the current state alone.
-#[derive(Debug, Clone, Default)]
-struct FinishedBits {
-    words: Vec<u64>,
-    count: usize,
-    /// Set when the bits may lag the state array (after a batch
-    /// delivery); cleared by [`FinishedBits::rebuild`].
-    dirty: bool,
-}
-
-impl FinishedBits {
-    fn grow_for(&mut self, slots: usize) {
-        let needed = slots.div_ceil(64);
-        if self.words.len() < needed {
-            self.words.resize(needed, 0);
-        }
-    }
-
-    /// Only meaningful while clean (callers sync first).
-    fn get(&self, slot: usize) -> bool {
-        self.words[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, slot: usize) {
-        let word = slot / 64;
-        let bit = 1u64 << (slot % 64);
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
-            self.count += 1;
-        }
-    }
-
-    fn clear(&mut self, slot: usize) {
-        let word = slot / 64;
-        let bit = 1u64 << (slot % 64);
-        if self.words[word] & bit != 0 {
-            self.words[word] &= !bit;
-            self.count -= 1;
-        }
-    }
-
-    fn clear_all(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-        self.dirty = false;
-    }
-
-    /// Recomputes every bit (and the count) from the state array,
-    /// clearing the dirty flag. Retired slots stay unset.
-    fn rebuild(&mut self, current: &[u32], is_finish: impl Fn(u32) -> bool) {
-        self.words.fill(0);
-        self.count = 0;
-        for (slot, &state) in current.iter().enumerate() {
-            if state != RETIRED && is_finish(state) {
-                self.words[slot / 64] |= 1 << (slot % 64);
-                self.count += 1;
-            }
-        }
-        self.dirty = false;
+/// The flight-recorder event for one transition taken by `slot` (the
+/// recorder stamps `tick` itself).
+fn event(slot: usize, generation: u32, message: MessageId, taken: Taken<'_>) -> TransitionEvent {
+    TransitionEvent {
+        slot: slot as u32,
+        generation,
+        from: taken.from,
+        to: taken.to,
+        message: message.index() as u32,
+        actions: taken.actions.len() as u32,
+        tick: 0,
     }
 }
 
-/// One shard of a [`Runtime`]: an owned block of session slots
-/// (struct-of-arrays: one dense `u32` state id, a generation counter
-/// and a finished bit per slot, plus the EFSM tiers' variable
-/// registers) stepping the shared engine.
+/// One shard of a [`Runtime`]: a [`SessionStore`] — the slot arrays,
+/// registers, kernels and finished bits every tier shares — plus only
+/// what is the runtime's own: per-slot generations and the free list
+/// behind [`SessionId`], telemetry counters, the flight recorder, and
+/// the lockstep hint that keeps its tail probe O(ring capacity).
 ///
 /// Shards implement [`BatchEngine`], so the runtime scales them with
-/// the same scoped-worker / parked-worker machinery as the core pools;
-/// they are created and owned by [`Runtime`] and not constructed
-/// directly.
+/// the same worker driver as bare stores; they are created and owned by
+/// [`Runtime`] and not constructed directly.
 #[derive(Debug, Clone)]
 pub struct Shard {
-    kind: EngineKind,
-    /// Dense state id per slot; [`RETIRED`] marks recycled slots.
-    current: Vec<u32>,
+    store: SessionStore,
     /// Per-slot generation, bumped when the slot is released.
     generations: Vec<u32>,
-    /// Lazily synced (see [`FinishedBits`]); `RefCell` so `&self`
-    /// queries can rebuild it on demand (shards are single-writer, so
-    /// the dynamic borrow never contends).
-    finished: RefCell<FinishedBits>,
-    /// Released slots awaiting respawn.
+    /// Released slots awaiting respawn. A slot released at generation
+    /// `u32::MAX` is *not* listed: it has no fresh generation left to
+    /// hand out, so it stays retired for good.
     free: Vec<u32>,
-    /// Session-major EFSM variable registers (empty on other tiers).
-    vars: Vec<i64>,
-    /// Staged-update scratch for the EFSM bytecode path.
-    scratch: Vec<i64>,
-    /// Bucketing scratch for the batch kernels (see
-    /// `stategen_core::kernel`); shard-resident so unobserved
-    /// `deliver_all` stays allocation-free after the first batch.
-    kernel: KernelScratch,
-    n_regs: usize,
-    steps: u64,
     /// Per-shard telemetry counters (single-writer, merged on read; see
     /// [`stategen_telemetry::ShardCounters`]). Not part of snapshots —
     /// counters describe this process's activity, not durable state.
     counters: ShardCounters,
     /// The shard's flight recorder, when one is attached (see
     /// [`Runtime::attach_recorder`]). Taken out and re-seated around
-    /// batch delivery so the observer and the slot arrays borrow
-    /// disjointly.
+    /// batch delivery so the recorder and the store borrow disjointly.
     recorder: Option<FlightRecorder>,
-    /// The *lockstep hint*: `Some(s)` guarantees every slot in
-    /// `current` holds state `s` (in particular, none are retired) —
-    /// the dominant shape for a pool spawned together and fed one
-    /// message stream. Maintained incrementally by every slot mutation
-    /// (spawn, deliver, reset, release, batch) and dropped to `None`
-    /// whenever uniformity can't be proven cheaply; consumers may only
-    /// rely on `Some`. [`Shard::capture_batch_tail`] uses it to build
-    /// the observed-batch ring tail in O(ring capacity) with no pass
-    /// over the slot arrays. Never snapshotted (restore starts `None`).
+    /// The *lockstep hint*: `Some(s)` guarantees every slot holds state
+    /// `s` (in particular, none are retired) — the dominant shape for a
+    /// pool spawned together and fed one message stream. Kept truthful
+    /// by every slot mutation and dropped to `None` whenever uniformity
+    /// can't be proven cheaply; consumers may only rely on `Some`. Lets
+    /// [`Shard::capture_batch_tail`] skip its pass over the slot arrays.
+    /// Never snapshotted (restore starts `None`).
     lockstep: Option<u32>,
-    /// One register row of scratch for the pre-batch tail probe (EFSM
-    /// tiers only): [`Shard::capture_batch_tail`] re-steps each probed
-    /// slot against this copy so guard evaluation can run without the
-    /// step's updates touching the live row. Never snapshotted.
-    replay_vars: Vec<i64>,
     /// Reverse-order staging for the probed tail (≤ ring capacity).
     replay_tail: Vec<TransitionEvent>,
 }
 
 impl Shard {
-    fn new(kind: EngineKind) -> Self {
-        let (n_regs, scratch) = match &kind {
-            EngineKind::Efsm { machine, .. } => {
-                (machine.reg_count(), vec![0; machine.scratch_len()])
-            }
-            _ => (0, Vec::new()),
-        };
+    fn new(engine: StepEngine) -> Self {
         Shard {
-            kind,
-            current: Vec::new(),
+            store: SessionStore::new(engine, 0),
             generations: Vec::new(),
-            finished: RefCell::new(FinishedBits::default()),
             free: Vec::new(),
-            vars: Vec::new(),
-            scratch,
-            kernel: KernelScratch::new(),
-            n_regs,
-            steps: 0,
             counters: ShardCounters::new(),
             recorder: None,
             lockstep: None,
-            replay_vars: Vec::new(),
             replay_tail: Vec::new(),
-        }
-    }
-
-    /// The engine's start state id.
-    fn start_state(&self) -> u32 {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.start().index() as u32,
-            EngineKind::Compiled(m) => m.start(),
-            EngineKind::Efsm { machine, .. } => machine.start(),
-        }
-    }
-
-    fn is_finish(&self, state: u32) -> bool {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.states()[state as usize].role() == StateRole::Finish,
-            EngineKind::Compiled(m) => m.is_finish_state(state),
-            EngineKind::Efsm { machine, .. } => machine.is_finish_state(state),
         }
     }
 
     /// Sessions currently live (spawned and not released).
     fn live(&self) -> usize {
-        self.current.len() - self.free.len()
+        self.store.live()
+    }
+
+    /// The hint after `slot` alone moved to `state`: still lockstep if
+    /// the pool already was there, or the slot is the pool.
+    fn lockstep_after(&self, state: u32) -> Option<u32> {
+        (self.store.len() == 1 || self.lockstep == Some(state)).then_some(state)
     }
 
     /// Claims a slot (recycling the free list or growing the arrays)
     /// and starts a fresh execution in it.
     fn spawn_slot(&mut self) -> (u32, u32) {
-        let start = self.start_state();
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.current[slot as usize] = start;
-                self.vars[slot as usize * self.n_regs..][..self.n_regs].fill(0);
+                self.store.reset_session(slot as usize);
                 slot
             }
             None => {
-                let slot = self.current.len() as u32;
-                self.current.push(start);
                 self.generations.push(0);
-                self.vars.extend(std::iter::repeat_n(0, self.n_regs));
-                self.finished.get_mut().grow_for(self.current.len());
-                slot
+                self.store.spawn() as u32
             }
         };
-        if self.is_finish(start) {
-            let finished = self.finished.get_mut();
-            if !finished.dirty {
-                finished.set(slot as usize);
-            }
-        }
-        // A spawn keeps the pool lockstep only if it already was (at
-        // the start state) or this is the pool's sole slot.
-        self.lockstep = if self.current.len() == 1 || self.lockstep == Some(start) {
-            Some(start)
-        } else {
-            None
-        };
+        self.lockstep = self.lockstep_after(self.store.state(slot as usize));
         self.counters.inc_spawns();
         (slot, self.generations[slot as usize])
     }
 
-    /// Validates a handle against the slot's generation; panics on a
-    /// stale or released handle (the use-after-recycle guard).
+    /// `true` while `id` addresses a live execution here: the slot
+    /// exists, carries the handle's generation and is not retired.
+    #[inline]
+    fn is_live_slot(&self, id: SessionId) -> bool {
+        let slot = id.slot as usize;
+        slot < self.store.len()
+            && self.generations[slot] == id.generation
+            && !self.store.is_retired(slot)
+    }
+
+    /// Validates a handle; panics on a stale or released one (the
+    /// use-after-recycle guard).
     #[inline]
     fn check(&self, id: SessionId) {
-        let slot = id.slot as usize;
         assert!(
-            slot < self.current.len()
-                && self.generations[slot] == id.generation
-                && self.current[slot] != RETIRED,
+            self.is_live_slot(id),
             "stale session handle {id:?}: the slot was released and possibly recycled"
         );
     }
@@ -302,252 +182,72 @@ impl Shard {
     #[inline]
     fn deliver_slot(&mut self, id: SessionId, message: MessageId) -> &[Action] {
         self.check(id);
-        let slot = id.slot as usize;
-        let Shard {
-            kind,
-            current,
-            generations,
-            finished,
-            vars,
-            scratch,
-            n_regs,
-            steps,
-            counters,
-            recorder,
-            lockstep,
-            ..
-        } = self;
-        counters.add_deliveries(1);
-        // One closure records the transition for every tier arm; the
-        // recorder stamps the tick.
-        let mut observe = |from: u32, to: u32, actions: usize| {
-            if let Some(rec) = recorder {
-                rec.record(TransitionEvent {
-                    slot: slot as u32,
-                    generation: generations[slot],
-                    from,
-                    to,
-                    message: message.index() as u32,
-                    actions: actions as u32,
-                    tick: 0,
-                });
-            }
+        self.counters.add_deliveries(1);
+        let Some(taken) = self.store.step(id.slot as usize, message) else {
+            return &[];
         };
-        match kind {
-            EngineKind::Compiled(m) => match m.step(current[slot], message) {
-                Some((target, actions)) => {
-                    observe(current[slot], target, actions.len());
-                    current[slot] = target;
-                    // A single-slot transition splits a lockstep pool
-                    // unless it was a self-loop.
-                    if *lockstep != Some(target) {
-                        *lockstep = None;
-                    }
-                    *steps += 1;
-                    counters.add_transitions(1);
-                    if m.is_finish_state(target) {
-                        let finished = finished.get_mut();
-                        if !finished.dirty {
-                            finished.set(slot);
-                        }
-                    }
-                    actions
-                }
-                None => &[],
-            },
-            EngineKind::Efsm { machine, binding } => {
-                let regs = &mut vars[slot * *n_regs..][..*n_regs];
-                match machine.step(current[slot], message, binding, regs, scratch) {
-                    Some((target, actions)) => {
-                        observe(current[slot], target, actions.len());
-                        current[slot] = target;
-                        if *lockstep != Some(target) {
-                            *lockstep = None;
-                        }
-                        *steps += 1;
-                        counters.add_transitions(1);
-                        if machine.is_finish_state(target) {
-                            let finished = finished.get_mut();
-                            if !finished.dirty {
-                                finished.set(slot);
-                            }
-                        }
-                        actions
-                    }
-                    None => &[],
-                }
-            }
-            EngineKind::Interpreted(m) => {
-                let state = &m.states()[current[slot] as usize];
-                if state.role() == StateRole::Finish {
-                    return &[];
-                }
-                match state.transition(message) {
-                    Some(t) => {
-                        let target = t.target().index() as u32;
-                        observe(current[slot], target, t.actions().len());
-                        current[slot] = target;
-                        if *lockstep != Some(target) {
-                            *lockstep = None;
-                        }
-                        *steps += 1;
-                        counters.add_transitions(1);
-                        if m.states()[target as usize].role() == StateRole::Finish {
-                            let finished = finished.get_mut();
-                            if !finished.dirty {
-                                finished.set(slot);
-                            }
-                        }
-                        t.actions()
-                    }
-                    None => &[],
-                }
-            }
+        if let Some(rec) = &mut self.recorder {
+            rec.record(event(id.slot as usize, id.generation, message, taken));
         }
+        // A single-slot transition splits a lockstep pool unless it
+        // was a self-loop.
+        if self.lockstep != Some(taken.to) {
+            self.lockstep = None;
+        }
+        self.counters.add_transitions(1);
+        taken.actions
     }
 
     /// Returns a validated slot to the start state (same execution slot,
     /// handle stays valid).
     fn reset_slot(&mut self, id: SessionId) {
         self.check(id);
-        let slot = id.slot as usize;
-        let start = self.start_state();
-        let start_finishes = self.is_finish(start);
         self.counters.add_resets(1);
-        self.current[slot] = start;
-        self.lockstep = if self.current.len() == 1 || self.lockstep == Some(start) {
-            Some(start)
-        } else {
-            None
-        };
-        self.vars[slot * self.n_regs..][..self.n_regs].fill(0);
-        let finished = self.finished.get_mut();
-        if !finished.dirty {
-            finished.clear(slot);
-            if start_finishes {
-                finished.set(slot);
-            }
-        }
+        self.store.reset_session(id.slot as usize);
+        self.lockstep = self.lockstep_after(self.store.state(id.slot as usize));
     }
 
-    /// Retires a validated slot to the free list and bumps its
-    /// generation, invalidating every outstanding handle to it.
+    /// Retires a validated slot and bumps its generation, invalidating
+    /// every outstanding handle to it, then lists it for reuse — unless
+    /// the counter is exhausted: recycling a slot released at `u32::MAX`
+    /// would let a stale handle address a stranger's session, so it
+    /// stays retired for good.
     fn release_slot(&mut self, id: SessionId) {
         self.check(id);
         let slot = id.slot as usize;
-        if self.is_finish(self.current[slot]) {
+        if self.store.engine().is_finish_state(self.store.state(slot)) {
             self.counters.inc_releases_finished();
         } else {
             self.counters.inc_releases_aborted();
         }
-        let finished = self.finished.get_mut();
-        if !finished.dirty {
-            finished.clear(slot);
-        }
-        self.current[slot] = RETIRED;
+        self.store.retire(slot);
         // A retired slot is never uniform with live ones.
         self.lockstep = None;
-        self.generations[slot] += 1;
-        self.free.push(id.slot);
-    }
-
-    fn state_of(&self, id: SessionId) -> u32 {
-        self.check(id);
-        self.current[id.slot as usize]
-    }
-
-    fn state_name_of(&self, id: SessionId) -> &str {
-        let state = self.state_of(id);
-        self.state_label(state)
-    }
-
-    /// Resolves a dense state id to its source-level name without
-    /// validating any handle — used by flight-recorder dumps, where the
-    /// recorded session may already be retired.
-    fn state_label(&self, state: u32) -> &str {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.states()[state as usize].name(),
-            EngineKind::Compiled(m) => m.state_name(state),
-            EngineKind::Efsm { machine, .. } => machine.state_name(state),
+        if let Some(next) = self.generations[slot].checked_add(1) {
+            self.generations[slot] = next;
+            self.free.push(id.slot);
         }
     }
 
-    fn vars_of(&self, id: SessionId) -> &[i64] {
-        self.check(id);
-        match &self.kind {
-            EngineKind::Efsm { machine, .. } => {
-                &self.vars[id.slot as usize * self.n_regs..][..machine.var_count()]
-            }
-            _ => &[],
-        }
-    }
-
-    fn is_finished_slot(&self, id: SessionId) -> bool {
-        self.check(id);
-        self.sync_finished();
-        self.finished.borrow().get(id.slot as usize)
-    }
-
-    /// Rebuilds the finished bitset from the state array if a batch
-    /// delivery left it stale. O(slots) when dirty, O(1) when clean.
-    fn sync_finished(&self) {
-        let mut finished = self.finished.borrow_mut();
-        if finished.dirty {
-            match &self.kind {
-                EngineKind::Interpreted(m) => {
-                    let states = m.states();
-                    finished.rebuild(&self.current, |s| {
-                        states[s as usize].role() == StateRole::Finish
-                    });
-                }
-                EngineKind::Compiled(m) => {
-                    finished.rebuild(&self.current, |s| m.is_finish_state(s));
-                }
-                EngineKind::Efsm { machine, .. } => {
-                    finished.rebuild(&self.current, |s| machine.is_finish_state(s));
-                }
-            }
-        }
-    }
-
-    fn is_live_slot(&self, id: SessionId) -> bool {
-        let slot = id.slot as usize;
-        slot < self.current.len()
-            && self.generations[slot] == id.generation
-            && self.current[slot] != RETIRED
-    }
-
-    fn state_count(&self) -> usize {
-        match &self.kind {
-            EngineKind::Interpreted(m) => m.state_count(),
-            EngineKind::Compiled(m) => m.state_count(),
-            EngineKind::Efsm { machine, .. } => machine.state_count(),
-        }
-    }
-
-    /// Captures the shard's complete durable state. The finished bitset
-    /// is *not* captured — it is derivable from the state array and is
-    /// rebuilt lazily on restore.
+    /// Captures the shard's complete durable state (the finished bitset
+    /// is derivable from the state array and rebuilt lazily on restore).
     fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
-            current: self.current.clone(),
+            current: self.store.states().to_vec(),
             generations: self.generations.clone(),
-            vars: self.vars.clone(),
+            vars: self.store.registers().to_vec(),
             free: self.free.clone(),
-            steps: self.steps,
+            steps: self.store.steps(),
         }
     }
 
     /// Rebuilds a shard from a snapshot taken under a behaviourally
     /// identical engine (the caller has already matched fingerprints).
-    ///
-    /// # Panics
-    ///
     /// Panics if the snapshot is structurally corrupt: mismatched array
     /// lengths, a state id outside the engine's state space, or a
     /// free-list entry that does not point at a retired slot.
-    fn restore(kind: EngineKind, snap: &ShardSnapshot) -> Shard {
-        let mut shard = Shard::new(kind);
+    fn restore(engine: StepEngine, snap: &ShardSnapshot) -> Shard {
+        let mut shard = Shard::new(engine);
         let slots = snap.current.len();
         assert_eq!(
             snap.generations.len(),
@@ -555,242 +255,52 @@ impl Shard {
             "corrupt shard snapshot: {} generation counters for {slots} slots",
             snap.generations.len(),
         );
-        assert_eq!(
-            snap.vars.len(),
-            slots * shard.n_regs,
-            "corrupt shard snapshot: {} registers for {slots} slots of {} registers each",
-            snap.vars.len(),
-            shard.n_regs,
-        );
-        let states = shard.state_count() as u32;
-        for (slot, &state) in snap.current.iter().enumerate() {
-            assert!(
-                state == RETIRED || state < states,
-                "corrupt shard snapshot: slot {slot} in state {state} but the engine has {states} states",
-            );
-        }
         for &free in &snap.free {
             assert!(
-                snap.current.get(free as usize) == Some(&RETIRED),
+                snap.current.get(free as usize) == Some(&SessionStore::RETIRED),
                 "corrupt shard snapshot: free-list entry {free} is not a retired slot",
             );
         }
-        shard.current = snap.current.clone();
+        shard.store.restore(&snap.current, &snap.vars, snap.steps);
         shard.generations = snap.generations.clone();
-        shard.vars = snap.vars.clone();
         shard.free = snap.free.clone();
-        shard.steps = snap.steps;
-        let finished = shard.finished.get_mut();
-        finished.grow_for(slots);
-        finished.dirty = true;
         shard
     }
 
-    /// Re-targets a shard with no live sessions at a different engine.
-    /// Slot count, generation counters, free list and step counter are
-    /// preserved — outstanding stale handles stay stale and recycled
-    /// slots keep their generation history, so no handle minted under
-    /// the old engine can ever silently address a session spawned under
-    /// the new one — while the register file and scratch are rebuilt
-    /// for the new machine (safe precisely because no slot is live).
-    fn rekind_empty(&mut self, kind: EngineKind) {
-        debug_assert_eq!(self.live(), 0, "rekind_empty on a shard with live sessions");
-        let (n_regs, scratch) = match &kind {
-            EngineKind::Efsm { machine, .. } => {
-                (machine.reg_count(), vec![0; machine.scratch_len()])
-            }
-            _ => (0, Vec::new()),
-        };
-        self.kind = kind;
-        self.n_regs = n_regs;
-        self.scratch = scratch;
-        self.vars = vec![0; self.current.len() * n_regs];
-        let finished = self.finished.get_mut();
-        finished.clear_all();
-        finished.grow_for(self.current.len());
-    }
-
-    /// The generic batch hot loop behind [`BatchEngine::deliver_all`].
+    /// Records every transition of one batch as it is taken — the
+    /// reference the production observed path is pinned to. One loop
+    /// over [`SessionStore::deliver_all_with`] (the scalar walk, so
+    /// events arrive in slot order), written once for every tier;
+    /// monomorphized per observer, and with [`NoopObserver`]
+    /// (`ENABLED = false`) the batch skips the walk for the kernels.
     ///
-    /// Monomorphized per observer: with [`NoopObserver`] the
-    /// `on_transition` call is an inlined empty body and the loop
-    /// compiles to exactly the unobserved walk (the `runtime_facade`
-    /// benchmark row keeps gating it at ≤ 1.10× raw stepping with
-    /// telemetry compiled in). With a [`FlightRecorder`] each
-    /// transition additionally appends one fixed-size event to the
-    /// ring — the production observed path ([`BatchEngine::deliver_all`])
-    /// instead replays only the ring-sized tail after an unobserved
-    /// pass, and a unit test pins the two paths to identical rings.
+    /// [`BatchEngine::deliver_all`] never instantiates the enabled form:
+    /// it probes only the ring-sized tail around an unobserved pass, and
+    /// a unit test pins the two to identical rings.
     fn deliver_batch<O: RuntimeObserver>(&mut self, message: MessageId, observer: &mut O) -> u64 {
         let live = self.live() as u64;
-        let msg_idx = message.index() as u32;
-        let Shard {
-            kind,
-            current,
-            generations,
-            free,
-            vars,
-            scratch,
-            kernel,
-            n_regs,
-            steps,
-            counters,
-            lockstep,
-            ..
-        } = self;
-        let mut transitions = 0;
-        match kind {
-            EngineKind::Compiled(m) => {
-                // Bind the machine as a plain reference so every table
-                // pointer is a hoistable loop invariant (not re-derefed
-                // through the `Arc` each iteration).
-                let m: &CompiledMachine = m;
-                // `O::ENABLED` is a monomorphization-time constant, so
-                // exactly one branch of each `if` survives per
-                // instantiation. The unobserved arm routes through the
-                // bucketed batch kernel ([`KernelScratch`]) — `RETIRED`
-                // slots land in the kernel's out-of-range skip bucket,
-                // so one call covers the dense and recycled cases. The
-                // observed loops are written *separately* (not as an
-                // observed loop with a dead event block) so their
-                // bodies stay literally the pre-telemetry walk.
-                if !O::ENABLED {
-                    transitions = m.deliver_batch_states(message, current, kernel);
-                } else if free.is_empty() {
-                    // Observed dense path: the generations ride along
-                    // zipped (not indexed), keeping the event build
-                    // bounds-check-free.
-                    let gens = generations.iter();
-                    for (slot, (cur, gen)) in current.iter_mut().zip(gens).enumerate() {
-                        if let Some((target, actions)) = m.step(*cur, message) {
-                            observer.on_transition(TransitionEvent {
-                                slot: slot as u32,
-                                generation: *gen,
-                                from: *cur,
-                                to: target,
-                                message: msg_idx,
-                                actions: actions.len() as u32,
-                                tick: 0,
-                            });
-                            *cur = target;
-                            transitions += 1;
-                        }
-                    }
-                } else {
-                    let gens = generations.iter();
-                    for (slot, (cur, gen)) in current.iter_mut().zip(gens).enumerate() {
-                        if *cur == RETIRED {
-                            continue;
-                        }
-                        if let Some((target, actions)) = m.step(*cur, message) {
-                            observer.on_transition(TransitionEvent {
-                                slot: slot as u32,
-                                generation: *gen,
-                                from: *cur,
-                                to: target,
-                                message: msg_idx,
-                                actions: actions.len() as u32,
-                                tick: 0,
-                            });
-                            *cur = target;
-                            transitions += 1;
-                        }
-                    }
-                }
-            }
-            EngineKind::Efsm { machine, binding } => {
-                let machine: &CompiledEfsm = machine;
-                let binding: &EfsmBinding = binding;
-                if !O::ENABLED {
-                    transitions = machine
-                        .deliver_batch_states(message, binding, current, vars, scratch, kernel);
-                } else {
-                    let regs = vars.chunks_exact_mut(*n_regs);
-                    let walk = current.iter_mut().zip(regs).zip(generations.iter());
-                    for (slot, ((cur, regs), gen)) in walk.enumerate() {
-                        if *cur == RETIRED {
-                            continue;
-                        }
-                        if let Some((target, actions)) =
-                            machine.step(*cur, message, binding, regs, scratch)
-                        {
-                            observer.on_transition(TransitionEvent {
-                                slot: slot as u32,
-                                generation: *gen,
-                                from: *cur,
-                                to: target,
-                                message: msg_idx,
-                                actions: actions.len() as u32,
-                                tick: 0,
-                            });
-                            *cur = target;
-                            transitions += 1;
-                        }
-                    }
-                }
-            }
-            EngineKind::Interpreted(m) => {
-                let states = m.states();
-                if !O::ENABLED {
-                    for cur in current.iter_mut() {
-                        if *cur == RETIRED {
-                            continue;
-                        }
-                        let state = &states[*cur as usize];
-                        if state.role() == StateRole::Finish {
-                            continue;
-                        }
-                        if let Some(t) = state.transition(message) {
-                            *cur = t.target().index() as u32;
-                            transitions += 1;
-                        }
-                    }
-                } else {
-                    let gens = generations.iter();
-                    for (slot, (cur, gen)) in current.iter_mut().zip(gens).enumerate() {
-                        if *cur == RETIRED {
-                            continue;
-                        }
-                        let state = &states[*cur as usize];
-                        if state.role() == StateRole::Finish {
-                            continue;
-                        }
-                        if let Some(t) = state.transition(message) {
-                            let target = t.target().index() as u32;
-                            observer.on_transition(TransitionEvent {
-                                slot: slot as u32,
-                                generation: *gen,
-                                from: *cur,
-                                to: target,
-                                message: msg_idx,
-                                actions: t.actions().len() as u32,
-                                tick: 0,
-                            });
-                            *cur = target;
-                            transitions += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // Keep the lockstep hint truthful across the batch: the dense
-        // tiers step deterministically by state, so a uniform pool
-        // either took the same transition everywhere (uniform at the
-        // shared target) or nowhere; EFSM guards read per-slot
-        // registers and can split a uniform pool, so any transition
-        // drops the hint there.
+        let transitions = if O::ENABLED {
+            let generations = &self.generations;
+            self.store.deliver_all_with(message, |slot, taken| {
+                observer.on_transition(event(slot, generations[slot], message, taken));
+            })
+        } else {
+            self.store.deliver_all(message)
+        };
+        // Keep the lockstep hint truthful across the batch: an
+        // unguarded machine steps deterministically by state, so a
+        // uniform pool either took the same transition everywhere
+        // (uniform at the shared target) or nowhere; guards read
+        // per-slot registers and can split a uniform pool, so any
+        // transition drops the hint there.
         if transitions > 0 {
-            *lockstep = match kind {
-                EngineKind::Efsm { .. } => None,
-                _ => lockstep.and(current.first().copied()),
+            self.lockstep = match self.store.engine().reg_count() {
+                0 => self.lockstep.and(self.store.states().first().copied()),
+                _ => None,
             };
         }
-        counters.add_deliveries(live);
-        counters.add_transitions(transitions);
-        *steps += transitions;
-        if transitions > 0 {
-            self.finished.get_mut().dirty = true;
-        }
+        self.counters.add_deliveries(live);
+        self.counters.add_transitions(transitions);
         transitions
     }
 
@@ -799,151 +309,46 @@ impl Shard {
     ///
     /// A ring of capacity `c` only ever keeps a batch's *last* `c`
     /// transitions, and every engine tier is deterministic, so those
-    /// events are computable from the pre-batch state alone: walk the
-    /// live state array backwards, re-step each live slot, and stop
-    /// once `c` transitions have been found. Running the probe ahead of
-    /// the batch means no copy of the slot arrays is ever taken — the
-    /// probe reads the arrays the batch is about to overwrite — so the
-    /// recording cost is O(probed suffix + c) per batch (O(c) when
-    /// transitions are dense at the tail) instead of an O(sessions)
-    /// memcpy plus the same scan.
-    ///
-    /// The EFSM arm must not let [`CompiledEfsm::step`]'s updates touch
-    /// the live registers, so each probed slot's row is copied into the
-    /// one-row `replay_vars` scratch first and the step runs on the
-    /// copy.
+    /// events are computable from the pre-batch state alone
+    /// ([`SessionStore::probe_tail`]: a backward walk stepping copies of
+    /// the register rows, stopping once `c` transitions are found).
+    /// Running the probe ahead of the batch means no copy of the slot
+    /// arrays is ever taken, so the recording cost is O(probed suffix +
+    /// c) per batch (O(c) when transitions are dense at the tail)
+    /// instead of an O(sessions) memcpy plus the same scan.
     fn capture_batch_tail(&mut self, message: MessageId, capacity: usize) {
-        let msg_idx = message.index() as u32;
-        // Lockstep fast path: when the hint proves every slot shares
-        // one state, the dense tiers' step outcome is decided by a
-        // single table probe — the tail is the last `capacity` slots
-        // taking that one transition (or empty), built in O(capacity)
-        // with no pass over the slot arrays. EFSM guards read per-slot
-        // registers, which a shared *state* says nothing about, so that
-        // tier always takes the scan below.
-        if let Some(state) = self.lockstep {
-            let probe = match &self.kind {
-                EngineKind::Compiled(m) => {
-                    Some(m.step(state, message).map(|(t, a)| (t, a.len() as u32)))
-                }
-                EngineKind::Interpreted(m) => {
-                    let st = &m.states()[state as usize];
-                    Some(if st.role() == StateRole::Finish {
-                        None
-                    } else {
-                        st.transition(message)
-                            .map(|t| (t.target().index() as u32, t.actions().len() as u32))
-                    })
-                }
-                EngineKind::Efsm { .. } => None,
-            };
-            if let Some(outcome) = probe {
-                self.replay_tail.clear();
-                if let Some((target, actions)) = outcome {
-                    let n = self.current.len();
-                    for slot in (n.saturating_sub(capacity)..n).rev() {
-                        self.replay_tail.push(TransitionEvent {
-                            slot: slot as u32,
-                            generation: self.generations[slot],
-                            from: state,
-                            to: target,
-                            message: msg_idx,
-                            actions,
-                            tick: 0,
-                        });
-                    }
-                }
-                return;
-            }
-        }
         let Shard {
-            kind,
-            current,
+            store,
             generations,
-            vars,
-            scratch,
-            n_regs,
-            replay_vars,
             replay_tail,
             ..
         } = self;
         replay_tail.clear();
-        match kind {
-            EngineKind::Compiled(m) => {
-                let m: &CompiledMachine = m;
-                for (slot, &pre) in current.iter().enumerate().rev() {
-                    if replay_tail.len() == capacity {
-                        break;
-                    }
-                    if pre == RETIRED {
-                        continue;
-                    }
-                    if let Some((target, actions)) = m.step(pre, message) {
-                        replay_tail.push(TransitionEvent {
-                            slot: slot as u32,
-                            generation: generations[slot],
-                            from: pre,
-                            to: target,
-                            message: msg_idx,
-                            actions: actions.len() as u32,
-                            tick: 0,
-                        });
-                    }
+        // Lockstep fast path: when the hint proves every slot of an
+        // unguarded machine shares one state, the last slot's outcome
+        // is every slot's (a one-slot probe window) — the tail is the
+        // last `capacity` slots taking that one transition (or empty). Guards read per-slot
+        // registers, which a shared *state* says nothing about, so a
+        // guarded machine always takes the scan.
+        if self.lockstep.is_some() && store.engine().reg_count() == 0 {
+            let mut shared = None;
+            store.probe_tail(message, 1, 1, |slot, taken| {
+                shared = Some(event(slot, 0, message, taken));
+            });
+            if let Some(shared) = shared {
+                let slots = store.len();
+                for slot in (slots.saturating_sub(capacity)..slots).rev() {
+                    replay_tail.push(TransitionEvent {
+                        slot: slot as u32,
+                        generation: generations[slot],
+                        ..shared
+                    });
                 }
             }
-            EngineKind::Efsm { machine, binding } => {
-                let machine: &CompiledEfsm = machine;
-                let binding: &EfsmBinding = binding;
-                replay_vars.resize(*n_regs, 0);
-                for (slot, &pre) in current.iter().enumerate().rev() {
-                    if replay_tail.len() == capacity {
-                        break;
-                    }
-                    if pre == RETIRED {
-                        continue;
-                    }
-                    replay_vars.copy_from_slice(&vars[slot * *n_regs..][..*n_regs]);
-                    if let Some((target, actions)) =
-                        machine.step(pre, message, binding, replay_vars, scratch)
-                    {
-                        replay_tail.push(TransitionEvent {
-                            slot: slot as u32,
-                            generation: generations[slot],
-                            from: pre,
-                            to: target,
-                            message: msg_idx,
-                            actions: actions.len() as u32,
-                            tick: 0,
-                        });
-                    }
-                }
-            }
-            EngineKind::Interpreted(m) => {
-                let states = m.states();
-                for (slot, &pre) in current.iter().enumerate().rev() {
-                    if replay_tail.len() == capacity {
-                        break;
-                    }
-                    if pre == RETIRED {
-                        continue;
-                    }
-                    let state = &states[pre as usize];
-                    if state.role() == StateRole::Finish {
-                        continue;
-                    }
-                    if let Some(t) = state.transition(message) {
-                        replay_tail.push(TransitionEvent {
-                            slot: slot as u32,
-                            generation: generations[slot],
-                            from: pre,
-                            to: t.target().index() as u32,
-                            message: msg_idx,
-                            actions: t.actions().len() as u32,
-                            tick: 0,
-                        });
-                    }
-                }
-            }
+        } else {
+            store.probe_tail(message, usize::MAX, capacity, |slot, taken| {
+                replay_tail.push(event(slot, generations[slot], message, taken));
+            });
         }
     }
 
@@ -967,42 +372,16 @@ impl Shard {
 
 impl BatchEngine for Shard {
     fn session_count(&self) -> usize {
-        self.current.len()
+        self.store.len()
     }
 
-    fn session_state(&self, session: usize) -> u32 {
-        self.current[session]
-    }
-
-    fn session_finished(&self, session: usize) -> bool {
-        self.sync_finished();
-        self.finished.borrow().get(session)
-    }
-
-    /// The batch hot loop: a linear walk over the contiguous state (and
-    /// register) arrays, skipping retired slots, with no allocation.
-    ///
-    /// Iterator-based (no bounds checks on the state loads) and free of
-    /// finished-set maintenance — a per-transition finish check is a
-    /// dependent load that costs 25-50% of raw dispatch, so the batch
-    /// path only marks the bitset dirty and queries rebuild it lazily.
-    /// The compiled arm therefore compiles to the same loop body as
-    /// stepping a bare state array through `CompiledMachine::step`,
-    /// plus one predictable retired-slot compare; the `runtime_facade`
-    /// benchmark row gates it at ≤ 1.10× raw stepping.
-    ///
-    /// Dispatches on the recorder statically: the no-recorder path runs
-    /// the [`NoopObserver`] instantiation of `Shard::deliver_batch` —
-    /// bit-identical codegen to the pre-telemetry loop. The observed
-    /// path *probes* the ring's surviving tail before the batch
-    /// (engines are deterministic, so a backward scan over the
-    /// pre-batch states yields exactly the events a per-transition
-    /// observer would have kept), then runs the same unobserved loop at
-    /// full speed and commits the probed tail — recording cost is
-    /// O(probed suffix + ring capacity) per batch, with no copy of the
-    /// slot arrays and no event build inside the hot loop.
-    /// `runtime_observed` benches this at ≤ 1.25× the unobserved
-    /// facade.
+    /// The batch hot loop: the store's kernels, with no allocation (the
+    /// `runtime_facade` benchmark row gates it at ≤ 1.10× raw
+    /// stepping). With a recorder attached the ring's surviving tail is
+    /// probed first ([`Shard::capture_batch_tail`]), the same unobserved
+    /// batch runs at full speed, and the probed tail is committed — no
+    /// event build inside the hot loop (`runtime_observed` benches this
+    /// at ≤ 1.25× the unobserved facade).
     fn deliver_all(&mut self, message: MessageId) -> u64 {
         match self.recorder.take() {
             Some(mut rec) => {
@@ -1016,53 +395,27 @@ impl BatchEngine for Shard {
         }
     }
 
-    fn merge_metrics(&self, into: &mut MetricsSnapshot) {
-        self.counters.merge_into(into);
-    }
-
     fn finished_count(&self) -> usize {
-        self.sync_finished();
-        self.finished.borrow().count
+        self.store.finished_count()
     }
 
     fn steps(&self) -> u64 {
-        self.steps
+        self.store.steps()
     }
 
     /// Returns every *live* slot to the start state; retired slots stay
-    /// on the free list.
+    /// retired.
     fn reset_all(&mut self) {
         self.counters.add_resets(self.live() as u64);
-        let start = self.start_state();
-        let start_finishes = self.is_finish(start);
-        for slot in 0..self.current.len() {
-            if self.current[slot] != RETIRED {
-                self.current[slot] = start;
-            }
-        }
-        self.lockstep = if self.free.is_empty() {
-            Some(start)
-        } else {
-            None
-        };
-        self.vars.fill(0);
-        let finished = self.finished.get_mut();
-        finished.clear_all();
-        if start_finishes {
-            for slot in 0..self.current.len() {
-                if self.current[slot] != RETIRED {
-                    finished.set(slot);
-                }
-            }
-        }
-        self.steps = 0;
+        self.store.reset_all();
+        self.lockstep = (self.live() == self.store.len()).then(|| self.store.engine().start());
     }
 }
 
-/// Persistent parked-worker driver for a sharded [`Runtime`] (see
+/// Driver handle for a sharded [`Runtime`]'s persistent workers (see
 /// [`Runtime::with_workers`]): a batch *sequence* pays one thread
 /// spawn/join total instead of one per batch.
-pub type Workers<'a> = ParkedWorkers<'a, Shard>;
+pub type Workers<'a> = stategen_core::Workers<'a, Shard>;
 
 /// A point-in-time capture of one session (see [`Runtime::snapshot`]):
 /// everything needed to recognise the same execution later.
@@ -1126,8 +479,9 @@ impl RuntimeSnapshot {
     pub fn live_sessions(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.current.len() - s.free.len())
-            .sum()
+            .flat_map(|s| &s.current)
+            .filter(|&&state| state != SessionStore::RETIRED)
+            .count()
     }
 }
 
@@ -1196,11 +550,11 @@ struct PendingSwap {
 ///
 /// Sharding is configuration: [`sharded(k)`](Runtime::sharded)
 /// partitions future sessions across `k` shards, and batch deliveries
-/// step shards on scoped worker threads
-/// ([`deliver_all`](Runtime::deliver_all)) or persistent parked ones
-/// ([`with_workers`](Runtime::with_workers)). Results are bit-identical
-/// to a single shard whatever the scheduling, because sessions never
-/// share state.
+/// step shards on worker threads — spawned per call by
+/// [`deliver_all`](Runtime::deliver_all), kept parked across a batch
+/// sequence by [`with_workers`](Runtime::with_workers). Results are
+/// bit-identical to a single shard whatever the scheduling, because
+/// sessions never share state.
 #[derive(Debug)]
 pub struct Runtime {
     engine: Engine,
@@ -1230,7 +584,12 @@ pub struct Runtime {
 impl Runtime {
     /// A runtime over `engine` with one shard and no sessions.
     pub fn new(engine: Engine) -> Self {
-        let pool = ShardedPool::new(vec![Shard::new(engine.kind.clone())]);
+        let pool = ShardedPool::new(vec![Shard::new(engine.step.clone())]);
+        Runtime::over(engine, pool)
+    }
+
+    /// A runtime serving `pool` under `engine`, everything else fresh.
+    fn over(engine: Engine, pool: ShardedPool<Shard>) -> Self {
         Runtime {
             engine,
             pool,
@@ -1251,34 +610,24 @@ impl Runtime {
     ///
     /// Panics if `shards` is zero or sessions have already been spawned
     /// (redistribution would invalidate outstanding [`SessionId`]s).
-    pub fn sharded(self, shards: usize) -> Self {
+    pub fn sharded(mut self, shards: usize) -> Self {
         assert!(shards > 0, "runtime needs at least one shard");
         assert!(
             self.pool.shards().iter().all(|s| s.session_count() == 0),
             "sharded() must be called before spawning sessions"
         );
-        let pool = ShardedPool::new(
-            (0..shards)
-                .map(|_| {
-                    let mut shard = Shard::new(self.engine.kind.clone());
-                    if let Some(cap) = self.recorder_capacity {
-                        shard.recorder = Some(FlightRecorder::new(cap));
-                    }
-                    shard
-                })
-                .collect(),
-        );
-        Runtime {
-            engine: self.engine,
-            pool,
-            timers: TimerWheel::new(),
-            expired_scratch: Vec::new(),
-            pending: None,
-            counters: self.counters,
-            batch_latency: self.batch_latency,
-            recorder_capacity: self.recorder_capacity,
-            abort_dump: self.abort_dump,
-        }
+        let fresh = (0..shards).map(|_| self.fresh_shard(&self.engine));
+        self.pool = ShardedPool::new(fresh.collect());
+        self.timers = TimerWheel::new();
+        self
+    }
+
+    /// An empty shard over `engine`, with a recorder ring if this
+    /// runtime has one attached.
+    fn fresh_shard(&self, engine: &Engine) -> Shard {
+        let mut shard = Shard::new(engine.step.clone());
+        shard.recorder = self.recorder_capacity.map(FlightRecorder::new);
+        shard
     }
 
     /// The engine this runtime serves.
@@ -1423,23 +772,12 @@ impl Runtime {
                 messages: alphabet,
             });
         }
-        let stale = StategenError::StaleSession {
-            shard: session.shard(),
-            slot: session.slot(),
-            generation: session.generation(),
-        };
-        let Some(shard) = self.pool.shards_mut().get_mut(session.shard as usize) else {
-            return Err(stale);
-        };
-        if !shard.is_live_slot(session) {
-            return Err(stale);
-        }
-        Ok(shard.deliver_slot(session, message))
+        Ok(self.live_shard_mut(session)?.deliver_slot(session, message))
     }
 
-    /// Delivers a message to every live session — one scoped worker
-    /// thread per shard when sharded — and returns the number of
-    /// transitions taken.
+    /// Delivers a message to every live session — on one worker thread
+    /// per shard when sharded — and returns the number of transitions
+    /// taken.
     ///
     /// While a recorder is attached (see [`Runtime::attach_recorder`])
     /// the batch's wall-clock latency is also recorded into
@@ -1457,31 +795,23 @@ impl Runtime {
         }
     }
 
-    /// Runs `f` with persistent parked workers, one per shard: a batch
-    /// *sequence* pays one thread spawn/join total instead of one per
-    /// [`Runtime::deliver_all`] call. With one shard no thread is
-    /// spawned and batches run inline.
-    pub fn with_workers<R>(&mut self, f: impl FnOnce(&mut Workers<'_>) -> R) -> R {
-        self.pool.with_workers(f)
-    }
-
-    /// Runs `f` with `workers` persistent *work-stealing* threads over
-    /// the shards (see [`ShardedPool::with_stealing_workers`]): the
-    /// multi-core layer when the runtime holds more shards than the
-    /// machine has cores. Each worker drains its own deque of shards
-    /// and steals from the others when idle; every shard is stepped by
-    /// exactly one worker per batch, so results are bit-identical to
-    /// [`Runtime::deliver_all`] whatever the interleaving.
+    /// Runs `f` with `workers` persistent threads driving the shards
+    /// (see [`ShardedPool::with_workers`]): a batch *sequence* pays one
+    /// thread spawn/join total instead of one per
+    /// [`Runtime::deliver_all`] call. Each worker owns a deque of
+    /// shards and steals from the others when idle, so a worker per
+    /// shard simply parks one each, fewer workers than shards balance
+    /// uneven shards without oversubscribing the machine, and one
+    /// worker (or one shard) runs inline with no thread. Every shard is
+    /// stepped by exactly one worker per batch, so results are
+    /// bit-identical to [`Runtime::deliver_all`] whatever the
+    /// interleaving.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
-    pub fn with_stealing_workers<R>(
-        &mut self,
-        workers: usize,
-        f: impl FnOnce(&mut StealingWorkers<'_, Shard>) -> R,
-    ) -> R {
-        self.pool.with_stealing_workers(workers, f)
+    pub fn with_workers<R>(&mut self, workers: usize, f: impl FnOnce(&mut Workers<'_>) -> R) -> R {
+        self.pool.with_workers(workers, f)
     }
 
     /// Returns one session to the start state (same slot, handle stays
@@ -1508,18 +838,13 @@ impl Runtime {
     /// Panics if `session` is already stale (double release).
     pub fn release(&mut self, session: SessionId) {
         self.pool.shards_mut()[session.shard as usize].release_slot(session);
-        if self.timers.cancel(&session) {
-            self.counters.inc_timeouts_cancelled();
-        }
+        self.cancel_timeout(session);
     }
 
     /// `true` while `session` addresses a live execution (its slot has
     /// not been released/recycled). The non-panicking validity probe.
     pub fn is_live(&self, session: SessionId) -> bool {
-        self.pool
-            .shards()
-            .get(session.shard as usize)
-            .is_some_and(|s| s.is_live_slot(session))
+        self.live_shard(session).is_ok()
     }
 
     /// The dense state id of a session.
@@ -1528,7 +853,16 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn state(&self, session: SessionId) -> u32 {
-        self.pool.shards()[session.shard as usize].state_of(session)
+        let (store, slot) = self.slot_of(session);
+        store.state(slot)
+    }
+
+    /// The store and slot a live handle addresses; panics on a stale
+    /// one.
+    fn slot_of(&self, session: SessionId) -> (&SessionStore, usize) {
+        let shard = &self.pool.shards()[session.shard as usize];
+        shard.check(session);
+        (&shard.store, session.slot as usize)
     }
 
     /// Display name of a session's state, borrowed from the engine.
@@ -1537,7 +871,8 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn state_name(&self, session: SessionId) -> &str {
-        self.pool.shards()[session.shard as usize].state_name_of(session)
+        let (store, slot) = self.slot_of(session);
+        store.state_name(slot)
     }
 
     /// A session's EFSM variable registers, in declaration order (empty
@@ -1547,7 +882,8 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn vars(&self, session: SessionId) -> &[i64] {
-        self.pool.shards()[session.shard as usize].vars_of(session)
+        let (store, slot) = self.slot_of(session);
+        store.vars(slot)
     }
 
     /// `true` once a session has reached a finish state.
@@ -1556,7 +892,8 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn is_finished(&self, session: SessionId) -> bool {
-        self.pool.shards()[session.shard as usize].is_finished_slot(session)
+        let (store, slot) = self.slot_of(session);
+        store.is_finished(slot)
     }
 
     /// Number of live finished sessions.
@@ -1647,9 +984,7 @@ impl Runtime {
     /// [`StategenError::StaleSession`] if `session` is stale.
     pub fn try_release(&mut self, session: SessionId) -> Result<(), StategenError> {
         self.live_shard_mut(session)?.release_slot(session);
-        if self.timers.cancel(&session) {
-            self.counters.inc_timeouts_cancelled();
-        }
+        self.cancel_timeout(session);
         Ok(())
     }
 
@@ -1659,7 +994,7 @@ impl Runtime {
     ///
     /// [`StategenError::StaleSession`] if `session` is stale.
     pub fn try_state(&self, session: SessionId) -> Result<u32, StategenError> {
-        Ok(self.live_shard(session)?.state_of(session))
+        Ok(self.live_shard(session)?.store.state(session.slot as usize))
     }
 
     /// Non-panicking form of [`Runtime::vars`].
@@ -1668,7 +1003,7 @@ impl Runtime {
     ///
     /// [`StategenError::StaleSession`] if `session` is stale.
     pub fn try_vars(&self, session: SessionId) -> Result<&[i64], StategenError> {
-        Ok(self.live_shard(session)?.vars_of(session))
+        Ok(self.live_shard(session)?.store.vars(session.slot as usize))
     }
 
     /// Captures one live session: state id, full register file and the
@@ -1678,13 +1013,12 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn snapshot(&self, session: SessionId) -> SessionSnapshot {
-        let shard = &self.pool.shards()[session.shard as usize];
-        shard.check(session);
+        let (store, slot) = self.slot_of(session);
         self.counters.inc_snapshots();
-        let slot = session.slot as usize;
+        let regs = store.engine().reg_count();
         SessionSnapshot {
-            state: shard.current[slot],
-            vars: shard.vars[slot * shard.n_regs..][..shard.n_regs].to_vec(),
+            state: store.state(slot),
+            vars: store.registers()[slot * regs..][..regs].to_vec(),
             generation: session.generation,
         }
     }
@@ -1746,19 +1080,9 @@ impl Runtime {
         let shards = snapshot
             .shards
             .iter()
-            .map(|s| Shard::restore(engine.kind.clone(), s))
+            .map(|s| Shard::restore(engine.step.clone(), s))
             .collect();
-        let runtime = Runtime {
-            engine: engine.clone(),
-            pool: ShardedPool::new(shards),
-            timers: TimerWheel::new(),
-            expired_scratch: Vec::new(),
-            pending: None,
-            counters: RuntimeCounters::new(),
-            batch_latency: None,
-            recorder_capacity: None,
-            abort_dump: None,
-        };
+        let runtime = Runtime::over(engine.clone(), ShardedPool::new(shards));
         runtime.counters.inc_restores();
         Ok(runtime)
     }
@@ -1801,17 +1125,16 @@ impl Runtime {
         if incoming.fingerprint() == self.engine.fingerprint() {
             // Behaviourally identical: migrate every session in place.
             // State ids and registers are meaningful under the incoming
-            // engine by the fingerprint's definition, and Shard::restore
-            // re-validates them structurally.
+            // engine by the fingerprint's definition, and the store's
+            // restore re-validates them structurally. Generations, free
+            // list and telemetry are the shard's own and stay put.
             let sessions = self.len();
             for shard in self.pool.shards_mut() {
-                // Shard::restore builds a fresh shard; telemetry is not
-                // part of durable state, so carry the counters and the
-                // recorder ring across the migration by hand.
-                let mut migrated = Shard::restore(incoming.kind.clone(), &shard.snapshot());
-                migrated.counters = shard.counters.clone();
-                migrated.recorder = shard.recorder.take();
-                *shard = migrated;
+                let mut store = SessionStore::new(incoming.step.clone(), 0);
+                let old = &shard.store;
+                store.restore(old.states(), old.registers(), old.steps());
+                shard.store = store;
+                shard.lockstep = None;
             }
             self.engine = incoming;
             self.counters.add_swap_migrated(sessions as u64);
@@ -1829,7 +1152,7 @@ impl Runtime {
         let mut fresh = Vec::new();
         for (i, shard) in self.pool.shards_mut().iter_mut().enumerate() {
             if shard.live() == 0 {
-                shard.rekind_empty(incoming.kind.clone());
+                shard.store.retarget(incoming.step.clone());
                 fresh.push(i);
             } else {
                 draining.push(i);
@@ -1847,11 +1170,7 @@ impl Runtime {
             // disturbs existing shard indices or handles.
             for _ in 0..draining.len() {
                 fresh.push(self.pool.shard_count());
-                let mut shard = Shard::new(incoming.kind.clone());
-                if let Some(cap) = self.recorder_capacity {
-                    shard.recorder = Some(FlightRecorder::new(cap));
-                }
-                self.pool.push(shard);
+                self.pool.push(self.fresh_shard(&incoming));
             }
         }
         let sessions = draining.iter().map(|&i| self.pool.shards()[i].live()).sum();
@@ -1891,7 +1210,9 @@ impl Runtime {
         }
         let pending = self.pending.take().expect("checked above");
         for &i in &pending.draining {
-            self.pool.shards_mut()[i].rekind_empty(pending.engine.kind.clone());
+            self.pool.shards_mut()[i]
+                .store
+                .retarget(pending.engine.step.clone());
         }
         self.engine = pending.engine;
         self.counters.inc_swaps_completed();
@@ -1928,8 +1249,8 @@ impl Runtime {
         let mut dropped = 0;
         for &i in &pending.incoming {
             let shard = &mut self.pool.shards_mut()[i];
-            for slot in 0..shard.current.len() {
-                if shard.current[slot] == RETIRED {
+            for slot in 0..shard.store.len() {
+                if shard.store.is_retired(slot) {
                     continue;
                 }
                 let id = SessionId {
@@ -1941,7 +1262,9 @@ impl Runtime {
                 self.timers.cancel(&id);
                 dropped += 1;
             }
-            self.pool.shards_mut()[i].rekind_empty(self.engine.kind.clone());
+            self.pool.shards_mut()[i]
+                .store
+                .retarget(self.engine.step.clone());
         }
         Ok(dropped)
     }
@@ -2055,7 +1378,10 @@ impl Runtime {
     /// Counters are always on: they cost one cache-local add per event
     /// and need no [`Runtime::attach_recorder`] call.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.pool.metrics();
+        let mut snap = MetricsSnapshot::default();
+        for shard in self.pool.shards() {
+            shard.counters.merge_into(&mut snap);
+        }
         self.counters.merge_into(&mut snap);
         snap.timer_cascades = self.timers.cascades();
         snap
@@ -2119,9 +1445,10 @@ impl Runtime {
                 rec.len(),
                 rec.recorded(),
             );
+            let engine = shard.store.engine();
             let label = |state: u32| -> String {
-                if (state as usize) < shard.state_count() {
-                    shard.state_label(state).to_string()
+                if (state as usize) < engine.state_count() {
+                    engine.state_name(state).to_string()
                 } else {
                     format!("state#{state}")
                 }
@@ -2392,7 +1719,7 @@ mod tests {
         let mut rt = engine.runtime().sharded(3);
         rt.spawn_many(70);
         let a = engine.message_id("a").unwrap();
-        let total = rt.with_workers(|w| {
+        let total = rt.with_workers(3, |w| {
             assert_eq!(w.worker_count(), 3);
             let t = w.deliver_all(a) + w.deliver_all(a);
             assert_eq!(w.finished_count(), 70);
@@ -2565,13 +1892,68 @@ mod tests {
         assert_eq!(rc.state_name(sc), ri.state_name(si));
     }
 
-    /// The production observed path (unobserved pass + tail replay, see
-    /// [`Shard::replay_batch_tail`]) must leave the ring bit-identical —
-    /// events, order, and sequence accounting — to recording every
-    /// transition inline from the batch loop, across all three engine
-    /// tiers, dense and holed slot arrays, guard fall-throughs, and
-    /// batches larger than the ring. This is also what keeps the
-    /// observed [`Shard::deliver_batch`] instantiations exercised.
+    /// ROADMAP 4b: a slot's generation counter must never wrap. After
+    /// `u32::MAX` recycles the slot is retired for good, so no stale
+    /// handle can ever alias a later execution — on every tier, with
+    /// batches, counts and snapshots unaffected by the dead slot.
+    #[test]
+    fn exhausted_generation_retires_the_slot_for_good() {
+        let engine = Engine::compile(Spec::machine(finishing_machine())).unwrap();
+        let mut rt = engine.runtime();
+        let a = rt.message_id("a").unwrap();
+        let bystander = rt.spawn();
+        let old = rt.spawn();
+        // Age the slot to one recycle short of exhaustion.
+        rt.pool.shards_mut()[0].generations[old.slot()] = u32::MAX - 1;
+        let h0 = SessionId {
+            generation: u32::MAX - 1,
+            ..old
+        };
+        assert!(!rt.is_live(old), "the aged slot's first handle is stale");
+        rt.release(h0); // generation -> u32::MAX, slot listed for reuse
+        let h1 = rt.spawn();
+        assert_eq!((h1.slot(), h1.generation()), (old.slot(), u32::MAX));
+        rt.release(h1); // no generation left: retired for good
+        let fresh = rt.spawn();
+        assert_ne!(
+            fresh.slot(),
+            old.slot(),
+            "an exhausted slot is never reused"
+        );
+        for stale in [old, h0, h1] {
+            assert!(!rt.is_live(stale));
+            assert!(matches!(
+                rt.try_deliver(stale, a),
+                Err(StategenError::StaleSession { .. })
+            ));
+            assert!(rt.try_release(stale).is_err());
+        }
+        // The dead slot is skipped by counts and batches...
+        assert_eq!(rt.len(), 2);
+        assert_eq!(rt.deliver_all(a), 2);
+        assert_eq!(rt.deliver_all(a), 2);
+        assert!(rt.all_finished());
+        // ...and survives a snapshot round trip as dead as it was.
+        let snap = rt.snapshot_all();
+        assert_eq!(snap.live_sessions(), 2);
+        let mut restored = Runtime::restore(&engine, &snap).unwrap();
+        assert_eq!(restored.snapshot_all(), snap);
+        assert_eq!(restored.len(), 2);
+        assert!(restored.is_finished(bystander) && restored.is_finished(fresh));
+        assert!(!restored.is_live(h1));
+        let next = restored.spawn();
+        assert!(next.slot() != old.slot() && next.slot() != fresh.slot());
+        restored.reset_all();
+        assert_eq!(restored.deliver_all(a), 3);
+    }
+
+    /// The production observed path (tail probe + unobserved pass, see
+    /// [`Shard::capture_batch_tail`]) must leave the ring bit-identical
+    /// — events, order, and sequence accounting — to recording every
+    /// transition inline from the one observed loop
+    /// ([`Shard::deliver_batch`] with an enabled observer), across all
+    /// three engine tiers, dense and holed slot arrays, guard
+    /// fall-throughs, and batches larger than the ring.
     #[test]
     fn replayed_ring_matches_per_transition_recording() {
         use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, MESSAGE_NAMES};

@@ -117,6 +117,9 @@ fn artifact_boot_preserves_fingerprint_and_binding() {
         assert_eq!(booted.messages(), reference.messages());
         assert_eq!(booted.state_count(), reference.state_count());
         assert_eq!(booted.params(), artifact.params());
+        // One lowering: the same machine reports the same tier whether
+        // it arrived as a spec or as artifact bytes.
+        assert_eq!(booted.tier(), reference.tier());
     }
 }
 

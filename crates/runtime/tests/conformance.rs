@@ -145,7 +145,7 @@ fn hsm_tiers_agree_on_trace_corpus() {
     let alphabet: Vec<String> = hsm.messages().to_vec();
     let compiled = Engine::compile(Spec::hierarchical(hsm.clone())).unwrap();
     let interpreted = Engine::interpret(Spec::hierarchical(hsm.clone())).unwrap();
-    assert_eq!(compiled.tier(), Tier::FlattenedHsm);
+    assert_eq!(compiled.tier(), Tier::Compiled);
     assert_eq!(interpreted.tier(), Tier::Interpreted);
     let mut rt_compiled = compiled.runtime();
     let mut rt_interp = interpreted.runtime();

@@ -205,7 +205,7 @@ proptest! {
             .expect("flattened candidate lists carry no duplicate guards");
         let engine = Engine::compile(Spec::hsm_with_params(hsm.clone(), params.clone()))
             .expect("guarded statechart compiles");
-        prop_assert_eq!(engine.tier(), Tier::FlattenedHsmEfsm);
+        prop_assert_eq!(engine.tier(), Tier::CompiledEfsm);
 
         let mut reference = hsm.instance_with(params.clone());
         let mut interp = ir.instance(params.clone());
@@ -551,5 +551,5 @@ fn guarded_session_lifecycle_rides_the_whole_pipeline() {
     // And the unguarded lifecycle still lowers to the dense tier.
     let plain = Engine::compile(Spec::hierarchical(stategen_models::session_lifecycle()))
         .expect("unguarded statechart compiles");
-    assert_eq!(plain.tier(), Tier::FlattenedHsm);
+    assert_eq!(plain.tier(), Tier::Compiled);
 }

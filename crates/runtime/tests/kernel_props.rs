@@ -5,7 +5,7 @@
 //! and snapshots — under spawn/release/reset churn between batches
 //! (released slots exercise the kernels' retired-slot skip bucket), on
 //! the compiled, compiled-EFSM and reconstructed build-time-generated
-//! tiers, and under work-stealing workers.
+//! tiers, and under the one worker driver at every worker count.
 
 use proptest::prelude::*;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
@@ -196,44 +196,74 @@ proptest! {
         prop_assert_eq!(batched[0].snapshot_all(), scalar.snapshot_all());
     }
 
-    /// Work-stealing workers over a sharded runtime produce the same
-    /// per-batch transition counts and final snapshots as a flat
-    /// runtime delivering the same sequence.
+    /// The worker driver behind a sharded runtime is a pure scheduling
+    /// change on both compiled engines: for any shard count, any
+    /// `workers ∈ 1..=shards + 2` (inline, stealing, parked), uneven
+    /// shards (sessions diverged and released before the drive) and any
+    /// deliver/reset sequence, per-command transition counts and
+    /// finished/step totals equal a flat runtime's, and afterwards
+    /// every session's state and registers do.
     #[test]
     fn stealing_workers_match_flat_runtime(
-        shards in 2usize..9,
-        workers in 1usize..5,
-        messages in prop::collection::vec(0usize..5, 0..40),
+        guarded in any::<bool>(),
+        shards in 1usize..9,
+        extra in 0usize..11,
+        prelude in prop::collection::vec((0usize..256, 0usize..6), 0..40),
+        commands in prop::collection::vec(0usize..6, 0..40),
         sessions in 1usize..200,
     ) {
-        let machine = generate(&CommitModel::new(CommitConfig::new(4).unwrap()))
-            .unwrap()
-            .machine;
-        let engine = || Engine::compile(Spec::machine(machine.clone())).unwrap();
-        let mut flat = engine().runtime();
-        let mut sharded = Runtime::new(engine()).sharded(shards);
-        let flat_handles: Vec<_> = (0..sessions).map(|_| flat.spawn()).collect();
-        let sharded_handles: Vec<_> = (0..sessions).map(|_| sharded.spawn()).collect();
+        let workers = 1 + extra % (shards + 2);
+        let config = CommitConfig::new(4).unwrap();
+        let engine = if guarded {
+            Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap()
+        } else {
+            let machine = generate(&CommitModel::new(config)).unwrap().machine;
+            Engine::compile(Spec::machine(machine)).unwrap()
+        };
+        let mut flat = engine.runtime();
+        let mut sharded = engine.runtime().sharded(shards);
+        let mut handles: Vec<(SessionId, SessionId)> =
+            (0..sessions).map(|_| (flat.spawn(), sharded.spawn())).collect();
         let ids = commit_ids(&flat);
-        let checks: Result<(), TestCaseError> = sharded.with_stealing_workers(workers, |w| {
-            for (step, &m) in messages.iter().enumerate() {
-                let t_flat = flat.deliver_all(ids[m]);
-                prop_assert_eq!(w.deliver_all(ids[m]), t_flat, "step {}", step);
+        // Single-session deliveries spread sessions over states; a
+        // selector of 5 releases instead, leaving shards uneven and
+        // holed.
+        for &(pick, m) in &prelude {
+            let idx = pick % handles.len();
+            if m < ids.len() {
+                let (f, s) = handles[idx];
+                prop_assert_eq!(flat.deliver(f, ids[m]).to_vec(), sharded.deliver(s, ids[m]));
+            } else if handles.len() > 1 {
+                let (f, s) = handles.swap_remove(idx);
+                flat.release(f);
+                sharded.release(s);
+            }
+        }
+        let checks: Result<(), TestCaseError> = sharded.with_workers(workers, |w| {
+            prop_assert_eq!(w.worker_count(), workers.min(shards));
+            for (step, &m) in commands.iter().enumerate() {
+                if m < ids.len() {
+                    let t_flat = flat.deliver_all(ids[m]);
+                    prop_assert_eq!(w.deliver_all(ids[m]), t_flat, "step {}", step);
+                } else {
+                    flat.reset_all();
+                    w.reset_all();
+                }
                 prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
                 prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
             }
             Ok(())
         });
         checks?;
+        // A sharded `deliver_all` is one command on the same driver.
+        prop_assert_eq!(sharded.deliver_all(ids[0]), flat.deliver_all(ids[0]));
         prop_assert_eq!(sharded.steps(), flat.steps());
         prop_assert_eq!(sharded.finished_count(), flat.finished_count());
-        // Same multiset of session states (shard layout permutes order).
-        let mut flat_states: Vec<u32> =
-            flat_handles.iter().map(|&h| flat.state(h)).collect();
-        let mut sharded_states: Vec<u32> =
-            sharded_handles.iter().map(|&h| sharded.state(h)).collect();
-        flat_states.sort_unstable();
-        sharded_states.sort_unstable();
-        prop_assert_eq!(flat_states, sharded_states);
+        prop_assert_eq!(sharded.len(), flat.len());
+        for (idx, &(f, s)) in handles.iter().enumerate() {
+            let (a, b) = (flat.snapshot(f), sharded.snapshot(s));
+            prop_assert_eq!((a.state, a.vars), (b.state, b.vars), "session {}", idx);
+            prop_assert_eq!(flat.is_finished(f), sharded.is_finished(s), "session {}", idx);
+        }
     }
 }

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The pipeline binds the budget at ingest: one compiled machine per
     // *family*, one binding per deployment — exactly like `Spec::efsm`.
     let engine = Engine::compile(Spec::hsm_with_params(hsm.clone(), vec![3]))?;
-    assert_eq!(engine.tier(), Tier::FlattenedHsmEfsm);
+    assert_eq!(engine.tier(), Tier::CompiledEfsm);
     println!(
         "engine: tier `{}`, {} flat states, params {:?}",
         engine.tier(),

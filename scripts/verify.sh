@@ -50,7 +50,12 @@
 #    than the unminimized original in paired passes);
 # 7. fails if the benchmark artefacts are missing required rows
 #    (including the runtime_facade, artifact_cold_load,
-#    hsm_minimized and storage_faulted rows);
+#    hsm_minimized and storage_faulted rows), or if a name the
+#    one-store / one-driver collapse deleted (the two core pools, the
+#    parked and stealing driver handles, the runtime's private tier
+#    enum, the statechart pseudo-tiers) reappears in the sources or
+#    docs; and re-runs the generation-exhaustion unit test in release
+#    mode (its arithmetic wraps there instead of panicking);
 # 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
 #    a workspace of its own, so steps 1-3 do not reach it) and one short
 #    traced storage_commit run, which must pass its output checks and
@@ -99,6 +104,16 @@ cargo test -q --release -p asa-storage --test rollout rollout_pinned_seed
 
 echo "== analyzer corpus sweep: every model machine deny-clean, minimization equivalent =="
 cargo test -q --release -p stategen-analysis --test corpus
+
+echo "== generation exhaustion (release: overflow would wrap, not panic) =="
+cargo test -q --release -p stategen-runtime --lib exhausted_generation
+
+echo "== one store, one driver: deleted names stay deleted =="
+if grep -rnE 'SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_stealing_workers|EngineKind|FlattenedHsm' \
+        crates/ src/ examples/ tests/ docs/; then
+    echo "verify.sh: the names above were deleted by the session-store collapse (CHANGES.md, PR 14)" >&2
+    exit 1
+fi
 
 echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
