@@ -6,11 +6,17 @@
 //! The batch-kernel gate: `batched_pool` / `efsm_pool` measure the
 //! *scalar* per-session batch walk (`deliver_all_scalar` on the core
 //! `SessionStore` — the reference semantics), while `batched_kernel`
-//! / `efsm_kernel` measure the bucketed branchless kernels behind
+//! / `efsm_kernel` measure the branchless kernels behind
 //! `deliver_all`. The paired alternating measurement at the bottom
 //! hard-fails unless the kernels win by ≥ 1.25× (dense) and ≥ 1.4×
 //! (EFSM) on a single core — branch elimination alone, no
 //! multi-threading involved — at zero allocations per delivery.
+//! Those rows run the canonical trace in *lockstep* (every session in
+//! one state: the kernels' `fill` / contiguous-sweep fast paths); the
+//! `*_divergent` pairs run pre-diverged pools at r = 7 and r = 25, where
+//! the dense tier's one-pass column gather is gated at ≥ 1.5× the
+//! scalar walk and the register tier's bucketed sweep is recorded
+//! ungated (it does not beat the scalar walk there).
 //!
 //! The sharded and facade tiers are measured **through the
 //! `stategen-runtime` facade** (`Spec → Engine → Runtime`) — the owned
@@ -62,6 +68,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use asa_simnet::SimRng;
 use stategen_analysis::minimize;
 use stategen_commit::{
     commit_efsm, commit_efsm_instance, commit_efsm_params, CommitConfig, CommitModel,
@@ -153,6 +160,91 @@ fn measure(
         allocs_per_delivery: worst_allocs as f64 / deliveries as f64,
         assert_zero_alloc,
     }
+}
+
+/// `deliver_all` rounds per divergent repetition: short enough that the
+/// pre-diverged pool is still spread over many states at the end.
+const DIVERGENT_ROUNDS: usize = 16;
+
+/// The divergent-pool pair: `sessions` sessions of `engine`, each
+/// pre-diverged by a private prefix of 0–7 single deliveries (as
+/// `benchmark/src/workloads/batch.rs` does), then fed a fixed
+/// [`DIVERGENT_ROUNDS`]-message script — through `deliver_all` (the
+/// kernel) and `deliver_all_scalar` in alternating passes, best of 5
+/// each. Only the batch calls are timed; re-diverging between
+/// repetitions is not. Returns the `<tier>_kernel_divergent<suffix>` and
+/// `<tier>_pool_divergent<suffix>` rows and the scalar / kernel ratio,
+/// having asserted that both walks agree on every transition total and
+/// end in the same states, registers and finished count.
+fn divergent_pair(
+    tier: &str,
+    suffix: &str,
+    engine: &StepEngine,
+    sessions: usize,
+) -> ([TierResult; 2], f64) {
+    let alphabet: Vec<_> = engine
+        .messages()
+        .iter()
+        .map(|m| engine.message_id(m).expect("alphabet message"))
+        .collect();
+    let pick = |rng: &mut SimRng| alphabet[rng.below(alphabet.len() as u64) as usize];
+    let mut rng = SimRng::new(u64::MAX); // no session's seed
+    let script: Vec<_> = (0..DIVERGENT_ROUNDS).map(|_| pick(&mut rng)).collect();
+    let reps = (SINGLE_DELIVERIES as usize / (sessions * DIVERGENT_ROUNDS)).max(1);
+    let deliveries = (reps * sessions * DIVERGENT_ROUNDS) as u64;
+    // One pass: `reps` × (re-diverge untimed, script timed); returns
+    // (timed ns, transitions, allocations).
+    let pass = |store: &mut SessionStore, kernel: bool| {
+        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let (mut ns, mut transitions) = (0u128, 0u64);
+        for _ in 0..reps {
+            store.reset_all();
+            for session in 0..sessions {
+                let mut rng = SimRng::new(session as u64);
+                for _ in 0..rng.below(8) {
+                    store.deliver(session, pick(&mut rng));
+                }
+            }
+            let start = Instant::now();
+            for &message in &script {
+                transitions += if kernel {
+                    store.deliver_all(message)
+                } else {
+                    store.deliver_all_scalar(message)
+                };
+            }
+            ns += start.elapsed().as_nanos();
+        }
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+        (ns as f64, transitions, allocs)
+    };
+    let mut kernel = SessionStore::new(engine.clone(), sessions);
+    let mut scalar = SessionStore::new(engine.clone(), sessions);
+    let expected = pass(&mut scalar, false).1; // warm-up, and the oracle
+    assert_eq!(pass(&mut kernel, true).1, expected);
+    let mut best = [f64::INFINITY; 2];
+    let mut worst_allocs = [0u64; 2];
+    for _ in 0..5 {
+        for (side, store) in [&mut kernel, &mut scalar].into_iter().enumerate() {
+            let (ns, transitions, allocs) = pass(store, side == 0);
+            assert_eq!(
+                transitions, expected,
+                "{tier} divergent: kernel and scalar walks must take the same transitions"
+            );
+            best[side] = best[side].min(ns);
+            worst_allocs[side] = worst_allocs[side].max(allocs);
+        }
+    }
+    assert_eq!(kernel.states(), scalar.states());
+    assert_eq!(kernel.registers(), scalar.registers());
+    assert_eq!(kernel.finished_count(), scalar.finished_count());
+    let row = |side: usize, kind: &str| TierResult {
+        name: format!("{tier}_{kind}_divergent{suffix}"),
+        ns_per_delivery: best[side] / deliveries as f64,
+        allocs_per_delivery: worst_allocs[side] as f64 / deliveries as f64,
+        assert_zero_alloc: true,
+    };
+    ([row(0, "kernel"), row(1, "pool")], best[1] / best[0])
 }
 
 fn main() {
@@ -418,11 +510,11 @@ fn main() {
     // two rows for the same work. `batched_pool` is the *scalar*
     // reference walk (`deliver_all_scalar`: per-session stepping in
     // slot order, kept as the semantic oracle and the observer
-    // visit-order path); `batched_kernel` is `deliver_all`, which
-    // counting-sorts the pending sessions into (state, message) buckets
-    // and steps each bucket with one branchless loop (table cell
-    // hoisted out). The paired alternating gate below hard-asserts the
-    // kernel's ≥ 1.25× win at 0 allocs/delivery.
+    // visit-order path); `batched_kernel` is `deliver_all`, which reads
+    // every session's next state from the message's table column —
+    // here, in lockstep, one cell read and a constant fill. The paired
+    // alternating gate below hard-asserts the kernel's ≥ 1.25× win at
+    // 0 allocs/delivery.
     let pool_rounds = (SINGLE_DELIVERIES / (POOL_SESSIONS as u64 * TRACE.len() as u64)).max(1);
     let pool_deliveries = pool_rounds * POOL_SESSIONS as u64 * TRACE.len() as u64;
     let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), POOL_SESSIONS);
@@ -449,7 +541,7 @@ fn main() {
     // The dense-kernel gate, as paired alternating passes (same
     // discipline as the minimization gate below: scheduler drift on
     // this shared box hits both sides equally, so the best-of ratio
-    // isolates the real effect of branch elimination + bucketing).
+    // isolates the real effect of the kernel).
     let batched_kernel_ratio = {
         let scalar_pass = |pool: &mut SessionStore| {
             let mut transitions = 0u64;
@@ -612,6 +704,31 @@ fn main() {
         scalar_best / kernel_best
     };
 
+    // Tier 7a: the same two kernel / scalar pairs on *divergent* pools
+    // — sessions spread over tens of states, the serving shape the
+    // lockstep rows above never leave their `fill` / contiguous-sweep
+    // fast path to reach. Commit r = 7 (the `benchmark/` batch
+    // workloads' machine) at 65 536 sessions is the gated shape; 4 096
+    // sessions and the wide r = 25 machine ride along as reported rows.
+    // Dense: the one-pass column gather must beat the scalar walk by
+    // ≥ 1.5×. Register: the bucketed sweep's ratio is recorded ungated.
+    let mut divergent_ratios: Vec<(String, f64)> = Vec::new();
+    for (r, sessions, suffix) in [
+        (7, SHARDED_SESSIONS, ""),
+        (7, POOL_SESSIONS, "_4k"),
+        (25, SHARDED_SESSIONS, "_r25"),
+    ] {
+        let config = CommitConfig::new(r).expect("valid replication factor");
+        let wide = generate(&CommitModel::new(config)).expect("generates");
+        let dense = StepEngine::dense(CompiledMachine::compile(&wide.machine));
+        let register = StepEngine::register(compiled_efsm.clone(), &commit_efsm_params(&config))
+            .expect("binding arity");
+        for (tier, engine) in [("batched", dense), ("efsm", register)] {
+            let (rows, ratio) = divergent_pair(tier, suffix, &engine, sessions);
+            divergent_ratios.push((format!("{}_vs_scalar", rows[0].name), ratio));
+            results.extend(rows);
+        }
+    }
     // Tier 7b: the deployment path. `artifact_cold_load` measures the
     // full ship-and-boot cycle — encode the bound commit EFSM to its
     // versioned artifact image (`save`), run the image back through the
@@ -873,12 +990,12 @@ fn main() {
         compiled_efsm.state_count()
     );
     println!(
-        "{:<18} {:>14} {:>10} {:>18}",
+        "{:<30} {:>14} {:>10} {:>18}",
         "tier", "ns/delivery", "speedup", "allocs/delivery"
     );
     for r in &results {
         println!(
-            "{:<18} {:>14.2} {:>9.1}x {:>18.4}",
+            "{:<30} {:>14.2} {:>9.1}x {:>18.4}",
             r.name,
             r.ns_per_delivery,
             baseline / r.ns_per_delivery,
@@ -975,7 +1092,7 @@ fn main() {
     println!("persistent vs per-call workers (4):  {persistent_vs_scoped:.2}x");
     let stealing_vs_persistent = by_name("sharded_persistent_4") / by_name("work_stealing_4");
     println!("stealing vs persistent workers (4):  {stealing_vs_persistent:.2}x");
-    // The batch-kernel gates: bucketed branchless stepping must beat
+    // The lockstep batch-kernel gates: branchless stepping must beat
     // the scalar per-session walk on a single core — ≥ 1.25× for the
     // dense tier, ≥ 1.4× for the EFSM tier, where the kernel also
     // replaces per-session guard dispatch with masked column compares.
@@ -994,6 +1111,18 @@ fn main() {
         efsm_kernel_ratio >= 1.4,
         "EFSM batch kernel is only {efsm_kernel_ratio:.3}x the scalar walk \
          (gate: >= 1.4x, paired passes at {POOL_SESSIONS} sessions)"
+    );
+    // The divergent gates (r = 7, 65 536 sessions): the dense column
+    // gather is gated; the register sweep's ratio is a tracked number.
+    for (name, ratio) in &divergent_ratios {
+        println!("{name}: {ratio:.3}x");
+    }
+    let gated = |(name, _): &&(String, f64)| name == "batched_kernel_divergent_vs_scalar";
+    let dense_divergent = divergent_ratios.iter().find(gated).expect("measured").1;
+    assert!(
+        dense_divergent >= 1.5,
+        "dense batch kernel is only {dense_divergent:.3}x the scalar walk on a divergent pool \
+         (gate: >= 1.5x, paired passes at {SHARDED_SESSIONS} sessions)"
     );
     // The facade-overhead gate: serving 64k sessions through the
     // `Spec → Engine → Runtime` facade must stay within 10% of raw
@@ -1122,6 +1251,9 @@ fn main() {
         "  \"batched_kernel_vs_scalar\": {batched_kernel_ratio:.3},"
     );
     let _ = writeln!(json, "  \"efsm_kernel_vs_scalar\": {efsm_kernel_ratio:.3},");
+    for (name, ratio) in &divergent_ratios {
+        let _ = writeln!(json, "  \"{name}\": {ratio:.3},");
+    }
     let _ = writeln!(
         json,
         "  \"work_stealing_vs_persistent_4\": {stealing_vs_persistent:.3},"

@@ -12,7 +12,9 @@
 //! into:
 //!
 //! * a dense `states × messages` table of target state ids (`u32`, with
-//!   a sentinel for "no transition"), so dispatch is one indexed load;
+//!   a sentinel for "no transition"), so dispatch is one indexed load —
+//!   stored *column-major*, one contiguous column per message class, so
+//!   a batch delivering one message reads a single column;
 //! * an interned action arena: each distinct action list is stored once
 //!   and every transition references it by `(offset, len)` range, so
 //!   delivering a message returns a borrowed `&[Action]` without copying
@@ -77,13 +79,19 @@ pub struct CompiledMachine {
     state_names: Box<[String]>,
     finish: Box<[bool]>,
     start: u32,
-    /// Width of a table row: the number of *message column classes*
-    /// (≤ the alphabet size; see [`CompiledMachine::compile_ir`]).
-    stride: usize,
-    /// Message id → column class, the alphabet-compression indirection.
-    column_of: Box<[u16]>,
+    /// Message id → start of its *column class*'s column in the tables
+    /// below, the alphabet-compression indirection (see
+    /// [`CompiledMachine::compile_ir`]).
+    column_of: Box<[u32]>,
+    /// The tables below are column-major: class `c`'s column is
+    /// `[c * col_len ..][..col_len]`, indexed by state id, where
+    /// `col_len = state_count + 1` — the trailing *skip* entry
+    /// ([`NO_TRANSITION`], no actions, flag 0) is what the batch kernel
+    /// clamps out-of-range ids (retired slots) onto.
     targets: Box<[u32]>,
     cells: Box<[ActionRange]>,
+    /// 1 where the cell's target is a finish state, else 0.
+    enters_finish: Box<[u8]>,
     arena: Box<[Action]>,
     interned_lists: usize,
 }
@@ -168,7 +176,8 @@ impl CompiledMachine {
         // columns (target + actions per state) are identical, then store
         // only one physical column per class. Classes are numbered in
         // first-occurrence order, so the column map is deterministic.
-        let mut column_of = vec![0u16; stride];
+        let col_len = state_count + 1;
+        let mut column_of = vec![0u32; stride];
         let mut class_rep: Vec<usize> = Vec::new(); // class → representative message
         for m in 0..stride {
             let class = class_rep.iter().position(|&rep| {
@@ -177,21 +186,23 @@ impl CompiledMachine {
                         && cells[s * stride + m] == cells[s * stride + rep]
                 })
             });
-            column_of[m] = match class {
-                Some(c) => c as u16,
-                None => {
-                    class_rep.push(m);
-                    (class_rep.len() - 1) as u16
-                }
-            };
+            let class = class.unwrap_or_else(|| {
+                class_rep.push(m);
+                class_rep.len() - 1
+            });
+            column_of[m] = u32::try_from(class * col_len).expect("table within u32 cells");
         }
         let n_classes = class_rep.len().max(1);
-        let mut compact_targets = vec![NO_TRANSITION; state_count * n_classes];
-        let mut compact_cells = vec![ActionRange::default(); state_count * n_classes];
-        for s in 0..state_count {
-            for (c, &rep) in class_rep.iter().enumerate() {
-                compact_targets[s * n_classes + c] = targets[s * stride + rep];
-                compact_cells[s * n_classes + c] = cells[s * stride + rep];
+        let mut compact_targets = vec![NO_TRANSITION; n_classes * col_len];
+        let mut compact_cells = vec![ActionRange::default(); n_classes * col_len];
+        let mut enters_finish = vec![0u8; n_classes * col_len];
+        for (c, &rep) in class_rep.iter().enumerate() {
+            for s in 0..state_count {
+                let target = targets[s * stride + rep];
+                compact_targets[c * col_len + s] = target;
+                compact_cells[c * col_len + s] = cells[s * stride + rep];
+                enters_finish[c * col_len + s] =
+                    u8::from(target != NO_TRANSITION && finish[target as usize]);
             }
         }
 
@@ -207,10 +218,10 @@ impl CompiledMachine {
             state_names: state_names.into_boxed_slice(),
             finish: finish.into_boxed_slice(),
             start: ir.start(),
-            stride: n_classes,
             column_of: column_of.into_boxed_slice(),
             targets: compact_targets.into_boxed_slice(),
             cells: compact_cells.into_boxed_slice(),
+            enters_finish: enters_finish.into_boxed_slice(),
             interned_lists: arena.interned_lists(),
             arena: arena.into_arena(),
         })
@@ -273,18 +284,18 @@ impl CompiledMachine {
         self.interned_lists
     }
 
-    /// Number of *message column classes* the table stores — the width
-    /// of a physical row after alphabet compression. Equal to the
+    /// Number of *message column classes* the table stores — its
+    /// physical column count after alphabet compression. Equal to the
     /// alphabet size when every message behaves distinctly; smaller
     /// when some messages are interchangeable in every state.
     pub fn message_column_classes(&self) -> usize {
-        self.stride
+        self.targets.len() / (self.state_names.len() + 1)
     }
 
-    /// The compressed table column `message` dispatches through —
-    /// invariant for a whole batch, so the kernels hoist it once.
+    /// Start of the compressed table column `message` dispatches
+    /// through: that column's cell for `state` is at `start + state`.
     #[inline]
-    pub(crate) fn column(&self, message: MessageId) -> usize {
+    fn column_start(&self, message: MessageId) -> usize {
         debug_assert!(
             message.index() < self.column_of.len(),
             "message id from a different machine"
@@ -292,11 +303,19 @@ impl CompiledMachine {
         self.column_of[message.index()] as usize
     }
 
-    /// The dense target table, `state_count × message_column_classes`,
-    /// for the batch kernels' hoisted cell loads.
+    /// The table column `message` dispatches through — invariant for a
+    /// whole batch, so the dense kernel hoists it once — as parallel
+    /// slices indexed by state id: the target (or [`NO_TRANSITION`])
+    /// and whether that target is a finish state. Both are
+    /// `state_count + 1` long; the last entry is the skip cell.
     #[inline]
-    pub(crate) fn targets(&self) -> &[u32] {
-        &self.targets
+    pub(crate) fn column(&self, message: MessageId) -> (&[u32], &[u8]) {
+        let start = self.column_start(message);
+        let col_len = self.state_names.len() + 1;
+        (
+            &self.targets[start..][..col_len],
+            &self.enters_finish[start..][..col_len],
+        )
     }
 
     /// Per-state finish flags, indexed by dense state id.
@@ -322,14 +341,13 @@ impl CompiledMachine {
     /// # Panics
     ///
     /// Panics if `state` is out of range for this machine.
-    #[inline]
+    #[inline(always)]
     pub fn step(&self, state: u32, message: MessageId) -> Option<(u32, &[Action])> {
-        debug_assert!(
-            message.index() < self.column_of.len(),
-            "message id from a different machine"
+        assert!(
+            (state as usize) < self.state_names.len(),
+            "state out of range"
         );
-        let column = self.column_of[message.index()] as usize;
-        let idx = state as usize * self.stride + column;
+        let idx = self.column_start(message) + state as usize;
         let target = self.targets[idx];
         if target == NO_TRANSITION {
             return None;

@@ -1,22 +1,23 @@
-//! Branchless batch kernels: `(state, message)`-bucketed dispatch for
-//! the dense and compiled-EFSM tiers.
+//! Branchless batch kernels: a one-pass column gather for the dense
+//! tier, `(state, message)`-bucketed masked sweeps for the
+//! compiled-EFSM tier.
 //!
 //! The scalar batch walk in [`session`](crate::session) steps each
 //! session through [`CompiledMachine::step`] /
 //! [`CompiledEfsm::step`] — a per-session table walk whose
 //! applicability test and candidate cascade are data-dependent
-//! branches. This module restructures the batch into the
-//! write-mask idiom: sessions are bucketed by current state with a
-//! counting sort into a reusable scratch index (no allocation), and
-//! each `(state, message)` bucket is then stepped by a single loop whose
-//! table cell — target, fused check constants — is hoisted out of the
-//! loop, leaving only straight-line loads, masked compares
-//! and stores in the body.
+//! branches. A batch delivers *one* message, so this module hoists
+//! everything that message fixes out of the per-session loop and leaves
+//! only straight-line loads, compares and stores in the body.
 //!
-//! * **Dense tier** — every session in a bucket shares one table cell,
-//!   so the bucket body degenerates to a constant scatter over the SoA
-//!   state array.
-//! * **EFSM tier** — a bucket shares one bound dispatch cell, so the
+//! * **Dense tier** — the message selects one column of the
+//!   column-major transition table, so the whole batch is a single
+//!   affine pass over the state array: `next = column[state]`, with
+//!   out-of-range ids (retired slots) clamped onto the column's
+//!   trailing skip entry. No sort, no index, no scratch.
+//! * **EFSM tier** — sessions are bucketed by current state with a
+//!   counting sort into a reusable scratch index ([`KernelScratch`], no
+//!   allocation), and a bucket shares one bound dispatch cell, so the
 //!   canonical fused check `sign·vars[v] + bound ≤ 0` (already lowered
 //!   to the branch-free `(v ^ m) − m + threshold` form by
 //!   [`CompiledEfsm::bind`]) is evaluated as a masked compare swept
@@ -30,27 +31,44 @@
 //! session in the same state, the dominant pattern for a pool spawned
 //! together and fed one message feed, and the counting sort's worst
 //! case (one bucket turns both counting passes into a serial dependency
-//! chain on a single counter). A vectorized uniformity scan detects it
-//! and the batch is served as a single pre-bucketed contiguous run: the
-//! dense tier collapses to one cell read plus a constant fill of the
-//! state column, the EFSM tier to one masked sweep with affine
+//! chain on a single counter). A vectorized uniformity scan detects it:
+//! the dense tier collapses to one cell read plus a constant fill of
+//! the state column, the EFSM tier to one masked sweep with affine
 //! addressing and no `order` indirection.
 //!
 //! Results are bit-identical to the scalar loops: sessions are
 //! independent, every session is visited exactly once per batch, and
-//! each bucket body computes exactly the scalar step's outcome — the
-//! property suites pin states, registers, finished counts, step counts
-//! and snapshots across both paths. The kernels write states and
-//! registers only: finish states are absorbing, so finished-ness is
-//! derivable from the state array and the
-//! [`SessionStore`](crate::SessionStore) rebuilds its bitset lazily.
+//! each body computes exactly the scalar step's outcome — the property
+//! suites pin states, registers, finished counts, step counts and
+//! snapshots across both paths. Every arm also reports how many
+//! sessions *entered a finish state* ([`BatchTally::finished`]), summed
+//! beside the transition count it already keeps, which is what lets the
+//! [`SessionStore`](crate::SessionStore) hold an eager finished count.
 
-use crate::compiled::CompiledMachine;
+use crate::compiled::{CompiledMachine, NO_TRANSITION};
 use crate::efsm_compiled::{BoundCand, BoundCell, CompiledEfsm, EfsmBinding, NO_INC16, SPILL};
 use crate::machine::MessageId;
 
-/// Reusable bucketing scratch for the batch kernels: a counting-sort
-/// index of sessions grouped by current state.
+/// What one batch delivery did: the sum over the block's live sessions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchTally {
+    /// Transitions taken.
+    pub transitions: u64,
+    /// Of those, transitions into a finish state. Finish states are
+    /// absorbing, so each is one session newly finished.
+    pub finished: u64,
+}
+
+impl std::ops::AddAssign for BatchTally {
+    fn add_assign(&mut self, other: BatchTally) {
+        self.transitions += other.transitions;
+        self.finished += other.finished;
+    }
+}
+
+/// Reusable bucketing scratch for the *register* (compiled-EFSM) tier's
+/// batch kernel: a counting-sort index of sessions grouped by current
+/// state. The dense and interpreted tiers never touch it.
 ///
 /// Create once per store and reuse across batches — the
 /// buffers grow to the store's session count and the machine's state
@@ -119,58 +137,44 @@ fn uniform(states: &[u32]) -> bool {
     states.iter().fold(0, |acc, &s| acc | (s ^ s0)) == 0
 }
 
-/// Dense-tier batch kernel: buckets `states` by current state and steps
-/// each bucket with its hoisted table cell; returns the transitions
-/// taken. Out-of-range ids (retired slots) are skipped untouched.
+/// Dense-tier batch kernel: one pass over `states`, each session
+/// reading its next state from `message`'s table column. Out-of-range
+/// ids (retired slots) clamp onto the column's skip entry and stay
+/// untouched.
 pub(crate) fn dense_batch(
     machine: &CompiledMachine,
     message: MessageId,
     states: &mut [u32],
-    scratch: &mut KernelScratch,
-) -> u64 {
-    if states.is_empty() {
-        return 0;
-    }
-    let n_states = machine.state_count();
-    let column = machine.column(message);
-    let stride = machine.message_column_classes();
-    let targets = machine.targets();
-    // Lockstep fast path: one shared state means one bucket, and one
-    // bucket needs no sort — the cell is read once and the whole SoA
+) -> BatchTally {
+    let (targets, enters_finish) = machine.column(message);
+    let skip = machine.state_count();
+    let Some(&first) = states.first() else {
+        return BatchTally::default();
+    };
+    // Lockstep fast path: the cell is read once and the whole SoA
     // column becomes a constant fill.
+    let (mut transitions, mut finished) = (0u64, 0u64);
     if uniform(states) {
-        let state = states[0] as usize;
-        if state >= n_states {
-            return 0; // every slot retired
+        let state = (first as usize).min(skip);
+        if targets[state] != NO_TRANSITION {
+            states.fill(targets[state]);
+            transitions = states.len() as u64;
+            finished = transitions * u64::from(enters_finish[state]);
         }
-        let target = targets[state * stride + column];
-        if target == crate::compiled::NO_TRANSITION {
-            return 0;
-        }
-        states.fill(target);
-        return states.len() as u64;
-    }
-    scratch.bucket(states, n_states);
-    let mut transitions = 0u64;
-    let mut start = 0usize;
-    for state in 0..n_states {
-        let end = scratch.counts[state] as usize;
-        if end == start {
-            continue;
-        }
-        let bucket = &scratch.order[start..end];
-        start = end;
-        // The whole bucket shares one table cell: hoist the load.
-        let target = targets[state * stride + column];
-        if target == crate::compiled::NO_TRANSITION {
-            continue;
-        }
-        transitions += bucket.len() as u64;
-        for &i in bucket {
-            states[i as usize] = target;
+    } else {
+        for st in states.iter_mut() {
+            let state = (*st as usize).min(skip);
+            let target = targets[state];
+            let took = target != NO_TRANSITION;
+            *st = if took { target } else { *st };
+            transitions += u64::from(took);
+            finished += u64::from(enters_finish[state]);
         }
     }
-    transitions
+    BatchTally {
+        transitions,
+        finished,
+    }
 }
 
 /// One [`BoundCand`] with its per-bucket constants pre-resolved for the
@@ -373,7 +377,10 @@ fn assert_lanes(h0: &HoistedCand, h1: &HoistedCand, n_regs: usize) {
 /// The masked column sweep over a *contiguous* run of sessions — the
 /// lockstep fast path, where the whole store shares one state. Walking
 /// `states` zipped with `chunks_exact_mut` rows gives affine addressing
-/// with no `order` indirection and no per-session re-slice.
+/// with no `order` indirection and no per-session re-slice. Returns how
+/// many sessions took a transition and how many of those the *second*
+/// candidate (the first's count is the difference — and with one
+/// candidate the second sum is a constant zero that folds away).
 fn sweep_range<const C0: usize, const C1: usize>(
     states: &mut [u32],
     vars: &mut [i64],
@@ -381,21 +388,22 @@ fn sweep_range<const C0: usize, const C1: usize>(
     state: u32,
     h0: &HoistedCand,
     h1: &HoistedCand,
-) -> u64 {
+) -> (u64, u64) {
     assert_lanes(h0, h1, n_regs);
-    let mut transitions = 0u64;
+    let mut taken = (0u64, 0u64);
     for (st, row) in states.iter_mut().zip(vars.chunks_exact_mut(n_regs)) {
         let (p0, p1) = masked_step_row::<C0, C1>(st, row, state, h0, h1);
-        transitions += (p0 | p1) as u64;
+        taken = (taken.0 + (p0 | p1) as u64, taken.1 + p1 as u64);
     }
-    transitions
+    taken
 }
 
 /// The masked column sweep over one scattered EFSM bucket: every
 /// session listed in `bucket` is in `state`, shares the two hoisted
 /// candidates, and is stepped with no data-dependent branch — check
 /// outcomes, candidate selection, the inline increment and the state
-/// write are all computed as 0/1 masks.
+/// write are all computed as 0/1 masks. Returns the same pair of counts
+/// as [`sweep_range`].
 fn sweep_bucket<const C0: usize, const C1: usize>(
     bucket: &[u32],
     states: &mut [u32],
@@ -404,14 +412,14 @@ fn sweep_bucket<const C0: usize, const C1: usize>(
     state: u32,
     h0: &HoistedCand,
     h1: &HoistedCand,
-) -> u64 {
+) -> (u64, u64) {
     assert_lanes(h0, h1, n_regs);
-    let mut transitions = 0u64;
+    let mut taken = (0u64, 0u64);
     for &i in bucket {
         let (p0, p1) = masked_step::<C0, C1>(i as usize, states, vars, n_regs, state, h0, h1);
-        transitions += (p0 | p1) as u64;
+        taken = (taken.0 + (p0 | p1) as u64, taken.1 + p1 as u64);
     }
-    transitions
+    taken
 }
 
 /// Pre-resolves one flat cell's candidates into their hoisted-constant
@@ -431,23 +439,39 @@ fn hoist_cell(cell: &BoundCell, dummy: usize) -> (HoistedCand, usize, HoistedCan
     (h0, c0, h1, c1)
 }
 
+/// A sweep's `(taken, of those the second candidate)` counts as a
+/// tally: each candidate's takes enter a finish state if its hoisted
+/// target is one — two multiplies per bucket, nothing per session.
+fn tally(taken: (u64, u64), h0: &HoistedCand, h1: &HoistedCand, finish: &[bool]) -> BatchTally {
+    let entered = |h: &HoistedCand| u64::from(finish[h.target as usize]);
+    BatchTally {
+        transitions: taken.0,
+        finished: (taken.0 - taken.1) * entered(h0) + taken.1 * entered(h1),
+    }
+}
+
 /// Dispatches the lockstep contiguous run to the monomorphic
 /// [`sweep_range`] matching its cell's candidate/check shape.
 fn sweep_cell_range(
     states: &mut [u32],
     vars: &mut [i64],
-    n_regs: usize,
     state: u32,
     cell: &BoundCell,
-    dummy: usize,
-) -> u64 {
-    let (h0, c0, h1, c1) = hoist_cell(cell, dummy);
+    machine: &CompiledEfsm,
+) -> BatchTally {
+    let n_regs = machine.reg_count();
+    let (h0, c0, h1, c1) = hoist_cell(cell, machine.dummy_reg());
     macro_rules! sweep {
         ($a:expr, $b:expr) => {
             sweep_range::<$a, $b>(states, vars, n_regs, state, &h0, &h1)
         };
     }
-    dispatch_shape!(c0, c1, sweep)
+    tally(
+        dispatch_shape!(c0, c1, sweep),
+        &h0,
+        &h1,
+        machine.finish_flags(),
+    )
 }
 
 /// Dispatches one scattered bucket to the monomorphic [`sweep_bucket`]
@@ -456,18 +480,23 @@ fn sweep_cell_bucket(
     bucket: &[u32],
     states: &mut [u32],
     vars: &mut [i64],
-    n_regs: usize,
     state: u32,
     cell: &BoundCell,
-    dummy: usize,
-) -> u64 {
-    let (h0, c0, h1, c1) = hoist_cell(cell, dummy);
+    machine: &CompiledEfsm,
+) -> BatchTally {
+    let n_regs = machine.reg_count();
+    let (h0, c0, h1, c1) = hoist_cell(cell, machine.dummy_reg());
     macro_rules! sweep {
         ($a:expr, $b:expr) => {
             sweep_bucket::<$a, $b>(bucket, states, vars, n_regs, state, &h0, &h1)
         };
     }
-    dispatch_shape!(c0, c1, sweep)
+    tally(
+        dispatch_shape!(c0, c1, sweep),
+        &h0,
+        &h1,
+        machine.finish_flags(),
+    )
 }
 
 /// The scalar fallback for a spilled `(state, message)` cell (general
@@ -485,17 +514,18 @@ fn spill_bucket(
     vars: &mut [i64],
     n_regs: usize,
     spill_scratch: &mut [i64],
-) -> u64 {
-    let mut transitions = 0u64;
+) -> BatchTally {
+    let mut tally = BatchTally::default();
     for i in sessions {
         let regs = &mut vars[i * n_regs..][..n_regs];
         if let Some((target, _actions)) = machine.step(state, message, binding, regs, spill_scratch)
         {
             states[i] = target;
-            transitions += 1;
+            tally.transitions += 1;
+            tally.finished += u64::from(machine.is_finish_state(target));
         }
     }
-    transitions
+    tally
 }
 
 /// EFSM-tier batch kernel: buckets `states` by current state, sweeps
@@ -513,9 +543,10 @@ pub(crate) fn efsm_batch(
     vars: &mut [i64],
     spill_scratch: &mut [i64],
     scratch: &mut KernelScratch,
-) -> u64 {
+) -> BatchTally {
+    let mut tally = BatchTally::default();
     if states.is_empty() {
-        return 0;
+        return tally;
     }
     let n_states = machine.state_count();
     let n_regs = machine.reg_count();
@@ -526,17 +557,16 @@ pub(crate) fn efsm_batch(
     );
     let stride = machine.msg_stride();
     let cells = binding.cells();
-    let dummy = machine.dummy_reg();
     // Lockstep fast path: one shared state means one bucket — skip the
     // sort and sweep the contiguous session range directly.
     if uniform(states) {
         let state = states[0] as usize;
         if state >= n_states {
-            return 0; // every slot retired
+            return tally; // every slot retired
         }
         let cell = &cells[state * stride + message.index()];
         if cell.count == 0 {
-            return 0;
+            return tally;
         }
         if cell.count == SPILL {
             return spill_bucket(
@@ -551,10 +581,9 @@ pub(crate) fn efsm_batch(
                 spill_scratch,
             );
         }
-        return sweep_cell_range(states, vars, n_regs, state as u32, cell, dummy);
+        return sweep_cell_range(states, vars, state as u32, cell, machine);
     }
     scratch.bucket(states, n_states);
-    let mut transitions = 0u64;
     let mut start = 0usize;
     for state in 0..n_states {
         let end = scratch.counts[state] as usize;
@@ -568,10 +597,10 @@ pub(crate) fn efsm_batch(
         if cell.count == 0 {
             continue;
         }
-        if cell.count == SPILL {
+        tally += if cell.count == SPILL {
             // Non-fused updates (general bytecode, deep candidate
             // lists): scalar fallback, hoisted per bucket.
-            transitions += spill_bucket(
+            spill_bucket(
                 bucket.iter().map(|&i| i as usize),
                 machine,
                 binding,
@@ -581,10 +610,107 @@ pub(crate) fn efsm_batch(
                 vars,
                 n_regs,
                 spill_scratch,
-            );
-            continue;
-        }
-        transitions += sweep_cell_bucket(bucket, states, vars, n_regs, state as u32, cell, dummy);
+            )
+        } else {
+            sweep_cell_bucket(bucket, states, vars, state as u32, cell, machine)
+        };
     }
-    transitions
+    tally
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+    use crate::machine::{StateMachineBuilder, StateRole};
+
+    const RETIRED: u32 = u32::MAX;
+
+    fn tally(transitions: u64, finished: u64) -> BatchTally {
+        BatchTally {
+            transitions,
+            finished,
+        }
+    }
+
+    /// `s0 -a-> s1 -a-> FIN`, dense.
+    fn dense() -> (CompiledMachine, MessageId) {
+        let mut b = StateMachineBuilder::new("m", ["a", "b"]);
+        let s0 = b.add_state("s0");
+        let s1 = b.add_state("s1");
+        let fin = b.add_state_full("FIN", None, StateRole::Finish, vec![]);
+        b.add_transition(s0, "a", s1, vec![]);
+        b.add_transition(s1, "a", fin, vec![]);
+        let machine = CompiledMachine::compile(&b.build(s0));
+        let a = machine.message_id("a").unwrap();
+        (machine, a)
+    }
+
+    /// The degenerate pools take the lockstep arm — a pool of nothing
+    /// but retired slots is "uniform" at the skip entry, a one-session
+    /// pool trivially — and a retired slot beside a live one takes the
+    /// gather, which must leave it alone; all report exact tallies.
+    #[test]
+    fn dense_retired_only_and_single_session_pools() {
+        let (machine, a) = dense();
+        assert_eq!(dense_batch(&machine, a, &mut []), tally(0, 0));
+        let mut retired = [RETIRED; 5];
+        assert_eq!(dense_batch(&machine, a, &mut retired), tally(0, 0));
+        assert_eq!(retired, [RETIRED; 5]);
+        let mut one = [0];
+        assert_eq!(dense_batch(&machine, a, &mut one), tally(1, 0));
+        assert_eq!(dense_batch(&machine, a, &mut one), tally(1, 1));
+        assert_eq!(dense_batch(&machine, a, &mut one), tally(0, 0));
+        assert_eq!(one, [2]);
+        let mut holed = [RETIRED, 1, 0, 2, RETIRED];
+        assert_eq!(dense_batch(&machine, a, &mut holed), tally(2, 1));
+        assert_eq!(holed, [RETIRED, 2, 1, 2, RETIRED]);
+    }
+
+    /// The same shapes on the register tier: `tick` counts `n` up to the
+    /// limit 2 in `counting`, then enters the finish state.
+    #[test]
+    fn efsm_retired_only_and_single_session_pools() {
+        let mut b = EfsmBuilder::new("counter", ["tick"]);
+        let limit = b.add_param("limit");
+        let n = b.add_var("n");
+        let counting = b.add_state("counting");
+        let done = b.add_state("done");
+        let next = LinExpr::var(n).plus_const(1);
+        for (op, to) in [(CmpOp::Lt, counting), (CmpOp::Ge, done)] {
+            let guard = Guard::when(next.clone(), op, LinExpr::param(limit));
+            b.add_transition(counting, "tick", guard, vec![Update::Inc(n)], vec![], to);
+        }
+        let machine = CompiledEfsm::compile(&b.build(counting, Some(done))).unwrap();
+        let binding = machine.bind(&[2]);
+        let tick = machine.message_id("tick").unwrap();
+        let regs = machine.reg_count();
+        let mut scratch = KernelScratch::new();
+        let mut spill = vec![0; machine.scratch_len()];
+        let mut run = |states: &mut [u32], vars: &mut [i64]| {
+            efsm_batch(
+                &machine,
+                &binding,
+                tick,
+                states,
+                vars,
+                &mut spill,
+                &mut scratch,
+            )
+        };
+        let mut retired = [RETIRED; 3];
+        assert_eq!(run(&mut retired, &mut vec![0; 3 * regs]), tally(0, 0));
+        assert_eq!(retired, [RETIRED; 3]);
+        let (mut one, mut vars) = ([0], vec![0; regs]);
+        assert_eq!(run(&mut one, &mut vars), tally(1, 0));
+        assert_eq!(run(&mut one, &mut vars), tally(1, 1));
+        assert_eq!(run(&mut one, &mut vars), tally(0, 0));
+        assert_eq!((one, vars[0]), ([1], 2));
+        // Bucketed arm: a retired slot, a fresh session, one a tick in.
+        let mut holed = [RETIRED, 0, 0];
+        let mut vars = vec![0; 3 * regs];
+        vars[2 * regs] = 1;
+        assert_eq!(run(&mut holed, &mut vars), tally(2, 1));
+        assert_eq!(holed, [RETIRED, 0, 1]);
+    }
 }

@@ -181,7 +181,7 @@ pub use interval::{
     cond_status, eval_lin, guard_status, guard_unsat, guards_disjoint, CondStatus, Interval,
 };
 pub use ir::{FlatIr, FlatState, FlatTransition, IrInstance};
-pub use kernel::KernelScratch;
+pub use kernel::{BatchTally, KernelScratch};
 pub use machine::{
     Action, MessageId, State, StateId, StateMachine, StateMachineBuilder, StateRole, Transition,
 };

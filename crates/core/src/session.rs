@@ -13,14 +13,17 @@
 //! * the variable registers, session-major, `reg_count` per session —
 //!   zero for an unguarded machine, so a flat FSM is the same store
 //!   with empty rows, not a second type;
-//! * a finished bitset, maintained *lazily*: the batch kernels never
-//!   touch it (finish states are absorbing, so finished-ness is
-//!   derivable from the state array), single-session steps keep it
-//!   current while it is clean, and queries rebuild it on demand;
+//! * an *eager* finished count: finish states are absorbing, so whether
+//!   a session has finished is the finish flag of its current state,
+//!   and every operation that writes states — single steps, resets,
+//!   the batch kernels (which report how many sessions entered a finish
+//!   state beside their transition count) — adjusts the count as it
+//!   goes, so `finished_count` / `all_finished` / `is_finished` are
+//!   O(1) at any time;
 //!
 //! so a store of a million unguarded sessions is ~4 MB of state and no
 //! session operation allocates. [`SessionStore::deliver_all`] routes
-//! through the bucketed branchless kernels (see the
+//! through the branchless batch kernels (see the
 //! [`kernel`](crate::kernel) module);
 //! [`SessionStore::deliver_all_scalar`] is the per-session walk the
 //! property suites hold them to.
@@ -50,70 +53,11 @@
 //! assert!(store.all_finished());
 //! ```
 
-use std::cell::RefCell;
 use std::sync::{Condvar, Mutex};
 
-use crate::kernel::KernelScratch;
+use crate::kernel::{BatchTally, KernelScratch};
 use crate::machine::{Action, MessageId};
 use crate::step::StepEngine;
-
-/// Finished-session bitset, maintained *lazily*: batch delivery only
-/// marks it dirty (a per-transition finish check costs 25-50% of raw
-/// dense dispatch), the single-session path keeps it incrementally
-/// current while clean, and queries rebuild it from the state array on
-/// demand.
-#[derive(Debug, Clone, Default)]
-struct FinishedBits {
-    words: Vec<u64>,
-    count: usize,
-    /// Set when the bits may lag the state array; cleared by
-    /// [`FinishedBits::rebuild`].
-    dirty: bool,
-}
-
-impl FinishedBits {
-    fn grow_for(&mut self, sessions: usize) {
-        let needed = sessions.div_ceil(64);
-        if self.words.len() < needed {
-            self.words.resize(needed, 0);
-        }
-    }
-
-    /// Sets or clears one bit; a no-op while dirty (the rebuild will
-    /// recompute it from the state array anyway).
-    #[inline]
-    fn put(&mut self, session: usize, finished: bool) {
-        if self.dirty {
-            return;
-        }
-        let word = &mut self.words[session / 64];
-        let bit = 1u64 << (session % 64);
-        if (*word & bit != 0) != finished {
-            *word ^= bit;
-            if finished {
-                self.count += 1;
-            } else {
-                self.count -= 1;
-            }
-        }
-    }
-
-    fn clear_all(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
-        self.dirty = false;
-    }
-
-    /// Recomputes every bit (and the count) from the state array.
-    /// Retired slots stay unset.
-    fn rebuild(&mut self, current: &[u32], engine: &StepEngine) {
-        self.clear_all();
-        engine.finished_slots(current, |session| {
-            self.words[session / 64] |= 1 << (session % 64);
-            self.count += 1;
-        });
-    }
-}
 
 /// One transition taken by [`SessionStore::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,16 +132,17 @@ pub struct SessionStore {
     /// One register row for [`SessionStore::probe_tail`], so a what-if
     /// step never touches the live row.
     probe_row: Vec<i64>,
-    /// Bucketing scratch for the batch kernels; store-resident so batch
-    /// delivery stays allocation-free after the first call.
+    /// Bucketing scratch for the register tier's batch kernel;
+    /// store-resident so batch delivery stays allocation-free after the
+    /// first call.
     kernel: KernelScratch,
     n_regs: usize,
     /// Slots currently retired.
     retired: usize,
     steps: u64,
-    /// `RefCell` so `&self` queries can rebuild it on demand (a store
-    /// has one writer, so the dynamic borrow never contends).
-    finished: RefCell<FinishedBits>,
+    /// Live slots whose state is a finish state, kept current by every
+    /// operation that writes `current`.
+    finished: usize,
 }
 
 impl SessionStore {
@@ -219,7 +164,7 @@ impl SessionStore {
             n_regs,
             retired: 0,
             steps: 0,
-            finished: RefCell::default(),
+            finished: 0,
         };
         for _ in 0..count {
             store.spawn();
@@ -259,9 +204,7 @@ impl SessionStore {
         let start = self.engine.start();
         self.current.push(start);
         self.vars.extend(std::iter::repeat_n(0, self.n_regs));
-        let finished = self.finished.get_mut();
-        finished.grow_for(session + 1);
-        finished.put(session, self.engine.is_finish_state(start));
+        self.finished += self.finishes(start);
         session
     }
 
@@ -309,37 +252,34 @@ impl SessionStore {
     }
 
     /// `true` once a live session has reached a finish state (`false`
-    /// for a retired slot). The first query after a batch delivery
-    /// rebuilds the bitset at O(slots); later ones are O(1).
+    /// for a retired slot): the finish flag of its current state, O(1).
     ///
     /// # Panics
     ///
     /// Panics if `session` is out of range.
     #[inline]
     pub fn is_finished(&self, session: usize) -> bool {
-        assert!(session < self.current.len(), "session out of range");
-        self.synced().words[session / 64] & (1 << (session % 64)) != 0
+        self.finishes(self.current[session]) == 1
     }
 
-    /// Number of live finished sessions (rebuilt lazily like
-    /// [`SessionStore::is_finished`]).
-    pub fn finished_count(&self) -> usize {
-        self.synced().count
-    }
-
-    /// `true` once every live session has finished.
-    pub fn all_finished(&self) -> bool {
-        self.finished_count() == self.live()
-    }
-
-    /// The finished bitset, rebuilt first if a batch left it stale.
+    /// Number of live finished sessions. O(1): the count is maintained
+    /// by every operation, batches included.
     #[inline]
-    fn synced(&self) -> std::cell::RefMut<'_, FinishedBits> {
-        let mut finished = self.finished.borrow_mut();
-        if finished.dirty {
-            finished.rebuild(&self.current, &self.engine);
-        }
-        finished
+    pub fn finished_count(&self) -> usize {
+        self.finished
+    }
+
+    /// `true` once every live session has finished. O(1).
+    #[inline]
+    pub fn all_finished(&self) -> bool {
+        self.finished == self.live()
+    }
+
+    /// What a slot holding `state` contributes to the finished count:
+    /// 1 for a finish state, 0 otherwise (a retired slot never counts).
+    #[inline]
+    fn finishes(&self, state: u32) -> usize {
+        usize::from(state != Self::RETIRED && self.engine.is_finish_state(state))
     }
 
     /// Total transitions taken across all sessions.
@@ -366,9 +306,8 @@ impl SessionStore {
         let (to, actions) = self.engine.step(from, message, regs, &mut self.scratch)?;
         self.current[session] = to;
         self.steps += 1;
-        if self.engine.is_finish_state(to) {
-            self.finished.get_mut().put(session, true);
-        }
+        // `from` was not a finish state: those take no transition.
+        self.finished += usize::from(self.engine.is_finish_state(to));
         Some(Taken { from, to, actions })
     }
 
@@ -417,27 +356,25 @@ impl SessionStore {
 
     /// Delivers a message to every live session, discarding actions;
     /// returns the number of transitions taken. This is the batch hot
-    /// loop ([`StepEngine::deliver_batch`]): no allocation, no
-    /// finished-bit maintenance, results bit-identical to
-    /// [`SessionStore::deliver_all_scalar`].
+    /// loop ([`StepEngine::deliver_batch`]): no allocation, the
+    /// finished count advanced by the kernel's own tally, results
+    /// bit-identical to [`SessionStore::deliver_all_scalar`].
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        let transitions = self.engine.deliver_batch(
+        let tally = self.engine.deliver_batch(
             message,
             &mut self.current,
             &mut self.vars,
             &mut self.scratch,
             &mut self.kernel,
         );
-        self.took(transitions)
+        self.took(tally)
     }
 
-    /// Accounts a batch's transitions: step count, stale finished bits.
-    fn took(&mut self, transitions: u64) -> u64 {
-        self.steps += transitions;
-        if transitions > 0 {
-            self.finished.get_mut().dirty = true;
-        }
-        transitions
+    /// Accounts a batch: step count and finished count.
+    fn took(&mut self, tally: BatchTally) -> u64 {
+        self.steps += tally.transitions;
+        self.finished += tally.finished as usize;
+        tally.transitions
     }
 
     /// The scalar reference form of [`SessionStore::deliver_all`]: a
@@ -454,31 +391,22 @@ impl SessionStore {
     /// the next session is stepped; returns the number of transitions.
     ///
     /// Visit order is ascending slot order — this path deliberately
-    /// keeps the scalar walk rather than the bucketed kernel, so the
+    /// keeps the scalar walk rather than a batch kernel, so the
     /// order observers see is independent of how sessions are
     /// distributed across states (see `docs/KERNELS.md`).
     pub fn deliver_all_with<F>(&mut self, message: MessageId, mut visit: F) -> u64
     where
         F: FnMut(usize, Taken<'_>),
     {
-        let n_states = self.engine.state_count() as u32;
-        // Rows ride along zipped, not indexed: with no registers the
-        // file is empty and every session gets the empty row.
-        let mut rows = self.vars.chunks_exact_mut(self.n_regs.max(1));
-        let mut transitions = 0;
-        for (session, cur) in self.current.iter_mut().enumerate() {
-            let regs = rows.next().unwrap_or_default();
-            let from = *cur;
-            if from >= n_states {
-                continue; // retired
-            }
-            if let Some((to, actions)) = self.engine.step(from, message, regs, &mut self.scratch) {
-                *cur = to;
-                transitions += 1;
-                visit(session, Taken { from, to, actions });
-            }
-        }
-        self.took(transitions)
+        let (states, vars) = (&mut self.current, &mut self.vars);
+        let tally = self.engine.walk_batch(
+            message,
+            states,
+            vars,
+            &mut self.scratch,
+            |session, from, to, actions| visit(session, Taken { from, to, actions }),
+        );
+        self.took(tally)
     }
 
     /// Returns one slot to the start state with zeroed registers — a
@@ -491,13 +419,12 @@ impl SessionStore {
     #[inline]
     pub fn reset_session(&mut self, session: usize) {
         let start = self.engine.start();
-        if std::mem::replace(&mut self.current[session], start) == Self::RETIRED {
+        let old = std::mem::replace(&mut self.current[session], start);
+        if old == Self::RETIRED {
             self.retired -= 1;
         }
         self.vars[session * self.n_regs..][..self.n_regs].fill(0);
-        self.finished
-            .get_mut()
-            .put(session, self.engine.is_finish_state(start));
+        self.finished = self.finished - self.finishes(old) + self.finishes(start);
     }
 
     /// Retires a live slot: it keeps its index but is skipped by every
@@ -510,9 +437,9 @@ impl SessionStore {
     #[inline]
     pub fn retire(&mut self, session: usize) {
         assert!(!self.is_retired(session), "session already retired");
+        self.finished -= self.finishes(self.current[session]);
         self.current[session] = Self::RETIRED;
         self.retired += 1;
-        self.finished.get_mut().put(session, false);
     }
 
     /// Returns every live session to the start state with zeroed
@@ -530,15 +457,13 @@ impl SessionStore {
         }
         self.vars.fill(0);
         self.steps = 0;
-        let finished = self.finished.get_mut();
-        finished.clear_all();
-        finished.dirty = self.engine.is_finish_state(start);
+        self.finished = self.live() * self.finishes(start);
     }
 
     /// Snapshot accessor: the dense state id of every slot, in slot
     /// order. Together with [`SessionStore::registers`] and the engine
     /// this is the store's complete execution state (finished-ness is
-    /// derivable — finish states are absorbing).
+    /// the finish flag of each state — finish states are absorbing).
     pub fn states(&self) -> &[u32] {
         &self.current
     }
@@ -554,7 +479,7 @@ impl SessionStore {
     /// from a snapshot taken via [`SessionStore::states`] /
     /// [`SessionStore::registers`] / [`SessionStore::steps`] under a
     /// behaviourally identical engine. The store takes the snapshot's
-    /// size; the finished set is rebuilt lazily.
+    /// size; the finished count is recounted in the validation pass.
     ///
     /// # Panics
     ///
@@ -571,19 +496,19 @@ impl SessionStore {
             self.n_regs,
         );
         let n_states = self.engine.state_count() as u32;
+        let (mut retired, mut finished) = (0, 0);
         for (slot, &state) in states.iter().enumerate() {
             assert!(
                 state == Self::RETIRED || state < n_states,
                 "corrupt snapshot: slot {slot} in state {state} but the engine has {n_states} states",
             );
+            retired += usize::from(state == Self::RETIRED);
+            finished += self.finishes(state);
         }
+        (self.retired, self.finished) = (retired, finished);
         self.current = states.to_vec();
         self.vars = registers.to_vec();
         self.steps = steps;
-        self.retired = states.iter().filter(|&&s| s == Self::RETIRED).count();
-        let finished = self.finished.get_mut();
-        finished.grow_for(states.len());
-        finished.dirty = true;
     }
 
     /// Re-targets a store with no live session at a different engine.
@@ -600,7 +525,7 @@ impl SessionStore {
         self.scratch = vec![0; engine.scratch_len()];
         self.vars = vec![0; self.current.len() * self.n_regs];
         self.engine = engine;
-        self.finished.get_mut().clear_all();
+        self.finished = 0;
     }
 }
 
@@ -1252,7 +1177,7 @@ mod tests {
         let mut pool = SessionStore::new(engine, 0);
         assert!(pool.is_empty());
         for _ in 0..70 {
-            pool.spawn(); // crosses a bitset word boundary
+            pool.spawn();
         }
         assert_eq!(pool.len(), 70);
         pool.deliver_all(a);
@@ -1365,7 +1290,7 @@ mod tests {
         let mut pool = SessionStore::new(engine, 0);
         assert!(pool.is_empty());
         for _ in 0..70 {
-            pool.spawn(); // crosses a bitset word boundary
+            pool.spawn();
         }
         pool.deliver_all(tick);
         assert!(pool.all_finished());

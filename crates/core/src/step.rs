@@ -25,8 +25,8 @@ use crate::compiled::CompiledMachine;
 use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
 use crate::error::StategenError;
 use crate::ir::FlatIr;
-use crate::kernel::{dense_batch, efsm_batch, KernelScratch};
-use crate::machine::{Action, MessageId, StateMachine, StateRole};
+use crate::kernel::{dense_batch, efsm_batch, BatchTally, KernelScratch};
+use crate::machine::{Action, MessageId, State, StateMachine, StateRole};
 
 /// Which execution tier a [`StepEngine`] runs on — what the two
 /// compilers (and their absence) distinguish, nothing more. The
@@ -117,21 +117,32 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct StepEngine {
     repr: Repr,
+    /// Per-state finish flags, whatever the tier — so the question the
+    /// stores ask per slot never branches on the representation.
+    finish: Arc<[bool]>,
 }
 
 impl StepEngine {
+    fn new(repr: Repr) -> Self {
+        let finish = match &repr {
+            Repr::Interpreted(m) => {
+                let finishes = |s: &State| s.role() == StateRole::Finish;
+                m.states().iter().map(finishes).collect()
+            }
+            Repr::Dense(m) => m.finish_flags().into(),
+            Repr::Register { machine, .. } => machine.finish_flags().into(),
+        };
+        StepEngine { repr, finish }
+    }
+
     /// The no-preparation tier: `machine` is walked as generated.
     pub fn interpreted(machine: impl Into<Arc<StateMachine>>) -> Self {
-        StepEngine {
-            repr: Repr::Interpreted(machine.into()),
-        }
+        StepEngine::new(Repr::Interpreted(machine.into()))
     }
 
     /// The dense-table tier over an already compiled machine.
     pub fn dense(machine: impl Into<Arc<CompiledMachine>>) -> Self {
-        StepEngine {
-            repr: Repr::Dense(machine.into()),
-        }
+        StepEngine::new(Repr::Dense(machine.into()))
     }
 
     /// The register-machine tier: `machine` bound to `params`, the
@@ -153,9 +164,7 @@ impl StepEngine {
             });
         }
         let binding = Arc::new(machine.bind(params));
-        Ok(StepEngine {
-            repr: Repr::Register { machine, binding },
-        })
+        Ok(StepEngine::new(Repr::Register { machine, binding }))
     }
 
     /// The one `FlatIr` + parameters → engine lowering: a guarded IR
@@ -211,41 +220,7 @@ impl StepEngine {
     /// Panics if `state` is out of range.
     #[inline]
     pub fn is_finish_state(&self, state: u32) -> bool {
-        match &self.repr {
-            Repr::Interpreted(m) => m.states()[state as usize].role() == StateRole::Finish,
-            Repr::Dense(m) => m.is_finish_state(state),
-            Repr::Register { machine, .. } => machine.is_finish_state(state),
-        }
-    }
-
-    /// The batch form of [`StepEngine::is_finish_state`]: calls
-    /// `mark(slot)`, in ascending order, for every slot of `states`
-    /// holding a finish state. Out-of-range ids (retired slots) are
-    /// skipped.
-    pub fn finished_slots(&self, states: &[u32], mark: impl FnMut(usize)) {
-        fn scan(states: &[u32], finishes: impl Fn(usize) -> bool, mut mark: impl FnMut(usize)) {
-            for (slot, &state) in states.iter().enumerate() {
-                if finishes(state as usize) {
-                    mark(slot);
-                }
-            }
-        }
-        let flagged = |flags: &[bool], state: usize| flags.get(state).copied().unwrap_or(false);
-        match &self.repr {
-            Repr::Interpreted(m) => {
-                let table = m.states();
-                let finishes = |s: usize| {
-                    table
-                        .get(s)
-                        .is_some_and(|st| st.role() == StateRole::Finish)
-                };
-                scan(states, finishes, mark);
-            }
-            Repr::Dense(m) => scan(states, |s| flagged(m.finish_flags(), s), mark),
-            Repr::Register { machine, .. } => {
-                scan(states, |s| flagged(machine.finish_flags(), s), mark);
-            }
-        }
+        self.finish[state as usize]
     }
 
     /// Display name of a state.
@@ -355,14 +330,7 @@ impl StepEngine {
         scratch: &mut [i64],
     ) -> Option<(u32, &[Action])> {
         match &self.repr {
-            Repr::Interpreted(m) => {
-                let from = &m.states()[state as usize];
-                if from.role() == StateRole::Finish {
-                    return None;
-                }
-                from.transition(message)
-                    .map(|t| (t.target().index() as u32, t.actions()))
-            }
+            Repr::Interpreted(m) => walk_step(m, state, message),
             Repr::Dense(m) => m.step(state, message),
             Repr::Register { machine, binding } => {
                 machine.step(state, message, binding, regs, scratch)
@@ -370,13 +338,55 @@ impl StepEngine {
         }
     }
 
+    /// The scalar batch walk: steps every live slot of a
+    /// struct-of-arrays block (laid out as for
+    /// [`StepEngine::deliver_batch`]) through the tier's single-session
+    /// step, in ascending slot order, calling `visit(slot, from, to,
+    /// actions)` for each transition before the next slot is stepped.
+    /// The tier is resolved once, outside the loop.
+    pub(crate) fn walk_batch<F>(
+        &self,
+        message: MessageId,
+        states: &mut [u32],
+        vars: &mut [i64],
+        scratch: &mut [i64],
+        visit: F,
+    ) -> BatchTally
+    where
+        F: FnMut(usize, u32, u32, &[Action]),
+    {
+        // The step closures own plain references (`move`), so the loop
+        // reads the machine directly, not through the engine's `Arc`s.
+        let (n_regs, finish) = (self.reg_count(), &*self.finish);
+        match &self.repr {
+            Repr::Interpreted(m) => {
+                let m: &StateMachine = m;
+                let step = move |state, _: &mut [i64]| walk_step(m, state, message);
+                walk(states, vars, n_regs, finish, step, visit)
+            }
+            Repr::Dense(m) => {
+                let m: &CompiledMachine = m;
+                let step = move |state, _: &mut [i64]| m.step(state, message);
+                walk(states, vars, n_regs, finish, step, visit)
+            }
+            Repr::Register { machine, binding } => {
+                let (machine, binding): (&CompiledEfsm, &EfsmBinding) = (machine, binding);
+                let step = move |state, regs: &mut [i64]| {
+                    machine.step(state, message, binding, regs, scratch)
+                };
+                walk(states, vars, n_regs, finish, step, visit)
+            }
+        }
+    }
+
     /// Delivers `message` to every session of a struct-of-arrays block
     /// — `states[s]` with session-major registers `vars[s * reg_count
-    /// ..]` — and returns the number of transitions taken; actions are
-    /// not materialised. The compiled tiers run the `(state,
-    /// message)`-bucketed branchless kernels (see the
-    /// [`kernel`](crate::kernel) module), the interpreted tier a plain
-    /// walk.
+    /// ..]` — and returns how many transitions were taken and how many
+    /// of them entered a finish state; actions are not materialised.
+    /// The dense tier gathers through the message's table column in one
+    /// pass, the register tier runs the `(state, message)`-bucketed
+    /// masked sweeps (see the [`kernel`](crate::kernel) module) — the
+    /// only tier that uses `kernel` — and the interpreted tier walks.
     ///
     /// Slots holding an out-of-range state id (a retired-slot sentinel
     /// such as `u32::MAX`) are skipped with their registers untouched,
@@ -397,29 +407,60 @@ impl StepEngine {
         vars: &mut [i64],
         scratch: &mut [i64],
         kernel: &mut KernelScratch,
-    ) -> u64 {
+    ) -> BatchTally {
         match &self.repr {
-            Repr::Interpreted(m) => {
-                let table = m.states();
-                let mut transitions = 0;
-                for cur in states.iter_mut() {
-                    let Some(from) = table.get(*cur as usize) else {
-                        continue; // retired slot
-                    };
-                    if from.role() == StateRole::Finish {
-                        continue;
-                    }
-                    if let Some(t) = from.transition(message) {
-                        *cur = t.target().index() as u32;
-                        transitions += 1;
-                    }
-                }
-                transitions
+            Repr::Interpreted(_) => {
+                self.walk_batch(message, states, vars, scratch, |_, _, _, _| {})
             }
-            Repr::Dense(m) => dense_batch(m, message, states, kernel),
+            Repr::Dense(m) => dense_batch(m, message, states),
             Repr::Register { machine, binding } => {
                 efsm_batch(machine, binding, message, states, vars, scratch, kernel)
             }
         }
     }
+}
+
+/// The interpreted tier's single-session step: a walk of the generated
+/// machine's transition map (finish states take no transition).
+#[inline]
+fn walk_step(machine: &StateMachine, state: u32, message: MessageId) -> Option<(u32, &[Action])> {
+    let from = &machine.states()[state as usize];
+    if from.role() == StateRole::Finish {
+        return None;
+    }
+    from.transition(message)
+        .map(|t| (t.target().index() as u32, t.actions()))
+}
+
+/// The loop of [`StepEngine::walk_batch`], written once and
+/// instantiated per tier with that tier's single-session `step`. Kept
+/// out of line so each instance gets its own register allocation:
+/// inlined side by side, the three loops spill each other's counters.
+#[inline(never)]
+fn walk<'e>(
+    states: &mut [u32],
+    vars: &mut [i64],
+    n_regs: usize,
+    finish: &[bool],
+    mut step: impl FnMut(u32, &mut [i64]) -> Option<(u32, &'e [Action])>,
+    mut visit: impl FnMut(usize, u32, u32, &[Action]),
+) -> BatchTally {
+    // Rows ride along zipped, not indexed: with no registers the file
+    // is empty and every slot gets the empty row.
+    let mut rows = vars.chunks_exact_mut(n_regs.max(1));
+    let mut tally = BatchTally::default();
+    for (slot, cur) in states.iter_mut().enumerate() {
+        let regs = rows.next().unwrap_or_default();
+        let from = *cur;
+        if from as usize >= finish.len() {
+            continue; // retired
+        }
+        if let Some((to, actions)) = step(from, regs) {
+            *cur = to;
+            tally.transitions += 1;
+            tally.finished += u64::from(finish[to as usize]);
+            visit(slot, from, to, actions);
+        }
+    }
+    tally
 }

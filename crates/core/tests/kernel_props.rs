@@ -1,19 +1,23 @@
-//! Kernel-equivalence properties: the bucketed batch kernels behind
+//! Kernel-equivalence properties: the batch kernels behind
 //! `SessionStore::deliver_all` (see `stategen_core::kernel`) are
 //! bit-identical to the scalar per-session walk (`deliver_all_scalar`)
 //! on the dense *and* the register engine, through one test body —
-//! states, registers, finished bits, transition totals, and the
+//! states, registers, finished flags, transition totals, and the
 //! transition stream a subsequent `deliver_all_with` observes —
-//! including under mid-sequence spawn/reset/retire churn. The one
-//! worker driver (`ShardedPool::with_workers`) is likewise pinned to
-//! flat-store results for every worker count.
+//! including under mid-sequence spawn/reset/retire churn. A second
+//! body pins the store's *eager* finished count: on random machines,
+//! on all three tiers, after every store operation it equals a recount
+//! from the state array. The one worker driver
+//! (`ShardedPool::with_workers`) is likewise pinned to flat-store
+//! results for every worker count.
 
 use proptest::prelude::*;
 
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, MessageId, Outcome,
-    SessionStore, ShardedPool, StateComponent, StateSpace, StateVector, StepEngine,
+    generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, FlatIr, FlatState,
+    FlatTransition, MessageId, Outcome, SessionStore, ShardedPool, StateComponent, StateRole,
+    StateSpace, StateVector, StepEngine,
 };
 
 // ---------------------------------------------------------------------
@@ -187,7 +191,7 @@ fn message(engine: &StepEngine, mi: usize) -> MessageId {
 // ---------------------------------------------------------------------
 
 /// The kernel behind `deliver_all` is bit-identical to the scalar walk
-/// on `engine`: same states, *registers*, finished bits, transition
+/// on `engine`: same states, *registers*, finished flags, transition
 /// totals after every op, and the same `deliver_all_with` transition
 /// stream afterwards — through reset/spawn/retire churn between
 /// batches.
@@ -266,7 +270,7 @@ fn kernel_matches_scalar(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The bucketed dense kernel matches the scalar walk.
+    /// The dense column-gather kernel matches the scalar walk.
     #[test]
     fn dense_kernel_matches_scalar(
         model in two_counter(),
@@ -287,6 +291,266 @@ proptest! {
         ops in op_stream(),
     ) {
         kernel_matches_scalar(register_engine(t, spill), sessions, &ops, 1)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The eager finished count: one body, all three tiers.
+// ---------------------------------------------------------------------
+
+/// One `(state, message)` cell of a [`RandomMachine`].
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    Empty,
+    /// One unguarded transition.
+    Plain(usize),
+    /// Two candidates split on `x + 1 < t`, both incrementing `x` — as a
+    /// `Set` (not inline-fusable: the kernel's spill path) if `spill`.
+    /// The unguarded lowering keeps only the first target.
+    Split(usize, usize, bool),
+}
+
+/// A random machine over messages `a`/`b`, built to hit the count's
+/// edge cases: any state may be a finish state — the start state
+/// included — and finish states keep their (ignored) outgoing edges;
+/// cells may be empty; the wide draws exceed 256 states.
+#[derive(Debug, Clone)]
+struct RandomMachine {
+    /// Per state: is it a finish state, and its two cells.
+    states: Vec<(bool, [Cell; 2])>,
+    start: usize,
+}
+
+fn random_machine() -> impl Strategy<Value = RandomMachine> {
+    let cell = (0u8..8, any::<usize>(), any::<usize>());
+    let state = (0u8..4, cell.clone(), cell);
+    (
+        prop_oneof![1usize..12, 257usize..300],
+        any::<usize>(),
+        prop::collection::vec(state, 300),
+    )
+        .prop_map(|(n, start, raw)| {
+            let cell = |(kind, t0, t1): (u8, usize, usize)| match kind {
+                0..=1 => Cell::Empty,
+                2..=4 => Cell::Plain(t0 % n),
+                _ => Cell::Split(t0 % n, t1 % n, kind == 7),
+            };
+            let states = raw.into_iter().take(n);
+            RandomMachine {
+                states: states
+                    .map(|(f, a, b)| (f == 0, [cell(a), cell(b)]))
+                    .collect(),
+                start: start % n,
+            }
+        })
+}
+
+impl RandomMachine {
+    /// The machine as an IR: with `guarded`, over one variable and one
+    /// parameter; without, `Split` cells collapse to their first target.
+    fn ir(&self, guarded: bool) -> FlatIr {
+        // `VarId` / `ParamId` are minted by a builder only.
+        let mut ids = EfsmBuilder::new("ids", ["a"]);
+        let (t, x) = (ids.add_param("t"), ids.add_var("x"));
+        let next = || LinExpr::var(x).plus_const(1);
+        let plain = |m, to| FlatTransition::new(m, Guard::always(), vec![], vec![], to as u32);
+        let split = |m, op, spill, to| {
+            let update = match spill {
+                true => Update::Set(x, next()),
+                false => Update::Inc(x),
+            };
+            let guard = Guard::when(next(), op, LinExpr::param(t));
+            FlatTransition::new(m, guard, vec![update], vec![], to as u32)
+        };
+        let states = self.states.iter().enumerate().map(|(i, (finish, cells))| {
+            let mut transitions = Vec::new();
+            for (m, &cell) in cells.iter().enumerate() {
+                match cell {
+                    Cell::Empty => {}
+                    Cell::Plain(to) => transitions.push(plain(m, to)),
+                    Cell::Split(to, _, _) if !guarded => transitions.push(plain(m, to)),
+                    Cell::Split(below, at, spill) => {
+                        transitions.push(split(m, CmpOp::Lt, spill, below));
+                        transitions.push(split(m, CmpOp::Ge, spill, at));
+                    }
+                }
+            }
+            let role = match finish {
+                true => StateRole::Finish,
+                false => StateRole::Normal,
+            };
+            FlatState::new(format!("s{i}"), role, transitions)
+        });
+        let (params, vars) = match guarded {
+            true => (vec!["t".to_string()], vec!["x".to_string()]),
+            false => (vec![], vec![]),
+        };
+        let messages = vec!["a".to_string(), "b".to_string()];
+        FlatIr::from_parts(
+            "random",
+            messages,
+            params,
+            vars,
+            states.collect(),
+            self.start as u32,
+        )
+    }
+}
+
+/// One store operation of the finished-count property.
+#[derive(Debug, Clone, Copy)]
+enum StoreOp {
+    Spawn,
+    Step(usize, usize),
+    /// `reset_session` — on a retired slot, a revival.
+    Reset(usize),
+    Retire(usize),
+    ResetAll,
+    DeliverAll(usize),
+    DeliverAllScalar(usize),
+    DeliverAllWith(usize),
+    /// `restore` from the store's own `states()` / `registers()`.
+    Restore,
+}
+
+fn store_ops() -> impl Strategy<Value = Vec<StoreOp>> {
+    prop::collection::vec((0u8..16, any::<usize>()), 0..64).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(kind, pick)| match kind {
+                0 => StoreOp::Spawn,
+                1..=3 => StoreOp::Step(pick / 2, pick % 2),
+                4 => StoreOp::Reset(pick),
+                5..=6 => StoreOp::Retire(pick),
+                7 => StoreOp::ResetAll,
+                8..=11 => StoreOp::DeliverAll(pick % 2),
+                12 => StoreOp::DeliverAllScalar(pick % 2),
+                13..=14 => StoreOp::DeliverAllWith(pick % 2),
+                _ => StoreOp::Restore,
+            })
+            .collect()
+    })
+}
+
+/// `finished_count`, `is_finished` and `all_finished` against a recount
+/// from the state array.
+fn count_is_exact(store: &SessionStore, step: usize) -> Result<(), TestCaseError> {
+    let engine = store.engine();
+    let finished = |s: usize| !store.is_retired(s) && engine.is_finish_state(store.state(s));
+    let recount = (0..store.len()).filter(|&s| finished(s)).count();
+    prop_assert_eq!(store.finished_count(), recount, "step {}", step);
+    prop_assert_eq!(
+        store.all_finished(),
+        recount == store.live(),
+        "step {}",
+        step
+    );
+    for s in 0..store.len() {
+        prop_assert_eq!(
+            store.is_finished(s),
+            finished(s),
+            "step {} slot {}",
+            step,
+            s
+        );
+    }
+    Ok(())
+}
+
+/// Two stores over `engine` take the same operations — `kernel` its
+/// batches through `deliver_all`, `scalar` through the scalar walk —
+/// and after **every** operation each one's finished count is exact
+/// and the two are bit-identical.
+fn finished_count_tracks_states(
+    engine: StepEngine,
+    sessions: usize,
+    ops: &[StoreOp],
+) -> Result<(), TestCaseError> {
+    let mut kernel = SessionStore::new(engine.clone(), sessions);
+    let mut scalar = SessionStore::new(engine.clone(), sessions);
+    count_is_exact(&kernel, 0)?;
+    for (step, &op) in ops.iter().enumerate() {
+        let slot = |pick: usize| (!kernel.is_empty()).then(|| pick % kernel.len());
+        match op {
+            StoreOp::Spawn => prop_assert_eq!(kernel.spawn(), scalar.spawn()),
+            StoreOp::Step(pick, mi) => {
+                if let Some(s) = slot(pick).filter(|&s| !kernel.is_retired(s)) {
+                    let mid = message(&engine, mi);
+                    let took = kernel.step(s, mid).map(|t| (t.from, t.to));
+                    prop_assert_eq!(took, scalar.step(s, mid).map(|t| (t.from, t.to)));
+                }
+            }
+            StoreOp::Reset(pick) => {
+                if let Some(s) = slot(pick) {
+                    kernel.reset_session(s);
+                    scalar.reset_session(s);
+                }
+            }
+            StoreOp::Retire(pick) => {
+                if let Some(s) = slot(pick).filter(|&s| !kernel.is_retired(s)) {
+                    kernel.retire(s);
+                    scalar.retire(s);
+                }
+            }
+            StoreOp::ResetAll => {
+                kernel.reset_all();
+                scalar.reset_all();
+            }
+            StoreOp::DeliverAll(mi) => {
+                let mid = message(&engine, mi);
+                let taken = kernel.deliver_all(mid);
+                prop_assert_eq!(taken, scalar.deliver_all_scalar(mid), "step {}", step);
+            }
+            StoreOp::DeliverAllScalar(mi) => {
+                let mid = message(&engine, mi);
+                let taken = kernel.deliver_all_scalar(mid);
+                prop_assert_eq!(taken, scalar.deliver_all_scalar(mid), "step {}", step);
+            }
+            StoreOp::DeliverAllWith(mi) => {
+                let mid = message(&engine, mi);
+                let mut visited = 0;
+                let taken = kernel.deliver_all_with(mid, |_, _| visited += 1);
+                prop_assert_eq!(taken, visited);
+                prop_assert_eq!(taken, scalar.deliver_all_scalar(mid), "step {}", step);
+            }
+            StoreOp::Restore => {
+                // Into a fresh, differently sized store on one side,
+                // over itself on the other.
+                let mut fresh = SessionStore::new(engine.clone(), 3);
+                fresh.restore(kernel.states(), kernel.registers(), kernel.steps());
+                kernel = fresh;
+                let (states, registers) = (scalar.states().to_vec(), scalar.registers().to_vec());
+                scalar.restore(&states, &registers, scalar.steps());
+            }
+        }
+        count_is_exact(&kernel, step)?;
+        count_is_exact(&scalar, step)?;
+        prop_assert_eq!(kernel.states(), scalar.states(), "step {}", step);
+        prop_assert_eq!(kernel.registers(), scalar.registers(), "step {}", step);
+        prop_assert_eq!(kernel.live(), scalar.live(), "step {}", step);
+        prop_assert_eq!(kernel.steps(), scalar.steps(), "step {}", step);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The finished count is exact after every operation, on the dense,
+    /// the register and the interpreted engine of one random machine.
+    #[test]
+    fn finished_count_is_eager_on_every_tier(
+        machine in random_machine(),
+        t in 1i64..5,
+        sessions in 0usize..48,
+        ops in store_ops(),
+    ) {
+        let flat = machine.ir(false);
+        let dense = StepEngine::compile_ir(&flat, &[]).expect("unguarded IR compiles");
+        let register = StepEngine::compile_ir(&machine.ir(true), &[t]).expect("guarded IR compiles");
+        let interpreted = StepEngine::interpreted(flat.to_machine());
+        for engine in [dense, register, interpreted] {
+            finished_count_tracks_states(engine, sessions, &ops)?;
+        }
     }
 }
 

@@ -79,7 +79,7 @@ fn event(slot: usize, generation: u32, message: MessageId, taken: Taken<'_>) -> 
 }
 
 /// One shard of a [`Runtime`]: a [`SessionStore`] — the slot arrays,
-/// registers, kernels and finished bits every tier shares — plus only
+/// registers, kernels and finished count every tier shares — plus only
 /// what is the runtime's own: per-slot generations and the free list
 /// behind [`SessionId`], telemetry counters, the flight recorder, and
 /// the lockstep hint that keeps its tail probe O(ring capacity).
@@ -229,8 +229,8 @@ impl Shard {
         }
     }
 
-    /// Captures the shard's complete durable state (the finished bitset
-    /// is derivable from the state array and rebuilt lazily on restore).
+    /// Captures the shard's complete durable state (finished-ness is
+    /// the finish flag of each slot's state; restore recounts it).
     fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
             current: self.store.states().to_vec(),
@@ -433,9 +433,10 @@ pub struct SessionSnapshot {
     pub generation: u32,
 }
 
-/// One shard's durable state inside a [`RuntimeSnapshot`]. The finished
-/// bitset is deliberately absent: finish states are absorbing, so it is
-/// derivable from the state array and rebuilt lazily after restore.
+/// One shard's durable state inside a [`RuntimeSnapshot`]. Nothing
+/// about finished sessions is stored: finish states are absorbing, so a
+/// slot is finished exactly when its state is a finish state, and the
+/// store recounts while it validates the restored state array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ShardSnapshot {
     current: Vec<u32>,
@@ -896,16 +897,11 @@ impl Runtime {
         store.is_finished(slot)
     }
 
-    /// Number of live finished sessions.
-    ///
-    /// Tracked incrementally by the single-session paths (O(shards)
-    /// while only [`Runtime::deliver`]/[`Runtime::reset`]/
-    /// [`Runtime::release`] have run), but a
-    /// [`Runtime::deliver_all`] batch leaves the finished bitset stale
-    /// — keeping the batch hot loop free of per-transition finish
-    /// checks — so the first query after a batch rebuilds it at O(live
-    /// sessions) per dirty shard. Poll between batches, not inside a
-    /// per-delivery hot path.
+    /// Number of live finished sessions. O(shards) at any time: each
+    /// shard's store keeps the count current through single deliveries,
+    /// resets, releases and [`Runtime::deliver_all`] batches alike (the
+    /// batch kernels report how many sessions entered a finish state
+    /// beside their transition count).
     pub fn finished_count(&self) -> usize {
         self.pool.finished_count()
     }
@@ -1727,6 +1723,64 @@ mod tests {
         });
         assert_eq!(total, 140);
         assert!(rt.all_finished());
+    }
+
+    /// The finished count is eager on every shard: after any mix of
+    /// single deliveries, resets, releases and batches — through the
+    /// one-command sharded `deliver_all` or a held-open driver — the
+    /// sharded total equals the flat runtime's and a per-handle recount.
+    #[test]
+    fn sharded_finished_totals_match_flat_after_mixed_deliveries() {
+        let engine = Engine::compile(Spec::machine(finishing_machine())).unwrap();
+        let (a, b) = (
+            engine.message_id("a").unwrap(),
+            engine.message_id("b").unwrap(),
+        );
+        let mut flat = engine.runtime();
+        let mut sharded = engine.runtime().sharded(4);
+        let flat_ids: Vec<_> = (0..103).map(|_| flat.spawn()).collect();
+        let ids: Vec<_> = (0..103).map(|_| sharded.spawn()).collect();
+        let agree = |flat: &Runtime, sharded: &Runtime| {
+            let recount = |rt: &Runtime, ids: &[SessionId]| {
+                let live = ids.iter().filter(|&&id| rt.is_live(id));
+                live.filter(|&&id| rt.is_finished(id)).count()
+            };
+            assert_eq!(flat.finished_count(), recount(flat, &flat_ids));
+            assert_eq!(sharded.finished_count(), recount(sharded, &ids));
+            assert_eq!(flat.finished_count(), sharded.finished_count());
+            assert_eq!(flat.all_finished(), sharded.all_finished());
+        };
+        // Single deliveries diverge the pool: every third session one
+        // hop ahead, every seventh finished; one finished session is
+        // reset, one released.
+        for i in (0..103).step_by(3) {
+            for rt_ids in [(&mut flat, &flat_ids), (&mut sharded, &ids)] {
+                rt_ids.0.deliver(rt_ids.1[i], a);
+                if i % 7 == 0 {
+                    rt_ids.0.deliver(rt_ids.1[i], a);
+                }
+            }
+        }
+        agree(&flat, &sharded);
+        for (rt, ids) in [(&mut flat, &flat_ids), (&mut sharded, &ids)] {
+            assert!(rt.is_finished(ids[0]) && rt.is_finished(ids[21]));
+            rt.reset(ids[0]);
+            rt.release(ids[21]);
+        }
+        agree(&flat, &sharded);
+        // A one-command sharded batch, then a held-open driver.
+        assert_eq!(flat.deliver_all(b), sharded.deliver_all(b));
+        assert_eq!(flat.deliver_all(a), sharded.deliver_all(a));
+        agree(&flat, &sharded);
+        flat.deliver(flat_ids[1], a);
+        sharded.deliver(ids[1], a);
+        let driven = sharded.with_workers(2, |w| {
+            let t = w.deliver_all(a);
+            (t, w.finished_count())
+        });
+        assert_eq!(driven, (flat.deliver_all(a), flat.finished_count()));
+        agree(&flat, &sharded);
+        assert!(sharded.all_finished());
     }
 
     #[test]

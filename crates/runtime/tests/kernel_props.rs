@@ -1,9 +1,9 @@
 //! Facade-level kernel-equivalence properties: `Runtime::deliver_all`
-//! (routed through the bucketed batch kernels on the compiled tiers) is
+//! (routed through the batch kernels on the compiled tiers) is
 //! bit-identical to per-session scalar delivery and to the
 //! telemetry-observed path — states, actions, finished flags, metrics
 //! and snapshots — under spawn/release/reset churn between batches
-//! (released slots exercise the kernels' retired-slot skip bucket), on
+//! (released slots exercise the kernels' retired-slot skip), on
 //! the compiled, compiled-EFSM and reconstructed build-time-generated
 //! tiers, and under the one worker driver at every worker count.
 

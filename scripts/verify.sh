@@ -22,8 +22,10 @@
 #    tracked within ~1.5x of the batched compiled-EFSM row), the batch
 #    kernel gates — batched_kernel ≥ 1.25x the scalar pool walk and
 #    efsm_kernel ≥ 1.4x the scalar EFSM walk, paired passes at 4096
-#    sessions, 0 allocs/delivery (docs/KERNELS.md) — and the telemetry
-#    overhead bounds — runtime_facade ≤ 1.10x raw compiled
+#    lockstep sessions, and batched_kernel_divergent ≥ 1.5x the scalar
+#    walk on a pre-diverged 65 536-session pool (efsm_kernel_divergent
+#    is recorded ungated), 0 allocs/delivery (docs/KERNELS.md) — and
+#    the telemetry overhead bounds — runtime_facade ≤ 1.10x raw compiled
 #    dispatch with telemetry compiled in but disabled, and
 #    runtime_observed (flight recorder + metrics on) ≤ 1.25x the
 #    facade, both at 64k sessions / 0 allocs per delivery, paired
@@ -54,8 +56,10 @@
 #    one-store / one-driver collapse deleted (the two core pools, the
 #    parked and stealing driver handles, the runtime's private tier
 #    enum, the statechart pseudo-tiers) reappears in the sources or
-#    docs; and re-runs the generation-exhaustion unit test in release
-#    mode (its arithmetic wraps there instead of panicking);
+#    docs, or the lazy finished bitset (its type, its batch scan, its
+#    dirty flag) under crates/core/src; and re-runs the
+#    generation-exhaustion unit test in release mode (its arithmetic
+#    wraps there instead of panicking);
 # 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
 #    a workspace of its own, so steps 1-3 do not reach it) and one short
 #    traced storage_commit run, which must pass its output checks and
@@ -68,7 +72,13 @@
 #    pass in `analyze` or in `minimize` than in the generator whose
 #    output they check (a ratio inside one run; both read about 3x the
 #    generator while a refinement round searched the classes seen so
-#    far, about 0.2x since — docs/ANALYSIS.md).
+#    far, about 0.2x since — docs/ANALYSIS.md), then one short traced
+#    batch_divergent run, which must pass its output checks, allocate
+#    nothing per delivery, and serve a divergent deliver_all on the
+#    compiled dense tier in at most half the interpreted tier's time
+#    per session (a ratio inside one run; it read 0.73 while the dense
+#    kernel counting-sorted sessions by state, about 0.15 since the
+#    one-pass column gather — docs/KERNELS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,11 +124,16 @@ if grep -rnE 'SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_ste
     echo "verify.sh: the names above were deleted by the session-store collapse (CHANGES.md, PR 14)" >&2
     exit 1
 fi
+if grep -rnE 'FinishedBits|finished_slots|\.dirty' crates/core/src; then
+    echo "verify.sh: the finished count is eager; the lazy bitset above was deleted (CHANGES.md, PR 15)" >&2
+    exit 1
+fi
 
 echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
            batched_pool batched_kernel efsm_pool efsm_kernel efsm_compiled \
+           batched_kernel_divergent efsm_kernel_divergent \
            artifact_cold_load artifact_booted_pool \
            sharded_pool_4 sharded_persistent_4 work_stealing_4 generated \
            runtime_facade runtime_facade_sharded_4 runtime_observed; do
@@ -154,5 +169,16 @@ minimize = metrics["analysis.minimize_ms"]["value"]
 failed = metrics["check.failed_share"]["value"]
 print(f"generate_ms {generate:.2f}, analyze_ms {analyze:.2f}, minimize_ms {minimize:.2f}, check.failed_share {failed}")
 sys.exit(0 if failed == 0 and analyze <= generate and minimize <= generate else 1)'
+
+echo "== batch_divergent traced: output checks + 0 allocs + compiled deliver_all <= 0.5x interpreted =="
+bash benchmark/run.sh --workload batch_divergent --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+compiled = metrics["runtime.deliver_all_ns_per_session"]["value"]
+interpreted = metrics["core.interp.deliver_all_ns_per_session"]["value"]
+allocs = metrics["alloc.allocs_per_kop"]["value"]
+failed = metrics["check.failed_share"]["value"]
+print(f"deliver_all ns/session: compiled {compiled:.2f}, interpreted {interpreted:.2f}; allocs_per_kop {allocs}, check.failed_share {failed}")
+sys.exit(0 if failed == 0 and allocs == 0 and compiled <= 0.5 * interpreted else 1)'
 
 echo "verify.sh: all green"
