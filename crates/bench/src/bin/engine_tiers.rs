@@ -13,10 +13,10 @@
 //! multi-threading involved — at zero allocations per delivery.
 //! Those rows run the canonical trace in *lockstep* (every session in
 //! one state: the kernels' `fill` / contiguous-sweep fast paths); the
-//! `*_divergent` pairs run pre-diverged pools at r = 7 and r = 25, where
+//! `*_divergent` rows run pre-diverged pools at r = 7 and r = 25, where
 //! the dense tier's one-pass column gather is gated at ≥ 1.5× the
-//! scalar walk and the register tier's bucketed sweep is recorded
-//! ungated (it does not beat the scalar walk there).
+//! scalar walk; the register tier serves a divergent pool *by* the
+//! scalar walk, so it has the `efsm_pool_divergent*` rows only.
 //!
 //! The sharded and facade tiers are measured **through the
 //! `stategen-runtime` facade** (`Spec → Engine → Runtime`) — the owned
@@ -74,7 +74,8 @@ use stategen_commit::{
     commit_efsm, commit_efsm_instance, commit_efsm_params, CommitConfig, CommitModel,
 };
 use stategen_core::{
-    generate, CompiledEfsm, CompiledMachine, FsmInstance, ProtocolEngine, SessionStore, StepEngine,
+    generate, CompiledEfsm, CompiledMachine, FlatIr, Instance, ProtocolEngine, SessionStore,
+    StepEngine,
 };
 use stategen_generated::GeneratedCommitR4;
 use stategen_models::{redundant_ring, session_lifecycle, session_lifecycle_guarded};
@@ -107,8 +108,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The canonical commit trace driven by every tier (same as the
-/// `runtime_comparison` bench).
+/// The canonical commit trace driven by every tier.
 const TRACE: [&str; 9] = [
     "update", "vote", "vote", "commit", "not_free", "vote", "free", "commit", "vote",
 ];
@@ -166,22 +166,24 @@ fn measure(
 /// pre-diverged pool is still spread over many states at the end.
 const DIVERGENT_ROUNDS: usize = 16;
 
-/// The divergent-pool pair: `sessions` sessions of `engine`, each
+/// The divergent-pool rows: `sessions` sessions of `engine`, each
 /// pre-diverged by a private prefix of 0–7 single deliveries (as
 /// `benchmark/src/workloads/batch.rs` does), then fed a fixed
-/// [`DIVERGENT_ROUNDS`]-message script — through `deliver_all` (the
-/// kernel) and `deliver_all_scalar` in alternating passes, best of 5
-/// each. Only the batch calls are timed; re-diverging between
-/// repetitions is not. Returns the `<tier>_kernel_divergent<suffix>` and
-/// `<tier>_pool_divergent<suffix>` rows and the scalar / kernel ratio,
-/// having asserted that both walks agree on every transition total and
-/// end in the same states, registers and finished count.
-fn divergent_pair(
+/// [`DIVERGENT_ROUNDS`]-message script through `deliver_all_scalar` —
+/// and, with `kernel`, through `deliver_all` in alternating passes —
+/// best of 5 each. Only the batch calls are timed; re-diverging between
+/// repetitions is not. Returns the `<tier>_kernel_divergent<suffix>`
+/// (with `kernel`) and `<tier>_pool_divergent<suffix>` rows and the
+/// scalar / kernel ratio, having asserted that both walks agree on
+/// every transition total and end in the same states, registers and
+/// finished count.
+fn divergent_rows(
     tier: &str,
     suffix: &str,
     engine: &StepEngine,
     sessions: usize,
-) -> ([TierResult; 2], f64) {
+    kernel: bool,
+) -> (Vec<TierResult>, Option<f64>) {
     let alphabet: Vec<_> = engine
         .messages()
         .iter()
@@ -218,15 +220,20 @@ fn divergent_pair(
         let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
         (ns as f64, transitions, allocs)
     };
-    let mut kernel = SessionStore::new(engine.clone(), sessions);
-    let mut scalar = SessionStore::new(engine.clone(), sessions);
-    let expected = pass(&mut scalar, false).1; // warm-up, and the oracle
-    assert_eq!(pass(&mut kernel, true).1, expected);
-    let mut best = [f64::INFINITY; 2];
-    let mut worst_allocs = [0u64; 2];
+    // `(store, through the kernel?, row kind)`, the scalar oracle first.
+    let mut sides = vec![(SessionStore::new(engine.clone(), sessions), false, "pool")];
+    if kernel {
+        sides.push((SessionStore::new(engine.clone(), sessions), true, "kernel"));
+    }
+    let expected = pass(&mut sides[0].0, false).1; // warm-up, and the oracle
+    for (store, kernel, _) in &mut sides[1..] {
+        assert_eq!(pass(store, *kernel).1, expected);
+    }
+    let mut best = vec![f64::INFINITY; sides.len()];
+    let mut worst_allocs = vec![0u64; sides.len()];
     for _ in 0..5 {
-        for (side, store) in [&mut kernel, &mut scalar].into_iter().enumerate() {
-            let (ns, transitions, allocs) = pass(store, side == 0);
+        for (side, (store, kernel, _)) in sides.iter_mut().enumerate().rev() {
+            let (ns, transitions, allocs) = pass(store, *kernel);
             assert_eq!(
                 transitions, expected,
                 "{tier} divergent: kernel and scalar walks must take the same transitions"
@@ -235,16 +242,23 @@ fn divergent_pair(
             worst_allocs[side] = worst_allocs[side].max(allocs);
         }
     }
-    assert_eq!(kernel.states(), scalar.states());
-    assert_eq!(kernel.registers(), scalar.registers());
-    assert_eq!(kernel.finished_count(), scalar.finished_count());
-    let row = |side: usize, kind: &str| TierResult {
-        name: format!("{tier}_{kind}_divergent{suffix}"),
-        ns_per_delivery: best[side] / deliveries as f64,
-        allocs_per_delivery: worst_allocs[side] as f64 / deliveries as f64,
-        assert_zero_alloc: true,
-    };
-    ([row(0, "kernel"), row(1, "pool")], best[1] / best[0])
+    let oracle = &sides[0].0;
+    for (store, _, _) in &sides[1..] {
+        assert_eq!(store.states(), oracle.states());
+        assert_eq!(store.registers(), oracle.registers());
+        assert_eq!(store.finished_count(), oracle.finished_count());
+    }
+    let rows = sides
+        .iter()
+        .enumerate()
+        .rev()
+        .map(|(side, (_, _, kind))| TierResult {
+            name: format!("{tier}_{kind}_divergent{suffix}"),
+            ns_per_delivery: best[side] / deliveries as f64,
+            allocs_per_delivery: worst_allocs[side] as f64 / deliveries as f64,
+            assert_zero_alloc: true,
+        });
+    (rows.collect(), kernel.then(|| best[0] / best[1]))
 }
 
 fn main() {
@@ -267,20 +281,25 @@ fn main() {
         .iter()
         .map(|m| compiled_efsm.message_id(m).expect("valid message"))
         .collect();
+    // The single-session rows all drive the one view, `Instance`, over
+    // the engine of the tier they name.
+    let interpreted = StepEngine::interpreted(FlatIr::from_machine(&machine), &[])
+        .expect("a flat machine binds no parameters");
+    let compiled_engine = StepEngine::dense(compiled.clone());
 
     let rounds = SINGLE_DELIVERIES / TRACE.len() as u64;
     let mut results = Vec::new();
 
     // Tier 1: interpreted, name-based borrowing path. Message names are
-    // resolved through the machine's interned name→id map (built once at
-    // generation time) and the action slice is borrowed, so even the
+    // resolved through the IR's interned name→id map (built once at
+    // lowering time) and the action slice is borrowed, so even the
     // string-keyed path is allocation-free.
     results.push(measure(
         "interpreted_name",
         rounds * TRACE.len() as u64,
         true,
         || {
-            let mut engine = FsmInstance::new(&machine);
+            let mut engine = Instance::new(interpreted.clone());
             let mut actions = 0;
             for _ in 0..rounds {
                 for m in TRACE {
@@ -292,14 +311,14 @@ fn main() {
         },
     ));
 
-    // Tier 2: interpreted, id-based borrowing path (BTreeMap walk, no
-    // name resolution).
+    // Tier 2: interpreted, id-based borrowing path (transition-list
+    // scan, no name resolution).
     results.push(measure(
         "interpreted_id",
         rounds * TRACE.len() as u64,
         true,
         || {
-            let mut engine = FsmInstance::new(&machine);
+            let mut engine = Instance::new(interpreted.clone());
             let mut actions = 0;
             for _ in 0..rounds {
                 for &id in &ids {
@@ -317,7 +336,7 @@ fn main() {
         rounds * TRACE.len() as u64,
         true,
         || {
-            let mut engine = compiled.instance();
+            let mut engine = Instance::new(compiled_engine.clone());
             let mut actions = 0;
             for _ in 0..rounds {
                 for &id in &ids {
@@ -337,6 +356,7 @@ fn main() {
     let lifecycle = session_lifecycle();
     let lifecycle_flat = lifecycle.flatten();
     let compiled_lifecycle = CompiledMachine::compile(&lifecycle_flat);
+    let lifecycle_engine = StepEngine::dense(compiled_lifecycle.clone());
     const HSM_TRACE: [&str; 9] = [
         "connect", "update", "vote", "commit", "ping", "update", "abort", "suspend", "resume",
     ];
@@ -349,7 +369,7 @@ fn main() {
         rounds * HSM_TRACE.len() as u64,
         true,
         || {
-            let mut engine = compiled_lifecycle.instance();
+            let mut engine = Instance::new(lifecycle_engine.clone());
             let mut actions = 0;
             for _ in 0..rounds {
                 for &id in &hsm_ids {
@@ -421,8 +441,8 @@ fn main() {
         ring_stats.states_before,
         ring_stats.states_after
     );
-    let ring_full = CompiledMachine::compile_ir(&ring_ir).expect("redundant ring compiles");
-    let ring_small = CompiledMachine::compile_ir(&ring_min_ir).expect("ring quotient compiles");
+    let ring_full = StepEngine::compile_ir(&ring_ir, &[]).expect("redundant ring compiles");
+    let ring_small = StepEngine::compile_ir(&ring_min_ir, &[]).expect("ring quotient compiles");
     const RING_TRACE: [&str; 9] = [
         "go", "step", "step", "step", "step", "step", "step", "step", "stop",
     ];
@@ -437,7 +457,7 @@ fn main() {
         .map(|m| ring_small.message_id(m).expect("valid message"))
         .collect();
     results.push(measure("hsm_unminimized", ring_deliveries, true, || {
-        let mut engine = ring_full.instance();
+        let mut engine = Instance::new(ring_full.clone());
         let mut actions = 0;
         for _ in 0..ring_rounds {
             for &id in &full_ids {
@@ -448,7 +468,7 @@ fn main() {
         actions
     }));
     results.push(measure("hsm_minimized", ring_deliveries, true, || {
-        let mut engine = ring_small.instance();
+        let mut engine = Instance::new(ring_small.clone());
         let mut actions = 0;
         for _ in 0..ring_rounds {
             for &id in &small_ids {
@@ -462,8 +482,8 @@ fn main() {
     // rows above are measured minutes apart in a long process; the gate
     // re-runs both loops back to back so scheduler drift cancels).
     let minimized_ratio = {
-        let mut full = ring_full.instance();
-        let mut small = ring_small.instance();
+        let mut full = Instance::new(ring_full.clone());
+        let mut small = Instance::new(ring_small.clone());
         let mut full_pass = || {
             let mut actions = 0u64;
             for _ in 0..ring_rounds {
@@ -582,11 +602,11 @@ fn main() {
         scalar_best / kernel_best
     };
 
-    // Tier 5: the EFSM interpreter — the machine generic over r, walking
-    // `Guard`/`Update` enum trees per message with a linear name scan,
-    // driven through the borrow-returning `deliver_ref` path (the
-    // transition's action slice is lent out, never copied), so even the
-    // slow interpreted baseline is allocation-free and joins the hard
+    // Tier 5: the interpreted tier on the EFSM — the machine generic
+    // over r, walking `Guard`/`Update` enum trees per message, driven
+    // through the borrow-returning `deliver_ref` path (the transition's
+    // action slice is lent out, never copied), so even the slow
+    // interpreted baseline is allocation-free and joins the hard
     // zero-alloc gate.
     let efsm_rounds = rounds / 4; // the enum-tree walk is slow; keep runs short
     let mut efsm_interp = commit_efsm_instance(&efsm, &config);
@@ -609,7 +629,9 @@ fn main() {
     // Tier 6: the compiled EFSM — the same machine lowered to flat
     // guard/update bytecode with a constant pool; id-based dispatch.
     // (The instance's register buffers are allocated once, out here.)
-    let mut efsm_engine = compiled_efsm.instance(efsm_params.clone());
+    let register =
+        StepEngine::register(compiled_efsm.clone(), &efsm_params).expect("binding arity");
+    let mut efsm_engine = Instance::new(register.clone());
     results.push(measure(
         "efsm_compiled",
         rounds * TRACE.len() as u64,
@@ -629,20 +651,17 @@ fn main() {
     // Tier 7: batched EFSM sessions over the same store type (variable
     // registers struct-of-arrays) — the same scalar/kernel split as
     // tier 4. `efsm_pool` steps sessions one at a time through the
-    // fused bytecode; `efsm_kernel` buckets by state and evaluates the
-    // fused threshold checks `sign·vars[v] + bound ≤ 0` as masked
-    // compares across each bucket's register lanes (the per-session
-    // `(v ^ m) − m + t` form lifted to a column sweep), spilling to
-    // scalar bytecode only for non-fused cells. Gate below: ≥ 1.4×.
+    // fused bytecode; `efsm_kernel` — the pool is in lockstep — evaluates
+    // the fused threshold checks `sign·vars[v] + bound ≤ 0` as masked
+    // compares swept down the register file (the per-session
+    // `(v ^ m) − m + t` form lifted to a column sweep). Gate below:
+    // ≥ 1.4×.
     assert_eq!(
         compiled_efsm.bind(&efsm_params).spill_cell_count(),
         0,
         "the commit EFSM must stay entirely on the fused kernel fast path"
     );
-    let mut efsm_pool = SessionStore::new(
-        StepEngine::register(compiled_efsm.clone(), &efsm_params).expect("binding arity"),
-        POOL_SESSIONS,
-    );
+    let mut efsm_pool = SessionStore::new(register, POOL_SESSIONS);
     results.push(measure("efsm_pool", pool_deliveries, true, || {
         let mut transitions = 0;
         for _ in 0..pool_rounds {
@@ -704,14 +723,14 @@ fn main() {
         scalar_best / kernel_best
     };
 
-    // Tier 7a: the same two kernel / scalar pairs on *divergent* pools
-    // — sessions spread over tens of states, the serving shape the
-    // lockstep rows above never leave their `fill` / contiguous-sweep
-    // fast path to reach. Commit r = 7 (the `benchmark/` batch
-    // workloads' machine) at 65 536 sessions is the gated shape; 4 096
-    // sessions and the wide r = 25 machine ride along as reported rows.
-    // Dense: the one-pass column gather must beat the scalar walk by
-    // ≥ 1.5×. Register: the bucketed sweep's ratio is recorded ungated.
+    // Tier 7a: *divergent* pools — sessions spread over tens of states,
+    // the serving shape the lockstep rows above never leave their
+    // `fill` / contiguous-sweep fast path to reach. Commit r = 7 (the
+    // `benchmark/` batch workloads' machine) at 65 536 sessions is the
+    // gated shape; 4 096 sessions and the wide r = 25 machine ride along
+    // as reported rows. Dense: the one-pass column gather must beat the
+    // scalar walk by ≥ 1.5×. Register: a divergent batch *is* the scalar
+    // walk, so only its `efsm_pool_divergent*` rows exist.
     let mut divergent_ratios: Vec<(String, f64)> = Vec::new();
     for (r, sessions, suffix) in [
         (7, SHARDED_SESSIONS, ""),
@@ -723,9 +742,11 @@ fn main() {
         let dense = StepEngine::dense(CompiledMachine::compile(&wide.machine));
         let register = StepEngine::register(compiled_efsm.clone(), &commit_efsm_params(&config))
             .expect("binding arity");
-        for (tier, engine) in [("batched", dense), ("efsm", register)] {
-            let (rows, ratio) = divergent_pair(tier, suffix, &engine, sessions);
-            divergent_ratios.push((format!("{}_vs_scalar", rows[0].name), ratio));
+        for (tier, engine, kernel) in [("batched", dense, true), ("efsm", register, false)] {
+            let (rows, ratio) = divergent_rows(tier, suffix, &engine, sessions, kernel);
+            if let Some(ratio) = ratio {
+                divergent_ratios.push((format!("{}_vs_scalar", rows[0].name), ratio));
+            }
             results.extend(rows);
         }
     }
@@ -1059,7 +1080,7 @@ fn main() {
     }
     // Guarded statecharts ride the compiled-EFSM tier; their batch
     // dispatch must stay in its cost class — tracked against the
-    // kernel-batched EFSM row (`efsm_kernel`, the same bucketed sweep
+    // kernel-batched EFSM row (`efsm_kernel`, the same lockstep sweep
     // the facade routes `deliver_all` through), the closest
     // like-for-like loop. A wall-clock ratio between rows, so it warns
     // rather than hard-failing the gate (the zero-alloc assert above
@@ -1112,8 +1133,8 @@ fn main() {
         "EFSM batch kernel is only {efsm_kernel_ratio:.3}x the scalar walk \
          (gate: >= 1.4x, paired passes at {POOL_SESSIONS} sessions)"
     );
-    // The divergent gates (r = 7, 65 536 sessions): the dense column
-    // gather is gated; the register sweep's ratio is a tracked number.
+    // The divergent gate (r = 7, 65 536 sessions): the dense column
+    // gather against the scalar walk.
     for (name, ratio) in &divergent_ratios {
         println!("{name}: {ratio:.3}x");
     }

@@ -7,7 +7,6 @@
 //! Criterion benches (`cargo bench`):
 //!
 //! * `table1_generation` — Table 1 generation times;
-//! * `runtime_comparison` — §4.4 FSM vs non-FSM execution cost;
 //! * `chord_routing` — §2 logarithmic routing;
 //! * `commit_protocol` — §2.2 end-to-end commit latency;
 //! * `render_artefacts` — §3.5/§4.1 artefact rendering cost.

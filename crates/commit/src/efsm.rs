@@ -25,8 +25,8 @@
 //! | `committed-blocked`| T | T | T | F | F |
 //! | `finished`       | — | — | — | — | — |
 
-use stategen_core::efsm::{CmpOp, Efsm, EfsmBuilder, EfsmInstance, Guard, LinExpr, Update};
-use stategen_core::Action;
+use stategen_core::efsm::{CmpOp, Efsm, EfsmBuilder, Guard, LinExpr, Update};
+use stategen_core::{Action, FlatIr, Instance, StepEngine};
 
 use crate::config::CommitConfig;
 use crate::messages::{COMMIT, FREE, MESSAGE_NAMES, NOT_FREE, UPDATE, VOTE};
@@ -455,9 +455,11 @@ pub fn commit_efsm_params(config: &CommitConfig) -> Vec<i64> {
     ]
 }
 
-/// Instantiates [`commit_efsm`] for a concrete configuration.
-pub fn commit_efsm_instance<'e>(efsm: &'e Efsm, config: &CommitConfig) -> EfsmInstance<'e> {
-    EfsmInstance::new(efsm, commit_efsm_params(config))
+/// Instantiates [`commit_efsm`] for a concrete configuration on the
+/// interpreted tier: one session walking the EFSM's lowered IR.
+pub fn commit_efsm_instance(efsm: &Efsm, config: &CommitConfig) -> Instance {
+    let engine = StepEngine::interpreted(FlatIr::from_efsm(efsm), &commit_efsm_params(config));
+    Instance::new(engine.expect("commit_efsm_params binds the EFSM's three parameters"))
 }
 
 /// The `(has_chosen, commit_sent)` protocol flags of a [`commit_efsm`]

@@ -4,6 +4,9 @@
 //! * the hand-written reference algorithm — one state, many variables;
 //! * the EFSM — few states, counter variables;
 //!
+//! (both machines interpreted by `IrInstance`, the reference
+//! interpreter of the lowered IR)
+//!
 //! must all emit identical action traces and agree on completion for any
 //! message sequence, for every family member. This is the property that
 //! makes the generative approach trustworthy: the generated artefacts
@@ -12,18 +15,17 @@
 //! The compiled checks additionally drive the `stategen-runtime` facade
 //! (`Spec → Engine → Runtime`) in lock-step with the direct engines, so
 //! the owned pipeline surface is proven observationally identical to
-//! the borrowed tiers it wraps.
+//! the step engines it wraps.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use stategen_commit::{
-    commit_efsm, commit_efsm_instance, commit_efsm_params, CommitConfig, CommitModel,
-    ReferenceCommit, MESSAGE_NAMES,
+    commit_efsm, commit_efsm_params, CommitConfig, CommitModel, ReferenceCommit, MESSAGE_NAMES,
 };
 use stategen_core::{
-    generate, CompiledEfsm, CompiledInstance, CompiledMachine, Efsm, FsmInstance, ProtocolEngine,
+    generate, CompiledEfsm, CompiledMachine, FlatIr, Instance, IrInstance, ProtocolEngine,
     SessionStore, StateMachine, StepEngine,
 };
 use stategen_runtime::{Engine, Spec};
@@ -50,6 +52,18 @@ fn machine(r: u32) -> &'static StateMachine {
         .1
 }
 
+/// The generated machine of family member `r`, lifted onto the IR.
+fn machine_ir(r: u32) -> &'static FlatIr {
+    static IRS: OnceLock<Vec<(u32, FlatIr)>> = OnceLock::new();
+    let irs = IRS.get_or_init(|| {
+        FAMILY
+            .iter()
+            .map(|&r| (r, FlatIr::from_machine(machine(r))))
+            .collect()
+    });
+    &irs.iter().find(|(ir, _)| *ir == r).expect("prebuilt r").1
+}
+
 fn compiled(r: u32) -> &'static CompiledMachine {
     static COMPILED: OnceLock<Vec<(u32, CompiledMachine)>> = OnceLock::new();
     let compiled = COMPILED.get_or_init(|| {
@@ -65,14 +79,20 @@ fn compiled(r: u32) -> &'static CompiledMachine {
         .1
 }
 
-fn efsm() -> &'static Efsm {
-    static EFSM: OnceLock<Efsm> = OnceLock::new();
-    EFSM.get_or_init(commit_efsm)
+/// The commit EFSM, lifted onto the IR.
+fn efsm_ir() -> &'static FlatIr {
+    static IR: OnceLock<FlatIr> = OnceLock::new();
+    IR.get_or_init(|| FlatIr::from_efsm(&commit_efsm()))
+}
+
+/// The reference interpreter of the EFSM bound to `config`.
+fn efsm_instance(config: &CommitConfig) -> IrInstance<'static> {
+    efsm_ir().instance(commit_efsm_params(config))
 }
 
 fn compiled_efsm() -> &'static CompiledEfsm {
     static COMPILED: OnceLock<CompiledEfsm> = OnceLock::new();
-    COMPILED.get_or_init(|| CompiledEfsm::compile(efsm()).expect("commit EFSM compiles"))
+    COMPILED.get_or_init(|| CompiledEfsm::compile_ir(efsm_ir()).expect("commit EFSM compiles"))
 }
 
 fn facade_engine(r: u32) -> &'static Engine {
@@ -121,9 +141,9 @@ fn facade_efsm_engine(r: u32) -> &'static Engine {
 fn check_compiled_efsm_equivalence(r: u32, messages: &[usize]) {
     let config = CommitConfig::new(r).unwrap();
     let compiled = compiled_efsm();
-    let mut interp = commit_efsm_instance(efsm(), &config);
-    let mut single = compiled.instance(commit_efsm_params(&config));
+    let mut interp = efsm_instance(&config);
     let register = StepEngine::register(compiled.clone(), &commit_efsm_params(&config)).unwrap();
+    let mut single = Instance::new(register.clone());
     let mut pool = SessionStore::new(register, 2);
     let mut facade = facade_efsm_engine(r).runtime();
     let facade_session = facade.spawn();
@@ -197,9 +217,9 @@ fn check_compiled_efsm_equivalence(r: u32, messages: &[usize]) {
 /// completion agree after every delivery.
 fn check_equivalence(r: u32, messages: &[usize]) {
     let config = CommitConfig::new(r).unwrap();
-    let mut fsm = FsmInstance::new(machine(r));
+    let mut fsm = machine_ir(r).instance(vec![]);
     let mut reference = ReferenceCommit::new(config);
-    let mut efsm_i = commit_efsm_instance(efsm(), &config);
+    let mut efsm_i = efsm_instance(&config);
     for (step, &mi) in messages.iter().enumerate() {
         let name = MESSAGE_NAMES[mi % MESSAGE_NAMES.len()];
         let a_fsm = fsm.deliver(name).unwrap();
@@ -240,8 +260,8 @@ fn check_equivalence(r: u32, messages: &[usize]) {
 /// observationally indistinguishable from the machine it flattened).
 fn check_compiled_equivalence(r: u32, messages: &[usize]) {
     let compiled = compiled(r);
-    let mut fsm = FsmInstance::new(machine(r));
-    let mut single = CompiledInstance::new(compiled);
+    let mut fsm = machine_ir(r).instance(vec![]);
+    let mut single = Instance::new(StepEngine::dense(compiled.clone()));
     let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
     let mut facade = facade_engine(r).runtime();
     let facade_session = facade.spawn();
@@ -379,7 +399,7 @@ fn exhaustive_short_traces_r4() {
 #[test]
 fn canonical_commit_trace() {
     let config = CommitConfig::new(4).unwrap();
-    let mut fsm = FsmInstance::new(machine(4));
+    let mut fsm = machine_ir(4).instance(vec![]);
     let mut reference = ReferenceCommit::new(config);
     for name in ["update", "vote", "vote", "commit", "commit"] {
         let a = fsm.deliver(name).unwrap();

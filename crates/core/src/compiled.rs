@@ -1,15 +1,12 @@
 //! Ahead-of-time compiled machines: dense transition tables with
 //! zero-allocation dispatch.
 //!
-//! [`FsmInstance`](crate::FsmInstance) interprets a generated
-//! [`StateMachine`] by walking a per-state `BTreeMap` on every delivery.
-//! That is flexible but slow: each message costs a tree lookup plus (on
-//! the name-based path) a string hash, and the engine-trait path
-//! allocates a fresh `Vec<Action>` per call. The paper renders machines
-//! to source code precisely because interpreted dispatch is too slow to
-//! deploy (§4.2); [`CompiledMachine`] is the runtime equivalent of that
-//! rendering step — a one-time *flattening* pass that turns any machine
-//! into:
+//! The interpreted tier ([`FlatIr::step`]) scans a state's transition
+//! list on every delivery. That needs no preparation but is slow to
+//! deploy: the paper renders machines to source code precisely because
+//! interpreted dispatch is too slow (§4.2). [`CompiledMachine`] is the
+//! runtime equivalent of that rendering step — a one-time *flattening*
+//! pass that turns any unguarded machine into:
 //!
 //! * a dense `states × messages` table of target state ids (`u32`, with
 //!   a sentinel for "no transition"), so dispatch is one indexed load —
@@ -24,14 +21,16 @@
 //! Finish states are compiled with empty rows, so they are absorbing by
 //! construction and the hot path needs no role check.
 //!
-//! Compilation is behaviour-preserving: a [`CompiledInstance`] is
-//! observationally equivalent to the [`FsmInstance`](crate::FsmInstance)
-//! it was compiled from (asserted by the cross-engine property suites).
+//! Compilation is behaviour-preserving: stepping the table is
+//! observationally equivalent to [`IrInstance`](crate::IrInstance) on
+//! the machine it was compiled from (asserted by the cross-engine
+//! property suites).
 //!
 //! # Examples
 //!
 //! ```
-//! use stategen_core::{Action, CompiledMachine, ProtocolEngine, StateMachineBuilder};
+//! use stategen_core::{Action, CompiledMachine, Instance, ProtocolEngine, StateMachineBuilder,
+//!     StepEngine};
 //!
 //! let mut b = StateMachineBuilder::new("ping", ["ping"]);
 //! let idle = b.add_state("idle");
@@ -40,18 +39,16 @@
 //! let machine = b.build(idle);
 //!
 //! let compiled = CompiledMachine::compile(&machine);
-//! let mut instance = compiled.instance();
+//! let mut instance = Instance::new(StepEngine::dense(compiled));
 //! let actions = instance.deliver_ref("ping")?;
 //! assert_eq!(actions, [Action::send("pong")]);
 //! assert_eq!(instance.state_name_str(), "done");
 //! # Ok::<(), stategen_core::InterpError>(())
 //! ```
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::error::{CompileError, InterpError};
-use crate::interp::ProtocolEngine;
+use crate::error::CompileError;
 use crate::ir::{ActionArena, FlatIr};
 use crate::machine::{Action, MessageId, StateMachine, StateRole};
 
@@ -67,8 +64,9 @@ struct ActionRange {
 
 /// A [`StateMachine`] flattened into dense integer index tables.
 ///
-/// Compile once (at generation, startup or build time), then create any
-/// number of cheap execution cursors: [`CompiledInstance`] for a single
+/// Compile once (at generation, startup or build time), wrap it in a
+/// [`StepEngine`](crate::StepEngine), then create any number of cheap
+/// execution cursors: an [`Instance`](crate::Instance) for a single
 /// protocol execution, or a [`SessionStore`](crate::SessionStore) for
 /// thousands of concurrent ones.
 #[derive(Debug, Clone)]
@@ -112,8 +110,6 @@ impl CompiledMachine {
     /// pipeline (flat machines lift trivially; unguarded statecharts
     /// arrive via
     /// [`HierarchicalMachine::flatten_ir`](crate::HierarchicalMachine::flatten_ir)).
-    ///
-    /// # Errors
     ///
     /// The table is stored in *message-alphabet-compressed* form:
     /// messages whose columns are identical across every state (same
@@ -356,99 +352,19 @@ impl CompiledMachine {
         let actions = &self.arena[range.offset as usize..(range.offset + range.len) as usize];
         Some((target, actions))
     }
-
-    /// Creates an execution cursor positioned at the start state.
-    pub fn instance(&self) -> CompiledInstance<'_> {
-        CompiledInstance::new(self)
-    }
-}
-
-/// One executing instance of a [`CompiledMachine`]: a dense state id plus
-/// a machine reference — 16 bytes of mutable state, no allocation on any
-/// delivery path.
-#[derive(Debug, Clone)]
-pub struct CompiledInstance<'m> {
-    machine: &'m CompiledMachine,
-    current: u32,
-    steps: u64,
-}
-
-impl<'m> CompiledInstance<'m> {
-    /// Creates an instance positioned at the machine's start state.
-    pub fn new(machine: &'m CompiledMachine) -> Self {
-        CompiledInstance {
-            machine,
-            current: machine.start(),
-            steps: 0,
-        }
-    }
-
-    /// The machine this instance executes.
-    pub fn machine(&self) -> &'m CompiledMachine {
-        self.machine
-    }
-
-    /// The current state's dense id.
-    pub fn current_state(&self) -> u32 {
-        self.current
-    }
-
-    /// Number of transitions taken so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Display name of the current state, borrowed from the machine
-    /// (non-allocating form of [`ProtocolEngine::state_name`]).
-    pub fn state_name_str(&self) -> &'m str {
-        self.machine.state_name(self.current)
-    }
-
-    /// Delivers a message by id; returns the triggered actions.
-    ///
-    /// The returned slice borrows from the machine's interned arena, not
-    /// from the instance, so it stays valid across further deliveries.
-    /// No heap allocation occurs on this path.
-    #[inline]
-    pub fn deliver_id(&mut self, message: MessageId) -> &'m [Action] {
-        match self.machine.step(self.current, message) {
-            Some((target, actions)) => {
-                self.current = target;
-                self.steps += 1;
-                actions
-            }
-            None => &[],
-        }
-    }
-}
-
-impl ProtocolEngine for CompiledInstance<'_> {
-    fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
-        let id = self
-            .machine
-            .message_id(message)
-            .ok_or_else(|| InterpError::UnknownMessage(message.to_string()))?;
-        Ok(self.deliver_id(id))
-    }
-
-    fn is_finished(&self) -> bool {
-        self.machine.is_finish_state(self.current)
-    }
-
-    fn state_name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(self.state_name_str())
-    }
-
-    fn reset(&mut self) {
-        self.current = self.machine.start();
-        self.steps = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::InterpError;
+    use crate::interp::{Instance, ProtocolEngine};
     use crate::machine::{StateMachineBuilder, StateRole};
+    use crate::step::StepEngine;
+
+    fn instance(compiled: &CompiledMachine) -> Instance {
+        Instance::new(StepEngine::dense(compiled.clone()))
+    }
 
     fn finishing_machine() -> StateMachine {
         let mut b = StateMachineBuilder::new("m", ["a", "b"]);
@@ -465,7 +381,7 @@ mod tests {
     fn walk_to_finish_matches_interpreter() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         assert!(!i.is_finished());
         assert_eq!(i.deliver_ref("a").unwrap(), [Action::send("x")]);
         assert_eq!(i.state_name_str(), "s1");
@@ -479,7 +395,7 @@ mod tests {
     fn inapplicable_message_ignored() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         assert!(i.deliver_ref("b").unwrap().is_empty());
         assert_eq!(i.state_name_str(), "s0");
         assert_eq!(i.steps(), 0);
@@ -489,7 +405,7 @@ mod tests {
     fn unknown_message_is_error() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         assert_eq!(
             i.deliver_ref("zap").map(<[Action]>::to_vec),
             Err(InterpError::UnknownMessage("zap".to_string()))
@@ -500,7 +416,7 @@ mod tests {
     fn messages_after_finish_ignored() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         i.deliver_ref("a").unwrap();
         i.deliver_ref("a").unwrap();
         assert!(i.is_finished());
@@ -513,7 +429,7 @@ mod tests {
     fn reset_returns_to_start() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         i.deliver_ref("a").unwrap();
         i.reset();
         assert_eq!(i.state_name_str(), "s0");
@@ -524,7 +440,7 @@ mod tests {
     fn engine_trait_default_deliver_matches_ref() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         assert_eq!(i.deliver("a").unwrap(), vec![Action::send("x")]);
     }
 
@@ -542,10 +458,10 @@ mod tests {
     fn returned_slice_outlives_further_deliveries() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = compiled.instance();
-        let first = i.deliver_id(compiled.message_id("a").unwrap());
-        let _ = i.deliver_id(compiled.message_id("a").unwrap());
-        // `first` borrows from the machine arena, not the instance.
+        let a = compiled.message_id("a").unwrap();
+        let (s1, first) = compiled.step(compiled.start(), a).unwrap();
+        let _ = compiled.step(s1, a);
+        // `first` borrows from the machine arena, not from any cursor.
         assert_eq!(first, [Action::send("x")]);
     }
 
@@ -566,7 +482,7 @@ mod tests {
         let compiled = CompiledMachine::compile(&m);
         assert_eq!(compiled.messages().len(), 3);
         assert_eq!(compiled.message_column_classes(), 2);
-        let mut i = compiled.instance();
+        let mut i = instance(&compiled);
         assert_eq!(i.deliver_ref("b").unwrap(), [Action::send("x")]);
         assert_eq!(i.state_name_str(), "s1");
         assert!(i.deliver_ref("a").unwrap().is_empty());

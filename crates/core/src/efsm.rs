@@ -10,11 +10,8 @@
 //! factor, because its states encode only whether thresholds have been
 //! reached — not the counts themselves.
 
-use std::borrow::Cow;
 use std::fmt;
 
-use crate::error::InterpError;
-use crate::interp::ProtocolEngine;
 use crate::machine::Action;
 
 /// Identifier of an EFSM variable (index into [`Efsm::variables`]).
@@ -30,8 +27,8 @@ impl VarId {
 
 /// Identifier of an EFSM parameter (index into [`Efsm::params`]).
 ///
-/// Parameters are bound when an [`EfsmInstance`] is created — this is what
-/// makes a single EFSM generic over, say, the replication factor.
+/// Parameters are bound when the EFSM is instantiated or compiled — this
+/// is what makes a single EFSM generic over, say, the replication factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
@@ -253,7 +250,8 @@ pub enum Update {
 /// (EFSM, flat IR, guarded statechart) and mirrored by the compiled
 /// lowering: `vars` is snapshotted into the caller-provided `old_vars`
 /// buffer (reused across deliveries, so the hot path never allocates)
-/// and every update expression reads the snapshot.
+/// and every update expression reads the snapshot. An empty update list
+/// touches neither buffer.
 ///
 /// # Panics
 ///
@@ -265,6 +263,9 @@ pub(crate) fn apply_staged_updates(
     old_vars: &mut [i64],
     params: &[i64],
 ) {
+    if updates.is_empty() {
+        return;
+    }
     old_vars.copy_from_slice(vars);
     for update in updates {
         match update {
@@ -626,98 +627,12 @@ impl EfsmBuilder {
     }
 }
 
-/// One executing instance of an [`Efsm`], with bound parameters and
-/// concrete variable values.
-#[derive(Debug, Clone)]
-pub struct EfsmInstance<'e> {
-    efsm: &'e Efsm,
-    params: Vec<i64>,
-    vars: Vec<i64>,
-    /// Pre-transition variable snapshot, reused across deliveries so the
-    /// hot path does not allocate.
-    old_vars: Vec<i64>,
-    current: EfsmStateId,
-}
-
-impl<'e> EfsmInstance<'e> {
-    /// Creates an instance with the given parameter values; variables start
-    /// at zero and the machine at its start state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of parameters differs from the EFSM's
-    /// declaration.
-    pub fn new(efsm: &'e Efsm, params: Vec<i64>) -> Self {
-        assert_eq!(params.len(), efsm.params.len(), "wrong parameter count");
-        EfsmInstance {
-            efsm,
-            params,
-            vars: vec![0; efsm.variables.len()],
-            old_vars: vec![0; efsm.variables.len()],
-            current: efsm.start,
-        }
-    }
-
-    /// The EFSM this instance executes.
-    pub fn efsm(&self) -> &'e Efsm {
-        self.efsm
-    }
-
-    /// Current variable values, in declaration order.
-    pub fn vars(&self) -> &[i64] {
-        &self.vars
-    }
-
-    /// The current state.
-    pub fn current(&self) -> &'e EfsmState {
-        &self.efsm.states[self.current.index()]
-    }
-
-    /// Display name of the current state, borrowed from the EFSM
-    /// (non-allocating form of [`ProtocolEngine::state_name`]).
-    pub fn state_name_str(&self) -> &'e str {
-        &self.current().name
-    }
-}
-
-impl ProtocolEngine for EfsmInstance<'_> {
-    fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
-        let efsm = self.efsm;
-        let mid = efsm
-            .message_id(message)
-            .ok_or_else(|| InterpError::UnknownMessage(message.to_string()))?;
-        if self.is_finished() {
-            return Ok(&[]);
-        }
-        let state = &efsm.states[self.current.index()];
-        for t in &state.transitions {
-            if t.message != mid || !t.guard.eval(&self.vars, &self.params) {
-                continue;
-            }
-            apply_staged_updates(&t.updates, &mut self.vars, &mut self.old_vars, &self.params);
-            self.current = t.target;
-            return Ok(&t.actions);
-        }
-        Ok(&[])
-    }
-
-    fn is_finished(&self) -> bool {
-        Some(self.current) == self.efsm.finish
-    }
-
-    fn state_name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(self.state_name_str())
-    }
-
-    fn reset(&mut self) {
-        self.current = self.efsm.start;
-        self.vars.fill(0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::InterpError;
+    use crate::interp::ProtocolEngine;
+    use crate::ir::{FlatIr, IrInstance};
 
     /// Counter EFSM: counts to a parameter-determined limit, then fires.
     fn counter() -> Efsm {
@@ -755,8 +670,8 @@ mod tests {
 
     #[test]
     fn counter_counts_to_param() {
-        let efsm = counter();
-        let mut i = EfsmInstance::new(&efsm, vec![3]);
+        let ir = FlatIr::from_efsm(&counter());
+        let mut i = IrInstance::new(&ir, vec![3]);
         assert!(i.deliver("tick").unwrap().is_empty());
         assert!(i.deliver("tick").unwrap().is_empty());
         assert_eq!(i.deliver("tick").unwrap(), vec![Action::send("done")]);
@@ -767,9 +682,9 @@ mod tests {
     #[test]
     fn same_efsm_different_params() {
         // The point of EFSMs (paper §5.3): one machine serves the family.
-        let efsm = counter();
+        let ir = FlatIr::from_efsm(&counter());
         for limit in 1..6 {
-            let mut i = EfsmInstance::new(&efsm, vec![limit]);
+            let mut i = IrInstance::new(&ir, vec![limit]);
             let mut fired = 0;
             for _ in 0..limit {
                 fired += i.deliver("tick").unwrap().len();
@@ -781,8 +696,8 @@ mod tests {
 
     #[test]
     fn guards_respect_priority_and_finish_absorbs() {
-        let efsm = counter();
-        let mut i = EfsmInstance::new(&efsm, vec![1]);
+        let ir = FlatIr::from_efsm(&counter());
+        let mut i = IrInstance::new(&ir, vec![1]);
         assert_eq!(i.deliver("tick").unwrap().len(), 1);
         assert!(i.is_finished());
         assert!(i.deliver("tick").unwrap().is_empty());
@@ -791,8 +706,8 @@ mod tests {
 
     #[test]
     fn unknown_message_is_error() {
-        let efsm = counter();
-        let mut i = EfsmInstance::new(&efsm, vec![1]);
+        let ir = FlatIr::from_efsm(&counter());
+        let mut i = IrInstance::new(&ir, vec![1]);
         assert!(matches!(
             i.deliver("zap"),
             Err(InterpError::UnknownMessage(_))
@@ -801,8 +716,8 @@ mod tests {
 
     #[test]
     fn reset_restores_start() {
-        let efsm = counter();
-        let mut i = EfsmInstance::new(&efsm, vec![2]);
+        let ir = FlatIr::from_efsm(&counter());
+        let mut i = IrInstance::new(&ir, vec![2]);
         i.deliver("tick").unwrap();
         i.reset();
         assert_eq!(i.vars(), &[0]);

@@ -1,12 +1,10 @@
 //! Ahead-of-time compiled EFSMs: guard/update bytecode with
 //! zero-allocation dispatch.
 //!
-//! [`EfsmInstance`](crate::EfsmInstance) interprets an [`Efsm`] by
-//! walking `Guard`/`Update` enum trees on every delivery: each guard
-//! condition chases two [`LinExpr`] heap
-//! structures, and the message name is resolved by a linear scan over
-//! the alphabet. That is the right tool for freshly built machines, but
-//! too slow to deploy. [`CompiledEfsm`] is the EFSM analogue of
+//! The interpreted tier ([`FlatIr::step`]) walks `Guard`/`Update` enum
+//! trees on every delivery: each guard condition chases two [`LinExpr`]
+//! heap structures. That is the right tool for freshly built machines,
+//! but too slow to deploy. [`CompiledEfsm`] is the EFSM analogue of
 //! [`CompiledMachine`](crate::CompiledMachine) — a one-time *flattening*
 //! pass (the transformation surveyed by Devroey et al., *State Machine
 //! Flattening: Mapping Study and Assessment*) that lowers every guarded
@@ -43,16 +41,16 @@
 //! [`CompiledEfsm::compile`] rejects them with
 //! [`CompileError::DuplicateTransition`].
 //!
-//! Compilation is behaviour-preserving: a [`CompiledEfsmInstance`] is
-//! observationally equivalent to the [`EfsmInstance`](crate::EfsmInstance)
-//! it was compiled from (asserted by the cross-engine property suites in
-//! `stategen-commit` and `stategen-models`).
+//! Compilation is behaviour-preserving: stepping the lowered form is
+//! observationally equivalent to [`IrInstance`](crate::IrInstance) on
+//! the machine it was compiled from (asserted by the cross-engine
+//! property suites in `stategen-commit` and `stategen-models`).
 //!
 //! # Examples
 //!
 //! ```
 //! use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-//! use stategen_core::{Action, CompiledEfsm, ProtocolEngine};
+//! use stategen_core::{Action, CompiledEfsm, Instance, ProtocolEngine, StepEngine};
 //!
 //! let mut b = EfsmBuilder::new("counter", ["tick"]);
 //! let limit = b.add_param("limit");
@@ -72,7 +70,7 @@
 //! let efsm = b.build(counting, Some(done));
 //!
 //! let compiled = CompiledEfsm::compile(&efsm)?;
-//! let mut instance = compiled.instance(vec![2]);
+//! let mut instance = Instance::new(StepEngine::register(compiled, &[2])?);
 //! assert!(instance.deliver_ref("tick")?.is_empty());
 //! assert_eq!(instance.deliver_ref("tick")?, [Action::send("done")]);
 //! assert!(instance.is_finished());
@@ -80,12 +78,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::efsm::{CmpOp, Cond, Efsm, LinExpr, Operand, Update};
-use crate::error::{CompileError, InterpError};
-use crate::interp::ProtocolEngine;
+use crate::error::CompileError;
 use crate::ir::{ActionArena, FlatIr};
 use crate::machine::{Action, MessageId, StateRole};
 
@@ -259,9 +255,9 @@ impl Default for BoundCell {
 /// candidate lists) spill to the machine's general tables, using the
 /// pre-evaluated `bounds` constants.
 ///
-/// An [`EfsmBinding`] is created once per instance — or once per
+/// An [`EfsmBinding`] is created once per
 /// [`StepEngine`](crate::StepEngine), shared by every session stepped
-/// through it — via [`CompiledEfsm::bind`].
+/// through it, via [`CompiledEfsm::bind`].
 #[derive(Debug, Clone)]
 pub struct EfsmBinding {
     params: Vec<i64>,
@@ -294,8 +290,9 @@ impl EfsmBinding {
 /// An [`Efsm`] flattened into fused checks, bytecode and dense dispatch
 /// tables.
 ///
-/// Compile once, then create any number of cheap execution cursors:
-/// [`CompiledEfsmInstance`] for a single protocol execution, or a
+/// Compile once, bind it in a [`StepEngine`](crate::StepEngine), then
+/// create any number of cheap execution cursors: an
+/// [`Instance`](crate::Instance) for a single protocol execution, or a
 /// [`SessionStore`](crate::SessionStore) for thousands of concurrent
 /// ones sharing one parameter binding.
 #[derive(Debug, Clone)]
@@ -723,8 +720,8 @@ impl CompiledEfsm {
     /// Specialises the machine to a concrete parameter binding: every
     /// fused check's parameter-linear form folds to a constant and the
     /// common cells are laid out flat (see [`EfsmBinding`]). The result
-    /// feeds [`CompiledEfsm::step`]; an instance or pool computes it
-    /// once at creation.
+    /// feeds [`CompiledEfsm::step`]; a [`StepEngine`](crate::StepEngine)
+    /// computes it once at creation.
     ///
     /// # Panics
     ///
@@ -828,7 +825,7 @@ impl CompiledEfsm {
     /// `vars` must hold at least [`CompiledEfsm::reg_count`] registers
     /// and `scratch` at least [`CompiledEfsm::scratch_len`] (its
     /// contents are meaningless between calls). This is the
-    /// allocation-free hot path shared by [`CompiledEfsmInstance`] and
+    /// allocation-free hot path behind
     /// [`StepEngine::step`](crate::StepEngine::step).
     ///
     /// # Panics
@@ -944,136 +941,21 @@ impl CompiledEfsm {
         }
         None
     }
-
-    /// Creates an execution cursor with the given parameter binding,
-    /// positioned at the start state with all variables zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of parameters differs from the EFSM's
-    /// declaration.
-    pub fn instance(&self, params: Vec<i64>) -> CompiledEfsmInstance<'_> {
-        CompiledEfsmInstance::new(self, params)
-    }
-}
-
-/// One executing instance of a [`CompiledEfsm`]: a dense state id plus
-/// variable registers and a parameter-specialised dispatch table
-/// ([`EfsmBinding`]). All buffers are allocated at creation; no delivery
-/// path allocates.
-#[derive(Debug, Clone)]
-pub struct CompiledEfsmInstance<'e> {
-    machine: &'e CompiledEfsm,
-    binding: EfsmBinding,
-    vars: Vec<i64>,
-    scratch: Vec<i64>,
-    current: u32,
-    steps: u64,
-}
-
-impl<'e> CompiledEfsmInstance<'e> {
-    /// Creates an instance with the given parameter values; variables
-    /// start at zero and the machine at its start state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of parameters differs from the EFSM's
-    /// declaration.
-    pub fn new(machine: &'e CompiledEfsm, params: Vec<i64>) -> Self {
-        let binding = machine.bind(&params);
-        CompiledEfsmInstance {
-            machine,
-            binding,
-            vars: vec![0; machine.reg_count()],
-            scratch: vec![0; machine.scratch_len()],
-            current: machine.start,
-            steps: 0,
-        }
-    }
-
-    /// The machine this instance executes.
-    pub fn machine(&self) -> &'e CompiledEfsm {
-        self.machine
-    }
-
-    /// Current variable values, in declaration order.
-    pub fn vars(&self) -> &[i64] {
-        &self.vars[..self.machine.var_count()]
-    }
-
-    /// The bound parameter values.
-    pub fn params(&self) -> &[i64] {
-        self.binding.params()
-    }
-
-    /// The current state's dense id.
-    pub fn current_state(&self) -> u32 {
-        self.current
-    }
-
-    /// Number of transitions taken so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Display name of the current state, borrowed from the machine
-    /// (non-allocating form of [`ProtocolEngine::state_name`]).
-    pub fn state_name_str(&self) -> &'e str {
-        self.machine.state_name(self.current)
-    }
-
-    /// Delivers a message by id; returns the triggered actions.
-    ///
-    /// The returned slice borrows from the machine's interned arena, so
-    /// it stays valid across further deliveries. No heap allocation
-    /// occurs on this path.
-    #[inline(always)]
-    pub fn deliver_id(&mut self, message: MessageId) -> &'e [Action] {
-        match self.machine.step(
-            self.current,
-            message,
-            &self.binding,
-            &mut self.vars,
-            &mut self.scratch,
-        ) {
-            Some((target, actions)) => {
-                self.current = target;
-                self.steps += 1;
-                actions
-            }
-            None => &[],
-        }
-    }
-}
-
-impl ProtocolEngine for CompiledEfsmInstance<'_> {
-    fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
-        let id = self
-            .machine
-            .message_id(message)
-            .ok_or_else(|| InterpError::UnknownMessage(message.to_string()))?;
-        Ok(self.deliver_id(id))
-    }
-
-    fn is_finished(&self) -> bool {
-        self.machine.is_finish_state(self.current)
-    }
-
-    fn state_name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(self.state_name_str())
-    }
-
-    fn reset(&mut self) {
-        self.current = self.machine.start;
-        self.vars.fill(0);
-        self.steps = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::efsm::{EfsmBuilder, Guard, Update, VarId};
+    use crate::error::InterpError;
+    use crate::interp::{Instance, ProtocolEngine};
+    use crate::ir::IrInstance;
+    use crate::machine::MessageId;
+    use crate::step::StepEngine;
+
+    fn instance(compiled: &CompiledEfsm, params: &[i64]) -> Instance {
+        Instance::new(StepEngine::register(compiled.clone(), params).unwrap())
+    }
 
     fn counter() -> Efsm {
         let mut b = EfsmBuilder::new("counter", ["tick"]);
@@ -1112,9 +994,10 @@ mod tests {
     fn matches_interpreter_on_counter() {
         let efsm = counter();
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
+        let ir = FlatIr::from_efsm(&efsm);
         for limit in 1..6 {
-            let mut interp = crate::EfsmInstance::new(&efsm, vec![limit]);
-            let mut comp = compiled.instance(vec![limit]);
+            let mut interp = IrInstance::new(&ir, vec![limit]);
+            let mut comp = instance(&compiled, &[limit]);
             for _ in 0..limit + 2 {
                 let a = interp.deliver("tick").unwrap();
                 let b = comp.deliver("tick").unwrap();
@@ -1151,7 +1034,7 @@ mod tests {
     fn finish_state_absorbs() {
         let efsm = counter();
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let mut i = compiled.instance(vec![1]);
+        let mut i = instance(&compiled, &[1]);
         assert_eq!(i.deliver_ref("tick").unwrap(), [Action::send("done")]);
         assert!(i.is_finished());
         assert!(i.deliver_ref("tick").unwrap().is_empty());
@@ -1163,7 +1046,7 @@ mod tests {
     fn unknown_message_is_error() {
         let efsm = counter();
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let mut i = compiled.instance(vec![1]);
+        let mut i = instance(&compiled, &[1]);
         assert!(matches!(
             i.deliver_ref("zap"),
             Err(InterpError::UnknownMessage(_))
@@ -1174,7 +1057,7 @@ mod tests {
     fn reset_restores_start() {
         let efsm = counter();
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
-        let mut i = compiled.instance(vec![3]);
+        let mut i = instance(&compiled, &[3]);
         i.deliver_ref("tick").unwrap();
         i.reset();
         assert_eq!(i.vars(), &[0]);
@@ -1203,9 +1086,10 @@ mod tests {
         );
         let efsm = b.build(s, None);
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
+        let ir = FlatIr::from_efsm(&efsm);
         assert_eq!(compiled.scratch_len(), 2);
-        let mut interp = crate::EfsmInstance::new(&efsm, vec![]);
-        let mut comp = compiled.instance(vec![]);
+        let mut interp = IrInstance::new(&ir, vec![]);
+        let mut comp = instance(&compiled, &[]);
         for _ in 0..4 {
             interp.deliver("go").unwrap();
             comp.deliver_ref("go").unwrap();
@@ -1213,7 +1097,7 @@ mod tests {
         }
         // After one step from (0,0): a = 0, b = 10; the staged semantics
         // must not let the new `a` leak into `b`'s expression.
-        let mut probe = compiled.instance(vec![]);
+        let mut probe = instance(&compiled, &[]);
         probe.deliver_ref("go").unwrap();
         assert_eq!(probe.vars(), &[0, 10]);
     }
@@ -1236,9 +1120,10 @@ mod tests {
         );
         let efsm = b.build(s, None);
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
+        let ir = FlatIr::from_efsm(&efsm);
         assert_eq!(compiled.scratch_len(), 2);
-        let mut interp = crate::EfsmInstance::new(&efsm, vec![]);
-        let mut comp = compiled.instance(vec![]);
+        let mut interp = IrInstance::new(&ir, vec![]);
+        let mut comp = instance(&compiled, &[]);
         interp.deliver("go").unwrap();
         comp.deliver_ref("go").unwrap();
         assert_eq!(interp.vars(), &[1]);
@@ -1263,7 +1148,7 @@ mod tests {
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
         assert_eq!(compiled.scratch_len(), 0);
         assert_eq!(compiled.code_len(), 2); // two IncDirect ops
-        let mut comp = compiled.instance(vec![]);
+        let mut comp = instance(&compiled, &[]);
         comp.deliver_ref("go").unwrap();
         comp.deliver_ref("go").unwrap();
         assert_eq!(comp.vars(), &[2, 2]);
@@ -1312,10 +1197,11 @@ mod tests {
         );
         let efsm = b.build(s, None);
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
+        let ir = FlatIr::from_efsm(&efsm);
         assert!(compiled.code_len() > 0, "Ne falls back to bytecode");
         for p_val in [4i64, 7] {
-            let mut interp = crate::EfsmInstance::new(&efsm, vec![p_val]);
-            let mut comp = compiled.instance(vec![p_val]);
+            let mut interp = IrInstance::new(&ir, vec![p_val]);
+            let mut comp = instance(&compiled, &[p_val]);
             for m in [
                 "gt", "eq", "ne", "gt", "eq", "gt", "gt", "gt", "gt", "lt", "ne",
             ] {
@@ -1359,12 +1245,13 @@ mod tests {
         );
         let efsm = b.build(s, None);
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
+        let ir = FlatIr::from_efsm(&efsm);
         assert!(
             compiled.const_count() > 0,
             "generic path uses the constant pool"
         );
-        let mut interp = crate::EfsmInstance::new(&efsm, vec![7]);
-        let mut comp = compiled.instance(vec![7]);
+        let mut interp = IrInstance::new(&ir, vec![7]);
+        let mut comp = instance(&compiled, &[7]);
         for step in 0..8 {
             let a = interp.deliver("go").unwrap();
             let b = comp.deliver_ref("go").unwrap();
@@ -1394,9 +1281,9 @@ mod tests {
         let compiled = CompiledEfsm::compile(&efsm).unwrap();
         assert_eq!(compiled.var_count(), 0);
         assert_eq!(compiled.reg_count(), compiled.var_count() + 1);
-        let mut yes = compiled.instance(vec![5]);
+        let mut yes = instance(&compiled, &[5]);
         assert_eq!(yes.deliver_ref("go").unwrap(), [Action::send("big")]);
-        let mut no = compiled.instance(vec![2]);
+        let mut no = instance(&compiled, &[2]);
         assert!(no.deliver_ref("go").unwrap().is_empty());
     }
 

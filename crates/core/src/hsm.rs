@@ -26,7 +26,7 @@
 //!   splitting states per remembered child. Unguarded statecharts
 //!   project to an ordinary [`StateMachine`]
 //!   ([`HierarchicalMachine::flatten`]) and run on every dense-table
-//!   tier — [`FsmInstance`](crate::FsmInstance),
+//!   tier — an [`Instance`](crate::Instance),
 //!   [`CompiledMachine`](crate::CompiledMachine) /
 //!   [`SessionStore`](crate::SessionStore) and
 //!   [`ShardedPool`](crate::ShardedPool) — with zero engine changes
@@ -37,7 +37,7 @@
 //!   one compiled machine per statechart *family*;
 //! * [`HsmInstance`] — a direct interpreter over the statechart, the
 //!   reference the flattened machines are property-checked against
-//!   (`HsmInstance ≡ FsmInstance(flatten) ≡ CompiledInstance(flatten)`
+//!   (`HsmInstance ≡ IrInstance(flatten_ir) ≡ Instance(compiled)`
 //!   over random traces). Interpreter and compiler share the
 //!   run-to-completion kernel by design — one semantics, two execution
 //!   strategies — so the properties pin the *flattening pipeline*
@@ -1661,8 +1661,8 @@ impl ProtocolEngine for HsmInstance<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompiledMachine;
-    use crate::interp::FsmInstance;
+    use crate::interp::Instance;
+    use crate::step::StepEngine;
 
     /// Connection lifecycle: Idle, Up{A, B} with history, Down.
     fn connection() -> HierarchicalMachine {
@@ -1793,8 +1793,8 @@ mod tests {
         assert_eq!(i.state_name(), "Top.Inner"); // no exit/entry ran
         assert_eq!(i.steps(), 1);
         // Flat form is a self-loop with just the transition actions.
-        let flat = m.flatten();
-        let mut f = FsmInstance::new(&flat);
+        let flat = m.flatten_ir();
+        let mut f = flat.instance(vec![]);
         assert_eq!(f.deliver_ref("ping").unwrap(), [Action::send("pong")]);
         assert_eq!(f.state_name(), "Top.Inner");
         assert_eq!(f.steps(), 1);
@@ -1818,11 +1818,10 @@ mod tests {
     #[test]
     fn flatten_matches_reference_on_the_connection_machine() {
         let m = connection();
-        let flat = m.flatten();
-        let compiled = CompiledMachine::compile(&flat);
+        let flat = m.flatten_ir();
         let mut reference = m.instance();
-        let mut interp = FsmInstance::new(&flat);
-        let mut fast = compiled.instance();
+        let mut interp = flat.instance(vec![]);
+        let mut fast = Instance::new(StepEngine::compile_ir(&flat, &[]).unwrap());
         let trace = [
             "resume", "work", "drop", "open", "work", "drop", "resume", "work", "kill", "open",
         ];

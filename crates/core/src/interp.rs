@@ -1,15 +1,23 @@
-//! Runtime interpreter for generated machines.
+//! Single-session execution: the [`ProtocolEngine`] vocabulary and
+//! [`Instance`], the one owned view of one protocol execution.
 //!
 //! The paper deploys FSMs by rendering them to source code (§3.5) — covered
 //! by the `stategen-render` and `stategen-generated` crates — but also
-//! discusses generating implementations *on the fly* (§4.2). [`FsmInstance`]
-//! covers that policy without a runtime compiler: it walks a generated
-//! [`StateMachine`] directly, one instance per ongoing protocol execution.
+//! discusses generating implementations *on the fly* (§4.2). An
+//! [`Instance`] over [`StepEngine::interpreted`] is that policy: the
+//! lowered machine is walked as generated, one instance per ongoing
+//! protocol execution. The same type over a compiled engine is the
+//! deployed single-session form — there is one step
+//! ([`StepEngine::step`]) and one cursor around it, whatever the tier.
+//! The semantic references it is tested against are
+//! [`IrInstance`](crate::IrInstance) and
+//! [`HsmInstance`](crate::HsmInstance).
 
 use std::borrow::Cow;
 
 use crate::error::InterpError;
-use crate::machine::{Action, MessageId, State, StateId, StateMachine, StateRole};
+use crate::machine::{Action, MessageId};
+use crate::step::StepEngine;
 
 /// A common interface over the different ways of executing a protocol
 /// (interpreted FSM, generated source code, hand-written algorithm, EFSM),
@@ -58,55 +66,65 @@ pub trait ProtocolEngine {
     fn reset(&mut self);
 }
 
-/// One executing instance of a generated [`StateMachine`].
+/// One executing session of a [`StepEngine`], on whichever tier the
+/// engine resolved onto: the current state, one register row, the
+/// step's scratch and a step count. Owned (`'static`; the engine is a
+/// bundle of `Arc`s), and allocation-free after construction.
 ///
 /// # Examples
 ///
 /// ```
-/// use stategen_core::{Action, FsmInstance, ProtocolEngine, StateMachineBuilder};
+/// use stategen_core::{Action, FlatIr, Instance, ProtocolEngine, StateMachineBuilder, StepEngine};
 ///
 /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
 /// let idle = b.add_state("idle");
 /// let done = b.add_state("done");
 /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-/// let machine = b.build(idle);
+/// let ir = FlatIr::from_machine(&b.build(idle));
 ///
-/// let mut fsm = FsmInstance::new(&machine);
-/// let actions = fsm.deliver("ping")?;
-/// assert_eq!(actions, vec![Action::send("pong")]);
-/// assert_eq!(fsm.state_name(), "done");
-/// # Ok::<(), stategen_core::InterpError>(())
+/// // Interpreted and compiled: the same view, the same answers.
+/// for engine in [StepEngine::interpreted(ir.clone(), &[])?, StepEngine::compile_ir(&ir, &[])?] {
+///     let mut fsm = Instance::new(engine);
+///     assert_eq!(fsm.deliver("ping")?, vec![Action::send("pong")]);
+///     assert_eq!(fsm.state_name(), "done");
+/// }
+/// # Ok::<(), stategen_core::StategenError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct FsmInstance<'m> {
-    machine: &'m StateMachine,
-    current: StateId,
+pub struct Instance {
+    engine: StepEngine,
+    current: u32,
+    regs: Vec<i64>,
+    scratch: Vec<i64>,
     steps: u64,
 }
 
-impl<'m> FsmInstance<'m> {
-    /// Creates an instance positioned at the machine's start state.
-    pub fn new(machine: &'m StateMachine) -> Self {
-        FsmInstance {
-            machine,
-            current: machine.start(),
+impl Instance {
+    /// Creates an instance at the engine's start state, registers zero.
+    pub fn new(engine: StepEngine) -> Self {
+        Instance {
+            current: engine.start(),
+            regs: vec![0; engine.reg_count()],
+            scratch: vec![0; engine.scratch_len()],
+            engine,
             steps: 0,
         }
     }
 
-    /// The machine this instance executes.
-    pub fn machine(&self) -> &'m StateMachine {
-        self.machine
+    /// The engine this instance executes.
+    pub fn engine(&self) -> &StepEngine {
+        &self.engine
     }
 
-    /// The current state.
-    pub fn current(&self) -> &'m State {
-        self.machine.state(self.current)
-    }
-
-    /// The current state's id.
-    pub fn current_id(&self) -> StateId {
+    /// The current state's dense id.
+    pub fn current_state(&self) -> u32 {
         self.current
+    }
+
+    /// Current variable values, in declaration order (empty for an
+    /// unguarded machine).
+    pub fn vars(&self) -> &[i64] {
+        &self.regs[..self.engine.var_count()]
     }
 
     /// Number of transitions taken so far.
@@ -114,51 +132,50 @@ impl<'m> FsmInstance<'m> {
         self.steps
     }
 
-    /// Display name of the current state, borrowed from the machine
+    /// Display name of the current state, borrowed from the engine
     /// (non-allocating form of [`ProtocolEngine::state_name`]).
-    pub fn state_name_str(&self) -> &'m str {
-        self.current().name()
+    pub fn state_name_str(&self) -> &str {
+        self.engine.state_name(self.current)
     }
 
     /// Delivers a message by id (avoids the name lookup of
-    /// [`ProtocolEngine::deliver`]); returns the triggered actions.
-    ///
-    /// The returned slice borrows from the machine, not from the
-    /// instance, so it stays valid across further deliveries.
-    pub fn deliver_id(&mut self, message: MessageId) -> &'m [Action] {
-        if self.is_finished() {
-            return &[];
-        }
-        match self.machine.state(self.current).transition(message) {
-            Some(t) => {
-                self.current = t.target();
+    /// [`ProtocolEngine::deliver`]); returns the triggered actions,
+    /// borrowed from the engine. `message` must come from this
+    /// instance's engine. No heap allocation occurs on this path.
+    #[inline]
+    pub fn deliver_id(&mut self, message: MessageId) -> &[Action] {
+        let (regs, scratch) = (&mut self.regs, &mut self.scratch);
+        match self.engine.step(self.current, message, regs, scratch) {
+            Some((target, actions)) => {
+                self.current = target;
                 self.steps += 1;
-                t.actions()
+                actions
             }
             None => &[],
         }
     }
 }
 
-impl ProtocolEngine for FsmInstance<'_> {
+impl ProtocolEngine for Instance {
     fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
         let id = self
-            .machine
+            .engine
             .message_id(message)
             .ok_or_else(|| InterpError::UnknownMessage(message.to_string()))?;
         Ok(self.deliver_id(id))
     }
 
     fn is_finished(&self) -> bool {
-        self.machine.state(self.current).role() == StateRole::Finish
+        self.engine.is_finish_state(self.current)
     }
 
     fn state_name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(self.current().name())
+        Cow::Borrowed(self.state_name_str())
     }
 
     fn reset(&mut self) {
-        self.current = self.machine.start();
+        self.current = self.engine.start();
+        self.regs.fill(0);
         self.steps = 0;
     }
 }
@@ -166,68 +183,76 @@ impl ProtocolEngine for FsmInstance<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::StateMachineBuilder;
+    use crate::ir::FlatIr;
+    use crate::machine::{StateMachineBuilder, StateRole};
 
-    fn finishing_machine() -> StateMachine {
+    /// `s0 -a-> s1 -a-> FINISHED`, on the interpreted and the dense
+    /// tier: every test below holds for both.
+    fn instances() -> [Instance; 2] {
         let mut b = StateMachineBuilder::new("m", ["a", "b"]);
         let s0 = b.add_state("s0");
         let s1 = b.add_state("s1");
         let fin = b.add_state_full("FINISHED", None, StateRole::Finish, vec![]);
         b.add_transition(s0, "a", s1, vec![Action::send("x")]);
         b.add_transition(s1, "a", fin, vec![]);
-        b.build(s0)
+        let ir = FlatIr::from_machine(&b.build(s0));
+        [
+            StepEngine::interpreted(ir.clone(), &[]).unwrap(),
+            StepEngine::compile_ir(&ir, &[]).unwrap(),
+        ]
+        .map(Instance::new)
     }
 
     #[test]
     fn walk_to_finish() {
-        let m = finishing_machine();
-        let mut i = FsmInstance::new(&m);
-        assert!(!i.is_finished());
-        assert_eq!(i.deliver("a").unwrap(), vec![Action::send("x")]);
-        assert_eq!(i.state_name(), "s1");
-        assert!(i.deliver("a").unwrap().is_empty());
-        assert!(i.is_finished());
-        assert_eq!(i.steps(), 2);
+        for mut i in instances() {
+            assert!(!i.is_finished());
+            assert_eq!(i.deliver("a").unwrap(), vec![Action::send("x")]);
+            assert_eq!(i.state_name(), "s1");
+            assert!(i.deliver("a").unwrap().is_empty());
+            assert!(i.is_finished());
+            assert_eq!(i.steps(), 2);
+        }
     }
 
     #[test]
     fn inapplicable_message_ignored() {
-        let m = finishing_machine();
-        let mut i = FsmInstance::new(&m);
-        assert!(i.deliver("b").unwrap().is_empty());
-        assert_eq!(i.state_name(), "s0");
-        assert_eq!(i.steps(), 0);
+        for mut i in instances() {
+            assert!(i.deliver("b").unwrap().is_empty());
+            assert_eq!(i.state_name(), "s0");
+            assert_eq!(i.steps(), 0);
+        }
     }
 
     #[test]
     fn unknown_message_is_error() {
-        let m = finishing_machine();
-        let mut i = FsmInstance::new(&m);
-        assert_eq!(
-            i.deliver("zap"),
-            Err(InterpError::UnknownMessage("zap".to_string()))
-        );
+        for mut i in instances() {
+            assert_eq!(
+                i.deliver("zap"),
+                Err(InterpError::UnknownMessage("zap".to_string()))
+            );
+        }
     }
 
     #[test]
     fn messages_after_finish_ignored() {
-        let m = finishing_machine();
-        let mut i = FsmInstance::new(&m);
-        i.deliver("a").unwrap();
-        i.deliver("a").unwrap();
-        assert!(i.is_finished());
-        assert!(i.deliver("a").unwrap().is_empty());
-        assert_eq!(i.state_name(), "FINISHED");
-        assert_eq!(i.steps(), 2);
+        for mut i in instances() {
+            i.deliver("a").unwrap();
+            i.deliver("a").unwrap();
+            assert!(i.is_finished());
+            assert!(i.deliver("a").unwrap().is_empty());
+            assert_eq!(i.state_name(), "FINISHED");
+            assert_eq!(i.steps(), 2);
+        }
     }
 
     #[test]
     fn reset_returns_to_start() {
-        let m = finishing_machine();
-        let mut i = FsmInstance::new(&m);
-        i.deliver("a").unwrap();
-        i.reset();
-        assert_eq!(i.state_name(), "s0");
-        assert_eq!(i.steps(), 0);
+        for mut i in instances() {
+            i.deliver("a").unwrap();
+            i.reset();
+            assert_eq!(i.state_name(), "s0");
+            assert_eq!(i.steps(), 0);
+        }
     }
 }

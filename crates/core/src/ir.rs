@@ -28,17 +28,18 @@
 //! action-arena interning and duplicate-transition rejection the two
 //! compilers used to duplicate live here, shared.
 //!
-//! [`FlatIr::to_machine`] is the trivial projection back to a plain
-//! [`StateMachine`] for unguarded IRs (what
-//! [`flatten`](crate::HierarchicalMachine::flatten) returns), and
-//! [`IrInstance`] interprets the IR directly — the mid-tier semantic
-//! reference the guarded-statechart property suites pin the compiled
-//! tiers against.
+//! [`FlatIr::step`] is the one definition of a flat transition —
+//! priority-ordered guard evaluation, then staged updates — that the
+//! interpreted tier of [`StepEngine`](crate::StepEngine) and
+//! [`IrInstance`], the semantic reference every suite pins the compiled
+//! tiers against, both execute. [`FlatIr::to_machine`] is the trivial
+//! projection back to a plain [`StateMachine`] for unguarded IRs (what
+//! [`flatten`](crate::HierarchicalMachine::flatten) returns).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::efsm::{Efsm, Guard, LinExpr, Operand, Update};
+use crate::efsm::{apply_staged_updates, Efsm, Guard, LinExpr, Operand, Update};
 use crate::error::InterpError;
 use crate::fingerprint::Fnv64;
 use crate::interp::ProtocolEngine;
@@ -245,6 +246,55 @@ impl FlatIr {
                     .iter()
                     .any(|t| !t.guard.conditions().is_empty() || !t.updates.is_empty())
             })
+    }
+
+    /// Registers one session of this machine occupies, on every tier: a
+    /// guarded IR's declared variables plus one always-zero register
+    /// (which the register tier's variable-free checks read), nothing
+    /// for an unguarded one. A function of the IR alone, so a snapshot's
+    /// register file fits every engine of the same fingerprint.
+    pub fn reg_count(&self) -> usize {
+        if self.is_guarded() {
+            self.variables.len() + 1
+        } else {
+            0
+        }
+    }
+
+    /// Executes one transition — the definition of a step that every
+    /// tier must agree with: in a non-finish `state`, the first
+    /// transition on `message` (declaration order is priority) whose
+    /// guard holds fires, its updates applied with every expression
+    /// reading the pre-transition values. Returns the target and the
+    /// borrowed actions, or `None` if nothing fires.
+    ///
+    /// `vars` holds at least the declared variables (further registers
+    /// are left alone) and `scratch` as many slots, which receive the
+    /// pre-transition copy; `params` is the binding. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range or a slice is too short.
+    #[inline]
+    pub fn step(
+        &self,
+        state: u32,
+        message: MessageId,
+        params: &[i64],
+        vars: &mut [i64],
+        scratch: &mut [i64],
+    ) -> Option<(u32, &[Action])> {
+        let from = &self.states[state as usize];
+        if from.role == StateRole::Finish {
+            return None;
+        }
+        let vars = &mut vars[..self.variables.len()];
+        let fired = from
+            .transitions
+            .iter()
+            .find(|t| t.message == message.0 && t.guard.eval(vars, params))?;
+        apply_staged_updates(&fired.updates, vars, &mut scratch[..vars.len()], params);
+        Some((fired.target, &fired.actions))
     }
 
     /// A 64-bit behavioural fingerprint of the IR: an FNV-1a hash over a
@@ -522,9 +572,9 @@ impl FlatIr {
 }
 
 /// One executing instance of a [`FlatIr`]: a dense state id plus
-/// variable registers, interpreting guards and updates directly (the
-/// same staged, read-pre-transition-values semantics as
-/// [`EfsmInstance`](crate::EfsmInstance) and the compiled tiers).
+/// variable registers, stepped by [`FlatIr::step`] — the semantic
+/// reference for flat machines, EFSMs ([`FlatIr::from_efsm`]) and
+/// flattened statecharts alike.
 #[derive(Debug, Clone)]
 pub struct IrInstance<'i> {
     ir: &'i FlatIr,
@@ -583,26 +633,18 @@ impl<'i> IrInstance<'i> {
     /// Delivers a message by id; returns the triggered actions, borrowed
     /// from the IR (valid across further deliveries).
     pub fn deliver_id(&mut self, message: MessageId) -> &'i [Action] {
-        let state = &self.ir.states[self.current as usize];
-        if state.role == StateRole::Finish {
-            return &[];
-        }
-        for t in &state.transitions {
-            if usize::from(t.message) != message.index() || !t.guard.eval(&self.vars, &self.params)
-            {
-                continue;
+        let (vars, scratch) = (&mut self.vars, &mut self.old_vars);
+        match self
+            .ir
+            .step(self.current, message, &self.params, vars, scratch)
+        {
+            Some((target, actions)) => {
+                self.current = target;
+                self.steps += 1;
+                actions
             }
-            crate::efsm::apply_staged_updates(
-                &t.updates,
-                &mut self.vars,
-                &mut self.old_vars,
-                &self.params,
-            );
-            self.current = t.target;
-            self.steps += 1;
-            return &t.actions;
+            None => &[],
         }
-        &[]
     }
 }
 
@@ -746,19 +788,36 @@ mod tests {
             .is_empty());
     }
 
+    /// The EFSM interpreter is [`FlatIr::step`] over the lifted IR:
+    /// pinned to the counter's closed form, and to the single-session
+    /// view on the interpreted and the register tier.
     #[test]
     fn ir_instance_matches_the_efsm_interpreter() {
-        let efsm = counter_efsm();
-        let ir = FlatIr::from_efsm(&efsm);
+        use crate::{Instance, StepEngine};
+        let ir = FlatIr::from_efsm(&counter_efsm());
         for limit in 1..5 {
-            let mut reference = crate::EfsmInstance::new(&efsm, vec![limit]);
             let mut instance = ir.instance(vec![limit]);
-            for _ in 0..limit + 2 {
-                let want = reference.deliver_ref("tick").unwrap().to_vec();
-                assert_eq!(instance.deliver_ref("tick").unwrap(), want.as_slice());
-                assert_eq!(reference.vars(), instance.vars());
-                assert_eq!(reference.is_finished(), instance.is_finished());
-                assert_eq!(reference.state_name(), instance.state_name());
+            let mut views = [
+                StepEngine::interpreted(ir.clone(), &[limit]).unwrap(),
+                StepEngine::compile_ir(&ir, &[limit]).unwrap(),
+            ]
+            .map(Instance::new);
+            for tick in 1..=limit + 2 {
+                let want: &[Action] = if tick == limit {
+                    &[Action::send("done")]
+                } else {
+                    &[]
+                };
+                assert_eq!(instance.deliver_ref("tick").unwrap(), want);
+                assert_eq!(instance.vars(), &[tick.min(limit)]);
+                assert_eq!(instance.is_finished(), tick >= limit);
+                for view in &mut views {
+                    assert_eq!(view.deliver_ref("tick").unwrap(), want);
+                    assert_eq!(view.vars(), instance.vars());
+                    assert_eq!(view.is_finished(), instance.is_finished());
+                    assert_eq!(view.state_name(), instance.state_name());
+                    assert_eq!(view.steps(), instance.steps());
+                }
             }
             instance.reset();
             assert_eq!(instance.vars(), &[0]);

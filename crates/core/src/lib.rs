@@ -20,13 +20,20 @@
 //!
 //! The crate also provides:
 //!
-//! * [`FsmInstance`] — a runtime interpreter for generated machines
-//!   (the paper's "generate on the fly" deployment policy, §4.2);
-//! * [`CompiledMachine`] — the compiled execution tier: dense
-//!   transition tables with zero-allocation dispatch;
-//! * [`StepEngine`] / [`SessionStore`] — one machine resolved onto one
-//!   tier (interpreted, dense, register) and the one struct-of-arrays
-//!   store that steps thousands of sessions over it;
+//! * [`ir`] — the unified lowering IR ([`FlatIr`]): a flat machine with
+//!   *optional* guards/updates per transition, the one target every
+//!   front-end lowers onto, the one source both compilers consume (a
+//!   plain FSM is the degenerate EFSM), and — through [`FlatIr::step`],
+//!   which the interpreted tier runs as it stands — the one definition
+//!   of a transition (the paper's "generate on the fly" deployment
+//!   policy, §4.2);
+//! * [`CompiledMachine`] / [`CompiledEfsm`] — the two compilers: dense
+//!   transition tables, and fused checks + register-machine bytecode,
+//!   both with zero-allocation dispatch;
+//! * [`StepEngine`] / [`SessionStore`] / [`Instance`] — one machine
+//!   resolved onto one tier (interpreted, dense, register), the one
+//!   struct-of-arrays store that steps thousands of sessions over it,
+//!   and the one single-session view;
 //! * [`efsm`] — extended finite state machines, the intermediate points on
 //!   the paper's algorithm↔FSM spectrum (§3.2, §5.3);
 //! * [`hsm`] — hierarchical statecharts (composite states, entry/exit
@@ -35,10 +42,6 @@
 //!   and parameters) with a flattening compiler onto the unified flat
 //!   IR, so hierarchical specs — guarded or not — run on the flat
 //!   execution tiers unchanged;
-//! * [`ir`] — the unified lowering IR ([`FlatIr`]): a flat machine with
-//!   *optional* guards/updates per transition, the one target every
-//!   front-end lowers onto and the one source both compiled tiers
-//!   consume (a plain FSM is the degenerate EFSM);
 //! * [`artifact`] — deployable machine artifacts: the versioned,
 //!   checksummed, canonical binary encoding of a lowered machine plus
 //!   its parameter binding, with a paranoid loader that survives
@@ -54,21 +57,30 @@
 //!
 //! ## Engine tiers
 //!
-//! A machine can be executed four ways, all behind the common
-//! [`ProtocolEngine`] interface and all behaviourally equivalent
-//! (asserted by the cross-engine property suites):
+//! Below the front-ends there is one machine, [`FlatIr`], and one step:
+//! [`StepEngine::step`]. A machine can be executed four ways, all
+//! behaviourally equivalent (asserted by the cross-engine property
+//! suites) and — the first three — all behind the same three types,
+//! [`StepEngine`], [`SessionStore`] and [`Instance`]:
 //!
-//! | tier | type | dispatch cost | use when |
+//! | tier | built by | dispatch cost | use when |
 //! |---|---|---|---|
-//! | interpreted | [`FsmInstance`] / [`EfsmInstance`] | `BTreeMap` walk / guard enum-tree walk per message | exploring freshly generated machines; debugging; one-off runs |
-//! | compiled | [`CompiledMachine`] → [`CompiledInstance`] / [`SessionStore`] | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
-//! | compiled EFSM | [`CompiledEfsm`] → [`CompiledEfsmInstance`] / [`SessionStore`] | guard/update bytecode over a flat op stream, zero allocation | the EFSM tier at runtime: one machine generic over the protocol parameter |
+//! | interpreted | [`StepEngine::interpreted`] (any IR, guarded or not) | transition-list scan, guard/update enum-tree walk per message | exploring freshly generated machines; debugging; one-off runs |
+//! | compiled | [`StepEngine::compile_ir`] on an unguarded IR ([`CompiledMachine`]) | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
+//! | compiled EFSM | [`StepEngine::compile_ir`] on a guarded IR ([`CompiledEfsm`]) | fused threshold checks / bytecode over a flat op stream, zero allocation | the EFSM tier at runtime: one machine generic over the protocol parameter |
 //! | generated | `stategen-generated` (build-time rendered source) | `match` over enum states | machine known at *build* time; maximum specialisation, no machine data at runtime |
 //!
 //! The interpreted tier needs no preparation; the compiled tiers pay a
-//! one-time flattening pass ([`CompiledMachine::compile`],
-//! [`CompiledEfsm::compile`]) and then dispatch in a few nanoseconds;
-//! the generated tier moves that specialisation to the build.
+//! one-time flattening pass and then dispatch in a few nanoseconds; the
+//! generated tier moves that specialisation to the build. All three
+//! runtime tiers give a session the same register row
+//! ([`FlatIr::reg_count`]), so state moves freely between them.
+//!
+//! Two *semantic references* stand beside the tiers, deliberately naive
+//! and deliberately separate: [`IrInstance`] (one session of a
+//! [`FlatIr`] — flat machines via [`FlatIr::from_machine`], EFSMs via
+//! [`FlatIr::from_efsm`]) and [`HsmInstance`] (one session of a
+//! statechart, unflattened). Every suite pins the tiers to them.
 //!
 //! Hierarchical statecharts sit *in front of* these tiers rather than
 //! adding a fifth: author a [`HierarchicalMachine`] (composite states,
@@ -79,14 +91,12 @@
 //! configurations become flat states, and inherited transitions plus
 //! synthesized exit/entry action sequences become ordinary (possibly
 //! guarded) transitions of the unified [`FlatIr`] — and run it on the
-//! matching tier above: unguarded statecharts project to an ordinary
-//! [`StateMachine`] ([`flatten`](HierarchicalMachine::flatten)) for the
-//! dense-table tier, guarded ones compile onto the register-machine
-//! tier ([`CompiledEfsm::compile_ir`]), where one compiled machine
-//! serves the whole parameterized statechart family. The property
-//! suites assert `HsmInstance ≡ FsmInstance(flatten) ≡
-//! CompiledInstance(flatten)` over random statecharts and traces (and
-//! the guarded four-way equivalence in `stategen-runtime`'s
+//! matching tier above: unguarded statecharts land on the dense-table
+//! tier, guarded ones on the register-machine tier, where one compiled
+//! machine serves the whole parameterized statechart family. The
+//! property suites assert `HsmInstance ≡ IrInstance(flatten_ir) ≡
+//! Instance(compiled)` over random statecharts and traces (and the
+//! guarded five-way equivalence in `stategen-runtime`'s
 //! `hsm_guarded_props`). Use the direct interpreter while iterating on
 //! a spec (it reports hierarchical positions via [`HsmInstance::is_in`]
 //! and needs no compile step); flatten + compile for serving traffic,
@@ -159,11 +169,11 @@ pub mod step;
 pub mod validate;
 
 pub use artifact::Artifact;
-pub use compiled::{CompiledInstance, CompiledMachine};
+pub use compiled::CompiledMachine;
 pub use component::{ComponentKind, StateComponent, StateSpace, StateVector};
 pub use diag::{Diagnostic, Level, Lint};
-pub use efsm::{Efsm, EfsmBuilder, EfsmInstance};
-pub use efsm_compiled::{CompiledEfsm, CompiledEfsmInstance, EfsmBinding};
+pub use efsm::{Efsm, EfsmBuilder};
+pub use efsm_compiled::{CompiledEfsm, EfsmBinding};
 pub use error::{
     ArtifactError, CompileError, GenerateError, HsmError, InterpError, ParseNameError, SchemaError,
     StategenError, SwapError,
@@ -176,12 +186,12 @@ pub use generator::{
 pub use hsm::{
     HierarchicalMachine, HsmBuilder, HsmInstance, HsmState, HsmStateId, HsmTarget, HsmTransition,
 };
-pub use interp::{FsmInstance, ProtocolEngine};
+pub use interp::{Instance, ProtocolEngine};
 pub use interval::{
     cond_status, eval_lin, guard_status, guard_unsat, guards_disjoint, CondStatus, Interval,
 };
 pub use ir::{FlatIr, FlatState, FlatTransition, IrInstance};
-pub use kernel::{BatchTally, KernelScratch};
+pub use kernel::BatchTally;
 pub use machine::{
     Action, MessageId, State, StateId, StateMachine, StateMachineBuilder, StateRole, Transition,
 };

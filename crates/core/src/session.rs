@@ -23,7 +23,7 @@
 //!
 //! so a store of a million unguarded sessions is ~4 MB of state and no
 //! session operation allocates. [`SessionStore::deliver_all`] routes
-//! through the branchless batch kernels (see the
+//! through the branchless batch kernels where a tier has one (see the
 //! [`kernel`](crate::kernel) module);
 //! [`SessionStore::deliver_all_scalar`] is the per-session walk the
 //! property suites hold them to.
@@ -55,7 +55,7 @@
 
 use std::sync::{Condvar, Mutex};
 
-use crate::kernel::{BatchTally, KernelScratch};
+use crate::kernel::BatchTally;
 use crate::machine::{Action, MessageId};
 use crate::step::StepEngine;
 
@@ -132,10 +132,6 @@ pub struct SessionStore {
     /// One register row for [`SessionStore::probe_tail`], so a what-if
     /// step never touches the live row.
     probe_row: Vec<i64>,
-    /// Bucketing scratch for the register tier's batch kernel;
-    /// store-resident so batch delivery stays allocation-free after the
-    /// first call.
-    kernel: KernelScratch,
     n_regs: usize,
     /// Slots currently retired.
     retired: usize,
@@ -160,7 +156,6 @@ impl SessionStore {
             engine,
             current: Vec::with_capacity(count),
             vars: Vec::with_capacity(count * n_regs),
-            kernel: KernelScratch::new(),
             n_regs,
             retired: 0,
             steps: 0,
@@ -293,7 +288,9 @@ impl SessionStore {
     /// session's state (finished sessions absorb every message). No
     /// allocation occurs on this path.
     ///
-    /// `message` must come from this store's engine.
+    /// `message` must come from this store's engine (unchecked on this
+    /// per-session path: a foreign id may panic or step through the
+    /// wrong cell).
     ///
     /// # Panics
     ///
@@ -359,14 +356,15 @@ impl SessionStore {
     /// loop ([`StepEngine::deliver_batch`]): no allocation, the
     /// finished count advanced by the kernel's own tally, results
     /// bit-identical to [`SessionStore::deliver_all_scalar`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `message` is outside the engine's alphabet.
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        let tally = self.engine.deliver_batch(
-            message,
-            &mut self.current,
-            &mut self.vars,
-            &mut self.scratch,
-            &mut self.kernel,
-        );
+        let (states, vars) = (&mut self.current, &mut self.vars);
+        let tally = self
+            .engine
+            .deliver_batch(message, states, vars, &mut self.scratch);
         self.took(tally)
     }
 
@@ -1080,6 +1078,7 @@ mod tests {
     use super::*;
     use crate::compiled::CompiledMachine;
     use crate::efsm_compiled::CompiledEfsm;
+    use crate::ir::FlatIr;
     use crate::machine::{StateMachine, StateMachineBuilder, StateRole};
 
     fn finishing_machine() -> StateMachine {
@@ -1094,6 +1093,10 @@ mod tests {
 
     fn dense() -> StepEngine {
         StepEngine::dense(CompiledMachine::compile(&finishing_machine()))
+    }
+
+    fn interpreted() -> StepEngine {
+        StepEngine::interpreted(FlatIr::from_machine(&finishing_machine()), &[]).unwrap()
     }
 
     fn msg(engine: &StepEngine, name: &str) -> MessageId {
@@ -1114,7 +1117,7 @@ mod tests {
     #[test]
     fn pool_steps_sessions_independently() {
         // The same body on the dense and the interpreted tier.
-        for engine in [dense(), StepEngine::interpreted(finishing_machine())] {
+        for engine in [dense(), interpreted()] {
             let a = msg(&engine, "a");
             let mut pool = SessionStore::new(engine, 3);
             assert_eq!(pool.len(), 3);
@@ -1137,7 +1140,7 @@ mod tests {
 
     #[test]
     fn deliver_all_walks_every_live_session() {
-        for engine in [dense(), StepEngine::interpreted(finishing_machine())] {
+        for engine in [dense(), interpreted()] {
             let (a, b) = (msg(&engine, "a"), msg(&engine, "b"));
             let mut pool = SessionStore::new(engine, 100);
             pool.retire(7);
@@ -1191,11 +1194,11 @@ mod tests {
 
     #[test]
     fn matches_single_instance_semantics() {
-        let compiled = CompiledMachine::compile(&finishing_machine());
-        let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 1);
-        let mut single = compiled.instance();
+        let ir = FlatIr::from_machine(&finishing_machine());
+        let mut pool = SessionStore::new(dense(), 1);
+        let mut single = ir.instance(vec![]);
         for name in ["b", "a", "b", "a", "a"] {
-            let id = compiled.message_id(name).unwrap();
+            let id = ir.message_id(name).unwrap();
             assert_eq!(pool.deliver(0, id), single.deliver_id(id));
             assert_eq!(pool.state(0), single.current_state());
         }
@@ -1227,7 +1230,8 @@ mod tests {
         assert_eq!((pool.live(), pool.state_name(1)), (2, "s0"));
     }
 
-    fn counter(limit: i64) -> (CompiledEfsm, StepEngine) {
+    /// The counter EFSM's IR and its register engine bound to `limit`.
+    fn counter(limit: i64) -> (FlatIr, StepEngine) {
         use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
         let mut b = EfsmBuilder::new("counter", ["tick"]);
         let lim = b.add_param("limit");
@@ -1251,9 +1255,10 @@ mod tests {
             vec![Action::send("done")],
             done,
         );
-        let compiled = CompiledEfsm::compile(&b.build(counting, Some(done))).unwrap();
-        let engine = StepEngine::register(compiled.clone(), &[limit]).unwrap();
-        (compiled, engine)
+        let ir = FlatIr::from_efsm(&b.build(counting, Some(done)));
+        let compiled = CompiledEfsm::compile_ir(&ir).unwrap();
+        let engine = StepEngine::register(compiled, &[limit]).unwrap();
+        (ir, engine)
     }
 
     #[test]
@@ -1305,10 +1310,10 @@ mod tests {
 
     #[test]
     fn efsm_pool_matches_single_instance() {
-        let (compiled, engine) = counter(4);
+        let (ir, engine) = counter(4);
         let tick = msg(&engine, "tick");
         let mut pool = SessionStore::new(engine, 1);
-        let mut single = compiled.instance(vec![4]);
+        let mut single = ir.instance(vec![4]);
         for _ in 0..6 {
             assert_eq!(pool.deliver(0, tick), single.deliver_id(tick));
             assert_eq!(pool.state(0), single.current_state());

@@ -1,10 +1,12 @@
 //! The step engine: one machine resolved onto one execution tier.
 //!
 //! Every front-end lowers onto [`FlatIr`], and the IR is executed one of
-//! three ways — walked as generated ([`Tier::Interpreted`]), through the
-//! dense `states × messages` table ([`Tier::Compiled`]), or through the
-//! fused-check / register-machine bytecode with a parameter binding
-//! folded in ([`Tier::CompiledEfsm`]). [`StepEngine`] owns whichever of
+//! three ways — walked as lowered by [`FlatIr::step`], the definition
+//! the other two are compiled from and tested against
+//! ([`Tier::Interpreted`]), through the dense `states × messages` table
+//! ([`Tier::Compiled`]), or through the fused-check / register-machine
+//! bytecode with a parameter binding folded in
+//! ([`Tier::CompiledEfsm`]). [`StepEngine`] owns whichever of
 //! the three a machine resolved onto behind `Arc`s (a clone is pointer
 //! bumps; engines are `Send + Sync + 'static`) and answers every
 //! question a session store asks of a machine — where sessions start,
@@ -15,18 +17,20 @@
 //! outside cannot match on it, only ask.
 //!
 //! A flat FSM is the degenerate EFSM, and the register file says so:
-//! [`StepEngine::reg_count`] is zero exactly when the machine is
-//! unguarded, so callers size their per-session registers from it and
-//! never ask which tier they are on.
+//! [`StepEngine::reg_count`] is [`FlatIr::reg_count`] of the lowered
+//! machine on every tier — zero exactly when it is unguarded — so
+//! callers size their per-session registers from it, never ask which
+//! tier they are on, and a register file written under one engine fits
+//! every engine of the same machine.
 
 use std::sync::Arc;
 
 use crate::compiled::CompiledMachine;
 use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
 use crate::error::StategenError;
-use crate::ir::FlatIr;
-use crate::kernel::{dense_batch, efsm_batch, BatchTally, KernelScratch};
-use crate::machine::{Action, MessageId, State, StateMachine, StateRole};
+use crate::ir::{FlatIr, FlatState};
+use crate::kernel::{dense_batch, efsm_lockstep, BatchTally};
+use crate::machine::{Action, MessageId, StateRole};
 
 /// Which execution tier a [`StepEngine`] runs on — what the two
 /// compilers (and their absence) distinguish, nothing more. The
@@ -38,8 +42,9 @@ use crate::machine::{Action, MessageId, State, StateMachine, StateRole};
 /// cost and preparation work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
-    /// Walking the generated machine's transition maps directly — no
-    /// preparation pass, slowest dispatch.
+    /// Walking the lowered IR's transition lists directly, evaluating
+    /// guard and update trees — no preparation pass, slowest dispatch.
+    /// Open to every machine, guarded or not.
     Interpreted,
     /// Dense `states × messages` transition tables with an interned
     /// action arena — dispatch in ~1 ns, zero allocation per delivery.
@@ -73,8 +78,8 @@ impl std::fmt::Display for Tier {
 /// module can branch on it.
 #[derive(Debug, Clone)]
 enum Repr {
-    /// The generated machine itself.
-    Interpreted(Arc<StateMachine>),
+    /// The lowered machine itself, with its parameter binding.
+    Interpreted { ir: Arc<FlatIr>, params: Arc<[i64]> },
     /// Dense tables (flat machines and unguarded flattened statecharts).
     Dense(Arc<CompiledMachine>),
     /// The lowered guarded machine with its parameter binding folded
@@ -95,15 +100,15 @@ enum Repr {
 /// # Examples
 ///
 /// ```
-/// use stategen_core::{Action, CompiledMachine, StateMachineBuilder, StateRole, StepEngine, Tier};
+/// use stategen_core::{Action, FlatIr, StateMachineBuilder, StateRole, StepEngine, Tier};
 ///
 /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
 /// let idle = b.add_state("idle");
 /// let done = b.add_state_full("done", None, StateRole::Finish, vec![]);
 /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-/// let machine = b.build(idle);
+/// let ir = FlatIr::from_machine(&b.build(idle));
 ///
-/// let engine = StepEngine::dense(CompiledMachine::compile(&machine));
+/// let engine = StepEngine::compile_ir(&ir, &[])?;
 /// assert_eq!(engine.tier(), Tier::Compiled);
 /// assert_eq!(engine.reg_count(), 0); // unguarded: no registers
 /// let ping = engine.message_id("ping").unwrap();
@@ -111,8 +116,9 @@ enum Repr {
 /// assert!(engine.is_finish_state(target));
 /// assert_eq!(actions, [Action::send("pong")]);
 /// // The interpreted walk of the same machine answers identically.
-/// let interp = StepEngine::interpreted(machine);
+/// let interp = StepEngine::interpreted(ir, &[])?;
 /// assert_eq!(interp.step(interp.start(), ping, &mut [], &mut []).unwrap().0, target);
+/// # Ok::<(), stategen_core::StategenError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct StepEngine {
@@ -120,24 +126,55 @@ pub struct StepEngine {
     /// Per-state finish flags, whatever the tier — so the question the
     /// stores ask per slot never branches on the representation.
     finish: Arc<[bool]>,
+    /// The session shape, resolved once: start state, declared
+    /// variables, registers and scratch slots per stepper.
+    start: u32,
+    var_count: usize,
+    reg_count: usize,
+    scratch_len: usize,
 }
 
 impl StepEngine {
     fn new(repr: Repr) -> Self {
-        let finish = match &repr {
-            Repr::Interpreted(m) => {
-                let finishes = |s: &State| s.role() == StateRole::Finish;
-                m.states().iter().map(finishes).collect()
+        let (finish, start, var_count, reg_count, scratch_len) = match &repr {
+            Repr::Interpreted { ir, .. } => {
+                let finishes = |s: &FlatState| s.role() == StateRole::Finish;
+                let finish = ir.states().iter().map(finishes).collect();
+                // The interpreter's scratch is the pre-transition copy.
+                let vars = ir.variables().len();
+                (finish, ir.start(), vars, ir.reg_count(), vars)
             }
-            Repr::Dense(m) => m.finish_flags().into(),
-            Repr::Register { machine, .. } => machine.finish_flags().into(),
+            Repr::Dense(m) => (m.finish_flags().into(), m.start(), 0, 0, 0),
+            Repr::Register { machine: m, .. } => (
+                m.finish_flags().into(),
+                m.start(),
+                m.var_count(),
+                m.reg_count(),
+                m.scratch_len(),
+            ),
         };
-        StepEngine { repr, finish }
+        StepEngine {
+            repr,
+            finish,
+            start,
+            var_count,
+            reg_count,
+            scratch_len,
+        }
     }
 
-    /// The no-preparation tier: `machine` is walked as generated.
-    pub fn interpreted(machine: impl Into<Arc<StateMachine>>) -> Self {
-        StepEngine::new(Repr::Interpreted(machine.into()))
+    /// The no-preparation tier: `ir` — any lowered machine, guarded or
+    /// not — is walked as it stands by [`FlatIr::step`], under `params`.
+    ///
+    /// # Errors
+    ///
+    /// [`StategenError::ParamCountMismatch`] if `params` has the wrong
+    /// arity for the IR.
+    pub fn interpreted(ir: impl Into<Arc<FlatIr>>, params: &[i64]) -> Result<Self, StategenError> {
+        let ir = ir.into();
+        check_arity(ir.params().len(), params)?;
+        let params = params.into();
+        Ok(StepEngine::new(Repr::Interpreted { ir, params }))
     }
 
     /// The dense-table tier over an already compiled machine.
@@ -157,12 +194,7 @@ impl StepEngine {
         params: &[i64],
     ) -> Result<Self, StategenError> {
         let machine = machine.into();
-        if params.len() != machine.param_count() {
-            return Err(StategenError::ParamCountMismatch {
-                expected: machine.param_count(),
-                found: params.len(),
-            });
-        }
+        check_arity(machine.param_count(), params)?;
         let binding = Arc::new(machine.bind(params));
         Ok(StepEngine::new(Repr::Register { machine, binding }))
     }
@@ -170,7 +202,7 @@ impl StepEngine {
     /// The one `FlatIr` + parameters → engine lowering: a guarded IR
     /// ([`FlatIr::is_guarded`]) compiles onto the register-machine tier
     /// with `params` bound, an unguarded one onto the dense table.
-    /// Statechart specs and deployable artifacts both boot through
+    /// Every spec shape and every deployable artifact boots through
     /// here, so the same machine resolves identically whichever way it
     /// arrived.
     ///
@@ -183,12 +215,8 @@ impl StepEngine {
     pub fn compile_ir(ir: &FlatIr, params: &[i64]) -> Result<Self, StategenError> {
         if ir.is_guarded() {
             StepEngine::register(CompiledEfsm::compile_ir(ir)?, params)
-        } else if !params.is_empty() {
-            Err(StategenError::ParamCountMismatch {
-                expected: 0,
-                found: params.len(),
-            })
         } else {
+            check_arity(0, params)?;
             Ok(StepEngine::dense(CompiledMachine::compile_ir(ir)?))
         }
     }
@@ -196,7 +224,7 @@ impl StepEngine {
     /// The tier this engine executes on.
     pub fn tier(&self) -> Tier {
         match &self.repr {
-            Repr::Interpreted(_) => Tier::Interpreted,
+            Repr::Interpreted { .. } => Tier::Interpreted,
             Repr::Dense(_) => Tier::Compiled,
             Repr::Register { .. } => Tier::CompiledEfsm,
         }
@@ -205,11 +233,7 @@ impl StepEngine {
     /// Dense id of the start state.
     #[inline]
     pub fn start(&self) -> u32 {
-        match &self.repr {
-            Repr::Interpreted(m) => m.start().index() as u32,
-            Repr::Dense(m) => m.start(),
-            Repr::Register { machine, .. } => machine.start(),
-        }
+        self.start
     }
 
     /// `true` if `state` is a finish state (absorbing: it takes no
@@ -231,7 +255,7 @@ impl StepEngine {
     #[inline]
     pub fn state_name(&self, state: u32) -> &str {
         match &self.repr {
-            Repr::Interpreted(m) => m.states()[state as usize].name(),
+            Repr::Interpreted { ir, .. } => ir.states()[state as usize].name(),
             Repr::Dense(m) => m.state_name(state),
             Repr::Register { machine, .. } => machine.state_name(state),
         }
@@ -240,18 +264,14 @@ impl StepEngine {
     /// Number of (flat) states; every valid state id is below it.
     #[inline]
     pub fn state_count(&self) -> usize {
-        match &self.repr {
-            Repr::Interpreted(m) => m.state_count(),
-            Repr::Dense(m) => m.state_count(),
-            Repr::Register { machine, .. } => machine.state_count(),
-        }
+        self.finish.len()
     }
 
     /// The message alphabet, in declaration order.
     #[inline]
     pub fn messages(&self) -> &[String] {
         match &self.repr {
-            Repr::Interpreted(m) => m.messages(),
+            Repr::Interpreted { ir, .. } => ir.messages(),
             Repr::Dense(m) => m.messages(),
             Repr::Register { machine, .. } => machine.messages(),
         }
@@ -260,7 +280,7 @@ impl StepEngine {
     /// Looks up a message id by name in O(1).
     pub fn message_id(&self, name: &str) -> Option<MessageId> {
         match &self.repr {
-            Repr::Interpreted(m) => m.message_id(name),
+            Repr::Interpreted { ir, .. } => ir.message_id(name),
             Repr::Dense(m) => m.message_id(name),
             Repr::Register { machine, .. } => machine.message_id(name),
         }
@@ -270,8 +290,9 @@ impl StepEngine {
     #[inline]
     pub fn params(&self) -> &[i64] {
         match &self.repr {
+            Repr::Interpreted { params, .. } => params,
+            Repr::Dense(_) => &[],
             Repr::Register { binding, .. } => binding.params(),
-            _ => &[],
         }
     }
 
@@ -280,38 +301,32 @@ impl StepEngine {
     /// compiler temporaries). Zero for an unguarded machine.
     #[inline]
     pub fn var_count(&self) -> usize {
-        match &self.repr {
-            Repr::Register { machine, .. } => machine.var_count(),
-            _ => 0,
-        }
+        self.var_count
     }
 
-    /// Registers a stepper must provide per session. Zero exactly when
-    /// the machine is unguarded — the degenerate case needs no branch
-    /// in the caller, only an empty row.
+    /// Registers a stepper must provide per session:
+    /// [`FlatIr::reg_count`] of the lowered machine, whatever the tier.
+    /// Zero exactly when the machine is unguarded — the degenerate case
+    /// needs no branch in the caller, only an empty row.
     #[inline]
     pub fn reg_count(&self) -> usize {
-        match &self.repr {
-            Repr::Register { machine, .. } => machine.reg_count(),
-            _ => 0,
-        }
+        self.reg_count
     }
 
     /// Scratch slots a stepper must provide (shared by all sessions;
-    /// contents are meaningless between calls). Zero when unguarded.
+    /// contents are meaningless between calls, and the length is the
+    /// tier's own business — it is not part of any snapshot). Zero when
+    /// unguarded.
     #[inline]
     pub fn scratch_len(&self) -> usize {
-        match &self.repr {
-            Repr::Register { machine, .. } => machine.scratch_len(),
-            _ => 0,
-        }
+        self.scratch_len
     }
 
     /// Executes one transition: from `state` on `message`, returns the
     /// target state and the borrowed action list, or `None` if the
     /// message is not applicable there (including any message in a
-    /// finish state, and — on the register tier — no candidate's guard
-    /// holding). Variable updates are applied to `regs` in place.
+    /// finish state, and no candidate's guard holding). Variable
+    /// updates are applied to `regs` in place.
     ///
     /// `regs` must hold [`StepEngine::reg_count`] registers and
     /// `scratch` [`StepEngine::scratch_len`] slots (both empty for an
@@ -330,7 +345,7 @@ impl StepEngine {
         scratch: &mut [i64],
     ) -> Option<(u32, &[Action])> {
         match &self.repr {
-            Repr::Interpreted(m) => walk_step(m, state, message),
+            Repr::Interpreted { ir, params } => ir.step(state, message, params, regs, scratch),
             Repr::Dense(m) => m.step(state, message),
             Repr::Register { machine, binding } => {
                 machine.step(state, message, binding, regs, scratch)
@@ -359,9 +374,10 @@ impl StepEngine {
         // reads the machine directly, not through the engine's `Arc`s.
         let (n_regs, finish) = (self.reg_count(), &*self.finish);
         match &self.repr {
-            Repr::Interpreted(m) => {
-                let m: &StateMachine = m;
-                let step = move |state, _: &mut [i64]| walk_step(m, state, message);
+            Repr::Interpreted { ir, params } => {
+                let (ir, params): (&FlatIr, &[i64]) = (ir, params);
+                let step =
+                    move |state, regs: &mut [i64]| ir.step(state, message, params, regs, scratch);
                 walk(states, vars, n_regs, finish, step, visit)
             }
             Repr::Dense(m) => {
@@ -384,52 +400,59 @@ impl StepEngine {
     /// ..]` — and returns how many transitions were taken and how many
     /// of them entered a finish state; actions are not materialised.
     /// The dense tier gathers through the message's table column in one
-    /// pass, the register tier runs the `(state, message)`-bucketed
-    /// masked sweeps (see the [`kernel`](crate::kernel) module) — the
-    /// only tier that uses `kernel` — and the interpreted tier walks.
+    /// pass; the register tier sweeps a lockstep block with masked
+    /// compares (see the [`kernel`](crate::kernel) module) and, like
+    /// the interpreted tier, walks a divergent one.
     ///
     /// Slots holding an out-of-range state id (a retired-slot sentinel
     /// such as `u32::MAX`) are skipped with their registers untouched,
     /// so callers with recycled slot arrays need no separate live mask.
     /// Results are bit-identical to stepping each live slot through
-    /// [`StepEngine::step`] in any order. Allocation-free once `kernel`
-    /// has grown to the block's size.
+    /// [`StepEngine::step`] in any order. Allocation-free.
     ///
     /// # Panics
     ///
-    /// May panic if `vars` does not hold [`StepEngine::reg_count`]
-    /// registers per session or `scratch` is shorter than
-    /// [`StepEngine::scratch_len`].
+    /// Panics — on every tier, before any session is touched — if
+    /// `message` is outside this engine's alphabet (an id minted by a
+    /// machine with more messages). May panic if `vars` does not hold
+    /// [`StepEngine::reg_count`] registers per session or `scratch` is
+    /// shorter than [`StepEngine::scratch_len`].
     pub fn deliver_batch(
         &self,
         message: MessageId,
         states: &mut [u32],
         vars: &mut [i64],
         scratch: &mut [i64],
-        kernel: &mut KernelScratch,
     ) -> BatchTally {
-        match &self.repr {
-            Repr::Interpreted(_) => {
-                self.walk_batch(message, states, vars, scratch, |_, _, _, _| {})
-            }
-            Repr::Dense(m) => dense_batch(m, message, states),
+        // Once per batch, not per session: the register tier would
+        // otherwise read another state's cell for a foreign id.
+        assert!(
+            message.index() < self.messages().len(),
+            "message id {} is outside this engine's alphabet of {} messages",
+            message.index(),
+            self.messages().len(),
+        );
+        let kernel = match &self.repr {
+            Repr::Interpreted { .. } => None,
+            Repr::Dense(m) => Some(dense_batch(m, message, states)),
             Repr::Register { machine, binding } => {
-                efsm_batch(machine, binding, message, states, vars, scratch, kernel)
+                efsm_lockstep(machine, binding, message, states, vars)
             }
-        }
+        };
+        kernel.unwrap_or_else(|| self.walk_batch(message, states, vars, scratch, |_, _, _, _| {}))
     }
 }
 
-/// The interpreted tier's single-session step: a walk of the generated
-/// machine's transition map (finish states take no transition).
-#[inline]
-fn walk_step(machine: &StateMachine, state: u32, message: MessageId) -> Option<(u32, &[Action])> {
-    let from = &machine.states()[state as usize];
-    if from.role() == StateRole::Finish {
-        return None;
+/// `Ok` if `params` binds exactly `expected` parameters.
+fn check_arity(expected: usize, params: &[i64]) -> Result<(), StategenError> {
+    if params.len() == expected {
+        Ok(())
+    } else {
+        Err(StategenError::ParamCountMismatch {
+            expected,
+            found: params.len(),
+        })
     }
-    from.transition(message)
-        .map(|t| (t.target().index() as u32, t.actions()))
 }
 
 /// The loop of [`StepEngine::walk_batch`], written once and

@@ -1,8 +1,8 @@
 //! Property suite for the hierarchical layer: the direct statechart
 //! interpreter, the interpreted flattened machine and the compiled
 //! flattened machine must be trace-equivalent on randomized
-//! hierarchical machines — `HsmInstance ≡ FsmInstance(flatten(hsm)) ≡
-//! CompiledInstance(flatten(hsm))`.
+//! hierarchical machines — `HsmInstance ≡ IrInstance(flatten_ir(hsm)) ≡
+//! Instance(compile(flatten(hsm)))`.
 //!
 //! What that proves, precisely: the interpreter and the flattener
 //! deliberately share the run-to-completion kernel (`step_config` —
@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 
 use stategen_core::{
-    prune_unreachable, validate_machine, Action, CompiledMachine, FsmInstance, HierarchicalMachine,
-    HsmBuilder, HsmStateId, ProtocolEngine, SessionStore, StepEngine,
+    prune_unreachable, validate_machine, Action, CompiledMachine, HierarchicalMachine, HsmBuilder,
+    HsmStateId, Instance, ProtocolEngine, SessionStore, StepEngine,
 };
 
 /// The fixed alphabet random machines draw from.
@@ -145,9 +145,10 @@ proptest! {
         prop_assert!(report.is_valid(), "{:?}", report.diagnostics);
         let compiled = CompiledMachine::compile(&flat);
 
+        let ir = hsm.flatten_ir();
         let mut reference = hsm.instance();
-        let mut interp = FsmInstance::new(&flat);
-        let mut fast = compiled.instance();
+        let mut interp = ir.instance(vec![]);
+        let mut fast = Instance::new(StepEngine::dense(compiled.clone()));
         let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
         prop_assert_eq!(reference.state_name(), interp.state_name());
         for (step, &mi) in trace.iter().enumerate() {
@@ -191,9 +192,9 @@ proptest! {
     #[test]
     fn unknown_messages_agree(r in recipe()) {
         let hsm = build_random_hsm(&r);
-        let flat = hsm.flatten();
+        let flat = hsm.flatten_ir();
         let mut reference = hsm.instance();
-        let mut interp = FsmInstance::new(&flat);
+        let mut interp = flat.instance(vec![]);
         prop_assert_eq!(
             reference.deliver_ref("zap").map(<[Action]>::to_vec).unwrap_err(),
             interp.deliver_ref("zap").map(<[Action]>::to_vec).unwrap_err()
@@ -239,8 +240,9 @@ fn history_into_composite_with_pruned_initial_child() {
     assert!(flat.states().iter().all(|s| !s.name().contains("C.A")));
     assert!(flat.state_by_name("Out~C=B").is_some());
 
+    let ir = hsm.flatten_ir();
     let mut reference = hsm.instance();
-    let mut interp = FsmInstance::new(&flat);
+    let mut interp = ir.instance(vec![]);
     for msg in ["in", "out", "back", "out", "back"] {
         let want = reference.deliver_ref(msg).unwrap().to_vec();
         assert_eq!(
@@ -289,7 +291,8 @@ fn transition_inherited_across_three_levels() {
     assert_eq!(reference.state_name(), "Out");
 
     let flat = hsm.flatten();
-    let mut interp = FsmInstance::new(&flat);
+    let ir = hsm.flatten_ir();
+    let mut interp = ir.instance(vec![]);
     assert_eq!(
         interp.deliver_ref("top").unwrap(),
         [
@@ -364,8 +367,7 @@ fn entry_exit_ordering_on_cross_level_transitions() {
     );
 
     let flat = hsm.flatten();
-    let compiled = CompiledMachine::compile(&flat);
-    let mut fast = compiled.instance();
+    let mut fast = Instance::new(StepEngine::dense(CompiledMachine::compile(&flat)));
     reference.reset();
     for msg in ["jump", "up", "jump", "up"] {
         let want = reference.deliver_ref(msg).unwrap().to_vec();

@@ -28,7 +28,7 @@ use stategen_core::{
 /// counters and a flag; `a` bumps counter 0, `b` bumps counter 1;
 /// crossing `threshold` on the sum fires an action; completion when
 /// counter 1 reaches its max. Generates machines with many states, so
-/// the counting-sort sees populated *and* empty buckets.
+/// a churned pool spreads over many table rows.
 #[derive(Debug, Clone)]
 struct TwoCounter {
     max0: u32,
@@ -86,14 +86,35 @@ fn two_counter() -> impl Strategy<Value = TwoCounter> {
     })
 }
 
+/// The fused-check counts `(first candidate, second candidate)` a flat
+/// register cell can have — `None` for a one-candidate cell — in the
+/// order of the lockstep sweep's twelve monomorphizations. `(0, 0)` is
+/// missing because two always-true guards are a duplicate transition.
+const CELL_SHAPES: [(usize, Option<usize>); 11] = [
+    (0, None),
+    (1, None),
+    (2, None),
+    (0, Some(1)),
+    (0, Some(2)),
+    (1, Some(0)),
+    (1, Some(1)),
+    (1, Some(2)),
+    (2, Some(0)),
+    (2, Some(1)),
+    (2, Some(2)),
+];
+
 /// A two-phase threshold EFSM: `a` counts `x` up to the parameter in
 /// `wait` (two fused candidates on one cell — the masked-sweep shape),
 /// then `b` counts `y` in `mid` until `done`. With `spill` the `mid`
 /// transitions carry a `Set` update, which is not inline-fusable and
-/// forces the kernel's scalar bytecode fallback for those buckets — so
-/// one family covers the per-column masked path, the spill path and
-/// no-candidate cells (`b` in `wait`, `a` in `mid`).
-fn threshold_efsm(spill: bool) -> Efsm {
+/// leaves those cells to the scalar walk — so one family covers the
+/// masked lockstep sweep, the spill fallback and no-candidate cells
+/// (`b` in `wait`, `a` in `mid`). `shape` picks how many fused checks
+/// the two `(wait, a)` candidates carry ([`CELL_SHAPES`]): 0 is the
+/// always-true guard, 1 the threshold test, 2 the threshold test and a
+/// second condition that holds whenever the first is reached.
+fn threshold_efsm(spill: bool, shape: (usize, Option<usize>)) -> Efsm {
     let mut b = EfsmBuilder::new("kernel-prop", ["a", "b"]);
     let t = b.add_param("t");
     let x = b.add_var("x");
@@ -101,22 +122,32 @@ fn threshold_efsm(spill: bool) -> Efsm {
     let wait = b.add_state("wait");
     let mid = b.add_state("mid");
     let done = b.add_state("done");
+    let guard = |checks: usize, op: CmpOp| {
+        let threshold = Guard::when(LinExpr::var(x).plus_const(1), op, LinExpr::param(t));
+        match checks {
+            0 => Guard::always(),
+            1 => threshold,
+            _ => threshold.and(LinExpr::var(x), CmpOp::Ge, LinExpr::constant(0)),
+        }
+    };
     b.add_transition(
         wait,
         "a",
-        Guard::when(LinExpr::var(x).plus_const(1), CmpOp::Lt, LinExpr::param(t)),
+        guard(shape.0, CmpOp::Lt),
         vec![Update::Inc(x)],
         vec![],
         wait,
     );
-    b.add_transition(
-        wait,
-        "a",
-        Guard::when(LinExpr::var(x).plus_const(1), CmpOp::Ge, LinExpr::param(t)),
-        vec![Update::Inc(x)],
-        vec![Action::send("adv")],
-        mid,
-    );
+    if let Some(checks) = shape.1 {
+        b.add_transition(
+            wait,
+            "a",
+            guard(checks, CmpOp::Ge),
+            vec![Update::Inc(x)],
+            vec![Action::send("adv")],
+            mid,
+        );
+    }
     let bump = |spill: bool| {
         if spill {
             vec![Update::Set(y, LinExpr::var(y).plus_const(1))]
@@ -174,8 +205,9 @@ fn dense_engine(model: &TwoCounter) -> StepEngine {
     StepEngine::dense(CompiledMachine::compile(&g.machine))
 }
 
-fn register_engine(t: i64, spill: bool) -> StepEngine {
-    let compiled = CompiledEfsm::compile(&threshold_efsm(spill)).expect("compiles");
+fn register_engine(t: i64, spill: bool, shape: usize) -> StepEngine {
+    let efsm = threshold_efsm(spill, CELL_SHAPES[shape]);
+    let compiled = CompiledEfsm::compile(&efsm).expect("compiles");
     assert_eq!(compiled.bind(&[t]).spill_cell_count() > 0, spill);
     StepEngine::register(compiled, &[t]).expect("one parameter")
 }
@@ -280,17 +312,18 @@ proptest! {
         kernel_matches_scalar(dense_engine(&model), sessions, &ops, 0)?;
     }
 
-    /// The per-column masked-compare kernel — including its scalar
-    /// bytecode fallback for non-fusable cells — matches the scalar
-    /// walk.
+    /// The register tier's batch path — the masked lockstep sweep in
+    /// every cell shape, the walk for divergent pools and for
+    /// non-fusable cells — matches the scalar walk.
     #[test]
     fn efsm_kernel_matches_scalar(
         t in 1i64..6,
         spill in any::<bool>(),
+        shape in 0..CELL_SHAPES.len(),
         sessions in 0usize..96,
         ops in op_stream(),
     ) {
-        kernel_matches_scalar(register_engine(t, spill), sessions, &ops, 1)?;
+        kernel_matches_scalar(register_engine(t, spill, shape), sessions, &ops, 1)?;
     }
 }
 
@@ -305,7 +338,7 @@ enum Cell {
     /// One unguarded transition.
     Plain(usize),
     /// Two candidates split on `x + 1 < t`, both incrementing `x` — as a
-    /// `Set` (not inline-fusable: the kernel's spill path) if `spill`.
+    /// `Set` (not inline-fusable: a spilled cell) if `spill`.
     /// The unguarded lowering keeps only the first target.
     Split(usize, usize, bool),
 }
@@ -536,7 +569,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The finished count is exact after every operation, on the dense,
-    /// the register and the interpreted engine of one random machine.
+    /// the register and the interpreted engines of one random machine —
+    /// the interpreted ones walking the drawn IRs themselves, guarded
+    /// and not.
     #[test]
     fn finished_count_is_eager_on_every_tier(
         machine in random_machine(),
@@ -544,11 +579,14 @@ proptest! {
         sessions in 0usize..48,
         ops in store_ops(),
     ) {
-        let flat = machine.ir(false);
-        let dense = StepEngine::compile_ir(&flat, &[]).expect("unguarded IR compiles");
-        let register = StepEngine::compile_ir(&machine.ir(true), &[t]).expect("guarded IR compiles");
-        let interpreted = StepEngine::interpreted(flat.to_machine());
-        for engine in [dense, register, interpreted] {
+        let (flat, guarded) = (machine.ir(false), machine.ir(true));
+        let engines = [
+            StepEngine::compile_ir(&flat, &[]).expect("unguarded IR compiles"),
+            StepEngine::compile_ir(&guarded, &[t]).expect("guarded IR compiles"),
+            StepEngine::interpreted(flat, &[]).expect("no parameters"),
+            StepEngine::interpreted(guarded, &[t]).expect("one parameter"),
+        ];
+        for engine in engines {
             finished_count_tracks_states(engine, sessions, &ops)?;
         }
     }
@@ -689,6 +727,6 @@ proptest! {
         diverge in prop::collection::vec((any::<usize>(), 0usize..2), 0..24),
         cmds in cmd_stream(),
     ) {
-        workers_match_flat(register_engine(t, spill), &sizes, workers, &diverge, &cmds)?;
+        workers_match_flat(register_engine(t, spill, 6), &sizes, workers, &diverge, &cmds)?;
     }
 }

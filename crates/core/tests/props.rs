@@ -5,8 +5,9 @@ use proptest::prelude::*;
 
 use stategen_core::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, validate_machine,
-    AbstractModel, Action, CompiledMachine, FsmInstance, GenerateOptions, MergeStrategy, Outcome,
-    ProtocolEngine, SessionStore, ShardedPool, StateComponent, StateSpace, StateVector, StepEngine,
+    AbstractModel, Action, CompiledMachine, FlatIr, GenerateOptions, Instance, MergeStrategy,
+    Outcome, ProtocolEngine, SessionStore, ShardedPool, StateComponent, StateSpace, StateVector,
+    StepEngine,
 };
 
 // ---------------------------------------------------------------------
@@ -210,10 +211,11 @@ fn per_session_sharded(pool: &ShardedPool<SessionStore>) -> Vec<(u32, bool)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The interpreted instance, the compiled instance and a batched
-    /// session must emit identical actions, visit identically named
-    /// states and agree on completion for any random message sequence
-    /// over any family member.
+    /// The reference interpreter, the single-session view on the
+    /// interpreted and on the compiled tier, and a batched session must
+    /// emit identical actions, visit identically named states and agree
+    /// on completion for any random message sequence over any family
+    /// member.
     #[test]
     fn compiled_execution_matches_interpreter(
         model in two_counter(),
@@ -224,8 +226,10 @@ proptest! {
         prop_assert_eq!(compiled.state_count(), g.machine.state_count());
         prop_assert_eq!(compiled.messages(), g.machine.messages());
 
-        let mut fsm = FsmInstance::new(&g.machine);
-        let mut single = compiled.instance();
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut fsm = ir.instance(vec![]);
+        let mut walked = Instance::new(StepEngine::interpreted(ir.clone(), &[]).unwrap());
+        let mut single = Instance::new(StepEngine::dense(compiled.clone()));
         let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
         for (step, &mi) in messages.iter().enumerate() {
             let name = if mi == 0 { "a" } else { "b" };
@@ -233,11 +237,14 @@ proptest! {
             prop_assert_eq!(Some(mid), g.machine.message_id(name));
 
             let a_fsm = fsm.deliver(name).expect("declared message");
+            let a_walked = walked.deliver(name).expect("declared message");
             let a_single = single.deliver(name).expect("declared message");
             let a_pool = pool.deliver(0, mid).to_vec();
             pool.deliver(1, mid);
+            prop_assert_eq!(&a_fsm, &a_walked, "step {}", step);
             prop_assert_eq!(&a_fsm, &a_single, "step {}", step);
             prop_assert_eq!(&a_fsm, &a_pool, "step {}", step);
+            prop_assert_eq!(fsm.current_state(), walked.current_state(), "step {}", step);
             prop_assert_eq!(fsm.state_name_str(), single.state_name_str(), "step {}", step);
             prop_assert_eq!(single.current_state(), pool.state(0), "step {}", step);
             prop_assert_eq!(pool.state(0), pool.state(1), "step {}", step);
@@ -245,6 +252,7 @@ proptest! {
             prop_assert_eq!(single.is_finished(), pool.is_finished(0), "step {}", step);
         }
         prop_assert_eq!(fsm.steps(), single.steps());
+        prop_assert_eq!(fsm.steps(), walked.steps());
         prop_assert_eq!(pool.steps(), 2 * single.steps());
     }
 
@@ -253,9 +261,9 @@ proptest! {
     #[test]
     fn compiled_error_behaviour_matches(model in two_counter()) {
         let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let mut fsm = FsmInstance::new(&g.machine);
-        let mut single = compiled.instance();
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut fsm = ir.instance(vec![]);
+        let mut single = Instance::new(StepEngine::compile_ir(&ir, &[]).unwrap());
         prop_assert_eq!(fsm.deliver("zap").unwrap_err(), single.deliver("zap").unwrap_err());
     }
 

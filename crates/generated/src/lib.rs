@@ -235,7 +235,8 @@ mod tests {
     fn to_machine_round_trips_through_the_interpreter() {
         let machine = GeneratedCommitR4::to_machine();
         assert_eq!(machine.name(), commit_r4::MACHINE_NAME);
-        let mut interp = stategen_core::FsmInstance::new(&machine);
+        let ir = stategen_core::FlatIr::from_machine(&machine);
+        let mut interp = ir.instance(vec![]);
         let mut generated = GeneratedCommitR4::new();
         for m in [
             "update", "vote", "vote", "commit", "not_free", "vote", "free",

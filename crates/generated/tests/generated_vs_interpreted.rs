@@ -4,13 +4,13 @@
 use proptest::prelude::*;
 
 use stategen_commit::{CommitConfig, CommitModel, ReferenceCommit, MESSAGE_NAMES};
-use stategen_core::{generate, FsmInstance, ProtocolEngine};
+use stategen_core::{generate, FlatIr, ProtocolEngine};
 use stategen_generated::{GeneratedCommitR4, GeneratedCommitR7};
 
 fn check(r: u32, mut generated: impl ProtocolEngine, messages: &[usize]) {
     let config = CommitConfig::new(r).unwrap();
-    let machine = generate(&CommitModel::new(config)).unwrap().machine;
-    let mut interpreted = FsmInstance::new(&machine);
+    let machine = FlatIr::from_machine(&generate(&CommitModel::new(config)).unwrap().machine);
+    let mut interpreted = machine.instance(vec![]);
     let mut reference = ReferenceCommit::new(config);
     for (step, &mi) in messages.iter().enumerate() {
         let name = MESSAGE_NAMES[mi % MESSAGE_NAMES.len()];
@@ -53,7 +53,7 @@ proptest! {
 #[test]
 fn exhaustive_lockstep_r4() {
     let config = CommitConfig::new(4).unwrap();
-    let machine = generate(&CommitModel::new(config)).unwrap().machine;
+    let machine = FlatIr::from_machine(&generate(&CommitModel::new(config)).unwrap().machine);
     // BFS over message sequences up to depth 5 (5^5 = 3125 sequences).
     let mut sequences: Vec<Vec<usize>> = vec![vec![]];
     for _ in 0..5 {
@@ -68,7 +68,7 @@ fn exhaustive_lockstep_r4() {
         sequences = next;
         for s in &sequences {
             let mut generated = GeneratedCommitR4::new();
-            let mut interpreted = FsmInstance::new(&machine);
+            let mut interpreted = machine.instance(vec![]);
             for &mi in s {
                 let name = MESSAGE_NAMES[mi];
                 let a = generated.deliver(name).unwrap();
@@ -90,7 +90,7 @@ fn finished_generated_engine_absorbs_duplicate_deliveries() {
     // Find a finishing trace by BFS on the interpreted machine, so the
     // test does not hard-code protocol thresholds.
     let config = CommitConfig::new(4).unwrap();
-    let machine = generate(&CommitModel::new(config)).unwrap().machine;
+    let machine = FlatIr::from_machine(&generate(&CommitModel::new(config)).unwrap().machine);
     let finishing_trace = {
         let mut frontier: Vec<Vec<&str>> = vec![Vec::new()];
         let mut found: Option<Vec<&str>> = None;
@@ -98,7 +98,7 @@ fn finished_generated_engine_absorbs_duplicate_deliveries() {
             for &name in MESSAGE_NAMES.iter() {
                 let mut next = trace.clone();
                 next.push(name);
-                let mut probe = FsmInstance::new(&machine);
+                let mut probe = machine.instance(vec![]);
                 for m in &next {
                     probe.deliver(m).unwrap();
                 }

@@ -170,7 +170,7 @@ impl AbstractModel for BroadcastModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, validate_machine, FsmInstance, ProtocolEngine};
+    use stategen_core::{generate, validate_machine, FlatIr, ProtocolEngine};
 
     #[test]
     fn generates_family_members() {
@@ -187,7 +187,8 @@ mod tests {
     #[test]
     fn happy_path_delivers() {
         let g = generate(&BroadcastModel::new(4)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         // Initial → echo; two more echoes (total 3 = 2f+1) → ready.
         assert_eq!(node.deliver("initial").unwrap(), vec![Action::send("echo")]);
         assert!(node.deliver("echo").unwrap().is_empty());
@@ -205,7 +206,8 @@ mod tests {
         // A node that never saw the initial value still joins once f+1
         // readies arrive (so correct nodes converge).
         let g = generate(&BroadcastModel::new(4)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         assert!(node.deliver("ready").unwrap().is_empty());
         let actions = node.deliver("ready").unwrap();
         assert_eq!(
@@ -218,7 +220,8 @@ mod tests {
     #[test]
     fn echo_sent_only_once() {
         let g = generate(&BroadcastModel::new(4)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("initial").unwrap();
         // The duplicate initial is not applicable.
         assert!(node.deliver("initial").unwrap().is_empty());

@@ -13,8 +13,8 @@
 //! | `ready`      | T | T | T |
 //! | `delivered`  | — | — | — |
 
-use stategen_core::efsm::{CmpOp, Efsm, EfsmBuilder, EfsmInstance, Guard, LinExpr, Update};
-use stategen_core::Action;
+use stategen_core::efsm::{CmpOp, Efsm, EfsmBuilder, Guard, LinExpr, Update};
+use stategen_core::{Action, FlatIr, Instance, StepEngine};
 
 use crate::broadcast::BroadcastModel;
 
@@ -218,15 +218,17 @@ pub fn broadcast_efsm_params(model: &BroadcastModel) -> Vec<i64> {
     ]
 }
 
-/// Instantiates [`broadcast_efsm`] for a concrete participant count.
-pub fn broadcast_efsm_instance<'e>(efsm: &'e Efsm, model: &BroadcastModel) -> EfsmInstance<'e> {
-    EfsmInstance::new(efsm, broadcast_efsm_params(model))
+/// Instantiates [`broadcast_efsm`] for a concrete participant count on
+/// the interpreted tier: one session walking the EFSM's lowered IR.
+pub fn broadcast_efsm_instance(efsm: &Efsm, model: &BroadcastModel) -> Instance {
+    let engine = StepEngine::interpreted(FlatIr::from_efsm(efsm), &broadcast_efsm_params(model));
+    Instance::new(engine.expect("broadcast_efsm_params binds the EFSM's four parameters"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, FsmInstance, ProtocolEngine};
+    use stategen_core::{generate, ProtocolEngine};
 
     #[test]
     fn five_states_generic_in_n() {
@@ -245,8 +247,8 @@ mod tests {
         let efsm = broadcast_efsm();
         for n in [4u32, 7] {
             let model = BroadcastModel::new(n);
-            let machine = generate(&model).unwrap().machine;
-            let mut fsm = FsmInstance::new(&machine);
+            let machine = FlatIr::from_machine(&generate(&model).unwrap().machine);
+            let mut fsm = machine.instance(vec![]);
             let mut e = broadcast_efsm_instance(&efsm, &model);
             let mut trace = vec!["initial"];
             trace.extend(std::iter::repeat_n("echo", n as usize - 1));
@@ -265,12 +267,12 @@ mod tests {
     fn exhaustive_equivalence_n4() {
         // Every message sequence up to length 6 (3^6 = 729).
         let model = BroadcastModel::new(4);
-        let machine = generate(&model).unwrap().machine;
+        let machine = FlatIr::from_machine(&generate(&model).unwrap().machine);
         let efsm = broadcast_efsm();
         let messages = ["initial", "echo", "ready"];
         let mut stack = vec![Vec::<usize>::new()];
         while let Some(seq) = stack.pop() {
-            let mut fsm = FsmInstance::new(&machine);
+            let mut fsm = machine.instance(vec![]);
             let mut e = broadcast_efsm_instance(&efsm, &model);
             for &mi in &seq {
                 let a = fsm.deliver(messages[mi]).unwrap();

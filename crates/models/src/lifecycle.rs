@@ -38,7 +38,7 @@ use stategen_core::{Action, HierarchicalMachine, HsmBuilder};
 /// # Examples
 ///
 /// ```
-/// use stategen_core::{CompiledMachine, ProtocolEngine};
+/// use stategen_core::{Instance, ProtocolEngine, StepEngine};
 /// use stategen_models::session_lifecycle;
 ///
 /// let hsm = session_lifecycle();
@@ -50,8 +50,8 @@ use stategen_core::{Action, HierarchicalMachine, HsmBuilder};
 /// assert_eq!(session.state_name(), "Established.Commit.Voting~Established=Commit");
 ///
 /// // The same statechart, flattened and compiled, serves traffic.
-/// let compiled = CompiledMachine::compile(&hsm.flatten());
-/// let mut fast = compiled.instance();
+/// let compiled = StepEngine::compile_ir(&hsm.flatten_ir(), &[]).unwrap();
+/// let mut fast = Instance::new(compiled);
 /// for m in ["connect", "update", "suspend", "resume"] {
 ///     fast.deliver_ref(m).unwrap();
 /// }
@@ -284,7 +284,7 @@ pub fn session_lifecycle_guarded() -> HierarchicalMachine {
 mod tests {
     use super::*;
     use stategen_core::{
-        validate_machine, CompiledMachine, FsmInstance, ProtocolEngine, SessionStore, StepEngine,
+        validate_machine, CompiledMachine, ProtocolEngine, SessionStore, StepEngine,
     };
 
     #[test]
@@ -376,8 +376,9 @@ mod tests {
         let flat = hsm.flatten();
         let report = validate_machine(&flat);
         assert!(report.is_valid(), "{:?}", report.diagnostics);
+        let ir = hsm.flatten_ir();
         let mut reference = hsm.instance();
-        let mut interp = FsmInstance::new(&flat);
+        let mut interp = ir.instance(vec![]);
         let trace = [
             "connect", "update", "ping", "vote", "suspend", "resume", "vote", "fail", "recover",
             "commit", "abort", "update", "commit", "close", "connect",

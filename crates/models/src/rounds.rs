@@ -140,7 +140,7 @@ impl AbstractModel for RoundsModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, validate_machine, FsmInstance, ProtocolEngine};
+    use stategen_core::{generate, validate_machine, FlatIr, ProtocolEngine};
 
     #[test]
     fn family_scales_with_parameters() {
@@ -154,7 +154,8 @@ mod tests {
     #[test]
     fn decide_on_majority() {
         let g = generate(&RoundsModel::new(4, 3)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         assert_eq!(node.deliver("propose").unwrap(), vec![Action::send("ack")]);
         assert!(node.deliver("ack").unwrap().is_empty());
         assert!(node.deliver("ack").unwrap().is_empty());
@@ -166,7 +167,8 @@ mod tests {
     #[test]
     fn nack_rotates_round_and_resets() {
         let g = generate(&RoundsModel::new(4, 3)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("propose").unwrap();
         node.deliver("ack").unwrap();
         node.deliver("nack").unwrap();
@@ -178,7 +180,8 @@ mod tests {
     #[test]
     fn decide_message_short_circuits() {
         let g = generate(&RoundsModel::new(5, 2)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         assert!(node.deliver("decide").unwrap().is_empty());
         assert!(node.is_finished());
     }
@@ -186,7 +189,8 @@ mod tests {
     #[test]
     fn acks_require_proposal() {
         let g = generate(&RoundsModel::new(4, 2)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         assert!(node.deliver("ack").unwrap().is_empty());
         assert_eq!(node.state_name(), "0/F/0/F", "ack without proposal ignored");
     }
@@ -194,7 +198,8 @@ mod tests {
     #[test]
     fn last_round_nack_is_ignored() {
         let g = generate(&RoundsModel::new(3, 1)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("propose").unwrap();
         assert!(node.deliver("nack").unwrap().is_empty());
         assert_eq!(node.state_name(), "0/T/0/F");

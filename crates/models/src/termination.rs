@@ -126,7 +126,7 @@ impl AbstractModel for TerminationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, validate_machine, FsmInstance, ProtocolEngine};
+    use stategen_core::{generate, validate_machine, FlatIr, ProtocolEngine};
 
     #[test]
     fn generates_and_validates() {
@@ -141,7 +141,8 @@ mod tests {
     #[test]
     fn termination_requires_passivity_and_empty_subtree() {
         let g = generate(&TerminationModel::new(3)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("task").unwrap(); // active
         assert_eq!(node.deliver("task").unwrap(), vec![Action::send("task")]); // delegate
         node.deliver("finish_work").unwrap(); // passive, child outstanding
@@ -154,7 +155,8 @@ mod tests {
     #[test]
     fn finish_with_no_children_reports_immediately() {
         let g = generate(&TerminationModel::new(2)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("task").unwrap();
         assert_eq!(
             node.deliver("finish_work").unwrap(),
@@ -166,7 +168,8 @@ mod tests {
     #[test]
     fn spurious_child_done_ignored() {
         let g = generate(&TerminationModel::new(2)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("task").unwrap();
         assert!(node.deliver("child_done").unwrap().is_empty());
         assert_eq!(node.state_name(), "T/0/F");
@@ -175,7 +178,8 @@ mod tests {
     #[test]
     fn delegation_bounded() {
         let g = generate(&TerminationModel::new(1)).unwrap();
-        let mut node = FsmInstance::new(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let mut node = ir.instance(vec![]);
         node.deliver("task").unwrap();
         node.deliver("task").unwrap(); // delegate (1 outstanding)
         assert!(node.deliver("task").unwrap().is_empty(), "slots exhausted");

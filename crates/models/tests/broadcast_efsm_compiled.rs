@@ -1,5 +1,5 @@
 //! Property suite: the broadcast EFSM's compiled guard/update bytecode
-//! is observationally equivalent to the enum-tree interpreter — on
+//! is observationally equivalent to the interpreted tier — on
 //! random message traces, for a range of participant counts, as a single
 //! instance, as a batched session pool, and behind the
 //! `stategen-runtime` facade (`Spec::efsm → Engine → Runtime`).
@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use stategen_core::{CompiledEfsm, Efsm, ProtocolEngine, SessionStore, StepEngine};
+use stategen_core::{CompiledEfsm, Efsm, Instance, ProtocolEngine, SessionStore, StepEngine};
 use stategen_models::{
     broadcast_efsm, broadcast_efsm_instance, broadcast_efsm_params, BroadcastModel,
 };
@@ -29,9 +29,9 @@ fn compiled() -> &'static CompiledEfsm {
 fn check(n: u32, messages: &[usize]) {
     let model = BroadcastModel::new(n);
     let mut interp = broadcast_efsm_instance(efsm(), &model);
-    let mut single = compiled().instance(broadcast_efsm_params(&model));
     let register =
         StepEngine::register(compiled().clone(), &broadcast_efsm_params(&model)).unwrap();
+    let mut single = Instance::new(register.clone());
     let mut pool = SessionStore::new(register, 2);
     let engine =
         Engine::compile(Spec::efsm(broadcast_efsm(), broadcast_efsm_params(&model))).unwrap();

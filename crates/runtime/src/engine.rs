@@ -1,10 +1,9 @@
 //! The owned, tier-agnostic execution artifact.
 
+use std::sync::Arc;
+
 pub use stategen_core::Tier;
-use stategen_core::{
-    fold_params, Artifact, CompiledEfsm, CompiledMachine, FlatIr, MessageId, StategenError,
-    StepEngine,
-};
+use stategen_core::{fold_params, Artifact, FlatIr, MessageId, StategenError, StepEngine};
 
 use crate::runtime::Runtime;
 use crate::spec::Spec;
@@ -29,10 +28,21 @@ pub struct Engine {
 }
 
 impl Engine {
+    /// An engine stepping `ir` under `params` through `step`, named and
+    /// fingerprinted from the IR.
+    fn over(step: StepEngine, ir: &FlatIr, params: &[i64]) -> Engine {
+        Engine {
+            step,
+            name: ir.name().to_string(),
+            fingerprint: fold_params(ir.fingerprint(), params),
+        }
+    }
+
     /// Compiles a spec onto its deployment tier through the unified
-    /// lowering IR: flat machines and unguarded flattened statecharts
-    /// onto the dense-table tier, EFSMs and *guarded* statecharts onto
-    /// the fused-bytecode tier with the parameters bound.
+    /// lowering IR ([`StepEngine::compile_ir`]): unguarded machines —
+    /// flat machines, unguarded flattened statecharts — onto the
+    /// dense-table tier, guarded ones — EFSMs, guarded statecharts —
+    /// onto the fused-bytecode tier with the parameters bound.
     ///
     /// This is the serving configuration — pay one flattening pass at
     /// ingest, then dispatch in a few nanoseconds with zero allocation
@@ -42,41 +52,15 @@ impl Engine {
     ///
     /// [`StategenError::Compile`] if the machine cannot be lowered
     /// (e.g. duplicate `(state, message)` transitions with identical
-    /// guards); [`StategenError::ParamCountMismatch`] if the EFSM
-    /// binding has the wrong arity.
+    /// guards); [`StategenError::ParamCountMismatch`] if the binding
+    /// has the wrong arity.
     pub fn compile(spec: Spec) -> Result<Engine, StategenError> {
-        let name = spec.name().to_string();
-        match spec {
-            Spec::Machine(machine) => Ok(Engine {
-                fingerprint: FlatIr::from_machine(&machine).fingerprint(),
-                step: StepEngine::dense(CompiledMachine::compile(&machine)),
-                name,
-            }),
-            Spec::Efsm { machine, params } => Ok(Engine {
-                fingerprint: fold_params(FlatIr::from_efsm(&machine).fingerprint(), &params),
-                step: StepEngine::register(CompiledEfsm::compile(&machine)?, &params)?,
-                name,
-            }),
-            Spec::Hierarchical { machine, params } => {
-                let ir = machine.flatten_ir();
-                Engine::lower(&ir, &params, name, fold_params(ir.fingerprint(), &params))
-            }
-        }
-    }
-
-    /// The one lowered-IR → engine path ([`StepEngine::compile_ir`]),
-    /// shared by statechart specs and artifacts.
-    fn lower(
-        ir: &FlatIr,
-        params: &[i64],
-        name: String,
-        fingerprint: u64,
-    ) -> Result<Engine, StategenError> {
-        Ok(Engine {
-            step: StepEngine::compile_ir(ir, params)?,
-            name,
-            fingerprint,
-        })
+        let (ir, params) = spec.lower();
+        Ok(Engine::over(
+            StepEngine::compile_ir(&ir, params)?,
+            &ir,
+            params,
+        ))
     }
 
     /// Compiles a deployable [`Artifact`] — typically just
@@ -102,65 +86,38 @@ impl Engine {
     /// [`StategenError::ParamCountMismatch`] if the binding arity
     /// disagrees with the compiled machine.
     pub fn from_artifact(artifact: &Artifact) -> Result<Engine, StategenError> {
-        let ir = artifact.ir();
-        Engine::lower(
+        let (ir, params) = (artifact.ir(), artifact.params());
+        Ok(Engine::over(
+            StepEngine::compile_ir(ir, params)?,
             ir,
-            artifact.params(),
-            ir.name().to_string(),
-            artifact.fingerprint(),
-        )
+            params,
+        ))
     }
 
-    /// Resolves a spec onto the no-preparation tier: flat machines (and
-    /// flattened statecharts) are walked directly instead of being
-    /// compiled into dense tables. Use while authoring or debugging a
-    /// machine; switch the one call to [`Engine::compile`] to serve
-    /// traffic.
+    /// Resolves a spec onto the no-preparation tier: the same lowered
+    /// IR [`Engine::compile`] would compile is walked as it stands
+    /// ([`Tier::Interpreted`]), guards and updates evaluated from their
+    /// expression trees — for flat machines, EFSMs and statecharts
+    /// alike. Use while authoring or debugging a machine; switch the
+    /// one call to [`Engine::compile`] to serve traffic.
     ///
-    /// EFSMs have no separate interpreted runtime configuration — the
-    /// runtime serves per-session variable registers from the lowered
-    /// form either way (the lowering is proven behaviourally equivalent
-    /// to the tree-walking interpreter by the core property suites), so
-    /// an EFSM spec resolves to [`Tier::CompiledEfsm`] here too. The
-    /// same applies to *guarded* statecharts (paying the flatten +
-    /// compile pass at ingest); only unguarded statecharts get a
-    /// genuinely interpreted flat walk. For truly no-preparation
-    /// guarded-statechart execution, drive
-    /// [`HsmInstance`](stategen_core::HsmInstance) directly.
+    /// The two engines of one spec share [`Engine::fingerprint`],
+    /// alphabet numbering, state ids and names and the per-session
+    /// register layout, so a [`RuntimeSnapshot`](crate::RuntimeSnapshot)
+    /// taken under either restores under the other, and
+    /// [`Runtime::begin_swap`] between them migrates in place.
     ///
     /// # Errors
     ///
-    /// As for [`Engine::compile`].
+    /// [`StategenError::ParamCountMismatch`] if the binding has the
+    /// wrong arity. (Nothing is compiled, so nothing else can fail: of
+    /// two transitions [`Engine::compile`] would reject as duplicates
+    /// the interpreter simply never fires the second.)
     pub fn interpret(spec: Spec) -> Result<Engine, StategenError> {
-        let name = spec.name().to_string();
-        match spec {
-            Spec::Machine(machine) => Ok(Engine {
-                fingerprint: FlatIr::from_machine(&machine).fingerprint(),
-                step: StepEngine::interpreted(machine),
-                name,
-            }),
-            efsm @ Spec::Efsm { .. } => Engine::compile(efsm),
-            Spec::Hierarchical { machine, params } => {
-                // The already-built IR is reused either way — flattening
-                // is the one expensive ingest step.
-                let ir = machine.flatten_ir();
-                if ir.is_guarded() {
-                    let fingerprint = fold_params(ir.fingerprint(), &params);
-                    return Engine::lower(&ir, &params, name, fingerprint);
-                }
-                if !params.is_empty() {
-                    return Err(StategenError::ParamCountMismatch {
-                        expected: 0,
-                        found: params.len(),
-                    });
-                }
-                Ok(Engine {
-                    fingerprint: ir.fingerprint(),
-                    step: StepEngine::interpreted(ir.to_machine()),
-                    name,
-                })
-            }
-        }
+        let (ir, params) = spec.lower();
+        let ir = Arc::new(ir);
+        let step = StepEngine::interpreted(Arc::clone(&ir), params)?;
+        Ok(Engine::over(step, &ir, params))
     }
 
     /// The tier this engine executes on.
@@ -209,7 +166,8 @@ impl Engine {
         self.step.message_id(name)
     }
 
-    /// The parameter values bound at ingest (empty for non-EFSM tiers).
+    /// The parameter values bound at ingest (empty for an unguarded
+    /// machine).
     pub fn params(&self) -> &[i64] {
         self.step.params()
     }

@@ -10,9 +10,8 @@
 //! The paper's central claim (§3.5/§4.2) is that one generated artifact
 //! should be deployable under many execution policies — interpreted on
 //! the fly, compiled, generated source. `stategen-core` provides those
-//! tiers, but each exposes a different lifetime-borrowed type with its
-//! own spawn/deliver/reset vocabulary, so every deployment site ends up
-//! re-wiring tiers by hand. This crate owns that wiring once:
+//! tiers behind one step engine; this crate owns the wiring from a
+//! machine *specification* to a serving pool once:
 //!
 //! * [`Spec`] — the ingest enum: a flat
 //!   [`StateMachine`](stategen_core::StateMachine), an
@@ -23,14 +22,21 @@
 //!   statechart's parameters, the statechart analogue of
 //!   [`Spec::efsm`]).
 //!
-//! Every ingest shape lowers through **one pipeline**: the unified flat
-//! IR ([`FlatIr`](stategen_core::FlatIr)), a flat machine whose
+//! Every ingest shape lowers through **one function** onto the unified
+//! flat IR ([`FlatIr`](stategen_core::FlatIr)), a flat machine whose
 //! transitions carry optional guards and updates — a plain FSM is just
-//! the degenerate EFSM. The IR picks the execution substrate: no guard
-//! anywhere → the dense transition table; any guard, update or
-//! variable → the register-machine (compiled-EFSM) tier, with the
-//! spec's parameters folded into the binding so one compiled artifact
-//! serves the whole machine *family*.
+//! the degenerate EFSM — and that IR plus the spec's parameter values
+//! is all that [`Engine::compile`], [`Engine::interpret`], the analyzer
+//! and the fingerprint ever see. [`Engine::interpret`] walks the IR as
+//! it stands, *whatever the shape* — interpreted means interpreted for
+//! EFSMs and guarded statecharts too. [`Engine::compile`] lets the IR
+//! pick the execution substrate: no guard anywhere → the dense
+//! transition table; any guard, update or variable → the
+//! register-machine (compiled-EFSM) tier, with the spec's parameters
+//! folded into the binding so one compiled artifact serves the whole
+//! machine *family*. The two engines of one spec are one machine on two
+//! tiers: same fingerprint, same state and message numbering, same
+//! per-session register layout.
 //! * [`Engine`] — the compiled artifact, **owned** (`Send + Sync +
 //!   'static`, cheap to clone): a
 //!   [`StepEngine`](stategen_core::StepEngine) behind `Arc`s plus its
@@ -57,7 +63,7 @@
 //!
 //! | you have | call | tier | use when |
 //! |---|---|---|---|
-//! | a freshly generated `StateMachine` | [`Engine::interpret`] | [`Tier::Interpreted`] | debugging, one-off runs; no preparation pass |
+//! | any spec — `StateMachine`, `Efsm` + values, statechart | [`Engine::interpret`] | [`Tier::Interpreted`] | authoring, debugging, one-off runs; no preparation pass |
 //! | a `StateMachine` to serve traffic | [`Engine::compile`] | [`Tier::Compiled`] | dense-table dispatch in ~1 ns, zero allocation per delivery |
 //! | an `Efsm` + parameter values | [`Engine::compile`] | [`Tier::CompiledEfsm`] | one machine generic over the protocol parameter (e.g. replication factor) |
 //! | an unguarded `HierarchicalMachine` | [`Engine::compile`] | [`Tier::Compiled`] | statecharts flatten into the same dense tables; the front-end is not a tier |
@@ -69,8 +75,9 @@
 //! absence) distinguish; the same machine reports the same tier
 //! whether it arrived as a spec or as an artifact. All tiers are
 //! behaviourally equivalent — the conformance suite in
-//! this crate drives the same trace corpus through every tier and
-//! asserts identical action sequences, finished flags and state names.
+//! this crate drives the same trace corpus through both engines of
+//! every spec shape and asserts identical action sequences, finished
+//! flags, state names and variables.
 //!
 //! ## Crash safety: snapshots, restore, and timeouts
 //!

@@ -784,6 +784,16 @@ impl Runtime {
     /// the batch's wall-clock latency is also recorded into
     /// [`Runtime::batch_latency`]; unobserved runtimes skip the clock
     /// reads entirely.
+    ///
+    /// # Panics
+    ///
+    /// Panics — on every tier alike, before any session is stepped — if
+    /// `message` is outside this engine's alphabet (an id minted by a
+    /// machine with more messages); the check is per batch, not per
+    /// session. Ids from [`Runtime::message_id`] are always in range;
+    /// for one-session delivery of untrusted ids use
+    /// [`Runtime::try_deliver`], which returns
+    /// [`StategenError::MessageOutOfRange`] instead.
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
         match &mut self.batch_latency {
             Some(hist) => {
@@ -1629,6 +1639,56 @@ mod tests {
         // The session is untouched and still deliverable.
         let a = rt.message_id("a").unwrap();
         assert_eq!(rt.try_deliver(s, a).unwrap(), [Action::send("x")]);
+    }
+
+    /// A foreign message id in a *batch* panics with one message on all
+    /// three tiers — it used to be ignored by the interpreter, index out
+    /// of bounds on the dense table, and in release builds read another
+    /// state's cell on the register tier. `verify.sh` re-runs this in
+    /// release.
+    #[test]
+    fn deliver_all_rejects_foreign_message_ids_on_every_tier() {
+        use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig};
+
+        // An id minted by a seven-message machine: outside both alphabets.
+        let mut wide = StateMachineBuilder::new("wide", ["0", "1", "2", "3", "4", "5", "6"]);
+        let s0 = wide.add_state("s0");
+        let wide = Engine::compile(Spec::machine(wide.build(s0))).unwrap();
+        let foreign = wide.message_id("6").unwrap();
+        let efsm = Spec::efsm(
+            commit_efsm(),
+            commit_efsm_params(&CommitConfig::new(4).unwrap()),
+        );
+        let engines = [
+            Engine::interpret(Spec::machine(finishing_machine())).unwrap(),
+            Engine::compile(Spec::machine(finishing_machine())).unwrap(),
+            Engine::compile(efsm.clone()).unwrap(),
+            Engine::interpret(efsm).unwrap(),
+        ];
+        for engine in engines {
+            let alphabet = engine.messages().len();
+            // A lockstep pool, then a divergent one.
+            for diverge in [false, true] {
+                let mut rt = engine.runtime_with(6);
+                let first = rt.message_id(&engine.messages()[0]).unwrap();
+                let one = rt.spawn();
+                if diverge {
+                    rt.deliver(one, first);
+                }
+                let before = rt.snapshot_all();
+                let batch = std::panic::AssertUnwindSafe(|| rt.deliver_all(foreign));
+                let panic = std::panic::catch_unwind(batch).expect_err("must not be delivered");
+                assert_eq!(
+                    panic.downcast_ref::<String>().map(String::as_str),
+                    Some(&*format!(
+                        "message id 6 is outside this engine's alphabet of {alphabet} messages"
+                    )),
+                    "{} tier",
+                    engine.tier()
+                );
+                assert_eq!(rt.snapshot_all(), before, "no session was touched");
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,12 @@ use crate::engine::Engine;
 ///
 /// The paper's generation pipeline produces several artifact shapes —
 /// flat FSM family members, parameter-generic EFSMs, hierarchical
-/// statecharts. `Spec` is the single front door: every shape compiles
-/// into the same owned [`Engine`] and is served by the same
-/// [`Runtime`](crate::Runtime), so deployment code never branches on
-/// where a machine came from.
+/// statecharts. `Spec` is the single front door: every shape lowers
+/// through one function onto the unified flat IR
+/// ([`FlatIr`](stategen_core::FlatIr)) plus its parameter binding, and
+/// that pair is all the analyzer, the fingerprint, [`Engine::compile`]
+/// and [`Engine::interpret`] ever see — so deployment code never
+/// branches on where a machine came from, and neither does this crate.
 #[derive(Debug, Clone)]
 pub enum Spec {
     /// A flat generated (or hand-built) state machine.
@@ -98,6 +100,19 @@ impl Spec {
         }
     }
 
+    /// The one lowering: the spec's machine on the unified flat IR
+    /// (flat machines and EFSMs lift, statecharts flatten) and the
+    /// parameter values to bind. Everything downstream — analysis,
+    /// fingerprint, either [`Engine`] constructor — starts from this
+    /// pair, so the shapes cannot drift apart.
+    pub(crate) fn lower(&self) -> (FlatIr, &[i64]) {
+        match self {
+            Spec::Machine(m) => (FlatIr::from_machine(m), &[]),
+            Spec::Efsm { machine, params } => (FlatIr::from_efsm(machine), params),
+            Spec::Hierarchical { machine, params } => (machine.flatten_ir(), params),
+        }
+    }
+
     /// Runs the semantic analyzer (`stategen-analysis`) over the spec's
     /// lowered IR with the default configuration and returns the spec
     /// unchanged when it is clean — the opt-in ingest gate: put it
@@ -132,11 +147,7 @@ impl Spec {
     /// finding, reachability, proved variable ranges) without gating —
     /// the inspection form of [`Spec::analyzed`].
     pub fn analysis(&self, config: &AnalysisConfig) -> Analysis {
-        let (ir, params) = match self {
-            Spec::Machine(m) => (FlatIr::from_machine(m), &[][..]),
-            Spec::Efsm { machine, params } => (FlatIr::from_efsm(machine), params.as_slice()),
-            Spec::Hierarchical { machine, params } => (machine.flatten_ir(), params.as_slice()),
-        };
+        let (ir, params) = self.lower();
         if params.len() == ir.params().len() {
             analyze_bound(&ir, params, config)
         } else {
@@ -154,8 +165,8 @@ impl Spec {
         Engine::compile(self)
     }
 
-    /// Selects the no-preparation tier (shorthand for
-    /// [`Engine::interpret`]).
+    /// Selects the no-preparation tier, whatever the spec's shape
+    /// (shorthand for [`Engine::interpret`]).
     ///
     /// # Errors
     ///

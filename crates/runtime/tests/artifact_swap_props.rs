@@ -153,39 +153,62 @@ fn duplicate_deliveries_conform_through_artifact_boot() {
 
 #[test]
 fn matching_fingerprint_migrates_in_place() {
-    let serving = commit_engine(4);
+    let config = CommitConfig::new(4).unwrap();
+    let efsm = Spec::efsm(commit_efsm(), commit_efsm_params(&config));
+    let hsm = Spec::hsm_with_params(retry_hsm(), vec![3]);
     // The "same bytes redeployed" scenario: an artifact-booted engine of
     // the same family and binding — identical fingerprint, different
-    // provenance (and, for specs that lower through the statechart
-    // front end, possibly a different tier tag).
-    let config = CommitConfig::new(4).unwrap();
-    let incoming =
+    // provenance — and then the same guarded machine rolled from the
+    // register tier onto the interpreted one and back: a fingerprint
+    // names a machine, not a tier, and the register file fits both.
+    let booted =
         boot_from_bytes(&Artifact::from_efsm(&commit_efsm(), commit_efsm_params(&config)).unwrap());
-    assert_eq!(incoming.fingerprint(), serving.fingerprint());
-
-    let mut rt = serving.runtime().sharded(3);
-    let sessions: Vec<SessionId> = (0..7).map(|_| rt.spawn()).collect();
-    let update = rt.message_id(MESSAGE_NAMES[0]).unwrap();
-    let vote = rt.message_id(MESSAGE_NAMES[1]).unwrap();
-    rt.deliver(sessions[0], update);
-    rt.deliver(sessions[0], vote);
-    rt.deliver(sessions[3], update);
-    let before: Vec<(String, u32)> = sessions
-        .iter()
-        .map(|&s| (rt.state_name(s).to_string(), rt.state(s)))
-        .collect();
-
-    match rt.begin_swap(incoming.clone()).unwrap() {
-        SwapOutcome::Migrated { sessions: n } => assert_eq!(n, 7),
-        other => panic!("expected Migrated, got {other:?}"),
+    let rollouts = [
+        (
+            commit_engine(4),
+            vec![
+                booted,
+                Engine::interpret(efsm.clone()).unwrap(),
+                Engine::compile(efsm).unwrap(),
+            ],
+            [MESSAGE_NAMES[0], MESSAGE_NAMES[1]],
+        ),
+        (
+            Engine::interpret(hsm.clone()).unwrap(),
+            vec![
+                Engine::compile(hsm.clone()).unwrap(),
+                Engine::interpret(hsm).unwrap(),
+            ],
+            ["go", "fail"],
+        ),
+    ];
+    for (serving, incoming, [first, second]) in rollouts {
+        let mut rt = serving.runtime().sharded(3);
+        let sessions: Vec<SessionId> = (0..7).map(|_| rt.spawn()).collect();
+        let first = rt.message_id(first).unwrap();
+        let second = rt.message_id(second).unwrap();
+        rt.deliver(sessions[0], first);
+        rt.deliver(sessions[0], second);
+        rt.deliver(sessions[3], first);
+        rt.release(sessions[5]);
+        for incoming in incoming {
+            assert_eq!(incoming.fingerprint(), rt.engine().fingerprint());
+            let before = rt.snapshot_all();
+            match rt.begin_swap(incoming.clone()).unwrap() {
+                SwapOutcome::Migrated { sessions: n } => assert_eq!(n, 6),
+                other => panic!("expected Migrated, got {other:?}"),
+            }
+            assert!(!rt.swap_in_progress(), "migration completes synchronously");
+            assert_eq!(rt.engine().tier(), incoming.tier());
+            // States, registers, generations, free list: bit-identical.
+            assert_eq!(rt.snapshot_all(), before);
+            assert!(!rt.is_live(sessions[5]), "stale handles stay stale");
+            // Still being served, registers moving, on the new engine.
+            assert!(rt.deliver_all(second) > 0);
+            rt.deliver(sessions[0], second);
+            rt.deliver(sessions[1], first);
+        }
     }
-    assert!(!rt.swap_in_progress(), "migration completes synchronously");
-    assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
-    for (&s, (name, state)) in sessions.iter().zip(&before) {
-        assert_eq!(rt.state_name(s), name, "handles stay valid");
-        assert_eq!(rt.state(s), *state);
-    }
-    rt.deliver(sessions[0], vote); // still being served
 }
 
 #[test]

@@ -1,8 +1,11 @@
 //! API conformance: every execution tier behind the `Spec → Engine →
 //! Runtime` pipeline produces identical action sequences, finished
-//! flags and state names on a shared trace corpus — including the
-//! flattened-HSM tier against the direct statechart interpreter — plus
-//! `Send + 'static` / object-safety compile tests for the owned
+//! flags, state names and variable registers on a shared trace corpus —
+//! for all three spec shapes, flat machine, EFSM and (guarded and
+//! unguarded) statechart, `Engine::interpret` is a genuinely
+//! interpreted engine with `Engine::compile`'s fingerprint, and the
+//! flattened statecharts are held to the direct statechart interpreter
+//! — plus `Send + 'static` / object-safety compile tests for the owned
 //! surface.
 //!
 //! The corpus mixes exhaustive short traces with seeded pseudo-random
@@ -12,8 +15,8 @@
 use std::borrow::Cow;
 
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
-use stategen_core::{generate, HsmInstance, StateMachine};
-use stategen_models::session_lifecycle;
+use stategen_core::{generate, FlatIr, HsmInstance, Instance, StateMachine, StepEngine};
+use stategen_models::{session_lifecycle, session_lifecycle_guarded};
 use stategen_runtime::{Engine, ProtocolEngine, Runtime, Spec, Tier};
 
 /// Deterministic LCG over message indices (no RNG dependency; the
@@ -43,14 +46,29 @@ fn commit_machine(r: u32) -> StateMachine {
 struct Observation {
     actions: Vec<String>,
     finished: bool,
-    state_name: Option<String>,
+    state_name: String,
+    vars: Vec<i64>,
+}
+
+/// Both engines of one spec: `interpret` really interprets, `compile`
+/// lands on `tier`, and the two are one machine — same fingerprint,
+/// alphabet numbering, state count and binding.
+fn both_engines(spec: Spec, tier: Tier) -> (Engine, Engine) {
+    let interpreted = Engine::interpret(spec.clone()).unwrap();
+    let compiled = Engine::compile(spec).unwrap();
+    assert_eq!(interpreted.tier(), Tier::Interpreted);
+    assert_eq!(compiled.tier(), tier);
+    assert_eq!(interpreted.fingerprint(), compiled.fingerprint());
+    assert_eq!(interpreted.messages(), compiled.messages());
+    assert_eq!(interpreted.state_count(), compiled.state_count());
+    assert_eq!(interpreted.params(), compiled.params());
+    assert_eq!(interpreted.name(), compiled.name());
+    (interpreted, compiled)
 }
 
 /// Drives one runtime session through a name trace, recording the
-/// observable behaviour after every delivery. `record_names` is off for
-/// tiers whose state naming legitimately differs (the EFSM encodes
-/// threshold phases, not counter values).
-fn observe(rt: &mut Runtime, trace: &[&str], record_names: bool) -> Vec<Observation> {
+/// observable behaviour after every delivery.
+fn observe(rt: &mut Runtime, trace: &[&str]) -> Vec<Observation> {
     let session = rt.spawn();
     trace
         .iter()
@@ -63,7 +81,8 @@ fn observe(rt: &mut Runtime, trace: &[&str], record_names: bool) -> Vec<Observat
             Observation {
                 actions,
                 finished: rt.is_finished(session),
-                state_name: record_names.then(|| rt.state_name(session).to_string()),
+                state_name: rt.state_name(session).to_string(),
+                vars: rt.vars(session).to_vec(),
             }
         })
         .collect()
@@ -96,31 +115,35 @@ fn commit_traces() -> Vec<Vec<&'static str>> {
     traces
 }
 
-/// All four pipeline tiers agree on the commit protocol: interpreted
-/// and compiled flat machines match on actions, finished flags *and*
-/// state names; the compiled-EFSM tier (a different artifact of the
-/// same algorithm) matches on actions and finished flags.
+/// All pipeline tiers agree on the commit protocol: the interpreted
+/// and compiled engines of the flat machine, and of the EFSM, match on
+/// actions, finished flags, state names *and* registers; the EFSM (a
+/// different artifact of the same algorithm) matches the flat machine
+/// on actions and finished flags.
 #[test]
 fn commit_tiers_agree_on_trace_corpus() {
     for r in [2u32, 4, 7] {
-        let machine = commit_machine(r);
         let config = CommitConfig::new(r).unwrap();
-        let interpreted = Engine::interpret(Spec::machine(machine.clone())).unwrap();
-        let compiled = Engine::compile(Spec::machine(machine)).unwrap();
-        let efsm = Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap();
-        assert_eq!(interpreted.tier(), Tier::Interpreted);
-        assert_eq!(compiled.tier(), Tier::Compiled);
-        assert_eq!(efsm.tier(), Tier::CompiledEfsm);
+        let (interpreted, compiled) =
+            both_engines(Spec::machine(commit_machine(r)), Tier::Compiled);
+        let efsm = Spec::efsm(commit_efsm(), commit_efsm_params(&config));
+        let (efsm_interpreted, efsm) = both_engines(efsm, Tier::CompiledEfsm);
         let mut rt_interp = interpreted.runtime();
         let mut rt_compiled = compiled.runtime();
         let mut rt_efsm = efsm.runtime();
+        let mut rt_efsm_interp = efsm_interpreted.runtime();
         for trace in commit_traces() {
-            let o_interp = observe(&mut rt_interp, &trace, true);
-            let o_compiled = observe(&mut rt_compiled, &trace, true);
-            let o_efsm = observe(&mut rt_efsm, &trace, false);
+            let o_interp = observe(&mut rt_interp, &trace);
+            let o_compiled = observe(&mut rt_compiled, &trace);
+            let o_efsm = observe(&mut rt_efsm, &trace);
             assert_eq!(
                 o_interp, o_compiled,
                 "r={r} interpreted vs compiled on {trace:?}"
+            );
+            assert_eq!(
+                observe(&mut rt_efsm_interp, &trace),
+                o_efsm,
+                "r={r} interpreted vs compiled EFSM on {trace:?}"
             );
             for (step, (a, b)) in o_compiled.iter().zip(&o_efsm).enumerate() {
                 assert_eq!(
@@ -136,52 +159,56 @@ fn commit_tiers_agree_on_trace_corpus() {
     }
 }
 
-/// The flattened-HSM tier (compiled *and* interpreted flat forms)
-/// matches the direct statechart interpreter — the semantic reference —
-/// on actions, finished flags and synthesized configuration names.
+/// The flattened statecharts (compiled *and* interpreted flat forms),
+/// unguarded on the dense tier and guarded on the register tier, match
+/// the direct statechart interpreter — the semantic reference — on
+/// actions, finished flags, synthesized configuration names and
+/// variables.
 #[test]
 fn hsm_tiers_agree_on_trace_corpus() {
-    let hsm = session_lifecycle();
-    let alphabet: Vec<String> = hsm.messages().to_vec();
-    let compiled = Engine::compile(Spec::hierarchical(hsm.clone())).unwrap();
-    let interpreted = Engine::interpret(Spec::hierarchical(hsm.clone())).unwrap();
-    assert_eq!(compiled.tier(), Tier::Compiled);
-    assert_eq!(interpreted.tier(), Tier::Interpreted);
-    let mut rt_compiled = compiled.runtime();
-    let mut rt_interp = interpreted.runtime();
-    for seed in 0..64u64 {
-        let trace: Vec<&str> = corpus(seed, 80, alphabet.len())
-            .into_iter()
-            .map(|m| alphabet[m].as_str())
-            .collect();
-        // The direct interpreter is the reference.
-        let mut reference = HsmInstance::new(&hsm);
-        let expected: Vec<Observation> = trace
-            .iter()
-            .map(|name| {
-                let actions = reference
-                    .deliver(name)
-                    .unwrap()
-                    .into_iter()
-                    .map(|a| a.message().to_string())
-                    .collect();
-                Observation {
-                    actions,
-                    finished: reference.is_finished(),
-                    state_name: Some(reference.state_name().into_owned()),
-                }
-            })
-            .collect();
-        assert_eq!(
-            expected,
-            observe(&mut rt_compiled, &trace, true),
-            "flattened+compiled diverged from HsmInstance (seed {seed})"
-        );
-        assert_eq!(
-            expected,
-            observe(&mut rt_interp, &trace, true),
-            "flattened+interpreted diverged from HsmInstance (seed {seed})"
-        );
+    let plain = (session_lifecycle(), vec![], Tier::Compiled);
+    let guarded = (session_lifecycle_guarded(), vec![2], Tier::CompiledEfsm);
+    for (hsm, params, tier) in [plain, guarded] {
+        let alphabet: Vec<String> = hsm.messages().to_vec();
+        let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
+        let (interpreted, compiled) = both_engines(spec, tier);
+        let mut rt_compiled = compiled.runtime();
+        let mut rt_interp = interpreted.runtime();
+        for seed in 0..64u64 {
+            let trace: Vec<&str> = corpus(seed, 80, alphabet.len())
+                .into_iter()
+                .map(|m| alphabet[m].as_str())
+                .collect();
+            // The direct interpreter is the reference.
+            let mut reference = HsmInstance::with_params(&hsm, params.clone());
+            let expected: Vec<Observation> = trace
+                .iter()
+                .map(|name| {
+                    let actions = reference
+                        .deliver(name)
+                        .unwrap()
+                        .into_iter()
+                        .map(|a| a.message().to_string())
+                        .collect();
+                    Observation {
+                        actions,
+                        finished: reference.is_finished(),
+                        state_name: reference.state_name().into_owned(),
+                        vars: reference.vars().to_vec(),
+                    }
+                })
+                .collect();
+            assert_eq!(
+                expected,
+                observe(&mut rt_compiled, &trace),
+                "flattened+compiled diverged from HsmInstance ({tier}, seed {seed})"
+            );
+            assert_eq!(
+                expected,
+                observe(&mut rt_interp, &trace),
+                "flattened+interpreted diverged from HsmInstance ({tier}, seed {seed})"
+            );
+        }
     }
 }
 
@@ -213,17 +240,18 @@ fn generated_tier_agrees_through_the_facade() {
                         .map(|a| a.message().to_string())
                         .collect(),
                     finished: generated.is_finished(),
-                    state_name: Some(generated.state_name().into_owned()),
+                    state_name: generated.state_name().into_owned(),
+                    vars: Vec::new(),
                 })
                 .collect();
             assert_eq!(
                 expected,
-                observe(&mut rt_interp, &trace, true),
+                observe(&mut rt_interp, &trace),
                 "r={r} generated vs facade-interpreted on {trace:?}"
             );
             assert_eq!(
                 expected,
-                observe(&mut rt_compiled, &trace, true),
+                observe(&mut rt_compiled, &trace),
                 "r={r} generated vs facade-compiled on {trace:?}"
             );
         }
@@ -260,7 +288,8 @@ fn session_view_is_a_protocol_engine() {
         )
     }
     let machine = commit_machine(4);
-    let mut reference = stategen_core::FsmInstance::new(&machine);
+    let ir = FlatIr::from_machine(&machine);
+    let mut reference = ir.instance(vec![]);
     let mut rt = Engine::compile(Spec::machine(machine.clone()))
         .unwrap()
         .runtime();
@@ -303,8 +332,12 @@ fn protocol_engine_is_object_safe() {
         .runtime();
     let id = rt.spawn();
     let session = rt.session(id);
+    let ir = FlatIr::from_machine(&machine);
     let mut engines: Vec<Box<dyn ProtocolEngine + '_>> = vec![
-        Box::new(stategen_core::FsmInstance::new(&machine)),
+        Box::new(ir.instance(vec![])),
+        Box::new(Instance::new(
+            StepEngine::interpreted(ir.clone(), &[]).unwrap(),
+        )),
         Box::new(HsmInstance::new(&hsm)),
         Box::new(session),
     ];
@@ -319,7 +352,8 @@ fn protocol_engine_is_object_safe() {
 /// Duplicate-delivery safety (the fault model's at-least-once half):
 /// once a session is finished, every further delivery — any message,
 /// any number of times — is absorbed: no actions, no state change,
-/// still finished. Checked on all three runtime-served tiers (the
+/// still finished. Checked on all three runtime-served tiers, the
+/// interpreted one over a flat and over a guarded machine (the
 /// build-time generated tier has the matching check in
 /// `stategen-generated`'s suite).
 #[test]
@@ -357,6 +391,7 @@ fn finished_sessions_absorb_duplicate_deliveries_on_all_tiers() {
         interpreted,
         Engine::compile(Spec::machine(commit_machine(4))).unwrap(),
         Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap(),
+        Engine::interpret(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap(),
     ];
     for engine in engines {
         let tier = engine.tier();

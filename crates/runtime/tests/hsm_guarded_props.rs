@@ -1,12 +1,13 @@
 //! Property suite for the *guarded* statechart pipeline: the direct
 //! statechart interpreter, the interpreted flat IR, the compiled EFSM
-//! and the `Runtime`-served facade must be trace-equivalent on
-//! randomized guarded hierarchical machines —
+//! and the `Runtime`-served facade — compiled and interpreted — must be
+//! trace-equivalent on randomized guarded hierarchical machines —
 //!
 //! ```text
 //! HsmInstance (guarded) ≡ IrInstance(flatten_ir)
-//!                       ≡ CompiledEfsmInstance(compile_ir(flatten_ir))
+//!                       ≡ Instance(register(compile_ir(flatten_ir)))
 //!                       ≡ Runtime(Engine::compile(Spec::hsm_with_params))
+//!                       ≡ Runtime(Engine::interpret(Spec::hsm_with_params))
 //! ```
 //!
 //! What that proves: the guarded run-to-completion kernel (innermost
@@ -23,7 +24,8 @@ use proptest::prelude::*;
 
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, CompiledEfsm, HierarchicalMachine, HsmBuilder, HsmStateId, ProtocolEngine,
+    Action, CompiledEfsm, HierarchicalMachine, HsmBuilder, HsmStateId, Instance, ProtocolEngine,
+    StepEngine,
 };
 use stategen_runtime::{Engine, Spec, Tier};
 
@@ -189,7 +191,7 @@ fn build_random_guarded_hsm(recipe: &Recipe) -> HierarchicalMachine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The four-way equivalence on random guarded machines and traces:
+    /// The five-way equivalence on random guarded machines and traces:
     /// identical action sequences, configuration names, variable
     /// registers, completion flags and step counts at every step.
     #[test]
@@ -203,15 +205,20 @@ proptest! {
         let ir = hsm.flatten_ir();
         let compiled = CompiledEfsm::compile_ir(&ir)
             .expect("flattened candidate lists carry no duplicate guards");
-        let engine = Engine::compile(Spec::hsm_with_params(hsm.clone(), params.clone()))
-            .expect("guarded statechart compiles");
+        let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
+        let engine = Engine::compile(spec.clone()).expect("guarded statechart compiles");
         prop_assert_eq!(engine.tier(), Tier::CompiledEfsm);
+        let walking = Engine::interpret(spec).expect("guarded statechart interprets");
+        prop_assert_eq!(walking.tier(), Tier::Interpreted);
+        prop_assert_eq!(walking.fingerprint(), engine.fingerprint());
 
         let mut reference = hsm.instance_with(params.clone());
         let mut interp = ir.instance(params.clone());
-        let mut fast = compiled.instance(params.clone());
+        let mut fast = register_instance(compiled, &params);
         let mut rt = engine.runtime();
         let session = rt.spawn();
+        let mut walked = walking.runtime();
+        let walked_session = walked.spawn();
 
         prop_assert_eq!(reference.state_name(), interp.state_name());
         prop_assert_eq!(interp.state_name(), rt.state_name(session));
@@ -225,6 +232,8 @@ proptest! {
             prop_assert_eq!(want.as_slice(), from_fast, "step {}", step);
             let from_rt = rt.deliver(session, mid).to_vec();
             prop_assert_eq!(want.as_slice(), &from_rt[..], "step {}", step);
+            prop_assert_eq!(want.as_slice(), walked.deliver(walked_session, mid), "step {}", step);
+            prop_assert_eq!(rt.snapshot(session), walked.snapshot(walked_session), "step {}", step);
             prop_assert_eq!(reference.state_name(), interp.state_name(), "step {}", step);
             prop_assert_eq!(interp.state_name(), fast.state_name(), "step {}", step);
             prop_assert_eq!(fast.state_name_str(), rt.state_name(session), "step {}", step);
@@ -238,6 +247,7 @@ proptest! {
         prop_assert_eq!(reference.steps(), interp.steps());
         prop_assert_eq!(interp.steps(), fast.steps());
         prop_assert_eq!(fast.steps(), rt.steps());
+        prop_assert_eq!(rt.steps(), walked.steps());
 
         // Reset restores the initial configuration and zeroed registers
         // identically everywhere.
@@ -304,11 +314,16 @@ proptest! {
 // leg of the pipeline.
 // ---------------------------------------------------------------------
 
+/// The compiled register machine bound to `params`, as one session.
+fn register_instance(compiled: CompiledEfsm, params: &[i64]) -> Instance {
+    Instance::new(StepEngine::register(compiled, params).expect("binding arity"))
+}
+
 fn send(m: &str) -> Action {
     Action::send(m)
 }
 
-/// Drives the same trace through all four engines, asserting identical
+/// Drives the same trace through all five engines, asserting identical
 /// actions, names, variables and completion at every step, and returns
 /// the reference's collected action log for closed-form assertions.
 fn all_tiers_agree(
@@ -318,13 +333,15 @@ fn all_tiers_agree(
 ) -> Vec<Vec<Action>> {
     let ir = hsm.flatten_ir();
     let compiled = CompiledEfsm::compile_ir(&ir).expect("compiles");
-    let engine =
-        Engine::compile(Spec::hsm_with_params(hsm.clone(), params.clone())).expect("compiles");
+    let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
+    let engine = Engine::compile(spec.clone()).expect("compiles");
     let mut reference = hsm.instance_with(params.clone());
     let mut interp = ir.instance(params.clone());
-    let mut fast = compiled.instance(params);
+    let mut fast = register_instance(compiled, &params);
     let mut rt = engine.runtime();
     let session = rt.spawn();
+    let mut walked = Engine::interpret(spec).expect("interprets").runtime();
+    let walked_session = walked.spawn();
     let mut log = Vec::new();
     for m in trace {
         let mid = engine.message_id(m).expect("declared message");
@@ -332,6 +349,8 @@ fn all_tiers_agree(
         assert_eq!(interp.deliver_ref(m).unwrap(), want.as_slice(), "at {m}");
         assert_eq!(fast.deliver_ref(m).unwrap(), want.as_slice(), "at {m}");
         assert_eq!(rt.deliver(session, mid), want.as_slice(), "at {m}");
+        assert_eq!(walked.deliver(walked_session, mid), want, "at {m}");
+        assert_eq!(rt.snapshot(session), walked.snapshot(walked_session));
         assert_eq!(reference.state_name(), interp.state_name(), "at {m}");
         assert_eq!(interp.state_name(), fast.state_name(), "at {m}");
         assert_eq!(fast.state_name_str(), rt.state_name(session), "at {m}");
@@ -480,7 +499,7 @@ fn update_ordering_across_exit_entry_sequences() {
 
     let ir = hsm.flatten_ir();
     let compiled = CompiledEfsm::compile_ir(&ir).expect("compiles");
-    let mut fast = compiled.instance(vec![]);
+    let mut fast = register_instance(compiled, &[]);
     let log = all_tiers_agree(&hsm, vec![], &["hop"]);
     assert_eq!(
         log[0],

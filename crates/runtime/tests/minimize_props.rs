@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! IrInstance(ir) ≡ IrInstance(minimize(ir))                 (interpreted)
-//!                ≡ CompiledInstance(minimize(ir))           (dense tables)
-//!                ≡ CompiledEfsmInstance(minimize(ir))       (register machine)
+//!                ≡ Instance(dense(minimize(ir)))            (dense tables)
+//!                ≡ Instance(register(minimize(ir)))         (register machine)
 //! HsmInstance(hsm) ≡ minimize(hsm.flatten_ir())             (flattened statechart)
 //! ```
 //!
@@ -26,8 +26,8 @@ use proptest::prelude::*;
 use stategen_analysis::minimize;
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, CompiledEfsm, CompiledMachine, FlatIr, FlatState, FlatTransition, Level, Lint,
-    ProtocolEngine, StateMachineBuilder, StateRole, StategenError,
+    Action, CompiledEfsm, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance, Level,
+    Lint, ProtocolEngine, StateMachineBuilder, StateRole, StategenError, StepEngine,
 };
 use stategen_models::redundant_ring;
 use stategen_runtime::{AnalysisConfig, Spec};
@@ -153,7 +153,7 @@ proptest! {
             .expect("the quotient keeps one transition per cell");
         let mut reference = ir.instance(vec![]);
         let mut interp = small.instance(vec![]);
-        let mut dense = compiled.instance();
+        let mut dense = Instance::new(StepEngine::dense(compiled));
         for (step, &mi) in trace.iter().enumerate() {
             let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
             prop_assert_eq!(
@@ -187,7 +187,7 @@ proptest! {
         let params = vec![budget];
         let mut reference = ir.instance(params.clone());
         let mut interp = small.instance(params.clone());
-        let mut fast = compiled.instance(params);
+        let mut fast = Instance::new(StepEngine::register(compiled, &params).expect("arity"));
         for (step, &mi) in trace.iter().enumerate() {
             let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
             prop_assert_eq!(
@@ -218,7 +218,7 @@ proptest! {
         prop_assert_eq!(stats.states_after, 3);
         let compiled = CompiledMachine::compile_ir(&small).expect("unguarded quotient");
         let mut reference = hsm.instance();
-        let mut dense = compiled.instance();
+        let mut dense = Instance::new(StepEngine::dense(compiled));
         for (step, &mi) in trace.iter().enumerate() {
             let m = ["go", "step", "stop"][mi];
             let want = reference.deliver_ref(m).unwrap().to_vec();

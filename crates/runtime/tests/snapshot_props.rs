@@ -15,16 +15,20 @@ use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel
 use stategen_core::generate;
 use stategen_runtime::{Engine, Runtime, SessionId, Spec, TimerWheel};
 
-/// One engine per tier, all serving the r = 4 commit protocol (the EFSM
-/// tier carries two live counter registers per session, so its
-/// snapshots must capture a real register file, not just a state id).
+/// Both engines of both spec shapes, all serving the r = 4 commit
+/// protocol: the flat machine interpreted and compiled, then the EFSM
+/// compiled and interpreted (the EFSM carries two live counter
+/// registers per session, so its snapshots must capture a real register
+/// file, not just a state id — on either of its tiers).
 fn engines() -> Vec<Engine> {
     let config = CommitConfig::new(4).unwrap();
     let machine = generate(&CommitModel::new(config)).unwrap().machine;
+    let efsm = Spec::efsm(commit_efsm(), commit_efsm_params(&config));
     vec![
         Engine::interpret(Spec::machine(machine.clone())).unwrap(),
         Engine::compile(Spec::machine(machine)).unwrap(),
-        Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap(),
+        Engine::compile(efsm.clone()).unwrap(),
+        Engine::interpret(efsm).unwrap(),
     ]
 }
 
@@ -79,7 +83,8 @@ fn apply_ops(rt: &mut Runtime, ops: &[PoolOp]) -> Vec<SessionId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The acceptance gate, on all three runtime-served tiers.
+    /// The acceptance gate, on all three runtime-served tiers (the
+    /// interpreted one over an unguarded and a guarded machine).
     #[test]
     fn snapshot_restore_round_trips_bit_identically(
         ops in pool_ops(),
@@ -126,20 +131,34 @@ proptest! {
     }
 
     /// A snapshot from one engine restores into any engine with the same
-    /// behavioural fingerprint (interpreted vs compiled of the same
-    /// machine) and is rejected by a behaviourally different one.
+    /// behavioural fingerprint — interpreted ↔ compiled of the same
+    /// machine, unguarded (dense) and guarded (register), in both
+    /// directions, bit-identically and still stepping alike — and is
+    /// rejected by a behaviourally different one.
     #[test]
     fn restore_respects_fingerprints(ops in pool_ops()) {
         let all = engines();
-        let (interp, compiled, efsm) = (&all[0], &all[1], &all[2]);
-        let mut rt = interp.runtime();
-        apply_ops(&mut rt, &ops);
-        let snap = rt.snapshot_all();
-        // Same flat behaviour, different tier: accepted.
-        prop_assert!(Runtime::restore(compiled, &snap).is_ok());
-        // The EFSM artifact is a different machine shape (register
-        // file differs): rejected, not silently mis-restored.
-        prop_assert!(Runtime::restore(efsm, &snap).is_err());
+        for (from, to, other) in [(0, 1, 2), (1, 0, 3), (2, 3, 0), (3, 2, 1)] {
+            let mut rt = all[from].runtime();
+            let live = apply_ops(&mut rt, &ops);
+            let snap = rt.snapshot_all();
+            // Same behaviour, different tier: accepted, bit-identical.
+            let mut restored = Runtime::restore(&all[to], &snap).unwrap();
+            prop_assert_ne!(restored.engine().tier(), rt.engine().tier());
+            prop_assert_eq!(&restored.snapshot_all(), &snap);
+            for name in MESSAGE_NAMES {
+                let id = rt.message_id(name).unwrap();
+                prop_assert_eq!(rt.deliver_all(id), restored.deliver_all(id));
+                if let Some(&s) = live.first() {
+                    prop_assert_eq!(rt.deliver(s, id), restored.deliver(s, id));
+                }
+                prop_assert_eq!(&restored.snapshot_all(), &rt.snapshot_all());
+                prop_assert_eq!(restored.finished_count(), rt.finished_count());
+            }
+            // The other artifact is a different machine shape (register
+            // file differs): rejected, not silently mis-restored.
+            prop_assert!(Runtime::restore(&all[other], &snap).is_err());
+        }
     }
 
     /// The timer wheel against a naive reference scheduler: identical

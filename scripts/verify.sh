@@ -8,8 +8,9 @@
 #    includes the HSM property suite (crates/core/tests/hsm_props.rs),
 #    the guarded-statechart property suite
 #    (crates/runtime/tests/hsm_guarded_props.rs: HsmInstance ≡
-#    interpreted IR ≡ compiled EFSM ≡ Runtime on randomized guarded
-#    statecharts), the flattening compiler's trace-equivalence gate,
+#    interpreted IR ≡ compiled EFSM ≡ Runtime, compiled and
+#    interpreted, on randomized guarded statecharts), the flattening
+#    compiler's trace-equivalence gate,
 #    and the runtime facade's cross-tier conformance suite
 #    (crates/runtime/tests/conformance.rs);
 # 3. lints the whole workspace (clippy, warnings denied), checks
@@ -23,8 +24,9 @@
 #    kernel gates — batched_kernel ≥ 1.25x the scalar pool walk and
 #    efsm_kernel ≥ 1.4x the scalar EFSM walk, paired passes at 4096
 #    lockstep sessions, and batched_kernel_divergent ≥ 1.5x the scalar
-#    walk on a pre-diverged 65 536-session pool (efsm_kernel_divergent
-#    is recorded ungated), 0 allocs/delivery (docs/KERNELS.md) — and
+#    walk on a pre-diverged 65 536-session pool (the register tier
+#    serves a divergent pool by that walk: efsm_pool_divergent only),
+#    0 allocs/delivery (docs/KERNELS.md) — and
 #    the telemetry overhead bounds — runtime_facade ≤ 1.10x raw compiled
 #    dispatch with telemetry compiled in but disabled, and
 #    runtime_observed (flight recorder + metrics on) ≤ 1.25x the
@@ -56,10 +58,13 @@
 #    one-store / one-driver collapse deleted (the two core pools, the
 #    parked and stealing driver handles, the runtime's private tier
 #    enum, the statechart pseudo-tiers) reappears in the sources or
-#    docs, or the lazy finished bitset (its type, its batch scan, its
-#    dirty flag) under crates/core/src; and re-runs the
-#    generation-exhaustion unit test in release mode (its arithmetic
-#    wraps there instead of panicking);
+#    docs, or a name the one-step collapse deleted (the four
+#    per-front-end instance types, the bucketed register kernel's
+#    scratch and sweep), or the lazy finished bitset (its type, its
+#    batch scan, its dirty flag) under crates/core/src; and re-runs in
+#    release mode the generation-exhaustion unit test (its arithmetic
+#    wraps there instead of panicking) and the foreign-message-id batch
+#    test (a debug assertion used to be the register tier's only guard);
 # 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
 #    a workspace of its own, so steps 1-3 do not reach it) and one short
 #    traced storage_commit run, which must pass its output checks and
@@ -118,10 +123,18 @@ cargo test -q --release -p stategen-analysis --test corpus
 echo "== generation exhaustion (release: overflow would wrap, not panic) =="
 cargo test -q --release -p stategen-runtime --lib exhausted_generation
 
-echo "== one store, one driver: deleted names stay deleted =="
+echo "== foreign message id in a batch (release: one panic message on every tier) =="
+cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
+
+echo "== one store, one driver, one step: deleted names stay deleted =="
 if grep -rnE 'SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_stealing_workers|EngineKind|FlattenedHsm' \
         crates/ src/ examples/ tests/ docs/; then
     echo "verify.sh: the names above were deleted by the session-store collapse (CHANGES.md, PR 14)" >&2
+    exit 1
+fi
+if grep -rnE 'FsmInstance|EfsmInstance|CompiledInstance|KernelScratch|sweep_bucket' \
+        crates/ src/ examples/ tests/ docs/; then
+    echo "verify.sh: the names above were deleted by the one-step collapse (CHANGES.md, PR 16)" >&2
     exit 1
 fi
 if grep -rnE 'FinishedBits|finished_slots|\.dirty' crates/core/src; then
@@ -133,7 +146,7 @@ echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
            batched_pool batched_kernel efsm_pool efsm_kernel efsm_compiled \
-           batched_kernel_divergent efsm_kernel_divergent \
+           batched_kernel_divergent batched_pool_divergent efsm_pool_divergent \
            artifact_cold_load artifact_booted_pool \
            sharded_pool_4 sharded_persistent_4 work_stealing_4 generated \
            runtime_facade runtime_facade_sharded_4 runtime_observed; do

@@ -30,7 +30,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`fsm`] | `stategen-core` | state spaces, machines, generation pipeline, FSM/EFSM interpreters |
+//! | [`fsm`] | `stategen-core` | state spaces, machines, generation pipeline, the flat IR and its step engine |
 //! | [`analysis`] | `stategen-analysis` | semantic lints, interval abstract interpretation, provably-safe state minimization (see `docs/ANALYSIS.md`) |
 //! | [`runtime`] | `stategen-runtime` | the deployment pipeline: `Spec → Engine → Runtime`, typed session handles, uniform across every execution tier |
 //! | [`commit`] | `stategen-commit` | the BFT commit protocol: abstract model, EFSM, reference algorithm |
@@ -62,9 +62,9 @@ pub mod prelude {
     pub use stategen_analysis::{analyze, minimize, Analysis, AnalysisConfig};
     pub use stategen_commit::{CommitConfig, CommitModel};
     pub use stategen_core::{
-        generate, generate_with, AbstractModel, Action, FsmInstance, GenerateOptions,
-        GeneratedMachine, HierarchicalMachine, HsmBuilder, HsmInstance, Outcome, ProtocolEngine,
-        StateComponent, StateMachine, StateSpace, StateVector, StategenError,
+        generate, generate_with, AbstractModel, Action, FlatIr, GenerateOptions, GeneratedMachine,
+        HierarchicalMachine, HsmBuilder, HsmInstance, Outcome, ProtocolEngine, StateComponent,
+        StateMachine, StateSpace, StateVector, StategenError,
     };
     pub use stategen_render::{render_dot, render_mermaid, render_xml, TextRenderer};
     pub use stategen_runtime::{Engine, Runtime, SessionId, Spec, Tier};

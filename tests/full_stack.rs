@@ -5,7 +5,7 @@
 use stategen::chord::{Key, Overlay};
 use stategen::commit::{CommitConfig, CommitModel, ReferenceCommit};
 use stategen::fsm::{
-    generate, merge_equivalent_states, validate_machine, FsmInstance, MergeStrategy, ProtocolEngine,
+    generate, merge_equivalent_states, validate_machine, FlatIr, MergeStrategy, ProtocolEngine,
 };
 use stategen::generated::GeneratedCommitR7;
 use stategen::render::{render_dot, render_mermaid, render_xml, DotOptions};
@@ -47,9 +47,9 @@ fn generate_validate_render() {
 #[test]
 fn generated_code_in_the_stack() {
     let config = CommitConfig::new(7).unwrap();
-    let machine = generate(&CommitModel::new(config)).unwrap().machine;
+    let machine = FlatIr::from_machine(&generate(&CommitModel::new(config)).unwrap().machine);
     let mut generated = GeneratedCommitR7::new();
-    let mut interpreted = FsmInstance::new(&machine);
+    let mut interpreted = machine.instance(vec![]);
     let mut reference = ReferenceCommit::new(config);
     let trace = [
         "vote", "update", "vote", "not_free", "vote", "vote", "free", "commit", "vote", "commit",
@@ -137,7 +137,8 @@ fn prelude_workflow() {
     let generated = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
     let text = TextRenderer::new().render(&generated.machine);
     assert!(text.contains("machine: commit@r=4"));
-    let mut instance = FsmInstance::new(&generated.machine);
+    let ir = FlatIr::from_machine(&generated.machine);
+    let mut instance = ir.instance(vec![]);
     instance.deliver("update").unwrap();
     assert_eq!(instance.state_name(), "T/0/T/0/F/T/T");
 }
