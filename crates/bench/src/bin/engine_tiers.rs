@@ -45,8 +45,8 @@
 //! includes `hsm_flattened`, a flattened hierarchical statechart
 //! dispatching through the same dense tables, `hsm_guarded_flattened`,
 //! a *guarded* statechart (retry-budget session lifecycle) flattened
-//! through the unified IR onto the compiled-EFSM tier and batch-served
-//! at 64k sessions, and the persistent-worker rows
+//! through the unified IR, bound, unfolded onto the dense tier and
+//! batch-served at 64k sessions, and the persistent-worker rows
 //! (`sharded_persistent_4` = 4 workers × 4 shards, `work_stealing_4` =
 //! 4 workers × 16 shards — the same driver, only the ratio differs),
 //! whose workers are spawned once *outside* the measurement and whose
@@ -382,12 +382,12 @@ fn main() {
     ));
 
     // Tier 3c: a *guarded* statechart — the retry-budget session
-    // lifecycle — flattened through the unified IR onto the
-    // compiled-EFSM tier and served through the runtime facade at the
-    // 64k-session acceptance scale. Guards evaluate as flat fused
-    // threshold checks against per-session variable registers, so the
-    // row must stay in the compiled-EFSM cost class (tracked against
-    // `efsm_pool` below) and keep the zero-allocation guarantee —
+    // lifecycle — flattened through the unified IR and served through
+    // the runtime facade at the 64k-session acceptance scale. Bound to
+    // its budget the flat machine has 39 reachable configurations, so
+    // `Engine::compile` unfolds it onto the dense table: the row must
+    // be no dearer than the register tier it left (tracked against
+    // `efsm_kernel` below) and keep the zero-allocation guarantee —
     // hard-asserted like every single-shard compiled row.
     let guarded_engine =
         Engine::compile(Spec::hsm_with_params(session_lifecycle_guarded(), vec![3]))
@@ -1078,13 +1078,13 @@ fn main() {
              a regression"
         );
     }
-    // Guarded statecharts ride the compiled-EFSM tier; their batch
-    // dispatch must stay in its cost class — tracked against the
-    // kernel-batched EFSM row (`efsm_kernel`, the same lockstep sweep
-    // the facade routes `deliver_all` through), the closest
-    // like-for-like loop. A wall-clock ratio between rows, so it warns
-    // rather than hard-failing the gate (the zero-alloc assert above
-    // *is* hard).
+    // A bound guarded statechart is served unfolded from the dense
+    // table; its batch dispatch must at least stay in the cost class of
+    // the register tier it used to ride — tracked against the
+    // kernel-batched EFSM row (`efsm_kernel`, the explicit register
+    // engine's lockstep sweep). A wall-clock ratio between rows, so it
+    // warns rather than hard-failing the gate (the zero-alloc assert
+    // above *is* hard).
     let hsm_guarded_ratio = by_name("hsm_guarded_flattened") / by_name("efsm_kernel");
     println!("hsm_guarded_flattened vs efsm_kernel: {hsm_guarded_ratio:.2}x");
     if hsm_guarded_ratio > 1.5 {

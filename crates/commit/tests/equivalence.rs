@@ -21,14 +21,16 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use stategen_analysis::minimize;
 use stategen_commit::{
     commit_efsm, commit_efsm_params, CommitConfig, CommitModel, ReferenceCommit, MESSAGE_NAMES,
 };
+use stategen_core::efsm::Guard;
 use stategen_core::{
-    generate, CompiledEfsm, CompiledMachine, FlatIr, Instance, IrInstance, ProtocolEngine,
-    SessionStore, StateMachine, StepEngine,
+    generate, CompiledEfsm, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance,
+    IrInstance, ProtocolEngine, SessionStore, StateMachine, StepEngine,
 };
-use stategen_runtime::{Engine, Spec};
+use stategen_runtime::{Engine, Spec, Tier};
 
 /// Family members exercised by the equivalence suites: every machine up
 /// to r = 6, plus two larger representatives.
@@ -408,4 +410,78 @@ fn canonical_commit_trace() {
     }
     assert!(fsm.is_finished());
     assert!(reference.is_finished());
+}
+
+/// The commit EFSM bound to replication factor `r`, unfolded by hand:
+/// its reachable `(state, variables)` configurations, breadth-first by
+/// [`FlatIr::step`], as an unguarded IR of one state per configuration.
+fn unfolded_efsm(r: u32) -> FlatIr {
+    let ir = efsm_ir();
+    let params = commit_efsm_params(&CommitConfig::new(r).unwrap());
+    let mut configs = vec![(ir.start(), vec![0; ir.variables().len()])];
+    let mut states = Vec::new();
+    while states.len() < configs.len() {
+        let (state, vars) = configs[states.len()].clone();
+        let mut transitions = Vec::new();
+        for (m, name) in ir.messages().iter().enumerate() {
+            let (id, mut after) = (ir.message_id(name).unwrap(), vars.clone());
+            let mut scratch = vec![0; after.len()];
+            let Some((to, actions)) = ir.step(state, id, &params, &mut after, &mut scratch) else {
+                continue;
+            };
+            let reached = (to, after);
+            let known = configs.iter().position(|c| *c == reached);
+            let target = known.unwrap_or_else(|| {
+                configs.push(reached);
+                configs.len() - 1
+            });
+            let (always, actions) = (Guard::always(), actions.to_vec());
+            transitions.push(FlatTransition::new(
+                m,
+                always,
+                vec![],
+                actions,
+                target as u32,
+            ));
+        }
+        let source = &ir.states()[state as usize];
+        let name = format!("{}{vars:?}", source.name());
+        states.push(FlatState::new(name, source.role(), transitions));
+    }
+    FlatIr::from_parts(
+        "unfolded",
+        ir.messages().to_vec(),
+        vec![],
+        vec![],
+        states,
+        0,
+    )
+}
+
+/// The paper's spectrum (§3.2/§5.3) closed from the EFSM end: binding
+/// the replication factor and unfolding the 9-state EFSM yields 36 /
+/// 91 / 273 / 925 configurations where Table 1's generated FSMs have
+/// 33 / 85 / 261 / 901 states — `Engine::compile` serves exactly those
+/// configurations from the dense table — and the two machines are one
+/// up to `minimize` (`docs/ANALYSIS.md`).
+#[test]
+fn unfolded_efsm_is_the_generated_fsm_up_to_minimization() {
+    for (r, configurations) in [(4, 36), (7, 91), (13, 273), (25, 925)] {
+        assert_eq!(unfolded_efsm(r).state_count(), configurations, "r = {r}");
+        let params = commit_efsm_params(&CommitConfig::new(r).unwrap());
+        let engine = Engine::compile(Spec::efsm(commit_efsm(), params)).unwrap();
+        assert_eq!(engine.tier(), Tier::Compiled);
+        let lowering = format!("unfolded: 9 states × 2 vars → {configurations} configurations");
+        assert!(format!("{engine:?}").contains(&lowering), "{engine:?}");
+    }
+    for (r, generated, minimal) in [(4, 33, 27), (7, 85, 64)] {
+        assert_eq!(machine_ir(r).state_count(), generated);
+        let (from_efsm, _) = minimize(&unfolded_efsm(r));
+        let (from_fsm, _) = minimize(machine_ir(r));
+        assert_eq!(
+            (from_efsm.state_count(), from_fsm.state_count()),
+            (minimal, minimal),
+            "r = {r}"
+        );
+    }
 }

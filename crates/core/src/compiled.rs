@@ -47,6 +47,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::CompileError;
 use crate::ir::{ActionArena, FlatIr};
@@ -74,7 +75,10 @@ pub struct CompiledMachine {
     name: String,
     messages: Box<[String]>,
     message_lookup: HashMap<String, u16>,
-    state_names: Box<[String]>,
+    /// Shared strings: a table whose states unfold one source state
+    /// many times over (see [`DenseRows`]) names each copy by a pointer
+    /// bump, not a clone.
+    state_names: Box<[Arc<str>]>,
     finish: Box<[bool]>,
     start: u32,
     /// Message id → start of its *column class*'s column in the tables
@@ -92,6 +96,131 @@ pub struct CompiledMachine {
     enters_finish: Box<[u8]>,
     arena: Box<[Action]>,
     interned_lists: usize,
+}
+
+/// A dense table under construction, row-major: states are appended
+/// one at a time (each starts as an absorbing row) and cells filled in
+/// any order, then [`DenseRows::finish`] compresses the alphabet and
+/// lays the columns out. Both dense lowerings fill one — an unguarded
+/// IR state by state, and the step engine's unfolding of a guarded IR
+/// configuration by configuration, as its breadth-first search
+/// discovers them.
+#[derive(Debug)]
+pub(crate) struct DenseRows {
+    stride: usize,
+    targets: Vec<u32>,
+    cells: Vec<ActionRange>,
+    arena: ActionArena,
+    state_names: Vec<Arc<str>>,
+    finish: Vec<bool>,
+}
+
+impl DenseRows {
+    /// An empty table over an alphabet of `messages` messages, the rows
+    /// of its first `states` states laid out (absorbing) in one go — a
+    /// compiler that knows its state count pays no per-state growth.
+    pub(crate) fn new(messages: usize, states: usize) -> Self {
+        DenseRows {
+            stride: messages,
+            targets: vec![NO_TRANSITION; states * messages],
+            cells: vec![ActionRange::default(); states * messages],
+            arena: ActionArena::default(),
+            state_names: Vec::with_capacity(states),
+            finish: Vec::with_capacity(states),
+        }
+    }
+
+    /// Appends a state with no transitions; returns its id.
+    pub(crate) fn push_state(&mut self, name: Arc<str>, finish: bool) -> usize {
+        self.state_names.push(name);
+        self.finish.push(finish);
+        let cells = self.finish.len() * self.stride;
+        if self.targets.len() < cells {
+            self.targets.resize(cells, NO_TRANSITION);
+            self.cells.resize(cells, ActionRange::default());
+        }
+        self.finish.len() - 1
+    }
+
+    /// Fills the `(state, message)` cell; `false`, with the cell left
+    /// alone, if it already holds a transition.
+    pub(crate) fn set(
+        &mut self,
+        state: usize,
+        message: usize,
+        target: u32,
+        actions: &[Action],
+    ) -> bool {
+        let idx = state * self.stride + message;
+        if self.targets[idx] != NO_TRANSITION {
+            return false;
+        }
+        self.targets[idx] = target;
+        let (offset, len) = self.arena.intern(actions);
+        self.cells[idx] = ActionRange { offset, len };
+        true
+    }
+
+    /// Lays the finished rows out as a [`CompiledMachine`]: messages
+    /// whose columns are identical in every state share one physical
+    /// column (classes numbered in first-occurrence order, so the
+    /// column map is deterministic), columns are stored contiguously
+    /// with the trailing skip entry, and every cell learns whether its
+    /// target finishes.
+    pub(crate) fn finish(self, name: &str, messages: &[String], start: u32) -> CompiledMachine {
+        let DenseRows {
+            stride,
+            targets,
+            cells,
+            arena,
+            state_names,
+            finish,
+        } = self;
+        let state_count = finish.len();
+        let col_len = state_count + 1;
+        let mut column_of = vec![0u32; stride];
+        let mut class_rep: Vec<usize> = Vec::new(); // class → representative message
+        for m in 0..stride {
+            let class = class_rep.iter().position(|&rep| {
+                (0..state_count).all(|s| {
+                    targets[s * stride + m] == targets[s * stride + rep]
+                        && cells[s * stride + m] == cells[s * stride + rep]
+                })
+            });
+            let class = class.unwrap_or_else(|| {
+                class_rep.push(m);
+                class_rep.len() - 1
+            });
+            column_of[m] = u32::try_from(class * col_len).expect("table within u32 cells");
+        }
+        let n_classes = class_rep.len().max(1);
+        let mut compact_targets = vec![NO_TRANSITION; n_classes * col_len];
+        let mut compact_cells = vec![ActionRange::default(); n_classes * col_len];
+        let mut enters_finish = vec![0u8; n_classes * col_len];
+        for (c, &rep) in class_rep.iter().enumerate() {
+            for s in 0..state_count {
+                let target = targets[s * stride + rep];
+                compact_targets[c * col_len + s] = target;
+                compact_cells[c * col_len + s] = cells[s * stride + rep];
+                enters_finish[c * col_len + s] =
+                    u8::from(target != NO_TRANSITION && finish[target as usize]);
+            }
+        }
+        CompiledMachine {
+            name: name.to_string(),
+            messages: messages.to_vec().into_boxed_slice(),
+            message_lookup: FlatIr::build_lookup(messages),
+            state_names: state_names.into_boxed_slice(),
+            finish: finish.into_boxed_slice(),
+            start,
+            column_of: column_of.into_boxed_slice(),
+            targets: compact_targets.into_boxed_slice(),
+            cells: compact_cells.into_boxed_slice(),
+            enters_finish: enters_finish.into_boxed_slice(),
+            interned_lists: arena.interned_lists(),
+            arena: arena.into_arena(),
+        }
+    }
 }
 
 impl CompiledMachine {
@@ -135,92 +264,27 @@ impl CompiledMachine {
         if ir.is_guarded() {
             return Err(CompileError::GuardedMachine(ir.name().to_string()));
         }
-        let stride = ir.messages().len();
-        let state_count = ir.state_count();
-        let mut targets = vec![NO_TRANSITION; state_count * stride];
-        let mut cells = vec![ActionRange::default(); state_count * stride];
-        let mut arena = ActionArena::default();
-        let mut state_names = Vec::with_capacity(state_count);
-        let mut finish = Vec::with_capacity(state_count);
-
-        for (sid, state) in ir.states().iter().enumerate() {
-            state_names.push(state.name().to_string());
+        let mut rows = DenseRows::new(ir.messages().len(), ir.state_count());
+        for state in ir.states() {
             let is_finish = state.role() == StateRole::Finish;
-            finish.push(is_finish);
+            let sid = rows.push_state(Arc::from(state.name()), is_finish);
             if is_finish {
                 // Finish states absorb every message; leave the whole row
                 // at the sentinel even if the source machine carries
                 // (unreachable) transitions out of them.
                 continue;
             }
-            let row = sid * stride;
             for transition in state.transitions() {
-                let idx = row + transition.message_index();
-                if targets[idx] != NO_TRANSITION {
+                let message = transition.message_index();
+                if !rows.set(sid, message, transition.target(), transition.actions()) {
                     return Err(CompileError::DuplicateTransition {
                         state: state.name().to_string(),
-                        message: ir.messages()[transition.message_index()].clone(),
+                        message: ir.messages()[message].clone(),
                     });
                 }
-                targets[idx] = transition.target();
-                let (offset, len) = arena.intern(transition.actions());
-                cells[idx] = ActionRange { offset, len };
             }
         }
-
-        // Message-alphabet compression: group messages whose full
-        // columns (target + actions per state) are identical, then store
-        // only one physical column per class. Classes are numbered in
-        // first-occurrence order, so the column map is deterministic.
-        let col_len = state_count + 1;
-        let mut column_of = vec![0u32; stride];
-        let mut class_rep: Vec<usize> = Vec::new(); // class → representative message
-        for m in 0..stride {
-            let class = class_rep.iter().position(|&rep| {
-                (0..state_count).all(|s| {
-                    targets[s * stride + m] == targets[s * stride + rep]
-                        && cells[s * stride + m] == cells[s * stride + rep]
-                })
-            });
-            let class = class.unwrap_or_else(|| {
-                class_rep.push(m);
-                class_rep.len() - 1
-            });
-            column_of[m] = u32::try_from(class * col_len).expect("table within u32 cells");
-        }
-        let n_classes = class_rep.len().max(1);
-        let mut compact_targets = vec![NO_TRANSITION; n_classes * col_len];
-        let mut compact_cells = vec![ActionRange::default(); n_classes * col_len];
-        let mut enters_finish = vec![0u8; n_classes * col_len];
-        for (c, &rep) in class_rep.iter().enumerate() {
-            for s in 0..state_count {
-                let target = targets[s * stride + rep];
-                compact_targets[c * col_len + s] = target;
-                compact_cells[c * col_len + s] = cells[s * stride + rep];
-                enters_finish[c * col_len + s] =
-                    u8::from(target != NO_TRANSITION && finish[target as usize]);
-            }
-        }
-
-        Ok(CompiledMachine {
-            name: ir.name().to_string(),
-            messages: ir.messages().to_vec().into_boxed_slice(),
-            message_lookup: ir
-                .messages()
-                .iter()
-                .enumerate()
-                .map(|(i, m)| (m.clone(), i as u16))
-                .collect(),
-            state_names: state_names.into_boxed_slice(),
-            finish: finish.into_boxed_slice(),
-            start: ir.start(),
-            column_of: column_of.into_boxed_slice(),
-            targets: compact_targets.into_boxed_slice(),
-            cells: compact_cells.into_boxed_slice(),
-            enters_finish: enters_finish.into_boxed_slice(),
-            interned_lists: arena.interned_lists(),
-            arena: arena.into_arena(),
-        })
+        Ok(rows.finish(ir.name(), ir.messages(), ir.start()))
     }
 
     /// The machine's name.
@@ -286,6 +350,14 @@ impl CompiledMachine {
     /// when some messages are interchangeable in every state.
     pub fn message_column_classes(&self) -> usize {
         self.targets.len() / (self.state_names.len() + 1)
+    }
+
+    /// Bytes the column tables occupy (targets, action ranges and
+    /// finish flags; the action arena and names are not counted).
+    pub(crate) fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.targets)
+            + std::mem::size_of_val(&*self.cells)
+            + std::mem::size_of_val(&*self.enters_finish)
     }
 
     /// Start of the compressed table column `message` dispatches

@@ -82,7 +82,7 @@ use std::collections::HashMap;
 
 use crate::efsm::{CmpOp, Cond, Efsm, LinExpr, Operand, Update};
 use crate::error::CompileError;
-use crate::ir::{ActionArena, FlatIr};
+use crate::ir::{ActionArena, FlatIr, FlatState, FlatTransition};
 use crate::machine::{Action, MessageId, StateRole};
 
 /// Sentinel for "no inline increment" in a [`Candidate`].
@@ -492,6 +492,33 @@ impl CompiledEfsm {
         Self::compile_ir(&FlatIr::from_efsm(efsm))
     }
 
+    /// The one reason a guarded IR is refused, checked on its own so
+    /// that every lowering of a guarded machine — this compiler, and the
+    /// step engine's unfolding onto the dense table — accepts exactly
+    /// the same machines: a live state declaring two transitions on one
+    /// message with identical guards
+    /// ([`CompileError::DuplicateTransition`]; reported for the first
+    /// such state and, within it, message).
+    pub(crate) fn reject_duplicates(ir: &FlatIr) -> Result<(), CompileError> {
+        let live = |s: &&FlatState| s.role() != StateRole::Finish;
+        for state in ir.states().iter().filter(live) {
+            let ts = state.transitions();
+            for mid in 0..ir.messages().len() {
+                let on_mid = |t: &FlatTransition| t.message_index() == mid;
+                for (ti, t) in ts.iter().enumerate().filter(|(_, t)| on_mid(t)) {
+                    let same = |prev: &FlatTransition| on_mid(prev) && prev.guard() == t.guard();
+                    if ts[..ti].iter().any(same) {
+                        return Err(CompileError::DuplicateTransition {
+                            state: state.name().to_string(),
+                            message: ir.messages()[mid].clone(),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Compiles a [`FlatIr`] into fused checks, bytecode and dense
     /// dispatch tables — the shared entry point of the unified lowering
     /// pipeline. EFSMs lift trivially; guarded statecharts arrive via
@@ -507,6 +534,7 @@ impl CompiledEfsm {
     /// can never fire (declaration order resolves overlaps), so it is a
     /// specification bug rather than a priority choice.
     pub fn compile_ir(ir: &FlatIr) -> Result<Self, CompileError> {
+        Self::reject_duplicates(ir)?;
         let stride = ir.messages().len();
         let state_count = ir.state_count();
         let mut cells = vec![Cell::default(); state_count * stride];
@@ -539,13 +567,7 @@ impl CompiledEfsm {
                     .iter()
                     .filter(|t| t.message_index() == mid)
                     .collect();
-                for (ti, t) in in_cell.iter().enumerate() {
-                    if in_cell[..ti].iter().any(|prev| prev.guard() == t.guard()) {
-                        return Err(CompileError::DuplicateTransition {
-                            state: state.name().to_string(),
-                            message: ir.messages()[mid].clone(),
-                        });
-                    }
+                for t in &in_cell {
                     let checks_start = checks.len() as u32;
                     let code_start = code.len() as u32;
                     for cond in t.guard().conditions() {

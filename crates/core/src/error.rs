@@ -544,6 +544,19 @@ pub enum StategenError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
+    /// A snapshot (or an in-place swap migration) put a session in a
+    /// `(state, registers)` pair that the target engine's machine
+    /// cannot reach from its start state. Only an engine that
+    /// enumerated its machine's reachable configurations can tell —
+    /// one that unfolded a guarded machine onto the dense table — and
+    /// it refuses the whole restore, nothing changed, rather than
+    /// resume the session from some other configuration.
+    UnreachableConfiguration {
+        /// The slot (within its shard) holding the pair.
+        slot: usize,
+        /// The state id the snapshot recorded for it.
+        state: u32,
+    },
     /// A deployable machine artifact was rejected by the loader.
     Artifact(ArtifactError),
     /// A runtime hot-swap was rejected or cannot proceed.
@@ -595,6 +608,13 @@ impl fmt::Display for StategenError {
                     "snapshot fingerprint {found:#018x} does not match the engine's \
                      {expected:#018x}: snapshots restore only into behaviourally identical \
                      machines"
+                )
+            }
+            StategenError::UnreachableConfiguration { slot, state } => {
+                write!(
+                    f,
+                    "slot {slot}: state {state} with the recorded registers is not a reachable \
+                     configuration of the engine's machine"
                 )
             }
             StategenError::Artifact(e) => write!(f, "artifact rejected: {e}"),

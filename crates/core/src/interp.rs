@@ -68,8 +68,10 @@ pub trait ProtocolEngine {
 
 /// One executing session of a [`StepEngine`], on whichever tier the
 /// engine resolved onto: the current state, one register row, the
-/// step's scratch and a step count. Owned (`'static`; the engine is a
-/// bundle of `Arc`s), and allocation-free after construction.
+/// step's scratch and a step count — what one slot of a
+/// [`SessionStore`](crate::SessionStore) holds, and like it an unfolded
+/// engine's whole configuration in one id. Owned (`'static`; the engine
+/// is a bundle of `Arc`s), and allocation-free after construction.
 ///
 /// # Examples
 ///
@@ -93,6 +95,7 @@ pub trait ProtocolEngine {
 #[derive(Debug, Clone)]
 pub struct Instance {
     engine: StepEngine,
+    /// The engine's configuration id: the state id, unless unfolded.
     current: u32,
     regs: Vec<i64>,
     scratch: Vec<i64>,
@@ -103,8 +106,8 @@ impl Instance {
     /// Creates an instance at the engine's start state, registers zero.
     pub fn new(engine: StepEngine) -> Self {
         Instance {
-            current: engine.start(),
-            regs: vec![0; engine.reg_count()],
+            current: engine.start_config(),
+            regs: vec![0; engine.stored_regs()],
             scratch: vec![0; engine.scratch_len()],
             engine,
             steps: 0,
@@ -118,13 +121,14 @@ impl Instance {
 
     /// The current state's dense id.
     pub fn current_state(&self) -> u32 {
-        self.current
+        self.engine.state_of(self.current)
     }
 
     /// Current variable values, in declaration order (empty for an
     /// unguarded machine).
     pub fn vars(&self) -> &[i64] {
-        &self.regs[..self.engine.var_count()]
+        let row = self.engine.config_row(self.current).unwrap_or(&self.regs);
+        &row[..self.engine.var_count()]
     }
 
     /// Number of transitions taken so far.
@@ -135,7 +139,7 @@ impl Instance {
     /// Display name of the current state, borrowed from the engine
     /// (non-allocating form of [`ProtocolEngine::state_name`]).
     pub fn state_name_str(&self) -> &str {
-        self.engine.state_name(self.current)
+        self.engine.state_name(self.current_state())
     }
 
     /// Delivers a message by id (avoids the name lookup of
@@ -145,7 +149,10 @@ impl Instance {
     #[inline]
     pub fn deliver_id(&mut self, message: MessageId) -> &[Action] {
         let (regs, scratch) = (&mut self.regs, &mut self.scratch);
-        match self.engine.step(self.current, message, regs, scratch) {
+        match self
+            .engine
+            .step_config(self.current, message, regs, scratch)
+        {
             Some((target, actions)) => {
                 self.current = target;
                 self.steps += 1;
@@ -166,7 +173,7 @@ impl ProtocolEngine for Instance {
     }
 
     fn is_finished(&self) -> bool {
-        self.engine.is_finish_state(self.current)
+        self.engine.config_finishes(self.current)
     }
 
     fn state_name(&self) -> Cow<'_, str> {
@@ -174,7 +181,7 @@ impl ProtocolEngine for Instance {
     }
 
     fn reset(&mut self) {
-        self.current = self.engine.start();
+        self.current = self.engine.start_config();
         self.regs.fill(0);
         self.steps = 0;
     }

@@ -66,8 +66,8 @@
 //! | tier | built by | dispatch cost | use when |
 //! |---|---|---|---|
 //! | interpreted | [`StepEngine::interpreted`] (any IR, guarded or not) | transition-list scan, guard/update enum-tree walk per message | exploring freshly generated machines; debugging; one-off runs |
-//! | compiled | [`StepEngine::compile_ir`] on an unguarded IR ([`CompiledMachine`]) | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
-//! | compiled EFSM | [`StepEngine::compile_ir`] on a guarded IR ([`CompiledEfsm`]) | fused threshold checks / bytecode over a flat op stream, zero allocation | the EFSM tier at runtime: one machine generic over the protocol parameter |
+//! | compiled | [`StepEngine::compile_ir`] on an unguarded IR, or on a guarded IR whose bound configuration space is finite and within budget — *unfolded* ([`CompiledMachine`]) | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
+//! | compiled EFSM | [`StepEngine::compile_ir`] on a guarded IR whose configuration space is unbounded or over budget; [`StepEngine::register`] on any ([`CompiledEfsm`]) | fused threshold checks / bytecode over a flat op stream, zero allocation | guarded machines the dense table cannot hold |
 //! | generated | `stategen-generated` (build-time rendered source) | `match` over enum states | machine known at *build* time; maximum specialisation, no machine data at runtime |
 //!
 //! The interpreted tier needs no preparation; the compiled tiers pay a
@@ -92,8 +92,9 @@
 //! synthesized exit/entry action sequences become ordinary (possibly
 //! guarded) transitions of the unified [`FlatIr`] — and run it on the
 //! matching tier above: unguarded statecharts land on the dense-table
-//! tier, guarded ones on the register-machine tier, where one compiled
-//! machine serves the whole parameterized statechart family. The
+//! tier, and so do guarded ones once their parameters are bound and
+//! their reachable `(state, variables)` configurations enumerated
+//! (the register-machine tier takes those that are unbounded). The
 //! property suites assert `HsmInstance ≡ IrInstance(flatten_ir) ≡
 //! Instance(compiled)` over random statecharts and traces (and the
 //! guarded five-way equivalence in `stategen-runtime`'s
@@ -103,8 +104,9 @@
 //! where dispatch cost and allocation behaviour are identical to any
 //! other compiled machine.
 //! [`SessionStore`] extends every tier to thousands of concurrent
-//! protocol instances stored struct-of-arrays (one `u32` — plus the
-//! variable registers of a guarded machine — per session) over one
+//! protocol instances stored struct-of-arrays (one `u32` — plus, on
+//! the register and interpreted tiers, the variable registers of a
+//! guarded machine — per session) over one
 //! [`StepEngine`], stepped with no per-event allocation, and
 //! [`ShardedPool`] partitions stores across `std::thread` workers for
 //! multi-core batch stepping (sessions are independent, so sharded

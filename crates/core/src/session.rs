@@ -8,11 +8,17 @@
 //! struct-of-arrays store every serving path steps, over any
 //! [`StepEngine`]:
 //!
-//! * one dense `u32` state id per session (a released slot holds the
-//!   [`SessionStore::RETIRED`] sentinel, which batch delivery skips);
+//! * one dense `u32` id per session (a released slot holds the
+//!   [`SessionStore::RETIRED`] sentinel, which batch delivery skips) —
+//!   the state id, or, under an engine that unfolded its guarded
+//!   machine onto the dense table, the id of the session's whole
+//!   `(state, registers)` configuration, which never leaves this
+//!   module: every accessor answers with the source machine's state id
+//!   and registers;
 //! * the variable registers, session-major, `reg_count` per session —
 //!   zero for an unguarded machine, so a flat FSM is the same store
-//!   with empty rows, not a second type;
+//!   with empty rows, not a second type, and zero again for an
+//!   unfolded one, whose configuration id says what they hold;
 //! * an *eager* finished count: finish states are absorbing, so whether
 //!   a session has finished is the finish flag of its current state,
 //!   and every operation that writes states — single steps, resets,
@@ -53,8 +59,10 @@
 //! assert!(store.all_finished());
 //! ```
 
+use std::borrow::Cow;
 use std::sync::{Condvar, Mutex};
 
+use crate::error::StategenError;
 use crate::kernel::BatchTally;
 use crate::machine::{Action, MessageId};
 use crate::step::StepEngine;
@@ -121,11 +129,13 @@ pub struct Taken<'a> {
 #[derive(Debug, Clone)]
 pub struct SessionStore {
     engine: StepEngine,
-    /// Dense state id per slot; [`SessionStore::RETIRED`] marks
-    /// released slots.
+    /// The engine's configuration id per slot — the state id, unless
+    /// the engine is unfolded; [`SessionStore::RETIRED`] marks released
+    /// slots.
     current: Vec<u32>,
     /// Session-major registers: slot `s`'s row is `vars[s * n_regs ..
-    /// (s + 1) * n_regs]` (empty rows when `n_regs == 0`).
+    /// (s + 1) * n_regs]` (empty rows when `n_regs == 0`: an unguarded
+    /// machine, or an unfolded one).
     vars: Vec<i64>,
     /// Staged-update scratch for the bytecode path, shared by all slots.
     scratch: Vec<i64>,
@@ -149,7 +159,7 @@ impl SessionStore {
     /// Creates a store of `count` sessions, all at the start state with
     /// zeroed registers.
     pub fn new(engine: StepEngine, count: usize) -> Self {
-        let n_regs = engine.reg_count();
+        let n_regs = engine.stored_regs();
         let mut store = SessionStore {
             scratch: vec![0; engine.scratch_len()],
             probe_row: Vec::new(),
@@ -196,7 +206,7 @@ impl SessionStore {
     #[inline]
     pub fn spawn(&mut self) -> usize {
         let session = self.current.len();
-        let start = self.engine.start();
+        let start = self.engine.start_config();
         self.current.push(start);
         self.vars.extend(std::iter::repeat_n(0, self.n_regs));
         self.finished += self.finishes(start);
@@ -211,7 +221,7 @@ impl SessionStore {
     /// Panics if `session` is out of range.
     #[inline]
     pub fn state(&self, session: usize) -> u32 {
-        self.current[session]
+        self.engine.state_of(self.current[session])
     }
 
     /// Display name of a session's state, borrowed from the engine.
@@ -221,7 +231,7 @@ impl SessionStore {
     /// Panics if `session` is out of range or retired.
     #[inline]
     pub fn state_name(&self, session: usize) -> &str {
-        self.engine.state_name(self.current[session])
+        self.engine.state_name(self.state(session))
     }
 
     /// A session's declared variables, in declaration order (empty for
@@ -229,11 +239,27 @@ impl SessionStore {
     ///
     /// # Panics
     ///
-    /// Panics if `session` is out of range.
+    /// As for [`SessionStore::registers_of`].
     #[inline]
     pub fn vars(&self, session: usize) -> &[i64] {
-        assert!(session < self.current.len(), "session out of range");
-        &self.vars[session * self.n_regs..][..self.engine.var_count()]
+        &self.registers_of(session)[..self.engine.var_count()]
+    }
+
+    /// A session's whole register row — declared variables first, then
+    /// compiler temporaries — [`StepEngine::reg_count`] long: its slice
+    /// of [`SessionStore::registers`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `session` is out of range — or retired, under an
+    /// engine whose sessions keep no register file to read a stale row
+    /// from.
+    #[inline]
+    pub fn registers_of(&self, session: usize) -> &[i64] {
+        match self.engine.config_row(self.current[session]) {
+            Some(row) => row,
+            None => &self.vars[session * self.n_regs..][..self.n_regs],
+        }
     }
 
     /// `true` if the slot is currently retired.
@@ -270,11 +296,22 @@ impl SessionStore {
         self.finished == self.live()
     }
 
-    /// What a slot holding `state` contributes to the finished count:
+    /// What a slot holding `config` contributes to the finished count:
     /// 1 for a finish state, 0 otherwise (a retired slot never counts).
     #[inline]
-    fn finishes(&self, state: u32) -> usize {
-        usize::from(state != Self::RETIRED && self.engine.is_finish_state(state))
+    fn finishes(&self, config: u32) -> usize {
+        usize::from(config != Self::RETIRED && self.engine.config_finishes(config))
+    }
+
+    /// The transition `from → to` (configuration ids) as callers see
+    /// it: between source states.
+    #[inline]
+    fn taken<'a>(engine: &StepEngine, from: u32, to: u32, actions: &'a [Action]) -> Taken<'a> {
+        Taken {
+            from: engine.state_of(from),
+            to: engine.state_of(to),
+            actions,
+        }
     }
 
     /// Total transitions taken across all sessions.
@@ -300,12 +337,14 @@ impl SessionStore {
         let n = self.n_regs;
         let from = self.current[session];
         let regs = &mut self.vars[session * n..][..n];
-        let (to, actions) = self.engine.step(from, message, regs, &mut self.scratch)?;
+        let (to, actions) = self
+            .engine
+            .step_config(from, message, regs, &mut self.scratch)?;
         self.current[session] = to;
         self.steps += 1;
         // `from` was not a finish state: those take no transition.
-        self.finished += usize::from(self.engine.is_finish_state(to));
-        Some(Taken { from, to, actions })
+        self.finished += usize::from(self.engine.config_finishes(to));
+        Some(Self::taken(&self.engine, from, to, actions))
     }
 
     /// [`SessionStore::step`], returning just the triggered actions
@@ -329,7 +368,7 @@ impl SessionStore {
         F: FnMut(usize, Taken<'_>),
     {
         self.probe_row.resize(self.n_regs, 0); // sized by the first probe
-        let n_states = self.engine.state_count() as u32;
+        let n_states = self.engine.config_count() as u32;
         let mut rows = self.vars.rchunks_exact(self.n_regs.max(1));
         let mut found = 0;
         for (session, &from) in self.current.iter().enumerate().rev().take(window) {
@@ -344,17 +383,17 @@ impl SessionStore {
                 self.probe_row.copy_from_slice(row);
             }
             let (regs, scratch) = (&mut self.probe_row, &mut self.scratch);
-            if let Some((to, actions)) = self.engine.step(from, message, regs, scratch) {
+            if let Some((to, actions)) = self.engine.step_config(from, message, regs, scratch) {
                 found += 1;
-                visit(session, Taken { from, to, actions });
+                visit(session, Self::taken(&self.engine, from, to, actions));
             }
         }
     }
 
     /// Delivers a message to every live session, discarding actions;
     /// returns the number of transitions taken. This is the batch hot
-    /// loop ([`StepEngine::deliver_batch`]): no allocation, the
-    /// finished count advanced by the kernel's own tally, results
+    /// loop (the engine's batch kernels): no allocation, the finished
+    /// count advanced by the kernel's own tally, results
     /// bit-identical to [`SessionStore::deliver_all_scalar`].
     ///
     /// # Panics
@@ -396,13 +435,13 @@ impl SessionStore {
     where
         F: FnMut(usize, Taken<'_>),
     {
-        let (states, vars) = (&mut self.current, &mut self.vars);
-        let tally = self.engine.walk_batch(
+        let (engine, states, vars) = (&self.engine, &mut self.current, &mut self.vars);
+        let tally = engine.walk_batch(
             message,
             states,
             vars,
             &mut self.scratch,
-            |session, from, to, actions| visit(session, Taken { from, to, actions }),
+            |session, from, to, actions| visit(session, Self::taken(engine, from, to, actions)),
         );
         self.took(tally)
     }
@@ -416,18 +455,30 @@ impl SessionStore {
     /// Panics if `session` is out of range.
     #[inline]
     pub fn reset_session(&mut self, session: usize) {
-        let start = self.engine.start();
+        let start = self.engine.start_config();
         let old = std::mem::replace(&mut self.current[session], start);
         if old == Self::RETIRED {
             self.retired -= 1;
         }
-        self.vars[session * self.n_regs..][..self.n_regs].fill(0);
+        self.zero_row(session);
         self.finished = self.finished - self.finishes(old) + self.finishes(start);
+    }
+
+    /// Zeroes a slot's register row — if it has one: a zero-length
+    /// `fill` is a call, not a no-op (≈ 100 ns per reset measured on
+    /// the benchmark host), and an unguarded or unfolded store would
+    /// pay it on every reset and release.
+    #[inline]
+    fn zero_row(&mut self, session: usize) {
+        if self.n_regs != 0 {
+            self.vars[session * self.n_regs..][..self.n_regs].fill(0);
+        }
     }
 
     /// Retires a live slot: it keeps its index but is skipped by every
     /// batch operation until revived by
-    /// [`SessionStore::reset_session`].
+    /// [`SessionStore::reset_session`]. Its registers are zeroed, so a
+    /// retired slot reads the same in a snapshot whichever tier took it.
     ///
     /// # Panics
     ///
@@ -437,13 +488,14 @@ impl SessionStore {
         assert!(!self.is_retired(session), "session already retired");
         self.finished -= self.finishes(self.current[session]);
         self.current[session] = Self::RETIRED;
+        self.zero_row(session);
         self.retired += 1;
     }
 
     /// Returns every live session to the start state with zeroed
     /// registers and zeroes the step count; retired slots stay retired.
     pub fn reset_all(&mut self) {
-        let start = self.engine.start();
+        let start = self.engine.start_config();
         if self.retired == 0 {
             self.current.fill(start);
         } else {
@@ -462,51 +514,92 @@ impl SessionStore {
     /// order. Together with [`SessionStore::registers`] and the engine
     /// this is the store's complete execution state (finished-ness is
     /// the finish flag of each state — finish states are absorbing).
-    pub fn states(&self) -> &[u32] {
-        &self.current
+    /// Borrowed where the store holds exactly this; materialised, one
+    /// table load per slot, under an unfolded engine.
+    pub fn states(&self) -> Cow<'_, [u32]> {
+        match self.engine.states_of(&self.current) {
+            Some(states) => Cow::Owned(states),
+            None => Cow::Borrowed(&self.current),
+        }
     }
 
     /// Snapshot accessor: the session-major register file — slot `s`'s
     /// registers (declared variables first, then compiler temporaries)
     /// are `registers()[s * reg_count .. (s + 1) * reg_count]`.
-    pub fn registers(&self) -> &[i64] {
-        &self.vars
+    /// Borrowed or materialised as for [`SessionStore::states`]; a
+    /// materialised file reads zero in every retired slot.
+    pub fn registers(&self) -> Cow<'_, [i64]> {
+        match self.engine.rows_of(&self.current) {
+            Some(file) => Cow::Owned(file),
+            None => Cow::Borrowed(&self.vars),
+        }
     }
 
     /// Replaces every slot's state and registers (and the step count)
     /// from a snapshot taken via [`SessionStore::states`] /
     /// [`SessionStore::registers`] / [`SessionStore::steps`] under a
-    /// behaviourally identical engine. The store takes the snapshot's
-    /// size; the finished count is recounted in the validation pass.
+    /// behaviourally identical engine, whatever tier either resolved
+    /// onto. The store takes the snapshot's size; the finished count is
+    /// recounted in the validation pass.
+    ///
+    /// # Errors
+    ///
+    /// [`StategenError::UnreachableConfiguration`], with the store
+    /// untouched, if this store's engine unfolded its machine and some
+    /// live slot's `(state, registers)` pair is one the machine cannot
+    /// reach — no session of this engine could have produced it, so it
+    /// is refused rather than resumed from a neighbouring
+    /// configuration.
     ///
     /// # Panics
     ///
     /// Panics if `registers` does not hold `reg_count` registers per
     /// slot, or a state id is neither valid for the engine nor
     /// [`SessionStore::RETIRED`].
-    pub fn restore(&mut self, states: &[u32], registers: &[i64], steps: u64) {
+    pub fn restore(
+        &mut self,
+        states: &[u32],
+        registers: &[i64],
+        steps: u64,
+    ) -> Result<(), StategenError> {
+        let width = self.engine.reg_count();
         assert_eq!(
             registers.len(),
-            states.len() * self.n_regs,
+            states.len() * width,
             "corrupt snapshot: {} registers for {} slots of {} registers each",
             registers.len(),
             states.len(),
-            self.n_regs,
+            width,
         );
         let n_states = self.engine.state_count() as u32;
+        let mut rows = registers.chunks_exact(width.max(1));
+        let mut current = Vec::with_capacity(states.len());
         let (mut retired, mut finished) = (0, 0);
         for (slot, &state) in states.iter().enumerate() {
+            let row = rows.next().unwrap_or_default();
             assert!(
                 state == Self::RETIRED || state < n_states,
                 "corrupt snapshot: slot {slot} in state {state} but the engine has {n_states} states",
             );
-            retired += usize::from(state == Self::RETIRED);
-            finished += self.finishes(state);
+            let config = if state == Self::RETIRED {
+                retired += 1;
+                Self::RETIRED
+            } else {
+                self.engine
+                    .config_of(state, row)
+                    .ok_or(StategenError::UnreachableConfiguration { slot, state })?
+            };
+            finished += self.finishes(config);
+            current.push(config);
         }
         (self.retired, self.finished) = (retired, finished);
-        self.current = states.to_vec();
-        self.vars = registers.to_vec();
+        self.current = current;
+        self.vars = match self.n_regs {
+            0 => Vec::new(),
+            _ => registers.to_vec(),
+        };
         self.steps = steps;
+        Ok(())
     }
 
     /// Re-targets a store with no live session at a different engine.
@@ -519,7 +612,7 @@ impl SessionStore {
     /// Panics if a session is live.
     pub fn retarget(&mut self, engine: StepEngine) {
         assert_eq!(self.live(), 0, "retarget on a store with live sessions");
-        self.n_regs = engine.reg_count();
+        self.n_regs = engine.stored_regs();
         self.scratch = vec![0; engine.scratch_len()];
         self.vars = vec![0; self.current.len() * self.n_regs];
         self.engine = engine;
@@ -1080,6 +1173,7 @@ mod tests {
     use crate::efsm_compiled::CompiledEfsm;
     use crate::ir::FlatIr;
     use crate::machine::{StateMachine, StateMachineBuilder, StateRole};
+    use crate::step::Tier;
 
     fn finishing_machine() -> StateMachine {
         let mut b = StateMachineBuilder::new("m", ["a", "b"]);
@@ -1230,8 +1324,10 @@ mod tests {
         assert_eq!((pool.live(), pool.state_name(1)), (2, "s0"));
     }
 
-    /// The counter EFSM's IR and its register engine bound to `limit`.
-    fn counter(limit: i64) -> (FlatIr, StepEngine) {
+    /// The counter EFSM's IR and its two compiled engines bound to
+    /// `limit`: on the register tier, and unfolded onto the dense one.
+    /// Every test below holds for both.
+    fn counter(limit: i64) -> (FlatIr, [StepEngine; 2]) {
         use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
         let mut b = EfsmBuilder::new("counter", ["tick"]);
         let lim = b.add_param("limit");
@@ -1257,67 +1353,118 @@ mod tests {
         );
         let ir = FlatIr::from_efsm(&b.build(counting, Some(done)));
         let compiled = CompiledEfsm::compile_ir(&ir).unwrap();
-        let engine = StepEngine::register(compiled, &[limit]).unwrap();
-        (ir, engine)
+        let register = StepEngine::register(compiled, &[limit]).unwrap();
+        let unfolded = StepEngine::compile_ir(&ir, &[limit]).unwrap();
+        assert_eq!(
+            (register.tier(), unfolded.tier()),
+            (Tier::CompiledEfsm, Tier::Compiled)
+        );
+        (ir, [register, unfolded])
     }
 
     #[test]
     fn efsm_pool_counts_independently() {
-        let (_, engine) = counter(3);
-        let tick = msg(&engine, "tick");
-        let mut pool = SessionStore::new(engine, 5);
-        assert_eq!(pool.len(), 5);
-        assert_eq!(pool.engine().params(), &[3]);
-        // Step session 2 ahead of the rest.
-        assert!(pool.deliver(2, tick).is_empty());
-        assert_eq!(pool.vars(2), &[1]);
-        assert_eq!(pool.vars(0), &[0]);
-        let mut probed = Vec::new();
-        pool.probe_tail(tick, 2, 3, |s, t| probed.push((s, t.to)));
-        assert_eq!(probed, [(4, 0), (3, 0)]);
-        assert_eq!(pool.vars(2), &[1], "a probe must not update registers");
-        pool.deliver_all(tick);
-        pool.deliver_all(tick);
-        assert!(pool.is_finished(2));
-        assert_eq!(pool.finished_count(), 1);
-        assert_eq!(pool.state_name(2), "done");
-        let mut fired = 0;
-        pool.deliver_all_with(tick, |_, t| fired += t.actions.len());
-        assert_eq!(fired, 4);
-        assert!(pool.all_finished());
-        assert_eq!(pool.steps(), 1 + 5 + 5 + 4);
+        for engine in counter(3).1 {
+            let tick = msg(&engine, "tick");
+            let mut pool = SessionStore::new(engine, 5);
+            assert_eq!(pool.len(), 5);
+            assert_eq!(pool.engine().params(), &[3]);
+            // Step session 2 ahead of the rest.
+            assert!(pool.deliver(2, tick).is_empty());
+            assert_eq!(pool.vars(2), &[1]);
+            assert_eq!(pool.vars(0), &[0]);
+            let mut probed = Vec::new();
+            pool.probe_tail(tick, 2, 3, |s, t| probed.push((s, t.to)));
+            assert_eq!(probed, [(4, 0), (3, 0)]);
+            assert_eq!(pool.vars(2), &[1], "a probe must not update registers");
+            pool.deliver_all(tick);
+            pool.deliver_all(tick);
+            assert!(pool.is_finished(2));
+            assert_eq!(pool.finished_count(), 1);
+            assert_eq!(pool.state_name(2), "done");
+            // Source state ids and the full register file, whatever
+            // the slots really hold.
+            assert_eq!(*pool.states(), [0, 0, 1, 0, 0]);
+            assert_eq!(*pool.registers(), [2, 0, 2, 0, 3, 0, 2, 0, 2, 0]);
+            let mut fired = Vec::new();
+            pool.deliver_all_with(tick, |_, t| fired.push((t.from, t.to, t.actions.len())));
+            assert_eq!(fired, [(0, 1, 1); 4]);
+            assert!(pool.all_finished());
+            assert_eq!(pool.steps(), 1 + 5 + 5 + 4);
+        }
     }
 
     #[test]
     fn efsm_pool_reset_and_spawn() {
-        let (_, engine) = counter(1);
-        let tick = msg(&engine, "tick");
-        let mut pool = SessionStore::new(engine, 0);
-        assert!(pool.is_empty());
-        for _ in 0..70 {
-            pool.spawn();
+        for engine in counter(1).1 {
+            let tick = msg(&engine, "tick");
+            let mut pool = SessionStore::new(engine, 0);
+            assert!(pool.is_empty());
+            for _ in 0..70 {
+                pool.spawn();
+            }
+            pool.deliver_all(tick);
+            assert!(pool.all_finished());
+            pool.reset_session(69);
+            assert!(!pool.is_finished(69));
+            assert_eq!(pool.vars(69), &[0]);
+            pool.reset_all();
+            assert_eq!(pool.finished_count(), 0);
+            assert_eq!(pool.steps(), 0);
+            assert_eq!(pool.state_name(0), "counting");
         }
-        pool.deliver_all(tick);
-        assert!(pool.all_finished());
-        pool.reset_session(69);
-        assert!(!pool.is_finished(69));
-        assert_eq!(pool.vars(69), &[0]);
-        pool.reset_all();
-        assert_eq!(pool.finished_count(), 0);
-        assert_eq!(pool.steps(), 0);
-        assert_eq!(pool.state_name(0), "counting");
     }
 
     #[test]
     fn efsm_pool_matches_single_instance() {
-        let (ir, engine) = counter(4);
-        let tick = msg(&engine, "tick");
-        let mut pool = SessionStore::new(engine, 1);
-        let mut single = ir.instance(vec![4]);
-        for _ in 0..6 {
-            assert_eq!(pool.deliver(0, tick), single.deliver_id(tick));
-            assert_eq!(pool.state(0), single.current_state());
-            assert_eq!(pool.vars(0), single.vars());
+        let (ir, engines) = counter(4);
+        for engine in engines {
+            let tick = msg(&engine, "tick");
+            let mut pool = SessionStore::new(engine, 1);
+            let mut single = ir.instance(vec![4]);
+            for _ in 0..6 {
+                assert_eq!(pool.deliver(0, tick), single.deliver_id(tick));
+                assert_eq!(pool.state(0), single.current_state());
+                assert_eq!(pool.vars(0), single.vars());
+            }
+        }
+    }
+
+    /// Snapshots cross the two lowerings in both directions, and the
+    /// unfolded engine — the one that can tell — refuses a register row
+    /// no session of the machine could hold, store untouched.
+    #[test]
+    fn restore_crosses_lowerings_and_refuses_unreachable_rows() {
+        let [register, unfolded] = counter(3).1;
+        let tick = msg(&register, "tick");
+        for (from, to) in [(&register, &unfolded), (&unfolded, &register)] {
+            let mut pool = SessionStore::new(from.clone(), 4);
+            pool.deliver(1, tick);
+            pool.deliver_all(tick);
+            pool.retire(3);
+            let mut other = SessionStore::new(to.clone(), 0);
+            assert_eq!(
+                other.restore(&pool.states(), &pool.registers(), pool.steps()),
+                Ok(())
+            );
+            assert_eq!(other.states(), pool.states());
+            assert_eq!(other.registers(), pool.registers());
+            assert_eq!(
+                (other.live(), other.finished_count(), other.steps()),
+                (pool.live(), pool.finished_count(), pool.steps())
+            );
+            assert_eq!(other.deliver_all(tick), pool.deliver_all(tick));
+            assert_eq!(other.states(), pool.states());
+        }
+        // `n = 7` under `limit = 3`; then a non-zero zero register.
+        for registers in [[0, 0, 7, 0], [0, 0, 1, 1]] {
+            let mut pool = SessionStore::new(unfolded.clone(), 1);
+            pool.deliver(0, tick);
+            let refused = StategenError::UnreachableConfiguration { slot: 1, state: 0 };
+            assert_eq!(pool.restore(&[0, 0], &registers, 9), Err(refused));
+            assert_eq!((pool.len(), pool.vars(0), pool.steps()), (1, &[1][..], 1));
+            let mut lenient = SessionStore::new(register.clone(), 0);
+            assert_eq!(lenient.restore(&[0, 0], &registers, 9), Ok(()));
         }
     }
 
@@ -1346,14 +1493,16 @@ mod tests {
 
     #[test]
     fn sharded_pool_over_efsm_shards() {
-        let (_, engine) = counter(2);
-        let tick = msg(&engine, "tick");
-        let mut sharded = ShardedPool::split(64, 2, |len| SessionStore::new(engine.clone(), len));
-        assert_eq!(sharded.deliver_all(tick), 64);
-        assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.deliver_all(tick), 64);
-        assert!(sharded.all_finished());
-        assert_eq!(sharded.shards()[0].vars(0), &[2]);
+        for engine in counter(2).1 {
+            let tick = msg(&engine, "tick");
+            let mut sharded =
+                ShardedPool::split(64, 2, |len| SessionStore::new(engine.clone(), len));
+            assert_eq!(sharded.deliver_all(tick), 64);
+            assert_eq!(sharded.finished_count(), 0);
+            assert_eq!(sharded.deliver_all(tick), 64);
+            assert!(sharded.all_finished());
+            assert_eq!(sharded.shards()[0].vars(0), &[2]);
+        }
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! ([`Tier::Interpreted`]), through the dense `states × messages` table
 //! ([`Tier::Compiled`]), or through the fused-check / register-machine
 //! bytecode with a parameter binding folded in
-//! ([`Tier::CompiledEfsm`]). [`StepEngine`] owns whichever of
-//! the three a machine resolved onto behind `Arc`s (a clone is pointer
+//! ([`Tier::CompiledEfsm`]). A guarded machine reaches the dense table
+//! too when binding its parameters leaves it finitely many reachable
+//! `(state, variables)` configurations ([`StepEngine::compile_ir`]
+//! *unfolds* it: the paper's "bind the replication factor, then
+//! generate the FSM", §4.2, applied to the EFSM front-end).
+//! [`StepEngine`] owns whichever of the three a machine resolved onto
+//! behind `Arc`s (a clone is pointer
 //! bumps; engines are `Send + Sync + 'static`) and answers every
 //! question a session store asks of a machine — where sessions start,
 //! which states finish, what one message does to one session
-//! ([`StepEngine::step`]), what it does to a whole batch
-//! ([`StepEngine::deliver_batch`]) — so **this module is the only place
+//! ([`StepEngine::step`]), what it does to a whole batch (the
+//! crate-private `deliver_batch`) — so **this module is the only place
 //! that branches on the tier**. The representation is private: code
 //! outside cannot match on it, only ask.
 //!
@@ -22,10 +27,18 @@
 //! callers size their per-session registers from it, never ask which
 //! tier they are on, and a register file written under one engine fits
 //! every engine of the same machine.
+//!
+//! Everything public here speaks the *source* machine's state ids,
+//! names and registers, unfolded or not. What an unfolded engine's
+//! sessions really hold — a configuration id into the unfolded table —
+//! is visible only to this crate's session store (and its one-session
+//! twin, `Instance`), through the `pub(crate)` half of [`StepEngine`].
 
+use std::fmt;
 use std::sync::Arc;
 
-use crate::compiled::CompiledMachine;
+use crate::compiled::{CompiledMachine, DenseRows};
+use crate::efsm::{LinExpr, Operand, Update};
 use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
 use crate::error::StategenError;
 use crate::ir::{FlatIr, FlatState};
@@ -48,12 +61,15 @@ pub enum Tier {
     Interpreted,
     /// Dense `states × messages` transition tables with an interned
     /// action arena — dispatch in ~1 ns, zero allocation per delivery.
-    /// Where every unguarded machine compiles to, flat or flattened.
+    /// Where every unguarded machine compiles to, flat or flattened —
+    /// and every guarded one whose bound parameters leave it a finite
+    /// configuration space within budget, unfolded.
     Compiled,
     /// Guards and updates lowered to fused threshold checks plus
     /// register-machine bytecode, parameters folded into a flat
     /// dispatch table — one engine serves the whole protocol family.
-    /// Where every guarded machine compiles to, EFSM or statechart.
+    /// Where a guarded machine, EFSM or statechart, compiles to when
+    /// its configuration space is unbounded or over budget.
     CompiledEfsm,
 }
 
@@ -80,7 +96,9 @@ impl std::fmt::Display for Tier {
 enum Repr {
     /// The lowered machine itself, with its parameter binding.
     Interpreted { ir: Arc<FlatIr>, params: Arc<[i64]> },
-    /// Dense tables (flat machines and unguarded flattened statecharts).
+    /// Dense tables: over state ids (flat machines, unguarded flattened
+    /// statecharts) or, with an [`Unfolded`] side table beside it, over
+    /// the configuration ids of a guarded machine.
     Dense(Arc<CompiledMachine>),
     /// The lowered guarded machine with its parameter binding folded
     /// into the dispatch table every session shares.
@@ -88,6 +106,223 @@ enum Repr {
         machine: Arc<CompiledEfsm>,
         binding: Arc<EfsmBinding>,
     },
+}
+
+/// Most configurations an unfolding may reach before the machine stays
+/// on the register tier: the dense gather reads a 901-row column at the
+/// speed of a 33-row one (`core.kernel.wide_r25_ns_per_session` in
+/// `docs/KERNELS.md`), and 4 096 rows × a handful of message classes
+/// still sit in L2.
+const MAX_CONFIGS: usize = 4096;
+
+/// Largest register magnitude an explored configuration may hold.
+/// [`arithmetic_fits`] proves that under it no guard or update can
+/// overflow, so exploring with [`FlatIr::step`]'s bare operators never
+/// panics in a debug build where a release build would wrap.
+const MAX_MAGNITUDE: i64 = 1 << 31;
+
+/// Why [`StepEngine::compile_ir`] left a guarded machine on the
+/// register tier — part of what the engine's `Display` form reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fallback {
+    /// Exploration passed [`MAX_CONFIGS`].
+    OverBudget { configs: usize },
+    /// Variable `var` left ±[`MAX_MAGNITUDE`].
+    Unbounded { var: usize },
+    /// [`arithmetic_fits`] could not rule out overflow.
+    MayOverflow,
+}
+
+/// The reachable `(state, register row)` configurations of a guarded
+/// machine, numbered in discovery order, with the inverse index: an
+/// open-addressed table of configuration ids keyed by the pair's hash
+/// (no per-configuration allocation, and the one structure serves both
+/// as the search's visited set and as the restore path's lookup).
+#[derive(Debug)]
+struct Configs {
+    /// Configuration → source state id.
+    state_of: Vec<u32>,
+    /// Configuration → its register row, `width` wide: the declared
+    /// variables, then the always-zero register — the layout of one
+    /// session's row in a snapshot ([`FlatIr::reg_count`]).
+    rows: Vec<i64>,
+    width: usize,
+    /// Power-of-two table of configuration ids, [`Configs::VACANT`]
+    /// where empty, at most half full.
+    index: Vec<u32>,
+}
+
+impl Configs {
+    const VACANT: u32 = u32::MAX;
+
+    fn new(width: usize) -> Self {
+        Configs {
+            state_of: Vec::new(),
+            rows: Vec::new(),
+            width,
+            index: vec![Configs::VACANT; 64],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.state_of.len()
+    }
+
+    fn row(&self, config: u32) -> &[i64] {
+        &self.rows[config as usize * self.width..][..self.width]
+    }
+
+    /// The index position where `(state, row)` is, or would go.
+    fn probe(&self, state: u32, row: &[i64]) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut hash = u64::from(state).wrapping_mul(K);
+        for &v in row {
+            hash = (hash.rotate_left(5) ^ v as u64).wrapping_mul(K);
+        }
+        let mask = self.index.len() - 1;
+        let mut at = (hash >> 32) as usize & mask;
+        loop {
+            let config = self.index[at];
+            if config == Configs::VACANT
+                || (self.state_of[config as usize] == state && self.row(config) == row)
+            {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The configuration holding exactly `(state, row)`, if reachable.
+    fn find(&self, state: u32, row: &[i64]) -> Option<u32> {
+        let config = self.index[self.probe(state, row)];
+        (config != Configs::VACANT).then_some(config)
+    }
+
+    /// The id of `(state, row)`, numbering it if it is new (`true`).
+    fn intern(&mut self, state: u32, row: &[i64]) -> (u32, bool) {
+        let at = self.probe(state, row);
+        if self.index[at] != Configs::VACANT {
+            return (self.index[at], false);
+        }
+        let config = self.len() as u32;
+        self.state_of.push(state);
+        self.rows.extend_from_slice(row);
+        self.index[at] = config;
+        if self.len() * 2 > self.index.len() {
+            self.index = vec![Configs::VACANT; self.index.len() * 2];
+            for config in 0..self.len() as u32 {
+                let at = self.probe(self.state_of[config as usize], self.row(config));
+                self.index[at] = config;
+            }
+        }
+        (config, true)
+    }
+}
+
+/// What an unfolded engine keeps beside its dense table so that every
+/// observable answer stays the source machine's: the configurations
+/// (the start state's is number 0), and the source's own names, finish
+/// flags and binding.
+#[derive(Debug)]
+struct Unfolded {
+    configs: Configs,
+    state_names: Box<[Arc<str>]>,
+    finish: Box<[bool]>,
+    params: Box<[i64]>,
+}
+
+/// `true` if no guard or update of `ir` can overflow `i64` under
+/// `params` while every variable stays within ±[`MAX_MAGNITUDE`]: each
+/// expression's worst case, `|constant| + Σ |coeff| · |operand|`, is
+/// summed exactly and bounds every partial sum [`LinExpr::eval`] forms.
+fn arithmetic_fits(ir: &FlatIr, params: &[i64]) -> bool {
+    let fits = |expr: &LinExpr| {
+        let mut worst = i128::from(expr.constant_part()).abs();
+        for &(coeff, operand) in expr.terms() {
+            let operand = match operand {
+                Operand::Var(_) => MAX_MAGNITUDE,
+                Operand::Param(p) => params[p.index()],
+            };
+            let term = i128::from(coeff) * i128::from(operand);
+            worst = worst.saturating_add(term.abs());
+        }
+        worst <= i128::from(i64::MAX)
+    };
+    ir.states().iter().all(|state| {
+        state.transitions().iter().all(|t| {
+            let conds = t.guard().conditions();
+            conds.iter().all(|c| fits(&c.lhs) && fits(&c.rhs))
+                && t.updates().iter().all(|update| match update {
+                    Update::Set(_, expr) => fits(expr),
+                    Update::Inc(_) => true, // MAX_MAGNITUDE + 1
+                })
+        })
+    })
+}
+
+/// Unfolds a guarded `ir` under `params` into a dense table over its
+/// reachable configurations, breadth-first from `(start, 0…0)`, every
+/// edge found by calling [`FlatIr::step`] itself — so guard priority,
+/// staged updates and absorbing finish states are the interpreter's by
+/// construction. `Err` carries why the machine stays on the register
+/// tier instead.
+fn unfold(ir: &FlatIr, params: &[i64]) -> Result<(CompiledMachine, Unfolded), Fallback> {
+    if !arithmetic_fits(ir, params) {
+        return Err(Fallback::MayOverflow);
+    }
+    let state_names: Box<[Arc<str>]> = ir.states().iter().map(|s| s.name().into()).collect();
+    let finish: Box<[bool]> = ir.states().iter().map(finishes).collect();
+    let mut configs = Configs::new(ir.reg_count());
+    let mut rows = DenseRows::new(ir.messages().len(), ir.state_count());
+    // One row reused for every step: the variables, then the zero
+    // register, which `FlatIr::step` leaves alone.
+    let mut row = vec![0; ir.reg_count()];
+    let mut scratch = vec![0; ir.variables().len()];
+    configs.intern(ir.start(), &row);
+    rows.push_state(
+        Arc::clone(&state_names[ir.start() as usize]),
+        finish[ir.start() as usize],
+    );
+    let mut from = 0;
+    // Configurations are numbered in discovery order, so the arrays
+    // are the search's queue.
+    while from < configs.len() {
+        let state = configs.state_of[from];
+        for message in 0..ir.messages().len() {
+            row.copy_from_slice(configs.row(from as u32));
+            let id = MessageId(message as u16);
+            let Some((target, actions)) = ir.step(state, id, params, &mut row, &mut scratch) else {
+                continue;
+            };
+            if let Some(var) = row
+                .iter()
+                .position(|v| v.unsigned_abs() > MAX_MAGNITUDE as u64)
+            {
+                return Err(Fallback::Unbounded { var });
+            }
+            let (to, new) = configs.intern(target, &row);
+            if new {
+                if configs.len() > MAX_CONFIGS {
+                    return Err(Fallback::OverBudget {
+                        configs: configs.len(),
+                    });
+                }
+                rows.push_state(
+                    Arc::clone(&state_names[target as usize]),
+                    finish[target as usize],
+                );
+            }
+            rows.set(from, message, to, actions);
+        }
+        from += 1;
+    }
+    let unfolded = Unfolded {
+        configs,
+        state_names,
+        finish,
+        params: params.into(),
+    };
+    Ok((rows.finish(ir.name(), ir.messages(), 0), unfolded))
 }
 
 /// One machine resolved onto one execution tier, owned behind `Arc`s.
@@ -123,22 +358,29 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct StepEngine {
     repr: Repr,
-    /// Per-state finish flags, whatever the tier — so the question the
-    /// stores ask per slot never branches on the representation.
+    /// Finish flags per *configuration id* — what a session store holds
+    /// per slot: the state id itself, except on an unfolded engine —
+    /// whatever the tier, so the question the stores ask per slot never
+    /// branches on the representation.
     finish: Arc<[bool]>,
-    /// The session shape, resolved once: start state, declared
-    /// variables, registers and scratch slots per stepper.
+    /// The session shape, resolved once: start configuration, declared
+    /// variables, registers per session in a snapshot and scratch slots
+    /// per stepper.
     start: u32,
     var_count: usize,
     reg_count: usize,
     scratch_len: usize,
+    /// Present exactly when `repr` is a dense table over the
+    /// configurations of a guarded machine.
+    unfolded: Option<Arc<Unfolded>>,
+    /// Why `compile_ir` chose the register tier, if it had to.
+    fallback: Option<Fallback>,
 }
 
 impl StepEngine {
     fn new(repr: Repr) -> Self {
         let (finish, start, var_count, reg_count, scratch_len) = match &repr {
             Repr::Interpreted { ir, .. } => {
-                let finishes = |s: &FlatState| s.role() == StateRole::Finish;
                 let finish = ir.states().iter().map(finishes).collect();
                 // The interpreter's scratch is the pre-transition copy.
                 let vars = ir.variables().len();
@@ -160,6 +402,8 @@ impl StepEngine {
             var_count,
             reg_count,
             scratch_len,
+            unfolded: None,
+            fallback: None,
         }
     }
 
@@ -199,26 +443,87 @@ impl StepEngine {
         Ok(StepEngine::new(Repr::Register { machine, binding }))
     }
 
-    /// The one `FlatIr` + parameters → engine lowering: a guarded IR
-    /// ([`FlatIr::is_guarded`]) compiles onto the register-machine tier
-    /// with `params` bound, an unguarded one onto the dense table.
-    /// Every spec shape and every deployable artifact boots through
-    /// here, so the same machine resolves identically whichever way it
+    /// The one `FlatIr` + parameters → engine lowering. An unguarded IR
+    /// compiles onto the dense table. A guarded one
+    /// ([`FlatIr::is_guarded`]) is bound to `params` and *unfolded*: its
+    /// reachable `(state, variables)` configurations are enumerated
+    /// from the start state with [`FlatIr::step`] itself and, when
+    /// there are at most 4 096 of them, become the rows of a dense
+    /// table too — [`StepEngine::tier`] reports [`Tier::Compiled`],
+    /// sessions store one configuration id and no registers, and every
+    /// answer this type gives (state ids and names, registers,
+    /// snapshots) stays the source machine's. A guarded IR whose
+    /// configuration space is larger than that, or unbounded, compiles
+    /// onto the register-machine tier with `params` bound, exactly as
+    /// [`StepEngine::register`] would. Which of the two happened, and
+    /// why, is the engine's `Display` form. Every spec shape and every
+    /// deployable artifact boots through here, so the same machine
+    /// under the same binding resolves identically whichever way it
     /// arrived.
     ///
     /// # Errors
     ///
     /// [`StategenError::Compile`] if the IR cannot be lowered (e.g.
-    /// duplicate `(state, message)` transitions with identical guards);
+    /// duplicate `(state, message)` transitions with identical guards —
+    /// the register compiler's rule, applied whether or not the machine
+    /// unfolds, so acceptance never depends on the binding);
     /// [`StategenError::ParamCountMismatch`] if `params` has the wrong
     /// arity (an unguarded IR takes none).
+    ///
+    /// # Examples
+    ///
+    /// A counter bound to `limit = 3` has four configurations:
+    ///
+    /// ```
+    /// use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+    /// use stategen_core::{FlatIr, StepEngine, Tier};
+    ///
+    /// let mut b = EfsmBuilder::new("counter", ["tick"]);
+    /// let limit = b.add_param("limit");
+    /// let n = b.add_var("n");
+    /// let counting = b.add_state("counting");
+    /// let done = b.add_state("done");
+    /// let next = LinExpr::var(n).plus_const(1);
+    /// for (op, to) in [(CmpOp::Lt, counting), (CmpOp::Ge, done)] {
+    ///     let guard = Guard::when(next.clone(), op, LinExpr::param(limit));
+    ///     b.add_transition(counting, "tick", guard, vec![Update::Inc(n)], vec![], to);
+    /// }
+    /// let ir = FlatIr::from_efsm(&b.build(counting, Some(done)));
+    ///
+    /// let engine = StepEngine::compile_ir(&ir, &[3])?;
+    /// assert_eq!(engine.tier(), Tier::Compiled);
+    /// assert_eq!(
+    ///     engine.to_string(),
+    ///     "unfolded: 2 states × 1 vars → 4 configurations, 65 table bytes",
+    /// );
+    /// // Still the source machine to every caller: two states, two
+    /// // registers per session (`n`, and the zero register).
+    /// assert_eq!((engine.state_count(), engine.reg_count()), (2, 2));
+    /// let tick = engine.message_id("tick").unwrap();
+    /// let mut regs = [2, 0];
+    /// let (to, _) = engine.step(engine.start(), tick, &mut regs, &mut []).unwrap();
+    /// assert_eq!((engine.state_name(to), regs), ("done", [3, 0]));
+    /// # Ok::<(), stategen_core::StategenError>(())
+    /// ```
     pub fn compile_ir(ir: &FlatIr, params: &[i64]) -> Result<Self, StategenError> {
-        if ir.is_guarded() {
-            StepEngine::register(CompiledEfsm::compile_ir(ir)?, params)
-        } else {
+        if !ir.is_guarded() {
             check_arity(0, params)?;
-            Ok(StepEngine::dense(CompiledMachine::compile_ir(ir)?))
+            return Ok(StepEngine::dense(CompiledMachine::compile_ir(ir)?));
         }
+        CompiledEfsm::reject_duplicates(ir)?;
+        check_arity(ir.params().len(), params)?;
+        Ok(match unfold(ir, params) {
+            Ok((machine, unfolded)) => StepEngine {
+                var_count: ir.variables().len(),
+                reg_count: ir.reg_count(),
+                unfolded: Some(Arc::new(unfolded)),
+                ..StepEngine::dense(machine)
+            },
+            Err(fallback) => StepEngine {
+                fallback: Some(fallback),
+                ..StepEngine::register(CompiledEfsm::compile_ir(ir)?, params)?
+            },
+        })
     }
 
     /// The tier this engine executes on.
@@ -233,7 +538,7 @@ impl StepEngine {
     /// Dense id of the start state.
     #[inline]
     pub fn start(&self) -> u32 {
-        self.start
+        self.state_of(self.start)
     }
 
     /// `true` if `state` is a finish state (absorbing: it takes no
@@ -244,7 +549,10 @@ impl StepEngine {
     /// Panics if `state` is out of range.
     #[inline]
     pub fn is_finish_state(&self, state: u32) -> bool {
-        self.finish[state as usize]
+        match &self.unfolded {
+            None => self.finish[state as usize],
+            Some(u) => u.finish[state as usize],
+        }
     }
 
     /// Display name of a state.
@@ -254,6 +562,9 @@ impl StepEngine {
     /// Panics if `state` is out of range.
     #[inline]
     pub fn state_name(&self, state: u32) -> &str {
+        if let Some(u) = &self.unfolded {
+            return &u.state_names[state as usize];
+        }
         match &self.repr {
             Repr::Interpreted { ir, .. } => ir.states()[state as usize].name(),
             Repr::Dense(m) => m.state_name(state),
@@ -264,7 +575,9 @@ impl StepEngine {
     /// Number of (flat) states; every valid state id is below it.
     #[inline]
     pub fn state_count(&self) -> usize {
-        self.finish.len()
+        self.unfolded
+            .as_ref()
+            .map_or(self.finish.len(), |u| u.finish.len())
     }
 
     /// The message alphabet, in declaration order.
@@ -291,7 +604,7 @@ impl StepEngine {
     pub fn params(&self) -> &[i64] {
         match &self.repr {
             Repr::Interpreted { params, .. } => params,
-            Repr::Dense(_) => &[],
+            Repr::Dense(_) => self.unfolded.as_ref().map_or(&[], |u| &u.params),
             Repr::Register { binding, .. } => binding.params(),
         }
     }
@@ -304,10 +617,11 @@ impl StepEngine {
         self.var_count
     }
 
-    /// Registers a stepper must provide per session:
-    /// [`FlatIr::reg_count`] of the lowered machine, whatever the tier.
-    /// Zero exactly when the machine is unguarded — the degenerate case
-    /// needs no branch in the caller, only an empty row.
+    /// Registers one session occupies in a snapshot, and that a caller
+    /// of [`StepEngine::step`] must provide: [`FlatIr::reg_count`] of
+    /// the lowered machine, whatever the tier. Zero exactly when the
+    /// machine is unguarded — the degenerate case needs no branch in
+    /// the caller, only an empty row.
     #[inline]
     pub fn reg_count(&self) -> usize {
         self.reg_count
@@ -316,7 +630,7 @@ impl StepEngine {
     /// Scratch slots a stepper must provide (shared by all sessions;
     /// contents are meaningless between calls, and the length is the
     /// tier's own business — it is not part of any snapshot). Zero when
-    /// unguarded.
+    /// unguarded or unfolded.
     #[inline]
     pub fn scratch_len(&self) -> usize {
         self.scratch_len
@@ -331,11 +645,16 @@ impl StepEngine {
     /// `regs` must hold [`StepEngine::reg_count`] registers and
     /// `scratch` [`StepEngine::scratch_len`] slots (both empty for an
     /// unguarded machine); `message` must come from this engine's
-    /// alphabet. Allocation-free on every tier.
+    /// alphabet. Allocation-free on every tier. On an unfolded engine
+    /// this form pays a hash lookup to find the configuration `(state,
+    /// regs)` names; a [`SessionStore`](crate::SessionStore) or an
+    /// [`Instance`](crate::Instance) holds the configuration instead.
     ///
     /// # Panics
     ///
-    /// Panics if `state` is out of range or a slice is too short.
+    /// Panics if `state` is out of range, a slice is too short, or —
+    /// on an unfolded engine — `(state, regs)` is a pair the machine
+    /// cannot reach from its start state.
     #[inline]
     pub fn step(
         &self,
@@ -344,11 +663,137 @@ impl StepEngine {
         regs: &mut [i64],
         scratch: &mut [i64],
     ) -> Option<(u32, &[Action])> {
+        let Some(unfolded) = &self.unfolded else {
+            return self.step_config(state, message, regs, scratch);
+        };
+        let regs = &mut regs[..self.reg_count];
+        let from = unfolded
+            .configs
+            .find(state, regs)
+            .expect("(state, regs) is not a reachable configuration of this machine");
+        let (to, actions) = self.step_config(from, message, &mut [], scratch)?;
+        regs.copy_from_slice(unfolded.configs.row(to));
+        Some((unfolded.configs.state_of[to as usize], actions))
+    }
+
+    /// The configuration a fresh session holds.
+    #[inline]
+    pub(crate) fn start_config(&self) -> u32 {
+        self.start
+    }
+
+    /// Number of configuration ids; every valid one is below it.
+    #[inline]
+    pub(crate) fn config_count(&self) -> usize {
+        self.finish.len()
+    }
+
+    /// `true` if a session holding `config` has finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is out of range.
+    #[inline]
+    pub(crate) fn config_finishes(&self, config: u32) -> bool {
+        self.finish[config as usize]
+    }
+
+    /// Registers a store keeps per session beside the configuration id:
+    /// [`StepEngine::reg_count`], except that an unfolded engine's
+    /// configuration already says what the registers hold.
+    #[inline]
+    pub(crate) fn stored_regs(&self) -> usize {
+        match self.unfolded {
+            Some(_) => 0,
+            None => self.reg_count,
+        }
+    }
+
+    /// The source state of `config`. Ids out of range — a store's
+    /// retired-slot sentinel — pass through unchanged.
+    #[inline]
+    pub(crate) fn state_of(&self, config: u32) -> u32 {
+        match &self.unfolded {
+            None => config,
+            Some(u) => *u.configs.state_of.get(config as usize).unwrap_or(&config),
+        }
+    }
+
+    /// The source state of every configuration in `configs`, as
+    /// [`StepEngine::state_of`] gives it — `None` unless the engine is
+    /// unfolded, when `configs` already is that list. One tight pass: a
+    /// snapshot exports every slot.
+    pub(crate) fn states_of(&self, configs: &[u32]) -> Option<Vec<u32>> {
+        let table = &self.unfolded.as_ref()?.configs.state_of;
+        let state = |&c: &u32| *table.get(c as usize).unwrap_or(&c);
+        Some(configs.iter().map(state).collect())
+    }
+
+    /// The register rows of `configs`, session-major and
+    /// [`StepEngine::reg_count`] wide each (zeros for an out-of-range
+    /// id) — `None` unless the engine is unfolded, when the rows are
+    /// the store's to keep.
+    pub(crate) fn rows_of(&self, configs: &[u32]) -> Option<Vec<i64>> {
+        let table = &self.unfolded.as_ref()?.configs;
+        let mut file = vec![0; configs.len() * table.width];
+        // Rows are a few words: with the width a constant each is one
+        // array move, where a `copy_from_slice` of unknown length is a
+        // call per slot (a peer snapshots its store at every commit).
+        match table.width {
+            1 => gather_rows::<1>(&table.rows, configs, &mut file),
+            2 => gather_rows::<2>(&table.rows, configs, &mut file),
+            3 => gather_rows::<3>(&table.rows, configs, &mut file),
+            4 => gather_rows::<4>(&table.rows, configs, &mut file),
+            width => {
+                for (row, &config) in file.chunks_exact_mut(width).zip(configs) {
+                    if (config as usize) < table.len() {
+                        row.copy_from_slice(table.row(config));
+                    }
+                }
+            }
+        }
+        Some(file)
+    }
+
+    /// The register row `config` stands for, [`StepEngine::reg_count`]
+    /// wide — `None` unless the engine is unfolded, when the row is the
+    /// store's to keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is unfolded and `config` is out of range.
+    #[inline]
+    pub(crate) fn config_row(&self, config: u32) -> Option<&[i64]> {
+        self.unfolded.as_ref().map(|u| u.configs.row(config))
+    }
+
+    /// The configuration id of a session in `state` with register row
+    /// `regs`: `state` itself, or on an unfolded engine the id of that
+    /// exact pair — `None` if the machine cannot reach it.
+    #[inline]
+    pub(crate) fn config_of(&self, state: u32, regs: &[i64]) -> Option<u32> {
+        match &self.unfolded {
+            None => Some(state),
+            Some(u) => u.configs.find(state, regs),
+        }
+    }
+
+    /// [`StepEngine::step`] over configuration ids: `regs` holds
+    /// [`StepEngine::stored_regs`] registers. The one place a single
+    /// step branches on the tier.
+    #[inline]
+    pub(crate) fn step_config(
+        &self,
+        config: u32,
+        message: MessageId,
+        regs: &mut [i64],
+        scratch: &mut [i64],
+    ) -> Option<(u32, &[Action])> {
         match &self.repr {
-            Repr::Interpreted { ir, params } => ir.step(state, message, params, regs, scratch),
-            Repr::Dense(m) => m.step(state, message),
+            Repr::Interpreted { ir, params } => ir.step(config, message, params, regs, scratch),
+            Repr::Dense(m) => m.step(config, message),
             Repr::Register { machine, binding } => {
-                machine.step(state, message, binding, regs, scratch)
+                machine.step(config, message, binding, regs, scratch)
             }
         }
     }
@@ -357,8 +802,9 @@ impl StepEngine {
     /// struct-of-arrays block (laid out as for
     /// [`StepEngine::deliver_batch`]) through the tier's single-session
     /// step, in ascending slot order, calling `visit(slot, from, to,
-    /// actions)` for each transition before the next slot is stepped.
-    /// The tier is resolved once, outside the loop.
+    /// actions)` — `from` and `to` configuration ids — for each
+    /// transition before the next slot is stepped. The tier is resolved
+    /// once, outside the loop.
     pub(crate) fn walk_batch<F>(
         &self,
         message: MessageId,
@@ -372,7 +818,7 @@ impl StepEngine {
     {
         // The step closures own plain references (`move`), so the loop
         // reads the machine directly, not through the engine's `Arc`s.
-        let (n_regs, finish) = (self.reg_count(), &*self.finish);
+        let (n_regs, finish) = (self.stored_regs(), &*self.finish);
         match &self.repr {
             Repr::Interpreted { ir, params } => {
                 let (ir, params): (&FlatIr, &[i64]) = (ir, params);
@@ -396,28 +842,29 @@ impl StepEngine {
     }
 
     /// Delivers `message` to every session of a struct-of-arrays block
-    /// — `states[s]` with session-major registers `vars[s * reg_count
-    /// ..]` — and returns how many transitions were taken and how many
-    /// of them entered a finish state; actions are not materialised.
+    /// — configuration id `states[s]` with session-major registers
+    /// `vars[s * stored_regs ..]` — and returns how many transitions
+    /// were taken and how many of them entered a finish state; actions
+    /// are not materialised.
     /// The dense tier gathers through the message's table column in one
     /// pass; the register tier sweeps a lockstep block with masked
     /// compares (see the [`kernel`](crate::kernel) module) and, like
     /// the interpreted tier, walks a divergent one.
     ///
-    /// Slots holding an out-of-range state id (a retired-slot sentinel
-    /// such as `u32::MAX`) are skipped with their registers untouched,
-    /// so callers with recycled slot arrays need no separate live mask.
+    /// Slots holding an out-of-range id (a retired-slot sentinel such as
+    /// `u32::MAX`) are skipped with their registers untouched, so
+    /// callers with recycled slot arrays need no separate live mask.
     /// Results are bit-identical to stepping each live slot through
-    /// [`StepEngine::step`] in any order. Allocation-free.
+    /// [`StepEngine::step_config`] in any order. Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics — on every tier, before any session is touched — if
     /// `message` is outside this engine's alphabet (an id minted by a
     /// machine with more messages). May panic if `vars` does not hold
-    /// [`StepEngine::reg_count`] registers per session or `scratch` is
-    /// shorter than [`StepEngine::scratch_len`].
-    pub fn deliver_batch(
+    /// [`StepEngine::stored_regs`] registers per session or `scratch`
+    /// is shorter than [`StepEngine::scratch_len`].
+    pub(crate) fn deliver_batch(
         &self,
         message: MessageId,
         states: &mut [u32],
@@ -441,6 +888,59 @@ impl StepEngine {
         };
         kernel.unwrap_or_else(|| self.walk_batch(message, states, vars, scratch, |_, _, _, _| {}))
     }
+}
+
+/// Which lowering [`StepEngine::compile_ir`] chose and why, in one line
+/// — `unfolded: 9 states × 2 vars → 91 configurations, 5980 table
+/// bytes`, `register: over budget at 4097 configurations`, … — or, for
+/// an engine whose constructor named its tier, that tier.
+impl fmt::Display for StepEngine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let states = self.state_count();
+        match (&self.repr, self.fallback) {
+            (Repr::Interpreted { .. }, _) => {
+                write!(f, "interpreted: the lowered IR, walked as it stands")
+            }
+            (Repr::Dense(_), _) if self.unfolded.is_none() => {
+                write!(f, "dense: {states} states, unguarded")
+            }
+            (Repr::Dense(machine), _) => write!(
+                f,
+                "unfolded: {states} states × {} vars → {} configurations, {} table bytes",
+                self.var_count,
+                self.config_count(),
+                machine.table_bytes(),
+            ),
+            (Repr::Register { .. }, None) => write!(f, "register: requested by the caller"),
+            (Repr::Register { .. }, Some(Fallback::OverBudget { configs })) => {
+                write!(f, "register: over budget at {configs} configurations")
+            }
+            (Repr::Register { .. }, Some(Fallback::Unbounded { var })) => write!(
+                f,
+                "register: variable {var} unbounded (left ±2^31 within {MAX_CONFIGS} configurations)"
+            ),
+            (Repr::Register { .. }, Some(Fallback::MayOverflow)) => write!(
+                f,
+                "register: guard or update arithmetic may overflow under this binding"
+            ),
+        }
+    }
+}
+
+/// Copies row `configs[s]` of the `W`-wide `rows` into row `s` of
+/// `file`, leaving rows of out-of-range ids as they are.
+fn gather_rows<const W: usize>(rows: &[i64], configs: &[u32], file: &mut [i64]) {
+    let (rows, file) = (rows.as_chunks::<W>().0, file.as_chunks_mut::<W>().0);
+    for (to, &config) in file.iter_mut().zip(configs) {
+        if let Some(row) = rows.get(config as usize) {
+            *to = *row;
+        }
+    }
+}
+
+/// `true` for a finish state of the lowered machine.
+fn finishes(state: &FlatState) -> bool {
+    state.role() == StateRole::Finish
 }
 
 /// `Ok` if `params` binds exactly `expected` parameters.
@@ -486,4 +986,128 @@ fn walk<'e>(
         }
     }
     tally
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::efsm::{CmpOp, EfsmBuilder, Guard};
+    use crate::interp::{Instance, ProtocolEngine};
+
+    /// `tick` in `counting`: below the guard (`n + 1 < limit + slack`)
+    /// apply `update` and stay, otherwise finish.
+    fn counter(update: impl Fn(crate::efsm::VarId) -> Update, slack: i64) -> FlatIr {
+        let mut b = EfsmBuilder::new("counter", ["tick"]);
+        let limit = b.add_param("limit");
+        let n = b.add_var("n");
+        let counting = b.add_state("counting");
+        let done = b.add_state("done");
+        let next = LinExpr::var(n).plus_const(1);
+        let bound = LinExpr::param(limit).plus_const(slack);
+        for (op, to) in [(CmpOp::Lt, counting), (CmpOp::Ge, done)] {
+            let guard = Guard::when(next.clone(), op, bound.clone());
+            b.add_transition(counting, "tick", guard, vec![update(n)], vec![], to);
+        }
+        FlatIr::from_efsm(&b.build(counting, Some(done)))
+    }
+
+    /// The decision is a function of machine *and* binding, and every
+    /// way out of the budget lands on the register tier — silently, in
+    /// a debug build too — behaving as the interpreter does.
+    #[test]
+    fn lowering_is_decided_by_the_bound_configuration_space() {
+        let inc = counter(Update::Inc, 0);
+        let double = counter(
+            |n| Update::Set(n, LinExpr::var(n).times(2).plus_const(1)),
+            0,
+        );
+        let cases: [(&FlatIr, i64, Tier, &str); 6] = [
+            (
+                &inc,
+                3,
+                Tier::Compiled,
+                "unfolded: 2 states × 1 vars → 4 configurations, 65 table bytes",
+            ),
+            (
+                &inc,
+                4095,
+                Tier::Compiled,
+                "unfolded: 2 states × 1 vars → 4096 configurations",
+            ),
+            (
+                &inc,
+                4096,
+                Tier::CompiledEfsm,
+                "register: over budget at 4097 configurations",
+            ),
+            (
+                &inc,
+                i64::MAX,
+                Tier::CompiledEfsm,
+                "register: over budget at 4097 configurations",
+            ),
+            (
+                &double,
+                i64::MAX,
+                Tier::CompiledEfsm,
+                "register: variable 0 unbounded",
+            ),
+            (
+                &counter(Update::Inc, 1),
+                i64::MAX,
+                Tier::CompiledEfsm,
+                "register: guard or update arithmetic may overflow",
+            ),
+        ];
+        for (ir, limit, tier, why) in cases {
+            let engine = StepEngine::compile_ir(ir, &[limit]).unwrap();
+            assert_eq!(engine.tier(), tier, "limit {limit}");
+            assert!(engine.to_string().starts_with(why), "{engine}");
+            // Same machine to every caller, whichever way it went.
+            assert_eq!((engine.state_count(), engine.reg_count()), (2, 2));
+            assert_eq!((engine.start(), engine.params()), (0, &[limit][..]));
+            if limit > 4097 && tier == Tier::CompiledEfsm && !why.contains("overflow") {
+                let mut fast = Instance::new(engine);
+                let mut reference = ir.instance(vec![limit]);
+                for _ in 0..40 {
+                    assert_eq!(fast.deliver("tick"), reference.deliver("tick"));
+                    assert_eq!(fast.vars(), reference.vars());
+                    assert_eq!(fast.is_finished(), reference.is_finished());
+                }
+            }
+        }
+        for (engine, text) in [
+            (
+                StepEngine::interpreted(inc.clone(), &[3]).unwrap(),
+                "interpreted: ",
+            ),
+            (
+                StepEngine::register(CompiledEfsm::compile_ir(&inc).unwrap(), &[3]).unwrap(),
+                "register: requested",
+            ),
+        ] {
+            assert!(engine.to_string().starts_with(text), "{engine}");
+        }
+    }
+
+    /// The public step of an unfolded engine takes and gives source
+    /// state ids and registers; a pair the machine cannot be in is a
+    /// caller bug, reported as one.
+    #[test]
+    fn unfolded_step_speaks_source_states_and_registers() {
+        let engine = StepEngine::compile_ir(&counter(Update::Inc, 0), &[3]).unwrap();
+        let tick = engine.message_id("tick").unwrap();
+        let mut regs = [0, 0];
+        for (n, to) in [(1, 0), (2, 0), (3, 1)] {
+            let from = if n == 1 { engine.start() } else { 0 };
+            let (target, _) = engine.step(from, tick, &mut regs, &mut []).unwrap();
+            assert_eq!((target, regs), (to, [n, 0]));
+        }
+        assert!(engine.is_finish_state(1) && !engine.is_finish_state(0));
+        assert!(engine.step(1, tick, &mut regs, &mut []).is_none());
+        let unreachable = std::panic::AssertUnwindSafe(|| {
+            engine.step(0, tick, &mut [9, 0], &mut []).map(|t| t.0)
+        });
+        assert!(std::panic::catch_unwind(unreachable).is_err());
+    }
 }

@@ -549,10 +549,12 @@ fn finished_count_tracks_states(
                 // Into a fresh, differently sized store on one side,
                 // over itself on the other.
                 let mut fresh = SessionStore::new(engine.clone(), 3);
-                fresh.restore(kernel.states(), kernel.registers(), kernel.steps());
+                let restored = fresh.restore(&kernel.states(), &kernel.registers(), kernel.steps());
+                prop_assert_eq!(restored, Ok(()));
                 kernel = fresh;
                 let (states, registers) = (scalar.states().to_vec(), scalar.registers().to_vec());
-                scalar.restore(&states, &registers, scalar.steps());
+                let restored = scalar.restore(&states, &registers, scalar.steps());
+                prop_assert_eq!(restored, Ok(()));
             }
         }
         count_is_exact(&kernel, step)?;

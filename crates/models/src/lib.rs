@@ -17,7 +17,7 @@
 //! * [`session_lifecycle_guarded`] — the same statechart with a
 //!   parameter-bound *retry budget* (guards and variable updates on
 //!   hierarchical transitions), the worked model of the guarded
-//!   statechart pipeline onto the compiled-EFSM tier;
+//!   statechart pipeline (bound, it unfolds onto the dense tier);
 //! * [`redundant_ring`] — a deliberately redundant statechart family
 //!   whose flattened work states are all behaviourally equivalent, the
 //!   worked input of `stategen-analysis`' provably-safe state

@@ -133,7 +133,8 @@ pub fn session_lifecycle() -> HierarchicalMachine {
 
 /// The guarded session lifecycle: [`session_lifecycle`] plus a *retry
 /// budget* — the worked model proving the guarded statechart pipeline
-/// end-to-end (`HsmBuilder` → `flatten_ir` → compiled-EFSM tier).
+/// end-to-end (`HsmBuilder` → `flatten_ir` → bound and unfolded onto
+/// the dense tier).
 ///
 /// The statechart declares one parameter, `max_retries`, and one
 /// variable, `retries`:
@@ -152,10 +153,12 @@ pub fn session_lifecycle() -> HierarchicalMachine {
 ///   abort→fail→recover cycle grows the register without limit and the
 ///   `possible-overflow` lint fires.
 ///
-/// Because the machine carries guards, it has no flat-FSM projection:
+/// Because the machine carries guards, it has no flat-FSM projection
+/// until the budget is bound:
 /// `Spec::hsm_with_params(session_lifecycle_guarded(), vec![max])`
-/// lowers it onto the compiled-EFSM tier, where one compiled machine
-/// serves every budget value.
+/// binds it, and the bounded `retries` then lets `Engine::compile`
+/// unfold the machine onto the dense table (39 configurations at
+/// `max = 3`).
 ///
 /// # Examples
 ///

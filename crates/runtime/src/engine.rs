@@ -14,7 +14,7 @@ use crate::spec::Spec;
 /// Compile once (startup, generation time), clone freely — clones share
 /// the underlying tables via `Arc` — and create any number of
 /// [`Runtime`]s to serve sessions from it.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Engine {
     /// The tier-resolved machine every session steps through.
     pub(crate) step: StepEngine,
@@ -27,7 +27,23 @@ pub struct Engine {
     fingerprint: u64,
 }
 
+/// The engine in one line, not its tables: name, tier and the lowering
+/// that put it there — `unfolded: 9 states × 2 vars → 91
+/// configurations, …`, `register: over budget at 4097 configurations`
+/// — then the fingerprint.
+impl std::fmt::Debug for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} #{:016x}", self.describe(), self.fingerprint)
+    }
+}
+
 impl Engine {
+    /// `engine <name> on <tier> — <the step engine's lowering line>`:
+    /// shared by the `Debug` form and [`Runtime::dump_trace`]'s header.
+    pub(crate) fn describe(&self) -> String {
+        format!("engine `{}` on {} — {}", self.name, self.tier(), self.step)
+    }
+
     /// An engine stepping `ir` under `params` through `step`, named and
     /// fingerprinted from the IR.
     fn over(step: StepEngine, ir: &FlatIr, params: &[i64]) -> Engine {
@@ -41,8 +57,11 @@ impl Engine {
     /// Compiles a spec onto its deployment tier through the unified
     /// lowering IR ([`StepEngine::compile_ir`]): unguarded machines —
     /// flat machines, unguarded flattened statecharts — onto the
-    /// dense-table tier, guarded ones — EFSMs, guarded statecharts —
-    /// onto the fused-bytecode tier with the parameters bound.
+    /// dense-table tier; guarded ones — EFSMs, guarded statecharts —
+    /// bound to their parameters and unfolded onto the dense table too
+    /// when they reach at most 4 096 `(state, variables)`
+    /// configurations, onto the fused-bytecode tier otherwise. The
+    /// `Debug` form of the result says which, and why.
     ///
     /// This is the serving configuration — pay one flattening pass at
     /// ingest, then dispatch in a few nanoseconds with zero allocation
@@ -65,9 +84,9 @@ impl Engine {
 
     /// Compiles a deployable [`Artifact`] — typically just
     /// [`Artifact::load`]ed from bytes shipped to this host — onto its
-    /// serving tier: guarded machines onto the fused-bytecode tier with
-    /// the artifact's parameter binding applied, unguarded ones onto the
-    /// dense table. This is the paper's deployment end game: the model
+    /// serving tier, exactly as [`Engine::compile`] lowers the spec the
+    /// artifact was saved from (the artifact's parameter binding
+    /// applied). This is the paper's deployment end game: the model
     /// is generated and verified once, and a peer boots from the
     /// artifact bytes alone — no model, no generator, no spec.
     ///

@@ -31,12 +31,19 @@
 //! it stands, *whatever the shape* — interpreted means interpreted for
 //! EFSMs and guarded statecharts too. [`Engine::compile`] lets the IR
 //! pick the execution substrate: no guard anywhere → the dense
-//! transition table; any guard, update or variable → the
-//! register-machine (compiled-EFSM) tier, with the spec's parameters
-//! folded into the binding so one compiled artifact serves the whole
-//! machine *family*. The two engines of one spec are one machine on two
-//! tiers: same fingerprint, same state and message numbering, same
-//! per-session register layout.
+//! transition table; guards, updates or variables → the parameters are
+//! bound and the machine's reachable `(state, variables)`
+//! configurations enumerated (the paper's §4.2: bind the replication
+//! factor, *then* generate the FSM), and when there are at most 4 096
+//! of them they become the rows of a dense table too — the machine is
+//! *unfolded*; only an unbounded or over-budget one stays on the
+//! register-machine (compiled-EFSM) tier. Which happened, and why, is
+//! the engine's `Debug` form and the first line of
+//! [`Runtime::dump_trace`]. The two engines of one spec are one machine
+//! on two tiers: same fingerprint, same state and message numbering,
+//! same per-session register layout — an unfolded engine answers
+//! `state`, `vars`, snapshots and recorder events in the source
+//! machine's terms.
 //! * [`Engine`] — the compiled artifact, **owned** (`Send + Sync +
 //!   'static`, cheap to clone): a
 //!   [`StepEngine`](stategen_core::StepEngine) behind `Arc`s plus its
@@ -65,9 +72,10 @@
 //! |---|---|---|---|
 //! | any spec — `StateMachine`, `Efsm` + values, statechart | [`Engine::interpret`] | [`Tier::Interpreted`] | authoring, debugging, one-off runs; no preparation pass |
 //! | a `StateMachine` to serve traffic | [`Engine::compile`] | [`Tier::Compiled`] | dense-table dispatch in ~1 ns, zero allocation per delivery |
-//! | an `Efsm` + parameter values | [`Engine::compile`] | [`Tier::CompiledEfsm`] | one machine generic over the protocol parameter (e.g. replication factor) |
+//! | an `Efsm` + parameter values, finitely many reachable configurations (≤ 4 096) | [`Engine::compile`] | [`Tier::Compiled`] | one machine generic over the protocol parameter (e.g. replication factor), unfolded per binding onto the dense table |
+//! | an `Efsm` + parameter values, unbounded or over budget | [`Engine::compile`] | [`Tier::CompiledEfsm`] | counters the dense table cannot hold: fused checks + bytecode over per-session registers |
 //! | an unguarded `HierarchicalMachine` | [`Engine::compile`] | [`Tier::Compiled`] | statecharts flatten into the same dense tables; the front-end is not a tier |
-//! | a *guarded* `HierarchicalMachine` + parameter values | [`Engine::compile`] with [`Spec::hsm_with_params`] | [`Tier::CompiledEfsm`] | statecharts with variables/guards/updates flatten onto the register tier; one compiled machine per statechart family |
+//! | a *guarded* `HierarchicalMachine` + parameter values | [`Engine::compile`] with [`Spec::hsm_with_params`] | [`Tier::Compiled`] when the bound machine unfolds, else [`Tier::CompiledEfsm`] | statecharts with variables/guards/updates flatten to a guarded flat machine, which then lowers exactly as an `Efsm` does |
 //! | [`Artifact`] bytes | [`Engine::from_artifact`] | whichever of the two its machine compiles onto | booting a serving host from shipped bytes alone |
 //! | a machine known at *build* time | `stategen-generated` | — | rendered source, no machine data at runtime |
 //!

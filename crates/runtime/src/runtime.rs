@@ -215,7 +215,7 @@ impl Shard {
     fn release_slot(&mut self, id: SessionId) {
         self.check(id);
         let slot = id.slot as usize;
-        if self.store.engine().is_finish_state(self.store.state(slot)) {
+        if self.store.is_finished(slot) {
             self.counters.inc_releases_finished();
         } else {
             self.counters.inc_releases_aborted();
@@ -233,9 +233,9 @@ impl Shard {
     /// the finish flag of each slot's state; restore recounts it).
     fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
-            current: self.store.states().to_vec(),
+            current: self.store.states().into_owned(),
             generations: self.generations.clone(),
-            vars: self.store.registers().to_vec(),
+            vars: self.store.registers().into_owned(),
             free: self.free.clone(),
             steps: self.store.steps(),
         }
@@ -245,8 +245,9 @@ impl Shard {
     /// identical engine (the caller has already matched fingerprints).
     /// Panics if the snapshot is structurally corrupt: mismatched array
     /// lengths, a state id outside the engine's state space, or a
-    /// free-list entry that does not point at a retired slot.
-    fn restore(engine: StepEngine, snap: &ShardSnapshot) -> Shard {
+    /// free-list entry that does not point at a retired slot; errs as
+    /// [`SessionStore::restore`] does.
+    fn restore(engine: StepEngine, snap: &ShardSnapshot) -> Result<Shard, StategenError> {
         let mut shard = Shard::new(engine);
         let slots = snap.current.len();
         assert_eq!(
@@ -261,10 +262,10 @@ impl Shard {
                 "corrupt shard snapshot: free-list entry {free} is not a retired slot",
             );
         }
-        shard.store.restore(&snap.current, &snap.vars, snap.steps);
+        shard.store.restore(&snap.current, &snap.vars, snap.steps)?;
         shard.generations = snap.generations.clone();
         shard.free = snap.free.clone();
-        shard
+        Ok(shard)
     }
 
     /// Records every transition of one batch as it is taken — the
@@ -295,7 +296,7 @@ impl Shard {
         // transition drops the hint there.
         if transitions > 0 {
             self.lockstep = match self.store.engine().reg_count() {
-                0 => self.lockstep.and(self.store.states().first().copied()),
+                0 => self.lockstep.map(|_| self.store.state(0)),
                 _ => None,
             };
         }
@@ -1021,10 +1022,9 @@ impl Runtime {
     pub fn snapshot(&self, session: SessionId) -> SessionSnapshot {
         let (store, slot) = self.slot_of(session);
         self.counters.inc_snapshots();
-        let regs = store.engine().reg_count();
         SessionSnapshot {
             state: store.state(slot),
-            vars: store.registers()[slot * regs..][..regs].to_vec(),
+            vars: store.registers_of(slot).to_vec(),
             generation: session.generation,
         }
     }
@@ -1066,7 +1066,12 @@ impl Runtime {
     /// # Errors
     ///
     /// [`StategenError::SnapshotMismatch`] if the snapshot was taken
-    /// under an engine with a different fingerprint.
+    /// under an engine with a different fingerprint;
+    /// [`StategenError::UnreachableConfiguration`] if a session's
+    /// `(state, registers)` pair is one `engine`'s machine cannot reach
+    /// (impossible for a snapshot produced by
+    /// [`Runtime::snapshot_all`]; only an engine that unfolded its
+    /// machine checks).
     ///
     /// # Panics
     ///
@@ -1087,7 +1092,7 @@ impl Runtime {
             .shards
             .iter()
             .map(|s| Shard::restore(engine.step.clone(), s))
-            .collect();
+            .collect::<Result<_, _>>()?;
         let runtime = Runtime::over(engine.clone(), ShardedPool::new(shards));
         runtime.counters.inc_restores();
         Ok(runtime)
@@ -1123,7 +1128,10 @@ impl Runtime {
     ///
     /// [`SwapError::AlreadyInProgress`] if a swap is draining;
     /// [`SwapError::AlphabetMismatch`] if the alphabets differ (both
-    /// via [`StategenError::Swap`]).
+    /// via [`StategenError::Swap`]);
+    /// [`StategenError::UnreachableConfiguration`] if an in-place
+    /// migration would put a session where `incoming`'s machine cannot
+    /// be (as for [`Runtime::restore`]).
     pub fn begin_swap(&mut self, incoming: Engine) -> Result<SwapOutcome, StategenError> {
         if self.pending.is_some() {
             return Err(SwapError::AlreadyInProgress.into());
@@ -1135,10 +1143,17 @@ impl Runtime {
             // restore re-validates them structurally. Generations, free
             // list and telemetry are the shard's own and stay put.
             let sessions = self.len();
-            for shard in self.pool.shards_mut() {
+            // Every shard's store is rebuilt before any is replaced, so
+            // a refused restore leaves the runtime untouched.
+            let rebuild = |shard: &Shard| {
                 let mut store = SessionStore::new(incoming.step.clone(), 0);
                 let old = &shard.store;
-                store.restore(old.states(), old.registers(), old.steps());
+                store.restore(&old.states(), &old.registers(), old.steps())?;
+                Ok(store)
+            };
+            let stores: Result<Vec<_>, StategenError> =
+                self.pool.shards().iter().map(rebuild).collect();
+            for (shard, store) in self.pool.shards_mut().iter_mut().zip(stores?) {
                 shard.store = store;
                 shard.lockstep = None;
             }
@@ -1437,11 +1452,16 @@ impl Runtime {
 
     /// Renders every shard's flight-recorder ring as a human-readable
     /// trace, oldest event first — the post-mortem artifact printed on
-    /// invariant failures and captured by [`Runtime::abort_swap`].
+    /// invariant failures and captured by [`Runtime::abort_swap`] —
+    /// under one header line naming the serving engine, its tier and
+    /// the lowering [`Engine::compile`] chose for it.
     /// State ids recorded under a since-swapped-out engine that no
     /// longer resolve are rendered as `state#N`.
     pub fn dump_trace(&self) -> String {
-        let mut out = String::new();
+        if self.recorder_capacity.is_none() {
+            return "flight recorder not attached\n".to_string();
+        }
+        let mut out = format!("{}\n", self.engine.describe());
         let messages = self.engine.messages();
         for (i, shard) in self.pool.shards().iter().enumerate() {
             let Some(rec) = &shard.recorder else { continue };
@@ -1476,9 +1496,6 @@ impl Runtime {
                     event.actions,
                 );
             }
-        }
-        if out.is_empty() {
-            out.push_str("flight recorder not attached\n");
         }
         out
     }
@@ -1659,12 +1676,19 @@ mod tests {
             commit_efsm(),
             commit_efsm_params(&CommitConfig::new(4).unwrap()),
         );
+        // r = 64 is past the unfolding budget: the register tier.
+        let wide_efsm = Spec::efsm(
+            commit_efsm(),
+            commit_efsm_params(&CommitConfig::new(64).unwrap()),
+        );
         let engines = [
             Engine::interpret(Spec::machine(finishing_machine())).unwrap(),
             Engine::compile(Spec::machine(finishing_machine())).unwrap(),
             Engine::compile(efsm.clone()).unwrap(),
+            Engine::compile(wide_efsm).unwrap(),
             Engine::interpret(efsm).unwrap(),
         ];
+        assert_eq!(engines[3].tier(), Tier::CompiledEfsm);
         for engine in engines {
             let alphabet = engine.messages().len();
             // A lockstep pool, then a divergent one.
@@ -1939,6 +1963,61 @@ mod tests {
         assert_eq!(restored.snapshot_all(), snap);
     }
 
+    /// An unfolded engine knows which `(state, registers)` pairs its
+    /// machine can reach, so a snapshot naming any other is refused —
+    /// typed error, nothing changed — by `restore` and by an in-place
+    /// swap migration alike; the tiers that keep registers cannot tell
+    /// and accept it. (`scripts/verify.sh` re-runs this in release.)
+    #[test]
+    fn restore_refuses_unreachable_configurations() {
+        use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig};
+
+        let spec = Spec::efsm(
+            commit_efsm(),
+            commit_efsm_params(&CommitConfig::new(4).unwrap()),
+        );
+        let unfolded = Engine::compile(spec.clone()).unwrap();
+        let interpreted = Engine::interpret(spec).unwrap();
+        assert_eq!(unfolded.tier(), Tier::Compiled);
+        let mut rt = unfolded.runtime_with(3);
+        let update = rt.message_id("update").unwrap();
+        rt.deliver_all(update);
+        let mut snap = rt.snapshot_all();
+        assert!(Runtime::restore(&unfolded, &snap).is_ok());
+        // Slot 1 claims 40 votes of a 4-replica protocol.
+        let regs = snap.shards[0].vars.len() / 3;
+        snap.shards[0].vars[regs] = 40;
+        let refused = StategenError::UnreachableConfiguration {
+            slot: 1,
+            state: snap.shards[0].current[1],
+        };
+        assert_eq!(
+            Runtime::restore(&unfolded, &snap).err(),
+            Some(refused.clone())
+        );
+        // The interpreter takes the registers as they come …
+        let mut lenient = Runtime::restore(&interpreted, &snap).unwrap();
+        let before = lenient.snapshot_all();
+        // … and migrating its sessions onto the unfolded engine is
+        // refused with the runtime exactly as it was.
+        assert_eq!(lenient.begin_swap(unfolded.clone()).err(), Some(refused));
+        assert_eq!(lenient.engine().tier(), Tier::Interpreted);
+        assert!(!lenient.swap_in_progress());
+        assert_eq!(lenient.snapshot_all(), before);
+        // A retired slot's registers are nobody's configuration.
+        let gone = SessionId {
+            shard: 0,
+            slot: 1,
+            generation: 0,
+        };
+        lenient.release(gone);
+        assert_eq!(
+            lenient.begin_swap(unfolded),
+            Ok(SwapOutcome::Migrated { sessions: 2 })
+        );
+        assert_eq!(lenient.engine().tier(), Tier::Compiled);
+    }
+
     #[test]
     fn session_snapshot_captures_state_and_generation() {
         let mut rt = compiled_runtime();
@@ -2073,7 +2152,9 @@ mod tests {
         use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, MESSAGE_NAMES};
 
         let config = CommitConfig::new(3).unwrap();
-        let tiers: [(Engine, &[&str]); 3] = [
+        // r = 64 is past the unfolding budget: the register tier.
+        let wide = CommitConfig::new(64).unwrap();
+        let tiers: [(Engine, &[&str]); 4] = [
             (
                 Engine::compile(Spec::machine(finishing_machine())).unwrap(),
                 &["a", "b", "a", "a"],
@@ -2086,7 +2167,12 @@ mod tests {
                 Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap(),
                 &MESSAGE_NAMES,
             ),
+            (
+                Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&wide))).unwrap(),
+                &MESSAGE_NAMES,
+            ),
         ];
+        assert_eq!(tiers[3].0.tier(), Tier::CompiledEfsm);
         for (engine, script) in tiers {
             let mut replayed = engine.runtime();
             let mut inline = engine.runtime();

@@ -37,9 +37,10 @@ pub enum Spec {
     /// unified lowering IR, so composite states, inherited transitions
     /// and shallow history run on the flat tiers unchanged. Unguarded
     /// statecharts land on the dense-table tier; statecharts with
-    /// variables, guards or updates land on the compiled-EFSM tier with
-    /// `params` bound at ingest — one compiled machine serves the whole
-    /// parameterized statechart family.
+    /// variables, guards or updates have `params` bound at ingest and
+    /// lower as an EFSM does — unfolded onto the dense table when the
+    /// bound configuration space is finite, the compiled-EFSM tier
+    /// otherwise.
     Hierarchical {
         /// The statechart.
         machine: HierarchicalMachine,
@@ -72,9 +73,9 @@ impl Spec {
 
     /// Wraps a guarded hierarchical statechart with its parameter
     /// binding — the statechart analogue of [`Spec::efsm`]: the machine
-    /// is flattened onto the compiled-EFSM tier and the parameters are
-    /// folded into the binding, so one compiled artifact covers every
-    /// member of the statechart family.
+    /// is flattened to a guarded flat machine and the parameters are
+    /// bound to it, so one statechart covers every member of the
+    /// family.
     pub fn hsm_with_params(machine: HierarchicalMachine, params: Vec<i64>) -> Self {
         Spec::Hierarchical { machine, params }
     }

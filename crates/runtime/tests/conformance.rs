@@ -127,7 +127,7 @@ fn commit_tiers_agree_on_trace_corpus() {
         let (interpreted, compiled) =
             both_engines(Spec::machine(commit_machine(r)), Tier::Compiled);
         let efsm = Spec::efsm(commit_efsm(), commit_efsm_params(&config));
-        let (efsm_interpreted, efsm) = both_engines(efsm, Tier::CompiledEfsm);
+        let (efsm_interpreted, efsm) = both_engines(efsm, Tier::Compiled);
         let mut rt_interp = interpreted.runtime();
         let mut rt_compiled = compiled.runtime();
         let mut rt_efsm = efsm.runtime();
@@ -160,14 +160,14 @@ fn commit_tiers_agree_on_trace_corpus() {
 }
 
 /// The flattened statecharts (compiled *and* interpreted flat forms),
-/// unguarded on the dense tier and guarded on the register tier, match
+/// unguarded on the dense tier and guarded unfolded onto it, match
 /// the direct statechart interpreter — the semantic reference — on
 /// actions, finished flags, synthesized configuration names and
 /// variables.
 #[test]
 fn hsm_tiers_agree_on_trace_corpus() {
     let plain = (session_lifecycle(), vec![], Tier::Compiled);
-    let guarded = (session_lifecycle_guarded(), vec![2], Tier::CompiledEfsm);
+    let guarded = (session_lifecycle_guarded(), vec![2], Tier::Compiled);
     for (hsm, params, tier) in [plain, guarded] {
         let alphabet: Vec<String> = hsm.messages().to_vec();
         let spec = Spec::hsm_with_params(hsm.clone(), params.clone());

@@ -207,7 +207,9 @@ proptest! {
             .expect("flattened candidate lists carry no duplicate guards");
         let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
         let engine = Engine::compile(spec.clone()).expect("guarded statechart compiles");
-        prop_assert_eq!(engine.tier(), Tier::CompiledEfsm);
+        // On the dense table, unfolded, or — an unbounded `Inc` on the
+        // `at` side of a pair — left on the register tier.
+        prop_assert_ne!(engine.tier(), Tier::Interpreted);
         let walking = Engine::interpret(spec).expect("guarded statechart interprets");
         prop_assert_eq!(walking.tier(), Tier::Interpreted);
         prop_assert_eq!(walking.fingerprint(), engine.fingerprint());

@@ -8,8 +8,10 @@
 //! engine — the *EFSM tier*: the 9-state parameter-generic commit EFSM
 //! compiled once and bound to the replication factor's thresholds, so
 //! one artifact covers every `r` without regenerating an FSM family
-//! member (one dense `u32` of state plus two counter registers per
-//! attempt, addressed by a typed
+//! member — `Engine` unfolds the bound machine onto the dense table on
+//! boot, the paper's bind-then-generate done at load time — (one dense
+//! `u32` per attempt, naming its state and both counters, addressed by
+//! a typed
 //! generational [`SessionId`]; slots of aborted or garbage-collected
 //! unfinished attempts are recycled through the runtime's free list —
 //! stale handles to them fail loudly instead of silently serving a
@@ -102,8 +104,10 @@ pub enum PeerBehaviour {
 /// commit EFSM is compiled once and bound to the harness's replication
 /// factor via `Spec::efsm` — one compiled machine covers every
 /// replication factor without regenerating an FSM family member, and
-/// each attempt session carries its two vote/commit counter registers
-/// inside the peer's [`Runtime`].
+/// each attempt session's two vote/commit counters live inside the
+/// peer's [`Runtime`] (bound, the machine unfolds onto the dense tier:
+/// state and counters are one configuration id, read back as the
+/// 9-state machine's ids and registers).
 ///
 /// The engine is the owned [`Engine`] of the `stategen-runtime`
 /// pipeline — cheap to clone (shared `Arc` tables), so every peer's

@@ -1,12 +1,18 @@
-//! The compiled-EFSM execution tier behind the runtime facade: one
-//! guarded machine, compiled once, serves the whole protocol family —
-//! parameters are bound at `Spec` ingest, and a 40k-session sharded
-//! runtime batch-steps the result on worker threads.
+//! A guarded machine behind the runtime facade: one EFSM serves the
+//! whole protocol family — parameters are bound at `Spec` ingest, and a
+//! 40k-session sharded runtime batch-steps the result on worker
+//! threads.
 //!
 //! The commit EFSM (paper §5.3) has 9 states *whatever the replication
 //! factor*: thresholds live in guards over parameters bound at
-//! instantiation time. Here the same machine runs r = 4 and r = 13
-//! side by side, then drives a 40k-session sharded runtime.
+//! instantiation time. Binding one (§4.2: bind, then generate the FSM)
+//! leaves finitely many reachable `(state, counters)` configurations,
+//! so `Engine::compile` unfolds the machine onto the dense table — 36
+//! configurations at r = 4, 273 at r = 13 — and the engine's `Debug`
+//! form says so; only past 4 096 of them (r = 64 here) does it stay on
+//! the register tier. Either way the caller sees the 9-state machine
+//! and its counters. The same machine runs r = 4, 13 and 64 side by
+//! side, then drives a 40k-session sharded runtime.
 //!
 //! ```text
 //! cargo run --release --example efsm_compiled
@@ -23,10 +29,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let efsm = commit_efsm();
 
     // One machine, every family member.
-    for r in [4u32, 13] {
+    for (r, tier) in [
+        (4u32, Tier::Compiled),
+        (13, Tier::Compiled),
+        (64, Tier::CompiledEfsm),
+    ] {
         let config = CommitConfig::new(r)?;
         let engine = Engine::compile(Spec::efsm(efsm.clone(), commit_efsm_params(&config)))?;
-        assert_eq!(engine.tier(), Tier::CompiledEfsm);
+        assert_eq!(engine.tier(), tier);
+        assert_eq!(engine.state_count(), 9);
+        println!("  {engine:?}");
         let mut rt = engine.runtime();
         let session = rt.spawn();
         let vote = rt.message_id("vote").expect("commit alphabet");
@@ -45,9 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Batch tier: 40k concurrent guarded sessions, partitioned over
-    // four shards as *configuration*. Each shard owns its registers and
-    // scratch buffers, so `deliver_all` steps them on independent
-    // worker threads — results bit-identical to a single flat runtime.
+    // four shards as *configuration*. Each shard owns its sessions, so
+    // `deliver_all` steps them on independent worker threads — results
+    // bit-identical to a single flat runtime.
     let config = CommitConfig::new(4)?;
     let engine = Engine::compile(Spec::efsm(efsm, commit_efsm_params(&config)))?;
     println!(

@@ -2,10 +2,11 @@
 //! variables, guards and updates (a retry-budget session lifecycle),
 //! debug it on the direct interpreter, then hand it to the runtime
 //! pipeline — `Spec::hsm_with_params` flattens it through the unified
-//! lowering IR onto the *compiled-EFSM* tier, so one compiled machine
-//! serves the whole parameterized statechart family with the same
-//! `Runtime` vocabulary (and zero allocation per delivery) as any flat
-//! machine.
+//! lowering IR and binds the budget, which leaves the guarded flat
+//! machine a finite configuration space: `Engine::compile` unfolds it
+//! onto the dense table, so a statechart with variables serves with the
+//! same `Runtime` vocabulary (and zero allocation per delivery) as any
+//! flat machine, its registers still visible through `vars`.
 //!
 //! ```text
 //! cargo run --release --example hsm_guarded
@@ -50,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The unified lowering IR: reachable configurations became flat
     // states, and each flat cell lists its guarded candidates in firing
-    // priority order. A guarded IR has no flat-FSM projection — it
-    // lowers onto the register-machine tier.
+    // priority order. A guarded IR has no flat-FSM projection until
+    // its parameters are bound.
     let ir = hsm.flatten_ir();
     let guarded_cells: usize = ir
         .states()
@@ -65,10 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         guarded_cells,
     );
 
-    // The pipeline binds the budget at ingest: one compiled machine per
-    // *family*, one binding per deployment — exactly like `Spec::efsm`.
+    // The pipeline binds the budget at ingest — exactly like
+    // `Spec::efsm` — and with it bound the retry counter is finite: the
+    // 13 flat states unfold into 39 `(state, retries)` configurations.
     let engine = Engine::compile(Spec::hsm_with_params(hsm.clone(), vec![3]))?;
-    assert_eq!(engine.tier(), Tier::CompiledEfsm);
+    assert_eq!(engine.tier(), Tier::Compiled);
+    println!("{engine:?}");
     println!(
         "engine: tier `{}`, {} flat states, params {:?}",
         engine.tier(),
@@ -77,8 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Serve 40k concurrent guarded sessions, sharded, batch-stepped —
-    // the same facade vocabulary as every other tier; per-session
-    // variable registers live inside the runtime's shards.
+    // the same facade vocabulary as every other tier; each session's
+    // registers are read back from its configuration.
     let mut rt = engine.runtime().sharded(4);
     rt.spawn_many(40_000);
     let probe = rt.spawn();

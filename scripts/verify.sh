@@ -63,8 +63,12 @@
 #    scratch and sweep), or the lazy finished bitset (its type, its
 #    batch scan, its dirty flag) under crates/core/src; and re-runs in
 #    release mode the generation-exhaustion unit test (its arithmetic
-#    wraps there instead of panicking) and the foreign-message-id batch
-#    test (a debug assertion used to be the register tier's only guard);
+#    wraps there instead of panicking), the foreign-message-id batch
+#    test (a debug assertion used to be the register tier's only guard)
+#    and the unreachable-configuration restore test (an unfolded engine
+#    refuses a snapshot its machine cannot have produced: typed error,
+#    runtime untouched, in both profiles); and fails if the unfolded
+#    engine's side table is named anywhere outside core::step;
 # 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
 #    a workspace of its own, so steps 1-3 do not reach it) and one short
 #    traced storage_commit run, which must pass its output checks and
@@ -83,7 +87,10 @@
 #    compiled dense tier in at most half the interpreted tier's time
 #    per session (a ratio inside one run; it read 0.73 while the dense
 #    kernel counting-sorted sessions by state, about 0.15 since the
-#    one-pass column gather — docs/KERNELS.md).
+#    one-pass column gather — docs/KERNELS.md), then one short traced
+#    batch_guarded run with the same checks at a quarter of the
+#    interpreted tier's time (the commit EFSM, bound, is served unfolded
+#    from the dense table: about 0.07; about 0.37 on the register tier).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,6 +133,9 @@ cargo test -q --release -p stategen-runtime --lib exhausted_generation
 echo "== foreign message id in a batch (release: one panic message on every tier) =="
 cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
 
+echo "== unreachable configuration in a snapshot (release: typed error, runtime untouched) =="
+cargo test -q --release -p stategen-runtime --lib restore_refuses_unreachable_configurations
+
 echo "== one store, one driver, one step: deleted names stay deleted =="
 if grep -rnE 'SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_stealing_workers|EngineKind|FlattenedHsm' \
         crates/ src/ examples/ tests/ docs/; then
@@ -139,6 +149,12 @@ if grep -rnE 'FsmInstance|EfsmInstance|CompiledInstance|KernelScratch|sweep_buck
 fi
 if grep -rnE 'FinishedBits|finished_slots|\.dirty' crates/core/src; then
     echo "verify.sh: the finished count is eager; the lazy bitset above was deleted (CHANGES.md, PR 15)" >&2
+    exit 1
+fi
+
+if grep -rnE '\b(Unfolded|Configs)\b' --include='*.rs' crates/ src/ examples/ tests/ \
+        | grep -v '^crates/core/src/step.rs:'; then
+    echo "verify.sh: an unfolded engine's side table is core::step's alone; callers see source states and registers" >&2
     exit 1
 fi
 
@@ -193,5 +209,16 @@ allocs = metrics["alloc.allocs_per_kop"]["value"]
 failed = metrics["check.failed_share"]["value"]
 print(f"deliver_all ns/session: compiled {compiled:.2f}, interpreted {interpreted:.2f}; allocs_per_kop {allocs}, check.failed_share {failed}")
 sys.exit(0 if failed == 0 and allocs == 0 and compiled <= 0.5 * interpreted else 1)'
+
+echo "== batch_guarded traced: output checks + 0 allocs + compiled deliver_all <= 0.25x interpreted =="
+bash benchmark/run.sh --workload batch_guarded --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+compiled = metrics["runtime.deliver_all_ns_per_session"]["value"]
+interpreted = metrics["core.interp.deliver_all_ns_per_session"]["value"]
+allocs = metrics["alloc.allocs_per_kop"]["value"]
+failed = metrics["check.failed_share"]["value"]
+print(f"deliver_all ns/session: compiled {compiled:.2f}, interpreted {interpreted:.2f}; allocs_per_kop {allocs}, check.failed_share {failed}")
+sys.exit(0 if failed == 0 and allocs == 0 and compiled <= 0.25 * interpreted else 1)'
 
 echo "verify.sh: all green"
