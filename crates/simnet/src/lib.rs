@@ -428,5 +428,26 @@ mod tests {
         let mut sim = Simulation::new(config, vec![Rearm]);
         let stats = sim.run();
         assert_eq!(stats.steps, 500);
+        assert!(stats.budget_exhausted, "a timer was still queued");
+        assert!(!sim.step() && sim.stats() == stats, "and stays queued");
+    }
+
+    /// `step` returns `false` for a drained queue and for a spent budget
+    /// alike; only the second is a truncated run — also when the queue
+    /// drains on the budget's very last step.
+    #[test]
+    fn a_drained_queue_is_not_an_exhausted_budget() {
+        for (max_steps, exhausted) in [(1, true), (2, false), (3, false)] {
+            let config = SimConfig {
+                max_steps,
+                ..Default::default()
+            };
+            let mut sim = Simulation::new(config, two_nodes(true));
+            sim.post(NodeId(0), NodeId(1), Msg::Ping);
+            let stats = sim.run_until(1_000);
+            assert_eq!(stats.steps, max_steps.min(2), "ping, then pong");
+            assert_eq!(stats.budget_exhausted, exhausted, "budget {max_steps}");
+            assert_eq!(sim.run(), stats, "nothing more to do either way");
+        }
     }
 }

@@ -90,6 +90,7 @@ pub struct SimConfig {
     /// Treated as at least 1.
     pub reorder_bound: SimTime,
     /// Upper bound on processed events (guards against runaway loops).
+    /// A run it cuts short reports [`SimStats::budget_exhausted`].
     pub max_steps: u64,
 }
 
@@ -243,6 +244,9 @@ pub struct SimStats {
     pub timers_stale: u64,
     /// Total events processed.
     pub steps: u64,
+    /// `true` once [`SimConfig::max_steps`] stopped the run with events
+    /// still queued: every count above then describes a truncated run.
+    pub budget_exhausted: bool,
 }
 
 /// A deterministic discrete-event simulation over a vector of nodes.
@@ -444,10 +448,12 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
     }
 
     /// Processes a single event; returns `false` when the queue is empty
-    /// or the step budget is exhausted.
+    /// or the step budget is exhausted — [`SimStats::budget_exhausted`]
+    /// says which.
     pub fn step(&mut self) -> bool {
         self.start();
         if self.stats.steps >= self.config.max_steps {
+            self.stats.budget_exhausted = !self.queue.is_empty();
             return false;
         }
         let Some(Reverse(event)) = self.queue.pop() else {

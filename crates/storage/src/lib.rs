@@ -34,5 +34,5 @@ pub use placement::{guid_key, peer_set, pid_key, replica_keys};
 pub use stategen_telemetry::{LogHistogram, MetricsSnapshot};
 pub use version_service::{
     run_harness, AttemptId, ClientEndpoint, CommitPeer, HarnessConfig, HarnessReport,
-    PeerBehaviour, PeerEngine, PeerGcStats, UpdateOutcome, VhMsg, VhNode,
+    PeerBehaviour, PeerEngine, PeerGcStats, UpdateOutcome, VhMsg, VhNode, WakeStats,
 };

@@ -5,25 +5,25 @@
 //! plus one or more client endpoints, all exchanging messages over the
 //! deterministic network simulator. Each peer serves its update
 //! attempts from a per-peer [`Runtime`] over the shared compiled commit
-//! engine — the *EFSM tier*: the 9-state parameter-generic commit EFSM
-//! compiled once and bound to the replication factor's thresholds, so
-//! one artifact covers every `r` without regenerating an FSM family
-//! member — `Engine` unfolds the bound machine onto the dense table on
-//! boot, the paper's bind-then-generate done at load time — (one dense
-//! `u32` per attempt, naming its state and both counters, addressed by
-//! a typed
-//! generational [`SessionId`]; slots of aborted or garbage-collected
-//! unfinished attempts are recycled through the runtime's free list —
-//! stale handles to them fail loudly instead of silently serving a
-//! recycled attempt — while finished attempts keep theirs as replay
-//! protection) instead of allocating a full interpreter instance per
-//! attempt — the deployment shape the paper's ASA peers need at scale.
-//! Peers vote for updates in arrival
-//! order, exchange `vote`/`commit` messages, and append an update to
-//! their local history once the external commit threshold is reached;
-//! endpoints detect completion when `f + 1` distinct peers report the
-//! commit (the only answer a Byzantine minority cannot forge) and operate
-//! the paper's timeout/retry scheme with configurable back-off.
+//! engine: the 9-state parameter-generic commit EFSM, compiled once and
+//! bound to the replication factor's thresholds — one artifact covers
+//! every `r`, and `Engine` unfolds the bound machine onto the dense
+//! table on boot, the paper's bind-then-generate done at load time. An
+//! attempt *in flight* is one dense `u32` (its state and both counters)
+//! behind a typed generational [`SessionId`], not an interpreter
+//! instance; the session is released when the attempt finishes, is
+//! aborted or is garbage-collected, and its slot recycled — a stale
+//! handle fails loudly instead of serving the slot's next attempt. What
+//! a peer holds follows what the clients have outstanding, not what it
+//! has recorded: the paper's §2.2 picture of one machine per execution
+//! in progress, and the deployment shape ASA peers need at scale.
+//! Peers vote for updates in arrival order, exchange `vote`/`commit`
+//! messages, and append an update to their local history once the
+//! external commit threshold is reached; endpoints detect completion
+//! when `f + 1` distinct peers report the commit (the only answer a
+//! Byzantine minority cannot forge) and operate the paper's
+//! timeout/retry scheme with configurable back-off, their deadlines in
+//! a timer wheel the simulator wakes through one live chain of events.
 //!
 //! ## Reconstruction note (documented in `docs/STORAGE.md`)
 //!
@@ -37,8 +37,8 @@
 //!
 //! `docs/STORAGE.md` also describes the peer's bookkeeping — what each
 //! collection is for and what every path costs as the history grows —
-//! and the durability model (checkpoint, volatile journal, what a
-//! restarted peer may have lost).
+//! the durability model (checkpoint, volatile journal, what a restarted
+//! peer may have lost) and how an endpoint's wheel is driven.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -50,6 +50,7 @@ use stategen_core::MessageId;
 use stategen_runtime::{Artifact, Engine, Runtime, RuntimeSnapshot, SessionId, TimerWheel};
 use stategen_telemetry::{LogHistogram, MetricsSnapshot};
 
+use self::ledger::Ledger;
 use crate::backoff::{RetryScheme, ServerOrdering};
 use crate::entities::Pid;
 
@@ -193,55 +194,43 @@ enum PeerAction {
 }
 
 /// One peer-set member serving the commit protocol from a per-peer
-/// [`Runtime`]: one session per update attempt (one dense `u32` of
+/// [`Runtime`]: one session per attempt *in flight* (one dense `u32` of
 /// state each, addressed by a typed [`SessionId`]) instead of one
-/// interpreter instance per attempt. Sessions of *unfinished* attempts
-/// that are aborted or garbage-collected are [`Runtime::release`]d —
-/// recycled through the runtime's generational free list, so a stale
-/// handle can never silently address the recycled slot's next attempt.
-/// Finished attempts deliberately keep their session and `slots` entry
-/// forever, as replay protection — a replayed vote for a committed
-/// attempt must hit the absorbing finished session, not spawn a fresh
-/// execution.
+/// interpreter instance per attempt. A session is
+/// [`Runtime::release`]d when its attempt finishes, is aborted or is
+/// garbage-collected — recycled through the runtime's generational free
+/// list, so a stale handle can never silently address the slot's next
+/// attempt — and replay protection is the ledger's: a replayed vote
+/// for a committed attempt finds it in the finished set and is absorbed,
+/// it does not spawn a fresh execution.
 ///
-/// A peer keeps serving as its history grows, so no path walks the
-/// history or the finished attempts: membership tests go through the
-/// ordered `slots`/`seen`/`recorded` collections (O(log history)),
-/// sibling signalling and the choice lock walk only `active` (the
-/// unfinished attempts), and a checkpoint write applies the journal of
-/// changes since the last write instead of re-cloning the bookkeeping
-/// (`docs/STORAGE.md` has the per-path cost table).
+/// A peer keeps serving as its history grows, so a message costs one
+/// lookup in the in-flight table, sibling signalling and the choice lock
+/// walk that table only, and a checkpoint write copies the attempts
+/// touched since the last write, not the bookkeeping (`docs/STORAGE.md`
+/// has the per-path cost table).
 #[derive(Debug)]
 pub struct CommitPeer<'m> {
     engine: &'m PeerEngine,
     behaviour: PeerBehaviour,
     peer_count: usize,
     /// The attempt-execution runtime: per-attempt state is one dense
-    /// `u32` plus a generation counter.
+    /// `u32` plus a generation counter; it holds exactly the sessions of
+    /// the attempts in flight.
     runtime: Runtime,
-    /// Which session serves each tracked attempt: the unfinished ones
-    /// and, as replay protection, every finished one.
-    slots: BTreeMap<AttemptId, SessionId>,
-    /// The unfinished subset of `slots`. Iterated in `AttemptId` order:
-    /// the order of sibling `free`/`not_free` fan-out decides the
-    /// simulator's message schedule.
-    active: BTreeMap<AttemptId, SessionId>,
+    /// What this peer knows of each attempt: in flight (with its
+    /// session in `runtime`), dropped, or finished.
+    ledger: Ledger,
+    /// The recorded versions in commit order (the public view).
+    history: Vec<Pid>,
+    /// The versions in `history`, for membership tests.
+    recorded: BTreeSet<Pid>,
     /// Action-kind buffer reused across deliveries (see
     /// [`CommitPeer::feed`]).
     action_scratch: Vec<PeerAction>,
     /// Work queue of [`CommitPeer::feed`], empty between calls; kept
     /// for its allocation.
     feed_scratch: VecDeque<(AttemptId, CommitMessage)>,
-    /// Sender-level deduplication: each peer's vote/commit for an attempt
-    /// is counted once, whatever a Byzantine sender replays.
-    seen: BTreeSet<(AttemptId, NodeId, u8)>,
-    /// The client that requested each attempt (for completion reports).
-    clients: BTreeMap<AttemptId, NodeId>,
-    committed: BTreeSet<AttemptId>,
-    /// The recorded versions in commit order (the public view).
-    history: Vec<Pid>,
-    /// The versions in `history`, for membership tests.
-    recorded: BTreeSet<Pid>,
     /// Abandon unfinished executions after this many ticks (paper §2.2:
     /// the tolerance bound "applies to the duration of a particular
     /// execution of the commit protocol" — executions have bounded
@@ -262,11 +251,11 @@ pub struct CommitPeer<'m> {
     /// `on_restart` recovers from *only* this — everything else above is
     /// treated as lost with the crash.
     checkpoint: Option<PeerCheckpoint>,
-    /// What changed in the checkpointed bookkeeping since `checkpoint`
-    /// was written. Volatile, recorded only while a checkpoint exists
-    /// (the first write is a full copy) and drained by every write, so
-    /// it never holds more than one checkpoint interval of changes.
-    journal: Vec<JournalEntry>,
+    /// The attempts whose bookkeeping changed since `checkpoint` was
+    /// written. Volatile, recorded only while a checkpoint exists (the
+    /// first write is a full copy) and drained by every write, so it
+    /// never holds more than one checkpoint interval of changes.
+    journal: Vec<AttemptId>,
     /// Flight-recorder ring capacity (0 = unobserved). Remembered so
     /// the recorder is re-attached after a crash recovery rebuilds the
     /// runtime — telemetry is volatile, not checkpointed.
@@ -277,75 +266,26 @@ pub struct CommitPeer<'m> {
 /// [`CommitPeer::gc_stats`]), split by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerGcStats {
-    /// Sessions reclaimed after their execution reached a finish state.
-    /// In this protocol finished attempts deliberately keep their
-    /// session as replay protection, so this stays 0 for correct peers —
-    /// a nonzero value flags a replay-protection regression.
+    /// Sessions reclaimed because their execution reached a finish
+    /// state: the normal end of an attempt. Equals the attempts this
+    /// peer's runtime has seen commit (the runtime, and with it the
+    /// count, starts over on a restart).
     pub finished: u64,
     /// Sessions reclaimed *before* finishing: GC abandonment of stalled
     /// executions and client-requested aborts.
     pub aborted: u64,
 }
 
-/// What a peer persists: its [`Runtime`] snapshot plus the protocol
-/// bookkeeping that gives the restored sessions meaning. Written
-/// atomically (it is one in-memory value), so a recovered peer is
-/// always internally consistent — it may merely be *stale* by up to one
-/// checkpoint interval.
+/// What a peer persists: its [`Runtime`] snapshot — the sessions in
+/// flight, no more — plus the protocol bookkeeping that gives them
+/// meaning. Written atomically (it is one in-memory value), so a
+/// recovered peer is always internally consistent — it may merely be
+/// *stale* by up to one checkpoint interval.
 #[derive(Debug, Clone)]
 struct PeerCheckpoint {
     runtime: RuntimeSnapshot,
-    slots: BTreeMap<AttemptId, SessionId>,
-    seen: BTreeSet<(AttemptId, NodeId, u8)>,
-    clients: BTreeMap<AttemptId, NodeId>,
-    committed: BTreeSet<AttemptId>,
+    ledger: Ledger,
     history: Vec<Pid>,
-}
-
-/// One change to the bookkeeping a [`PeerCheckpoint`] carries. The
-/// history needs no entry: it only grows, so the checkpoint's length
-/// says which suffix is new.
-#[derive(Debug, Clone, Copy)]
-enum JournalEntry {
-    /// `slots` gained an attempt.
-    Spawned(AttemptId, SessionId),
-    /// `slots` lost an unfinished attempt (abort or GC).
-    Dropped(AttemptId),
-    /// `clients` learned who asked for an attempt.
-    Client(AttemptId, NodeId),
-    /// `seen` gained a dedup key.
-    Seen((AttemptId, NodeId, u8)),
-    /// `committed` gained an attempt.
-    Committed(AttemptId),
-}
-
-impl PeerCheckpoint {
-    /// Brings the bookkeeping up to date: replays `journal` in order
-    /// (an attempt can be spawned, dropped and spawned again between
-    /// two writes) and appends the part of `history` not yet held.
-    fn apply(&mut self, journal: &[JournalEntry], history: &[Pid]) {
-        for &entry in journal {
-            match entry {
-                JournalEntry::Spawned(attempt, session) => {
-                    self.slots.insert(attempt, session);
-                }
-                JournalEntry::Dropped(attempt) => {
-                    self.slots.remove(&attempt);
-                }
-                JournalEntry::Client(attempt, client) => {
-                    self.clients.insert(attempt, client);
-                }
-                JournalEntry::Seen(key) => {
-                    self.seen.insert(key);
-                }
-                JournalEntry::Committed(attempt) => {
-                    self.committed.insert(attempt);
-                }
-            }
-        }
-        self.history
-            .extend_from_slice(&history[self.history.len()..]);
-    }
 }
 
 /// Peer timer tag for the periodic checkpoint (GC tags count up from 0
@@ -367,15 +307,11 @@ impl<'m> CommitPeer<'m> {
             behaviour,
             peer_count,
             runtime: engine.engine().runtime(),
-            slots: BTreeMap::new(),
-            active: BTreeMap::new(),
-            action_scratch: Vec::new(),
-            feed_scratch: VecDeque::new(),
-            seen: BTreeSet::new(),
-            clients: BTreeMap::new(),
-            committed: BTreeSet::new(),
+            ledger: Ledger::default(),
             history: Vec::new(),
             recorded: BTreeSet::new(),
+            action_scratch: Vec::new(),
+            feed_scratch: VecDeque::new(),
             gc_after,
             gc_tags: BTreeMap::new(),
             next_gc_tag: 0,
@@ -424,9 +360,9 @@ impl<'m> CommitPeer<'m> {
         &self.history
     }
 
-    /// Attempts this peer has committed.
+    /// Attempts this peer has committed: its finished set.
     pub fn committed(&self) -> &BTreeSet<AttemptId> {
-        &self.committed
+        self.ledger.committed()
     }
 
     /// This peer's behaviour.
@@ -434,30 +370,30 @@ impl<'m> CommitPeer<'m> {
         self.behaviour
     }
 
-    /// The runtime serving this peer's attempts (live sessions; slots of
-    /// released attempts stay recycled inside it).
+    /// The runtime serving this peer's attempts: one live session per
+    /// attempt in flight, the slots of all others recycled inside it.
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
     }
 
-    /// Attempts currently tracked (in-flight or finished-and-recorded).
+    /// Attempts this peer remembers: in flight, dropped or finished.
     pub fn tracked_attempts(&self) -> usize {
-        self.slots.len()
+        self.ledger.len()
     }
 
-    /// Tracked attempts still executing. Bounded by what the clients
+    /// Attempts executing on this peer. Bounded by what the clients
     /// have outstanding, not by the history length: 0 at quiescence.
     pub fn in_flight_attempts(&self) -> usize {
-        self.active.len()
+        self.ledger.in_flight().len()
     }
 
-    /// Notes a change to the checkpointed bookkeeping. Without a
-    /// checkpoint there is nothing to bring up to date — the next write
-    /// is a full copy — so nothing is recorded (in particular never
-    /// when checkpointing is disabled).
-    fn record(&mut self, entry: JournalEntry) {
-        if self.checkpoint.is_some() {
-            self.journal.push(entry);
+    /// Notes that `attempt`'s bookkeeping changed. Without a checkpoint
+    /// there is nothing to bring up to date — the next write is a full
+    /// copy — so nothing is recorded (in particular never when
+    /// checkpointing is disabled).
+    fn touch(&mut self, attempt: AttemptId) {
+        if self.checkpoint.is_some() && self.journal.last() != Some(&attempt) {
+            self.journal.push(attempt);
         }
     }
 
@@ -467,6 +403,35 @@ impl<'m> CommitPeer<'m> {
                 ctx.send(NodeId(i), message.clone());
             }
         }
+    }
+
+    /// [`Ledger::admit`], noting the change for the next checkpoint.
+    fn admit(&mut self, attempt: AttemptId, from: NodeId, message: CommitMessage) -> bool {
+        let fresh = self.ledger.admit(attempt, from, message);
+        if fresh {
+            self.touch(attempt);
+        }
+        fresh
+    }
+
+    /// Starts executing an attempt that has no session here — new to
+    /// this peer or dropped earlier — recycling a released slot under a
+    /// new generation or growing the runtime (the only allocating path,
+    /// amortised O(1)).
+    fn spawn(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId) -> SessionId {
+        let session = self.runtime.spawn();
+        // A new attempt must reflect the node's current choice state: if
+        // a sibling attempt has already chosen an update, this node is
+        // not free (the `not_free` signal predates the session).
+        if self.node_has_chosen() {
+            self.runtime
+                .deliver(session, self.engine.message_id(CommitMessage::NotFree));
+        }
+        self.ledger.start(attempt, session);
+        self.touch(attempt);
+        self.arm_gc(ctx, attempt);
+        self.arm_checkpoint(ctx);
+        session
     }
 
     /// Delivers a protocol message to the attempt's runtime session and
@@ -480,34 +445,12 @@ impl<'m> CommitPeer<'m> {
         let mut queue = std::mem::take(&mut self.feed_scratch);
         queue.push_back((attempt, message));
         while let Some((a, m)) = queue.pop_front() {
-            // A fresh attempt for a PID this peer already recorded is not
-            // re-executed (retries of a committed update are idempotent).
-            if m == CommitMessage::Update && self.recorded.contains(&a.pid) {
-                continue;
-            }
-            let message_id = self.engine.message_id(m);
-            let session = match self.slots.get(&a) {
-                Some(&session) => session,
-                None => {
-                    // Spawn a fresh execution (recycling a released slot
-                    // under a new generation, or growing the runtime —
-                    // the only allocating path, amortised O(1)).
-                    let session = self.runtime.spawn();
-                    // A new attempt must reflect the node's current
-                    // choice state: if a sibling attempt has already
-                    // chosen an update, this node is not free (the
-                    // `not_free` signal predates the session's creation).
-                    if self.node_has_chosen() {
-                        self.runtime
-                            .deliver(session, self.engine.message_id(CommitMessage::NotFree));
-                    }
-                    self.slots.insert(a, session);
-                    self.active.insert(a, session);
-                    self.record(JournalEntry::Spawned(a, session));
-                    self.arm_gc(ctx, a);
-                    self.arm_checkpoint(ctx);
-                    session
-                }
+            // Only an admitted message finds no session; the sibling
+            // signals queued below go to attempts in flight, and neither
+            // signal finishes one.
+            let session = match self.ledger.session(a) {
+                Some(session) => session,
+                None => self.spawn(ctx, a),
             };
             // Resolve the actions to kinds in order before re-borrowing
             // `self` for the broadcasts (the action slice's borrow is
@@ -519,7 +462,7 @@ impl<'m> CommitPeer<'m> {
             kinds.clear();
             kinds.extend(
                 self.runtime
-                    .deliver(session, message_id)
+                    .deliver(session, self.engine.message_id(m))
                     .iter()
                     .map(|action| match action.message() {
                         "vote" => PeerAction::Vote,
@@ -529,10 +472,16 @@ impl<'m> CommitPeer<'m> {
                         other => unreachable!("unexpected action {other}"),
                     }),
             );
+            // A finished execution would only absorb from here on: the
+            // finished set does that without a session.
             let finished = self.runtime.is_finished(session);
-            if finished {
-                self.active.remove(&a);
-            }
+            let client = if finished {
+                self.runtime.release(session);
+                self.touch(a);
+                self.ledger.finish(a)
+            } else {
+                None
+            };
             for kind in &kinds {
                 match kind {
                     PeerAction::Vote => self.broadcast_peers(ctx, VhMsg::Vote(a)),
@@ -546,12 +495,11 @@ impl<'m> CommitPeer<'m> {
                 }
             }
             self.action_scratch = kinds;
-            if finished && self.committed.insert(a) {
-                self.record(JournalEntry::Committed(a));
+            if finished {
                 if self.recorded.insert(a.pid) {
                     self.history.push(a.pid);
                 }
-                if let Some(&client) = self.clients.get(&a) {
+                if let Some(client) = client {
                     ctx.send(client, VhMsg::Committed(a));
                 }
                 // A commit is durable the moment it is externally
@@ -565,61 +513,45 @@ impl<'m> CommitPeer<'m> {
         self.feed_scratch = queue;
     }
 
-    /// `true` while some unfinished attempt on this node has chosen its
+    /// `true` while some attempt in flight on this node has chosen its
     /// update (the node's choice lock is held). A per-state bitmap
     /// lookup, not a `StateVector` walk.
     fn node_has_chosen(&self) -> bool {
-        self.active
-            .values()
-            .any(|&session| self.engine.has_chosen[self.runtime.state(session) as usize])
+        self.ledger
+            .in_flight()
+            .any(|(_, session)| self.engine.has_chosen[self.runtime.state(session) as usize])
     }
 
-    /// The other unfinished attempts on this node, in `AttemptId` order.
+    /// The other attempts in flight on this node, in `AttemptId` order.
     fn local_siblings(&self, attempt: AttemptId) -> impl Iterator<Item = AttemptId> + '_ {
-        self.active.keys().copied().filter(move |a| *a != attempt)
+        let in_flight = self.ledger.in_flight().map(|(sibling, _)| sibling);
+        in_flight.filter(move |sibling| *sibling != attempt)
     }
 
     /// Abandons an attempt on client request, unless this peer already
     /// sent a commit for it (the update may be about to agree; the
     /// session garbage collector reclaims it later if not).
     fn abort(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId) {
-        let Some(&session) = self.slots.get(&attempt) else {
+        let Some(session) = self.ledger.session(attempt) else {
             return;
         };
-        if self.runtime.is_finished(session) {
-            return;
+        if !self.engine.commit_sent[self.runtime.state(session) as usize] {
+            self.drop_instance(ctx, attempt);
         }
-        if self.engine.commit_sent[self.runtime.state(session) as usize] {
-            return;
-        }
-        self.drop_instance(ctx, attempt);
     }
 
-    fn dedup(&mut self, attempt: AttemptId, from: NodeId, kind: u8) -> bool {
-        let key = (attempt, from, kind);
-        let fresh = self.seen.insert(key);
-        if fresh {
-            self.record(JournalEntry::Seen(key));
-        }
-        fresh
-    }
-
-    /// Drops an unfinished attempt — releasing its runtime session, so
+    /// Drops an attempt in flight — releasing its runtime session, so
     /// the slot is recycled under a fresh generation and any handle to
-    /// the dropped attempt is dead — and, if it held the node's choice
-    /// lock, releases the lock by signalling `free` to the sibling
-    /// attempts.
+    /// the dropped attempt is dead, and keeping what it had heard — and,
+    /// if it held the node's choice lock, releases the lock by
+    /// signalling `free` to the sibling attempts.
     fn drop_instance(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId) {
-        let Some(&session) = self.slots.get(&attempt) else {
+        let Some(session) = self.ledger.session(attempt) else {
             return;
         };
-        if self.runtime.is_finished(session) {
-            return;
-        }
         let had_chosen = self.engine.has_chosen[self.runtime.state(session) as usize];
-        self.slots.remove(&attempt);
-        self.active.remove(&attempt);
-        self.record(JournalEntry::Dropped(attempt));
+        self.ledger.drop_in_flight(attempt);
+        self.touch(attempt);
         self.runtime.release(session);
         if had_chosen {
             // Each sibling's `free` runs to completion before the next
@@ -649,25 +581,26 @@ impl<'m> CommitPeer<'m> {
     }
 
     /// Writes the durable checkpoint: runtime snapshot + bookkeeping.
-    /// The first write copies the bookkeeping; later ones bring the
-    /// previous checkpoint up to date from the journal, so a write costs
-    /// the snapshot's memcpy plus O(changes · log history), not a
-    /// re-clone of every collection.
+    /// The first write copies the ledger; later ones bring the previous
+    /// checkpoint up to date from the journal, so a write costs the
+    /// snapshot's memcpy of the sessions in flight plus a few lookups
+    /// per attempt touched, not a re-clone of every collection.
     fn write_checkpoint(&mut self) {
         let runtime = self.runtime.snapshot_all();
         match &mut self.checkpoint {
             Some(checkpoint) => {
                 checkpoint.runtime = runtime;
-                checkpoint.apply(&self.journal, &self.history);
+                checkpoint.ledger.catch_up(&self.ledger, &self.journal);
                 self.journal.clear();
+                let durable = checkpoint.history.len();
+                checkpoint
+                    .history
+                    .extend_from_slice(&self.history[durable..]);
             }
             None => {
                 self.checkpoint = Some(PeerCheckpoint {
                     runtime,
-                    slots: self.slots.clone(),
-                    seen: self.seen.clone(),
-                    clients: self.clients.clone(),
-                    committed: self.committed.clone(),
+                    ledger: self.ledger.clone(),
                     history: self.history.clone(),
                 });
             }
@@ -676,32 +609,12 @@ impl<'m> CommitPeer<'m> {
             self.checkpoint.as_ref().is_some_and(|c| self.holds(c)),
             "journaled checkpoint differs from a copy of the bookkeeping"
         );
-        debug_assert!(self.indexes_are_exact());
+        debug_assert_eq!(self.in_flight_attempts(), self.runtime.len());
     }
 
     /// `true` when `checkpoint`'s bookkeeping equals the live one.
     fn holds(&self, checkpoint: &PeerCheckpoint) -> bool {
-        checkpoint.slots == self.slots
-            && checkpoint.seen == self.seen
-            && checkpoint.clients == self.clients
-            && checkpoint.committed == self.committed
-            && checkpoint.history == self.history
-    }
-
-    /// The tracked attempts still executing, derived the long way: what
-    /// `active` must hold.
-    fn unfinished_slots(&self) -> impl Iterator<Item = (&AttemptId, &SessionId)> {
-        self.slots
-            .iter()
-            .filter(|(_, &session)| !self.runtime.is_finished(session))
-    }
-
-    /// `true` when `active` and `recorded` equal their derivations from
-    /// `slots` + [`Runtime::is_finished`] and from `history`.
-    fn indexes_are_exact(&self) -> bool {
-        self.active.iter().eq(self.unfinished_slots())
-            && self.recorded.len() == self.history.len()
-            && self.history.iter().all(|pid| self.recorded.contains(pid))
+        checkpoint.ledger == self.ledger && checkpoint.history == self.history
     }
 }
 
@@ -716,9 +629,8 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
             // Keep ticking only while an attempt is in flight; a
             // quiescent peer's last commit was checkpointed
             // synchronously, so re-arming would just keep the
-            // simulation alive for nothing. `feed` resumes the cadence
-            // on the next spawn.
-            if !self.active.is_empty() {
+            // simulation alive for nothing. `spawn` resumes the cadence.
+            if !self.runtime.is_empty() {
                 ctx.set_timer(self.checkpoint_every, TAG_PEER_CHECKPOINT);
             } else {
                 self.checkpoint_armed = false;
@@ -735,34 +647,24 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
         // durable checkpoint alone. `Runtime::restore` revalidates the
         // snapshot against the engine fingerprint and brings every
         // session back bit-identically — including generations, so the
-        // checkpointed `slots` handles keep addressing their attempts.
-        match self.checkpoint.clone() {
-            Some(cp) => {
-                self.runtime = Runtime::restore(self.engine.engine(), &cp.runtime)
+        // checkpointed table's handles keep addressing their attempts.
+        match &self.checkpoint {
+            Some(checkpoint) => {
+                self.runtime = Runtime::restore(self.engine.engine(), &checkpoint.runtime)
                     .expect("checkpoint was written by this peer's own engine");
-                self.slots = cp.slots;
-                self.seen = cp.seen;
-                self.clients = cp.clients;
-                self.committed = cp.committed;
-                self.history = cp.history;
+                self.ledger = checkpoint.ledger.clone();
+                self.history = checkpoint.history.clone();
             }
             None => {
                 self.runtime = self.engine.engine().runtime();
-                self.slots.clear();
-                self.seen.clear();
-                self.clients.clear();
-                self.committed.clear();
+                self.ledger = Ledger::default();
                 self.history.clear();
             }
         }
         // The live bookkeeping now equals the checkpoint, so the journal
-        // starts over; the two indexes are derived, not checkpointed.
+        // starts over; `recorded` is derived, not checkpointed.
         self.journal.clear();
         self.recorded = self.history.iter().copied().collect();
-        self.active = self
-            .unfinished_slots()
-            .map(|(&attempt, &session)| (attempt, session))
-            .collect();
         // Telemetry is volatile: the rebuilt runtime starts unobserved,
         // so re-attach the recorder the operator configured.
         if self.recorder_capacity > 0 {
@@ -770,11 +672,11 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
         }
         // Timers died with the crash (the simulator discards stale-epoch
         // expiries): resume the checkpoint cadence and re-arm a fresh GC
-        // budget for every restored unfinished attempt so stalled
-        // executions are still reclaimed.
+        // budget for every restored attempt so stalled executions are
+        // still reclaimed.
         self.gc_tags.clear();
-        let unfinished: Vec<AttemptId> = self.active.keys().copied().collect();
-        for attempt in unfinished {
+        let in_flight: Vec<AttemptId> = self.ledger.in_flight().map(|(a, _)| a).collect();
+        for attempt in in_flight {
             self.arm_gc(ctx, attempt);
         }
         // The crash killed the old checkpoint timer with the epoch; the
@@ -790,10 +692,10 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
             PeerBehaviour::Equivocator => {
                 // Vote and commit for every attempt it hears about,
                 // trying to drive conflicting updates to commit. One
-                // blast per attempt: replays would be deduplicated by
-                // correct peers anyway, so this loses no adversarial
-                // power while keeping equivocator pairs from flooding
-                // each other forever.
+                // blast per attempt (remembered as a vote of its own):
+                // replays would be deduplicated by correct peers anyway,
+                // so this loses no adversarial power while keeping
+                // equivocator pairs from flooding each other forever.
                 let attempt = match message {
                     VhMsg::ClientUpdate(a)
                     | VhMsg::Vote(a)
@@ -801,36 +703,28 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
                     | VhMsg::Abort(a) => a,
                     VhMsg::Committed(_) => return,
                 };
-                if self.dedup(attempt, NodeId(usize::MAX), u8::MAX) {
+                if self.admit(attempt, ctx.self_id(), CommitMessage::Vote) {
                     self.broadcast_peers(ctx, VhMsg::Vote(attempt));
                     self.broadcast_peers(ctx, VhMsg::Commit(attempt));
                 }
             }
-            PeerBehaviour::Correct => match message {
-                VhMsg::ClientUpdate(a) => {
-                    if self.recorded.contains(&a.pid) {
-                        // Already recorded (an earlier attempt won):
-                        // confirm without re-executing the protocol.
-                        ctx.send(from, VhMsg::Committed(a));
-                    } else if self.dedup(a, from, 0) {
-                        self.clients.insert(a, from);
-                        self.record(JournalEntry::Client(a, from));
-                        self.feed(ctx, a, CommitMessage::Update);
+            PeerBehaviour::Correct => {
+                let (attempt, message) = match message {
+                    // Already recorded (an earlier attempt won): confirm
+                    // without re-executing the protocol.
+                    VhMsg::ClientUpdate(a) if self.recorded.contains(&a.pid) => {
+                        return ctx.send(from, VhMsg::Committed(a));
                     }
+                    VhMsg::ClientUpdate(a) => (a, CommitMessage::Update),
+                    VhMsg::Vote(a) => (a, CommitMessage::Vote),
+                    VhMsg::Commit(a) => (a, CommitMessage::Commit),
+                    VhMsg::Abort(a) => return self.abort(ctx, a),
+                    VhMsg::Committed(_) => return,
+                };
+                if self.admit(attempt, from, message) {
+                    self.feed(ctx, attempt, message);
                 }
-                VhMsg::Vote(a) => {
-                    if self.dedup(a, from, 1) {
-                        self.feed(ctx, a, CommitMessage::Vote);
-                    }
-                }
-                VhMsg::Commit(a) => {
-                    if self.dedup(a, from, 2) {
-                        self.feed(ctx, a, CommitMessage::Commit);
-                    }
-                }
-                VhMsg::Abort(a) => self.abort(ctx, a),
-                VhMsg::Committed(_) => {}
-            },
+            }
         }
     }
 }
@@ -857,10 +751,11 @@ pub struct UpdateOutcome {
 ///
 /// All endpoint deadlines — per-peer contact staggers, the attempt
 /// timeout, the retry back-off — are logical timers in a hierarchical
-/// [`TimerWheel`]; the simulator only sees coalesced `TAG_WHEEL`
-/// wake-ups at the wheel's next-deadline hint. Confirmed commits
-/// *cancel* their timeout in O(1) rather than letting it fire and be
-/// filtered.
+/// [`TimerWheel`]; the simulator only sees `TAG_WHEEL` wake-ups at the
+/// wheel's next-deadline hint, one live chain of them per endpoint
+/// (`docs/STORAGE.md`, "Driving a wheel from the simulator").
+/// Confirmed commits *cancel* their timeout in O(1) rather than letting
+/// it fire and be filtered.
 #[derive(Debug)]
 pub struct ClientEndpoint {
     id: u32,
@@ -877,8 +772,12 @@ pub struct ClientEndpoint {
     outcomes: Vec<UpdateOutcome>,
     /// Logical timers, keyed by the endpoint tag encoding.
     wheel: TimerWheel<u64>,
-    /// Earliest simulator wake-up currently scheduled for the wheel.
+    /// When the one *live* simulator wake-up is due: the only
+    /// `TAG_WHEEL` event that schedules a successor. An earlier deadline
+    /// supersedes it; the superseded event stays queued and, when it
+    /// fires, only advances the wheel.
     wheel_wake: Option<SimTime>,
+    wakes: WakeStats,
     /// Expired-tag buffer reused across wake-ups.
     fire_scratch: Vec<u64>,
     /// Virtual-time-to-commit of each *confirmed* update (first
@@ -888,6 +787,30 @@ pub struct ClientEndpoint {
     /// Attempts needed per resolved update (committed or given up);
     /// bucket 1 = no retry.
     retry_hist: Box<LogHistogram>,
+}
+
+/// What an endpoint's `TAG_WHEEL` wake-ups did (see
+/// [`ClientEndpoint::wake_stats`]). A cancelled timeout leaves its
+/// wake-up behind and a coarse wheel slot can need a second look, so a
+/// few `expired_nothing` per attempt are expected; a count that grows
+/// faster than the attempts is a wake-up chain that does not die.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WakeStats {
+    /// Wake-ups delivered to the endpoint.
+    pub fired: u64,
+    /// Wake-ups at which no logical timer was due.
+    pub expired_nothing: u64,
+    /// Wake-ups that were no longer the live one when they fired (an
+    /// earlier deadline had been armed after they were scheduled).
+    pub superseded: u64,
+}
+
+impl WakeStats {
+    fn merge(&mut self, other: WakeStats) {
+        self.fired += other.fired;
+        self.expired_nothing += other.expired_nothing;
+        self.superseded += other.superseded;
+    }
 }
 
 #[derive(Debug)]
@@ -934,6 +857,7 @@ impl ClientEndpoint {
             outcomes: Vec::new(),
             wheel: TimerWheel::new(),
             wheel_wake: None,
+            wakes: WakeStats::default(),
             fire_scratch: Vec::new(),
             latency_hist: Box::new(LogHistogram::new()),
             retry_hist: Box::new(LogHistogram::new()),
@@ -956,6 +880,11 @@ impl ClientEndpoint {
         &self.retry_hist
     }
 
+    /// What this endpoint's simulator wake-ups did so far.
+    pub fn wake_stats(&self) -> WakeStats {
+        self.wakes
+    }
+
     /// `true` once every queued update has been resolved — committed or
     /// given up on (check [`UpdateOutcome::committed`] to distinguish).
     pub fn is_done(&self) -> bool {
@@ -971,9 +900,10 @@ impl ClientEndpoint {
     }
 
     /// Schedules a `TAG_WHEEL` wake-up at the wheel's next-deadline
-    /// hint unless an earlier one is already outstanding. The hint is a
-    /// coarse lower bound, so a wake-up may find nothing expired and
-    /// simply re-schedule — bounded by the wheel's level count.
+    /// hint and makes it the live one, unless the live one is already
+    /// due no later. The hint is a lower bound — the start of a coarse
+    /// slot, or the deadline of a timer cancelled since — so a wake-up
+    /// may find nothing expired and simply schedule its successor.
     fn schedule_wake(&mut self, ctx: &mut Context<'_, VhMsg>) {
         let Some(hint) = self.wheel.next_deadline() else {
             return;
@@ -1145,18 +1075,37 @@ impl SimNode<VhMsg> for ClientEndpoint {
         if tag != TAG_WHEEL {
             return;
         }
-        // A coalesced wake-up: advance the wheel to virtual now and
-        // dispatch every expired logical timer. The expired slice
-        // borrows the wheel, so buffer the tags before dispatching
-        // (dispatch may arm new timers in the same wheel).
-        self.wheel_wake = None;
+        // Only the live wake-up hands over to a successor. A superseded
+        // one still advances the wheel below (the first wake-up of a
+        // tick does the tick's work, whichever it is), but were it to
+        // forget the live one as well, both would schedule successors:
+        // a chain per superseded wake-up, none of which ever dies.
+        self.wakes.fired += 1;
+        if self.wheel_wake == Some(ctx.now()) {
+            self.wheel_wake = None;
+        } else {
+            self.wakes.superseded += 1;
+        }
+        // The expired slice borrows the wheel, so buffer the tags before
+        // dispatching (dispatch may arm new timers in the same wheel).
         let mut fired = std::mem::take(&mut self.fire_scratch);
         fired.clear();
         fired.extend_from_slice(self.wheel.advance(ctx.now()));
+        if fired.is_empty() {
+            self.wakes.expired_nothing += 1;
+        }
         for &tag in &fired {
             self.fire(ctx, tag);
         }
         self.fire_scratch = fired;
+        self.schedule_wake(ctx);
+    }
+
+    fn on_restart(&mut self, ctx: &mut Context<'_, VhMsg>) {
+        // The endpoint's memory is modelled as surviving, its timers are
+        // not: the live wake-up died with the epoch, so the wheel has to
+        // be given a new one or nothing pending would ever fire again.
+        self.wheel_wake = None;
         self.schedule_wake(ctx);
     }
 }
@@ -1228,9 +1177,10 @@ pub struct HarnessConfig {
     /// Peer checkpoint cadence in ticks; 0 disables checkpointing, so a
     /// restarted peer recovers with empty state.
     pub checkpoint_every: SimTime,
-    /// Fault schedule: `(peer, crash_at, restart_at)` triples applied as
-    /// simulator control events. A `restart_at <= crash_at` means the
-    /// peer never comes back.
+    /// Fault schedule: `(node, crash_at, restart_at)` triples applied as
+    /// simulator control events; nodes `0..r` are the peers, the clients
+    /// follow. A `restart_at <= crash_at` means the node never comes
+    /// back.
     pub crashes: Vec<(u32, SimTime, SimTime)>,
     /// Network parameters.
     pub net: SimConfig,
@@ -1293,6 +1243,10 @@ pub struct HarnessReport {
     pub retry_attempts: LogHistogram,
     /// Telemetry counters merged across every peer's runtime.
     pub peer_metrics: MetricsSnapshot,
+    /// What the endpoints' simulator wake-ups did, summed over every
+    /// client: how many of [`SimStats::timers`] were theirs, and how
+    /// many of those found nothing to do.
+    pub client_wakes: WakeStats,
     /// Per-peer flight-recorder dumps (index = peer node id); empty
     /// unless [`HarnessConfig::flight_recorder`] was nonzero.
     pub flight_dumps: Vec<String>,
@@ -1418,9 +1372,12 @@ fn harness_simulation<'m>(
         ))));
     }
     let mut sim = Simulation::new(config.net.clone(), nodes);
-    for &(peer, crash_at, restart_at) in &config.crashes {
-        let node = NodeId(peer as usize);
-        assert!((peer as usize) < r, "crash schedule names a non-peer node");
+    for &(node, crash_at, restart_at) in &config.crashes {
+        let node = NodeId(node as usize);
+        assert!(
+            node.0 < sim.node_count(),
+            "crash schedule names a node that does not exist"
+        );
         sim.schedule_crash(node, crash_at);
         if restart_at > crash_at {
             sim.schedule_restart(node, restart_at);
@@ -1440,8 +1397,10 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
     let r = config.replication_factor as usize;
     let mut sim = harness_simulation(config, &commit_config, &engine);
     let mut crashed = vec![false; r];
-    for &(peer, _, _) in &config.crashes {
-        crashed[peer as usize] = true;
+    for &(node, _, _) in &config.crashes {
+        if let Some(peer) = crashed.get_mut(node as usize) {
+            *peer = true;
+        }
     }
     sim.run_until(config.deadline);
     let mut histories = Vec::with_capacity(r);
@@ -1465,6 +1424,7 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
     let mut all_committed = true;
     let mut commit_latency = LogHistogram::new();
     let mut retry_attempts = LogHistogram::new();
+    let mut client_wakes = WakeStats::default();
     for i in r..sim.node_count() {
         match sim.node(NodeId(i)) {
             VhNode::Client(c) => {
@@ -1472,6 +1432,7 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
                 outcomes.push(c.outcomes().to_vec());
                 commit_latency.merge(c.commit_latency());
                 retry_attempts.merge(c.retry_attempts());
+                client_wakes.merge(c.wake_stats());
             }
             VhNode::Peer(_) => unreachable!("clients follow peers"),
         }
@@ -1488,9 +1449,13 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
         commit_latency,
         retry_attempts,
         peer_metrics,
+        client_wakes,
         flight_dumps,
     }
 }
 
+mod ledger;
+#[cfg(test)]
+mod reference;
 #[cfg(test)]
 mod tests;

@@ -1,6 +1,8 @@
-//! Tests of the peer's bookkeeping: the derived indexes and the
-//! journaled checkpoint stay exact, replay protection still holds, and
-//! what a peer walks per message does not grow with its history.
+//! Tests of the peer's bookkeeping: the ledger and the journaled
+//! checkpoint stay exact, replay protection still holds, what a peer
+//! keeps and what the simulator steps through per commit do not grow
+//! with the history, and the message schedule is the one the
+//! five-collection peer (`reference.rs`) produced.
 
 use asa_simnet::{SimConfig, TraceKind};
 
@@ -66,20 +68,29 @@ fn every_update_confirmed(sim: &Sim<'_>) -> bool {
     })
 }
 
-/// The checkpoint with the journal applied must be a copy of the live
-/// bookkeeping, and the two indexes their derivations — after every
-/// event, not only where `write_checkpoint`'s `debug_assert`s look.
+/// `true` when the runtime holds exactly the sessions of the attempts in
+/// flight, all unfinished, no attempt is in two of the ledger's places,
+/// and `recorded` equals its derivation from `history`.
+fn ledger_is_exact(peer: &CommitPeer<'_>) -> bool {
+    let mut in_flight = peer.ledger.in_flight();
+    in_flight.len() == peer.runtime.len()
+        && in_flight.all(|(_, s)| peer.runtime.is_live(s) && !peer.runtime.is_finished(s))
+        && peer.ledger.is_exact()
+        && peer.recorded.len() == peer.history.len()
+        && peer.history.iter().all(|pid| peer.recorded.contains(pid))
+}
+
+/// The checkpoint brought up to date from the journal must be a copy of
+/// the live ledger, and the ledger consistent with the runtime — after
+/// every event, not only where `write_checkpoint`'s `debug_assert`s look.
 fn assert_exact(peer: &CommitPeer<'_>, context: &str) {
-    assert!(
-        peer.indexes_are_exact(),
-        "{context}: active/recorded drifted"
-    );
+    assert!(ledger_is_exact(peer), "{context}: the ledger drifted");
     match &peer.checkpoint {
         Some(checkpoint) => {
-            let mut checkpoint = checkpoint.clone();
-            checkpoint.apply(&peer.journal, &peer.history);
+            let mut durable = checkpoint.ledger.clone();
+            durable.catch_up(&peer.ledger, &peer.journal);
             assert!(
-                peer.holds(&checkpoint),
+                durable == peer.ledger && peer.history.starts_with(&checkpoint.history),
                 "{context}: checkpoint + journal is not the live bookkeeping"
             );
         }
@@ -102,20 +113,8 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
     const WRITES_BETWEEN_CRASHES: usize = 4;
     for seed in [0xC0FFEE, 2007] {
         let config = HarnessConfig {
-            client_updates: vec![pids("chaos-a", 20), pids("chaos-b", 20)],
-            ordering: ServerOrdering::Random,
-            checkpoint_every: 500,
-            net: SimConfig {
-                seed,
-                min_delay: 1,
-                max_delay: 10,
-                drop_probability: 0.05,
-                duplicate_probability: 0.05,
-                reorder_probability: 0.2,
-                reorder_bound: 50,
-                ..SimConfig::default()
-            },
-            ..HarnessConfig::default()
+            crashes: Vec::new(),
+            ..chaos(seed)
         };
         let mut crashes = 0;
         // Checkpointed history length the next crash waits for.
@@ -156,10 +155,11 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
     }
 }
 
-/// Messages for an attempt the peer has committed must hit its kept
-/// finished session (or the recorded-PID check): nothing spawns, and the
-/// peer answers exactly as it always has — silence for a vote or commit,
-/// `Committed` for a client's update.
+/// Messages for an attempt the peer has committed must find it in the
+/// finished set (or hit the recorded-PID check): nothing spawns, and the
+/// peer answers exactly as it did while the finished session was kept to
+/// absorb them — silence for a vote or commit, `Committed` for a
+/// client's update.
 #[test]
 fn replays_for_a_committed_attempt_spawn_nothing() {
     let config = fault_free(vec![pids("v", 2)]);
@@ -219,10 +219,11 @@ fn replays_for_a_committed_attempt_spawn_nothing() {
     );
 }
 
-/// `storage_commit`'s shape: 4 clients × 500 updates, fault-free. Every
-/// finished attempt stays tracked (replay protection), while what the
-/// per-message paths walk — the unfinished attempts — stays a small
-/// multiple of the client count however long the history gets.
+/// `storage_commit`'s shape: 4 clients × 500 updates, fault-free. The
+/// runtime holds the sessions of the attempts in flight and nothing
+/// else, after every event: at most a small multiple of the client
+/// count however long the history gets, none at quiescence — when every
+/// attempt the peer has heard of is in its finished set or was dropped.
 #[test]
 fn in_flight_attempts_do_not_grow_with_the_history() {
     const CLIENTS: usize = 4;
@@ -237,22 +238,365 @@ fn in_flight_attempts_do_not_grow_with_the_history() {
         &config,
         |sim| {
             for peer in peers(sim) {
+                assert_eq!(peer.runtime().len(), peer.in_flight_attempts());
                 most_in_flight = most_in_flight.max(peer.in_flight_attempts());
             }
         },
         |sim| {
             assert!(every_update_confirmed(sim));
             for peer in peers(sim) {
+                assert!(ledger_is_exact(peer));
                 assert_eq!(peer.history().len(), CLIENTS * UPDATES);
                 assert_eq!(peer.in_flight_attempts(), 0);
-                assert!(peer.tracked_attempts() >= CLIENTS * UPDATES);
-                assert_eq!(peer.tracked_attempts(), peer.committed().len());
-                assert_eq!(peer.runtime().len(), peer.tracked_attempts());
+                assert!(peer.runtime().is_empty());
+                assert_eq!(peer.committed().len(), CLIENTS * UPDATES);
+                assert_eq!(peer.gc_stats().finished, (CLIENTS * UPDATES) as u64);
+                // A late vote can start a dropped attempt again, to be
+                // dropped a second time or to finish after all.
+                let dropped = peer.tracked_attempts() - peer.committed().len();
+                assert!(peer.gc_stats().aborted >= dropped as u64);
+                assert!(
+                    dropped <= CLIENTS * UPDATES / 20,
+                    "{dropped} attempts dropped: fault-free, a retry is the exception"
+                );
             }
         },
     );
     assert!(
         (1..=3 * CLIENTS).contains(&most_in_flight),
         "{most_in_flight} attempts in flight on one peer with {CLIENTS} clients"
+    );
+}
+
+/// Counts, not timings: what the simulator has to step through for one
+/// commit is the same after 2 000 commits as after 200. Before the
+/// endpoint kept a single wake-up chain every superseded wake-up bred a
+/// chain of its own, one more per commit, and the ten-times-longer run
+/// paid 103 timer events per commit, nearly all of them for nothing.
+#[test]
+fn events_per_commit_do_not_grow_with_the_history() {
+    const CLIENTS: usize = 4;
+    let per_commit = |updates: usize| {
+        let config = fault_free(
+            (0..CLIENTS)
+                .map(|c| pids(&format!("c{c}-"), updates))
+                .collect(),
+        );
+        let report = run_harness(&config);
+        assert!(report.all_committed && !report.stats.budget_exhausted);
+        let commits = (CLIENTS * updates) as f64;
+        let attempts = commits as u64 + u64::from(report.total_retries());
+        let wakes = report.client_wakes;
+        assert!(
+            wakes.expired_nothing <= 3 * attempts,
+            "{updates} updates a client: {wakes:?} for {attempts} attempts"
+        );
+        assert!(wakes.superseded <= wakes.fired && wakes.fired <= report.stats.timers);
+        let timers = report.stats.timers as f64 / commits;
+        assert!(timers <= 10.0, "{timers} timer events per commit");
+        report.stats.steps as f64 / commits
+    };
+    let (short, long) = (per_commit(50), per_commit(500));
+    assert!(
+        (long / short - 1.0).abs() <= 0.05,
+        "{short} steps per commit over 200 commits, {long} over 2 000"
+    );
+}
+
+/// FNV-1a over everything the message schedule of a run decides: when it
+/// ended, what the network did, what every client saw and what every
+/// peer recorded.
+fn schedule_fingerprint(report: &HarnessReport) -> u64 {
+    let mut hash = stategen_core::Fnv64::new();
+    let stats = &report.stats;
+    for w in [
+        report.end_time,
+        stats.delivered,
+        stats.dropped,
+        stats.duplicated,
+    ] {
+        hash.u64(w);
+    }
+    for outcome in report.outcomes.iter().flatten() {
+        hash.u64(outcome.latency);
+        hash.u64(u64::from(outcome.attempts));
+        hash.u64(u64::from(outcome.committed));
+    }
+    for history in &report.histories {
+        hash.u64(history.len() as u64);
+        for pid in history {
+            for chunk in pid.0 .0.chunks(4) {
+                let word = u32::from_le_bytes(chunk.try_into().expect("20 = 5 x 4"));
+                hash.u64(u64::from(word));
+            }
+        }
+    }
+    hash.finish()
+}
+
+/// The fault mix of `tests/chaos.rs` on longer scripts: loss,
+/// duplication, reordering, random contact order and peer 3 crashed and
+/// restarted from its checkpoint.
+fn chaos(seed: u64) -> HarnessConfig {
+    HarnessConfig {
+        client_updates: vec![pids("chaos-a", 20), pids("chaos-b", 20)],
+        ordering: ServerOrdering::Random,
+        checkpoint_every: 500,
+        crashes: vec![(3, 5_000, 20_000)],
+        net: SimConfig {
+            seed,
+            min_delay: 1,
+            max_delay: 10,
+            drop_probability: 0.05,
+            duplicate_probability: 0.05,
+            reorder_probability: 0.2,
+            reorder_bound: 50,
+            ..SimConfig::default()
+        },
+        ..HarnessConfig::default()
+    }
+}
+
+/// The message schedule is part of the contract: these fingerprints were
+/// taken on the commit *before* the endpoint kept one wake-up chain and
+/// the peer one in-flight table (PR 23), over this very word stream, so
+/// a bookkeeping change that moves one delivery by one position fails
+/// here, not in a benchmark diff. Fault-free runs still retry (four
+/// clients split the vote); the chaos runs lose, duplicate and reorder
+/// messages and recover peer 3 from its checkpoint.
+#[test]
+fn message_schedule_is_the_pinned_one() {
+    for (seed, pinned) in [
+        (1, 0x5fe2_8012_3634_35fa_u64),
+        (2, 0x4791_34d1_aec3_5fa2),
+        (3, 0xd4ef_8f8a_7908_0785),
+    ] {
+        let mut config = fault_free((0..4).map(|c| pids(&format!("c{c}-"), 50)).collect());
+        config.net.seed = seed;
+        let report = run_harness(&config);
+        assert!(report.all_committed && report.total_retries() > 0);
+        assert_eq!(
+            schedule_fingerprint(&report),
+            pinned,
+            "fault-free, net seed {seed}"
+        );
+    }
+    for (seed, pinned) in [
+        (0xC0FFEE, 0xa7a1_4bad_64cf_4673_u64),
+        (2007, 0x2a3f_c56e_a9a8_d5f1),
+        (7, 0x8748_dbfb_0cad_8468),
+    ] {
+        let report = run_harness(&chaos(seed));
+        assert!(report.all_committed && report.stats.restarts == 1);
+        assert_eq!(
+            schedule_fingerprint(&report),
+            pinned,
+            "chaos, net seed {seed}"
+        );
+    }
+}
+
+/// A peer set member or a client, for a harness whose peers may be the
+/// reference implementation: the wiring `harness_simulation` does, over
+/// any peer type.
+enum Node<P> {
+    Peer(P),
+    Client(Box<ClientEndpoint>),
+}
+
+impl<P: SimNode<VhMsg>> SimNode<VhMsg> for Node<P> {
+    fn on_start(&mut self, ctx: &mut Context<'_, VhMsg>) {
+        match self {
+            Node::Peer(p) => p.on_start(ctx),
+            Node::Client(c) => c.on_start(ctx),
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, VhMsg>, from: NodeId, message: VhMsg) {
+        match self {
+            Node::Peer(p) => p.on_message(ctx, from, message),
+            Node::Client(c) => c.on_message(ctx, from, message),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, VhMsg>, tag: u64) {
+        match self {
+            Node::Peer(p) => p.on_timer(ctx, tag),
+            Node::Client(c) => c.on_timer(ctx, tag),
+        }
+    }
+
+    fn on_restart(&mut self, ctx: &mut Context<'_, VhMsg>) {
+        match self {
+            Node::Peer(p) => p.on_restart(ctx),
+            Node::Client(c) => c.on_restart(ctx),
+        }
+    }
+}
+
+/// What the differential test compares of a peer, beside the trace.
+#[derive(Debug, PartialEq, Eq)]
+struct PeerView {
+    history: Vec<Pid>,
+    committed: BTreeSet<AttemptId>,
+    spawns: u64,
+    aborted: u64,
+}
+
+/// Everything observable of one run: the simulator's trace (every
+/// delivery, loss, duplicate, hold-back, crash, restart and timer, with
+/// its tick), its counters and end time, and each peer's view.
+#[derive(Debug, PartialEq, Eq)]
+struct Run {
+    trace: Vec<asa_simnet::TraceEvent>,
+    stats: SimStats,
+    end_time: SimTime,
+    peers: Vec<PeerView>,
+}
+
+/// Runs `config` with peers built by `new_peer` and viewed by `view`.
+fn run_with<'m, P: SimNode<VhMsg>>(
+    config: &HarnessConfig,
+    engine: &'m PeerEngine,
+    new_peer: impl Fn(&'m PeerEngine, usize, PeerBehaviour, SimTime, SimTime) -> P,
+    mut view: impl FnMut(&P) -> PeerView,
+) -> Run {
+    let r = config.replication_factor as usize;
+    let mut nodes = Vec::new();
+    for i in 0..r {
+        let behaviour = config.behaviours.get(i).copied().unwrap_or_default();
+        nodes.push(Node::Peer(new_peer(
+            engine,
+            r,
+            behaviour,
+            config.peer_gc,
+            config.checkpoint_every,
+        )));
+    }
+    for (client, updates) in config.client_updates.iter().enumerate() {
+        nodes.push(Node::Client(Box::new(ClientEndpoint::new(
+            client as u32,
+            r,
+            (config.replication_factor - 1) / 3,
+            updates.clone(),
+            config.retry,
+            config.ordering,
+            config.timeout,
+            config.contact_stagger,
+            config.max_attempts,
+        ))));
+    }
+    let mut sim = Simulation::new(config.net.clone(), nodes);
+    sim.enable_trace(1 << 20);
+    for &(node, crash_at, restart_at) in &config.crashes {
+        sim.schedule_crash(NodeId(node as usize), crash_at);
+        sim.schedule_restart(NodeId(node as usize), restart_at);
+    }
+    let stats = sim.run_until(config.deadline);
+    let trace = sim.trace().expect("enabled above");
+    assert!(!trace.is_truncated() && !stats.budget_exhausted);
+    Run {
+        trace: trace.events().to_vec(),
+        stats,
+        end_time: sim.now(),
+        peers: sim
+            .nodes()
+            .iter()
+            .filter_map(|node| match node {
+                Node::Peer(peer) => Some(view(peer)),
+                Node::Client(_) => None,
+            })
+            .collect(),
+    }
+}
+
+/// A random fault mix: loss, duplication, reordering, a peer crashed and
+/// restarted (with or without checkpoints to recover from), sometimes an
+/// equivocator, sometimes a GC budget short enough that stalled attempts
+/// are dropped while votes for them are still in flight.
+fn random_chaos(seed: u64) -> HarnessConfig {
+    let mut rng = asa_simnet::SimRng::new(seed);
+    let r = *rng.pick(&[4u32, 4, 7]);
+    let clients = rng.range_inclusive(1, 3) as usize;
+    let updates = rng.range_inclusive(2, 6) as usize;
+    let mut behaviours = vec![PeerBehaviour::Correct; r as usize];
+    if rng.chance(0.5) {
+        behaviours[rng.below(u64::from(r)) as usize] = PeerBehaviour::Equivocator;
+    }
+    let crash_at = rng.range_inclusive(50, 3_000);
+    HarnessConfig {
+        replication_factor: r,
+        behaviours,
+        client_updates: (0..clients)
+            .map(|c| pids(&format!("s{seed}-c{c}-"), updates))
+            .collect(),
+        ordering: *rng.pick(&[ServerOrdering::Fixed, ServerOrdering::Random]),
+        timeout: *rng.pick(&[300, 1_000]),
+        contact_stagger: rng.below(4),
+        peer_gc: *rng.pick(&[150, 600, 4_000]),
+        max_attempts: 30,
+        checkpoint_every: *rng.pick(&[0, 200, 500]),
+        crashes: vec![(
+            rng.below(u64::from(r)) as u32,
+            crash_at,
+            crash_at + rng.range_inclusive(50, 2_000),
+        )],
+        net: SimConfig {
+            seed,
+            min_delay: 1,
+            max_delay: rng.range_inclusive(5, 40),
+            drop_probability: rng.below(10) as f64 / 100.0,
+            duplicate_probability: rng.below(20) as f64 / 100.0,
+            reorder_probability: rng.below(30) as f64 / 100.0,
+            reorder_bound: rng.range_inclusive(1, 80),
+            ..SimConfig::default()
+        },
+        deadline: 400_000,
+        ..HarnessConfig::default()
+    }
+}
+
+/// The table peer against the five-collection peer it replaced
+/// (`reference.rs`), on random fault mixes: the same trace event for
+/// event, the same histories and finished sets, as many sessions spawned
+/// and as many abandoned — and the sweep must have exercised what sets
+/// the two apart: recoveries, dropped attempts, and dropped attempts a
+/// late message started again.
+#[test]
+fn table_peer_matches_the_reference_peer_on_random_chaos() {
+    let (mut restarts, mut aborted, mut respawned, mut equivocated) = (0, 0, 0, 0);
+    for seed in 0..48 {
+        let config = random_chaos(seed);
+        let commit_config = CommitConfig::new(config.replication_factor).expect("valid factor");
+        let engine = PeerEngine::new(&commit_config);
+        let table = run_with(&config, &engine, CommitPeer::new, |peer| {
+            assert!(ledger_is_exact(peer), "seed {seed}");
+            if peer.metrics().spawns > peer.tracked_attempts() as u64 {
+                respawned += 1;
+            }
+            PeerView {
+                history: peer.history().to_vec(),
+                committed: peer.committed().clone(),
+                spawns: peer.metrics().spawns,
+                aborted: peer.gc_stats().aborted,
+            }
+        });
+        let reference = run_with(&config, &engine, reference::ReferencePeer::new, |peer| {
+            PeerView {
+                history: peer.history().to_vec(),
+                committed: peer.committed().clone(),
+                spawns: peer.metrics().spawns,
+                aborted: peer.metrics().releases_aborted,
+            }
+        });
+        assert!(table == reference, "seed {seed}: {config:?}");
+        restarts += table.stats.restarts;
+        aborted += table.peers.iter().map(|peer| peer.aborted).sum::<u64>();
+        equivocated += u64::from(config.behaviours.contains(&PeerBehaviour::Equivocator));
+    }
+    assert!(
+        restarts >= 40 && aborted >= 100 && respawned >= 10 && equivocated >= 10,
+        "{restarts} restarts, {aborted} attempts dropped, {respawned} peers respawned one, \\
+         {equivocated} runs with an equivocator"
     );
 }

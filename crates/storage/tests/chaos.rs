@@ -107,6 +107,12 @@ macro_rules! check {
 fn assert_core_invariants(seed: u64, config: &HarnessConfig, report: &HarnessReport) {
     check!(
         report,
+        !report.stats.budget_exhausted,
+        "seed {seed}: the simulator's step budget cut the run short at tick {}",
+        report.end_time
+    );
+    check!(
+        report,
         report.all_committed,
         "seed {seed}: not every update was confirmed: {:?}",
         report.outcomes
@@ -282,6 +288,7 @@ fn crash_without_checkpoint_keeps_stable_peers_safe() {
     let mut config = chaos_config(seed);
     config.checkpoint_every = 0;
     let report = run_harness(&config);
+    assert!(!report.stats.budget_exhausted, "seed {seed}");
     assert!(
         report.orders_agree_stable(),
         "seed {seed}: stable peers diverge: {:?}",

@@ -2,10 +2,24 @@
 //! §2.2): agreement, Byzantine tolerance, deadlock and retry.
 
 use asa_simnet::SimConfig;
-use asa_storage::{run_harness, HarnessConfig, PeerBehaviour, Pid, RetryScheme, ServerOrdering};
+use asa_storage::{
+    run_harness, HarnessConfig, HarnessReport, PeerBehaviour, Pid, RetryScheme, ServerOrdering,
+};
 
 fn pid(tag: &str) -> Pid {
     Pid::of(tag.as_bytes())
+}
+
+/// `run_harness`, refusing a run the simulator's step budget cut short:
+/// such a run looks like an ordinary "not all committed".
+fn run(config: &HarnessConfig) -> HarnessReport {
+    let report = run_harness(config);
+    assert!(
+        !report.stats.budget_exhausted,
+        "the step budget ended the run at tick {}",
+        report.end_time
+    );
+    report
 }
 
 fn base_config() -> HarnessConfig {
@@ -26,7 +40,7 @@ fn single_update_commits_everywhere() {
         client_updates: vec![vec![pid("v1")]],
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed, "update must commit");
     assert!(report.orders_agree());
     for h in report.correct_histories() {
@@ -42,7 +56,7 @@ fn sequential_updates_keep_order() {
         client_updates: vec![updates.clone()],
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed);
     assert!(report.orders_agree());
     assert_eq!(report.correct_histories()[0], &updates);
@@ -62,7 +76,7 @@ fn tolerates_one_equivocator_r4() {
             },
             ..base_config()
         };
-        let report = run_harness(&config);
+        let report = run(&config);
         assert!(
             report.all_committed,
             "seed {seed}: update must commit despite equivocator"
@@ -86,7 +100,7 @@ fn tolerates_one_silent_peer_r4() {
         client_updates: vec![vec![pid("quiet ride")]],
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(
         report.all_committed,
         "3 live peers out of 4 reach the 2f+1 = 3 threshold"
@@ -102,7 +116,7 @@ fn tolerates_two_silent_peers_r7() {
         client_updates: vec![vec![pid("r7 update")]],
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(
         report.all_committed,
         "5 live peers out of 7 reach the 2f+1 = 5 threshold"
@@ -124,7 +138,7 @@ fn equivocator_and_concurrent_clients_r7() {
         },
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed, "both clients commit");
     assert!(report.sets_agree(), "correct peers record the same set");
 }
@@ -154,7 +168,7 @@ fn concurrent_updates_deadlock_without_retry_commit_with_it() {
             },
             ..base_config()
         };
-        let report = run_harness(&no_retry);
+        let report = run(&no_retry);
         if !report.all_committed {
             deadlocks_without_retry += 1;
         }
@@ -167,7 +181,7 @@ fn concurrent_updates_deadlock_without_retry_commit_with_it() {
             },
             ..no_retry
         };
-        let report = run_harness(&with_retry);
+        let report = run(&with_retry);
         if report.all_committed {
             commits_with_retry += 1;
         }
@@ -207,7 +221,7 @@ fn fixed_server_ordering_reduces_deadlocks() {
                     },
                     ..base_config()
                 };
-                !run_harness(&config).all_committed
+                !run(&config).all_committed
             })
             .count()
     };
@@ -226,7 +240,7 @@ fn consistent_read_masks_byzantine_history() {
         client_updates: vec![vec![pid("x1"), pid("x2")]],
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed);
     // f = 1 for r = 4: at least 2 identical answers required.
     let history = report.read_consistent(1).expect("consistent read succeeds");
@@ -251,7 +265,7 @@ fn lossy_network_recovers_via_retry() {
         },
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed, "retries mask 5% message loss");
     assert!(report.orders_agree());
 }
@@ -269,7 +283,7 @@ fn duplicated_messages_are_harmless() {
         },
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed);
     assert!(
         report.orders_agree(),
@@ -299,7 +313,7 @@ fn many_clients_serialise() {
         },
         ..base_config()
     };
-    let report = run_harness(&config);
+    let report = run(&config);
     assert!(report.all_committed, "all 8 updates commit");
     assert!(report.sets_agree());
     assert_eq!(report.correct_histories()[0].len(), 8);
@@ -317,9 +331,42 @@ fn determinism_same_seed_same_report() {
         },
         ..base_config()
     };
-    let a = run_harness(&config);
-    let b = run_harness(&config);
+    let a = run(&config);
+    let b = run(&config);
     assert_eq!(a.histories, b.histories);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.end_time, b.end_time);
+}
+
+/// A client is a node like any other: it can crash. Its memory is
+/// modelled as surviving, its timers and the reports sent to it while
+/// it was down are gone, so on restart it has to wake its timer wheel
+/// again or it waits forever on a timeout that will never fire.
+#[test]
+fn crashed_client_wakes_up_and_confirms_every_update() {
+    let updates: Vec<Pid> = (0..12).map(|i| pid(&format!("w{i}"))).collect();
+    let bystander: Vec<Pid> = (0..12).map(|i| pid(&format!("b{i}"))).collect();
+    let client = 4; // nodes 0..4 are the peers
+    for (crash_at, restart_at) in [(40, 400), (100, 5_000), (3, 60)] {
+        let config = HarnessConfig {
+            client_updates: vec![updates.clone(), bystander.clone()],
+            crashes: vec![(client, crash_at, restart_at)],
+            ..base_config()
+        };
+        let report = run(&config);
+        assert_eq!((report.stats.crashes, report.stats.restarts), (1, 1));
+        // Discarded while it was down, or as a dead epoch's afterwards.
+        assert!(
+            report.stats.to_crashed + report.stats.timers_stale > 0,
+            "crash at {crash_at}: the client lost neither a wake-up nor a message"
+        );
+        assert!(
+            report.all_committed,
+            "crash at {crash_at}, restart at {restart_at}: {:?}",
+            report.outcomes[0]
+        );
+        assert_eq!(report.outcomes[0].len(), updates.len());
+        assert!(report.sets_agree());
+        assert_eq!(report.crashed, vec![false; 4], "no peer crashed");
+    }
 }

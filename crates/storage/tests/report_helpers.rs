@@ -1,7 +1,7 @@
 //! Unit-level checks of the harness report helpers on synthetic data.
 
 use asa_simnet::SimStats;
-use asa_storage::{HarnessReport, LogHistogram, MetricsSnapshot, PeerBehaviour, Pid};
+use asa_storage::{HarnessReport, LogHistogram, MetricsSnapshot, PeerBehaviour, Pid, WakeStats};
 
 fn report(histories: Vec<Vec<Pid>>, behaviours: Vec<PeerBehaviour>) -> HarnessReport {
     let crashed = vec![false; histories.len()];
@@ -16,6 +16,7 @@ fn report(histories: Vec<Vec<Pid>>, behaviours: Vec<PeerBehaviour>) -> HarnessRe
         commit_latency: LogHistogram::new(),
         retry_attempts: LogHistogram::new(),
         peer_metrics: MetricsSnapshot::default(),
+        client_wakes: WakeStats::default(),
         flight_dumps: vec![],
     }
 }
