@@ -1,36 +1,38 @@
 //! Engine-tier comparison: ns/delivery and allocation counts for the
-//! interpreted, compiled, batched, kernel-batched, sharded, EFSM and
+//! interpreted, compiled, batched, kernel-batched, EFSM and
 //! build-time-generated execution tiers, all running the same canonical
 //! commit trace at r = 4.
 //!
 //! The batch-kernel gate: `batched_pool` / `efsm_pool` measure the
 //! *scalar* per-session batch walk (`deliver_all_scalar` on the core
 //! `SessionStore` — the reference semantics), while `batched_kernel`
-//! / `efsm_kernel` measure the branchless kernels behind
-//! `deliver_all`. The paired alternating measurement at the bottom
-//! hard-fails unless the kernels win by ≥ 1.25× (dense) and ≥ 1.4×
-//! (EFSM) on a single core — branch elimination alone, no
-//! multi-threading involved — at zero allocations per delivery.
-//! Those rows run the canonical trace in *lockstep* (every session in
-//! one state: the kernels' `fill` / contiguous-sweep fast paths); the
+//! measures the dense tier's branchless kernel behind `deliver_all`.
+//! The paired alternating measurement at the bottom hard-fails unless
+//! the kernel wins by ≥ 1.25× on a single core — branch elimination
+//! alone, no multi-threading involved — at zero allocations per
+//! delivery. Those rows run the canonical trace in *lockstep* (every
+//! session in one state: the kernel's `fill` fast path); the
 //! `*_divergent` rows run pre-diverged pools at r = 7 and r = 25, where
 //! the dense tier's one-pass column gather is gated at ≥ 1.5× the
-//! scalar walk; the register tier serves a divergent pool *by* the
-//! scalar walk, so it has the `efsm_pool_divergent*` rows only.
+//! scalar walk. The register tier has no kernel — its `deliver_all` is
+//! the walk — so it has the walk's rows and one more:
+//! `efsm_kernel_over_budget`, `deliver_all` on the commit EFSM at
+//! r = 64, the one binding here `Engine::compile` leaves on that tier,
+//! reported against the walk as the median of ten alternating pairs.
 //!
-//! The sharded and facade tiers are measured **through the
-//! `stategen-runtime` facade** (`Spec → Engine → Runtime`) — the owned
-//! pipeline every deployment site now consumes — and the dedicated
-//! `runtime_facade` row hard-gates the facade's overhead: 64k-session
-//! batch dispatch must stay within 1.10× of raw dense-table stepping
-//! (a paired alternating measurement against the bare
-//! `CompiledMachine::step` loop; `compiled_raw_64k` is the same
-//! baseline as a reported row) at zero allocations per delivery, both
-//! hard assertions — the facade is only allowed to exist if it is
-//! free. `runtime_facade_sharded_4` tracks the same work with 4-way
-//! sharding as configuration; like the `sharded_pool_*` rows it opens
-//! the worker driver (threads, deques, mailboxes) per batch, so it is
-//! exempt from the zero-alloc assertion and reported rather than gated.
+//! The facade tiers are measured **through the `stategen-runtime`
+//! facade** (`Spec → Engine → Runtime`) — the owned pipeline every
+//! deployment site now consumes — and the dedicated `runtime_facade` row
+//! hard-gates the facade's overhead: 64k-session batch dispatch must
+//! stay within 1.10× of raw dense-table stepping (a paired alternating
+//! measurement against the bare `CompiledMachine::step` loop;
+//! `compiled_raw_64k` is the same baseline as a reported row) at zero
+//! allocations per delivery, both hard assertions — the facade is only
+//! allowed to exist if it is free. Sharded runtimes have no row: a
+//! sharded batch is one fork-join per call, which measures thread
+//! spawn/join, not the engine; `benchmark/`'s
+//! `runtime.sharded2_batch_us_p50` is the instrument for that
+//! (`docs/KERNELS.md`).
 //!
 //! Emits a machine-readable `BENCH_engine_tiers.json` at the workspace
 //! root (ns/delivery per tier, speedup ratios vs the interpreted
@@ -46,14 +48,8 @@
 //! dispatching through the same dense tables, `hsm_guarded_flattened`,
 //! a *guarded* statechart (retry-budget session lifecycle) flattened
 //! through the unified IR, bound, unfolded onto the dense tier and
-//! batch-served at 64k sessions, and the persistent-worker rows
-//! (`sharded_persistent_4` = 4 workers × 4 shards, `work_stealing_4` =
-//! 4 workers × 16 shards — the same driver, only the ratio differs),
-//! whose workers are spawned once *outside* the measurement and whose
-//! shard scratch is shard-resident. Exempt from the assertion: only the
-//! per-call sharded rows (`sharded_pool_*`,
-//! `runtime_facade_sharded_4`), which spawn worker threads per batch by
-//! design, amortised over tens of thousands of sessions per batch.
+//! batch-served at 64k sessions. Exempt from the assertion: only the
+//! cold-load and build-time-generated rows, which allocate by nature.
 //!
 //! The deployment path gets its own rows: `artifact_cold_load` times
 //! the full ship-and-boot cycle (encode to the versioned artifact
@@ -119,9 +115,9 @@ const SINGLE_DELIVERIES: u64 = 1_800_000;
 /// Sessions in the batched tier (deliveries = sessions × trace rounds).
 const POOL_SESSIONS: usize = 4096;
 
-/// Sessions in the sharded tiers (the multi-core scaling measurement;
-/// the acceptance bar is ≥ 64k concurrent sessions).
-const SHARDED_SESSIONS: usize = 65_536;
+/// Sessions in the serving-scale rows (the acceptance bar is ≥ 64k
+/// concurrent sessions).
+const SERVING_SESSIONS: usize = 65_536;
 
 struct TierResult {
     name: String,
@@ -159,6 +155,16 @@ fn measure(
         ns_per_delivery: best_ns / deliveries as f64,
         allocs_per_delivery: worst_allocs as f64 / deliveries as f64,
         assert_zero_alloc,
+    }
+}
+
+/// The median of `samples` (sorted in place).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    match samples.len() % 2 {
+        0 => (samples[mid - 1] + samples[mid]) / 2.0,
+        _ => samples[mid],
     }
 }
 
@@ -270,7 +276,7 @@ fn main() {
     let efsm = commit_efsm();
     let compiled_efsm = CompiledEfsm::compile(&efsm).expect("commit EFSM compiles");
     let efsm_params = commit_efsm_params(&config);
-    // The owned pipeline engine every sharded/facade row serves from.
+    // The owned pipeline engine every facade row serves from.
     let facade_engine =
         Engine::compile(Spec::machine(machine.clone())).expect("commit machine compiles");
     let ids: Vec<_> = TRACE
@@ -387,8 +393,8 @@ fn main() {
     // its budget the flat machine has 39 reachable configurations, so
     // `Engine::compile` unfolds it onto the dense table: the row must
     // be no dearer than the register tier it left (tracked against
-    // `efsm_kernel` below) and keep the zero-allocation guarantee —
-    // hard-asserted like every single-shard compiled row.
+    // `efsm_pool` below) and keep the zero-allocation guarantee —
+    // hard-asserted like every compiled row.
     let guarded_engine =
         Engine::compile(Spec::hsm_with_params(session_lifecycle_guarded(), vec![3]))
             .expect("guarded lifecycle compiles");
@@ -401,10 +407,10 @@ fn main() {
         .collect();
     let guarded_rounds = 4u64;
     let guarded_deliveries =
-        guarded_rounds * SHARDED_SESSIONS as u64 * HSM_GUARDED_TRACE.len() as u64;
+        guarded_rounds * SERVING_SESSIONS as u64 * HSM_GUARDED_TRACE.len() as u64;
     let guarded_flat_states = guarded_engine.state_count();
     {
-        let mut rt = guarded_engine.runtime_with(SHARDED_SESSIONS);
+        let mut rt = guarded_engine.runtime_with(SERVING_SESSIONS);
         results.push(measure(
             "hsm_guarded_flattened",
             guarded_deliveries,
@@ -649,17 +655,13 @@ fn main() {
     ));
 
     // Tier 7: batched EFSM sessions over the same store type (variable
-    // registers struct-of-arrays) — the same scalar/kernel split as
-    // tier 4. `efsm_pool` steps sessions one at a time through the
-    // fused bytecode; `efsm_kernel` — the pool is in lockstep — evaluates
-    // the fused threshold checks `sign·vars[v] + bound ≤ 0` as masked
-    // compares swept down the register file (the per-session
-    // `(v ^ m) − m + t` form lifted to a column sweep). Gate below:
-    // ≥ 1.4×.
+    // registers struct-of-arrays). `efsm_pool` steps sessions one at a
+    // time through the fused checks — which is all `deliver_all` does
+    // on this tier.
     assert_eq!(
         compiled_efsm.bind(&efsm_params).spill_cell_count(),
         0,
-        "the commit EFSM must stay entirely on the fused kernel fast path"
+        "the commit EFSM must stay entirely on the fused single-step fast path"
     );
     let mut efsm_pool = SessionStore::new(register, POOL_SESSIONS);
     results.push(measure("efsm_pool", pool_deliveries, true, || {
@@ -672,60 +674,81 @@ fn main() {
         }
         transitions
     }));
-    results.push(measure("efsm_kernel", pool_deliveries, true, || {
-        let mut transitions = 0;
-        for _ in 0..pool_rounds {
-            for &id in &efsm_ids {
-                transitions += efsm_pool.deliver_all(id);
-            }
-            efsm_pool.reset_all();
-        }
-        transitions
-    }));
-    // The EFSM-kernel gate, paired like the dense one.
-    let efsm_kernel_ratio = {
-        let scalar_pass = |pool: &mut SessionStore| {
-            let mut transitions = 0u64;
-            for _ in 0..pool_rounds {
-                for &id in &efsm_ids {
-                    transitions += pool.deliver_all_scalar(id);
-                }
-                pool.reset_all();
-            }
-            transitions
-        };
-        let kernel_pass = |pool: &mut SessionStore| {
-            let mut transitions = 0u64;
-            for _ in 0..pool_rounds {
-                for &id in &efsm_ids {
-                    transitions += pool.deliver_all(id);
-                }
-                pool.reset_all();
-            }
-            transitions
-        };
-        let scalar_transitions = std::hint::black_box(scalar_pass(&mut efsm_pool));
-        let kernel_transitions = std::hint::black_box(kernel_pass(&mut efsm_pool));
-        assert_eq!(
-            scalar_transitions, kernel_transitions,
-            "the EFSM kernel must transition exactly like the scalar walk"
+
+    // Tier 7 over budget: since PR 22 a bound commit EFSM unfolds onto
+    // the dense table for every r ≤ 54, so the rows above keep the
+    // register tier only because they build it explicitly. This row is
+    // a machine that really compiles there: the commit EFSM at r = 64,
+    // which `Engine::compile` reports as over budget, on a 4 096-session
+    // lockstep pool, `deliver_all` against `deliver_all_scalar` as the
+    // median of ten alternating pairs — not best-of. ROADMAP item 2's
+    // rule (i) held the register tier's masked lockstep sweep to ≥ 1.3×
+    // here; it read 1.31 [1.29, 1.33] over 33 runs, below the bar in one
+    // run of three, and was deleted (`docs/KERNELS.md`), so the ratio now
+    // reads ≈ 1 and is reported, not gated. The row reports the median
+    // `deliver_all` pass.
+    let (over_budget_row, over_budget_ratio) = {
+        let params = commit_efsm_params(&CommitConfig::new(64).expect("valid replication factor"));
+        let spec = Engine::compile(Spec::efsm(efsm.clone(), params.clone())).expect("compiles");
+        let lowering = format!("{spec:?}");
+        assert!(
+            lowering.contains("register: over budget"),
+            "the r = 64 commit EFSM must stay on the register tier: {lowering}"
         );
-        let mut scalar_best = f64::INFINITY;
-        let mut kernel_best = f64::INFINITY;
-        for _ in 0..5 {
+        let engine = StepEngine::compile_ir(&FlatIr::from_efsm(&efsm), &params).expect("compiles");
+        let trace: Vec<_> = TRACE
+            .iter()
+            .map(|m| engine.message_id(m).expect("valid message"))
+            .collect();
+        let mut pool = SessionStore::new(engine, POOL_SESSIONS);
+        let mut pass = |kernel: bool| {
+            let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
             let start = Instant::now();
-            std::hint::black_box(scalar_pass(&mut efsm_pool));
-            scalar_best = scalar_best.min(start.elapsed().as_nanos() as f64);
-            let start = Instant::now();
-            std::hint::black_box(kernel_pass(&mut efsm_pool));
-            kernel_best = kernel_best.min(start.elapsed().as_nanos() as f64);
+            let mut transitions = 0u64;
+            for _ in 0..pool_rounds {
+                for &id in &trace {
+                    transitions += if kernel {
+                        pool.deliver_all(id)
+                    } else {
+                        pool.deliver_all_scalar(id)
+                    };
+                }
+                pool.reset_all();
+            }
+            let ns = start.elapsed().as_nanos() as f64;
+            (
+                ns,
+                transitions,
+                ALLOCATIONS.load(Ordering::Relaxed) - allocs_before,
+            )
+        };
+        let (_, expected, _) = pass(false);
+        let (mut ratios, mut kernel_ns, mut allocs) = (Vec::new(), Vec::new(), 0);
+        for _ in 0..10 {
+            let (scalar, scalar_transitions, scalar_allocs) = pass(false);
+            let (kernel, kernel_transitions, kernel_allocs) = pass(true);
+            assert_eq!(
+                (scalar_transitions, kernel_transitions),
+                (expected, expected),
+                "the over-budget EFSM kernel must transition exactly like the scalar walk"
+            );
+            ratios.push(scalar / kernel);
+            kernel_ns.push(kernel);
+            allocs = allocs.max(scalar_allocs.max(kernel_allocs));
         }
-        scalar_best / kernel_best
+        let row = TierResult {
+            name: "efsm_kernel_over_budget".to_string(),
+            ns_per_delivery: median(&mut kernel_ns) / pool_deliveries as f64,
+            allocs_per_delivery: allocs as f64 / pool_deliveries as f64,
+            assert_zero_alloc: true,
+        };
+        (row, median(&mut ratios))
     };
+    results.push(over_budget_row);
 
     // Tier 7a: *divergent* pools — sessions spread over tens of states,
     // the serving shape the lockstep rows above never leave their
-    // `fill` / contiguous-sweep fast path to reach. Commit r = 7 (the
+    // `fill` fast path to reach. Commit r = 7 (the
     // `benchmark/` batch workloads' machine) at 65 536 sessions is the
     // gated shape; 4 096 sessions and the wide r = 25 machine ride along
     // as reported rows. Dense: the one-pass column gather must beat the
@@ -733,9 +756,9 @@ fn main() {
     // walk, so only its `efsm_pool_divergent*` rows exist.
     let mut divergent_ratios: Vec<(String, f64)> = Vec::new();
     for (r, sessions, suffix) in [
-        (7, SHARDED_SESSIONS, ""),
+        (7, SERVING_SESSIONS, ""),
         (7, POOL_SESSIONS, "_4k"),
-        (25, SHARDED_SESSIONS, "_r25"),
+        (25, SERVING_SESSIONS, "_r25"),
     ] {
         let config = CommitConfig::new(r).expect("valid replication factor");
         let wide = generate(&CommitModel::new(config)).expect("generates");
@@ -799,113 +822,27 @@ fn main() {
         ));
     }
 
-    // Tiers 8–10: sharded multi-core batch stepping over 64k sessions,
-    // one worker thread per shard, the driver opened per call. Shard
-    // results are bit-identical to a single store; the rows track how
-    // batch throughput scales with worker count on this machine's
-    // cores.
-    let sharded_rounds = 4u64;
-    let sharded_deliveries = sharded_rounds * SHARDED_SESSIONS as u64 * TRACE.len() as u64;
-    for shards in [1usize, 2, 4] {
-        let mut sharded = facade_engine.runtime().sharded(shards);
-        sharded.spawn_many(SHARDED_SESSIONS);
-        results.push(measure(
-            format!("sharded_pool_{shards}"),
-            sharded_deliveries,
-            false,
-            || {
-                let mut transitions = 0;
-                for _ in 0..sharded_rounds {
-                    for &id in &ids {
-                        transitions += sharded.deliver_all(id);
-                    }
-                    sharded.reset_all();
-                }
-                transitions
-            },
-        ));
-    }
+    // The serving-scale rows below all run 64k sessions through the
+    // canonical trace, four rounds a pass.
+    let serving_rounds = 4u64;
+    let serving_deliveries = serving_rounds * SERVING_SESSIONS as u64 * TRACE.len() as u64;
 
-    // Tier 10b: the same 4-shard batch work with the driver held open:
-    // four workers, one shard each, parked between batches. The
-    // workers are spawned once, *outside* the measured passes, and
-    // every shard's kernel scratch lives in the shard itself — so
-    // unlike the per-call rows above, the steady state is pure condvar
-    // handshakes over pre-sized buffers and the row joins the hard
-    // zero-alloc gate.
-    {
-        let mut sharded = facade_engine.runtime().sharded(4);
-        sharded.spawn_many(SHARDED_SESSIONS);
-        let row = sharded.with_workers(4, |workers| {
-            measure("sharded_persistent_4", sharded_deliveries, true, || {
-                let mut transitions = 0;
-                for _ in 0..sharded_rounds {
-                    for &id in &ids {
-                        transitions += workers.deliver_all(id);
-                    }
-                    workers.reset_all();
-                }
-                transitions
-            })
-        });
-        results.push(row);
-    }
-
-    // Tier 10c: the same driver with fewer workers than shards —
-    // sixteen shards over four persistent workers: each worker drains
-    // its own deque front-first and steals from its neighbours' tails
-    // when empty, so an unlucky shard split can't idle three cores. Every shard is still processed exactly
-    // once per batch by exactly one worker, so the results are
-    // bit-identical to the flat pool — asserted per batch against a
-    // flat runtime before measuring, and the row joins the hard
-    // zero-alloc gate (deques are refilled in place within retained
-    // capacity).
-    {
-        let mut flat = facade_engine.runtime_with(SHARDED_SESSIONS);
-        let mut sharded = facade_engine.runtime().sharded(16);
-        sharded.spawn_many(SHARDED_SESSIONS);
-        let row = sharded.with_workers(4, |workers| {
-            for &id in &ids {
-                assert_eq!(
-                    workers.deliver_all(id),
-                    flat.deliver_all(id),
-                    "stealing workers must transition exactly like the flat pool"
-                );
-                assert_eq!(workers.finished_count(), flat.finished_count());
-                assert_eq!(workers.steps(), flat.steps());
-            }
-            workers.reset_all();
-            measure("work_stealing_4", sharded_deliveries, true, || {
-                let mut transitions = 0;
-                for _ in 0..sharded_rounds {
-                    for &id in &ids {
-                        transitions += workers.deliver_all(id);
-                    }
-                    workers.reset_all();
-                }
-                transitions
-            })
-        });
-        results.push(row);
-    }
-
-    // The facade-overhead gate. `compiled_raw_64k` is plain compiled
+    // Tier 8: the facade-overhead gate. `compiled_raw_64k` is plain compiled
     // dispatch at the serving scale — 64k dense `u32` states stepped
     // straight through `CompiledMachine::step`, the loop any deployment
     // would hand-roll without the runtime. `runtime_facade` is the same
     // work through `Runtime::deliver_all` (slot skip-check, finished
-    // bitset and step accounting included); `runtime_facade_sharded_4`
-    // adds 4-way sharding as configuration. The facade must cost ≤ 10%
+    // count and step accounting included). The facade must cost ≤ 10%
     // over raw stepping at 0 allocs/delivery — hard-asserted below.
     let start_state = compiled.start();
-    let mut raw_states = vec![start_state; SHARDED_SESSIONS];
+    let mut raw_states = vec![start_state; SERVING_SESSIONS];
     results.push(measure(
         "compiled_raw_64k",
-        sharded_deliveries,
+        serving_deliveries,
         true,
         || {
             let mut transitions = 0;
-            for _ in 0..sharded_rounds {
+            for _ in 0..serving_rounds {
                 for &id in &ids {
                     for state in &mut raw_states {
                         if let Some((target, _)) = compiled.step(*state, id) {
@@ -920,10 +857,10 @@ fn main() {
         },
     ));
     {
-        let mut facade = facade_engine.runtime_with(SHARDED_SESSIONS);
-        results.push(measure("runtime_facade", sharded_deliveries, true, || {
+        let mut facade = facade_engine.runtime_with(SERVING_SESSIONS);
+        results.push(measure("runtime_facade", serving_deliveries, true, || {
             let mut transitions = 0;
-            for _ in 0..sharded_rounds {
+            for _ in 0..serving_rounds {
                 for &id in &ids {
                     transitions += facade.deliver_all(id);
                 }
@@ -931,26 +868,9 @@ fn main() {
             }
             transitions
         }));
-        let mut facade_sharded = facade_engine.runtime().sharded(4);
-        facade_sharded.spawn_many(SHARDED_SESSIONS);
-        results.push(measure(
-            "runtime_facade_sharded_4",
-            sharded_deliveries,
-            false,
-            || {
-                let mut transitions = 0;
-                for _ in 0..sharded_rounds {
-                    for &id in &ids {
-                        transitions += facade_sharded.deliver_all(id);
-                    }
-                    facade_sharded.reset_all();
-                }
-                transitions
-            },
-        ));
     }
 
-    // Tier 10c: the observability row. The same 64k-session batch work
+    // Tier 9: the observability row. The same 64k-session batch work
     // with the full telemetry stack live: per-shard counters (always
     // compiled in), the batch-latency histogram, and a 256-event
     // flight-recorder ring receiving every transition. 256 events is
@@ -959,18 +879,18 @@ fn main() {
     // would evict it and bill pure cache misses to the recorder. The
     // ring and histogram are sized once at attach, so steady state
     // must stay allocation-free — hard-asserted like every
-    // single-shard compiled row; the paired gate below bounds the
+    // compiled row; the paired gate below bounds the
     // recording overhead.
     {
-        let mut observed = facade_engine.runtime_with(SHARDED_SESSIONS);
+        let mut observed = facade_engine.runtime_with(SERVING_SESSIONS);
         observed.attach_recorder(256);
         results.push(measure(
             "runtime_observed",
-            sharded_deliveries,
+            serving_deliveries,
             true,
             || {
                 let mut transitions = 0;
-                for _ in 0..sharded_rounds {
+                for _ in 0..serving_rounds {
                     for &id in &ids {
                         transitions += observed.deliver_all(id);
                     }
@@ -981,7 +901,7 @@ fn main() {
         ));
     }
 
-    // Tier 11: build-time generated source (match over enum states,
+    // Tier 10: build-time generated source (match over enum states,
     // static send lists).
     results.push(measure(
         "generated",
@@ -1058,13 +978,6 @@ fn main() {
              this as a regression"
         );
     }
-    let sharded_scaling = by_name("sharded_pool_1") / by_name("sharded_pool_4");
-    println!(
-        "sharded 4-thread vs 1-thread:        {:.2}x ({} sessions, {} hardware threads)",
-        sharded_scaling,
-        SHARDED_SESSIONS,
-        std::thread::available_parallelism().map_or(0, usize::from)
-    );
     // Flattened-statechart dispatch runs the identical dense-table hot
     // path, so it must stay in the same ballpark as the plain compiled
     // machine. Like the EFSM speedup this compares two wall-clock
@@ -1080,13 +993,12 @@ fn main() {
     }
     // A bound guarded statechart is served unfolded from the dense
     // table; its batch dispatch must at least stay in the cost class of
-    // the register tier it used to ride — tracked against the
-    // kernel-batched EFSM row (`efsm_kernel`, the explicit register
-    // engine's lockstep sweep). A wall-clock ratio between rows, so it
-    // warns rather than hard-failing the gate (the zero-alloc assert
-    // above *is* hard).
-    let hsm_guarded_ratio = by_name("hsm_guarded_flattened") / by_name("efsm_kernel");
-    println!("hsm_guarded_flattened vs efsm_kernel: {hsm_guarded_ratio:.2}x");
+    // the register tier it used to ride — tracked against the batched
+    // EFSM row (`efsm_pool`, the explicit register engine's batch). A
+    // wall-clock ratio between rows, so it warns rather than
+    // hard-failing the gate (the zero-alloc assert above *is* hard).
+    let hsm_guarded_ratio = by_name("hsm_guarded_flattened") / by_name("efsm_pool");
+    println!("hsm_guarded_flattened vs efsm_pool:  {hsm_guarded_ratio:.2}x");
     if hsm_guarded_ratio > 1.5 {
         eprintln!(
             "warning: guarded-statechart dispatch is {hsm_guarded_ratio:.2}x the batched \
@@ -1109,16 +1021,10 @@ fn main() {
         "minimized ring dispatch is {minimized_ratio:.3}x the unminimized original \
          (gate: <= 1.05x, paired passes; the quotient must not cost anything)"
     );
-    let persistent_vs_scoped = by_name("sharded_pool_4") / by_name("sharded_persistent_4");
-    println!("persistent vs per-call workers (4):  {persistent_vs_scoped:.2}x");
-    let stealing_vs_persistent = by_name("sharded_persistent_4") / by_name("work_stealing_4");
-    println!("stealing vs persistent workers (4):  {stealing_vs_persistent:.2}x");
-    // The lockstep batch-kernel gates: branchless stepping must beat
-    // the scalar per-session walk on a single core — ≥ 1.25× for the
-    // dense tier, ≥ 1.4× for the EFSM tier, where the kernel also
-    // replaces per-session guard dispatch with masked column compares.
-    // Hard-failed on the paired best-of ratios computed above: the
-    // kernels' only reason to exist is this win, and the paired
+    // The lockstep batch-kernel gate: branchless stepping must beat the
+    // scalar per-session walk on a single core by ≥ 1.25× on the dense
+    // tier. Hard-failed on the paired best-of ratio computed above: the
+    // kernel's only reason to exist is this win, and the paired
     // alternating passes make the measurement drift-proof enough to
     // gate on.
     println!("batched_kernel vs scalar (paired):   {batched_kernel_ratio:.3}x");
@@ -1127,12 +1033,7 @@ fn main() {
         "dense batch kernel is only {batched_kernel_ratio:.3}x the scalar walk \
          (gate: >= 1.25x, paired passes at {POOL_SESSIONS} sessions)"
     );
-    println!("efsm_kernel vs scalar (paired):      {efsm_kernel_ratio:.3}x");
-    assert!(
-        efsm_kernel_ratio >= 1.4,
-        "EFSM batch kernel is only {efsm_kernel_ratio:.3}x the scalar walk \
-         (gate: >= 1.4x, paired passes at {POOL_SESSIONS} sessions)"
-    );
+    println!("efsm_kernel_over_budget vs scalar (median of 10 pairs): {over_budget_ratio:.3}x");
     // The divergent gate (r = 7, 65 536 sessions): the dense column
     // gather against the scalar walk.
     for (name, ratio) in &divergent_ratios {
@@ -1143,7 +1044,7 @@ fn main() {
     assert!(
         dense_divergent >= 1.5,
         "dense batch kernel is only {dense_divergent:.3}x the scalar walk on a divergent pool \
-         (gate: >= 1.5x, paired passes at {SHARDED_SESSIONS} sessions)"
+         (gate: >= 1.5x, paired passes at {SERVING_SESSIONS} sessions)"
     );
     // The facade-overhead gate: serving 64k sessions through the
     // `Spec → Engine → Runtime` facade must stay within 10% of raw
@@ -1154,10 +1055,10 @@ fn main() {
     // and hard-fails on the best-of ratio: if the facade ever grows a
     // hidden per-delivery cost, this is where it surfaces.
     let facade_overhead = {
-        let mut raw_states = vec![start_state; SHARDED_SESSIONS];
+        let mut raw_states = vec![start_state; SERVING_SESSIONS];
         let mut raw_pass = || {
             let mut transitions = 0u64;
-            for _ in 0..sharded_rounds {
+            for _ in 0..serving_rounds {
                 for &id in &ids {
                     for state in &mut raw_states {
                         if let Some((target, _)) = compiled.step(*state, id) {
@@ -1170,10 +1071,10 @@ fn main() {
             }
             transitions
         };
-        let mut facade = facade_engine.runtime_with(SHARDED_SESSIONS);
+        let mut facade = facade_engine.runtime_with(SERVING_SESSIONS);
         let facade_pass = |facade: &mut stategen_runtime::Runtime| {
             let mut transitions = 0u64;
-            for _ in 0..sharded_rounds {
+            for _ in 0..serving_rounds {
                 for &id in &ids {
                     transitions += facade.deliver_all(id);
                 }
@@ -1212,7 +1113,7 @@ fn main() {
     let observed_overhead = {
         let batch_pass = |rt: &mut stategen_runtime::Runtime| {
             let mut transitions = 0u64;
-            for _ in 0..sharded_rounds {
+            for _ in 0..serving_rounds {
                 for &id in &ids {
                     transitions += rt.deliver_all(id);
                 }
@@ -1220,8 +1121,8 @@ fn main() {
             }
             transitions
         };
-        let mut plain = facade_engine.runtime_with(SHARDED_SESSIONS);
-        let mut observed = facade_engine.runtime_with(SHARDED_SESSIONS);
+        let mut plain = facade_engine.runtime_with(SERVING_SESSIONS);
+        let mut observed = facade_engine.runtime_with(SERVING_SESSIONS);
         observed.attach_recorder(256);
         std::hint::black_box(batch_pass(&mut plain));
         std::hint::black_box(batch_pass(&mut observed));
@@ -1251,41 +1152,32 @@ fn main() {
     let _ = writeln!(json, "  \"efsm_states\": {},", compiled_efsm.state_count());
     let _ = writeln!(json, "  \"trace_len\": {},", TRACE.len());
     let _ = writeln!(json, "  \"pool_sessions\": {POOL_SESSIONS},");
-    let _ = writeln!(json, "  \"sharded_sessions\": {SHARDED_SESSIONS},");
+    let _ = writeln!(json, "  \"serving_sessions\": {SERVING_SESSIONS},");
     let _ = writeln!(
         json,
         "  \"hardware_threads\": {},",
         std::thread::available_parallelism().map_or(0, usize::from)
     );
     let _ = writeln!(json, "  \"efsm_compiled_speedup\": {efsm_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"sharded_4_thread_scaling\": {sharded_scaling:.3},"
-    );
     let _ = writeln!(json, "  \"hsm_flattened_vs_compiled\": {hsm_ratio:.3},");
     let _ = writeln!(
         json,
-        "  \"hsm_guarded_vs_efsm_kernel\": {hsm_guarded_ratio:.3},"
+        "  \"hsm_guarded_vs_efsm_pool\": {hsm_guarded_ratio:.3},"
     );
     let _ = writeln!(
         json,
         "  \"batched_kernel_vs_scalar\": {batched_kernel_ratio:.3},"
     );
-    let _ = writeln!(json, "  \"efsm_kernel_vs_scalar\": {efsm_kernel_ratio:.3},");
+    let _ = writeln!(
+        json,
+        "  \"efsm_kernel_over_budget_vs_scalar\": {over_budget_ratio:.3},"
+    );
     for (name, ratio) in &divergent_ratios {
         let _ = writeln!(json, "  \"{name}\": {ratio:.3},");
     }
     let _ = writeln!(
         json,
-        "  \"work_stealing_vs_persistent_4\": {stealing_vs_persistent:.3},"
-    );
-    let _ = writeln!(
-        json,
         "  \"hsm_guarded_flat_states\": {guarded_flat_states},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"persistent_vs_scoped_sharded_4\": {persistent_vs_scoped:.3},"
     );
     let _ = writeln!(
         json,

@@ -198,41 +198,41 @@ struct Cell {
 /// one-cycle ALU ops, no multiply. Checks without a variable part point
 /// `var` at the machine's always-zero dummy register.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BoundCheck {
-    pub(crate) threshold: i64,
-    pub(crate) var: u16,
+struct BoundCheck {
+    threshold: i64,
+    var: u16,
     /// 0 for `+vars[var]`, −1 for `−vars[var]`.
-    pub(crate) neg: i16,
+    neg: i16,
 }
 
 /// One candidate specialised into an [`EfsmBinding`] cell: at most two
 /// folded checks, an optional inline increment, and the action range.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BoundCand {
-    pub(crate) checks: [BoundCheck; 2],
-    pub(crate) check_count: u16,
-    pub(crate) inc_var: u16,
-    pub(crate) target: u32,
+struct BoundCand {
+    checks: [BoundCheck; 2],
+    check_count: u16,
+    inc_var: u16,
+    target: u32,
     act_offset: u32,
     act_len: u32,
 }
 
 /// Sentinel for "no inline increment" in a [`BoundCand`].
-pub(crate) const NO_INC16: u16 = u16::MAX;
+const NO_INC16: u16 = u16::MAX;
 
 /// Inline candidate capacity of a bound cell.
 const BOUND_CANDS: usize = 2;
 
 /// Sentinel `count` marking a cell that exceeds the inline shape and
 /// dispatches through the machine's general candidate tables.
-pub(crate) const SPILL: u32 = u32::MAX;
+const SPILL: u32 = u32::MAX;
 
 /// One `(state, message)` cell of a bound dispatch table.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BoundCell {
+struct BoundCell {
     /// Inline candidate count, or [`SPILL`].
-    pub(crate) count: u32,
-    pub(crate) cands: [BoundCand; BOUND_CANDS],
+    count: u32,
+    cands: [BoundCand; BOUND_CANDS],
 }
 
 impl Default for BoundCell {
@@ -272,16 +272,9 @@ impl EfsmBinding {
         &self.params
     }
 
-    /// The flat bound dispatch cells, `state_count × messages`, for the
-    /// batch kernel's hoisted cell loads.
-    #[inline]
-    pub(crate) fn cells(&self) -> &[BoundCell] {
-        &self.cells
-    }
-
     /// Number of (state, message) cells that spill to the general
     /// bytecode path instead of the flat fused layout — useful for
-    /// asserting a machine stays on the masked batch-kernel fast path.
+    /// asserting a machine stays on the flat single-step fast path.
     pub fn spill_cell_count(&self) -> usize {
         self.cells.iter().filter(|c| c.count == SPILL).count()
     }
@@ -699,24 +692,10 @@ impl CompiledEfsm {
         self.max_updates
     }
 
-    /// The dispatch-table row width (= alphabet size; the EFSM tier
-    /// does not compress message columns), for the batch kernel.
-    #[inline]
-    pub(crate) fn msg_stride(&self) -> usize {
-        self.stride
-    }
-
     /// Per-state finish flags, indexed by dense state id.
     #[inline]
     pub(crate) fn finish_flags(&self) -> &[bool] {
         &self.finish
-    }
-
-    /// Index of the always-zero dummy register (`var_count`), used by
-    /// the batch kernel to pad absent checks and increments.
-    #[inline]
-    pub(crate) fn dummy_reg(&self) -> usize {
-        self.n_vars
     }
 
     /// Total fused guard checks across all transitions.

@@ -28,8 +28,8 @@
 //!   ([`HierarchicalMachine::flatten`]) and run on every dense-table
 //!   tier — an [`Instance`](crate::Instance),
 //!   [`CompiledMachine`](crate::CompiledMachine) /
-//!   [`SessionStore`](crate::SessionStore) and
-//!   [`ShardedPool`](crate::ShardedPool) — with zero engine changes
+//!   [`SessionStore`](crate::SessionStore), sharded or not
+//!   ([`ShardedPool`](crate::ShardedPool)) — with zero engine changes
 //!   (the compiled tier's action-arena interning folds the synthesized
 //!   sequences back together); guarded statecharts compile onto the
 //!   register-machine tier

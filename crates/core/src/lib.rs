@@ -108,9 +108,10 @@
 //! the register and interpreted tiers, the variable registers of a
 //! guarded machine — per session) over one
 //! [`StepEngine`], stepped with no per-event allocation, and
-//! [`ShardedPool`] partitions stores across `std::thread` workers for
-//! multi-core batch stepping (sessions are independent, so sharded
-//! results are identical to single-threaded stepping).
+//! [`ShardedPool`] partitions stores into shards, stepped by one
+//! fork-join of scoped threads per batch — for capacity and isolation
+//! (sessions are independent, so sharded results are identical to
+//! single-threaded stepping).
 //!
 //! ## Example
 //!
@@ -198,7 +199,7 @@ pub use machine::{
     Action, MessageId, State, StateId, StateMachine, StateMachineBuilder, StateRole, Transition,
 };
 pub use model::{AbstractModel, Outcome, TransitionSpec};
-pub use session::{BatchEngine, SessionStore, ShardedPool, Taken, Workers};
+pub use session::{BatchEngine, SessionStore, ShardedPool, Taken};
 pub use step::{StepEngine, Tier};
 pub use validate::{
     missing_transitions, structural_diagnostics, validate_machine, ValidationReport,

@@ -34,11 +34,11 @@
 //! [`SessionStore::deliver_all_scalar`] is the per-session walk the
 //! property suites hold them to.
 //!
-//! Sessions are independent, so stores scale across cores:
-//! [`ShardedPool`] partitions sessions over any [`BatchEngine`] shards
-//! and one driver, [`ShardedPool::with_workers`], steps them on
-//! persistent `std::thread` workers, with results identical to
-//! single-threaded stepping whatever the scheduling.
+//! Sessions are independent, so stores can be partitioned:
+//! [`ShardedPool`] holds sessions in any [`BatchEngine`] shards, and
+//! [`ShardedPool::deliver_all`] steps them in one fork-join per batch —
+//! a scoped thread per shard beyond the first — with results identical
+//! to single-threaded stepping whatever the schedule.
 //!
 //! # Examples
 //!
@@ -60,7 +60,6 @@
 //! ```
 
 use std::borrow::Cow;
-use std::sync::{Condvar, Mutex};
 
 use crate::error::StategenError;
 use crate::kernel::BatchTally;
@@ -363,10 +362,16 @@ impl SessionStore {
     /// backwards, steps each live one against a copy of its register
     /// row, and calls `visit(session, taken)` for every transition
     /// found — in descending slot order — until `limit` have been.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`SessionStore::deliver_all`] does, if `message` is
+    /// outside the engine's alphabet.
     pub fn probe_tail<F>(&mut self, message: MessageId, window: usize, limit: usize, mut visit: F)
     where
         F: FnMut(usize, Taken<'_>),
     {
+        self.engine.assert_in_alphabet(message);
         self.probe_row.resize(self.n_regs, 0); // sized by the first probe
         let n_states = self.engine.config_count() as u32;
         let mut rows = self.vars.rchunks_exact(self.n_regs.max(1));
@@ -417,8 +422,8 @@ impl SessionStore {
     /// The scalar reference form of [`SessionStore::deliver_all`]: a
     /// per-session [`StepEngine::step`] walk in slot order. Kept public
     /// as the oracle the kernel-equivalence property suites and the
-    /// paired `batched_kernel` / `efsm_kernel` benchmark rows compare
-    /// against.
+    /// paired `batched_kernel` / `efsm_kernel_over_budget` benchmark
+    /// rows compare against.
     pub fn deliver_all_scalar(&mut self, message: MessageId) -> u64 {
         self.deliver_all_with(message, |_, _| {})
     }
@@ -620,8 +625,8 @@ impl SessionStore {
     }
 }
 
-/// The batch-stepping interface [`ShardedPool`] scales across worker
-/// threads: implemented by [`SessionStore`] and by anything else that
+/// The batch-stepping interface [`ShardedPool`] forks across threads:
+/// implemented by [`SessionStore`] and by anything else that
 /// steps a block of sessions (the `stategen-runtime` shard wraps a
 /// store with generations and telemetry; tests substitute fakes).
 pub trait BatchEngine {
@@ -663,13 +668,13 @@ impl BatchEngine for SessionStore {
     }
 }
 
-/// A pool of sessions sharded across worker threads.
+/// A pool of sessions partitioned into shards.
 ///
 /// Sessions are independent (no shard ever reads another shard's state)
 /// and each shard carries its own scratch buffers, so batch delivery
-/// parallelises embarrassingly: the result of stepping the shards on
-/// workers is bit-identical to stepping the same sessions in one store,
-/// whatever the thread scheduling.
+/// parallelises embarrassingly: stepping the shards on separate threads
+/// ([`ShardedPool::deliver_all`]) is bit-identical to stepping the same
+/// sessions in one store, whatever the thread scheduling.
 ///
 /// Shards are plain [`BatchEngine`] values, in session order: a pool
 /// [`split`](ShardedPool::split) from `n` sessions holds the same
@@ -777,391 +782,50 @@ impl<P: BatchEngine> ShardedPool<P> {
         self.shards.iter().map(P::steps).sum()
     }
 
+    /// Delivers a message to every session and returns the total number
+    /// of transitions taken: one fork-join per call. A single shard is
+    /// stepped in place. With `k` shards, shards `1..k` each get a
+    /// scoped thread for the call while the calling thread steps shard
+    /// 0, and the counts are summed once every thread has joined. Which
+    /// thread steps which shard, and when, cannot change the result:
+    /// shards partition the sessions and never read each other's state.
+    ///
+    /// # Panics
+    ///
+    /// If a shard's [`BatchEngine::deliver_all`] panics, this re-raises
+    /// that shard's own payload — shard 0's if the calling thread's own
+    /// shard panicked, else the lowest-numbered panicking shard's — after
+    /// every thread of the call has finished, so nothing hangs and
+    /// nothing keeps running. The pool stays usable: every other shard
+    /// completed the batch, and the panicking one is in whatever state
+    /// its own `deliver_all` left it (a message outside the alphabet,
+    /// for instance, is refused before any session is stepped).
+    pub fn deliver_all(&mut self, message: MessageId) -> u64
+    where
+        P: Send,
+    {
+        let (own, rest) = self.shards.split_first_mut().expect("at least one shard");
+        if rest.is_empty() {
+            return own.deliver_all(message);
+        }
+        std::thread::scope(|scope| {
+            let forked: Vec<_> = rest
+                .iter_mut()
+                .map(|shard| scope.spawn(move || shard.deliver_all(message)))
+                .collect();
+            let transitions = own.deliver_all(message);
+            forked.into_iter().fold(transitions, |sum, thread| {
+                sum + thread
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+        })
+    }
+
     /// Returns every session in every shard to the start state.
     pub fn reset_all(&mut self) {
         for shard in &mut self.shards {
             shard.reset_all();
-        }
-    }
-}
-
-impl<P: BatchEngine + Send> ShardedPool<P> {
-    /// Delivers a message to every session and returns the total number
-    /// of transitions taken: one command on a driver with a worker per
-    /// shard (see [`ShardedPool::with_workers`]), so a single shard is
-    /// stepped in place and several pay one thread spawn/join per call.
-    /// Sharding therefore only wins once per-shard batch work dwarfs
-    /// ~10 µs of thread churn; for a *sequence* of batch deliveries,
-    /// hold the driver open with `with_workers` instead.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        let shards = self.shards.len();
-        self.with_workers(shards, |workers| workers.deliver_all(message))
-    }
-
-    /// Runs `f` with `workers` persistent threads driving the shards —
-    /// the one multi-core driver.
-    ///
-    /// Each worker is spawned once, parks on a condvar between batches
-    /// (a sequence of [`Workers::deliver_all`] calls pays one spawn/join
-    /// total), and owns a deque holding a contiguous region of shard
-    /// indices: it drains its own deque from the front and, when that
-    /// runs dry, steals shards from the backs of the other workers'
-    /// deques. With a worker per shard (`workers ≥ shard_count`) every
-    /// deque holds one shard and nothing is stolen; with fewer, uneven
-    /// shards balance automatically and a machine with fewer cores than
-    /// shards isn't oversubscribed. With one worker — or one shard — no
-    /// thread is spawned and the driver steps the shards inline.
-    ///
-    /// Each shard sits behind a mutex and is claimed by exactly one
-    /// worker per batch, so results are bit-identical to a flat store
-    /// regardless of which worker ends up stepping which shard. While
-    /// `f` runs the shards are borrowed by the driver, so queries go
-    /// through the aggregate accessors on [`Workers`]; full per-session
-    /// state is available again as soon as `with_workers` returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stategen_core::{Action, CompiledMachine, SessionStore, ShardedPool,
-    ///     StateMachineBuilder, StepEngine};
-    ///
-    /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
-    /// let idle = b.add_state("idle");
-    /// let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
-    /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-    /// let engine = StepEngine::dense(CompiledMachine::compile(&b.build(idle)));
-    /// let ping = engine.message_id("ping").unwrap();
-    ///
-    /// let mut pool = ShardedPool::split(1000, 4, |len| SessionStore::new(engine.clone(), len));
-    /// let transitions = pool.with_workers(2, |workers| {
-    ///     let t = workers.deliver_all(ping);
-    ///     assert_eq!(workers.finished_count(), 1000);
-    ///     t + workers.deliver_all(ping) // finished sessions absorb
-    /// });
-    /// assert_eq!(transitions, 1000);
-    /// assert!(pool.all_finished());
-    /// ```
-    pub fn with_workers<R>(
-        &mut self,
-        workers: usize,
-        f: impl FnOnce(&mut Workers<'_, P>) -> R,
-    ) -> R {
-        assert!(workers > 0, "need at least one worker");
-        let workers = workers.min(self.shards.len());
-        if workers == 1 {
-            return f(&mut Workers(Driver::Inline(&mut self.shards)));
-        }
-        // Contiguous shard regions per worker, earlier workers taking
-        // the remainder (mirrors `ShardedPool::split`).
-        let base = self.shards.len() / workers;
-        let extra = self.shards.len() % workers;
-        let mut next = 0;
-        let queues: Vec<ShardDeque> = (0..workers)
-            .map(|w| {
-                let start = next;
-                next += base + usize::from(w < extra);
-                ShardDeque::new(start..next)
-            })
-            .collect();
-        let slots: Vec<Mutex<&mut P>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let cells: Vec<WorkerCell> = (0..workers).map(|_| WorkerCell::default()).collect();
-        std::thread::scope(|scope| {
-            let (slots, queues) = (slots.as_slice(), queues.as_slice());
-            for (index, cell) in cells.iter().enumerate() {
-                scope.spawn(move || worker_loop(index, slots, queues, cell));
-            }
-            // Shutdown is published by `Workers`'s `Drop`, so it
-            // reaches the workers even when `f` unwinds — otherwise the
-            // scope would join workers parked forever on the condvar.
-            f(&mut Workers(Driver::Threads {
-                cells: &cells,
-                queues,
-                slots,
-                seq: 0,
-            }))
-        })
-    }
-}
-
-/// What a parked worker should do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum WorkerCommand {
-    /// Deliver a message to every session of every claimed shard.
-    Deliver(MessageId),
-    /// Return every session of every claimed shard to the start state.
-    Reset,
-    /// Exit the worker loop (also the mailbox's initial content, never
-    /// read before the first published sequence).
-    #[default]
-    Shutdown,
-}
-
-impl WorkerCommand {
-    /// Executes the command against one shard; returns transitions.
-    fn run<P: BatchEngine>(self, shard: &mut P) -> u64 {
-        match self {
-            WorkerCommand::Deliver(message) => shard.deliver_all(message),
-            WorkerCommand::Reset => {
-                shard.reset_all();
-                0
-            }
-            WorkerCommand::Shutdown => 0,
-        }
-    }
-}
-
-/// Per-worker mailbox: the driver publishes commands under the mutex
-/// and the worker publishes completions, both signalling the condvar.
-#[derive(Debug, Default)]
-struct WorkerMailbox {
-    /// Sequence number of the latest published command; the worker runs
-    /// whenever it differs from the last sequence it completed (`done`).
-    seq: u64,
-    command: WorkerCommand,
-    done: u64,
-    /// Set when the worker unwinds, so the driver fails fast.
-    dead: bool,
-    /// Transitions taken by command `done`, over the shards it claimed.
-    transitions: u64,
-}
-
-#[derive(Debug, Default)]
-struct WorkerCell {
-    mailbox: Mutex<WorkerMailbox>,
-    signal: Condvar,
-}
-
-/// Marks the mailbox dead if the worker unwinds (a shard panicked
-/// mid-command), waking the driver instead of leaving it waiting on a
-/// completion that will never come.
-struct WorkerDeathNotice<'a> {
-    cell: &'a WorkerCell,
-    clean_exit: bool,
-}
-
-impl Drop for WorkerDeathNotice<'_> {
-    fn drop(&mut self) {
-        if !self.clean_exit {
-            if let Ok(mut mailbox) = self.cell.mailbox.lock() {
-                mailbox.dead = true;
-            }
-            self.cell.signal.notify_all();
-        }
-    }
-}
-
-/// One worker's deque of shard work items for a batch. A worker's
-/// region of shard indices is contiguous, so the deque is just the
-/// unclaimed sub-range: the owner takes from the front, idle workers
-/// steal from the back. Refilled by the driver before each command.
-#[derive(Debug)]
-struct ShardDeque {
-    region: std::ops::Range<usize>,
-    pending: Mutex<std::ops::Range<usize>>,
-}
-
-impl ShardDeque {
-    fn new(region: std::ops::Range<usize>) -> Self {
-        ShardDeque {
-            pending: Mutex::new(region.start..region.start),
-            region,
-        }
-    }
-
-    /// Makes the whole region pending again (driver side, workers
-    /// parked).
-    fn refill(&self) {
-        *self.pending.lock().expect("shard deque poisoned") = self.region.clone();
-    }
-
-    /// Owner pop: the next shard from the front.
-    fn pop_own(&self) -> Option<usize> {
-        self.pending.lock().expect("shard deque poisoned").next()
-    }
-
-    /// Thief pop: a shard from the back.
-    fn steal(&self) -> Option<usize> {
-        self.pending
-            .lock()
-            .expect("shard deque poisoned")
-            .next_back()
-    }
-}
-
-/// The loop run by each worker: park until a command sequence appears,
-/// then drain the own deque front-to-back and steal from the other
-/// workers' deque backs until every deque is dry. A shard index is
-/// claimed by exactly one worker (pops are atomic under the deque
-/// mutex), and the shard's own mutex in `slots` makes the borrow handed
-/// to the command unique.
-fn worker_loop<P: BatchEngine>(
-    index: usize,
-    slots: &[Mutex<&mut P>],
-    queues: &[ShardDeque],
-    cell: &WorkerCell,
-) {
-    let mut notice = WorkerDeathNotice {
-        cell,
-        clean_exit: false,
-    };
-    let mut seen = 0u64;
-    loop {
-        let command = {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.seq == seen {
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            seen = mailbox.seq;
-            mailbox.command
-        };
-        let mut transitions = 0u64;
-        if command != WorkerCommand::Shutdown {
-            while let Some(shard) = queues[index].pop_own().or_else(|| {
-                (1..queues.len()).find_map(|k| queues[(index + k) % queues.len()].steal())
-            }) {
-                let mut shard = slots[shard].lock().expect("shard slot poisoned");
-                transitions += command.run(&mut **shard);
-            }
-        }
-        {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.transitions = transitions;
-            mailbox.done = seen;
-        }
-        cell.signal.notify_all();
-        if command == WorkerCommand::Shutdown {
-            notice.clean_exit = true;
-            return;
-        }
-    }
-}
-
-/// How a [`Workers`] handle reaches its shards: parked worker threads,
-/// or (one worker) the shard slice itself.
-#[derive(Debug)]
-enum Driver<'a, P> {
-    Threads {
-        cells: &'a [WorkerCell],
-        queues: &'a [ShardDeque],
-        slots: &'a [Mutex<&'a mut P>],
-        seq: u64,
-    },
-    Inline(&'a mut [P]),
-}
-
-/// Driver handle for a [`ShardedPool`]'s persistent workers (see
-/// [`ShardedPool::with_workers`]). Each batch operation refills the
-/// work deques, publishes one command to every worker mailbox and waits
-/// for all completions; with a single worker the driver steps the
-/// shards inline instead.
-#[derive(Debug)]
-pub struct Workers<'a, P>(Driver<'a, P>);
-
-impl<P: BatchEngine> Workers<'_, P> {
-    /// Runs `command` over every shard and waits for completion;
-    /// returns the summed transition counts. Panics if a worker died (a
-    /// shard panicked mid-command): the panic unwinds through
-    /// `with_workers`, whose shutdown-on-drop releases the remaining
-    /// workers, and the thread scope surfaces the worker's own panic.
-    fn broadcast(&mut self, command: WorkerCommand) -> u64 {
-        let (cells, queues, seq) = match &mut self.0 {
-            Driver::Inline(shards) => {
-                return shards.iter_mut().map(|shard| command.run(shard)).sum();
-            }
-            Driver::Threads {
-                cells, queues, seq, ..
-            } => (*cells, *queues, seq),
-        };
-        // Refill the work deques before the command becomes visible —
-        // workers only touch deques after observing the new sequence.
-        for queue in queues {
-            queue.refill();
-        }
-        *seq += 1;
-        let seq = *seq;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            mailbox.command = command;
-            mailbox.seq = seq;
-            drop(mailbox);
-            cell.signal.notify_all();
-        }
-        let mut transitions = 0;
-        for cell in cells {
-            let mut mailbox = cell.mailbox.lock().expect("worker mailbox poisoned");
-            while mailbox.done < seq {
-                assert!(!mailbox.dead, "shard worker panicked");
-                mailbox = cell.signal.wait(mailbox).expect("worker mailbox poisoned");
-            }
-            transitions += mailbox.transitions;
-        }
-        transitions
-    }
-
-    /// Sums `query` over every shard. Workers are parked between
-    /// commands, so the slot locks are uncontended.
-    fn sum<T: std::iter::Sum>(&self, query: impl Fn(&P) -> T) -> T {
-        match &self.0 {
-            Driver::Threads { slots, .. } => slots
-                .iter()
-                .map(|slot| query(&**slot.lock().expect("shard slot poisoned")))
-                .sum(),
-            Driver::Inline(shards) => shards.iter().map(query).sum(),
-        }
-    }
-
-    /// Number of workers driving the pool (1 means the inline path,
-    /// with no thread behind it).
-    pub fn worker_count(&self) -> usize {
-        match &self.0 {
-            Driver::Threads { cells, .. } => cells.len(),
-            Driver::Inline(_) => 1,
-        }
-    }
-
-    /// Delivers a message to every session across all shards; returns
-    /// the total number of transitions taken. Bit-identical to a flat
-    /// store, whichever worker steps which shard.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
-        self.broadcast(WorkerCommand::Deliver(message))
-    }
-
-    /// Returns every session in every shard to the start state.
-    pub fn reset_all(&mut self) {
-        self.broadcast(WorkerCommand::Reset);
-    }
-
-    /// Total finished sessions across all shards.
-    pub fn finished_count(&self) -> usize {
-        self.sum(P::finished_count)
-    }
-
-    /// Total transitions taken across all shards.
-    pub fn steps(&self) -> u64 {
-        self.sum(P::steps)
-    }
-}
-
-impl<P> Drop for Workers<'_, P> {
-    /// Publishes shutdown to every worker without waiting (the thread
-    /// scope does the joining). Running this from `Drop` — rather than
-    /// on `with_workers`' return path — means an unwinding closure
-    /// still releases the parked workers instead of deadlocking the
-    /// scope's implicit join.
-    fn drop(&mut self) {
-        if let Driver::Threads { cells, seq, .. } = &mut self.0 {
-            *seq += 1;
-            for cell in *cells {
-                if let Ok(mut mailbox) = cell.mailbox.lock() {
-                    mailbox.command = WorkerCommand::Shutdown;
-                    mailbox.seq = *seq;
-                }
-                cell.signal.notify_all();
-            }
         }
     }
 }
@@ -1521,88 +1185,20 @@ mod tests {
         let _ = ShardedPool::<SessionStore>::new(Vec::new());
     }
 
-    #[test]
-    fn parked_workers_match_flat_pool() {
-        let engine = dense();
-        let (a, b) = (msg(&engine, "a"), msg(&engine, "b"));
-        let mut flat = SessionStore::new(engine.clone(), 103);
-        let mut sharded = ShardedPool::split(103, 4, |len| SessionStore::new(engine.clone(), len));
-        // A worker per shard, and more than that: both park one each.
-        for workers in [4, 9] {
-            sharded.with_workers(workers, |workers| {
-                assert_eq!(workers.worker_count(), 4);
-                for &mid in &[a, b, a, a, b] {
-                    let t_flat = flat.deliver_all(mid);
-                    assert_eq!(workers.deliver_all(mid), t_flat);
-                    assert_eq!(workers.finished_count(), flat.finished_count());
-                    assert_eq!(workers.steps(), flat.steps());
-                }
-            });
-            // Full per-session state is back once the driver is gone.
-            assert!(sharded.all_finished());
-            assert_eq!(sessions(&sharded), sessions_of(&flat).collect::<Vec<_>>());
-            flat.reset_all();
-            sharded.reset_all();
-        }
-    }
-
-    #[test]
-    fn parked_workers_reset_and_reuse() {
-        let engine = dense();
-        let a = msg(&engine, "a");
-        let mut sharded = ShardedPool::split(70, 3, |len| SessionStore::new(engine.clone(), len));
-        // Fewer workers than shards: the third shard is stolen.
-        let total = sharded.with_workers(2, |workers| {
-            assert_eq!(workers.worker_count(), 2);
-            let mut total = 0;
-            for _ in 0..3 {
-                total += workers.deliver_all(a);
-                total += workers.deliver_all(a);
-                assert_eq!(workers.finished_count(), 70);
-                workers.reset_all();
-                assert_eq!(workers.finished_count(), 0);
-                assert_eq!(workers.steps(), 0);
-            }
-            total
-        });
-        assert_eq!(total, 3 * 2 * 70);
-        assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.shards()[0].state_name(0), "s0");
-    }
-
-    #[test]
-    fn with_workers_returns_closure_value() {
-        let engine = dense();
-        let a = msg(&engine, "a");
-        let mut sharded = ShardedPool::split(1, 1, |len| SessionStore::new(engine.clone(), len));
-        let echoed = sharded.with_workers(1, |workers| workers.deliver_all(a) + 41);
-        assert_eq!(echoed, 42);
-    }
-
-    #[test]
-    fn with_workers_propagates_closure_panic_without_hanging() {
-        let engine = dense();
-        let a = msg(&engine, "a");
-        let mut sharded = ShardedPool::split(20, 3, |len| SessionStore::new(engine.clone(), len));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sharded.with_workers(3, |workers| {
-                workers.deliver_all(a);
-                panic!("closure failed mid-batch");
-            })
-        }));
-        // The shutdown-on-drop releases the parked workers, so the
-        // panic propagates instead of deadlocking the scope's join.
-        let payload = unwound.unwrap_err();
-        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(message, "closure failed mid-batch");
-        // The pool is usable again afterwards.
-        assert_eq!(sharded.deliver_all(a), 20);
-    }
-
-    /// A shard that panics on its second batch, to exercise the
-    /// worker-death path.
+    /// A shard that panics on its batch number `blows_up_at` (counting
+    /// from 1) and on no other.
     struct FaultyShard {
         batches: u32,
+        blows_up_at: u32,
+    }
+
+    impl FaultyShard {
+        fn new(blows_up_at: u32) -> Self {
+            FaultyShard {
+                batches: 0,
+                blows_up_at,
+            }
+        }
     }
 
     impl BatchEngine for FaultyShard {
@@ -1611,7 +1207,7 @@ mod tests {
         }
         fn deliver_all(&mut self, _message: MessageId) -> u64 {
             self.batches += 1;
-            assert!(self.batches < 2, "shard blew up");
+            assert!(self.batches != self.blows_up_at, "shard blew up");
             1
         }
         fn finished_count(&self) -> usize {
@@ -1624,14 +1220,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard worker panicked")]
-    fn with_workers_fails_fast_when_a_shard_panics() {
+    #[should_panic(expected = "shard blew up")]
+    fn deliver_all_fails_fast_when_a_shard_panics() {
         let a = msg(&dense(), "a");
-        let mut sharded =
-            ShardedPool::new(vec![FaultyShard { batches: 0 }, FaultyShard { batches: 0 }]);
-        sharded.with_workers(2, |workers| {
-            workers.deliver_all(a);
-            workers.deliver_all(a); // shard panics; driver must not hang
-        });
+        let mut sharded = ShardedPool::new(vec![FaultyShard::new(2), FaultyShard::new(2)]);
+        sharded.deliver_all(a);
+        sharded.deliver_all(a); // both shards panic; the call must not hang
+    }
+
+    /// Whichever shard panics — the caller's own or a forked one — the
+    /// call re-raises that shard's payload after the others finished
+    /// their batch, and the next call serves every shard again.
+    #[test]
+    fn a_shard_panic_leaves_the_pool_usable() {
+        let a = msg(&dense(), "a");
+        for faulty in 0..3 {
+            let shards = (0..3).map(|i| FaultyShard::new(if i == faulty { 1 } else { 0 }));
+            let mut sharded = ShardedPool::new(shards.collect());
+            let batch = std::panic::AssertUnwindSafe(|| sharded.deliver_all(a));
+            let payload = std::panic::catch_unwind(batch).expect_err("the faulty shard panics");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard blew up"));
+            assert_eq!(sharded.steps(), 3, "every shard ran its batch");
+            assert_eq!(sharded.deliver_all(a), 3);
+        }
     }
 }

@@ -42,7 +42,7 @@ use crate::efsm::{LinExpr, Operand, Update};
 use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
 use crate::error::StategenError;
 use crate::ir::{FlatIr, FlatState};
-use crate::kernel::{dense_batch, efsm_lockstep, BatchTally};
+use crate::kernel::{dense_batch, BatchTally};
 use crate::machine::{Action, MessageId, StateRole};
 
 /// Which execution tier a [`StepEngine`] runs on — what the two
@@ -841,15 +841,31 @@ impl StepEngine {
         }
     }
 
+    /// The once-per-batch alphabet check every batch path makes before
+    /// touching a session — per session, the register tier would read
+    /// another state's cell for a foreign id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `message` is outside this engine's alphabet.
+    pub(crate) fn assert_in_alphabet(&self, message: MessageId) {
+        assert!(
+            message.index() < self.messages().len(),
+            "message id {} is outside this engine's alphabet of {} messages",
+            message.index(),
+            self.messages().len(),
+        );
+    }
+
     /// Delivers `message` to every session of a struct-of-arrays block
     /// — configuration id `states[s]` with session-major registers
     /// `vars[s * stored_regs ..]` — and returns how many transitions
     /// were taken and how many of them entered a finish state; actions
     /// are not materialised.
     /// The dense tier gathers through the message's table column in one
-    /// pass; the register tier sweeps a lockstep block with masked
-    /// compares (see the [`kernel`](crate::kernel) module) and, like
-    /// the interpreted tier, walks a divergent one.
+    /// pass (see the [`kernel`](crate::kernel) module); the register and
+    /// interpreted tiers walk the block, one single-session step per
+    /// slot.
     ///
     /// Slots holding an out-of-range id (a retired-slot sentinel such as
     /// `u32::MAX`) are skipped with their registers untouched, so
@@ -871,22 +887,11 @@ impl StepEngine {
         vars: &mut [i64],
         scratch: &mut [i64],
     ) -> BatchTally {
-        // Once per batch, not per session: the register tier would
-        // otherwise read another state's cell for a foreign id.
-        assert!(
-            message.index() < self.messages().len(),
-            "message id {} is outside this engine's alphabet of {} messages",
-            message.index(),
-            self.messages().len(),
-        );
-        let kernel = match &self.repr {
-            Repr::Interpreted { .. } => None,
-            Repr::Dense(m) => Some(dense_batch(m, message, states)),
-            Repr::Register { machine, binding } => {
-                efsm_lockstep(machine, binding, message, states, vars)
-            }
-        };
-        kernel.unwrap_or_else(|| self.walk_batch(message, states, vars, scratch, |_, _, _, _| {}))
+        self.assert_in_alphabet(message);
+        match &self.repr {
+            Repr::Dense(m) => dense_batch(m, message, states),
+            _ => self.walk_batch(message, states, vars, scratch, |_, _, _, _| {}),
+        }
     }
 }
 

@@ -7,9 +7,9 @@
 //! including under mid-sequence spawn/reset/retire churn. A second
 //! body pins the store's *eager* finished count: on random machines,
 //! on all three tiers, after every store operation it equals a recount
-//! from the state array. The one worker driver
-//! (`ShardedPool::with_workers`) is likewise pinned to flat-store
-//! results for every worker count.
+//! from the state array. A sharded pool's fork-join
+//! (`ShardedPool::deliver_all`) is likewise pinned to flat-store
+//! results for every shard plan.
 
 use proptest::prelude::*;
 
@@ -17,7 +17,7 @@ use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
     generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, FlatIr, FlatState,
     FlatTransition, MessageId, Outcome, SessionStore, ShardedPool, StateComponent, StateRole,
-    StateSpace, StateVector, StepEngine,
+    StateSpace, StateVector, StepEngine, Tier,
 };
 
 // ---------------------------------------------------------------------
@@ -87,9 +87,9 @@ fn two_counter() -> impl Strategy<Value = TwoCounter> {
 }
 
 /// The fused-check counts `(first candidate, second candidate)` a flat
-/// register cell can have — `None` for a one-candidate cell — in the
-/// order of the lockstep sweep's twelve monomorphizations. `(0, 0)` is
-/// missing because two always-true guards are a duplicate transition.
+/// register cell can have — `None` for a one-candidate cell — every
+/// shape of the bound single step's inline layout. `(0, 0)` is missing
+/// because two always-true guards are a duplicate transition.
 const CELL_SHAPES: [(usize, Option<usize>); 11] = [
     (0, None),
     (1, None),
@@ -105,11 +105,11 @@ const CELL_SHAPES: [(usize, Option<usize>); 11] = [
 ];
 
 /// A two-phase threshold EFSM: `a` counts `x` up to the parameter in
-/// `wait` (two fused candidates on one cell — the masked-sweep shape),
-/// then `b` counts `y` in `mid` until `done`. With `spill` the `mid`
-/// transitions carry a `Set` update, which is not inline-fusable and
-/// leaves those cells to the scalar walk — so one family covers the
-/// masked lockstep sweep, the spill fallback and no-candidate cells
+/// `wait` (two fused candidates on one cell), then `b` counts `y` in
+/// `mid` until `done`. With `spill` the `mid` transitions carry a `Set`
+/// update, which is not inline-fusable and leaves those cells to the
+/// general bytecode — so one family covers the inline fused cells in
+/// every shape, the spill path and no-candidate cells
 /// (`b` in `wait`, `a` in `mid`). `shape` picks how many fused checks
 /// the two `(wait, a)` candidates carry ([`CELL_SHAPES`]): 0 is the
 /// always-true guard, 1 the threshold test, 2 the threshold test and a
@@ -312,9 +312,8 @@ proptest! {
         kernel_matches_scalar(dense_engine(&model), sessions, &ops, 0)?;
     }
 
-    /// The register tier's batch path — the masked lockstep sweep in
-    /// every cell shape, the walk for divergent pools and for
-    /// non-fusable cells — matches the scalar walk.
+    /// The register tier's batch path — the walk, through fused cells
+    /// of every shape and spilled ones — matches the scalar walk.
     #[test]
     fn efsm_kernel_matches_scalar(
         t in 1i64..6,
@@ -595,10 +594,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The worker driver: any worker count, same answers.
+// The fork-join: any shard plan, same answers.
 // ---------------------------------------------------------------------
 
-/// One command sent through the driver.
+/// One batch command.
 #[derive(Debug, Clone, Copy)]
 enum Cmd {
     Deliver(usize),
@@ -616,25 +615,19 @@ fn cmd_stream() -> impl Strategy<Value = Vec<Cmd>> {
     })
 }
 
-/// Random shard sizes (empty shards included) and a worker count in
-/// `1..=shards + 2`: one worker is the inline case, fewer than shards
-/// steal, `≥ shards` park one each.
-fn shard_plan() -> impl Strategy<Value = (Vec<usize>, usize)> {
-    (prop::collection::vec(0usize..40, 1..8), any::<usize>()).prop_map(|(sizes, pick)| {
-        let workers = 1 + pick % (sizes.len() + 2);
-        (sizes, workers)
-    })
+/// Random shard sizes, empty shards included.
+fn shard_plan() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..40, 1..8)
 }
 
-/// The driver is a pure scheduling change: for any shard sizes, worker
-/// count, pre-divergence and command sequence, per-command transition
+/// Forking a batch over shards is a pure layout change: for any shard
+/// sizes, pre-divergence and command sequence, per-command transition
 /// counts and aggregate finished/step totals equal one flat store's,
-/// and afterwards every shard's states and registers are the flat
-/// store's contiguous block — whichever worker stepped which shard.
-fn workers_match_flat(
+/// and every shard's states and registers stay the flat store's
+/// contiguous block — whichever thread stepped which shard.
+fn sharded_pool_matches_flat(
     engine: StepEngine,
     sizes: &[usize],
-    workers: usize,
     diverge: &[(usize, usize)],
     cmds: &[Cmd],
 ) -> Result<(), TestCaseError> {
@@ -664,29 +657,26 @@ fn workers_match_flat(
             .expect("in range");
         sharded.shards_mut()[shard].deliver(local, mid);
     }
-    let driven: Result<(), TestCaseError> = sharded.with_workers(workers, |w| {
-        prop_assert_eq!(w.worker_count(), workers.min(sizes.len()));
-        for (step, &cmd) in cmds.iter().enumerate() {
-            match cmd {
-                Cmd::Deliver(mi) => {
-                    let mid = message(&engine, mi);
-                    let t_flat = flat.deliver_all(mid);
-                    prop_assert_eq!(w.deliver_all(mid), t_flat, "step {}", step);
-                }
-                Cmd::ResetAll => {
-                    flat.reset_all();
-                    w.reset_all();
-                }
+    for (step, &cmd) in cmds.iter().enumerate() {
+        match cmd {
+            Cmd::Deliver(mi) => {
+                let mid = message(&engine, mi);
+                let t_flat = flat.deliver_all(mid);
+                prop_assert_eq!(sharded.deliver_all(mid), t_flat, "step {}", step);
             }
-            prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
-            prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
+            Cmd::ResetAll => {
+                flat.reset_all();
+                sharded.reset_all();
+            }
         }
-        Ok(())
-    });
-    driven?;
-    // A sharded `deliver_all` is one command on the same driver.
-    let mid = message(&engine, 0);
-    prop_assert_eq!(sharded.deliver_all(mid), flat.deliver_all(mid));
+        prop_assert_eq!(
+            sharded.finished_count(),
+            flat.finished_count(),
+            "step {}",
+            step
+        );
+        prop_assert_eq!(sharded.steps(), flat.steps(), "step {}", step);
+    }
     let mut offset = 0;
     for shard in sharded.shards() {
         let n = shard.len();
@@ -700,35 +690,39 @@ fn workers_match_flat(
         }
         offset += n;
     }
-    prop_assert_eq!(flat.steps(), sharded.steps());
-    prop_assert_eq!(flat.finished_count(), sharded.finished_count());
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The driver over dense stores.
+    /// The fork-join over dense stores.
     #[test]
-    fn stealing_workers_are_deterministic(
+    fn sharded_dense_pool_matches_flat(
         model in two_counter(),
-        (sizes, workers) in shard_plan(),
+        sizes in shard_plan(),
         diverge in prop::collection::vec((any::<usize>(), 0usize..2), 0..24),
         cmds in cmd_stream(),
     ) {
-        workers_match_flat(dense_engine(&model), &sizes, workers, &diverge, &cmds)?;
+        sharded_pool_matches_flat(dense_engine(&model), &sizes, &diverge, &cmds)?;
     }
 
-    /// The same on the register engine, where shards also carry
-    /// registers.
+    /// The same for a guarded machine on the register engine, where
+    /// shards also carry registers, and unfolded onto the dense table,
+    /// where they carry configuration ids.
     #[test]
-    fn stealing_workers_match_flat_efsm_pool(
+    fn sharded_efsm_pool_matches_flat(
         t in 1i64..6,
         spill in any::<bool>(),
-        (sizes, workers) in shard_plan(),
+        sizes in shard_plan(),
         diverge in prop::collection::vec((any::<usize>(), 0usize..2), 0..24),
         cmds in cmd_stream(),
     ) {
-        workers_match_flat(register_engine(t, spill, 6), &sizes, workers, &diverge, &cmds)?;
+        let ir = FlatIr::from_efsm(&threshold_efsm(spill, CELL_SHAPES[6]));
+        let unfolded = StepEngine::compile_ir(&ir, &[t]).expect("compiles");
+        prop_assert_eq!(unfolded.tier(), Tier::Compiled);
+        for engine in [register_engine(t, spill, 6), unfolded] {
+            sharded_pool_matches_flat(engine, &sizes, &diverge, &cmds)?;
+        }
     }
 }

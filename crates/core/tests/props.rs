@@ -267,11 +267,11 @@ proptest! {
         prop_assert_eq!(fsm.deliver("zap").unwrap_err(), single.deliver("zap").unwrap_err());
     }
 
-    /// Sharding a pool across worker threads is a pure layout decision:
-    /// for any machine, session count, shard count and message sequence,
-    /// the sharded pool's per-session states, finished flags, totals and
-    /// transition counts are identical to one flat pool stepping the
-    /// same sessions — whatever the thread scheduling.
+    /// Sharding a pool is a pure layout decision: for any machine,
+    /// session count, shard count (empty shards included) and message
+    /// sequence, the forked batches' per-session states, finished flags,
+    /// totals and transition counts are identical to one flat pool
+    /// stepping the same sessions — whatever the thread scheduling.
     #[test]
     fn sharded_pool_is_deterministic(
         model in two_counter(),
@@ -297,40 +297,5 @@ proptest! {
             prop_assert_eq!(flat.steps(), sharded.steps(), "step {}", step);
             prop_assert_eq!(per_session(&flat), per_session_sharded(&sharded), "step {}", step);
         }
-    }
-
-    /// Persistent parked workers are just a scheduling change: driving a
-    /// sharded pool through `with_workers` with a worker per shard
-    /// (kept alive across `deliver_all` calls behind a condvar, nothing
-    /// to steal) yields per-step transition
-    /// counts, aggregate finished/step totals and final per-session
-    /// states identical to one flat pool stepping the same sessions.
-    #[test]
-    fn parked_workers_are_deterministic(
-        model in two_counter(),
-        sessions in 1usize..150,
-        shards in 1usize..6,
-        messages in prop::collection::vec(0usize..2, 0..48),
-    ) {
-        let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let engine = StepEngine::dense(compiled.clone());
-        let mut flat = SessionStore::new(engine.clone(), sessions);
-        let mut sharded =
-            ShardedPool::split(sessions, shards, |len| SessionStore::new(engine.clone(), len));
-        let checks: Result<(), TestCaseError> = sharded.with_workers(shards, |workers| {
-            for (step, &mi) in messages.iter().enumerate() {
-                let name = if mi == 0 { "a" } else { "b" };
-                let mid = compiled.message_id(name).expect("declared message");
-                let t_flat = flat.deliver_all(mid);
-                prop_assert_eq!(workers.deliver_all(mid), t_flat, "step {}", step);
-                prop_assert_eq!(workers.finished_count(), flat.finished_count(), "step {}", step);
-                prop_assert_eq!(workers.steps(), flat.steps(), "step {}", step);
-            }
-            Ok(())
-        });
-        checks?;
-        prop_assert_eq!(per_session(&flat), per_session_sharded(&sharded));
-        prop_assert_eq!(flat.steps(), sharded.steps());
     }
 }

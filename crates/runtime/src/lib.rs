@@ -55,8 +55,7 @@
 //!   [`deliver_all`](Runtime::deliver_all), [`reset`](Runtime::reset),
 //!   [`release`](Runtime::release) and introspection, uniform across
 //!   every tier, with opt-in sharding ([`sharded`](Runtime::sharded))
-//!   and persistent workers ([`with_workers`](Runtime::with_workers))
-//!   as *configuration* rather than distinct types.
+//!   as *configuration* rather than a distinct type.
 //!
 //! Everything fallible returns the unified
 //! [`StategenError`], and sessions are addressed by the generational
@@ -192,8 +191,8 @@
 //! # Ok::<(), stategen_runtime::StategenError>(())
 //! ```
 //!
-//! Scaling the same runtime to 100k concurrent sessions across 4
-//! worker threads is configuration, not a different API:
+//! Partitioning the same runtime's 100k concurrent sessions into 4
+//! shards is configuration, not a different API:
 //!
 //! ```no_run
 //! # use stategen_core::{Action, StateMachineBuilder, StateRole};
@@ -205,15 +204,17 @@
 //! let mut rt = engine.runtime().sharded(4);
 //! rt.spawn_many(100_000);
 //! let ping = rt.message_id("ping").unwrap();
-//! rt.deliver_all(ping); // one worker per shard, spawned for the call
-//! rt.with_workers(4, |w| {
-//!     // persistent workers, parked between the batches of a sequence;
-//!     // ask for fewer than shards and idle workers steal the rest
-//!     for _ in 0..64 {
-//!         w.deliver_all(ping);
-//!     }
-//! });
+//! for _ in 0..64 {
+//!     // one fork-join per batch: shard 0 on this thread, a scoped
+//!     // thread for each of the other three, all joined on return
+//!     rt.deliver_all(ping);
+//! }
 //! ```
+//!
+//! Sharding buys capacity and isolation rather than speed: on a
+//! two-thread machine a batch forked over two shards costs 1.1× (a
+//! divergent pool) to 3× (a lockstep one) the flat call, the thread
+//! spawn dominating small batches (`docs/KERNELS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -224,9 +225,7 @@ mod spec;
 mod timer;
 
 pub use engine::{Engine, Tier};
-pub use runtime::{
-    Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, SwapOutcome, Workers,
-};
+pub use runtime::{Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, SwapOutcome};
 pub use spec::Spec;
 pub use stategen_analysis::{Analysis, AnalysisConfig};
 pub use timer::TimerWheel;

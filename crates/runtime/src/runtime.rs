@@ -84,9 +84,9 @@ fn event(slot: usize, generation: u32, message: MessageId, taken: Taken<'_>) -> 
 /// behind [`SessionId`], telemetry counters, the flight recorder, and
 /// the lockstep hint that keeps its tail probe O(ring capacity).
 ///
-/// Shards implement [`BatchEngine`], so the runtime scales them with
-/// the same worker driver as bare stores; they are created and owned by
-/// [`Runtime`] and not constructed directly.
+/// Shards implement [`BatchEngine`], so the runtime forks a batch over
+/// them exactly as [`ShardedPool`] does over bare stores; they are
+/// created and owned by [`Runtime`] and not constructed directly.
 #[derive(Debug, Clone)]
 pub struct Shard {
     store: SessionStore,
@@ -383,17 +383,19 @@ impl BatchEngine for Shard {
     /// batch runs at full speed, and the probed tail is committed — no
     /// event build inside the hot loop (`runtime_observed` benches this
     /// at ≤ 1.25× the unobserved facade).
+    ///
+    /// The recorder is taken out only once the batch has run, so a batch
+    /// that panics (a foreign message id) leaves it attached.
     fn deliver_all(&mut self, message: MessageId) -> u64 {
-        match self.recorder.take() {
-            Some(mut rec) => {
-                self.capture_batch_tail(message, rec.capacity());
-                let transitions = self.deliver_batch(message, &mut NoopObserver);
-                self.commit_batch_tail(&mut rec, transitions);
-                self.recorder = Some(rec);
-                transitions
-            }
-            None => self.deliver_batch(message, &mut NoopObserver),
-        }
+        let Some(capacity) = self.recorder.as_ref().map(FlightRecorder::capacity) else {
+            return self.deliver_batch(message, &mut NoopObserver);
+        };
+        self.capture_batch_tail(message, capacity);
+        let transitions = self.deliver_batch(message, &mut NoopObserver);
+        let mut rec = self.recorder.take().expect("checked above");
+        self.commit_batch_tail(&mut rec, transitions);
+        self.recorder = Some(rec);
+        transitions
     }
 
     fn finished_count(&self) -> usize {
@@ -412,11 +414,6 @@ impl BatchEngine for Shard {
         self.lockstep = (self.live() == self.store.len()).then(|| self.store.engine().start());
     }
 }
-
-/// Driver handle for a sharded [`Runtime`]'s persistent workers (see
-/// [`Runtime::with_workers`]): a batch *sequence* pays one thread
-/// spawn/join total instead of one per batch.
-pub type Workers<'a> = stategen_core::Workers<'a, Shard>;
 
 /// A point-in-time capture of one session (see [`Runtime::snapshot`]):
 /// everything needed to recognise the same execution later.
@@ -533,7 +530,7 @@ struct PendingSwap {
 /// * [`deliver`](Runtime::deliver) steps one session (returning the
 ///   triggered actions, borrowed — no allocation on any compiled-tier
 ///   delivery path); [`deliver_all`](Runtime::deliver_all) steps every
-///   session, across worker threads when sharded;
+///   session, one scoped thread per extra shard when sharded;
 /// * [`reset`](Runtime::reset) restarts an execution in place,
 ///   [`release`](Runtime::release) recycles its slot (bumping the
 ///   generation, so stale handles fail loudly);
@@ -551,10 +548,11 @@ struct PendingSwap {
 ///   before any session moves.
 ///
 /// Sharding is configuration: [`sharded(k)`](Runtime::sharded)
-/// partitions future sessions across `k` shards, and batch deliveries
-/// step shards on worker threads — spawned per call by
-/// [`deliver_all`](Runtime::deliver_all), kept parked across a batch
-/// sequence by [`with_workers`](Runtime::with_workers). Results are
+/// partitions future sessions across `k` shards, and each
+/// [`deliver_all`](Runtime::deliver_all) is one fork-join over them —
+/// shard 0 on the calling thread, one scoped thread per other shard,
+/// joined before the call returns. It buys capacity and isolation, not
+/// speed, on a small machine (`docs/KERNELS.md`). Results are
 /// bit-identical to a single shard whatever the scheduling, because
 /// sessions never share state.
 #[derive(Debug)]
@@ -637,7 +635,8 @@ impl Runtime {
         &self.engine
     }
 
-    /// Number of shards (worker threads used per batch delivery).
+    /// Number of shards (threads a [`Runtime::deliver_all`] runs on:
+    /// the caller's, plus one scoped thread per shard after the first).
     pub fn shard_count(&self) -> usize {
         self.pool.shard_count()
     }
@@ -777,9 +776,9 @@ impl Runtime {
         Ok(self.live_shard_mut(session)?.deliver_slot(session, message))
     }
 
-    /// Delivers a message to every live session — on one worker thread
-    /// per shard when sharded — and returns the number of transitions
-    /// taken.
+    /// Delivers a message to every live session — when sharded, in one
+    /// fork-join over the shards ([`ShardedPool::deliver_all`]) — and
+    /// returns the number of transitions taken.
     ///
     /// While a recorder is attached (see [`Runtime::attach_recorder`])
     /// the batch's wall-clock latency is also recorded into
@@ -794,7 +793,13 @@ impl Runtime {
     /// session. Ids from [`Runtime::message_id`] are always in range;
     /// for one-session delivery of untrusted ids use
     /// [`Runtime::try_deliver`], which returns
-    /// [`StategenError::MessageOutOfRange`] instead.
+    /// [`StategenError::MessageOutOfRange`] instead. Sharding does not
+    /// change the message: every shard refuses the id, and the calling
+    /// thread's own shard raises first.
+    ///
+    /// Whatever a shard panics with, a sharded call re-raises that
+    /// shard's own payload once every shard's thread has finished —
+    /// it never hangs — and the runtime stays usable afterwards.
     pub fn deliver_all(&mut self, message: MessageId) -> u64 {
         match &mut self.batch_latency {
             Some(hist) => {
@@ -805,25 +810,6 @@ impl Runtime {
             }
             None => self.pool.deliver_all(message),
         }
-    }
-
-    /// Runs `f` with `workers` persistent threads driving the shards
-    /// (see [`ShardedPool::with_workers`]): a batch *sequence* pays one
-    /// thread spawn/join total instead of one per
-    /// [`Runtime::deliver_all`] call. Each worker owns a deque of
-    /// shards and steals from the others when idle, so a worker per
-    /// shard simply parks one each, fewer workers than shards balance
-    /// uneven shards without oversubscribing the machine, and one
-    /// worker (or one shard) runs inline with no thread. Every shard is
-    /// stepped by exactly one worker per batch, so results are
-    /// bit-identical to [`Runtime::deliver_all`] whatever the
-    /// interleaving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_workers<R>(&mut self, workers: usize, f: impl FnOnce(&mut Workers<'_>) -> R) -> R {
-        self.pool.with_workers(workers, f)
     }
 
     /// Returns one session to the start state (same slot, handle stays
@@ -1661,8 +1647,10 @@ mod tests {
     /// A foreign message id in a *batch* panics with one message on all
     /// three tiers — it used to be ignored by the interpreter, index out
     /// of bounds on the dense table, and in release builds read another
-    /// state's cell on the register tier. `verify.sh` re-runs this in
-    /// release.
+    /// state's cell on the register tier — flat or sharded, observed or
+    /// not: a sharded runtime used to report its worker's death instead,
+    /// and an observed one the recorder's tail probe's own complaint,
+    /// losing the recorder. `verify.sh` re-runs this in release.
     #[test]
     fn deliver_all_rejects_foreign_message_ids_on_every_tier() {
         use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig};
@@ -1691,26 +1679,37 @@ mod tests {
         assert_eq!(engines[3].tier(), Tier::CompiledEfsm);
         for engine in engines {
             let alphabet = engine.messages().len();
-            // A lockstep pool, then a divergent one.
+            // A lockstep pool, then a divergent one; flat, then forked
+            // over two and three shards; without a recorder, then with.
             for diverge in [false, true] {
-                let mut rt = engine.runtime_with(6);
-                let first = rt.message_id(&engine.messages()[0]).unwrap();
-                let one = rt.spawn();
-                if diverge {
-                    rt.deliver(one, first);
+                for shards in 1..=3 {
+                    for observed in [false, true] {
+                        let mut rt = engine.runtime().sharded(shards);
+                        rt.spawn_many(6);
+                        if observed {
+                            rt.attach_recorder(4);
+                        }
+                        let first = rt.message_id(&engine.messages()[0]).unwrap();
+                        let one = rt.spawn();
+                        if diverge {
+                            rt.deliver(one, first);
+                        }
+                        let before = rt.snapshot_all();
+                        let batch = std::panic::AssertUnwindSafe(|| rt.deliver_all(foreign));
+                        let panic = std::panic::catch_unwind(batch).expect_err("not delivered");
+                        assert_eq!(
+                            panic.downcast_ref::<String>().map(String::as_str),
+                            Some(&*format!(
+                                "message id 6 is outside this engine's alphabet of {alphabet} messages"
+                            )),
+                            "{} tier, {shards} shards, observed: {observed}",
+                            engine.tier()
+                        );
+                        assert_eq!(rt.snapshot_all(), before, "no session was touched");
+                        let rings = rt.dump_trace().matches("\nshard ").count();
+                        assert_eq!(rings, if observed { shards } else { 0 }, "recorders kept");
+                    }
                 }
-                let before = rt.snapshot_all();
-                let batch = std::panic::AssertUnwindSafe(|| rt.deliver_all(foreign));
-                let panic = std::panic::catch_unwind(batch).expect_err("must not be delivered");
-                assert_eq!(
-                    panic.downcast_ref::<String>().map(String::as_str),
-                    Some(&*format!(
-                        "message id 6 is outside this engine's alphabet of {alphabet} messages"
-                    )),
-                    "{} tier",
-                    engine.tier()
-                );
-                assert_eq!(rt.snapshot_all(), before, "no session was touched");
             }
         }
     }
@@ -1793,25 +1792,8 @@ mod tests {
         assert_eq!(sharded.steps(), 0);
     }
 
-    #[test]
-    fn parked_workers_match_scoped_delivery() {
-        let engine = Engine::compile(Spec::machine(finishing_machine())).unwrap();
-        let mut rt = engine.runtime().sharded(3);
-        rt.spawn_many(70);
-        let a = engine.message_id("a").unwrap();
-        let total = rt.with_workers(3, |w| {
-            assert_eq!(w.worker_count(), 3);
-            let t = w.deliver_all(a) + w.deliver_all(a);
-            assert_eq!(w.finished_count(), 70);
-            t
-        });
-        assert_eq!(total, 140);
-        assert!(rt.all_finished());
-    }
-
     /// The finished count is eager on every shard: after any mix of
-    /// single deliveries, resets, releases and batches — through the
-    /// one-command sharded `deliver_all` or a held-open driver — the
+    /// single deliveries, resets, releases and forked batches, the
     /// sharded total equals the flat runtime's and a per-handle recount.
     #[test]
     fn sharded_finished_totals_match_flat_after_mixed_deliveries() {
@@ -1852,17 +1834,13 @@ mod tests {
             rt.release(ids[21]);
         }
         agree(&flat, &sharded);
-        // A one-command sharded batch, then a held-open driver.
+        // Forked batches between single deliveries.
         assert_eq!(flat.deliver_all(b), sharded.deliver_all(b));
         assert_eq!(flat.deliver_all(a), sharded.deliver_all(a));
         agree(&flat, &sharded);
         flat.deliver(flat_ids[1], a);
         sharded.deliver(ids[1], a);
-        let driven = sharded.with_workers(2, |w| {
-            let t = w.deliver_all(a);
-            (t, w.finished_count())
-        });
-        assert_eq!(driven, (flat.deliver_all(a), flat.finished_count()));
+        assert_eq!(flat.deliver_all(a), sharded.deliver_all(a));
         agree(&flat, &sharded);
         assert!(sharded.all_finished());
     }

@@ -1,11 +1,12 @@
 //! Facade-level kernel-equivalence properties: `Runtime::deliver_all`
-//! (routed through the batch kernels on the compiled tiers) is
+//! (routed through the dense kernel on the compiled tier) is
 //! bit-identical to per-session scalar delivery and to the
 //! telemetry-observed path — states, actions, finished flags, metrics
 //! and snapshots — under spawn/release/reset churn between batches
-//! (released slots exercise the kernels' retired-slot skip), on
-//! the compiled, compiled-EFSM and reconstructed build-time-generated
-//! tiers, and under the one worker driver at every worker count. The
+//! (released slots exercise the kernel's retired-slot skip), on the
+//! compiled tier — generated, unfolded and reconstructed
+//! build-time-generated machines — and through a sharded runtime's
+//! fork-join on every tier. The
 //! last property is differential across *lowerings*: random guarded
 //! EFSMs, unfolded onto the dense table or left on the register tier as
 //! their bound configuration space decides, against an explicit
@@ -142,10 +143,12 @@ fn commit_ids(rt: &Runtime) -> Vec<MessageId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Compiled tier: flat, 4-way sharded, and recorder-observed
-    /// runtimes (the latter two also route batches through the kernel /
-    /// the replayed-observation path) all stay bit-identical to
-    /// per-session scalar delivery through churny scripts.
+    /// Compiled tier: flat, 4-way sharded, recorder-observed, and
+    /// 4-way sharded *and* observed runtimes (the last with its recorders
+    /// running on the fork-join's threads; all but the first also route
+    /// batches through the kernel / the replayed-observation path) all
+    /// stay bit-identical to per-session scalar delivery through churny
+    /// scripts.
     #[test]
     fn compiled_batches_match_scalar_delivery(ops in script(5)) {
         let machine = generate(&CommitModel::new(CommitConfig::new(4).unwrap()))
@@ -154,10 +157,13 @@ proptest! {
         let engine = || Engine::compile(Spec::machine(machine.clone())).unwrap();
         let mut observed = engine().runtime();
         observed.attach_recorder(16);
+        let mut sharded_observed = Runtime::new(engine()).sharded(4);
+        sharded_observed.attach_recorder(16);
         let mut batched = [
             engine().runtime(),
             Runtime::new(engine()).sharded(4),
             observed,
+            sharded_observed,
         ];
         let mut scalar = engine().runtime();
         let ids = commit_ids(&scalar);
@@ -171,9 +177,9 @@ proptest! {
         prop_assert_eq!(k.guard_fall_throughs, s.guard_fall_throughs);
     }
 
-    /// Compiled-EFSM tier: the masked-compare column sweep (and its
-    /// spill fallback) behind the facade matches scalar delivery on
-    /// states *and registers* (snapshots carry the full register file).
+    /// The commit EFSM, unfolded at r = 4: batches behind the facade
+    /// match scalar delivery on states *and registers* (snapshots carry
+    /// the source machine's full register file).
     #[test]
     fn efsm_batches_match_scalar_delivery(ops in script(5)) {
         let config = CommitConfig::new(4).unwrap();
@@ -202,30 +208,32 @@ proptest! {
         prop_assert_eq!(batched[0].snapshot_all(), scalar.snapshot_all());
     }
 
-    /// The worker driver behind a sharded runtime is a pure scheduling
-    /// change on both compiled engines: for any shard count, any
-    /// `workers ∈ 1..=shards + 2` (inline, stealing, parked), uneven
+    /// A sharded runtime's fork-join is a pure layout change on every
+    /// tier that serves the commit protocol — dense (the generated FSM),
+    /// unfolded (the EFSM bound at r = 4) and register (bound at r = 64,
+    /// over the unfolding budget): for any shard count, uneven and empty
     /// shards (sessions diverged and released before the drive) and any
-    /// deliver/reset sequence, per-command transition counts and
-    /// finished/step totals equal a flat runtime's, and afterwards
-    /// every session's state and registers do.
+    /// deliver/reset sequence, per-batch transition counts and
+    /// finished/step totals equal a flat runtime's, and afterwards every
+    /// session's state and registers do.
     #[test]
-    fn stealing_workers_match_flat_runtime(
-        guarded in any::<bool>(),
+    fn sharded_runtime_matches_flat(
+        tier in 0usize..3,
         shards in 1usize..9,
-        extra in 0usize..11,
         prelude in prop::collection::vec((0usize..256, 0usize..6), 0..40),
         commands in prop::collection::vec(0usize..6, 0..40),
         sessions in 1usize..200,
     ) {
-        let workers = 1 + extra % (shards + 2);
-        let config = CommitConfig::new(4).unwrap();
-        let engine = if guarded {
-            Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap()
-        } else {
+        let r = if tier == 2 { 64 } else { 4 };
+        let config = CommitConfig::new(r).unwrap();
+        let engine = if tier == 0 {
             let machine = generate(&CommitModel::new(config)).unwrap().machine;
             Engine::compile(Spec::machine(machine)).unwrap()
+        } else {
+            Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap()
         };
+        let expected = [Tier::Compiled, Tier::Compiled, Tier::CompiledEfsm][tier];
+        prop_assert_eq!(engine.tier(), expected);
         let mut flat = engine.runtime();
         let mut sharded = engine.runtime().sharded(shards);
         let mut handles: Vec<(SessionId, SessionId)> =
@@ -245,26 +253,17 @@ proptest! {
                 sharded.release(s);
             }
         }
-        let checks: Result<(), TestCaseError> = sharded.with_workers(workers, |w| {
-            prop_assert_eq!(w.worker_count(), workers.min(shards));
-            for (step, &m) in commands.iter().enumerate() {
-                if m < ids.len() {
-                    let t_flat = flat.deliver_all(ids[m]);
-                    prop_assert_eq!(w.deliver_all(ids[m]), t_flat, "step {}", step);
-                } else {
-                    flat.reset_all();
-                    w.reset_all();
-                }
-                prop_assert_eq!(w.finished_count(), flat.finished_count(), "step {}", step);
-                prop_assert_eq!(w.steps(), flat.steps(), "step {}", step);
+        for (step, &m) in commands.iter().enumerate() {
+            if m < ids.len() {
+                let t_flat = flat.deliver_all(ids[m]);
+                prop_assert_eq!(sharded.deliver_all(ids[m]), t_flat, "step {}", step);
+            } else {
+                flat.reset_all();
+                sharded.reset_all();
             }
-            Ok(())
-        });
-        checks?;
-        // A sharded `deliver_all` is one command on the same driver.
-        prop_assert_eq!(sharded.deliver_all(ids[0]), flat.deliver_all(ids[0]));
-        prop_assert_eq!(sharded.steps(), flat.steps());
-        prop_assert_eq!(sharded.finished_count(), flat.finished_count());
+            prop_assert_eq!(sharded.finished_count(), flat.finished_count(), "step {}", step);
+            prop_assert_eq!(sharded.steps(), flat.steps(), "step {}", step);
+        }
         prop_assert_eq!(sharded.len(), flat.len());
         for (idx, &(f, s)) in handles.iter().enumerate() {
             let (a, b) = (flat.snapshot(f), sharded.snapshot(s));
@@ -279,8 +278,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// The fused-check counts `(first, second candidate)` of a register
-/// cell, as in `stategen-core`'s kernel suite: every shape the lockstep
-/// sweep monomorphizes.
+/// cell, as in `stategen-core`'s kernel suite: every shape of the bound
+/// single step's inline layout.
 const CELL_SHAPES: [(usize, Option<usize>); 11] = [
     (0, None),
     (1, None),

@@ -58,8 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Batch tier: 40k concurrent guarded sessions, partitioned over
     // four shards as *configuration*. Each shard owns its sessions, so
-    // `deliver_all` steps them on independent worker threads — results
-    // bit-identical to a single flat runtime.
+    // `deliver_all` steps them in one fork-join — the caller's thread
+    // plus a scoped thread per other shard — with results bit-identical
+    // to a single flat runtime.
     let config = CommitConfig::new(4)?;
     let engine = Engine::compile(Spec::efsm(efsm, commit_efsm_params(&config)))?;
     println!(

@@ -58,8 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ...and the compiled engine serves the same statechart from dense
     // tables (the `compiled` tier — the front-end is not a tier), here
-    // batch-stepping a 40k sharded runtime on persistent workers with
-    // the same zero-allocation dispatch as any other compiled machine.
+    // batch-stepping a 40k-session runtime split over four shards — each
+    // `deliver_all` one fork-join over them — with the same
+    // zero-allocation dispatch as any other compiled machine.
     let engine = Engine::compile(Spec::hierarchical(hsm.clone()))?;
     assert_eq!(engine.tier(), Tier::Compiled);
     println!(
@@ -74,13 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|m| engine.message_id(m).expect("lifecycle alphabet"))
         .collect();
-    let transitions = pool.with_workers(4, |workers| {
-        let mut transitions = 0;
-        for &mid in &trace {
-            transitions += workers.deliver_all(mid);
-        }
-        transitions
-    });
+    let mut transitions = 0;
+    for &mid in &trace {
+        transitions += pool.deliver_all(mid);
+    }
     println!(
         "sharded runtime: {} sessions x {} messages = {} transitions, {} finished",
         pool.len(),

@@ -21,12 +21,13 @@
 #    hsm_guarded_flattened row: a guarded statechart on the
 #    compiled-EFSM tier, 64k sessions, 0 allocs/delivery hard-asserted,
 #    tracked within ~1.5x of the batched compiled-EFSM row), the batch
-#    kernel gates — batched_kernel ≥ 1.25x the scalar pool walk and
-#    efsm_kernel ≥ 1.4x the scalar EFSM walk, paired passes at 4096
-#    lockstep sessions, and batched_kernel_divergent ≥ 1.5x the scalar
-#    walk on a pre-diverged 65 536-session pool (the register tier
-#    serves a divergent pool by that walk: efsm_pool_divergent only),
-#    0 allocs/delivery (docs/KERNELS.md) — and
+#    kernel gates — batched_kernel ≥ 1.25x the scalar pool walk, paired
+#    passes at 4096 lockstep sessions, and batched_kernel_divergent ≥
+#    1.5x the scalar walk on a pre-diverged 65 536-session pool, 0
+#    allocs/delivery (docs/KERNELS.md; the register tier has no kernel
+#    since its lockstep sweep failed ROADMAP item 2's rule (i) on the
+#    efsm_kernel_over_budget row, which stays as the over-budget commit
+#    EFSM's deliver_all against the walk) — and
 #    the telemetry overhead bounds — runtime_facade ≤ 1.10x raw compiled
 #    dispatch with telemetry compiled in but disabled, and
 #    runtime_observed (flight recorder + metrics on) ≤ 1.25x the
@@ -54,14 +55,18 @@
 #    than the unminimized original in paired passes);
 # 7. fails if the benchmark artefacts are missing required rows
 #    (including the runtime_facade, artifact_cold_load,
-#    hsm_minimized and storage_faulted rows), or if a name the
-#    one-store / one-driver collapse deleted (the two core pools, the
-#    parked and stealing driver handles, the runtime's private tier
-#    enum, the statechart pseudo-tiers) reappears in the sources or
-#    docs, or a name the one-step collapse deleted (the four
+#    hsm_minimized, efsm_kernel_over_budget and storage_faulted rows),
+#    or if a name the one-store / one-driver collapse deleted (the two
+#    core pools, the parked and stealing driver handles, the runtime's
+#    private tier enum, the statechart pseudo-tiers) reappears in the
+#    sources or docs, or a name the one-step collapse deleted (the four
 #    per-front-end instance types, the bucketed register kernel's
-#    scratch and sweep), or the lazy finished bitset (its type, its
-#    batch scan, its dirty flag) under crates/core/src; and re-runs in
+#    scratch and sweep), or a name the fork-join replaced (the parked,
+#    work-stealing driver: its handle, its entry point, its mailbox,
+#    deque and loop), or the register tier's lockstep sweep in the
+#    sources, or a Condvar in the core or runtime sources, or the lazy
+#    finished bitset (its type, its batch scan, its dirty flag) under
+#    crates/core/src; and re-runs in
 #    release mode the generation-exhaustion unit test (its arithmetic
 #    wraps there instead of panicking), the foreign-message-id batch
 #    test (a debug assertion used to be the register tier's only guard)
@@ -164,6 +169,19 @@ if grep -rnE 'FsmInstance|EfsmInstance|CompiledInstance|KernelScratch|sweep_buck
     echo "verify.sh: the names above were deleted by the one-step collapse (CHANGES.md, PR 16)" >&2
     exit 1
 fi
+if grep -rnE 'with_workers|\bWorkers\b|WorkerMailbox|ShardDeque|worker_loop' \
+        crates/ src/ examples/ tests/ docs/; then
+    echo "verify.sh: the names above belong to the worker driver one fork-join per batch replaced (CHANGES.md, PR 25)" >&2
+    exit 1
+fi
+if grep -rnE 'efsm_lockstep|dispatch_shape' crates/ src/ examples/ tests/; then
+    echo "verify.sh: the register tier's lockstep sweep failed its 1.3x rule and was deleted (CHANGES.md, PR 25)" >&2
+    exit 1
+fi
+if grep -rn 'Condvar' crates/core/src crates/runtime/src; then
+    echo "verify.sh: sharded batches are a scoped fork-join; nothing parks on a condvar (CHANGES.md, PR 25)" >&2
+    exit 1
+fi
 if grep -rnE 'FinishedBits|finished_slots|\.dirty' crates/core/src; then
     echo "verify.sh: the finished count is eager; the lazy bitset above was deleted (CHANGES.md, PR 15)" >&2
     exit 1
@@ -186,11 +204,10 @@ fi
 echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
-           batched_pool batched_kernel efsm_pool efsm_kernel efsm_compiled \
+           batched_pool batched_kernel efsm_pool efsm_kernel_over_budget efsm_compiled \
            batched_kernel_divergent batched_pool_divergent efsm_pool_divergent \
-           artifact_cold_load artifact_booted_pool \
-           sharded_pool_4 sharded_persistent_4 work_stealing_4 generated \
-           runtime_facade runtime_facade_sharded_4 runtime_observed; do
+           artifact_cold_load artifact_booted_pool generated \
+           runtime_facade runtime_observed; do
     grep -q "\"name\": \"$row\"" BENCH_engine_tiers.json \
         || { echo "BENCH_engine_tiers.json is missing the $row row" >&2; exit 1; }
 done
