@@ -27,13 +27,38 @@ fn table1_state_counts() {
     }
 }
 
+/// The generator elaborates only what the start state reaches: every
+/// message against every reached state that has not completed, never the
+/// rest of the Table 1 product.
+#[test]
+fn table1_elaborates_only_reached_states() {
+    let unmerged = GenerateOptions {
+        merge: MergeStrategy::None,
+        ..Default::default()
+    };
+    for (_, r, _, _) in TABLE1 {
+        let model = CommitModel::new(CommitConfig::new(r).unwrap());
+        let g = generate_with(&model, &unmerged).unwrap();
+        let active = g
+            .machine
+            .states()
+            .iter()
+            .filter(|s| s.role() == stategen_core::StateRole::Normal)
+            .count() as u64;
+        let messages = g.machine.messages().len() as u64;
+        assert_eq!(g.report.elaborations, messages * active, "r={r}");
+    }
+}
+
 /// Paper §3.4 / Figs 12–13: for r = 4, pruning reduces 512 states to 48
-/// and combining equivalent states reduces 48 to 33.
+/// and combining equivalent states reduces 48 to 33. Only the 32 reached
+/// states that have not completed are elaborated, against 5 messages.
 #[test]
 fn fig12_fig13_pipeline_counts_r4() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
     assert_eq!(g.report.initial_states, 512);
     assert_eq!(g.report.reachable_states, 48);
+    assert_eq!(g.report.elaborations, 5 * 32);
     assert_eq!(g.report.final_states, 33);
 }
 

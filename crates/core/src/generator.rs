@@ -1,17 +1,21 @@
 //! The generation engine: executes an [`AbstractModel`] to produce one
 //! member of its FSM family.
 //!
-//! The pipeline follows paper §3.4 exactly:
+//! Paper §3.4 describes four steps; the engine runs the first three as
+//! one search and builds the machine once:
 //!
-//! 1. **enumerate** — build representations of all possible states (the
-//!    full component product, e.g. 512 states for the commit protocol at
-//!    replication factor 4);
-//! 2. **transitions** — for each state, elaborate the effect of every
-//!    message via [`AbstractModel::transition`] and record the resulting
-//!    transitions and actions; states where the protocol has completed
-//!    ([`AbstractModel::is_final_state`]) process no messages;
-//! 3. **prune** — remove states unreachable from the start state
-//!    (512 → 48 for the commit protocol at r = 4);
+//! 1. **enumerate**, 2. **transitions** and 3. **prune** are one
+//!    worklist over state codes, seeded with the start state. Each
+//!    reached state has the effect of every message elaborated once via
+//!    [`AbstractModel::transition`], and a target is enqueued the first
+//!    time it is seen; states where the protocol has completed
+//!    ([`AbstractModel::is_final_state`]) process no messages. What the
+//!    start state cannot reach is never elaborated, so pruning is what
+//!    the search leaves out (48 of the 512 states of the commit protocol
+//!    at replication factor 4), and the full component product is
+//!    counted, not built ([`GenerationReport::initial_states`]). The
+//!    reached states are numbered in encoding order, as enumerating the
+//!    whole product would number them.
 //! 4. **merge** — combine equivalent states, i.e. states whose outgoing
 //!    transitions perform the same actions and lead to the same target
 //!    (48 → 33 at r = 4; in particular all completed states — which have
@@ -21,10 +25,10 @@
 //! The engine reports per-stage counts and timings in a
 //! [`GenerationReport`], which is the data behind the paper's Table 1.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use crate::component::StateVector;
+use crate::component::{StateSpace, StateVector};
 use crate::error::GenerateError;
 use crate::machine::{Action, MessageId, State, StateId, StateMachine, StateRole, Transition};
 use crate::model::{AbstractModel, Outcome};
@@ -45,7 +49,11 @@ pub enum MergeStrategy {
 /// Options controlling the generation pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenerateOptions {
-    /// Run the reachability pruning step (paper step 3). Default `true`.
+    /// Explore from the start state only, so unreachable states are never
+    /// elaborated (paper step 3). Default `true`. With `false` the
+    /// worklist is seeded with every state of the space: the whole
+    /// product is elaborated and held, which a large, sparsely reached
+    /// space (up to `u32::MAX` states) cannot afford.
     pub prune: bool,
     /// Equivalent-state merging strategy (paper step 4).
     pub merge: MergeStrategy,
@@ -73,12 +81,9 @@ impl Default for GenerateOptions {
 /// Wall-clock time spent in each pipeline stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Step 1: enumerating the state space.
-    pub enumerate: Duration,
-    /// Step 2: elaborating transitions for every (state, message) pair.
-    pub transitions: Duration,
-    /// Step 3: reachability pruning.
-    pub prune: Duration,
+    /// Steps 1–3: exploring the reached states, elaborating each against
+    /// every message, and building the machine from them.
+    pub explore: Duration,
     /// Step 4: equivalent-state merging.
     pub merge: Duration,
     /// Attaching generated documentation to surviving states.
@@ -91,20 +96,22 @@ pub struct StageTimings {
 pub struct GenerationReport {
     /// Name of the generated machine.
     pub machine_name: String,
-    /// States in the full component product (Table 1 "initial states").
+    /// States in the full component product (Table 1 "initial states"):
+    /// the product of the component ranges, computed, not enumerated.
     pub initial_states: u64,
-    /// `(state, message)` pairs elaborated in step 2 (final states are
-    /// not elaborated).
+    /// `(state, message)` pairs elaborated: every message against every
+    /// reached state that is not final (160 for the commit protocol at
+    /// r = 4; with pruning off, every non-final state of the space).
     pub elaborations: u64,
-    /// Transitions recorded in step 2 (excludes ignored messages and,
-    /// unless configured otherwise, no-op self loops).
+    /// Transitions recorded out of reached states (excludes ignored
+    /// messages and, unless configured otherwise, no-op self loops).
     pub transitions_recorded: u64,
-    /// `(state, message)` pairs the model declared not applicable.
+    /// Elaborated pairs the model declared not applicable.
     pub ignored: u64,
-    /// No-op self loops dropped by the engine.
+    /// No-op self loops out of reached states, dropped by the engine.
     pub self_loops_dropped: u64,
-    /// States surviving reachability pruning (48 for the commit protocol
-    /// at r = 4, paper Fig 12).
+    /// States reached from the start state (48 for the commit protocol
+    /// at r = 4, paper Fig 12; the whole space with pruning off).
     pub reachable_states: usize,
     /// States after equivalent-state merging (Table 1 "final states";
     /// 33 for the commit protocol at r = 4).
@@ -127,11 +134,47 @@ pub struct GeneratedMachine {
     pub report: GenerationReport,
 }
 
-#[derive(Debug, Clone)]
+/// An elaborated transition; its target is a position in the worklist.
 struct RawTransition {
-    target: u64,
+    message: MessageId,
+    target: u32,
     actions: Vec<Action>,
     annotations: Vec<String>,
+}
+
+/// A state the worklist reached.
+struct Reached {
+    code: u64,
+    vector: StateVector,
+    finish: bool,
+    transitions: Vec<RawTransition>,
+}
+
+/// The reached states in discovery order, and the visited index from a
+/// state's code to its position among them.
+#[derive(Default)]
+struct Worklist {
+    reached: Vec<Reached>,
+    index: HashMap<u64, u32>,
+}
+
+impl Worklist {
+    /// The position of `vector`, enqueuing it the first time it is seen.
+    fn visit(&mut self, space: &StateSpace, vector: StateVector, model: &dyn AbstractModel) -> u32 {
+        let reached = &mut self.reached;
+        *self
+            .index
+            .entry(space.encode(&vector))
+            .or_insert_with_key(|&code| {
+                reached.push(Reached {
+                    code,
+                    finish: model.is_final_state(&vector),
+                    vector,
+                    transitions: Vec::new(),
+                });
+                reached.len() as u32 - 1
+            })
+    }
 }
 
 /// Executes `model` with default [`GenerateOptions`].
@@ -203,128 +246,101 @@ pub fn generate_with(
         return Err(GenerateError::InvalidStart(format!("{start_vector}")));
     }
 
-    // -- Step 1: enumerate all possible states. ---------------------------
+    // -- Steps 1–3: elaborate each reached state once. --------------------
     let stage = Instant::now();
-    let state_count = space.state_count();
-    let n = state_count as usize;
-    let vectors: Vec<StateVector> = space.iter().collect();
-    let finals: Vec<bool> = vectors.iter().map(|v| model.is_final_state(v)).collect();
-    timings.enumerate = stage.elapsed();
-
-    // -- Step 2: elaborate transitions for every (state, message). --------
-    let stage = Instant::now();
-    let mut raw: Vec<Vec<Option<RawTransition>>> = vec![Vec::new(); n];
-    let mut elaborations = 0u64;
-    let mut transitions_recorded = 0u64;
-    let mut ignored = 0u64;
-    let mut self_loops_dropped = 0u64;
-    for (code, vector) in vectors.iter().enumerate() {
-        if finals[code] {
+    let mut work = Worklist::default();
+    if options.prune {
+        work.visit(&space, start_vector.clone(), model);
+    } else {
+        for vector in space.iter() {
+            work.visit(&space, vector, model);
+        }
+    }
+    let (mut elaborations, mut transitions_recorded) = (0u64, 0u64);
+    let (mut ignored, mut self_loops_dropped) = (0u64, 0u64);
+    let mut next = 0;
+    while next < work.reached.len() {
+        let at = next;
+        next += 1;
+        if work.reached[at].finish {
             // A completed instance processes no further messages.
             continue;
         }
-        let mut row: Vec<Option<RawTransition>> = Vec::with_capacity(messages.len());
-        for message in &messages {
+        for (mid, message) in messages.iter().enumerate() {
             elaborations += 1;
-            let outcome = model.transition(vector, message);
-            let slot = match outcome {
-                Outcome::Ignored => {
-                    ignored += 1;
-                    None
-                }
-                Outcome::Transition(spec) => {
-                    if !space.contains(&spec.target) {
-                        return Err(GenerateError::InvalidVector {
-                            vector: format!("{}", spec.target),
-                            context: "transition elaboration",
-                        });
-                    }
-                    if spec.target == *vector && spec.actions.is_empty() && !options.keep_self_loops
-                    {
-                        self_loops_dropped += 1;
-                        None
-                    } else {
-                        transitions_recorded += 1;
-                        Some(RawTransition {
-                            target: space.encode(&spec.target),
-                            actions: spec.actions,
-                            annotations: spec.annotations,
-                        })
-                    }
-                }
+            let Outcome::Transition(spec) = model.transition(&work.reached[at].vector, message)
+            else {
+                ignored += 1;
+                continue;
             };
-            row.push(slot);
+            if !space.contains(&spec.target) {
+                return Err(GenerateError::InvalidVector {
+                    vector: format!("{}", spec.target),
+                    context: "transition elaboration",
+                });
+            }
+            if spec.target == work.reached[at].vector
+                && spec.actions.is_empty()
+                && !options.keep_self_loops
+            {
+                self_loops_dropped += 1;
+                continue;
+            }
+            transitions_recorded += 1;
+            let target = work.visit(&space, spec.target, model);
+            work.reached[at].transitions.push(RawTransition {
+                message: MessageId(mid as u16),
+                target,
+                actions: spec.actions,
+                annotations: spec.annotations,
+            });
         }
-        raw[code] = row;
     }
-    timings.transitions = stage.elapsed();
 
-    // -- Step 3: prune unreachable states. --------------------------------
-    let stage = Instant::now();
-    let start_code = space.encode(&start_vector);
-    let kept_codes = if options.prune {
-        reachable_from(&raw, start_code)
-    } else {
-        (0..state_count).collect()
-    };
-    timings.prune = stage.elapsed();
-
-    // -- Materialise the (pruned) machine. --------------------------------
-    let mut code_to_id: BTreeMap<u64, StateId> = BTreeMap::new();
-    for (i, &code) in kept_codes.iter().enumerate() {
-        code_to_id.insert(code, StateId(i as u32));
+    // Number the reached states in code order, as enumerating the whole
+    // space would, and build the machine from them.
+    let mut by_code: Vec<u32> = (0..work.reached.len() as u32).collect();
+    by_code.sort_unstable_by_key(|&at| work.reached[at as usize].code);
+    let mut id_of = vec![StateId(0); by_code.len()];
+    for (id, &at) in by_code.iter().enumerate() {
+        id_of[at as usize] = StateId(id as u32);
     }
-    let mut states: Vec<State> = Vec::with_capacity(kept_codes.len());
-    for &code in &kept_codes {
-        let vector = &vectors[code as usize];
-        let role = if finals[code as usize] {
+    let start_id = id_of[work.index[&space.encode(&start_vector)] as usize];
+    work.reached.sort_unstable_by_key(|r| r.code);
+    let states = work.reached.into_iter().map(|r| {
+        let role = if r.finish {
             StateRole::Finish
         } else {
             StateRole::Normal
         };
-        states.push(State::new(
-            space.name_of(vector),
-            Some(vector.clone()),
-            role,
-            Vec::new(),
-        ));
-    }
-    for (i, &code) in kept_codes.iter().enumerate() {
-        for (mid, slot) in raw[code as usize].iter().enumerate() {
-            let Some(rt) = slot else { continue };
-            let target = code_to_id[&rt.target];
-            states[i].insert_transition(
-                MessageId(mid as u16),
-                Transition::new(target, rt.actions.clone(), rt.annotations.clone()),
-            );
+        let mut state = State::new(space.name_of(&r.vector), Some(r.vector), role, Vec::new());
+        for t in r.transitions {
+            let target = id_of[t.target as usize];
+            state.insert_transition(t.message, Transition::new(target, t.actions, t.annotations));
         }
-    }
-    let start_id = *code_to_id
-        .get(&start_code)
-        .ok_or(GenerateError::EmptyMachine)?;
+        state
+    });
     let machine =
-        StateMachine::from_parts(model.machine_name(), messages.clone(), states, start_id);
+        StateMachine::from_parts(model.machine_name(), messages, states.collect(), start_id);
     let reachable_states = machine.state_count();
+    timings.explore = stage.elapsed();
 
     // -- Step 4: combine equivalent states. -------------------------------
     let stage = Instant::now();
-    let (mut machine, merge_rounds) = match options.merge {
-        MergeStrategy::None => (machine, 0),
-        strategy => merge_equivalent_states(&machine, strategy),
-    };
+    let (mut machine, merge_rounds) = merge_states(machine, options.merge);
     timings.merge = stage.elapsed();
     let final_states = machine.state_count();
 
     // -- Attach generated documentation (paper footnote 3). ---------------
     let stage = Instant::now();
     if options.annotate_states {
-        machine = annotate_states(machine, model);
+        machine.annotate(|v| model.describe_state(v));
     }
     timings.annotate = stage.elapsed();
 
     let report = GenerationReport {
         machine_name: machine.name().to_string(),
-        initial_states: state_count,
+        initial_states: space.state_count(),
         elaborations,
         transitions_recorded,
         ignored,
@@ -338,33 +354,11 @@ pub fn generate_with(
     Ok(GeneratedMachine { machine, report })
 }
 
-/// BFS over the raw transition table; returns the sorted list of reachable
-/// state codes.
-fn reachable_from(raw: &[Vec<Option<RawTransition>>], start: u64) -> Vec<u64> {
-    let mut seen = vec![false; raw.len()];
-    let mut queue = VecDeque::new();
-    seen[start as usize] = true;
-    queue.push_back(start);
-    while let Some(code) = queue.pop_front() {
-        for slot in &raw[code as usize] {
-            let Some(rt) = slot else { continue };
-            if !seen[rt.target as usize] {
-                seen[rt.target as usize] = true;
-                queue.push_back(rt.target);
-            }
-        }
-    }
-    seen.iter()
-        .enumerate()
-        .filter_map(|(c, &s)| s.then_some(c as u64))
-        .collect()
-}
-
 /// Removes states unreachable from the start state (paper §3.4 step 3),
 /// returning the pruned machine.
 ///
 /// This is the standalone form used on hand-built machines; the generation
-/// pipeline prunes on its internal representation before materialising.
+/// pipeline never builds an unreachable state in the first place.
 pub fn prune_unreachable(machine: &StateMachine) -> StateMachine {
     let mut seen = vec![false; machine.state_count()];
     let mut queue = VecDeque::new();
@@ -378,42 +372,17 @@ pub fn prune_unreachable(machine: &StateMachine) -> StateMachine {
             }
         }
     }
-    let mut remap: Vec<Option<StateId>> = vec![None; machine.state_count()];
-    let mut next = 0u32;
-    for (i, &kept) in seen.iter().enumerate() {
-        if kept {
-            remap[i] = Some(StateId(next));
-            next += 1;
-        }
-    }
-    let mut states = Vec::with_capacity(next as usize);
-    for (id, state) in machine.states_with_ids() {
-        if !seen[id.index()] {
-            continue;
-        }
-        let mut new_state = State::new(
-            state.name(),
-            state.vector().cloned(),
-            state.role(),
-            state.annotations().to_vec(),
-        );
-        for (mid, t) in state.transitions() {
-            let target = remap[t.target().index()]
-                .expect("transition from reachable state must point to reachable state");
-            new_state.insert_transition(
-                mid,
-                Transition::new(target, t.actions().to_vec(), t.annotations().to_vec()),
-            );
-        }
-        states.push(new_state);
-    }
-    let start = remap[machine.start().index()].expect("start state is reachable");
-    StateMachine::from_parts(
-        machine.name().to_string(),
-        machine.messages().to_vec(),
-        states,
-        start,
-    )
+    let mut next = 0;
+    let remap: Vec<Option<StateId>> = seen
+        .iter()
+        .map(|&kept| {
+            next += u32::from(kept);
+            kept.then_some(StateId(next - 1))
+        })
+        .collect();
+    let mut pruned = machine.clone();
+    pruned.renumber(&remap);
+    pruned
 }
 
 /// Combines equivalent states (paper §3.4 step 4): states are equivalent
@@ -430,115 +399,76 @@ pub fn merge_equivalent_states(
     machine: &StateMachine,
     strategy: MergeStrategy,
 ) -> (StateMachine, usize) {
+    merge_states(machine.clone(), strategy)
+}
+
+/// [`merge_equivalent_states`] on a machine the caller gives up.
+fn merge_states(mut machine: StateMachine, strategy: MergeStrategy) -> (StateMachine, usize) {
     if matches!(strategy, MergeStrategy::None) {
-        return (machine.clone(), 0);
+        return (machine, 0);
     }
     let n = machine.state_count();
+    // Every transition's action list, interned, in transition order.
+    let lists: Vec<u32> = {
+        let mut ids: HashMap<&[Action], u32> = HashMap::new();
+        let transitions = machine.states().iter().flat_map(State::transitions);
+        transitions
+            .map(|(_, t)| {
+                let fresh = ids.len() as u32;
+                *ids.entry(t.actions()).or_insert(fresh)
+            })
+            .collect()
+    };
     // class[i] = lowest state index in i's equivalence group.
     let mut class: Vec<u32> = (0..n as u32).collect();
     let mut rounds = 0usize;
-    /// Per-message behavioural signature entry: message id, action list,
-    /// target equivalence class.
-    type SigEntry<'a> = (u16, Vec<&'a str>, u32);
+    let (mut sigs, mut ends) = (Vec::new(), Vec::with_capacity(n));
     loop {
         rounds += 1;
-        // Signature: per-message (action list, target class) plus a
-        // pseudo-entry encoding the role, so finish states only group with
-        // finish states.
-        let mut groups: BTreeMap<Vec<SigEntry<'_>>, Vec<u32>> = BTreeMap::new();
-        for (id, state) in machine.states_with_ids() {
-            let mut sig: Vec<SigEntry<'_>> = state
-                .transitions()
-                .map(|(m, t)| {
-                    (
-                        m.0,
-                        t.actions().iter().map(Action::message).collect(),
-                        class[t.target().index()],
-                    )
-                })
-                .collect();
-            let role_tag = match state.role() {
-                StateRole::Normal => 0,
-                StateRole::Finish => 1,
-            };
-            sig.push((u16::MAX, Vec::new(), role_tag));
-            groups.entry(sig).or_default().push(id.0);
-        }
-        let mut next_class = class.clone();
-        for members in groups.values() {
-            let rep = *members.iter().min().expect("group is non-empty");
-            for &m in members {
-                next_class[m as usize] = rep;
+        // Signature: the role, so finish states only group with finish
+        // states, then per transition its message, action list and target
+        // class. States are visited in index order, so the first member
+        // of a group is its lowest.
+        sigs.clear();
+        ends.clear();
+        let mut list = lists.iter();
+        for state in machine.states() {
+            sigs.push(u32::from(state.role() == StateRole::Finish));
+            for (m, t) in state.transitions() {
+                let actions = *list.next().expect("one list per transition");
+                sigs.extend([m.index() as u32, actions, class[t.target().index()]]);
             }
+            ends.push(sigs.len());
         }
+        let mut groups: HashMap<&[u32], u32> = HashMap::with_capacity(n);
+        let mut begin = 0;
+        let next_class: Vec<u32> = (0..n as u32)
+            .zip(&ends)
+            .map(|(i, &end)| {
+                let sig = &sigs[begin..end];
+                begin = end;
+                *groups.entry(sig).or_insert(i)
+            })
+            .collect();
         let changed = next_class != class;
         class = next_class;
         if matches!(strategy, MergeStrategy::SinglePass) || !changed {
             break;
         }
     }
-    // Materialise one state per class, ordered by representative index.
-    let mut reps: Vec<u32> = class.clone();
-    reps.sort_unstable();
-    reps.dedup();
-    let mut rep_to_new: BTreeMap<u32, StateId> = BTreeMap::new();
-    for (i, &rep) in reps.iter().enumerate() {
-        rep_to_new.insert(rep, StateId(i as u32));
-    }
-    let mut states = Vec::with_capacity(reps.len());
-    for &rep in &reps {
-        let old = machine.state(StateId(rep));
-        let mut new_state = State::new(
-            old.name(),
-            old.vector().cloned(),
-            old.role(),
-            old.annotations().to_vec(),
-        );
-        for (mid, t) in old.transitions() {
-            let target = rep_to_new[&class[t.target().index()]];
-            new_state.insert_transition(
-                mid,
-                Transition::new(target, t.actions().to_vec(), t.annotations().to_vec()),
-            );
-        }
-        states.push(new_state);
-    }
-    let start = rep_to_new[&class[machine.start().index()]];
-    let merged = StateMachine::from_parts(
-        machine.name().to_string(),
-        machine.messages().to_vec(),
-        states,
-        start,
-    );
-    (merged, rounds)
-}
-
-/// Attaches [`AbstractModel::describe_state`] commentary to every surviving
-/// state that has an underlying vector.
-fn annotate_states(machine: StateMachine, model: &dyn AbstractModel) -> StateMachine {
-    let mut states = Vec::with_capacity(machine.state_count());
-    for state in machine.states() {
-        let annotations = match state.vector() {
-            Some(v) => model.describe_state(v),
-            None => state.annotations().to_vec(),
+    // Keep one state per class, numbered in representative order.
+    let mut remap: Vec<Option<StateId>> = vec![None; n];
+    let mut reps = 0;
+    for (i, &rep) in class.iter().enumerate() {
+        remap[i] = if rep as usize == i {
+            reps += 1;
+            Some(StateId(reps - 1))
+        } else {
+            remap[rep as usize]
         };
-        let mut new_state = State::new(
-            state.name(),
-            state.vector().cloned(),
-            state.role(),
-            annotations,
-        );
-        for (mid, t) in state.transitions() {
-            new_state.insert_transition(mid, t.clone());
-        }
-        states.push(new_state);
     }
-    StateMachine::from_parts(
-        machine.name().to_string(),
-        machine.messages().to_vec(),
-        states,
-        machine.start(),
-    )
+    machine.renumber(&remap);
+    (machine, rounds)
 }
 
 #[cfg(test)]
@@ -602,17 +532,70 @@ mod tests {
             threshold: 2,
         };
         let g = generate(&model).expect("generate");
-        // 4 counter values x 2 flag values.
+        // 4 counter values x 2 flag values, counted, not enumerated.
         assert_eq!(g.report.initial_states, 8);
-        // Final states (n == 3, either flag) are not elaborated.
-        assert_eq!(g.report.elaborations, 12);
         // Reachable: (0,F) (1,F) (2,T) (3,T).
         assert_eq!(g.report.reachable_states, 4);
+        // Only reached states are elaborated, and the final one (3,T) is
+        // not: 3 states x 2 messages. (1,T), (2,F) and (0,T) are never
+        // reached, so never elaborated.
+        assert_eq!(g.report.elaborations, 6);
         // No two distinct reachable states are equivalent here.
         assert_eq!(g.report.final_states, 4);
         assert_eq!(g.machine.final_state_ids().len(), 1);
-        // noop self-loops dropped for each of the 6 elaborated states.
-        assert_eq!(g.report.self_loops_dropped, 6);
+        // noop self-loops dropped for each of the 3 elaborated states.
+        assert_eq!(g.report.self_loops_dropped, 3);
+    }
+
+    /// A thermometer counter over 31 flags: the product has 2³¹ states,
+    /// the start state reaches 10 of them.
+    struct Thermometer;
+
+    impl AbstractModel for Thermometer {
+        fn machine_name(&self) -> String {
+            "thermometer".into()
+        }
+
+        fn state_space(&self) -> Result<StateSpace, crate::SchemaError> {
+            StateSpace::new(
+                (0..31)
+                    .map(|i| StateComponent::boolean(format!("f{i}")))
+                    .collect(),
+            )
+        }
+
+        fn messages(&self) -> Vec<String> {
+            vec!["up".into()]
+        }
+
+        fn start_state(&self) -> StateVector {
+            self.state_space().expect("schema").zero_vector()
+        }
+
+        fn transition(&self, state: &StateVector, _message: &str) -> Outcome {
+            let mut t = state.clone();
+            let level = state.values().iter().filter(|&&v| v != 0).count();
+            t.set_flag(level, true);
+            Outcome::to(t, vec![Action::send("tick")])
+        }
+
+        fn is_final_state(&self, state: &StateVector) -> bool {
+            state.flag(8)
+        }
+    }
+
+    #[test]
+    fn sparse_product_generates_what_it_reaches() {
+        let g = generate(&Thermometer).expect("generate");
+        assert_eq!(g.report.initial_states, 1 << 31);
+        assert_eq!(g.report.reachable_states, 10);
+        assert_eq!(g.report.elaborations, 9);
+        assert_eq!(g.report.final_states, 10);
+        assert!(
+            g.report.total < Duration::from_secs(1),
+            "{:?}",
+            g.report.total
+        );
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!
 //! The generation pipeline follows the paper's four steps: enumerate all
 //! possible states, elaborate the transitions for every message, prune
-//! unreachable states, and combine equivalent states. Per-stage counts and
-//! timings are reported in a [`GenerationReport`].
+//! unreachable states, and combine equivalent states. The first three
+//! run as one search from the start state, so only reached states are
+//! ever elaborated. Per-stage counts and timings are reported in a
+//! [`GenerationReport`].
 //!
 //! The crate also provides:
 //!

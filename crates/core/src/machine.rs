@@ -322,6 +322,37 @@ impl StateMachine {
             .filter(|t| t.is_phase_transition())
             .count()
     }
+
+    /// Collapses the machine onto the ids `remap` hands out, which must
+    /// be handed out in state order: state `i` survives if it is the
+    /// first state mapped to its new id, and every transition target and
+    /// the start state are mapped through `remap` (`None` only for
+    /// states nothing surviving points at).
+    pub(crate) fn renumber(&mut self, remap: &[Option<StateId>]) {
+        let (mut ids, mut kept) = (remap.iter(), 0);
+        self.states.retain(|_| {
+            let first = ids.next() == Some(&Some(StateId(kept)));
+            kept += u32::from(first);
+            first
+        });
+        let to = |id: StateId| remap[id.index()].expect("a surviving state's target survives");
+        for state in &mut self.states {
+            for t in state.transitions.values_mut() {
+                t.target = to(t.target);
+            }
+        }
+        self.start = to(self.start);
+    }
+
+    /// Replaces the annotations of every state that has a vector with
+    /// `describe(vector)`.
+    pub(crate) fn annotate(&mut self, describe: impl Fn(&StateVector) -> Vec<String>) {
+        for state in &mut self.states {
+            if let Some(v) = &state.vector {
+                state.annotations = describe(v);
+            }
+        }
+    }
 }
 
 /// Incremental builder for hand-constructed machines (tests, examples and

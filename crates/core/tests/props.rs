@@ -180,6 +180,22 @@ proptest! {
         prop_assert!(finals_before == 0 || finals_after >= 1);
     }
 
+    /// Exploring from the start state builds the machine the paper's step
+    /// order builds — enumerate and elaborate the whole product, prune,
+    /// then merge — down to names, vectors, annotations, actions and ids.
+    #[test]
+    fn generation_matches_enumerate_prune_merge(model in two_counter()) {
+        let everything = GenerateOptions {
+            prune: false,
+            merge: MergeStrategy::None,
+            ..Default::default()
+        };
+        let full = generate_with(&model, &everything).expect("generates").machine;
+        let (reference, _) =
+            merge_equivalent_states(&prune_unreachable(&full), MergeStrategy::ToFixpoint);
+        prop_assert_eq!(generate(&model).expect("generates").machine, reference);
+    }
+
     #[test]
     fn single_pass_never_smaller_than_fixpoint(model in two_counter()) {
         let single = GenerateOptions { merge: MergeStrategy::SinglePass, ..Default::default() };

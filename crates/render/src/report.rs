@@ -66,26 +66,18 @@ pub fn render_generation_report(report: &GenerationReport) -> String {
     out.push_str("| stage | result | time |\n|---|---|---|\n");
     let _ = writeln!(
         out,
-        "| 1. enumerate | {} states | {:?} |",
-        report.initial_states, report.timings.enumerate
-    );
-    let _ = writeln!(
-        out,
-        "| 2. transitions | {} recorded ({} elaborations, {} ignored, {} no-ops) | {:?} |",
-        report.transitions_recorded,
+        "| 1–3. explore | {} reached of {} in the space; {} elaborations: {} recorded, {} ignored, {} no-ops | {:?} |",
+        report.reachable_states,
+        report.initial_states,
         report.elaborations,
+        report.transitions_recorded,
         report.ignored,
         report.self_loops_dropped,
-        report.timings.transitions
+        report.timings.explore
     );
     let _ = writeln!(
         out,
-        "| 3. prune | {} reachable | {:?} |",
-        report.reachable_states, report.timings.prune
-    );
-    let _ = writeln!(
-        out,
-        "| 4. merge | {} states ({} rounds) | {:?} |",
+        "| 4. merge | {} merged states ({} rounds) | {:?} |",
         report.final_states, report.merge_rounds, report.timings.merge
     );
     let _ = writeln!(out, "\ntotal: {:?}", report.total);

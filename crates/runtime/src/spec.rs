@@ -81,7 +81,7 @@ impl Spec {
     }
 
     /// Runs an abstract model through the generation pipeline
-    /// (enumerate → elaborate → prune → merge) and wraps the generated
+    /// (explore from the start state → merge) and wraps the generated
     /// family member — the paper's "generate on the fly" policy as one
     /// call.
     ///

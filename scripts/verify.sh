@@ -94,10 +94,12 @@
 #    chain of its own — docs/STORAGE.md), then one short traced
 #    build_deploy run,
 #    which must pass its output checks and spend no more of a corpus
-#    pass in `analyze` or in `minimize` than in the generator whose
-#    output they check (a ratio inside one run; both read about 3x the
-#    generator while a refinement round searched the classes seen so
-#    far, about 0.2x since — docs/ANALYSIS.md), then one short traced
+#    pass in `analyze` or in `minimize` than 4x the engine compiler, a
+#    linear stage beside them (a ratio inside one run; analyze reads
+#    1.47-1.54x and minimize 1.15-1.21x, about 25x at commit r = 25
+#    while a refinement round searched the classes seen so far —
+#    docs/ANALYSIS.md; the generator, their old yardstick, got 5x
+#    cheaper when it stopped elaborating unreached states), then one short traced
 #    batch_divergent run, which must pass its output checks, allocate
 #    nothing per delivery, and serve a divergent deliver_all on the
 #    compiled dense tier in at most half the interpreted tier's time
@@ -233,16 +235,16 @@ wakes = calls["client.on_timer"]["count"] / calls["simulation"]["count"]
 print(f"storage.history_growth_ratio {growth:.2f}, peer_live_sessions_end {live}, client.on_timer per 2000-commit run {wakes:.0f}, check.failed_share {failed}")
 sys.exit(0 if growth <= 1.25 and live <= 12 and wakes <= 8 * 2000 and failed == 0 else 1)'
 
-echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= generate_ms =="
+echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= 4x compile_ms =="
 bash benchmark/run.sh --workload build_deploy --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
 metrics = json.load(sys.stdin)["metrics"]
-generate = metrics["core.generator.generate_ms"]["value"]
+compile = metrics["runtime.engine.compile_ms"]["value"]
 analyze = metrics["analysis.analyze_ms"]["value"]
 minimize = metrics["analysis.minimize_ms"]["value"]
 failed = metrics["check.failed_share"]["value"]
-print(f"generate_ms {generate:.2f}, analyze_ms {analyze:.2f}, minimize_ms {minimize:.2f}, check.failed_share {failed}")
-sys.exit(0 if failed == 0 and analyze <= generate and minimize <= generate else 1)'
+print(f"compile_ms {compile:.2f}, analyze_ms {analyze:.2f}, minimize_ms {minimize:.2f}, check.failed_share {failed}")
+sys.exit(0 if failed == 0 and analyze <= 4 * compile and minimize <= 4 * compile else 1)'
 
 echo "== batch_divergent traced: output checks + 0 allocs + compiled deliver_all <= 0.5x interpreted =="
 bash benchmark/run.sh --workload batch_divergent --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
