@@ -21,6 +21,24 @@
 //! just a different [`SimNode`] implementation); the network itself
 //! provides the asynchrony and unreliability.
 //!
+//! ## Scheduler
+//!
+//! Events run in `(due tick, queue order)` order, which is what makes a
+//! seed replay exactly. They are held in a calendar queue: a ring of 64
+//! per-tick FIFO buckets with one `u64` occupancy word, covering the
+//! next 64 ticks, beside a binary heap for events due later. A message
+//! (1–10 ticks on the storage workloads) or a client wake-up lands in a
+//! bucket and costs a `VecDeque` push and pop; only the long timers —
+//! peer GC at 4 000 ticks, checkpoint cadences, back-offs — sift through
+//! the heap. On `storage_commit` the queue holds about 1 030 events at a
+//! step, 1 008 of them in the heap, yet 87 % of the steps never touch
+//! it. The ring and the heap pop in exactly the order one heap over every
+//! event would (the argument is in `sim/calendar.rs`; a differential test
+//! runs random node scripts against that heap, kept in
+//! `sim/reference.rs`). Due times saturate at [`SimTime::MAX`], so a
+//! "never" timer stays queued past every finite deadline instead of
+//! wrapping into the past.
+//!
 //! ## Fault model
 //!
 //! Every injection is drawn from the seeded network RNG (or scheduled
@@ -430,6 +448,56 @@ mod tests {
         assert_eq!(stats.steps, 500);
         assert!(stats.budget_exhausted, "a timer was still queued");
         assert!(!sim.step() && sim.stats() == stats, "and stays queued");
+    }
+
+    /// A timer `SimTime::MAX` ticks out is "never": it saturates instead
+    /// of wrapping to a tick in the past (in release; debug panicked on
+    /// the overflow), stays queued through every finite deadline, and
+    /// when a drain does reach it the clock stops at `SimTime::MAX` —
+    /// where further delays saturate again, and time never runs back.
+    #[test]
+    fn never_timers_saturate_instead_of_wrapping() {
+        struct Never {
+            fired: Vec<(SimTime, u64)>,
+        }
+        impl SimNode<()> for Never {
+            fn on_message(&mut self, ctx: &mut Context<'_, ()>, _from: NodeId, _m: ()) {
+                if ctx.now() < SimTime::MAX {
+                    ctx.set_timer(SimTime::MAX, 1);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, ()>, tag: u64) {
+                self.fired.push((ctx.now(), tag));
+                if tag == 1 {
+                    ctx.set_timer(10, 2);
+                    ctx.send(ctx.self_id(), ());
+                }
+            }
+        }
+        let config = SimConfig {
+            min_delay: 5,
+            max_delay: 5,
+            ..Default::default()
+        };
+        let mut sim = Simulation::new(config, vec![Never { fired: vec![] }]);
+        sim.post(NodeId(0), NodeId(0), ());
+        sim.post_timer(NodeId(0), SimTime::MAX, 0);
+        let stats = sim.run_until(1 << 40);
+        assert_eq!((stats.delivered, stats.timers, sim.now()), (1, 0, 5));
+        let stats = sim.run_until(SimTime::MAX - 1);
+        assert_eq!(
+            (stats.timers, sim.now()),
+            (0, 5),
+            "never is past every finite deadline"
+        );
+        let stats = sim.run();
+        assert_eq!(sim.now(), SimTime::MAX);
+        assert_eq!(
+            sim.node(NodeId(0)).fired,
+            [(SimTime::MAX, 0), (SimTime::MAX, 1), (SimTime::MAX, 2)]
+        );
+        // The node's send at `SimTime::MAX` landed there as well.
+        assert_eq!((stats.delivered, stats.timers), (2, 3));
     }
 
     /// `step` returns `false` for a drained queue and for a spent budget

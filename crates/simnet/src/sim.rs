@@ -6,13 +6,22 @@
 //! *deterministically*, so that every BFT safety test is replayable from
 //! a seed. Nodes implement [`SimNode`]; the simulator delivers messages
 //! and timer events in virtual-time order with a deterministic
-//! tie-breaker.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! tie-breaker: by due tick, then by the order they were queued in.
+//!
+//! The queue is a calendar (`sim/calendar.rs`, and the crate docs'
+//! *Scheduler* section); `sim/reference.rs` keeps the single heap it
+//! replaced, for the tests. Due times saturate at [`SimTime::MAX`]:
+//! a timer armed with `SimTime::MAX` as "never" stays queued through
+//! every finite [`Simulation::run_until`] deadline, and the clock never
+//! runs backwards.
 
 use crate::rng::SimRng;
 use crate::trace::{Trace, TraceKind};
+
+#[cfg(not(test))]
+use self::calendar::Calendar as Queue;
+#[cfg(test)]
+use self::reference::Queue;
 
 /// Identifier of a node within a simulation (index into the node vector).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,7 +40,9 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Virtual time, in abstract ticks.
+/// Virtual time, in abstract ticks. Due times saturate at
+/// `SimTime::MAX`, which no finite [`Simulation::run_until`] deadline
+/// reaches.
 pub type SimTime = u64;
 
 /// Behaviour of one simulated node.
@@ -158,7 +169,9 @@ impl<M> Context<'_, M> {
         }
     }
 
-    /// Schedules [`SimNode::on_timer`] with `tag` after `delay` ticks.
+    /// Schedules [`SimNode::on_timer`] with `tag` after `delay` ticks,
+    /// saturating at [`SimTime::MAX`]: a `delay` of `SimTime::MAX` means
+    /// "never" for any finite [`Simulation::run_until`] deadline.
     pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
         self.effects.push(Effect::Timer { delay, tag });
     }
@@ -198,7 +211,7 @@ struct Event<M> {
     payload: Payload<M>,
 }
 
-// Ordering for the BinaryHeap (via Reverse): by time, then insertion
+// Ordering for the far heap (via Reverse): by time, then insertion
 // sequence — fully deterministic.
 impl<M> PartialEq for Event<M> {
     fn eq(&self, other: &Self) -> bool {
@@ -277,7 +290,7 @@ pub struct Simulation<M, N> {
     /// carry the epoch they were armed in and are discarded when it is
     /// stale.
     epochs: Vec<u32>,
-    queue: BinaryHeap<Reverse<Event<M>>>,
+    queue: Queue<M>,
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     now: SimTime,
@@ -305,7 +318,7 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
             nodes,
             crashed,
             epochs,
-            queue: BinaryHeap::new(),
+            queue: Queue::new(),
             node_rngs,
             net_rng,
             now: 0,
@@ -414,9 +427,10 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
         self.enqueue_send(from, to, message);
     }
 
-    /// Schedules a timer for `node` at `now + delay` (external injection).
+    /// Schedules a timer for `node` at `now + delay` (external injection),
+    /// saturating at [`SimTime::MAX`].
     pub fn post_timer(&mut self, node: NodeId, delay: SimTime, tag: u64) {
-        let at = self.now + delay;
+        let at = self.now.saturating_add(delay);
         let epoch = self.epochs[node.0];
         self.stats.timers_set += 1;
         self.push_event(at, node, Payload::Timer { tag, epoch });
@@ -456,7 +470,7 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
             self.stats.budget_exhausted = !self.queue.is_empty();
             return false;
         }
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some(event) = self.queue.pop(self.now) else {
             return false;
         };
         debug_assert!(event.at >= self.now, "time must not run backwards");
@@ -545,8 +559,8 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
     pub fn run_until(&mut self, deadline: SimTime) -> SimStats {
         self.start();
         loop {
-            match self.queue.peek() {
-                Some(Reverse(e)) if e.at <= deadline => {
+            match self.queue.next_at(self.now) {
+                Some(at) if at <= deadline => {
                     if !self.step() {
                         break;
                     }
@@ -562,7 +576,7 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
             match effect {
                 Effect::Send { to, message } => self.enqueue_send(origin, to, message),
                 Effect::Timer { delay, tag } => {
-                    let at = self.now + delay;
+                    let at = self.now.saturating_add(delay);
                     let epoch = self.epochs[origin.0];
                     self.stats.timers_set += 1;
                     self.push_event(at, origin, Payload::Timer { tag, epoch });
@@ -583,9 +597,10 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
         if self.net_rng.chance(self.config.reorder_probability) {
             // Hold this copy back by a bounded extra delay so later
             // sends can overtake it.
-            delay += self
-                .net_rng
-                .range_inclusive(1, self.config.reorder_bound.max(1));
+            delay = delay.saturating_add(
+                self.net_rng
+                    .range_inclusive(1, self.config.reorder_bound.max(1)),
+            );
             self.stats.reordered += 1;
             self.record(TraceKind::Reordered { from, to });
         }
@@ -595,7 +610,7 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
             let extra = self
                 .net_rng
                 .range_inclusive(self.config.min_delay, self.config.max_delay);
-            let at = self.now + extra;
+            let at = self.now.saturating_add(extra);
             self.push_event(
                 at,
                 to,
@@ -605,18 +620,25 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
                 },
             );
         }
-        let at = self.now + delay;
+        let at = self.now.saturating_add(delay);
         self.push_event(at, to, Payload::Message { from, message });
     }
 
     fn push_event(&mut self, at: SimTime, to: NodeId, payload: Payload<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq,
-            to,
-            payload,
-        }));
+        self.queue.push(
+            self.now,
+            Event {
+                at,
+                seq,
+                to,
+                payload,
+            },
+        );
     }
 }
+
+mod calendar;
+#[cfg(test)]
+mod reference;

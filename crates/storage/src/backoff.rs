@@ -74,11 +74,19 @@ pub enum ServerOrdering {
 impl ServerOrdering {
     /// Produces the contact order over `n` peers.
     pub fn order(&self, n: usize, rng: &mut SimRng) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
-        if *self == ServerOrdering::Random {
-            rng.shuffle(&mut order);
-        }
+        let mut order = Vec::with_capacity(n);
+        self.order_into(n, rng, &mut order);
         order
+    }
+
+    /// [`ServerOrdering::order`] into `order`'s allocation, with the same
+    /// draws from `rng`.
+    pub(crate) fn order_into(&self, n: usize, rng: &mut SimRng, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..n);
+        if *self == ServerOrdering::Random {
+            rng.shuffle(order);
+        }
     }
 }
 

@@ -40,7 +40,7 @@
 //! the durability model (checkpoint, volatile journal, what a restarted
 //! peer may have lost) and how an endpoint's wheel is driven.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use asa_simnet::{Context, NodeId, SimConfig, SimNode, SimStats, SimTime, Simulation};
 use stategen_commit::{
@@ -237,8 +237,8 @@ pub struct CommitPeer<'m> {
     /// lifetime). Also the livelock breaker: a stuck instance holding the
     /// node's choice lock is eventually released.
     gc_after: SimTime,
-    gc_tags: BTreeMap<u64, AttemptId>,
-    next_gc_tag: u64,
+    /// The attempt each GC timer not yet fired was armed for.
+    gc_tags: GcTags,
     /// Checkpoint cadence in ticks (0 disables checkpointing: a
     /// restarted peer then recovers with nothing).
     checkpoint_every: SimTime,
@@ -292,6 +292,48 @@ struct PeerCheckpoint {
 /// and can never reach it).
 const TAG_PEER_CHECKPOINT: u64 = u64::MAX;
 
+/// GC timer tag → attempt, for the timers not yet fired. Tags are issued
+/// in increasing order, and every GC timer runs for the same `gc_after`,
+/// so they fire in the order issued: a ring indexed by `tag − base`,
+/// popped at the front as timers fire, holds just the live ones — no
+/// search and no allocation per spawn once it has grown.
+#[derive(Debug, Default)]
+struct GcTags {
+    /// The tag of `ring[0]`; every tag below it has fired or was
+    /// forgotten.
+    base: u64,
+    /// The attempt of each tag from `base` on; `None` once its timer
+    /// fired out of order.
+    ring: VecDeque<Option<AttemptId>>,
+}
+
+impl GcTags {
+    /// Records a GC timer for `attempt` and returns its tag.
+    fn arm(&mut self, attempt: AttemptId) -> u64 {
+        self.ring.push_back(Some(attempt));
+        self.base + self.ring.len() as u64 - 1
+    }
+
+    /// The attempt `tag`'s timer was armed for, unless it fired before,
+    /// was forgotten or was never armed.
+    fn fire(&mut self, tag: u64) -> Option<AttemptId> {
+        let index = usize::try_from(tag.checked_sub(self.base)?).ok()?;
+        let attempt = self.ring.get_mut(index)?.take();
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+        attempt
+    }
+
+    /// Forgets every timer (they died with a crash); tags keep counting,
+    /// so none is issued twice.
+    fn clear(&mut self) {
+        self.base += self.ring.len() as u64;
+        self.ring.clear();
+    }
+}
+
 impl<'m> CommitPeer<'m> {
     /// Creates a peer serving `engine`'s compiled machine; the first
     /// `peer_count` nodes of the simulation are the peer set.
@@ -313,8 +355,7 @@ impl<'m> CommitPeer<'m> {
             action_scratch: Vec::new(),
             feed_scratch: VecDeque::new(),
             gc_after,
-            gc_tags: BTreeMap::new(),
-            next_gc_tag: 0,
+            gc_tags: GcTags::default(),
             checkpoint_every,
             checkpoint_armed: false,
             checkpoint: None,
@@ -565,9 +606,7 @@ impl<'m> CommitPeer<'m> {
 
     /// Arms a fresh GC deadline for `attempt`.
     fn arm_gc(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId) {
-        let tag = self.next_gc_tag;
-        self.next_gc_tag += 1;
-        self.gc_tags.insert(tag, attempt);
+        let tag = self.gc_tags.arm(attempt);
         ctx.set_timer(self.gc_after, tag);
     }
 
@@ -637,7 +676,7 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
             }
             return;
         }
-        if let Some(attempt) = self.gc_tags.remove(&tag) {
+        if let Some(attempt) = self.gc_tags.fire(tag) {
             self.drop_instance(ctx, attempt);
         }
     }
@@ -769,6 +808,11 @@ pub struct ClientEndpoint {
     /// Give up on an update after this many attempts (≥ 1).
     max_attempts: u32,
     pending: Option<Pending>,
+    /// The distinct peers that reported the pending attempt's PID
+    /// committed (at most the peer set; kept for its allocation).
+    reporters: Vec<NodeId>,
+    /// Contact-order buffer reused across attempts.
+    order_scratch: Vec<usize>,
     outcomes: Vec<UpdateOutcome>,
     /// Logical timers, keyed by the endpoint tag encoding.
     wheel: TimerWheel<u64>,
@@ -816,7 +860,6 @@ impl WakeStats {
 #[derive(Debug)]
 struct Pending {
     attempt: AttemptId,
-    reporters: BTreeSet<NodeId>,
     submitted_at: SimTime,
     first_submitted_at: SimTime,
 }
@@ -854,6 +897,8 @@ impl ClientEndpoint {
             contact_stagger,
             max_attempts: max_attempts.max(1),
             pending: None,
+            reporters: Vec::new(),
+            order_scratch: Vec::new(),
             outcomes: Vec::new(),
             wheel: TimerWheel::new(),
             wheel_wake: None,
@@ -930,9 +975,9 @@ impl ClientEndpoint {
             attempt: 0,
         };
         let now = ctx.now();
+        self.reporters.clear();
         self.pending = Some(Pending {
             attempt,
-            reporters: BTreeSet::new(),
             submitted_at: now,
             first_submitted_at: now,
         });
@@ -942,8 +987,10 @@ impl ClientEndpoint {
     fn contact_peers(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId) {
         // Paper §2.2: fixed or random server ordering. Contacts are
         // staggered so the order is visible through network latency.
-        let order = self.ordering.order(self.peer_count, ctx.rng());
-        for (slot, peer) in order.into_iter().enumerate() {
+        let mut order = std::mem::take(&mut self.order_scratch);
+        self.ordering
+            .order_into(self.peer_count, ctx.rng(), &mut order);
+        for (slot, &peer) in order.iter().enumerate() {
             let delay = self.contact_stagger * slot as u64;
             if delay == 0 {
                 ctx.send(NodeId(peer), VhMsg::ClientUpdate(attempt));
@@ -955,6 +1002,7 @@ impl ClientEndpoint {
                 );
             }
         }
+        self.order_scratch = order;
         self.arm(ctx, self.timeout, TAG_TIMEOUT | u64::from(attempt.attempt));
     }
 
@@ -965,8 +1013,10 @@ impl ClientEndpoint {
         if attempt.pid != pending.attempt.pid || attempt.client != self.id {
             return;
         }
-        pending.reporters.insert(from);
-        if pending.reporters.len() as u32 >= self.needed_reports {
+        if !self.reporters.contains(&from) {
+            self.reporters.push(from);
+        }
+        if self.reporters.len() as u32 >= self.needed_reports {
             let outcome = UpdateOutcome {
                 pid: attempt.pid,
                 attempts: pending.attempt.attempt + 1,
@@ -1026,7 +1076,7 @@ impl ClientEndpoint {
             attempt: old.attempt + 1,
         };
         pending.attempt = next;
-        pending.reporters.clear();
+        self.reporters.clear();
         pending.submitted_at = ctx.now();
         let backoff = self.retry.delay(old.attempt, ctx.rng());
         self.arm(

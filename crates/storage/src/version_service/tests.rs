@@ -600,3 +600,38 @@ fn table_peer_matches_the_reference_peer_on_random_chaos() {
          {equivocated} runs with an equivocator"
     );
 }
+
+/// GC tags are a ring from `base`: a tag below it (its timer fired), a
+/// tag a restart forgot while its timer was still armed, and a tag never
+/// issued all find nothing, and tags keep counting across a restart, so
+/// none is issued twice.
+#[test]
+fn gc_tags_below_the_ring_or_from_before_a_restart_are_ignored() {
+    let attempts: Vec<AttemptId> = (0..4)
+        .map(|attempt| AttemptId {
+            pid: Pid::of(b"gc"),
+            client: 0,
+            attempt,
+        })
+        .collect();
+    let mut tags = GcTags::default();
+    let issued: Vec<u64> = attempts[..3].iter().map(|&a| tags.arm(a)).collect();
+    assert_eq!(issued, [0, 1, 2]);
+    // Out of order, tag 1 leaves its slot empty: the ring keeps it until
+    // tag 0 fires.
+    assert_eq!(tags.fire(1), Some(attempts[1]));
+    assert_eq!(tags.fire(1), None);
+    assert_eq!((tags.base, tags.ring.len()), (0, 3));
+    assert_eq!(tags.fire(0), Some(attempts[0]));
+    assert_eq!((tags.base, tags.ring.len()), (2, 1));
+    for below in [0, 1] {
+        assert_eq!(tags.fire(below), None, "tag {below} is below the ring");
+    }
+    // `on_restart` forgets tag 2 while its timer is armed.
+    tags.clear();
+    assert_eq!(tags.fire(2), None, "forgotten by the restart");
+    assert_eq!(tags.arm(attempts[3]), 3);
+    assert_eq!(tags.fire(TAG_PEER_CHECKPOINT - 1), None, "never issued");
+    assert_eq!(tags.fire(3), Some(attempts[3]));
+    assert!(tags.ring.is_empty() && tags.base == 4);
+}
