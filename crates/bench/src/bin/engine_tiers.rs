@@ -248,10 +248,15 @@ fn divergent_rows(
             worst_allocs[side] = worst_allocs[side].max(allocs);
         }
     }
+    let image = |store: &SessionStore| {
+        let (mut states, mut registers) = (Vec::new(), Vec::new());
+        store.states_into(&mut states);
+        store.registers_into(&mut registers);
+        (states, registers)
+    };
     let oracle = &sides[0].0;
     for (store, _, _) in &sides[1..] {
-        assert_eq!(store.states(), oracle.states());
-        assert_eq!(store.registers(), oracle.registers());
+        assert_eq!(image(store), image(oracle));
         assert_eq!(store.finished_count(), oracle.finished_count());
     }
     let rows = sides

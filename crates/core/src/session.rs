@@ -59,8 +59,6 @@
 //! assert!(store.all_finished());
 //! ```
 
-use std::borrow::Cow;
-
 use crate::error::StategenError;
 use crate::kernel::BatchTally;
 use crate::machine::{Action, MessageId};
@@ -246,7 +244,7 @@ impl SessionStore {
 
     /// A session's whole register row — declared variables first, then
     /// compiler temporaries — [`StepEngine::reg_count`] long: its slice
-    /// of [`SessionStore::registers`].
+    /// of the file [`SessionStore::registers_into`] writes.
     ///
     /// # Panics
     ///
@@ -515,34 +513,33 @@ impl SessionStore {
         self.finished = self.live() * self.finishes(start);
     }
 
-    /// Snapshot accessor: the dense state id of every slot, in slot
-    /// order. Together with [`SessionStore::registers`] and the engine
-    /// this is the store's complete execution state (finished-ness is
-    /// the finish flag of each state — finish states are absorbing).
-    /// Borrowed where the store holds exactly this; materialised, one
-    /// table load per slot, under an unfolded engine.
-    pub fn states(&self) -> Cow<'_, [u32]> {
-        match self.engine.states_of(&self.current) {
-            Some(states) => Cow::Owned(states),
-            None => Cow::Borrowed(&self.current),
+    /// Snapshot accessor: writes the dense state id of every slot, in
+    /// slot order, over `out`, reusing its allocation. Together with
+    /// [`SessionStore::registers_into`] and the engine this is the
+    /// store's complete execution state (finished-ness is the finish
+    /// flag of each state — finish states are absorbing). A copy of the
+    /// store's array; one table load per slot under an unfolded engine.
+    pub fn states_into(&self, out: &mut Vec<u32>) {
+        if !self.engine.states_into(&self.current, out) {
+            out.clone_from(&self.current);
         }
     }
 
-    /// Snapshot accessor: the session-major register file — slot `s`'s
-    /// registers (declared variables first, then compiler temporaries)
-    /// are `registers()[s * reg_count .. (s + 1) * reg_count]`.
-    /// Borrowed or materialised as for [`SessionStore::states`]; a
-    /// materialised file reads zero in every retired slot.
-    pub fn registers(&self) -> Cow<'_, [i64]> {
-        match self.engine.rows_of(&self.current) {
-            Some(file) => Cow::Owned(file),
-            None => Cow::Borrowed(&self.vars),
+    /// Snapshot accessor: writes the session-major register file over
+    /// `out` — slot `s`'s registers (declared variables first, then
+    /// compiler temporaries) land at `out[s * reg_count .. (s + 1) *
+    /// reg_count]`. Copied or materialised as for
+    /// [`SessionStore::states_into`]; a materialised file reads zero in
+    /// every retired slot.
+    pub fn registers_into(&self, out: &mut Vec<i64>) {
+        if !self.engine.rows_into(&self.current, out) {
+            out.clone_from(&self.vars);
         }
     }
 
     /// Replaces every slot's state and registers (and the step count)
-    /// from a snapshot taken via [`SessionStore::states`] /
-    /// [`SessionStore::registers`] / [`SessionStore::steps`] under a
+    /// from a snapshot taken via [`SessionStore::states_into`] /
+    /// [`SessionStore::registers_into`] / [`SessionStore::steps`] under a
     /// behaviourally identical engine, whatever tier either resolved
     /// onto. The store takes the snapshot's size; the finished count is
     /// recounted in the validation pass.
@@ -1026,6 +1023,14 @@ mod tests {
         (ir, [register, unfolded])
     }
 
+    /// What a snapshot of `store` reads: its states and register file.
+    fn image(store: &SessionStore) -> (Vec<u32>, Vec<i64>) {
+        let (mut states, mut registers) = (Vec::new(), Vec::new());
+        store.states_into(&mut states);
+        store.registers_into(&mut registers);
+        (states, registers)
+    }
+
     #[test]
     fn efsm_pool_counts_independently() {
         for engine in counter(3).1 {
@@ -1048,8 +1053,9 @@ mod tests {
             assert_eq!(pool.state_name(2), "done");
             // Source state ids and the full register file, whatever
             // the slots really hold.
-            assert_eq!(*pool.states(), [0, 0, 1, 0, 0]);
-            assert_eq!(*pool.registers(), [2, 0, 2, 0, 3, 0, 2, 0, 2, 0]);
+            let (states, registers) = image(&pool);
+            assert_eq!(states, [0, 0, 1, 0, 0]);
+            assert_eq!(registers, [2, 0, 2, 0, 3, 0, 2, 0, 2, 0]);
             let mut fired = Vec::new();
             pool.deliver_all_with(tick, |_, t| fired.push((t.from, t.to, t.actions.len())));
             assert_eq!(fired, [(0, 1, 1); 4]);
@@ -1107,18 +1113,15 @@ mod tests {
             pool.deliver_all(tick);
             pool.retire(3);
             let mut other = SessionStore::new(to.clone(), 0);
-            assert_eq!(
-                other.restore(&pool.states(), &pool.registers(), pool.steps()),
-                Ok(())
-            );
-            assert_eq!(other.states(), pool.states());
-            assert_eq!(other.registers(), pool.registers());
+            let (states, registers) = image(&pool);
+            assert_eq!(other.restore(&states, &registers, pool.steps()), Ok(()));
+            assert_eq!(image(&other), image(&pool));
             assert_eq!(
                 (other.live(), other.finished_count(), other.steps()),
                 (pool.live(), pool.finished_count(), pool.steps())
             );
             assert_eq!(other.deliver_all(tick), pool.deliver_all(tick));
-            assert_eq!(other.states(), pool.states());
+            assert_eq!(image(&other).0, image(&pool).0);
         }
         // `n = 7` under `limit = 3`; then a non-zero zero register.
         for registers in [[0, 0, 7, 0], [0, 0, 1, 1]] {

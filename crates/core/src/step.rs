@@ -719,40 +719,62 @@ impl StepEngine {
         }
     }
 
-    /// The source state of every configuration in `configs`, as
-    /// [`StepEngine::state_of`] gives it — `None` unless the engine is
-    /// unfolded, when `configs` already is that list. One tight pass: a
+    /// Writes the source state of every configuration in `configs`, as
+    /// [`StepEngine::state_of`] gives it, over `out` — `false`, with
+    /// `out` untouched, unless the engine is unfolded: `configs` then
+    /// already is that list. One tight pass into the caller's buffer: a
     /// snapshot exports every slot.
-    pub(crate) fn states_of(&self, configs: &[u32]) -> Option<Vec<u32>> {
-        let table = &self.unfolded.as_ref()?.configs.state_of;
-        let state = |&c: &u32| *table.get(c as usize).unwrap_or(&c);
-        Some(configs.iter().map(state).collect())
+    pub(crate) fn states_into(&self, configs: &[u32], out: &mut Vec<u32>) -> bool {
+        let Some(unfolded) = &self.unfolded else {
+            return false;
+        };
+        let table = &unfolded.configs.state_of;
+        out.clear();
+        out.extend(
+            configs
+                .iter()
+                .map(|&c| *table.get(c as usize).unwrap_or(&c)),
+        );
+        true
     }
 
-    /// The register rows of `configs`, session-major and
-    /// [`StepEngine::reg_count`] wide each (zeros for an out-of-range
-    /// id) — `None` unless the engine is unfolded, when the rows are
-    /// the store's to keep.
-    pub(crate) fn rows_of(&self, configs: &[u32]) -> Option<Vec<i64>> {
-        let table = &self.unfolded.as_ref()?.configs;
-        let mut file = vec![0; configs.len() * table.width];
+    /// Writes the register rows of `configs` over `out`, session-major
+    /// and [`StepEngine::reg_count`] wide each (zeros for an
+    /// out-of-range id) — `false`, with `out` untouched, unless the
+    /// engine is unfolded: the rows are then the store's to keep.
+    pub(crate) fn rows_into(&self, configs: &[u32], out: &mut Vec<i64>) -> bool {
+        let Some(unfolded) = &self.unfolded else {
+            return false;
+        };
+        let table = &unfolded.configs;
+        let len = configs.len() * table.width;
+        // Every word is written below. A buffer too small is replaced
+        // by a zeroed allocation — fresh pages, not a memset — and one
+        // that fits is only cut or padded to length.
+        if out.capacity() < len {
+            *out = vec![0; len];
+        } else {
+            out.resize(len, 0);
+        }
         // Rows are a few words: with the width a constant each is one
         // array move, where a `copy_from_slice` of unknown length is a
         // call per slot (a peer snapshots its store at every commit).
         match table.width {
-            1 => gather_rows::<1>(&table.rows, configs, &mut file),
-            2 => gather_rows::<2>(&table.rows, configs, &mut file),
-            3 => gather_rows::<3>(&table.rows, configs, &mut file),
-            4 => gather_rows::<4>(&table.rows, configs, &mut file),
+            1 => gather_rows::<1>(&table.rows, configs, out),
+            2 => gather_rows::<2>(&table.rows, configs, out),
+            3 => gather_rows::<3>(&table.rows, configs, out),
+            4 => gather_rows::<4>(&table.rows, configs, out),
             width => {
-                for (row, &config) in file.chunks_exact_mut(width).zip(configs) {
+                for (row, &config) in out.chunks_exact_mut(width).zip(configs) {
                     if (config as usize) < table.len() {
                         row.copy_from_slice(table.row(config));
+                    } else {
+                        row.fill(0);
                     }
                 }
             }
         }
-        Some(file)
+        true
     }
 
     /// The register row `config` stands for, [`StepEngine::reg_count`]
@@ -933,13 +955,11 @@ impl fmt::Display for StepEngine {
 }
 
 /// Copies row `configs[s]` of the `W`-wide `rows` into row `s` of
-/// `file`, leaving rows of out-of-range ids as they are.
+/// `file`, zeros for an out-of-range id.
 fn gather_rows<const W: usize>(rows: &[i64], configs: &[u32], file: &mut [i64]) {
     let (rows, file) = (rows.as_chunks::<W>().0, file.as_chunks_mut::<W>().0);
     for (to, &config) in file.iter_mut().zip(configs) {
-        if let Some(row) = rows.get(config as usize) {
-            *to = *row;
-        }
+        *to = rows.get(config as usize).copied().unwrap_or([0; W]);
     }
 }
 

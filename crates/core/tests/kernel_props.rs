@@ -20,6 +20,14 @@ use stategen_core::{
     StateSpace, StateVector, StepEngine, Tier,
 };
 
+/// What a snapshot of `store` reads: its states and register file.
+fn image(store: &SessionStore) -> (Vec<u32>, Vec<i64>) {
+    let (mut states, mut registers) = (Vec::new(), Vec::new());
+    store.states_into(&mut states);
+    store.registers_into(&mut registers);
+    (states, registers)
+}
+
 // ---------------------------------------------------------------------
 // Machine families.
 // ---------------------------------------------------------------------
@@ -260,8 +268,7 @@ fn kernel_matches_scalar(
             Op::Spawn => prop_assert_eq!(kernel.spawn(), scalar.spawn(), "step {}", step),
             Op::Reset(_) | Op::Retire(_) => {}
         }
-        prop_assert_eq!(kernel.states(), scalar.states(), "step {}", step);
-        prop_assert_eq!(kernel.registers(), scalar.registers(), "step {}", step);
+        prop_assert_eq!(image(&kernel), image(&scalar), "step {}", step);
         prop_assert_eq!(kernel.live(), scalar.live(), "step {}", step);
         prop_assert_eq!(
             kernel.finished_count(),
@@ -294,8 +301,7 @@ fn kernel_matches_scalar(
     prop_assert_eq!(t_k, t_s);
     prop_assert_eq!(t_k as usize, seen_kernel.len());
     prop_assert_eq!(seen_kernel, seen_scalar);
-    prop_assert_eq!(kernel.states(), scalar.states());
-    prop_assert_eq!(kernel.registers(), scalar.registers());
+    prop_assert_eq!(image(&kernel), image(&scalar));
     Ok(())
 }
 
@@ -441,7 +447,7 @@ enum StoreOp {
     DeliverAll(usize),
     DeliverAllScalar(usize),
     DeliverAllWith(usize),
-    /// `restore` from the store's own `states()` / `registers()`.
+    /// `restore` from the store's own `states_into` / `registers_into`.
     Restore,
 }
 
@@ -548,18 +554,18 @@ fn finished_count_tracks_states(
                 // Into a fresh, differently sized store on one side,
                 // over itself on the other.
                 let mut fresh = SessionStore::new(engine.clone(), 3);
-                let restored = fresh.restore(&kernel.states(), &kernel.registers(), kernel.steps());
+                let (states, registers) = image(&kernel);
+                let restored = fresh.restore(&states, &registers, kernel.steps());
                 prop_assert_eq!(restored, Ok(()));
                 kernel = fresh;
-                let (states, registers) = (scalar.states().to_vec(), scalar.registers().to_vec());
+                let (states, registers) = image(&scalar);
                 let restored = scalar.restore(&states, &registers, scalar.steps());
                 prop_assert_eq!(restored, Ok(()));
             }
         }
         count_is_exact(&kernel, step)?;
         count_is_exact(&scalar, step)?;
-        prop_assert_eq!(kernel.states(), scalar.states(), "step {}", step);
-        prop_assert_eq!(kernel.registers(), scalar.registers(), "step {}", step);
+        prop_assert_eq!(image(&kernel), image(&scalar), "step {}", step);
         prop_assert_eq!(kernel.live(), scalar.live(), "step {}", step);
         prop_assert_eq!(kernel.steps(), scalar.steps(), "step {}", step);
     }
@@ -678,12 +684,14 @@ fn sharded_pool_matches_flat(
         prop_assert_eq!(sharded.steps(), flat.steps(), "step {}", step);
     }
     let mut offset = 0;
+    let (states, registers) = image(&flat);
     for shard in sharded.shards() {
         let n = shard.len();
-        prop_assert_eq!(shard.states(), &flat.states()[offset..offset + n]);
+        let (shard_states, shard_registers) = image(shard);
+        prop_assert_eq!(&shard_states[..], &states[offset..offset + n]);
         prop_assert_eq!(
-            shard.registers(),
-            &flat.registers()[offset * regs..(offset + n) * regs]
+            &shard_registers[..],
+            &registers[offset * regs..(offset + n) * regs]
         );
         for s in 0..n {
             prop_assert_eq!(shard.is_finished(s), flat.is_finished(offset + s));

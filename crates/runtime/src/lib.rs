@@ -97,7 +97,9 @@
 //!   [`RuntimeSnapshot`], tagged with the engine's *behavioural
 //!   fingerprint* ([`Engine::fingerprint`] — a hash of the lowered IR
 //!   plus bound parameters, identical across tiers for identical
-//!   behaviour). [`Runtime::restore`] rebuilds a runtime from a
+//!   behaviour); [`Runtime::snapshot_into`] writes the same capture
+//!   over an earlier one, reusing its buffers, for a caller that
+//!   checkpoints often. [`Runtime::restore`] rebuilds a runtime from a
 //!   snapshot, refusing with [`StategenError::SnapshotMismatch`]
 //!   unless the fingerprints agree: a snapshot restores only into a
 //!   behaviourally identical machine. Restoration is *bit-identical* —

@@ -229,16 +229,15 @@ impl Shard {
         }
     }
 
-    /// Captures the shard's complete durable state (finished-ness is
-    /// the finish flag of each slot's state; restore recounts it).
-    fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            current: self.store.states().into_owned(),
-            generations: self.generations.clone(),
-            vars: self.store.registers().into_owned(),
-            free: self.free.clone(),
-            steps: self.store.steps(),
-        }
+    /// Captures the shard's complete durable state over `snap`, reusing
+    /// its buffers (finished-ness is the finish flag of each slot's
+    /// state; restore recounts it).
+    fn snapshot_into(&self, snap: &mut ShardSnapshot) {
+        self.store.states_into(&mut snap.current);
+        snap.generations.clone_from(&self.generations);
+        self.store.registers_into(&mut snap.vars);
+        snap.free.clone_from(&self.free);
+        snap.steps = self.store.steps();
     }
 
     /// Rebuilds a shard from a snapshot taken under a behaviourally
@@ -435,7 +434,7 @@ pub struct SessionSnapshot {
 /// about finished sessions is stored: finish states are absorbing, so a
 /// slot is finished exactly when its state is a finish state, and the
 /// store recounts while it validates the restored state array.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ShardSnapshot {
     current: Vec<u32>,
     generations: Vec<u32>,
@@ -1028,14 +1027,36 @@ impl Runtime {
     /// first (crash recovery composes with hot-swap by restoring the
     /// last pre-swap checkpoint and re-attempting the rollout).
     pub fn snapshot_all(&self) -> RuntimeSnapshot {
+        let mut snapshot = RuntimeSnapshot {
+            fingerprint: 0,
+            shards: Vec::new(),
+        };
+        self.snapshot_into(&mut snapshot);
+        snapshot
+    }
+
+    /// [`Runtime::snapshot_all`] written over an earlier `snapshot`,
+    /// whatever runtime took it and whatever its shape: the result is
+    /// what `snapshot_all` would return, and the buffers `snapshot`
+    /// already holds are reused, so a runtime checkpointed at a steady
+    /// size allocates nothing to do it again.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Runtime::snapshot_all`].
+    pub fn snapshot_into(&self, snapshot: &mut RuntimeSnapshot) {
         assert!(
             self.pending.is_none(),
             "cannot snapshot during a draining hot-swap; finish or abort it first"
         );
         self.counters.inc_snapshots();
-        RuntimeSnapshot {
-            fingerprint: self.engine.fingerprint(),
-            shards: self.pool.shards().iter().map(Shard::snapshot).collect(),
+        snapshot.fingerprint = self.engine.fingerprint();
+        let shards = self.pool.shards();
+        snapshot
+            .shards
+            .resize_with(shards.len(), ShardSnapshot::default);
+        for (shard, snap) in shards.iter().zip(&mut snapshot.shards) {
+            shard.snapshot_into(snap);
         }
     }
 
@@ -1131,10 +1152,13 @@ impl Runtime {
             let sessions = self.len();
             // Every shard's store is rebuilt before any is replaced, so
             // a refused restore leaves the runtime untouched.
+            let (mut states, mut registers) = (Vec::new(), Vec::new());
             let rebuild = |shard: &Shard| {
                 let mut store = SessionStore::new(incoming.step.clone(), 0);
                 let old = &shard.store;
-                store.restore(&old.states(), &old.registers(), old.steps())?;
+                old.states_into(&mut states);
+                old.registers_into(&mut registers);
+                store.restore(&states, &registers, old.steps())?;
                 Ok(store)
             };
             let stores: Result<Vec<_>, StategenError> =

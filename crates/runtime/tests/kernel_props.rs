@@ -563,7 +563,10 @@ proptest! {
                         rt.attach_recorder(8);
                     }
                     let mut fresh = SessionStore::new(register.clone(), 0);
-                    let restored = fresh.restore(&store.states(), &store.registers(), store.steps());
+                    let (mut states, mut registers) = (Vec::new(), Vec::new());
+                    store.states_into(&mut states);
+                    store.registers_into(&mut registers);
+                    let restored = fresh.restore(&states, &registers, store.steps());
                     prop_assert_eq!(restored, Ok(()));
                     store = fresh;
                 }

@@ -7,7 +7,9 @@
 //! files, generations, free list and finished flags — which is checked
 //! both directly (re-snapshot equality) and behaviourally (the restored
 //! pool replays an arbitrary message suffix identically, through the
-//! original generational handles).
+//! original generational handles). `Runtime::snapshot_into`, the same
+//! capture written over an earlier snapshot, must be `snapshot_all`
+//! whatever that earlier snapshot held.
 
 use proptest::prelude::*;
 
@@ -32,11 +34,13 @@ fn engines() -> Vec<Engine> {
     ]
 }
 
-/// A pool-mutation script: interleaved spawns, deliveries and releases.
+/// A pool-mutation script: interleaved spawns, deliveries, resets and
+/// releases.
 #[derive(Debug, Clone)]
 enum PoolOp {
     Spawn,
     Deliver { session: usize, message: usize },
+    Reset { session: usize },
     Release { session: usize },
 }
 
@@ -48,6 +52,9 @@ fn pool_ops() -> impl Strategy<Value = Vec<PoolOp>> {
                 session: s as usize,
                 message: m as usize % MESSAGE_NAMES.len(),
             }),
+            any::<u64>().prop_map(|s| PoolOp::Reset {
+                session: s as usize
+            }),
             any::<u64>().prop_map(|s| PoolOp::Release {
                 session: s as usize
             }),
@@ -58,7 +65,13 @@ fn pool_ops() -> impl Strategy<Value = Vec<PoolOp>> {
 
 /// Runs the script, returning the handles that are still live.
 fn apply_ops(rt: &mut Runtime, ops: &[PoolOp]) -> Vec<SessionId> {
-    let mut live: Vec<SessionId> = Vec::new();
+    let mut live = Vec::new();
+    continue_ops(rt, ops, &mut live);
+    live
+}
+
+/// Runs the script over the sessions `live` holds, keeping it current.
+fn continue_ops(rt: &mut Runtime, ops: &[PoolOp], live: &mut Vec<SessionId>) {
     for op in ops {
         match op {
             PoolOp::Spawn => live.push(rt.spawn()),
@@ -69,6 +82,11 @@ fn apply_ops(rt: &mut Runtime, ops: &[PoolOp]) -> Vec<SessionId> {
                     rt.deliver(s, id);
                 }
             }
+            PoolOp::Reset { session } => {
+                if !live.is_empty() {
+                    rt.reset(live[session % live.len()]);
+                }
+            }
             PoolOp::Release { session } => {
                 if !live.is_empty() {
                     let s = live.remove(session % live.len());
@@ -77,7 +95,6 @@ fn apply_ops(rt: &mut Runtime, ops: &[PoolOp]) -> Vec<SessionId> {
             }
         }
     }
-    live
 }
 
 proptest! {
@@ -158,6 +175,48 @@ proptest! {
             // The other artifact is a different machine shape (register
             // file differs): rejected, not silently mis-restored.
             prop_assert!(Runtime::restore(&all[other], &snap).is_err());
+        }
+    }
+
+    /// `snapshot_into` over a dirty snapshot of another shape — every
+    /// other engine's (a different register width: the flat machines
+    /// keep none, the commit EFSM two; or the same width and other
+    /// values in every slot), another shard count, another script's
+    /// slots — is exactly `snapshot_all`, counts as one snapshot and
+    /// restores bit-identically; written again over itself after more
+    /// churn, releases of the first script's sessions included, it still
+    /// is. On the interpreted, dense and unfolded engines (`engines()`:
+    /// flat interpreted, flat dense, EFSM unfolded onto the dense table,
+    /// EFSM interpreted), flat and sharded.
+    #[test]
+    fn snapshot_into_a_dirty_snapshot_is_snapshot_all(
+        ops in pool_ops(),
+        more in pool_ops(),
+        dirty_ops in pool_ops(),
+        shards in 1usize..4,
+        dirty_shards in 1usize..4,
+    ) {
+        let all = engines();
+        for (i, engine) in all.iter().enumerate() {
+            for other in all.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, e)| e) {
+                let mut dirty = other.runtime().sharded(dirty_shards);
+                apply_ops(&mut dirty, &dirty_ops);
+                let mut snap = dirty.snapshot_all();
+                let mut rt = engine.runtime().sharded(shards);
+                let mut live = apply_ops(&mut rt, &ops);
+                for round in 0..2 {
+                    let before = rt.metrics().snapshots;
+                    rt.snapshot_into(&mut snap);
+                    prop_assert_eq!(rt.metrics().snapshots, before + 1, "round {}", round);
+                    prop_assert_eq!(&snap, &rt.snapshot_all(), "round {}", round);
+                    let restored = Runtime::restore(engine, &snap).unwrap();
+                    prop_assert_eq!(&restored.snapshot_all(), &snap, "round {}", round);
+                    for &s in &live {
+                        prop_assert_eq!(restored.snapshot(s), rt.snapshot(s));
+                    }
+                    continue_ops(&mut rt, &more, &mut live);
+                }
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //! every `r`, and `Engine` unfolds the bound machine onto the dense
 //! table on boot, the paper's bind-then-generate done at load time. An
 //! attempt *in flight* is one dense `u32` (its state and both counters)
-//! behind a typed generational [`SessionId`], not an interpreter
+//! behind a typed generational
+//! [`SessionId`](stategen_runtime::SessionId), not an interpreter
 //! instance; the session is released when the attempt finishes, is
 //! aborted or is garbage-collected, and its slot recycled — a stale
 //! handle fails loudly instead of serving the slot's next attempt. What
@@ -47,10 +48,10 @@ use stategen_commit::{
     commit_efsm, commit_efsm_params, commit_efsm_state_flags, CommitConfig, CommitMessage,
 };
 use stategen_core::MessageId;
-use stategen_runtime::{Artifact, Engine, Runtime, RuntimeSnapshot, SessionId, TimerWheel};
+use stategen_runtime::{Artifact, Engine, Runtime, RuntimeSnapshot, TimerWheel};
 use stategen_telemetry::{LogHistogram, MetricsSnapshot};
 
-use self::ledger::Ledger;
+use self::ledger::{Admission, Heard, Ledger, Unfinished};
 use crate::backoff::{RetryScheme, ServerOrdering};
 use crate::entities::Pid;
 
@@ -195,7 +196,8 @@ enum PeerAction {
 
 /// One peer-set member serving the commit protocol from a per-peer
 /// [`Runtime`]: one session per attempt *in flight* (one dense `u32` of
-/// state each, addressed by a typed [`SessionId`]) instead of one
+/// state each, addressed by a typed
+/// [`SessionId`](stategen_runtime::SessionId)) instead of one
 /// interpreter instance per attempt. A session is
 /// [`Runtime::release`]d when its attempt finishes, is aborted or is
 /// garbage-collected — recycled through the runtime's generational free
@@ -206,9 +208,11 @@ enum PeerAction {
 ///
 /// A peer keeps serving as its history grows, so a message costs one
 /// lookup in the in-flight table, sibling signalling and the choice lock
-/// walk that table only, and a checkpoint write copies the attempts
-/// touched since the last write, not the bookkeeping (`docs/STORAGE.md`
-/// has the per-path cost table).
+/// walk that table only, and a checkpoint write copies what a crash can
+/// lose — the sessions and the table of the attempts in flight, and the
+/// dropped attempts changed since the last write — into the buffers of
+/// the one before, not the bookkeeping (`docs/STORAGE.md` has the
+/// per-path cost table).
 #[derive(Debug)]
 pub struct CommitPeer<'m> {
     engine: &'m PeerEngine,
@@ -221,7 +225,9 @@ pub struct CommitPeer<'m> {
     /// What this peer knows of each attempt: in flight (with its
     /// session in `runtime`), dropped, or finished.
     ledger: Ledger,
-    /// The recorded versions in commit order (the public view).
+    /// The recorded versions in commit order (the public view). Like
+    /// the ledger's finished set, an append-only log written through by
+    /// the commit's synchronous checkpoint write: a crash keeps it.
     history: Vec<Pid>,
     /// The versions in `history`, for membership tests.
     recorded: BTreeSet<Pid>,
@@ -231,6 +237,9 @@ pub struct CommitPeer<'m> {
     /// Work queue of [`CommitPeer::feed`], empty between calls; kept
     /// for its allocation.
     feed_scratch: VecDeque<(AttemptId, CommitMessage)>,
+    /// Sibling buffer of [`CommitPeer::drop_instance`], empty between
+    /// calls; kept for its allocation.
+    sibling_scratch: Vec<AttemptId>,
     /// Abandon unfinished executions after this many ticks (paper §2.2:
     /// the tolerance bound "applies to the duration of a particular
     /// execution of the commit protocol" — executions have bounded
@@ -247,14 +256,16 @@ pub struct CommitPeer<'m> {
     /// are checkpointed synchronously, so a quiescent peer is already
     /// durable) and resumes when an attempt spawns.
     checkpoint_armed: bool,
-    /// The peer's simulated durable store: the last checkpoint written.
-    /// `on_restart` recovers from *only* this — everything else above is
-    /// treated as lost with the crash.
+    /// The peer's simulated durable store beside the written-through
+    /// logs (`history` and the ledger's finished set): the last
+    /// checkpoint written. `on_restart` recovers from *only* these —
+    /// everything else above is treated as lost with the crash.
     checkpoint: Option<PeerCheckpoint>,
-    /// The attempts whose bookkeeping changed since `checkpoint` was
-    /// written. Volatile, recorded only while a checkpoint exists (the
-    /// first write is a full copy) and drained by every write, so it
-    /// never holds more than one checkpoint interval of changes.
+    /// The attempts whose `dropped` entry changed since `checkpoint` was
+    /// written (the in-flight table is copied whole). Volatile, recorded
+    /// only while a checkpoint exists (the first write is a full copy)
+    /// and drained by every write, so it never holds more than one
+    /// checkpoint interval of changes.
     journal: Vec<AttemptId>,
     /// Flight-recorder ring capacity (0 = unobserved). Remembered so
     /// the recorder is re-attached after a crash recovery rebuilds the
@@ -276,16 +287,18 @@ pub struct PeerGcStats {
     pub aborted: u64,
 }
 
-/// What a peer persists: its [`Runtime`] snapshot — the sessions in
-/// flight, no more — plus the protocol bookkeeping that gives them
-/// meaning. Written atomically (it is one in-memory value), so a
-/// recovered peer is always internally consistent — it may merely be
-/// *stale* by up to one checkpoint interval.
+/// What a peer persists beside its written-through logs: its
+/// [`Runtime`] snapshot — the sessions in flight, no more — plus the
+/// unfinished attempts that give them meaning. Written atomically (it
+/// is one in-memory value), so a recovered peer is always internally
+/// consistent — it may merely be *stale* by up to one checkpoint
+/// interval. The finished set and the history are not here: every
+/// finish is followed, in the same handler, by a synchronous write, so
+/// wherever a crash can fall a copy of them would equal the live ones.
 #[derive(Debug, Clone)]
 struct PeerCheckpoint {
     runtime: RuntimeSnapshot,
-    ledger: Ledger,
-    history: Vec<Pid>,
+    unfinished: Unfinished,
 }
 
 /// Peer timer tag for the periodic checkpoint (GC tags count up from 0
@@ -354,6 +367,7 @@ impl<'m> CommitPeer<'m> {
             recorded: BTreeSet::new(),
             action_scratch: Vec::new(),
             feed_scratch: VecDeque::new(),
+            sibling_scratch: Vec::new(),
             gc_after,
             gc_tags: GcTags::default(),
             checkpoint_every,
@@ -428,9 +442,9 @@ impl<'m> CommitPeer<'m> {
         self.ledger.in_flight().len()
     }
 
-    /// Notes that `attempt`'s bookkeeping changed. Without a checkpoint
-    /// there is nothing to bring up to date — the next write is a full
-    /// copy — so nothing is recorded (in particular never when
+    /// Notes that `attempt`'s `dropped` entry changed. Without a
+    /// checkpoint there is nothing to bring up to date — the next write
+    /// is a full copy — so nothing is recorded (in particular never when
     /// checkpointing is disabled).
     fn touch(&mut self, attempt: AttemptId) {
         if self.checkpoint.is_some() && self.journal.last() != Some(&attempt) {
@@ -446,20 +460,35 @@ impl<'m> CommitPeer<'m> {
         }
     }
 
-    /// [`Ledger::admit`], noting the change for the next checkpoint.
-    fn admit(&mut self, attempt: AttemptId, from: NodeId, message: CommitMessage) -> bool {
-        let fresh = self.ledger.admit(attempt, from, message);
-        if fresh {
-            self.touch(attempt);
-        }
-        fresh
+    /// Counts `from`'s `message` for `attempt` ([`Ledger::admit`]) and
+    /// starts the attempt if it is not in flight; `false` if the message
+    /// is to be ignored. Only a revived attempt changes `dropped`, so
+    /// only it is noted for the next checkpoint.
+    fn admit(
+        &mut self,
+        ctx: &mut Context<'_, VhMsg>,
+        attempt: AttemptId,
+        from: NodeId,
+        message: CommitMessage,
+    ) -> bool {
+        let heard = match self.ledger.admit(attempt, from, message) {
+            Admission::Ignored => return false,
+            Admission::Running => return true,
+            Admission::Revived(heard) => {
+                self.touch(attempt);
+                heard
+            }
+            Admission::New(heard) => heard,
+        };
+        self.spawn(ctx, attempt, heard);
+        true
     }
 
     /// Starts executing an attempt that has no session here — new to
-    /// this peer or dropped earlier — recycling a released slot under a
-    /// new generation or growing the runtime (the only allocating path,
-    /// amortised O(1)).
-    fn spawn(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId) -> SessionId {
+    /// this peer or dropped earlier — with what it has `heard`,
+    /// recycling a released slot under a new generation or growing the
+    /// runtime (the only allocating path, amortised O(1)).
+    fn spawn(&mut self, ctx: &mut Context<'_, VhMsg>, attempt: AttemptId, heard: Heard) {
         let session = self.runtime.spawn();
         // A new attempt must reflect the node's current choice state: if
         // a sibling attempt has already chosen an update, this node is
@@ -468,11 +497,9 @@ impl<'m> CommitPeer<'m> {
             self.runtime
                 .deliver(session, self.engine.message_id(CommitMessage::NotFree));
         }
-        self.ledger.start(attempt, session);
-        self.touch(attempt);
+        self.ledger.start(attempt, session, heard);
         self.arm_gc(ctx, attempt);
         self.arm_checkpoint(ctx);
-        session
     }
 
     /// Delivers a protocol message to the attempt's runtime session and
@@ -486,13 +513,10 @@ impl<'m> CommitPeer<'m> {
         let mut queue = std::mem::take(&mut self.feed_scratch);
         queue.push_back((attempt, message));
         while let Some((a, m)) = queue.pop_front() {
-            // Only an admitted message finds no session; the sibling
-            // signals queued below go to attempts in flight, and neither
-            // signal finishes one.
-            let session = match self.ledger.session(a) {
-                Some(session) => session,
-                None => self.spawn(ctx, a),
-            };
+            // `admit` started the attempt; the sibling signals queued
+            // below go to attempts in flight, and neither signal
+            // finishes one.
+            let session = self.ledger.session(a).expect("fed attempts are in flight");
             // Resolve the actions to kinds in order before re-borrowing
             // `self` for the broadcasts (the action slice's borrow is
             // tied to the runtime's `&mut`). The scratch buffer is
@@ -518,7 +542,6 @@ impl<'m> CommitPeer<'m> {
             let finished = self.runtime.is_finished(session);
             let client = if finished {
                 self.runtime.release(session);
-                self.touch(a);
                 self.ledger.finish(a)
             } else {
                 None
@@ -596,11 +619,15 @@ impl<'m> CommitPeer<'m> {
         self.runtime.release(session);
         if had_chosen {
             // Each sibling's `free` runs to completion before the next
-            // one's, so the siblings are fixed up front.
-            let siblings: Vec<AttemptId> = self.local_siblings(attempt).collect();
-            for sibling in siblings {
+            // one's, so the siblings are fixed up front — in the
+            // scratch buffer, which `feed` never touches.
+            let mut siblings = std::mem::take(&mut self.sibling_scratch);
+            siblings.clear();
+            siblings.extend(self.local_siblings(attempt));
+            for &sibling in &siblings {
                 self.feed(ctx, sibling, CommitMessage::Free);
             }
+            self.sibling_scratch = siblings;
         }
     }
 
@@ -619,28 +646,28 @@ impl<'m> CommitPeer<'m> {
         }
     }
 
-    /// Writes the durable checkpoint: runtime snapshot + bookkeeping.
-    /// The first write copies the ledger; later ones bring the previous
-    /// checkpoint up to date from the journal, so a write costs the
-    /// snapshot's memcpy of the sessions in flight plus a few lookups
-    /// per attempt touched, not a re-clone of every collection.
+    /// Writes the durable checkpoint: runtime snapshot + unfinished
+    /// attempts. The first write copies them; later ones write over the
+    /// previous checkpoint in place — the runtime snapshot into its
+    /// buffers, the in-flight table whole, and the `dropped` entries the
+    /// journal names — so a write costs a copy of O(in-flight) words
+    /// and a search per dropped entry changed, and allocates nothing
+    /// once the buffers have grown. The finished set and the history
+    /// need nothing: they are the durable logs this write makes a
+    /// commit part of.
     fn write_checkpoint(&mut self) {
-        let runtime = self.runtime.snapshot_all();
         match &mut self.checkpoint {
             Some(checkpoint) => {
-                checkpoint.runtime = runtime;
-                checkpoint.ledger.catch_up(&self.ledger, &self.journal);
-                self.journal.clear();
-                let durable = checkpoint.history.len();
+                self.runtime.snapshot_into(&mut checkpoint.runtime);
                 checkpoint
-                    .history
-                    .extend_from_slice(&self.history[durable..]);
+                    .unfinished
+                    .catch_up(self.ledger.unfinished(), &self.journal);
+                self.journal.clear();
             }
             None => {
                 self.checkpoint = Some(PeerCheckpoint {
-                    runtime,
-                    ledger: self.ledger.clone(),
-                    history: self.history.clone(),
+                    runtime: self.runtime.snapshot_all(),
+                    unfinished: self.ledger.unfinished().clone(),
                 });
             }
         }
@@ -651,9 +678,9 @@ impl<'m> CommitPeer<'m> {
         debug_assert_eq!(self.in_flight_attempts(), self.runtime.len());
     }
 
-    /// `true` when `checkpoint`'s bookkeeping equals the live one.
+    /// `true` when `checkpoint`'s unfinished attempts equal the live ones.
     fn holds(&self, checkpoint: &PeerCheckpoint) -> bool {
-        checkpoint.ledger == self.ledger && checkpoint.history == self.history
+        checkpoint.unfinished == *self.ledger.unfinished()
     }
 }
 
@@ -683,27 +710,32 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
 
     fn on_restart(&mut self, ctx: &mut Context<'_, VhMsg>) {
         // Everything volatile died with the crash; recover from the
-        // durable checkpoint alone. `Runtime::restore` revalidates the
-        // snapshot against the engine fingerprint and brings every
-        // session back bit-identically — including generations, so the
-        // checkpointed table's handles keep addressing their attempts.
+        // durable checkpoint and the written-through logs alone.
+        // `Runtime::restore` revalidates the snapshot against the engine
+        // fingerprint and brings every session back bit-identically —
+        // including generations, so the checkpointed table's handles
+        // keep addressing their attempts. The finished set, `history`
+        // and `recorded` (derived from it) stay as they are: the last
+        // finish was followed by a write, so they are what is durable.
         match &self.checkpoint {
             Some(checkpoint) => {
                 self.runtime = Runtime::restore(self.engine.engine(), &checkpoint.runtime)
                     .expect("checkpoint was written by this peer's own engine");
-                self.ledger = checkpoint.ledger.clone();
-                self.history = checkpoint.history.clone();
+                self.ledger.restore(&checkpoint.unfinished);
             }
+            // Never written: checkpointing is disabled, and a peer with
+            // no durable store restarts empty (with it enabled, nothing
+            // has finished before the first write).
             None => {
                 self.runtime = self.engine.engine().runtime();
                 self.ledger = Ledger::default();
                 self.history.clear();
+                self.recorded.clear();
             }
         }
         // The live bookkeeping now equals the checkpoint, so the journal
-        // starts over; `recorded` is derived, not checkpointed.
+        // starts over.
         self.journal.clear();
-        self.recorded = self.history.iter().copied().collect();
         // Telemetry is volatile: the rebuilt runtime starts unobserved,
         // so re-attach the recorder the operator configured.
         if self.recorder_capacity > 0 {
@@ -742,7 +774,11 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
                     | VhMsg::Abort(a) => a,
                     VhMsg::Committed(_) => return,
                 };
-                if self.admit(attempt, ctx.self_id(), CommitMessage::Vote) {
+                if self
+                    .ledger
+                    .hear(attempt, ctx.self_id(), CommitMessage::Vote)
+                {
+                    self.touch(attempt);
                     self.broadcast_peers(ctx, VhMsg::Vote(attempt));
                     self.broadcast_peers(ctx, VhMsg::Commit(attempt));
                 }
@@ -760,7 +796,7 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
                     VhMsg::Abort(a) => return self.abort(ctx, a),
                     VhMsg::Committed(_) => return,
                 };
-                if self.admit(attempt, from, message) {
+                if self.admit(ctx, attempt, from, message) {
                     self.feed(ctx, attempt, message);
                 }
             }

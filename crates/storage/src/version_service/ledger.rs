@@ -3,8 +3,10 @@
 //! one of three places — in flight, dropped or finished — and every
 //! change of place goes through a method here, so the peer never sees
 //! the collections (`docs/STORAGE.md` has what each costs and how it
-//! grows).
+//! grows). The first two are [`Unfinished`], the part a checkpoint
+//! copies.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use asa_simnet::NodeId;
@@ -52,16 +54,29 @@ impl Seen {
 
 /// What is remembered of an unfinished attempt, executing or not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Heard {
+pub(super) struct Heard {
     /// The client to report the commit to, once its update has come.
     client: Option<NodeId>,
     seen: Seen,
 }
 
-/// A peer's attempt bookkeeping — with its history, everything it
-/// checkpoints beside its runtime.
+impl Heard {
+    /// Counts `from`'s `message`; `false` if it had been counted before.
+    /// A counted `update` names the client to report to.
+    fn count(&mut self, from: NodeId, message: CommitMessage) -> bool {
+        let fresh = self.seen.insert(from, message);
+        if fresh && message == CommitMessage::Update {
+            self.client = Some(from);
+        }
+        fresh
+    }
+}
+
+/// The unfinished attempts: what a peer's checkpoint copies beside its
+/// runtime snapshot. The finished set and the history are not in it —
+/// they are written through (`docs/STORAGE.md`, "Durability").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(super) struct Ledger {
+pub(super) struct Unfinished {
     /// The attempts in flight, each with the session executing it,
     /// sorted by `AttemptId`: what every message is looked up in, and as
     /// small as the clients' outstanding work (at most 3 × clients), so
@@ -71,6 +86,51 @@ pub(super) struct Ledger {
     /// such an attempt again, and must then find who had been counted.
     /// An equivocator executes nothing, so all it hears of stays here.
     dropped: BTreeMap<AttemptId, Heard>,
+}
+
+impl Unfinished {
+    /// Where `attempt` is in `table`, if it is in flight.
+    fn position(&self, attempt: AttemptId) -> Option<usize> {
+        self.table.iter().position(|(a, _, _)| *a == attempt)
+    }
+
+    /// Brings a checkpointed copy up to date with `live`, given every
+    /// attempt whose `dropped` entry changed since the copy was one
+    /// (repeats are fine): the in-flight table is copied whole — a few
+    /// entries, into the copy's own allocation — and only a changed
+    /// `dropped` entry costs a search.
+    pub(super) fn catch_up(&mut self, live: &Unfinished, touched: &[AttemptId]) {
+        self.table.clone_from(&live.table);
+        for attempt in touched {
+            match live.dropped.get(attempt) {
+                Some(heard) => self.dropped.insert(*attempt, heard.clone()),
+                None => self.dropped.remove(attempt),
+            };
+        }
+    }
+}
+
+/// What [`Ledger::admit`] made of a message.
+#[derive(Debug)]
+pub(super) enum Admission {
+    /// Counted before, or the attempt finished here: ignore it.
+    Ignored,
+    /// Counted for an attempt in flight.
+    Running,
+    /// Counted for a dropped attempt, now taken out of `dropped` with
+    /// what it had heard: to be [`Ledger::start`]ed again.
+    Revived(Heard),
+    /// The first message of an attempt new to this peer, counted in a
+    /// record that is in no place yet: to be [`Ledger::start`]ed.
+    New(Heard),
+}
+
+/// A peer's attempt bookkeeping: the unfinished attempts, which its
+/// checkpoint copies, and the finished set, which like the history is
+/// an append-only log the commit write makes durable.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(super) struct Ledger {
+    unfinished: Unfinished,
     /// The finished attempts. A finished execution absorbs every message
     /// and emits nothing, which membership here stands for — no session
     /// is kept to do it.
@@ -78,110 +138,121 @@ pub(super) struct Ledger {
 }
 
 impl Ledger {
-    /// Where `attempt` is in `table`, if it is in flight.
-    fn position(&self, attempt: AttemptId) -> Option<usize> {
-        self.table.iter().position(|(a, _, _)| *a == attempt)
-    }
-
-    /// Puts an attempt that is not in flight into `table`, in order.
-    fn insert(&mut self, entry: (AttemptId, SessionId, Heard)) {
-        let at = self.table.partition_point(|(a, _, _)| *a < entry.0);
-        self.table.insert(at, entry);
-    }
-
     /// The finished attempts.
     pub(super) fn committed(&self) -> &BTreeSet<AttemptId> {
         &self.committed
     }
 
+    /// The unfinished attempts: what a checkpoint holds of the ledger.
+    pub(super) fn unfinished(&self) -> &Unfinished {
+        &self.unfinished
+    }
+
+    /// Takes the unfinished attempts back from a checkpoint's `image`
+    /// after a crash; the finished set is kept.
+    pub(super) fn restore(&mut self, image: &Unfinished) {
+        self.unfinished.clone_from(image);
+    }
+
     /// Attempts remembered at all: in flight, dropped or finished.
     pub(super) fn len(&self) -> usize {
-        self.table.len() + self.dropped.len() + self.committed.len()
+        self.unfinished.table.len() + self.unfinished.dropped.len() + self.committed.len()
     }
 
     /// The attempts in flight with their sessions, in `AttemptId` order:
     /// the order of sibling `free`/`not_free` fan-out decides the
     /// simulator's message schedule.
     pub(super) fn in_flight(&self) -> impl ExactSizeIterator<Item = (AttemptId, SessionId)> + '_ {
-        self.table
+        self.unfinished
+            .table
             .iter()
             .map(|&(attempt, session, _)| (attempt, session))
     }
 
     /// The session executing `attempt`, if it is in flight.
     pub(super) fn session(&self, attempt: AttemptId) -> Option<SessionId> {
-        self.position(attempt).map(|at| self.table[at].1)
+        let at = self.unfinished.position(attempt)?;
+        Some(self.unfinished.table[at].1)
     }
 
-    /// Counts `from`'s `message` for `attempt`; `false` if it is to be
-    /// ignored — counted before, or the attempt finished here. One
-    /// lookup in the in-flight table for a message of a running attempt;
-    /// the finished set is consulted only past that. An admitted
-    /// `update` names the client to report to.
+    /// Counts `from`'s `message` for `attempt`. One lookup in the
+    /// in-flight table for a message of a running attempt; the finished
+    /// set and `dropped` are searched only past that. An attempt not in
+    /// flight leaves the ledger with the message counted, for the caller
+    /// to start — a new one never enters `dropped` on the way.
     pub(super) fn admit(
         &mut self,
         attempt: AttemptId,
         from: NodeId,
         message: CommitMessage,
-    ) -> bool {
-        let heard = match self.position(attempt) {
-            Some(at) => &mut self.table[at].2,
-            None if self.committed.contains(&attempt) => return false,
-            None => self.dropped.entry(attempt).or_default(),
-        };
-        let fresh = heard.seen.insert(from, message);
-        if fresh && message == CommitMessage::Update {
-            heard.client = Some(from);
+    ) -> Admission {
+        if let Some(at) = self.unfinished.position(attempt) {
+            let fresh = self.unfinished.table[at].2.count(from, message);
+            return if fresh {
+                Admission::Running
+            } else {
+                Admission::Ignored
+            };
         }
-        fresh
+        if self.committed.contains(&attempt) {
+            return Admission::Ignored;
+        }
+        match self.unfinished.dropped.entry(attempt) {
+            Entry::Occupied(mut heard) => {
+                if heard.get_mut().count(from, message) {
+                    Admission::Revived(heard.remove())
+                } else {
+                    Admission::Ignored
+                }
+            }
+            Entry::Vacant(_) => {
+                let mut heard = Heard::default();
+                heard.count(from, message);
+                Admission::New(heard)
+            }
+        }
     }
 
-    /// `attempt` — new to this peer, or dropped earlier — starts
-    /// executing in `session`, with whatever had been heard of it.
-    pub(super) fn start(&mut self, attempt: AttemptId, session: SessionId) {
+    /// Counts `from`'s `message` for an attempt this peer will not
+    /// execute — an equivocator's memory of what it heard — keeping it
+    /// in `dropped`; `false` if it had been counted before.
+    pub(super) fn hear(
+        &mut self,
+        attempt: AttemptId,
+        from: NodeId,
+        message: CommitMessage,
+    ) -> bool {
+        debug_assert!(self.unfinished.position(attempt).is_none());
+        let heard = self.unfinished.dropped.entry(attempt).or_default();
+        heard.count(from, message)
+    }
+
+    /// `attempt`, admitted with `heard`, starts executing in `session`.
+    pub(super) fn start(&mut self, attempt: AttemptId, session: SessionId, heard: Heard) {
         debug_assert!(!self.committed.contains(&attempt));
-        debug_assert!(self.position(attempt).is_none());
-        let heard = self.dropped.remove(&attempt).unwrap_or_default();
-        self.insert((attempt, session, heard));
+        debug_assert!(!self.unfinished.dropped.contains_key(&attempt));
+        debug_assert!(self.unfinished.position(attempt).is_none());
+        let table = &mut self.unfinished.table;
+        let at = table.partition_point(|(a, _, _)| *a < attempt);
+        table.insert(at, (attempt, session, heard));
     }
 
-    /// `attempt`'s execution was abandoned; what it had heard is kept.
+    /// `attempt`'s execution was abandoned; what it had heard is kept in
+    /// `dropped`.
     pub(super) fn drop_in_flight(&mut self, attempt: AttemptId) {
-        if let Some(at) = self.position(attempt) {
-            let (_, _, heard) = self.table.remove(at);
-            self.dropped.insert(attempt, heard);
+        if let Some(at) = self.unfinished.position(attempt) {
+            let (_, _, heard) = self.unfinished.table.remove(at);
+            self.unfinished.dropped.insert(attempt, heard);
         }
     }
 
     /// `attempt`'s execution finished: it joins the finished set, and
     /// the client that asked for it, if any has, is to be told.
     pub(super) fn finish(&mut self, attempt: AttemptId) -> Option<NodeId> {
-        let in_flight = self.position(attempt).map(|at| self.table.remove(at));
+        let at = self.unfinished.position(attempt);
+        let in_flight = at.map(|at| self.unfinished.table.remove(at));
         self.committed.insert(attempt);
         in_flight.and_then(|(_, _, heard)| heard.client)
-    }
-
-    /// Brings a checkpointed copy up to date with `live`, given every
-    /// attempt that changed since the copy was one (repeats are fine).
-    /// The finished set only grows, so membership says what is new.
-    pub(super) fn catch_up(&mut self, live: &Ledger, touched: &[AttemptId]) {
-        for &attempt in touched {
-            match (self.position(attempt), live.position(attempt)) {
-                (Some(at), Some(theirs)) => self.table[at].clone_from(&live.table[theirs]),
-                (None, Some(theirs)) => self.insert(live.table[theirs].clone()),
-                (Some(at), None) => {
-                    self.table.remove(at);
-                }
-                (None, None) => {}
-            }
-            match live.dropped.get(&attempt) {
-                Some(heard) => self.dropped.insert(attempt, heard.clone()),
-                None => self.dropped.remove(&attempt),
-            };
-            if live.committed.contains(&attempt) {
-                self.committed.insert(attempt);
-            }
-        }
     }
 }
 
@@ -193,11 +264,12 @@ mod tests {
         /// `true` when no attempt is in two places at once and the
         /// table is in `AttemptId` order.
         pub(in super::super) fn is_exact(&self) -> bool {
-            let in_flight = || self.table.iter().map(|(a, _, _)| a);
-            let mut unfinished = in_flight().chain(self.dropped.keys());
+            let Unfinished { table, dropped } = &self.unfinished;
+            let in_flight = || table.iter().map(|(a, _, _)| a);
+            let mut unfinished = in_flight().chain(dropped.keys());
             unfinished.all(|a| !self.committed.contains(a))
-                && in_flight().all(|a| !self.dropped.contains_key(a))
-                && self.table.windows(2).all(|w| w[0].0 < w[1].0)
+                && in_flight().all(|a| !dropped.contains_key(a))
+                && table.windows(2).all(|w| w[0].0 < w[1].0)
         }
     }
 
@@ -239,10 +311,12 @@ mod tests {
     }
 
     /// `in_flight()` is in `AttemptId` order whatever order attempts
-    /// started, finished, were dropped and were started again in — the
-    /// sibling fan-out, and with it the message schedule, depends on it —
-    /// and a checkpointed copy brought up to date by `catch_up` equals a
-    /// fresh clone of the live ledger, at every write.
+    /// started, finished, were dropped and were revived in — the sibling
+    /// fan-out, and with it the message schedule, depends on it. A new
+    /// attempt never passes through `dropped`, and a checkpointed copy of
+    /// the unfinished attempts, brought up to date by `catch_up` from the
+    /// names of the attempts whose `dropped` entry changed (a drop, a
+    /// revival) and nothing else, equals the live ones at every write.
     #[test]
     fn in_flight_order_and_catch_up_survive_interleaved_moves() {
         let engine = super::super::PeerEngine::new(
@@ -251,79 +325,106 @@ mod tests {
         let mut runtime = engine.engine().runtime();
         let attempts = attempts();
         let mut rng = asa_simnet::SimRng::new(23);
-        let (mut restarted, mut writes) = (0, 0);
-        let mut dropped = BTreeSet::new();
+        let (mut revived, mut writes) = (0, 0);
         for _ in 0..20 {
             let mut live = Ledger::default();
             let mut model: BTreeMap<AttemptId, SessionId> = BTreeMap::new();
-            let mut copy = live.clone();
+            let mut copy = live.unfinished().clone();
             let mut touched = Vec::new();
             for _ in 0..60 {
                 let attempt = *rng.pick(&attempts);
                 let from = NodeId(rng.below(6) as usize);
                 let message = *rng.pick(&[CommitMessage::Update, CommitMessage::Vote]);
-                live.admit(attempt, from, message);
-                if live.committed().contains(&attempt) {
-                    continue;
+                let dropped = live.unfinished.dropped.clone();
+                let admission = live.admit(attempt, from, message);
+                if let Admission::Revived(_) = admission {
+                    touched.push(attempt);
+                    revived += 1;
+                } else {
+                    assert_eq!(
+                        live.unfinished.dropped, dropped,
+                        "only a revival changes it"
+                    );
                 }
-                match model.get(&attempt) {
-                    None => {
-                        restarted += u32::from(dropped.remove(&attempt));
-                        let session = runtime.spawn();
-                        live.start(attempt, session);
-                        model.insert(attempt, session);
-                    }
-                    Some(_) if rng.chance(0.5) => {
+                if let Admission::New(heard) | Admission::Revived(heard) = admission {
+                    let session = runtime.spawn();
+                    live.start(attempt, session, heard);
+                    model.insert(attempt, session);
+                }
+                if model.contains_key(&attempt) && rng.chance(0.4) {
+                    if rng.chance(0.5) {
                         live.drop_in_flight(attempt);
-                        model.remove(&attempt);
-                        dropped.insert(attempt);
-                    }
-                    Some(_) => {
+                        touched.push(attempt);
+                    } else {
                         live.finish(attempt);
-                        model.remove(&attempt);
                     }
+                    model.remove(&attempt);
                 }
-                touched.push(attempt);
                 let expected: Vec<_> = model.iter().map(|(&a, &s)| (a, s)).collect();
                 assert_eq!(live.in_flight().collect::<Vec<_>>(), expected);
                 assert!(live.is_exact());
                 if rng.chance(0.2) {
-                    copy.catch_up(&live, &touched);
+                    copy.catch_up(live.unfinished(), &touched);
                     touched.clear();
-                    assert_eq!(copy, live.clone());
+                    assert_eq!(copy, *live.unfinished());
                     writes += 1;
                 }
             }
         }
         assert!(
-            restarted >= 50 && writes >= 100,
-            "{restarted} restarts, {writes} writes"
+            revived >= 50 && writes >= 100,
+            "{revived} revivals, {writes} writes"
         );
     }
 
     /// An attempt dropped and started again keeps what it had heard: who
-    /// was counted, and which client to report to.
+    /// was counted, and which client to report to. A new attempt is in
+    /// no place until it starts, and an equivocator's attempts, heard and
+    /// never executed, stay in `dropped`.
     #[test]
     fn a_restarted_attempt_keeps_what_it_heard() {
         let engine = super::super::PeerEngine::new(
             &stategen_commit::CommitConfig::new(4).expect("valid factor"),
         );
         let mut runtime = engine.engine().runtime();
-        let attempt = attempts()[0];
+        let [attempt, other] = [attempts()[0], attempts()[1]];
         let client = NodeId(9);
+        let vote = CommitMessage::Vote;
         let mut ledger = Ledger::default();
-        assert!(ledger.admit(attempt, client, CommitMessage::Update));
-        ledger.start(attempt, runtime.spawn());
-        assert!(ledger.admit(attempt, NodeId(1), CommitMessage::Vote));
+        let Admission::New(heard) = ledger.admit(attempt, client, CommitMessage::Update) else {
+            panic!("a new attempt");
+        };
+        assert_eq!(ledger.len(), 0, "admitted, in no place yet");
+        ledger.start(attempt, runtime.spawn(), heard);
+        assert!(matches!(
+            ledger.admit(attempt, NodeId(1), vote),
+            Admission::Running
+        ));
         ledger.drop_in_flight(attempt);
         assert_eq!(ledger.session(attempt), None);
-        assert!(!ledger.admit(attempt, NodeId(1), CommitMessage::Vote));
+        assert!(matches!(
+            ledger.admit(attempt, NodeId(1), vote),
+            Admission::Ignored
+        ));
+        let Admission::Revived(heard) = ledger.admit(attempt, NodeId(2), vote) else {
+            panic!("a dropped attempt");
+        };
         let session = runtime.spawn();
-        ledger.start(attempt, session);
+        ledger.start(attempt, session, heard);
         assert_eq!(ledger.session(attempt), Some(session));
-        assert!(!ledger.admit(attempt, client, CommitMessage::Update));
+        assert!(matches!(
+            ledger.admit(attempt, client, CommitMessage::Update),
+            Admission::Ignored
+        ));
         assert_eq!(ledger.finish(attempt), Some(client));
-        assert!(!ledger.admit(attempt, NodeId(2), CommitMessage::Vote));
+        assert!(matches!(
+            ledger.admit(attempt, NodeId(3), vote),
+            Admission::Ignored
+        ));
         assert!(ledger.is_exact() && ledger.len() == 1);
+        assert!(ledger.hear(other, NodeId(0), vote));
+        assert!(!ledger.hear(other, NodeId(0), vote));
+        assert_eq!(ledger.unfinished().dropped.len(), 1);
+        assert!(ledger.is_exact() && ledger.len() == 2 && ledger.session(other).is_none());
     }
 }

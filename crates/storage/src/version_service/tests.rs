@@ -1,7 +1,8 @@
 //! Tests of the peer's bookkeeping: the ledger and the journaled
-//! checkpoint stay exact, replay protection still holds, what a peer
-//! keeps and what the simulator steps through per commit do not grow
-//! with the history, and the message schedule is the one the
+//! checkpoint stay exact, a crash loses no commit and a peer without
+//! checkpoints restarts empty, replay protection still holds, what a
+//! peer keeps and what the simulator steps through per commit do not
+//! grow with the history, and the message schedule is the one the
 //! five-collection peer (`reference.rs`) produced.
 
 use asa_simnet::{SimConfig, TraceKind};
@@ -81,16 +82,17 @@ fn ledger_is_exact(peer: &CommitPeer<'_>) -> bool {
 }
 
 /// The checkpoint brought up to date from the journal must be a copy of
-/// the live ledger, and the ledger consistent with the runtime — after
-/// every event, not only where `write_checkpoint`'s `debug_assert`s look.
+/// the live unfinished attempts, and the ledger consistent with the
+/// runtime — after every event, not only where `write_checkpoint`'s
+/// `debug_assert`s look.
 fn assert_exact(peer: &CommitPeer<'_>, context: &str) {
     assert!(ledger_is_exact(peer), "{context}: the ledger drifted");
     match &peer.checkpoint {
         Some(checkpoint) => {
-            let mut durable = checkpoint.ledger.clone();
-            durable.catch_up(&peer.ledger, &peer.journal);
+            let mut durable = checkpoint.unfinished.clone();
+            durable.catch_up(peer.ledger.unfinished(), &peer.journal);
             assert!(
-                durable == peer.ledger && peer.history.starts_with(&checkpoint.history),
+                durable == *peer.ledger.unfinished(),
                 "{context}: checkpoint + journal is not the live bookkeeping"
             );
         }
@@ -104,21 +106,25 @@ fn assert_exact(peer: &CommitPeer<'_>, context: &str) {
 /// The chaos campaign's fault mix (`tests/chaos.rs`) on its pinned
 /// seeds (the rollout campaign pins the same two), with longer scripts
 /// and peer 3 crashed by the test itself: first between two checkpoint
-/// writes — its journal holds changes no checkpoint has — and again
-/// once it has recovered and written checkpoints through the journal,
-/// so the second recovery reads a journal-maintained checkpoint.
+/// writes — its unfinished attempts hold changes no checkpoint has —
+/// and again once it has recovered and written checkpoints through the
+/// journal, so the second recovery reads a journal-maintained
+/// checkpoint. Each restart keeps the history and the finished set the
+/// crash found: they are written through.
 #[test]
 fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
     const CRASHING: NodeId = NodeId(3);
-    const WRITES_BETWEEN_CRASHES: usize = 4;
+    const COMMITS_BETWEEN_CRASHES: usize = 4;
     for seed in [0xC0FFEE, 2007] {
         let config = HarnessConfig {
             crashes: Vec::new(),
             ..chaos(seed)
         };
         let mut crashes = 0;
-        // Checkpointed history length the next crash waits for.
-        let mut crash_from = WRITES_BETWEEN_CRASHES;
+        // History length the next crash waits for.
+        let mut crash_from = COMMITS_BETWEEN_CRASHES;
+        // What the victim had recorded and finished when it went down.
+        let mut logs = (Vec::new(), BTreeSet::new());
         let mut was_down = false;
         step_through(
             &config,
@@ -134,12 +140,18 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
                         victim.journal.is_empty() && victim.holds(checkpoint),
                         "seed {seed}: a restarted peer is its checkpoint"
                     );
+                    assert!(
+                        (&logs.0[..], &logs.1) == (victim.history(), victim.committed()),
+                        "seed {seed}: a restart keeps the written-through logs"
+                    );
                 }
                 was_down = down;
-                let durable = victim.checkpoint.as_ref().map_or(0, |c| c.history.len());
-                if crashes < 2 && !down && durable >= crash_from && !victim.journal.is_empty() {
+                let history = victim.history().len();
+                let behind = victim.checkpoint.as_ref().is_some_and(|c| !victim.holds(c));
+                if crashes < 2 && !down && history >= crash_from && behind {
                     crashes += 1;
-                    crash_from = durable + WRITES_BETWEEN_CRASHES;
+                    crash_from = history + COMMITS_BETWEEN_CRASHES;
+                    logs = (victim.history().to_vec(), victim.committed().clone());
                     let restart_at = sim.now() + 300;
                     sim.crash(CRASHING);
                     sim.schedule_restart(CRASHING, restart_at);
@@ -459,8 +471,24 @@ fn run_with<'m, P: SimNode<VhMsg>>(
     config: &HarnessConfig,
     engine: &'m PeerEngine,
     new_peer: impl Fn(&'m PeerEngine, usize, PeerBehaviour, SimTime, SimTime) -> P,
-    mut view: impl FnMut(&P) -> PeerView,
+    view: impl FnMut(&P) -> PeerView,
 ) -> Run {
+    let mut sim = simulation_with(config, engine, new_peer);
+    for &(node, crash_at, restart_at) in &config.crashes {
+        sim.schedule_crash(NodeId(node as usize), crash_at);
+        sim.schedule_restart(NodeId(node as usize), restart_at);
+    }
+    sim.run_until(config.deadline);
+    finish_run(&sim, view)
+}
+
+/// `config`'s peer set, built by `new_peer`, and clients, traced and not
+/// started, without the fault schedule.
+fn simulation_with<'m, P: SimNode<VhMsg>>(
+    config: &HarnessConfig,
+    engine: &'m PeerEngine,
+    new_peer: impl Fn(&'m PeerEngine, usize, PeerBehaviour, SimTime, SimTime) -> P,
+) -> Simulation<VhMsg, Node<P>> {
     let r = config.replication_factor as usize;
     let mut nodes = Vec::new();
     for i in 0..r {
@@ -488,12 +516,16 @@ fn run_with<'m, P: SimNode<VhMsg>>(
     }
     let mut sim = Simulation::new(config.net.clone(), nodes);
     sim.enable_trace(1 << 20);
-    for &(node, crash_at, restart_at) in &config.crashes {
-        sim.schedule_crash(NodeId(node as usize), crash_at);
-        sim.schedule_restart(NodeId(node as usize), restart_at);
-    }
-    let stats = sim.run_until(config.deadline);
-    let trace = sim.trace().expect("enabled above");
+    sim
+}
+
+/// What a finished run of `sim` observed, its peers seen through `view`.
+fn finish_run<P: SimNode<VhMsg>>(
+    sim: &Simulation<VhMsg, Node<P>>,
+    mut view: impl FnMut(&P) -> PeerView,
+) -> Run {
+    let stats = sim.stats();
+    let trace = sim.trace().expect("enabled on construction");
     assert!(!trace.is_truncated() && !stats.budget_exhausted);
     Run {
         trace: trace.events().to_vec(),
@@ -599,6 +631,162 @@ fn table_peer_matches_the_reference_peer_on_random_chaos() {
         "{restarts} restarts, {aborted} attempts dropped, {respawned} peers respawned one, \\
          {equivocated} runs with an equivocator"
     );
+}
+
+/// [`run_with`] on a run that quiesces, with `victim` crashed right
+/// after the simulator's `crash_after`-th step — a point inside a tick
+/// no fault schedule can name — and restarted 300 ticks later. The
+/// restart must find the history and the finished set the crash left.
+fn run_crashing<'m, P: SimNode<VhMsg>>(
+    config: &HarnessConfig,
+    engine: &'m PeerEngine,
+    new_peer: impl Fn(&'m PeerEngine, usize, PeerBehaviour, SimTime, SimTime) -> P,
+    mut view: impl FnMut(&P) -> PeerView,
+    victim: NodeId,
+    crash_after: u64,
+) -> Run {
+    let mut sim = simulation_with(config, engine, new_peer);
+    let mut view_victim = |sim: &Simulation<VhMsg, Node<P>>| match sim.node(victim) {
+        Node::Peer(peer) => view(peer),
+        Node::Client(_) => panic!("{victim} is a client"),
+    };
+    let mut at_crash = None;
+    while sim.step() {
+        assert!(sim.now() <= config.deadline, "run did not quiesce");
+        if sim.stats().steps == crash_after {
+            at_crash = Some(view_victim(&sim));
+            sim.crash(victim);
+            sim.schedule_restart(victim, sim.now() + 300);
+        } else if sim.stats().restarts == 1 {
+            if let Some(before) = at_crash.take() {
+                let after = view_victim(&sim);
+                assert_eq!(
+                    (after.history, after.committed),
+                    (before.history, before.committed),
+                    "a restart keeps the history and the finished set"
+                );
+            }
+        }
+    }
+    assert!(at_crash.is_none() && sim.stats().restarts == 1);
+    finish_run(&sim, view)
+}
+
+/// Where to crash `victim` around its `commit`-th commit, in the steps
+/// of `config`'s run without crashes: right after the step whose
+/// handler finished the attempt and wrote the checkpoint, and right
+/// before the step that next delivers a message to it.
+fn crash_points(
+    config: &HarnessConfig,
+    engine: &PeerEngine,
+    victim: NodeId,
+    commit: usize,
+) -> [u64; 2] {
+    let mut sim = simulation_with(config, engine, CommitPeer::new);
+    let mut written = None;
+    let mut traced = 0;
+    while sim.step() {
+        let steps = sim.stats().steps;
+        let events = sim.trace().expect("traced").events();
+        let delivered = events[traced..]
+            .iter()
+            .any(|event| matches!(event.kind, TraceKind::Delivered { to, .. } if to == victim));
+        traced = events.len();
+        let Node::Peer(peer) = sim.node(victim) else {
+            panic!("{victim} is a client");
+        };
+        match written {
+            None if peer.committed().len() == commit => written = Some(steps),
+            Some(at) if delivered => return [at, steps - 1],
+            _ => {}
+        }
+    }
+    panic!("{victim} never committed {commit} attempts and heard again");
+}
+
+/// A crash right after a commit's synchronous write, and one right
+/// before the next message reaches the peer, on the chaos mix: the
+/// table peer — whose checkpoint holds the unfinished attempts only,
+/// its finished set and history written through — recovers exactly as
+/// the reference peer, whose checkpoint keeps full copies of both, event
+/// for event.
+#[test]
+fn a_crash_around_a_commit_write_recovers_as_the_reference_peer() {
+    const VICTIM: NodeId = NodeId(3);
+    let mut apart = 0;
+    for seed in [0xC0FFEE, 2007, 7] {
+        let config = HarnessConfig {
+            crashes: Vec::new(),
+            ..chaos(seed)
+        };
+        let engine = PeerEngine::new(&CommitConfig::new(config.replication_factor).expect("r"));
+        for commit in [3, 12] {
+            let points = crash_points(&config, &engine, VICTIM, commit);
+            apart += usize::from(points[0] != points[1]);
+            for crash_after in points {
+                let view = |peer: &CommitPeer<'_>| PeerView {
+                    history: peer.history().to_vec(),
+                    committed: peer.committed().clone(),
+                    spawns: peer.metrics().spawns,
+                    aborted: peer.gc_stats().aborted,
+                };
+                let table =
+                    run_crashing(&config, &engine, CommitPeer::new, view, VICTIM, crash_after);
+                let reference = run_crashing(
+                    &config,
+                    &engine,
+                    reference::ReferencePeer::new,
+                    |peer| PeerView {
+                        history: peer.history().to_vec(),
+                        committed: peer.committed().clone(),
+                        spawns: peer.metrics().spawns,
+                        aborted: peer.metrics().releases_aborted,
+                    },
+                    VICTIM,
+                    crash_after,
+                );
+                assert!(
+                    table == reference,
+                    "seed {seed}, commit {commit}, crash after step {crash_after}"
+                );
+            }
+        }
+    }
+    assert!(apart >= 4, "only {apart} of 6 pairs of crash points differ");
+}
+
+/// With checkpointing disabled a peer has no durable store: it restarts
+/// with an empty history and finished set and nothing in flight, however
+/// much it had committed.
+#[test]
+fn a_peer_without_checkpoints_restarts_empty() {
+    const CRASHING: NodeId = NodeId(3);
+    for seed in [0xC0FFEE, 2007] {
+        let config = HarnessConfig {
+            checkpoint_every: 0,
+            ..chaos(seed)
+        };
+        let (mut had, mut restarted, mut was_down) = (0, false, false);
+        step_through(
+            &config,
+            |sim| {
+                let down = sim.is_crashed(CRASHING);
+                let victim = peer(sim, CRASHING.0);
+                if was_down && !down {
+                    assert!(victim.checkpoint.is_none() && victim.journal.is_empty());
+                    assert!(victim.history().is_empty() && victim.recorded.is_empty());
+                    assert!(victim.committed().is_empty() && victim.tracked_attempts() == 0);
+                    assert!(victim.runtime().is_empty());
+                    restarted = true;
+                } else if !down && !restarted {
+                    had = victim.history().len();
+                }
+                was_down = down;
+            },
+            |_| {},
+        );
+        assert!(restarted && had > 0, "seed {seed}: {had} commits lost");
+    }
 }
 
 /// GC tags are a ring from `base`: a tag below it (its timer fired), a

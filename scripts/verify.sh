@@ -75,12 +75,17 @@
 #    runtime untouched, in both profiles), the events-per-commit count
 #    test and the crashed-client restart test of the storage stack, the
 #    simulator's calendar-against-heap differential test and its
-#    saturating-time test, and the two tests that pin the storage
-#    stack's message schedule; and
+#    saturating-time test, the two tests that pin the storage
+#    stack's message schedule and the peer's two-crash checkpoint test
+#    (debug builds assert every checkpoint write against the live
+#    bookkeeping; release builds do not, so the test is the check); and
 #    fails if the unfolded engine's side table is named anywhere outside
 #    core::step, if CommitPeer or PeerCheckpoint declare one of the
-#    attempt-keyed fields the in-flight table replaced, or if the
-#    ledger's in-flight table or the peer's GC tags become a map again;
+#    attempt-keyed fields the in-flight table replaced, if the
+#    checkpoint holds a history or a finished set again (both are
+#    written through by the commit's synchronous write —
+#    docs/STORAGE.md, "Durability"), or if the ledger's in-flight table
+#    or the peer's GC tags become a map again;
 # 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
 #    a workspace of its own, so steps 1-3 do not reach it) and one short
 #    traced storage_commit run, which must pass its output checks,
@@ -100,7 +105,13 @@
 #    storage.virtual_end_ticks pinned) and allocate at most 2.5 times per
 #    commit (alloc.allocs_per_kop <= 2 500; 4 638 while the endpoint
 #    built a contact order and a reporter set per attempt, about 2 040
-#    since), then one short traced build_deploy run,
+#    since), then one short traced storage_chaos run, which must pass
+#    its output checks, reproduce seed 1's exact schedule under loss,
+#    duplication, reordering and 16 peer restarts, and allocate at most
+#    10 times per commit (alloc.allocs_per_kop <= 10 000; 36 737 while
+#    every checkpoint write allocated a fresh runtime snapshot, about
+#    5 460 since it writes into the last one's buffers), then one short
+#    traced build_deploy run,
 #    which must pass its output checks and spend no more of a corpus
 #    pass in `analyze` or in `minimize` than 4x the engine compiler, a
 #    linear stage beside them (a ratio inside one run; analyze reads
@@ -176,6 +187,9 @@ echo "== the storage stack's message schedule is the pinned one (release) =="
 cargo test -q --release -p asa-storage --lib message_schedule_is_the_pinned_one
 cargo test -q --release -p asa-storage --lib table_peer_matches_the_reference_peer_on_random_chaos
 
+echo "== the peer's checkpoint stays exact through two crashes (release) =="
+cargo test -q --release -p asa-storage --lib journaled_checkpoint_and_indexes_stay_exact_through_two_crashes
+
 echo "== one store, one driver, one step: deleted names stay deleted =="
 if grep -rnE 'SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_stealing_workers|EngineKind|FlattenedHsm' \
         crates/ src/ examples/ tests/ docs/; then
@@ -216,6 +230,13 @@ fi
 if awk '/^pub struct CommitPeer|^struct PeerCheckpoint/,/^}/' crates/storage/src/version_service.rs \
         | grep -nE '^ +(slots|seen|clients|active): '; then
     echo "verify.sh: the fields above were collapsed into the peer's ledger (CHANGES.md, PR 23)" >&2
+    exit 1
+fi
+# A checkpoint holds the runtime snapshot and the unfinished attempts; the
+# history and the finished set are written through, never copied into it.
+if awk '/^struct PeerCheckpoint/,/^}/' crates/storage/src/version_service.rs \
+        | grep -nE '^ +(history|committed|finished|recorded|ledger): |BTreeSet|Vec<Pid>'; then
+    echo "verify.sh: PeerCheckpoint holds no history or finished set: the commit write makes both durable (docs/STORAGE.md)" >&2
     exit 1
 fi
 # A message's lookups scan a sorted Vec of the attempts in flight, and a
@@ -263,6 +284,19 @@ print(f"storage.history_growth_ratio {growth:.2f}, peer_live_sessions_end {live}
 print(f"seed 1 schedule (checksum_low32, msgs_per_commit, virtual_end_ticks): {schedule}")
 pinned = schedule == (2263794710, 32.6285625, 55690.25)
 sys.exit(0 if pinned and growth <= 1.25 and live <= 12 and wakes <= 8 * 2000 and allocs <= 2500 and failed == 0 else 1)'
+
+echo "== storage_chaos traced: output checks + pinned seed-1 schedule + 16 restarts + allocs_per_kop <= 10000 =="
+bash benchmark/run.sh --workload storage_chaos --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+failed = metrics["check.failed_share"]["value"]
+allocs = metrics["alloc.allocs_per_kop"]["value"]
+restarts = metrics["storage.restarts"]["value"]
+schedule = tuple(metrics[k]["value"] for k in ("check.checksum_low32", "storage.msgs_per_commit", "storage.virtual_end_ticks"))
+print(f"restarts {restarts}, allocs_per_kop {allocs:.0f}, check.failed_share {failed}")
+print(f"seed 1 schedule (checksum_low32, msgs_per_commit, virtual_end_ticks): {schedule}")
+pinned = schedule == (3703339031, 36.9528125, 116428.5625)
+sys.exit(0 if pinned and restarts == 16 and allocs <= 10000 and failed == 0 else 1)'
 
 echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= 4x compile_ms =="
 bash benchmark/run.sh --workload build_deploy --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
