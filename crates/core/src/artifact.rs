@@ -33,7 +33,9 @@
 //! before the machine is built, strings are UTF-8-validated, and the
 //! decoded machine must hash to the content fingerprint the footer
 //! declares. Finally the accepted bytes must be *canonical*: load
-//! re-encodes the decoded machine and requires byte identity, so
+//! re-encodes the decoded machine and requires byte identity (the
+//! re-encode copies the checksum words and the fingerprint it has just
+//! verified instead of hashing again), so
 //! `save(load(b)) == b` holds for every accepted `b` and an artifact's
 //! bytes are a content address for its behaviour. `load` never panics
 //! and never allocates more than O(input length) on any input.
@@ -59,8 +61,10 @@ pub const MAGIC: [u8; 8] = *b"STGNARTF";
 /// The artifact format version this toolchain reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Header flag bit: the machine uses guards, updates, variables or
-/// parameters (it compiles onto the register-machine tier).
+/// Header flag bit: the machine is guarded — it uses guards, updates,
+/// variables or parameters ([`FlatIr::is_guarded`]). The flag records
+/// what the machine is, not where it runs: `StepEngine::compile_ir`
+/// picks the tier.
 const FLAG_GUARDED: u32 = 1;
 
 /// Section tags, in the fixed file order.
@@ -89,6 +93,10 @@ const FOOTER_LEN: usize = 16;
 pub struct Artifact {
     ir: FlatIr,
     params: Vec<i64>,
+    /// `fold_params(ir.fingerprint(), params)`, hashed once when the
+    /// artifact is built or checked against the footer when it is
+    /// loaded.
+    fingerprint: u64,
 }
 
 impl Artifact {
@@ -105,15 +113,18 @@ impl Artifact {
                 found: params.len(),
             });
         }
-        Ok(Artifact { ir, params })
+        let fingerprint = fold_params(ir.fingerprint(), &params);
+        Ok(Artifact {
+            ir,
+            params,
+            fingerprint,
+        })
     }
 
     /// An artifact of a flat (unparameterised) [`StateMachine`].
     pub fn from_machine(machine: &StateMachine) -> Artifact {
-        Artifact {
-            ir: FlatIr::from_machine(machine),
-            params: Vec::new(),
-        }
+        Artifact::new(FlatIr::from_machine(machine), Vec::new())
+            .expect("a flat machine declares no parameters")
     }
 
     /// An artifact of an [`Efsm`] with its parameter values bound.
@@ -141,8 +152,7 @@ impl Artifact {
         self.ir.name()
     }
 
-    /// `true` if the machine needs the register-machine tier (see
-    /// [`FlatIr::is_guarded`]).
+    /// `true` if the machine is guarded (see [`FlatIr::is_guarded`]).
     pub fn is_guarded(&self) -> bool {
         self.ir.is_guarded()
     }
@@ -154,8 +164,10 @@ impl Artifact {
     /// from this artifact, and the value hot-swap compatibility checks
     /// compare — so an operator can compare an artifact on disk against
     /// a running engine without compiling anything.
+    ///
+    /// Computed once, when the artifact is built or loaded.
     pub fn fingerprint(&self) -> u64 {
-        fold_params(self.ir.fingerprint(), &self.params)
+        self.fingerprint
     }
 
     /// Serializes to the canonical format-version-1 byte encoding.
@@ -165,7 +177,7 @@ impl Artifact {
     /// `save(load(b)) == b` for every `b` that [`Artifact::load`]
     /// accepts.
     pub fn save(&self) -> Vec<u8> {
-        encode(&self.ir, &self.params)
+        encode(self, None)
     }
 
     /// Deserializes and fully validates an artifact from bytes that may
@@ -183,8 +195,10 @@ impl Artifact {
         // would have written. This closes every "decodes fine but
         // re-saves differently" hole (non-zero padding, re-ordered
         // arena, inconsistent flags) in one check, making artifact
-        // bytes a content address.
-        if encode(&artifact.ir, &artifact.params) != bytes {
+        // bytes a content address. `decode` has verified every checksum
+        // word of `bytes`, so the re-encode copies them instead of
+        // hashing again (see `encode`).
+        if encode(&artifact, Some(bytes)) != bytes {
             return Err(ArtifactError::NotCanonical);
         }
         Ok(artifact)
@@ -197,11 +211,15 @@ impl Artifact {
 
 /// Canonical little-endian writer. Sections are length-prefixed,
 /// zero-padded to 8 bytes and followed by an FNV-1a payload checksum.
-struct Writer {
+struct Writer<'a> {
     buf: Vec<u8>,
+    /// On load, the input image, whose checksum words `decode` has
+    /// verified: each checksum word is copied from it at the same offset
+    /// instead of computed.
+    verified: Option<&'a [u8]>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -245,9 +263,24 @@ impl Writer {
         }
     }
 
+    /// Appends the FNV-1a checksum of `self.buf[covered]` — or, on
+    /// load, the verified image's word at the same offset (zero past its
+    /// end: the image is shorter than the re-encode, which cannot equal
+    /// it anyway).
+    fn checksum(&mut self, covered: std::ops::Range<usize>) {
+        let at = self.buf.len();
+        match self.verified {
+            Some(image) => {
+                let word = image.get(at..at + 8).unwrap_or(&[0; 8]);
+                self.buf.extend_from_slice(word);
+            }
+            None => self.u64(fnv1a(&self.buf[covered])),
+        }
+    }
+
     /// Writes one section: tag, zero pad word, payload length, payload,
     /// zero padding to 8 bytes, payload checksum.
-    fn section(&mut self, tag: u32, body: impl FnOnce(&mut Writer)) {
+    fn section(&mut self, tag: u32, body: impl FnOnce(&mut Self)) {
         self.u32(tag);
         self.u32(0);
         let len_at = self.buf.len();
@@ -259,8 +292,7 @@ impl Writer {
         while !(self.buf.len() - start).is_multiple_of(8) {
             self.buf.push(0);
         }
-        let checksum = fnv1a(&self.buf[start..start + payload_len]);
-        self.u64(checksum);
+        self.checksum(start..start + payload_len);
     }
 }
 
@@ -283,10 +315,19 @@ fn build_arena(ir: &FlatIr) -> (Vec<String>, HashMap<&str, u32>) {
     (arena, index)
 }
 
-/// The canonical format-version-1 encoding of `(ir, params)`.
-fn encode(ir: &FlatIr, params: &[i64]) -> Vec<u8> {
+/// The canonical format-version-1 encoding of `artifact`.
+///
+/// With `verified` — the image [`Artifact::load`] has just decoded — the
+/// checksum words are copied from it rather than computed: if the
+/// result equals the image, every copied word sits where `decode`
+/// checked it against the same bytes, so the result is also what
+/// [`Artifact::save`] computes. The buffer is then sized once, to the
+/// image.
+fn encode(artifact: &Artifact, verified: Option<&[u8]>) -> Vec<u8> {
+    let (ir, params) = (&artifact.ir, &artifact.params);
     let mut w = Writer {
-        buf: Vec::with_capacity(256),
+        buf: Vec::with_capacity(verified.map_or(256, <[u8]>::len)),
+        verified,
     };
     w.buf.extend_from_slice(&MAGIC);
     w.u32(FORMAT_VERSION);
@@ -343,10 +384,8 @@ fn encode(ir: &FlatIr, params: &[i64]) -> Vec<u8> {
         }
     });
 
-    let content = fold_params(ir.fingerprint(), params);
-    w.u64(content);
-    let checksum = fnv1a(&w.buf);
-    w.u64(checksum);
+    w.u64(artifact.fingerprint);
+    w.checksum(0..w.buf.len());
     w.buf
 }
 
@@ -682,7 +721,11 @@ fn decode(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
             actual,
         });
     }
-    Ok(Artifact { ir, params })
+    Ok(Artifact {
+        ir,
+        params,
+        fingerprint: actual,
+    })
 }
 
 #[cfg(test)]

@@ -31,10 +31,10 @@
 //!   [`SessionStore`](crate::SessionStore), sharded or not
 //!   ([`ShardedPool`](crate::ShardedPool)) — with zero engine changes
 //!   (the compiled tier's action-arena interning folds the synthesized
-//!   sequences back together); guarded statecharts compile onto the
-//!   register-machine tier
-//!   ([`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir)),
-//!   one compiled machine per statechart *family*;
+//!   sequences back together); guarded statecharts compile through
+//!   [`StepEngine::compile_ir`](crate::StepEngine::compile_ir), which
+//!   unfolds a bound one onto the dense table within its configuration
+//!   budget and puts it on the register-machine tier otherwise;
 //! * [`HsmInstance`] — a direct interpreter over the statechart, the
 //!   reference the flattened machines are property-checked against
 //!   (`HsmInstance ≡ IrInstance(flatten_ir) ≡ Instance(compiled)`
@@ -760,8 +760,8 @@ impl HierarchicalMachine {
     /// [`HsmInstance::state_name`]. Unguarded statecharts produce an
     /// unguarded IR that lowers to the dense-table tier
     /// ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
-    /// guarded ones lower to the register-machine tier
-    /// ([`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir)).
+    /// for guarded ones [`StepEngine::compile_ir`](crate::StepEngine::compile_ir)
+    /// picks the tier (see [`FlatIr::is_guarded`]).
     pub fn flatten_ir(&self) -> FlatIr {
         let init_mem = self.initial_memory();
         let start_config = (self.start_leaf, init_mem);

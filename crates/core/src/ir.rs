@@ -20,13 +20,16 @@
 //!   lowers a statechart — guarded or not — by enumerating reachable
 //!   configurations;
 //!
-//! — and both compilers consume it:
-//! [`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir)
-//! when no transition carries a guard (dense `states × messages` table),
-//! [`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir)
-//! otherwise (fused threshold checks + register-machine bytecode). The
-//! action-arena interning and duplicate-transition rejection the two
-//! compilers used to duplicate live here, shared.
+//! — and both compilers consume it.
+//! [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) picks the
+//! tier: an unguarded IR compiles onto the dense `states × messages`
+//! table ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
+//! a guarded one, bound to its parameters, is unfolded onto the same
+//! dense table when it reaches at most 4 096 `(state, variables)`
+//! configurations, and compiled onto the register-machine bytecode
+//! ([`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir))
+//! otherwise. The action-arena interning and duplicate-transition
+//! rejection the two compilers used to duplicate live here, shared.
 //!
 //! [`FlatIr::step`] is the one definition of a flat transition —
 //! priority-ordered guard evaluation, then staged updates — that the
@@ -234,10 +237,11 @@ impl FlatIr {
 
     /// `true` if this IR actually uses the extended-machine features:
     /// any variable or parameter declared, any non-trivial guard, or any
-    /// update. Unguarded IRs lower to the dense-table tier
-    /// ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
-    /// guarded ones need the register-machine tier
-    /// ([`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir)).
+    /// update. This says what the machine is, not where it runs:
+    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) puts an
+    /// unguarded IR on the dense table, and a guarded one there too —
+    /// unfolded — when its bound configuration space is within budget,
+    /// on the register-machine tier otherwise.
     pub fn is_guarded(&self) -> bool {
         !self.variables.is_empty()
             || !self.params.is_empty()
@@ -529,14 +533,14 @@ impl FlatIr {
     /// # Panics
     ///
     /// Panics if the IR is guarded ([`FlatIr::is_guarded`]); guarded
-    /// machines lower through
-    /// [`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir)
+    /// machines compile through
+    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir)
     /// instead.
     pub fn to_machine(&self) -> StateMachine {
         assert!(
             !self.is_guarded(),
             "guarded IR `{}` has no flat StateMachine projection; \
-             compile it onto the EFSM tier instead",
+             compile it with StepEngine::compile_ir instead",
             self.name
         );
         let mut builder = StateMachineBuilder::new(self.name.clone(), self.messages.clone());

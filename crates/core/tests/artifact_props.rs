@@ -21,13 +21,22 @@
 //!   arbitrary byte strings (raw, magic-prefixed, and seeded overwrites
 //!   of a valid image) never panics, and anything it *accepts* is
 //!   canonical: re-saving reproduces the input bytes exactly.
+//!
+//! * **The carried fingerprint** — every constructor and `load` store
+//!   `fold_params(ir.fingerprint(), params)`, an engine booted from a
+//!   loaded artifact reports the spec-compiled engine's fingerprint, a
+//!   corrupt section checksum word is named even though the loader's
+//!   canonical re-encode copies the checksum words, and fingerprints
+//!   and saved images of three machines are pinned.
 
 use proptest::prelude::*;
+use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel};
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, Artifact, ArtifactError, Efsm, EfsmBuilder, HierarchicalMachine, HsmBuilder,
-    StateMachine, StateMachineBuilder, StateRole,
+    fnv1a, fold_params, generate, Action, Artifact, ArtifactError, Efsm, EfsmBuilder,
+    HierarchicalMachine, HsmBuilder, StateMachine, StateMachineBuilder, StateRole,
 };
+use stategen_runtime::{Engine, Spec};
 
 // ---------------------------------------------------------------------
 // Fixture machines: one per front-end tier.
@@ -140,6 +149,16 @@ fn fixtures() -> Vec<Artifact> {
     ]
 }
 
+/// The specs the fixtures were built from, in the same order.
+fn fixture_specs() -> Vec<Spec> {
+    vec![
+        Spec::machine(dense_machine()),
+        Spec::efsm(counter_efsm(), vec![4]),
+        Spec::hsm_with_params(guarded_hsm(), vec![3]),
+        Spec::hierarchical(unguarded_hsm()),
+    ]
+}
+
 fn assert_round_trip(artifact: &Artifact) {
     let bytes = artifact.save();
     let loaded = Artifact::load(&bytes).expect("valid image must load");
@@ -177,6 +196,141 @@ fn fingerprints_are_distinct_across_fixtures_and_bindings() {
     let a4 = Artifact::from_efsm(&counter_efsm(), vec![4]).unwrap();
     assert_ne!(a3.fingerprint(), a4.fingerprint());
     assert_ne!(a3.save(), a4.save());
+}
+
+// ---------------------------------------------------------------------
+// The carried fingerprint and the pinned values.
+// ---------------------------------------------------------------------
+
+#[test]
+fn every_constructor_carries_the_ir_fingerprint() {
+    let carried = |a: &Artifact| {
+        assert_eq!(
+            a.fingerprint(),
+            fold_params(a.ir().fingerprint(), a.params()),
+            "{}",
+            a.name()
+        );
+    };
+    // `fixtures` covers `from_machine`, `from_efsm` and `new`.
+    for artifact in fixtures() {
+        carried(&artifact);
+        carried(&Artifact::load(&artifact.save()).expect("valid image loads"));
+    }
+}
+
+#[test]
+fn booted_engines_report_the_compiled_fingerprint() {
+    for (artifact, spec) in fixtures().iter().zip(fixture_specs()) {
+        let loaded = Artifact::load(&artifact.save()).expect("valid image loads");
+        let booted = Engine::from_artifact(&loaded).expect("artifact boots");
+        let compiled = Engine::compile(spec).expect("spec compiles");
+        assert_eq!(
+            booted.fingerprint(),
+            compiled.fingerprint(),
+            "{}",
+            artifact.name()
+        );
+        assert_eq!(booted.fingerprint(), artifact.fingerprint());
+    }
+}
+
+/// `(section name, offset of its checksum word)` for every section of
+/// a valid image, walking the frames as `docs/ARTIFACT_FORMAT.md` lays
+/// them out.
+fn section_checksum_offsets(image: &[u8]) -> Vec<(&'static str, usize)> {
+    let names = [
+        "name",
+        "messages",
+        "params",
+        "variables",
+        "actions",
+        "states",
+        "binding",
+    ];
+    let mut pos = 16; // header
+    names
+        .iter()
+        .map(|&name| {
+            let len = u64::from_le_bytes(image[pos + 8..pos + 16].try_into().unwrap()) as usize;
+            let at = pos + 16 + len.div_ceil(8) * 8;
+            pos = at + 8;
+            (name, at)
+        })
+        .collect()
+}
+
+#[test]
+fn a_corrupt_section_checksum_is_named_despite_a_repaired_file_checksum() {
+    // The loader's canonical re-encode copies each checksum word from
+    // the input instead of hashing again; that is sound only because
+    // `decode` has already checked every one. A flipped checksum word
+    // over an intact payload, under a repaired file checksum, must
+    // therefore be caught by `decode`, naming its section.
+    for artifact in fixtures() {
+        let image = artifact.save();
+        let offsets = section_checksum_offsets(&image);
+        assert_eq!(
+            offsets.last().unwrap().1 + 8,
+            image.len() - 16,
+            "footer follows"
+        );
+        for (section, at) in offsets {
+            for bit in [0, 31, 63] {
+                let mut corrupt = image.clone();
+                corrupt[at + bit / 8] ^= 1 << (bit % 8);
+                repair_file_checksum(&mut corrupt);
+                assert_eq!(
+                    Artifact::load(&corrupt),
+                    Err(ArtifactError::ChecksumMismatch { section }),
+                    "{}: bit {bit} of the {section} checksum",
+                    artifact.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fingerprints_and_images_are_pinned() {
+    // Values from before the FNV word path and the carried fingerprint:
+    // neither may change a fingerprint or a byte of a saved image.
+    let commit4 = generate(&CommitModel::new(CommitConfig::new(4).unwrap()))
+        .expect("commit r = 4 generates")
+        .machine;
+    let bound = commit_efsm_params(&CommitConfig::new(7).unwrap());
+    let pinned = [
+        (
+            Artifact::from_machine(&commit4),
+            0xee8c_0b50_1a93_1cd2,
+            0x98e6_c15e_d7bb_ba7d,
+            3256,
+        ),
+        (
+            Artifact::from_efsm(&commit_efsm(), bound).unwrap(),
+            0x28ed_f0fe_301e_6178,
+            0x7278_d053_7167_f63a,
+            3920,
+        ),
+        (
+            Artifact::new(guarded_hsm().flatten_ir(), vec![3]).unwrap(),
+            0x742b_759d_97cf_c0dc,
+            0x425a_2ef0_e6be_2325,
+            632,
+        ),
+    ];
+    for (artifact, fingerprint, image_hash, len) in pinned {
+        let image = artifact.save();
+        assert_eq!(artifact.fingerprint(), fingerprint, "{}", artifact.name());
+        assert_eq!(
+            (fnv1a(&image), image.len()),
+            (image_hash, len),
+            "{}",
+            artifact.name()
+        );
+        let loaded = Artifact::load(&image).expect("valid image loads");
+        assert_eq!(loaded.fingerprint(), fingerprint);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -44,13 +44,13 @@ impl Engine {
         format!("engine `{}` on {} — {}", self.name, self.tier(), self.step)
     }
 
-    /// An engine stepping `ir` under `params` through `step`, named and
-    /// fingerprinted from the IR.
-    fn over(step: StepEngine, ir: &FlatIr, params: &[i64]) -> Engine {
+    /// An engine stepping `ir` through `step`, named from the IR, with
+    /// behavioural fingerprint `fingerprint`.
+    fn over(step: StepEngine, ir: &FlatIr, fingerprint: u64) -> Engine {
         Engine {
             step,
             name: ir.name().to_string(),
-            fingerprint: fold_params(ir.fingerprint(), params),
+            fingerprint,
         }
     }
 
@@ -78,7 +78,7 @@ impl Engine {
         Ok(Engine::over(
             StepEngine::compile_ir(&ir, params)?,
             &ir,
-            params,
+            fold_params(ir.fingerprint(), params),
         ))
     }
 
@@ -95,7 +95,8 @@ impl Engine {
     /// [`Engine::tier`] — of an engine compiled in-process from the same
     /// spec, so snapshots, hot-swap compatibility checks and operator
     /// tooling treat artifact-loaded and spec-compiled engines
-    /// interchangeably.
+    /// interchangeably. The fingerprint is the one the artifact carries;
+    /// nothing is hashed again.
     ///
     /// # Errors
     ///
@@ -109,7 +110,7 @@ impl Engine {
         Ok(Engine::over(
             StepEngine::compile_ir(ir, params)?,
             ir,
-            params,
+            artifact.fingerprint(),
         ))
     }
 
@@ -136,7 +137,11 @@ impl Engine {
         let (ir, params) = spec.lower();
         let ir = Arc::new(ir);
         let step = StepEngine::interpreted(Arc::clone(&ir), params)?;
-        Ok(Engine::over(step, &ir, params))
+        Ok(Engine::over(
+            step,
+            &ir,
+            fold_params(ir.fingerprint(), params),
+        ))
     }
 
     /// The tier this engine executes on.

@@ -42,7 +42,10 @@
 #    full agreement asserted), the artifact corruption campaign's
 #    pinned seeds (truncation at every prefix, every single-bit flip,
 #    seeded multi-bit flips and cross-artifact splices — the loader
-#    must reject, never panic) and the fleet-rollout campaign's pinned
+#    must reject, never panic) with the rest of the artifact suite
+#    (carried fingerprint, named section checksums, pinned images) and
+#    the FNV word path's tests against the byte loop, all in release
+#    mode, and the fleet-rollout campaign's pinned
 #    seeds (drain-and-switch hot-swap with mid-swap crash recovery),
 #    so the crash-safety and deployment guarantees are exercised on
 #    every verification run, not just in CI roulette;
@@ -112,7 +115,13 @@
 #    every checkpoint write allocated a fresh runtime snapshot, about
 #    5 460 since it writes into the last one's buffers), then one short
 #    traced build_deploy run,
-#    which must pass its output checks and spend no more of a corpus
+#    which must pass its output checks, reproduce seed 1's checksum
+#    over every corpus fingerprint (check.checksum_low32 2257151477),
+#    load an artifact in at most 1.25x the time saving it takes
+#    (core.artifact.load_us / save_us: 1.65 while a load hashed each
+#    byte four times and the IR three, about 1.0 since it carries the
+#    verified fingerprint and copies the verified checksum words), and
+#    spend no more of a corpus
 #    pass in `analyze` or in `minimize` than 4x the engine compiler, a
 #    linear stage beside them (a ratio inside one run; analyze reads
 #    1.47-1.54x and minimize 1.15-1.21x, about 25x at commit r = 25
@@ -155,8 +164,9 @@ cargo run --release -p repro-bench --bin storage_throughput
 echo "== chaos campaign: pinned-seed replay (crash/restart + full agreement) =="
 cargo test -q --release -p asa-storage --test chaos chaos_pinned_seed
 
-echo "== artifact corruption campaign: pinned-seed replay (loader rejects, never panics) =="
-cargo test -q --release -p stategen-core --test artifact_props artifact_corruption_pinned
+echo "== artifact suite + FNV word path (release: corruption campaigns, carried fingerprint, pinned images) =="
+cargo test -q --release -p stategen-core --test artifact_props
+cargo test -q --release -p stategen-core --lib fingerprint
 
 echo "== fleet-rollout campaign: pinned-seed replay (hot-swap + mid-swap crash recovery) =="
 cargo test -q --release -p asa-storage --test rollout rollout_pinned_seed
@@ -298,16 +308,21 @@ print(f"seed 1 schedule (checksum_low32, msgs_per_commit, virtual_end_ticks): {s
 pinned = schedule == (3703339031, 36.9528125, 116428.5625)
 sys.exit(0 if pinned and restarts == 16 and allocs <= 10000 and failed == 0 else 1)'
 
-echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= 4x compile_ms =="
+echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= 4x compile_ms + load_us <= 1.25x save_us + pinned seed-1 checksum =="
 bash benchmark/run.sh --workload build_deploy --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
 metrics = json.load(sys.stdin)["metrics"]
 compile = metrics["runtime.engine.compile_ms"]["value"]
 analyze = metrics["analysis.analyze_ms"]["value"]
 minimize = metrics["analysis.minimize_ms"]["value"]
+load = metrics["core.artifact.load_us"]["value"]
+save = metrics["core.artifact.save_us"]["value"]
+checksum = metrics["check.checksum_low32"]["value"]
 failed = metrics["check.failed_share"]["value"]
 print(f"compile_ms {compile:.2f}, analyze_ms {analyze:.2f}, minimize_ms {minimize:.2f}, check.failed_share {failed}")
-sys.exit(0 if failed == 0 and analyze <= 4 * compile and minimize <= 4 * compile else 1)'
+print(f"artifact load_us {load:.1f} = {load / save:.2f}x save_us {save:.1f}; check.checksum_low32 {checksum}")
+sys.exit(0 if failed == 0 and analyze <= 4 * compile and minimize <= 4 * compile
+         and load <= 1.25 * save and checksum == 2257151477 else 1)'
 
 echo "== batch_divergent traced: output checks + 0 allocs + compiled deliver_all <= 0.5x interpreted =="
 bash benchmark/run.sh --workload batch_divergent --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
