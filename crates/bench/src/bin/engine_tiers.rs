@@ -3,7 +3,7 @@
 //! build-time-generated execution tiers, all running the same canonical
 //! commit trace at r = 4.
 //!
-//! The batch-kernel gate: `batched_pool` / `efsm_pool` measure the
+//! The batch-kernel gate: `batched_pool` measures the
 //! *scalar* per-session batch walk (`deliver_all_scalar` on the core
 //! `SessionStore` — the reference semantics), while `batched_kernel`
 //! measures the dense tier's branchless kernel behind `deliver_all`.
@@ -14,11 +14,10 @@
 //! session in one state: the kernel's `fill` fast path); the
 //! `*_divergent` rows run pre-diverged pools at r = 7 and r = 25, where
 //! the dense tier's one-pass column gather is gated at ≥ 1.5× the
-//! scalar walk. The register tier has no kernel — its `deliver_all` is
-//! the walk — so it has the walk's rows and one more:
-//! `efsm_kernel_over_budget`, `deliver_all` on the commit EFSM at
-//! r = 64, the one binding here `Engine::compile` leaves on that tier,
-//! reported against the walk as the median of ten alternating pairs.
+//! scalar walk. `efsm_kernel_over_budget` reports what a guarded
+//! machine past the unfolding budget costs: `deliver_all` on the commit
+//! EFSM at r = 64, which `Engine::compile` leaves on the interpreter,
+//! as the median of ten passes at zero allocations per delivery.
 //!
 //! The facade tiers are measured **through the `stategen-runtime`
 //! facade** (`Spec → Engine → Runtime`) — the owned pipeline every
@@ -70,8 +69,7 @@ use stategen_commit::{
     commit_efsm, commit_efsm_instance, commit_efsm_params, CommitConfig, CommitModel,
 };
 use stategen_core::{
-    generate, CompiledEfsm, CompiledMachine, FlatIr, Instance, ProtocolEngine, SessionStore,
-    StepEngine,
+    generate, CompiledMachine, FlatIr, Instance, ProtocolEngine, SessionStore, StepEngine,
 };
 use stategen_generated::GeneratedCommitR4;
 use stategen_models::{redundant_ring, session_lifecycle, session_lifecycle_guarded};
@@ -175,21 +173,14 @@ const DIVERGENT_ROUNDS: usize = 16;
 /// The divergent-pool rows: `sessions` sessions of `engine`, each
 /// pre-diverged by a private prefix of 0–7 single deliveries (as
 /// `benchmark/src/workloads/batch.rs` does), then fed a fixed
-/// [`DIVERGENT_ROUNDS`]-message script through `deliver_all_scalar` —
-/// and, with `kernel`, through `deliver_all` in alternating passes —
-/// best of 5 each. Only the batch calls are timed; re-diverging between
-/// repetitions is not. Returns the `<tier>_kernel_divergent<suffix>`
-/// (with `kernel`) and `<tier>_pool_divergent<suffix>` rows and the
-/// scalar / kernel ratio, having asserted that both walks agree on
-/// every transition total and end in the same states, registers and
-/// finished count.
-fn divergent_rows(
-    tier: &str,
-    suffix: &str,
-    engine: &StepEngine,
-    sessions: usize,
-    kernel: bool,
-) -> (Vec<TierResult>, Option<f64>) {
+/// [`DIVERGENT_ROUNDS`]-message script through `deliver_all_scalar`
+/// and through `deliver_all` in alternating passes — best of 5 each.
+/// Only the batch calls are timed; re-diverging between repetitions is
+/// not. Returns the `batched_kernel_divergent<suffix>` and
+/// `batched_pool_divergent<suffix>` rows and the scalar / kernel ratio,
+/// having asserted that both walks agree on every transition total and
+/// end in the same states, registers and finished count.
+fn divergent_rows(suffix: &str, engine: &StepEngine, sessions: usize) -> (Vec<TierResult>, f64) {
     let alphabet: Vec<_> = engine
         .messages()
         .iter()
@@ -227,10 +218,10 @@ fn divergent_rows(
         (ns as f64, transitions, allocs)
     };
     // `(store, through the kernel?, row kind)`, the scalar oracle first.
-    let mut sides = vec![(SessionStore::new(engine.clone(), sessions), false, "pool")];
-    if kernel {
-        sides.push((SessionStore::new(engine.clone(), sessions), true, "kernel"));
-    }
+    let mut sides = [false, true].map(|kernel| {
+        let kind = if kernel { "kernel" } else { "pool" };
+        (SessionStore::new(engine.clone(), sessions), kernel, kind)
+    });
     let expected = pass(&mut sides[0].0, false).1; // warm-up, and the oracle
     for (store, kernel, _) in &mut sides[1..] {
         assert_eq!(pass(store, *kernel).1, expected);
@@ -242,7 +233,7 @@ fn divergent_rows(
             let (ns, transitions, allocs) = pass(store, *kernel);
             assert_eq!(
                 transitions, expected,
-                "{tier} divergent: kernel and scalar walks must take the same transitions"
+                "divergent: kernel and scalar walks must take the same transitions"
             );
             best[side] = best[side].min(ns);
             worst_allocs[side] = worst_allocs[side].max(allocs);
@@ -264,12 +255,12 @@ fn divergent_rows(
         .enumerate()
         .rev()
         .map(|(side, (_, _, kind))| TierResult {
-            name: format!("{tier}_{kind}_divergent{suffix}"),
+            name: format!("batched_{kind}_divergent{suffix}"),
             ns_per_delivery: best[side] / deliveries as f64,
             allocs_per_delivery: worst_allocs[side] as f64 / deliveries as f64,
             assert_zero_alloc: true,
         });
-    (rows.collect(), kernel.then(|| best[0] / best[1]))
+    (rows.collect(), best[0] / best[1])
 }
 
 fn main() {
@@ -279,7 +270,6 @@ fn main() {
         .machine;
     let compiled = CompiledMachine::compile(&machine);
     let efsm = commit_efsm();
-    let compiled_efsm = CompiledEfsm::compile(&efsm).expect("commit EFSM compiles");
     let efsm_params = commit_efsm_params(&config);
     // The owned pipeline engine every facade row serves from.
     let facade_engine =
@@ -287,10 +277,6 @@ fn main() {
     let ids: Vec<_> = TRACE
         .iter()
         .map(|m| machine.message_id(m).expect("valid message"))
-        .collect();
-    let efsm_ids: Vec<_> = TRACE
-        .iter()
-        .map(|m| compiled_efsm.message_id(m).expect("valid message"))
         .collect();
     // The single-session rows all drive the one view, `Instance`, over
     // the engine of the tier they name.
@@ -397,9 +383,8 @@ fn main() {
     // the runtime facade at the 64k-session acceptance scale. Bound to
     // its budget the flat machine has 39 reachable configurations, so
     // `Engine::compile` unfolds it onto the dense table: the row must
-    // be no dearer than the register tier it left (tracked against
-    // `efsm_pool` below) and keep the zero-allocation guarantee —
-    // hard-asserted like every compiled row.
+    // keep the zero-allocation guarantee — hard-asserted like every
+    // compiled row.
     let guarded_engine =
         Engine::compile(Spec::hsm_with_params(session_lifecycle_guarded(), vec![3]))
             .expect("guarded lifecycle compiles");
@@ -637,68 +622,19 @@ fn main() {
         },
     ));
 
-    // Tier 6: the compiled EFSM — the same machine lowered to flat
-    // guard/update bytecode with a constant pool; id-based dispatch.
-    // (The instance's register buffers are allocated once, out here.)
-    let register =
-        StepEngine::register(compiled_efsm.clone(), &efsm_params).expect("binding arity");
-    let mut efsm_engine = Instance::new(register.clone());
-    results.push(measure(
-        "efsm_compiled",
-        rounds * TRACE.len() as u64,
-        true,
-        || {
-            let mut actions = 0;
-            for _ in 0..rounds {
-                for &id in &efsm_ids {
-                    actions += efsm_engine.deliver_id(id).len() as u64;
-                }
-                efsm_engine.reset();
-            }
-            actions
-        },
-    ));
-
-    // Tier 7: batched EFSM sessions over the same store type (variable
-    // registers struct-of-arrays). `efsm_pool` steps sessions one at a
-    // time through the fused checks — which is all `deliver_all` does
-    // on this tier.
-    assert_eq!(
-        compiled_efsm.bind(&efsm_params).spill_cell_count(),
-        0,
-        "the commit EFSM must stay entirely on the fused single-step fast path"
-    );
-    let mut efsm_pool = SessionStore::new(register, POOL_SESSIONS);
-    results.push(measure("efsm_pool", pool_deliveries, true, || {
-        let mut transitions = 0;
-        for _ in 0..pool_rounds {
-            for &id in &efsm_ids {
-                transitions += efsm_pool.deliver_all_scalar(id);
-            }
-            efsm_pool.reset_all();
-        }
-        transitions
-    }));
-
-    // Tier 7 over budget: since PR 22 a bound commit EFSM unfolds onto
-    // the dense table for every r ≤ 54, so the rows above keep the
-    // register tier only because they build it explicitly. This row is
-    // a machine that really compiles there: the commit EFSM at r = 64,
-    // which `Engine::compile` reports as over budget, on a 4 096-session
-    // lockstep pool, `deliver_all` against `deliver_all_scalar` as the
-    // median of ten alternating pairs — not best-of. ROADMAP item 2's
-    // rule (i) held the register tier's masked lockstep sweep to ≥ 1.3×
-    // here; it read 1.31 [1.29, 1.33] over 33 runs, below the bar in one
-    // run of three, and was deleted (`docs/KERNELS.md`), so the ratio now
-    // reads ≈ 1 and is reported, not gated. The row reports the median
-    // `deliver_all` pass.
-    let (over_budget_row, over_budget_ratio) = {
+    // Tier 7 over budget: a bound commit EFSM unfolds onto the dense
+    // table for every r ≤ 54; past the budget it runs on the
+    // interpreter. This row reports what that costs: the commit EFSM at
+    // r = 64, which `Engine::compile` reports as over budget, on a
+    // 4 096-session lockstep pool, `deliver_all` as the median of ten
+    // passes — not best-of — at zero allocations per delivery.
+    let over_budget_row = {
         let params = commit_efsm_params(&CommitConfig::new(64).expect("valid replication factor"));
         let spec = Engine::compile(Spec::efsm(efsm.clone(), params.clone())).expect("compiles");
         let lowering = format!("{spec:?}");
         assert!(
-            lowering.contains("register: over budget"),
-            "the r = 64 commit EFSM must stay on the register tier: {lowering}"
+            lowering.contains("interpreted: over budget"),
+            "the r = 64 commit EFSM must fall back to the interpreter: {lowering}"
         );
         let engine = StepEngine::compile_ir(&FlatIr::from_efsm(&efsm), &params).expect("compiles");
         let trace: Vec<_> = TRACE
@@ -706,17 +642,13 @@ fn main() {
             .map(|m| engine.message_id(m).expect("valid message"))
             .collect();
         let mut pool = SessionStore::new(engine, POOL_SESSIONS);
-        let mut pass = |kernel: bool| {
+        let mut pass = || {
             let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
             let start = Instant::now();
             let mut transitions = 0u64;
             for _ in 0..pool_rounds {
                 for &id in &trace {
-                    transitions += if kernel {
-                        pool.deliver_all(id)
-                    } else {
-                        pool.deliver_all_scalar(id)
-                    };
+                    transitions += pool.deliver_all(id);
                 }
                 pool.reset_all();
             }
@@ -727,27 +659,23 @@ fn main() {
                 ALLOCATIONS.load(Ordering::Relaxed) - allocs_before,
             )
         };
-        let (_, expected, _) = pass(false);
-        let (mut ratios, mut kernel_ns, mut allocs) = (Vec::new(), Vec::new(), 0);
+        let (_, expected, _) = pass();
+        let (mut ns, mut allocs) = (Vec::new(), 0);
         for _ in 0..10 {
-            let (scalar, scalar_transitions, scalar_allocs) = pass(false);
-            let (kernel, kernel_transitions, kernel_allocs) = pass(true);
+            let (pass_ns, transitions, pass_allocs) = pass();
             assert_eq!(
-                (scalar_transitions, kernel_transitions),
-                (expected, expected),
-                "the over-budget EFSM kernel must transition exactly like the scalar walk"
+                transitions, expected,
+                "every pass takes the same transitions"
             );
-            ratios.push(scalar / kernel);
-            kernel_ns.push(kernel);
-            allocs = allocs.max(scalar_allocs.max(kernel_allocs));
+            ns.push(pass_ns);
+            allocs = allocs.max(pass_allocs);
         }
-        let row = TierResult {
+        TierResult {
             name: "efsm_kernel_over_budget".to_string(),
-            ns_per_delivery: median(&mut kernel_ns) / pool_deliveries as f64,
+            ns_per_delivery: median(&mut ns) / pool_deliveries as f64,
             allocs_per_delivery: allocs as f64 / pool_deliveries as f64,
             assert_zero_alloc: true,
-        };
-        (row, median(&mut ratios))
+        }
     };
     results.push(over_budget_row);
 
@@ -756,9 +684,8 @@ fn main() {
     // `fill` fast path to reach. Commit r = 7 (the
     // `benchmark/` batch workloads' machine) at 65 536 sessions is the
     // gated shape; 4 096 sessions and the wide r = 25 machine ride along
-    // as reported rows. Dense: the one-pass column gather must beat the
-    // scalar walk by ≥ 1.5×. Register: a divergent batch *is* the scalar
-    // walk, so only its `efsm_pool_divergent*` rows exist.
+    // as reported rows. The one-pass column gather must beat the scalar
+    // walk by ≥ 1.5×.
     let mut divergent_ratios: Vec<(String, f64)> = Vec::new();
     for (r, sessions, suffix) in [
         (7, SERVING_SESSIONS, ""),
@@ -768,15 +695,9 @@ fn main() {
         let config = CommitConfig::new(r).expect("valid replication factor");
         let wide = generate(&CommitModel::new(config)).expect("generates");
         let dense = StepEngine::dense(CompiledMachine::compile(&wide.machine));
-        let register = StepEngine::register(compiled_efsm.clone(), &commit_efsm_params(&config))
-            .expect("binding arity");
-        for (tier, engine, kernel) in [("batched", dense, true), ("efsm", register, false)] {
-            let (rows, ratio) = divergent_rows(tier, suffix, &engine, sessions, kernel);
-            if let Some(ratio) = ratio {
-                divergent_ratios.push((format!("{}_vs_scalar", rows[0].name), ratio));
-            }
-            results.extend(rows);
-        }
+        let (rows, ratio) = divergent_rows(suffix, &dense, sessions);
+        divergent_ratios.push((format!("{}_vs_scalar", rows[0].name), ratio));
+        results.extend(rows);
     }
     // Tier 7b: the deployment path. `artifact_cold_load` measures the
     // full ship-and-boot cycle — encode the bound commit EFSM to its
@@ -809,6 +730,10 @@ fn main() {
         let image = artifact.save();
         let booted = Engine::from_artifact(&Artifact::load(&image).expect("canonical image"))
             .expect("artifact boots");
+        let efsm_ids: Vec<_> = TRACE
+            .iter()
+            .map(|m| booted.message_id(m).expect("valid message"))
+            .collect();
         let mut booted_pool = booted.runtime_with(POOL_SESSIONS);
         results.push(measure(
             "artifact_booted_pool",
@@ -932,8 +857,8 @@ fn main() {
         "engine tiers — {} ({} states) / {} ({} states), canonical trace",
         machine.name(),
         machine.state_count(),
-        compiled_efsm.name(),
-        compiled_efsm.state_count()
+        efsm.name(),
+        efsm.state_count()
     );
     println!(
         "{:<30} {:>14} {:>10} {:>18}",
@@ -969,24 +894,11 @@ fn main() {
         "\ncompiled vs interpreted (name path): {:.1}x",
         baseline / by_name("compiled")
     );
-    let efsm_speedup = by_name("efsm_interpreted") / by_name("efsm_compiled");
-    println!("efsm_compiled vs efsm_interpreted:   {efsm_speedup:.1}x");
-    // The ~8x-on-idle-hardware claim is tracked through the committed
-    // BENCH_engine_tiers.json (reviewers diff it per PR); it is a
-    // comparison of two wall-clock measurements, so unlike the exact
-    // zero-alloc asserts above it must not hard-fail the verify gate —
-    // a loaded shared container can deschedule one tier arbitrarily.
-    if efsm_speedup < 5.0 {
-        eprintln!(
-            "warning: efsm_compiled speedup {efsm_speedup:.1}x is below the 5x target \
-             (~8x expected on idle hardware) — rerun on an idle machine before treating \
-             this as a regression"
-        );
-    }
     // Flattened-statechart dispatch runs the identical dense-table hot
     // path, so it must stay in the same ballpark as the plain compiled
-    // machine. Like the EFSM speedup this compares two wall-clock
-    // measurements, so it warns rather than hard-failing the gate.
+    // machine. This compares two wall-clock measurements, so it warns
+    // rather than hard-failing the gate (a loaded shared container can
+    // deschedule one row arbitrarily).
     let hsm_ratio = by_name("hsm_flattened") / by_name("compiled");
     println!("hsm_flattened vs compiled:           {hsm_ratio:.2}x");
     if hsm_ratio > 2.0 {
@@ -994,21 +906,6 @@ fn main() {
             "warning: flattened-statechart dispatch is {hsm_ratio:.2}x the plain compiled \
              tier (target: within ~2x) — rerun on an idle machine before treating this as \
              a regression"
-        );
-    }
-    // A bound guarded statechart is served unfolded from the dense
-    // table; its batch dispatch must at least stay in the cost class of
-    // the register tier it used to ride — tracked against the batched
-    // EFSM row (`efsm_pool`, the explicit register engine's batch). A
-    // wall-clock ratio between rows, so it warns rather than
-    // hard-failing the gate (the zero-alloc assert above *is* hard).
-    let hsm_guarded_ratio = by_name("hsm_guarded_flattened") / by_name("efsm_pool");
-    println!("hsm_guarded_flattened vs efsm_pool:  {hsm_guarded_ratio:.2}x");
-    if hsm_guarded_ratio > 1.5 {
-        eprintln!(
-            "warning: guarded-statechart dispatch is {hsm_guarded_ratio:.2}x the batched \
-             compiled-EFSM tier (target: within ~1.5x) — rerun on an idle machine before \
-             treating this as a regression"
         );
     }
     // The state-minimization gate: a provably-equivalent quotient must
@@ -1038,7 +935,6 @@ fn main() {
         "dense batch kernel is only {batched_kernel_ratio:.3}x the scalar walk \
          (gate: >= 1.25x, paired passes at {POOL_SESSIONS} sessions)"
     );
-    println!("efsm_kernel_over_budget vs scalar (median of 10 pairs): {over_budget_ratio:.3}x");
     // The divergent gate (r = 7, 65 536 sessions): the dense column
     // gather against the scalar walk.
     for (name, ratio) in &divergent_ratios {
@@ -1154,7 +1050,7 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"machine\": \"{}\",", machine.name());
     let _ = writeln!(json, "  \"states\": {},", machine.state_count());
-    let _ = writeln!(json, "  \"efsm_states\": {},", compiled_efsm.state_count());
+    let _ = writeln!(json, "  \"efsm_states\": {},", efsm.state_count());
     let _ = writeln!(json, "  \"trace_len\": {},", TRACE.len());
     let _ = writeln!(json, "  \"pool_sessions\": {POOL_SESSIONS},");
     let _ = writeln!(json, "  \"serving_sessions\": {SERVING_SESSIONS},");
@@ -1163,19 +1059,10 @@ fn main() {
         "  \"hardware_threads\": {},",
         std::thread::available_parallelism().map_or(0, usize::from)
     );
-    let _ = writeln!(json, "  \"efsm_compiled_speedup\": {efsm_speedup:.3},");
     let _ = writeln!(json, "  \"hsm_flattened_vs_compiled\": {hsm_ratio:.3},");
     let _ = writeln!(
         json,
-        "  \"hsm_guarded_vs_efsm_pool\": {hsm_guarded_ratio:.3},"
-    );
-    let _ = writeln!(
-        json,
         "  \"batched_kernel_vs_scalar\": {batched_kernel_ratio:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"efsm_kernel_over_budget_vs_scalar\": {over_budget_ratio:.3},"
     );
     for (name, ratio) in &divergent_ratios {
         let _ = writeln!(json, "  \"{name}\": {ratio:.3},");

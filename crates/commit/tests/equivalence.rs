@@ -27,8 +27,8 @@ use stategen_commit::{
 };
 use stategen_core::efsm::Guard;
 use stategen_core::{
-    generate, CompiledEfsm, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance,
-    IrInstance, ProtocolEngine, SessionStore, StateMachine, StepEngine,
+    generate, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance, IrInstance,
+    ProtocolEngine, SessionStore, StateMachine, StepEngine,
 };
 use stategen_runtime::{Engine, Spec, Tier};
 
@@ -92,9 +92,16 @@ fn efsm_instance(config: &CommitConfig) -> IrInstance<'static> {
     efsm_ir().instance(commit_efsm_params(config))
 }
 
-fn compiled_efsm() -> &'static CompiledEfsm {
-    static COMPILED: OnceLock<CompiledEfsm> = OnceLock::new();
-    COMPILED.get_or_init(|| CompiledEfsm::compile_ir(efsm_ir()).expect("commit EFSM compiles"))
+/// The EFSM bound to family member `r` through the one lowering,
+/// `StepEngine::compile_ir`.
+fn compiled_efsm(r: u32) -> &'static StepEngine {
+    static ENGINES: OnceLock<Vec<StepEngine>> = OnceLock::new();
+    let engines = ENGINES.get_or_init(|| {
+        let params = |r| commit_efsm_params(&CommitConfig::new(r).unwrap());
+        let compile = |&r: &u32| StepEngine::compile_ir(efsm_ir(), &params(r)).unwrap();
+        FAMILY.iter().map(compile).collect()
+    });
+    &engines[FAMILY.iter().position(|&f| f == r).expect("prebuilt r")]
 }
 
 fn facade_engine(r: u32) -> &'static Engine {
@@ -136,17 +143,17 @@ fn facade_efsm_engine(r: u32) -> &'static Engine {
         .1
 }
 
-/// Drives the interpreted EFSM, the compiled-bytecode EFSM and a batched
-/// EFSM session with the same messages, checking actions, variables and
-/// completion agree after every delivery (the bytecode tier must be
-/// observationally indistinguishable from the enum-tree interpreter).
+/// Drives the interpreted EFSM, the compiled EFSM (unfolded onto the
+/// dense table) and a batched EFSM session with the same messages,
+/// checking actions, variables and completion agree after every
+/// delivery (the compiled engine must be observationally
+/// indistinguishable from the enum-tree interpreter).
 fn check_compiled_efsm_equivalence(r: u32, messages: &[usize]) {
     let config = CommitConfig::new(r).unwrap();
-    let compiled = compiled_efsm();
+    let compiled = compiled_efsm(r);
     let mut interp = efsm_instance(&config);
-    let register = StepEngine::register(compiled.clone(), &commit_efsm_params(&config)).unwrap();
-    let mut single = Instance::new(register.clone());
-    let mut pool = SessionStore::new(register, 2);
+    let mut single = Instance::new(compiled.clone());
+    let mut pool = SessionStore::new(compiled.clone(), 2);
     let mut facade = facade_efsm_engine(r).runtime();
     let facade_session = facade.spawn();
     for (step, &mi) in messages.iter().enumerate() {
@@ -363,8 +370,8 @@ proptest! {
     }
 
     /// Seeded random traces cross-checking the interpreted EFSM against
-    /// the compiled guard/update bytecode (single instance and batched
-    /// pool) for every family member up to r = 6.
+    /// the compiled engine (single instance and batched pool) for every
+    /// family member up to r = 6.
     #[test]
     fn compiled_efsm_trace_equivalence_to_r6(r in 2u32..=6, messages in prop::collection::vec(0usize..5, 0..200)) {
         check_compiled_efsm_equivalence(r, &messages);

@@ -257,8 +257,9 @@ impl CompiledMachine {
     /// [`CompileError::GuardedMachine`] if any transition carries a
     /// guard or update (or the IR declares variables/parameters) — the
     /// dense table has no registers, so guarded IRs lower through
-    /// [`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir)
-    /// instead; [`CompileError::DuplicateTransition`] if two transitions
+    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir), which
+    /// binds their parameters and unfolds them onto this table or runs
+    /// them on the interpreter; [`CompileError::DuplicateTransition`] if two transitions
     /// share a `(state, message)` cell (the second could never fire).
     pub fn compile_ir(ir: &FlatIr) -> Result<Self, CompileError> {
         if ir.is_guarded() {

@@ -99,7 +99,8 @@ impl From<SchemaError> for GenerateError {
 }
 
 /// An error raised while flattening a machine for execution (building a
-/// transition into a dense table, or lowering an EFSM to bytecode).
+/// transition into a dense table, or checking a guarded IR before it is
+/// unfolded).
 ///
 /// The dense-table runtimes admit exactly one transition per
 /// `(state, message)` cell (per guard, for EFSMs); a duplicate would
@@ -125,8 +126,10 @@ pub enum CompileError {
         states: usize,
     },
     /// A guarded IR was handed to the dense-table compiler, which has no
-    /// variable registers; guarded machines lower through the
-    /// register-machine tier instead.
+    /// variable registers; guarded machines lower through
+    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) (or
+    /// `Engine::compile`), which binds the parameters and unfolds them
+    /// onto the dense table or runs them on the interpreter.
     GuardedMachine(String),
 }
 
@@ -151,8 +154,9 @@ impl fmt::Display for CompileError {
             CompileError::GuardedMachine(name) => {
                 write!(
                     f,
-                    "machine `{name}` carries guards, updates or variables; compile it onto \
-                     the register-machine tier (CompiledEfsm) instead of the dense table"
+                    "machine `{name}` carries guards, updates or variables; compile it with its \
+                     parameters through StepEngine::compile_ir (Engine::compile) instead of \
+                     the dense-table compiler"
                 )
             }
         }
@@ -799,6 +803,12 @@ mod tests {
             states: 3,
         };
         assert!(e.to_string().contains("out of range"));
+        assert_eq!(
+            CompileError::GuardedMachine("commit".into()).to_string(),
+            "machine `commit` carries guards, updates or variables; compile it with its \
+             parameters through StepEngine::compile_ir (Engine::compile) instead of the \
+             dense-table compiler"
+        );
     }
 
     #[test]

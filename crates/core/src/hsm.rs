@@ -34,7 +34,7 @@
 //!   sequences back together); guarded statecharts compile through
 //!   [`StepEngine::compile_ir`](crate::StepEngine::compile_ir), which
 //!   unfolds a bound one onto the dense table within its configuration
-//!   budget and puts it on the register-machine tier otherwise;
+//!   budget and runs it on the interpreter otherwise;
 //! * [`HsmInstance`] — a direct interpreter over the statechart, the
 //!   reference the flattened machines are property-checked against
 //!   (`HsmInstance ≡ IrInstance(flatten_ir) ≡ Instance(compiled)`
@@ -749,8 +749,8 @@ impl HierarchicalMachine {
     /// updates, symbolically: a flat `(state, message)` cell lists every
     /// candidate in firing priority order (innermost state first,
     /// declaration order within a state, cut off at the first
-    /// unconditional candidate), so the compiled tiers resolve guards
-    /// exactly as the direct interpreter does. Compiling the result
+    /// unconditional candidate), so every tier resolves guards exactly
+    /// as the direct interpreter does. Compiling the result
     /// interns identical action sequences in the shared arena, so the
     /// expansion costs table cells, not arena bytes.
     ///

@@ -4,10 +4,10 @@
 //! The toolkit's front-ends produce three machine shapes — generated
 //! flat [`StateMachine`]s, parameter-generic [`Efsm`]s, and hierarchical
 //! statecharts ([`HierarchicalMachine`](crate::HierarchicalMachine)) —
-//! and its execution tiers historically compiled from two *different*
-//! input types: the dense-table compiler consumed `StateMachine`, the
-//! register-machine compiler consumed `Efsm`, and the statechart
-//! flattener could only reach the first. [`FlatIr`] closes that split: a
+//! and its execution tiers historically consumed two *different*
+//! input types: the dense-table compiler took `StateMachine`, the
+//! guarded tiers took `Efsm`, and the statechart flattener could only
+//! reach the first. [`FlatIr`] closes that split: a
 //! flat machine whose transitions carry *optional* guards and variable
 //! updates, so an unguarded FSM is simply the degenerate case of an
 //! EFSM. Every front-end lowers onto it —
@@ -20,16 +20,15 @@
 //!   lowers a statechart — guarded or not — by enumerating reachable
 //!   configurations;
 //!
-//! — and both compilers consume it.
+//! — and both execution tiers consume it.
 //! [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) picks the
 //! tier: an unguarded IR compiles onto the dense `states × messages`
 //! table ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
 //! a guarded one, bound to its parameters, is unfolded onto the same
 //! dense table when it reaches at most 4 096 `(state, variables)`
-//! configurations, and compiled onto the register-machine bytecode
-//! ([`CompiledEfsm::compile_ir`](crate::CompiledEfsm::compile_ir))
-//! otherwise. The action-arena interning and duplicate-transition
-//! rejection the two compilers used to duplicate live here, shared.
+//! configurations, and runs on the interpreter ([`FlatIr::step`])
+//! otherwise. The duplicate-transition rule every guarded lowering
+//! applies lives here, once.
 //!
 //! [`FlatIr::step`] is the one definition of a flat transition —
 //! priority-ordered guard evaluation, then staged updates — that the
@@ -43,7 +42,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::efsm::{apply_staged_updates, Efsm, Guard, LinExpr, Operand, Update};
-use crate::error::InterpError;
+use crate::error::{CompileError, InterpError};
 use crate::fingerprint::Fnv64;
 use crate::interp::ProtocolEngine;
 use crate::machine::{Action, MessageId, StateMachine, StateMachineBuilder, StateRole};
@@ -170,7 +169,7 @@ impl FlatState {
 }
 
 /// A flat machine with optional guards and updates per transition — the
-/// unified lowering IR every front-end targets and both compiled tiers
+/// unified lowering IR every front-end targets and both execution tiers
 /// consume (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatIr {
@@ -196,7 +195,7 @@ impl FlatIr {
         &self.messages
     }
 
-    /// Parameter names (bound when compiling onto the EFSM tier).
+    /// Parameter names (bound when an engine is built for the IR).
     pub fn params(&self) -> &[String] {
         &self.params
     }
@@ -241,7 +240,7 @@ impl FlatIr {
     /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) puts an
     /// unguarded IR on the dense table, and a guarded one there too —
     /// unfolded — when its bound configuration space is within budget,
-    /// on the register-machine tier otherwise.
+    /// on the interpreter otherwise.
     pub fn is_guarded(&self) -> bool {
         !self.variables.is_empty()
             || !self.params.is_empty()
@@ -254,7 +253,7 @@ impl FlatIr {
 
     /// Registers one session of this machine occupies, on every tier: a
     /// guarded IR's declared variables plus one always-zero register
-    /// (which the register tier's variable-free checks read), nothing
+    /// (kept so that snapshot and artifact layouts stay fixed), nothing
     /// for an unguarded one. A function of the IR alone, so a snapshot's
     /// register file fits every engine of the same fingerprint.
     pub fn reg_count(&self) -> usize {
@@ -263,6 +262,33 @@ impl FlatIr {
         } else {
             0
         }
+    }
+
+    /// The one reason a guarded IR is refused, checked before any tier
+    /// is chosen so that acceptance depends neither on the binding nor
+    /// on whether the machine unfolds: a live state declaring two
+    /// transitions on one message with identical guards — the second
+    /// can never fire, a specification bug rather than a priority
+    /// choice ([`CompileError::DuplicateTransition`]; reported for the
+    /// first such state and, within it, message).
+    pub(crate) fn reject_duplicates(&self) -> Result<(), CompileError> {
+        let live = |s: &&FlatState| s.role != StateRole::Finish;
+        for state in self.states.iter().filter(live) {
+            let ts = &state.transitions;
+            for mid in 0..self.messages.len() {
+                let on_mid = |t: &FlatTransition| t.message_index() == mid;
+                for (ti, t) in ts.iter().enumerate().filter(|(_, t)| on_mid(t)) {
+                    let same = |prev: &FlatTransition| on_mid(prev) && prev.guard == t.guard;
+                    if ts[..ti].iter().any(same) {
+                        return Err(CompileError::DuplicateTransition {
+                            state: state.name.clone(),
+                            message: self.messages[mid].clone(),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Executes one transition — the definition of a step that every
@@ -676,8 +702,8 @@ impl ProtocolEngine for IrInstance<'_> {
     }
 }
 
-/// `(offset, len)` interning arena for action lists, shared by both
-/// compiled tiers: each distinct list is stored once and transitions
+/// `(offset, len)` interning arena for action lists, behind the dense
+/// table (`compiled::DenseRows`): each distinct list is stored once and transitions
 /// reference it by range, so delivering a message returns a borrowed
 /// `&[Action]` without copying or allocating.
 #[derive(Debug, Default)]
@@ -794,7 +820,7 @@ mod tests {
 
     /// The EFSM interpreter is [`FlatIr::step`] over the lifted IR:
     /// pinned to the counter's closed form, and to the single-session
-    /// view on the interpreted and the register tier.
+    /// view on the interpreted tier and unfolded onto the dense one.
     #[test]
     fn ir_instance_matches_the_efsm_interpreter() {
         use crate::{Instance, StepEngine};

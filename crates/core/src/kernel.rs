@@ -14,9 +14,9 @@
 //! for a pool spawned together and fed one message feed) and collapses
 //! the batch to one cell read plus a constant fill of the state column.
 //!
-//! The register and interpreted tiers have no kernel: their batches are
-//! the walk (`docs/KERNELS.md` records the register kernels measured
-//! against it, and why none stayed).
+//! The interpreted tier has no kernel: its batches are the walk
+//! (`docs/KERNELS.md` records the guarded kernels once measured against
+//! it, and why none stayed).
 //!
 //! Results are bit-identical to the scalar loop: sessions are
 //! independent, every session is visited exactly once per batch, and
@@ -100,7 +100,7 @@ pub(crate) fn dense_batch(
 mod tests {
     use super::*;
     use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-    use crate::efsm_compiled::CompiledEfsm;
+    use crate::ir::FlatIr;
     use crate::machine::{StateMachineBuilder, StateRole};
     use crate::step::StepEngine;
 
@@ -147,9 +147,9 @@ mod tests {
         assert_eq!(holed, [RETIRED, 2, 1, 2, RETIRED]);
     }
 
-    /// The same shapes on the register tier, through the engine (the
-    /// walk): `tick` counts `n` up to the limit 2 in `counting`, then
-    /// enters the finish state.
+    /// The same shapes on a guarded machine's walk, through the
+    /// interpreted engine: `tick` counts `n` up to the limit 2 in
+    /// `counting`, then enters the finish state.
     #[test]
     fn efsm_retired_only_and_single_session_pools() {
         let mut b = EfsmBuilder::new("counter", ["tick"]);
@@ -162,8 +162,8 @@ mod tests {
             let guard = Guard::when(next.clone(), op, LinExpr::param(limit));
             b.add_transition(counting, "tick", guard, vec![Update::Inc(n)], vec![], to);
         }
-        let machine = CompiledEfsm::compile(&b.build(counting, Some(done))).unwrap();
-        let engine = StepEngine::register(machine, &[2]).unwrap();
+        let ir = FlatIr::from_efsm(&b.build(counting, Some(done)));
+        let engine = StepEngine::interpreted(ir, &[2]).unwrap();
         let tick = engine.message_id("tick").unwrap();
         let regs = engine.reg_count();
         let mut spill = vec![0; engine.scratch_len()];

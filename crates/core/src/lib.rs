@@ -24,16 +24,17 @@
 //!
 //! * [`ir`] — the unified lowering IR ([`FlatIr`]): a flat machine with
 //!   *optional* guards/updates per transition, the one target every
-//!   front-end lowers onto, the one source both compilers consume (a
-//!   plain FSM is the degenerate EFSM), and — through [`FlatIr::step`],
-//!   which the interpreted tier runs as it stands — the one definition
-//!   of a transition (the paper's "generate on the fly" deployment
-//!   policy, §4.2);
-//! * [`CompiledMachine`] / [`CompiledEfsm`] — the two compilers: dense
-//!   transition tables, and fused checks + register-machine bytecode,
-//!   both with zero-allocation dispatch;
+//!   front-end lowers onto, the one source both execution tiers consume
+//!   (a plain FSM is the degenerate EFSM), and — through
+//!   [`FlatIr::step`], which the interpreted tier runs as it stands —
+//!   the one definition of a transition (the paper's "generate on the
+//!   fly" deployment policy, §4.2);
+//! * [`CompiledMachine`] — the compiler: dense transition tables with
+//!   zero-allocation dispatch, for unguarded machines and for guarded
+//!   ones unfolded under a binding (the paper's "generate the FSM for
+//!   one binding");
 //! * [`StepEngine`] / [`SessionStore`] / [`Instance`] — one machine
-//!   resolved onto one tier (interpreted, dense, register), the one
+//!   resolved onto one tier (interpreted or dense), the one
 //!   struct-of-arrays store that steps thousands of sessions over it,
 //!   and the one single-session view;
 //! * [`efsm`] — extended finite state machines, the intermediate points on
@@ -60,22 +61,21 @@
 //! ## Engine tiers
 //!
 //! Below the front-ends there is one machine, [`FlatIr`], and one step:
-//! [`StepEngine::step`]. A machine can be executed four ways, all
+//! [`StepEngine::step`]. A machine can be executed three ways, all
 //! behaviourally equivalent (asserted by the cross-engine property
-//! suites) and — the first three — all behind the same three types,
-//! [`StepEngine`], [`SessionStore`] and [`Instance`]:
+//! suites) and — the two runtime tiers — both behind the same three
+//! types, [`StepEngine`], [`SessionStore`] and [`Instance`]:
 //!
 //! | tier | built by | dispatch cost | use when |
 //! |---|---|---|---|
-//! | interpreted | [`StepEngine::interpreted`] (any IR, guarded or not) | transition-list scan, guard/update enum-tree walk per message | exploring freshly generated machines; debugging; one-off runs |
+//! | interpreted | [`StepEngine::interpreted`] (any IR, guarded or not); [`StepEngine::compile_ir`] on a guarded IR whose configuration space is unbounded or over budget | transition-list scan, guard/update enum-tree walk per message, zero allocation | exploring freshly generated machines; debugging; guarded machines the dense table cannot hold |
 //! | compiled | [`StepEngine::compile_ir`] on an unguarded IR, or on a guarded IR whose bound configuration space is finite and within budget — *unfolded* ([`CompiledMachine`]) | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
-//! | compiled EFSM | [`StepEngine::compile_ir`] on a guarded IR whose configuration space is unbounded or over budget; [`StepEngine::register`] on any ([`CompiledEfsm`]) | fused threshold checks / bytecode over a flat op stream, zero allocation | guarded machines the dense table cannot hold |
 //! | generated | `stategen-generated` (build-time rendered source) | `match` over enum states | machine known at *build* time; maximum specialisation, no machine data at runtime |
 //!
-//! The interpreted tier needs no preparation; the compiled tiers pay a
-//! one-time flattening pass and then dispatch in a few nanoseconds; the
-//! generated tier moves that specialisation to the build. All three
-//! runtime tiers give a session the same register row
+//! The interpreted tier needs no preparation; the compiled tier pays a
+//! one-time compile (or unfolding) pass and then dispatches in a few
+//! nanoseconds; the generated tier moves that specialisation to the
+//! build. Both runtime tiers give a session the same register row
 //! ([`FlatIr::reg_count`]), so state moves freely between them.
 //!
 //! Two *semantic references* stand beside the tiers, deliberately naive
@@ -85,7 +85,7 @@
 //! statechart, unflattened). Every suite pins the tiers to them.
 //!
 //! Hierarchical statecharts sit *in front of* these tiers rather than
-//! adding a fifth: author a [`HierarchicalMachine`] (composite states,
+//! adding a fourth: author a [`HierarchicalMachine`] (composite states,
 //! entry/exit actions, shallow history, optionally guards and variable
 //! updates on any transition), debug it on the direct
 //! [`HsmInstance`] interpreter, then lower it through
@@ -96,10 +96,10 @@
 //! matching tier above: unguarded statecharts land on the dense-table
 //! tier, and so do guarded ones once their parameters are bound and
 //! their reachable `(state, variables)` configurations enumerated
-//! (the register-machine tier takes those that are unbounded). The
+//! (the interpreter takes those that are unbounded or over budget). The
 //! property suites assert `HsmInstance ≡ IrInstance(flatten_ir) ≡
 //! Instance(compiled)` over random statecharts and traces (and the
-//! guarded five-way equivalence in `stategen-runtime`'s
+//! guarded four-way equivalence in `stategen-runtime`'s
 //! `hsm_guarded_props`). Use the direct interpreter while iterating on
 //! a spec (it reports hierarchical positions via [`HsmInstance::is_in`]
 //! and needs no compile step); flatten + compile for serving traffic,
@@ -107,8 +107,8 @@
 //! other compiled machine.
 //! [`SessionStore`] extends every tier to thousands of concurrent
 //! protocol instances stored struct-of-arrays (one `u32` — plus, on
-//! the register and interpreted tiers, the variable registers of a
-//! guarded machine — per session) over one
+//! the interpreted tier, the variable registers of a guarded machine —
+//! per session) over one
 //! [`StepEngine`], stepped with no per-event allocation, and
 //! [`ShardedPool`] partitions stores into shards, stepped by one
 //! fork-join of scoped threads per batch — for capacity and isolation
@@ -158,7 +158,6 @@ pub mod compiled;
 pub mod component;
 pub mod diag;
 pub mod efsm;
-pub mod efsm_compiled;
 pub mod error;
 pub mod fingerprint;
 pub mod generator;
@@ -178,7 +177,6 @@ pub use compiled::CompiledMachine;
 pub use component::{ComponentKind, StateComponent, StateSpace, StateVector};
 pub use diag::{Diagnostic, Level, Lint};
 pub use efsm::{Efsm, EfsmBuilder};
-pub use efsm_compiled::{CompiledEfsm, EfsmBinding};
 pub use error::{
     ArtifactError, CompileError, GenerateError, HsmError, InterpError, ParseNameError, SchemaError,
     StategenError, SwapError,

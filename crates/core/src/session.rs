@@ -90,11 +90,12 @@ pub struct Taken<'a> {
 /// # Examples
 ///
 /// The same store type serves a guarded machine — here a counter bound
-/// to `limit = 2` — with one register row per session:
+/// to `limit = 2`, unfolded onto the dense table — and still answers in
+/// the source machine's variables:
 ///
 /// ```
 /// use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-/// use stategen_core::{Action, CompiledEfsm, SessionStore, StepEngine};
+/// use stategen_core::{Action, FlatIr, SessionStore, StepEngine};
 ///
 /// let mut b = EfsmBuilder::new("counter", ["tick"]);
 /// let limit = b.add_param("limit");
@@ -112,7 +113,7 @@ pub struct Taken<'a> {
 ///     vec![Update::Inc(n)], vec![Action::send("done")], done,
 /// );
 /// let efsm = b.build(counting, Some(done));
-/// let engine = StepEngine::register(CompiledEfsm::compile(&efsm)?, &[2])?;
+/// let engine = StepEngine::compile_ir(&FlatIr::from_efsm(&efsm), &[2])?;
 ///
 /// let mut store = SessionStore::new(engine.clone(), 100);
 /// let tick = engine.message_id("tick").unwrap();
@@ -134,7 +135,7 @@ pub struct SessionStore {
     /// (s + 1) * n_regs]` (empty rows when `n_regs == 0`: an unguarded
     /// machine, or an unfolded one).
     vars: Vec<i64>,
-    /// Staged-update scratch for the bytecode path, shared by all slots.
+    /// The interpreter's pre-transition copy, shared by all slots.
     scratch: Vec<i64>,
     /// One register row for [`SessionStore::probe_tail`], so a what-if
     /// step never touches the live row.
@@ -243,7 +244,7 @@ impl SessionStore {
     }
 
     /// A session's whole register row — declared variables first, then
-    /// compiler temporaries — [`StepEngine::reg_count`] long: its slice
+    /// the always-zero register — [`StepEngine::reg_count`] long: its slice
     /// of the file [`SessionStore::registers_into`] writes.
     ///
     /// # Panics
@@ -527,7 +528,7 @@ impl SessionStore {
 
     /// Snapshot accessor: writes the session-major register file over
     /// `out` — slot `s`'s registers (declared variables first, then
-    /// compiler temporaries) land at `out[s * reg_count .. (s + 1) *
+    /// the always-zero register) land at `out[s * reg_count .. (s + 1) *
     /// reg_count]`. Copied or materialised as for
     /// [`SessionStore::states_into`]; a materialised file reads zero in
     /// every retired slot.
@@ -831,7 +832,6 @@ impl<P: BatchEngine> ShardedPool<P> {
 mod tests {
     use super::*;
     use crate::compiled::CompiledMachine;
-    use crate::efsm_compiled::CompiledEfsm;
     use crate::ir::FlatIr;
     use crate::machine::{StateMachine, StateMachineBuilder, StateRole};
     use crate::step::Tier;
@@ -985,9 +985,9 @@ mod tests {
         assert_eq!((pool.live(), pool.state_name(1)), (2, "s0"));
     }
 
-    /// The counter EFSM's IR and its two compiled engines bound to
-    /// `limit`: on the register tier, and unfolded onto the dense one.
-    /// Every test below holds for both.
+    /// The counter EFSM's IR and its two engines bound to `limit`:
+    /// interpreted, and unfolded onto the dense table. Every test below
+    /// holds for both.
     fn counter(limit: i64) -> (FlatIr, [StepEngine; 2]) {
         use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
         let mut b = EfsmBuilder::new("counter", ["tick"]);
@@ -1013,14 +1013,13 @@ mod tests {
             done,
         );
         let ir = FlatIr::from_efsm(&b.build(counting, Some(done)));
-        let compiled = CompiledEfsm::compile_ir(&ir).unwrap();
-        let register = StepEngine::register(compiled, &[limit]).unwrap();
+        let interpreted = StepEngine::interpreted(ir.clone(), &[limit]).unwrap();
         let unfolded = StepEngine::compile_ir(&ir, &[limit]).unwrap();
         assert_eq!(
-            (register.tier(), unfolded.tier()),
-            (Tier::CompiledEfsm, Tier::Compiled)
+            (interpreted.tier(), unfolded.tier()),
+            (Tier::Interpreted, Tier::Compiled)
         );
-        (ir, [register, unfolded])
+        (ir, [interpreted, unfolded])
     }
 
     /// What a snapshot of `store` reads: its states and register file.
@@ -1105,9 +1104,9 @@ mod tests {
     /// no session of the machine could hold, store untouched.
     #[test]
     fn restore_crosses_lowerings_and_refuses_unreachable_rows() {
-        let [register, unfolded] = counter(3).1;
-        let tick = msg(&register, "tick");
-        for (from, to) in [(&register, &unfolded), (&unfolded, &register)] {
+        let [interpreted, unfolded] = counter(3).1;
+        let tick = msg(&interpreted, "tick");
+        for (from, to) in [(&interpreted, &unfolded), (&unfolded, &interpreted)] {
             let mut pool = SessionStore::new(from.clone(), 4);
             pool.deliver(1, tick);
             pool.deliver_all(tick);
@@ -1130,7 +1129,7 @@ mod tests {
             let refused = StategenError::UnreachableConfiguration { slot: 1, state: 0 };
             assert_eq!(pool.restore(&[0, 0], &registers, 9), Err(refused));
             assert_eq!((pool.len(), pool.vars(0), pool.steps()), (1, &[1][..], 1));
-            let mut lenient = SessionStore::new(register.clone(), 0);
+            let mut lenient = SessionStore::new(interpreted.clone(), 0);
             assert_eq!(lenient.restore(&[0, 0], &registers, 9), Ok(()));
         }
     }

@@ -1,17 +1,17 @@
 //! The step engine: one machine resolved onto one execution tier.
 //!
 //! Every front-end lowers onto [`FlatIr`], and the IR is executed one of
-//! three ways — walked as lowered by [`FlatIr::step`], the definition
-//! the other two are compiled from and tested against
-//! ([`Tier::Interpreted`]), through the dense `states × messages` table
-//! ([`Tier::Compiled`]), or through the fused-check / register-machine
-//! bytecode with a parameter binding folded in
-//! ([`Tier::CompiledEfsm`]). A guarded machine reaches the dense table
-//! too when binding its parameters leaves it finitely many reachable
-//! `(state, variables)` configurations ([`StepEngine::compile_ir`]
-//! *unfolds* it: the paper's "bind the replication factor, then
-//! generate the FSM", §4.2, applied to the EFSM front-end).
-//! [`StepEngine`] owns whichever of the three a machine resolved onto
+//! two ways — the paper's two deployment policies (§4.2): walked as
+//! lowered by [`FlatIr::step`], the definition the dense table is
+//! compiled from and tested against ([`Tier::Interpreted`], "interpret
+//! the model"), or through the dense `states × messages` table
+//! ([`Tier::Compiled`], "generate the FSM for one binding"). A guarded
+//! machine reaches the dense table when binding its parameters leaves
+//! it at most 4 096 reachable `(state, variables)`
+//! configurations ([`StepEngine::compile_ir`] *unfolds* it: "bind the
+//! replication factor, then generate the FSM", applied to the EFSM
+//! front-end); past that budget it runs on the interpreter.
+//! [`StepEngine`] owns whichever of the two a machine resolved onto
 //! behind `Arc`s (a clone is pointer
 //! bumps; engines are `Send + Sync + 'static`) and answers every
 //! question a session store asks of a machine — where sessions start,
@@ -39,14 +39,13 @@ use std::sync::Arc;
 
 use crate::compiled::{CompiledMachine, DenseRows};
 use crate::efsm::{LinExpr, Operand, Update};
-use crate::efsm_compiled::{CompiledEfsm, EfsmBinding};
 use crate::error::StategenError;
 use crate::ir::{FlatIr, FlatState};
 use crate::kernel::{dense_batch, BatchTally};
 use crate::machine::{Action, MessageId, StateRole};
 
-/// Which execution tier a [`StepEngine`] runs on — what the two
-/// compilers (and their absence) distinguish, nothing more. The
+/// Which execution tier a [`StepEngine`] runs on — what the dense
+/// compiler (and its absence) distinguishes, nothing more. The
 /// front-end a machine came from (flat machine, EFSM, statechart,
 /// artifact) is not a tier: a statechart lowered through the IR runs
 /// on, and reports, the tier its lowered form compiled onto.
@@ -57,7 +56,8 @@ use crate::machine::{Action, MessageId, StateRole};
 pub enum Tier {
     /// Walking the lowered IR's transition lists directly, evaluating
     /// guard and update trees — no preparation pass, slowest dispatch.
-    /// Open to every machine, guarded or not.
+    /// Open to every machine, guarded or not, and where a guarded one
+    /// runs when its configuration space is unbounded or over budget.
     Interpreted,
     /// Dense `states × messages` transition tables with an interned
     /// action arena — dispatch in ~1 ns, zero allocation per delivery.
@@ -65,12 +65,6 @@ pub enum Tier {
     /// and every guarded one whose bound parameters leave it a finite
     /// configuration space within budget, unfolded.
     Compiled,
-    /// Guards and updates lowered to fused threshold checks plus
-    /// register-machine bytecode, parameters folded into a flat
-    /// dispatch table — one engine serves the whole protocol family.
-    /// Where a guarded machine, EFSM or statechart, compiles to when
-    /// its configuration space is unbounded or over budget.
-    CompiledEfsm,
 }
 
 impl Tier {
@@ -79,7 +73,6 @@ impl Tier {
         match self {
             Tier::Interpreted => "interpreted",
             Tier::Compiled => "compiled",
-            Tier::CompiledEfsm => "compiled_efsm",
         }
     }
 }
@@ -100,16 +93,10 @@ enum Repr {
     /// statecharts) or, with an [`Unfolded`] side table beside it, over
     /// the configuration ids of a guarded machine.
     Dense(Arc<CompiledMachine>),
-    /// The lowered guarded machine with its parameter binding folded
-    /// into the dispatch table every session shares.
-    Register {
-        machine: Arc<CompiledEfsm>,
-        binding: Arc<EfsmBinding>,
-    },
 }
 
-/// Most configurations an unfolding may reach before the machine stays
-/// on the register tier: the dense gather reads a 901-row column at the
+/// Most configurations an unfolding may reach before the machine falls
+/// back to the interpreter: the dense gather reads a 901-row column at the
 /// speed of a 33-row one (`core.kernel.wide_r25_ns_per_session` in
 /// `docs/KERNELS.md`), and 4 096 rows × a handful of message classes
 /// still sit in L2.
@@ -122,7 +109,7 @@ const MAX_CONFIGS: usize = 4096;
 const MAX_MAGNITUDE: i64 = 1 << 31;
 
 /// Why [`StepEngine::compile_ir`] left a guarded machine on the
-/// register tier — part of what the engine's `Display` form reports.
+/// interpreter — part of what the engine's `Display` form reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fallback {
     /// Exploration passed [`MAX_CONFIGS`].
@@ -264,8 +251,8 @@ fn arithmetic_fits(ir: &FlatIr, params: &[i64]) -> bool {
 /// reachable configurations, breadth-first from `(start, 0…0)`, every
 /// edge found by calling [`FlatIr::step`] itself — so guard priority,
 /// staged updates and absorbing finish states are the interpreter's by
-/// construction. `Err` carries why the machine stays on the register
-/// tier instead.
+/// construction. `Err` carries why the machine stays on the interpreter
+/// instead.
 fn unfold(ir: &FlatIr, params: &[i64]) -> Result<(CompiledMachine, Unfolded), Fallback> {
     if !arithmetic_fits(ir, params) {
         return Err(Fallback::MayOverflow);
@@ -328,8 +315,8 @@ fn unfold(ir: &FlatIr, params: &[i64]) -> Result<(CompiledMachine, Unfolded), Fa
 /// One machine resolved onto one execution tier, owned behind `Arc`s.
 ///
 /// Build one with [`StepEngine::interpreted`], [`StepEngine::dense`],
-/// [`StepEngine::register`], or — from a lowered IR, letting the IR pick
-/// the compiler — [`StepEngine::compile_ir`]; hand clones to any number
+/// or — from a lowered IR, letting the IR and its binding pick the
+/// tier — [`StepEngine::compile_ir`]; hand clones to any number
 /// of [`SessionStore`](crate::SessionStore)s.
 ///
 /// # Examples
@@ -373,7 +360,7 @@ pub struct StepEngine {
     /// Present exactly when `repr` is a dense table over the
     /// configurations of a guarded machine.
     unfolded: Option<Arc<Unfolded>>,
-    /// Why `compile_ir` chose the register tier, if it had to.
+    /// Why `compile_ir` fell back to the interpreter, if it had to.
     fallback: Option<Fallback>,
 }
 
@@ -387,13 +374,6 @@ impl StepEngine {
                 (finish, ir.start(), vars, ir.reg_count(), vars)
             }
             Repr::Dense(m) => (m.finish_flags().into(), m.start(), 0, 0, 0),
-            Repr::Register { machine: m, .. } => (
-                m.finish_flags().into(),
-                m.start(),
-                m.var_count(),
-                m.reg_count(),
-                m.scratch_len(),
-            ),
         };
         StepEngine {
             repr,
@@ -426,23 +406,6 @@ impl StepEngine {
         StepEngine::new(Repr::Dense(machine.into()))
     }
 
-    /// The register-machine tier: `machine` bound to `params`, the
-    /// binding shared by every session stepped through this engine.
-    ///
-    /// # Errors
-    ///
-    /// [`StategenError::ParamCountMismatch`] if `params` has the wrong
-    /// arity for the machine.
-    pub fn register(
-        machine: impl Into<Arc<CompiledEfsm>>,
-        params: &[i64],
-    ) -> Result<Self, StategenError> {
-        let machine = machine.into();
-        check_arity(machine.param_count(), params)?;
-        let binding = Arc::new(machine.bind(params));
-        Ok(StepEngine::new(Repr::Register { machine, binding }))
-    }
-
     /// The one `FlatIr` + parameters → engine lowering. An unguarded IR
     /// compiles onto the dense table. A guarded one
     /// ([`FlatIr::is_guarded`]) is bound to `params` and *unfolded*: its
@@ -453,10 +416,10 @@ impl StepEngine {
     /// sessions store one configuration id and no registers, and every
     /// answer this type gives (state ids and names, registers,
     /// snapshots) stays the source machine's. A guarded IR whose
-    /// configuration space is larger than that, or unbounded, compiles
-    /// onto the register-machine tier with `params` bound, exactly as
-    /// [`StepEngine::register`] would. Which of the two happened, and
-    /// why, is the engine's `Display` form. Every spec shape and every
+    /// configuration space is larger than that, or unbounded, falls
+    /// back to the interpreter with `params` bound, exactly as
+    /// [`StepEngine::interpreted`] would build it. Which of the two
+    /// happened, and why, is the engine's `Display` form. Every spec shape and every
     /// deployable artifact boots through here, so the same machine
     /// under the same binding resolves identically whichever way it
     /// arrived.
@@ -465,8 +428,8 @@ impl StepEngine {
     ///
     /// [`StategenError::Compile`] if the IR cannot be lowered (e.g.
     /// duplicate `(state, message)` transitions with identical guards —
-    /// the register compiler's rule, applied whether or not the machine
-    /// unfolds, so acceptance never depends on the binding);
+    /// checked before unfolding, so acceptance depends neither on the
+    /// binding nor on the tier that results);
     /// [`StategenError::ParamCountMismatch`] if `params` has the wrong
     /// arity (an unguarded IR takes none).
     ///
@@ -510,7 +473,7 @@ impl StepEngine {
             check_arity(0, params)?;
             return Ok(StepEngine::dense(CompiledMachine::compile_ir(ir)?));
         }
-        CompiledEfsm::reject_duplicates(ir)?;
+        ir.reject_duplicates()?;
         check_arity(ir.params().len(), params)?;
         Ok(match unfold(ir, params) {
             Ok((machine, unfolded)) => StepEngine {
@@ -521,7 +484,7 @@ impl StepEngine {
             },
             Err(fallback) => StepEngine {
                 fallback: Some(fallback),
-                ..StepEngine::register(CompiledEfsm::compile_ir(ir)?, params)?
+                ..StepEngine::interpreted(ir.clone(), params)?
             },
         })
     }
@@ -531,7 +494,6 @@ impl StepEngine {
         match &self.repr {
             Repr::Interpreted { .. } => Tier::Interpreted,
             Repr::Dense(_) => Tier::Compiled,
-            Repr::Register { .. } => Tier::CompiledEfsm,
         }
     }
 
@@ -568,7 +530,6 @@ impl StepEngine {
         match &self.repr {
             Repr::Interpreted { ir, .. } => ir.states()[state as usize].name(),
             Repr::Dense(m) => m.state_name(state),
-            Repr::Register { machine, .. } => machine.state_name(state),
         }
     }
 
@@ -586,7 +547,6 @@ impl StepEngine {
         match &self.repr {
             Repr::Interpreted { ir, .. } => ir.messages(),
             Repr::Dense(m) => m.messages(),
-            Repr::Register { machine, .. } => machine.messages(),
         }
     }
 
@@ -595,7 +555,6 @@ impl StepEngine {
         match &self.repr {
             Repr::Interpreted { ir, .. } => ir.message_id(name),
             Repr::Dense(m) => m.message_id(name),
-            Repr::Register { machine, .. } => machine.message_id(name),
         }
     }
 
@@ -605,13 +564,12 @@ impl StepEngine {
         match &self.repr {
             Repr::Interpreted { params, .. } => params,
             Repr::Dense(_) => self.unfolded.as_ref().map_or(&[], |u| &u.params),
-            Repr::Register { binding, .. } => binding.params(),
         }
     }
 
     /// Declared variables per session: the prefix of a session's
-    /// register row that is the machine's own state (the rest is
-    /// compiler temporaries). Zero for an unguarded machine.
+    /// register row that is the machine's own state (the rest is the
+    /// always-zero register). Zero for an unguarded machine.
     #[inline]
     pub fn var_count(&self) -> usize {
         self.var_count
@@ -629,8 +587,9 @@ impl StepEngine {
 
     /// Scratch slots a stepper must provide (shared by all sessions;
     /// contents are meaningless between calls, and the length is the
-    /// tier's own business — it is not part of any snapshot). Zero when
-    /// unguarded or unfolded.
+    /// tier's own business — it is not part of any snapshot): the
+    /// interpreter's pre-transition copy of the declared variables.
+    /// Zero when unguarded or unfolded.
     #[inline]
     pub fn scratch_len(&self) -> usize {
         self.scratch_len
@@ -814,9 +773,6 @@ impl StepEngine {
         match &self.repr {
             Repr::Interpreted { ir, params } => ir.step(config, message, params, regs, scratch),
             Repr::Dense(m) => m.step(config, message),
-            Repr::Register { machine, binding } => {
-                machine.step(config, message, binding, regs, scratch)
-            }
         }
     }
 
@@ -853,19 +809,12 @@ impl StepEngine {
                 let step = move |state, _: &mut [i64]| m.step(state, message);
                 walk(states, vars, n_regs, finish, step, visit)
             }
-            Repr::Register { machine, binding } => {
-                let (machine, binding): (&CompiledEfsm, &EfsmBinding) = (machine, binding);
-                let step = move |state, regs: &mut [i64]| {
-                    machine.step(state, message, binding, regs, scratch)
-                };
-                walk(states, vars, n_regs, finish, step, visit)
-            }
         }
     }
 
     /// The once-per-batch alphabet check every batch path makes before
-    /// touching a session — per session, the register tier would read
-    /// another state's cell for a foreign id.
+    /// touching a session, so a foreign id fails the same way on every
+    /// tier, flat or sharded.
     ///
     /// # Panics
     ///
@@ -885,9 +834,8 @@ impl StepEngine {
     /// were taken and how many of them entered a finish state; actions
     /// are not materialised.
     /// The dense tier gathers through the message's table column in one
-    /// pass (see the [`kernel`](crate::kernel) module); the register and
-    /// interpreted tiers walk the block, one single-session step per
-    /// slot.
+    /// pass (see the [`kernel`](crate::kernel) module); the interpreted
+    /// tier walks the block, one single-session step per slot.
     ///
     /// Slots holding an out-of-range id (a retired-slot sentinel such as
     /// `u32::MAX`) are skipped with their registers untouched, so
@@ -919,15 +867,26 @@ impl StepEngine {
 
 /// Which lowering [`StepEngine::compile_ir`] chose and why, in one line
 /// — `unfolded: 9 states × 2 vars → 91 configurations, 5980 table
-/// bytes`, `register: over budget at 4097 configurations`, … — or, for
-/// an engine whose constructor named its tier, that tier.
+/// bytes`, `interpreted: over budget at 4097 configurations`, … — or,
+/// for an engine whose constructor named its tier, that tier.
 impl fmt::Display for StepEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let states = self.state_count();
         match (&self.repr, self.fallback) {
-            (Repr::Interpreted { .. }, _) => {
+            (Repr::Interpreted { .. }, None) => {
                 write!(f, "interpreted: the lowered IR, walked as it stands")
             }
+            (Repr::Interpreted { .. }, Some(Fallback::OverBudget { configs })) => {
+                write!(f, "interpreted: over budget at {configs} configurations")
+            }
+            (Repr::Interpreted { .. }, Some(Fallback::Unbounded { var })) => write!(
+                f,
+                "interpreted: variable {var} unbounded (left ±2^31 within {MAX_CONFIGS} configurations)"
+            ),
+            (Repr::Interpreted { .. }, Some(Fallback::MayOverflow)) => write!(
+                f,
+                "interpreted: guard or update arithmetic may overflow under this binding"
+            ),
             (Repr::Dense(_), _) if self.unfolded.is_none() => {
                 write!(f, "dense: {states} states, unguarded")
             }
@@ -937,18 +896,6 @@ impl fmt::Display for StepEngine {
                 self.var_count,
                 self.config_count(),
                 machine.table_bytes(),
-            ),
-            (Repr::Register { .. }, None) => write!(f, "register: requested by the caller"),
-            (Repr::Register { .. }, Some(Fallback::OverBudget { configs })) => {
-                write!(f, "register: over budget at {configs} configurations")
-            }
-            (Repr::Register { .. }, Some(Fallback::Unbounded { var })) => write!(
-                f,
-                "register: variable {var} unbounded (left ±2^31 within {MAX_CONFIGS} configurations)"
-            ),
-            (Repr::Register { .. }, Some(Fallback::MayOverflow)) => write!(
-                f,
-                "register: guard or update arithmetic may overflow under this binding"
             ),
         }
     }
@@ -983,7 +930,7 @@ fn check_arity(expected: usize, params: &[i64]) -> Result<(), StategenError> {
 /// The loop of [`StepEngine::walk_batch`], written once and
 /// instantiated per tier with that tier's single-session `step`. Kept
 /// out of line so each instance gets its own register allocation:
-/// inlined side by side, the three loops spill each other's counters.
+/// inlined side by side, the two loops spill each other's counters.
 #[inline(never)]
 fn walk<'e>(
     states: &mut [u32],
@@ -1037,8 +984,8 @@ mod tests {
     }
 
     /// The decision is a function of machine *and* binding, and every
-    /// way out of the budget lands on the register tier — silently, in
-    /// a debug build too — behaving as the interpreter does.
+    /// way out of the budget lands on the interpreter — silently, in a
+    /// debug build too — saying why.
     #[test]
     fn lowering_is_decided_by_the_bound_configuration_space() {
         let inc = counter(Update::Inc, 0);
@@ -1062,26 +1009,26 @@ mod tests {
             (
                 &inc,
                 4096,
-                Tier::CompiledEfsm,
-                "register: over budget at 4097 configurations",
+                Tier::Interpreted,
+                "interpreted: over budget at 4097 configurations",
             ),
             (
                 &inc,
                 i64::MAX,
-                Tier::CompiledEfsm,
-                "register: over budget at 4097 configurations",
+                Tier::Interpreted,
+                "interpreted: over budget at 4097 configurations",
             ),
             (
                 &double,
                 i64::MAX,
-                Tier::CompiledEfsm,
-                "register: variable 0 unbounded",
+                Tier::Interpreted,
+                "interpreted: variable 0 unbounded",
             ),
             (
                 &counter(Update::Inc, 1),
                 i64::MAX,
-                Tier::CompiledEfsm,
-                "register: guard or update arithmetic may overflow",
+                Tier::Interpreted,
+                "interpreted: guard or update arithmetic may overflow",
             ),
         ];
         for (ir, limit, tier, why) in cases {
@@ -1091,7 +1038,7 @@ mod tests {
             // Same machine to every caller, whichever way it went.
             assert_eq!((engine.state_count(), engine.reg_count()), (2, 2));
             assert_eq!((engine.start(), engine.params()), (0, &[limit][..]));
-            if limit > 4097 && tier == Tier::CompiledEfsm && !why.contains("overflow") {
+            if limit > 4097 && tier == Tier::Interpreted && !why.contains("overflow") {
                 let mut fast = Instance::new(engine);
                 let mut reference = ir.instance(vec![limit]);
                 for _ in 0..40 {
@@ -1101,17 +1048,38 @@ mod tests {
                 }
             }
         }
-        for (engine, text) in [
-            (
-                StepEngine::interpreted(inc.clone(), &[3]).unwrap(),
-                "interpreted: ",
-            ),
-            (
-                StepEngine::register(CompiledEfsm::compile_ir(&inc).unwrap(), &[3]).unwrap(),
-                "register: requested",
-            ),
-        ] {
-            assert!(engine.to_string().starts_with(text), "{engine}");
+        let asked = StepEngine::interpreted(inc, &[3]).unwrap();
+        assert_eq!(
+            asked.to_string(),
+            "interpreted: the lowered IR, walked as it stands"
+        );
+    }
+
+    /// Two transitions with one guard on one `(state, message)` pair are
+    /// refused before unfolding, so the interpreter fallback accepts
+    /// nothing the unfolder refuses.
+    #[test]
+    fn duplicate_guards_are_refused_whichever_tier_would_result() {
+        let mut b = EfsmBuilder::new("counter", ["tick"]);
+        let limit = b.add_param("limit");
+        let n = b.add_var("n");
+        let counting = b.add_state("counting");
+        let done = b.add_state("done");
+        for to in [counting, done] {
+            let guard = Guard::when(LinExpr::var(n), CmpOp::Lt, LinExpr::param(limit));
+            b.add_transition(counting, "tick", guard, vec![Update::Inc(n)], vec![], to);
+        }
+        let ir = FlatIr::from_efsm(&b.build(counting, Some(done)));
+        // 3 unfolds; 5 000 goes over budget.
+        for limit in [3, 5000] {
+            let refused = crate::error::CompileError::DuplicateTransition {
+                state: "counting".into(),
+                message: "tick".into(),
+            };
+            assert_eq!(
+                StepEngine::compile_ir(&ir, &[limit]).err(),
+                Some(StategenError::Compile(refused))
+            );
         }
     }
 

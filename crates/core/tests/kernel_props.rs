@@ -1,12 +1,13 @@
 //! Kernel-equivalence properties: the batch kernels behind
 //! `SessionStore::deliver_all` (see `stategen_core::kernel`) are
 //! bit-identical to the scalar per-session walk (`deliver_all_scalar`)
-//! on the dense *and* the register engine, through one test body —
+//! on the dense engine of a flat machine *and* on whatever a guarded one
+//! compiles to, through one test body —
 //! states, registers, finished flags, transition totals, and the
 //! transition stream a subsequent `deliver_all_with` observes —
 //! including under mid-sequence spawn/reset/retire churn. A second
 //! body pins the store's *eager* finished count: on random machines,
-//! on all three tiers, after every store operation it equals a recount
+//! on both tiers, after every store operation it equals a recount
 //! from the state array. A sharded pool's fork-join
 //! (`ShardedPool::deliver_all`) is likewise pinned to flat-store
 //! results for every shard plan.
@@ -15,9 +16,9 @@ use proptest::prelude::*;
 
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    generate, AbstractModel, Action, CompiledEfsm, CompiledMachine, Efsm, FlatIr, FlatState,
-    FlatTransition, MessageId, Outcome, SessionStore, ShardedPool, StateComponent, StateRole,
-    StateSpace, StateVector, StepEngine, Tier,
+    generate, AbstractModel, Action, CompiledMachine, FlatIr, FlatState, FlatTransition, MessageId,
+    Outcome, SessionStore, ShardedPool, StateComponent, StateRole, StateSpace, StateVector,
+    StepEngine, Tier,
 };
 
 /// What a snapshot of `store` reads: its states and register file.
@@ -94,10 +95,10 @@ fn two_counter() -> impl Strategy<Value = TwoCounter> {
     })
 }
 
-/// The fused-check counts `(first candidate, second candidate)` a flat
-/// register cell can have — `None` for a one-candidate cell — every
-/// shape of the bound single step's inline layout. `(0, 0)` is missing
-/// because two always-true guards are a duplicate transition.
+/// The guard sizes `(first candidate, second candidate)` one `(state,
+/// message)` cell can have — `None` for a one-candidate cell — in
+/// conditions. `(0, 0)` is missing because two always-true guards are a
+/// duplicate transition.
 const CELL_SHAPES: [(usize, Option<usize>); 11] = [
     (0, None),
     (1, None),
@@ -113,16 +114,15 @@ const CELL_SHAPES: [(usize, Option<usize>); 11] = [
 ];
 
 /// A two-phase threshold EFSM: `a` counts `x` up to the parameter in
-/// `wait` (two fused candidates on one cell), then `b` counts `y` in
-/// `mid` until `done`. With `spill` the `mid` transitions carry a `Set`
-/// update, which is not inline-fusable and leaves those cells to the
-/// general bytecode — so one family covers the inline fused cells in
-/// every shape, the spill path and no-candidate cells
-/// (`b` in `wait`, `a` in `mid`). `shape` picks how many fused checks
-/// the two `(wait, a)` candidates carry ([`CELL_SHAPES`]): 0 is the
-/// always-true guard, 1 the threshold test, 2 the threshold test and a
-/// second condition that holds whenever the first is reached.
-fn threshold_efsm(spill: bool, shape: (usize, Option<usize>)) -> Efsm {
+/// `wait` (two candidates on one cell), then `b` counts `y` in `mid`
+/// until `done` — so one family covers guarded cells in every shape and
+/// no-candidate cells (`b` in `wait`, `a` in `mid`). `shape` picks how
+/// many conditions the two `(wait, a)` candidates carry
+/// ([`CELL_SHAPES`]): 0 is the always-true guard, 1 the threshold test,
+/// 2 the threshold test and a second condition that holds whenever the
+/// first is reached.
+fn threshold_ir(shape: usize) -> FlatIr {
+    let shape = CELL_SHAPES[shape];
     let mut b = EfsmBuilder::new("kernel-prop", ["a", "b"]);
     let t = b.add_param("t");
     let x = b.add_var("x");
@@ -156,30 +156,14 @@ fn threshold_efsm(spill: bool, shape: (usize, Option<usize>)) -> Efsm {
             mid,
         );
     }
-    let bump = |spill: bool| {
-        if spill {
-            vec![Update::Set(y, LinExpr::var(y).plus_const(1))]
-        } else {
-            vec![Update::Inc(y)]
-        }
-    };
-    b.add_transition(
-        mid,
-        "b",
-        Guard::when(LinExpr::var(y).plus_const(1), CmpOp::Lt, LinExpr::param(t)),
-        bump(spill),
-        vec![],
-        mid,
-    );
-    b.add_transition(
-        mid,
-        "b",
-        Guard::when(LinExpr::var(y).plus_const(1), CmpOp::Ge, LinExpr::param(t)),
-        bump(spill),
-        vec![Action::send("done")],
-        done,
-    );
-    b.build(wait, Some(done))
+    for (op, actions, to) in [
+        (CmpOp::Lt, vec![], mid),
+        (CmpOp::Ge, vec![Action::send("done")], done),
+    ] {
+        let guard = Guard::when(LinExpr::var(y).plus_const(1), op, LinExpr::param(t));
+        b.add_transition(mid, "b", guard, vec![Update::Inc(y)], actions, to);
+    }
+    FlatIr::from_efsm(&b.build(wait, Some(done)))
 }
 
 /// One step of store churn, decoded from a proptest-drawn op stream:
@@ -213,13 +197,6 @@ fn dense_engine(model: &TwoCounter) -> StepEngine {
     StepEngine::dense(CompiledMachine::compile(&g.machine))
 }
 
-fn register_engine(t: i64, spill: bool, shape: usize) -> StepEngine {
-    let efsm = threshold_efsm(spill, CELL_SHAPES[shape]);
-    let compiled = CompiledEfsm::compile(&efsm).expect("compiles");
-    assert_eq!(compiled.bind(&[t]).spill_cell_count() > 0, spill);
-    StepEngine::register(compiled, &[t]).expect("one parameter")
-}
-
 fn message(engine: &StepEngine, mi: usize) -> MessageId {
     engine
         .message_id(if mi == 0 { "a" } else { "b" })
@@ -227,7 +204,7 @@ fn message(engine: &StepEngine, mi: usize) -> MessageId {
 }
 
 // ---------------------------------------------------------------------
-// Kernel vs scalar: one body, both compiled engines.
+// Kernel vs scalar: one body, flat and unfolded.
 // ---------------------------------------------------------------------
 
 /// The kernel behind `deliver_all` is bit-identical to the scalar walk
@@ -318,22 +295,24 @@ proptest! {
         kernel_matches_scalar(dense_engine(&model), sessions, &ops, 0)?;
     }
 
-    /// The register tier's batch path — the walk, through fused cells
-    /// of every shape and spilled ones — matches the scalar walk.
+    /// A guarded machine's batch path — the gather over its unfolded
+    /// configurations or, where an always-true `Inc` leaves it
+    /// unbounded, the interpreter's walk; guarded cells of every shape —
+    /// matches the scalar walk.
     #[test]
     fn efsm_kernel_matches_scalar(
         t in 1i64..6,
-        spill in any::<bool>(),
         shape in 0..CELL_SHAPES.len(),
         sessions in 0usize..96,
         ops in op_stream(),
     ) {
-        kernel_matches_scalar(register_engine(t, spill, shape), sessions, &ops, 1)?;
+        let engine = StepEngine::compile_ir(&threshold_ir(shape), &[t]).expect("compiles");
+        kernel_matches_scalar(engine, sessions, &ops, 1)?;
     }
 }
 
 // ---------------------------------------------------------------------
-// The eager finished count: one body, all three tiers.
+// The eager finished count: one body, both tiers.
 // ---------------------------------------------------------------------
 
 /// One `(state, message)` cell of a [`RandomMachine`].
@@ -343,7 +322,7 @@ enum Cell {
     /// One unguarded transition.
     Plain(usize),
     /// Two candidates split on `x + 1 < t`, both incrementing `x` — as a
-    /// `Set` (not inline-fusable: a spilled cell) if `spill`.
+    /// `Set` if `spill`.
     /// The unguarded lowering keeps only the first target.
     Split(usize, usize, bool),
 }
@@ -575,8 +554,8 @@ fn finished_count_tracks_states(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The finished count is exact after every operation, on the dense,
-    /// the register and the interpreted engines of one random machine —
+    /// The finished count is exact after every operation, on the dense
+    /// (flat and unfolded) and the interpreted engines of one random machine —
     /// the interpreted ones walking the drawn IRs themselves, guarded
     /// and not.
     #[test]
@@ -715,21 +694,21 @@ proptest! {
         sharded_pool_matches_flat(dense_engine(&model), &sizes, &diverge, &cmds)?;
     }
 
-    /// The same for a guarded machine on the register engine, where
-    /// shards also carry registers, and unfolded onto the dense table,
-    /// where they carry configuration ids.
+    /// The same for a guarded machine on the interpreter, where shards
+    /// also carry registers, and unfolded onto the dense table, where
+    /// they carry configuration ids.
     #[test]
     fn sharded_efsm_pool_matches_flat(
         t in 1i64..6,
-        spill in any::<bool>(),
         sizes in shard_plan(),
         diverge in prop::collection::vec((any::<usize>(), 0usize..2), 0..24),
         cmds in cmd_stream(),
     ) {
-        let ir = FlatIr::from_efsm(&threshold_efsm(spill, CELL_SHAPES[6]));
+        let ir = threshold_ir(6);
         let unfolded = StepEngine::compile_ir(&ir, &[t]).expect("compiles");
         prop_assert_eq!(unfolded.tier(), Tier::Compiled);
-        for engine in [register_engine(t, spill, 6), unfolded] {
+        let interpreted = StepEngine::interpreted(ir, &[t]).expect("one parameter");
+        for engine in [interpreted, unfolded] {
             sharded_pool_matches_flat(engine, &sizes, &diverge, &cmds)?;
         }
     }

@@ -1,5 +1,6 @@
-//! Property suite: the broadcast EFSM's compiled guard/update bytecode
-//! is observationally equivalent to the interpreted tier — on
+//! Property suite: the broadcast EFSM compiled through
+//! `StepEngine::compile_ir` is observationally equivalent to the
+//! interpreted tier — on
 //! random message traces, for a range of participant counts, as a single
 //! instance, as a batched session pool, and behind the
 //! `stategen-runtime` facade (`Spec::efsm → Engine → Runtime`).
@@ -8,7 +9,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use stategen_core::{CompiledEfsm, Efsm, Instance, ProtocolEngine, SessionStore, StepEngine};
+use stategen_core::{Efsm, FlatIr, Instance, ProtocolEngine, SessionStore, StepEngine};
 use stategen_models::{
     broadcast_efsm, broadcast_efsm_instance, broadcast_efsm_params, BroadcastModel,
 };
@@ -21,18 +22,13 @@ fn efsm() -> &'static Efsm {
     EFSM.get_or_init(broadcast_efsm)
 }
 
-fn compiled() -> &'static CompiledEfsm {
-    static COMPILED: OnceLock<CompiledEfsm> = OnceLock::new();
-    COMPILED.get_or_init(|| CompiledEfsm::compile(efsm()).expect("broadcast EFSM compiles"))
-}
-
 fn check(n: u32, messages: &[usize]) {
     let model = BroadcastModel::new(n);
     let mut interp = broadcast_efsm_instance(efsm(), &model);
-    let register =
-        StepEngine::register(compiled().clone(), &broadcast_efsm_params(&model)).unwrap();
-    let mut single = Instance::new(register.clone());
-    let mut pool = SessionStore::new(register, 2);
+    let params = broadcast_efsm_params(&model);
+    let compiled = StepEngine::compile_ir(&FlatIr::from_efsm(efsm()), &params).unwrap();
+    let mut single = Instance::new(compiled.clone());
+    let mut pool = SessionStore::new(compiled.clone(), 2);
     let engine =
         Engine::compile(Spec::efsm(broadcast_efsm(), broadcast_efsm_params(&model))).unwrap();
     let mut facade = engine.runtime();
@@ -41,7 +37,7 @@ fn check(n: u32, messages: &[usize]) {
         let name = MESSAGES[mi % MESSAGES.len()];
         let a_interp = interp.deliver(name).unwrap();
         let a_single = single.deliver(name).unwrap();
-        let mid = compiled().message_id(name).unwrap();
+        let mid = compiled.message_id(name).unwrap();
         let a_pool = pool.deliver(0, mid);
         assert_eq!(
             a_interp,

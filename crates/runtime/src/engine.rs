@@ -29,8 +29,8 @@ pub struct Engine {
 
 /// The engine in one line, not its tables: name, tier and the lowering
 /// that put it there — `unfolded: 9 states × 2 vars → 91
-/// configurations, …`, `register: over budget at 4097 configurations`
-/// — then the fingerprint.
+/// configurations, …`, `interpreted: over budget at 4097
+/// configurations` — then the fingerprint.
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} #{:016x}", self.describe(), self.fingerprint)
@@ -60,8 +60,9 @@ impl Engine {
     /// dense-table tier; guarded ones — EFSMs, guarded statecharts —
     /// bound to their parameters and unfolded onto the dense table too
     /// when they reach at most 4 096 `(state, variables)`
-    /// configurations, onto the fused-bytecode tier otherwise. The
-    /// `Debug` form of the result says which, and why.
+    /// configurations, and walked by the interpreter otherwise (as
+    /// [`Engine::interpret`] would, at the interpreter's dispatch cost).
+    /// The `Debug` form of the result says which, and why.
     ///
     /// This is the serving configuration — pay one flattening pass at
     /// ingest, then dispatch in a few nanoseconds with zero allocation

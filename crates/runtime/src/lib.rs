@@ -36,8 +36,8 @@
 //! configurations enumerated (the paper's §4.2: bind the replication
 //! factor, *then* generate the FSM), and when there are at most 4 096
 //! of them they become the rows of a dense table too — the machine is
-//! *unfolded*; only an unbounded or over-budget one stays on the
-//! register-machine (compiled-EFSM) tier. Which happened, and why, is
+//! *unfolded*; only an unbounded or over-budget one is walked by the
+//! interpreter instead, as [`Engine::interpret`] would. Which happened, and why, is
 //! the engine's `Debug` form and the first line of
 //! [`Runtime::dump_trace`]. The two engines of one spec are one machine
 //! on two tiers: same fingerprint, same state and message numbering,
@@ -72,14 +72,14 @@
 //! | any spec — `StateMachine`, `Efsm` + values, statechart | [`Engine::interpret`] | [`Tier::Interpreted`] | authoring, debugging, one-off runs; no preparation pass |
 //! | a `StateMachine` to serve traffic | [`Engine::compile`] | [`Tier::Compiled`] | dense-table dispatch in ~1 ns, zero allocation per delivery |
 //! | an `Efsm` + parameter values, finitely many reachable configurations (≤ 4 096) | [`Engine::compile`] | [`Tier::Compiled`] | one machine generic over the protocol parameter (e.g. replication factor), unfolded per binding onto the dense table |
-//! | an `Efsm` + parameter values, unbounded or over budget | [`Engine::compile`] | [`Tier::CompiledEfsm`] | counters the dense table cannot hold: fused checks + bytecode over per-session registers |
+//! | an `Efsm` + parameter values, unbounded or over budget | [`Engine::compile`] | [`Tier::Interpreted`] | counters the dense table cannot hold: the interpreter's walk over per-session registers, the fallback's reason in the `Debug` line |
 //! | an unguarded `HierarchicalMachine` | [`Engine::compile`] | [`Tier::Compiled`] | statecharts flatten into the same dense tables; the front-end is not a tier |
-//! | a *guarded* `HierarchicalMachine` + parameter values | [`Engine::compile`] with [`Spec::hsm_with_params`] | [`Tier::Compiled`] when the bound machine unfolds, else [`Tier::CompiledEfsm`] | statecharts with variables/guards/updates flatten to a guarded flat machine, which then lowers exactly as an `Efsm` does |
+//! | a *guarded* `HierarchicalMachine` + parameter values | [`Engine::compile`] with [`Spec::hsm_with_params`] | [`Tier::Compiled`] when the bound machine unfolds, else [`Tier::Interpreted`] | statecharts with variables/guards/updates flatten to a guarded flat machine, which then lowers exactly as an `Efsm` does |
 //! | [`Artifact`] bytes | [`Engine::from_artifact`] | whichever of the two its machine compiles onto | booting a serving host from shipped bytes alone |
 //! | a machine known at *build* time | `stategen-generated` | — | rendered source, no machine data at runtime |
 //!
-//! Three tiers, because that is what the two compilers (and their
-//! absence) distinguish; the same machine reports the same tier
+//! Two tiers — the paper's two deployment policies (§4.2): generate the
+//! FSM for one binding, or interpret the model; the same machine reports the same tier
 //! whether it arrived as a spec or as an artifact. All tiers are
 //! behaviourally equivalent — the conformance suite in
 //! this crate drives the same trace corpus through both engines of

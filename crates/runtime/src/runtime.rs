@@ -421,8 +421,8 @@ pub struct SessionSnapshot {
     /// The dense state id the session was in.
     pub state: u32,
     /// The session's complete register file — declared EFSM variables
-    /// first, then any compiler temporaries; empty on the non-register
-    /// tiers. Capturing the *full* file (not just the declared
+    /// first, then the always-zero register; empty for an unguarded
+    /// machine. Capturing the *full* file (not just the declared
     /// variables) is what makes restoration bit-identical.
     pub vars: Vec<i64>,
     /// The slot generation the snapshot was taken at; a handle with
@@ -1668,10 +1668,10 @@ mod tests {
         assert_eq!(rt.try_deliver(s, a).unwrap(), [Action::send("x")]);
     }
 
-    /// A foreign message id in a *batch* panics with one message on all
-    /// three tiers — it used to be ignored by the interpreter, index out
-    /// of bounds on the dense table, and in release builds read another
-    /// state's cell on the register tier — flat or sharded, observed or
+    /// A foreign message id in a *batch* panics with one message on both
+    /// tiers and every lowering — it used to be ignored by the
+    /// interpreter and index out of bounds on the dense table — flat or
+    /// sharded, observed or
     /// not: a sharded runtime used to report its worker's death instead,
     /// and an observed one the recorder's tail probe's own complaint,
     /// losing the recorder. `verify.sh` re-runs this in release.
@@ -1688,7 +1688,7 @@ mod tests {
             commit_efsm(),
             commit_efsm_params(&CommitConfig::new(4).unwrap()),
         );
-        // r = 64 is past the unfolding budget: the register tier.
+        // r = 64 is past the unfolding budget: the interpreter.
         let wide_efsm = Spec::efsm(
             commit_efsm(),
             commit_efsm_params(&CommitConfig::new(64).unwrap()),
@@ -1697,10 +1697,29 @@ mod tests {
             Engine::interpret(Spec::machine(finishing_machine())).unwrap(),
             Engine::compile(Spec::machine(finishing_machine())).unwrap(),
             Engine::compile(efsm.clone()).unwrap(),
-            Engine::compile(wide_efsm).unwrap(),
+            Engine::compile(wide_efsm.clone()).unwrap(),
             Engine::interpret(efsm).unwrap(),
         ];
-        assert_eq!(engines[3].tier(), Tier::CompiledEfsm);
+        assert_eq!(engines[3].tier(), Tier::Interpreted);
+        let why = "interpreted: over budget at 4097 configurations";
+        assert!(format!("{:?}", engines[3]).contains(why));
+        // Its sessions still move: a snapshot restores under the
+        // explicitly interpreted engine, and a drain-and-switch swap
+        // lands them on the unfolded r = 4 engine of the same machine.
+        let mut rt = engines[3].runtime();
+        let live: Vec<_> = (0..3).map(|_| rt.spawn()).collect();
+        rt.deliver(live[0], rt.message_id("update").unwrap());
+        let snap = rt.snapshot_all();
+        let walked = Engine::interpret(wide_efsm).unwrap();
+        assert_eq!(
+            Runtime::restore(&walked, &snap).unwrap().snapshot_all(),
+            snap
+        );
+        let draining = SwapOutcome::Draining { sessions: 3 };
+        assert_eq!(rt.begin_swap(engines[2].clone()), Ok(draining));
+        live.into_iter().for_each(|s| rt.release(s));
+        assert_eq!(rt.finish_swap(), Ok(()));
+        assert_eq!(rt.engine().tier(), Tier::Compiled);
         for engine in engines {
             let alphabet = engine.messages().len();
             // A lockstep pool, then a divergent one; flat, then forked
@@ -2146,15 +2165,15 @@ mod tests {
     /// [`Shard::capture_batch_tail`]) must leave the ring bit-identical
     /// — events, order, and sequence accounting — to recording every
     /// transition inline from the one observed loop
-    /// ([`Shard::deliver_batch`] with an enabled observer), across all
-    /// three engine tiers, dense and holed slot arrays, guard
+    /// ([`Shard::deliver_batch`] with an enabled observer), across both
+    /// engine tiers and every lowering, dense and holed slot arrays, guard
     /// fall-throughs, and batches larger than the ring.
     #[test]
     fn replayed_ring_matches_per_transition_recording() {
         use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, MESSAGE_NAMES};
 
         let config = CommitConfig::new(3).unwrap();
-        // r = 64 is past the unfolding budget: the register tier.
+        // r = 64 is past the unfolding budget: the interpreter.
         let wide = CommitConfig::new(64).unwrap();
         let tiers: [(Engine, &[&str]); 4] = [
             (
@@ -2174,7 +2193,7 @@ mod tests {
                 &MESSAGE_NAMES,
             ),
         ];
-        assert_eq!(tiers[3].0.tier(), Tier::CompiledEfsm);
+        assert_eq!(tiers[3].0.tier(), Tier::Interpreted);
         for (engine, script) in tiers {
             let mut replayed = engine.runtime();
             let mut inline = engine.runtime();

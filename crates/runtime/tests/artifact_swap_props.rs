@@ -159,7 +159,7 @@ fn matching_fingerprint_migrates_in_place() {
     // The "same bytes redeployed" scenario: an artifact-booted engine of
     // the same family and binding — identical fingerprint, different
     // provenance — and then the same guarded machine rolled from the
-    // register tier onto the interpreted one and back: a fingerprint
+    // compiled tier onto the interpreted one and back: a fingerprint
     // names a machine, not a tier, and the register file fits both.
     let booted =
         boot_from_bytes(&Artifact::from_efsm(&commit_efsm(), commit_efsm_params(&config)).unwrap());

@@ -16,7 +16,10 @@ use std::borrow::Cow;
 
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::{generate, FlatIr, HsmInstance, Instance, StateMachine, StepEngine};
-use stategen_models::{session_lifecycle, session_lifecycle_guarded};
+use stategen_models::{
+    broadcast_efsm, broadcast_efsm_params, session_lifecycle, session_lifecycle_guarded,
+    BroadcastModel,
+};
 use stategen_runtime::{Engine, ProtocolEngine, Runtime, Spec, Tier};
 
 /// Deterministic LCG over message indices (no RNG dependency; the
@@ -352,8 +355,8 @@ fn protocol_engine_is_object_safe() {
 /// Duplicate-delivery safety (the fault model's at-least-once half):
 /// once a session is finished, every further delivery — any message,
 /// any number of times — is absorbed: no actions, no state change,
-/// still finished. Checked on all three runtime-served tiers, the
-/// interpreted one over a flat and over a guarded machine (the
+/// still finished. Checked on both runtime-served tiers, each over a
+/// flat and over a guarded machine (the
 /// build-time generated tier has the matching check in
 /// `stategen-generated`'s suite).
 #[test]
@@ -421,5 +424,47 @@ fn finished_sessions_absorb_duplicate_deliveries_on_all_tiers() {
             parked_vars,
             "{tier:?}: registers changed after finish"
         );
+    }
+}
+
+/// The fallback is for machines nobody deploys: every guarded machine
+/// the `build_deploy` corpus ships, the commit EFSM through r = 54 and
+/// the broadcast EFSM unfold onto the dense table. The commit EFSM at
+/// r = 55 is the first past the budget; it runs on the interpreter,
+/// says why, and agrees with `Engine::interpret` step for step.
+/// (`scripts/verify.sh` re-runs this in release.)
+#[test]
+fn no_deployed_machine_falls_back() {
+    let commit = |r| {
+        Spec::efsm(
+            commit_efsm(),
+            commit_efsm_params(&CommitConfig::new(r).unwrap()),
+        )
+    };
+    let broadcast = |n| broadcast_efsm_params(&BroadcastModel::new(n));
+    let mut deployed = vec![Spec::hsm_with_params(session_lifecycle_guarded(), vec![3])];
+    deployed.extend([4, 7, 10, 25, 46, 54].map(commit));
+    deployed.extend([4, 7, 13].map(|n| Spec::efsm(broadcast_efsm(), broadcast(n))));
+    for spec in deployed {
+        let engine = Engine::compile(spec).unwrap();
+        let lowering = format!("{engine:?}");
+        assert!(
+            engine.tier() == Tier::Compiled && lowering.contains(" — unfolded: "),
+            "{lowering}"
+        );
+    }
+
+    let fallback = Engine::compile(commit(55)).unwrap();
+    assert_eq!(fallback.tier(), Tier::Interpreted);
+    let why = " — interpreted: over budget at 4097 configurations #";
+    assert!(format!("{fallback:?}").contains(why), "{fallback:?}");
+    let [mut a, mut b] = [fallback, Engine::interpret(commit(55)).unwrap()].map(|e| e.runtime());
+    let (sa, sb) = (a.spawn(), b.spawn());
+    for (step, mi) in corpus(55, 200, MESSAGE_NAMES.len()).into_iter().enumerate() {
+        let m = a.message_id(MESSAGE_NAMES[mi]).unwrap();
+        assert_eq!(a.deliver(sa, m), b.deliver(sb, m), "step {step}");
+        assert_eq!(a.state_name(sa), b.state_name(sb), "step {step}");
+        assert_eq!(a.vars(sa), b.vars(sb), "step {step}");
+        assert_eq!(a.is_finished(sa), b.is_finished(sb), "step {step}");
     }
 }

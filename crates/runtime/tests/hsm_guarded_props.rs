@@ -1,11 +1,10 @@
 //! Property suite for the *guarded* statechart pipeline: the direct
-//! statechart interpreter, the interpreted flat IR, the compiled EFSM
-//! and the `Runtime`-served facade — compiled and interpreted — must be
+//! statechart interpreter, the interpreted flat IR and the
+//! `Runtime`-served facade — compiled and interpreted — must be
 //! trace-equivalent on randomized guarded hierarchical machines —
 //!
 //! ```text
 //! HsmInstance (guarded) ≡ IrInstance(flatten_ir)
-//!                       ≡ Instance(register(compile_ir(flatten_ir)))
 //!                       ≡ Runtime(Engine::compile(Spec::hsm_with_params))
 //!                       ≡ Runtime(Engine::interpret(Spec::hsm_with_params))
 //! ```
@@ -13,9 +12,10 @@
 //! What that proves: the guarded run-to-completion kernel (innermost
 //! handler with guard fall-through, staged pre-transition-value
 //! updates), the candidate enumeration the flattener emits per
-//! `(configuration, message)` cell, the register-machine lowering of
-//! the carried guards/updates, and the facade's per-session variable
-//! registers all implement *one* semantics. The statechart guard
+//! `(configuration, message)` cell, the unfolding of the carried
+//! guards/updates (or the interpreter fallback past its budget), and
+//! the facade's per-session variable registers all implement *one*
+//! semantics. The statechart guard
 //! semantics themselves (inherited guarded transitions across levels,
 //! disjoint sibling guards, update ordering around exit/entry
 //! sequences) are pinned by the closed-form units at the bottom.
@@ -23,10 +23,7 @@
 use proptest::prelude::*;
 
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
-use stategen_core::{
-    Action, CompiledEfsm, HierarchicalMachine, HsmBuilder, HsmStateId, Instance, ProtocolEngine,
-    StepEngine,
-};
+use stategen_core::{Action, HierarchicalMachine, HsmBuilder, HsmStateId, ProtocolEngine};
 use stategen_runtime::{Engine, Spec, Tier};
 
 /// The fixed alphabet random machines draw from.
@@ -191,7 +188,7 @@ fn build_random_guarded_hsm(recipe: &Recipe) -> HierarchicalMachine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The five-way equivalence on random guarded machines and traces:
+    /// The four-way equivalence on random guarded machines and traces:
     /// identical action sequences, configuration names, variable
     /// registers, completion flags and step counts at every step.
     #[test]
@@ -203,20 +200,19 @@ proptest! {
         let params = vec![r.budget as i64];
         prop_assert!(hsm.is_guarded());
         let ir = hsm.flatten_ir();
-        let compiled = CompiledEfsm::compile_ir(&ir)
-            .expect("flattened candidate lists carry no duplicate guards");
         let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
-        let engine = Engine::compile(spec.clone()).expect("guarded statechart compiles");
+        let engine = Engine::compile(spec.clone())
+            .expect("flattened candidate lists carry no duplicate guards");
         // On the dense table, unfolded, or — an unbounded `Inc` on the
-        // `at` side of a pair — left on the register tier.
-        prop_assert_ne!(engine.tier(), Tier::Interpreted);
+        // `at` side of a pair — on the interpreter, saying why.
+        let lowering = format!("{engine:?}");
+        prop_assert!(!lowering.contains("walked as it stands"), "{}", lowering);
         let walking = Engine::interpret(spec).expect("guarded statechart interprets");
         prop_assert_eq!(walking.tier(), Tier::Interpreted);
         prop_assert_eq!(walking.fingerprint(), engine.fingerprint());
 
         let mut reference = hsm.instance_with(params.clone());
         let mut interp = ir.instance(params.clone());
-        let mut fast = register_instance(compiled, &params);
         let mut rt = engine.runtime();
         let session = rt.spawn();
         let mut walked = walking.runtime();
@@ -230,32 +226,25 @@ proptest! {
             let want = reference.deliver_ref(name).expect("declared message").to_vec();
             let from_interp = interp.deliver_ref(name).expect("declared message");
             prop_assert_eq!(&want, &from_interp.to_vec(), "step {}", step);
-            let from_fast = fast.deliver_ref(name).expect("declared message");
-            prop_assert_eq!(want.as_slice(), from_fast, "step {}", step);
             let from_rt = rt.deliver(session, mid).to_vec();
             prop_assert_eq!(want.as_slice(), &from_rt[..], "step {}", step);
             prop_assert_eq!(want.as_slice(), walked.deliver(walked_session, mid), "step {}", step);
             prop_assert_eq!(rt.snapshot(session), walked.snapshot(walked_session), "step {}", step);
             prop_assert_eq!(reference.state_name(), interp.state_name(), "step {}", step);
-            prop_assert_eq!(interp.state_name(), fast.state_name(), "step {}", step);
-            prop_assert_eq!(fast.state_name_str(), rt.state_name(session), "step {}", step);
+            prop_assert_eq!(interp.state_name(), rt.state_name(session), "step {}", step);
             prop_assert_eq!(reference.vars(), interp.vars(), "step {}", step);
-            prop_assert_eq!(interp.vars(), fast.vars(), "step {}", step);
-            prop_assert_eq!(fast.vars(), rt.vars(session), "step {}", step);
+            prop_assert_eq!(interp.vars(), rt.vars(session), "step {}", step);
             prop_assert_eq!(reference.is_finished(), interp.is_finished(), "step {}", step);
-            prop_assert_eq!(interp.is_finished(), fast.is_finished(), "step {}", step);
-            prop_assert_eq!(fast.is_finished(), rt.is_finished(session), "step {}", step);
+            prop_assert_eq!(interp.is_finished(), rt.is_finished(session), "step {}", step);
         }
         prop_assert_eq!(reference.steps(), interp.steps());
-        prop_assert_eq!(interp.steps(), fast.steps());
-        prop_assert_eq!(fast.steps(), rt.steps());
+        prop_assert_eq!(interp.steps(), rt.steps());
         prop_assert_eq!(rt.steps(), walked.steps());
 
         // Reset restores the initial configuration and zeroed registers
         // identically everywhere.
         reference.reset();
         interp.reset();
-        fast.reset();
         rt.reset(session);
         prop_assert_eq!(reference.state_name(), interp.state_name());
         prop_assert_eq!(interp.state_name(), rt.state_name(session));
@@ -316,16 +305,11 @@ proptest! {
 // leg of the pipeline.
 // ---------------------------------------------------------------------
 
-/// The compiled register machine bound to `params`, as one session.
-fn register_instance(compiled: CompiledEfsm, params: &[i64]) -> Instance {
-    Instance::new(StepEngine::register(compiled, params).expect("binding arity"))
-}
-
 fn send(m: &str) -> Action {
     Action::send(m)
 }
 
-/// Drives the same trace through all five engines, asserting identical
+/// Drives the same trace through all four engines, asserting identical
 /// actions, names, variables and completion at every step, and returns
 /// the reference's collected action log for closed-form assertions.
 fn all_tiers_agree(
@@ -334,12 +318,10 @@ fn all_tiers_agree(
     trace: &[&str],
 ) -> Vec<Vec<Action>> {
     let ir = hsm.flatten_ir();
-    let compiled = CompiledEfsm::compile_ir(&ir).expect("compiles");
     let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
     let engine = Engine::compile(spec.clone()).expect("compiles");
     let mut reference = hsm.instance_with(params.clone());
     let mut interp = ir.instance(params.clone());
-    let mut fast = register_instance(compiled, &params);
     let mut rt = engine.runtime();
     let session = rt.spawn();
     let mut walked = Engine::interpret(spec).expect("interprets").runtime();
@@ -349,15 +331,13 @@ fn all_tiers_agree(
         let mid = engine.message_id(m).expect("declared message");
         let want = reference.deliver_ref(m).expect("declared message").to_vec();
         assert_eq!(interp.deliver_ref(m).unwrap(), want.as_slice(), "at {m}");
-        assert_eq!(fast.deliver_ref(m).unwrap(), want.as_slice(), "at {m}");
         assert_eq!(rt.deliver(session, mid), want.as_slice(), "at {m}");
         assert_eq!(walked.deliver(walked_session, mid), want, "at {m}");
         assert_eq!(rt.snapshot(session), walked.snapshot(walked_session));
         assert_eq!(reference.state_name(), interp.state_name(), "at {m}");
-        assert_eq!(interp.state_name(), fast.state_name(), "at {m}");
-        assert_eq!(fast.state_name_str(), rt.state_name(session), "at {m}");
-        assert_eq!(reference.vars(), fast.vars(), "at {m}");
-        assert_eq!(fast.vars(), rt.vars(session), "at {m}");
+        assert_eq!(interp.state_name(), rt.state_name(session), "at {m}");
+        assert_eq!(reference.vars(), interp.vars(), "at {m}");
+        assert_eq!(interp.vars(), rt.vars(session), "at {m}");
         assert_eq!(reference.is_finished(), rt.is_finished(session), "at {m}");
         log.push(want);
     }
@@ -499,9 +479,6 @@ fn update_ordering_across_exit_entry_sequences() {
     );
     let hsm = b.build(a);
 
-    let ir = hsm.flatten_ir();
-    let compiled = CompiledEfsm::compile_ir(&ir).expect("compiles");
-    let mut fast = register_instance(compiled, &[]);
     let log = all_tiers_agree(&hsm, vec![], &["hop"]);
     assert_eq!(
         log[0],
@@ -514,9 +491,8 @@ fn update_ordering_across_exit_entry_sequences() {
         ]
     );
     // Staged from (x, y) = (0, 0): x := y+1 = 1, y := x+5 = 5 — the new
-    // x must not leak into y's expression on any tier.
-    fast.deliver_ref("hop").unwrap();
-    assert_eq!(fast.vars(), &[1, 5]);
+    // x must not leak into y's expression on any tier (they all agreed
+    // with the reference above).
     let mut reference = hsm.instance_with(vec![]);
     reference.deliver_ref("hop").unwrap();
     assert_eq!(reference.vars(), &[1, 5]);

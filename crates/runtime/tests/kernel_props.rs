@@ -8,15 +8,15 @@
 //! build-time-generated machines — and through a sharded runtime's
 //! fork-join on every tier. The
 //! last property is differential across *lowerings*: random guarded
-//! EFSMs, unfolded onto the dense table or left on the register tier as
-//! their bound configuration space decides, against an explicit
-//! register-tier store and the interpreter, through scripts that also
-//! snapshot, restore and hot-swap between them.
+//! EFSMs, unfolded onto the dense table or left on the interpreter as
+//! their bound configuration space decides, against a bare store over
+//! the interpreted engine and an interpreted runtime, through scripts
+//! that also snapshot, restore and hot-swap between them.
 
 use proptest::prelude::*;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-use stategen_core::{generate, Action, CompiledEfsm, Efsm, SessionStore, StepEngine};
+use stategen_core::{generate, Action, Efsm, FlatIr, SessionStore, StepEngine};
 use stategen_generated::GeneratedCommitR4;
 use stategen_runtime::{Engine, MessageId, Runtime, SessionId, Spec, SwapOutcome, Tier};
 
@@ -209,9 +209,9 @@ proptest! {
     }
 
     /// A sharded runtime's fork-join is a pure layout change on every
-    /// tier that serves the commit protocol — dense (the generated FSM),
-    /// unfolded (the EFSM bound at r = 4) and register (bound at r = 64,
-    /// over the unfolding budget): for any shard count, uneven and empty
+    /// lowering that serves the commit protocol — dense (the generated
+    /// FSM), unfolded (the EFSM bound at r = 4) and interpreted (bound at
+    /// r = 64, over the unfolding budget): for any shard count, uneven and empty
     /// shards (sessions diverged and released before the drive) and any
     /// deliver/reset sequence, per-batch transition counts and
     /// finished/step totals equal a flat runtime's, and afterwards every
@@ -232,7 +232,7 @@ proptest! {
         } else {
             Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap()
         };
-        let expected = [Tier::Compiled, Tier::Compiled, Tier::CompiledEfsm][tier];
+        let expected = [Tier::Compiled, Tier::Compiled, Tier::Interpreted][tier];
         prop_assert_eq!(engine.tier(), expected);
         let mut flat = engine.runtime();
         let mut sharded = engine.runtime().sharded(shards);
@@ -274,12 +274,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Three lowerings of one random guarded machine, indistinguishable.
+// The lowerings of one random guarded machine, indistinguishable.
 // ---------------------------------------------------------------------
 
-/// The fused-check counts `(first, second candidate)` of a register
-/// cell, as in `stategen-core`'s kernel suite: every shape of the bound
-/// single step's inline layout.
+/// The guard sizes `(first, second candidate)` of one `(state,
+/// message)` cell, in conditions, as in `stategen-core`'s kernel suite.
 const CELL_SHAPES: [(usize, Option<usize>); 11] = [
     (0, None),
     (1, None),
@@ -301,7 +300,7 @@ enum Cell {
     /// One unguarded transition.
     Plain(usize),
     /// Candidates split on `x + 1 < t`, carrying `CELL_SHAPES[shape]`
-    /// fused checks: below the threshold `x` is incremented (by a `Set`
+    /// conditions: below the threshold `x` is incremented (by a `Set`
     /// if `spill`); at it, `at` picks the update — mostly `x := 0` or
     /// none, which keep the counter bounded, sometimes `Inc x` /
     /// `Inc y`, which let it run away around a cycle.
@@ -482,9 +481,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Whatever `Engine::compile` decides for a guarded machine under a
-    /// binding — unfold it, or leave it on the register tier — a
-    /// runtime over it, a bare store over the explicit register engine
-    /// and a runtime over the interpreter stay indistinguishable
+    /// binding — unfold it, or leave it on the interpreter — a runtime
+    /// over it, a bare store over the interpreted engine and a runtime
+    /// over the interpreter stay indistinguishable
     /// through any script: states, names, registers, finished flags and
     /// counts, transition counts, actions and recorder rings after
     /// every operation, with snapshots and live sessions crossing
@@ -502,16 +501,15 @@ proptest! {
             Engine::interpret(spec).expect("interprets"),
         ];
         if machine.runaway && machine.finish != Some(machine.start) {
-            prop_assert_eq!(engines[0].tier(), Tier::CompiledEfsm, "{:?}", &engines[0]);
+            prop_assert_eq!(engines[0].tier(), Tier::Interpreted, "{:?}", &engines[0]);
         }
-        let register = CompiledEfsm::compile(&efsm).expect("compiles");
-        let register = StepEngine::register(register, &[t]).expect("one parameter");
+        let walk = StepEngine::interpreted(FlatIr::from_efsm(&efsm), &[t]).expect("one parameter");
         let mut runtimes = [engines[0].runtime(), engines[1].runtime()];
         let ids: Vec<MessageId> = MESSAGES.iter().map(|m| engines[0].message_id(m).unwrap()).collect();
         for rt in &mut runtimes {
             rt.attach_recorder(8);
         }
-        let mut store = SessionStore::new(register.clone(), 0);
+        let mut store = SessionStore::new(walk.clone(), 0);
         // Per live session: its handle in each runtime, its store slot.
         let mut live: Vec<([SessionId; 2], usize)> = Vec::new();
         let mut free_slots: Vec<usize> = Vec::new();
@@ -562,7 +560,7 @@ proptest! {
                         *rt = Runtime::restore(&engines[i], &snaps[1 - i]).expect("same machine");
                         rt.attach_recorder(8);
                     }
-                    let mut fresh = SessionStore::new(register.clone(), 0);
+                    let mut fresh = SessionStore::new(walk.clone(), 0);
                     let (mut states, mut registers) = (Vec::new(), Vec::new());
                     store.states_into(&mut states);
                     store.registers_into(&mut registers);

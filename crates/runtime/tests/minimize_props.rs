@@ -5,7 +5,7 @@
 //! ```text
 //! IrInstance(ir) ≡ IrInstance(minimize(ir))                 (interpreted)
 //!                ≡ Instance(dense(minimize(ir)))            (dense tables)
-//!                ≡ Instance(register(minimize(ir)))         (register machine)
+//!                ≡ Instance(compile_ir(minimize(ir)))       (guarded, unfolded)
 //! HsmInstance(hsm) ≡ minimize(hsm.flatten_ir())             (flattened statechart)
 //! ```
 //!
@@ -26,8 +26,8 @@ use proptest::prelude::*;
 use stategen_analysis::minimize;
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, CompiledEfsm, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance, Level,
-    Lint, ProtocolEngine, StateMachineBuilder, StateRole, StategenError, StepEngine,
+    Action, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance, Level, Lint,
+    ProtocolEngine, StateMachineBuilder, StateRole, StategenError, StepEngine,
 };
 use stategen_models::redundant_ring;
 use stategen_runtime::{AnalysisConfig, Spec};
@@ -79,9 +79,8 @@ fn build_random_ir(states: &[u64], start: u64) -> FlatIr {
 
 /// Materialises a random *guarded* EFSM: one `budget` parameter, two
 /// variables, and per `(state, message)` cell either nothing, an
-/// unguarded transition, or a complementary threshold pair — the shapes
-/// the register-machine lowering distinguishes, with no duplicate
-/// guards for the compiler to reject.
+/// unguarded transition, or a complementary threshold pair — with no
+/// duplicate guards for the lowering to reject.
 fn build_random_efsm(states: &[u64], start: u64) -> stategen_core::Efsm {
     let n = states.len();
     let mut b = EfsmBuilder::new("random-efsm", ALPHABET);
@@ -169,9 +168,9 @@ proptest! {
         }
     }
 
-    /// Register-machine tier: the quotient of a random guarded EFSM,
-    /// compiled to threshold bytecode, tracks the original interpreter
-    /// under every budget binding.
+    /// Guarded machines: the quotient of a random guarded EFSM, bound and
+    /// compiled through `StepEngine::compile_ir`, tracks the original
+    /// interpreter under every budget binding.
     #[test]
     fn minimize_preserves_guarded_behaviour(
         states in prop::collection::vec(any::<u64>(), 1..=6),
@@ -182,12 +181,12 @@ proptest! {
         let efsm = build_random_efsm(&states, start);
         let ir = FlatIr::from_efsm(&efsm);
         let (small, _) = minimize(&ir);
-        let compiled = CompiledEfsm::compile_ir(&small)
-            .expect("the quotient keeps the priority-ordered guard lists");
         let params = vec![budget];
+        let compiled = StepEngine::compile_ir(&small, &params)
+            .expect("the quotient keeps the priority-ordered guard lists");
         let mut reference = ir.instance(params.clone());
         let mut interp = small.instance(params.clone());
-        let mut fast = Instance::new(StepEngine::register(compiled, &params).expect("arity"));
+        let mut fast = Instance::new(compiled);
         for (step, &mi) in trace.iter().enumerate() {
             let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
             prop_assert_eq!(
@@ -196,7 +195,7 @@ proptest! {
             );
             prop_assert_eq!(
                 fast.deliver_ref(ALPHABET[mi]).unwrap(), want.as_slice(),
-                "register-machine tier diverged at step {}", step
+                "compiled tier diverged at step {}", step
             );
             prop_assert_eq!(reference.is_finished(), interp.is_finished(), "step {}", step);
             prop_assert_eq!(reference.is_finished(), fast.is_finished(), "step {}", step);

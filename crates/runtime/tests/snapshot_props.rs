@@ -100,8 +100,8 @@ fn continue_ops(rt: &mut Runtime, ops: &[PoolOp], live: &mut Vec<SessionId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The acceptance gate, on all three runtime-served tiers (the
-    /// interpreted one over an unguarded and a guarded machine).
+    /// The acceptance gate, on both runtime-served tiers, each over an
+    /// unguarded and a guarded machine.
     #[test]
     fn snapshot_restore_round_trips_bit_identically(
         ops in pool_ops(),

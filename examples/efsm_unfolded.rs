@@ -9,13 +9,14 @@
 //! leaves finitely many reachable `(state, counters)` configurations,
 //! so `Engine::compile` unfolds the machine onto the dense table — 36
 //! configurations at r = 4, 273 at r = 13 — and the engine's `Debug`
-//! form says so; only past 4 096 of them (r = 64 here) does it stay on
-//! the register tier. Either way the caller sees the 9-state machine
+//! form says so; past 4 096 of them (r = 64 here) it falls back to the
+//! interpreter, and the `Debug` form gives the reason. Either way the
+//! caller sees the 9-state machine
 //! and its counters. The same machine runs r = 4, 13 and 64 side by
 //! side, then drives a 40k-session sharded runtime.
 //!
 //! ```text
-//! cargo run --release --example efsm_compiled
+//! cargo run --release --example efsm_unfolded
 //! ```
 
 use stategen::commit::{commit_efsm, commit_efsm_params, CommitConfig};
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (r, tier) in [
         (4u32, Tier::Compiled),
         (13, Tier::Compiled),
-        (64, Tier::CompiledEfsm),
+        (64, Tier::Interpreted),
     ] {
         let config = CommitConfig::new(r)?;
         let engine = Engine::compile(Spec::efsm(efsm.clone(), commit_efsm_params(&config)))?;

@@ -8,8 +8,8 @@
 #    includes the HSM property suite (crates/core/tests/hsm_props.rs),
 #    the guarded-statechart property suite
 #    (crates/runtime/tests/hsm_guarded_props.rs: HsmInstance ≡
-#    interpreted IR ≡ compiled EFSM ≡ Runtime, compiled and
-#    interpreted, on randomized guarded statecharts), the flattening
+#    interpreted IR ≡ Runtime, compiled and interpreted, on randomized
+#    guarded statecharts), the flattening
 #    compiler's trace-equivalence gate,
 #    and the runtime facade's cross-tier conformance suite
 #    (crates/runtime/tests/conformance.rs);
@@ -17,24 +17,22 @@
 #    formatting (rustfmt) and builds the docs with rustdoc warnings
 #    denied (broken intra-doc links fail the gate);
 # 4. regenerates BENCH_engine_tiers.json via the engine_tiers binary,
-#    which also asserts the zero-allocation claims (including the new
-#    hsm_guarded_flattened row: a guarded statechart on the
-#    compiled-EFSM tier, 64k sessions, 0 allocs/delivery hard-asserted,
-#    tracked within ~1.5x of the batched compiled-EFSM row), the batch
+#    which also asserts the zero-allocation claims (including the
+#    hsm_guarded_flattened row: a guarded statechart bound and unfolded
+#    onto the dense tier, 64k sessions, 0 allocs/delivery hard-asserted,
+#    and the efsm_kernel_over_budget row: the r = 64 commit EFSM past the
+#    unfolding budget, deliver_all on the interpreter), the batch
 #    kernel gates — batched_kernel ≥ 1.25x the scalar pool walk, paired
 #    passes at 4096 lockstep sessions, and batched_kernel_divergent ≥
 #    1.5x the scalar walk on a pre-diverged 65 536-session pool, 0
-#    allocs/delivery (docs/KERNELS.md; the register tier has no kernel
-#    since its lockstep sweep failed ROADMAP item 2's rule (i) on the
-#    efsm_kernel_over_budget row, which stays as the over-budget commit
-#    EFSM's deliver_all against the walk) — and
+#    allocs/delivery (docs/KERNELS.md) — and
 #    the telemetry overhead bounds — runtime_facade ≤ 1.10x raw compiled
 #    dispatch with telemetry compiled in but disabled, and
 #    runtime_observed (flight recorder + metrics on) ≤ 1.25x the
 #    facade, both at 64k sessions / 0 allocs per delivery, paired
 #    measurement — and BENCH_storage.json via storage_throughput
-#    (end-to-end commit throughput on the EFSM-tier runtime-backed
-#    peers, with commit-latency p99 per replication factor and
+#    (end-to-end commit throughput on peers serving the unfolded commit
+#    EFSM from a runtime, with commit-latency p99 per replication factor and
 #    recovery-latency p50/p99 on the faulted row) — keeping the perf
 #    trajectory tracked on every PR;
 # 5. replays the chaos campaign's pinned seeds (loss + duplication +
@@ -67,13 +65,18 @@
 #    scratch and sweep), or a name the fork-join replaced (the parked,
 #    work-stealing driver: its handle, its entry point, its mailbox,
 #    deque and loop), or the register tier's lockstep sweep in the
-#    sources, or a Condvar in the core or runtime sources, or the lazy
+#    sources, or the register tier itself (its compiler, its binding,
+#    its Tier variant, constructor and representation), or a Condvar in
+#    the core or runtime sources, or the lazy
 #    finished bitset (its type, its batch scan, its dirty flag) under
 #    crates/core/src; and re-runs in
 #    release mode the generation-exhaustion unit test (its arithmetic
 #    wraps there instead of panicking), the foreign-message-id batch
-#    test (a debug assertion used to be the register tier's only guard)
-#    and the unreachable-configuration restore test (an unfolded engine
+#    test (a debug assertion used to be the register tier's only guard),
+#    the lowering-decision unit test and the no-fallback test (every
+#    deployed guarded machine unfolds; past the budget the interpreter
+#    takes over, saying why) and the unreachable-configuration restore
+#    test (an unfolded engine
 #    refuses a snapshot its machine cannot have produced: typed error,
 #    runtime untouched, in both profiles), the events-per-commit count
 #    test and the crashed-client restart test of the storage stack, the
@@ -136,7 +139,8 @@
 #    one-pass column gather — docs/KERNELS.md), then one short traced
 #    batch_guarded run with the same checks at a quarter of the
 #    interpreted tier's time (the commit EFSM, bound, is served unfolded
-#    from the dense table: about 0.07; about 0.37 on the register tier).
+#    from the dense table: about 0.07; a fallback to the interpreter
+#    would read about 1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -180,6 +184,10 @@ cargo test -q --release -p stategen-runtime --lib exhausted_generation
 echo "== foreign message id in a batch (release: one panic message on every tier) =="
 cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
 
+echo "== lowering decision + no deployed machine falls back (release) =="
+cargo test -q --release -p stategen-core --lib lowering_is_decided_by_the_bound_configuration_space
+cargo test -q --release -p stategen-runtime --test conformance no_deployed_machine_falls_back
+
 echo "== unreachable configuration in a snapshot (release: typed error, runtime untouched) =="
 cargo test -q --release -p stategen-runtime --lib restore_refuses_unreachable_configurations
 
@@ -218,6 +226,11 @@ if grep -rnE 'with_workers|\bWorkers\b|WorkerMailbox|ShardDeque|worker_loop' \
 fi
 if grep -rnE 'efsm_lockstep|dispatch_shape' crates/ src/ examples/ tests/; then
     echo "verify.sh: the register tier's lockstep sweep failed its 1.3x rule and was deleted (CHANGES.md, PR 25)" >&2
+    exit 1
+fi
+if grep -rnE 'CompiledEfsm|EfsmBinding|efsm_compiled::|Tier::CompiledEfsm|StepEngine::register|Repr::Register' \
+        crates/ src/ examples/ tests/; then
+    echo "verify.sh: the register tier was deleted; past the unfolding budget a guarded machine runs on the interpreter (docs/KERNELS.md)" >&2
     exit 1
 fi
 if grep -rn 'Condvar' crates/core/src crates/runtime/src; then
@@ -262,8 +275,8 @@ fi
 echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
-           batched_pool batched_kernel efsm_pool efsm_kernel_over_budget efsm_compiled \
-           batched_kernel_divergent batched_pool_divergent efsm_pool_divergent \
+           batched_pool batched_kernel efsm_kernel_over_budget \
+           batched_kernel_divergent batched_pool_divergent \
            artifact_cold_load artifact_booted_pool generated \
            runtime_facade runtime_observed; do
     grep -q "\"name\": \"$row\"" BENCH_engine_tiers.json \
