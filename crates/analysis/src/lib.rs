@@ -13,9 +13,9 @@
 //!
 //! 1. **Reachability and dead code** — unreachable states, dead
 //!    transitions, messages no reachable state handles, absorbing
-//!    non-final sinks, plus the structural checks `validate_machine`
-//!    has always made (final states with outgoing transitions,
-//!    duplicate names).
+//!    non-final sinks, dead ends, final states with outgoing
+//!    transitions and duplicate names — the workspace's one
+//!    well-formedness check.
 //! 2. **Guard analysis** — an interval abstract interpretation
 //!    computes, per state, a sound range for every variable
 //!    (saturating-toward-infinity arithmetic, widening after a
@@ -24,7 +24,8 @@
 //!    canonical-difference proof, or under the proved ranges), vacuous
 //!    guards, overlapping sibling guards (sound disjointness proof
 //!    first, concrete witness enumeration as refinement when
-//!    parameters are bound), and possible `i64` register overflow.
+//!    parameters are bound — the workspace's one guard-determinism
+//!    check), and possible `i64` register overflow.
 //! 3. **Behavioural equivalence** — [`equivalence_classes`] partitions
 //!    the live states by Moore-style partition refinement and
 //!    [`minimize`] rebuilds the quotient machine, dropping unreachable

@@ -5,7 +5,8 @@
 use stategen_analysis::{analyze, analyze_bound, minimize, Analysis, AnalysisConfig};
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, FlatIr, FlatState, FlatTransition, Level, Lint, StateMachineBuilder, StateRole,
+    Action, FlatIr, FlatState, FlatTransition, HierarchicalMachine, HsmBuilder, Level, Lint,
+    StateMachineBuilder, StateRole,
 };
 
 fn run(ir: &FlatIr) -> Analysis {
@@ -430,6 +431,24 @@ fn overlapping_guards_trigger_with_witness() {
     assert_eq!(finding.level, Level::Deny);
     assert!(finding.message.contains("both hold"));
     assert!(!analysis.is_clean());
+
+    // The same defect declared on a statechart state: `v >= 0` and
+    // `v >= 1` on one message, found through the flattened IR.
+    let mut b = HsmBuilder::new("overlap", ["m"]);
+    let v = b.add_var("v");
+    let s = b.add_state("S");
+    let t = b.add_state("T");
+    let at_least = |k| Guard::when(LinExpr::var(v), CmpOp::Ge, LinExpr::constant(k));
+    b.add_guarded_transition(s, "m", at_least(0), vec![], t, vec![]);
+    b.add_guarded_transition(s, "m", at_least(1), vec![], s, vec![]);
+    let analysis = analyze_bound(&b.build(s).flatten_ir(), &[], &AnalysisConfig::new());
+    let finding = analysis
+        .diagnostics
+        .iter()
+        .find(|d| d.lint == Lint::OverlappingGuards)
+        .expect("statechart overlap reported");
+    assert_eq!(finding.level, Level::Deny);
+    assert!(finding.message.contains("both hold at v=1"), "{finding}");
 }
 
 #[test]
@@ -494,6 +513,49 @@ fn disjoint_guards_do_not_trigger() {
     let ir = FlatIr::from_efsm(&b.build(s0, Some(s1)));
     assert!(!analyze_bound(&ir, &[4], &AnalysisConfig::new()).has(Lint::OverlappingGuards));
     assert!(!analyze(&ir, &AnalysisConfig::new()).has(Lint::OverlappingGuards));
+
+    // The same pair on a nested statechart state, at budget 3.
+    let ir = retrying().flatten_ir();
+    assert!(!analyze_bound(&ir, &[3], &AnalysisConfig::new()).has(Lint::OverlappingGuards));
+}
+
+/// A statechart whose `Up.Busy` retries `fail` until `tries + 1`
+/// reaches the `budget` parameter, then escalates to `Down.Probe`.
+fn retrying() -> HierarchicalMachine {
+    let mut b = HsmBuilder::new("retrying", ["go", "fail", "done", "reset"]);
+    let budget = b.add_param("budget");
+    let tries = b.add_var("tries");
+    let idle = b.add_state("Idle");
+    let up = b.add_state("Up");
+    let busy = b.add_child(up, "Busy");
+    let down = b.add_state("Down");
+    let probe = b.add_child(down, "Probe");
+    b.on_entry(up, vec![Action::send("up_in")]);
+    b.on_exit(up, vec![Action::send("up_out")]);
+    b.on_entry(busy, vec![Action::send("busy_in")]);
+    b.on_entry(down, vec![Action::send("alarm")]);
+    b.on_entry(probe, vec![Action::send("probe")]);
+    let next = LinExpr::var(tries).plus_const(1);
+    b.add_transition(idle, "go", busy, vec![]);
+    b.add_guarded_transition(
+        busy,
+        "fail",
+        Guard::when(next.clone(), CmpOp::Lt, LinExpr::param(budget)),
+        vec![Update::Inc(tries)],
+        busy,
+        vec![Action::send("retry")],
+    );
+    b.add_guarded_transition(
+        busy,
+        "fail",
+        Guard::when(next, CmpOp::Ge, LinExpr::param(budget)),
+        vec![Update::Inc(tries)],
+        down,
+        vec![Action::send("give_up")],
+    );
+    b.add_transition(busy, "done", idle, vec![]);
+    b.add_transition(down, "reset", idle, vec![]);
+    b.build(idle)
 }
 
 // ---- possible-overflow --------------------------------------------------

@@ -489,7 +489,8 @@ pub fn commit_efsm_state_flags(name: &str) -> (bool, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::ProtocolEngine;
+    use stategen_analysis::{analyze_bound, AnalysisConfig};
+    use stategen_core::{Lint, ProtocolEngine};
 
     #[test]
     fn has_nine_states() {
@@ -528,18 +529,21 @@ mod tests {
         }
     }
 
+    /// Table 1's determinism claim: at every family member, no two
+    /// guards on one `(state, message)` can hold at once.
     #[test]
     fn deterministic_guards() {
-        let efsm = commit_efsm();
-        for r in [4u32, 7] {
-            let config = CommitConfig::new(r).unwrap();
-            let params = vec![
-                i64::from(config.replication_factor()),
-                i64::from(config.vote_threshold()),
-                i64::from(config.commit_threshold()),
-            ];
-            efsm.check_deterministic(&params, i64::from(r))
-                .unwrap_or_else(|e| panic!("r={r}: {e}"));
+        let ir = FlatIr::from_efsm(&commit_efsm());
+        for r in [4u32, 7, 13, 25, 46] {
+            let params = commit_efsm_params(&CommitConfig::new(r).unwrap());
+            let mut config = AnalysisConfig::new();
+            config.var_bound = i64::from(r);
+            let analysis = analyze_bound(&ir, &params, &config);
+            assert!(
+                !analysis.has(Lint::OverlappingGuards),
+                "r={r}: {:?}",
+                analysis.diagnostics
+            );
         }
     }
 

@@ -1,6 +1,6 @@
-//! The unified diagnostic vocabulary shared by structural validation
-//! ([`validate_machine`](crate::validate_machine)) and the semantic
-//! analyzer (the `stategen-analysis` crate).
+//! The diagnostic vocabulary of the semantic analyzer (the
+//! `stategen-analysis` crate), the workspace's one checker of
+//! well-formedness and guard determinism.
 //!
 //! Every finding — structural or semantic — is a [`Diagnostic`]: a
 //! [`Lint`] identifying *what kind* of fact was found, a [`Level`]
@@ -41,10 +41,10 @@ impl fmt::Display for Level {
 /// with a stable kebab-case id (used in reports and per-lint
 /// configuration) and a default [`Level`].
 ///
-/// The first four are the *structural* lints historically reported by
-/// [`validate_machine`](crate::validate_machine); the rest are the
-/// *semantic* lints of the `stategen-analysis` passes (reachability and
-/// dead code, interval-based guard analysis, behavioural equivalence).
+/// The first four are the *structural* lints (well-formedness); the
+/// rest are the *semantic* lints of the `stategen-analysis` passes
+/// (reachability and dead code, interval-based guard analysis,
+/// behavioural equivalence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lint {
     /// A [`StateRole::Finish`](crate::StateRole::Finish) state has

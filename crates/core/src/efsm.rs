@@ -406,52 +406,6 @@ impl Efsm {
             .position(|m| m == name)
             .map(|i| i as u16)
     }
-
-    /// Checks that for every state, message and combination of variable
-    /// values in `0..=bound` (per variable), at most one guard holds —
-    /// i.e. transition priority never actually disambiguates anything and
-    /// the EFSM is deterministic in the strong sense.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first overlapping pair found.
-    pub fn check_deterministic(&self, params: &[i64], var_bound: i64) -> Result<(), String> {
-        assert_eq!(params.len(), self.params.len(), "wrong parameter count");
-        let nvars = self.variables.len();
-        let mut vars = vec![0i64; nvars];
-        loop {
-            for (sid, state) in self.states.iter().enumerate() {
-                for mid in 0..self.messages.len() as u16 {
-                    let mut matched: Option<usize> = None;
-                    for (ti, t) in state.transitions.iter().enumerate() {
-                        if t.message != mid || !t.guard.eval(&vars, params) {
-                            continue;
-                        }
-                        if let Some(prev) = matched {
-                            return Err(format!(
-                                "state `{}` (id {sid}), message `{}`: transitions {prev} and {ti} both enabled at vars {vars:?}",
-                                state.name, self.messages[mid as usize]
-                            ));
-                        }
-                        matched = Some(ti);
-                    }
-                }
-            }
-            // Advance the mixed-radix counter over variable values.
-            let mut i = 0;
-            loop {
-                if i == nvars {
-                    return Ok(());
-                }
-                vars[i] += 1;
-                if vars[i] <= var_bound {
-                    break;
-                }
-                vars[i] = 0;
-                i += 1;
-            }
-        }
-    }
 }
 
 /// Builder for [`Efsm`]s.
@@ -479,7 +433,6 @@ impl Efsm {
 /// );
 /// let efsm = b.build(counting, Some(done));
 /// assert_eq!(efsm.state_count(), 2);
-/// assert!(efsm.check_deterministic(&[5], 6).is_ok());
 /// ```
 #[derive(Debug)]
 pub struct EfsmBuilder {
@@ -722,22 +675,6 @@ mod tests {
         i.reset();
         assert_eq!(i.vars(), &[0]);
         assert_eq!(i.state_name(), "counting");
-    }
-
-    #[test]
-    fn determinism_check_passes_for_counter() {
-        let efsm = counter();
-        assert!(efsm.check_deterministic(&[4], 8).is_ok());
-    }
-
-    #[test]
-    fn determinism_check_catches_overlap() {
-        let mut b = EfsmBuilder::new("bad", ["m"]);
-        let s = b.add_state("s");
-        b.add_transition(s, "m", Guard::always(), vec![], vec![], s);
-        b.add_transition(s, "m", Guard::always(), vec![], vec![], s);
-        let efsm = b.build(s, None);
-        assert!(efsm.check_deterministic(&[], 0).is_err());
     }
 
     #[test]

@@ -338,10 +338,12 @@ impl HierarchicalMachine {
 
     /// `true` if this statechart uses the extended-machine features —
     /// declared variables or parameters, a non-trivial guard, or an
-    /// update on any transition. Guarded statecharts lower onto the
-    /// compiled-EFSM tier via [`HierarchicalMachine::flatten_ir`];
-    /// unguarded ones keep the dense-table
-    /// [`HierarchicalMachine::flatten`] projection.
+    /// update on any transition. Guarded statecharts lower through
+    /// [`HierarchicalMachine::flatten_ir`] and deploy with
+    /// `Engine::compile` (`stategen-runtime`): unfolded onto the dense
+    /// table, or on the interpreter past the unfolding budget. Unguarded
+    /// ones keep the dense-table [`HierarchicalMachine::flatten`]
+    /// projection.
     ///
     /// This is the author-level predicate (over *declared* transitions);
     /// tier routing after flattening uses [`FlatIr::is_guarded`], the
@@ -649,86 +651,6 @@ impl HierarchicalMachine {
         cur
     }
 
-    /// Checks that for every state, message and combination of variable
-    /// values in `0..=var_bound` (per variable), at most one of the
-    /// state's *own* guarded transitions is enabled — i.e. declaration
-    /// priority never actually disambiguates anything. Inherited
-    /// transitions are exempt by design: an inner state overriding an
-    /// enclosing one is the statechart priority rule, not
-    /// nondeterminism. The guard-disjointness companion to
-    /// [`Efsm::check_deterministic`](crate::Efsm::check_deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first overlapping pair found.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of parameters differs from the machine's
-    /// declaration.
-    pub fn check_guard_determinism(&self, params: &[i64], var_bound: i64) -> Result<(), String> {
-        assert_eq!(params.len(), self.params.len(), "wrong parameter count");
-        // Sound interval prefilter: a `(state, message)` group needs the
-        // bounded enumeration only if some pair of its transitions is
-        // *not* provably disjoint by the canonical-difference analysis
-        // ([`guards_disjoint`](crate::interval::guards_disjoint)). For
-        // the common complementary-guard idiom (`v + 1 < b` vs.
-        // `v + 1 >= b`) every pair is proved disjoint and the
-        // exponential enumeration is skipped entirely.
-        let mut suspect: Vec<(usize, u16)> = Vec::new();
-        for (si, state) in self.states.iter().enumerate() {
-            for (&mid, ts) in &state.transitions {
-                let provably_disjoint = (0..ts.len()).all(|i| {
-                    (i + 1..ts.len())
-                        .all(|j| crate::interval::guards_disjoint(&ts[i].guard, &ts[j].guard))
-                });
-                if !provably_disjoint {
-                    suspect.push((si, mid));
-                }
-            }
-        }
-        if suspect.is_empty() {
-            return Ok(());
-        }
-        // Refinement fallback: enumerate variable values for the groups
-        // the intervals could not discharge.
-        let nvars = self.variables.len();
-        let mut vars = vec![0i64; nvars];
-        loop {
-            for &(si, mid) in &suspect {
-                let state = &self.states[si];
-                let ts = &state.transitions[&mid];
-                let mut matched: Option<usize> = None;
-                for (ti, t) in ts.iter().enumerate() {
-                    if !t.guard.eval(&vars, params) {
-                        continue;
-                    }
-                    if let Some(prev) = matched {
-                        return Err(format!(
-                            "state `{}`, message `{}`: transitions {prev} and {ti} both \
-                             enabled at vars {vars:?}",
-                            state.name, self.messages[mid as usize]
-                        ));
-                    }
-                    matched = Some(ti);
-                }
-            }
-            // Advance the mixed-radix counter over variable values.
-            let mut i = 0;
-            loop {
-                if i == nvars {
-                    return Ok(());
-                }
-                vars[i] += 1;
-                if vars[i] <= var_bound {
-                    break;
-                }
-                vars[i] = 0;
-                i += 1;
-            }
-        }
-    }
-
     /// Lowers the statechart onto the unified flat IR
     /// ([`FlatIr`]) — the one lowering pipeline shared by guarded and
     /// unguarded statecharts.
@@ -841,14 +763,16 @@ impl HierarchicalMachine {
     ///
     /// Panics if the statechart is guarded
     /// ([`HierarchicalMachine::is_guarded`]): guarded statecharts have
-    /// no flat-FSM projection and lower through
-    /// [`HierarchicalMachine::flatten_ir`] onto the compiled-EFSM tier
-    /// instead.
+    /// no flat-FSM projection; lower them with
+    /// [`HierarchicalMachine::flatten_ir`] and deploy with
+    /// `Engine::compile` (unfolded, or the interpreter past the
+    /// unfolding budget) instead.
     pub fn flatten(&self) -> StateMachine {
         assert!(
             !self.is_guarded(),
             "guarded statechart `{}` has no flat StateMachine projection; \
-             lower it with flatten_ir() onto the compiled-EFSM tier",
+             lower it with flatten_ir() and deploy it with Engine::compile \
+             (unfolded, or the interpreter past the unfolding budget)",
             self.name
         );
         self.flatten_ir().to_machine()
@@ -2221,36 +2145,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_determinism_check() {
-        let m = retrying();
-        assert!(m.check_guard_determinism(&[3], 6).is_ok());
-        // Overlapping guards on one (state, message) are caught.
-        let mut b = HsmBuilder::new("overlap", ["m"]);
-        let v = b.add_var("v");
-        let s = b.add_state("S");
-        let t = b.add_state("T");
-        b.add_guarded_transition(
-            s,
-            "m",
-            Guard::when(LinExpr::var(v), CmpOp::Ge, LinExpr::constant(0)),
-            vec![],
-            t,
-            vec![],
-        );
-        b.add_guarded_transition(
-            s,
-            "m",
-            Guard::when(LinExpr::var(v), CmpOp::Ge, LinExpr::constant(1)),
-            vec![],
-            s,
-            vec![],
-        );
-        let m = b.build(s);
-        let err = m.check_guard_determinism(&[], 2).unwrap_err();
-        assert!(err.contains("both enabled"), "{err}");
-    }
-
-    #[test]
     fn guarded_builder_validation() {
         // Guards referencing undeclared operands are rejected.
         let mut b = HsmBuilder::new("m", ["x"]);
@@ -2319,7 +2213,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no flat StateMachine projection")]
+    #[should_panic(
+        expected = "no flat StateMachine projection; lower it with flatten_ir() \
+                               and deploy it with Engine::compile (unfolded, or the \
+                               interpreter past the unfolding budget)"
+    )]
     fn guarded_flatten_panics() {
         retrying().flatten();
     }

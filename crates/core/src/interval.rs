@@ -1,11 +1,9 @@
 //! Interval abstract interpretation over the EFSM guard language.
 //!
-//! The semantic analyzer (the `stategen-analysis` crate), the flattener's
-//! guard-aware reachability pruning
+//! The semantic analyzer (the `stategen-analysis` crate) and the
+//! flattener's guard-aware reachability pruning
 //! ([`HierarchicalMachine::flatten_ir`](crate::HierarchicalMachine::flatten_ir))
-//! and the statechart determinism checker
-//! ([`HierarchicalMachine::check_guard_determinism`](crate::HierarchicalMachine::check_guard_determinism))
-//! all reason about the same question: *which values can a
+//! both reason about the same question: *which values can a
 //! [`LinExpr`] take, and can a [`Guard`] hold?* This module answers it
 //! with the classic interval domain:
 //!
@@ -26,8 +24,9 @@
 //!   complementary pair `v + 1 < b` ∧ `v + 1 ≥ b` without knowing
 //!   anything about `v` or `b`;
 //! * [`guards_disjoint`] proves two guards can never hold at once, by
-//!   the same canonical-difference reasoning — the sound fast path that
-//!   replaces bounded enumeration in the determinism checker.
+//!   the same canonical-difference reasoning — the sound fast path the
+//!   analyzer's `overlapping-guards` lint takes before it searches for a
+//!   concrete witness.
 //!
 //! Everything here over-approximates: `True`/`False`/unsat/disjoint
 //! answers are proofs (over mathematical integers — see the soundness

@@ -50,13 +50,12 @@
 //!   its parameter binding, with a paranoid loader that survives
 //!   truncation, bit-flips, version skew and hostile bytes (byte layout
 //!   and trust model specified in `docs/ARTIFACT_FORMAT.md`);
-//! * [`validate_machine`] — structural validation of machines, reported
-//!   in the unified [`diag`] vocabulary shared with the semantic
-//!   analyzer (`stategen-analysis`);
+//! * [`diag`] — the diagnostic vocabulary ([`Lint`], [`Level`],
+//!   [`Diagnostic`]) of the semantic analyzer (`stategen-analysis`),
+//!   the workspace's one well-formedness and guard-determinism checker;
 //! * [`interval`] — the interval abstract domain over the EFSM guard
 //!   language, used by the analyzer's guard passes, the flattener's
-//!   guard-aware reachability pruning and the statechart determinism
-//!   checker.
+//!   guard-aware reachability pruning.
 //!
 //! ## Engine tiers
 //!
@@ -170,7 +169,6 @@ pub mod machine;
 pub mod model;
 pub mod session;
 pub mod step;
-pub mod validate;
 
 pub use artifact::Artifact;
 pub use compiled::CompiledMachine;
@@ -201,6 +199,3 @@ pub use machine::{
 pub use model::{AbstractModel, Outcome, TransitionSpec};
 pub use session::{BatchEngine, SessionStore, ShardedPool, Taken};
 pub use step::{StepEngine, Tier};
-pub use validate::{
-    missing_transitions, structural_diagnostics, validate_machine, ValidationReport,
-};

@@ -20,9 +20,10 @@
 
 use proptest::prelude::*;
 
+use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_core::{
-    prune_unreachable, validate_machine, Action, CompiledMachine, HierarchicalMachine, HsmBuilder,
-    HsmStateId, Instance, ProtocolEngine, SessionStore, StepEngine,
+    prune_unreachable, Action, CompiledMachine, FlatIr, HierarchicalMachine, HsmBuilder,
+    HsmStateId, Instance, Lint, ProtocolEngine, SessionStore, StepEngine,
 };
 
 /// The fixed alphabet random machines draw from.
@@ -141,8 +142,17 @@ proptest! {
     ) {
         let hsm = build_random_hsm(&r);
         let flat = hsm.flatten();
-        let report = validate_machine(&flat);
-        prop_assert!(report.is_valid(), "{:?}", report.diagnostics);
+        let analysis = analyze(&FlatIr::from_machine(&flat), &AnalysisConfig::new());
+        prop_assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
+        // A random chart may well have a leaf with no transitions, so
+        // `dead-end-state` may fire; the other structural lints may not.
+        for lint in [
+            Lint::FinalWithOutgoing,
+            Lint::UnreachableState,
+            Lint::DuplicateStateName,
+        ] {
+            prop_assert!(!analysis.has(lint), "{:?}", analysis.diagnostics);
+        }
         let compiled = CompiledMachine::compile(&flat);
 
         let ir = hsm.flatten_ir();

@@ -3,11 +3,11 @@
 
 use proptest::prelude::*;
 
+use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_core::{
-    generate, generate_with, merge_equivalent_states, prune_unreachable, validate_machine,
-    AbstractModel, Action, CompiledMachine, FlatIr, GenerateOptions, Instance, MergeStrategy,
-    Outcome, ProtocolEngine, SessionStore, ShardedPool, StateComponent, StateSpace, StateVector,
-    StepEngine,
+    generate, generate_with, merge_equivalent_states, prune_unreachable, AbstractModel, Action,
+    CompiledMachine, FlatIr, GenerateOptions, Instance, Lint, MergeStrategy, Outcome,
+    ProtocolEngine, SessionStore, ShardedPool, StateComponent, StateSpace, StateVector, StepEngine,
 };
 
 // ---------------------------------------------------------------------
@@ -143,9 +143,16 @@ proptest! {
     #[test]
     fn generated_machines_validate(model in two_counter()) {
         let g = generate(&model).expect("generates");
-        let report = validate_machine(&g.machine);
-        prop_assert!(report.is_valid(), "{:?}", report.diagnostics);
-        prop_assert_eq!(report.diagnostics.len(), 0, "{:?}", report.diagnostics);
+        let analysis = analyze(&FlatIr::from_machine(&g.machine), &AnalysisConfig::new());
+        prop_assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
+        for lint in [
+            Lint::FinalWithOutgoing,
+            Lint::UnreachableState,
+            Lint::DeadEndState,
+            Lint::DuplicateStateName,
+        ] {
+            prop_assert!(!analysis.has(lint), "{:?}", analysis.diagnostics);
+        }
     }
 
     #[test]

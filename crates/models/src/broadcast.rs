@@ -170,7 +170,8 @@ impl AbstractModel for BroadcastModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, validate_machine, FlatIr, ProtocolEngine};
+    use stategen_analysis::{analyze, AnalysisConfig};
+    use stategen_core::{generate, FlatIr, Lint, ProtocolEngine};
 
     #[test]
     fn generates_family_members() {
@@ -179,7 +180,16 @@ mod tests {
             // 2^3 * n^2 product states.
             assert_eq!(g.report.initial_states, 8 * u64::from(n) * u64::from(n));
             assert!(g.report.final_states < g.report.reachable_states);
-            assert!(validate_machine(&g.machine).is_valid());
+            let analysis = analyze(&FlatIr::from_machine(&g.machine), &AnalysisConfig::new());
+            assert!(analysis.is_clean(), "n={n}: {:?}", analysis.diagnostics);
+            for lint in [
+                Lint::FinalWithOutgoing,
+                Lint::UnreachableState,
+                Lint::DeadEndState,
+                Lint::DuplicateStateName,
+            ] {
+                assert!(!analysis.has(lint), "n={n}: {:?}", analysis.diagnostics);
+            }
             assert!(g.machine.unique_final().is_some(), "n={n}");
         }
     }

@@ -228,17 +228,24 @@ pub fn broadcast_efsm_instance(efsm: &Efsm, model: &BroadcastModel) -> Instance 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, ProtocolEngine};
+    use stategen_analysis::{analyze_bound, AnalysisConfig};
+    use stategen_core::{generate, Lint, ProtocolEngine};
 
     #[test]
     fn five_states_generic_in_n() {
         let efsm = broadcast_efsm();
         assert_eq!(efsm.state_count(), 5);
+        let ir = FlatIr::from_efsm(&efsm);
         for n in [4u32, 7, 10, 13] {
-            let model = BroadcastModel::new(n);
-            let params = broadcast_efsm_params(&model);
-            efsm.check_deterministic(&params, i64::from(n))
-                .unwrap_or_else(|e| panic!("n={n}: {e}"));
+            let params = broadcast_efsm_params(&BroadcastModel::new(n));
+            let mut config = AnalysisConfig::new();
+            config.var_bound = i64::from(n);
+            let analysis = analyze_bound(&ir, &params, &config);
+            assert!(
+                !analysis.has(Lint::OverlappingGuards),
+                "n={n}: {:?}",
+                analysis.diagnostics
+            );
         }
     }
 

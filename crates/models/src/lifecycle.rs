@@ -286,9 +286,8 @@ pub fn session_lifecycle_guarded() -> HierarchicalMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{
-        validate_machine, CompiledMachine, ProtocolEngine, SessionStore, StepEngine,
-    };
+    use stategen_analysis::{analyze, AnalysisConfig};
+    use stategen_core::{CompiledMachine, FlatIr, Lint, ProtocolEngine, SessionStore, StepEngine};
 
     #[test]
     fn structure() {
@@ -377,8 +376,16 @@ mod tests {
     fn flattened_machine_validates_and_matches_reference() {
         let hsm = session_lifecycle();
         let flat = hsm.flatten();
-        let report = validate_machine(&flat);
-        assert!(report.is_valid(), "{:?}", report.diagnostics);
+        let analysis = analyze(&FlatIr::from_machine(&flat), &AnalysisConfig::new());
+        assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
+        for lint in [
+            Lint::FinalWithOutgoing,
+            Lint::UnreachableState,
+            Lint::DeadEndState,
+            Lint::DuplicateStateName,
+        ] {
+            assert!(!analysis.has(lint), "{:?}", analysis.diagnostics);
+        }
         let ir = hsm.flatten_ir();
         let mut reference = hsm.instance();
         let mut interp = ir.instance(vec![]);

@@ -140,15 +140,26 @@ impl AbstractModel for RoundsModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, validate_machine, FlatIr, ProtocolEngine};
+    use stategen_analysis::{analyze, AnalysisConfig};
+    use stategen_core::{generate, FlatIr, Lint, ProtocolEngine};
 
     #[test]
     fn family_scales_with_parameters() {
         let small = generate(&RoundsModel::new(3, 2)).unwrap();
         let large = generate(&RoundsModel::new(7, 5)).unwrap();
         assert!(large.report.final_states > small.report.final_states);
-        assert!(validate_machine(&small.machine).is_valid());
-        assert!(validate_machine(&large.machine).is_valid());
+        for g in [&small, &large] {
+            let analysis = analyze(&FlatIr::from_machine(&g.machine), &AnalysisConfig::new());
+            assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
+            for lint in [
+                Lint::FinalWithOutgoing,
+                Lint::UnreachableState,
+                Lint::DeadEndState,
+                Lint::DuplicateStateName,
+            ] {
+                assert!(!analysis.has(lint), "{:?}", analysis.diagnostics);
+            }
+        }
     }
 
     #[test]

@@ -126,14 +126,24 @@ impl AbstractModel for TerminationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{generate, validate_machine, FlatIr, ProtocolEngine};
+    use stategen_analysis::{analyze, AnalysisConfig};
+    use stategen_core::{generate, FlatIr, Lint, ProtocolEngine};
 
     #[test]
     fn generates_and_validates() {
         for c in [1u32, 3, 8] {
             let g = generate(&TerminationModel::new(c)).unwrap();
             assert_eq!(g.report.initial_states, 4 * (u64::from(c) + 1));
-            assert!(validate_machine(&g.machine).is_valid());
+            let analysis = analyze(&FlatIr::from_machine(&g.machine), &AnalysisConfig::new());
+            assert!(analysis.is_clean(), "c={c}: {:?}", analysis.diagnostics);
+            for lint in [
+                Lint::FinalWithOutgoing,
+                Lint::UnreachableState,
+                Lint::DeadEndState,
+                Lint::DuplicateStateName,
+            ] {
+                assert!(!analysis.has(lint), "c={c}: {:?}", analysis.diagnostics);
+            }
             assert!(g.machine.unique_final().is_some());
         }
     }

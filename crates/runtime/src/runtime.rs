@@ -2106,7 +2106,7 @@ mod tests {
         assert_eq!(rc.state_name(sc), ri.state_name(si));
     }
 
-    /// ROADMAP 4b: a slot's generation counter must never wrap. After
+    /// ROADMAP 1(c): a slot's generation counter must never wrap. After
     /// `u32::MAX` recycles the slot is retired for good, so no stale
     /// handle can ever alias a later execution — on every tier, with
     /// batches, counts and snapshots unaffected by the dead slot.

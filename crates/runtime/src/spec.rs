@@ -39,8 +39,8 @@ pub enum Spec {
     /// statecharts land on the dense-table tier; statecharts with
     /// variables, guards or updates have `params` bound at ingest and
     /// lower as an EFSM does — unfolded onto the dense table when the
-    /// bound configuration space is finite, the compiled-EFSM tier
-    /// otherwise.
+    /// bound configuration space fits the unfolding budget, onto the
+    /// interpreter otherwise.
     Hierarchical {
         /// The statechart.
         machine: HierarchicalMachine,

@@ -378,9 +378,9 @@ fn pump_efsm() -> Efsm {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The compiled-EFSM tier against a hand-evaluated model of the
-    /// pump machine: state, variable value, transition count and
-    /// guard-fall-through count all exact.
+    /// The pump EFSM, unfolded onto the dense table, against a
+    /// hand-evaluated model: state, variable value, transition count
+    /// and guard-fall-through count all exact.
     #[test]
     fn counters_match_ground_truth_on_guarded_efsm(
         cap in 0i64..=5,
@@ -479,7 +479,7 @@ proptest! {
                 }
             }
         }
-        gt.assert_matches(&rt.metrics(), "compiled-efsm");
+        gt.assert_matches(&rt.metrics(), "unfolded-efsm");
     }
 
     /// The flattened-HSM tier on the session-lifecycle statechart.

@@ -25,7 +25,7 @@ use stategen::commit::{commit_efsm, commit_efsm_params, CommitConfig, MESSAGE_NA
 use stategen::runtime::{Engine, Spec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The commit protocol on the compiled-EFSM tier, r = 4.
+    // The commit EFSM at r = 4, unfolded onto the dense table.
     let config = CommitConfig::new(4)?;
     let engine = Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config)))?;
     let mut rt = engine.runtime();

@@ -66,8 +66,11 @@
 #    work-stealing driver: its handle, its entry point, its mailbox,
 #    deque and loop), or the register tier's lockstep sweep in the
 #    sources, or the register tier itself (its compiler, its binding,
-#    its Tier variant, constructor and representation), or a Condvar in
-#    the core or runtime sources, or the lazy
+#    its Tier variant, constructor and representation), or the checkers
+#    the analyzer replaced (core::validate's entry points and report,
+#    the EFSM and statechart box-enumerating determinism checks) or the
+#    deleted compiled-EFSM tier's name (any case) in the sources or
+#    docs, or a Condvar in the core or runtime sources, or the lazy
 #    finished bitset (its type, its batch scan, its dirty flag) under
 #    crates/core/src; and re-runs in
 #    release mode the generation-exhaustion unit test (its arithmetic
@@ -231,6 +234,11 @@ fi
 if grep -rnE 'CompiledEfsm|EfsmBinding|efsm_compiled::|Tier::CompiledEfsm|StepEngine::register|Repr::Register' \
         crates/ src/ examples/ tests/; then
     echo "verify.sh: the register tier was deleted; past the unfolding budget a guarded machine runs on the interpreter (docs/KERNELS.md)" >&2
+    exit 1
+fi
+if grep -rniE '\b(validate_machine|ValidationReport|structural_diagnostics|missing_transitions|check_deterministic|check_guard_determinism)\b|compiled-efsm' \
+        crates/ src/ examples/ tests/ docs/; then
+    echo "verify.sh: stategen-analysis is the one well-formedness and guard-determinism checker, and no compiled-EFSM tier is left (docs/ANALYSIS.md)" >&2
     exit 1
 fi
 if grep -rn 'Condvar' crates/core/src crates/runtime/src; then

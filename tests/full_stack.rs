@@ -2,10 +2,11 @@
 //! the facade — generation, rendering, generated code, simulation,
 //! storage and routing.
 
+use stategen::analysis::{analyze, AnalysisConfig};
 use stategen::chord::{Key, Overlay};
 use stategen::commit::{CommitConfig, CommitModel, ReferenceCommit};
 use stategen::fsm::{
-    generate, merge_equivalent_states, validate_machine, FlatIr, MergeStrategy, ProtocolEngine,
+    generate, merge_equivalent_states, FlatIr, Lint, MergeStrategy, ProtocolEngine,
 };
 use stategen::generated::GeneratedCommitR7;
 use stategen::render::{render_dot, render_mermaid, render_xml, DotOptions};
@@ -21,8 +22,16 @@ use stategen::storage::{
 fn generate_validate_render() {
     for r in [4u32, 7] {
         let g = generate(&CommitModel::new(CommitConfig::new(r).unwrap())).unwrap();
-        let report = validate_machine(&g.machine);
-        assert!(report.is_valid(), "r={r}: {:?}", report.diagnostics);
+        let analysis = analyze(&FlatIr::from_machine(&g.machine), &AnalysisConfig::new());
+        assert!(analysis.is_clean(), "r={r}: {:?}", analysis.diagnostics);
+        for lint in [
+            Lint::FinalWithOutgoing,
+            Lint::UnreachableState,
+            Lint::DeadEndState,
+            Lint::DuplicateStateName,
+        ] {
+            assert!(!analysis.has(lint), "r={r}: {:?}", analysis.diagnostics);
+        }
 
         let dot = render_dot(&g.machine, &DotOptions::default());
         assert_eq!(dot.matches('{').count(), dot.matches('}').count());
