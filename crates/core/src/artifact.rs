@@ -53,7 +53,7 @@ use crate::efsm::{CmpOp, Efsm, Guard, LinExpr, Operand, ParamId, Update, VarId};
 use crate::error::{ArtifactError, StategenError};
 use crate::fingerprint::{fnv1a, fold_params};
 use crate::ir::{FlatIr, FlatState, FlatTransition};
-use crate::machine::{Action, StateMachine, StateRole};
+use crate::machine::{Action, StateMachine, StateRole, MAX_MESSAGES};
 
 /// The 8-byte artifact magic (`"STGNARTF"`).
 pub const MAGIC: [u8; 8] = *b"STGNARTF";
@@ -593,7 +593,7 @@ fn decode(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
     let name = r.section(SEC_NAME, "name", |r| r.str())?;
     let messages = r.section(SEC_MESSAGES, "messages", |r| {
         let messages = r.strs(1)?;
-        if messages.len() > usize::from(u16::MAX) + 1 {
+        if messages.len() > MAX_MESSAGES {
             return Err(r.malformed("more than 65536 messages"));
         }
         Ok(messages)

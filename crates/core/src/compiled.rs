@@ -103,7 +103,7 @@ pub struct CompiledMachine {
 /// any order, then [`DenseRows::finish`] compresses the alphabet and
 /// lays the columns out. Both dense lowerings fill one — an unguarded
 /// IR state by state, and the step engine's unfolding of a guarded IR
-/// configuration by configuration, as its breadth-first search
+/// configuration by configuration, as the crate's one explorer
 /// discovers them.
 #[derive(Debug)]
 pub(crate) struct DenseRows {

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use crate::machine::Action;
+use crate::machine::{check_alphabet, Action, AlphabetError};
 
 /// Identifier of an EFSM variable (index into [`Efsm::variables`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -448,19 +448,18 @@ impl EfsmBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `messages` is empty or contains duplicates.
+    /// Panics if `messages` is empty, has more than 65 536 entries or
+    /// contains duplicates.
     pub fn new<I, S>(name: impl Into<String>, messages: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let messages: Vec<String> = messages.into_iter().map(Into::into).collect();
-        assert!(
-            !messages.is_empty(),
-            "EFSM must declare at least one message"
-        );
-        for (i, m) in messages.iter().enumerate() {
-            assert!(!messages[..i].contains(m), "duplicate message `{m}`");
+        match check_alphabet(&messages) {
+            Err(AlphabetError::Empty) => panic!("EFSM must declare at least one message"),
+            Err(AlphabetError::Duplicate(m)) => panic!("duplicate message `{m}`"),
+            Ok(()) => {}
         }
         EfsmBuilder {
             name: name.into(),

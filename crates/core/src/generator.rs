@@ -5,7 +5,8 @@
 //! one search and builds the machine once:
 //!
 //! 1. **enumerate**, 2. **transitions** and 3. **prune** are one
-//!    worklist over state codes, seeded with the start state. Each
+//!    breadth-first search over state codes (the crate's one explorer),
+//!    seeded with the start state. Each
 //!    reached state has the effect of every message elaborated once via
 //!    [`AbstractModel::transition`], and a target is enqueued the first
 //!    time it is seen; states where the protocol has completed
@@ -28,9 +29,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use crate::component::{StateSpace, StateVector};
+use crate::component::StateVector;
 use crate::error::GenerateError;
-use crate::machine::{Action, MessageId, State, StateId, StateMachine, StateRole, Transition};
+use crate::explore::explore;
+use crate::machine::{
+    check_alphabet, Action, AlphabetError, MessageId, State, StateId, StateMachine, StateRole,
+    Transition,
+};
 use crate::model::{AbstractModel, Outcome};
 
 /// How aggressively equivalent states are combined (paper §3.4 step 4).
@@ -51,7 +56,7 @@ pub enum MergeStrategy {
 pub struct GenerateOptions {
     /// Explore from the start state only, so unreachable states are never
     /// elaborated (paper step 3). Default `true`. With `false` the
-    /// worklist is seeded with every state of the space: the whole
+    /// search is seeded with every state of the space, in code order: the whole
     /// product is elaborated and held, which a large, sparsely reached
     /// space (up to `u32::MAX` states) cannot afford.
     pub prune: bool,
@@ -134,49 +139,6 @@ pub struct GeneratedMachine {
     pub report: GenerationReport,
 }
 
-/// An elaborated transition; its target is a position in the worklist.
-struct RawTransition {
-    message: MessageId,
-    target: u32,
-    actions: Vec<Action>,
-    annotations: Vec<String>,
-}
-
-/// A state the worklist reached.
-struct Reached {
-    code: u64,
-    vector: StateVector,
-    finish: bool,
-    transitions: Vec<RawTransition>,
-}
-
-/// The reached states in discovery order, and the visited index from a
-/// state's code to its position among them.
-#[derive(Default)]
-struct Worklist {
-    reached: Vec<Reached>,
-    index: HashMap<u64, u32>,
-}
-
-impl Worklist {
-    /// The position of `vector`, enqueuing it the first time it is seen.
-    fn visit(&mut self, space: &StateSpace, vector: StateVector, model: &dyn AbstractModel) -> u32 {
-        let reached = &mut self.reached;
-        *self
-            .index
-            .entry(space.encode(&vector))
-            .or_insert_with_key(|&code| {
-                reached.push(Reached {
-                    code,
-                    finish: model.is_final_state(&vector),
-                    vector,
-                    transitions: Vec::new(),
-                });
-                reached.len() as u32 - 1
-            })
-    }
-}
-
 /// Executes `model` with default [`GenerateOptions`].
 ///
 /// # Errors
@@ -232,14 +194,10 @@ pub fn generate_with(
     // -- Validate the model interface. ------------------------------------
     let space = model.state_space()?;
     let messages = model.messages();
-    if messages.is_empty() {
-        return Err(GenerateError::NoMessages);
-    }
-    assert!(messages.len() <= usize::from(u16::MAX), "too many messages");
-    for (i, m) in messages.iter().enumerate() {
-        if messages[..i].contains(m) {
-            return Err(GenerateError::DuplicateMessage(m.clone()));
-        }
+    match check_alphabet(&messages) {
+        Err(AlphabetError::Empty) => return Err(GenerateError::NoMessages),
+        Err(AlphabetError::Duplicate(m)) => return Err(GenerateError::DuplicateMessage(m.into())),
+        Ok(()) => {}
     }
     let start_vector = model.start_state();
     if !space.contains(&start_vector) {
@@ -248,28 +206,38 @@ pub fn generate_with(
 
     // -- Steps 1–3: elaborate each reached state once. --------------------
     let stage = Instant::now();
-    let mut work = Worklist::default();
-    if options.prune {
-        work.visit(&space, start_vector.clone(), model);
+    let new_state = |vector: StateVector| {
+        let role = if model.is_final_state(&vector) {
+            StateRole::Finish
+        } else {
+            StateRole::Normal
+        };
+        State::new(space.name_of(&vector), Some(vector), role, Vec::new())
+    };
+    let roots: Vec<StateVector> = if options.prune {
+        vec![start_vector.clone()]
     } else {
-        for vector in space.iter() {
-            work.visit(&space, vector, model);
-        }
-    }
+        space.iter().collect()
+    };
+    // A state is explored as its code, the bits kept in a one-word row.
+    let code = |vector: &StateVector| [space.encode(vector) as i64];
+    let root_codes: Vec<_> = roots.iter().map(|v| (0, code(v))).collect();
+    // The reached states in discovery order, their targets numbered so.
+    let mut states: Vec<State> = roots.into_iter().map(new_state).collect();
     let (mut elaborations, mut transitions_recorded) = (0u64, 0u64);
     let (mut ignored, mut self_loops_dropped) = (0u64, 0u64);
-    let mut next = 0;
-    while next < work.reached.len() {
-        let at = next;
-        next += 1;
-        if work.reached[at].finish {
+    let codes = explore(1, root_codes, usize::MAX, |codes, at| {
+        let at = at as usize;
+        if states[at].role() == StateRole::Finish {
             // A completed instance processes no further messages.
-            continue;
+            return Ok(());
         }
         for (mid, message) in messages.iter().enumerate() {
             elaborations += 1;
-            let Outcome::Transition(spec) = model.transition(&work.reached[at].vector, message)
-            else {
+            let vector = states[at]
+                .vector()
+                .expect("a generated state has its vector");
+            let Outcome::Transition(spec) = model.transition(vector, message) else {
                 ignored += 1;
                 continue;
             };
@@ -279,49 +247,29 @@ pub fn generate_with(
                     context: "transition elaboration",
                 });
             }
-            if spec.target == work.reached[at].vector
-                && spec.actions.is_empty()
-                && !options.keep_self_loops
-            {
+            if spec.target == *vector && spec.actions.is_empty() && !options.keep_self_loops {
                 self_loops_dropped += 1;
                 continue;
             }
             transitions_recorded += 1;
-            let target = work.visit(&space, spec.target, model);
-            work.reached[at].transitions.push(RawTransition {
-                message: MessageId(mid as u16),
-                target,
-                actions: spec.actions,
-                annotations: spec.annotations,
-            });
+            let (target, new) = codes
+                .visit(0, &code(&spec.target))
+                .expect("fewer reached states than u32 ids");
+            if new {
+                states.push(new_state(spec.target));
+            }
+            let transition = Transition::new(StateId(target), spec.actions, spec.annotations);
+            states[at].insert_transition(MessageId(mid as u16), transition);
         }
-    }
+        Ok(())
+    })?;
 
     // Number the reached states in code order, as enumerating the whole
-    // space would, and build the machine from them.
-    let mut by_code: Vec<u32> = (0..work.reached.len() as u32).collect();
-    by_code.sort_unstable_by_key(|&at| work.reached[at as usize].code);
-    let mut id_of = vec![StateId(0); by_code.len()];
-    for (id, &at) in by_code.iter().enumerate() {
-        id_of[at as usize] = StateId(id as u32);
-    }
-    let start_id = id_of[work.index[&space.encode(&start_vector)] as usize];
-    work.reached.sort_unstable_by_key(|r| r.code);
-    let states = work.reached.into_iter().map(|r| {
-        let role = if r.finish {
-            StateRole::Finish
-        } else {
-            StateRole::Normal
-        };
-        let mut state = State::new(space.name_of(&r.vector), Some(r.vector), role, Vec::new());
-        for t in r.transitions {
-            let target = id_of[t.target as usize];
-            state.insert_transition(t.message, Transition::new(target, t.actions, t.annotations));
-        }
-        state
-    });
-    let machine =
-        StateMachine::from_parts(model.machine_name(), messages, states.collect(), start_id);
+    // space would.
+    let start = StateId(codes.find(0, &code(&start_vector)).expect("reached"));
+    let mut machine = StateMachine::from_parts(model.machine_name(), messages, states, start);
+    let keys: Vec<_> = codes.rows().iter().map(|&code| Some(code as u64)).collect();
+    machine.renumber(&keys);
     let reachable_states = machine.state_count();
     timings.explore = stage.elapsed();
 
@@ -357,8 +305,9 @@ pub fn generate_with(
 /// Removes states unreachable from the start state (paper §3.4 step 3),
 /// returning the pruned machine.
 ///
-/// This is the standalone form used on hand-built machines; the generation
-/// pipeline never builds an unreachable state in the first place.
+/// This is the generator's reference: the pipeline never builds an
+/// unreachable state, and its search is checked against enumerating the
+/// whole space, then this, then merging.
 pub fn prune_unreachable(machine: &StateMachine) -> StateMachine {
     let mut seen = vec![false; machine.state_count()];
     let mut queue = VecDeque::new();
@@ -372,16 +321,12 @@ pub fn prune_unreachable(machine: &StateMachine) -> StateMachine {
             }
         }
     }
-    let mut next = 0;
-    let remap: Vec<Option<StateId>> = seen
-        .iter()
-        .map(|&kept| {
-            next += u32::from(kept);
-            kept.then_some(StateId(next - 1))
-        })
+    let keys: Vec<_> = (0..)
+        .zip(seen)
+        .map(|(at, kept)| kept.then_some(at))
         .collect();
     let mut pruned = machine.clone();
-    pruned.renumber(&remap);
+    pruned.renumber(&keys);
     pruned
 }
 
@@ -457,17 +402,8 @@ fn merge_states(mut machine: StateMachine, strategy: MergeStrategy) -> (StateMac
         }
     }
     // Keep one state per class, numbered in representative order.
-    let mut remap: Vec<Option<StateId>> = vec![None; n];
-    let mut reps = 0;
-    for (i, &rep) in class.iter().enumerate() {
-        remap[i] = if rep as usize == i {
-            reps += 1;
-            Some(StateId(reps - 1))
-        } else {
-            remap[rep as usize]
-        };
-    }
-    machine.renumber(&remap);
+    let keys: Vec<_> = class.iter().map(|&rep| Some(u64::from(rep))).collect();
+    machine.renumber(&keys);
     (machine, rounds)
 }
 

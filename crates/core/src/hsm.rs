@@ -19,12 +19,12 @@
 //!   an [`Efsm`](crate::Efsm);
 //! * [`HierarchicalMachine::flatten_ir`] — the compiler: enumerates the
 //!   reachable *configurations* (active leaf × shallow-history memory)
-//!   breadth-first and lowers each to one state of the unified flat IR
-//!   ([`FlatIr`]), expanding inherited transitions (guards carried
-//!   symbolically, in firing priority order), synthesizing the
-//!   exit/transition/entry action sequences, and resolving history by
-//!   splitting states per remembered child. Unguarded statecharts
-//!   project to an ordinary [`StateMachine`]
+//!   with the crate's one breadth-first explorer and lowers each to one
+//!   state of the unified flat IR ([`FlatIr`]), expanding inherited
+//!   transitions (guards carried symbolically, in firing priority
+//!   order), synthesizing the exit/transition/entry action sequences,
+//!   and resolving history by splitting states per remembered child.
+//!   Unguarded statecharts project to an ordinary [`StateMachine`]
 //!   ([`HierarchicalMachine::flatten`]) and run on every dense-table
 //!   tier — an [`Instance`](crate::Instance),
 //!   [`CompiledMachine`](crate::CompiledMachine) /
@@ -111,14 +111,15 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use crate::efsm::{Guard, LinExpr, Operand, ParamId, Update, VarId};
 use crate::error::{HsmError, InterpError};
+use crate::explore::explore;
 use crate::interp::ProtocolEngine;
 use crate::ir::{FlatIr, FlatState, FlatTransition};
-use crate::machine::{Action, MessageId, StateMachine, StateRole};
+use crate::machine::{check_alphabet, Action, MessageId, StateMachine, StateRole};
 
 /// Identifier of a state within a [`HierarchicalMachine`] (index into
 /// its state tree, in declaration order).
@@ -685,53 +686,41 @@ impl HierarchicalMachine {
     /// for guarded ones [`StepEngine::compile_ir`](crate::StepEngine::compile_ir)
     /// picks the tier (see [`FlatIr::is_guarded`]).
     pub fn flatten_ir(&self) -> FlatIr {
-        let init_mem = self.initial_memory();
-        let start_config = (self.start_leaf, init_mem);
-
-        let mut states: Vec<FlatState> = Vec::new();
-        let mut index: HashMap<(HsmStateId, Vec<HsmStateId>), u32> = HashMap::new();
-        let mut queue = VecDeque::new();
-        let add_config = |states: &mut Vec<FlatState>,
-                          queue: &mut VecDeque<(HsmStateId, Vec<HsmStateId>)>,
-                          index: &mut HashMap<_, u32>,
-                          config: (HsmStateId, Vec<HsmStateId>)| {
-            if let Some(&id) = index.get(&config) {
-                return id;
-            }
-            let id = states.len() as u32;
-            states.push(FlatState {
-                name: self.config_name(config.0, &config.1),
-                role: self.states[config.0.index()].role,
-                transitions: Vec::new(),
-            });
-            index.insert(config.clone(), id);
-            queue.push_back(config);
-            id
+        let flat_state = |leaf: HsmStateId, memory: &[HsmStateId]| FlatState {
+            name: self.config_name(leaf, memory),
+            role: self.states[leaf.index()].role,
+            transitions: Vec::new(),
         };
-
-        let start_id = add_config(&mut states, &mut queue, &mut index, start_config);
-        while let Some((leaf, memory)) = queue.pop_front() {
+        // A configuration is explored as (leaf, memory as a row).
+        let mut memory = self.initial_memory();
+        let mut states = vec![flat_state(self.start_leaf, &memory)];
+        let mut row: Vec<i64> = memory.iter().map(|s| i64::from(s.0)).collect();
+        let root = (self.start_leaf.0, row.clone());
+        let Ok(_) = explore(memory.len(), [root], usize::MAX, |configs, from| {
+            let leaf = HsmStateId(configs.heads()[from as usize]);
             if self.states[leaf.index()].role == StateRole::Finish {
-                continue; // absorbing: no outgoing flat transitions
+                return Ok(()); // absorbing: no outgoing flat transitions
             }
-            let from = index[&(leaf, memory.clone())];
-            let mut lowered = Vec::new();
-            for m in 0..self.messages.len() as u16 {
+            for m in (0..=u16::MAX).take(self.messages.len()) {
                 for (handler, t) in self.candidates(leaf, m) {
-                    // Guard-aware reachability pruning: a candidate whose
-                    // guard is provably unsatisfiable (for every variable
-                    // and parameter assignment — see
-                    // [`guard_unsat`](crate::interval::guard_unsat)) can
-                    // never fire, so neither it nor any configuration
-                    // only reachable through it is enumerated.
+                    // Guard-aware pruning: a provably unsatisfiable guard
+                    // never fires, so nothing only it reaches is enumerated.
                     if crate::interval::guard_unsat(&t.guard) {
                         continue;
                     }
-                    let mut mem = memory.clone();
+                    memory.clear();
+                    memory.extend(configs.row(from).iter().map(|&s| HsmStateId(s as u32)));
                     let mut actions = Vec::new();
-                    let new_leaf = self.apply_transition(leaf, &mut mem, handler, t, &mut actions);
-                    let to = add_config(&mut states, &mut queue, &mut index, (new_leaf, mem));
-                    lowered.push(FlatTransition {
+                    let target = self.apply_transition(leaf, &mut memory, handler, t, &mut actions);
+                    row.clear();
+                    row.extend(memory.iter().map(|s| i64::from(s.0)));
+                    let (to, new) = configs
+                        .visit(target.0, &row)
+                        .expect("fewer configurations than u32 ids");
+                    if new {
+                        states.push(flat_state(target, &memory));
+                    }
+                    states[from as usize].transitions.push(FlatTransition {
                         message: m,
                         guard: t.guard.clone(),
                         updates: t.updates.clone(),
@@ -740,8 +729,8 @@ impl HierarchicalMachine {
                     });
                 }
             }
-            states[from as usize].transitions = lowered;
-        }
+            Ok::<_, std::convert::Infallible>(())
+        });
         FlatIr {
             name: self.name.clone(),
             messages: self.messages.clone(),
@@ -749,7 +738,7 @@ impl HierarchicalMachine {
             params: self.params.clone(),
             variables: self.variables.clone(),
             states,
-            start: start_id,
+            start: 0,
         }
     }
 
@@ -826,22 +815,16 @@ impl HsmBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `messages` is empty or contains duplicates.
+    /// Panics if `messages` is empty, has more than 65 536 entries or
+    /// contains duplicates.
     pub fn new<I, S>(name: impl Into<String>, messages: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let messages: Vec<String> = messages.into_iter().map(Into::into).collect();
-        assert!(
-            !messages.is_empty(),
-            "machine must declare at least one message"
-        );
-        for (i, m) in messages.iter().enumerate() {
-            assert!(
-                !messages[..i].contains(m),
-                "duplicate message `{m}` in machine alphabet"
-            );
+        if let Err(e) = check_alphabet(&messages) {
+            panic!("{e}");
         }
         HsmBuilder {
             name: name.into(),
@@ -1366,12 +1349,6 @@ impl HsmBuilder {
             }
         }
 
-        let message_lookup = self
-            .messages
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i as u16))
-            .collect();
         let history_states: Vec<HsmStateId> = self
             .states
             .iter()
@@ -1389,8 +1366,8 @@ impl HsmBuilder {
         }
         Ok(HierarchicalMachine {
             name: self.name,
+            message_lookup: FlatIr::build_lookup(&self.messages),
             messages: self.messages,
-            message_lookup,
             params: self.params,
             variables: self.variables,
             states: self.states,
@@ -1775,6 +1752,24 @@ mod tests {
         assert!(flat.state_by_name("Idle").is_some());
         assert!(flat.state_by_name("Idle~Up=B").is_some());
         assert!(flat.state_by_name("Up.B~Up=B").is_some());
+    }
+
+    /// The widest alphabet an artifact may carry, 65 536 messages, keeps
+    /// its last message's transition; one more is refused at the builder.
+    #[test]
+    fn flatten_keeps_the_last_of_65536_messages() {
+        let messages: Vec<String> = (0..=u16::MAX).map(|i| format!("m{i}")).collect();
+        let mut b = HsmBuilder::new("wide", messages.clone());
+        let (idle, done) = (b.add_state("Idle"), b.add_state("Done"));
+        b.mark_final(done);
+        b.add_transition(idle, "m65535", done, vec![Action::send("bye")]);
+        let flat = b.build(idle).flatten_ir();
+        assert_eq!(flat.states()[0].transitions().len(), 1);
+        let mut fast = Instance::new(StepEngine::compile_ir(&flat, &[]).unwrap());
+        assert_eq!(fast.deliver_ref("m65535").unwrap(), [Action::send("bye")]);
+        assert!(fast.is_finished());
+        let more = messages.into_iter().chain(["m65536".into()]);
+        assert!(std::panic::catch_unwind(|| HsmBuilder::new("wider", more)).is_err());
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl FlatIr {
         self.message_lookup.get(name).copied().map(MessageId)
     }
 
-    /// Builds the name→id map shared by every `FlatIr` constructor.
+    /// Builds the name→id map of an alphabet, for every machine shape.
     pub(crate) fn build_lookup(messages: &[String]) -> HashMap<String, u16> {
         messages
             .iter()

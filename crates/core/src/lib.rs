@@ -158,6 +158,7 @@ pub mod component;
 pub mod diag;
 pub mod efsm;
 pub mod error;
+mod explore;
 pub mod fingerprint;
 pub mod generator;
 pub mod hsm;

@@ -6,11 +6,12 @@
 //! (outgoing messages to send) and both states and transitions may carry
 //! documentation annotations.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use crate::component::StateVector;
 use crate::error::CompileError;
+use crate::ir::FlatIr;
 
 /// Identifier of a message within a [`StateMachine`] (index into
 /// [`StateMachine::messages`]).
@@ -21,6 +22,43 @@ impl MessageId {
     /// The index into the machine's message table.
     pub fn index(self) -> usize {
         usize::from(self.0)
+    }
+}
+
+/// Most messages one alphabet may declare: every [`MessageId`] fits a
+/// `u16`. The artifact loader's limit too.
+pub(crate) const MAX_MESSAGES: usize = 1 << 16;
+
+/// Why [`check_alphabet`] refuses an alphabet; `Display` gives the
+/// builders' panic text.
+pub(crate) enum AlphabetError<'a> {
+    Empty,
+    Duplicate(&'a str),
+}
+
+impl fmt::Display for AlphabetError<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AlphabetError::Empty => write!(f, "machine must declare at least one message"),
+            AlphabetError::Duplicate(m) => write!(f, "duplicate message `{m}` in machine alphabet"),
+        }
+    }
+}
+
+/// The one alphabet check, run by every builder and the generator in
+/// one pass: non-empty and no name twice (reported at its second
+/// occurrence). Panics past [`MAX_MESSAGES`] messages.
+pub(crate) fn check_alphabet(messages: &[String]) -> Result<(), AlphabetError<'_>> {
+    let count = messages.len();
+    assert!(
+        count <= MAX_MESSAGES,
+        "too many messages: {count} > {MAX_MESSAGES}"
+    );
+    let mut seen = HashSet::with_capacity(count);
+    match messages.iter().find(|m| !seen.insert(m.as_str())) {
+        Some(m) => Err(AlphabetError::Duplicate(m)),
+        None if count == 0 => Err(AlphabetError::Empty),
+        None => Ok(()),
     }
 }
 
@@ -206,20 +244,10 @@ impl StateMachine {
         states: Vec<State>,
         start: StateId,
     ) -> Self {
-        let message_lookup = messages
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i as u16))
-            .collect::<HashMap<_, _>>();
-        debug_assert_eq!(
-            message_lookup.len(),
-            messages.len(),
-            "duplicate message names"
-        );
         StateMachine {
             name,
+            message_lookup: FlatIr::build_lookup(&messages),
             messages,
-            message_lookup,
             states,
             start,
         }
@@ -323,18 +351,24 @@ impl StateMachine {
             .count()
     }
 
-    /// Collapses the machine onto the ids `remap` hands out, which must
-    /// be handed out in state order: state `i` survives if it is the
-    /// first state mapped to its new id, and every transition target and
-    /// the start state are mapped through `remap` (`None` only for
-    /// states nothing surviving points at).
-    pub(crate) fn renumber(&mut self, remap: &[Option<StateId>]) {
-        let (mut ids, mut kept) = (remap.iter(), 0);
-        self.states.retain(|_| {
-            let first = ids.next() == Some(&Some(StateId(kept)));
-            kept += u32::from(first);
-            first
-        });
+    /// Renumbers the states in the order of their keys: states sharing
+    /// a key become one, the first of them in state order, and states
+    /// keyed `None` go; every transition target and the start state
+    /// follow their state (`None` only for states nothing kept points at).
+    pub(crate) fn renumber(&mut self, keys: &[Option<u64>]) {
+        let states = std::mem::take(&mut self.states).into_iter().enumerate();
+        let mut keyed: Vec<_> = states
+            .filter_map(|(at, s)| Some((keys[at]?, at, s)))
+            .collect();
+        keyed.sort_unstable_by_key(|&(key, at, _)| (key, at));
+        let (mut remap, mut last) = (vec![None; keys.len()], None);
+        for (key, at, state) in keyed {
+            if last != Some(key) {
+                self.states.push(state);
+                last = Some(key);
+            }
+            remap[at] = Some(StateId(self.states.len() as u32 - 1));
+        }
         let to = |id: StateId| remap[id.index()].expect("a surviving state's target survives");
         for state in &mut self.states {
             for t in state.transitions.values_mut() {
@@ -384,22 +418,16 @@ impl StateMachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `messages` is empty or contains duplicates.
+    /// Panics if `messages` is empty, has more than 65 536 entries or
+    /// contains duplicates.
     pub fn new<I, S>(name: impl Into<String>, messages: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let messages: Vec<String> = messages.into_iter().map(Into::into).collect();
-        assert!(
-            !messages.is_empty(),
-            "machine must declare at least one message"
-        );
-        for (i, m) in messages.iter().enumerate() {
-            assert!(
-                !messages[..i].contains(m),
-                "duplicate message `{m}` in machine alphabet"
-            );
+        if let Err(e) = check_alphabet(&messages) {
+            panic!("{e}");
         }
         StateMachineBuilder {
             name: name.into(),

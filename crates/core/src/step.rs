@@ -40,6 +40,7 @@ use std::sync::Arc;
 use crate::compiled::{CompiledMachine, DenseRows};
 use crate::efsm::{LinExpr, Operand, Update};
 use crate::error::StategenError;
+use crate::explore::{explore, ReachedSet};
 use crate::ir::{FlatIr, FlatState};
 use crate::kernel::{dense_batch, BatchTally};
 use crate::machine::{Action, MessageId, StateRole};
@@ -112,107 +113,21 @@ const MAX_MAGNITUDE: i64 = 1 << 31;
 /// interpreter — part of what the engine's `Display` form reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fallback {
-    /// Exploration passed [`MAX_CONFIGS`].
-    OverBudget { configs: usize },
+    /// Exploration reached a configuration past [`MAX_CONFIGS`].
+    OverBudget,
     /// Variable `var` left ±[`MAX_MAGNITUDE`].
     Unbounded { var: usize },
     /// [`arithmetic_fits`] could not rule out overflow.
     MayOverflow,
 }
 
-/// The reachable `(state, register row)` configurations of a guarded
-/// machine, numbered in discovery order, with the inverse index: an
-/// open-addressed table of configuration ids keyed by the pair's hash
-/// (no per-configuration allocation, and the one structure serves both
-/// as the search's visited set and as the restore path's lookup).
-#[derive(Debug)]
-struct Configs {
-    /// Configuration → source state id.
-    state_of: Vec<u32>,
-    /// Configuration → its register row, `width` wide: the declared
-    /// variables, then the always-zero register — the layout of one
-    /// session's row in a snapshot ([`FlatIr::reg_count`]).
-    rows: Vec<i64>,
-    width: usize,
-    /// Power-of-two table of configuration ids, [`Configs::VACANT`]
-    /// where empty, at most half full.
-    index: Vec<u32>,
-}
-
-impl Configs {
-    const VACANT: u32 = u32::MAX;
-
-    fn new(width: usize) -> Self {
-        Configs {
-            state_of: Vec::new(),
-            rows: Vec::new(),
-            width,
-            index: vec![Configs::VACANT; 64],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.state_of.len()
-    }
-
-    fn row(&self, config: u32) -> &[i64] {
-        &self.rows[config as usize * self.width..][..self.width]
-    }
-
-    /// The index position where `(state, row)` is, or would go.
-    fn probe(&self, state: u32, row: &[i64]) -> usize {
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut hash = u64::from(state).wrapping_mul(K);
-        for &v in row {
-            hash = (hash.rotate_left(5) ^ v as u64).wrapping_mul(K);
-        }
-        let mask = self.index.len() - 1;
-        let mut at = (hash >> 32) as usize & mask;
-        loop {
-            let config = self.index[at];
-            if config == Configs::VACANT
-                || (self.state_of[config as usize] == state && self.row(config) == row)
-            {
-                return at;
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
-    /// The configuration holding exactly `(state, row)`, if reachable.
-    fn find(&self, state: u32, row: &[i64]) -> Option<u32> {
-        let config = self.index[self.probe(state, row)];
-        (config != Configs::VACANT).then_some(config)
-    }
-
-    /// The id of `(state, row)`, numbering it if it is new (`true`).
-    fn intern(&mut self, state: u32, row: &[i64]) -> (u32, bool) {
-        let at = self.probe(state, row);
-        if self.index[at] != Configs::VACANT {
-            return (self.index[at], false);
-        }
-        let config = self.len() as u32;
-        self.state_of.push(state);
-        self.rows.extend_from_slice(row);
-        self.index[at] = config;
-        if self.len() * 2 > self.index.len() {
-            self.index = vec![Configs::VACANT; self.index.len() * 2];
-            for config in 0..self.len() as u32 {
-                let at = self.probe(self.state_of[config as usize], self.row(config));
-                self.index[at] = config;
-            }
-        }
-        (config, true)
-    }
-}
-
 /// What an unfolded engine keeps beside its dense table so that every
-/// observable answer stays the source machine's: the configurations
-/// (the start state's is number 0), and the source's own names, finish
-/// flags and binding.
+/// observable answer stays the source machine's: the configurations —
+/// the unfolding's reached set: source states and register rows, the
+/// start state's number 0 — and the source's names, finish flags and binding.
 #[derive(Debug)]
 struct Unfolded {
-    configs: Configs,
+    configs: ReachedSet,
     state_names: Box<[Arc<str>]>,
     finish: Box<[bool]>,
     params: Box<[i64]>,
@@ -248,35 +163,32 @@ fn arithmetic_fits(ir: &FlatIr, params: &[i64]) -> bool {
 }
 
 /// Unfolds a guarded `ir` under `params` into a dense table over its
-/// reachable configurations, breadth-first from `(start, 0…0)`, every
-/// edge found by calling [`FlatIr::step`] itself — so guard priority,
-/// staged updates and absorbing finish states are the interpreter's by
-/// construction. `Err` carries why the machine stays on the interpreter
-/// instead.
+/// reachable configurations, explored breadth-first from `(start, 0…0)`
+/// within [`MAX_CONFIGS`], every edge found by calling [`FlatIr::step`]
+/// itself — so guard priority, staged updates and absorbing finish
+/// states are the interpreter's by construction. `Err` carries why the
+/// machine stays on the interpreter instead.
 fn unfold(ir: &FlatIr, params: &[i64]) -> Result<(CompiledMachine, Unfolded), Fallback> {
     if !arithmetic_fits(ir, params) {
         return Err(Fallback::MayOverflow);
     }
     let state_names: Box<[Arc<str>]> = ir.states().iter().map(|s| s.name().into()).collect();
     let finish: Box<[bool]> = ir.states().iter().map(finishes).collect();
-    let mut configs = Configs::new(ir.reg_count());
     let mut rows = DenseRows::new(ir.messages().len(), ir.state_count());
     // One row reused for every step: the variables, then the zero
     // register, which `FlatIr::step` leaves alone.
     let mut row = vec![0; ir.reg_count()];
     let mut scratch = vec![0; ir.variables().len()];
-    configs.intern(ir.start(), &row);
-    rows.push_state(
-        Arc::clone(&state_names[ir.start() as usize]),
-        finish[ir.start() as usize],
-    );
-    let mut from = 0;
-    // Configurations are numbered in discovery order, so the arrays
-    // are the search's queue.
-    while from < configs.len() {
-        let state = configs.state_of[from];
+    let push_state = |rows: &mut DenseRows, state: u32| {
+        let state = state as usize;
+        rows.push_state(Arc::clone(&state_names[state]), finish[state]);
+    };
+    push_state(&mut rows, ir.start());
+    let root = (ir.start(), row.clone());
+    let configs = explore(row.len(), [root], MAX_CONFIGS, |configs, from| {
+        let state = configs.heads()[from as usize];
         for message in 0..ir.messages().len() {
-            row.copy_from_slice(configs.row(from as u32));
+            row.copy_from_slice(configs.row(from));
             let id = MessageId(message as u16);
             let Some((target, actions)) = ir.step(state, id, params, &mut row, &mut scratch) else {
                 continue;
@@ -287,22 +199,14 @@ fn unfold(ir: &FlatIr, params: &[i64]) -> Result<(CompiledMachine, Unfolded), Fa
             {
                 return Err(Fallback::Unbounded { var });
             }
-            let (to, new) = configs.intern(target, &row);
+            let (to, new) = configs.visit(target, &row).ok_or(Fallback::OverBudget)?;
             if new {
-                if configs.len() > MAX_CONFIGS {
-                    return Err(Fallback::OverBudget {
-                        configs: configs.len(),
-                    });
-                }
-                rows.push_state(
-                    Arc::clone(&state_names[target as usize]),
-                    finish[target as usize],
-                );
+                push_state(&mut rows, target);
             }
-            rows.set(from, message, to, actions);
+            rows.set(from as usize, message, to, actions);
         }
-        from += 1;
-    }
+        Ok(())
+    })?;
     let unfolded = Unfolded {
         configs,
         state_names,
@@ -632,7 +536,7 @@ impl StepEngine {
             .expect("(state, regs) is not a reachable configuration of this machine");
         let (to, actions) = self.step_config(from, message, &mut [], scratch)?;
         regs.copy_from_slice(unfolded.configs.row(to));
-        Some((unfolded.configs.state_of[to as usize], actions))
+        Some((unfolded.configs.heads()[to as usize], actions))
     }
 
     /// The configuration a fresh session holds.
@@ -674,7 +578,7 @@ impl StepEngine {
     pub(crate) fn state_of(&self, config: u32) -> u32 {
         match &self.unfolded {
             None => config,
-            Some(u) => *u.configs.state_of.get(config as usize).unwrap_or(&config),
+            Some(u) => *u.configs.heads().get(config as usize).unwrap_or(&config),
         }
     }
 
@@ -687,7 +591,7 @@ impl StepEngine {
         let Some(unfolded) = &self.unfolded else {
             return false;
         };
-        let table = &unfolded.configs.state_of;
+        let table = unfolded.configs.heads();
         out.clear();
         out.extend(
             configs
@@ -706,7 +610,7 @@ impl StepEngine {
             return false;
         };
         let table = &unfolded.configs;
-        let len = configs.len() * table.width;
+        let len = configs.len() * table.width();
         // Every word is written below. A buffer too small is replaced
         // by a zeroed allocation — fresh pages, not a memset — and one
         // that fits is only cut or padded to length.
@@ -718,11 +622,11 @@ impl StepEngine {
         // Rows are a few words: with the width a constant each is one
         // array move, where a `copy_from_slice` of unknown length is a
         // call per slot (a peer snapshots its store at every commit).
-        match table.width {
-            1 => gather_rows::<1>(&table.rows, configs, out),
-            2 => gather_rows::<2>(&table.rows, configs, out),
-            3 => gather_rows::<3>(&table.rows, configs, out),
-            4 => gather_rows::<4>(&table.rows, configs, out),
+        match table.width() {
+            1 => gather_rows::<1>(table.rows(), configs, out),
+            2 => gather_rows::<2>(table.rows(), configs, out),
+            3 => gather_rows::<3>(table.rows(), configs, out),
+            4 => gather_rows::<4>(table.rows(), configs, out),
             width => {
                 for (row, &config) in out.chunks_exact_mut(width).zip(configs) {
                     if (config as usize) < table.len() {
@@ -876,8 +780,8 @@ impl fmt::Display for StepEngine {
             (Repr::Interpreted { .. }, None) => {
                 write!(f, "interpreted: the lowered IR, walked as it stands")
             }
-            (Repr::Interpreted { .. }, Some(Fallback::OverBudget { configs })) => {
-                write!(f, "interpreted: over budget at {configs} configurations")
+            (Repr::Interpreted { .. }, Some(Fallback::OverBudget)) => {
+                write!(f, "interpreted: over budget at {} configurations", MAX_CONFIGS + 1)
             }
             (Repr::Interpreted { .. }, Some(Fallback::Unbounded { var })) => write!(
                 f,

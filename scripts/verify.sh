@@ -89,7 +89,12 @@
 #    (debug builds assert every checkpoint write against the live
 #    bookkeeping; release builds do not, so the test is the check); and
 #    fails if the unfolded engine's side table is named anywhere outside
-#    core::step, if CommitPeer or PeerCheckpoint declare one of the
+#    core::step, if the explorer's reached set is named outside
+#    core::explore and its three searches (the unfolder in core::step,
+#    the generator, the statechart flattener), if a visited set the
+#    explorer replaced (the generator's worklist, the unfolder's
+#    configuration table, the flattener's add-config closure) is named
+#    in the sources or docs, if CommitPeer or PeerCheckpoint declare one of the
 #    attempt-keyed fields the in-flight table replaced, if the
 #    checkpoint holds a history or a finished set again (both are
 #    written through by the commit's synchronous write —
@@ -250,9 +255,18 @@ if grep -rnE 'FinishedBits|finished_slots|\.dirty' crates/core/src; then
     exit 1
 fi
 
-if grep -rnE '\b(Unfolded|Configs)\b' --include='*.rs' crates/ src/ examples/ tests/ \
+if grep -rnE '\bUnfolded\b' --include='*.rs' crates/ src/ examples/ tests/ \
         | grep -v '^crates/core/src/step.rs:'; then
     echo "verify.sh: an unfolded engine's side table is core::step's alone; callers see source states and registers" >&2
+    exit 1
+fi
+if grep -rnE '\bReachedSet\b' --include='*.rs' crates/ src/ examples/ tests/ \
+        | grep -vE '^crates/core/src/(explore|step|generator|hsm)\.rs:'; then
+    echo "verify.sh: the explorer's reached set belongs to core::explore and its three searches (unfold, generate_with, flatten_ir)" >&2
+    exit 1
+fi
+if grep -rnE '\b(Worklist|add_config|Configs)\b' crates/ src/ examples/ tests/ docs/; then
+    echo "verify.sh: the generator's, the unfolder's and the flattener's own visited sets were folded into core::explore (docs/KERNELS.md)" >&2
     exit 1
 fi
 
