@@ -4,9 +4,10 @@
 //! commit trace at r = 4.
 //!
 //! The batch-kernel gate: `batched_pool` measures the
-//! *scalar* per-session batch walk (`deliver_all_scalar` on the core
-//! `SessionStore` — the reference semantics), while `batched_kernel`
-//! measures the dense tier's branchless kernel behind `deliver_all`.
+//! *scalar* per-session batch walk (`deliver_all_scalar` on one bare
+//! session store, reached through `stategen_runtime::bench::Pool` — the
+//! reference semantics), while `batched_kernel` measures the dense
+//! tier's branchless kernel behind `deliver_all` on the same store.
 //! The paired alternating measurement at the bottom hard-fails unless
 //! the kernel wins by ≥ 1.25× on a single core — branch elimination
 //! alone, no multi-threading involved — at zero allocations per
@@ -19,8 +20,9 @@
 //! EFSM at r = 64, which `Engine::compile` leaves on the interpreter,
 //! as the median of ten passes at zero allocations per delivery.
 //!
-//! The facade tiers are measured **through the `stategen-runtime`
-//! facade** (`Spec → Engine → Runtime`) — the owned pipeline every
+//! The single-session and facade tiers are measured **through the
+//! `stategen-runtime` facade** (`Spec → Engine → Runtime`, one served
+//! session for the single-session rows) — the owned pipeline every
 //! deployment site now consumes — and the dedicated `runtime_facade` row
 //! hard-gates the facade's overhead: 64k-session batch dispatch must
 //! stay within 1.10× of raw dense-table stepping (a paired alternating
@@ -65,15 +67,12 @@ use std::time::Instant;
 
 use asa_simnet::SimRng;
 use stategen_analysis::minimize;
-use stategen_commit::{
-    commit_efsm, commit_efsm_instance, commit_efsm_params, CommitConfig, CommitModel,
-};
-use stategen_core::{
-    generate, CompiledMachine, FlatIr, Instance, ProtocolEngine, SessionStore, StepEngine,
-};
+use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel};
+use stategen_core::{generate, CompiledMachine, ProtocolEngine};
 use stategen_generated::GeneratedCommitR4;
 use stategen_models::{redundant_ring, session_lifecycle, session_lifecycle_guarded};
-use stategen_runtime::{Artifact, Engine, Spec};
+use stategen_runtime::bench::Pool;
+use stategen_runtime::{Artifact, Engine, MessageId, Runtime, SessionId, Spec};
 
 /// System allocator wrapped with an allocation counter, so the harness
 /// can assert which tiers allocate on the delivery path.
@@ -156,6 +155,117 @@ fn measure(
     }
 }
 
+/// One session of `engine`, served alone: the single-session view every
+/// single-session row drives.
+fn served(engine: &Engine) -> (Runtime, SessionId) {
+    let mut rt = engine.runtime();
+    let session = rt.spawn();
+    (rt, session)
+}
+
+/// `rounds` passes of `ids` through one served session, reset after
+/// each pass; returns the actions delivered.
+fn trace_pass((rt, session): &mut (Runtime, SessionId), ids: &[MessageId], rounds: u64) -> u64 {
+    let mut actions = 0;
+    for _ in 0..rounds {
+        for &id in ids {
+            actions += rt.deliver(*session, id).len() as u64;
+        }
+        rt.reset(*session);
+    }
+    actions
+}
+
+/// [`trace_pass`] on the one session of a bare store. Never inlined, so
+/// the minimization gate's two sides run one copy of the loop.
+#[inline(never)]
+fn session_pass(pool: &mut Pool, ids: &[MessageId], rounds: u64) -> u64 {
+    let mut actions = 0;
+    for _ in 0..rounds {
+        for &id in ids {
+            actions += pool.deliver(0, id).len() as u64;
+        }
+        pool.reset_all();
+    }
+    actions
+}
+
+/// `rounds` batches of `ids` over every session of `rt`, reset after
+/// each round; returns the transitions taken.
+fn batch_pass(rt: &mut Runtime, ids: &[MessageId], rounds: u64) -> u64 {
+    let mut transitions = 0;
+    for _ in 0..rounds {
+        for &id in ids {
+            transitions += rt.deliver_all(id);
+        }
+        rt.reset_all();
+    }
+    transitions
+}
+
+/// `rounds` batches of `ids` over `pool` through `deliver` — the
+/// kernels or the scalar walk — reset after each round; returns the
+/// transitions taken.
+fn pool_pass(
+    pool: &mut Pool,
+    deliver: impl Fn(&mut Pool, MessageId) -> u64,
+    ids: &[MessageId],
+    rounds: u64,
+) -> u64 {
+    let mut transitions = 0;
+    for _ in 0..rounds {
+        for &id in ids {
+            transitions += deliver(pool, id);
+        }
+        pool.reset_all();
+    }
+    transitions
+}
+
+/// `rounds` passes of `ids` over `states`, stepped straight through
+/// [`CompiledMachine::step`] — the loop a deployment would hand-roll
+/// without the runtime — and back at the start state after each round;
+/// returns the transitions taken.
+fn raw_pass(machine: &CompiledMachine, states: &mut [u32], ids: &[MessageId], rounds: u64) -> u64 {
+    let mut transitions = 0;
+    for _ in 0..rounds {
+        for &id in ids {
+            for state in states.iter_mut() {
+                if let Some((target, _)) = machine.step(*state, id) {
+                    *state = target;
+                    transitions += 1;
+                }
+            }
+        }
+        states.fill(machine.start());
+    }
+    transitions
+}
+
+/// Timed pairs per ratio gate: on a shared box one side of a five-pair
+/// gate was now and then slow in all five passes (the minimization
+/// gate, which reads 1.00, read 1.17 in one run of ten).
+const PAIRS: usize = 11;
+
+/// The paired measurement every ratio gate uses: one untimed pass of
+/// each side, then [`PAIRS`] alternating timed passes of `a` and `b`.
+/// Returns what the untimed passes returned and each side's best pass
+/// in ns: scheduler drift on a shared box hits both sides equally, so
+/// the best-of ratio isolates the real difference.
+fn paired(mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> ([u64; 2], [f64; 2]) {
+    let work = [std::hint::black_box(a()), std::hint::black_box(b())];
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..PAIRS {
+        let start = Instant::now();
+        std::hint::black_box(a());
+        best[0] = best[0].min(start.elapsed().as_nanos() as f64);
+        let start = Instant::now();
+        std::hint::black_box(b());
+        best[1] = best[1].min(start.elapsed().as_nanos() as f64);
+    }
+    (work, best)
+}
+
 /// The median of `samples` (sorted in place).
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -180,7 +290,7 @@ const DIVERGENT_ROUNDS: usize = 16;
 /// `batched_pool_divergent<suffix>` rows and the scalar / kernel ratio,
 /// having asserted that both walks agree on every transition total and
 /// end in the same states, registers and finished count.
-fn divergent_rows(suffix: &str, engine: &StepEngine, sessions: usize) -> (Vec<TierResult>, f64) {
+fn divergent_rows(suffix: &str, engine: &Engine, sessions: usize) -> (Vec<TierResult>, f64) {
     let alphabet: Vec<_> = engine
         .messages()
         .iter()
@@ -193,7 +303,7 @@ fn divergent_rows(suffix: &str, engine: &StepEngine, sessions: usize) -> (Vec<Ti
     let deliveries = (reps * sessions * DIVERGENT_ROUNDS) as u64;
     // One pass: `reps` × (re-diverge untimed, script timed); returns
     // (timed ns, transitions, allocations).
-    let pass = |store: &mut SessionStore, kernel: bool| {
+    let pass = |store: &mut Pool, kernel: bool| {
         let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
         let (mut ns, mut transitions) = (0u128, 0u64);
         for _ in 0..reps {
@@ -220,7 +330,7 @@ fn divergent_rows(suffix: &str, engine: &StepEngine, sessions: usize) -> (Vec<Ti
     // `(store, through the kernel?, row kind)`, the scalar oracle first.
     let mut sides = [false, true].map(|kernel| {
         let kind = if kernel { "kernel" } else { "pool" };
-        (SessionStore::new(engine.clone(), sessions), kernel, kind)
+        (Pool::new(engine, sessions), kernel, kind)
     });
     let expected = pass(&mut sides[0].0, false).1; // warm-up, and the oracle
     for (store, kernel, _) in &mut sides[1..] {
@@ -239,15 +349,9 @@ fn divergent_rows(suffix: &str, engine: &StepEngine, sessions: usize) -> (Vec<Ti
             worst_allocs[side] = worst_allocs[side].max(allocs);
         }
     }
-    let image = |store: &SessionStore| {
-        let (mut states, mut registers) = (Vec::new(), Vec::new());
-        store.states_into(&mut states);
-        store.registers_into(&mut registers);
-        (states, registers)
-    };
     let oracle = &sides[0].0;
     for (store, _, _) in &sides[1..] {
-        assert_eq!(image(store), image(oracle));
+        assert_eq!(store.image(), oracle.image());
         assert_eq!(store.finished_count(), oracle.finished_count());
     }
     let rows = sides
@@ -278,14 +382,14 @@ fn main() {
         .iter()
         .map(|m| machine.message_id(m).expect("valid message"))
         .collect();
-    // The single-session rows all drive the one view, `Instance`, over
-    // the engine of the tier they name.
-    let interpreted = StepEngine::interpreted(FlatIr::from_machine(&machine), &[])
-        .expect("a flat machine binds no parameters");
-    let compiled_engine = StepEngine::dense(compiled.clone());
+    // The single-session rows all drive one served session of the
+    // engine of the tier they name.
+    let interpreted =
+        Engine::interpret(Spec::machine(machine.clone())).expect("a flat machine binds nothing");
 
     let rounds = SINGLE_DELIVERIES / TRACE.len() as u64;
     let mut results = Vec::new();
+    let mut walked = served(&interpreted);
 
     // Tier 1: interpreted, name-based borrowing path. Message names are
     // resolved through the IR's interned name→id map (built once at
@@ -296,7 +400,8 @@ fn main() {
         rounds * TRACE.len() as u64,
         true,
         || {
-            let mut engine = Instance::new(interpreted.clone());
+            let (rt, session) = &mut walked;
+            let mut engine = rt.session(*session);
             let mut actions = 0;
             for _ in 0..rounds {
                 for m in TRACE {
@@ -314,35 +419,16 @@ fn main() {
         "interpreted_id",
         rounds * TRACE.len() as u64,
         true,
-        || {
-            let mut engine = Instance::new(interpreted.clone());
-            let mut actions = 0;
-            for _ in 0..rounds {
-                for &id in &ids {
-                    actions += engine.deliver_id(id).len() as u64;
-                }
-                engine.reset();
-            }
-            actions
-        },
+        || trace_pass(&mut walked, &ids, rounds),
     ));
 
     // Tier 3: compiled dense-table dispatch.
+    let mut single = served(&facade_engine);
     results.push(measure(
         "compiled",
         rounds * TRACE.len() as u64,
         true,
-        || {
-            let mut engine = Instance::new(compiled_engine.clone());
-            let mut actions = 0;
-            for _ in 0..rounds {
-                for &id in &ids {
-                    actions += engine.deliver_id(id).len() as u64;
-                }
-                engine.reset();
-            }
-            actions
-        },
+        || trace_pass(&mut single, &ids, rounds),
     ));
 
     // Tier 3b: a flattened hierarchical statechart on the same compiled
@@ -351,31 +437,21 @@ fn main() {
     // flattened dispatch must stay within ~2x of the plain compiled
     // tier and keep the zero-allocation guarantee.
     let lifecycle = session_lifecycle();
-    let lifecycle_flat = lifecycle.flatten();
-    let compiled_lifecycle = CompiledMachine::compile(&lifecycle_flat);
-    let lifecycle_engine = StepEngine::dense(compiled_lifecycle.clone());
+    let lifecycle_engine =
+        Engine::compile(Spec::machine(lifecycle.flatten())).expect("flattened lifecycle compiles");
     const HSM_TRACE: [&str; 9] = [
         "connect", "update", "vote", "commit", "ping", "update", "abort", "suspend", "resume",
     ];
     let hsm_ids: Vec<_> = HSM_TRACE
         .iter()
-        .map(|m| compiled_lifecycle.message_id(m).expect("valid message"))
+        .map(|m| lifecycle_engine.message_id(m).expect("valid message"))
         .collect();
+    let mut lifecycle_session = served(&lifecycle_engine);
     results.push(measure(
         "hsm_flattened",
         rounds * HSM_TRACE.len() as u64,
         true,
-        || {
-            let mut engine = Instance::new(lifecycle_engine.clone());
-            let mut actions = 0;
-            for _ in 0..rounds {
-                for &id in &hsm_ids {
-                    actions += engine.deliver_id(id).len() as u64;
-                }
-                engine.reset();
-            }
-            actions
-        },
+        || trace_pass(&mut lifecycle_session, &hsm_ids, rounds),
     ));
 
     // Tier 3c: a *guarded* statechart — the retry-budget session
@@ -405,16 +481,7 @@ fn main() {
             "hsm_guarded_flattened",
             guarded_deliveries,
             true,
-            || {
-                let mut transitions = 0;
-                for _ in 0..guarded_rounds {
-                    for &id in &guarded_ids {
-                        transitions += rt.deliver_all(id);
-                    }
-                    rt.reset_all();
-                }
-                transitions
-            },
+            || batch_pass(&mut rt, &guarded_ids, guarded_rounds),
         ));
     }
 
@@ -437,8 +504,8 @@ fn main() {
         ring_stats.states_before,
         ring_stats.states_after
     );
-    let ring_full = StepEngine::compile_ir(&ring_ir, &[]).expect("redundant ring compiles");
-    let ring_small = StepEngine::compile_ir(&ring_min_ir, &[]).expect("ring quotient compiles");
+    let [ring_full, ring_small] = [ring_ir, ring_min_ir]
+        .map(|ir| Engine::compile(Spec::machine(ir.to_machine())).expect("unguarded IR compiles"));
     const RING_TRACE: [&str; 9] = [
         "go", "step", "step", "step", "step", "step", "step", "step", "stop",
     ];
@@ -452,77 +519,34 @@ fn main() {
         .iter()
         .map(|m| ring_small.message_id(m).expect("valid message"))
         .collect();
+    // One bare store session each (the runtime's handle checks and
+    // counters would only add the same cost to both sides).
+    let (mut full, mut small) = (Pool::new(&ring_full, 1), Pool::new(&ring_small, 1));
     results.push(measure("hsm_unminimized", ring_deliveries, true, || {
-        let mut engine = Instance::new(ring_full.clone());
-        let mut actions = 0;
-        for _ in 0..ring_rounds {
-            for &id in &full_ids {
-                actions += engine.deliver_id(id).len() as u64;
-            }
-            engine.reset();
-        }
-        actions
+        session_pass(&mut full, &full_ids, ring_rounds)
     }));
     results.push(measure("hsm_minimized", ring_deliveries, true, || {
-        let mut engine = Instance::new(ring_small.clone());
-        let mut actions = 0;
-        for _ in 0..ring_rounds {
-            for &id in &small_ids {
-                actions += engine.deliver_id(id).len() as u64;
-            }
-            engine.reset();
-        }
-        actions
+        session_pass(&mut small, &small_ids, ring_rounds)
     }));
     // The minimization gate, as paired alternating passes (the reported
     // rows above are measured minutes apart in a long process; the gate
     // re-runs both loops back to back so scheduler drift cancels).
     let minimized_ratio = {
-        let mut full = Instance::new(ring_full.clone());
-        let mut small = Instance::new(ring_small.clone());
-        let mut full_pass = || {
-            let mut actions = 0u64;
-            for _ in 0..ring_rounds {
-                for &id in &full_ids {
-                    actions += full.deliver_id(id).len() as u64;
-                }
-                full.reset();
-            }
-            actions
-        };
-        let mut small_pass = || {
-            let mut actions = 0u64;
-            for _ in 0..ring_rounds {
-                for &id in &small_ids {
-                    actions += small.deliver_id(id).len() as u64;
-                }
-                small.reset();
-            }
-            actions
-        };
-        let full_actions = std::hint::black_box(full_pass());
-        let small_actions = std::hint::black_box(small_pass());
+        let (actions, [full_best, small_best]) = paired(
+            || session_pass(&mut full, &full_ids, ring_rounds),
+            || session_pass(&mut small, &small_ids, ring_rounds),
+        );
         // The quotient is observation-equivalent, so the two loops do
-        // identical visible work — checked here so the timing below is
+        // identical visible work — checked here so the timing is
         // guaranteed to compare like with like.
         assert_eq!(
-            full_actions, small_actions,
+            actions[0], actions[1],
             "the ring quotient must emit the same actions as the original"
         );
-        let mut full_best = f64::INFINITY;
-        let mut small_best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = Instant::now();
-            std::hint::black_box(full_pass());
-            full_best = full_best.min(start.elapsed().as_nanos() as f64);
-            let start = Instant::now();
-            std::hint::black_box(small_pass());
-            small_best = small_best.min(start.elapsed().as_nanos() as f64);
-        }
         small_best / full_best
     };
 
-    // Tier 4: batched sessions over the core struct-of-arrays store —
+    // Tier 4: batched sessions over one bare struct-of-arrays store —
     // two rows for the same work. `batched_pool` is the *scalar*
     // reference walk (`deliver_all_scalar`: per-session stepping in
     // slot order, kept as the semantic oracle and the observer
@@ -533,68 +557,27 @@ fn main() {
     // 0 allocs/delivery.
     let pool_rounds = (SINGLE_DELIVERIES / (POOL_SESSIONS as u64 * TRACE.len() as u64)).max(1);
     let pool_deliveries = pool_rounds * POOL_SESSIONS as u64 * TRACE.len() as u64;
-    let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), POOL_SESSIONS);
+    let mut pool = Pool::new(&facade_engine, POOL_SESSIONS);
     results.push(measure("batched_pool", pool_deliveries, true, || {
-        let mut transitions = 0;
-        for _ in 0..pool_rounds {
-            for &id in &ids {
-                transitions += pool.deliver_all_scalar(id);
-            }
-            pool.reset_all();
-        }
-        transitions
+        pool_pass(&mut pool, Pool::deliver_all_scalar, &ids, pool_rounds)
     }));
     results.push(measure("batched_kernel", pool_deliveries, true, || {
-        let mut transitions = 0;
-        for _ in 0..pool_rounds {
-            for &id in &ids {
-                transitions += pool.deliver_all(id);
-            }
-            pool.reset_all();
-        }
-        transitions
+        pool_pass(&mut pool, Pool::deliver_all, &ids, pool_rounds)
     }));
     // The dense-kernel gate, as paired alternating passes (same
-    // discipline as the minimization gate below: scheduler drift on
+    // discipline as the minimization gate above: scheduler drift on
     // this shared box hits both sides equally, so the best-of ratio
     // isolates the real effect of the kernel).
     let batched_kernel_ratio = {
-        let scalar_pass = |pool: &mut SessionStore| {
-            let mut transitions = 0u64;
-            for _ in 0..pool_rounds {
-                for &id in &ids {
-                    transitions += pool.deliver_all_scalar(id);
-                }
-                pool.reset_all();
-            }
-            transitions
-        };
-        let kernel_pass = |pool: &mut SessionStore| {
-            let mut transitions = 0u64;
-            for _ in 0..pool_rounds {
-                for &id in &ids {
-                    transitions += pool.deliver_all(id);
-                }
-                pool.reset_all();
-            }
-            transitions
-        };
-        let scalar_transitions = std::hint::black_box(scalar_pass(&mut pool));
-        let kernel_transitions = std::hint::black_box(kernel_pass(&mut pool));
+        let mut scalar = Pool::new(&facade_engine, POOL_SESSIONS);
+        let (transitions, [scalar_best, kernel_best]) = paired(
+            || pool_pass(&mut scalar, Pool::deliver_all_scalar, &ids, pool_rounds),
+            || pool_pass(&mut pool, Pool::deliver_all, &ids, pool_rounds),
+        );
         assert_eq!(
-            scalar_transitions, kernel_transitions,
+            transitions[0], transitions[1],
             "the dense kernel must transition exactly like the scalar walk"
         );
-        let mut scalar_best = f64::INFINITY;
-        let mut kernel_best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = Instant::now();
-            std::hint::black_box(scalar_pass(&mut pool));
-            scalar_best = scalar_best.min(start.elapsed().as_nanos() as f64);
-            let start = Instant::now();
-            std::hint::black_box(kernel_pass(&mut pool));
-            kernel_best = kernel_best.min(start.elapsed().as_nanos() as f64);
-        }
         scalar_best / kernel_best
     };
 
@@ -605,12 +588,15 @@ fn main() {
     // interpreted baseline is allocation-free and joins the hard
     // zero-alloc gate.
     let efsm_rounds = rounds / 4; // the enum-tree walk is slow; keep runs short
-    let mut efsm_interp = commit_efsm_instance(&efsm, &config);
+    let efsm_engine = Engine::interpret(Spec::efsm(efsm.clone(), efsm_params.clone()))
+        .expect("commit_efsm_params binds the EFSM's three parameters");
+    let (mut efsm_rt, efsm_session) = served(&efsm_engine);
     results.push(measure(
         "efsm_interpreted",
         efsm_rounds * TRACE.len() as u64,
         true,
         || {
+            let mut efsm_interp = efsm_rt.session(efsm_session);
             let mut actions = 0;
             for _ in 0..efsm_rounds {
                 for m in TRACE {
@@ -630,28 +616,21 @@ fn main() {
     // passes — not best-of — at zero allocations per delivery.
     let over_budget_row = {
         let params = commit_efsm_params(&CommitConfig::new(64).expect("valid replication factor"));
-        let spec = Engine::compile(Spec::efsm(efsm.clone(), params.clone())).expect("compiles");
-        let lowering = format!("{spec:?}");
+        let engine = Engine::compile(Spec::efsm(efsm.clone(), params)).expect("compiles");
+        let lowering = format!("{engine:?}");
         assert!(
             lowering.contains("interpreted: over budget"),
             "the r = 64 commit EFSM must fall back to the interpreter: {lowering}"
         );
-        let engine = StepEngine::compile_ir(&FlatIr::from_efsm(&efsm), &params).expect("compiles");
         let trace: Vec<_> = TRACE
             .iter()
             .map(|m| engine.message_id(m).expect("valid message"))
             .collect();
-        let mut pool = SessionStore::new(engine, POOL_SESSIONS);
+        let mut pool = Pool::new(&engine, POOL_SESSIONS);
         let mut pass = || {
             let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
             let start = Instant::now();
-            let mut transitions = 0u64;
-            for _ in 0..pool_rounds {
-                for &id in &trace {
-                    transitions += pool.deliver_all(id);
-                }
-                pool.reset_all();
-            }
+            let transitions = pool_pass(&mut pool, Pool::deliver_all, &trace, pool_rounds);
             let ns = start.elapsed().as_nanos() as f64;
             (
                 ns,
@@ -694,7 +673,7 @@ fn main() {
     ] {
         let config = CommitConfig::new(r).expect("valid replication factor");
         let wide = generate(&CommitModel::new(config)).expect("generates");
-        let dense = StepEngine::dense(CompiledMachine::compile(&wide.machine));
+        let dense = Engine::compile(Spec::machine(wide.machine)).expect("compiles");
         let (rows, ratio) = divergent_rows(suffix, &dense, sessions);
         divergent_ratios.push((format!("{}_vs_scalar", rows[0].name), ratio));
         results.extend(rows);
@@ -739,16 +718,7 @@ fn main() {
             "artifact_booted_pool",
             pool_deliveries,
             true,
-            || {
-                let mut transitions = 0;
-                for _ in 0..pool_rounds {
-                    for &id in &efsm_ids {
-                        transitions += booted_pool.deliver_all(id);
-                    }
-                    booted_pool.reset_all();
-                }
-                transitions
-            },
+            || batch_pass(&mut booted_pool, &efsm_ids, pool_rounds),
         ));
     }
 
@@ -764,39 +734,17 @@ fn main() {
     // work through `Runtime::deliver_all` (slot skip-check, finished
     // count and step accounting included). The facade must cost ≤ 10%
     // over raw stepping at 0 allocs/delivery — hard-asserted below.
-    let start_state = compiled.start();
-    let mut raw_states = vec![start_state; SERVING_SESSIONS];
+    let mut raw_states = vec![compiled.start(); SERVING_SESSIONS];
     results.push(measure(
         "compiled_raw_64k",
         serving_deliveries,
         true,
-        || {
-            let mut transitions = 0;
-            for _ in 0..serving_rounds {
-                for &id in &ids {
-                    for state in &mut raw_states {
-                        if let Some((target, _)) = compiled.step(*state, id) {
-                            *state = target;
-                            transitions += 1;
-                        }
-                    }
-                }
-                raw_states.fill(start_state);
-            }
-            transitions
-        },
+        || raw_pass(&compiled, &mut raw_states, &ids, serving_rounds),
     ));
     {
         let mut facade = facade_engine.runtime_with(SERVING_SESSIONS);
         results.push(measure("runtime_facade", serving_deliveries, true, || {
-            let mut transitions = 0;
-            for _ in 0..serving_rounds {
-                for &id in &ids {
-                    transitions += facade.deliver_all(id);
-                }
-                facade.reset_all();
-            }
-            transitions
+            batch_pass(&mut facade, &ids, serving_rounds)
         }));
     }
 
@@ -818,16 +766,7 @@ fn main() {
             "runtime_observed",
             serving_deliveries,
             true,
-            || {
-                let mut transitions = 0;
-                for _ in 0..serving_rounds {
-                    for &id in &ids {
-                        transitions += observed.deliver_all(id);
-                    }
-                    observed.reset_all();
-                }
-                transitions
-            },
+            || batch_pass(&mut observed, &ids, serving_rounds),
         ));
     }
 
@@ -956,45 +895,12 @@ fn main() {
     // and hard-fails on the best-of ratio: if the facade ever grows a
     // hidden per-delivery cost, this is where it surfaces.
     let facade_overhead = {
-        let mut raw_states = vec![start_state; SERVING_SESSIONS];
-        let mut raw_pass = || {
-            let mut transitions = 0u64;
-            for _ in 0..serving_rounds {
-                for &id in &ids {
-                    for state in &mut raw_states {
-                        if let Some((target, _)) = compiled.step(*state, id) {
-                            *state = target;
-                            transitions += 1;
-                        }
-                    }
-                }
-                raw_states.fill(start_state);
-            }
-            transitions
-        };
+        let mut raw_states = vec![compiled.start(); SERVING_SESSIONS];
         let mut facade = facade_engine.runtime_with(SERVING_SESSIONS);
-        let facade_pass = |facade: &mut stategen_runtime::Runtime| {
-            let mut transitions = 0u64;
-            for _ in 0..serving_rounds {
-                for &id in &ids {
-                    transitions += facade.deliver_all(id);
-                }
-                facade.reset_all();
-            }
-            transitions
-        };
-        std::hint::black_box(raw_pass());
-        std::hint::black_box(facade_pass(&mut facade));
-        let mut raw_best = f64::INFINITY;
-        let mut facade_best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = Instant::now();
-            std::hint::black_box(raw_pass());
-            raw_best = raw_best.min(start.elapsed().as_nanos() as f64);
-            let start = Instant::now();
-            std::hint::black_box(facade_pass(&mut facade));
-            facade_best = facade_best.min(start.elapsed().as_nanos() as f64);
-        }
+        let (_, [raw_best, facade_best]) = paired(
+            || raw_pass(&compiled, &mut raw_states, &ids, serving_rounds),
+            || batch_pass(&mut facade, &ids, serving_rounds),
+        );
         facade_best / raw_best
     };
     println!("runtime_facade vs raw (paired):      {facade_overhead:.3}x");
@@ -1012,31 +918,13 @@ fn main() {
     // this shared box hits both sides equally, and the best-of ratio
     // isolates the real per-transition recording cost.
     let observed_overhead = {
-        let batch_pass = |rt: &mut stategen_runtime::Runtime| {
-            let mut transitions = 0u64;
-            for _ in 0..serving_rounds {
-                for &id in &ids {
-                    transitions += rt.deliver_all(id);
-                }
-                rt.reset_all();
-            }
-            transitions
-        };
         let mut plain = facade_engine.runtime_with(SERVING_SESSIONS);
         let mut observed = facade_engine.runtime_with(SERVING_SESSIONS);
         observed.attach_recorder(256);
-        std::hint::black_box(batch_pass(&mut plain));
-        std::hint::black_box(batch_pass(&mut observed));
-        let mut plain_best = f64::INFINITY;
-        let mut observed_best = f64::INFINITY;
-        for _ in 0..5 {
-            let start = Instant::now();
-            std::hint::black_box(batch_pass(&mut plain));
-            plain_best = plain_best.min(start.elapsed().as_nanos() as f64);
-            let start = Instant::now();
-            std::hint::black_box(batch_pass(&mut observed));
-            observed_best = observed_best.min(start.elapsed().as_nanos() as f64);
-        }
+        let (_, [plain_best, observed_best]) = paired(
+            || batch_pass(&mut plain, &ids, serving_rounds),
+            || batch_pass(&mut observed, &ids, serving_rounds),
+        );
         observed_best / plain_best
     };
     println!("runtime_observed vs facade (paired): {observed_overhead:.3}x");
@@ -1082,7 +970,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"hsm_flat_states\": {},",
-        compiled_lifecycle.state_count()
+        lifecycle_engine.state_count()
     );
     let _ = writeln!(
         json,

@@ -26,7 +26,7 @@
 //! | `finished`       | — | — | — | — | — |
 
 use stategen_core::efsm::{CmpOp, Efsm, EfsmBuilder, Guard, LinExpr, Update};
-use stategen_core::{Action, FlatIr, Instance, StepEngine};
+use stategen_core::Action;
 
 use crate::config::CommitConfig;
 use crate::messages::{COMMIT, FREE, MESSAGE_NAMES, NOT_FREE, UPDATE, VOTE};
@@ -34,8 +34,8 @@ use crate::messages::{COMMIT, FREE, MESSAGE_NAMES, NOT_FREE, UPDATE, VOTE};
 /// Builds the 9-state commit EFSM.
 ///
 /// The machine is parameterised by `r` (replication factor), `tv` (vote
-/// threshold) and `tc` (external commit threshold); instantiate it for a
-/// concrete configuration with [`commit_efsm_instance`].
+/// threshold) and `tc` (external commit threshold); bind them for a
+/// concrete configuration with [`commit_efsm_params`].
 pub fn commit_efsm() -> Efsm {
     let mut b = EfsmBuilder::new("commit-efsm", MESSAGE_NAMES);
     let r = b.add_param("r");
@@ -455,13 +455,6 @@ pub fn commit_efsm_params(config: &CommitConfig) -> Vec<i64> {
     ]
 }
 
-/// Instantiates [`commit_efsm`] for a concrete configuration on the
-/// interpreted tier: one session walking the EFSM's lowered IR.
-pub fn commit_efsm_instance(efsm: &Efsm, config: &CommitConfig) -> Instance {
-    let engine = StepEngine::interpreted(FlatIr::from_efsm(efsm), &commit_efsm_params(config));
-    Instance::new(engine.expect("commit_efsm_params binds the EFSM's three parameters"))
-}
-
 /// The `(has_chosen, commit_sent)` protocol flags of a [`commit_efsm`]
 /// state, resolved by name — the EFSM-tier analogue of inspecting a
 /// generated FSM state's `StateVector` (see the state-inventory table in
@@ -490,7 +483,7 @@ pub fn commit_efsm_state_flags(name: &str) -> (bool, bool) {
 mod tests {
     use super::*;
     use stategen_analysis::{analyze_bound, AnalysisConfig};
-    use stategen_core::{Lint, ProtocolEngine};
+    use stategen_core::{FlatIr, Lint, ProtocolEngine};
 
     #[test]
     fn has_nine_states() {
@@ -523,7 +516,8 @@ mod tests {
         let efsm = commit_efsm();
         for r in [4u32, 7, 13, 25, 46] {
             let config = CommitConfig::new(r).unwrap();
-            let mut i = commit_efsm_instance(&efsm, &config);
+            let ir = FlatIr::from_efsm(&efsm);
+            let mut i = ir.instance(commit_efsm_params(&config));
             i.deliver("update").unwrap();
             assert_eq!(i.state_name(), "voted-chosen");
         }
@@ -551,7 +545,8 @@ mod tests {
     fn fig14_free_transition_shape() {
         let efsm = commit_efsm();
         let config = CommitConfig::new(4).unwrap();
-        let mut i = commit_efsm_instance(&efsm, &config);
+        let ir = FlatIr::from_efsm(&efsm);
+        let mut i = ir.instance(commit_efsm_params(&config));
         i.deliver("not_free").unwrap();
         i.deliver("update").unwrap();
         i.deliver("vote").unwrap();
@@ -574,7 +569,8 @@ mod tests {
     fn commit_quorum_finishes_with_free() {
         let efsm = commit_efsm();
         let config = CommitConfig::new(4).unwrap();
-        let mut i = commit_efsm_instance(&efsm, &config);
+        let ir = FlatIr::from_efsm(&efsm);
+        let mut i = ir.instance(commit_efsm_params(&config));
         i.deliver("update").unwrap();
         i.deliver("commit").unwrap();
         let actions = i.deliver("commit").unwrap();
@@ -588,7 +584,8 @@ mod tests {
     fn forced_vote_without_choice() {
         let efsm = commit_efsm();
         let config = CommitConfig::new(4).unwrap();
-        let mut i = commit_efsm_instance(&efsm, &config);
+        let ir = FlatIr::from_efsm(&efsm);
+        let mut i = ir.instance(commit_efsm_params(&config));
         i.deliver("not_free").unwrap();
         i.deliver("vote").unwrap();
         i.deliver("vote").unwrap();
@@ -601,7 +598,8 @@ mod tests {
     fn vote_bound_enforced() {
         let efsm = commit_efsm();
         let config = CommitConfig::new(4).unwrap();
-        let mut i = commit_efsm_instance(&efsm, &config);
+        let ir = FlatIr::from_efsm(&efsm);
+        let mut i = ir.instance(commit_efsm_params(&config));
         i.deliver("update").unwrap(); // S=T; votes counted to r-1=3
         for _ in 0..3 {
             i.deliver("vote").unwrap();

@@ -31,7 +31,7 @@ pub mod vars;
 
 pub use config::{CommitConfig, ConfigError};
 pub use early_model::EarlyCommitModel;
-pub use efsm::{commit_efsm, commit_efsm_instance, commit_efsm_params, commit_efsm_state_flags};
+pub use efsm::{commit_efsm, commit_efsm_params, commit_efsm_state_flags};
 pub use messages::{CommitMessage, ParseMessageError, MESSAGE_NAMES};
 pub use model::CommitModel;
 pub use reference::ReferenceCommit;

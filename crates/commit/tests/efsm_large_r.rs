@@ -6,21 +6,22 @@
 use proptest::prelude::*;
 
 use stategen_commit::{
-    commit_efsm, commit_efsm_instance, CommitConfig, ReferenceCommit, MESSAGE_NAMES,
+    commit_efsm, commit_efsm_params, CommitConfig, ReferenceCommit, MESSAGE_NAMES,
 };
-use stategen_core::{Efsm, ProtocolEngine};
+use stategen_core::{FlatIr, ProtocolEngine};
 
 use std::sync::OnceLock;
 
-fn efsm() -> &'static Efsm {
-    static EFSM: OnceLock<Efsm> = OnceLock::new();
-    EFSM.get_or_init(commit_efsm)
+/// The commit EFSM's lowered IR, walked by the interpreter reference.
+fn ir() -> &'static FlatIr {
+    static IR: OnceLock<FlatIr> = OnceLock::new();
+    IR.get_or_init(|| FlatIr::from_efsm(&commit_efsm()))
 }
 
 fn check(r: u32, messages: &[usize]) {
     let config = CommitConfig::new(r).unwrap();
     let mut reference = ReferenceCommit::new(config);
-    let mut e = commit_efsm_instance(efsm(), &config);
+    let mut e = ir().instance(commit_efsm_params(&config));
     for (step, &mi) in messages.iter().enumerate() {
         let name = MESSAGE_NAMES[mi % MESSAGE_NAMES.len()];
         let a = reference.deliver(name).unwrap();
@@ -54,7 +55,7 @@ proptest! {
 fn r46_commits_on_canonical_trace() {
     let config = CommitConfig::new(46).unwrap();
     let mut reference = ReferenceCommit::new(config);
-    let mut e = commit_efsm_instance(efsm(), &config);
+    let mut e = ir().instance(commit_efsm_params(&config));
     let mut trace: Vec<&str> = vec!["update"];
     trace.extend(std::iter::repeat_n("vote", 30)); // total votes 31 = threshold
     trace.extend(std::iter::repeat_n("commit", 16)); // external commits 16 = f+1

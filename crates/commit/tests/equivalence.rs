@@ -13,9 +13,10 @@
 //! really implement the algorithm.
 //!
 //! The compiled checks additionally drive the `stategen-runtime` facade
-//! (`Spec → Engine → Runtime`) in lock-step with the direct engines, so
-//! the owned pipeline surface is proven observationally identical to
-//! the step engines it wraps.
+//! (`Spec → Engine → Runtime`, two sessions of one runtime) in lock-step
+//! with the references and the bare compiled table, so the served
+//! engines are proven observationally identical to the machines they
+//! were lowered from.
 
 use std::sync::OnceLock;
 
@@ -27,8 +28,8 @@ use stategen_commit::{
 };
 use stategen_core::efsm::Guard;
 use stategen_core::{
-    generate, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance, IrInstance,
-    ProtocolEngine, SessionStore, StateMachine, StepEngine,
+    generate, CompiledMachine, FlatIr, FlatState, FlatTransition, IrInstance, ProtocolEngine,
+    StateMachine,
 };
 use stategen_runtime::{Engine, Spec, Tier};
 
@@ -92,18 +93,6 @@ fn efsm_instance(config: &CommitConfig) -> IrInstance<'static> {
     efsm_ir().instance(commit_efsm_params(config))
 }
 
-/// The EFSM bound to family member `r` through the one lowering,
-/// `StepEngine::compile_ir`.
-fn compiled_efsm(r: u32) -> &'static StepEngine {
-    static ENGINES: OnceLock<Vec<StepEngine>> = OnceLock::new();
-    let engines = ENGINES.get_or_init(|| {
-        let params = |r| commit_efsm_params(&CommitConfig::new(r).unwrap());
-        let compile = |&r: &u32| StepEngine::compile_ir(efsm_ir(), &params(r)).unwrap();
-        FAMILY.iter().map(compile).collect()
-    });
-    &engines[FAMILY.iter().position(|&f| f == r).expect("prebuilt r")]
-}
-
 fn facade_engine(r: u32) -> &'static Engine {
     static ENGINES: OnceLock<Vec<(u32, Engine)>> = OnceLock::new();
     let engines = ENGINES.get_or_init(|| {
@@ -143,80 +132,62 @@ fn facade_efsm_engine(r: u32) -> &'static Engine {
         .1
 }
 
-/// Drives the interpreted EFSM, the compiled EFSM (unfolded onto the
-/// dense table) and a batched EFSM session with the same messages,
-/// checking actions, variables and completion agree after every
-/// delivery (the compiled engine must be observationally
+/// Drives the interpreted EFSM and two sessions of a runtime over the
+/// compiled EFSM (unfolded onto the dense table) with the same
+/// messages, checking actions, variables and completion agree after
+/// every delivery (the compiled engine must be observationally
 /// indistinguishable from the enum-tree interpreter).
 fn check_compiled_efsm_equivalence(r: u32, messages: &[usize]) {
     let config = CommitConfig::new(r).unwrap();
-    let compiled = compiled_efsm(r);
     let mut interp = efsm_instance(&config);
-    let mut single = Instance::new(compiled.clone());
-    let mut pool = SessionStore::new(compiled.clone(), 2);
     let mut facade = facade_efsm_engine(r).runtime();
-    let facade_session = facade.spawn();
+    let (single, other) = (facade.spawn(), facade.spawn());
     for (step, &mi) in messages.iter().enumerate() {
         let name = MESSAGE_NAMES[mi % MESSAGE_NAMES.len()];
         let a_interp = interp.deliver(name).unwrap();
-        let a_single = single.deliver(name).unwrap();
-        let mid = compiled.message_id(name).unwrap();
-        let a_pool0 = pool.deliver(0, mid);
+        let mid = facade.message_id(name).unwrap();
+        let a_single = facade.deliver(single, mid).to_vec();
         assert_eq!(
             a_interp,
             a_single,
             "r={r} step {step} ({name}): interpreted {a_interp:?} vs compiled {a_single:?} \
              (interp state {}, compiled state {})",
             interp.state_name(),
-            single.state_name_str()
+            facade.state_name(single)
         );
-        assert_eq!(
-            a_interp, a_pool0,
-            "r={r} step {step} ({name}): pool session diverged"
-        );
-        pool.deliver(1, mid);
-        let facade_mid = facade.message_id(name).unwrap();
         assert_eq!(
             a_interp,
-            facade.deliver(facade_session, facade_mid),
-            "r={r} step {step} ({name}): facade session diverged"
+            facade.deliver(other, mid),
+            "r={r} step {step} ({name}): second session diverged"
         );
-        assert_eq!(interp.vars(), single.vars(), "r={r} step {step} ({name})");
-        assert_eq!(single.vars(), pool.vars(0), "r={r} step {step} ({name})");
-        assert_eq!(pool.vars(0), pool.vars(1), "r={r} step {step} ({name})");
         assert_eq!(
-            single.vars(),
-            facade.vars(facade_session),
+            interp.vars(),
+            facade.vars(single),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
-            interp.state_name(),
-            single.state_name(),
+            facade.vars(single),
+            facade.vars(other),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
-            single.current_state(),
-            pool.state(0),
+            interp.current_state(),
+            facade.state(single),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
-            single.state_name_str(),
-            facade.state_name(facade_session),
+            interp.state_name_str(),
+            facade.state_name(single),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
             interp.is_finished(),
-            single.is_finished(),
+            facade.is_finished(single),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
-            single.is_finished(),
-            pool.is_finished(0),
-            "r={r} step {step} ({name})"
-        );
-        assert_eq!(
-            single.is_finished(),
-            facade.is_finished(facade_session),
+            facade.is_finished(single),
+            facade.is_finished(other),
             "r={r} step {step} ({name})"
         );
     }
@@ -263,80 +234,73 @@ fn check_equivalence(r: u32, messages: &[usize]) {
     }
 }
 
-/// Drives the interpreted engine, the compiled engine and two batched
-/// sessions with the same messages, checking actions, state and
-/// completion agree after every delivery (the compiled tier must be
+/// Drives the interpreted engine, the compiled table and two sessions
+/// of a runtime over it with the same messages, checking actions, state
+/// and completion agree after every delivery (the compiled tier must be
 /// observationally indistinguishable from the machine it flattened).
 fn check_compiled_equivalence(r: u32, messages: &[usize]) {
     let compiled = compiled(r);
     let mut fsm = machine_ir(r).instance(vec![]);
-    let mut single = Instance::new(StepEngine::dense(compiled.clone()));
-    let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
+    let mut table = compiled.start();
     let mut facade = facade_engine(r).runtime();
-    let facade_session = facade.spawn();
+    let (single, other) = (facade.spawn(), facade.spawn());
     for (step, &mi) in messages.iter().enumerate() {
         let name = MESSAGE_NAMES[mi % MESSAGE_NAMES.len()];
         let a_fsm = fsm.deliver(name).unwrap();
-        let a_single = single.deliver(name).unwrap();
         let mid = compiled.message_id(name).unwrap();
-        let a_pool0 = pool.deliver(0, mid);
+        let a_table = match compiled.step(table, mid) {
+            Some((to, actions)) => {
+                table = to;
+                actions.to_vec()
+            }
+            None => Vec::new(),
+        };
         assert_eq!(
             a_fsm,
-            a_single,
-            "r={r} step {step} ({name}): FSM {a_fsm:?} vs compiled {a_single:?} \
+            a_table,
+            "r={r} step {step} ({name}): FSM {a_fsm:?} vs compiled {a_table:?} \
              (fsm state {}, compiled state {})",
             fsm.state_name_str(),
-            single.state_name_str()
+            compiled.state_name(table)
         );
-        assert_eq!(
-            a_fsm, a_pool0,
-            "r={r} step {step} ({name}): pool session diverged"
-        );
-        pool.deliver(1, mid);
-        let facade_mid = facade.message_id(name).unwrap();
         assert_eq!(
             a_fsm,
-            facade.deliver(facade_session, facade_mid),
+            facade.deliver(single, mid),
             "r={r} step {step} ({name}): facade session diverged"
         );
         assert_eq!(
+            a_fsm,
+            facade.deliver(other, mid),
+            "r={r} step {step} ({name}): second session diverged"
+        );
+        assert_eq!(
             fsm.state_name_str(),
-            single.state_name_str(),
+            compiled.state_name(table),
             "r={r} step {step} ({name})"
         );
+        assert_eq!(table, facade.state(single), "r={r} step {step}");
         assert_eq!(
-            single.current_state(),
-            pool.state(0),
-            "r={r} step {step} ({name})"
-        );
-        assert_eq!(pool.state(0), pool.state(1), "r={r} step {step} ({name})");
-        assert_eq!(
-            single.current_state(),
-            facade.state(facade_session),
+            facade.state(single),
+            facade.state(other),
             "r={r} step {step}"
         );
         assert_eq!(
-            single.state_name_str(),
-            facade.state_name(facade_session),
+            fsm.state_name_str(),
+            facade.state_name(single),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
             fsm.is_finished(),
-            single.is_finished(),
+            compiled.is_finish_state(table),
             "r={r} step {step} ({name})"
         );
         assert_eq!(
-            single.is_finished(),
-            pool.is_finished(0),
+            fsm.is_finished(),
+            facade.is_finished(single),
             "r={r} step {step} ({name})"
         );
-        assert_eq!(
-            single.is_finished(),
-            facade.is_finished(facade_session),
-            "r={r} step {step} ({name})"
-        );
-        assert_eq!(fsm.steps(), single.steps(), "r={r} step {step} ({name})");
     }
+    assert_eq!(2 * fsm.steps(), facade.steps(), "r={r}");
 }
 
 proptest! {
@@ -358,7 +322,8 @@ proptest! {
     }
 
     /// Seeded random traces through every family member up to r = 6,
-    /// cross-checking the interpreted, compiled and batched engines.
+    /// cross-checking the interpreted engine, the compiled table and
+    /// the served runtime.
     #[test]
     fn compiled_trace_equivalence_to_r6(r in 2u32..=6, messages in prop::collection::vec(0usize..5, 0..200)) {
         check_compiled_equivalence(r, &messages);
@@ -370,7 +335,7 @@ proptest! {
     }
 
     /// Seeded random traces cross-checking the interpreted EFSM against
-    /// the compiled engine (single instance and batched pool) for every
+    /// the compiled engine (two sessions of one runtime) for every
     /// family member up to r = 6.
     #[test]
     fn compiled_efsm_trace_equivalence_to_r6(r in 2u32..=6, messages in prop::collection::vec(0usize..5, 0..200)) {

@@ -63,8 +63,8 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Header flag bit: the machine is guarded — it uses guards, updates,
 /// variables or parameters ([`FlatIr::is_guarded`]). The flag records
-/// what the machine is, not where it runs: `StepEngine::compile_ir`
-/// picks the tier.
+/// what the machine is, not where it runs: `stategen-runtime`'s
+/// `Engine::from_artifact` picks the tier.
 const FLAG_GUARDED: u32 = 1;
 
 /// Section tags, in the fixed file order.

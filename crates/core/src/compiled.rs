@@ -29,8 +29,7 @@
 //! # Examples
 //!
 //! ```
-//! use stategen_core::{Action, CompiledMachine, Instance, ProtocolEngine, StateMachineBuilder,
-//!     StepEngine};
+//! use stategen_core::{Action, CompiledMachine, StateMachineBuilder};
 //!
 //! let mut b = StateMachineBuilder::new("ping", ["ping"]);
 //! let idle = b.add_state("idle");
@@ -39,11 +38,11 @@
 //! let machine = b.build(idle);
 //!
 //! let compiled = CompiledMachine::compile(&machine);
-//! let mut instance = Instance::new(StepEngine::dense(compiled));
-//! let actions = instance.deliver_ref("ping")?;
+//! let ping = compiled.message_id("ping").unwrap();
+//! let (state, actions) = compiled.step(compiled.start(), ping).unwrap();
 //! assert_eq!(actions, [Action::send("pong")]);
-//! assert_eq!(instance.state_name_str(), "done");
-//! # Ok::<(), stategen_core::InterpError>(())
+//! assert_eq!(compiled.state_name(state), "done");
+//! assert_eq!(compiled.step(state, ping), None); // nothing leaves `done`
 //! ```
 
 use std::collections::HashMap;
@@ -53,8 +52,9 @@ use crate::error::CompileError;
 use crate::ir::{ActionArena, FlatIr};
 use crate::machine::{Action, MessageId, StateMachine, StateRole};
 
-/// Sentinel target meaning "message not applicable in this state".
-pub(crate) const NO_TRANSITION: u32 = u32::MAX;
+/// Sentinel target meaning "message not applicable in this state": what
+/// a [`CompiledMachine::column`] holds where no transition is taken.
+pub const NO_TRANSITION: u32 = u32::MAX;
 
 /// `(offset, len)` range into the interned action arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,11 +65,9 @@ struct ActionRange {
 
 /// A [`StateMachine`] flattened into dense integer index tables.
 ///
-/// Compile once (at generation, startup or build time), wrap it in a
-/// [`StepEngine`](crate::StepEngine), then create any number of cheap
-/// execution cursors: an [`Instance`](crate::Instance) for a single
-/// protocol execution, or a [`SessionStore`](crate::SessionStore) for
-/// thousands of concurrent ones.
+/// Compile once (at generation, startup or build time); the table holds
+/// no session, so any number of executions step through one copy —
+/// `stategen-runtime` serves thousands of concurrent ones from it.
 #[derive(Debug, Clone)]
 pub struct CompiledMachine {
     name: String,
@@ -102,7 +100,7 @@ pub struct CompiledMachine {
 /// one at a time (each starts as an absorbing row) and cells filled in
 /// any order, then [`DenseRows::finish`] compresses the alphabet and
 /// lays the columns out. Both dense lowerings fill one — an unguarded
-/// IR state by state, and the step engine's unfolding of a guarded IR
+/// IR state by state, and [`unfold`](crate::unfold) a guarded IR
 /// configuration by configuration, as the crate's one explorer
 /// discovers them.
 #[derive(Debug)]
@@ -256,10 +254,9 @@ impl CompiledMachine {
     ///
     /// [`CompileError::GuardedMachine`] if any transition carries a
     /// guard or update (or the IR declares variables/parameters) — the
-    /// dense table has no registers, so guarded IRs lower through
-    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir), which
-    /// binds their parameters and unfolds them onto this table or runs
-    /// them on the interpreter; [`CompileError::DuplicateTransition`] if two transitions
+    /// dense table has no registers, so a guarded IR is bound to its
+    /// parameters and [`unfold`](crate::unfold)ed onto this table, or
+    /// run on the interpreter; [`CompileError::DuplicateTransition`] if two transitions
     /// share a `(state, message)` cell (the second could never fire).
     pub fn compile_ir(ir: &FlatIr) -> Result<Self, CompileError> {
         if ir.is_guarded() {
@@ -377,20 +374,18 @@ impl CompiledMachine {
     /// slices indexed by state id: the target (or [`NO_TRANSITION`])
     /// and whether that target is a finish state. Both are
     /// `state_count + 1` long; the last entry is the skip cell.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `message` does not belong to this machine.
     #[inline]
-    pub(crate) fn column(&self, message: MessageId) -> (&[u32], &[u8]) {
+    pub fn column(&self, message: MessageId) -> (&[u32], &[u8]) {
         let start = self.column_start(message);
         let col_len = self.state_names.len() + 1;
         (
             &self.targets[start..][..col_len],
             &self.enters_finish[start..][..col_len],
         )
-    }
-
-    /// Per-state finish flags, indexed by dense state id.
-    #[inline]
-    pub(crate) fn finish_flags(&self) -> &[bool] {
-        &self.finish
     }
 
     /// Executes one transition: from `state` on `message`, returns the
@@ -430,14 +425,7 @@ impl CompiledMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::InterpError;
-    use crate::interp::{Instance, ProtocolEngine};
-    use crate::machine::{StateMachineBuilder, StateRole};
-    use crate::step::StepEngine;
-
-    fn instance(compiled: &CompiledMachine) -> Instance {
-        Instance::new(StepEngine::dense(compiled.clone()))
-    }
+    use crate::machine::{ProtocolEngine, StateMachineBuilder, StateRole};
 
     fn finishing_machine() -> StateMachine {
         let mut b = StateMachineBuilder::new("m", ["a", "b"]);
@@ -450,71 +438,82 @@ mod tests {
         b.build(s0)
     }
 
+    /// The state after stepping `compiled` from its start through
+    /// `messages`, skipping inapplicable ones, and how many were taken.
+    fn walk(compiled: &CompiledMachine, messages: &[&str]) -> (u32, usize) {
+        let mut state = compiled.start();
+        let mut taken = 0;
+        for name in messages {
+            let id = compiled.message_id(name).expect("declared");
+            if let Some((to, _)) = compiled.step(state, id) {
+                (state, taken) = (to, taken + 1);
+            }
+        }
+        (state, taken)
+    }
+
     #[test]
     fn walk_to_finish_matches_interpreter() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = instance(&compiled);
-        assert!(!i.is_finished());
-        assert_eq!(i.deliver_ref("a").unwrap(), [Action::send("x")]);
-        assert_eq!(i.state_name_str(), "s1");
-        assert!(i.deliver_ref("a").unwrap().is_empty());
-        assert!(i.is_finished());
-        assert_eq!(i.state_name(), "FINISHED");
-        assert_eq!(i.steps(), 2);
+        let ir = FlatIr::from_machine(&m);
+        let mut reference = ir.instance(vec![]);
+        let mut state = compiled.start();
+        for name in ["a", "a"] {
+            let id = compiled.message_id(name).unwrap();
+            let (to, actions) = compiled.step(state, id).unwrap();
+            assert_eq!(actions, reference.deliver_ref(name).unwrap());
+            assert_eq!(compiled.state_name(to), reference.state_name());
+            state = to;
+        }
+        assert!(compiled.is_finish_state(state) && reference.is_finished());
+        assert_eq!(compiled.state_name(state), "FINISHED");
     }
 
     #[test]
     fn inapplicable_message_ignored() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let mut i = instance(&compiled);
-        assert!(i.deliver_ref("b").unwrap().is_empty());
-        assert_eq!(i.state_name_str(), "s0");
-        assert_eq!(i.steps(), 0);
+        let compiled = CompiledMachine::compile(&finishing_machine());
+        let b = compiled.message_id("b").unwrap();
+        assert!(compiled.step(compiled.start(), b).is_none());
+        assert_eq!(walk(&compiled, &["b"]), (compiled.start(), 0));
     }
 
     #[test]
     fn unknown_message_is_error() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let mut i = instance(&compiled);
-        assert_eq!(
-            i.deliver_ref("zap").map(<[Action]>::to_vec),
-            Err(InterpError::UnknownMessage("zap".to_string()))
-        );
+        let compiled = CompiledMachine::compile(&finishing_machine());
+        assert_eq!(compiled.message_id("zap"), None);
     }
 
     #[test]
     fn messages_after_finish_ignored() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let mut i = instance(&compiled);
-        i.deliver_ref("a").unwrap();
-        i.deliver_ref("a").unwrap();
-        assert!(i.is_finished());
-        assert!(i.deliver_ref("a").unwrap().is_empty());
-        assert!(i.deliver_ref("b").unwrap().is_empty());
-        assert_eq!(i.steps(), 2);
+        let compiled = CompiledMachine::compile(&finishing_machine());
+        let (fin, taken) = walk(&compiled, &["a", "a", "a", "b"]);
+        assert!(compiled.is_finish_state(fin));
+        assert_eq!(taken, 2);
+        for name in ["a", "b"] {
+            let id = compiled.message_id(name).unwrap();
+            assert!(compiled.step(fin, id).is_none());
+        }
     }
 
     #[test]
     fn reset_returns_to_start() {
-        let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
-        let mut i = instance(&compiled);
-        i.deliver_ref("a").unwrap();
-        i.reset();
-        assert_eq!(i.state_name_str(), "s0");
-        assert_eq!(i.steps(), 0);
+        // The table holds no session: a fresh walk replays the first.
+        let compiled = CompiledMachine::compile(&finishing_machine());
+        let first = walk(&compiled, &["a"]);
+        assert!(compiled.is_finish_state(walk(&compiled, &["a", "a"]).0));
+        assert_eq!(walk(&compiled, &["a"]), first);
+        assert_eq!(compiled.state_name(compiled.start()), "s0");
     }
 
     #[test]
     fn engine_trait_default_deliver_matches_ref() {
         let m = finishing_machine();
         let compiled = CompiledMachine::compile(&m);
-        let mut i = instance(&compiled);
-        assert_eq!(i.deliver("a").unwrap(), vec![Action::send("x")]);
+        let a = compiled.message_id("a").unwrap();
+        let ir = FlatIr::from_machine(&m);
+        let owned = ir.instance(vec![]).deliver("a").unwrap();
+        assert_eq!(owned, compiled.step(compiled.start(), a).unwrap().1);
     }
 
     #[test]
@@ -555,13 +554,13 @@ mod tests {
         let compiled = CompiledMachine::compile(&m);
         assert_eq!(compiled.messages().len(), 3);
         assert_eq!(compiled.message_column_classes(), 2);
-        let mut i = instance(&compiled);
-        assert_eq!(i.deliver_ref("b").unwrap(), [Action::send("x")]);
-        assert_eq!(i.state_name_str(), "s1");
-        assert!(i.deliver_ref("a").unwrap().is_empty());
-        assert_eq!(i.state_name_str(), "s0");
-        assert!(i.deliver_ref("c").unwrap().is_empty());
-        assert_eq!(i.state_name_str(), "s0");
+        let id = |name| compiled.message_id(name).unwrap();
+        assert_eq!(
+            compiled.step(0, id("b")),
+            Some((1, &[Action::send("x")][..]))
+        );
+        assert_eq!(compiled.step(1, id("a")), Some((0, &[][..])));
+        assert_eq!(compiled.step(0, id("c")), Some((0, &[][..])));
     }
 
     #[test]

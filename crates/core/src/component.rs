@@ -162,11 +162,6 @@ impl StateSpace {
         self.state_count
     }
 
-    /// Index of the component with the given name, if any.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
     /// A vector with every component at its minimum (false / 0).
     pub fn zero_vector(&self) -> StateVector {
         StateVector {

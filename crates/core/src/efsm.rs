@@ -583,8 +583,8 @@ impl EfsmBuilder {
 mod tests {
     use super::*;
     use crate::error::InterpError;
-    use crate::interp::ProtocolEngine;
     use crate::ir::{FlatIr, IrInstance};
+    use crate::machine::ProtocolEngine;
 
     /// Counter EFSM: counts to a parameter-determined limit, then fires.
     fn counter() -> Efsm {

@@ -127,9 +127,9 @@ pub enum CompileError {
     },
     /// A guarded IR was handed to the dense-table compiler, which has no
     /// variable registers; guarded machines lower through
-    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) (or
-    /// `Engine::compile`), which binds the parameters and unfolds them
-    /// onto the dense table or runs them on the interpreter.
+    /// `stategen-runtime`'s `Engine::compile`, which binds the
+    /// parameters and [`unfold`](crate::unfold)s them onto the dense
+    /// table or runs them on the interpreter.
     GuardedMachine(String),
 }
 
@@ -155,8 +155,7 @@ impl fmt::Display for CompileError {
                 write!(
                     f,
                     "machine `{name}` carries guards, updates or variables; compile it with its \
-                     parameters through StepEngine::compile_ir (Engine::compile) instead of \
-                     the dense-table compiler"
+                     parameters through Engine::compile instead of the dense-table compiler"
                 )
             }
         }
@@ -806,8 +805,7 @@ mod tests {
         assert_eq!(
             CompileError::GuardedMachine("commit".into()).to_string(),
             "machine `commit` carries guards, updates or variables; compile it with its \
-             parameters through StepEngine::compile_ir (Engine::compile) instead of the \
-             dense-table compiler"
+             parameters through Engine::compile instead of the dense-table compiler"
         );
     }
 

@@ -1,6 +1,6 @@
 //! The one breadth-first search over a reachable state space, run by
-//! the paper's generator (§3.4, steps 1–3), the unfolder behind
-//! [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) and
+//! the paper's generator (§3.4, steps 1–3), the unfolder
+//! ([`unfold`](crate::unfold)) and
 //! [`HierarchicalMachine::flatten_ir`](crate::HierarchicalMachine::flatten_ir):
 //! roots, a budget, and a callback that visits one entry's successors.
 

@@ -118,7 +118,7 @@ impl Fnv64 {
     }
 
     /// Absorbs a length-prefixed list of length-prefixed strings.
-    pub fn strs(&mut self, strings: &[String]) {
+    pub(crate) fn strs(&mut self, strings: &[String]) {
         self.u64(strings.len() as u64);
         for s in strings {
             self.str(s);

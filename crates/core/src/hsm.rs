@@ -25,19 +25,16 @@
 //!   order), synthesizing the exit/transition/entry action sequences,
 //!   and resolving history by splitting states per remembered child.
 //!   Unguarded statecharts project to an ordinary [`StateMachine`]
-//!   ([`HierarchicalMachine::flatten`]) and run on every dense-table
-//!   tier — an [`Instance`](crate::Instance),
-//!   [`CompiledMachine`](crate::CompiledMachine) /
-//!   [`SessionStore`](crate::SessionStore), sharded or not
-//!   ([`ShardedPool`](crate::ShardedPool)) — with zero engine changes
+//!   ([`HierarchicalMachine::flatten`]) and compile onto the dense table
+//!   ([`CompiledMachine`](crate::CompiledMachine)) that
+//!   `stategen-runtime` serves, sharded or not, with zero engine changes
 //!   (the compiled tier's action-arena interning folds the synthesized
-//!   sequences back together); guarded statecharts compile through
-//!   [`StepEngine::compile_ir`](crate::StepEngine::compile_ir), which
-//!   unfolds a bound one onto the dense table within its configuration
-//!   budget and runs it on the interpreter otherwise;
+//!   sequences back together); guarded statecharts, bound, are
+//!   [`unfold`](crate::unfold)ed onto the dense table within their
+//!   configuration budget and run on the interpreter otherwise;
 //! * [`HsmInstance`] — a direct interpreter over the statechart, the
 //!   reference the flattened machines are property-checked against
-//!   (`HsmInstance ≡ IrInstance(flatten_ir) ≡ Instance(compiled)`
+//!   (`HsmInstance ≡ IrInstance(flatten_ir) ≡ Runtime(compiled)`
 //!   over random traces). Interpreter and compiler share the
 //!   run-to-completion kernel by design — one semantics, two execution
 //!   strategies — so the properties pin the *flattening pipeline*
@@ -117,9 +114,8 @@ use std::fmt::Write as _;
 use crate::efsm::{Guard, LinExpr, Operand, ParamId, Update, VarId};
 use crate::error::{HsmError, InterpError};
 use crate::explore::explore;
-use crate::interp::ProtocolEngine;
 use crate::ir::{FlatIr, FlatState, FlatTransition};
-use crate::machine::{check_alphabet, Action, MessageId, StateMachine, StateRole};
+use crate::machine::{check_alphabet, Action, MessageId, ProtocolEngine, StateMachine, StateRole};
 
 /// Identifier of a state within a [`HierarchicalMachine`] (index into
 /// its state tree, in declaration order).
@@ -683,8 +679,8 @@ impl HierarchicalMachine {
     /// [`HsmInstance::state_name`]. Unguarded statecharts produce an
     /// unguarded IR that lowers to the dense-table tier
     /// ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
-    /// for guarded ones [`StepEngine::compile_ir`](crate::StepEngine::compile_ir)
-    /// picks the tier (see [`FlatIr::is_guarded`]).
+    /// guarded ones are bound and [`unfold`](crate::unfold)ed, or
+    /// interpreted (see [`FlatIr::is_guarded`]).
     pub fn flatten_ir(&self) -> FlatIr {
         let flat_state = |leaf: HsmStateId, memory: &[HsmStateId]| FlatState {
             name: self.config_name(leaf, memory),
@@ -1562,8 +1558,7 @@ impl ProtocolEngine for HsmInstance<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::Instance;
-    use crate::step::StepEngine;
+    use crate::compiled::CompiledMachine;
 
     /// Connection lifecycle: Idle, Up{A, B} with history, Down.
     fn connection() -> HierarchicalMachine {
@@ -1722,7 +1717,8 @@ mod tests {
         let flat = m.flatten_ir();
         let mut reference = m.instance();
         let mut interp = flat.instance(vec![]);
-        let mut fast = Instance::new(StepEngine::compile_ir(&flat, &[]).unwrap());
+        let fast = CompiledMachine::compile_ir(&flat).unwrap();
+        let mut state = fast.start();
         let trace = [
             "resume", "work", "drop", "open", "work", "drop", "resume", "work", "kill", "open",
         ];
@@ -1733,10 +1729,17 @@ mod tests {
                 want.as_slice(),
                 "at {msg}"
             );
-            assert_eq!(fast.deliver_ref(msg).unwrap(), want.as_slice(), "at {msg}");
+            let id = fast.message_id(msg).unwrap();
+            let (to, actions) = fast.step(state, id).unwrap_or((state, &[]));
+            assert_eq!(actions, want.as_slice(), "at {msg}");
+            state = to;
             assert_eq!(reference.state_name(), interp.state_name(), "at {msg}");
-            assert_eq!(interp.state_name(), fast.state_name(), "at {msg}");
-            assert_eq!(reference.is_finished(), fast.is_finished(), "at {msg}");
+            assert_eq!(interp.state_name(), fast.state_name(state), "at {msg}");
+            assert_eq!(
+                reference.is_finished(),
+                fast.is_finish_state(state),
+                "at {msg}"
+            );
         }
         assert_eq!(reference.steps(), interp.steps());
     }
@@ -1765,9 +1768,11 @@ mod tests {
         b.add_transition(idle, "m65535", done, vec![Action::send("bye")]);
         let flat = b.build(idle).flatten_ir();
         assert_eq!(flat.states()[0].transitions().len(), 1);
-        let mut fast = Instance::new(StepEngine::compile_ir(&flat, &[]).unwrap());
-        assert_eq!(fast.deliver_ref("m65535").unwrap(), [Action::send("bye")]);
-        assert!(fast.is_finished());
+        let fast = CompiledMachine::compile_ir(&flat).unwrap();
+        let last = fast.message_id("m65535").unwrap();
+        let (to, actions) = fast.step(fast.start(), last).unwrap();
+        assert_eq!(actions, [Action::send("bye")]);
+        assert!(fast.is_finish_state(to));
         let more = messages.into_iter().chain(["m65536".into()]);
         assert!(std::panic::catch_unwind(|| HsmBuilder::new("wider", more)).is_err());
     }

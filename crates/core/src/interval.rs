@@ -266,19 +266,19 @@ fn op_key(op: Operand) -> OpKey {
 /// The canonical non-constant part of `lhs − rhs`: combined, sorted,
 /// zero-coefficient-free `(coefficient, operand)` terms. Two conditions
 /// with equal [`TermKey`]s constrain the *same* mathematical quantity.
-pub type TermKey = Vec<(i64, OpKey)>;
+type TermKey = Vec<(i64, OpKey)>;
 
 /// The admissible range (over mathematical integers, hence `i128`
 /// bounds with `i128::MIN`/`MAX` as the infinities) for a canonical
 /// term sum, plus the points an `!=` condition excludes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TermRange {
+struct TermRange {
     /// Inclusive lower bound (`i128::MIN` = −∞).
-    pub lo: i128,
+    lo: i128,
     /// Inclusive upper bound (`i128::MAX` = +∞).
-    pub hi: i128,
+    hi: i128,
     /// Values excluded by `!=` conditions on the same term sum.
-    pub excluded: Vec<i128>,
+    excluded: Vec<i128>,
 }
 
 impl TermRange {
@@ -292,7 +292,7 @@ impl TermRange {
 
     /// `true` when no integer satisfies the range (empty interval, or a
     /// single admissible point that an exclusion removes).
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         if self.lo > self.hi {
             return true;
         }
@@ -318,7 +318,7 @@ impl TermRange {
 
     /// Intersection of two admissible ranges.
     #[must_use]
-    pub fn meet(&self, other: &TermRange) -> TermRange {
+    fn meet(&self, other: &TermRange) -> TermRange {
         let mut excluded = self.excluded.clone();
         excluded.extend_from_slice(&other.excluded);
         TermRange {

@@ -20,21 +20,21 @@
 //!   lowers a statechart — guarded or not — by enumerating reachable
 //!   configurations;
 //!
-//! — and both execution tiers consume it.
-//! [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) picks the
-//! tier: an unguarded IR compiles onto the dense `states × messages`
-//! table ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
-//! a guarded one, bound to its parameters, is unfolded onto the same
-//! dense table when it reaches at most 4 096 `(state, variables)`
-//! configurations, and runs on the interpreter ([`FlatIr::step`])
-//! otherwise. The duplicate-transition rule every guarded lowering
-//! applies lives here, once.
+//! — and both execution tiers consume it. An unguarded IR compiles onto
+//! the dense `states × messages` table
+//! ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir));
+//! a guarded one, bound to its parameters, is [`unfold`](crate::unfold)ed
+//! onto the same dense table when it reaches at most 4 096 `(state,
+//! variables)` configurations, and runs on the interpreter
+//! ([`FlatIr::step`]) otherwise; `stategen-runtime`'s `Engine::compile`
+//! makes that choice. The duplicate-transition rule every guarded
+//! lowering applies lives here, once.
 //!
 //! [`FlatIr::step`] is the one definition of a flat transition —
 //! priority-ordered guard evaluation, then staged updates — that the
-//! interpreted tier of [`StepEngine`](crate::StepEngine) and
-//! [`IrInstance`], the semantic reference every suite pins the compiled
-//! tiers against, both execute. [`FlatIr::to_machine`] is the trivial
+//! runtime's interpreted tier and [`IrInstance`], the semantic
+//! reference every suite pins the compiled tiers against, both
+//! execute. [`FlatIr::to_machine`] is the trivial
 //! projection back to a plain [`StateMachine`] for unguarded IRs (what
 //! [`flatten`](crate::HierarchicalMachine::flatten) returns).
 
@@ -44,8 +44,9 @@ use std::collections::HashMap;
 use crate::efsm::{apply_staged_updates, Efsm, Guard, LinExpr, Operand, Update};
 use crate::error::{CompileError, InterpError};
 use crate::fingerprint::Fnv64;
-use crate::interp::ProtocolEngine;
-use crate::machine::{Action, MessageId, StateMachine, StateMachineBuilder, StateRole};
+use crate::machine::{
+    Action, MessageId, ProtocolEngine, StateMachine, StateMachineBuilder, StateRole,
+};
 
 /// Absorbs a linear expression into the canonical fingerprint stream
 /// (also mirrored by the artifact format's expression encoding).
@@ -237,10 +238,10 @@ impl FlatIr {
     /// `true` if this IR actually uses the extended-machine features:
     /// any variable or parameter declared, any non-trivial guard, or any
     /// update. This says what the machine is, not where it runs:
-    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir) puts an
-    /// unguarded IR on the dense table, and a guarded one there too —
-    /// unfolded — when its bound configuration space is within budget,
-    /// on the interpreter otherwise.
+    /// `stategen-runtime`'s `Engine::compile` puts an unguarded IR on the
+    /// dense table, and a guarded one there too — [`unfold`](crate::unfold)ed
+    /// — when its bound configuration space is within budget, on the
+    /// interpreter otherwise.
     pub fn is_guarded(&self) -> bool {
         !self.variables.is_empty()
             || !self.params.is_empty()
@@ -271,7 +272,11 @@ impl FlatIr {
     /// can never fire, a specification bug rather than a priority
     /// choice ([`CompileError::DuplicateTransition`]; reported for the
     /// first such state and, within it, message).
-    pub(crate) fn reject_duplicates(&self) -> Result<(), CompileError> {
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::DuplicateTransition`] naming the first such pair.
+    pub fn reject_duplicates(&self) -> Result<(), CompileError> {
         let live = |s: &&FlatState| s.role != StateRole::Finish;
         for state in self.states.iter().filter(live) {
             let ts = &state.transitions;
@@ -559,14 +564,13 @@ impl FlatIr {
     /// # Panics
     ///
     /// Panics if the IR is guarded ([`FlatIr::is_guarded`]); guarded
-    /// machines compile through
-    /// [`StepEngine::compile_ir`](crate::StepEngine::compile_ir)
+    /// machines compile through `stategen-runtime`'s `Engine::compile`
     /// instead.
     pub fn to_machine(&self) -> StateMachine {
         assert!(
             !self.is_guarded(),
             "guarded IR `{}` has no flat StateMachine projection; \
-             compile it with StepEngine::compile_ir instead",
+             compile it with Engine::compile instead",
             self.name
         );
         let mut builder = StateMachineBuilder::new(self.name.clone(), self.messages.clone());
@@ -819,35 +823,40 @@ mod tests {
     }
 
     /// The EFSM interpreter is [`FlatIr::step`] over the lifted IR:
-    /// pinned to the counter's closed form, and to the single-session
-    /// view on the interpreted tier and unfolded onto the dense one.
+    /// pinned to the counter's closed form, and to the same machine
+    /// unfolded onto a dense table, read back through the side table.
     #[test]
     fn ir_instance_matches_the_efsm_interpreter() {
-        use crate::{Instance, StepEngine};
         let ir = FlatIr::from_efsm(&counter_efsm());
+        let tick = ir.message_id("tick").unwrap();
         for limit in 1..5 {
             let mut instance = ir.instance(vec![limit]);
-            let mut views = [
-                StepEngine::interpreted(ir.clone(), &[limit]).unwrap(),
-                StepEngine::compile_ir(&ir, &[limit]).unwrap(),
-            ]
-            .map(Instance::new);
-            for tick in 1..=limit + 2 {
-                let want: &[Action] = if tick == limit {
+            let (table, unfolded) = crate::unfold(&ir, &[limit]).unwrap();
+            let mut config = table.start();
+            for n in 1..=limit + 2 {
+                let want: &[Action] = if n == limit {
                     &[Action::send("done")]
                 } else {
                     &[]
                 };
                 assert_eq!(instance.deliver_ref("tick").unwrap(), want);
-                assert_eq!(instance.vars(), &[tick.min(limit)]);
-                assert_eq!(instance.is_finished(), tick >= limit);
-                for view in &mut views {
-                    assert_eq!(view.deliver_ref("tick").unwrap(), want);
-                    assert_eq!(view.vars(), instance.vars());
-                    assert_eq!(view.is_finished(), instance.is_finished());
-                    assert_eq!(view.state_name(), instance.state_name());
-                    assert_eq!(view.steps(), instance.steps());
-                }
+                assert_eq!(instance.vars(), &[n.min(limit)]);
+                assert_eq!(instance.is_finished(), n >= limit);
+                let actions = match table.step(config, tick) {
+                    Some((to, actions)) => {
+                        config = to;
+                        actions
+                    }
+                    None => &[],
+                };
+                assert_eq!(actions, want);
+                assert_eq!(&unfolded.row(config)[..1], instance.vars());
+                assert_eq!(table.is_finish_state(config), instance.is_finished());
+                let state = unfolded.state_of(config);
+                assert_eq!(
+                    &*unfolded.state_names()[state as usize],
+                    instance.state_name()
+                );
             }
             instance.reset();
             assert_eq!(instance.vars(), &[0]);

@@ -24,27 +24,26 @@
 //!
 //! * [`ir`] — the unified lowering IR ([`FlatIr`]): a flat machine with
 //!   *optional* guards/updates per transition, the one target every
-//!   front-end lowers onto, the one source both execution tiers consume
-//!   (a plain FSM is the degenerate EFSM), and — through
-//!   [`FlatIr::step`], which the interpreted tier runs as it stands —
-//!   the one definition of a transition (the paper's "generate on the
-//!   fly" deployment policy, §4.2);
-//! * [`CompiledMachine`] — the compiler: dense transition tables with
-//!   zero-allocation dispatch, for unguarded machines and for guarded
-//!   ones unfolded under a binding (the paper's "generate the FSM for
-//!   one binding");
-//! * [`StepEngine`] / [`SessionStore`] / [`Instance`] — one machine
-//!   resolved onto one tier (interpreted or dense), the one
-//!   struct-of-arrays store that steps thousands of sessions over it,
-//!   and the one single-session view;
+//!   front-end lowers onto (a plain FSM is the degenerate EFSM), and —
+//!   through [`FlatIr::step`] — the one definition of a transition: the
+//!   paper's "generate on the fly" deployment policy (§4.2) walks it as
+//!   it stands;
+//! * [`CompiledMachine`] — the dense `states × messages` transition
+//!   table an unguarded IR compiles onto, with zero-allocation dispatch;
+//! * [`unfold`] — the lowering of a guarded IR under a parameter
+//!   binding (the paper's "generate the FSM for one binding"): a dense
+//!   table over its reachable `(state, registers)` configurations plus
+//!   the [`Unfolded`] side table that maps them back to source states
+//!   and registers, or the [`Fallback`] reason it stays on the
+//!   interpreter;
 //! * [`efsm`] — extended finite state machines, the intermediate points on
 //!   the paper's algorithm↔FSM spectrum (§3.2, §5.3);
 //! * [`hsm`] — hierarchical statecharts (composite states, entry/exit
 //!   actions, inherited/internal/cross-level transitions, shallow
 //!   history, and guarded/updating transitions over declared variables
 //!   and parameters) with a flattening compiler onto the unified flat
-//!   IR, so hierarchical specs — guarded or not — run on the flat
-//!   execution tiers unchanged;
+//!   IR, so hierarchical specs — guarded or not — lower exactly as flat
+//!   machines and EFSMs do;
 //! * [`artifact`] — deployable machine artifacts: the versioned,
 //!   checksummed, canonical binary encoding of a lowered machine plus
 //!   its parameter binding, with a paranoid loader that survives
@@ -57,62 +56,37 @@
 //!   language, used by the analyzer's guard passes, the flattener's
 //!   guard-aware reachability pruning.
 //!
-//! ## Engine tiers
+//! ## What a machine is, and where it runs
 //!
-//! Below the front-ends there is one machine, [`FlatIr`], and one step:
-//! [`StepEngine::step`]. A machine can be executed three ways, all
-//! behaviourally equivalent (asserted by the cross-engine property
-//! suites) and — the two runtime tiers — both behind the same three
-//! types, [`StepEngine`], [`SessionStore`] and [`Instance`]:
+//! This crate says what a machine is; `stategen-runtime` says how it
+//! runs. Below the front-ends there is one machine, [`FlatIr`], and two
+//! lowerings of it, the paper's two deployment policies (§4.2): walk the
+//! IR as it stands ([`FlatIr::step`]), or compile it to a dense table
+//! ([`CompiledMachine::compile_ir`] when unguarded, [`unfold`] when
+//! guarded and bound). `stategen-runtime`'s `Engine::compile` picks
+//! between them and its `Runtime` serves thousands of sessions over the
+//! result; a machine known at *build* time can instead be rendered to
+//! source (`stategen-generated`).
 //!
-//! | tier | built by | dispatch cost | use when |
-//! |---|---|---|---|
-//! | interpreted | [`StepEngine::interpreted`] (any IR, guarded or not); [`StepEngine::compile_ir`] on a guarded IR whose configuration space is unbounded or over budget | transition-list scan, guard/update enum-tree walk per message, zero allocation | exploring freshly generated machines; debugging; guarded machines the dense table cannot hold |
-//! | compiled | [`StepEngine::compile_ir`] on an unguarded IR, or on a guarded IR whose bound configuration space is finite and within budget — *unfolded* ([`CompiledMachine`]) | dense-table indexed load, zero allocation | serving traffic at runtime: many instances, hot dispatch, machine known at startup |
-//! | generated | `stategen-generated` (build-time rendered source) | `match` over enum states | machine known at *build* time; maximum specialisation, no machine data at runtime |
-//!
-//! The interpreted tier needs no preparation; the compiled tier pays a
-//! one-time compile (or unfolding) pass and then dispatches in a few
-//! nanoseconds; the generated tier moves that specialisation to the
-//! build. Both runtime tiers give a session the same register row
-//! ([`FlatIr::reg_count`]), so state moves freely between them.
-//!
-//! Two *semantic references* stand beside the tiers, deliberately naive
-//! and deliberately separate: [`IrInstance`] (one session of a
+//! Two *semantic references* stand beside the lowerings, deliberately
+//! naive and deliberately separate: [`IrInstance`] (one session of a
 //! [`FlatIr`] — flat machines via [`FlatIr::from_machine`], EFSMs via
 //! [`FlatIr::from_efsm`]) and [`HsmInstance`] (one session of a
-//! statechart, unflattened). Every suite pins the tiers to them.
+//! statechart, unflattened). Both speak the [`ProtocolEngine`]
+//! vocabulary, and every suite pins the served tiers to them.
 //!
-//! Hierarchical statecharts sit *in front of* these tiers rather than
-//! adding a fourth: author a [`HierarchicalMachine`] (composite states,
+//! Hierarchical statecharts sit *in front of* the lowerings rather than
+//! adding a third: author a [`HierarchicalMachine`] (composite states,
 //! entry/exit actions, shallow history, optionally guards and variable
-//! updates on any transition), debug it on the direct
-//! [`HsmInstance`] interpreter, then lower it through
+//! updates on any transition), debug it on the direct [`HsmInstance`]
+//! interpreter, then lower it through
 //! [`flatten_ir`](HierarchicalMachine::flatten_ir) — reachable
 //! configurations become flat states, and inherited transitions plus
 //! synthesized exit/entry action sequences become ordinary (possibly
-//! guarded) transitions of the unified [`FlatIr`] — and run it on the
-//! matching tier above: unguarded statecharts land on the dense-table
-//! tier, and so do guarded ones once their parameters are bound and
-//! their reachable `(state, variables)` configurations enumerated
-//! (the interpreter takes those that are unbounded or over budget). The
-//! property suites assert `HsmInstance ≡ IrInstance(flatten_ir) ≡
-//! Instance(compiled)` over random statecharts and traces (and the
-//! guarded four-way equivalence in `stategen-runtime`'s
-//! `hsm_guarded_props`). Use the direct interpreter while iterating on
-//! a spec (it reports hierarchical positions via [`HsmInstance::is_in`]
-//! and needs no compile step); flatten + compile for serving traffic,
-//! where dispatch cost and allocation behaviour are identical to any
-//! other compiled machine.
-//! [`SessionStore`] extends every tier to thousands of concurrent
-//! protocol instances stored struct-of-arrays (one `u32` — plus, on
-//! the interpreted tier, the variable registers of a guarded machine —
-//! per session) over one
-//! [`StepEngine`], stepped with no per-event allocation, and
-//! [`ShardedPool`] partitions stores into shards, stepped by one
-//! fork-join of scoped threads per batch — for capacity and isolation
-//! (sessions are independent, so sharded results are identical to
-//! single-threaded stepping).
+//! guarded) transitions of the unified [`FlatIr`]. The property suites
+//! assert `HsmInstance ≡ IrInstance(flatten_ir) ≡ Runtime(compiled)`
+//! over random statecharts and traces (and the guarded four-way
+//! equivalence in `stategen-runtime`'s `hsm_guarded_props`).
 //!
 //! ## Example
 //!
@@ -162,14 +136,11 @@ mod explore;
 pub mod fingerprint;
 pub mod generator;
 pub mod hsm;
-pub mod interp;
 pub mod interval;
 pub mod ir;
-pub mod kernel;
 pub mod machine;
 pub mod model;
-pub mod session;
-pub mod step;
+mod unfold;
 
 pub use artifact::Artifact;
 pub use compiled::CompiledMachine;
@@ -188,15 +159,13 @@ pub use generator::{
 pub use hsm::{
     HierarchicalMachine, HsmBuilder, HsmInstance, HsmState, HsmStateId, HsmTarget, HsmTransition,
 };
-pub use interp::{Instance, ProtocolEngine};
 pub use interval::{
     cond_status, eval_lin, guard_status, guard_unsat, guards_disjoint, CondStatus, Interval,
 };
 pub use ir::{FlatIr, FlatState, FlatTransition, IrInstance};
-pub use kernel::BatchTally;
 pub use machine::{
-    Action, MessageId, State, StateId, StateMachine, StateMachineBuilder, StateRole, Transition,
+    Action, MessageId, ProtocolEngine, State, StateId, StateMachine, StateMachineBuilder,
+    StateRole, Transition,
 };
 pub use model::{AbstractModel, Outcome, TransitionSpec};
-pub use session::{BatchEngine, SessionStore, ShardedPool, Taken};
-pub use step::{StepEngine, Tier};
+pub use unfold::{unfold, Fallback, Unfolded};

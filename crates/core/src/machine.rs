@@ -6,11 +6,12 @@
 //! (outgoing messages to send) and both states and transitions may carry
 //! documentation annotations.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use crate::component::StateVector;
-use crate::error::CompileError;
+use crate::error::{CompileError, InterpError};
 use crate::ir::FlatIr;
 
 /// Identifier of a message within a [`StateMachine`] (index into
@@ -563,6 +564,53 @@ impl StateMachineBuilder {
         );
         StateMachine::from_parts(self.name, self.messages, self.states, start)
     }
+}
+
+/// A common interface over the different ways of executing a protocol
+/// (interpreted FSM, generated source code, hand-written algorithm, EFSM),
+/// used by the equivalence test-suites and the network simulator.
+pub trait ProtocolEngine {
+    /// Delivers `message`; returns the actions (outgoing messages)
+    /// triggered by it as a borrowed slice.
+    ///
+    /// This is the zero-copy fast path shared by the interpreted,
+    /// compiled and generated engines: implementations return a slice
+    /// borrowed from the machine representation (or from an internal
+    /// scratch buffer reused across deliveries), so callers that only
+    /// inspect the actions pay no per-message allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InterpError::UnknownMessage`] if the message is not part
+    /// of the protocol alphabet. Messages that are valid but not applicable
+    /// in the current state are ignored (empty action list), matching the
+    /// generated code's behaviour of having no `case` arm for them.
+    fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError>;
+
+    /// Delivers `message`; returns the triggered actions as an owned
+    /// vector (allocating convenience form of
+    /// [`ProtocolEngine::deliver_ref`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`ProtocolEngine::deliver_ref`].
+    fn deliver(&mut self, message: &str) -> Result<Vec<Action>, InterpError> {
+        self.deliver_ref(message).map(<[Action]>::to_vec)
+    }
+
+    /// `true` once the protocol instance has completed.
+    fn is_finished(&self) -> bool;
+
+    /// Display name of the current state.
+    ///
+    /// Borrowed from the machine representation wherever possible, so
+    /// introspection on hot paths is allocation-free; engines whose
+    /// state names are synthesized on the fly (e.g. hierarchical
+    /// configurations) return an owned [`Cow::Owned`] instead.
+    fn state_name(&self) -> Cow<'_, str>;
+
+    /// Resets the engine to its start state.
+    fn reset(&mut self);
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! interpreter, the interpreted flattened machine and the compiled
 //! flattened machine must be trace-equivalent on randomized
 //! hierarchical machines — `HsmInstance ≡ IrInstance(flatten_ir(hsm)) ≡
-//! Instance(compile(flatten(hsm)))`.
+//! Runtime(compile(flatten(hsm)))`.
 //!
 //! What that proves, precisely: the interpreter and the flattener
 //! deliberately share the run-to-completion kernel (`step_config` —
@@ -23,8 +23,9 @@ use proptest::prelude::*;
 use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_core::{
     prune_unreachable, Action, CompiledMachine, FlatIr, HierarchicalMachine, HsmBuilder,
-    HsmStateId, Instance, Lint, ProtocolEngine, SessionStore, StepEngine,
+    HsmStateId, Lint, ProtocolEngine,
 };
+use stategen_runtime::Spec;
 
 /// The fixed alphabet random machines draw from.
 const ALPHABET: [&str; 3] = ["m0", "m1", "m2"];
@@ -158,8 +159,8 @@ proptest! {
         let ir = hsm.flatten_ir();
         let mut reference = hsm.instance();
         let mut interp = ir.instance(vec![]);
-        let mut fast = Instance::new(StepEngine::dense(compiled.clone()));
-        let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
+        let mut rt = Spec::machine(flat.clone()).compile().expect("compiles").runtime();
+        let (fast, other) = (rt.spawn(), rt.spawn());
         prop_assert_eq!(reference.state_name(), interp.state_name());
         for (step, &mi) in trace.iter().enumerate() {
             let name = ALPHABET[mi];
@@ -167,18 +168,19 @@ proptest! {
             let want = reference.deliver_ref(name).expect("declared message").to_vec();
             let from_interp = interp.deliver_ref(name).expect("declared message");
             prop_assert_eq!(&want, &from_interp.to_vec(), "step {}", step);
-            let from_fast = fast.deliver_ref(name).expect("declared message");
-            prop_assert_eq!(want.as_slice(), from_fast, "step {}", step);
-            let from_pool = pool.deliver(0, mid);
-            prop_assert_eq!(want.as_slice(), from_pool, "step {}", step);
+            let from_fast = rt.session(fast).deliver(name).expect("declared message");
+            prop_assert_eq!(&want, &from_fast, "step {}", step);
+            let from_table = compiled.step(rt.state(other), mid).map_or(&[][..], |t| t.1);
+            prop_assert_eq!(want.as_slice(), from_table, "step {}", step);
+            prop_assert_eq!(want.as_slice(), rt.deliver(other, mid), "step {}", step);
             prop_assert_eq!(reference.state_name(), interp.state_name(), "step {}", step);
-            prop_assert_eq!(interp.state_name(), fast.state_name(), "step {}", step);
-            prop_assert_eq!(fast.current_state(), pool.state(0), "step {}", step);
+            prop_assert_eq!(&*interp.state_name(), rt.state_name(fast), "step {}", step);
+            prop_assert_eq!(rt.state(fast), rt.state(other), "step {}", step);
             prop_assert_eq!(reference.is_finished(), interp.is_finished(), "step {}", step);
-            prop_assert_eq!(interp.is_finished(), fast.is_finished(), "step {}", step);
+            prop_assert_eq!(interp.is_finished(), rt.is_finished(fast), "step {}", step);
         }
         prop_assert_eq!(reference.steps(), interp.steps());
-        prop_assert_eq!(interp.steps(), fast.steps());
+        prop_assert_eq!(2 * interp.steps(), rt.steps());
 
         // Reset restores the initial configuration identically.
         reference.reset();
@@ -377,7 +379,9 @@ fn entry_exit_ordering_on_cross_level_transitions() {
     );
 
     let flat = hsm.flatten();
-    let mut fast = Instance::new(StepEngine::dense(CompiledMachine::compile(&flat)));
+    let mut rt = Spec::machine(flat).compile().unwrap().runtime();
+    let id = rt.spawn();
+    let mut fast = rt.session(id);
     reference.reset();
     for msg in ["jump", "up", "jump", "up"] {
         let want = reference.deliver_ref(msg).unwrap().to_vec();

@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_core::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, AbstractModel, Action,
-    CompiledMachine, FlatIr, GenerateOptions, Instance, Lint, MergeStrategy, Outcome,
-    ProtocolEngine, SessionStore, ShardedPool, StateComponent, StateSpace, StateVector, StepEngine,
+    CompiledMachine, FlatIr, GenerateOptions, Lint, MergeStrategy, Outcome, ProtocolEngine,
+    StateComponent, StateSpace, StateVector,
 };
+use stategen_runtime::{Runtime, SessionId, Spec};
 
 // ---------------------------------------------------------------------
 // State-space encoding properties.
@@ -218,27 +219,22 @@ proptest! {
 // tables must not change its observable behaviour.
 // ---------------------------------------------------------------------
 
-/// Every session's `(state, finished)`, in slot order.
-fn per_session(store: &SessionStore) -> Vec<(u32, bool)> {
-    (0..store.len())
-        .map(|s| (store.state(s), store.is_finished(s)))
+/// Every session's `(state, finished)`, in spawn order.
+fn per_session(rt: &Runtime, sessions: &[SessionId]) -> Vec<(u32, bool)> {
+    sessions
+        .iter()
+        .map(|&s| (rt.state(s), rt.is_finished(s)))
         .collect()
-}
-
-/// The same across a sharded pool, in global session order (shard
-/// blocks are contiguous, in shard order).
-fn per_session_sharded(pool: &ShardedPool<SessionStore>) -> Vec<(u32, bool)> {
-    pool.shards().iter().flat_map(per_session).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The reference interpreter, the single-session view on the
-    /// interpreted and on the compiled tier, and a batched session must
-    /// emit identical actions, visit identically named states and agree
-    /// on completion for any random message sequence over any family
-    /// member.
+    /// The reference interpreter, the compiled table stepped by hand,
+    /// a session served on the interpreted and on the compiled tier,
+    /// and a second session of the compiled runtime must emit identical
+    /// actions, visit identically named states and agree on completion
+    /// for any random message sequence over any family member.
     #[test]
     fn compiled_execution_matches_interpreter(
         model in two_counter(),
@@ -251,32 +247,40 @@ proptest! {
 
         let ir = FlatIr::from_machine(&g.machine);
         let mut fsm = ir.instance(vec![]);
-        let mut walked = Instance::new(StepEngine::interpreted(ir.clone(), &[]).unwrap());
-        let mut single = Instance::new(StepEngine::dense(compiled.clone()));
-        let mut pool = SessionStore::new(StepEngine::dense(compiled.clone()), 2);
+        let mut table = compiled.start();
+        let spec = Spec::machine(g.machine.clone());
+        let mut walked = spec.clone().interpret().expect("no parameters").runtime();
+        let mut served = spec.compile().expect("compiles").runtime();
+        let (w, single, other) = (walked.spawn(), served.spawn(), served.spawn());
         for (step, &mi) in messages.iter().enumerate() {
             let name = if mi == 0 { "a" } else { "b" };
             let mid = compiled.message_id(name).expect("declared message");
             prop_assert_eq!(Some(mid), g.machine.message_id(name));
 
             let a_fsm = fsm.deliver(name).expect("declared message");
-            let a_walked = walked.deliver(name).expect("declared message");
-            let a_single = single.deliver(name).expect("declared message");
-            let a_pool = pool.deliver(0, mid).to_vec();
-            pool.deliver(1, mid);
+            let a_table = match compiled.step(table, mid) {
+                Some((to, actions)) => {
+                    table = to;
+                    actions.to_vec()
+                }
+                None => Vec::new(),
+            };
+            let a_walked = walked.session(w).deliver(name).expect("declared message");
+            let a_single = served.deliver(single, mid).to_vec();
+            served.deliver(other, mid);
+            prop_assert_eq!(&a_fsm, &a_table, "step {}", step);
             prop_assert_eq!(&a_fsm, &a_walked, "step {}", step);
             prop_assert_eq!(&a_fsm, &a_single, "step {}", step);
-            prop_assert_eq!(&a_fsm, &a_pool, "step {}", step);
-            prop_assert_eq!(fsm.current_state(), walked.current_state(), "step {}", step);
-            prop_assert_eq!(fsm.state_name_str(), single.state_name_str(), "step {}", step);
-            prop_assert_eq!(single.current_state(), pool.state(0), "step {}", step);
-            prop_assert_eq!(pool.state(0), pool.state(1), "step {}", step);
-            prop_assert_eq!(fsm.is_finished(), single.is_finished(), "step {}", step);
-            prop_assert_eq!(single.is_finished(), pool.is_finished(0), "step {}", step);
+            prop_assert_eq!(fsm.current_state(), table, "step {}", step);
+            prop_assert_eq!(fsm.current_state(), walked.state(w), "step {}", step);
+            prop_assert_eq!(fsm.state_name_str(), served.state_name(single), "step {}", step);
+            prop_assert_eq!(table, served.state(single), "step {}", step);
+            prop_assert_eq!(served.state(single), served.state(other), "step {}", step);
+            prop_assert_eq!(fsm.is_finished(), compiled.is_finish_state(table), "step {}", step);
+            prop_assert_eq!(fsm.is_finished(), served.is_finished(single), "step {}", step);
         }
-        prop_assert_eq!(fsm.steps(), single.steps());
         prop_assert_eq!(fsm.steps(), walked.steps());
-        prop_assert_eq!(pool.steps(), 2 * single.steps());
+        prop_assert_eq!(2 * fsm.steps(), served.steps());
     }
 
     /// Unknown messages error identically through both engines' trait
@@ -286,14 +290,15 @@ proptest! {
         let g = generate(&model).expect("generates");
         let ir = FlatIr::from_machine(&g.machine);
         let mut fsm = ir.instance(vec![]);
-        let mut single = Instance::new(StepEngine::compile_ir(&ir, &[]).unwrap());
-        prop_assert_eq!(fsm.deliver("zap").unwrap_err(), single.deliver("zap").unwrap_err());
+        let mut rt = Spec::machine(g.machine).compile().expect("compiles").runtime();
+        let id = rt.spawn();
+        prop_assert_eq!(fsm.deliver("zap").unwrap_err(), rt.session(id).deliver("zap").unwrap_err());
     }
 
-    /// Sharding a pool is a pure layout decision: for any machine,
+    /// Sharding a runtime is a pure layout decision: for any machine,
     /// session count, shard count (empty shards included) and message
     /// sequence, the forked batches' per-session states, finished flags,
-    /// totals and transition counts are identical to one flat pool
+    /// totals and transition counts are identical to one flat runtime
     /// stepping the same sessions — whatever the thread scheduling.
     #[test]
     fn sharded_pool_is_deterministic(
@@ -303,22 +308,22 @@ proptest! {
         messages in prop::collection::vec(0usize..2, 0..48),
     ) {
         let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
-        let engine = StepEngine::dense(compiled.clone());
-        let mut flat = SessionStore::new(engine.clone(), sessions);
-        let mut sharded =
-            ShardedPool::split(sessions, shards, |len| SessionStore::new(engine.clone(), len));
+        let engine = Spec::machine(g.machine).compile().expect("compiles");
+        let mut flat = engine.runtime();
+        let mut sharded = engine.runtime().sharded(shards);
+        let flat_ids: Vec<_> = (0..sessions).map(|_| flat.spawn()).collect();
+        let ids: Vec<_> = (0..sessions).map(|_| sharded.spawn()).collect();
         prop_assert_eq!(sharded.len(), sessions);
         prop_assert_eq!(sharded.shard_count(), shards);
         for (step, &mi) in messages.iter().enumerate() {
             let name = if mi == 0 { "a" } else { "b" };
-            let mid = compiled.message_id(name).expect("declared message");
+            let mid = engine.message_id(name).expect("declared message");
             let t_flat = flat.deliver_all(mid);
             let t_sharded = sharded.deliver_all(mid);
             prop_assert_eq!(t_flat, t_sharded, "step {}", step);
             prop_assert_eq!(flat.finished_count(), sharded.finished_count(), "step {}", step);
             prop_assert_eq!(flat.steps(), sharded.steps(), "step {}", step);
-            prop_assert_eq!(per_session(&flat), per_session_sharded(&sharded), "step {}", step);
+            prop_assert_eq!(per_session(&flat, &flat_ids), per_session(&sharded, &ids), "step {}", step);
         }
     }
 }

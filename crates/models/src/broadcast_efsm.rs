@@ -14,7 +14,7 @@
 //! | `delivered`  | — | — | — |
 
 use stategen_core::efsm::{CmpOp, Efsm, EfsmBuilder, Guard, LinExpr, Update};
-use stategen_core::{Action, FlatIr, Instance, StepEngine};
+use stategen_core::Action;
 
 use crate::broadcast::BroadcastModel;
 
@@ -218,18 +218,11 @@ pub fn broadcast_efsm_params(model: &BroadcastModel) -> Vec<i64> {
     ]
 }
 
-/// Instantiates [`broadcast_efsm`] for a concrete participant count on
-/// the interpreted tier: one session walking the EFSM's lowered IR.
-pub fn broadcast_efsm_instance(efsm: &Efsm, model: &BroadcastModel) -> Instance {
-    let engine = StepEngine::interpreted(FlatIr::from_efsm(efsm), &broadcast_efsm_params(model));
-    Instance::new(engine.expect("broadcast_efsm_params binds the EFSM's four parameters"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use stategen_analysis::{analyze_bound, AnalysisConfig};
-    use stategen_core::{generate, Lint, ProtocolEngine};
+    use stategen_core::{generate, FlatIr, Lint, ProtocolEngine};
 
     #[test]
     fn five_states_generic_in_n() {
@@ -256,7 +249,8 @@ mod tests {
             let model = BroadcastModel::new(n);
             let machine = FlatIr::from_machine(&generate(&model).unwrap().machine);
             let mut fsm = machine.instance(vec![]);
-            let mut e = broadcast_efsm_instance(&efsm, &model);
+            let ir = FlatIr::from_efsm(&efsm);
+            let mut e = ir.instance(broadcast_efsm_params(&model));
             let mut trace = vec!["initial"];
             trace.extend(std::iter::repeat_n("echo", n as usize - 1));
             trace.extend(std::iter::repeat_n("ready", n as usize - 1));
@@ -280,7 +274,8 @@ mod tests {
         let mut stack = vec![Vec::<usize>::new()];
         while let Some(seq) = stack.pop() {
             let mut fsm = machine.instance(vec![]);
-            let mut e = broadcast_efsm_instance(&efsm, &model);
+            let ir = FlatIr::from_efsm(&efsm);
+            let mut e = ir.instance(broadcast_efsm_params(&model));
             for &mi in &seq {
                 let a = fsm.deliver(messages[mi]).unwrap();
                 let b = e.deliver(messages[mi]).unwrap();

@@ -40,7 +40,7 @@ pub mod rounds;
 pub mod termination;
 
 pub use broadcast::BroadcastModel;
-pub use broadcast_efsm::{broadcast_efsm, broadcast_efsm_instance, broadcast_efsm_params};
+pub use broadcast_efsm::{broadcast_efsm, broadcast_efsm_params};
 pub use lifecycle::{session_lifecycle, session_lifecycle_guarded};
 pub use redundant::redundant_ring;
 pub use rounds::RoundsModel;

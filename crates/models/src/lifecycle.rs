@@ -38,8 +38,9 @@ use stategen_core::{Action, HierarchicalMachine, HsmBuilder};
 /// # Examples
 ///
 /// ```
-/// use stategen_core::{Instance, ProtocolEngine, StepEngine};
+/// use stategen_core::ProtocolEngine;
 /// use stategen_models::session_lifecycle;
+/// use stategen_runtime::{Spec, Tier};
 ///
 /// let hsm = session_lifecycle();
 /// let mut session = hsm.instance();
@@ -50,8 +51,11 @@ use stategen_core::{Action, HierarchicalMachine, HsmBuilder};
 /// assert_eq!(session.state_name(), "Established.Commit.Voting~Established=Commit");
 ///
 /// // The same statechart, flattened and compiled, serves traffic.
-/// let compiled = StepEngine::compile_ir(&hsm.flatten_ir(), &[]).unwrap();
-/// let mut fast = Instance::new(compiled);
+/// let engine = Spec::hierarchical(hsm.clone()).compile().unwrap();
+/// assert_eq!(engine.tier(), Tier::Compiled);
+/// let mut rt = engine.runtime();
+/// let id = rt.spawn();
+/// let mut fast = rt.session(id);
 /// for m in ["connect", "update", "suspend", "resume"] {
 ///     fast.deliver_ref(m).unwrap();
 /// }
@@ -287,7 +291,8 @@ pub fn session_lifecycle_guarded() -> HierarchicalMachine {
 mod tests {
     use super::*;
     use stategen_analysis::{analyze, AnalysisConfig};
-    use stategen_core::{CompiledMachine, FlatIr, Lint, ProtocolEngine, SessionStore, StepEngine};
+    use stategen_core::{FlatIr, Lint, ProtocolEngine};
+    use stategen_runtime::Spec;
 
     #[test]
     fn structure() {
@@ -482,9 +487,8 @@ mod tests {
 
     #[test]
     fn flattened_machine_serves_a_session_pool() {
-        let hsm = session_lifecycle();
-        let engine = StepEngine::dense(CompiledMachine::compile(&hsm.flatten()));
-        let mut pool = SessionStore::new(engine.clone(), 1000);
+        let engine = Spec::hierarchical(session_lifecycle()).compile().unwrap();
+        let mut pool = engine.runtime_with(1000);
         for m in ["connect", "update", "vote", "commit", "close"] {
             let mid = engine.message_id(m).unwrap();
             assert_eq!(pool.deliver_all(mid), 1000, "at {m}");

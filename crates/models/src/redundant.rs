@@ -65,7 +65,7 @@ pub fn redundant_ring(k: usize) -> HierarchicalMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Instance, ProtocolEngine, StepEngine};
+    use stategen_core::ProtocolEngine;
 
     #[test]
     fn ring_cycles_and_stops_from_any_leaf() {
@@ -73,7 +73,7 @@ mod tests {
         let flat = hsm.flatten_ir();
         assert_eq!(flat.state_count(), 5);
         assert!(!flat.is_guarded());
-        let mut s = Instance::new(StepEngine::compile_ir(&flat, &[]).unwrap());
+        let mut s = flat.instance(vec![]);
         s.deliver_ref("go").unwrap();
         for step in 0..4 {
             assert_eq!(

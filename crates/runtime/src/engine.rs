@@ -2,11 +2,12 @@
 
 use std::sync::Arc;
 
-pub use stategen_core::Tier;
-use stategen_core::{fold_params, Artifact, FlatIr, MessageId, StategenError, StepEngine};
+use stategen_core::{fold_params, Artifact, FlatIr, MessageId, StategenError};
 
 use crate::runtime::Runtime;
 use crate::spec::Spec;
+use crate::step::StepEngine;
+pub use crate::step::Tier;
 
 /// An owned, `Send + Sync + 'static` execution artifact: one [`Spec`]
 /// resolved onto one tier.
@@ -55,7 +56,7 @@ impl Engine {
     }
 
     /// Compiles a spec onto its deployment tier through the unified
-    /// lowering IR ([`StepEngine::compile_ir`]): unguarded machines —
+    /// lowering IR: unguarded machines —
     /// flat machines, unguarded flattened statecharts — onto the
     /// dense-table tier; guarded ones — EFSMs, guarded statecharts —
     /// bound to their parameters and unfolded onto the dense table too
@@ -67,6 +68,33 @@ impl Engine {
     /// This is the serving configuration — pay one flattening pass at
     /// ingest, then dispatch in a few nanoseconds with zero allocation
     /// per delivered message.
+    ///
+    /// # Examples
+    ///
+    /// A counter bound to `limit = 3` unfolds onto the dense table at
+    /// four configurations:
+    ///
+    /// ```
+    /// use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+    /// use stategen_runtime::{Engine, Spec, Tier};
+    ///
+    /// let mut b = EfsmBuilder::new("counter", ["tick"]);
+    /// let limit = b.add_param("limit");
+    /// let n = b.add_var("n");
+    /// let counting = b.add_state("counting");
+    /// let done = b.add_state("done");
+    /// let next = LinExpr::var(n).plus_const(1);
+    /// for (op, to) in [(CmpOp::Lt, counting), (CmpOp::Ge, done)] {
+    ///     let guard = Guard::when(next.clone(), op, LinExpr::param(limit));
+    ///     b.add_transition(counting, "tick", guard, vec![Update::Inc(n)], vec![], to);
+    /// }
+    /// let engine = Engine::compile(Spec::efsm(b.build(counting, Some(done)), vec![3]))?;
+    /// assert_eq!(engine.tier(), Tier::Compiled);
+    /// let lowering = "unfolded: 2 states × 1 vars → 4 configurations, 65 table bytes";
+    /// assert!(format!("{engine:?}").contains(lowering));
+    /// assert_eq!(engine.state_count(), 2);
+    /// # Ok::<(), stategen_runtime::StategenError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -127,6 +155,33 @@ impl Engine {
     /// register layout, so a [`RuntimeSnapshot`](crate::RuntimeSnapshot)
     /// taken under either restores under the other, and
     /// [`Runtime::begin_swap`] between them migrates in place.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stategen_core::{Action, StateMachineBuilder, StateRole};
+    /// use stategen_runtime::{Engine, Spec, Tier};
+    ///
+    /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
+    /// let idle = b.add_state("idle");
+    /// let done = b.add_state_full("done", None, StateRole::Finish, vec![]);
+    /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
+    /// let spec = Spec::machine(b.build(idle));
+    ///
+    /// let walked = Engine::interpret(spec.clone())?;
+    /// let compiled = Engine::compile(spec)?;
+    /// assert_eq!((walked.tier(), compiled.tier()), (Tier::Interpreted, Tier::Compiled));
+    /// assert_eq!(walked.fingerprint(), compiled.fingerprint());
+    /// // The same machine to every caller: the same answers on both tiers.
+    /// for engine in [walked, compiled] {
+    ///     let mut rt = engine.runtime();
+    ///     let session = rt.spawn();
+    ///     let ping = rt.message_id("ping").unwrap();
+    ///     assert_eq!(rt.deliver(session, ping), [Action::send("pong")]);
+    ///     assert!(rt.is_finished(session));
+    /// }
+    /// # Ok::<(), stategen_runtime::StategenError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -206,6 +261,40 @@ impl Engine {
 
     /// Creates a single-shard runtime pre-populated with `sessions`
     /// sessions at the start state.
+    ///
+    /// # Examples
+    ///
+    /// The same runtime serves a guarded machine — here a counter bound
+    /// to `limit = 3`, unfolded onto the dense table — and its sessions
+    /// still answer in the source machine's variables:
+    ///
+    /// ```
+    /// use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+    /// use stategen_runtime::{Engine, Spec};
+    ///
+    /// let mut b = EfsmBuilder::new("counter", ["tick"]);
+    /// let limit = b.add_param("limit");
+    /// let n = b.add_var("n");
+    /// let counting = b.add_state("counting");
+    /// let done = b.add_state("done");
+    /// let next = LinExpr::var(n).plus_const(1);
+    /// for (op, to) in [(CmpOp::Lt, counting), (CmpOp::Ge, done)] {
+    ///     let guard = Guard::when(next.clone(), op, LinExpr::param(limit));
+    ///     b.add_transition(counting, "tick", guard, vec![Update::Inc(n)], vec![], to);
+    /// }
+    /// let engine = Engine::compile(Spec::efsm(b.build(counting, Some(done)), vec![3]))?;
+    ///
+    /// let mut rt = engine.runtime_with(100);
+    /// let tick = rt.message_id("tick").unwrap();
+    /// let any = rt.spawn();
+    /// rt.deliver_all(tick);
+    /// rt.deliver_all(tick);
+    /// assert_eq!((rt.finished_count(), rt.vars(any)), (0, &[2][..]));
+    /// rt.deliver_all(tick);
+    /// assert!(rt.all_finished());
+    /// assert_eq!((rt.state_name(any), rt.vars(any)), ("done", &[3][..]));
+    /// # Ok::<(), stategen_runtime::StategenError>(())
+    /// ```
     pub fn runtime_with(&self, sessions: usize) -> Runtime {
         let mut rt = self.runtime();
         rt.spawn_many(sessions);

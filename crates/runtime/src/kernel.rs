@@ -1,15 +1,15 @@
 //! The branchless batch kernel: a one-pass column gather for the dense
 //! tier.
 //!
-//! The scalar batch walk ([`StepEngine::walk_batch`](crate::StepEngine))
-//! steps each session through the tier's single-session step — a
-//! per-session table walk whose applicability test and candidate
-//! cascade are data-dependent branches. A batch delivers *one* message,
-//! and on the dense tier that message selects one column of the
-//! column-major transition table, so the whole batch is a single affine
-//! pass over the state array: `next = column[state]`, with out-of-range
-//! ids (retired slots) clamped onto the column's trailing skip entry. No
-//! sort, no index, no scratch. A vectorized uniformity scan detects the
+//! The scalar batch walk (the step engine's `walk_batch`) steps each
+//! session through the tier's single-session step — a per-session table
+//! walk whose applicability test and candidate cascade are
+//! data-dependent branches. A batch delivers *one* message, and on the
+//! dense tier that message selects one column of the column-major
+//! transition table, so the whole batch is a single affine pass over the
+//! state array: `next = column[state]`, with out-of-range ids (retired
+//! slots) clamped onto the column's trailing skip entry. No sort, no
+//! index, no scratch. A vectorized uniformity scan detects the
 //! *lockstep* shape (every session in one state, the dominant pattern
 //! for a pool spawned together and fed one message feed) and collapses
 //! the batch to one cell read plus a constant fill of the state column.
@@ -25,26 +25,19 @@
 //! snapshots across both paths. Every arm also reports how many
 //! sessions *entered a finish state* ([`BatchTally::finished`]), summed
 //! beside the transition count it already keeps, which is what lets the
-//! [`SessionStore`](crate::SessionStore) hold an eager finished count.
+//! session store hold an eager finished count.
 
-use crate::compiled::{CompiledMachine, NO_TRANSITION};
-use crate::machine::MessageId;
+use stategen_core::compiled::NO_TRANSITION;
+use stategen_core::{CompiledMachine, MessageId};
 
 /// What one batch delivery did: the sum over the block's live sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchTally {
+pub(crate) struct BatchTally {
     /// Transitions taken.
-    pub transitions: u64,
+    pub(crate) transitions: u64,
     /// Of those, transitions into a finish state. Finish states are
     /// absorbing, so each is one session newly finished.
-    pub finished: u64,
-}
-
-impl std::ops::AddAssign for BatchTally {
-    fn add_assign(&mut self, other: BatchTally) {
-        self.transitions += other.transitions;
-        self.finished += other.finished;
-    }
+    pub(crate) finished: u64,
 }
 
 /// True when every id in `states` equals the first — the *lockstep*
@@ -98,10 +91,10 @@ pub(crate) fn dense_batch(
 
 #[cfg(test)]
 mod tests {
+    use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+    use stategen_core::{FlatIr, StateMachineBuilder, StateRole};
+
     use super::*;
-    use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-    use crate::ir::FlatIr;
-    use crate::machine::{StateMachineBuilder, StateRole};
     use crate::step::StepEngine;
 
     const RETIRED: u32 = u32::MAX;

@@ -9,9 +9,14 @@
 //!
 //! The paper's central claim (§3.5/§4.2) is that one generated artifact
 //! should be deployable under many execution policies — interpreted on
-//! the fly, compiled, generated source. `stategen-core` provides those
-//! tiers behind one step engine; this crate owns the wiring from a
-//! machine *specification* to a serving pool once:
+//! the fly, compiled, generated source. `stategen-core` says what a
+//! machine is: the lowering IR ([`FlatIr`](stategen_core::FlatIr)), the
+//! dense table it compiles to and the unfolding lowering of a bound
+//! guarded machine ([`unfold`](stategen_core::unfold)). This crate says
+//! how it runs — one private step engine that is the only code to branch
+//! on the tier, one struct-of-arrays session store with its batch
+//! kernels, one fork-join over shards — and owns the wiring from a
+//! machine *specification* to a serving pool:
 //!
 //! * [`Spec`] — the ingest enum: a flat
 //!   [`StateMachine`](stategen_core::StateMachine), an
@@ -45,11 +50,10 @@
 //! `state`, `vars`, snapshots and recorder events in the source
 //! machine's terms.
 //! * [`Engine`] — the compiled artifact, **owned** (`Send + Sync +
-//!   'static`, cheap to clone): a
-//!   [`StepEngine`](stategen_core::StepEngine) behind `Arc`s plus its
-//!   name and behavioural fingerprint, so engines move freely across
-//!   threads, into servers, and outlive their construction scope
-//!   without borrow lifetimes.
+//!   'static`, cheap to clone): the tier-resolved machine behind
+//!   `Arc`s plus its name and behavioural fingerprint, so engines move
+//!   freely across threads, into servers, and outlive their
+//!   construction scope without borrow lifetimes.
 //! * [`Runtime`] — the serving facade: [`spawn`](Runtime::spawn) →
 //!   [`SessionId`], [`deliver`](Runtime::deliver),
 //!   [`deliver_all`](Runtime::deliver_all), [`reset`](Runtime::reset),
@@ -221,13 +225,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod bench;
 mod engine;
+mod interp;
+mod kernel;
 mod runtime;
+mod session;
 mod spec;
+mod step;
 mod timer;
 
 pub use engine::{Engine, Tier};
-pub use runtime::{Runtime, RuntimeSnapshot, Session, SessionId, SessionSnapshot, SwapOutcome};
+pub use interp::Session;
+pub use runtime::{Runtime, RuntimeSnapshot, SessionId, SessionSnapshot, SwapOutcome};
 pub use spec::Spec;
 pub use stategen_analysis::{Analysis, AnalysisConfig};
 pub use timer::TimerWheel;

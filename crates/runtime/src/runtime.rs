@@ -1,19 +1,18 @@
 //! The serving facade: typed session handles over an owned engine.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use stategen_core::{
-    Action, BatchEngine, InterpError, MessageId, ProtocolEngine, SessionStore, ShardedPool,
-    StategenError, StepEngine, SwapError, Taken,
-};
+use stategen_core::{Action, MessageId, StategenError, SwapError};
 use stategen_telemetry::{
     FlightRecorder, LogHistogram, MetricsSnapshot, NoopObserver, RuntimeCounters, RuntimeObserver,
     ShardCounters, TransitionEvent,
 };
 
 use crate::engine::Engine;
+use crate::interp::Session;
+use crate::session::{fork_join, SessionStore, Taken};
+use crate::step::StepEngine;
 use crate::timer::TimerWheel;
 
 /// Typed handle to one session in a [`Runtime`].
@@ -84,11 +83,10 @@ fn event(slot: usize, generation: u32, message: MessageId, taken: Taken<'_>) -> 
 /// behind [`SessionId`], telemetry counters, the flight recorder, and
 /// the lockstep hint that keeps its tail probe O(ring capacity).
 ///
-/// Shards implement [`BatchEngine`], so the runtime forks a batch over
-/// them exactly as [`ShardedPool`] does over bare stores; they are
-/// created and owned by [`Runtime`] and not constructed directly.
+/// The runtime steps its shards' batches with [`fork_join`]; shards
+/// are created and owned by [`Runtime`], never constructed directly.
 #[derive(Debug, Clone)]
-pub struct Shard {
+struct Shard {
     store: SessionStore,
     /// Per-slot generation, bumped when the slot is released.
     generations: Vec<u32>,
@@ -274,7 +272,7 @@ impl Shard {
     /// monomorphized per observer, and with [`NoopObserver`]
     /// (`ENABLED = false`) the batch skips the walk for the kernels.
     ///
-    /// [`BatchEngine::deliver_all`] never instantiates the enabled form:
+    /// [`Shard::deliver_all`] never instantiates the enabled form:
     /// it probes only the ring-sized tail around an unobserved pass, and
     /// a unit test pins the two to identical rings.
     fn deliver_batch<O: RuntimeObserver>(&mut self, message: MessageId, observer: &mut O) -> u64 {
@@ -305,7 +303,7 @@ impl Shard {
     }
 
     /// Probes the flight-recorder tail of a batch *before* running it
-    /// (see [`BatchEngine::deliver_all`]).
+    /// (see [`Shard::deliver_all`]).
     ///
     /// A ring of capacity `c` only ever keeps a batch's *last* `c`
     /// transitions, and every engine tier is deterministic, so those
@@ -368,12 +366,6 @@ impl Shard {
             rec.record(event);
         }
     }
-}
-
-impl BatchEngine for Shard {
-    fn session_count(&self) -> usize {
-        self.store.len()
-    }
 
     /// The batch hot loop: the store's kernels, with no allocation (the
     /// `runtime_facade` benchmark row gates it at ≤ 1.10× raw
@@ -395,14 +387,6 @@ impl BatchEngine for Shard {
         self.commit_batch_tail(&mut rec, transitions);
         self.recorder = Some(rec);
         transitions
-    }
-
-    fn finished_count(&self) -> usize {
-        self.store.finished_count()
-    }
-
-    fn steps(&self) -> u64 {
-        self.store.steps()
     }
 
     /// Returns every *live* slot to the start state; retired slots stay
@@ -554,10 +538,34 @@ struct PendingSwap {
 /// speed, on a small machine (`docs/KERNELS.md`). Results are
 /// bit-identical to a single shard whatever the scheduling, because
 /// sessions never share state.
+///
+/// # Examples
+///
+/// ```
+/// use stategen_core::{Action, StateMachineBuilder, StateRole};
+/// use stategen_runtime::{Engine, Spec};
+///
+/// let mut b = StateMachineBuilder::new("ping", ["ping"]);
+/// let idle = b.add_state("idle");
+/// let done = b.add_state_full("done", None, StateRole::Finish, vec![]);
+/// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
+/// let engine = Engine::compile(Spec::machine(b.build(idle)))?;
+///
+/// let mut rt = engine.runtime();
+/// let first = rt.spawn();
+/// rt.spawn_many(2);
+/// let ping = rt.message_id("ping").unwrap();
+/// assert_eq!(rt.deliver(first, ping), [Action::send("pong")]);
+/// assert_eq!(rt.finished_count(), 1);
+/// assert_eq!(rt.deliver_all(ping), 2); // steps the remaining live sessions
+/// assert!(rt.all_finished());
+/// # Ok::<(), stategen_runtime::StategenError>(())
+/// ```
 #[derive(Debug)]
 pub struct Runtime {
     engine: Engine,
-    pool: ShardedPool<Shard>,
+    /// At least one; sessions are addressed by `(shard, slot)`.
+    shards: Vec<Shard>,
     /// Session deadlines (see [`Runtime::arm_timeout`]); volatile —
     /// deliberately excluded from [`RuntimeSnapshot`]s.
     timers: TimerWheel<SessionId>,
@@ -583,15 +591,15 @@ pub struct Runtime {
 impl Runtime {
     /// A runtime over `engine` with one shard and no sessions.
     pub fn new(engine: Engine) -> Self {
-        let pool = ShardedPool::new(vec![Shard::new(engine.step.clone())]);
-        Runtime::over(engine, pool)
+        let shards = vec![Shard::new(engine.step.clone())];
+        Runtime::over(engine, shards)
     }
 
-    /// A runtime serving `pool` under `engine`, everything else fresh.
-    fn over(engine: Engine, pool: ShardedPool<Shard>) -> Self {
+    /// A runtime serving `shards` under `engine`, everything else fresh.
+    fn over(engine: Engine, shards: Vec<Shard>) -> Self {
         Runtime {
             engine,
-            pool,
+            shards,
             timers: TimerWheel::new(),
             expired_scratch: Vec::new(),
             pending: None,
@@ -605,6 +613,27 @@ impl Runtime {
     /// Reconfigures the runtime to `shards` shards. Sharding is pure
     /// configuration — call it once after construction, before spawning.
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stategen_core::{Action, StateMachineBuilder, StateRole};
+    /// use stategen_runtime::{Engine, Spec};
+    ///
+    /// let mut b = StateMachineBuilder::new("ping", ["ping"]);
+    /// let idle = b.add_state("idle");
+    /// let done = b.add_state_full("done", None, StateRole::Finish, vec![]);
+    /// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
+    /// let engine = Engine::compile(Spec::machine(b.build(idle)))?;
+    ///
+    /// let mut rt = engine.runtime().sharded(4);
+    /// rt.spawn_many(1000);
+    /// assert_eq!(rt.shard_count(), 4);
+    /// let ping = rt.message_id("ping").unwrap();
+    /// assert_eq!(rt.deliver_all(ping), 1000); // one fork-join over 4 shards
+    /// assert!(rt.all_finished());
+    /// # Ok::<(), stategen_runtime::StategenError>(())
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or sessions have already been spawned
@@ -612,11 +641,11 @@ impl Runtime {
     pub fn sharded(mut self, shards: usize) -> Self {
         assert!(shards > 0, "runtime needs at least one shard");
         assert!(
-            self.pool.shards().iter().all(|s| s.session_count() == 0),
+            self.shards.iter().all(|s| s.store.len() == 0),
             "sharded() must be called before spawning sessions"
         );
         let fresh = (0..shards).map(|_| self.fresh_shard(&self.engine));
-        self.pool = ShardedPool::new(fresh.collect());
+        self.shards = fresh.collect();
         self.timers = TimerWheel::new();
         self
     }
@@ -637,7 +666,7 @@ impl Runtime {
     /// Number of shards (threads a [`Runtime::deliver_all`] runs on:
     /// the caller's, plus one scoped thread per shard after the first).
     pub fn shard_count(&self) -> usize {
-        self.pool.shard_count()
+        self.shards.len()
     }
 
     /// Looks up a message id by name in O(1) (delegates to
@@ -654,7 +683,7 @@ impl Runtime {
     /// While a hot-swap is draining (see [`Runtime::begin_swap`]), new
     /// sessions land only on shards serving the *incoming* engine.
     pub fn spawn(&mut self) -> SessionId {
-        let shards = self.pool.shards_mut();
+        let shards = &mut self.shards;
         let shard = match &self.pending {
             Some(p) => p
                 .incoming
@@ -687,7 +716,7 @@ impl Runtime {
         }
         // Spawn shard-by-shard to keep balancing O(shards), not
         // O(count × shards).
-        let shards = self.pool.shards_mut();
+        let shards = &mut self.shards;
         let k = shards.len();
         let target = {
             let live: usize = shards.iter().map(Shard::live).sum();
@@ -709,7 +738,7 @@ impl Runtime {
 
     /// Sessions currently live (spawned and not released).
     pub fn len(&self) -> usize {
-        self.pool.shards().iter().map(Shard::live).sum()
+        self.shards.iter().map(Shard::live).sum()
     }
 
     /// `true` if no session is live.
@@ -732,7 +761,7 @@ impl Runtime {
     /// dead execution can never silently address a live one.
     #[inline]
     pub fn deliver(&mut self, session: SessionId, message: MessageId) -> &[Action] {
-        self.pool.shards_mut()[session.shard as usize].deliver_slot(session, message)
+        self.shards[session.shard as usize].deliver_slot(session, message)
     }
 
     /// Non-panicking form of [`Runtime::deliver`], for inputs from
@@ -776,8 +805,9 @@ impl Runtime {
     }
 
     /// Delivers a message to every live session — when sharded, in one
-    /// fork-join over the shards ([`ShardedPool::deliver_all`]) — and
-    /// returns the number of transitions taken.
+    /// fork-join over the shards: shard 0 on the calling thread, a
+    /// scoped thread for each other shard, all joined before the call
+    /// returns — and returns the number of transitions taken.
     ///
     /// While a recorder is attached (see [`Runtime::attach_recorder`])
     /// the batch's wall-clock latency is also recorded into
@@ -803,11 +833,11 @@ impl Runtime {
         match &mut self.batch_latency {
             Some(hist) => {
                 let start = Instant::now();
-                let transitions = self.pool.deliver_all(message);
+                let transitions = fork_join(&mut self.shards, |s| s.deliver_all(message));
                 hist.record(start.elapsed().as_nanos() as u64);
                 transitions
             }
-            None => self.pool.deliver_all(message),
+            None => fork_join(&mut self.shards, |s| s.deliver_all(message)),
         }
     }
 
@@ -818,12 +848,12 @@ impl Runtime {
     ///
     /// Panics if `session` is stale (see [`Runtime::deliver`]).
     pub fn reset(&mut self, session: SessionId) {
-        self.pool.shards_mut()[session.shard as usize].reset_slot(session);
+        self.shards[session.shard as usize].reset_slot(session);
     }
 
     /// Returns every live session to the start state.
     pub fn reset_all(&mut self) {
-        self.pool.reset_all();
+        self.shards.iter_mut().for_each(Shard::reset_all);
     }
 
     /// Ends an execution and recycles its slot through the free list.
@@ -834,7 +864,7 @@ impl Runtime {
     ///
     /// Panics if `session` is already stale (double release).
     pub fn release(&mut self, session: SessionId) {
-        self.pool.shards_mut()[session.shard as usize].release_slot(session);
+        self.shards[session.shard as usize].release_slot(session);
         self.cancel_timeout(session);
     }
 
@@ -857,7 +887,7 @@ impl Runtime {
     /// The store and slot a live handle addresses; panics on a stale
     /// one.
     fn slot_of(&self, session: SessionId) -> (&SessionStore, usize) {
-        let shard = &self.pool.shards()[session.shard as usize];
+        let shard = &self.shards[session.shard as usize];
         shard.check(session);
         (&shard.store, session.slot as usize)
     }
@@ -899,7 +929,7 @@ impl Runtime {
     /// batch kernels report how many sessions entered a finish state
     /// beside their transition count).
     pub fn finished_count(&self) -> usize {
-        self.pool.finished_count()
+        self.shards.iter().map(|s| s.store.finished_count()).sum()
     }
 
     /// `true` once every live session has finished.
@@ -909,10 +939,11 @@ impl Runtime {
 
     /// Total transitions taken across all sessions.
     pub fn steps(&self) -> u64 {
-        self.pool.steps()
+        self.shards.iter().map(|s| s.store.steps()).sum()
     }
 
-    /// A [`ProtocolEngine`] view of one session, for code written
+    /// A [`ProtocolEngine`](stategen_core::ProtocolEngine) view of one
+    /// session, for code written
     /// against the trait vocabulary (equivalence suites, generic
     /// drivers).
     pub fn session(&mut self, id: SessionId) -> Session<'_> {
@@ -931,8 +962,7 @@ impl Runtime {
     /// Validates a handle fallibly, returning its shard.
     fn live_shard(&self, session: SessionId) -> Result<&Shard, StategenError> {
         let shard = self
-            .pool
-            .shards()
+            .shards
             .get(session.shard as usize)
             .ok_or_else(|| Runtime::stale(session))?;
         if !shard.is_live_slot(session) {
@@ -944,8 +974,7 @@ impl Runtime {
     /// Validates a handle fallibly, returning its shard mutably.
     fn live_shard_mut(&mut self, session: SessionId) -> Result<&mut Shard, StategenError> {
         let shard = self
-            .pool
-            .shards_mut()
+            .shards
             .get_mut(session.shard as usize)
             .ok_or_else(|| Runtime::stale(session))?;
         if !shard.is_live_slot(session) {
@@ -1051,11 +1080,10 @@ impl Runtime {
         );
         self.counters.inc_snapshots();
         snapshot.fingerprint = self.engine.fingerprint();
-        let shards = self.pool.shards();
         snapshot
             .shards
-            .resize_with(shards.len(), ShardSnapshot::default);
-        for (shard, snap) in shards.iter().zip(&mut snapshot.shards) {
+            .resize_with(self.shards.len(), ShardSnapshot::default);
+        for (shard, snap) in self.shards.iter().zip(&mut snapshot.shards) {
             shard.snapshot_into(snap);
         }
     }
@@ -1100,7 +1128,7 @@ impl Runtime {
             .iter()
             .map(|s| Shard::restore(engine.step.clone(), s))
             .collect::<Result<_, _>>()?;
-        let runtime = Runtime::over(engine.clone(), ShardedPool::new(shards));
+        let runtime = Runtime::over(engine.clone(), shards);
         runtime.counters.inc_restores();
         Ok(runtime)
     }
@@ -1161,9 +1189,8 @@ impl Runtime {
                 store.restore(&states, &registers, old.steps())?;
                 Ok(store)
             };
-            let stores: Result<Vec<_>, StategenError> =
-                self.pool.shards().iter().map(rebuild).collect();
-            for (shard, store) in self.pool.shards_mut().iter_mut().zip(stores?) {
+            let stores: Result<Vec<_>, StategenError> = self.shards.iter().map(rebuild).collect();
+            for (shard, store) in self.shards.iter_mut().zip(stores?) {
                 shard.store = store;
                 shard.lockstep = None;
             }
@@ -1181,7 +1208,7 @@ impl Runtime {
         }
         let mut draining = Vec::new();
         let mut fresh = Vec::new();
-        for (i, shard) in self.pool.shards_mut().iter_mut().enumerate() {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
             if shard.live() == 0 {
                 shard.store.retarget(incoming.step.clone());
                 fresh.push(i);
@@ -1200,11 +1227,11 @@ impl Runtime {
             // new spawns have somewhere to land. Appending never
             // disturbs existing shard indices or handles.
             for _ in 0..draining.len() {
-                fresh.push(self.pool.shard_count());
-                self.pool.push(self.fresh_shard(&incoming));
+                fresh.push(self.shards.len());
+                self.shards.push(self.fresh_shard(&incoming));
             }
         }
-        let sessions = draining.iter().map(|&i| self.pool.shards()[i].live()).sum();
+        let sessions = draining.iter().map(|&i| self.shards[i].live()).sum();
         self.pending = Some(PendingSwap {
             engine: incoming,
             draining,
@@ -1234,16 +1261,14 @@ impl Runtime {
         let remaining: usize = pending
             .draining
             .iter()
-            .map(|&i| self.pool.shards()[i].live())
+            .map(|&i| self.shards[i].live())
             .sum();
         if remaining > 0 {
             return Err(SwapError::Draining { remaining }.into());
         }
         let pending = self.pending.take().expect("checked above");
         for &i in &pending.draining {
-            self.pool.shards_mut()[i]
-                .store
-                .retarget(pending.engine.step.clone());
+            self.shards[i].store.retarget(pending.engine.step.clone());
         }
         self.engine = pending.engine;
         self.counters.inc_swaps_completed();
@@ -1279,7 +1304,7 @@ impl Runtime {
         }
         let mut dropped = 0;
         for &i in &pending.incoming {
-            let shard = &mut self.pool.shards_mut()[i];
+            let shard = &mut self.shards[i];
             for slot in 0..shard.store.len() {
                 if shard.store.is_retired(slot) {
                     continue;
@@ -1293,9 +1318,7 @@ impl Runtime {
                 self.timers.cancel(&id);
                 dropped += 1;
             }
-            self.pool.shards_mut()[i]
-                .store
-                .retarget(self.engine.step.clone());
+            self.shards[i].store.retarget(self.engine.step.clone());
         }
         Ok(dropped)
     }
@@ -1313,10 +1336,7 @@ impl Runtime {
     /// [`finish`](Runtime::finish_swap) once this reaches zero.
     pub fn draining_sessions(&self) -> usize {
         self.pending.as_ref().map_or(0, |p| {
-            p.draining
-                .iter()
-                .map(|&i| self.pool.shards()[i].live())
-                .sum()
+            p.draining.iter().map(|&i| self.shards[i].live()).sum()
         })
     }
 
@@ -1336,7 +1356,7 @@ impl Runtime {
     ///
     /// Panics if `session` is stale.
     pub fn arm_timeout(&mut self, session: SessionId, deadline: u64) {
-        self.pool.shards()[session.shard as usize].check(session);
+        self.shards[session.shard as usize].check(session);
         self.timers.arm(session, deadline);
     }
 
@@ -1372,7 +1392,7 @@ impl Runtime {
         expired.extend_from_slice(self.timers.advance(now));
         let mut delivered = 0;
         for &session in &expired {
-            let Some(shard) = self.pool.shards_mut().get_mut(session.shard as usize) else {
+            let Some(shard) = self.shards.get_mut(session.shard as usize) else {
                 continue;
             };
             if !shard.is_live_slot(session) {
@@ -1410,7 +1430,7 @@ impl Runtime {
     /// and need no [`Runtime::attach_recorder`] call.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for shard in self.pool.shards() {
+        for shard in &self.shards {
             shard.counters.merge_into(&mut snap);
         }
         self.counters.merge_into(&mut snap);
@@ -1432,7 +1452,7 @@ impl Runtime {
     /// no-op, not a branch per event).
     pub fn attach_recorder(&mut self, capacity: usize) {
         self.recorder_capacity = Some(capacity);
-        for shard in self.pool.shards_mut() {
+        for shard in &mut self.shards {
             shard.recorder = Some(FlightRecorder::new(capacity));
         }
         self.batch_latency = Some(Box::new(LogHistogram::new()));
@@ -1443,7 +1463,7 @@ impl Runtime {
     /// Counters stay on; a pending [`Runtime::abort_dump`] is kept.
     pub fn detach_recorder(&mut self) {
         self.recorder_capacity = None;
-        for shard in self.pool.shards_mut() {
+        for shard in &mut self.shards {
             shard.recorder = None;
         }
         self.batch_latency = None;
@@ -1473,7 +1493,7 @@ impl Runtime {
         }
         let mut out = format!("{}\n", self.engine.describe());
         let messages = self.engine.messages();
-        for (i, shard) in self.pool.shards().iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             let Some(rec) = &shard.recorder else { continue };
             let _ = writeln!(
                 out,
@@ -1519,46 +1539,9 @@ impl Runtime {
     }
 }
 
-/// A borrowed [`ProtocolEngine`] view of one [`Runtime`] session (see
-/// [`Runtime::session`]).
-#[derive(Debug)]
-pub struct Session<'r> {
-    runtime: &'r mut Runtime,
-    id: SessionId,
-}
-
-impl Session<'_> {
-    /// The handle this view addresses.
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-}
-
-impl ProtocolEngine for Session<'_> {
-    fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
-        let id = self
-            .runtime
-            .message_id(message)
-            .ok_or_else(|| InterpError::UnknownMessage(message.to_string()))?;
-        Ok(self.runtime.deliver(self.id, id))
-    }
-
-    fn is_finished(&self) -> bool {
-        self.runtime.is_finished(self.id)
-    }
-
-    fn state_name(&self) -> Cow<'_, str> {
-        Cow::Borrowed(self.runtime.state_name(self.id))
-    }
-
-    fn reset(&mut self) {
-        self.runtime.reset(self.id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use stategen_core::{StateMachine, StateMachineBuilder, StateRole};
+    use stategen_core::{ProtocolEngine, StateMachine, StateMachineBuilder, StateRole};
 
     use super::*;
     use crate::engine::{Engine, Tier};
@@ -2082,7 +2065,7 @@ mod tests {
         rt.arm_timeout(slow, 200);
         let stale_target = rt.spawn();
         rt.arm_timeout(stale_target, 200);
-        rt.pool.shards_mut()[stale_target.shard as usize].release_slot(stale_target);
+        rt.shards[stale_target.shard as usize].release_slot(stale_target);
         assert_eq!(rt.advance_time(200, a), 1);
         assert!(rt.is_finished(slow));
     }
@@ -2118,7 +2101,7 @@ mod tests {
         let bystander = rt.spawn();
         let old = rt.spawn();
         // Age the slot to one recycle short of exhaustion.
-        rt.pool.shards_mut()[0].generations[old.slot()] = u32::MAX - 1;
+        rt.shards[0].generations[old.slot()] = u32::MAX - 1;
         let h0 = SessionId {
             generation: u32::MAX - 1,
             ..old
@@ -2216,10 +2199,9 @@ mod tests {
                 }
                 let mid = replayed.message_id(name).unwrap();
                 replayed.deliver_all(mid);
-                inline.pool.shards_mut()[0].deliver_batch(mid, &mut rec);
+                inline.shards[0].deliver_batch(mid, &mut rec);
 
-                let shards = replayed.pool.shards_mut();
-                let ring = shards[0].recorder.as_ref().unwrap();
+                let ring = replayed.shards[0].recorder.as_ref().unwrap();
                 assert_eq!(
                     ring.recorded(),
                     rec.recorded(),

@@ -24,55 +24,35 @@
 //!   and every operation that writes states — single steps, resets,
 //!   the batch kernels (which report how many sessions entered a finish
 //!   state beside their transition count) — adjusts the count as it
-//!   goes, so `finished_count` / `all_finished` / `is_finished` are
-//!   O(1) at any time;
+//!   goes, so `finished_count` and `is_finished` are O(1) at any time;
 //!
 //! so a store of a million unguarded sessions is ~4 MB of state and no
 //! session operation allocates. [`SessionStore::deliver_all`] routes
 //! through the branchless batch kernels where a tier has one (see the
 //! [`kernel`](crate::kernel) module);
-//! [`SessionStore::deliver_all_scalar`] is the per-session walk the
-//! property suites hold them to.
+//! [`SessionStore::deliver_all_scalar`] is the per-session walk they
+//! are held to.
 //!
-//! Sessions are independent, so stores can be partitioned:
-//! [`ShardedPool`] holds sessions in any [`BatchEngine`] shards, and
-//! [`ShardedPool::deliver_all`] steps them in one fork-join per batch —
-//! a scoped thread per shard beyond the first — with results identical
-//! to single-threaded stepping whatever the schedule.
-//!
-//! # Examples
-//!
-//! ```
-//! use stategen_core::{Action, CompiledMachine, SessionStore, StateMachineBuilder, StepEngine};
-//!
-//! let mut b = StateMachineBuilder::new("ping", ["ping"]);
-//! let idle = b.add_state("idle");
-//! let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
-//! b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-//! let engine = StepEngine::dense(CompiledMachine::compile(&b.build(idle)));
-//!
-//! let mut store = SessionStore::new(engine.clone(), 3);
-//! let ping = engine.message_id("ping").unwrap();
-//! assert_eq!(store.deliver(1, ping), [Action::send("pong")]);
-//! assert_eq!(store.finished_count(), 1);
-//! store.deliver_all(ping); // steps the remaining live sessions
-//! assert!(store.all_finished());
-//! ```
+//! Sessions are independent, so stores can be partitioned: a
+//! [`Runtime`](crate::Runtime) holds one per shard, and [`fork_join`]
+//! steps them in one fork-join per batch — a scoped thread per shard
+//! beyond the first — with results identical to single-threaded
+//! stepping whatever the schedule.
 
-use crate::error::StategenError;
+use stategen_core::{Action, MessageId, StategenError};
+
 use crate::kernel::BatchTally;
-use crate::machine::{Action, MessageId};
 use crate::step::StepEngine;
 
 /// One transition taken by [`SessionStore::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Taken<'a> {
+pub(crate) struct Taken<'a> {
     /// The state the session left.
-    pub from: u32,
+    pub(crate) from: u32,
     /// The state it entered.
-    pub to: u32,
+    pub(crate) to: u32,
     /// The triggered actions, borrowed from the engine.
-    pub actions: &'a [Action],
+    pub(crate) actions: &'a [Action],
 }
 
 /// A store of concurrent protocol sessions executing one
@@ -86,46 +66,8 @@ pub struct Taken<'a> {
 /// are skipped by every batch operation, and may be revived by a later
 /// `reset_session` — the recycling policy (free lists, generations) is
 /// the caller's.
-///
-/// # Examples
-///
-/// The same store type serves a guarded machine — here a counter bound
-/// to `limit = 2`, unfolded onto the dense table — and still answers in
-/// the source machine's variables:
-///
-/// ```
-/// use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
-/// use stategen_core::{Action, FlatIr, SessionStore, StepEngine};
-///
-/// let mut b = EfsmBuilder::new("counter", ["tick"]);
-/// let limit = b.add_param("limit");
-/// let n = b.add_var("n");
-/// let counting = b.add_state("counting");
-/// let done = b.add_state("done");
-/// b.add_transition(
-///     counting, "tick",
-///     Guard::when(LinExpr::var(n).plus_const(1), CmpOp::Lt, LinExpr::param(limit)),
-///     vec![Update::Inc(n)], vec![], counting,
-/// );
-/// b.add_transition(
-///     counting, "tick",
-///     Guard::when(LinExpr::var(n).plus_const(1), CmpOp::Ge, LinExpr::param(limit)),
-///     vec![Update::Inc(n)], vec![Action::send("done")], done,
-/// );
-/// let efsm = b.build(counting, Some(done));
-/// let engine = StepEngine::compile_ir(&FlatIr::from_efsm(&efsm), &[2])?;
-///
-/// let mut store = SessionStore::new(engine.clone(), 100);
-/// let tick = engine.message_id("tick").unwrap();
-/// store.deliver_all(tick);
-/// assert_eq!(store.finished_count(), 0);
-/// store.deliver_all(tick);
-/// assert!(store.all_finished());
-/// assert_eq!(store.vars(42), &[2]);
-/// # Ok::<(), stategen_core::StategenError>(())
-/// ```
 #[derive(Debug, Clone)]
-pub struct SessionStore {
+pub(crate) struct SessionStore {
     engine: StepEngine,
     /// The engine's configuration id per slot — the state id, unless
     /// the engine is unfolded; [`SessionStore::RETIRED`] marks released
@@ -152,11 +94,11 @@ pub struct SessionStore {
 impl SessionStore {
     /// The state id marking a retired slot: out of range for every
     /// engine, so batch delivery skips it and stepping it panics.
-    pub const RETIRED: u32 = u32::MAX;
+    pub(crate) const RETIRED: u32 = u32::MAX;
 
     /// Creates a store of `count` sessions, all at the start state with
     /// zeroed registers.
-    pub fn new(engine: StepEngine, count: usize) -> Self {
+    pub(crate) fn new(engine: StepEngine, count: usize) -> Self {
         let n_regs = engine.stored_regs();
         let mut store = SessionStore {
             scratch: vec![0; engine.scratch_len()],
@@ -177,24 +119,19 @@ impl SessionStore {
 
     /// The engine all sessions execute.
     #[inline]
-    pub fn engine(&self) -> &StepEngine {
+    pub(crate) fn engine(&self) -> &StepEngine {
         &self.engine
     }
 
     /// Number of slots, live and retired.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.current.len()
-    }
-
-    /// `true` if the store holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
     }
 
     /// Number of live (not retired) sessions.
     #[inline]
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.current.len() - self.retired
     }
 
@@ -202,7 +139,7 @@ impl SessionStore {
     /// returns its slot. Amortised O(1); the only store operation that
     /// may allocate (growing the arrays, never per-event).
     #[inline]
-    pub fn spawn(&mut self) -> usize {
+    pub(crate) fn spawn(&mut self) -> usize {
         let session = self.current.len();
         let start = self.engine.start_config();
         self.current.push(start);
@@ -218,7 +155,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range.
     #[inline]
-    pub fn state(&self, session: usize) -> u32 {
+    pub(crate) fn state(&self, session: usize) -> u32 {
         self.engine.state_of(self.current[session])
     }
 
@@ -228,7 +165,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range or retired.
     #[inline]
-    pub fn state_name(&self, session: usize) -> &str {
+    pub(crate) fn state_name(&self, session: usize) -> &str {
         self.engine.state_name(self.state(session))
     }
 
@@ -239,7 +176,7 @@ impl SessionStore {
     ///
     /// As for [`SessionStore::registers_of`].
     #[inline]
-    pub fn vars(&self, session: usize) -> &[i64] {
+    pub(crate) fn vars(&self, session: usize) -> &[i64] {
         &self.registers_of(session)[..self.engine.var_count()]
     }
 
@@ -253,7 +190,7 @@ impl SessionStore {
     /// engine whose sessions keep no register file to read a stale row
     /// from.
     #[inline]
-    pub fn registers_of(&self, session: usize) -> &[i64] {
+    pub(crate) fn registers_of(&self, session: usize) -> &[i64] {
         match self.engine.config_row(self.current[session]) {
             Some(row) => row,
             None => &self.vars[session * self.n_regs..][..self.n_regs],
@@ -266,7 +203,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range.
     #[inline]
-    pub fn is_retired(&self, session: usize) -> bool {
+    pub(crate) fn is_retired(&self, session: usize) -> bool {
         self.current[session] == Self::RETIRED
     }
 
@@ -277,21 +214,15 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range.
     #[inline]
-    pub fn is_finished(&self, session: usize) -> bool {
+    pub(crate) fn is_finished(&self, session: usize) -> bool {
         self.finishes(self.current[session]) == 1
     }
 
     /// Number of live finished sessions. O(1): the count is maintained
     /// by every operation, batches included.
     #[inline]
-    pub fn finished_count(&self) -> usize {
+    pub(crate) fn finished_count(&self) -> usize {
         self.finished
-    }
-
-    /// `true` once every live session has finished. O(1).
-    #[inline]
-    pub fn all_finished(&self) -> bool {
-        self.finished == self.live()
     }
 
     /// What a slot holding `config` contributes to the finished count:
@@ -314,7 +245,7 @@ impl SessionStore {
 
     /// Total transitions taken across all sessions.
     #[inline]
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 
@@ -331,7 +262,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range or retired.
     #[inline]
-    pub fn step(&mut self, session: usize, message: MessageId) -> Option<Taken<'_>> {
+    pub(crate) fn step(&mut self, session: usize, message: MessageId) -> Option<Taken<'_>> {
         let n = self.n_regs;
         let from = self.current[session];
         let regs = &mut self.vars[session * n..][..n];
@@ -352,7 +283,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range or retired.
     #[inline]
-    pub fn deliver(&mut self, session: usize, message: MessageId) -> &[Action] {
+    pub(crate) fn deliver(&mut self, session: usize, message: MessageId) -> &[Action] {
         self.step(session, message).map_or(&[], |t| t.actions)
     }
 
@@ -366,8 +297,13 @@ impl SessionStore {
     ///
     /// Panics, as [`SessionStore::deliver_all`] does, if `message` is
     /// outside the engine's alphabet.
-    pub fn probe_tail<F>(&mut self, message: MessageId, window: usize, limit: usize, mut visit: F)
-    where
+    pub(crate) fn probe_tail<F>(
+        &mut self,
+        message: MessageId,
+        window: usize,
+        limit: usize,
+        mut visit: F,
+    ) where
         F: FnMut(usize, Taken<'_>),
     {
         self.engine.assert_in_alphabet(message);
@@ -403,7 +339,7 @@ impl SessionStore {
     /// # Panics
     ///
     /// Panics if `message` is outside the engine's alphabet.
-    pub fn deliver_all(&mut self, message: MessageId) -> u64 {
+    pub(crate) fn deliver_all(&mut self, message: MessageId) -> u64 {
         let (states, vars) = (&mut self.current, &mut self.vars);
         let tally = self
             .engine
@@ -419,11 +355,10 @@ impl SessionStore {
     }
 
     /// The scalar reference form of [`SessionStore::deliver_all`]: a
-    /// per-session [`StepEngine::step`] walk in slot order. Kept public
-    /// as the oracle the kernel-equivalence property suites and the
-    /// paired `batched_kernel` / `efsm_kernel_over_budget` benchmark
-    /// rows compare against.
-    pub fn deliver_all_scalar(&mut self, message: MessageId) -> u64 {
+    /// per-session [`StepEngine::step_config`] walk in slot order — the
+    /// oracle the paired `batched_kernel` benchmark rows compare the
+    /// kernels against, through [`bench`](crate::bench).
+    pub(crate) fn deliver_all_scalar(&mut self, message: MessageId) -> u64 {
         self.deliver_all_with(message, |_, _| {})
     }
 
@@ -435,7 +370,7 @@ impl SessionStore {
     /// keeps the scalar walk rather than a batch kernel, so the
     /// order observers see is independent of how sessions are
     /// distributed across states (see `docs/KERNELS.md`).
-    pub fn deliver_all_with<F>(&mut self, message: MessageId, mut visit: F) -> u64
+    pub(crate) fn deliver_all_with<F>(&mut self, message: MessageId, mut visit: F) -> u64
     where
         F: FnMut(usize, Taken<'_>),
     {
@@ -458,7 +393,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range.
     #[inline]
-    pub fn reset_session(&mut self, session: usize) {
+    pub(crate) fn reset_session(&mut self, session: usize) {
         let start = self.engine.start_config();
         let old = std::mem::replace(&mut self.current[session], start);
         if old == Self::RETIRED {
@@ -488,7 +423,7 @@ impl SessionStore {
     ///
     /// Panics if `session` is out of range or already retired.
     #[inline]
-    pub fn retire(&mut self, session: usize) {
+    pub(crate) fn retire(&mut self, session: usize) {
         assert!(!self.is_retired(session), "session already retired");
         self.finished -= self.finishes(self.current[session]);
         self.current[session] = Self::RETIRED;
@@ -498,7 +433,7 @@ impl SessionStore {
 
     /// Returns every live session to the start state with zeroed
     /// registers and zeroes the step count; retired slots stay retired.
-    pub fn reset_all(&mut self) {
+    pub(crate) fn reset_all(&mut self) {
         let start = self.engine.start_config();
         if self.retired == 0 {
             self.current.fill(start);
@@ -520,7 +455,7 @@ impl SessionStore {
     /// store's complete execution state (finished-ness is the finish
     /// flag of each state — finish states are absorbing). A copy of the
     /// store's array; one table load per slot under an unfolded engine.
-    pub fn states_into(&self, out: &mut Vec<u32>) {
+    pub(crate) fn states_into(&self, out: &mut Vec<u32>) {
         if !self.engine.states_into(&self.current, out) {
             out.clone_from(&self.current);
         }
@@ -532,7 +467,7 @@ impl SessionStore {
     /// reg_count]`. Copied or materialised as for
     /// [`SessionStore::states_into`]; a materialised file reads zero in
     /// every retired slot.
-    pub fn registers_into(&self, out: &mut Vec<i64>) {
+    pub(crate) fn registers_into(&self, out: &mut Vec<i64>) {
         if !self.engine.rows_into(&self.current, out) {
             out.clone_from(&self.vars);
         }
@@ -559,7 +494,7 @@ impl SessionStore {
     /// Panics if `registers` does not hold `reg_count` registers per
     /// slot, or a state id is neither valid for the engine nor
     /// [`SessionStore::RETIRED`].
-    pub fn restore(
+    pub(crate) fn restore(
         &mut self,
         states: &[u32],
         registers: &[i64],
@@ -613,7 +548,7 @@ impl SessionStore {
     /// # Panics
     ///
     /// Panics if a session is live.
-    pub fn retarget(&mut self, engine: StepEngine) {
+    pub(crate) fn retarget(&mut self, engine: StepEngine) {
         assert_eq!(self.live(), 0, "retarget on a store with live sessions");
         self.n_regs = engine.stored_regs();
         self.scratch = vec![0; engine.scratch_len()];
@@ -623,217 +558,46 @@ impl SessionStore {
     }
 }
 
-/// The batch-stepping interface [`ShardedPool`] forks across threads:
-/// implemented by [`SessionStore`] and by anything else that
-/// steps a block of sessions (the `stategen-runtime` shard wraps a
-/// store with generations and telemetry; tests substitute fakes).
-pub trait BatchEngine {
-    /// Number of session slots in the engine.
-    fn session_count(&self) -> usize;
-
-    /// Delivers a message to every session; returns transitions taken.
-    fn deliver_all(&mut self, message: MessageId) -> u64;
-
-    /// Number of finished sessions.
-    fn finished_count(&self) -> usize;
-
-    /// Total transitions taken across all sessions.
-    fn steps(&self) -> u64;
-
-    /// Returns every session to the start state.
-    fn reset_all(&mut self);
-}
-
-impl BatchEngine for SessionStore {
-    fn session_count(&self) -> usize {
-        self.len()
-    }
-
-    fn deliver_all(&mut self, message: MessageId) -> u64 {
-        SessionStore::deliver_all(self, message)
-    }
-
-    fn finished_count(&self) -> usize {
-        SessionStore::finished_count(self)
-    }
-
-    fn steps(&self) -> u64 {
-        SessionStore::steps(self)
-    }
-
-    fn reset_all(&mut self) {
-        SessionStore::reset_all(self);
-    }
-}
-
-/// A pool of sessions partitioned into shards.
+/// Runs `batch` over every shard in one fork-join and sums what it
+/// returns. A single shard is stepped in place. With `k` shards, shards
+/// `1..k` each get a scoped thread for the call while the calling
+/// thread steps shard 0, and the counts are summed once every thread
+/// has joined. Which thread steps which shard, and when, cannot change
+/// the result as long as shards never read each other's state.
 ///
-/// Sessions are independent (no shard ever reads another shard's state)
-/// and each shard carries its own scratch buffers, so batch delivery
-/// parallelises embarrassingly: stepping the shards on separate threads
-/// ([`ShardedPool::deliver_all`]) is bit-identical to stepping the same
-/// sessions in one store, whatever the thread scheduling.
+/// # Panics
 ///
-/// Shards are plain [`BatchEngine`] values, in session order: a pool
-/// [`split`](ShardedPool::split) from `n` sessions holds the same
-/// sessions as one store of `n`, cut into contiguous blocks.
-///
-/// # Examples
-///
-/// ```
-/// use stategen_core::{Action, CompiledMachine, SessionStore, ShardedPool,
-///     StateMachineBuilder, StepEngine};
-///
-/// let mut b = StateMachineBuilder::new("ping", ["ping"]);
-/// let idle = b.add_state("idle");
-/// let done = b.add_state_full("done", None, stategen_core::StateRole::Finish, vec![]);
-/// b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
-/// let engine = StepEngine::dense(CompiledMachine::compile(&b.build(idle)));
-///
-/// let mut pool = ShardedPool::split(1000, 4, |len| SessionStore::new(engine.clone(), len));
-/// assert_eq!(pool.shard_count(), 4);
-/// let ping = engine.message_id("ping").unwrap();
-/// assert_eq!(pool.deliver_all(ping), 1000);
-/// assert!(pool.all_finished());
-/// ```
-#[derive(Debug)]
-pub struct ShardedPool<P> {
-    shards: Vec<P>,
-}
-
-impl<P: BatchEngine> ShardedPool<P> {
-    /// Wraps pre-built shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<P>) -> Self {
-        assert!(!shards.is_empty(), "sharded pool needs at least one shard");
-        ShardedPool { shards }
+/// Panics if `shards` is empty. If `batch` panics on a shard, this
+/// re-raises that shard's own payload — shard 0's if the calling
+/// thread's own shard panicked, else the lowest-numbered panicking
+/// shard's — after every thread of the call has finished, so nothing
+/// hangs and nothing keeps running. Every other shard completed its
+/// batch, and the panicking one is in whatever state `batch` left it.
+pub(crate) fn fork_join<S: Send>(shards: &mut [S], batch: impl Fn(&mut S) -> u64 + Sync) -> u64 {
+    let (own, rest) = shards.split_first_mut().expect("at least one shard");
+    if rest.is_empty() {
+        return batch(own);
     }
-
-    /// Splits `sessions` across `shards` near-equal contiguous blocks,
-    /// building each shard with `make(block_len)`. Earlier shards take
-    /// the remainder, so shard sizes differ by at most one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn split(sessions: usize, shards: usize, mut make: impl FnMut(usize) -> P) -> Self {
-        assert!(shards > 0, "sharded pool needs at least one shard");
-        let base = sessions / shards;
-        let extra = sessions % shards;
-        let shards = (0..shards)
-            .map(|i| make(base + usize::from(i < extra)))
+    let batch = &batch;
+    std::thread::scope(|scope| {
+        let forked: Vec<_> = rest
+            .iter_mut()
+            .map(|shard| scope.spawn(move || batch(shard)))
             .collect();
-        ShardedPool::new(shards)
-    }
-
-    /// The shards, in session order.
-    pub fn shards(&self) -> &[P] {
-        &self.shards
-    }
-
-    /// Mutable access to the shards, in session order — for single-shard
-    /// operations between batch deliveries (e.g. the `stategen-runtime`
-    /// facade's per-session `deliver`, which routes a session-addressed
-    /// message to the shard that owns the slot).
-    pub fn shards_mut(&mut self) -> &mut [P] {
-        &mut self.shards
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Appends a shard at the end of the shard list (existing shard
-    /// indices — and any handles derived from them — stay valid). Used
-    /// by the `stategen-runtime` hot-swap machinery to add shards for
-    /// an incoming engine while existing shards drain.
-    pub fn push(&mut self, shard: P) {
-        self.shards.push(shard);
-    }
-
-    /// Total session slots across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(P::session_count).sum()
-    }
-
-    /// `true` if no shard holds any session.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.session_count() == 0)
-    }
-
-    /// Total finished sessions across all shards.
-    pub fn finished_count(&self) -> usize {
-        self.shards.iter().map(P::finished_count).sum()
-    }
-
-    /// `true` once every session in every shard has finished.
-    pub fn all_finished(&self) -> bool {
-        self.finished_count() == self.len()
-    }
-
-    /// Total transitions taken across all shards.
-    pub fn steps(&self) -> u64 {
-        self.shards.iter().map(P::steps).sum()
-    }
-
-    /// Delivers a message to every session and returns the total number
-    /// of transitions taken: one fork-join per call. A single shard is
-    /// stepped in place. With `k` shards, shards `1..k` each get a
-    /// scoped thread for the call while the calling thread steps shard
-    /// 0, and the counts are summed once every thread has joined. Which
-    /// thread steps which shard, and when, cannot change the result:
-    /// shards partition the sessions and never read each other's state.
-    ///
-    /// # Panics
-    ///
-    /// If a shard's [`BatchEngine::deliver_all`] panics, this re-raises
-    /// that shard's own payload — shard 0's if the calling thread's own
-    /// shard panicked, else the lowest-numbered panicking shard's — after
-    /// every thread of the call has finished, so nothing hangs and
-    /// nothing keeps running. The pool stays usable: every other shard
-    /// completed the batch, and the panicking one is in whatever state
-    /// its own `deliver_all` left it (a message outside the alphabet,
-    /// for instance, is refused before any session is stepped).
-    pub fn deliver_all(&mut self, message: MessageId) -> u64
-    where
-        P: Send,
-    {
-        let (own, rest) = self.shards.split_first_mut().expect("at least one shard");
-        if rest.is_empty() {
-            return own.deliver_all(message);
-        }
-        std::thread::scope(|scope| {
-            let forked: Vec<_> = rest
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.deliver_all(message)))
-                .collect();
-            let transitions = own.deliver_all(message);
-            forked.into_iter().fold(transitions, |sum, thread| {
-                sum + thread
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
+        let transitions = batch(own);
+        forked.into_iter().fold(transitions, |sum, thread| {
+            sum + thread
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         })
-    }
-
-    /// Returns every session in every shard to the start state.
-    pub fn reset_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.reset_all();
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use stategen_core::{FlatIr, StateMachine, StateMachineBuilder, StateRole};
+
     use super::*;
-    use crate::compiled::CompiledMachine;
-    use crate::ir::FlatIr;
-    use crate::machine::{StateMachine, StateMachineBuilder, StateRole};
     use crate::step::Tier;
 
     fn finishing_machine() -> StateMachine {
@@ -847,22 +611,42 @@ mod tests {
     }
 
     fn dense() -> StepEngine {
-        StepEngine::dense(CompiledMachine::compile(&finishing_machine()))
+        StepEngine::compile_ir(&FlatIr::from_machine(&finishing_machine()), &[]).unwrap()
     }
 
     fn interpreted() -> StepEngine {
         StepEngine::interpreted(FlatIr::from_machine(&finishing_machine()), &[]).unwrap()
     }
 
+    /// `true` once every live session of `store` has finished.
+    fn all_finished(store: &SessionStore) -> bool {
+        store.finished_count() == store.live()
+    }
+
     fn msg(engine: &StepEngine, name: &str) -> MessageId {
         engine.message_id(name).unwrap()
     }
 
+    /// `sessions` sessions of `engine` cut into `shards` contiguous
+    /// stores, earlier ones taking the remainder.
+    fn split(engine: &StepEngine, sessions: usize, shards: usize) -> Vec<SessionStore> {
+        let (base, extra) = (sessions / shards, sessions % shards);
+        let len = |i| base + usize::from(i < extra);
+        (0..shards)
+            .map(|i| SessionStore::new(engine.clone(), len(i)))
+            .collect()
+    }
+
+    /// One batch of `message` over `shards`, forked.
+    fn deliver_all(shards: &mut [SessionStore], message: MessageId) -> u64 {
+        fork_join(shards, |store| store.deliver_all(message))
+    }
+
     /// Every session's `(state, finished)` in global order: shard
     /// blocks are contiguous, in shard order.
-    fn sessions(pool: &ShardedPool<SessionStore>) -> Vec<(u32, bool)> {
+    fn sessions(shards: &[SessionStore]) -> Vec<(u32, bool)> {
         let per_shard = |shard| sessions_of(shard).collect::<Vec<_>>();
-        pool.shards().iter().flat_map(per_shard).collect()
+        shards.iter().flat_map(per_shard).collect()
     }
 
     fn sessions_of(store: &SessionStore) -> impl Iterator<Item = (u32, bool)> + '_ {
@@ -904,7 +688,7 @@ mod tests {
             assert_eq!(pool.deliver_all(a), 99);
             assert_eq!(pool.finished_count(), 0);
             assert_eq!(pool.deliver_all_scalar(a), 99);
-            assert!(pool.all_finished());
+            assert!(all_finished(&pool));
             assert!(!pool.is_finished(7), "a retired slot is not finished");
             // Finished sessions absorb further messages.
             assert_eq!(pool.deliver_all(a), 0);
@@ -933,14 +717,14 @@ mod tests {
         let engine = dense();
         let a = msg(&engine, "a");
         let mut pool = SessionStore::new(engine, 0);
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         for _ in 0..70 {
             pool.spawn();
         }
         assert_eq!(pool.len(), 70);
         pool.deliver_all(a);
         pool.deliver_all(a);
-        assert!(pool.all_finished());
+        assert!(all_finished(&pool));
         pool.reset_all();
         assert_eq!(pool.finished_count(), 0);
         assert_eq!(pool.state_name(69), "s0");
@@ -989,7 +773,7 @@ mod tests {
     /// interpreted, and unfolded onto the dense table. Every test below
     /// holds for both.
     fn counter(limit: i64) -> (FlatIr, [StepEngine; 2]) {
-        use crate::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
+        use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
         let mut b = EfsmBuilder::new("counter", ["tick"]);
         let lim = b.add_param("limit");
         let n = b.add_var("n");
@@ -1058,7 +842,7 @@ mod tests {
             let mut fired = Vec::new();
             pool.deliver_all_with(tick, |_, t| fired.push((t.from, t.to, t.actions.len())));
             assert_eq!(fired, [(0, 1, 1); 4]);
-            assert!(pool.all_finished());
+            assert!(all_finished(&pool));
             assert_eq!(pool.steps(), 1 + 5 + 5 + 4);
         }
     }
@@ -1068,12 +852,12 @@ mod tests {
         for engine in counter(1).1 {
             let tick = msg(&engine, "tick");
             let mut pool = SessionStore::new(engine, 0);
-            assert!(pool.is_empty());
+            assert_eq!(pool.len(), 0);
             for _ in 0..70 {
                 pool.spawn();
             }
             pool.deliver_all(tick);
-            assert!(pool.all_finished());
+            assert!(all_finished(&pool));
             pool.reset_session(69);
             assert!(!pool.is_finished(69));
             assert_eq!(pool.vars(69), &[0]);
@@ -1139,35 +923,33 @@ mod tests {
         let engine = dense();
         let (a, b) = (msg(&engine, "a"), msg(&engine, "b"));
         let mut single = SessionStore::new(engine.clone(), 103);
-        let mut sharded = ShardedPool::split(103, 4, |len| SessionStore::new(engine.clone(), len));
-        assert_eq!(sharded.len(), 103);
-        assert_eq!(sharded.shard_count(), 4);
-        assert!(!sharded.is_empty());
+        let mut sharded = split(&engine, 103, 4);
+        let total = |shards: &[SessionStore], of: fn(&SessionStore) -> u64| {
+            shards.iter().map(of).sum::<u64>()
+        };
+        let finished = |store: &SessionStore| store.finished_count() as u64;
         for &mid in &[a, b, a, a, b] {
-            let t_single = single.deliver_all(mid);
-            let t_sharded = sharded.deliver_all(mid);
-            assert_eq!(t_single, t_sharded);
-            assert_eq!(single.finished_count(), sharded.finished_count());
-            assert_eq!(single.steps(), sharded.steps());
+            assert_eq!(single.deliver_all(mid), deliver_all(&mut sharded, mid));
+            assert_eq!(single.finished_count() as u64, total(&sharded, finished));
+            assert_eq!(single.steps(), total(&sharded, SessionStore::steps));
             assert_eq!(sessions(&sharded), sessions_of(&single).collect::<Vec<_>>());
         }
-        assert!(sharded.all_finished());
-        sharded.reset_all();
-        assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.steps(), 0);
+        assert!(sharded.iter().all(all_finished));
+        sharded.iter_mut().for_each(SessionStore::reset_all);
+        assert_eq!(total(&sharded, finished), 0);
+        assert_eq!(total(&sharded, SessionStore::steps), 0);
     }
 
     #[test]
     fn sharded_pool_over_efsm_shards() {
         for engine in counter(2).1 {
             let tick = msg(&engine, "tick");
-            let mut sharded =
-                ShardedPool::split(64, 2, |len| SessionStore::new(engine.clone(), len));
-            assert_eq!(sharded.deliver_all(tick), 64);
-            assert_eq!(sharded.finished_count(), 0);
-            assert_eq!(sharded.deliver_all(tick), 64);
-            assert!(sharded.all_finished());
-            assert_eq!(sharded.shards()[0].vars(0), &[2]);
+            let mut sharded = split(&engine, 64, 2);
+            assert_eq!(deliver_all(&mut sharded, tick), 64);
+            assert!(sharded.iter().all(|store| store.finished_count() == 0));
+            assert_eq!(deliver_all(&mut sharded, tick), 64);
+            assert!(sharded.iter().all(all_finished));
+            assert_eq!(sharded[0].vars(0), &[2]);
         }
     }
 
@@ -1175,16 +957,15 @@ mod tests {
     fn single_shard_steps_in_place() {
         let engine = dense();
         let a = msg(&engine, "a");
-        let mut sharded = ShardedPool::split(10, 1, |len| SessionStore::new(engine.clone(), len));
-        assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.deliver_all(a), 10);
+        let mut sharded = split(&engine, 10, 1);
+        assert_eq!(deliver_all(&mut sharded, a), 10);
         assert_eq!(sessions(&sharded), vec![(1, false); 10]);
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn empty_shard_list_panics() {
-        let _ = ShardedPool::<SessionStore>::new(Vec::new());
+        deliver_all(&mut [], msg(&dense(), "a"));
     }
 
     /// A shard that panics on its batch number `blows_up_at` (counting
@@ -1201,33 +982,20 @@ mod tests {
                 blows_up_at,
             }
         }
-    }
 
-    impl BatchEngine for FaultyShard {
-        fn session_count(&self) -> usize {
-            1
-        }
-        fn deliver_all(&mut self, _message: MessageId) -> u64 {
+        fn batch(&mut self) -> u64 {
             self.batches += 1;
             assert!(self.batches != self.blows_up_at, "shard blew up");
             1
         }
-        fn finished_count(&self) -> usize {
-            0
-        }
-        fn steps(&self) -> u64 {
-            u64::from(self.batches)
-        }
-        fn reset_all(&mut self) {}
     }
 
     #[test]
     #[should_panic(expected = "shard blew up")]
     fn deliver_all_fails_fast_when_a_shard_panics() {
-        let a = msg(&dense(), "a");
-        let mut sharded = ShardedPool::new(vec![FaultyShard::new(2), FaultyShard::new(2)]);
-        sharded.deliver_all(a);
-        sharded.deliver_all(a); // both shards panic; the call must not hang
+        let mut sharded = [FaultyShard::new(2), FaultyShard::new(2)];
+        fork_join(&mut sharded, FaultyShard::batch);
+        fork_join(&mut sharded, FaultyShard::batch); // both panic; must not hang
     }
 
     /// Whichever shard panics — the caller's own or a forked one — the
@@ -1235,15 +1003,16 @@ mod tests {
     /// their batch, and the next call serves every shard again.
     #[test]
     fn a_shard_panic_leaves_the_pool_usable() {
-        let a = msg(&dense(), "a");
         for faulty in 0..3 {
             let shards = (0..3).map(|i| FaultyShard::new(if i == faulty { 1 } else { 0 }));
-            let mut sharded = ShardedPool::new(shards.collect());
-            let batch = std::panic::AssertUnwindSafe(|| sharded.deliver_all(a));
+            let mut sharded: Vec<_> = shards.collect();
+            let batch =
+                std::panic::AssertUnwindSafe(|| fork_join(&mut sharded, FaultyShard::batch));
             let payload = std::panic::catch_unwind(batch).expect_err("the faulty shard panics");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard blew up"));
-            assert_eq!(sharded.steps(), 3, "every shard ran its batch");
-            assert_eq!(sharded.deliver_all(a), 3);
+            let batches: u32 = sharded.iter().map(|shard| shard.batches).sum();
+            assert_eq!(batches, 3, "every shard ran its batch");
+            assert_eq!(fork_join(&mut sharded, FaultyShard::batch), 3);
         }
     }
 }

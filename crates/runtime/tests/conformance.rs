@@ -15,7 +15,7 @@
 use std::borrow::Cow;
 
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
-use stategen_core::{generate, FlatIr, HsmInstance, Instance, StateMachine, StepEngine};
+use stategen_core::{generate, FlatIr, HsmInstance, StateMachine};
 use stategen_models::{
     broadcast_efsm, broadcast_efsm_params, session_lifecycle, session_lifecycle_guarded,
     BroadcastModel,
@@ -330,19 +330,18 @@ fn engine_and_runtime_are_send_static() {
 fn protocol_engine_is_object_safe() {
     let machine = commit_machine(2);
     let hsm = session_lifecycle();
-    let mut rt = Engine::compile(Spec::machine(machine.clone()))
-        .unwrap()
-        .runtime();
-    let id = rt.spawn();
-    let session = rt.session(id);
+    let [mut compiled, mut walked] = [
+        Engine::compile(Spec::machine(machine.clone())),
+        Engine::interpret(Spec::machine(machine.clone())),
+    ]
+    .map(|engine| engine.unwrap().runtime());
+    let (id, wid) = (compiled.spawn(), walked.spawn());
     let ir = FlatIr::from_machine(&machine);
     let mut engines: Vec<Box<dyn ProtocolEngine + '_>> = vec![
         Box::new(ir.instance(vec![])),
-        Box::new(Instance::new(
-            StepEngine::interpreted(ir.clone(), &[]).unwrap(),
-        )),
+        Box::new(walked.session(wid)),
         Box::new(HsmInstance::new(&hsm)),
-        Box::new(session),
+        Box::new(compiled.session(id)),
     ];
     for engine in &mut engines {
         let name: Cow<'_, str> = engine.state_name();

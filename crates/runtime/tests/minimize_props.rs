@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! IrInstance(ir) ≡ IrInstance(minimize(ir))                 (interpreted)
-//!                ≡ Instance(dense(minimize(ir)))            (dense tables)
-//!                ≡ Instance(compile_ir(minimize(ir)))       (guarded, unfolded)
+//!                ≡ Runtime(minimize(ir))                    (dense tables)
+//!                ≡ Runtime(minimize(ir), binding)           (guarded, unfolded)
 //! HsmInstance(hsm) ≡ minimize(hsm.flatten_ir())             (flattened statechart)
 //! ```
 //!
@@ -26,11 +26,11 @@ use proptest::prelude::*;
 use stategen_analysis::minimize;
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, CompiledMachine, FlatIr, FlatState, FlatTransition, Instance, Level, Lint,
-    ProtocolEngine, StateMachineBuilder, StateRole, StategenError, StepEngine,
+    Action, Artifact, CompiledMachine, FlatIr, FlatState, FlatTransition, Level, Lint,
+    ProtocolEngine, StateMachineBuilder, StateRole, StategenError,
 };
 use stategen_models::redundant_ring;
-use stategen_runtime::{AnalysisConfig, Spec};
+use stategen_runtime::{AnalysisConfig, Engine, Runtime, SessionId, Spec};
 
 const ALPHABET: [&str; 3] = ["m0", "m1", "m2"];
 
@@ -132,6 +132,17 @@ fn build_random_efsm(states: &[u64], start: u64) -> stategen_core::Efsm {
     b.build(ids[(start % n as u64) as usize], fin)
 }
 
+/// One served session of `ir` bound to `params`, lowered exactly as
+/// `Engine::compile` lowers a spec.
+fn served(ir: &FlatIr, params: &[i64]) -> (Runtime, SessionId) {
+    let artifact = Artifact::new(ir.clone(), params.to_vec()).expect("binding arity");
+    let mut rt = Engine::from_artifact(&artifact)
+        .expect("the quotient lowers")
+        .runtime();
+    let session = rt.spawn();
+    (rt, session)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -148,11 +159,11 @@ proptest! {
         let ir = build_random_ir(&states, start);
         let (small, stats) = minimize(&ir);
         prop_assert!(stats.states_after <= stats.states_before);
-        let compiled = CompiledMachine::compile_ir(&small)
-            .expect("the quotient keeps one transition per cell");
+        CompiledMachine::compile_ir(&small).expect("the quotient keeps one transition per cell");
         let mut reference = ir.instance(vec![]);
         let mut interp = small.instance(vec![]);
-        let mut dense = Instance::new(StepEngine::dense(compiled));
+        let (mut rt, session) = served(&small, &[]);
+        let mut dense = rt.session(session);
         for (step, &mi) in trace.iter().enumerate() {
             let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
             prop_assert_eq!(
@@ -169,7 +180,7 @@ proptest! {
     }
 
     /// Guarded machines: the quotient of a random guarded EFSM, bound and
-    /// compiled through `StepEngine::compile_ir`, tracks the original
+    /// compiled as `Engine::compile` lowers it, tracks the original
     /// interpreter under every budget binding.
     #[test]
     fn minimize_preserves_guarded_behaviour(
@@ -182,11 +193,10 @@ proptest! {
         let ir = FlatIr::from_efsm(&efsm);
         let (small, _) = minimize(&ir);
         let params = vec![budget];
-        let compiled = StepEngine::compile_ir(&small, &params)
-            .expect("the quotient keeps the priority-ordered guard lists");
         let mut reference = ir.instance(params.clone());
         let mut interp = small.instance(params.clone());
-        let mut fast = Instance::new(compiled);
+        let (mut rt, session) = served(&small, &params);
+        let mut fast = rt.session(session);
         for (step, &mi) in trace.iter().enumerate() {
             let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
             prop_assert_eq!(
@@ -215,9 +225,10 @@ proptest! {
         let (small, stats) = minimize(&hsm.flatten_ir());
         prop_assert_eq!(stats.states_before, k + 2);
         prop_assert_eq!(stats.states_after, 3);
-        let compiled = CompiledMachine::compile_ir(&small).expect("unguarded quotient");
+        CompiledMachine::compile_ir(&small).expect("unguarded quotient");
         let mut reference = hsm.instance();
-        let mut dense = Instance::new(StepEngine::dense(compiled));
+        let (mut rt, session) = served(&small, &[]);
+        let mut dense = rt.session(session);
         for (step, &mi) in trace.iter().enumerate() {
             let m = ["go", "step", "stop"][mi];
             let want = reference.deliver_ref(m).unwrap().to_vec();

@@ -57,22 +57,15 @@
 # 7. fails if the benchmark artefacts are missing required rows
 #    (including the runtime_facade, artifact_cold_load,
 #    hsm_minimized, efsm_kernel_over_budget and storage_faulted rows),
-#    or if a name the one-store / one-driver collapse deleted (the two
-#    core pools, the parked and stealing driver handles, the runtime's
-#    private tier enum, the statechart pseudo-tiers) reappears in the
-#    sources or docs, or a name the one-step collapse deleted (the four
-#    per-front-end instance types, the bucketed register kernel's
-#    scratch and sweep), or a name the fork-join replaced (the parked,
-#    work-stealing driver: its handle, its entry point, its mailbox,
-#    deque and loop), or the register tier's lockstep sweep in the
-#    sources, or the register tier itself (its compiler, its binding,
-#    its Tier variant, constructor and representation), or the checkers
-#    the analyzer replaced (core::validate's entry points and report,
-#    the EFSM and statechart box-enumerating determinism checks) or the
-#    deleted compiled-EFSM tier's name (any case) in the sources or
-#    docs, or a Condvar in the core or runtime sources, or the lazy
-#    finished bitset (its type, its batch scan, its dirty flag) under
-#    crates/core/src; and re-runs in
+#    or if a deleted name reappears or a confined one spreads: one table
+#    of grep rules (pattern, paths, allowed files, the reason and its
+#    CHANGES.md entry) covers the deleted pools, drivers, instance
+#    types, register tier and checkers, the sharded pool and its trait,
+#    core paths to the serving layer that is now stategen-runtime's,
+#    Condvar and the lazy finished bitset in the core or runtime
+#    sources, the unfolded side table outside core::unfold and the
+#    runtime's step engine, and the explorer's reached set outside
+#    core::explore and its three searches; and re-runs in
 #    release mode the generation-exhaustion unit test (its arithmetic
 #    wraps there instead of panicking), the foreign-message-id batch
 #    test (a debug assertion used to be the register tier's only guard),
@@ -88,13 +81,7 @@
 #    stack's message schedule and the peer's two-crash checkpoint test
 #    (debug builds assert every checkpoint write against the live
 #    bookkeeping; release builds do not, so the test is the check); and
-#    fails if the unfolded engine's side table is named anywhere outside
-#    core::step, if the explorer's reached set is named outside
-#    core::explore and its three searches (the unfolder in core::step,
-#    the generator, the statechart flattener), if a visited set the
-#    explorer replaced (the generator's worklist, the unfolder's
-#    configuration table, the flattener's add-config closure) is named
-#    in the sources or docs, if CommitPeer or PeerCheckpoint declare one of the
+#    fails if CommitPeer or PeerCheckpoint declare one of the
 #    attempt-keyed fields the in-flight table replaced, if the
 #    checkpoint holds a history or a finished set again (both are
 #    written through by the commit's synchronous write —
@@ -193,7 +180,7 @@ echo "== foreign message id in a batch (release: one panic message on every tier
 cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
 
 echo "== lowering decision + no deployed machine falls back (release) =="
-cargo test -q --release -p stategen-core --lib lowering_is_decided_by_the_bound_configuration_space
+cargo test -q --release -p stategen-runtime --lib lowering_is_decided_by_the_bound_configuration_space
 cargo test -q --release -p stategen-runtime --test conformance no_deployed_machine_falls_back
 
 echo "== unreachable configuration in a snapshot (release: typed error, runtime untouched) =="
@@ -216,59 +203,34 @@ cargo test -q --release -p asa-storage --lib table_peer_matches_the_reference_pe
 echo "== the peer's checkpoint stays exact through two crashes (release) =="
 cargo test -q --release -p asa-storage --lib journaled_checkpoint_and_indexes_stay_exact_through_two_crashes
 
-echo "== one store, one driver, one step: deleted names stay deleted =="
-if grep -rnE 'SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_stealing_workers|EngineKind|FlattenedHsm' \
-        crates/ src/ examples/ tests/ docs/; then
-    echo "verify.sh: the names above were deleted by the session-store collapse (CHANGES.md, PR 14)" >&2
-    exit 1
-fi
-if grep -rnE 'FsmInstance|EfsmInstance|CompiledInstance|KernelScratch|sweep_bucket' \
-        crates/ src/ examples/ tests/ docs/; then
-    echo "verify.sh: the names above were deleted by the one-step collapse (CHANGES.md, PR 16)" >&2
-    exit 1
-fi
-if grep -rnE 'with_workers|\bWorkers\b|WorkerMailbox|ShardDeque|worker_loop' \
-        crates/ src/ examples/ tests/ docs/; then
-    echo "verify.sh: the names above belong to the worker driver one fork-join per batch replaced (CHANGES.md, PR 25)" >&2
-    exit 1
-fi
-if grep -rnE 'efsm_lockstep|dispatch_shape' crates/ src/ examples/ tests/; then
-    echo "verify.sh: the register tier's lockstep sweep failed its 1.3x rule and was deleted (CHANGES.md, PR 25)" >&2
-    exit 1
-fi
-if grep -rnE 'CompiledEfsm|EfsmBinding|efsm_compiled::|Tier::CompiledEfsm|StepEngine::register|Repr::Register' \
-        crates/ src/ examples/ tests/; then
-    echo "verify.sh: the register tier was deleted; past the unfolding budget a guarded machine runs on the interpreter (docs/KERNELS.md)" >&2
-    exit 1
-fi
-if grep -rniE '\b(validate_machine|ValidationReport|structural_diagnostics|missing_transitions|check_deterministic|check_guard_determinism)\b|compiled-efsm' \
-        crates/ src/ examples/ tests/ docs/; then
-    echo "verify.sh: stategen-analysis is the one well-formedness and guard-determinism checker, and no compiled-EFSM tier is left (docs/ANALYSIS.md)" >&2
-    exit 1
-fi
-if grep -rn 'Condvar' crates/core/src crates/runtime/src; then
-    echo "verify.sh: sharded batches are a scoped fork-join; nothing parks on a condvar (CHANGES.md, PR 25)" >&2
-    exit 1
-fi
-if grep -rnE 'FinishedBits|finished_slots|\.dirty' crates/core/src; then
-    echo "verify.sh: the finished count is eager; the lazy bitset above was deleted (CHANGES.md, PR 15)" >&2
-    exit 1
-fi
-
-if grep -rnE '\bUnfolded\b' --include='*.rs' crates/ src/ examples/ tests/ \
-        | grep -v '^crates/core/src/step.rs:'; then
-    echo "verify.sh: an unfolded engine's side table is core::step's alone; callers see source states and registers" >&2
-    exit 1
-fi
-if grep -rnE '\bReachedSet\b' --include='*.rs' crates/ src/ examples/ tests/ \
-        | grep -vE '^crates/core/src/(explore|step|generator|hsm)\.rs:'; then
-    echo "verify.sh: the explorer's reached set belongs to core::explore and its three searches (unfold, generate_with, flatten_ir)" >&2
-    exit 1
-fi
-if grep -rnE '\b(Worklist|add_config|Configs)\b' crates/ src/ examples/ tests/ docs/; then
-    echo "verify.sh: the generator's, the unfolder's and the flattener's own visited sets were folded into core::explore (docs/KERNELS.md)" >&2
-    exit 1
-fi
+echo "== deleted names stay deleted; confined names stay confined =="
+# One row per rule: grep flags % pattern % paths % files that may name
+# it (a regex over grep's `file:` prefix; empty: none) % why, with the
+# CHANGES.md entry. A rule fails if a file outside its allow-list names
+# the pattern.
+set -f # the --include globs are grep's, not the shell's
+while IFS='%' read -r flags pattern paths allowed why; do
+    # shellcheck disable=SC2086 # flags and paths are word lists
+    if grep -rn $flags -e "$pattern" $paths | grep -vE "${allowed:-^$}"; then
+        echo "verify.sh: $why" >&2
+        exit 1
+    fi
+done <<'ROWS'
+-E%SessionPool|EfsmSessionPool|ParkedWorkers|StealingWorkers|with_stealing_workers|EngineKind|FlattenedHsm%crates/ src/ examples/ tests/ docs/%%the names above were deleted by the session-store collapse (CHANGES.md, PR 14)
+-E%FsmInstance|EfsmInstance|CompiledInstance|KernelScratch|sweep_bucket%crates/ src/ examples/ tests/ docs/%%the names above were deleted by the one-step collapse (CHANGES.md, PR 16)
+-E%with_workers|\bWorkers\b|WorkerMailbox|ShardDeque|worker_loop%crates/ src/ examples/ tests/ docs/%%the names above belong to the worker driver one fork-join per batch replaced (CHANGES.md, PR 25)
+-E%efsm_lockstep|dispatch_shape%crates/ src/ examples/ tests/%%the register tier's lockstep sweep failed its 1.3x rule and was deleted (CHANGES.md, PR 25)
+-E%CompiledEfsm|EfsmBinding|efsm_compiled::|Tier::CompiledEfsm|StepEngine::register|Repr::Register%crates/ src/ examples/ tests/%%the register tier was deleted; past the unfolding budget a guarded machine runs on the interpreter (CHANGES.md, PR 30; docs/KERNELS.md)
+-iE%\b(validate_machine|ValidationReport|structural_diagnostics|missing_transitions|check_deterministic|check_guard_determinism)\b|compiled-efsm%crates/ src/ examples/ tests/ docs/%%stategen-analysis is the one well-formedness and guard-determinism checker, and no compiled-EFSM tier is left (CHANGES.md, PR 34; docs/ANALYSIS.md)
+-E%Condvar%crates/core/src crates/runtime/src%%sharded batches are a scoped fork-join; nothing parks on a condvar (CHANGES.md, PR 25)
+-E%FinishedBits|finished_slots|\.dirty%crates/core/src crates/runtime/src%%the finished count is eager; the lazy bitset above was deleted (CHANGES.md, PR 15)
+-E --include=*.rs%\bUnfolded\b%crates/ src/ examples/ tests/%^crates/(core/src/(unfold|lib)|runtime/src/step)\.rs:%an unfolded table's side table is core::unfold's lowering output and the runtime step engine's alone; callers see source states and registers (CHANGES.md, PR 36)
+-E --include=*.rs%\bReachedSet\b%crates/ src/ examples/ tests/%^crates/core/src/(explore|unfold|generator|hsm)\.rs:%the explorer's reached set belongs to core::explore and its three searches (unfold, generate_with, flatten_ir) (CHANGES.md, PR 35)
+-E%\b(Worklist|add_config|Configs)\b%crates/ src/ examples/ tests/ docs/%%the generator's, the unfolder's and the flattener's own visited sets were folded into core::explore (CHANGES.md, PR 35; docs/KERNELS.md)
+-E%\b(ShardedPool|BatchEngine)\b%crates/ src/ examples/ tests/ docs/%%a runtime's shards run through its private fork-join; the generic pool and its trait were deleted (CHANGES.md, PR 36)
+-E%stategen_core::(SessionStore|StepEngine|Instance|Taken|BatchTally|Tier)\b%crates/ src/ examples/ tests/%%the serving layer is private to stategen-runtime; core says what a machine is (CHANGES.md, PR 36)
+ROWS
+set +f
 
 # The peer keeps one in-flight table (version_service/ledger.rs); the
 # five attempt-keyed collections live on in reference.rs, for tests.

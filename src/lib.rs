@@ -30,9 +30,9 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`fsm`] | `stategen-core` | state spaces, machines, generation pipeline, the flat IR and its step engine |
+//! | [`fsm`] | `stategen-core` | state spaces, machines, generation pipeline, the flat IR and its dense-table lowerings |
 //! | [`analysis`] | `stategen-analysis` | semantic lints, interval abstract interpretation, provably-safe state minimization (see `docs/ANALYSIS.md`) |
-//! | [`runtime`] | `stategen-runtime` | the deployment pipeline: `Spec → Engine → Runtime`, typed session handles, uniform across every execution tier |
+//! | [`runtime`] | `stategen-runtime` | the deployment pipeline: `Spec → Engine → Runtime`, typed session handles, uniform across every execution tier; the step engine, session store and batch kernels |
 //! | [`commit`] | `stategen-commit` | the BFT commit protocol: abstract model, EFSM, reference algorithm |
 //! | [`render`] | `stategen-render` | text/diagram/source-code renderers |
 //! | [`generated`] | `stategen-generated` | build-time generated commit handlers |
