@@ -5,35 +5,37 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
+use stategen_core::{generate, FlatIr, Notes};
 use stategen_render::{
-    java_src, render_dot, render_mermaid, render_rust_module, render_xml, DotOptions, TextRenderer,
+    java_src, render_dot, render_mermaid, render_rust_module, render_text, render_xml,
 };
 
 fn bench_render(c: &mut Criterion) {
     let machine = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generates")
         .machine;
+    let (ir, notes) = (
+        FlatIr::from_machine(&machine),
+        Notes::from_machine(&machine),
+    );
     let mut group = c.benchmark_group("render_artefacts");
     group.bench_function("text", |b| {
-        let renderer = TextRenderer::new();
-        b.iter(|| black_box(renderer.render(&machine).len()));
+        b.iter(|| black_box(render_text(&ir, Some(&notes)).len()));
     });
     group.bench_function("dot", |b| {
-        let options = DotOptions::default();
-        b.iter(|| black_box(render_dot(&machine, &options).len()));
+        b.iter(|| black_box(render_dot(&ir).len()));
     });
     group.bench_function("xml", |b| {
-        b.iter(|| black_box(render_xml(&machine).len()));
+        b.iter(|| black_box(render_xml(&ir, Some(&notes)).len()));
     });
     group.bench_function("mermaid", |b| {
-        b.iter(|| black_box(render_mermaid(&machine).len()));
+        b.iter(|| black_box(render_mermaid(&ir).len()));
     });
     group.bench_function("rust_module", |b| {
-        b.iter(|| black_box(render_rust_module(&machine).len()));
+        b.iter(|| black_box(render_rust_module(&ir, Some(&notes)).map(|s| s.len())));
     });
     group.bench_function("java_handlers", |b| {
-        b.iter(|| black_box(java_src::render_handlers(&machine).len()));
+        b.iter(|| black_box(java_src::render_handlers(&ir).map(|s| s.len())));
     });
     group.finish();
 }

@@ -6,16 +6,16 @@
 use repro_bench::artifacts_dir;
 use stategen_analysis::{analyze_bound, AnalysisConfig};
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig};
-use stategen_core::{FlatIr, Lint};
-use stategen_render::{render_efsm_dot, render_efsm_text};
+use stategen_core::{FlatIr, Lint, Notes};
+use stategen_render::{render_dot, render_text};
 
 fn main() {
     let efsm = commit_efsm();
-    print!("{}", render_efsm_text(&efsm));
+    let ir = FlatIr::from_efsm(&efsm);
+    print!("{}", render_text(&ir, Some(&Notes::from_efsm(&efsm))));
     println!();
     assert_eq!(efsm.state_count(), 9, "paper §5.3: the EFSM has 9 states");
     println!("state count: {} (paper §5.3: 9)", efsm.state_count());
-    let ir = FlatIr::from_efsm(&efsm);
     for r in [4u32, 7, 13, 25, 46] {
         let params = commit_efsm_params(&CommitConfig::new(r).expect("valid"));
         let mut config = AnalysisConfig::new();
@@ -32,6 +32,6 @@ fn main() {
         );
     }
     let dir = artifacts_dir();
-    std::fs::write(dir.join("commit_efsm.dot"), render_efsm_dot(&efsm)).expect("write dot");
+    std::fs::write(dir.join("commit_efsm.dot"), render_dot(&ir)).expect("write dot");
     println!("wrote {}", dir.join("commit_efsm.dot").display());
 }

@@ -68,7 +68,7 @@ use std::time::Instant;
 use asa_simnet::SimRng;
 use stategen_analysis::minimize;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel};
-use stategen_core::{generate, CompiledMachine, ProtocolEngine};
+use stategen_core::{generate, CompiledMachine, FlatIr, ProtocolEngine};
 use stategen_generated::GeneratedCommitR4;
 use stategen_models::{redundant_ring, session_lifecycle, session_lifecycle_guarded};
 use stategen_runtime::bench::Pool;
@@ -372,7 +372,8 @@ fn main() {
     let machine = generate(&CommitModel::new(config))
         .expect("generates")
         .machine;
-    let compiled = CompiledMachine::compile(&machine);
+    let compiled = CompiledMachine::compile_ir(&FlatIr::from_machine(&machine))
+        .expect("a generated machine is unguarded");
     let efsm = commit_efsm();
     let efsm_params = commit_efsm_params(&config);
     // The owned pipeline engine every facade row serves from.
@@ -436,9 +437,8 @@ fn main() {
     // actions, shallow history) lowers to an ordinary dense table, so
     // flattened dispatch must stay within ~2x of the plain compiled
     // tier and keep the zero-allocation guarantee.
-    let lifecycle = session_lifecycle();
-    let lifecycle_engine =
-        Engine::compile(Spec::machine(lifecycle.flatten())).expect("flattened lifecycle compiles");
+    let lifecycle_engine = Engine::compile(Spec::hierarchical(session_lifecycle()))
+        .expect("flattened lifecycle compiles");
     const HSM_TRACE: [&str; 9] = [
         "connect", "update", "vote", "commit", "ping", "update", "abort", "suspend", "resume",
     ];
@@ -504,8 +504,10 @@ fn main() {
         ring_stats.states_before,
         ring_stats.states_after
     );
-    let [ring_full, ring_small] = [ring_ir, ring_min_ir]
-        .map(|ir| Engine::compile(Spec::machine(ir.to_machine())).expect("unguarded IR compiles"));
+    let [ring_full, ring_small] = [ring_ir, ring_min_ir].map(|ir| {
+        let artifact = Artifact::new(ir, vec![]).expect("an unguarded IR binds nothing");
+        Engine::from_artifact(&artifact).expect("unguarded IR compiles")
+    });
     const RING_TRACE: [&str; 9] = [
         "go", "step", "step", "step", "step", "step", "step", "step", "stop",
     ];

@@ -4,8 +4,8 @@
 //! reconstructed early model.
 
 use stategen_commit::{CommitConfig, EarlyCommitModel};
-use stategen_core::{generate, AbstractModel, Outcome};
-use stategen_render::TextRenderer;
+use stategen_core::{generate, AbstractModel, FlatIr, Outcome};
+use stategen_render::render_text;
 
 fn main() {
     let model = EarlyCommitModel::new(CommitConfig::new(4).expect("valid"));
@@ -29,11 +29,5 @@ fn main() {
         "\nearly model at r=4: {} -> {} -> {} states\n",
         g.report.initial_states, g.report.reachable_states, g.report.final_states
     );
-    print!(
-        "{}",
-        TextRenderer {
-            include_descriptions: false
-        }
-        .render(&g.machine)
-    );
+    print!("{}", render_text(&FlatIr::from_machine(&g.machine), None));
 }

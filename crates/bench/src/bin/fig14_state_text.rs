@@ -2,8 +2,8 @@
 //! T/2/F/0/F/F/F of the r = 4 commit machine, commentary included.
 
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
-use stategen_render::TextRenderer;
+use stategen_core::{generate, FlatIr, Notes};
+use stategen_render::render_state_text;
 
 fn main() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
@@ -12,5 +12,12 @@ fn main() {
         .machine
         .state_by_name("T/2/F/0/F/F/F")
         .expect("the Fig 14 state survives pruning and merging");
-    print!("{}", TextRenderer::new().render_state(&g.machine, id));
+    let (ir, notes) = (
+        FlatIr::from_machine(&g.machine),
+        Notes::from_machine(&g.machine),
+    );
+    print!(
+        "{}",
+        render_state_text(&ir, Some(&notes), id.index() as u32)
+    );
 }

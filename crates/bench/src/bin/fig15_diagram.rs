@@ -4,16 +4,20 @@
 
 use repro_bench::artifacts_dir;
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
-use stategen_render::{render_dot, render_mermaid, render_xml, DotOptions};
+use stategen_core::{generate, FlatIr, Notes};
+use stategen_render::{render_dot, render_mermaid, render_xml};
 
 fn main() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generation succeeds");
     let dir = artifacts_dir();
-    let dot = render_dot(&g.machine, &DotOptions::default());
-    let xml = render_xml(&g.machine);
-    let mermaid = render_mermaid(&g.machine);
+    let (ir, notes) = (
+        FlatIr::from_machine(&g.machine),
+        Notes::from_machine(&g.machine),
+    );
+    let dot = render_dot(&ir);
+    let xml = render_xml(&ir, Some(&notes));
+    let mermaid = render_mermaid(&ir);
     std::fs::write(dir.join("commit_r4.dot"), &dot).expect("write dot");
     std::fs::write(dir.join("commit_r4.xml"), &xml).expect("write xml");
     std::fs::write(dir.join("commit_r4.mmd"), &mermaid).expect("write mermaid");

@@ -4,13 +4,17 @@
 
 use repro_bench::artifacts_dir;
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
+use stategen_core::{generate, FlatIr, Notes};
 use stategen_render::{java_src, render_rust_module, JavaRenderer};
 
 fn main() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generation succeeds");
-    let handlers = java_src::render_handlers(&g.machine);
+    let (ir, notes) = (
+        FlatIr::from_machine(&g.machine),
+        Notes::from_machine(&g.machine),
+    );
+    let handlers = java_src::render_handlers(&ir).expect("a generated machine is unguarded");
     // Fig 16 shows the vote handler; print it.
     let vote_handler: String = handlers
         .split("void receive")
@@ -24,8 +28,10 @@ fn main() {
     println!("    ...\n");
 
     let dir = artifacts_dir();
-    let java = JavaRenderer::new("CommitFsm", "CommitActions").render(&g.machine);
-    let rust = render_rust_module(&g.machine);
+    let java = JavaRenderer::new("CommitFsm", "CommitActions")
+        .render(&ir)
+        .expect("a generated machine is unguarded");
+    let rust = render_rust_module(&ir, Some(&notes)).expect("a generated machine is unguarded");
     std::fs::write(dir.join("CommitFsm.java"), &java).expect("write java");
     std::fs::write(dir.join("commit_r4_generated.rs"), &rust).expect("write rust");
     println!(

@@ -72,7 +72,7 @@ fn compiled(r: u32) -> &'static CompiledMachine {
     let compiled = COMPILED.get_or_init(|| {
         FAMILY
             .iter()
-            .map(|&r| (r, CompiledMachine::compile(machine(r))))
+            .map(|&r| (r, CompiledMachine::compile_ir(machine_ir(r)).unwrap()))
             .collect()
     });
     &compiled

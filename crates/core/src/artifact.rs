@@ -53,7 +53,7 @@ use crate::efsm::{CmpOp, Efsm, Guard, LinExpr, Operand, ParamId, Update, VarId};
 use crate::error::{ArtifactError, StategenError};
 use crate::fingerprint::{fnv1a, fold_params};
 use crate::ir::{FlatIr, FlatState, FlatTransition};
-use crate::machine::{Action, StateMachine, StateRole, MAX_MESSAGES};
+use crate::machine::{Action, StateRole, MAX_MESSAGES};
 
 /// The 8-byte artifact magic (`"STGNARTF"`).
 pub const MAGIC: [u8; 8] = *b"STGNARTF";
@@ -84,11 +84,11 @@ const FOOTER_LEN: usize = 16;
 /// A deployable machine: a lowered [`FlatIr`] plus the parameter values
 /// it ships bound to (empty for unparameterised machines).
 ///
-/// Construct from a front-end ([`Artifact::from_machine`],
-/// [`Artifact::from_efsm`], [`Artifact::new`] for an already-lowered
-/// IR), serialize with [`Artifact::save`], reconstitute with
-/// [`Artifact::load`], and serve with `Engine::from_artifact` in
-/// `stategen-runtime`.
+/// Construct from a lowered IR ([`Artifact::new`]; a flat
+/// `StateMachine` lowers through [`FlatIr::from_machine`]) or from an
+/// EFSM ([`Artifact::from_efsm`]), serialize with [`Artifact::save`],
+/// reconstitute with [`Artifact::load`], and serve with
+/// `Engine::from_artifact` in `stategen-runtime`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     ir: FlatIr,
@@ -119,12 +119,6 @@ impl Artifact {
             params,
             fingerprint,
         })
-    }
-
-    /// An artifact of a flat (unparameterised) [`StateMachine`].
-    pub fn from_machine(machine: &StateMachine) -> Artifact {
-        Artifact::new(FlatIr::from_machine(machine), Vec::new())
-            .expect("a flat machine declares no parameters")
     }
 
     /// An artifact of an [`Efsm`] with its parameter values bound.
@@ -767,19 +761,19 @@ mod tests {
         b.build(counting, Some(done))
     }
 
-    fn flat_machine() -> StateMachine {
+    fn flat_machine() -> Artifact {
         let mut b = StateMachineBuilder::new("m", ["a", "b"]);
         let s0 = b.add_state("s0");
         let s1 = b.add_state("s1");
         let fin = b.add_state_full("fin", None, StateRole::Finish, vec![]);
         b.add_transition(s0, "a", s1, vec![Action::send("x"), Action::send("y")]);
         b.add_transition(s1, "b", fin, vec![Action::send("x")]);
-        b.build(s0)
+        Artifact::new(FlatIr::from_machine(&b.build(s0)), vec![]).unwrap()
     }
 
     #[test]
     fn flat_machine_round_trips() {
-        let artifact = Artifact::from_machine(&flat_machine());
+        let artifact = flat_machine();
         let bytes = artifact.save();
         let loaded = Artifact::load(&bytes).expect("round trip");
         assert_eq!(loaded, artifact);
@@ -819,7 +813,7 @@ mod tests {
             Artifact::load(b"not an artifact at all, sorry"),
             Err(ArtifactError::NotAnArtifact)
         );
-        let mut bytes = Artifact::from_machine(&flat_machine()).save();
+        let mut bytes = flat_machine().save();
         bytes[8] = 99; // format version
         assert_eq!(
             Artifact::load(&bytes),
@@ -832,7 +826,7 @@ mod tests {
 
     #[test]
     fn rejects_every_truncation() {
-        let bytes = Artifact::from_machine(&flat_machine()).save();
+        let bytes = flat_machine().save();
         for len in 0..bytes.len() {
             assert!(
                 Artifact::load(&bytes[..len]).is_err(),

@@ -29,7 +29,7 @@
 //! # Examples
 //!
 //! ```
-//! use stategen_core::{Action, CompiledMachine, StateMachineBuilder};
+//! use stategen_core::{Action, CompiledMachine, FlatIr, StateMachineBuilder};
 //!
 //! let mut b = StateMachineBuilder::new("ping", ["ping"]);
 //! let idle = b.add_state("idle");
@@ -37,7 +37,7 @@
 //! b.add_transition(idle, "ping", done, vec![Action::send("pong")]);
 //! let machine = b.build(idle);
 //!
-//! let compiled = CompiledMachine::compile(&machine);
+//! let compiled = CompiledMachine::compile_ir(&FlatIr::from_machine(&machine)).unwrap();
 //! let ping = compiled.message_id("ping").unwrap();
 //! let (state, actions) = compiled.step(compiled.start(), ping).unwrap();
 //! assert_eq!(actions, [Action::send("pong")]);
@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use crate::error::CompileError;
 use crate::ir::{ActionArena, FlatIr};
-use crate::machine::{Action, MessageId, StateMachine, StateRole};
+use crate::machine::{Action, MessageId, StateRole};
 
 /// Sentinel target meaning "message not applicable in this state": what
 /// a [`CompiledMachine::column`] holds where no transition is taken.
@@ -63,7 +63,7 @@ struct ActionRange {
     len: u32,
 }
 
-/// A [`StateMachine`] flattened into dense integer index tables.
+/// An unguarded [`FlatIr`] flattened into dense integer index tables.
 ///
 /// Compile once (at generation, startup or build time); the table holds
 /// no session, so any number of executions step through one copy —
@@ -222,16 +222,6 @@ impl DenseRows {
 }
 
 impl CompiledMachine {
-    /// Flattens `machine` into dense tables, via the unified lowering IR
-    /// ([`FlatIr`]).
-    ///
-    /// This is the only expensive step — O(states × messages) time and
-    /// space — and is meant to run once per machine, off the hot path.
-    pub fn compile(machine: &StateMachine) -> Self {
-        Self::compile_ir(&FlatIr::from_machine(machine))
-            .expect("a StateMachine is unguarded and deterministic by construction")
-    }
-
     /// Compiles an *unguarded* [`FlatIr`] into dense tables — the shared
     /// entry point every front-end reaches through the unified lowering
     /// pipeline (flat machines lift trivially; unguarded statecharts
@@ -425,7 +415,11 @@ impl CompiledMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{ProtocolEngine, StateMachineBuilder, StateRole};
+    use crate::machine::{ProtocolEngine, StateMachine, StateMachineBuilder, StateRole};
+
+    fn compile(machine: &StateMachine) -> CompiledMachine {
+        CompiledMachine::compile_ir(&FlatIr::from_machine(machine)).unwrap()
+    }
 
     fn finishing_machine() -> StateMachine {
         let mut b = StateMachineBuilder::new("m", ["a", "b"]);
@@ -455,7 +449,7 @@ mod tests {
     #[test]
     fn walk_to_finish_matches_interpreter() {
         let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         let ir = FlatIr::from_machine(&m);
         let mut reference = ir.instance(vec![]);
         let mut state = compiled.start();
@@ -472,7 +466,7 @@ mod tests {
 
     #[test]
     fn inapplicable_message_ignored() {
-        let compiled = CompiledMachine::compile(&finishing_machine());
+        let compiled = compile(&finishing_machine());
         let b = compiled.message_id("b").unwrap();
         assert!(compiled.step(compiled.start(), b).is_none());
         assert_eq!(walk(&compiled, &["b"]), (compiled.start(), 0));
@@ -480,13 +474,13 @@ mod tests {
 
     #[test]
     fn unknown_message_is_error() {
-        let compiled = CompiledMachine::compile(&finishing_machine());
+        let compiled = compile(&finishing_machine());
         assert_eq!(compiled.message_id("zap"), None);
     }
 
     #[test]
     fn messages_after_finish_ignored() {
-        let compiled = CompiledMachine::compile(&finishing_machine());
+        let compiled = compile(&finishing_machine());
         let (fin, taken) = walk(&compiled, &["a", "a", "a", "b"]);
         assert!(compiled.is_finish_state(fin));
         assert_eq!(taken, 2);
@@ -499,7 +493,7 @@ mod tests {
     #[test]
     fn reset_returns_to_start() {
         // The table holds no session: a fresh walk replays the first.
-        let compiled = CompiledMachine::compile(&finishing_machine());
+        let compiled = compile(&finishing_machine());
         let first = walk(&compiled, &["a"]);
         assert!(compiled.is_finish_state(walk(&compiled, &["a", "a"]).0));
         assert_eq!(walk(&compiled, &["a"]), first);
@@ -509,7 +503,7 @@ mod tests {
     #[test]
     fn engine_trait_default_deliver_matches_ref() {
         let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         let a = compiled.message_id("a").unwrap();
         let ir = FlatIr::from_machine(&m);
         let owned = ir.instance(vec![]).deliver("a").unwrap();
@@ -521,7 +515,7 @@ mod tests {
         // Both phase transitions carry the same [->x] list; the arena
         // stores it once.
         let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         assert_eq!(compiled.interned_action_lists(), 1);
         assert_eq!(compiled.arena.len(), 1);
     }
@@ -529,7 +523,7 @@ mod tests {
     #[test]
     fn returned_slice_outlives_further_deliveries() {
         let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         let a = compiled.message_id("a").unwrap();
         let (s1, first) = compiled.step(compiled.start(), a).unwrap();
         let _ = compiled.step(s1, a);
@@ -551,7 +545,7 @@ mod tests {
         b.add_transition(s1, "a", s0, vec![]);
         b.add_transition(s1, "b", s0, vec![]);
         let m = b.build(s0);
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         assert_eq!(compiled.messages().len(), 3);
         assert_eq!(compiled.message_column_classes(), 2);
         let id = |name| compiled.message_id(name).unwrap();
@@ -566,14 +560,14 @@ mod tests {
     #[test]
     fn distinct_columns_are_not_compressed() {
         let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         assert_eq!(compiled.message_column_classes(), 2);
     }
 
     #[test]
     fn table_metadata_matches_source() {
         let m = finishing_machine();
-        let compiled = CompiledMachine::compile(&m);
+        let compiled = compile(&m);
         assert_eq!(compiled.name(), "m");
         assert_eq!(compiled.state_count(), 3);
         assert_eq!(compiled.messages(), ["a", "b"]);

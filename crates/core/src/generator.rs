@@ -594,7 +594,8 @@ mod tests {
             threshold: 2,
         };
         let g = generate(&model).expect("generate");
-        assert_eq!(g.machine.phase_transition_count(), 1);
+        let phases = g.machine.states().iter().flat_map(|s| s.transitions());
+        assert_eq!(phases.filter(|(_, t)| t.is_phase_transition()).count(), 1);
         let tick = g.machine.message_id("tick").unwrap();
         let s1 = g
             .machine

@@ -24,9 +24,8 @@
 //!   transitions (guards carried symbolically, in firing priority
 //!   order), synthesizing the exit/transition/entry action sequences,
 //!   and resolving history by splitting states per remembered child.
-//!   Unguarded statecharts project to an ordinary [`StateMachine`]
-//!   ([`HierarchicalMachine::flatten`]) and compile onto the dense table
-//!   ([`CompiledMachine`](crate::CompiledMachine)) that
+//!   Unguarded statecharts compile onto the dense table
+//!   ([`CompiledMachine::compile_ir`](crate::CompiledMachine::compile_ir)) that
 //!   `stategen-runtime` serves, sharded or not, with zero engine changes
 //!   (the compiled tier's action-arena interning folds the synthesized
 //!   sequences back together); guarded statecharts, bound, are
@@ -97,7 +96,7 @@
 //! b.add_history_transition(idle, "resume", up, vec![]); // back to last child
 //! let hsm = b.build(idle);
 //!
-//! let flat = hsm.flatten();
+//! let flat = hsm.flatten_ir();
 //! assert_eq!(flat.state_count(), 6); // {Idle, Up.A, Up.B} × reachable memories
 //!
 //! let mut reference = HsmInstance::new(&hsm);
@@ -115,7 +114,7 @@ use crate::efsm::{Guard, LinExpr, Operand, ParamId, Update, VarId};
 use crate::error::{HsmError, InterpError};
 use crate::explore::explore;
 use crate::ir::{FlatIr, FlatState, FlatTransition};
-use crate::machine::{check_alphabet, Action, MessageId, ProtocolEngine, StateMachine, StateRole};
+use crate::machine::{check_alphabet, Action, MessageId, ProtocolEngine, StateRole};
 
 /// Identifier of a state within a [`HierarchicalMachine`] (index into
 /// its state tree, in declaration order).
@@ -281,9 +280,8 @@ impl HsmState {
 /// A hierarchical statechart: a forest of states with composite nesting,
 /// entry/exit actions, inherited/internal/cross-level transitions and
 /// shallow history. Built with [`HsmBuilder`]; executed directly by
-/// [`HsmInstance`] or lowered to a flat
-/// [`StateMachine`] by
-/// [`HierarchicalMachine::flatten`].
+/// [`HsmInstance`] or lowered to the flat IR by
+/// [`HierarchicalMachine::flatten_ir`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchicalMachine {
     name: String,
@@ -339,8 +337,8 @@ impl HierarchicalMachine {
     /// [`HierarchicalMachine::flatten_ir`] and deploy with
     /// `Engine::compile` (`stategen-runtime`): unfolded onto the dense
     /// table, or on the interpreter past the unfolding budget. Unguarded
-    /// ones keep the dense-table [`HierarchicalMachine::flatten`]
-    /// projection.
+    /// ones lower through the same function and compile onto the dense
+    /// table directly.
     ///
     /// This is the author-level predicate (over *declared* transitions);
     /// tier routing after flattening uses [`FlatIr::is_guarded`], the
@@ -736,31 +734,6 @@ impl HierarchicalMachine {
             states,
             start: 0,
         }
-    }
-
-    /// Lowers an *unguarded* statechart to a flat [`StateMachine`]
-    /// running on every existing execution tier unchanged — the trivial
-    /// projection of [`HierarchicalMachine::flatten_ir`] (an unguarded
-    /// IR carries exactly one candidate per reachable `(configuration,
-    /// message)` cell).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the statechart is guarded
-    /// ([`HierarchicalMachine::is_guarded`]): guarded statecharts have
-    /// no flat-FSM projection; lower them with
-    /// [`HierarchicalMachine::flatten_ir`] and deploy with
-    /// `Engine::compile` (unfolded, or the interpreter past the
-    /// unfolding budget) instead.
-    pub fn flatten(&self) -> StateMachine {
-        assert!(
-            !self.is_guarded(),
-            "guarded statechart `{}` has no flat StateMachine projection; \
-             lower it with flatten_ir() and deploy it with Engine::compile \
-             (unfolded, or the interpreter past the unfolding budget)",
-            self.name
-        );
-        self.flatten_ir().to_machine()
     }
 
     /// Creates a direct-interpretation instance positioned at the
@@ -1747,14 +1720,13 @@ mod tests {
     #[test]
     fn flatten_prunes_unreachable_memories() {
         let m = connection();
-        let flat = m.flatten();
+        let flat = m.flatten_ir();
+        let has = |name: &str| flat.states().iter().any(|s| s.name() == name);
         // Configurations: Idle×{A,B}, Up.A×{A,B}, Up.B×{A,B}, Down×{A,B};
         // (Up.A, mem=B) is reachable via resume-then-work from mem=B, and
         // Down merges per-memory. All 8 are reachable here.
         assert_eq!(flat.state_count(), 8);
-        assert!(flat.state_by_name("Idle").is_some());
-        assert!(flat.state_by_name("Idle~Up=B").is_some());
-        assert!(flat.state_by_name("Up.B~Up=B").is_some());
+        assert!(has("Idle") && has("Idle~Up=B") && has("Up.B~Up=B"));
     }
 
     /// The widest alphabet an artifact may carry, 65 536 messages, keeps
@@ -1934,14 +1906,13 @@ mod tests {
         i.deliver_ref("park").unwrap(); // memory: B.W -> q
         assert_eq!(i.state_name(), "Park~B.W=q");
 
-        let flat = m.flatten();
+        let flat = m.flatten_ir();
         let mut names: Vec<&str> = flat.states().iter().map(|s| s.name()).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "flattened state names must be unique");
-        assert!(flat.state_by_name("Park~A.W=q").is_some());
-        assert!(flat.state_by_name("Park~B.W=q").is_some());
+        assert!(names.contains(&"Park~A.W=q") && names.contains(&"Park~B.W=q"));
     }
 
     #[test]
@@ -2210,16 +2181,6 @@ mod tests {
                 message: "x".into()
             })
         );
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "no flat StateMachine projection; lower it with flatten_ir() \
-                               and deploy it with Engine::compile (unfolded, or the \
-                               interpreter past the unfolding budget)"
-    )]
-    fn guarded_flatten_panics() {
-        retrying().flatten();
     }
 
     #[test]

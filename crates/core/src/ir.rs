@@ -34,19 +34,21 @@
 //! priority-ordered guard evaluation, then staged updates — that the
 //! runtime's interpreted tier and [`IrInstance`], the semantic
 //! reference every suite pins the compiled tiers against, both
-//! execute. [`FlatIr::to_machine`] is the trivial
-//! projection back to a plain [`StateMachine`] for unguarded IRs (what
-//! [`flatten`](crate::HierarchicalMachine::flatten) returns).
+//! execute.
+//!
+//! The IR carries no commentary. [`Notes`] is the documentation side
+//! table the renderers print beside it (paper Fig 14's `Description:`),
+//! built from the same front-end a [`FlatIr::from_machine`] or
+//! [`FlatIr::from_efsm`] lowering reads, and indexed in the state and
+//! transition order those two functions fix.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::efsm::{apply_staged_updates, Efsm, Guard, LinExpr, Operand, Update};
+use crate::efsm::{apply_staged_updates, Efsm, EfsmState, Guard, LinExpr, Operand, Update};
 use crate::error::{CompileError, InterpError};
 use crate::fingerprint::Fnv64;
-use crate::machine::{
-    Action, MessageId, ProtocolEngine, StateMachine, StateMachineBuilder, StateRole,
-};
+use crate::machine::{Action, MessageId, ProtocolEngine, State, StateMachine, StateRole};
 
 /// Absorbs a linear expression into the canonical fingerprint stream
 /// (also mirrored by the artifact format's expression encoding).
@@ -556,42 +558,6 @@ impl FlatIr {
         }
     }
 
-    /// The trivial projection back to a plain [`StateMachine`] — defined
-    /// only for unguarded IRs (an unguarded IR carries at most one
-    /// transition per `(state, message)` cell, so the projection is
-    /// lossless).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the IR is guarded ([`FlatIr::is_guarded`]); guarded
-    /// machines compile through `stategen-runtime`'s `Engine::compile`
-    /// instead.
-    pub fn to_machine(&self) -> StateMachine {
-        assert!(
-            !self.is_guarded(),
-            "guarded IR `{}` has no flat StateMachine projection; \
-             compile it with Engine::compile instead",
-            self.name
-        );
-        let mut builder = StateMachineBuilder::new(self.name.clone(), self.messages.clone());
-        let ids: Vec<_> = self
-            .states
-            .iter()
-            .map(|s| builder.add_state_full(s.name.clone(), None, s.role, Vec::new()))
-            .collect();
-        for (sid, state) in self.states.iter().enumerate() {
-            for t in &state.transitions {
-                builder.add_transition(
-                    ids[sid],
-                    &self.messages[t.message_index()],
-                    ids[t.target as usize],
-                    t.actions.clone(),
-                );
-            }
-        }
-        builder.build(ids[self.start as usize])
-    }
-
     /// Creates a direct-interpretation instance with the given parameter
     /// binding — the no-preparation execution of the IR, and the mid-tier
     /// semantic reference of the guarded-statechart property suites.
@@ -602,6 +568,54 @@ impl FlatIr {
     /// declaration.
     pub fn instance(&self, params: Vec<i64>) -> IrInstance<'_> {
         IrInstance::new(self, params)
+    }
+}
+
+/// The commentary of a lowered machine (paper §3.5: "commentary on
+/// states and transitions"), kept beside the [`FlatIr`] rather than in
+/// it: execution, fingerprints and artifacts never read it. Lines are
+/// indexed by dense state id and, within a state, by position in
+/// [`FlatState::transitions`] — the order [`FlatIr::from_machine`] and
+/// [`FlatIr::from_efsm`] give the same front-end.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Notes {
+    /// Per state: its own lines, then one list per transition.
+    states: Vec<(Vec<String>, Vec<Vec<String>>)>,
+}
+
+impl Notes {
+    /// The annotations of a flat [`StateMachine`], in
+    /// [`FlatIr::from_machine`]'s order.
+    pub fn from_machine(machine: &StateMachine) -> Notes {
+        let notes = |s: &State| {
+            let transitions = s.transitions().map(|(_, t)| t.annotations().to_vec());
+            (s.annotations().to_vec(), transitions.collect())
+        };
+        Notes {
+            states: machine.states().iter().map(notes).collect(),
+        }
+    }
+
+    /// The annotations of an [`Efsm`], in [`FlatIr::from_efsm`]'s order.
+    pub fn from_efsm(efsm: &Efsm) -> Notes {
+        let notes = |s: &EfsmState| {
+            let transitions = s.transitions().iter().map(|t| t.annotations().to_vec());
+            (s.annotations().to_vec(), transitions.collect())
+        };
+        Notes {
+            states: efsm.states().iter().map(notes).collect(),
+        }
+    }
+
+    /// The lines describing state `state` (none if it has no notes).
+    pub fn state(&self, state: usize) -> &[String] {
+        self.states.get(state).map_or(&[], |(lines, _)| lines)
+    }
+
+    /// The lines describing the `index`-th transition out of `state`.
+    pub fn transition(&self, state: usize, index: usize) -> &[String] {
+        let lines = self.states.get(state).and_then(|(_, ts)| ts.get(index));
+        lines.map_or(&[], Vec::as_slice)
     }
 }
 
@@ -797,12 +811,47 @@ mod tests {
         let ir = FlatIr::from_machine(&machine);
         assert!(!ir.is_guarded());
         assert_eq!(ir.state_count(), 3);
-        assert_eq!(
-            ir.states()[0].transitions()[0].actions(),
-            [Action::send("x")]
+        assert_eq!(ir.start(), machine.start().index() as u32);
+        for (state, lowered) in machine.states().iter().zip(ir.states()) {
+            assert_eq!(
+                (state.name(), state.role()),
+                (lowered.name(), lowered.role())
+            );
+            let lifted = lowered.transitions().iter().map(|t| {
+                assert!(t.guard().conditions().is_empty() && t.updates().is_empty());
+                (t.message_index(), t.target() as usize, t.actions())
+            });
+            let source = state
+                .transitions()
+                .map(|(mid, t)| (mid.index(), t.target().index(), t.actions()));
+            assert!(lifted.eq(source));
+        }
+    }
+
+    #[test]
+    fn notes_follow_the_lowering_order() {
+        let mut b = StateMachineBuilder::new("m", ["a", "b"]);
+        let s0 = b.add_state_full("s0", None, StateRole::Normal, vec!["first".into()]);
+        let s1 = b.add_state("s1");
+        b.add_transition_annotated(s0, "b", s1, vec![], vec!["on b".into()]);
+        b.add_transition_annotated(s0, "a", s1, vec![], vec!["on a".into()]);
+        let machine = b.build(s0);
+        let (ir, notes) = (
+            FlatIr::from_machine(&machine),
+            Notes::from_machine(&machine),
         );
-        let back = ir.to_machine();
-        assert_eq!(back, machine);
+        assert_eq!(notes.state(0), ["first"]);
+        assert!(notes.state(1).is_empty() && notes.state(9).is_empty());
+        for (i, t) in ir.states()[0].transitions().iter().enumerate() {
+            let on = format!("on {}", ir.messages()[t.message_index()]);
+            assert_eq!(notes.transition(0, i), [on]);
+        }
+        assert!(notes.transition(0, 2).is_empty());
+
+        let efsm = counter_efsm();
+        let notes = Notes::from_efsm(&efsm);
+        assert_eq!(notes.state(0), efsm.states()[0].annotations());
+        assert!(notes.transition(0, 1).is_empty());
     }
 
     #[test]
@@ -874,12 +923,6 @@ mod tests {
             Err(InterpError::UnknownMessage(_))
         ));
         assert_eq!(ir.message_id("tick"), Some(MessageId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "no flat StateMachine projection")]
-    fn guarded_projection_panics() {
-        FlatIr::from_efsm(&counter_efsm()).to_machine();
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! as a single finite state machine. Instead it is captured once as an
 //! [`AbstractModel`]; executing the model for a concrete parameter value
 //! (via [`generate`]) produces one member of a *family* of FSMs as a
-//! [`StateMachine`] value, from which renderers (see the `stategen-render`
-//! crate) produce diagrams, documentation and source-level protocol
-//! implementations.
+//! [`StateMachine`] value. That authoring type is lowered once, by
+//! [`FlatIr::from_machine`], onto the one machine every back end reads:
+//! the renderers (see the `stategen-render` crate) produce diagrams,
+//! documentation and source-level protocol implementations from the
+//! [`FlatIr`] and its [`Notes`] commentary.
 //!
 //! The generation pipeline follows the paper's four steps: enumerate all
 //! possible states, elaborate the transitions for every message, prune
@@ -162,7 +164,7 @@ pub use hsm::{
 pub use interval::{
     cond_status, eval_lin, guard_status, guard_unsat, guards_disjoint, CondStatus, Interval,
 };
-pub use ir::{FlatIr, FlatState, FlatTransition, IrInstance};
+pub use ir::{FlatIr, FlatState, FlatTransition, IrInstance, Notes};
 pub use machine::{
     Action, MessageId, ProtocolEngine, State, StateId, StateMachine, StateMachineBuilder,
     StateRole, Transition,

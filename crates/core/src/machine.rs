@@ -269,15 +269,6 @@ impl StateMachine {
         self.message_lookup.get(name).copied().map(MessageId)
     }
 
-    /// The message name for an id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this machine.
-    pub fn message_name(&self, id: MessageId) -> &str {
-        &self.messages[id.index()]
-    }
-
     /// All states, in generation order (start state first is *not*
     /// guaranteed; use [`StateMachine::start`]).
     pub fn states(&self) -> &[State] {
@@ -341,15 +332,6 @@ impl StateMachine {
     /// Total number of transitions in the machine.
     pub fn transition_count(&self) -> usize {
         self.states.iter().map(State::transition_count).sum()
-    }
-
-    /// Number of phase transitions (transitions that perform actions).
-    pub fn phase_transition_count(&self) -> usize {
-        self.states
-            .iter()
-            .flat_map(|s| s.transitions.values())
-            .filter(|t| t.is_phase_transition())
-            .count()
     }
 
     /// Renumbers the states in the order of their keys: states sharing
@@ -642,7 +624,6 @@ mod tests {
         assert!(t.is_phase_transition());
         let s1 = t.target();
         assert!(!m.state(s1).transition(b).unwrap().is_phase_transition());
-        assert_eq!(m.phase_transition_count(), 1);
         assert_eq!(m.transition_count(), 2);
     }
 
@@ -651,7 +632,7 @@ mod tests {
         let m = two_state_machine();
         assert_eq!(m.message_id("a"), Some(MessageId(0)));
         assert_eq!(m.message_id("zap"), None);
-        assert_eq!(m.message_name(MessageId(1)), "b");
+        assert_eq!(m.messages()[1], "b");
     }
 
     #[test]

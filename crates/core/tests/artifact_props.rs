@@ -33,7 +33,7 @@ use proptest::prelude::*;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel};
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
 use stategen_core::{
-    fnv1a, fold_params, generate, Action, Artifact, ArtifactError, Efsm, EfsmBuilder,
+    fnv1a, fold_params, generate, Action, Artifact, ArtifactError, Efsm, EfsmBuilder, FlatIr,
     HierarchicalMachine, HsmBuilder, StateMachine, StateMachineBuilder, StateRole,
 };
 use stategen_runtime::{Engine, Spec};
@@ -142,7 +142,7 @@ fn unguarded_hsm() -> HierarchicalMachine {
 /// Every fixture as a finished artifact, covering all four front ends.
 fn fixtures() -> Vec<Artifact> {
     vec![
-        Artifact::from_machine(&dense_machine()),
+        Artifact::new(FlatIr::from_machine(&dense_machine()), vec![]).expect("binding arity"),
         Artifact::from_efsm(&counter_efsm(), vec![4]).expect("binding arity"),
         Artifact::new(guarded_hsm().flatten_ir(), vec![3]).expect("binding arity"),
         Artifact::new(unguarded_hsm().flatten_ir(), vec![]).expect("binding arity"),
@@ -301,7 +301,7 @@ fn fingerprints_and_images_are_pinned() {
     let bound = commit_efsm_params(&CommitConfig::new(7).unwrap());
     let pinned = [
         (
-            Artifact::from_machine(&commit4),
+            Artifact::new(FlatIr::from_machine(&commit4), vec![]).unwrap(),
             0xee8c_0b50_1a93_1cd2,
             0x98e6_c15e_d7bb_ba7d,
             3256,
@@ -595,7 +595,7 @@ proptest! {
 
     #[test]
     fn random_machines_round_trip(machine in random_machine()) {
-        assert_round_trip(&Artifact::from_machine(&machine));
+        assert_round_trip(&Artifact::new(FlatIr::from_machine(&machine), vec![]).unwrap());
     }
 
     #[test]

@@ -22,8 +22,7 @@ use proptest::prelude::*;
 
 use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_core::{
-    prune_unreachable, Action, CompiledMachine, FlatIr, HierarchicalMachine, HsmBuilder,
-    HsmStateId, Lint, ProtocolEngine,
+    Action, CompiledMachine, HierarchicalMachine, HsmBuilder, HsmStateId, Lint, ProtocolEngine,
 };
 use stategen_runtime::Spec;
 
@@ -142,8 +141,8 @@ proptest! {
         trace in prop::collection::vec(0usize..ALPHABET.len(), 0..48),
     ) {
         let hsm = build_random_hsm(&r);
-        let flat = hsm.flatten();
-        let analysis = analyze(&FlatIr::from_machine(&flat), &AnalysisConfig::new());
+        let ir = hsm.flatten_ir();
+        let analysis = analyze(&ir, &AnalysisConfig::new());
         prop_assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
         // A random chart may well have a leaf with no transitions, so
         // `dead-end-state` may fire; the other structural lints may not.
@@ -154,12 +153,11 @@ proptest! {
         ] {
             prop_assert!(!analysis.has(lint), "{:?}", analysis.diagnostics);
         }
-        let compiled = CompiledMachine::compile(&flat);
+        let compiled = CompiledMachine::compile_ir(&ir).unwrap();
 
-        let ir = hsm.flatten_ir();
         let mut reference = hsm.instance();
         let mut interp = ir.instance(vec![]);
-        let mut rt = Spec::machine(flat.clone()).compile().expect("compiles").runtime();
+        let mut rt = Spec::hierarchical(hsm.clone()).compile().expect("compiles").runtime();
         let (fast, other) = (rt.spawn(), rt.spawn());
         prop_assert_eq!(reference.state_name(), interp.state_name());
         for (step, &mi) in trace.iter().enumerate() {
@@ -190,13 +188,20 @@ proptest! {
     }
 
     /// The flattening BFS enumerates exactly the reachable
-    /// configurations: pruning the flat machine removes nothing.
+    /// configurations: every state of the flat IR is reachable from its
+    /// start, so pruning it would remove nothing.
     #[test]
     fn flatten_emits_only_reachable_states(r in recipe()) {
         let hsm = build_random_hsm(&r);
-        let flat = hsm.flatten();
-        let pruned = prune_unreachable(&flat);
-        prop_assert_eq!(pruned.state_count(), flat.state_count());
+        let flat = hsm.flatten_ir();
+        let mut reached = vec![false; flat.state_count()];
+        let mut stack = vec![flat.start()];
+        while let Some(s) = stack.pop() {
+            if !std::mem::replace(&mut reached[s as usize], true) {
+                stack.extend(flat.states()[s as usize].transitions().iter().map(|t| t.target()));
+            }
+        }
+        prop_assert!(reached.iter().all(|&r| r), "{} states", flat.state_count());
     }
 
     /// Unknown messages error identically through the reference
@@ -244,13 +249,14 @@ fn history_into_composite_with_pruned_initial_child() {
     b.add_history_transition(out, "back", c, vec![]);
     let hsm = b.build(s);
 
-    let flat = hsm.flatten();
+    let flat = hsm.flatten_ir();
+    let has = |name: &str| flat.states().iter().any(|s| s.name() == name);
     // Configurations: (S, A) start, (C.B, A), (Out, B), (C.B, B) — and
     // none with leaf A: the initial child is pruned by reachability.
     assert_eq!(flat.state_count(), 4);
-    assert!(flat.state_by_name("C.A").is_none());
+    assert!(!has("C.A"));
     assert!(flat.states().iter().all(|s| !s.name().contains("C.A")));
-    assert!(flat.state_by_name("Out~C=B").is_some());
+    assert!(has("Out~C=B"));
 
     let ir = hsm.flatten_ir();
     let mut reference = hsm.instance();
@@ -302,7 +308,6 @@ fn transition_inherited_across_three_levels() {
     );
     assert_eq!(reference.state_name(), "Out");
 
-    let flat = hsm.flatten();
     let ir = hsm.flatten_ir();
     let mut interp = ir.instance(vec![]);
     assert_eq!(
@@ -318,7 +323,7 @@ fn transition_inherited_across_three_levels() {
     );
     // The deep start configuration lowers to a single flat state named
     // by its full path; `noop` is applicable nowhere.
-    assert!(flat.state_by_name("R.M.I.L").is_some());
+    assert!(ir.states().iter().any(|s| s.name() == "R.M.I.L"));
     assert!(interp.deliver_ref("noop").unwrap().is_empty());
 }
 
@@ -378,8 +383,7 @@ fn entry_exit_ordering_on_cross_level_transitions() {
         ]
     );
 
-    let flat = hsm.flatten();
-    let mut rt = Spec::machine(flat).compile().unwrap().runtime();
+    let mut rt = Spec::hierarchical(hsm.clone()).compile().unwrap().runtime();
     let id = rt.spawn();
     let mut fast = rt.session(id);
     reference.reset();

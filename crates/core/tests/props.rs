@@ -241,11 +241,11 @@ proptest! {
         messages in prop::collection::vec(0usize..2, 0..64),
     ) {
         let g = generate(&model).expect("generates");
-        let compiled = CompiledMachine::compile(&g.machine);
+        let ir = FlatIr::from_machine(&g.machine);
+        let compiled = CompiledMachine::compile_ir(&ir).unwrap();
         prop_assert_eq!(compiled.state_count(), g.machine.state_count());
         prop_assert_eq!(compiled.messages(), g.machine.messages());
 
-        let ir = FlatIr::from_machine(&g.machine);
         let mut fsm = ir.instance(vec![]);
         let mut table = compiled.start();
         let spec = Spec::machine(g.machine.clone());

@@ -12,7 +12,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
+use stategen_core::{generate, FlatIr, Notes};
 use stategen_render::render_rust_module;
 
 fn main() {
@@ -21,7 +21,10 @@ fn main() {
     for r in [4u32, 7] {
         let config = CommitConfig::new(r).expect("valid replication factor");
         let generated = generate(&CommitModel::new(config)).expect("generation succeeds");
-        let module = render_rust_module(&generated.machine);
+        let machine = &generated.machine;
+        let notes = Notes::from_machine(machine);
+        let module = render_rust_module(&FlatIr::from_machine(machine), Some(&notes))
+            .expect("a generated machine is unguarded");
         let path = out_dir.join(format!("commit_r{r}.rs"));
         fs::write(&path, module).expect("write generated module");
     }

@@ -291,7 +291,7 @@ pub fn session_lifecycle_guarded() -> HierarchicalMachine {
 mod tests {
     use super::*;
     use stategen_analysis::{analyze, AnalysisConfig};
-    use stategen_core::{FlatIr, Lint, ProtocolEngine};
+    use stategen_core::{Lint, ProtocolEngine};
     use stategen_runtime::Spec;
 
     #[test]
@@ -380,8 +380,8 @@ mod tests {
     #[test]
     fn flattened_machine_validates_and_matches_reference() {
         let hsm = session_lifecycle();
-        let flat = hsm.flatten();
-        let analysis = analyze(&FlatIr::from_machine(&flat), &AnalysisConfig::new());
+        let ir = hsm.flatten_ir();
+        let analysis = analyze(&ir, &AnalysisConfig::new());
         assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
         for lint in [
             Lint::FinalWithOutgoing,
@@ -391,7 +391,6 @@ mod tests {
         ] {
             assert!(!analysis.has(lint), "{:?}", analysis.diagnostics);
         }
-        let ir = hsm.flatten_ir();
         let mut reference = hsm.instance();
         let mut interp = ir.instance(vec![]);
         let trace = [

@@ -7,7 +7,9 @@
 //! "make a significant difference to legibility" (§4.1) of both the
 //! generative and the generated code.
 
-use std::fmt::Write as _;
+use std::collections::HashSet;
+
+use stategen_core::{CompileError, FlatIr, FlatState, FlatTransition};
 
 /// An indentation-aware output buffer for generated source code.
 ///
@@ -27,33 +29,17 @@ use std::fmt::Write as _;
 pub struct CodeBuffer {
     out: String,
     indent: usize,
-    /// Width of one indent level in spaces.
-    indent_width: usize,
-    at_line_start: bool,
-    /// Block delimiters; `{`/`}` for Rust and Java.
-    open: &'static str,
-    close: &'static str,
+    /// A line has been started and not yet ended.
+    mid_line: bool,
 }
+
+/// One indent level.
+const INDENT: &str = "    ";
 
 impl CodeBuffer {
     /// Creates a buffer with 4-space indentation and `{`/`}` blocks.
     pub fn new() -> Self {
-        CodeBuffer {
-            out: String::new(),
-            indent: 0,
-            indent_width: 4,
-            at_line_start: true,
-            open: "{",
-            close: "}",
-        }
-    }
-
-    /// Creates a buffer with a custom indent width.
-    pub fn with_indent_width(width: usize) -> Self {
-        CodeBuffer {
-            indent_width: width,
-            ..CodeBuffer::new()
-        }
+        CodeBuffer::default()
     }
 
     /// Adds the items to the output buffer (paper: `add`).
@@ -81,25 +67,24 @@ impl CodeBuffer {
     /// Ends the current line.
     pub fn newline(&mut self) {
         self.out.push('\n');
-        self.at_line_start = true;
+        self.mid_line = false;
     }
 
     /// Adds a blank line.
     pub fn blank(&mut self) {
-        // Avoid trailing indentation on blank lines.
-        self.out.push('\n');
-        self.at_line_start = true;
+        // Nothing was written on the line, so it carries no indentation.
+        self.newline();
     }
 
     /// Opens a new block and increases the indent level (paper:
     /// `enterBlock`). The opening delimiter is appended to the current
     /// line (`... {`) if one is in progress, else on its own line.
     pub fn enter_block(&mut self) {
-        if self.at_line_start {
-            self.write_indent_if_needed();
-            self.out.push_str(self.open);
+        if self.mid_line {
+            self.out.push_str(" {");
         } else {
-            let _ = write!(self.out, " {}", self.open);
+            self.write_indent_if_needed();
+            self.out.push('{');
         }
         self.newline();
         self.increase_indent();
@@ -110,17 +95,7 @@ impl CodeBuffer {
     pub fn exit_block(&mut self) {
         self.decrease_indent();
         self.write_indent_if_needed();
-        self.out.push_str(self.close);
-        self.newline();
-    }
-
-    /// Exits the current block, appending `suffix` after the closing
-    /// delimiter (e.g. `,` inside match arms).
-    pub fn exit_block_with(&mut self, suffix: &str) {
-        self.decrease_indent();
-        self.write_indent_if_needed();
-        self.out.push_str(self.close);
-        self.out.push_str(suffix);
+        self.out.push('}');
         self.newline();
     }
 
@@ -150,29 +125,78 @@ impl CodeBuffer {
         self.indent
     }
 
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
-    }
-
     /// Extracts the generated text.
     pub fn into_string(self) -> String {
         self.out
     }
 
-    /// Borrows the generated text so far.
-    pub fn as_str(&self) -> &str {
-        &self.out
-    }
-
     fn write_indent_if_needed(&mut self) {
-        if self.at_line_start {
-            for _ in 0..self.indent * self.indent_width {
-                self.out.push(' ');
+        if !self.mid_line {
+            for _ in 0..self.indent {
+                self.out.push_str(INDENT);
             }
-            self.at_line_start = false;
+            self.mid_line = true;
         }
     }
+}
+
+/// A legal identifier for `name` in the generated Rust and Java: every
+/// character outside `[A-Za-z0-9]` becomes `_`, and a result that does
+/// not start with a letter gets an `S_` prefix (`T/2/F/0/F/F/F` →
+/// `T_2_F_0_F_F_F`, `1/0/1/0` → `S_1_0_1_0`).
+pub(crate) fn ident(name: &str) -> String {
+    let ident: String = name
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    if ident.starts_with(|c: char| c.is_ascii_alphabetic()) {
+        ident
+    } else {
+        format!("S_{ident}")
+    }
+}
+
+/// Collision-free identifiers, one per name in order: `to_ident(name)`,
+/// or, when an earlier name already took that, the first free one of
+/// `…__2`, `…__3`, ….
+pub(crate) fn unique_idents<'a>(
+    names: impl IntoIterator<Item = &'a str>,
+    to_ident: impl Fn(&str) -> String,
+) -> Vec<String> {
+    let mut taken = HashSet::new();
+    names
+        .into_iter()
+        .map(|name| {
+            let base = to_ident(name);
+            let mut ident = base.clone();
+            for n in 2.. {
+                if taken.insert(ident.clone()) {
+                    break;
+                }
+                ident = format!("{base}__{n}");
+            }
+            ident
+        })
+        .collect()
+}
+
+/// The source emitters compile the machine, so like
+/// [`CompiledMachine::compile_ir`](stategen_core::CompiledMachine::compile_ir)
+/// they refuse a guarded IR.
+pub(crate) fn require_unguarded(ir: &FlatIr) -> Result<(), CompileError> {
+    if ir.is_guarded() {
+        return Err(CompileError::GuardedMachine(ir.name().to_string()));
+    }
+    Ok(())
+}
+
+/// The transition `state` takes on message `message` in an unguarded
+/// IR: the first one declared, as [`FlatIr::step`] picks it.
+pub(crate) fn transition_on(state: &FlatState, message: usize) -> Option<&FlatTransition> {
+    state
+        .transitions()
+        .iter()
+        .find(|t| t.message_index() == message)
 }
 
 #[cfg(test)]
@@ -214,39 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn custom_indent_width() {
-        let mut b = CodeBuffer::with_indent_width(2);
-        b.enter_block();
-        b.add_ln(["x"]);
-        b.exit_block();
-        assert_eq!(b.into_string(), "{\n  x\n}\n");
-    }
-
-    #[test]
-    fn exit_block_with_suffix() {
-        let mut b = CodeBuffer::new();
-        b.add(["match x"]);
-        b.enter_block();
-        b.add(["A =>"]);
-        b.enter_block();
-        b.add_ln(["1"]);
-        b.exit_block_with(",");
-        b.exit_block();
-        assert_eq!(
-            b.into_string(),
-            "match x {\n    A => {\n        1\n    },\n}\n"
-        );
-    }
-
-    #[test]
     fn reset_indent() {
         let mut b = CodeBuffer::new();
         b.enter_block();
         b.enter_block();
         b.reset_indent();
         b.add_ln(["flush left"]);
-        assert_eq!(b.as_str(), "{\n    {\nflush left\n");
         assert_eq!(b.indent_level(), 0);
+        assert_eq!(b.into_string(), "{\n    {\nflush left\n");
     }
 
     #[test]
@@ -263,5 +262,23 @@ mod tests {
         b.add_ln(["x"]);
         b.exit_block();
         assert_eq!(b.into_string(), "{\n    x\n}\n");
+    }
+
+    #[test]
+    fn identifiers_are_unique_over_the_final_set() {
+        let names = ["a_b", "a/b", "a_b__2", "", "_"];
+        let idents = unique_idents(names, ident);
+        assert_eq!(idents, ["a_b", "a_b__2", "a_b__2__2", "S_", "S__"]);
+    }
+
+    #[test]
+    fn source_emitters_refuse_guarded_machines() {
+        use crate::java_src::{render_handlers, render_handlers_raw, JavaRenderer};
+        let ir = crate::guarded_fixture();
+        let refused = Err(CompileError::GuardedMachine("counter".into()));
+        assert_eq!(render_handlers(&ir), refused);
+        assert_eq!(render_handlers_raw(&ir), refused);
+        assert_eq!(JavaRenderer::new("G", "Base").render(&ir), refused);
+        assert_eq!(crate::render_rust_module(&ir, None), refused);
     }
 }

@@ -4,29 +4,14 @@
 //! The paper renders diagrams by exporting XML into a diagramming tool;
 //! DOT is today's lingua franca for the same artefact class. Phase
 //! transitions (those that perform actions) are drawn with heavier pens,
-//! matching the paper's Fig 8 convention of thin vs. thick arrows.
+//! matching the paper's Fig 8 convention of thin vs. thick arrows; a
+//! guarded transition carries its guard and updates on its label.
 
 use std::fmt::Write as _;
 
-use stategen_core::{StateMachine, StateRole};
+use stategen_core::{FlatIr, StateRole};
 
-/// Options for DOT rendering.
-#[derive(Debug, Clone)]
-pub struct DotOptions {
-    /// Left-to-right layout (`rankdir=LR`). Default true.
-    pub left_to_right: bool,
-    /// Include the action list on edge labels. Default true.
-    pub edge_actions: bool,
-}
-
-impl Default for DotOptions {
-    fn default() -> Self {
-        DotOptions {
-            left_to_right: true,
-            edge_actions: true,
-        }
-    }
-}
+use crate::labels::dot_edge_label;
 
 /// Escapes a string for use inside a DOT double-quoted label (shared
 /// with the hierarchy-aware renderer in [`crate::hsm`]).
@@ -35,49 +20,40 @@ pub(crate) fn escape(s: &str) -> String {
 }
 
 /// Renders the machine as a Graphviz DOT document.
-pub fn render_dot(machine: &StateMachine, options: &DotOptions) -> String {
+pub fn render_dot(ir: &FlatIr) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", escape(machine.name()));
-    if options.left_to_right {
-        out.push_str("    rankdir=LR;\n");
-    }
+    let _ = writeln!(out, "digraph \"{}\" {{", escape(ir.name()));
+    out.push_str("    rankdir=LR;\n");
     out.push_str("    node [shape=box, style=rounded, fontsize=10, fontname=\"Helvetica\"];\n");
     out.push_str("    edge [fontsize=9, fontname=\"Helvetica\"];\n");
     out.push_str("    __start [shape=point];\n");
-    for (id, state) in machine.states_with_ids() {
+    for (i, state) in ir.states().iter().enumerate() {
         let shape = match state.role() {
             StateRole::Finish => ", peripheries=2",
             StateRole::Normal => "",
         };
-        let _ = writeln!(
-            out,
-            "    s{} [label=\"{}\"{}];",
-            id.index(),
-            escape(state.name()),
-            shape
-        );
+        let _ = writeln!(out, "    s{i} [label=\"{}\"{shape}];", escape(state.name()));
     }
-    let _ = writeln!(out, "    __start -> s{};", machine.start().index());
-    for (id, state) in machine.states_with_ids() {
-        for (mid, t) in state.transitions() {
-            let mut label = machine.message_name(mid).to_uppercase();
-            if options.edge_actions {
-                for a in t.actions() {
-                    let _ = write!(label, "\\n->{}", a.message());
-                }
-            }
-            let width = if t.is_phase_transition() {
-                ", penwidth=2"
-            } else {
+    let _ = writeln!(out, "    __start -> s{};", ir.start());
+    for (i, state) in ir.states().iter().enumerate() {
+        for t in state.transitions() {
+            let label = dot_edge_label(
+                ir.variables(),
+                ir.params(),
+                &ir.messages()[t.message_index()],
+                t.guard(),
+                t.updates(),
+                t.actions(),
+            );
+            let width = if t.actions().is_empty() {
                 ""
+            } else {
+                ", penwidth=2"
             };
             let _ = writeln!(
                 out,
-                "    s{} -> s{} [label=\"{}\"{}];",
-                id.index(),
-                t.target().index(),
-                escape(&label).replace("\\\\n", "\\n"),
-                width
+                "    s{i} -> s{} [label=\"{label}\"{width}];",
+                t.target()
             );
         }
     }
@@ -88,20 +64,13 @@ pub fn render_dot(machine: &StateMachine, options: &DotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Action, StateMachineBuilder};
-
-    fn sample() -> StateMachine {
-        let mut b = StateMachineBuilder::new("dia\"gram", ["go"]);
-        let s0 = b.add_state("A");
-        let fin = b.add_state_full("B", None, StateRole::Finish, vec![]);
-        b.add_transition(s0, "go", fin, vec![Action::send("x")]);
-        b.build(s0)
-    }
 
     #[test]
     fn structure() {
-        let out = render_dot(&sample(), &DotOptions::default());
+        let ir = crate::fixture("dia\"gram", &["go"], &["A", "B*"], &[(0, "go", 1, &["x"])]);
+        let out = render_dot(&ir);
         assert!(out.starts_with("digraph \"dia\\\"gram\" {"));
+        assert!(out.contains("rankdir=LR;"));
         assert!(out.contains("__start -> s0;"));
         assert!(out.contains("s0 [label=\"A\"];"));
         assert!(out.contains("s1 [label=\"B\", peripheries=2];"));
@@ -109,24 +78,15 @@ mod tests {
         assert!(out.trim_end().ends_with('}'));
     }
 
+    /// A guarded IR's edges carry the guard and the updates; every label,
+    /// state names included, is escaped.
     #[test]
-    fn actions_can_be_hidden() {
-        let options = DotOptions {
-            edge_actions: false,
-            ..Default::default()
-        };
-        let out = render_dot(&sample(), &options);
-        assert!(out.contains("[label=\"GO\", penwidth=2]"));
-    }
-
-    #[test]
-    fn no_rankdir_when_disabled() {
-        let options = DotOptions {
-            left_to_right: false,
-            ..Default::default()
-        };
-        let out = render_dot(&sample(), &options);
-        assert!(!out.contains("rankdir"));
+    fn guarded_labels_are_escaped() {
+        let out = render_dot(&crate::guarded_fixture());
+        assert!(out.contains("s0 [label=\"count\\\"ing\"];"), "{out}");
+        assert!(out.contains("s1 [label=\"done\", peripheries=2];"));
+        assert!(out.contains("s0 -> s0 [label=\"TICK\\n[n+1 < limit]\\n/ n+=1\"];"));
+        assert!(out.contains("s0 -> s1 [label=\"TICK\\n->fire\", penwidth=2];"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use stategen_core::{HierarchicalMachine, HsmStateId, HsmTarget, StateRole};
 
 use crate::dot::escape;
-use crate::efsm_text::{format_guard_names, format_updates_names};
+use crate::labels::{dot_edge_label, mermaid_edge_label};
 
 /// The representative node of a state: itself for leaves, the leaf
 /// reached by descending through initial children for composites (DOT
@@ -109,21 +109,14 @@ pub fn render_hsm_dot(machine: &HierarchicalMachine) -> String {
             format!(", ltail=cluster_{}", id.index())
         };
         for (mid, t) in state.transitions() {
-            // Escape each fragment at insertion time (as the node labels
-            // do), so the `\n` separators stay literal DOT line breaks
-            // whatever bytes the message names contain.
-            let mut label = escape(&machine.messages()[mid.index()].to_uppercase());
-            let guard = format_guard_names(machine.variables(), machine.params(), t.guard());
-            if !guard.is_empty() {
-                let _ = write!(label, "\\n{}", escape(&guard));
-            }
-            let updates = format_updates_names(machine.variables(), machine.params(), t.updates());
-            if !updates.is_empty() {
-                let _ = write!(label, "\\n/ {}", escape(&updates));
-            }
-            for a in t.actions() {
-                let _ = write!(label, "\\n->{}", escape(a.message()));
-            }
+            let mut label = dot_edge_label(
+                machine.variables(),
+                machine.params(),
+                &machine.messages()[mid.index()],
+                t.guard(),
+                t.updates(),
+                t.actions(),
+            );
             let (head, head_attr, style) = match t.target() {
                 HsmTarget::Internal => {
                     label.push_str("\\n(internal)");
@@ -203,20 +196,14 @@ pub fn render_hsm_mermaid(machine: &HierarchicalMachine) -> String {
     let _ = writeln!(out, "    [*] --> s{}", machine.start().index());
     for (id, state) in machine.states_with_ids() {
         for (mid, t) in state.transitions() {
-            let mut label = machine.messages()[mid.index()].to_uppercase();
-            let guard = format_guard_names(machine.variables(), machine.params(), t.guard());
-            if !guard.is_empty() {
-                let _ = write!(label, " {guard}");
-            }
-            let updates = format_updates_names(machine.variables(), machine.params(), t.updates());
-            let mut effects: Vec<String> = Vec::new();
-            if !updates.is_empty() {
-                effects.push(updates);
-            }
-            effects.extend(t.actions().iter().map(|a| a.message().to_string()));
-            if !effects.is_empty() {
-                let _ = write!(label, " / {}", effects.join(", "));
-            }
+            let mut label = mermaid_edge_label(
+                machine.variables(),
+                machine.params(),
+                &machine.messages()[mid.index()],
+                t.guard(),
+                t.updates(),
+                t.actions(),
+            );
             let to = match t.target() {
                 HsmTarget::Internal => {
                     label.push_str(" (internal)");

@@ -14,9 +14,9 @@
 //!   constants instead of dash tokens), ready to paste into a code base
 //!   (paper §4.3 "one-off generation").
 
-use stategen_core::{StateMachine, StateRole};
+use stategen_core::{CompileError, FlatIr, StateRole};
 
-use crate::codebuf::CodeBuffer;
+use crate::codebuf::{ident, require_unguarded, transition_on, unique_idents, CodeBuffer};
 
 /// Converts `not_free` to `NotFree` (Java method-name fragments).
 pub fn camel(name: &str) -> String {
@@ -37,30 +37,21 @@ fn dash_token(name: &str) -> String {
     name.replace('/', "-")
 }
 
-/// A legal Java identifier for a state: `T/2/F/0/F/F/F` → `T_2_F_0_F_F_F`.
-fn java_ident(name: &str) -> String {
-    let mut ident: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        ident.insert(0, 'S');
-        ident.insert(1, '_');
-    }
-    ident
-}
-
 /// Renders the Fig 16-style handler methods in the raw string style of
 /// paper Fig 17: indentation is controlled by whitespace embedded in the
 /// emitted strings.
-pub fn render_handlers_raw(machine: &StateMachine) -> String {
+///
+/// # Errors
+///
+/// [`CompileError::GuardedMachine`] if the IR is guarded.
+pub fn render_handlers_raw(ir: &FlatIr) -> Result<String, CompileError> {
+    require_unguarded(ir)?;
     let mut buffer = String::new();
-    for m in machine.messages() {
-        let mid = machine.message_id(m).expect("message belongs to machine");
+    for (mid, m) in ir.messages().iter().enumerate() {
         buffer.push_str(&("void receive".to_string() + &camel(m) + "() {\n"));
         buffer.push_str("    switch (getState()) {\n");
-        for state in machine.states() {
-            let Some(t) = state.transition(mid) else {
+        for state in ir.states() {
+            let Some(t) = transition_on(state, mid) else {
                 continue;
             };
             buffer
@@ -72,7 +63,7 @@ pub fn render_handlers_raw(machine: &StateMachine) -> String {
             }
             buffer.push_str(
                 &("            setState(".to_string()
-                    + &dash_token(machine.state(t.target()).name())
+                    + &dash_token(ir.states()[t.target() as usize].name())
                     + ");\n"),
             );
             buffer.push_str("            break;\n");
@@ -81,21 +72,25 @@ pub fn render_handlers_raw(machine: &StateMachine) -> String {
         buffer.push_str("    }\n");
         buffer.push_str("}\n");
     }
-    buffer
+    Ok(buffer)
 }
 
 /// Renders the same handler methods using the [`CodeBuffer`] abstractions
 /// of paper Figs 18/19. Byte-identical to [`render_handlers_raw`].
-pub fn render_handlers(machine: &StateMachine) -> String {
+///
+/// # Errors
+///
+/// [`CompileError::GuardedMachine`] if the IR is guarded.
+pub fn render_handlers(ir: &FlatIr) -> Result<String, CompileError> {
+    require_unguarded(ir)?;
     let mut buffer = CodeBuffer::new();
-    for m in machine.messages() {
-        let mid = machine.message_id(m).expect("message belongs to machine");
+    for (mid, m) in ir.messages().iter().enumerate() {
         buffer.add(["void receive", &camel(m), "()"]);
         buffer.enter_block();
         buffer.add(["switch (getState())"]);
         buffer.enter_block();
-        for state in machine.states() {
-            let Some(t) = state.transition(mid) else {
+        for state in ir.states() {
+            let Some(t) = transition_on(state, mid) else {
                 continue;
             };
             buffer.add(["case (", &dash_token(state.name()), ") :"]);
@@ -105,7 +100,7 @@ pub fn render_handlers(machine: &StateMachine) -> String {
             }
             buffer.add_ln([
                 "setState(",
-                &dash_token(machine.state(t.target()).name()),
+                &dash_token(ir.states()[t.target() as usize].name()),
                 ");",
             ]);
             buffer.add_ln(["break;"]);
@@ -114,7 +109,7 @@ pub fn render_handlers(machine: &StateMachine) -> String {
         buffer.exit_block();
         buffer.exit_block();
     }
-    buffer.into_string()
+    Ok(buffer.into_string())
 }
 
 /// Renders complete Java classes from generated machines.
@@ -137,14 +132,17 @@ impl JavaRenderer {
     }
 
     /// Renders the machine as a complete Java class.
-    pub fn render(&self, machine: &StateMachine) -> String {
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::GuardedMachine`] if the IR is guarded.
+    pub fn render(&self, ir: &FlatIr) -> Result<String, CompileError> {
+        require_unguarded(ir)?;
+        let states = unique_idents(ir.states().iter().map(|s| s.name()), ident);
+        let handlers = unique_idents(ir.messages().iter().map(String::as_str), camel);
         let mut b = CodeBuffer::new();
         b.add_ln(["/**"]);
-        b.add_ln([
-            " * Generated from machine `",
-            machine.name(),
-            "`. Do not edit.",
-        ]);
+        b.add_ln([" * Generated from machine `", ir.name(), "`. Do not edit."]);
         b.add_ln([" */"]);
         b.add([
             "public class ",
@@ -155,18 +153,17 @@ impl JavaRenderer {
         b.enter_block();
 
         b.add_ln(["// States, named by their encoded variable values."]);
-        for (i, state) in machine.states().iter().enumerate() {
+        for (i, state) in states.iter().enumerate() {
             b.add_ln([
                 "public static final int ",
-                &java_ident(state.name()),
+                state,
                 " = ",
                 &i.to_string(),
                 ";",
             ]);
         }
         b.blank();
-        let start_ident = java_ident(machine.state(machine.start()).name());
-        b.add_ln(["private int state = ", &start_ident, ";"]);
+        b.add_ln(["private int state = ", &states[ir.start() as usize], ";"]);
         b.blank();
         b.add(["public int getState()"]);
         b.enter_block();
@@ -180,11 +177,12 @@ impl JavaRenderer {
         b.blank();
         b.add(["public boolean isFinished()"]);
         b.enter_block();
-        let finals: Vec<String> = machine
+        let finals: Vec<String> = ir
             .states()
             .iter()
-            .filter(|s| s.role() == StateRole::Finish)
-            .map(|s| format!("state == {}", java_ident(s.name())))
+            .zip(&states)
+            .filter(|(s, _)| s.role() == StateRole::Finish)
+            .map(|(_, ident)| format!("state == {ident}"))
             .collect();
         if finals.is_empty() {
             b.add_ln(["return false;"]);
@@ -193,27 +191,22 @@ impl JavaRenderer {
         }
         b.exit_block();
 
-        for m in machine.messages() {
-            let mid = machine.message_id(m).expect("message belongs to machine");
+        for (mid, handler) in handlers.iter().enumerate() {
             b.blank();
-            b.add(["public void receive", &camel(m), "()"]);
+            b.add(["public void receive", handler, "()"]);
             b.enter_block();
             b.add(["switch (getState())"]);
             b.enter_block();
-            for state in machine.states() {
-                let Some(t) = state.transition(mid) else {
+            for (state, ident) in ir.states().iter().zip(&states) {
+                let Some(t) = transition_on(state, mid) else {
                     continue;
                 };
-                b.add(["case ", &java_ident(state.name()), " :"]);
+                b.add(["case ", ident, " :"]);
                 b.enter_block();
                 for action in t.actions() {
                     b.add_ln(["send", &camel(action.message()), "();"]);
                 }
-                b.add_ln([
-                    "setState(",
-                    &java_ident(machine.state(t.target()).name()),
-                    ");",
-                ]);
+                b.add_ln(["setState(", &states[t.target() as usize], ");"]);
                 b.add_ln(["break;"]);
                 b.exit_block();
             }
@@ -221,22 +214,17 @@ impl JavaRenderer {
             b.exit_block();
         }
         b.exit_block();
-        b.into_string()
+        Ok(b.into_string())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Action, StateMachineBuilder};
 
-    fn toy_machine() -> StateMachine {
-        let mut b = StateMachineBuilder::new("toy", ["vote", "not_free"]);
-        let s0 = b.add_state("F/0");
-        let s1 = b.add_state("T/1");
-        b.add_transition(s0, "vote", s1, vec![Action::send("commit")]);
-        b.add_transition(s1, "not_free", s0, vec![]);
-        b.build(s0)
+    fn toy_machine() -> FlatIr {
+        let transitions = [(0, "vote", 1, &["commit"][..]), (1, "not_free", 0, &[])];
+        crate::fixture("toy", &["vote", "not_free"], &["F/0", "T/1"], &transitions)
     }
 
     #[test]
@@ -256,8 +244,7 @@ mod tests {
 
     #[test]
     fn fig16_fragment_shape() {
-        let m = toy_machine();
-        let out = render_handlers(&m);
+        let out = render_handlers(&toy_machine()).unwrap();
         assert!(out.contains("void receiveVote() {\n"));
         assert!(out.contains("    switch (getState()) {\n"));
         assert!(out.contains("        case (F-0) : {\n"));
@@ -269,8 +256,9 @@ mod tests {
 
     #[test]
     fn full_class_is_self_consistent() {
-        let m = toy_machine();
-        let out = JavaRenderer::new("ToyFsm", "ToyActions").render(&m);
+        let out = JavaRenderer::new("ToyFsm", "ToyActions")
+            .render(&toy_machine())
+            .unwrap();
         assert!(out.contains("public class ToyFsm extends ToyActions {"));
         assert!(out.contains("public static final int F_0 = 0;"));
         assert!(out.contains("public static final int T_1 = 1;"));
@@ -284,7 +272,26 @@ mod tests {
 
     #[test]
     fn ident_for_leading_digit() {
-        assert_eq!(java_ident("1/0/1/0"), "S_1_0_1_0");
-        assert_eq!(java_ident("T/2/F"), "T_2_F");
+        assert_eq!(ident("1/0/1/0"), "S_1_0_1_0");
+        assert_eq!(ident("T/2/F"), "T_2_F");
+    }
+
+    /// State constants and handlers stay distinct when names collide
+    /// after sanitising.
+    #[test]
+    fn colliding_names_get_distinct_identifiers() {
+        let transitions = [(0, "not_free", 1, &[][..]), (1, "notFree", 0, &[])];
+        let ir = crate::fixture(
+            "dup",
+            &["not_free", "notFree"],
+            &["a-b", "a/b"],
+            &transitions,
+        );
+        let out = JavaRenderer::new("Dup", "Base").render(&ir).unwrap();
+        assert!(
+            out.contains("int a_b = 0;") && out.contains("int a_b__2 = 1;"),
+            "{out}"
+        );
+        assert!(out.contains("void receiveNotFree()") && out.contains("void receiveNotFree__2()"));
     }
 }

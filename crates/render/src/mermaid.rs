@@ -3,32 +3,31 @@
 
 use std::fmt::Write as _;
 
-use stategen_core::{StateMachine, StateRole};
+use stategen_core::{FlatIr, StateRole};
+
+use crate::labels::mermaid_edge_label;
 
 /// Renders the machine as a Mermaid state diagram.
-pub fn render_mermaid(machine: &StateMachine) -> String {
+pub fn render_mermaid(ir: &FlatIr) -> String {
     let mut out = String::from("stateDiagram-v2\n");
-    for (id, state) in machine.states_with_ids() {
-        let _ = writeln!(out, "    s{} : {}", id.index(), state.name());
+    for (i, state) in ir.states().iter().enumerate() {
+        let _ = writeln!(out, "    s{i} : {}", state.name());
     }
-    let _ = writeln!(out, "    [*] --> s{}", machine.start().index());
-    for (id, state) in machine.states_with_ids() {
-        for (mid, t) in state.transitions() {
-            let mut label = machine.message_name(mid).to_uppercase();
-            if !t.actions().is_empty() {
-                let sends: Vec<&str> = t.actions().iter().map(|a| a.message()).collect();
-                let _ = write!(label, " / {}", sends.join(", "));
-            }
-            let _ = writeln!(
-                out,
-                "    s{} --> s{} : {}",
-                id.index(),
-                t.target().index(),
-                label
+    let _ = writeln!(out, "    [*] --> s{}", ir.start());
+    for (i, state) in ir.states().iter().enumerate() {
+        for t in state.transitions() {
+            let label = mermaid_edge_label(
+                ir.variables(),
+                ir.params(),
+                &ir.messages()[t.message_index()],
+                t.guard(),
+                t.updates(),
+                t.actions(),
             );
+            let _ = writeln!(out, "    s{i} --> s{} : {label}", t.target());
         }
         if state.role() == StateRole::Finish {
-            let _ = writeln!(out, "    s{} --> [*]", id.index());
+            let _ = writeln!(out, "    s{i} --> [*]");
         }
     }
     out
@@ -37,16 +36,11 @@ pub fn render_mermaid(machine: &StateMachine) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Action, StateMachineBuilder};
 
     #[test]
     fn diagram_shape() {
-        let mut b = StateMachineBuilder::new("m", ["go"]);
-        let s0 = b.add_state("A");
-        let fin = b.add_state_full("B", None, StateRole::Finish, vec![]);
-        b.add_transition(s0, "go", fin, vec![Action::send("x"), Action::send("y")]);
-        let m = b.build(s0);
-        let out = render_mermaid(&m);
+        let ir = crate::fixture("m", &["go"], &["A", "B*"], &[(0, "go", 1, &["x", "y"])]);
+        let out = render_mermaid(&ir);
         assert!(out.starts_with("stateDiagram-v2\n"));
         assert!(out.contains("    s0 : A\n"));
         assert!(out.contains("    [*] --> s0\n"));
@@ -56,12 +50,8 @@ mod tests {
 
     #[test]
     fn simple_transition_has_no_action_suffix() {
-        let mut b = StateMachineBuilder::new("m", ["go"]);
-        let s0 = b.add_state("A");
-        let s1 = b.add_state("B");
-        b.add_transition(s0, "go", s1, vec![]);
-        let m = b.build(s0);
-        let out = render_mermaid(&m);
+        let ir = crate::fixture("m", &["go"], &["A", "B"], &[(0, "go", 1, &[])]);
+        let out = render_mermaid(&ir);
         assert!(out.contains("    s0 --> s1 : GO\n"));
         assert!(!out.contains(" / "));
     }

@@ -1,10 +1,10 @@
-//! Report renderers: the paper's Table 1 layout and a markdown machine
-//! summary.
+//! Report renderers: the paper's Table 1 layout and the generation
+//! report.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use stategen_core::{GenerationReport, StateMachine};
+use stategen_core::GenerationReport;
 
 /// One row of the paper's Table 1: "Times to generate state machines of
 /// various complexities".
@@ -84,72 +84,6 @@ pub fn render_generation_report(report: &GenerationReport) -> String {
     out
 }
 
-/// Renders a one-paragraph markdown summary of a machine.
-pub fn render_machine_summary(machine: &StateMachine) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### Machine `{}`\n", machine.name());
-    let _ = writeln!(out, "- messages: {}", machine.messages().join(", "));
-    let _ = writeln!(out, "- states: {}", machine.state_count());
-    let _ = writeln!(out, "- transitions: {}", machine.transition_count());
-    let _ = writeln!(
-        out,
-        "- phase transitions: {}",
-        machine.phase_transition_count()
-    );
-    let _ = writeln!(out, "- start: `{}`", machine.state(machine.start()).name());
-    if let Some(f) = machine.unique_final() {
-        let _ = writeln!(out, "- finish: `{}`", machine.state(f).name());
-    }
-    out
-}
-
-/// Renders a complete markdown report of a machine: summary, optional
-/// generation statistics, and one section per state in the Fig 14 style.
-pub fn render_markdown_report(
-    machine: &StateMachine,
-    generation: Option<&GenerationReport>,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# State machine `{}`\n", machine.name());
-    out.push_str(&render_machine_summary(machine));
-    if let Some(report) = generation {
-        out.push('\n');
-        out.push_str(&render_generation_report(report));
-    }
-    out.push_str("\n## States\n");
-    for (id, state) in machine.states_with_ids() {
-        let _ = writeln!(out, "\n### `{}`\n", state.name());
-        for line in state.annotations() {
-            let _ = writeln!(out, "> {line}");
-        }
-        if state.transition_count() == 0 {
-            out.push_str("\n*(final state — no transitions)*\n");
-            continue;
-        }
-        out.push_str("\n| message | actions | next state |\n|---|---|---|\n");
-        for (mid, t) in state.transitions() {
-            let actions: Vec<String> = t
-                .actions()
-                .iter()
-                .map(|a| format!("`->{}`", a.message()))
-                .collect();
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | `{}` |",
-                machine.message_name(mid).to_uppercase(),
-                if actions.is_empty() {
-                    "—".to_string()
-                } else {
-                    actions.join(" ")
-                },
-                machine.state(t.target()).name()
-            );
-        }
-        let _ = id;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,40 +107,5 @@ mod tests {
         assert!(row.starts_with("1    4    512"));
         assert!(row.contains("33"));
         assert!(row.ends_with("0.0005"));
-    }
-
-    #[test]
-    fn markdown_report_structure() {
-        use stategen_core::{Action, StateMachineBuilder, StateRole};
-        let mut b = StateMachineBuilder::new("doc", ["go"]);
-        let s0 = b.add_state_full(
-            "start",
-            None,
-            StateRole::Normal,
-            vec!["The beginning.".to_string()],
-        );
-        let fin = b.add_state_full("end", None, StateRole::Finish, vec![]);
-        b.add_transition(s0, "go", fin, vec![Action::send("x")]);
-        let m = b.build(s0);
-        let md = render_markdown_report(&m, None);
-        assert!(md.starts_with("# State machine `doc`"));
-        assert!(md.contains("### `start`"));
-        assert!(md.contains("> The beginning."));
-        assert!(md.contains("| `GO` | `->x` | `end` |"));
-        assert!(md.contains("*(final state — no transitions)*"));
-    }
-
-    #[test]
-    fn summary_contains_counts() {
-        use stategen_core::{Action, StateMachineBuilder};
-        let mut b = StateMachineBuilder::new("m", ["go"]);
-        let s0 = b.add_state("A");
-        let s1 = b.add_state("B");
-        b.add_transition(s0, "go", s1, vec![Action::send("x")]);
-        let m = b.build(s0);
-        let out = render_machine_summary(&m);
-        assert!(out.contains("states: 2"));
-        assert!(out.contains("phase transitions: 1"));
-        assert!(out.contains("start: `A`"));
     }
 }

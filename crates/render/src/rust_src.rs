@@ -14,24 +14,31 @@
 //! a build script — the `stategen-generated` crate does the latter and
 //! cross-checks the compiled code against the interpreted machine.
 
-use stategen_core::{StateMachine, StateRole};
+use stategen_core::{CompileError, FlatIr, Notes, StateRole};
 
-use crate::codebuf::CodeBuffer;
+use crate::codebuf::{ident, require_unguarded, transition_on, unique_idents, CodeBuffer};
 
-/// A legal Rust identifier for a state name: `T/2/F/0/F/F/F` →
-/// `T_2_F_0_F_F_F` (a leading digit gets an `S_` prefix).
-pub fn rust_ident(name: &str) -> String {
-    let mut ident: String = name
+/// Snake-case function suffix for a message name.
+fn fn_suffix(message: &str) -> String {
+    message
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        ident.insert_str(0, "S_");
-    }
-    ident
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '_'
+            }
+        })
+        .collect()
 }
 
-/// Renders `machine` as a self-contained Rust module.
+/// A Rust string literal holding `s`, escaped as needed.
+fn literal(s: &str) -> String {
+    format!("{s:?}")
+}
+
+/// Renders `ir` as a self-contained Rust module; with `notes`, each
+/// state's commentary becomes its variant's doc comment.
 ///
 /// The module exposes:
 ///
@@ -46,32 +53,37 @@ pub fn rust_ident(name: &str) -> String {
 ///   (the generated Java simply has no `case` arm);
 /// * `pub fn receive(State, &str) -> Option<(State, &'static [&'static str])>`
 ///   — name-based dispatcher (`None` also for unknown messages).
-pub fn render_rust_module(machine: &StateMachine) -> String {
-    let idents: Vec<String> = unique_idents(machine);
+///
+/// Names reach the module only as escaped string literals or as unique
+/// identifiers.
+///
+/// # Errors
+///
+/// [`CompileError::GuardedMachine`] if the IR is guarded.
+pub fn render_rust_module(ir: &FlatIr, notes: Option<&Notes>) -> Result<String, CompileError> {
+    require_unguarded(ir)?;
+    let idents = unique_idents(ir.states().iter().map(|s| s.name()), ident);
+    let suffixes = unique_idents(ir.messages().iter().map(String::as_str), fn_suffix);
     let mut b = CodeBuffer::new();
 
     // Plain `//` comments and per-item attributes keep the module valid
     // both as a standalone file and when `include!`d into a module body.
-    b.add_ln([
-        "// Generated from machine `",
-        machine.name(),
-        "`. Do not edit.",
-    ]);
+    b.add_ln(["// Generated from machine `", ir.name(), "`. Do not edit."]);
     b.blank();
 
     // -- State enum. -------------------------------------------------------
     b.add_ln([
         "/// States of `",
-        machine.name(),
+        ir.name(),
         "`, named by their encoded variable values.",
     ]);
     b.add_ln(["#[allow(non_camel_case_types)]"]);
     b.add_ln(["#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]"]);
     b.add(["pub enum State"]);
     b.enter_block();
-    for (state, ident) in machine.states().iter().zip(&idents) {
+    for (i, (state, ident)) in ir.states().iter().zip(&idents).enumerate() {
         b.add_ln(["/// `", state.name(), "`"]);
-        for line in state.annotations() {
+        for line in notes.map_or(&[][..], |n| n.state(i)) {
             b.add_ln(["/// ", line]);
         }
         b.add_ln([ident.as_str(), ","]);
@@ -81,20 +93,16 @@ pub fn render_rust_module(machine: &StateMachine) -> String {
 
     // -- Constants. ----------------------------------------------------------
     b.add_ln(["/// Name of the machine this module was generated from."]);
-    b.add_ln(["pub const MACHINE_NAME: &str = \"", machine.name(), "\";"]);
+    b.add_ln(["pub const MACHINE_NAME: &str = ", &literal(ir.name()), ";"]);
     b.blank();
     b.add_ln(["/// The machine's message alphabet."]);
-    let quoted: Vec<String> = machine
-        .messages()
-        .iter()
-        .map(|m| format!("\"{m}\""))
-        .collect();
+    let quoted: Vec<String> = ir.messages().iter().map(|m| literal(m)).collect();
     b.add_ln(["pub const MESSAGES: &[&str] = &[", &quoted.join(", "), "];"]);
     b.blank();
     b.add_ln(["/// The start state."]);
     b.add_ln([
         "pub const START: State = State::",
-        &idents[machine.start().index()],
+        &idents[ir.start() as usize],
         ";",
     ]);
     b.blank();
@@ -105,8 +113,8 @@ pub fn render_rust_module(machine: &StateMachine) -> String {
     b.enter_block();
     b.add(["match state"]);
     b.enter_block();
-    for (state, ident) in machine.states().iter().zip(&idents) {
-        b.add_ln(["State::", ident, " => \"", state.name(), "\","]);
+    for (state, ident) in ir.states().iter().zip(&idents) {
+        b.add_ln(["State::", ident, " => ", &literal(state.name()), ","]);
     }
     b.exit_block();
     b.exit_block();
@@ -116,26 +124,24 @@ pub fn render_rust_module(machine: &StateMachine) -> String {
     b.add_ln(["/// `true` once the protocol instance has completed."]);
     b.add(["pub fn is_final(state: State) -> bool"]);
     b.enter_block();
-    let finals: Vec<&str> = machine
+    let finals: Vec<String> = ir
         .states()
         .iter()
         .zip(&idents)
         .filter(|(s, _)| s.role() == StateRole::Finish)
-        .map(|(_, i)| i.as_str())
+        .map(|(_, i)| format!("State::{i}"))
         .collect();
     if finals.is_empty() {
         b.add_ln(["let _ = state;"]);
         b.add_ln(["false"]);
     } else {
-        let pats: Vec<String> = finals.iter().map(|i| format!("State::{i}")).collect();
-        b.add_ln(["matches!(state, ", &pats.join(" | "), ")"]);
+        b.add_ln(["matches!(state, ", &finals.join(" | "), ")"]);
     }
     b.exit_block();
     b.blank();
 
     // -- Per-message handlers (the Fig 16 switch, as a match). ---------------------
-    for m in machine.messages() {
-        let mid = machine.message_id(m).expect("message belongs to machine");
+    for (mid, (m, suffix)) in ir.messages().iter().zip(&suffixes).enumerate() {
         b.add_ln([
             "/// Handles a `",
             m,
@@ -144,28 +150,24 @@ pub fn render_rust_module(machine: &StateMachine) -> String {
         b.add_ln(["/// messages to send, or `None` when not applicable in `state`."]);
         b.add([
             "pub fn receive_",
-            &fn_suffix(m),
+            suffix,
             "(state: State) -> Option<(State, &'static [&'static str])>",
         ]);
         b.enter_block();
         b.add(["match state"]);
         b.enter_block();
         let mut any = false;
-        for (state, ident) in machine.states().iter().zip(&idents) {
-            let Some(t) = state.transition(mid) else {
+        for (state, ident) in ir.states().iter().zip(&idents) {
+            let Some(t) = transition_on(state, mid) else {
                 continue;
             };
             any = true;
-            let actions: Vec<String> = t
-                .actions()
-                .iter()
-                .map(|a| format!("\"{}\"", a.message()))
-                .collect();
+            let actions: Vec<String> = t.actions().iter().map(|a| literal(a.message())).collect();
             b.add_ln([
                 "State::",
                 ident,
                 " => Some((State::",
-                &idents[t.target().index()],
+                &idents[t.target() as usize],
                 ", &[",
                 &actions.join(", "),
                 "])),",
@@ -190,67 +192,41 @@ pub fn render_rust_module(machine: &StateMachine) -> String {
     b.enter_block();
     b.add(["match message"]);
     b.enter_block();
-    for m in machine.messages() {
-        b.add_ln(["\"", m, "\" => receive_", &fn_suffix(m), "(state),"]);
+    for (m, suffix) in ir.messages().iter().zip(&suffixes) {
+        b.add_ln([&literal(m), " => receive_", suffix, "(state),"]);
     }
     b.add_ln(["_ => None,"]);
     b.exit_block();
     b.exit_block();
-    b.into_string()
-}
-
-/// Snake-case function suffix for a message name.
-fn fn_suffix(message: &str) -> String {
-    message
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Identifiers for all states, deduplicated with numeric suffixes.
-fn unique_idents(machine: &StateMachine) -> Vec<String> {
-    let mut seen: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    machine
-        .states()
-        .iter()
-        .map(|s| {
-            let base = rust_ident(s.name());
-            let n = seen.entry(base.clone()).or_insert(0);
-            *n += 1;
-            if *n == 1 {
-                base
-            } else {
-                format!("{base}__{n}")
-            }
-        })
-        .collect()
+    Ok(b.into_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Action, StateMachineBuilder};
 
-    fn toy_machine() -> StateMachine {
-        let mut b = StateMachineBuilder::new("toy", ["vote", "not_free"]);
-        let s0 = b.add_state("F/0");
-        let s1 = b.add_state("T/1");
-        let fin = b.add_state_full("T/2", None, StateRole::Finish, vec![]);
-        b.add_transition(s0, "vote", s1, vec![Action::send("commit")]);
-        b.add_transition(s1, "vote", fin, vec![]);
-        b.add_transition(s1, "not_free", s0, vec![]);
-        b.build(s0)
+    fn toy_machine() -> FlatIr {
+        let transitions = [
+            (0, "vote", 1, &["commit"][..]),
+            (1, "vote", 2, &[]),
+            (1, "not_free", 0, &[]),
+        ];
+        crate::fixture(
+            "toy",
+            &["vote", "not_free"],
+            &["F/0", "T/1", "T/2*"],
+            &transitions,
+        )
+    }
+
+    /// The module of a machine named `m"\` with no transitions.
+    fn module(states: &[&str], messages: &[&str]) -> String {
+        render_rust_module(&crate::fixture("m\"\\", messages, states, &[]), None).unwrap()
     }
 
     #[test]
     fn module_contains_expected_items() {
-        let out = render_rust_module(&toy_machine());
+        let out = render_rust_module(&toy_machine(), None).unwrap();
         assert!(out.contains("pub enum State {"));
         assert!(out.contains("F_0,"));
         assert!(out.contains("pub const START: State = State::F_0;"));
@@ -263,26 +239,43 @@ mod tests {
 
     #[test]
     fn ident_sanitisation() {
-        assert_eq!(rust_ident("T/2/F/0/F/F/F"), "T_2_F_0_F_F_F");
-        assert_eq!(rust_ident("1/0/1/0"), "S_1_0_1_0");
-        assert_eq!(rust_ident("idle-free"), "idle_free");
+        assert_eq!(ident("T/2/F/0/F/F/F"), "T_2_F_0_F_F_F");
+        assert_eq!(ident("1/0/1/0"), "S_1_0_1_0");
+        assert_eq!(ident("idle-free"), "idle_free");
     }
 
     #[test]
     fn duplicate_names_deduplicated() {
-        let mut b = StateMachineBuilder::new("dup", ["m"]);
-        let s0 = b.add_state("a-b");
-        let s1 = b.add_state("a/b");
-        b.add_transition(s0, "m", s1, vec![]);
-        let m = b.build(s0);
-        let out = render_rust_module(&m);
-        assert!(out.contains("a_b,"));
-        assert!(out.contains("a_b__2,"));
+        let out = module(&["a_b", "a/b", "a_b__2"], &["m"]);
+        for variant in ["    a_b,", "    a_b__2,", "    a_b__2__2,"] {
+            assert!(out.contains(&format!("{variant}\n")), "{out}");
+        }
+    }
+
+    #[test]
+    fn message_handlers_are_distinct() {
+        let out = module(&["A"], &["not_free", "not-free"]);
+        assert!(out.contains("\"not_free\" => receive_not_free(state),"));
+        assert!(out.contains("\"not-free\" => receive_not_free__2(state),"));
+    }
+
+    /// Names with `"` or `\\` reach the module only inside escaped literals.
+    #[test]
+    fn names_are_escaped_in_literals() {
+        let out = module(&["q\"s", "b\\s"], &["say \"hi\""]);
+        assert!(
+            out.contains("pub const MACHINE_NAME: &str = \"m\\\"\\\\\";"),
+            "{out}"
+        );
+        assert!(out.contains("State::q_s => \"q\\\"s\","));
+        assert!(out.contains("State::b_s => \"b\\\\s\","));
+        assert!(out.contains("&[\"say \\\"hi\\\"\"]"));
+        assert!(out.contains("\"say \\\"hi\\\"\" => receive_say__hi_(state),"));
     }
 
     #[test]
     fn balanced_braces() {
-        let out = render_rust_module(&toy_machine());
+        let out = render_rust_module(&toy_machine(), None).unwrap();
         assert_eq!(out.matches('{').count(), out.matches('}').count());
     }
 
@@ -291,8 +284,9 @@ mod tests {
     #[test]
     fn handler_arm_count_matches_transitions() {
         let m = toy_machine();
-        let out = render_rust_module(&m);
+        let out = render_rust_module(&m, None).unwrap();
         let arms = out.matches("=> Some((State::").count();
-        assert_eq!(arms, m.transition_count());
+        let transitions: usize = m.states().iter().map(|s| s.transitions().len()).sum();
+        assert_eq!(arms, transitions);
     }
 }

@@ -18,8 +18,17 @@
 //!   action: ->commit
 //!   transition to: T/3/T/0/T/F/F
 //! ```
+//!
+//! The renderer is algorithm-independent (paper §5.1): everything it
+//! needs is in the [`FlatIr`] and, for the `Description:` blocks, its
+//! [`Notes`]. A guarded transition lists its guard and updates under its
+//! message.
 
-use stategen_core::{StateId, StateMachine};
+use std::fmt::Write as _;
+
+use stategen_core::{FlatIr, Notes, StateRole};
+
+use crate::labels::{format_guard_names, format_updates_names};
 
 /// Display form of a message name: upper-cased, underscores as spaces
 /// (paper Fig 14 shows `message: VOTE`).
@@ -27,129 +36,90 @@ fn display_message(name: &str) -> String {
     name.to_uppercase().replace('_', " ")
 }
 
-/// Renders machines to the paper's textual format.
-///
-/// The renderer is algorithm-independent (paper §5.1): everything it needs
-/// is in the [`StateMachine`] representation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TextRenderer {
-    /// Include the `Description:` block of state annotations. Default true.
-    pub include_descriptions: bool,
+/// Renders a single state with its transitions (paper Fig 14); with
+/// `notes`, its `Description:` block too.
+pub fn render_state_text(ir: &FlatIr, notes: Option<&Notes>, state: u32) -> String {
+    let id = state as usize;
+    let state = &ir.states()[id];
+    let mut out = String::new();
+    let header = format!("state: {}", state.name());
+    let _ = writeln!(out, "{header}\n{}", "-".repeat(header.len()));
+    if let Some(notes) = notes {
+        out.push_str("Description:\n\n");
+        for line in notes.state(id) {
+            let _ = writeln!(out, "{line}");
+        }
+        out.push('\n');
+    }
+
+    out.push_str("\nTransitions:\n");
+    for t in state.transitions() {
+        let _ = writeln!(
+            out,
+            "\n message: {}",
+            display_message(&ir.messages()[t.message_index()])
+        );
+        let guard = format_guard_names(ir.variables(), ir.params(), t.guard());
+        if !guard.is_empty() {
+            let _ = writeln!(out, "  guard: {guard}");
+        }
+        let updates = format_updates_names(ir.variables(), ir.params(), t.updates());
+        if !updates.is_empty() {
+            let _ = writeln!(out, "  update: {updates}");
+        }
+        for action in t.actions() {
+            // The paper renders `not_free` as `->not free` (Fig 14).
+            let _ = writeln!(out, "  action: ->{}", action.message().replace('_', " "));
+        }
+        let target = &ir.states()[t.target() as usize];
+        let _ = writeln!(out, "  transition to: {}", target.name());
+    }
+    out
 }
 
-impl TextRenderer {
-    /// Creates a renderer with descriptions enabled.
-    pub fn new() -> Self {
-        TextRenderer {
-            include_descriptions: true,
-        }
+/// Renders the whole machine: a summary header followed by every state.
+pub fn render_text(ir: &FlatIr, notes: Option<&Notes>) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "machine: {}", ir.name());
+    let messages: Vec<String> = ir.messages().iter().map(|m| display_message(m)).collect();
+    let _ = writeln!(out, "messages: {}", messages.join(", "));
+    if !ir.params().is_empty() {
+        let _ = writeln!(out, "params: {}", ir.params().join(", "));
     }
-
-    /// Renders a single state with its transitions (paper Fig 14).
-    pub fn render_state(&self, machine: &StateMachine, id: StateId) -> String {
-        let state = machine.state(id);
-        let mut out = String::new();
-        let header = format!("state: {}", state.name());
-        out.push_str(&header);
+    if !ir.variables().is_empty() {
+        let _ = writeln!(out, "variables: {}", ir.variables().join(", "));
+    }
+    let _ = writeln!(out, "states: {}", ir.state_count());
+    let _ = writeln!(out, "start: {}", ir.states()[ir.start() as usize].name());
+    let mut finals = ir.states().iter().filter(|s| s.role() == StateRole::Finish);
+    if let (Some(finish), None) = (finals.next(), finals.next()) {
+        let _ = writeln!(out, "finish: {}", finish.name());
+    }
+    let transitions: usize = ir.states().iter().map(|s| s.transitions().len()).sum();
+    let _ = writeln!(out, "transitions: {transitions}");
+    for id in 0..ir.state_count() as u32 {
         out.push('\n');
-        out.push_str(&"-".repeat(header.len()));
-        out.push('\n');
-
-        if self.include_descriptions {
-            out.push_str("Description:\n\n");
-            for line in state.annotations() {
-                out.push_str(line);
-                out.push('\n');
-            }
-            out.push('\n');
-        }
-
-        out.push_str("\nTransitions:\n");
-        for (mid, t) in state.transitions() {
-            out.push('\n');
-            out.push_str(&format!(
-                " message: {}\n",
-                display_message(machine.message_name(mid))
-            ));
-            for action in t.actions() {
-                // The paper renders `not_free` as `->not free` (Fig 14).
-                out.push_str(&format!(
-                    "  action: ->{}\n",
-                    action.message().replace('_', " ")
-                ));
-            }
-            out.push_str(&format!(
-                "  transition to: {}\n",
-                machine.state(t.target()).name()
-            ));
-        }
-        out
+        out.push_str(&render_state_text(ir, notes, id));
     }
-
-    /// Renders the whole machine: a summary header followed by every state.
-    pub fn render(&self, machine: &StateMachine) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("machine: {}\n", machine.name()));
-        out.push_str(&format!(
-            "messages: {}\n",
-            machine
-                .messages()
-                .iter()
-                .map(|m| display_message(m))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("states: {}\n", machine.state_count()));
-        out.push_str(&format!(
-            "start: {}\n",
-            machine.state(machine.start()).name()
-        ));
-        if let Some(f) = machine.unique_final() {
-            out.push_str(&format!("finish: {}\n", machine.state(f).name()));
-        }
-        out.push_str(&format!("transitions: {}\n", machine.transition_count()));
-        for (id, _) in machine.states_with_ids() {
-            out.push('\n');
-            out.push_str(&self.render_state(machine, id));
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Action, StateMachineBuilder};
 
-    fn sample() -> StateMachine {
-        let mut b = StateMachineBuilder::new("sample", ["go", "stop"]);
-        let s0 = b.add_state_full(
-            "A",
-            None,
-            stategen_core::StateRole::Normal,
-            vec!["First line.".into(), "Second line.".into()],
-        );
-        let s1 = b.add_state("B");
-        b.add_transition(
-            s0,
-            "go",
-            s1,
-            vec![Action::send("ping"), Action::send("pong")],
-        );
-        b.add_transition(s1, "stop", s0, vec![]);
-        b.build(s0)
+    fn sample() -> FlatIr {
+        let transitions = [(0, "go", 1, &["ping", "pong"][..]), (1, "stop", 0, &[])];
+        crate::fixture("sample", &["go", "stop"], &["A", "B"], &transitions)
     }
 
     #[test]
     fn state_block_layout() {
-        let m = sample();
-        let text = TextRenderer::new().render_state(&m, m.start());
+        let text = render_state_text(&sample(), Some(&Notes::default()), 0);
         let expected = "state: A\n\
                         --------\n\
                         Description:\n\
                         \n\
-                        First line.\n\
-                        Second line.\n\
                         \n\
                         \n\
                         Transitions:\n\
@@ -163,31 +133,37 @@ mod tests {
 
     #[test]
     fn machine_header() {
-        let m = sample();
-        let text = TextRenderer::new().render(&m);
-        assert!(text.starts_with("machine: sample\nmessages: GO, STOP\nstates: 2\nstart: A\n"));
+        let text = render_text(&sample(), None);
+        assert!(text.starts_with(
+            "machine: sample\nmessages: GO, STOP\nstates: 2\nstart: A\ntransitions: 2\n"
+        ));
         assert!(text.contains("state: B"));
     }
 
     #[test]
     fn descriptions_can_be_disabled() {
-        let m = sample();
-        let r = TextRenderer {
-            include_descriptions: false,
-        };
-        let text = r.render_state(&m, m.start());
+        let text = render_state_text(&sample(), None, 0);
         assert!(!text.contains("Description:"));
         assert!(text.contains("message: GO"));
     }
 
     #[test]
     fn underline_matches_header_width() {
-        let m = sample();
-        let text = TextRenderer::new().render_state(&m, m.start());
+        let text = render_state_text(&sample(), None, 0);
         let mut lines = text.lines();
         let header = lines.next().unwrap();
         let underline = lines.next().unwrap();
         assert_eq!(header.len(), underline.len());
         assert!(underline.chars().all(|c| c == '-'));
+    }
+
+    #[test]
+    fn guards_and_updates_are_listed() {
+        let text = render_text(&crate::guarded_fixture(), None);
+        let header = "params: limit\nvariables: n\nstates: 2\nstart: count\"ing\nfinish: done\n";
+        assert!(text.contains(header), "{text}");
+        assert!(text.contains(
+            " message: TICK\n  guard: [n+1 < limit]\n  update: n+=1\n  transition to: count\"ing\n"
+        ));
     }
 }

@@ -4,12 +4,12 @@
 //! into a diagramming tool (in this case, Together)". Together's format is
 //! proprietary; this renderer emits a self-contained, schema-documented
 //! XML document carrying the same information: states (with generated
-//! commentary), transitions, actions and layout hints, suitable for import
-//! by downstream tooling.
+//! commentary), transitions and actions, suitable for import by
+//! downstream tooling.
 
 use std::fmt::Write as _;
 
-use stategen_core::{StateMachine, StateRole};
+use stategen_core::{FlatIr, Notes, StateRole};
 
 /// Escapes text for XML content and attribute values.
 fn escape(s: &str) -> String {
@@ -27,66 +27,64 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Renders the machine as an XML diagram document.
-pub fn render_xml(machine: &StateMachine) -> String {
+/// Renders the machine as an XML diagram document; with `notes`, states
+/// and transitions carry their commentary as `<annotation>` elements.
+pub fn render_xml(ir: &FlatIr, notes: Option<&Notes>) -> String {
+    let none = Notes::default();
+    let notes = notes.unwrap_or(&none);
+    let transitions: usize = ir.states().iter().map(|s| s.transitions().len()).sum();
     let mut out = String::new();
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
     let _ = writeln!(
         out,
-        "<statemachine name=\"{}\" states=\"{}\" transitions=\"{}\">",
-        escape(machine.name()),
-        machine.state_count(),
-        machine.transition_count()
+        "<statemachine name=\"{}\" states=\"{}\" transitions=\"{transitions}\">",
+        escape(ir.name()),
+        ir.state_count(),
     );
     out.push_str("  <messages>\n");
-    for m in machine.messages() {
+    for m in ir.messages() {
         let _ = writeln!(out, "    <message name=\"{}\"/>", escape(m));
     }
     out.push_str("  </messages>\n");
     out.push_str("  <states>\n");
-    for (id, state) in machine.states_with_ids() {
+    for (id, state) in ir.states().iter().enumerate() {
         let role = match state.role() {
             StateRole::Normal => "normal",
             StateRole::Finish => "finish",
         };
-        let start = if id == machine.start() {
+        let start = if id == ir.start() as usize {
             " start=\"true\""
         } else {
             ""
         };
-        if state.annotations().is_empty() {
-            let _ = writeln!(
-                out,
-                "    <state id=\"{}\" name=\"{}\" role=\"{role}\"{start}/>",
-                id.index(),
-                escape(state.name())
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "    <state id=\"{}\" name=\"{}\" role=\"{role}\"{start}>",
-                id.index(),
-                escape(state.name())
-            );
-            for a in state.annotations() {
-                let _ = writeln!(out, "      <annotation>{}</annotation>", escape(a));
-            }
-            out.push_str("    </state>\n");
+        let _ = write!(
+            out,
+            "    <state id=\"{id}\" name=\"{}\" role=\"{role}\"{start}",
+            escape(state.name())
+        );
+        if notes.state(id).is_empty() {
+            out.push_str("/>\n");
+            continue;
         }
+        out.push_str(">\n");
+        for a in notes.state(id) {
+            let _ = writeln!(out, "      <annotation>{}</annotation>", escape(a));
+        }
+        out.push_str("    </state>\n");
     }
     out.push_str("  </states>\n");
     out.push_str("  <transitions>\n");
-    for (id, state) in machine.states_with_ids() {
-        for (mid, t) in state.transitions() {
+    for (id, state) in ir.states().iter().enumerate() {
+        for (ti, t) in state.transitions().iter().enumerate() {
             let _ = write!(
                 out,
-                "    <transition from=\"{}\" to=\"{}\" message=\"{}\" phase=\"{}\"",
-                id.index(),
-                t.target().index(),
-                escape(machine.message_name(mid)),
-                t.is_phase_transition()
+                "    <transition from=\"{id}\" to=\"{}\" message=\"{}\" phase=\"{}\"",
+                t.target(),
+                escape(&ir.messages()[t.message_index()]),
+                !t.actions().is_empty()
             );
-            if t.actions().is_empty() && t.annotations().is_empty() {
+            let annotations = notes.transition(id, ti);
+            if t.actions().is_empty() && annotations.is_empty() {
                 out.push_str("/>\n");
                 continue;
             }
@@ -94,7 +92,7 @@ pub fn render_xml(machine: &StateMachine) -> String {
             for a in t.actions() {
                 let _ = writeln!(out, "      <action send=\"{}\"/>", escape(a.message()));
             }
-            for a in t.annotations() {
+            for a in annotations {
                 let _ = writeln!(out, "      <annotation>{}</annotation>", escape(a));
             }
             out.push_str("    </transition>\n");
@@ -108,28 +106,17 @@ pub fn render_xml(machine: &StateMachine) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stategen_core::{Action, StateMachineBuilder};
 
-    fn sample() -> StateMachine {
-        let mut b = StateMachineBuilder::new("x<y", ["go"]);
-        let s0 = b.add_state_full(
-            "A&B",
-            None,
-            StateRole::Normal,
-            vec!["a \"note\"".to_string()],
-        );
-        let fin = b.add_state_full("END", None, StateRole::Finish, vec![]);
-        b.add_transition(s0, "go", fin, vec![Action::send("x")]);
-        b.build(s0)
+    fn sample() -> FlatIr {
+        crate::fixture("x<y", &["go"], &["A&B", "END*"], &[(0, "go", 1, &["x"])])
     }
 
     #[test]
     fn document_shape() {
-        let out = render_xml(&sample());
+        let out = render_xml(&sample(), None);
         assert!(out.starts_with("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"));
         assert!(out.contains("<statemachine name=\"x&lt;y\" states=\"2\" transitions=\"1\">"));
-        assert!(out.contains("<state id=\"0\" name=\"A&amp;B\" role=\"normal\" start=\"true\">"));
-        assert!(out.contains("<annotation>a &quot;note&quot;</annotation>"));
+        assert!(out.contains("<state id=\"0\" name=\"A&amp;B\" role=\"normal\" start=\"true\"/>"));
         assert!(out.contains("<state id=\"1\" name=\"END\" role=\"finish\"/>"));
         assert!(out.contains("<transition from=\"0\" to=\"1\" message=\"go\" phase=\"true\">"));
         assert!(out.contains("<action send=\"x\"/>"));
@@ -143,12 +130,12 @@ mod tests {
 
     #[test]
     fn balanced_tags() {
-        let out = render_xml(&sample());
+        let out = render_xml(&sample(), None);
         for tag in ["statemachine", "messages", "states", "transitions"] {
-            let opens = out.matches(&format!("<{tag}")).count();
-            let closes = out.matches(&format!("</{tag}>")).count()
-                + out.matches(&format!("<{tag} ")).filter(|_| false).count();
-            assert!(opens >= closes, "{tag}: {opens} opens, {closes} closes");
+            let opens =
+                out.matches(&format!("<{tag}>")).count() + out.matches(&format!("<{tag} ")).count();
+            let closes = out.matches(&format!("</{tag}>")).count();
+            assert_eq!(opens, closes, "{tag}: {opens} opens, {closes} closes");
         }
     }
 }

@@ -3,10 +3,9 @@
 //! renderer's output, however small, fails here.
 
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
+use stategen_core::{generate, FlatIr, Notes};
 use stategen_render::{
-    java_src, render_dot, render_mermaid, render_rust_module, render_xml, DotOptions,
-    JavaRenderer, TextRenderer,
+    java_src, render_dot, render_mermaid, render_rust_module, render_text, render_xml, JavaRenderer,
 };
 
 fn digest(s: &str) -> (usize, u64) {
@@ -22,15 +21,24 @@ fn digest(s: &str) -> (usize, u64) {
 fn commit_r4_artefacts_are_byte_pinned() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generation succeeds");
-    let m = &g.machine;
+    let (ir, notes) = (
+        FlatIr::from_machine(&g.machine),
+        Notes::from_machine(&g.machine),
+    );
+    let (m, n) = (&ir, Some(&notes));
     let outputs = [
-        ("dot", render_dot(m, &DotOptions::default())),
-        ("xml", render_xml(m)),
+        ("dot", render_dot(m)),
+        ("xml", render_xml(m, n)),
         ("mermaid", render_mermaid(m)),
-        ("text", TextRenderer::new().render(m)),
-        ("java", JavaRenderer::new("CommitFsm", "CommitActions").render(m)),
-        ("handlers", java_src::render_handlers(m)),
-        ("rust", render_rust_module(m)),
+        ("text", render_text(m, n)),
+        (
+            "java",
+            JavaRenderer::new("CommitFsm", "CommitActions")
+                .render(m)
+                .unwrap(),
+        ),
+        ("handlers", java_src::render_handlers(m).unwrap()),
+        ("rust", render_rust_module(m, n).unwrap()),
     ];
     let got: Vec<(&str, (usize, u64))> = outputs.iter().map(|(k, s)| (*k, digest(s))).collect();
     let expected: [(&str, (usize, u64)); 7] = [

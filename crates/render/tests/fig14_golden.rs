@@ -4,8 +4,8 @@
 //! line (the paper's extra blank lines between blocks are collapsed).
 
 use stategen_commit::{CommitConfig, CommitModel};
-use stategen_core::generate;
-use stategen_render::TextRenderer;
+use stategen_core::{generate, FlatIr, Notes};
+use stategen_render::{render_state_text, render_text};
 
 /// Paper Fig 14, with consecutive blank lines collapsed.
 const FIG14: &str = "\
@@ -54,7 +54,11 @@ fn fig14_state_rendering_matches_paper() {
         .machine
         .state_by_name("T/2/F/0/F/F/F")
         .expect("Fig 14 state survives pruning and merging");
-    let text = TextRenderer::new().render_state(&generated.machine, id);
+    let (ir, notes) = (
+        FlatIr::from_machine(&generated.machine),
+        Notes::from_machine(&generated.machine),
+    );
+    let text = render_state_text(&ir, Some(&notes), id.index() as u32);
     assert_eq!(collapse_blank_lines(&text), collapse_blank_lines(FIG14));
 }
 
@@ -62,7 +66,11 @@ fn fig14_state_rendering_matches_paper() {
 fn whole_machine_rendering_contains_every_state() {
     let model = CommitModel::new(CommitConfig::new(4).expect("valid"));
     let generated = generate(&model).expect("generation succeeds");
-    let text = TextRenderer::new().render(&generated.machine);
+    let (ir, notes) = (
+        FlatIr::from_machine(&generated.machine),
+        Notes::from_machine(&generated.machine),
+    );
+    let text = render_text(&ir, Some(&notes));
     assert!(text.starts_with("machine: commit@r=4\n"));
     assert!(text.contains("messages: UPDATE, VOTE, COMMIT, FREE, NOT FREE\n"));
     assert!(text.contains("states: 33\n"));

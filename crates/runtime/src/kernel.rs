@@ -114,7 +114,7 @@ mod tests {
         let fin = b.add_state_full("FIN", None, StateRole::Finish, vec![]);
         b.add_transition(s0, "a", s1, vec![]);
         b.add_transition(s1, "a", fin, vec![]);
-        let machine = CompiledMachine::compile(&b.build(s0));
+        let machine = CompiledMachine::compile_ir(&FlatIr::from_machine(&b.build(s0))).unwrap();
         let a = machine.message_id("a").unwrap();
         (machine, a)
     }

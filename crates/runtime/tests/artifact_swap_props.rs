@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
-use stategen_core::{generate, HierarchicalMachine, HsmBuilder};
+use stategen_core::{generate, FlatIr, HierarchicalMachine, HsmBuilder};
 use stategen_runtime::{
     Action, Artifact, Engine, Runtime, SessionId, Spec, StategenError, SwapError, SwapOutcome,
 };
@@ -84,7 +84,7 @@ fn spec_engines_and_artifacts() -> Vec<(Engine, Artifact)> {
     vec![
         (
             Engine::compile(Spec::machine(machine.clone())).unwrap(),
-            Artifact::from_machine(&machine),
+            Artifact::new(FlatIr::from_machine(&machine), vec![]).unwrap(),
         ),
         (
             Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap(),

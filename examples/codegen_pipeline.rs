@@ -5,23 +5,25 @@
 //! Run with: `cargo run --example codegen_pipeline`
 
 use stategen::commit::{CommitConfig, CommitModel};
-use stategen::fsm::generate;
+use stategen::fsm::{generate, FlatIr, Notes};
 use stategen::render::{
-    java_src, render_dot, render_mermaid, render_rust_module, render_xml, DotOptions, JavaRenderer,
-    TextRenderer,
+    java_src, render_dot, render_mermaid, render_rust_module, render_text, render_xml, JavaRenderer,
 };
 use stategen::runtime::{Engine, Spec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generated = generate(&CommitModel::new(CommitConfig::new(4)?))?;
     let machine = &generated.machine;
+    // Lowered once: every renderer reads the IR, and the commentary rides
+    // beside it.
+    let (ir, notes) = (FlatIr::from_machine(machine), Notes::from_machine(machine));
 
-    let text = TextRenderer::new().render(machine);
-    let dot = render_dot(machine, &DotOptions::default());
-    let xml = render_xml(machine);
-    let mermaid = render_mermaid(machine);
-    let rust = render_rust_module(machine);
-    let java = JavaRenderer::new("CommitFsm", "CommitActions").render(machine);
+    let text = render_text(&ir, Some(&notes));
+    let dot = render_dot(&ir);
+    let xml = render_xml(&ir, Some(&notes));
+    let mermaid = render_mermaid(&ir);
+    let rust = render_rust_module(&ir, Some(&notes))?;
+    let java = JavaRenderer::new("CommitFsm", "CommitActions").render(&ir)?;
 
     println!(
         "machine `{}`: {} states, {} transitions",
@@ -42,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Paper Figs 17/19: the raw string-buffer generator and the
     // CodeBuffer-based one emit byte-identical code.
-    let raw = java_src::render_handlers_raw(machine);
-    let abstracted = java_src::render_handlers(machine);
+    let raw = java_src::render_handlers_raw(&ir)?;
+    let abstracted = java_src::render_handlers(&ir)?;
     assert_eq!(raw, abstracted);
     println!(
         "\nraw and abstracted generators emit identical code ({} bytes)",

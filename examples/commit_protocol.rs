@@ -6,8 +6,8 @@
 //! Run with: `cargo run --example commit_protocol`
 
 use stategen::commit::{CommitConfig, CommitModel, ReferenceCommit};
-use stategen::fsm::{generate, ProtocolEngine};
-use stategen::render::TextRenderer;
+use stategen::fsm::{generate, FlatIr, Notes, ProtocolEngine};
+use stategen::render::render_state_text;
 use stategen::runtime::{Engine, Spec};
 use stategen::simnet::SimConfig;
 use stategen::storage::{run_harness, HarnessConfig, PeerBehaviour, Pid};
@@ -31,9 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .machine
         .state_by_name("T/2/F/0/F/F/F")
         .expect("exists");
+    let ir = FlatIr::from_machine(&generated.machine);
+    let notes = Notes::from_machine(&generated.machine);
     println!(
         "\n{}",
-        TextRenderer::new().render_state(&generated.machine, fig14)
+        render_state_text(&ir, Some(&notes), fig14.index() as u32)
     );
 
     // -- The spectrum (paper §3.2): FSM vs hand-written algorithm. The

@@ -5,13 +5,14 @@
 //! Run with: `cargo run --example efsm_generic`
 
 use stategen::commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel};
-use stategen::fsm::generate;
-use stategen::render::render_efsm_text;
+use stategen::fsm::{generate, FlatIr, Notes};
+use stategen::render::render_text;
 use stategen::runtime::{Engine, Spec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let efsm = commit_efsm();
-    println!("{}", render_efsm_text(&efsm));
+    let notes = Notes::from_efsm(&efsm);
+    println!("{}", render_text(&FlatIr::from_efsm(&efsm), Some(&notes)));
     assert_eq!(efsm.state_count(), 9, "paper §5.3");
 
     // One EFSM vs three generated FSMs: identical behaviour, both

@@ -104,8 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And an engine over a different alphabet is rejected before any
     // session moves — both sides must serve the same MessageIds during
     // a drain.
-    let foreign = Engine::compile(stategen::runtime::Spec::machine(
-        stategen::models::session_lifecycle().flatten(),
+    let foreign = Engine::compile(stategen::runtime::Spec::hierarchical(
+        stategen::models::session_lifecycle(),
     ))?;
     let refusal = rt.begin_swap(foreign).expect_err("alphabet mismatch");
     println!("incompatible engine rejected before any session moved: {refusal}");

@@ -75,7 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Render the quorum-3 member (generation also feeds the renderers).
     let generated = generate(&AckQuorum { quorum: 3 })?;
-    println!("\n{}", TextRenderer::new().render(&generated.machine));
+    let notes = Notes::from_machine(&generated.machine);
+    let ir = FlatIr::from_machine(&generated.machine);
+    println!("\n{}", render_text(&ir, Some(&notes)));
 
     // The pipeline: Spec -> Engine -> Runtime. `Spec::generated` runs
     // the model through the generator; `Engine::compile` picks the

@@ -229,6 +229,10 @@ done <<'ROWS'
 -E%\b(Worklist|add_config|Configs)\b%crates/ src/ examples/ tests/ docs/%%the generator's, the unfolder's and the flattener's own visited sets were folded into core::explore (CHANGES.md, PR 35; docs/KERNELS.md)
 -E%\b(ShardedPool|BatchEngine)\b%crates/ src/ examples/ tests/ docs/%%a runtime's shards run through its private fork-join; the generic pool and its trait were deleted (CHANGES.md, PR 36)
 -E%stategen_core::(SessionStore|StepEngine|Instance|Taken|BatchTally|Tier)\b%crates/ src/ examples/ tests/%%the serving layer is private to stategen-runtime; core says what a machine is (CHANGES.md, PR 36)
+-E%\b(render_efsm_dot|render_efsm_text|DotOptions|TextRenderer|include_descriptions|render_markdown_report|render_machine_summary)\b%crates/ src/ examples/ tests/ docs/%%every renderer reads FlatIr and optional Notes; the EFSM renderers folded into the flat ones and the settable options and unused reports above were deleted (CHANGES.md: one machine for every back end)
+-E%\bfn (to_machine|flatten)\b%crates/core/src%%StateMachine is an authoring type lowered once by FlatIr::from_machine; the FlatIr -> StateMachine projections were deleted (CHANGES.md: one machine for every back end)
+-E --include=*.rs%CompiledMachine::compile\(|Artifact::from_machine%crates/ src/ examples/ tests/%%lower with FlatIr::from_machine, then CompiledMachine::compile_ir or Artifact::new (CHANGES.md: one machine for every back end)
+-E --include=*.rs%\b(StateMachine|Efsm)\b%crates/render/src%%the renderers consume only the lowered machine (FlatIr) and its Notes (CHANGES.md: one machine for every back end)
 ROWS
 set +f
 

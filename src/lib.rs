@@ -13,15 +13,16 @@
 //!
 //! ```
 //! use stategen::commit::{CommitConfig, CommitModel};
-//! use stategen::fsm::generate;
-//! use stategen::render::TextRenderer;
+//! use stategen::fsm::{generate, FlatIr, Notes};
+//! use stategen::render::render_text;
 //!
 //! let model = CommitModel::new(CommitConfig::new(4)?);
 //! let generated = generate(&model)?;
 //! assert_eq!(generated.report.initial_states, 512); // paper §3.4
 //! assert_eq!(generated.report.reachable_states, 48); // after pruning
 //! assert_eq!(generated.report.final_states, 33);     // after merging
-//! let text = TextRenderer::new().render(&generated.machine);
+//! let ir = FlatIr::from_machine(&generated.machine); // the one machine every back end reads
+//! let text = render_text(&ir, Some(&Notes::from_machine(&generated.machine)));
 //! assert!(text.contains("state: T/2/F/0/F/F/F"));    // paper Fig 14
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -63,9 +64,9 @@ pub mod prelude {
     pub use stategen_commit::{CommitConfig, CommitModel};
     pub use stategen_core::{
         generate, generate_with, AbstractModel, Action, FlatIr, GenerateOptions, GeneratedMachine,
-        HierarchicalMachine, HsmBuilder, HsmInstance, Outcome, ProtocolEngine, StateComponent,
-        StateMachine, StateSpace, StateVector, StategenError,
+        HierarchicalMachine, HsmBuilder, HsmInstance, Notes, Outcome, ProtocolEngine,
+        StateComponent, StateMachine, StateSpace, StateVector, StategenError,
     };
-    pub use stategen_render::{render_dot, render_mermaid, render_xml, TextRenderer};
+    pub use stategen_render::{render_dot, render_mermaid, render_text, render_xml};
     pub use stategen_runtime::{Engine, Runtime, SessionId, Spec, Tier};
 }

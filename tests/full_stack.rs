@@ -4,12 +4,14 @@
 
 use stategen::analysis::{analyze, AnalysisConfig};
 use stategen::chord::{Key, Overlay};
-use stategen::commit::{CommitConfig, CommitModel, ReferenceCommit};
+use stategen::commit::{
+    commit_efsm, commit_efsm_params, CommitConfig, CommitModel, ReferenceCommit,
+};
 use stategen::fsm::{
-    generate, merge_equivalent_states, FlatIr, Lint, MergeStrategy, ProtocolEngine,
+    generate, merge_equivalent_states, Artifact, FlatIr, Lint, MergeStrategy, Notes, ProtocolEngine,
 };
 use stategen::generated::GeneratedCommitR7;
-use stategen::render::{render_dot, render_mermaid, render_xml, DotOptions};
+use stategen::render::{render_dot, render_mermaid, render_xml};
 use stategen::simnet::SimConfig;
 use stategen::storage::{
     peer_set, pid_key, run_harness, DataBlock, DataService, HarnessConfig, NodeBehaviour,
@@ -22,7 +24,8 @@ use stategen::storage::{
 fn generate_validate_render() {
     for r in [4u32, 7] {
         let g = generate(&CommitModel::new(CommitConfig::new(r).unwrap())).unwrap();
-        let analysis = analyze(&FlatIr::from_machine(&g.machine), &AnalysisConfig::new());
+        let ir = FlatIr::from_machine(&g.machine);
+        let analysis = analyze(&ir, &AnalysisConfig::new());
         assert!(analysis.is_clean(), "r={r}: {:?}", analysis.diagnostics);
         for lint in [
             Lint::FinalWithOutgoing,
@@ -33,15 +36,15 @@ fn generate_validate_render() {
             assert!(!analysis.has(lint), "r={r}: {:?}", analysis.diagnostics);
         }
 
-        let dot = render_dot(&g.machine, &DotOptions::default());
+        let dot = render_dot(&ir);
         assert_eq!(dot.matches('{').count(), dot.matches('}').count());
         assert!(dot.contains(&format!("digraph \"commit@r={r}\"")));
 
-        let xml = render_xml(&g.machine);
+        let xml = render_xml(&ir, Some(&Notes::from_machine(&g.machine)));
         assert!(xml.contains(&format!("states=\"{}\"", g.machine.state_count())));
         assert!(xml.trim_end().ends_with("</statemachine>"));
 
-        let mermaid = render_mermaid(&g.machine);
+        let mermaid = render_mermaid(&ir);
         assert!(mermaid.starts_with("stateDiagram-v2"));
         assert_eq!(
             mermaid.matches(" --> ").count(),
@@ -49,6 +52,29 @@ fn generate_validate_render() {
             g.machine.transition_count() + 2
         );
     }
+}
+
+/// An artifact draws without its model: the loaded IR renders the same
+/// DOT as the machine it was saved from, and a bound guarded machine
+/// keeps its guards on the edge labels.
+#[test]
+fn artifacts_render_without_their_model() {
+    let g = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
+    let ir = FlatIr::from_machine(&g.machine);
+    let bytes = Artifact::new(ir.clone(), vec![]).unwrap().save();
+    let loaded = Artifact::load(&bytes).unwrap();
+    assert_eq!(render_dot(loaded.ir()), render_dot(&ir));
+
+    let efsm = commit_efsm();
+    let params = commit_efsm_params(&CommitConfig::new(4).unwrap());
+    let bytes = Artifact::from_efsm(&efsm, params).unwrap().save();
+    let dot = render_dot(Artifact::load(&bytes).unwrap().ir());
+    assert_eq!(dot, render_dot(&FlatIr::from_efsm(&efsm)));
+    assert!(
+        dot.contains("\\n[votes_received+1 >= vote_threshold"),
+        "{dot}"
+    );
+    assert!(dot.contains("\\n/ votes_received+=1"), "{dot}");
 }
 
 /// The build-time generated code, the interpreter and the hand-written
@@ -144,9 +170,9 @@ fn merge_fixpoint_stability() {
 fn prelude_workflow() {
     use stategen::prelude::*;
     let generated = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
-    let text = TextRenderer::new().render(&generated.machine);
-    assert!(text.contains("machine: commit@r=4"));
     let ir = FlatIr::from_machine(&generated.machine);
+    let text = render_text(&ir, Some(&Notes::from_machine(&generated.machine)));
+    assert!(text.contains("machine: commit@r=4"));
     let mut instance = ir.instance(vec![]);
     instance.deliver("update").unwrap();
     assert_eq!(instance.state_name(), "T/0/T/0/F/T/T");

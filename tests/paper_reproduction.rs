@@ -3,11 +3,11 @@
 
 use stategen::commit::{commit_efsm, CommitConfig, CommitModel, EarlyCommitModel};
 use stategen::fsm::{
-    generate, generate_with, merge_equivalent_states, prune_unreachable, AbstractModel,
-    GenerateOptions, MergeStrategy, Outcome,
+    generate, generate_with, merge_equivalent_states, prune_unreachable, AbstractModel, FlatIr,
+    GenerateOptions, MergeStrategy, Notes, Outcome,
 };
 use stategen::models::{BroadcastModel, RoundsModel, TerminationModel};
-use stategen::render::TextRenderer;
+use stategen::render::render_state_text;
 
 /// Paper Table 1 (plus the §3.4 pruning count for r = 4).
 #[test]
@@ -46,7 +46,11 @@ fn r4_machine_shape() {
 fn fig14_text() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
     let (id, _) = g.machine.state_by_name("T/2/F/0/F/F/F").expect("exists");
-    let text = TextRenderer::new().render_state(&g.machine, id);
+    let (ir, notes) = (
+        FlatIr::from_machine(&g.machine),
+        Notes::from_machine(&g.machine),
+    );
+    let text = render_state_text(&ir, Some(&notes), id.index() as u32);
     for needle in [
         "state: T/2/F/0/F/F/F",
         "Have received initial update from client.",
@@ -91,7 +95,8 @@ fn fig3_early_transition() {
 #[test]
 fn fig16_generated_branch() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
-    let handlers = stategen::render::java_src::render_handlers(&g.machine);
+    let ir = FlatIr::from_machine(&g.machine);
+    let handlers = stategen::render::java_src::render_handlers(&ir).unwrap();
     assert!(handlers.contains("void receiveVote() {"));
     assert!(handlers.contains("case (T-1-T-1-F-T-T) : {"));
     let branch = handlers
