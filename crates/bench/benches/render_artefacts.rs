@@ -14,10 +14,8 @@ fn bench_render(c: &mut Criterion) {
     let machine = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generates")
         .machine;
-    let (ir, notes) = (
-        FlatIr::from_machine(&machine),
-        Notes::from_machine(&machine),
-    );
+    let ir = FlatIr::from_machine(&machine);
+    let notes = Notes::from_machine(&machine);
     let mut group = c.benchmark_group("render_artefacts");
     group.bench_function("text", |b| {
         b.iter(|| black_box(render_text(&ir, Some(&notes)).len()));

@@ -12,12 +12,7 @@ fn main() {
         .machine
         .state_by_name("T/2/F/0/F/F/F")
         .expect("the Fig 14 state survives pruning and merging");
-    let (ir, notes) = (
-        FlatIr::from_machine(&g.machine),
-        Notes::from_machine(&g.machine),
-    );
-    print!(
-        "{}",
-        render_state_text(&ir, Some(&notes), id.index() as u32)
-    );
+    let ir = FlatIr::from_machine(&g.machine);
+    let notes = Notes::from_machine(&g.machine);
+    print!("{}", render_state_text(&ir, Some(&notes), id.index()));
 }

@@ -11,10 +11,8 @@ fn main() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generation succeeds");
     let dir = artifacts_dir();
-    let (ir, notes) = (
-        FlatIr::from_machine(&g.machine),
-        Notes::from_machine(&g.machine),
-    );
+    let ir = FlatIr::from_machine(&g.machine);
+    let notes = Notes::from_machine(&g.machine);
     let dot = render_dot(&ir);
     let xml = render_xml(&ir, Some(&notes));
     let mermaid = render_mermaid(&ir);

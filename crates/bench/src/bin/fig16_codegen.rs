@@ -10,10 +10,8 @@ use stategen_render::{java_src, render_rust_module, JavaRenderer};
 fn main() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generation succeeds");
-    let (ir, notes) = (
-        FlatIr::from_machine(&g.machine),
-        Notes::from_machine(&g.machine),
-    );
+    let ir = FlatIr::from_machine(&g.machine);
+    let notes = Notes::from_machine(&g.machine);
     let handlers = java_src::render_handlers(&ir).expect("a generated machine is unguarded");
     // Fig 16 shows the vote handler; print it.
     let vote_handler: String = handlers

@@ -836,10 +836,8 @@ mod tests {
         b.add_transition_annotated(s0, "b", s1, vec![], vec!["on b".into()]);
         b.add_transition_annotated(s0, "a", s1, vec![], vec!["on a".into()]);
         let machine = b.build(s0);
-        let (ir, notes) = (
-            FlatIr::from_machine(&machine),
-            Notes::from_machine(&machine),
-        );
+        let ir = FlatIr::from_machine(&machine);
+        let notes = Notes::from_machine(&machine);
         assert_eq!(notes.state(0), ["first"]);
         assert!(notes.state(1).is_empty() && notes.state(9).is_empty());
         for (i, t) in ir.states()[0].transitions().iter().enumerate() {
@@ -848,10 +846,13 @@ mod tests {
         }
         assert!(notes.transition(0, 2).is_empty());
 
-        let efsm = counter_efsm();
-        let notes = Notes::from_efsm(&efsm);
-        assert_eq!(notes.state(0), efsm.states()[0].annotations());
-        assert!(notes.transition(0, 1).is_empty());
+        let mut b = EfsmBuilder::new("e", ["a"]);
+        let s0 = b.add_state_annotated("s0", vec!["idle".into()]);
+        let (always, note) = (Guard::always(), vec!["loops".into()]);
+        b.add_transition_annotated(s0, "a", always, vec![], vec![], s0, note);
+        let notes = Notes::from_efsm(&b.build(s0, None));
+        assert_eq!(notes.state(0), ["idle"]);
+        assert_eq!(notes.transition(0, 0), ["loops"]);
     }
 
     #[test]

@@ -145,10 +145,7 @@ impl CodeBuffer {
 /// not start with a letter gets an `S_` prefix (`T/2/F/0/F/F/F` →
 /// `T_2_F_0_F_F_F`, `1/0/1/0` → `S_1_0_1_0`).
 pub(crate) fn ident(name: &str) -> String {
-    let ident: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
+    let ident = name.replace(|c: char| !c.is_ascii_alphanumeric(), "_");
     if ident.starts_with(|c: char| c.is_ascii_alphabetic()) {
         ident
     } else {

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use stategen_core::{FlatIr, StateRole};
 
-use crate::labels::dot_edge_label;
+use crate::labels::Names;
 
 /// Escapes a string for use inside a DOT double-quoted label (shared
 /// with the hierarchy-aware renderer in [`crate::hsm`]).
@@ -35,16 +35,11 @@ pub fn render_dot(ir: &FlatIr) -> String {
         let _ = writeln!(out, "    s{i} [label=\"{}\"{shape}];", escape(state.name()));
     }
     let _ = writeln!(out, "    __start -> s{};", ir.start());
+    let names = Names::new(ir.variables(), ir.params());
     for (i, state) in ir.states().iter().enumerate() {
         for t in state.transitions() {
-            let label = dot_edge_label(
-                ir.variables(),
-                ir.params(),
-                &ir.messages()[t.message_index()],
-                t.guard(),
-                t.updates(),
-                t.actions(),
-            );
+            let message = &ir.messages()[t.message_index()];
+            let label = names.dot_label(message, t.guard(), t.updates(), t.actions());
             let width = if t.actions().is_empty() {
                 ""
             } else {

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use stategen_core::{HierarchicalMachine, HsmStateId, HsmTarget, StateRole};
 
 use crate::dot::escape;
-use crate::labels::{dot_edge_label, mermaid_edge_label};
+use crate::labels::Names;
 
 /// The representative node of a state: itself for leaves, the leaf
 /// reached by descending through initial children for composites (DOT
@@ -83,6 +83,7 @@ fn render_dot_state(
 /// can start and end at cluster borders), `H` pseudostate nodes for
 /// shallow history, and dashed self-loops for internal transitions.
 pub fn render_hsm_dot(machine: &HierarchicalMachine) -> String {
+    let names = Names::new(machine.variables(), machine.params());
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", escape(machine.name()));
     out.push_str("    rankdir=LR;\n    compound=true;\n");
@@ -109,14 +110,8 @@ pub fn render_hsm_dot(machine: &HierarchicalMachine) -> String {
             format!(", ltail=cluster_{}", id.index())
         };
         for (mid, t) in state.transitions() {
-            let mut label = dot_edge_label(
-                machine.variables(),
-                machine.params(),
-                &machine.messages()[mid.index()],
-                t.guard(),
-                t.updates(),
-                t.actions(),
-            );
+            let message = &machine.messages()[mid.index()];
+            let mut label = names.dot_label(message, t.guard(), t.updates(), t.actions());
             let (head, head_attr, style) = match t.target() {
                 HsmTarget::Internal => {
                     label.push_str("\\n(internal)");
@@ -189,6 +184,7 @@ fn render_mermaid_state(
 /// child, `[H]`-suffixed edges for shallow-history targets and
 /// `(internal)`-suffixed self-loops for internal transitions.
 pub fn render_hsm_mermaid(machine: &HierarchicalMachine) -> String {
+    let names = Names::new(machine.variables(), machine.params());
     let mut out = String::from("stateDiagram-v2\n");
     for id in machine.top_level() {
         render_mermaid_state(machine, id, 1, &mut out);
@@ -196,14 +192,8 @@ pub fn render_hsm_mermaid(machine: &HierarchicalMachine) -> String {
     let _ = writeln!(out, "    [*] --> s{}", machine.start().index());
     for (id, state) in machine.states_with_ids() {
         for (mid, t) in state.transitions() {
-            let mut label = mermaid_edge_label(
-                machine.variables(),
-                machine.params(),
-                &machine.messages()[mid.index()],
-                t.guard(),
-                t.updates(),
-                t.actions(),
-            );
+            let message = &machine.messages()[mid.index()];
+            let mut label = names.mermaid_label(message, t.guard(), t.updates(), t.actions());
             let to = match t.target() {
                 HsmTarget::Internal => {
                     label.push_str(" (internal)");

@@ -13,132 +13,131 @@ use stategen_core::Action;
 
 use crate::dot::escape;
 
-/// Formats a linear expression against explicit variable and parameter
-/// name tables (any machine shape carrying guards — EFSMs, guarded
-/// statecharts, the unified flat IR — renders through this).
-pub(crate) fn format_expr_names(variables: &[String], params: &[String], expr: &LinExpr) -> String {
-    let mut out = String::new();
-    for &(coeff, operand) in expr.terms() {
-        let name = match operand {
-            Operand::Var(v) => &variables[v.index()],
-            Operand::Param(p) => &params[p.index()],
-        };
-        let sign = if coeff < 0 {
-            "-"
-        } else if out.is_empty() {
-            ""
-        } else {
-            "+"
-        };
-        let _ = match coeff.unsigned_abs() {
-            1 => write!(out, "{sign}{name}"),
-            c => write!(out, "{sign}{c}*{name}"),
-        };
-    }
-    let c = expr.constant_part();
-    if c < 0 {
-        let _ = write!(out, "{c}");
-    } else if c > 0 || out.is_empty() {
-        let _ = write!(out, "{}{c}", if out.is_empty() { "" } else { "+" });
-    }
-    out
+/// A machine's variable and parameter names, which guards and updates
+/// print in place of register and parameter indices (every machine
+/// shape that carries guards — the flat IR and statecharts — has both
+/// tables).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Names<'a> {
+    variables: &'a [String],
+    params: &'a [String],
 }
 
-/// Formats a guard as a bracketed conjunction against explicit name
-/// tables, or the empty string for the always-true guard.
-pub(crate) fn format_guard_names(variables: &[String], params: &[String], guard: &Guard) -> String {
-    if guard.conditions().is_empty() {
-        return String::new();
+impl<'a> Names<'a> {
+    pub(crate) fn new(variables: &'a [String], params: &'a [String]) -> Self {
+        Names { variables, params }
     }
-    let conds: Vec<String> = guard
-        .conditions()
-        .iter()
-        .map(|c| {
-            format!(
-                "{} {} {}",
-                format_expr_names(variables, params, &c.lhs),
-                c.op,
-                format_expr_names(variables, params, &c.rhs)
-            )
-        })
-        .collect();
-    format!("[{}]", conds.join(" && "))
-}
 
-/// Formats a transition's variable updates against explicit name tables.
-pub(crate) fn format_updates_names(
-    variables: &[String],
-    params: &[String],
-    updates: &[Update],
-) -> String {
-    updates
-        .iter()
-        .map(|u| match u {
-            Update::Inc(v) => format!("{}+=1", variables[v.index()]),
-            Update::Set(v, e) => {
+    /// Formats a linear expression: `2*n+limit-1`.
+    fn format_expr(self, expr: &LinExpr) -> String {
+        let mut out = String::new();
+        for &(coeff, operand) in expr.terms() {
+            let name = match operand {
+                Operand::Var(v) => &self.variables[v.index()],
+                Operand::Param(p) => &self.params[p.index()],
+            };
+            let sign = if coeff < 0 {
+                "-"
+            } else if out.is_empty() {
+                ""
+            } else {
+                "+"
+            };
+            let _ = match coeff.unsigned_abs() {
+                1 => write!(out, "{sign}{name}"),
+                c => write!(out, "{sign}{c}*{name}"),
+            };
+        }
+        let c = expr.constant_part();
+        if c < 0 {
+            let _ = write!(out, "{c}");
+        } else if c > 0 || out.is_empty() {
+            let _ = write!(out, "{}{c}", if out.is_empty() { "" } else { "+" });
+        }
+        out
+    }
+
+    /// Formats a guard as a bracketed conjunction, or the empty string
+    /// for the always-true guard.
+    pub(crate) fn format_guard(self, guard: &Guard) -> String {
+        if guard.conditions().is_empty() {
+            return String::new();
+        }
+        let conds: Vec<String> = guard
+            .conditions()
+            .iter()
+            .map(|c| {
                 format!(
-                    "{}:={}",
-                    variables[v.index()],
-                    format_expr_names(variables, params, e)
+                    "{} {} {}",
+                    self.format_expr(&c.lhs),
+                    c.op,
+                    self.format_expr(&c.rhs)
                 )
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
+            })
+            .collect();
+        format!("[{}]", conds.join(" && "))
+    }
 
-/// The label of a DOT edge: the upper-cased message, then the guard,
-/// the updates and each sent message on a line of its own. Every
-/// fragment is escaped on its own, so the `\n` separators stay DOT line
-/// breaks whatever bytes the names contain.
-pub(crate) fn dot_edge_label(
-    variables: &[String],
-    params: &[String],
-    message: &str,
-    guard: &Guard,
-    updates: &[Update],
-    actions: &[Action],
-) -> String {
-    let mut label = escape(&message.to_uppercase());
-    let guard = format_guard_names(variables, params, guard);
-    if !guard.is_empty() {
-        let _ = write!(label, "\\n{}", escape(&guard));
+    /// Formats a transition's variable updates: `n+=1, m:=0`.
+    pub(crate) fn format_updates(self, updates: &[Update]) -> String {
+        let update = |u: &Update| match u {
+            Update::Inc(v) => format!("{}+=1", self.variables[v.index()]),
+            Update::Set(v, e) => format!("{}:={}", self.variables[v.index()], self.format_expr(e)),
+        };
+        updates.iter().map(update).collect::<Vec<_>>().join(", ")
     }
-    let updates = format_updates_names(variables, params, updates);
-    if !updates.is_empty() {
-        let _ = write!(label, "\\n/ {}", escape(&updates));
-    }
-    for a in actions {
-        let _ = write!(label, "\\n->{}", escape(a.message()));
-    }
-    label
-}
 
-/// The label of a Mermaid transition: `MESSAGE [guard] / updates, sent,
-/// messages`, each part present only when it is non-empty.
-pub(crate) fn mermaid_edge_label(
-    variables: &[String],
-    params: &[String],
-    message: &str,
-    guard: &Guard,
-    updates: &[Update],
-    actions: &[Action],
-) -> String {
-    let mut label = message.to_uppercase();
-    let guard = format_guard_names(variables, params, guard);
-    if !guard.is_empty() {
-        let _ = write!(label, " {guard}");
+    /// The label of a DOT edge: the upper-cased message, then the guard,
+    /// the updates and each sent message on a line of its own. Every
+    /// fragment is escaped on its own, so the `\n` separators stay DOT
+    /// line breaks whatever bytes the names contain.
+    pub(crate) fn dot_label(
+        self,
+        message: &str,
+        guard: &Guard,
+        updates: &[Update],
+        actions: &[Action],
+    ) -> String {
+        let mut label = escape(&message.to_uppercase());
+        let guard = self.format_guard(guard);
+        if !guard.is_empty() {
+            let _ = write!(label, "\\n{}", escape(&guard));
+        }
+        let updates = self.format_updates(updates);
+        if !updates.is_empty() {
+            let _ = write!(label, "\\n/ {}", escape(&updates));
+        }
+        for a in actions {
+            let _ = write!(label, "\\n->{}", escape(a.message()));
+        }
+        label
     }
-    let updates = format_updates_names(variables, params, updates);
-    let effects: Vec<&str> = (!updates.is_empty())
-        .then_some(updates.as_str())
-        .into_iter()
-        .chain(actions.iter().map(Action::message))
-        .collect();
-    if !effects.is_empty() {
-        let _ = write!(label, " / {}", effects.join(", "));
+
+    /// The label of a Mermaid transition: `MESSAGE [guard] / updates,
+    /// sent, messages`, each part present only when it is non-empty.
+    pub(crate) fn mermaid_label(
+        self,
+        message: &str,
+        guard: &Guard,
+        updates: &[Update],
+        actions: &[Action],
+    ) -> String {
+        let mut label = message.to_uppercase();
+        let guard = self.format_guard(guard);
+        if !guard.is_empty() {
+            let _ = write!(label, " {guard}");
+        }
+        let updates = self.format_updates(updates);
+        let effects: Vec<&str> = (!updates.is_empty())
+            .then_some(updates.as_str())
+            .into_iter()
+            .chain(actions.iter().map(Action::message))
+            .collect();
+        if !effects.is_empty() {
+            let _ = write!(label, " / {}", effects.join(", "));
+        }
+        label
     }
-    label
 }
 
 #[cfg(test)]
@@ -152,17 +151,12 @@ mod tests {
         let mut b = HsmBuilder::new("m", ["tick"]);
         let limit = LinExpr::param(b.add_param("limit"));
         let n = LinExpr::var(b.add_var("n"));
-        let (vars, params) = (["n".to_string()], ["limit".to_string()]);
-        assert_eq!(
-            format_expr_names(&vars, &params, &n.clone().plus_const(1)),
-            "n+1"
-        );
-        assert_eq!(format_expr_names(&vars, &params, &limit), "limit");
+        let (variables, params) = (["n".to_string()], ["limit".to_string()]);
+        let names = Names::new(&variables, &params);
+        assert_eq!(names.format_expr(&n.clone().plus_const(1)), "n+1");
+        assert_eq!(names.format_expr(&limit), "limit");
         let guard = Guard::when(n.times(-2), CmpOp::Lt, limit.plus_const(-3));
-        assert_eq!(
-            format_guard_names(&vars, &params, &guard),
-            "[-2*n < limit-3]"
-        );
-        assert_eq!(format_guard_names(&vars, &params, &Guard::always()), "");
+        assert_eq!(names.format_guard(&guard), "[-2*n < limit-3]");
+        assert_eq!(names.format_guard(&Guard::always()), "");
     }
 }

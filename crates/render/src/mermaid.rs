@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use stategen_core::{FlatIr, StateRole};
 
-use crate::labels::mermaid_edge_label;
+use crate::labels::Names;
 
 /// Renders the machine as a Mermaid state diagram.
 pub fn render_mermaid(ir: &FlatIr) -> String {
@@ -14,16 +14,11 @@ pub fn render_mermaid(ir: &FlatIr) -> String {
         let _ = writeln!(out, "    s{i} : {}", state.name());
     }
     let _ = writeln!(out, "    [*] --> s{}", ir.start());
+    let names = Names::new(ir.variables(), ir.params());
     for (i, state) in ir.states().iter().enumerate() {
         for t in state.transitions() {
-            let label = mermaid_edge_label(
-                ir.variables(),
-                ir.params(),
-                &ir.messages()[t.message_index()],
-                t.guard(),
-                t.updates(),
-                t.actions(),
-            );
+            let message = &ir.messages()[t.message_index()];
+            let label = names.mermaid_label(message, t.guard(), t.updates(), t.actions());
             let _ = writeln!(out, "    s{i} --> s{} : {label}", t.target());
         }
         if state.role() == StateRole::Finish {

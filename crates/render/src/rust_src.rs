@@ -21,15 +21,8 @@ use crate::codebuf::{ident, require_unguarded, transition_on, unique_idents, Cod
 /// Snake-case function suffix for a message name.
 fn fn_suffix(message: &str) -> String {
     message
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
+        .to_ascii_lowercase()
+        .replace(|c: char| !c.is_ascii_alphanumeric(), "_")
 }
 
 /// A Rust string literal holding `s`, escaped as needed.

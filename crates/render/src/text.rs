@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 use stategen_core::{FlatIr, Notes, StateRole};
 
-use crate::labels::{format_guard_names, format_updates_names};
+use crate::labels::Names;
 
 /// Display form of a message name: upper-cased, underscores as spaces
 /// (paper Fig 14 shows `message: VOTE`).
@@ -36,10 +36,9 @@ fn display_message(name: &str) -> String {
     name.to_uppercase().replace('_', " ")
 }
 
-/// Renders a single state with its transitions (paper Fig 14); with
-/// `notes`, its `Description:` block too.
-pub fn render_state_text(ir: &FlatIr, notes: Option<&Notes>, state: u32) -> String {
-    let id = state as usize;
+/// Renders the state with dense id `id` and its transitions (paper
+/// Fig 14); with `notes`, its `Description:` block too.
+pub fn render_state_text(ir: &FlatIr, notes: Option<&Notes>, id: usize) -> String {
     let state = &ir.states()[id];
     let mut out = String::new();
     let header = format!("state: {}", state.name());
@@ -53,17 +52,18 @@ pub fn render_state_text(ir: &FlatIr, notes: Option<&Notes>, state: u32) -> Stri
     }
 
     out.push_str("\nTransitions:\n");
+    let names = Names::new(ir.variables(), ir.params());
     for t in state.transitions() {
         let _ = writeln!(
             out,
             "\n message: {}",
             display_message(&ir.messages()[t.message_index()])
         );
-        let guard = format_guard_names(ir.variables(), ir.params(), t.guard());
+        let guard = names.format_guard(t.guard());
         if !guard.is_empty() {
             let _ = writeln!(out, "  guard: {guard}");
         }
-        let updates = format_updates_names(ir.variables(), ir.params(), t.updates());
+        let updates = names.format_updates(t.updates());
         if !updates.is_empty() {
             let _ = writeln!(out, "  update: {updates}");
         }
@@ -97,7 +97,7 @@ pub fn render_text(ir: &FlatIr, notes: Option<&Notes>) -> String {
     }
     let transitions: usize = ir.states().iter().map(|s| s.transitions().len()).sum();
     let _ = writeln!(out, "transitions: {transitions}");
-    for id in 0..ir.state_count() as u32 {
+    for id in 0..ir.state_count() {
         out.push('\n');
         out.push_str(&render_state_text(ir, notes, id));
     }

@@ -21,22 +21,16 @@ fn digest(s: &str) -> (usize, u64) {
 fn commit_r4_artefacts_are_byte_pinned() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).expect("valid")))
         .expect("generation succeeds");
-    let (ir, notes) = (
-        FlatIr::from_machine(&g.machine),
-        Notes::from_machine(&g.machine),
-    );
+    let ir = FlatIr::from_machine(&g.machine);
+    let notes = Notes::from_machine(&g.machine);
     let (m, n) = (&ir, Some(&notes));
+    let java = JavaRenderer::new("CommitFsm", "CommitActions");
     let outputs = [
         ("dot", render_dot(m)),
         ("xml", render_xml(m, n)),
         ("mermaid", render_mermaid(m)),
         ("text", render_text(m, n)),
-        (
-            "java",
-            JavaRenderer::new("CommitFsm", "CommitActions")
-                .render(m)
-                .unwrap(),
-        ),
+        ("java", java.render(m).unwrap()),
         ("handlers", java_src::render_handlers(m).unwrap()),
         ("rust", render_rust_module(m, n).unwrap()),
     ];

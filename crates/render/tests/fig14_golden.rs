@@ -54,11 +54,9 @@ fn fig14_state_rendering_matches_paper() {
         .machine
         .state_by_name("T/2/F/0/F/F/F")
         .expect("Fig 14 state survives pruning and merging");
-    let (ir, notes) = (
-        FlatIr::from_machine(&generated.machine),
-        Notes::from_machine(&generated.machine),
-    );
-    let text = render_state_text(&ir, Some(&notes), id.index() as u32);
+    let ir = FlatIr::from_machine(&generated.machine);
+    let notes = Notes::from_machine(&generated.machine);
+    let text = render_state_text(&ir, Some(&notes), id.index());
     assert_eq!(collapse_blank_lines(&text), collapse_blank_lines(FIG14));
 }
 
@@ -66,10 +64,8 @@ fn fig14_state_rendering_matches_paper() {
 fn whole_machine_rendering_contains_every_state() {
     let model = CommitModel::new(CommitConfig::new(4).expect("valid"));
     let generated = generate(&model).expect("generation succeeds");
-    let (ir, notes) = (
-        FlatIr::from_machine(&generated.machine),
-        Notes::from_machine(&generated.machine),
-    );
+    let ir = FlatIr::from_machine(&generated.machine);
+    let notes = Notes::from_machine(&generated.machine);
     let text = render_text(&ir, Some(&notes));
     assert!(text.starts_with("machine: commit@r=4\n"));
     assert!(text.contains("messages: UPDATE, VOTE, COMMIT, FREE, NOT FREE\n"));

@@ -16,7 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = &generated.machine;
     // Lowered once: every renderer reads the IR, and the commentary rides
     // beside it.
-    let (ir, notes) = (FlatIr::from_machine(machine), Notes::from_machine(machine));
+    let ir = FlatIr::from_machine(machine);
+    let notes = Notes::from_machine(machine);
 
     let text = render_text(&ir, Some(&notes));
     let dot = render_dot(&ir);

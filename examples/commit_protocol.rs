@@ -33,10 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("exists");
     let ir = FlatIr::from_machine(&generated.machine);
     let notes = Notes::from_machine(&generated.machine);
-    println!(
-        "\n{}",
-        render_state_text(&ir, Some(&notes), fig14.index() as u32)
-    );
+    println!("\n{}", render_state_text(&ir, Some(&notes), fig14.index()));
 
     // -- The spectrum (paper §3.2): FSM vs hand-written algorithm. The
     // generated machine runs behind the `Spec → Engine → Runtime`

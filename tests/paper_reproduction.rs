@@ -46,11 +46,9 @@ fn r4_machine_shape() {
 fn fig14_text() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
     let (id, _) = g.machine.state_by_name("T/2/F/0/F/F/F").expect("exists");
-    let (ir, notes) = (
-        FlatIr::from_machine(&g.machine),
-        Notes::from_machine(&g.machine),
-    );
-    let text = render_state_text(&ir, Some(&notes), id.index() as u32);
+    let ir = FlatIr::from_machine(&g.machine);
+    let notes = Notes::from_machine(&g.machine);
+    let text = render_state_text(&ir, Some(&notes), id.index());
     for needle in [
         "state: T/2/F/0/F/F/F",
         "Have received initial update from client.",
