@@ -1,20 +1,14 @@
 //! # repro-bench
 //!
-//! Benchmark harness and experiment binaries regenerating every table and
-//! figure of the paper's evaluation. See EXPERIMENTS.md at the workspace
-//! root for the experiment index and recorded results.
+//! Experiment binaries regenerating the tables and figures of the paper's
+//! evaluation, plus `engine_tiers`, the in-process gates on the runtime
+//! tiers (it writes `BENCH_engine_tiers.json`). End-to-end performance is
+//! measured by the separate `benchmark/` package (`benchmark/README.md`).
 //!
-//! Criterion benches (`cargo bench`):
-//!
-//! * `table1_generation` — Table 1 generation times;
-//! * `chord_routing` — §2 logarithmic routing;
-//! * `commit_protocol` — §2.2 end-to-end commit latency;
-//! * `render_artefacts` — §3.5/§4.1 artefact rendering cost.
-//!
-//! Experiment binaries (`cargo run --release -p repro-bench --bin <name>`): `table1`,
+//! Binaries (`cargo run --release -p repro-bench --bin <name>`): `table1`,
 //! `fig03_early_fsm`, `fig13_pipeline`, `fig14_state_text`,
-//! `fig15_diagram`, `fig16_codegen`, `efsm_report`, `backoff_sweep`,
-//! `chord_hops`, `models_report`, `storage_demo`.
+//! `fig15_diagram`, `fig16_codegen`, `efsm_report`, `engine_tiers`,
+//! `backoff_sweep`, `chord_hops`, `models_report`, `storage_demo`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 
 use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_commit::{commit_efsm, CommitConfig, CommitModel};
-use stategen_core::{generate, generate_with, FlatIr, GenerateOptions, Lint, MergeStrategy};
+use stategen_core::{generate, generate_with, FlatIr, GenerateOptions, Lint};
 
 /// Paper Table 1: f, r, initial states, final states.
 const TABLE1: [(u32, u32, u64, usize); 5] = [
@@ -34,7 +34,7 @@ fn table1_state_counts() {
 #[test]
 fn table1_elaborates_only_reached_states() {
     let unmerged = GenerateOptions {
-        merge: MergeStrategy::None,
+        merge: false,
         ..Default::default()
     };
     for (_, r, _, _) in TABLE1 {
@@ -125,8 +125,7 @@ fn generated_machines_validate() {
 fn merge_is_idempotent() {
     let g = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap();
     assert!(g.machine.unique_final().is_some());
-    let (again, _rounds) =
-        stategen_core::merge_equivalent_states(&g.machine, MergeStrategy::ToFixpoint);
+    let (again, _rounds) = stategen_core::merge_equivalent_states(&g.machine);
     assert_eq!(again.state_count(), g.machine.state_count());
 }
 
@@ -136,7 +135,7 @@ fn merge_is_idempotent() {
 fn pipeline_stage_options() {
     let model = CommitModel::new(CommitConfig::new(4).unwrap());
     let no_merge = GenerateOptions {
-        merge: MergeStrategy::None,
+        merge: false,
         ..Default::default()
     };
     let g = generate_with(&model, &no_merge).unwrap();
@@ -144,28 +143,10 @@ fn pipeline_stage_options() {
 
     let no_prune = GenerateOptions {
         prune: false,
-        merge: MergeStrategy::None,
-        ..Default::default()
+        merge: false,
     };
     let g = generate_with(&model, &no_prune).unwrap();
     assert_eq!(g.machine.state_count(), 512);
-}
-
-/// Single-pass merging is enough to collapse the 16 completed states of
-/// the r = 4 machine (they are directly equivalent), but fixpoint merging
-/// is the default because equivalences can cascade.
-#[test]
-fn single_pass_merges_finals() {
-    let model = CommitModel::new(CommitConfig::new(4).unwrap());
-    let single = GenerateOptions {
-        merge: MergeStrategy::SinglePass,
-        ..Default::default()
-    };
-    let g = generate_with(&model, &single).unwrap();
-    assert!(
-        g.machine.final_state_ids().len() == 1,
-        "finals merged in one pass"
-    );
 }
 
 /// Paper §5.3: the EFSM has 9 states for every replication factor.

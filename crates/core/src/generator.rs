@@ -38,19 +38,6 @@ use crate::machine::{
 };
 use crate::model::{AbstractModel, Outcome};
 
-/// How aggressively equivalent states are combined (paper §3.4 step 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeStrategy {
-    /// Do not merge.
-    None,
-    /// A single grouping pass over the states.
-    SinglePass,
-    /// Repeat grouping until a fixpoint is reached (states merged in one
-    /// round can make further states equivalent in the next).
-    #[default]
-    ToFixpoint,
-}
-
 /// Options controlling the generation pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenerateOptions {
@@ -60,25 +47,17 @@ pub struct GenerateOptions {
     /// product is elaborated and held, which a large, sparsely reached
     /// space (up to `u32::MAX` states) cannot afford.
     pub prune: bool,
-    /// Equivalent-state merging strategy (paper step 4).
-    pub merge: MergeStrategy,
-    /// Record transitions that neither change state nor perform actions.
-    /// The paper's generator omits them (a message with no effect is simply
-    /// not applicable in that state). Default `false`.
-    pub keep_self_loops: bool,
-    /// Attach per-state commentary from
-    /// [`AbstractModel::describe_state`] to the surviving states.
-    /// Default `true`.
-    pub annotate_states: bool,
+    /// Combine equivalent states (paper step 4), repeating the grouping
+    /// until a fixpoint: states merged in one round can make further
+    /// states equivalent in the next. Default `true`.
+    pub merge: bool,
 }
 
 impl Default for GenerateOptions {
     fn default() -> Self {
         GenerateOptions {
             prune: true,
-            merge: MergeStrategy::ToFixpoint,
-            keep_self_loops: false,
-            annotate_states: true,
+            merge: true,
         }
     }
 }
@@ -109,7 +88,7 @@ pub struct GenerationReport {
     /// r = 4; with pruning off, every non-final state of the space).
     pub elaborations: u64,
     /// Transitions recorded out of reached states (excludes ignored
-    /// messages and, unless configured otherwise, no-op self loops).
+    /// messages and no-op self loops).
     pub transitions_recorded: u64,
     /// Elaborated pairs the model declared not applicable.
     pub ignored: u64,
@@ -247,7 +226,9 @@ pub fn generate_with(
                     context: "transition elaboration",
                 });
             }
-            if spec.target == *vector && spec.actions.is_empty() && !options.keep_self_loops {
+            // The paper's generator omits a transition that neither
+            // changes state nor acts: the message is not applicable there.
+            if spec.target == *vector && spec.actions.is_empty() {
                 self_loops_dropped += 1;
                 continue;
             }
@@ -275,15 +256,17 @@ pub fn generate_with(
 
     // -- Step 4: combine equivalent states. -------------------------------
     let stage = Instant::now();
-    let (mut machine, merge_rounds) = merge_states(machine, options.merge);
+    let (mut machine, merge_rounds) = if options.merge {
+        merge_states(machine)
+    } else {
+        (machine, 0)
+    };
     timings.merge = stage.elapsed();
     let final_states = machine.state_count();
 
     // -- Attach generated documentation (paper footnote 3). ---------------
     let stage = Instant::now();
-    if options.annotate_states {
-        machine.annotate(|v| model.describe_state(v));
-    }
+    machine.annotate(|v| model.describe_state(v));
     timings.annotate = stage.elapsed();
 
     let report = GenerationReport {
@@ -332,26 +315,19 @@ pub fn prune_unreachable(machine: &StateMachine) -> StateMachine {
 
 /// Combines equivalent states (paper §3.4 step 4): states are equivalent
 /// when their outgoing transitions fire on the same messages, perform the
-/// same actions and lead to the same destination. With
-/// [`MergeStrategy::ToFixpoint`], destinations are compared up to the
-/// equivalence computed so far and grouping repeats until stable.
+/// same actions and lead to the same destination, compared up to the
+/// equivalence computed so far; grouping repeats until stable.
 ///
 /// Returns the merged machine and the number of grouping rounds performed
 /// (including the final pass that confirms the fixpoint). The
 /// representative (and name) of each merged group is its lowest-numbered
 /// member. Completed states only merge with completed states.
-pub fn merge_equivalent_states(
-    machine: &StateMachine,
-    strategy: MergeStrategy,
-) -> (StateMachine, usize) {
-    merge_states(machine.clone(), strategy)
+pub fn merge_equivalent_states(machine: &StateMachine) -> (StateMachine, usize) {
+    merge_states(machine.clone())
 }
 
 /// [`merge_equivalent_states`] on a machine the caller gives up.
-fn merge_states(mut machine: StateMachine, strategy: MergeStrategy) -> (StateMachine, usize) {
-    if matches!(strategy, MergeStrategy::None) {
-        return (machine, 0);
-    }
+fn merge_states(mut machine: StateMachine) -> (StateMachine, usize) {
     let n = machine.state_count();
     // Every transition's action list, interned, in transition order.
     let lists: Vec<u32> = {
@@ -397,7 +373,7 @@ fn merge_states(mut machine: StateMachine, strategy: MergeStrategy) -> (StateMac
             .collect();
         let changed = next_class != class;
         class = next_class;
-        if matches!(strategy, MergeStrategy::SinglePass) || !changed {
+        if !changed {
             break;
         }
     }
@@ -535,26 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_self_loops_option() {
-        let model = ThresholdCounter {
-            max: 3,
-            threshold: 2,
-        };
-        let options = GenerateOptions {
-            keep_self_loops: true,
-            ..Default::default()
-        };
-        let g = generate_with(&model, &options).expect("generate");
-        assert_eq!(g.report.self_loops_dropped, 0);
-        let noop = g.machine.message_id("noop").unwrap();
-        assert!(g
-            .machine
-            .state(g.machine.start())
-            .transition(noop)
-            .is_some());
-    }
-
-    #[test]
     fn no_prune_keeps_full_space() {
         let model = ThresholdCounter {
             max: 3,
@@ -562,8 +518,7 @@ mod tests {
         };
         let options = GenerateOptions {
             prune: false,
-            merge: MergeStrategy::None,
-            ..Default::default()
+            merge: false,
         };
         let g = generate_with(&model, &options).expect("generate");
         assert_eq!(g.machine.state_count(), 8);
@@ -636,13 +591,13 @@ mod tests {
         b.add_transition(a1, "go", end, vec![]);
         b.add_transition(b1, "go", end, vec![]);
         let m = b.build(s0);
-        let (merged, _rounds) = merge_equivalent_states(&m, MergeStrategy::ToFixpoint);
+        let (merged, _rounds) = merge_equivalent_states(&m);
         // a1 and b1 merge; s0 and end stay distinct.
         assert_eq!(merged.state_count(), 3);
     }
 
     #[test]
-    fn merge_single_pass_weaker_than_fixpoint() {
+    fn merge_cascades_to_fixpoint() {
         use crate::machine::StateMachineBuilder;
         // Chain pairs: (a2,b2) merge only after (a1,b1) merged.
         let mut b = StateMachineBuilder::new("chain", ["go"]);
@@ -658,10 +613,11 @@ mod tests {
         b.add_transition(a1, "go", end, vec![]);
         b.add_transition(b1, "go", end, vec![]);
         let m = b.build(s0);
-        let (single, _) = merge_equivalent_states(&m, MergeStrategy::SinglePass);
-        let (fix, _) = merge_equivalent_states(&m, MergeStrategy::ToFixpoint);
-        assert_eq!(single.state_count(), 5); // only (a1,b1) merged
+        let (fix, rounds) = merge_equivalent_states(&m);
         assert_eq!(fix.state_count(), 4); // both pairs merged
+                                          // (a1,b1) in the first round, (a2,b2) in the second, and a third
+                                          // that changes nothing.
+        assert_eq!(rounds, 3);
     }
 
     #[test]
@@ -675,7 +631,7 @@ mod tests {
         b.add_transition(s0, "go", dead, vec![]);
         b.add_transition(dead, "go", fin, vec![]);
         let m = b.build(s0);
-        let (merged, _) = merge_equivalent_states(&m, MergeStrategy::ToFixpoint);
+        let (merged, _) = merge_equivalent_states(&m);
         assert_eq!(merged.state_count(), 3);
     }
 

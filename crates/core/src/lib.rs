@@ -156,7 +156,7 @@ pub use error::{
 pub use fingerprint::{fnv1a, fold_params, Fnv64};
 pub use generator::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, GenerateOptions,
-    GeneratedMachine, GenerationReport, MergeStrategy, StageTimings,
+    GeneratedMachine, GenerationReport, StageTimings,
 };
 pub use hsm::{
     HierarchicalMachine, HsmBuilder, HsmInstance, HsmState, HsmStateId, HsmTarget, HsmTransition,

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use stategen_analysis::{analyze, AnalysisConfig};
 use stategen_core::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, AbstractModel, Action,
-    CompiledMachine, FlatIr, GenerateOptions, Lint, MergeStrategy, Outcome, ProtocolEngine,
-    StateComponent, StateSpace, StateVector,
+    CompiledMachine, FlatIr, GenerateOptions, Lint, Outcome, ProtocolEngine, StateComponent,
+    StateSpace, StateVector,
 };
 use stategen_runtime::{Runtime, SessionId, Spec};
 
@@ -161,8 +161,7 @@ proptest! {
         let g = generate(&model).expect("generates");
         let pruned_again = prune_unreachable(&g.machine);
         prop_assert_eq!(pruned_again.state_count(), g.machine.state_count());
-        let (merged_again, _) =
-            merge_equivalent_states(&g.machine, MergeStrategy::ToFixpoint);
+        let (merged_again, _) = merge_equivalent_states(&g.machine);
         prop_assert_eq!(merged_again.state_count(), g.machine.state_count());
     }
 
@@ -170,18 +169,16 @@ proptest! {
     fn merge_preserves_reachability(model in two_counter()) {
         // Pruning after merging removes nothing: merging never makes a
         // state unreachable.
-        let options = GenerateOptions { merge: MergeStrategy::ToFixpoint, ..Default::default() };
-        let g = generate_with(&model, &options).expect("generates");
+        let g = generate(&model).expect("generates");
         let pruned = prune_unreachable(&g.machine);
         prop_assert_eq!(pruned.state_count(), g.machine.state_count());
     }
 
     #[test]
     fn merge_never_crosses_roles(model in two_counter()) {
-        let options = GenerateOptions { merge: MergeStrategy::None, ..Default::default() };
+        let options = GenerateOptions { merge: false, ..Default::default() };
         let unmerged = generate_with(&model, &options).expect("generates");
-        let (merged, _) =
-            merge_equivalent_states(&unmerged.machine, MergeStrategy::ToFixpoint);
+        let (merged, _) = merge_equivalent_states(&unmerged.machine);
         let finals_before = unmerged.machine.final_state_ids().len();
         let finals_after = merged.final_state_ids().len();
         prop_assert!(finals_after <= finals_before);
@@ -195,22 +192,11 @@ proptest! {
     fn generation_matches_enumerate_prune_merge(model in two_counter()) {
         let everything = GenerateOptions {
             prune: false,
-            merge: MergeStrategy::None,
-            ..Default::default()
+            merge: false,
         };
         let full = generate_with(&model, &everything).expect("generates").machine;
-        let (reference, _) =
-            merge_equivalent_states(&prune_unreachable(&full), MergeStrategy::ToFixpoint);
+        let (reference, _) = merge_equivalent_states(&prune_unreachable(&full));
         prop_assert_eq!(generate(&model).expect("generates").machine, reference);
-    }
-
-    #[test]
-    fn single_pass_never_smaller_than_fixpoint(model in two_counter()) {
-        let single = GenerateOptions { merge: MergeStrategy::SinglePass, ..Default::default() };
-        let fix = GenerateOptions { merge: MergeStrategy::ToFixpoint, ..Default::default() };
-        let a = generate_with(&model, &single).expect("generates");
-        let b = generate_with(&model, &fix).expect("generates");
-        prop_assert!(a.machine.state_count() >= b.machine.state_count());
     }
 }
 

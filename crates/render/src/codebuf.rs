@@ -153,6 +153,26 @@ pub(crate) fn ident(name: &str) -> String {
     }
 }
 
+/// [`ident`], with `_` appended when that is one of the target
+/// language's `keywords`, a whitespace-separated list (`match` →
+/// `match_` in Rust, `class` → `class_` in Java).
+pub(crate) fn ident_avoiding(name: &str, keywords: &str) -> String {
+    let ident = ident(name);
+    if keywords.split_whitespace().any(|k| k == ident) {
+        ident + "_"
+    } else {
+        ident
+    }
+}
+
+/// `text` as the body of a one-line comment in generated source: a
+/// control character (a newline would end a `//` comment) becomes a
+/// space, and `*/` (which would end a `/* … */` one) becomes `* /`.
+pub(crate) fn comment(text: &str) -> String {
+    text.replace(|c: char| c.is_control(), " ")
+        .replace("*/", "* /")
+}
+
 /// Collision-free identifiers, one per name in order: `to_ident(name)`,
 /// or, when an earlier name already took that, the first free one of
 /// `…__2`, `…__3`, ….

@@ -16,6 +16,7 @@ use stategen_core::{HierarchicalMachine, HsmStateId, HsmTarget, StateRole};
 
 use crate::dot::escape;
 use crate::labels::Names;
+use crate::mermaid;
 
 /// The representative node of a state: itself for leaves, the leaf
 /// reached by descending through initial children for composites (DOT
@@ -160,17 +161,18 @@ fn render_mermaid_state(
     let pad = "    ".repeat(indent);
     let state = machine.state(id);
     if state.is_leaf() {
-        let mut label = state.name().to_string();
+        let mut label = mermaid::escape(state.name());
         for a in state.entry_actions() {
-            let _ = write!(label, " [entry ->{}]", a.message());
+            let _ = write!(label, " [entry ->{}]", mermaid::escape(a.message()));
         }
         for a in state.exit_actions() {
-            let _ = write!(label, " [exit ->{}]", a.message());
+            let _ = write!(label, " [exit ->{}]", mermaid::escape(a.message()));
         }
         let _ = writeln!(out, "{pad}s{} : {}", id.index(), label);
         return;
     }
-    let _ = writeln!(out, "{pad}state \"{}\" as s{} {{", state.name(), id.index());
+    let name = mermaid::escape(state.name());
+    let _ = writeln!(out, "{pad}state \"{name}\" as s{} {{", id.index());
     let init = state.initial().expect("composites have an initial child");
     let _ = writeln!(out, "{pad}    [*] --> s{}", init.index());
     for &child in state.children() {
@@ -323,7 +325,7 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.contains("    s1 --> s2 : FAIL [tries+1 >= max] / tries:=0\n"),
+            out.contains("    s1 --> s2 : FAIL [tries+1 >= max] / tries#58;=0\n"),
             "{out}"
         );
         assert!(out.contains("    s0 --> s1 : GO\n"));

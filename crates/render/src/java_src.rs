@@ -16,7 +16,18 @@
 
 use stategen_core::{CompileError, FlatIr, StateRole};
 
-use crate::codebuf::{ident, require_unguarded, transition_on, unique_idents, CodeBuffer};
+use crate::codebuf::{
+    comment, ident_avoiding, require_unguarded, transition_on, unique_idents, CodeBuffer,
+};
+
+/// Java's reserved keywords and literals: a state constant named after
+/// one gets a `_` suffix. (Handler names carry a `receive` prefix.)
+const KEYWORDS: &str =
+    "abstract assert boolean break byte case catch char class const continue default do \
+     double else enum extends false final finally float for goto if implements import \
+     instanceof int interface long native new null package private protected public \
+     return short static strictfp super switch synchronized this throw throws transient \
+     true try void volatile while";
 
 /// Converts `not_free` to `NotFree` (Java method-name fragments).
 pub fn camel(name: &str) -> String {
@@ -138,11 +149,16 @@ impl JavaRenderer {
     /// [`CompileError::GuardedMachine`] if the IR is guarded.
     pub fn render(&self, ir: &FlatIr) -> Result<String, CompileError> {
         require_unguarded(ir)?;
-        let states = unique_idents(ir.states().iter().map(|s| s.name()), ident);
+        let states = unique_idents(ir.states().iter().map(|s| s.name()), |name| {
+            ident_avoiding(name, KEYWORDS)
+        });
+        // Java reads `\u000a` as a newline even inside a comment, so the
+        // header doubles every backslash: none can start an escape.
+        let name = comment(ir.name()).replace('\\', "\\\\");
         let handlers = unique_idents(ir.messages().iter().map(String::as_str), camel);
         let mut b = CodeBuffer::new();
         b.add_ln(["/**"]);
-        b.add_ln([" * Generated from machine `", ir.name(), "`. Do not edit."]);
+        b.add_ln([" * Generated from machine `", &name, "`. Do not edit."]);
         b.add_ln([" */"]);
         b.add([
             "public class ",
@@ -221,6 +237,7 @@ impl JavaRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codebuf::ident;
 
     fn toy_machine() -> FlatIr {
         let transitions = [(0, "vote", 1, &["commit"][..]), (1, "not_free", 0, &[])];
@@ -268,6 +285,29 @@ mod tests {
         let opens = out.matches('{').count();
         let closes = out.matches('}').count();
         assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn keywords_get_a_suffix() {
+        let ir = crate::fixture("k", &["go"], &["class", "new", "int"], &[(0, "go", 1, &[])]);
+        let out = JavaRenderer::new("K", "Base").render(&ir).unwrap();
+        for (i, constant) in ["class_", "new_", "int_"].iter().enumerate() {
+            assert!(out.contains(&format!("int {constant} = {i};")), "{out}");
+        }
+        assert!(out.contains("private int state = class_;"));
+        assert!(out.contains("case class_ :"));
+    }
+
+    /// A newline, a `*/` or a Unicode escape in the machine name cannot end
+    /// the header comment.
+    #[test]
+    fn machine_name_stays_inside_the_header() {
+        let name = "m\"\n*/ class Evil {} \\u000a/*";
+        let ir = crate::fixture(name, &["go"], &["A"], &[]);
+        let out = JavaRenderer::new("M", "Base").render(&ir).unwrap();
+        let header =
+            " * Generated from machine `m\" * / class Evil {} \\\\u000a/*`. Do not edit.\n";
+        assert!(out.starts_with(&format!("/**\n{header} */\n")), "{out}");
     }
 
     #[test]

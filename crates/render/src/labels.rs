@@ -12,6 +12,7 @@ use stategen_core::efsm::{Guard, LinExpr, Operand, Update};
 use stategen_core::Action;
 
 use crate::dot::escape;
+use crate::mermaid;
 
 /// A machine's variable and parameter names, which guards and updates
 /// print in place of register and parameter indices (every machine
@@ -114,7 +115,8 @@ impl<'a> Names<'a> {
     }
 
     /// The label of a Mermaid transition: `MESSAGE [guard] / updates,
-    /// sent, messages`, each part present only when it is non-empty.
+    /// sent, messages`, each part present only when it is non-empty,
+    /// escaped as a whole (the separators need no escape).
     pub(crate) fn mermaid_label(
         self,
         message: &str,
@@ -136,7 +138,7 @@ impl<'a> Names<'a> {
         if !effects.is_empty() {
             let _ = write!(label, " / {}", effects.join(", "));
         }
-        label
+        mermaid::escape(&label)
     }
 }
 

@@ -16,7 +16,17 @@
 
 use stategen_core::{CompileError, FlatIr, Notes, StateRole};
 
-use crate::codebuf::{ident, require_unguarded, transition_on, unique_idents, CodeBuffer};
+use crate::codebuf::{
+    comment, ident_avoiding, require_unguarded, transition_on, unique_idents, CodeBuffer,
+};
+
+/// Rust's strict and reserved keywords: a state variant named after one
+/// gets a `_` suffix. (Handler names carry a `receive_` prefix.)
+const KEYWORDS: &str =
+    "Self abstract as async await become box break const continue crate do dyn else enum \
+     extern false final fn for gen if impl in let loop macro match mod move mut override \
+     priv pub ref return self static struct super trait true try type typeof unsafe \
+     unsized use virtual where while yield";
 
 /// Snake-case function suffix for a message name.
 fn fn_suffix(message: &str) -> String {
@@ -47,27 +57,30 @@ fn literal(s: &str) -> String {
 /// * `pub fn receive(State, &str) -> Option<(State, &'static [&'static str])>`
 ///   — name-based dispatcher (`None` also for unknown messages).
 ///
-/// Names reach the module only as escaped string literals or as unique
-/// identifiers.
+/// Names reach the module only as escaped string literals, as unique
+/// identifiers that are never keywords, or as single-line comment text.
 ///
 /// # Errors
 ///
 /// [`CompileError::GuardedMachine`] if the IR is guarded.
 pub fn render_rust_module(ir: &FlatIr, notes: Option<&Notes>) -> Result<String, CompileError> {
     require_unguarded(ir)?;
-    let idents = unique_idents(ir.states().iter().map(|s| s.name()), ident);
+    let idents = unique_idents(ir.states().iter().map(|s| s.name()), |name| {
+        ident_avoiding(name, KEYWORDS)
+    });
+    let name = comment(ir.name());
     let suffixes = unique_idents(ir.messages().iter().map(String::as_str), fn_suffix);
     let mut b = CodeBuffer::new();
 
     // Plain `//` comments and per-item attributes keep the module valid
     // both as a standalone file and when `include!`d into a module body.
-    b.add_ln(["// Generated from machine `", ir.name(), "`. Do not edit."]);
+    b.add_ln(["// Generated from machine `", &name, "`. Do not edit."]);
     b.blank();
 
     // -- State enum. -------------------------------------------------------
     b.add_ln([
         "/// States of `",
-        ir.name(),
+        &name,
         "`, named by their encoded variable values.",
     ]);
     b.add_ln(["#[allow(non_camel_case_types)]"]);
@@ -75,9 +88,9 @@ pub fn render_rust_module(ir: &FlatIr, notes: Option<&Notes>) -> Result<String, 
     b.add(["pub enum State"]);
     b.enter_block();
     for (i, (state, ident)) in ir.states().iter().zip(&idents).enumerate() {
-        b.add_ln(["/// `", state.name(), "`"]);
+        b.add_ln(["/// `", &comment(state.name()), "`"]);
         for line in notes.map_or(&[][..], |n| n.state(i)) {
-            b.add_ln(["/// ", line]);
+            b.add_ln(["/// ", &comment(line)]);
         }
         b.add_ln([ident.as_str(), ","]);
     }
@@ -137,7 +150,7 @@ pub fn render_rust_module(ir: &FlatIr, notes: Option<&Notes>) -> Result<String, 
     for (mid, (m, suffix)) in ir.messages().iter().zip(&suffixes).enumerate() {
         b.add_ln([
             "/// Handles a `",
-            m,
+            &comment(m),
             "` message: returns the new state and the",
         ]);
         b.add_ln(["/// messages to send, or `None` when not applicable in `state`."]);
@@ -197,6 +210,7 @@ pub fn render_rust_module(ir: &FlatIr, notes: Option<&Notes>) -> Result<String, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codebuf::ident;
 
     fn toy_machine() -> FlatIr {
         let transitions = [
@@ -264,6 +278,15 @@ mod tests {
         assert!(out.contains("State::b_s => \"b\\\\s\","));
         assert!(out.contains("&[\"say \\\"hi\\\"\"]"));
         assert!(out.contains("\"say \\\"hi\\\"\" => receive_say__hi_(state),"));
+    }
+
+    #[test]
+    fn keywords_get_a_suffix() {
+        let out = module(&["match", "type", "self", "match_"], &["m"]);
+        for variant in ["match_", "type_", "self_", "match___2"] {
+            assert!(out.contains(&format!("    {variant},\n")), "{out}");
+        }
+        assert!(out.contains("State::match_ => \"match\","));
     }
 
     #[test]

@@ -11,6 +11,8 @@ use std::fmt::Write as _;
 
 use stategen_core::{FlatIr, Notes, StateRole};
 
+use crate::labels::Names;
+
 /// Escapes text for XML content and attribute values.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -28,7 +30,9 @@ fn escape(s: &str) -> String {
 }
 
 /// Renders the machine as an XML diagram document; with `notes`, states
-/// and transitions carry their commentary as `<annotation>` elements.
+/// and transitions carry their commentary as `<annotation>` elements. A
+/// guarded transition carries its guard and updates as `guard` and
+/// `update` attributes, formatted as on the DOT labels.
 pub fn render_xml(ir: &FlatIr, notes: Option<&Notes>) -> String {
     let none = Notes::default();
     let notes = notes.unwrap_or(&none);
@@ -74,6 +78,7 @@ pub fn render_xml(ir: &FlatIr, notes: Option<&Notes>) -> String {
     }
     out.push_str("  </states>\n");
     out.push_str("  <transitions>\n");
+    let names = Names::new(ir.variables(), ir.params());
     for (id, state) in ir.states().iter().enumerate() {
         for (ti, t) in state.transitions().iter().enumerate() {
             let _ = write!(
@@ -83,6 +88,13 @@ pub fn render_xml(ir: &FlatIr, notes: Option<&Notes>) -> String {
                 escape(&ir.messages()[t.message_index()]),
                 !t.actions().is_empty()
             );
+            let guard = names.format_guard(t.guard());
+            let updates = names.format_updates(t.updates());
+            for (attribute, value) in [("guard", guard), ("update", updates)] {
+                if !value.is_empty() {
+                    let _ = write!(out, " {attribute}=\"{}\"", escape(&value));
+                }
+            }
             let annotations = notes.transition(id, ti);
             if t.actions().is_empty() && annotations.is_empty() {
                 out.push_str("/>\n");
@@ -121,6 +133,19 @@ mod tests {
         assert!(out.contains("<transition from=\"0\" to=\"1\" message=\"go\" phase=\"true\">"));
         assert!(out.contains("<action send=\"x\"/>"));
         assert!(out.trim_end().ends_with("</statemachine>"));
+    }
+
+    #[test]
+    fn guards_and_updates_are_attributes() {
+        let out = render_xml(&crate::guarded_fixture(), None);
+        assert!(
+            out.contains(
+                "<transition from=\"0\" to=\"0\" message=\"tick\" phase=\"false\" \
+                 guard=\"[n+1 &lt; limit]\" update=\"n+=1\"/>"
+            ),
+            "{out}"
+        );
+        assert!(out.contains("<transition from=\"0\" to=\"1\" message=\"tick\" phase=\"true\">"));
     }
 
     #[test]

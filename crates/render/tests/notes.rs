@@ -30,3 +30,24 @@ fn annotations_are_escaped_where_they_are_printed() {
         "{rust}"
     );
 }
+
+/// A newline in the machine name, a state name or a note cannot end a
+/// comment of the generated module: what follows it stays comment text.
+#[test]
+fn comments_stay_on_one_line() {
+    let evil = "x\"\n*/ fn evil() {}";
+    let mut b = StateMachineBuilder::new(evil, ["go"]);
+    let s0 = b.add_state_full(evil, None, StateRole::Normal, vec![evil.to_string()]);
+    let machine = b.build(s0);
+    let ir = FlatIr::from_machine(&machine);
+    let rust = render_rust_module(&ir, Some(&Notes::from_machine(&machine))).unwrap();
+    let flat = "x\" * / fn evil() {}";
+    assert!(
+        rust.starts_with(&format!(
+            "// Generated from machine `{flat}`. Do not edit.\n"
+        )),
+        "{rust}"
+    );
+    assert!(rust.contains(&format!("    /// `{flat}`\n    /// {flat}\n")));
+    assert!(!rust.lines().any(|l| l.trim_start().starts_with("*/")));
+}

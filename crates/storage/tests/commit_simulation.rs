@@ -294,6 +294,35 @@ fn duplicated_messages_are_harmless() {
     }
 }
 
+/// Six clients submit 25 updates each, concurrently, at r = 4, 7 and 10:
+/// every update commits and the correct peers agree on the committed
+/// set. (With concurrent clients only the set is serialised; order
+/// agreement holds for sequential submission.)
+#[test]
+fn concurrent_clients_commit_at_r4_r7_r10() {
+    for r in [4, 7, 10] {
+        let config = HarnessConfig {
+            replication_factor: r,
+            client_updates: (0..6)
+                .map(|c| {
+                    (0..25)
+                        .map(|u| pid(&format!("r{r}/client{c}/update{u}")))
+                        .collect()
+                })
+                .collect(),
+            net: SimConfig {
+                seed: 7,
+                ..base_config().net
+            },
+            deadline: 50_000_000,
+            ..base_config()
+        };
+        let report = run(&config);
+        assert!(report.all_committed, "r={r}: {:?}", report.outcomes);
+        assert!(report.sets_agree(), "r={r}");
+    }
+}
+
 #[test]
 fn many_clients_serialise() {
     let config = HarnessConfig {

@@ -30,11 +30,9 @@
 #    dispatch with telemetry compiled in but disabled, and
 #    runtime_observed (flight recorder + metrics on) ≤ 1.25x the
 #    facade, both at 64k sessions / 0 allocs per delivery, paired
-#    measurement — and BENCH_storage.json via storage_throughput
-#    (end-to-end commit throughput on peers serving the unfolded commit
-#    EFSM from a runtime, with commit-latency p99 per replication factor and
-#    recovery-latency p50/p99 on the faulted row) — keeping the perf
-#    trajectory tracked on every PR;
+#    measurement — keeping the perf trajectory tracked on every PR (the
+#    storage stack's end-to-end numbers come from step 8's traced
+#    benchmark/ runs);
 # 5. replays the chaos campaign's pinned seeds (loss + duplication +
 #    reordering + a peer crash/restart recovering from its checkpoint,
 #    full agreement asserted), the artifact corruption campaign's
@@ -56,7 +54,7 @@
 #    than the unminimized original in paired passes);
 # 7. fails if the benchmark artefacts are missing required rows
 #    (including the runtime_facade, artifact_cold_load,
-#    hsm_minimized, efsm_kernel_over_budget and storage_faulted rows),
+#    hsm_minimized and efsm_kernel_over_budget rows),
 #    or if a deleted name reappears or a confined one spreads: one table
 #    of grep rules (pattern, paths, allowed files, the reason and its
 #    CHANGES.md entry) covers the deleted pools, drivers, instance
@@ -65,7 +63,10 @@
 #    Condvar and the lazy finished bitset in the core or runtime
 #    sources, the unfolded side table outside core::unfold and the
 #    runtime's step engine, and the explorer's reached set outside
-#    core::explore and its three searches; and re-runs in
+#    core::explore and its three searches, and the second and third
+#    measuring systems (the criterion shim and its benches,
+#    storage_throughput and BENCH_storage.json) and the generator
+#    options only they set; and re-runs in
 #    release mode the generation-exhaustion unit test (its arithmetic
 #    wraps there instead of panicking), the foreign-message-id batch
 #    test (a debug assertion used to be the register tier's only guard),
@@ -157,9 +158,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== engine_tiers (regenerates BENCH_engine_tiers.json) =="
 cargo run --release -p repro-bench --bin engine_tiers
 
-echo "== storage_throughput (regenerates BENCH_storage.json) =="
-cargo run --release -p repro-bench --bin storage_throughput
-
 echo "== chaos campaign: pinned-seed replay (crash/restart + full agreement) =="
 cargo test -q --release -p asa-storage --test chaos chaos_pinned_seed
 
@@ -233,6 +231,7 @@ done <<'ROWS'
 -E%\bfn (to_machine|flatten)\b%crates/core/src%%StateMachine is an authoring type lowered once by FlatIr::from_machine; the FlatIr -> StateMachine projections were deleted (CHANGES.md: one machine for every back end)
 -E --include=*.rs%CompiledMachine::compile\(|Artifact::from_machine%crates/ src/ examples/ tests/%%lower with FlatIr::from_machine, then CompiledMachine::compile_ir or Artifact::new (CHANGES.md: one machine for every back end)
 -E --include=*.rs%\b(StateMachine|Efsm)\b%crates/render/src%%the renderers consume only the lowered machine (FlatIr) and its Notes (CHANGES.md: one machine for every back end)
+-E%\b(criterion_group|criterion_main|storage_throughput|BENCH_storage|MergeStrategy|keep_self_loops|annotate_states|SinglePass)\b|vendor/criterion%crates/ src/ examples/ tests/ docs/ Cargo.toml%%benchmark/ is the one measuring instrument: the criterion shim, its benches and storage_throughput were deleted, and the generator options only they set became constants (CHANGES.md: one measuring instrument)
 ROWS
 set +f
 
@@ -270,12 +269,6 @@ for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
     grep -q "\"name\": \"$row\"" BENCH_engine_tiers.json \
         || { echo "BENCH_engine_tiers.json is missing the $row row" >&2; exit 1; }
 done
-for r in 4 7 10; do
-    grep -q "\"replication_factor\": $r" BENCH_storage.json \
-        || { echo "BENCH_storage.json is missing the r=$r run" >&2; exit 1; }
-done
-grep -q '"storage_faulted"' BENCH_storage.json \
-    || { echo "BENCH_storage.json is missing the storage_faulted row" >&2; exit 1; }
 
 echo "== benchmark package gate (benchmark/check.sh) =="
 bash benchmark/check.sh

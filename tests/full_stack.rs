@@ -8,7 +8,7 @@ use stategen::commit::{
     commit_efsm, commit_efsm_params, CommitConfig, CommitModel, ReferenceCommit,
 };
 use stategen::fsm::{
-    generate, merge_equivalent_states, Artifact, FlatIr, Lint, MergeStrategy, Notes, ProtocolEngine,
+    generate, merge_equivalent_states, Artifact, FlatIr, Lint, Notes, ProtocolEngine,
 };
 use stategen::generated::GeneratedCommitR7;
 use stategen::render::{render_dot, render_mermaid, render_xml};
@@ -160,7 +160,7 @@ fn version_history_full_stack() {
 fn merge_fixpoint_stability() {
     for r in [4u32, 7, 13] {
         let g = generate(&CommitModel::new(CommitConfig::new(r).unwrap())).unwrap();
-        let (again, _) = merge_equivalent_states(&g.machine, MergeStrategy::ToFixpoint);
+        let (again, _) = merge_equivalent_states(&g.machine);
         assert_eq!(again.state_count(), g.machine.state_count(), "r={r}");
     }
 }

@@ -4,7 +4,7 @@
 use stategen::commit::{commit_efsm, CommitConfig, CommitModel, EarlyCommitModel};
 use stategen::fsm::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, AbstractModel, FlatIr,
-    GenerateOptions, MergeStrategy, Notes, Outcome,
+    GenerateOptions, Notes, Outcome,
 };
 use stategen::models::{BroadcastModel, RoundsModel, TerminationModel};
 use stategen::render::render_state_text;
@@ -135,13 +135,11 @@ fn generation_matches_enumerate_prune_merge() {
     corpus.push(Box::new(TerminationModel::new(3)));
     let everything = GenerateOptions {
         prune: false,
-        merge: MergeStrategy::None,
-        ..Default::default()
+        merge: false,
     };
     for model in &corpus {
         let full = generate_with(model.as_ref(), &everything).unwrap().machine;
-        let (reference, _) =
-            merge_equivalent_states(&prune_unreachable(&full), MergeStrategy::ToFixpoint);
+        let (reference, _) = merge_equivalent_states(&prune_unreachable(&full));
         let generated = generate(model.as_ref()).unwrap().machine;
         assert!(generated == reference, "{}", model.machine_name());
     }
