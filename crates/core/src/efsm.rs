@@ -275,6 +275,47 @@ pub(crate) fn apply_staged_updates(
     }
 }
 
+/// Checks that every operand a transition's guard and updates read or
+/// write is declared, against `variables` variables and `params`
+/// parameters, and returns the first one that is not. The one check
+/// behind [`EfsmBuilder`], the statechart builder and
+/// [`FlatIr::from_parts`](crate::FlatIr::from_parts): a `VarId` or
+/// `ParamId` minted by another builder type-checks, so only its index
+/// can tell.
+pub(crate) fn check_operands(
+    guard: &Guard,
+    updates: &[Update],
+    variables: usize,
+    params: usize,
+) -> Result<(), Operand> {
+    let check = |expr: &LinExpr| {
+        for &(_, operand) in expr.terms() {
+            let declared = match operand {
+                Operand::Var(v) => v.index() < variables,
+                Operand::Param(p) => p.index() < params,
+            };
+            if !declared {
+                return Err(operand);
+            }
+        }
+        Ok(())
+    };
+    for cond in guard.conditions() {
+        check(&cond.lhs)?;
+        check(&cond.rhs)?;
+    }
+    for update in updates {
+        match update {
+            Update::Set(v, expr) => {
+                check(&LinExpr::var(*v))?;
+                check(expr)?;
+            }
+            Update::Inc(v) => check(&LinExpr::var(*v))?,
+        }
+    }
+    Ok(())
+}
+
 /// A guarded transition of an EFSM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EfsmTransition {
@@ -506,7 +547,9 @@ impl EfsmBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the message is unknown or a state id is out of range.
+    /// Panics if the message is unknown, a state id is out of range, or
+    /// the guard or an update names a variable or parameter this builder
+    /// did not declare.
     pub fn add_transition(
         &mut self,
         from: EfsmStateId,
@@ -523,7 +566,7 @@ impl EfsmBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the message is unknown or a state id is out of range.
+    /// Panics as [`EfsmBuilder::add_transition`] does.
     #[allow(clippy::too_many_arguments)]
     pub fn add_transition_annotated(
         &mut self,
@@ -544,6 +587,11 @@ impl EfsmBuilder {
             target.index() < self.states.len(),
             "target state out of range"
         );
+        if let Err(operand) =
+            check_operands(&guard, &updates, self.variables.len(), self.params.len())
+        {
+            panic!("transition on `{message}` reads or writes undeclared {operand:?}");
+        }
         self.states[from.index()].transitions.push(EfsmTransition {
             message: mid as u16,
             guard,
@@ -695,5 +743,21 @@ mod tests {
     fn cmp_op_display() {
         assert_eq!(CmpOp::Ge.to_string(), ">=");
         assert_eq!(CmpOp::Ne.to_string(), "!=");
+    }
+
+    /// A `VarId` from another builder type-checks; the builder rejects
+    /// it by index. Unchecked, it makes `Engine::compile` panic inside
+    /// the unfolder and `Artifact::new` save an image its own loader
+    /// refuses.
+    #[test]
+    #[should_panic(expected = "undeclared Var(VarId(1))")]
+    fn foreign_variable_is_rejected() {
+        let mut other = EfsmBuilder::new("other", ["m"]);
+        other.add_var("a");
+        let foreign = other.add_var("b");
+        let mut b = EfsmBuilder::new("e", ["m"]);
+        let s = b.add_state("s");
+        let guard = Guard::when(LinExpr::var(foreign), CmpOp::Ge, LinExpr::constant(0));
+        b.add_transition(s, "m", guard, vec![], vec![], s);
     }
 }

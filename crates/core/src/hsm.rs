@@ -110,7 +110,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use crate::efsm::{Guard, LinExpr, Operand, ParamId, Update, VarId};
+use crate::efsm::{check_operands, Guard, Operand, ParamId, Update, VarId};
 use crate::error::{HsmError, InterpError};
 use crate::explore::explore;
 use crate::ir::{FlatIr, FlatState, FlatTransition};
@@ -915,44 +915,6 @@ impl HsmBuilder {
         self.states[state.index()].role = StateRole::Finish;
     }
 
-    fn check_expr(&self, expr: &LinExpr) -> Result<(), HsmError> {
-        for &(_, operand) in expr.terms() {
-            match operand {
-                Operand::Var(v) if v.index() >= self.variables.len() => {
-                    return Err(HsmError::VariableOutOfRange {
-                        index: v.index(),
-                        variables: self.variables.len(),
-                    });
-                }
-                Operand::Param(p) if p.index() >= self.params.len() => {
-                    return Err(HsmError::ParamOutOfRange {
-                        index: p.index(),
-                        params: self.params.len(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn check_guard_and_updates(&self, guard: &Guard, updates: &[Update]) -> Result<(), HsmError> {
-        for cond in guard.conditions() {
-            self.check_expr(&cond.lhs)?;
-            self.check_expr(&cond.rhs)?;
-        }
-        for update in updates {
-            match update {
-                Update::Set(v, expr) => {
-                    self.check_expr(&LinExpr::var(*v))?;
-                    self.check_expr(expr)?;
-                }
-                Update::Inc(v) => self.check_expr(&LinExpr::var(*v))?,
-            }
-        }
-        Ok(())
-    }
-
     fn try_add(
         &mut self,
         from: HsmStateId,
@@ -972,7 +934,18 @@ impl HsmBuilder {
             HsmTarget::State(t) | HsmTarget::History(t) => self.check_id(t)?,
             HsmTarget::Internal => {}
         }
-        self.check_guard_and_updates(&guard, &updates)?;
+        check_operands(&guard, &updates, self.variables.len(), self.params.len()).map_err(
+            |operand| match operand {
+                Operand::Var(v) => HsmError::VariableOutOfRange {
+                    index: v.index(),
+                    variables: self.variables.len(),
+                },
+                Operand::Param(p) => HsmError::ParamOutOfRange {
+                    index: p.index(),
+                    params: self.params.len(),
+                },
+            },
+        )?;
         let state = &mut self.states[from.index()];
         if let Some(list) = state.transitions.get(&mid) {
             // Identical guards can never both be useful: the second
@@ -1929,7 +1902,7 @@ mod tests {
         assert_eq!(i.memory(), m.initial_memory());
     }
 
-    use crate::efsm::CmpOp;
+    use crate::efsm::{CmpOp, LinExpr};
 
     /// A guarded statechart: a worker with a retry budget. `fail` in
     /// `Busy` retries (back to `Busy`, incrementing `tries`) while below

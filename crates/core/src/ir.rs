@@ -45,7 +45,9 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::efsm::{apply_staged_updates, Efsm, EfsmState, Guard, LinExpr, Operand, Update};
+use crate::efsm::{
+    apply_staged_updates, check_operands, Efsm, EfsmState, Guard, LinExpr, Operand, Update,
+};
 use crate::error::{CompileError, InterpError};
 use crate::fingerprint::Fnv64;
 use crate::machine::{Action, MessageId, ProtocolEngine, State, StateMachine, StateRole};
@@ -492,22 +494,6 @@ impl FlatIr {
             "start state {start} is out of range ({} states)",
             states.len()
         );
-        let check_lin = |expr: &LinExpr, what: &str| {
-            for &(_, operand) in expr.terms() {
-                match operand {
-                    Operand::Var(v) => assert!(
-                        v.index() < variables.len(),
-                        "{what} references undeclared variable {}",
-                        v.index()
-                    ),
-                    Operand::Param(p) => assert!(
-                        p.index() < params.len(),
-                        "{what} references undeclared parameter {}",
-                        p.index()
-                    ),
-                }
-            }
-        };
         for state in &states {
             for t in &state.transitions {
                 assert!(
@@ -524,26 +510,13 @@ impl FlatIr {
                     t.target,
                     states.len()
                 );
-                for cond in t.guard.conditions() {
-                    check_lin(&cond.lhs, "guard");
-                    check_lin(&cond.rhs, "guard");
-                }
-                for update in &t.updates {
-                    match update {
-                        Update::Set(v, expr) => {
-                            assert!(
-                                v.index() < variables.len(),
-                                "update sets undeclared variable {}",
-                                v.index()
-                            );
-                            check_lin(expr, "update");
-                        }
-                        Update::Inc(v) => assert!(
-                            v.index() < variables.len(),
-                            "update increments undeclared variable {}",
-                            v.index()
-                        ),
-                    }
+                if let Err(operand) =
+                    check_operands(&t.guard, &t.updates, variables.len(), params.len())
+                {
+                    panic!(
+                        "state `{}`: a guard or update names undeclared {operand:?}",
+                        state.name
+                    );
                 }
             }
         }

@@ -15,11 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
-
-use stategen_core::{
-    Action, InterpError, ProtocolEngine, StateId, StateMachine, StateMachineBuilder, StateRole,
-};
+use stategen_core::{Action, InterpError, ProtocolEngine};
 
 /// The generated module for replication factor 4 (33 states).
 #[allow(missing_docs)]
@@ -76,58 +72,6 @@ macro_rules! engine_wrapper {
                 let (next, sends) = $module::receive(self.state, message)?;
                 self.state = next;
                 Some(sends)
-            }
-
-            /// Reconstructs the [`StateMachine`] value this module was
-            /// rendered from, by breadth-first exploration of the
-            /// generated `receive` function from the start state.
-            ///
-            /// This is the bridge back from build-time code to runtime
-            /// data: the reconstructed machine can be fed through
-            /// `stategen-runtime`'s `Spec`/`Engine` facade, so the
-            /// generated tier participates in the conformance corpus
-            /// and kernel-equivalence property suites like every other
-            /// tier. States keep their generated display names and
-            /// finish roles; unreachable states (which the generator
-            /// prunes anyway) cannot appear by construction.
-            pub fn to_machine() -> StateMachine {
-                fn intern(
-                    builder: &mut StateMachineBuilder,
-                    ids: &mut HashMap<$module::State, StateId>,
-                    queue: &mut VecDeque<$module::State>,
-                    state: $module::State,
-                ) -> StateId {
-                    *ids.entry(state).or_insert_with(|| {
-                        queue.push_back(state);
-                        let role = if $module::is_final(state) {
-                            StateRole::Finish
-                        } else {
-                            StateRole::Normal
-                        };
-                        builder.add_state_full($module::state_name(state), None, role, vec![])
-                    })
-                }
-                let mut builder = StateMachineBuilder::new(
-                    $module::MACHINE_NAME,
-                    $module::MESSAGES.iter().copied(),
-                );
-                let mut ids = HashMap::new();
-                let mut queue = VecDeque::new();
-                let start = intern(&mut builder, &mut ids, &mut queue, $module::START);
-                while let Some(state) = queue.pop_front() {
-                    for message in $module::MESSAGES {
-                        if let Some((next, sends)) = $module::receive(state, message) {
-                            let to = intern(&mut builder, &mut ids, &mut queue, next);
-                            builder.add_transition(
-                                ids[&state],
-                                message,
-                                to,
-                                sends.iter().map(|s| Action::send(*s)).collect(),
-                            );
-                        }
-                    }
-                }
-                builder.build(start)
             }
         }
 
@@ -229,26 +173,6 @@ mod tests {
         e.deliver("update").unwrap();
         e.reset();
         assert_eq!(e.state_name(), "F/0/F/0/F/T/F");
-    }
-
-    #[test]
-    fn to_machine_round_trips_through_the_interpreter() {
-        let machine = GeneratedCommitR4::to_machine();
-        assert_eq!(machine.name(), commit_r4::MACHINE_NAME);
-        let ir = stategen_core::FlatIr::from_machine(&machine);
-        let mut interp = ir.instance(vec![]);
-        let mut generated = GeneratedCommitR4::new();
-        for m in [
-            "update", "vote", "vote", "commit", "not_free", "vote", "free",
-        ] {
-            assert_eq!(
-                interp.deliver(m).unwrap(),
-                generated.deliver(m).unwrap(),
-                "actions diverge on `{m}`"
-            );
-            assert_eq!(interp.state_name(), generated.state_name());
-            assert_eq!(interp.is_finished(), generated.is_finished());
-        }
     }
 
     #[test]

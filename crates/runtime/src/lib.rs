@@ -156,10 +156,9 @@
 //!   batch latency ([`Runtime::batch_latency`]) with
 //!   p50/p99/p999 extraction.
 //! * **Flight recorder — opt-in.** [`Runtime::attach_recorder`] gives
-//!   every shard a fixed-capacity ring of [`TransitionEvent`]s behind
-//!   a sealed observer hook whose no-op default is statically
-//!   dispatched — the unobserved batch loop compiles to exactly the
-//!   pre-telemetry walk. [`Runtime::dump_trace`] renders the rings as
+//!   every shard a fixed-capacity ring of [`TransitionEvent`]s, filled
+//!   from a probe of each batch's tail — the batch loop itself records
+//!   nothing, observed or not. [`Runtime::dump_trace`] renders the rings as
 //!   a human-readable trace; [`Runtime::abort_swap`] captures one
 //!   automatically ([`Runtime::abort_dump`]). Attaching a recorder
 //!   never changes behaviour — delivered actions, states and
@@ -245,9 +244,7 @@ pub use timer::TimerWheel;
 
 // The telemetry vocabulary, re-exported so deployment sites need only
 // this crate to read metrics and traces.
-pub use stategen_telemetry::{
-    FlightRecorder, LogHistogram, MetricsSnapshot, NoopObserver, RuntimeObserver, TransitionEvent,
-};
+pub use stategen_telemetry::{FlightRecorder, LogHistogram, MetricsSnapshot, TransitionEvent};
 
 // The unified error and the trait vocabulary, re-exported so deployment
 // sites need only this crate.

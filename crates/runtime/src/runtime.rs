@@ -5,8 +5,7 @@ use std::time::Instant;
 
 use stategen_core::{Action, MessageId, StategenError, SwapError};
 use stategen_telemetry::{
-    FlightRecorder, LogHistogram, MetricsSnapshot, NoopObserver, RuntimeCounters, RuntimeObserver,
-    ShardCounters, TransitionEvent,
+    FlightRecorder, LogHistogram, MetricsSnapshot, RuntimeCounters, ShardCounters, TransitionEvent,
 };
 
 use crate::engine::Engine;
@@ -265,26 +264,14 @@ impl Shard {
         Ok(shard)
     }
 
-    /// Records every transition of one batch as it is taken — the
-    /// reference the production observed path is pinned to. One loop
-    /// over [`SessionStore::deliver_all_with`] (the scalar walk, so
-    /// events arrive in slot order), written once for every tier;
-    /// monomorphized per observer, and with [`NoopObserver`]
-    /// (`ENABLED = false`) the batch skips the walk for the kernels.
-    ///
-    /// [`Shard::deliver_all`] never instantiates the enabled form:
-    /// it probes only the ring-sized tail around an unobserved pass, and
-    /// a unit test pins the two to identical rings.
-    fn deliver_batch<O: RuntimeObserver>(&mut self, message: MessageId, observer: &mut O) -> u64 {
+    /// Runs one batch through the store's kernels and keeps the shard's
+    /// lockstep hint and counters up to date. Records nothing: with a
+    /// recorder attached, [`Shard::deliver_all`] probes the ring's tail
+    /// around this call, and a unit test pins that tail to recording
+    /// every transition of the scalar walk.
+    fn deliver_batch(&mut self, message: MessageId) -> u64 {
         let live = self.live() as u64;
-        let transitions = if O::ENABLED {
-            let generations = &self.generations;
-            self.store.deliver_all_with(message, |slot, taken| {
-                observer.on_transition(event(slot, generations[slot], message, taken));
-            })
-        } else {
-            self.store.deliver_all(message)
-        };
+        let transitions = self.store.deliver_all(message);
         // Keep the lockstep hint truthful across the batch: an
         // unguarded machine steps deterministically by state, so a
         // uniform pool either took the same transition everywhere
@@ -379,10 +366,10 @@ impl Shard {
     /// that panics (a foreign message id) leaves it attached.
     fn deliver_all(&mut self, message: MessageId) -> u64 {
         let Some(capacity) = self.recorder.as_ref().map(FlightRecorder::capacity) else {
-            return self.deliver_batch(message, &mut NoopObserver);
+            return self.deliver_batch(message);
         };
         self.capture_batch_tail(message, capacity);
-        let transitions = self.deliver_batch(message, &mut NoopObserver);
+        let transitions = self.deliver_batch(message);
         let mut rec = self.recorder.take().expect("checked above");
         self.commit_batch_tail(&mut rec, transitions);
         self.recorder = Some(rec);
@@ -2147,8 +2134,8 @@ mod tests {
     /// The production observed path (tail probe + unobserved pass, see
     /// [`Shard::capture_batch_tail`]) must leave the ring bit-identical
     /// — events, order, and sequence accounting — to recording every
-    /// transition inline from the one observed loop
-    /// ([`Shard::deliver_batch`] with an enabled observer), across both
+    /// transition inline from the scalar walk
+    /// ([`SessionStore::deliver_all_with`], slot order), across both
     /// engine tiers and every lowering, dense and holed slot arrays, guard
     /// fall-throughs, and batches larger than the ring.
     #[test]
@@ -2199,7 +2186,12 @@ mod tests {
                 }
                 let mid = replayed.message_id(name).unwrap();
                 replayed.deliver_all(mid);
-                inline.shards[0].deliver_batch(mid, &mut rec);
+                let Shard {
+                    store, generations, ..
+                } = &mut inline.shards[0];
+                store.deliver_all_with(mid, |slot, taken| {
+                    rec.record(event(slot, generations[slot], mid, taken));
+                });
 
                 let ring = replayed.shards[0].recorder.as_ref().unwrap();
                 assert_eq!(

@@ -13,6 +13,8 @@
 //! covered deterministically.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
+use std::hash::Hash;
 
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::{generate, FlatIr, HsmInstance, StateMachine};
@@ -215,20 +217,34 @@ fn hsm_tiers_agree_on_trace_corpus() {
     }
 }
 
-/// The build-time `generated` tier participates in the pipeline: the
-/// machine reconstructed from the rendered `match` code
-/// (`to_machine()`) runs through the `Spec → Engine → Runtime` facade
-/// and agrees with the directly-executed generated code on actions,
-/// finished flags and state names — on both the interpreted and the
-/// compiled (kernel-batched) facade tiers, and against the
-/// generation-pipeline machine for the same replication factor.
+/// The build-time `generated` tier agrees with the pipeline: driven
+/// directly, the rendered `match` code matches the machine
+/// `Spec::generated` builds from the same model, served interpreted and
+/// compiled through the facade, on actions, finished flags and state
+/// names — and its `receive` reaches exactly the pipeline's states from
+/// `START` (33 at r = 4, 85 at r = 7).
 #[test]
 fn generated_tier_agrees_through_the_facade() {
-    fn check<G: ProtocolEngine + Default>(reconstructed: StateMachine, r: u32) {
-        let pipeline = commit_machine(r);
-        assert_eq!(reconstructed.state_count(), pipeline.state_count());
-        let interpreted = Engine::interpret(Spec::machine(reconstructed.clone())).unwrap();
-        let compiled = Engine::compile(Spec::machine(reconstructed)).unwrap();
+    type Receive<S> = fn(S, &str) -> Option<(S, &'static [&'static str])>;
+    fn check<G: ProtocolEngine + Default, S: Copy + Eq + Hash>(
+        r: u32,
+        states: usize,
+        (start, messages, receive): (S, &[&str], Receive<S>),
+    ) {
+        let mut reached = HashSet::from([start]);
+        let mut queue = vec![start];
+        while let Some(state) = queue.pop() {
+            for message in messages {
+                if let Some((next, _)) = receive(state, message) {
+                    if reached.insert(next) {
+                        queue.push(next);
+                    }
+                }
+            }
+        }
+        let spec = Spec::generated(&CommitModel::new(CommitConfig::new(r).unwrap())).unwrap();
+        let (interpreted, compiled) = both_engines(spec, Tier::Compiled);
+        assert_eq!((reached.len(), compiled.state_count()), (states, states));
         let mut rt_interp = interpreted.runtime();
         let mut rt_compiled = compiled.runtime();
         for trace in commit_traces() {
@@ -259,13 +275,16 @@ fn generated_tier_agrees_through_the_facade() {
             );
         }
     }
-    check::<stategen_generated::GeneratedCommitR4>(
-        stategen_generated::GeneratedCommitR4::to_machine(),
+    use stategen_generated::{commit_r4, commit_r7, GeneratedCommitR4, GeneratedCommitR7};
+    check::<GeneratedCommitR4, _>(
         4,
+        33,
+        (commit_r4::START, commit_r4::MESSAGES, commit_r4::receive),
     );
-    check::<stategen_generated::GeneratedCommitR7>(
-        stategen_generated::GeneratedCommitR7::to_machine(),
+    check::<GeneratedCommitR7, _>(
         7,
+        85,
+        (commit_r7::START, commit_r7::MESSAGES, commit_r7::receive),
     );
 }
 

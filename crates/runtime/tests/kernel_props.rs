@@ -6,8 +6,8 @@
 //! keeps — under spawn/release/reset churn between batches (released
 //! slots exercise the kernel's retired-slot skip), on random generated
 //! machines, on guarded machines whose `(state, message)` cells carry
-//! candidates of every shape, on the commit protocol (generated,
-//! unfolded and reconstructed from the build-time-generated crate), and
+//! candidates of every shape, on the commit protocol (generated and
+//! unfolded), and
 //! through a sharded runtime's fork-join for any shard plan, empty and
 //! uneven shards included. A second body pins the *eager* finished
 //! count: on random machines, on every tier, after every runtime
@@ -25,7 +25,6 @@ use stategen_core::{
     generate, AbstractModel, Action, Efsm, FlatIr, HierarchicalMachine, HsmBuilder, Outcome,
     ProtocolEngine, StateComponent, StateRole, StateSpace, StateVector,
 };
-use stategen_generated::GeneratedCommitR4;
 use stategen_runtime::{Engine, MessageId, Runtime, SessionId, Spec, SwapOutcome, Tier};
 
 /// Keep scripts from growing the pool without bound.
@@ -413,18 +412,6 @@ proptest! {
         prop_assert_eq!(batched[2].snapshot_all(), scalar.snapshot_all());
     }
 
-    /// The reconstructed build-time-generated machine participates in
-    /// the same kernel-equivalence guarantee through the facade.
-    #[test]
-    fn generated_tier_batches_match_scalar_delivery(ops in script(5)) {
-        let machine = GeneratedCommitR4::to_machine();
-        let engine = || Engine::compile(Spec::machine(machine.clone())).unwrap();
-        let mut batched = [engine().runtime()];
-        let mut scalar = engine().runtime();
-        let ids = alphabet(&scalar);
-        drive(&mut batched, &mut scalar, &ids, &ops)?;
-        prop_assert_eq!(batched[0].snapshot_all(), scalar.snapshot_all());
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -22,19 +22,12 @@
 //!   ≤ 6.25%), with no allocation after construction and conservative
 //!   (upper-edge) quantile extraction.
 //! * **Flight recorder** — [`FlightRecorder`], a fixed-capacity ring of
-//!   [`TransitionEvent`]s behind the sealed [`RuntimeObserver`] hook.
-//!   The hook is statically dispatched: the runtime's batch loop is
-//!   monomorphized per observer, and [`RuntimeObserver::ENABLED`] is a
-//!   monomorphization-time constant that selects literally the
-//!   unobserved loop body for [`NoopObserver`]. The runtime's observed
-//!   batch path goes further still — it runs that unobserved loop and
-//!   then *replays* only the ring-sized tail of the batch from a
-//!   pre-batch state copy, so recording cost is bounded by the ring
-//!   capacity rather than the batch's transition count.
-//!
-//! The trait is *sealed* — only the two observers in this crate
-//! implement it — so the runtime's delivery loop is never asked to
-//! monomorphize against arbitrary user code with arbitrary cost.
+//!   [`TransitionEvent`]s. The runtime never records inside its batch
+//!   loop: before a batch it probes, from the pre-batch state, the
+//!   ring-sized tail of transitions the batch will take, runs the
+//!   unobserved batch, then writes that tail into the ring — so a
+//!   batch's recording cost is bounded by the probed suffix and the
+//!   ring's capacity, not by its transition count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -532,44 +525,6 @@ pub struct TransitionEvent {
     pub tick: u64,
 }
 
-mod sealed {
-    /// Seals [`super::RuntimeObserver`]: the runtime's delivery loop is
-    /// monomorphized only against this crate's two observers, never
-    /// against arbitrary user code.
-    pub trait Sealed {}
-}
-
-/// The transition hook the runtime's delivery paths call. **Sealed**:
-/// only [`NoopObserver`] (statically free) and [`FlightRecorder`]
-/// implement it, so the hook's cost envelope is fixed by this crate.
-pub trait RuntimeObserver: sealed::Sealed {
-    /// `false` only for [`NoopObserver`]. Delivery loops guard event
-    /// construction behind this constant, so the disabled
-    /// monomorphization contains no observer code at all — not even
-    /// the loads (slot generations, action lengths) that feed the
-    /// event, whose bounds checks would otherwise survive dead-code
-    /// elimination.
-    const ENABLED: bool = true;
-
-    /// Called once per taken transition, before the next session steps.
-    fn on_transition(&mut self, event: TransitionEvent);
-}
-
-/// The disabled observer: an empty `#[inline(always)]` hook, so the
-/// monomorphized delivery loop is *identical* to an unobserved one —
-/// the event construction feeding it is dead code and is eliminated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl sealed::Sealed for NoopObserver {}
-
-impl RuntimeObserver for NoopObserver {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn on_transition(&mut self, _event: TransitionEvent) {}
-}
-
 /// A ring entry: a [`TransitionEvent`] packed into two words so the
 /// hot-loop record is two 8-byte stores instead of four (and spills
 /// half as many temporaries). `from`/`to`/`message`/`actions` are
@@ -626,15 +581,6 @@ pub struct FlightRecorder {
     /// Total events ever recorded; `head & mask` is the next write slot.
     head: u64,
     mask: u64,
-}
-
-impl sealed::Sealed for FlightRecorder {}
-
-impl RuntimeObserver for FlightRecorder {
-    #[inline(always)]
-    fn on_transition(&mut self, event: TransitionEvent) {
-        self.record(event);
-    }
 }
 
 impl FlightRecorder {
@@ -814,11 +760,5 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"guard_fall_throughs\": 6"));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn noop_observer_is_callable_and_inert() {
-        let mut o = NoopObserver;
-        o.on_transition(TransitionEvent::default());
     }
 }

@@ -1,142 +1,17 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 gate plus lint, doc and benchmark gates.
+# Repo verification: what "green" means here, said once.
 #
 #   scripts/verify.sh
 #
-# 1. builds the whole workspace in release mode;
-# 2. runs every test (default-members covers all crates) — this
-#    includes the HSM property suite (crates/core/tests/hsm_props.rs),
-#    the guarded-statechart property suite
-#    (crates/runtime/tests/hsm_guarded_props.rs: HsmInstance ≡
-#    interpreted IR ≡ Runtime, compiled and interpreted, on randomized
-#    guarded statecharts), the flattening
-#    compiler's trace-equivalence gate,
-#    and the runtime facade's cross-tier conformance suite
-#    (crates/runtime/tests/conformance.rs);
-# 3. lints the whole workspace (clippy, warnings denied), checks
-#    formatting (rustfmt) and builds the docs with rustdoc warnings
-#    denied (broken intra-doc links fail the gate);
-# 4. regenerates BENCH_engine_tiers.json via the engine_tiers binary,
-#    which also asserts the zero-allocation claims (including the
-#    hsm_guarded_flattened row: a guarded statechart bound and unfolded
-#    onto the dense tier, 64k sessions, 0 allocs/delivery hard-asserted,
-#    and the efsm_kernel_over_budget row: the r = 64 commit EFSM past the
-#    unfolding budget, deliver_all on the interpreter), the batch
-#    kernel gates — batched_kernel ≥ 1.25x the scalar pool walk, paired
-#    passes at 4096 lockstep sessions, and batched_kernel_divergent ≥
-#    1.5x the scalar walk on a pre-diverged 65 536-session pool, 0
-#    allocs/delivery (docs/KERNELS.md) — and
-#    the telemetry overhead bounds — runtime_facade ≤ 1.10x raw compiled
-#    dispatch with telemetry compiled in but disabled, and
-#    runtime_observed (flight recorder + metrics on) ≤ 1.25x the
-#    facade, both at 64k sessions / 0 allocs per delivery, paired
-#    measurement — keeping the perf trajectory tracked on every PR (the
-#    storage stack's end-to-end numbers come from step 8's traced
-#    benchmark/ runs);
-# 5. replays the chaos campaign's pinned seeds (loss + duplication +
-#    reordering + a peer crash/restart recovering from its checkpoint,
-#    full agreement asserted), the artifact corruption campaign's
-#    pinned seeds (truncation at every prefix, every single-bit flip,
-#    seeded multi-bit flips and cross-artifact splices — the loader
-#    must reject, never panic) with the rest of the artifact suite
-#    (carried fingerprint, named section checksums, pinned images) and
-#    the FNV word path's tests against the byte loop, all in release
-#    mode, and the fleet-rollout campaign's pinned
-#    seeds (drain-and-switch hot-swap with mid-swap crash recovery),
-#    so the crash-safety and deployment guarantees are exercised on
-#    every verification run, not just in CI roulette;
-# 6. runs the static-analyzer corpus sweep at deny level: every model
-#    machine in the workspace goes through `stategen-analysis` and none
-#    may carry a deny-level finding, and minimization must stay
-#    observation-equivalent and idempotent on the whole corpus (the
-#    engine_tiers run additionally hard-gates the hsm_minimized row:
-#    the ring quotient must be smaller, allocation-free, and no slower
-#    than the unminimized original in paired passes);
-# 7. fails if the benchmark artefacts are missing required rows
-#    (including the runtime_facade, artifact_cold_load,
-#    hsm_minimized and efsm_kernel_over_budget rows),
-#    or if a deleted name reappears or a confined one spreads: one table
-#    of grep rules (pattern, paths, allowed files, the reason and its
-#    CHANGES.md entry) covers the deleted pools, drivers, instance
-#    types, register tier and checkers, the sharded pool and its trait,
-#    core paths to the serving layer that is now stategen-runtime's,
-#    Condvar and the lazy finished bitset in the core or runtime
-#    sources, the unfolded side table outside core::unfold and the
-#    runtime's step engine, and the explorer's reached set outside
-#    core::explore and its three searches, and the second and third
-#    measuring systems (the criterion shim and its benches,
-#    storage_throughput and BENCH_storage.json) and the generator
-#    options only they set; and re-runs in
-#    release mode the generation-exhaustion unit test (its arithmetic
-#    wraps there instead of panicking), the foreign-message-id batch
-#    test (a debug assertion used to be the register tier's only guard),
-#    the lowering-decision unit test and the no-fallback test (every
-#    deployed guarded machine unfolds; past the budget the interpreter
-#    takes over, saying why) and the unreachable-configuration restore
-#    test (an unfolded engine
-#    refuses a snapshot its machine cannot have produced: typed error,
-#    runtime untouched, in both profiles), the events-per-commit count
-#    test and the crashed-client restart test of the storage stack, the
-#    simulator's calendar-against-heap differential test and its
-#    saturating-time test, the two tests that pin the storage
-#    stack's message schedule and the peer's two-crash checkpoint test
-#    (debug builds assert every checkpoint write against the live
-#    bookkeeping; release builds do not, so the test is the check); and
-#    fails if CommitPeer or PeerCheckpoint declare one of the
-#    attempt-keyed fields the in-flight table replaced, if the
-#    checkpoint holds a history or a finished set again (both are
-#    written through by the commit's synchronous write —
-#    docs/STORAGE.md, "Durability"), or if the ledger's in-flight table
-#    or the peer's GC tags become a map again;
-# 8. runs the benchmark/ package's own gate (benchmark/check.sh: it is
-#    a workspace of its own, so steps 1-3 do not reach it) and one short
-#    traced storage_commit run, which must pass its output checks,
-#    keep a peer's on_message cost flat over a 2 000-commit history
-#    (storage.history_growth_ratio <= 1.25: the last tenth of a run's
-#    messages against the first, within one process, so machine speed
-#    cancels; it read 10 while CommitPeer scanned its history, 1.5 on
-#    five attempt-keyed trees, 1.03-1.15 on the in-flight table), end
-#    with no more sessions in a peer's runtime than attempts can be in
-#    flight (storage.peer_live_sessions_end <= 12; 2 000 while finished
-#    attempts kept theirs) and wake its endpoints at most 8 times per
-#    commit (client.on_timer calls per simulation span in the trace
-#    file <= 16 000; about 9 300 with one live wake-up chain per
-#    endpoint, 93 000-306 000 while every superseded wake-up bred a
-#    chain of its own — docs/STORAGE.md), reproduce seed 1's exact
-#    schedule (check.checksum_low32, storage.msgs_per_commit and
-#    storage.virtual_end_ticks pinned) and allocate at most 2.5 times per
-#    commit (alloc.allocs_per_kop <= 2 500; 4 638 while the endpoint
-#    built a contact order and a reporter set per attempt, about 2 040
-#    since), then one short traced storage_chaos run, which must pass
-#    its output checks, reproduce seed 1's exact schedule under loss,
-#    duplication, reordering and 16 peer restarts, and allocate at most
-#    10 times per commit (alloc.allocs_per_kop <= 10 000; 36 737 while
-#    every checkpoint write allocated a fresh runtime snapshot, about
-#    5 460 since it writes into the last one's buffers), then one short
-#    traced build_deploy run,
-#    which must pass its output checks, reproduce seed 1's checksum
-#    over every corpus fingerprint (check.checksum_low32 2257151477),
-#    load an artifact in at most 1.25x the time saving it takes
-#    (core.artifact.load_us / save_us: 1.65 while a load hashed each
-#    byte four times and the IR three, about 1.0 since it carries the
-#    verified fingerprint and copies the verified checksum words), and
-#    spend no more of a corpus
-#    pass in `analyze` or in `minimize` than 4x the engine compiler, a
-#    linear stage beside them (a ratio inside one run; analyze reads
-#    1.47-1.54x and minimize 1.15-1.21x, about 25x at commit r = 25
-#    while a refinement round searched the classes seen so far —
-#    docs/ANALYSIS.md; the generator, their old yardstick, got 5x
-#    cheaper when it stopped elaborating unreached states), then one short traced
-#    batch_divergent run, which must pass its output checks, allocate
-#    nothing per delivery, and serve a divergent deliver_all on the
-#    compiled dense tier in at most half the interpreted tier's time
-#    per session (a ratio inside one run; it read 0.73 while the dense
-#    kernel counting-sorted sessions by state, about 0.15 since the
-#    one-pass column gather — docs/KERNELS.md), then one short traced
-#    batch_guarded run with the same checks at a quarter of the
-#    interpreted tier's time (the commit EFSM, bound, is served unfolded
-#    from the dense table: about 0.07; a fallback to the interpreter
-#    would read about 1).
+# The release build, every test, clippy, rustfmt and rustdoc (warnings
+# denied); then one table of release-mode gates (GATES: id % ROADMAP
+# item % why its threshold % command), one table of names that deleted
+# code must not bring back or confined code must not spread (ROWS), the
+# storage peer's structural greps, the rows BENCH_engine_tiers.json must
+# carry, and short traced benchmark/ runs whose bounds are on their echo
+# lines. engine_tiers' own rows and gates are the two tables in
+# crates/bench/src/bin/engine_tiers.rs. Why each threshold sits where it
+# does, and what it read before, is in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -155,51 +30,34 @@ cargo fmt --check
 echo "== cargo doc --workspace --no-deps (rustdoc warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== engine_tiers (regenerates BENCH_engine_tiers.json) =="
-cargo run --release -p repro-bench --bin engine_tiers
-
-echo "== chaos campaign: pinned-seed replay (crash/restart + full agreement) =="
-cargo test -q --release -p asa-storage --test chaos chaos_pinned_seed
-
-echo "== artifact suite + FNV word path (release: corruption campaigns, carried fingerprint, pinned images) =="
-cargo test -q --release -p stategen-core --test artifact_props
-cargo test -q --release -p stategen-core --lib fingerprint
-
-echo "== fleet-rollout campaign: pinned-seed replay (hot-swap + mid-swap crash recovery) =="
-cargo test -q --release -p asa-storage --test rollout rollout_pinned_seed
-
-echo "== analyzer corpus sweep: every model machine deny-clean, minimization equivalent =="
-cargo test -q --release -p stategen-analysis --test corpus
-
-echo "== generation exhaustion (release: overflow would wrap, not panic) =="
-cargo test -q --release -p stategen-runtime --lib exhausted_generation
-
-echo "== foreign message id in a batch (release: one panic message on every tier) =="
-cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
-
-echo "== lowering decision + no deployed machine falls back (release) =="
-cargo test -q --release -p stategen-runtime --lib lowering_is_decided_by_the_bound_configuration_space
-cargo test -q --release -p stategen-runtime --test conformance no_deployed_machine_falls_back
-
-echo "== unreachable configuration in a snapshot (release: typed error, runtime untouched) =="
-cargo test -q --release -p stategen-runtime --lib restore_refuses_unreachable_configurations
-
-echo "== events per commit flat in the history (release) =="
-cargo test -q --release -p asa-storage --lib events_per_commit_do_not_grow_with_the_history
-
-echo "== a crashed client wakes up again (release) =="
-cargo test -q --release -p asa-storage --test commit_simulation crashed_client_wakes_up
-
-echo "== calendar queue = heap scheduler, event for event; time saturates (release) =="
-cargo test -q --release -p asa-simnet --lib calendar_matches_the_heap_scheduler_on_random_scripts
-cargo test -q --release -p asa-simnet --lib never_timers_saturate_instead_of_wrapping
-
-echo "== the storage stack's message schedule is the pinned one (release) =="
-cargo test -q --release -p asa-storage --lib message_schedule_is_the_pinned_one
-cargo test -q --release -p asa-storage --lib table_peer_matches_the_reference_peer_on_random_chaos
-
-echo "== the peer's checkpoint stays exact through two crashes (release) =="
-cargo test -q --release -p asa-storage --lib journaled_checkpoint_and_indexes_stay_exact_through_two_crashes
+# One row per gate: id % ROADMAP item % why % command. The command is a
+# plain word list, run in release mode so profile-dependent checks (debug
+# assertions, overflow panics) are not the only guard.
+while IFS='%' read -r id item why command; do
+    echo "== $id (ROADMAP item $item): $why =="
+    # shellcheck disable=SC2086 # command is a word list
+    $command </dev/null # the table is this loop's stdin
+done <<'GATES'
+engine_tiers%6%0 allocs/delivery on 21 rows and five ratio bounds, each a median of alternating pairs; writes BENCH_engine_tiers.json%cargo run --release -p repro-bench --bin engine_tiers
+chaos%13%pinned seeds under loss, duplication, reordering and a peer crash/restart still reach full agreement%cargo test -q --release -p asa-storage --test chaos chaos_pinned_seed
+artifact_suite%1%the loader rejects every truncation, bit flip and splice without panicking; pinned images and fingerprints hold%cargo test -q --release -p stategen-core --test artifact_props
+fingerprint%17%the FNV word path hashes exactly as the byte loop%cargo test -q --release -p stategen-core --lib fingerprint
+rollout%1%pinned drain-and-switch hot-swap seeds survive a mid-swap crash%cargo test -q --release -p asa-storage --test rollout rollout_pinned_seed
+analyzer_corpus%16%every model machine is deny-clean, and minimization is observation-equivalent and idempotent on the corpus%cargo test -q --release -p stategen-analysis --test corpus
+exhausted_generation%1%a slot's u32 generation retires it instead of wrapping (release arithmetic wraps, debug panics)%cargo test -q --release -p stategen-runtime --lib exhausted_generation
+foreign_message_id%1%a foreign message id in a batch panics with one message on every tier, not only under debug assertions%cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
+lowering_decision%18%a bound guarded machine unfolds iff its configuration space fits the budget%cargo test -q --release -p stategen-runtime --lib lowering_is_decided_by_the_bound_configuration_space
+no_fallback%18%no deployed machine (corpus, storage peers, the seven workloads) falls back to the interpreter%cargo test -q --release -p stategen-runtime --test conformance no_deployed_machine_falls_back
+unreachable_restore%1%an unfolded engine refuses a snapshot its machine cannot produce: typed error, runtime untouched%cargo test -q --release -p stategen-runtime --lib restore_refuses_unreachable_configurations
+events_per_commit%13%simulator events per commit stay flat as the history grows%cargo test -q --release -p asa-storage --lib events_per_commit_do_not_grow_with_the_history
+crashed_client%13%a crashed client wakes up again%cargo test -q --release -p asa-storage --test commit_simulation crashed_client_wakes_up
+calendar_queue%8%the calendar queue pops event for event as the heap scheduler does%cargo test -q --release -p asa-simnet --lib calendar_matches_the_heap_scheduler_on_random_scripts
+saturating_time%8%never-firing timers saturate at SimTime::MAX instead of wrapping%cargo test -q --release -p asa-simnet --lib never_timers_saturate_instead_of_wrapping
+message_schedule%8%the storage stack's message schedule is the pinned one (six fingerprints)%cargo test -q --release -p asa-storage --lib message_schedule_is_the_pinned_one
+reference_peer%13%the table peer matches the reference peer trace for trace under random chaos%cargo test -q --release -p asa-storage --lib table_peer_matches_the_reference_peer_on_random_chaos
+two_crash_checkpoint%13%the peer's checkpoint stays exact through two crashes (release builds skip the debug write-time checks)%cargo test -q --release -p asa-storage --lib journaled_checkpoint_and_indexes_stay_exact_through_two_crashes
+benchmark_package%6%benchmark/ is a workspace of its own: its fmt, clippy, tests and BENCHMARK.json manifest%bash benchmark/check.sh
+GATES
 
 echo "== deleted names stay deleted; confined names stay confined =="
 # One row per rule: grep flags % pattern % paths % files that may name
@@ -228,7 +86,8 @@ done <<'ROWS'
 -E%\b(ShardedPool|BatchEngine)\b%crates/ src/ examples/ tests/ docs/%%a runtime's shards run through its private fork-join; the generic pool and its trait were deleted (CHANGES.md, PR 36)
 -E%stategen_core::(SessionStore|StepEngine|Instance|Taken|BatchTally|Tier)\b%crates/ src/ examples/ tests/%%the serving layer is private to stategen-runtime; core says what a machine is (CHANGES.md, PR 36)
 -E%\b(render_efsm_dot|render_efsm_text|DotOptions|TextRenderer|include_descriptions|render_markdown_report|render_machine_summary)\b%crates/ src/ examples/ tests/ docs/%%every renderer reads FlatIr and optional Notes; the EFSM renderers folded into the flat ones and the settable options and unused reports above were deleted (CHANGES.md: one machine for every back end)
--E%\bfn (to_machine|flatten)\b%crates/core/src%%StateMachine is an authoring type lowered once by FlatIr::from_machine; the FlatIr -> StateMachine projections were deleted (CHANGES.md: one machine for every back end)
+-E%\bfn (to_machine|flatten)\b%crates/ src/ examples/ tests/%%StateMachine is an authoring type lowered once by FlatIr::from_machine; the projections back to it, the generated crate's to_machine() last, were deleted (CHANGES.md: one machine for every back end; what green means)
+-E%\b(RuntimeObserver|NoopObserver)\b%crates/ src/ examples/ tests/ docs/%%the batch loop records nothing; a recorder is filled from a probe of the batch tail, so the observer trait and its no-op went (CHANGES.md: what green means)
 -E --include=*.rs%CompiledMachine::compile\(|Artifact::from_machine%crates/ src/ examples/ tests/%%lower with FlatIr::from_machine, then CompiledMachine::compile_ir or Artifact::new (CHANGES.md: one machine for every back end)
 -E --include=*.rs%\b(StateMachine|Efsm)\b%crates/render/src%%the renderers consume only the lowered machine (FlatIr) and its Notes (CHANGES.md: one machine for every back end)
 -E%\b(criterion_group|criterion_main|storage_throughput|BENCH_storage|MergeStrategy|keep_self_loops|annotate_states|SinglePass)\b|vendor/criterion%crates/ src/ examples/ tests/ docs/ Cargo.toml%%benchmark/ is the one measuring instrument: the criterion shim, its benches and storage_throughput were deleted, and the generator options only they set became constants (CHANGES.md: one measuring instrument)
@@ -259,6 +118,7 @@ if grep -nE '^ +table: *(BTreeMap|HashMap)' crates/storage/src/version_service/l
     exit 1
 fi
 
+# The rows verify.sh and docs name must stay in engine_tiers' row table.
 echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
@@ -270,9 +130,7 @@ for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
         || { echo "BENCH_engine_tiers.json is missing the $row row" >&2; exit 1; }
 done
 
-echo "== benchmark package gate (benchmark/check.sh) =="
-bash benchmark/check.sh
-
+# The commit path: seed 1's pinned schedule, a flat per-message cost over the history, few allocations.
 echo "== storage_commit traced: output checks + pinned seed-1 schedule + history_growth_ratio <= 1.25 + live sessions <= 12 + client wake-ups <= 8 per commit + allocs_per_kop <= 2500 =="
 bash benchmark/run.sh --workload storage_commit --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -289,6 +147,7 @@ print(f"seed 1 schedule (checksum_low32, msgs_per_commit, virtual_end_ticks): {s
 pinned = schedule == (2263794710, 32.6285625, 55690.25)
 sys.exit(0 if pinned and growth <= 1.25 and live <= 12 and wakes <= 8 * 2000 and allocs <= 2500 and failed == 0 else 1)'
 
+# Recovery under loss, duplication, reordering and peer restarts, with a pinned schedule.
 echo "== storage_chaos traced: output checks + pinned seed-1 schedule + 16 restarts + allocs_per_kop <= 10000 =="
 bash benchmark/run.sh --workload storage_chaos --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -302,6 +161,7 @@ print(f"seed 1 schedule (checksum_low32, msgs_per_commit, virtual_end_ticks): {s
 pinned = schedule == (3703339031, 36.9528125, 116428.5625)
 sys.exit(0 if pinned and restarts == 16 and allocs <= 10000 and failed == 0 else 1)'
 
+# The generative half: analysis and minimization stay linear-ish beside the compiler.
 echo "== build_deploy traced: output checks + analyze_ms, minimize_ms <= 4x compile_ms + load_us <= 1.25x save_us + pinned seed-1 checksum =="
 bash benchmark/run.sh --workload build_deploy --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -318,6 +178,7 @@ print(f"artifact load_us {load:.1f} = {load / save:.2f}x save_us {save:.1f}; che
 sys.exit(0 if failed == 0 and analyze <= 4 * compile and minimize <= 4 * compile
          and load <= 1.25 * save and checksum == 2257151477 else 1)'
 
+# The dense tier's one-pass column gather against the interpreter.
 echo "== batch_divergent traced: output checks + 0 allocs + compiled deliver_all <= 0.5x interpreted =="
 bash benchmark/run.sh --workload batch_divergent --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
@@ -329,6 +190,7 @@ failed = metrics["check.failed_share"]["value"]
 print(f"deliver_all ns/session: compiled {compiled:.2f}, interpreted {interpreted:.2f}; allocs_per_kop {allocs}, check.failed_share {failed}")
 sys.exit(0 if failed == 0 and allocs == 0 and compiled <= 0.5 * interpreted else 1)'
 
+# The commit EFSM, bound and unfolded; a fallback to the interpreter reads about 1.
 echo "== batch_guarded traced: output checks + 0 allocs + compiled deliver_all <= 0.25x interpreted =="
 bash benchmark/run.sh --workload batch_guarded --seed 1 --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
