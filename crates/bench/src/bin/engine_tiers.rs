@@ -87,7 +87,8 @@ const RING_TRACE: [&str; 9] = [
 /// Timed passes of a row no gate joins, and pairs of a gate whose
 /// readings sit far from its bound.
 const PASSES: usize = 11;
-/// Pairs of a gate that reads within 25 % of its bound. On a shared
+/// Pairs of a gate that reads within 25 % of its bound (and of the
+/// facade gate, which shares its facade passes with one). On a shared
 /// 2-thread box, best-of-11 long passes read the minimization gate
 /// 0.93–1.07 against its 1.05 bound; the median of 110 one-tenth-length
 /// pairs read 0.99–1.00.
