@@ -656,7 +656,7 @@ fn main() {
         }),
         // Build-time generated source: a `match` over enum states, static
         // send lists.
-        row("generated", SINGLE_ROUNDS * single, false, || {
+        row("generated", SINGLE_ROUNDS * single, true, || {
             let deliver =
                 |e: &mut GeneratedCommitR4, m| e.deliver_raw(m).map_or(0, <[_]>::len) as u64;
             let mut engine = GeneratedCommitR4::new();

@@ -203,7 +203,7 @@ enum PeerAction {
 /// garbage-collected — recycled through the runtime's generational free
 /// list, so a stale handle can never silently address the slot's next
 /// attempt — and replay protection is the ledger's: a replayed vote
-/// for a committed attempt finds it in the finished set and is absorbed,
+/// for a committed attempt finds it in the finished log and is absorbed,
 /// it does not spawn a fresh execution.
 ///
 /// A peer keeps serving as its history grows, so a message costs one
@@ -223,14 +223,10 @@ pub struct CommitPeer<'m> {
     /// the attempts in flight.
     runtime: Runtime,
     /// What this peer knows of each attempt: in flight (with its
-    /// session in `runtime`), dropped, or finished.
+    /// session in `runtime`), dropped, or finished. The finished log is
+    /// also the history, written through by the commit's synchronous
+    /// checkpoint write: a crash keeps it.
     ledger: Ledger,
-    /// The recorded versions in commit order (the public view). Like
-    /// the ledger's finished set, an append-only log written through by
-    /// the commit's synchronous checkpoint write: a crash keeps it.
-    history: Vec<Pid>,
-    /// The versions in `history`, for membership tests.
-    recorded: BTreeSet<Pid>,
     /// Action-kind buffer reused across deliveries (see
     /// [`CommitPeer::feed`]).
     action_scratch: Vec<PeerAction>,
@@ -257,9 +253,9 @@ pub struct CommitPeer<'m> {
     /// durable) and resumes when an attempt spawns.
     checkpoint_armed: bool,
     /// The peer's simulated durable store beside the written-through
-    /// logs (`history` and the ledger's finished set): the last
-    /// checkpoint written. `on_restart` recovers from *only* these —
-    /// everything else above is treated as lost with the crash.
+    /// finished log: the last checkpoint written. `on_restart` recovers
+    /// from *only* the two — everything else above is treated as lost
+    /// with the crash.
     checkpoint: Option<PeerCheckpoint>,
     /// The attempts whose `dropped` entry changed since `checkpoint` was
     /// written (the in-flight table is copied whole). Volatile, recorded
@@ -287,14 +283,14 @@ pub struct PeerGcStats {
     pub aborted: u64,
 }
 
-/// What a peer persists beside its written-through logs: its
+/// What a peer persists beside its written-through finished log: its
 /// [`Runtime`] snapshot — the sessions in flight, no more — plus the
 /// unfinished attempts that give them meaning. Written atomically (it
 /// is one in-memory value), so a recovered peer is always internally
 /// consistent — it may merely be *stale* by up to one checkpoint
-/// interval. The finished set and the history are not here: every
+/// interval. The finished log — the history — is not here: every
 /// finish is followed, in the same handler, by a synchronous write, so
-/// wherever a crash can fall a copy of them would equal the live ones.
+/// wherever a crash can fall a copy of it would equal the live one.
 #[derive(Debug, Clone)]
 struct PeerCheckpoint {
     runtime: RuntimeSnapshot,
@@ -363,8 +359,6 @@ impl<'m> CommitPeer<'m> {
             peer_count,
             runtime: engine.engine().runtime(),
             ledger: Ledger::default(),
-            history: Vec::new(),
-            recorded: BTreeSet::new(),
             action_scratch: Vec::new(),
             feed_scratch: VecDeque::new(),
             sibling_scratch: Vec::new(),
@@ -412,11 +406,12 @@ impl<'m> CommitPeer<'m> {
 
     /// The sequence of versions this peer has recorded.
     pub fn history(&self) -> &[Pid] {
-        &self.history
+        self.ledger.history()
     }
 
-    /// Attempts this peer has committed: its finished set.
-    pub fn committed(&self) -> &BTreeSet<AttemptId> {
+    /// Attempts this peer has committed, built from its finished log
+    /// (for tests and diagnostics: O(h log h)).
+    pub fn committed(&self) -> BTreeSet<AttemptId> {
         self.ledger.committed()
     }
 
@@ -538,7 +533,8 @@ impl<'m> CommitPeer<'m> {
                     }),
             );
             // A finished execution would only absorb from here on: the
-            // finished set does that without a session.
+            // finished log does that without a session, and appends the
+            // PID to the history if it is new.
             let finished = self.runtime.is_finished(session);
             let client = if finished {
                 self.runtime.release(session);
@@ -560,9 +556,6 @@ impl<'m> CommitPeer<'m> {
             }
             self.action_scratch = kinds;
             if finished {
-                if self.recorded.insert(a.pid) {
-                    self.history.push(a.pid);
-                }
                 if let Some(client) = client {
                     ctx.send(client, VhMsg::Committed(a));
                 }
@@ -652,9 +645,8 @@ impl<'m> CommitPeer<'m> {
     /// buffers, the in-flight table whole, and the `dropped` entries the
     /// journal names — so a write costs a copy of O(in-flight) words
     /// and a search per dropped entry changed, and allocates nothing
-    /// once the buffers have grown. The finished set and the history
-    /// need nothing: they are the durable logs this write makes a
-    /// commit part of.
+    /// once the buffers have grown. The finished log needs nothing: it
+    /// is the durable log this write makes a commit part of.
     fn write_checkpoint(&mut self) {
         match &mut self.checkpoint {
             Some(checkpoint) => {
@@ -710,13 +702,13 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
 
     fn on_restart(&mut self, ctx: &mut Context<'_, VhMsg>) {
         // Everything volatile died with the crash; recover from the
-        // durable checkpoint and the written-through logs alone.
+        // durable checkpoint and the written-through log alone.
         // `Runtime::restore` revalidates the snapshot against the engine
         // fingerprint and brings every session back bit-identically —
         // including generations, so the checkpointed table's handles
-        // keep addressing their attempts. The finished set, `history`
-        // and `recorded` (derived from it) stay as they are: the last
-        // finish was followed by a write, so they are what is durable.
+        // keep addressing their attempts. The finished log — the
+        // history — stays as it is: the last finish was followed by a
+        // write, so it is what is durable.
         match &self.checkpoint {
             Some(checkpoint) => {
                 self.runtime = Runtime::restore(self.engine.engine(), &checkpoint.runtime)
@@ -729,8 +721,6 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
             None => {
                 self.runtime = self.engine.engine().runtime();
                 self.ledger = Ledger::default();
-                self.history.clear();
-                self.recorded.clear();
             }
         }
         // The live bookkeeping now equals the checkpoint, so the journal
@@ -787,7 +777,7 @@ impl SimNode<VhMsg> for CommitPeer<'_> {
                 let (attempt, message) = match message {
                     // Already recorded (an earlier attempt won): confirm
                     // without re-executing the protocol.
-                    VhMsg::ClientUpdate(a) if self.recorded.contains(&a.pid) => {
+                    VhMsg::ClientUpdate(a) if self.ledger.is_recorded(&a.pid) => {
                         return ctx.send(from, VhMsg::Committed(a));
                     }
                     VhMsg::ClientUpdate(a) => (a, CommitMessage::Update),

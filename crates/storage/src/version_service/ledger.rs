@@ -4,7 +4,8 @@
 //! change of place goes through a method here, so the peer never sees
 //! the collections (`docs/STORAGE.md` has what each costs and how it
 //! grows). The first two are [`Unfinished`], the part a checkpoint
-//! copies.
+//! copies; the finished attempts are the [`FinishedLog`], which is also
+//! the peer's history.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -14,6 +15,7 @@ use stategen_commit::CommitMessage;
 use stategen_runtime::SessionId;
 
 use super::AttemptId;
+use crate::entities::Pid;
 
 /// Which senders' `update`, `vote` and `commit` an attempt has counted:
 /// each counts once, whatever the network duplicates or a Byzantine
@@ -73,8 +75,8 @@ impl Heard {
 }
 
 /// The unfinished attempts: what a peer's checkpoint copies beside its
-/// runtime snapshot. The finished set and the history are not in it —
-/// they are written through (`docs/STORAGE.md`, "Durability").
+/// runtime snapshot. The finished log is not in it — it is written
+/// through (`docs/STORAGE.md`, "Durability").
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(super) struct Unfinished {
     /// The attempts in flight, each with the session executing it,
@@ -110,6 +112,101 @@ impl Unfinished {
     }
 }
 
+/// The finished attempts, which are also the peer's history: each PID
+/// recorded here once, in commit order, with the first of its attempts
+/// to finish. An append-only log the commit write makes durable.
+///
+/// A PID is a SHA-1 digest, uniform already, so its first eight bytes
+/// are its hash: `slots` is an open-addressed index into `pids`, probed
+/// linearly from that home slot, at most half full. The index trusts
+/// PIDs to be digests — contents ground to share home-slot bits lengthen
+/// the probe chains, at the price of a full commit for each such PID
+/// (`docs/STORAGE.md`, "Cost of each path").
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct FinishedLog {
+    /// The recorded PIDs in commit order: the history.
+    pids: Vec<Pid>,
+    /// `(client, attempt)` of the first attempt of each PID in `pids` to
+    /// finish, at the same position.
+    attempts: Vec<(u32, u32)>,
+    /// Position in `pids` plus one, 0 for an empty slot; the length is a
+    /// power of two at least twice `pids`'s, or 0 before the first
+    /// commit.
+    slots: Vec<u32>,
+    /// Later attempts of a recorded PID that finished as well: searched
+    /// only when a recorded PID's first attempt is not the one asked
+    /// about.
+    more: BTreeSet<AttemptId>,
+}
+
+/// Where `pid`'s probe starts, before masking: its digest's first eight
+/// bytes.
+fn home(pid: &Pid) -> usize {
+    let head: [u8; 8] = pid.0 .0[..8].try_into().expect("a digest has 20 bytes");
+    u64::from_le_bytes(head) as usize
+}
+
+impl FinishedLog {
+    /// `Ok` with `pid`'s position in `pids` if it is recorded, else
+    /// `Err` with the empty slot its probe ended at (0 while there are
+    /// no slots).
+    fn probe(&self, pid: &Pid) -> Result<usize, usize> {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return Err(0);
+        };
+        let mut slot = home(pid) & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                at if self.pids[at as usize - 1] == *pid => return Ok(at as usize - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Whether `attempt` finished here.
+    fn contains(&self, attempt: &AttemptId) -> bool {
+        match self.probe(&attempt.pid) {
+            Ok(at) => {
+                self.attempts[at] == (attempt.client, attempt.attempt)
+                    || self.more.contains(attempt)
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Records that `attempt` finished: its PID is appended to the
+    /// history if it is new, and `attempt` kept in `more` otherwise.
+    fn insert(&mut self, attempt: AttemptId) {
+        let slot = match self.probe(&attempt.pid) {
+            Ok(at) => {
+                if self.attempts[at] != (attempt.client, attempt.attempt) {
+                    self.more.insert(attempt);
+                }
+                return;
+            }
+            Err(_) if 2 * (self.pids.len() + 1) > self.slots.len() => {
+                self.grow();
+                self.probe(&attempt.pid).expect_err("a new PID")
+            }
+            Err(slot) => slot,
+        };
+        self.slots[slot] = u32::try_from(self.pids.len() + 1).expect("a history of < 2^32 PIDs");
+        self.pids.push(attempt.pid);
+        self.attempts.push((attempt.client, attempt.attempt));
+    }
+
+    /// Doubles the index (16 slots at first) and places every position
+    /// again.
+    fn grow(&mut self) {
+        self.slots = vec![0; (2 * self.slots.len()).max(16)];
+        for at in 0..self.pids.len() {
+            let slot = self.probe(&self.pids[at]).expect_err("each PID once");
+            self.slots[slot] = at as u32 + 1;
+        }
+    }
+}
+
 /// What [`Ledger::admit`] made of a message.
 #[derive(Debug)]
 pub(super) enum Admission {
@@ -126,21 +223,45 @@ pub(super) enum Admission {
 }
 
 /// A peer's attempt bookkeeping: the unfinished attempts, which its
-/// checkpoint copies, and the finished set, which like the history is
-/// an append-only log the commit write makes durable.
+/// checkpoint copies, and the finished log — the history — which the
+/// commit write makes durable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(super) struct Ledger {
     unfinished: Unfinished,
     /// The finished attempts. A finished execution absorbs every message
     /// and emits nothing, which membership here stands for — no session
     /// is kept to do it.
-    committed: BTreeSet<AttemptId>,
+    finished: FinishedLog,
 }
 
 impl Ledger {
-    /// The finished attempts.
-    pub(super) fn committed(&self) -> &BTreeSet<AttemptId> {
-        &self.committed
+    /// The finished attempts, in `AttemptId` order (built on demand).
+    pub(super) fn committed(&self) -> BTreeSet<AttemptId> {
+        let FinishedLog {
+            pids,
+            attempts,
+            more,
+            ..
+        } = &self.finished;
+        let first = pids
+            .iter()
+            .zip(attempts)
+            .map(|(&pid, &(client, attempt))| AttemptId {
+                pid,
+                client,
+                attempt,
+            });
+        first.chain(more.iter().copied()).collect()
+    }
+
+    /// The recorded PIDs in commit order.
+    pub(super) fn history(&self) -> &[Pid] {
+        &self.finished.pids
+    }
+
+    /// Whether some attempt of `pid` finished here.
+    pub(super) fn is_recorded(&self, pid: &Pid) -> bool {
+        self.finished.probe(pid).is_ok()
     }
 
     /// The unfinished attempts: what a checkpoint holds of the ledger.
@@ -149,14 +270,15 @@ impl Ledger {
     }
 
     /// Takes the unfinished attempts back from a checkpoint's `image`
-    /// after a crash; the finished set is kept.
+    /// after a crash; the finished log is kept.
     pub(super) fn restore(&mut self, image: &Unfinished) {
         self.unfinished.clone_from(image);
     }
 
     /// Attempts remembered at all: in flight, dropped or finished.
     pub(super) fn len(&self) -> usize {
-        self.unfinished.table.len() + self.unfinished.dropped.len() + self.committed.len()
+        let Unfinished { table, dropped } = &self.unfinished;
+        table.len() + dropped.len() + self.finished.pids.len() + self.finished.more.len()
     }
 
     /// The attempts in flight with their sessions, in `AttemptId` order:
@@ -177,7 +299,7 @@ impl Ledger {
 
     /// Counts `from`'s `message` for `attempt`. One lookup in the
     /// in-flight table for a message of a running attempt; the finished
-    /// set and `dropped` are searched only past that. An attempt not in
+    /// log and `dropped` are searched only past that. An attempt not in
     /// flight leaves the ledger with the message counted, for the caller
     /// to start — a new one never enters `dropped` on the way.
     pub(super) fn admit(
@@ -194,7 +316,7 @@ impl Ledger {
                 Admission::Ignored
             };
         }
-        if self.committed.contains(&attempt) {
+        if self.finished.contains(&attempt) {
             return Admission::Ignored;
         }
         match self.unfinished.dropped.entry(attempt) {
@@ -229,7 +351,7 @@ impl Ledger {
 
     /// `attempt`, admitted with `heard`, starts executing in `session`.
     pub(super) fn start(&mut self, attempt: AttemptId, session: SessionId, heard: Heard) {
-        debug_assert!(!self.committed.contains(&attempt));
+        debug_assert!(!self.finished.contains(&attempt));
         debug_assert!(!self.unfinished.dropped.contains_key(&attempt));
         debug_assert!(self.unfinished.position(attempt).is_none());
         let table = &mut self.unfinished.table;
@@ -246,12 +368,13 @@ impl Ledger {
         }
     }
 
-    /// `attempt`'s execution finished: it joins the finished set, and
-    /// the client that asked for it, if any has, is to be told.
+    /// `attempt`'s execution finished: it joins the finished log — its
+    /// PID the history, if new — and the client that asked for it, if
+    /// any has, is to be told.
     pub(super) fn finish(&mut self, attempt: AttemptId) -> Option<NodeId> {
         let at = self.unfinished.position(attempt);
         let in_flight = at.map(|at| self.unfinished.table.remove(at));
-        self.committed.insert(attempt);
+        self.finished.insert(attempt);
         in_flight.and_then(|(_, _, heard)| heard.client)
     }
 }
@@ -261,15 +384,36 @@ mod tests {
     use super::*;
 
     impl Ledger {
-        /// `true` when no attempt is in two places at once and the
-        /// table is in `AttemptId` order.
+        /// `true` when no attempt is in two places at once, the table is
+        /// in `AttemptId` order and the finished log is exact.
         pub(in super::super) fn is_exact(&self) -> bool {
             let Unfinished { table, dropped } = &self.unfinished;
             let in_flight = || table.iter().map(|(a, _, _)| a);
             let mut unfinished = in_flight().chain(dropped.keys());
-            unfinished.all(|a| !self.committed.contains(a))
+            unfinished.all(|a| !self.finished.contains(a))
                 && in_flight().all(|a| !dropped.contains_key(a))
                 && table.windows(2).all(|w| w[0].0 < w[1].0)
+                && self.finished.is_exact()
+        }
+    }
+
+    impl FinishedLog {
+        /// `true` when every history PID is found at its own position,
+        /// no PID is in the history twice, the index holds exactly the
+        /// history at most half full, and every `more` entry is a later
+        /// attempt of a recorded PID.
+        fn is_exact(&self) -> bool {
+            let distinct: BTreeSet<&Pid> = self.pids.iter().collect();
+            let filled = self.slots.iter().filter(|&&slot| slot != 0).count();
+            self.pids.len() == self.attempts.len()
+                && (0..self.pids.len()).all(|at| self.probe(&self.pids[at]) == Ok(at))
+                && distinct.len() == self.pids.len()
+                && filled == self.pids.len()
+                && 2 * filled <= self.slots.len()
+                && self.more.iter().all(|a| {
+                    self.probe(&a.pid)
+                        .is_ok_and(|at| self.attempts[at] != (a.client, a.attempt))
+                })
         }
     }
 
@@ -290,6 +434,78 @@ mod tests {
         }
         assert_eq!(seen.low, [1 | 1 << 3 | 1 << 63; 3]);
         assert_eq!(seen.high, [(64, 7), (1_000, 7), (usize::MAX, 7)]);
+    }
+
+    /// The finished log against a `BTreeSet` model, insert by insert,
+    /// through five growths of the index. Beside real digests the PIDs
+    /// include a group sharing all eight home bytes (one probe chain at
+    /// every size), a group homed on the last slot (its chain wraps to
+    /// slot 0) and a group apart only in high home bits (one chain until
+    /// a growth splits it). Retries and other clients of a recorded PID
+    /// finish as well, so `more` fills.
+    #[test]
+    fn finished_log_matches_a_model() {
+        let digest = |head: u64, tail: u64| {
+            let mut bytes = [0; 20];
+            bytes[..8].copy_from_slice(&head.to_le_bytes());
+            bytes[8..16].copy_from_slice(&tail.to_le_bytes());
+            Pid(asa_sha1::Digest(bytes))
+        };
+        let mut pids: Vec<Pid> = (0..120)
+            .map(|i| Pid::of(format!("model{i}").as_bytes()))
+            .collect();
+        for i in 0..16 {
+            pids.push(digest(0x5a5a_5a5a_5a5a_5a5a, i));
+            pids.push(digest(u64::MAX, i));
+            pids.push(digest(i << 40 | 3, 0));
+        }
+        let mut rng = asa_simnet::SimRng::new(41);
+        let (mut wrapped, mut more) = (0, 0);
+        for _ in 0..3 {
+            let mut ledger = Ledger::default();
+            let mut model = BTreeSet::new();
+            let (mut history, mut recorded) = (Vec::new(), BTreeSet::new());
+            for _ in 0..400 {
+                let attempt = AttemptId {
+                    pid: *rng.pick(&pids),
+                    client: rng.below(2) as u32,
+                    attempt: rng.below(3) as u32,
+                };
+                assert_eq!(ledger.finish(attempt), None, "not in flight");
+                if recorded.insert(attempt.pid) {
+                    history.push(attempt.pid);
+                }
+                model.insert(attempt);
+                assert!(ledger.is_exact());
+                assert_eq!(ledger.history(), history);
+                assert_eq!(ledger.committed(), model);
+                assert_eq!(ledger.len(), model.len());
+                for &pid in &pids {
+                    assert_eq!(ledger.is_recorded(&pid), recorded.contains(&pid));
+                    for (client, attempt) in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)] {
+                        let a = AttemptId {
+                            pid,
+                            client,
+                            attempt,
+                        };
+                        assert_eq!(ledger.finished.contains(&a), model.contains(&a), "{a:?}");
+                    }
+                }
+            }
+            let FinishedLog { slots, pids, .. } = &ledger.finished;
+            assert!(slots.len() >= 16 << 5, "{} slots", slots.len());
+            let mask = slots.len() - 1;
+            wrapped += slots
+                .iter()
+                .enumerate()
+                .filter(|&(slot, &at)| at != 0 && home(&pids[at as usize - 1]) & mask > slot)
+                .count();
+            more += ledger.finished.more.len();
+        }
+        assert!(
+            wrapped >= 20 && more >= 300,
+            "{wrapped} wrapped, {more} later attempts"
+        );
     }
 
     /// Eight attempts over three PIDs, two clients and two retries, so

@@ -71,14 +71,14 @@ fn every_update_confirmed(sim: &Sim<'_>) -> bool {
 
 /// `true` when the runtime holds exactly the sessions of the attempts in
 /// flight, all unfinished, no attempt is in two of the ledger's places,
-/// and `recorded` equals its derivation from `history`.
+/// and the finished log is exact: every history PID found at its own
+/// position, none twice, and every later attempt in `more` one of a
+/// recorded PID other than its first (`Ledger::is_exact`).
 fn ledger_is_exact(peer: &CommitPeer<'_>) -> bool {
     let mut in_flight = peer.ledger.in_flight();
     in_flight.len() == peer.runtime.len()
         && in_flight.all(|(_, s)| peer.runtime.is_live(s) && !peer.runtime.is_finished(s))
         && peer.ledger.is_exact()
-        && peer.recorded.len() == peer.history.len()
-        && peer.history.iter().all(|pid| peer.recorded.contains(pid))
 }
 
 /// The checkpoint brought up to date from the journal must be a copy of
@@ -141,7 +141,7 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
                         "seed {seed}: a restarted peer is its checkpoint"
                     );
                     assert!(
-                        (&logs.0[..], &logs.1) == (victim.history(), victim.committed()),
+                        (&logs.0[..], &logs.1) == (victim.history(), &victim.committed()),
                         "seed {seed}: a restart keeps the written-through logs"
                     );
                 }
@@ -151,7 +151,7 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
                 if crashes < 2 && !down && history >= crash_from && behind {
                     crashes += 1;
                     crash_from = history + COMMITS_BETWEEN_CRASHES;
-                    logs = (victim.history().to_vec(), victim.committed().clone());
+                    logs = (victim.history().to_vec(), victim.committed());
                     let restart_at = sim.now() + 300;
                     sim.crash(CRASHING);
                     sim.schedule_restart(CRASHING, restart_at);
@@ -167,6 +167,22 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
     }
 }
 
+/// Posts `message` from `from` to peer 0 and returns the `(from, to)` of
+/// every delivery that follows, until the simulation is quiescent again.
+fn replay(sim: &mut Sim<'_>, from: NodeId, message: VhMsg) -> Vec<(NodeId, NodeId)> {
+    sim.enable_trace(64);
+    sim.post(from, NodeId(0), message);
+    sim.run();
+    let events = sim.trace().expect("just enabled").events();
+    events
+        .iter()
+        .filter_map(|event| match event.kind {
+            TraceKind::Delivered { from, to } => Some((from, to)),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Messages for an attempt the peer has committed must find it in the
 /// finished set (or hit the recorded-PID check): nothing spawns, and the
 /// peer answers exactly as it did while the finished session was kept to
@@ -176,21 +192,6 @@ fn journaled_checkpoint_and_indexes_stay_exact_through_two_crashes() {
 fn replays_for_a_committed_attempt_spawn_nothing() {
     let config = fault_free(vec![pids("v", 2)]);
     let client = NodeId(config.replication_factor as usize);
-    // Posts `message` to peer 0 and returns the `(from, to)` of every
-    // delivery that follows, until the simulation is quiescent again.
-    let replay = |sim: &mut Sim<'_>, from: NodeId, message: VhMsg| -> Vec<(NodeId, NodeId)> {
-        sim.enable_trace(64);
-        sim.post(from, NodeId(0), message);
-        sim.run();
-        let events = sim.trace().expect("just enabled").events();
-        events
-            .iter()
-            .filter_map(|event| match event.kind {
-                TraceKind::Delivered { from, to } => Some((from, to)),
-                _ => None,
-            })
-            .collect()
-    };
     step_through(
         &config,
         |_| {},
@@ -227,6 +228,57 @@ fn replays_for_a_committed_attempt_spawn_nothing() {
                 assert_eq!(deliveries, [(client, NodeId(0)), (NodeId(0), client)]);
             }
             assert_eq!(observe(sim), before);
+        },
+    );
+}
+
+/// A later attempt of a recorded PID can finish too: peer 0, quiescent
+/// after its client's update committed, is sent the other peers' votes
+/// and commits for attempt 1 of that PID. The history keeps the PID once,
+/// both attempts are finished, a late vote or commit for either spawns
+/// nothing, and the client's update is answered `Committed` at once.
+#[test]
+fn a_second_finished_attempt_of_a_recorded_pid_is_kept_apart() {
+    let config = fault_free(vec![pids("twice", 1)]);
+    let client = NodeId(config.replication_factor as usize);
+    step_through(
+        &config,
+        |_| {},
+        |sim| {
+            assert!(every_update_confirmed(sim));
+            let first = *peer(sim, 0).committed().first().expect("one commit");
+            let second = AttemptId {
+                attempt: first.attempt + 1,
+                ..first
+            };
+            for message in [VhMsg::Vote(second), VhMsg::Commit(second)] {
+                for from in 1..config.replication_factor as usize {
+                    sim.post(NodeId(from), NodeId(0), message.clone());
+                }
+            }
+            sim.run();
+            let spawns = |sim: &Sim<'_>| peer(sim, 0).metrics().spawns;
+            let before = spawns(sim);
+            let peer0 = peer(sim, 0);
+            assert!(ledger_is_exact(peer0));
+            assert_eq!(peer0.history(), [first.pid], "the PID is recorded once");
+            assert_eq!(peer0.committed(), BTreeSet::from([first, second]));
+            assert_eq!(peer0.in_flight_attempts(), 0);
+            for a in [first, second] {
+                for message in [VhMsg::Vote(a), VhMsg::Commit(a)] {
+                    let deliveries = replay(sim, client, message.clone());
+                    assert_eq!(deliveries, [(client, NodeId(0))], "{message:?}");
+                }
+            }
+            let third = AttemptId {
+                attempt: second.attempt + 1,
+                ..second
+            };
+            for a in [first, second, third] {
+                let deliveries = replay(sim, client, VhMsg::ClientUpdate(a));
+                assert_eq!(deliveries, [(client, NodeId(0)), (NodeId(0), client)]);
+            }
+            assert_eq!(spawns(sim), before, "nothing spawned");
         },
     );
 }
@@ -608,7 +660,7 @@ fn table_peer_matches_the_reference_peer_on_random_chaos() {
             }
             PeerView {
                 history: peer.history().to_vec(),
-                committed: peer.committed().clone(),
+                committed: peer.committed(),
                 spawns: peer.metrics().spawns,
                 aborted: peer.gc_stats().aborted,
             }
@@ -726,7 +778,7 @@ fn a_crash_around_a_commit_write_recovers_as_the_reference_peer() {
             for crash_after in points {
                 let view = |peer: &CommitPeer<'_>| PeerView {
                     history: peer.history().to_vec(),
-                    committed: peer.committed().clone(),
+                    committed: peer.committed(),
                     spawns: peer.metrics().spawns,
                     aborted: peer.gc_stats().aborted,
                 };
@@ -774,7 +826,7 @@ fn a_peer_without_checkpoints_restarts_empty() {
                 let victim = peer(sim, CRASHING.0);
                 if was_down && !down {
                     assert!(victim.checkpoint.is_none() && victim.journal.is_empty());
-                    assert!(victim.history().is_empty() && victim.recorded.is_empty());
+                    assert!(victim.history().is_empty());
                     assert!(victim.committed().is_empty() && victim.tracked_attempts() == 0);
                     assert!(victim.runtime().is_empty());
                     restarted = true;
