@@ -17,9 +17,12 @@
 //! bound from flaking. Every pass of a row must do the same work, and
 //! both rows of a like-for-like gate the same work per delivery.
 //!
-//! Prints the gate table and writes `BENCH_engine_tiers.json` at the
-//! workspace root (also printed). Sharded runtimes have no row: a sharded batch is one
-//! fork-join per call, which `benchmark/`'s
+//! Prints the gate table and writes the run to
+//! `target/BENCH_engine_tiers.json` (also printed). The committed
+//! `BENCH_engine_tiers.json` at the workspace root is the measured
+//! baseline: a run never rewrites it, and a change that re-measures it
+//! copies a run over it on purpose. Sharded runtimes have no row: a
+//! sharded batch is one fork-join per call, which `benchmark/`'s
 //! `runtime.sharded2_batch_us_p50` measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -733,7 +736,9 @@ fn main() {
         assert_eq!(kernel.image(), scalar.image(), "divergent: same end states");
         assert_eq!(kernel.finished_count(), scalar.finished_count());
     }
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine_tiers.json");
-    std::fs::write(&path, &json).expect("write BENCH_engine_tiers.json");
+    let target = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    std::fs::create_dir_all(&target).expect("create target/");
+    let path = target.join("BENCH_engine_tiers.json");
+    std::fs::write(&path, &json).expect("write target/BENCH_engine_tiers.json");
     println!("wrote {}", path.display());
 }

@@ -2,7 +2,8 @@
 //!
 //! Experiment binaries regenerating the tables and figures of the paper's
 //! evaluation, plus `engine_tiers`, the in-process gates on the runtime
-//! tiers (it writes `BENCH_engine_tiers.json`). End-to-end performance is
+//! tiers (it writes `target/BENCH_engine_tiers.json`; the committed
+//! `BENCH_engine_tiers.json` is the baseline). End-to-end performance is
 //! measured by the separate `benchmark/` package (`benchmark/README.md`).
 //!
 //! Binaries (`cargo run --release -p repro-bench --bin <name>`): `table1`,

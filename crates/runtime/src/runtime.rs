@@ -1435,8 +1435,10 @@ impl Runtime {
     ///
     /// Observation never changes behaviour: delivered actions, states,
     /// snapshots and swap outcomes are bit-identical with or without a
-    /// recorder attached (the unobserved path is a statically-dispatched
-    /// no-op, not a branch per event).
+    /// recorder attached (`tests/operations.rs` toggles one mid-script).
+    /// The unobserved path costs one check of the shard's `recorder`
+    /// per batch and per single-session transition, not a branch per
+    /// event.
     pub fn attach_recorder(&mut self, capacity: usize) {
         self.recorder_capacity = Some(capacity);
         for shard in &mut self.shards {

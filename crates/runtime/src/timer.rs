@@ -331,14 +331,15 @@ impl<T: Copy + Eq + Hash> TimerWheel<T> {
     }
 
     /// Unlinks `idx` from its slot list (or the overdue list). O(1) for
-    /// slot lists; overdue unlink is a swap-remove scan of the (tiny,
-    /// transient) overdue list.
+    /// slot lists; overdue unlink is a scan of the (tiny, transient)
+    /// overdue list, and an order-keeping remove, since that list fires
+    /// in arm order.
     fn unlink(&mut self, idx: u32) {
         let entry = &self.slab[idx as usize];
         let (home, prev, next) = (entry.home, entry.prev, entry.next);
         if home == NIL {
             if let Some(pos) = self.overdue.iter().position(|&i| i == idx) {
-                self.overdue.swap_remove(pos);
+                self.overdue.remove(pos);
             }
             return;
         }

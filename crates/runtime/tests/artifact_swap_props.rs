@@ -1,28 +1,27 @@
 //! Deployment suite: artifact-booted engines and drain-and-switch
-//! hot-swap.
+//! hot-swap, on pinned scenarios.
 //!
-//! * **Cold boot** — `Engine::from_artifact(load(save(spec)))` is
-//!   behaviourally identical to `Engine::compile(spec)` on every
-//!   front end (dense machine, parameterized EFSM, flattened guarded
-//!   statechart): same fingerprint, same action sequences, state names
-//!   and finished flags over arbitrary traces — including duplicated
-//!   deliveries, the commit protocol's idempotence obligation.
+//! * **Cold boot** — `Engine::from_artifact(load(save(spec)))` keeps
+//!   the fingerprint, binding and tier of `Engine::compile(spec)` on
+//!   every front end (dense machine, parameterized EFSM, flattened
+//!   guarded statechart), and tolerates duplicated deliveries — the
+//!   commit protocol's idempotence obligation — as the compiled spec
+//!   does. `operations.rs` runs an artifact-booted runtime through
+//!   every random script.
 //!
 //! * **Hot-swap** — [`Runtime::begin_swap`] migrates in place when
 //!   fingerprints match (handles stay valid), drains otherwise (new
 //!   spawns land on the incoming engine, old sessions finish on the
 //!   outgoing one), rejects alphabet mismatches with the runtime
 //!   untouched, and [`Runtime::abort_swap`] rolls back to exactly the
-//!   pre-swap serving state — all exercised deterministically and under
-//!   random interleaved load.
-
-use proptest::prelude::*;
+//!   pre-swap serving state. `operations.rs` drives the drain under
+//!   random load.
 
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
 use stategen_core::{generate, FlatIr, HierarchicalMachine, HsmBuilder};
 use stategen_runtime::{
-    Action, Artifact, Engine, Runtime, SessionId, Spec, StategenError, SwapError, SwapOutcome,
+    Action, Artifact, Engine, SessionId, Spec, StategenError, SwapError, SwapOutcome,
 };
 
 // ---------------------------------------------------------------------
@@ -377,152 +376,4 @@ fn snapshot_all_refuses_mid_drain() {
     rt.spawn();
     rt.begin_swap(commit_engine(3)).unwrap();
     let _ = rt.snapshot_all();
-}
-
-// ---------------------------------------------------------------------
-// Property suites.
-// ---------------------------------------------------------------------
-
-/// A pool-mutation script: interleaved spawns, deliveries and releases.
-#[derive(Debug, Clone)]
-enum PoolOp {
-    Spawn,
-    Deliver { session: usize, message: usize },
-    Release { session: usize },
-}
-
-fn pool_ops() -> impl Strategy<Value = Vec<PoolOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            Just(PoolOp::Spawn),
-            (any::<u64>(), any::<u64>()).prop_map(|(s, m)| PoolOp::Deliver {
-                session: s as usize,
-                message: m as usize % MESSAGE_NAMES.len(),
-            }),
-            any::<u64>().prop_map(|s| PoolOp::Release {
-                session: s as usize
-            }),
-        ],
-        0..40,
-    )
-}
-
-fn apply_ops(rt: &mut Runtime, live: &mut Vec<SessionId>, ops: &[PoolOp]) {
-    for op in ops {
-        match op {
-            PoolOp::Spawn => live.push(rt.spawn()),
-            PoolOp::Deliver { session, message } => {
-                if !live.is_empty() {
-                    let s = live[session % live.len()];
-                    let id = rt.message_id(MESSAGE_NAMES[*message]).unwrap();
-                    rt.deliver(s, id);
-                }
-            }
-            PoolOp::Release { session } => {
-                if !live.is_empty() {
-                    let s = live.remove(session % live.len());
-                    rt.release(s);
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Cold boot ≡ compile over arbitrary traces on every front end.
-    #[test]
-    fn artifact_booted_engines_replay_identically(
-        trace in prop::collection::vec(any::<u64>(), 0..50),
-    ) {
-        for (reference, artifact) in spec_engines_and_artifacts() {
-            let booted = boot_from_bytes(&artifact);
-            let mut rt_a = reference.runtime();
-            let mut rt_b = booted.runtime();
-            let (sa, sb) = (rt_a.spawn(), rt_b.spawn());
-            for &step in &trace {
-                let alphabet = reference.messages();
-                let name = alphabet[step as usize % alphabet.len()].clone();
-                let ia = rt_a.message_id(&name).unwrap();
-                let ib = rt_b.message_id(&name).unwrap();
-                prop_assert_eq!(rt_a.deliver(sa, ia).to_vec(), rt_b.deliver(sb, ib).to_vec());
-                prop_assert_eq!(rt_a.state_name(sa), rt_b.state_name(sb));
-                prop_assert_eq!(rt_a.is_finished(sa), rt_b.is_finished(sb));
-            }
-        }
-    }
-
-    /// The swap state machine under random interleaved load: whatever
-    /// the pool looks like, a rollout either completes onto the
-    /// incoming engine or aborts back to the outgoing one, with every
-    /// surviving handle still addressable and every dropped handle
-    /// loudly stale.
-    #[test]
-    fn swap_under_random_load(
-        before in pool_ops(),
-        during in pool_ops(),
-        shards in 1usize..4,
-        finish in any::<bool>(),
-    ) {
-        let outgoing = commit_engine(4);
-        let incoming = commit_engine(3);
-        let mut rt = outgoing.runtime().sharded(shards);
-        let mut old = Vec::new();
-        apply_ops(&mut rt, &mut old, &before);
-        let old_states: Vec<u32> = old.iter().map(|&s| rt.state(s)).collect();
-
-        match rt.begin_swap(incoming.clone()).unwrap() {
-            SwapOutcome::Migrated { .. } => {
-                prop_assert!(false, "fingerprints differ; migration impossible");
-            }
-            SwapOutcome::Completed => {
-                prop_assert!(old.is_empty());
-                prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
-            }
-            SwapOutcome::Draining { sessions } => {
-                prop_assert_eq!(sessions, old.len());
-
-                // Mid-drain load: new spawns land on the incoming
-                // engine, old sessions keep draining.
-                let mut young = Vec::new();
-                apply_ops(&mut rt, &mut young, &during);
-                prop_assert_eq!(rt.len(), old.len() + young.len());
-
-                if finish {
-                    for &s in &old {
-                        rt.release(s);
-                    }
-                    rt.finish_swap().unwrap();
-                    prop_assert!(!rt.swap_in_progress());
-                    prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
-                    let update = rt.message_id(MESSAGE_NAMES[0]).unwrap();
-                    for &s in &old {
-                        prop_assert!(rt.try_deliver(s, update).is_err());
-                    }
-                    for &s in &young {
-                        rt.deliver(s, update);
-                    }
-                    prop_assert_eq!(rt.len(), young.len());
-                } else {
-                    let dropped = rt.abort_swap().unwrap();
-                    prop_assert_eq!(dropped, young.len());
-                    prop_assert!(!rt.swap_in_progress());
-                    prop_assert_eq!(rt.engine().fingerprint(), outgoing.fingerprint());
-                    let update = rt.message_id(MESSAGE_NAMES[0]).unwrap();
-                    for (&s, &state) in old.iter().zip(&old_states) {
-                        prop_assert_eq!(rt.state(s), state);
-                    }
-                    for &s in &young {
-                        prop_assert!(rt.try_deliver(s, update).is_err());
-                    }
-                    prop_assert_eq!(rt.len(), old.len());
-                    // Rolled back cleanly: the pool still serves, and
-                    // the next rollout can start.
-                    apply_ops(&mut rt, &mut old, &during);
-                    rt.begin_swap(incoming.clone()).unwrap();
-                }
-            }
-        }
-    }
 }

@@ -1,19 +1,22 @@
 //! Property suite for the hashed hierarchical [`TimerWheel`]: the
 //! `next_deadline` wake-up hint is never later than the true next
-//! expiry, expiry sets are exact under arbitrary arm/cancel/re-arm
-//! churn, and the cascade counter feeds runtime metrics.
+//! expiry, expiry batches are exact and in the documented order under
+//! arbitrary arm/cancel/re-arm churn, the cascade counter feeds runtime
+//! metrics, and a timeout is an ordinary transition.
 //!
 //! The model is a plain map from key to *effective* deadline — the
 //! armed deadline clamped up to the wheel's clock at arm time, since an
-//! already-due arm fires at the next `advance` regardless of `to`. The
-//! wheel must agree with the model on membership, raw deadlines, and
-//! every expiry batch; its hint must always land in
+//! already-due arm fires at the next `advance` regardless of `to` —
+//! and the sequence number of the arm. The wheel must agree with the
+//! model on membership, raw deadlines, and every expiry batch, ordered
+//! by effective deadline, then arm order; its hint must always land in
 //! `[now, min effective deadline]`.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use stategen_commit::{CommitConfig, MESSAGE_NAMES};
+use stategen_commit::{CommitConfig, CommitModel, MESSAGE_NAMES};
+use stategen_core::generate;
 use stategen_runtime::{Engine, Spec, TimerWheel};
 
 /// One scripted wheel operation. Keys collide on purpose (re-arm moves
@@ -48,11 +51,13 @@ fn wheel_script() -> impl Strategy<Value = Vec<WheelOp>> {
     prop::collection::vec(op, 0..80)
 }
 
-/// Model entry: the raw armed deadline and the effective expiry floor.
+/// Model entry: the raw armed deadline, the effective expiry floor and
+/// the arm's sequence number (a re-arm takes a new one).
 #[derive(Debug, Clone, Copy)]
 struct Armed {
     deadline: u64,
     effective: u64,
+    seq: u64,
 }
 
 /// Checks the hint invariant and bookkeeping against the model.
@@ -78,16 +83,17 @@ fn check_wheel(wheel: &TimerWheel<u64>, model: &HashMap<u64, Armed>) {
 }
 
 /// Applies one advance to wheel and model, asserting the expiry batch
-/// is exactly the model's due set.
+/// is exactly the model's due set, by effective deadline, then arm
+/// order.
 fn advance_checked(wheel: &mut TimerWheel<u64>, model: &mut HashMap<u64, Armed>, to: u64) {
-    let mut fired: Vec<u64> = wheel.advance(to).to_vec();
-    let mut due: Vec<u64> = model
+    let fired: Vec<u64> = wheel.advance(to).to_vec();
+    let mut due: Vec<(u64, u64, u64)> = model
         .iter()
         .filter(|(_, a)| a.effective <= to)
-        .map(|(&k, _)| k)
+        .map(|(&k, a)| (a.effective, a.seq, k))
         .collect();
-    fired.sort_unstable();
     due.sort_unstable();
+    let due: Vec<u64> = due.into_iter().map(|(_, _, k)| k).collect();
     assert_eq!(fired, due, "expiry batch at {to} differs from the model");
     for key in &fired {
         model.remove(key);
@@ -98,7 +104,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Arbitrary arm/cancel/re-arm/advance churn: membership, raw
-    /// deadlines, expiry batches and the hint bound all hold after
+    /// deadlines, ordered expiry batches and the hint bound all hold after
     /// every operation, the cascade counter never decreases, and
     /// sleeping on the hint drains the wheel to empty.
     #[test]
@@ -106,19 +112,20 @@ proptest! {
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
         let mut model: HashMap<u64, Armed> = HashMap::new();
         let mut cascades = 0u64;
-        for op in ops {
+        for (seq, op) in (0u64..).zip(ops) {
             match op {
                 WheelOp::Arm(key, offset) => {
                     let deadline = wheel.now().saturating_add(offset);
                     wheel.arm(key, deadline);
-                    model.insert(key, Armed { deadline, effective: deadline.max(wheel.now()) });
+                    let effective = deadline.max(wheel.now());
+                    model.insert(key, Armed { deadline, effective, seq });
                 }
                 WheelOp::ArmPast(key, back) => {
                     let deadline = wheel.now().saturating_sub(back + 1);
                     wheel.arm(key, deadline);
                     // Already due: fires at the next advance, i.e. at
                     // or before any future wheel time.
-                    model.insert(key, Armed { deadline, effective: wheel.now() });
+                    model.insert(key, Armed { deadline, effective: wheel.now(), seq });
                 }
                 WheelOp::Cancel(key) => {
                     prop_assert_eq!(wheel.cancel(&key), model.remove(&key).is_some());
@@ -180,9 +187,7 @@ fn polling_a_far_deadline_cascades_and_fires_exactly() {
 #[test]
 fn timer_telemetry_reaches_runtime_metrics() {
     let config = CommitConfig::new(4).unwrap();
-    let machine = stategen_core::generate(&stategen_commit::CommitModel::new(config))
-        .unwrap()
-        .machine;
+    let machine = generate(&CommitModel::new(config)).unwrap().machine;
     let mut rt = Engine::compile(Spec::machine(machine)).unwrap().runtime();
     let timeout = rt.message_id(MESSAGE_NAMES[0]).unwrap();
 
@@ -200,4 +205,48 @@ fn timer_telemetry_reaches_runtime_metrics() {
     assert_eq!(m.timeouts_cancelled, 1);
     assert!(m.timer_cascades > 0, "fine-grained polling cascaded");
     assert_eq!(m.deliveries, 1, "the fired timeout was delivered");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Timeouts are ordinary transitions: `advance_time` delivering the
+    /// timeout message to expired sessions leaves the pool in exactly
+    /// the state of delivering it by hand in expiry order.
+    #[test]
+    fn timeouts_are_just_transitions(
+        deadlines in prop::collection::vec(1u64..2_000, 1..12),
+        advance_to in 1u64..2_500,
+    ) {
+        let machine = generate(&CommitModel::new(CommitConfig::new(4).unwrap())).unwrap().machine;
+        let engine = &Engine::compile(Spec::machine(machine)).unwrap();
+        let timeout = engine.message_id(MESSAGE_NAMES[0]).unwrap();
+
+        let mut timed = engine.runtime();
+        let mut manual = engine.runtime();
+        let mut sessions = Vec::new();
+        for &d in &deadlines {
+            let s = timed.spawn();
+            let m = manual.spawn();
+            assert_eq!(s, m);
+            timed.arm_timeout(s, d);
+            sessions.push((s, d));
+        }
+        let fired = timed.advance_time(advance_to, timeout);
+
+        // Reference: deliver by hand in (deadline, arm order).
+        let mut due: Vec<(u64, usize)> = sessions
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, d))| d <= advance_to)
+            .map(|(i, &(_, d))| (d, i))
+            .collect();
+        due.sort_unstable();
+        for &(_, i) in &due {
+            manual.deliver(sessions[i].0, timeout);
+        }
+        prop_assert_eq!(fired, due.len());
+        prop_assert_eq!(timed.snapshot_all(), manual.snapshot_all());
+        prop_assert_eq!(timed.pending_timeouts(), deadlines.len() - due.len());
+    }
 }

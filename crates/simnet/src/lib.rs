@@ -33,11 +33,10 @@
 //! the heap. On `storage_commit` the queue holds about 1 030 events at a
 //! step, 1 008 of them in the heap, yet 87 % of the steps never touch
 //! it. The ring and the heap pop in exactly the order one heap over every
-//! event would (the argument is in `sim/calendar.rs`; a differential test
-//! runs random node scripts against that heap, kept in
-//! `sim/reference.rs`). Due times saturate at [`SimTime::MAX`], so a
-//! "never" timer stays queued past every finite deadline instead of
-//! wrapping into the past.
+//! event would (the argument is in `sim/calendar.rs`, and a property
+//! there checks every pop against the set of pending `(at, seq)` keys).
+//! Due times saturate at [`SimTime::MAX`], so a "never" timer stays
+//! queued past every finite deadline instead of wrapping into the past.
 //!
 //! ## Fault model
 //!

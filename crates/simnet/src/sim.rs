@@ -9,8 +9,8 @@
 //! tie-breaker: by due tick, then by the order they were queued in.
 //!
 //! The queue is a calendar (`sim/calendar.rs`, and the crate docs'
-//! *Scheduler* section); `sim/reference.rs` keeps the single heap it
-//! replaced, for the tests. Due times saturate at [`SimTime::MAX`]:
+//! *Scheduler* section), in every build, tests included. Due times
+//! saturate at [`SimTime::MAX`]:
 //! a timer armed with `SimTime::MAX` as "never" stays queued through
 //! every finite [`Simulation::run_until`] deadline, and the clock never
 //! runs backwards.
@@ -18,10 +18,7 @@
 use crate::rng::SimRng;
 use crate::trace::{Trace, TraceKind};
 
-#[cfg(not(test))]
-use self::calendar::Calendar as Queue;
-#[cfg(test)]
-use self::reference::Queue;
+use self::calendar::Calendar;
 
 /// Identifier of a node within a simulation (index into the node vector).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -290,7 +287,7 @@ pub struct Simulation<M, N> {
     /// carry the epoch they were armed in and are discarded when it is
     /// stale.
     epochs: Vec<u32>,
-    queue: Queue<M>,
+    queue: Calendar<M>,
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     now: SimTime,
@@ -318,7 +315,7 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
             nodes,
             crashed,
             epochs,
-            queue: Queue::new(),
+            queue: Calendar::new(),
             node_rngs,
             net_rng,
             now: 0,
@@ -640,5 +637,3 @@ impl<M: Clone, N: SimNode<M>> Simulation<M, N> {
 }
 
 mod calendar;
-#[cfg(test)]
-mod reference;

@@ -12,7 +12,8 @@
 //! `trailing_zeros`.
 //!
 //! Events pop in exactly the `(at, seq)` order one heap over all of them
-//! gives (`reference.rs` keeps that heap for the tests):
+//! would give (the test below checks every pop against the set of
+//! pending keys):
 //!
 //! * within a bucket, events are in push order, and `seq` is push order;
 //! * a far event for tick `t` was pushed while `now ≤ t − W`, and a near
@@ -109,6 +110,77 @@ impl<M> Calendar<M> {
                 event
             }
             _ => self.far.pop().map(|Reverse(event)| event),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::super::{NodeId, Payload};
+    use super::*;
+    use crate::SimRng;
+
+    /// Random pushes (due now, either side of the window's edge, up to
+    /// four windows out, or at `SimTime::MAX`), pops, and clock jumps
+    /// short of the next due event (as `run_until` makes), against the
+    /// set of pending `(at, seq)` keys: every pop is the least key,
+    /// `next_at` and `is_empty` agree with it, every event pops once.
+    #[test]
+    fn pops_the_least_pending_key() {
+        for seed in 0..200 {
+            let mut rng = SimRng::new(seed);
+            let mut queue = Calendar::new();
+            let mut pending = BTreeSet::new();
+            let (mut now, mut pushed, mut popped): (SimTime, u64, u64) = (0, 0, 0);
+            for _ in 0..400 {
+                match rng.below(4) {
+                    0 | 1 => {
+                        let delay = match rng.below(6) {
+                            0 => 0,
+                            1 => W - 1,
+                            2 => W,
+                            3 => W + 1,
+                            4 => SimTime::MAX,
+                            _ => rng.below(4 * W + 1),
+                        };
+                        let at = now.saturating_add(delay);
+                        let payload = Payload::<()>::Crash;
+                        let (seq, to) = (pushed, NodeId(0));
+                        queue.push(
+                            now,
+                            Event {
+                                at,
+                                seq,
+                                to,
+                                payload,
+                            },
+                        );
+                        pending.insert((at, seq));
+                        pushed += 1;
+                    }
+                    2 => {
+                        let next = queue.pop(now).map(|event| (event.at, event.seq));
+                        assert_eq!(next, pending.pop_first(), "seed {seed}");
+                        if let Some((at, _)) = next {
+                            (now, popped) = (at, popped + 1);
+                        }
+                    }
+                    _ => {
+                        let due = pending.first().map_or(SimTime::MAX, |&(at, _)| at);
+                        now = now.saturating_add(rng.below(2 * W)).min(due);
+                    }
+                }
+                let due = pending.first().map(|&(at, _)| at);
+                assert_eq!(queue.next_at(now), due, "seed {seed}");
+                assert_eq!(queue.is_empty(), pending.is_empty(), "seed {seed}");
+            }
+            while let Some(event) = queue.pop(now) {
+                assert_eq!(Some((event.at, event.seq)), pending.pop_first());
+                (now, popped) = (event.at, popped + 1);
+            }
+            assert!(pending.is_empty() && popped == pushed, "seed {seed}");
         }
     }
 }

@@ -7,9 +7,10 @@
 # denied); then one table of release-mode gates (GATES: id % ROADMAP
 # item % why its threshold % command), one table of names that deleted
 # code must not bring back or confined code must not spread (ROWS), the
-# storage peer's structural greps, the rows BENCH_engine_tiers.json must
-# carry, and short traced benchmark/ runs whose bounds are on their echo
-# lines. engine_tiers' own rows and gates are the two tables in
+# storage peer's structural greps, the rows a fresh engine_tiers run
+# (target/BENCH_engine_tiers.json) must carry, and short traced
+# benchmark/ runs whose bounds are on their echo lines. engine_tiers'
+# own rows and gates are the two tables in
 # crates/bench/src/bin/engine_tiers.rs. Why each threshold sits where it
 # does, and what it read before, is in CHANGES.md.
 set -euo pipefail
@@ -38,7 +39,7 @@ while IFS='%' read -r id item why command; do
     # shellcheck disable=SC2086 # command is a word list
     $command </dev/null # the table is this loop's stdin
 done <<'GATES'
-engine_tiers%6%0 allocs/delivery on 22 rows and five ratio bounds, each a median of alternating pairs; writes BENCH_engine_tiers.json%cargo run --release -p repro-bench --bin engine_tiers
+engine_tiers%6%0 allocs/delivery on 22 rows and five ratio bounds, each a median of alternating pairs; writes target/BENCH_engine_tiers.json, never the committed baseline%cargo run --release -p repro-bench --bin engine_tiers
 chaos%13%pinned seeds under loss, duplication, reordering and a peer crash/restart still reach full agreement%cargo test -q --release -p asa-storage --test chaos chaos_pinned_seed
 artifact_suite%1%the loader rejects every truncation, bit flip and splice without panicking; pinned images and fingerprints hold%cargo test -q --release -p stategen-core --test artifact_props
 fingerprint%17%the FNV word path hashes exactly as the byte loop%cargo test -q --release -p stategen-core --lib fingerprint
@@ -51,7 +52,7 @@ no_fallback%18%no deployed machine (corpus, storage peers, the seven workloads) 
 unreachable_restore%1%an unfolded engine refuses a snapshot its machine cannot produce: typed error, runtime untouched%cargo test -q --release -p stategen-runtime --lib restore_refuses_unreachable_configurations
 events_per_commit%13%simulator events per commit stay flat as the history grows%cargo test -q --release -p asa-storage --lib events_per_commit_do_not_grow_with_the_history
 crashed_client%13%a crashed client wakes up again%cargo test -q --release -p asa-storage --test commit_simulation crashed_client_wakes_up
-calendar_queue%8%the calendar queue pops event for event as the heap scheduler does%cargo test -q --release -p asa-simnet --lib calendar_matches_the_heap_scheduler_on_random_scripts
+calendar_queue%8%the calendar queue pops the least pending (at, seq) key every time and each event exactly once, against a set of pending keys%cargo test -q --release -p asa-simnet --lib pops_the_least_pending_key
 saturating_time%8%never-firing timers saturate at SimTime::MAX instead of wrapping%cargo test -q --release -p asa-simnet --lib never_timers_saturate_instead_of_wrapping
 message_schedule%8%the storage stack's message schedule is the pinned one (six fingerprints)%cargo test -q --release -p asa-storage --lib message_schedule_is_the_pinned_one
 reference_peer%13%the table peer matches the reference peer trace for trace under random chaos%cargo test -q --release -p asa-storage --lib table_peer_matches_the_reference_peer_on_random_chaos
@@ -91,6 +92,7 @@ done <<'ROWS'
 -E --include=*.rs%CompiledMachine::compile\(|Artifact::from_machine%crates/ src/ examples/ tests/%%lower with FlatIr::from_machine, then CompiledMachine::compile_ir or Artifact::new (CHANGES.md: one machine for every back end)
 -E --include=*.rs%\b(StateMachine|Efsm)\b%crates/render/src%%the renderers consume only the lowered machine (FlatIr) and its Notes (CHANGES.md: one machine for every back end)
 -E%\b(criterion_group|criterion_main|storage_throughput|BENCH_storage|MergeStrategy|keep_self_loops|annotate_states|SinglePass)\b|vendor/criterion%crates/ src/ examples/ tests/ docs/ Cargo.toml%%benchmark/ is the one measuring instrument: the criterion shim, its benches and storage_throughput were deleted, and the generator options only they set became constants (CHANGES.md: one measuring instrument)
+-E%\b(CountOp|TierOp|PoolOp|kernel_matches_scalar|finished_count_tracks_states|sharded_matches_flat|on_the_heap)\b|reference::Queue%crates/ src/ examples/ tests/ docs/%%the runtime's operations are checked by one script type against one reference (crates/runtime/tests/operations.rs), and the calendar against a set of pending keys; the per-suite op scripts and the heap scheduler were deleted (CHANGES.md: one operation oracle)
 ROWS
 set +f
 
@@ -127,7 +129,9 @@ if grep -nE '^ +(committed|recorded|finished): *BTree(Set|Map)' crates/storage/s
     exit 1
 fi
 
-# The rows verify.sh and docs name must stay in engine_tiers' row table.
+# The rows verify.sh and docs name must stay in engine_tiers' row table:
+# read from the run the engine_tiers gate just wrote, not the committed
+# baseline.
 echo "== benchmark artefact checks =="
 for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            hsm_unminimized hsm_minimized \
@@ -135,8 +139,8 @@ for row in interpreted_name compiled hsm_flattened hsm_guarded_flattened \
            batched_kernel_divergent batched_pool_divergent \
            artifact_cold_load artifact_booted_pool generated \
            runtime_facade runtime_observed; do
-    grep -q "\"name\": \"$row\"" BENCH_engine_tiers.json \
-        || { echo "BENCH_engine_tiers.json is missing the $row row" >&2; exit 1; }
+    grep -q "\"name\": \"$row\"" target/BENCH_engine_tiers.json \
+        || { echo "target/BENCH_engine_tiers.json is missing the $row row" >&2; exit 1; }
 done
 
 # The commit path: seed 1's pinned schedule, a flat per-message cost over the history, few allocations.
