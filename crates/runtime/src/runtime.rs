@@ -1435,7 +1435,8 @@ impl Runtime {
     ///
     /// Observation never changes behaviour: delivered actions, states,
     /// snapshots and swap outcomes are bit-identical with or without a
-    /// recorder attached (`tests/operations.rs` toggles one mid-script).
+    /// recorder attached (the operation oracle in `tests/oracle/mod.rs`
+    /// toggles one mid-script).
     /// The unobserved path costs one check of the shard's `recorder`
     /// per batch and per single-session transition, not a branch per
     /// event.

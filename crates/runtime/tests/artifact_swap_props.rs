@@ -6,17 +6,23 @@
 //!   every front end (dense machine, parameterized EFSM, flattened
 //!   guarded statechart), and tolerates duplicated deliveries — the
 //!   commit protocol's idempotence obligation — as the compiled spec
-//!   does. `operations.rs` runs an artifact-booted runtime through
-//!   every random script.
+//!   does; an artifact-booted runtime runs every random script of the
+//!   operation oracle (`oracle/mod.rs`).
 //!
 //! * **Hot-swap** — [`Runtime::begin_swap`] migrates in place when
 //!   fingerprints match (handles stay valid), drains otherwise (new
 //!   spawns land on the incoming engine, old sessions finish on the
 //!   outgoing one), rejects alphabet mismatches with the runtime
 //!   untouched, and [`Runtime::abort_swap`] rolls back to exactly the
-//!   pre-swap serving state. `operations.rs` drives the drain under
-//!   random load.
+//!   pre-swap serving state, also under random load drawn as the
+//!   oracle's scripts.
 
+mod oracle;
+
+use std::sync::OnceLock;
+
+use oracle::*;
+use proptest::prelude::*;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
 use stategen_core::{generate, FlatIr, HierarchicalMachine, HsmBuilder};
@@ -376,4 +382,96 @@ fn snapshot_all_refuses_mid_drain() {
     rt.spawn();
     rt.begin_swap(commit_engine(3)).unwrap();
     let _ = rt.snapshot_all();
+}
+
+// ---------------------------------------------------------------------
+// Under random load.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every front end the pipeline serves — the dense machine, the
+    /// parameterized EFSM and the flattened guarded statechart — with
+    /// a runtime booted from its artifact's bytes among the oracle's.
+    #[test]
+    fn artifact_booted_engines_replay_identically(shards in shards(), ops in script()) {
+        static RETRY: OnceLock<Subject> = OnceLock::new();
+        let retry = RETRY.get_or_init(|| Subject::hsm(retry_hsm(), vec![3]));
+        for subject in [&commit_subjects()[0], &commit_subjects()[1], retry] {
+            check(subject, shards, &ops)?;
+        }
+    }
+
+    /// The swap state machine under random interleaved load: whatever
+    /// the pool looks like, a rollout either completes onto the
+    /// incoming engine or aborts back to the outgoing one, with every
+    /// surviving handle still addressable and every dropped handle
+    /// loudly stale.
+    #[test]
+    fn swap_under_random_load(
+        before in script(),
+        during in script(),
+        shards in 1usize..4,
+        finish in any::<bool>(),
+    ) {
+        let outgoing = commit_engine(4);
+        let incoming = commit_engine(3);
+        let mut rt = outgoing.runtime().sharded(shards);
+        let mut old = Vec::new();
+        load(&mut rt, &mut old, &before);
+        let old_states: Vec<u32> = old.iter().map(|&s| rt.state(s)).collect();
+
+        match rt.begin_swap(incoming.clone()).unwrap() {
+            SwapOutcome::Migrated { .. } => {
+                prop_assert!(false, "fingerprints differ; migration impossible");
+            }
+            SwapOutcome::Completed => {
+                prop_assert!(old.is_empty());
+                prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
+            }
+            SwapOutcome::Draining { sessions } => {
+                prop_assert_eq!(sessions, old.len());
+
+                // Mid-drain load: new spawns land on the incoming
+                // engine, old sessions keep draining.
+                let mut young = Vec::new();
+                load(&mut rt, &mut young, &during);
+                prop_assert_eq!(rt.len(), old.len() + young.len());
+
+                let update = rt.message_id(MESSAGE_NAMES[0]).unwrap();
+                if finish {
+                    for &s in &old {
+                        rt.release(s);
+                    }
+                    rt.finish_swap().unwrap();
+                    prop_assert!(!rt.swap_in_progress());
+                    prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
+                    for &s in &old {
+                        prop_assert!(rt.try_deliver(s, update).is_err());
+                    }
+                    for &s in &young {
+                        rt.deliver(s, update);
+                    }
+                    prop_assert_eq!(rt.len(), young.len());
+                } else {
+                    let dropped = rt.abort_swap().unwrap();
+                    prop_assert_eq!(dropped, young.len());
+                    prop_assert!(!rt.swap_in_progress());
+                    prop_assert_eq!(rt.engine().fingerprint(), outgoing.fingerprint());
+                    for (&s, &state) in old.iter().zip(&old_states) {
+                        prop_assert_eq!(rt.state(s), state);
+                    }
+                    for &s in &young {
+                        prop_assert!(rt.try_deliver(s, update).is_err());
+                    }
+                    prop_assert_eq!(rt.len(), old.len());
+                    // Rolled back cleanly: the pool still serves, and
+                    // the next rollout can start.
+                    load(&mut rt, &mut old, &during);
+                    rt.begin_swap(incoming.clone()).unwrap();
+                }
+            }
+        }
+    }
 }

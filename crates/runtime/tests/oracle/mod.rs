@@ -20,8 +20,14 @@
 //! runtime restores a peer's snapshot, written over another machine's
 //! dirty one) and swaps migrate live sessions between the two engines
 //! of one machine. Timers and drain-and-switch swaps are not in the
-//! script: `timer_props.rs` and the hot-swap tests here and in
-//! `artifact_swap_props.rs` cover them.
+//! script: `timer_props.rs` and `artifact_swap_props.rs` cover them.
+//!
+//! The machine families live here too. `kernel_props.rs`,
+//! `snapshot_props.rs`, `telemetry_props.rs` and
+//! `artifact_swap_props.rs` each run some of them through [`check`],
+//! so each suite leaves some of this module unused.
+
+#![allow(dead_code)]
 
 use std::sync::OnceLock;
 
@@ -32,23 +38,22 @@ use stategen_core::{
     generate, AbstractModel, Action, Efsm, FlatIr, HierarchicalMachine, HsmBuilder, IrInstance,
     Outcome, ProtocolEngine, StateComponent, StateSpace, StateVector,
 };
-use stategen_models::session_lifecycle;
 use stategen_runtime::{
     Artifact, Engine, MessageId, MetricsSnapshot, Runtime, RuntimeSnapshot, SessionId, Spec,
-    SwapOutcome, Tier,
+    SwapOutcome,
 };
 
 /// Keep scripts from growing the pool without bound.
-const MAX_LIVE: usize = 24;
+pub const MAX_LIVE: usize = 24;
 
 /// Flight-recorder capacity: smaller than most batches, so rings wrap.
-const RING: usize = 8;
+pub const RING: usize = 8;
 
 /// One scripted runtime operation. Picks are reduced modulo the live
 /// set and messages modulo the alphabet when the operation is applied,
 /// so every script applies to every machine.
 #[derive(Debug, Clone, Copy)]
-enum Op {
+pub enum Op {
     Spawn,
     Deliver(usize, usize),
     DeliverAll(usize),
@@ -65,7 +70,7 @@ enum Op {
     Swap,
 }
 
-fn script() -> impl Strategy<Value = Vec<Op>> {
+pub fn script() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((0u8..18, any::<usize>(), any::<usize>()), 0..64).prop_map(|raw| {
         raw.into_iter()
             .map(|(kind, pick, m)| match kind {
@@ -86,23 +91,45 @@ fn script() -> impl Strategy<Value = Vec<Op>> {
 /// A shard count for the sharded runtime: 1–8, so shards are empty and
 /// uneven, with counts below 4 drawn more often, since every shard past
 /// the first is a thread per batch.
-fn shards() -> impl Strategy<Value = usize> {
+pub fn shards() -> impl Strategy<Value = usize> {
     prop_oneof![1usize..4, 1usize..9]
+}
+
+/// A shard count of 1–3, for a family that a `sharded_*` property
+/// also runs over [`many_shards`].
+pub fn few_shards() -> impl Strategy<Value = usize> {
+    1usize..4
+}
+
+/// A shard count of 4–8: most shards of a pool of at most
+/// [`MAX_LIVE`] sessions then hold a handful of sessions or none.
+pub fn many_shards() -> impl Strategy<Value = usize> {
+    4usize..9
+}
+
+/// A [`script`] with `op` after every third operation, for the
+/// properties about that operation.
+pub fn dense(op: Op) -> impl Strategy<Value = Vec<Op>> {
+    script().prop_map(move |ops| {
+        (ops.chunks(3))
+            .flat_map(|ops| ops.iter().copied().chain([op]))
+            .collect()
+    })
 }
 
 /// One machine under test: its three engines — compiled, interpreted,
 /// and booted from artifact bytes — and the IR and parameter values
 /// the reference steps.
-struct Subject {
-    compiled: Engine,
-    interpreted: Engine,
-    booted: Engine,
-    ir: FlatIr,
-    params: Vec<i64>,
+pub struct Subject {
+    pub compiled: Engine,
+    pub interpreted: Engine,
+    pub booted: Engine,
+    pub ir: FlatIr,
+    pub params: Vec<i64>,
 }
 
 impl Subject {
-    fn new(spec: Spec, ir: FlatIr, params: Vec<i64>) -> Subject {
+    pub fn new(spec: Spec, ir: FlatIr, params: Vec<i64>) -> Subject {
         let bytes = Artifact::new(ir.clone(), params.clone())
             .expect("binds")
             .save();
@@ -116,7 +143,7 @@ impl Subject {
         }
     }
 
-    fn machine(model: &impl AbstractModel) -> Subject {
+    pub fn machine(model: &impl AbstractModel) -> Subject {
         let machine = generate(model).expect("generates").machine;
         Subject::new(
             Spec::machine(machine.clone()),
@@ -125,19 +152,19 @@ impl Subject {
         )
     }
 
-    fn efsm(efsm: Efsm, params: Vec<i64>) -> Subject {
+    pub fn efsm(efsm: Efsm, params: Vec<i64>) -> Subject {
         let ir = FlatIr::from_efsm(&efsm);
         Subject::new(Spec::efsm(efsm, params.clone()), ir, params)
     }
 
-    fn hsm(hsm: HierarchicalMachine, params: Vec<i64>) -> Subject {
+    pub fn hsm(hsm: HierarchicalMachine, params: Vec<i64>) -> Subject {
         let ir = hsm.flatten_ir();
         Subject::new(Spec::hsm_with_params(hsm, params.clone()), ir, params)
     }
 }
 
 /// One way of serving the subject.
-struct Served {
+pub struct Served {
     rt: Runtime,
     /// The engine it serves on, then the one a swap migrates it to.
     engines: [Engine; 2],
@@ -149,7 +176,7 @@ struct Served {
 }
 
 impl Served {
-    fn new(engines: [&Engine; 2], shards: usize, observed: bool, scalar: bool) -> Served {
+    pub fn new(engines: [&Engine; 2], shards: usize, observed: bool, scalar: bool) -> Served {
         let mut rt = engines[0].runtime().sharded(shards);
         if observed {
             rt.attach_recorder(RING);
@@ -166,7 +193,7 @@ impl Served {
 
 /// The flight-recorder rings of a runtime, without the header line
 /// that names its engine.
-fn rings(rt: &Runtime) -> String {
+pub fn rings(rt: &Runtime) -> String {
     let dump = rt.dump_trace();
     dump.split_once('\n')
         .map_or("", |(_, rings)| rings)
@@ -176,7 +203,7 @@ fn rings(rt: &Runtime) -> String {
 /// A snapshot of another machine's pool, for `snapshot_into` to write
 /// over: three variables (four registers) in `shards` shards (1–9), its
 /// sessions spread over registers and some of them released.
-fn dirty(shards: usize) -> RuntimeSnapshot {
+pub fn dirty(shards: usize) -> RuntimeSnapshot {
     static SNAPSHOTS: OnceLock<Vec<RuntimeSnapshot>> = OnceLock::new();
     let snapshots = SNAPSHOTS.get_or_init(|| {
         let mut b = EfsmBuilder::new("dirty", ["n"]);
@@ -206,7 +233,7 @@ fn dirty(shards: usize) -> RuntimeSnapshot {
 }
 
 /// Asserts that every value equals the first one with the same key.
-fn agree<T: PartialEq + std::fmt::Debug>(
+pub fn agree<T: PartialEq + std::fmt::Debug>(
     values: &[(usize, T)],
     what: &str,
     step: usize,
@@ -221,7 +248,7 @@ fn agree<T: PartialEq + std::fmt::Debug>(
 /// Runs `ops` on every way of serving `subject` (the sharded ones with
 /// `shards` shards) against the reference, checking after every
 /// operation.
-fn check(subject: &Subject, shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+pub fn check(subject: &Subject, shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
     let (compiled, interpreted) = (&subject.compiled, &subject.interpreted);
     // Engines, shards, observed, scalar.
     let mut served = [
@@ -422,7 +449,7 @@ fn check(subject: &Subject, shards: usize, ops: &[Op]) -> Result<(), TestCaseErr
 /// generated machines have many states, so a churned pool spreads over
 /// many table rows.
 #[derive(Debug, Clone)]
-struct TwoCounter {
+pub struct TwoCounter {
     max0: u32,
     max1: u32,
     threshold: u32,
@@ -470,7 +497,7 @@ impl AbstractModel for TwoCounter {
     }
 }
 
-fn two_counter() -> impl Strategy<Value = TwoCounter> {
+pub fn two_counter() -> impl Strategy<Value = TwoCounter> {
     (1u32..6, 1u32..6, 1u32..8).prop_map(|(max0, max1, threshold)| TwoCounter {
         max0,
         max1,
@@ -482,7 +509,7 @@ fn two_counter() -> impl Strategy<Value = TwoCounter> {
 /// message)` cell can have — `None` for a one-candidate cell — in
 /// conditions. `(0, 0)` is missing because two always-true guards are a
 /// duplicate transition.
-const CELL_SHAPES: [(usize, Option<usize>); 11] = [
+pub const CELL_SHAPES: [(usize, Option<usize>); 11] = [
     (0, None),
     (1, None),
     (2, None),
@@ -499,7 +526,7 @@ const CELL_SHAPES: [(usize, Option<usize>); 11] = [
 /// The guard with `checks` conditions on `x + 1 {op} t`: 0 is the
 /// always-true guard, 1 the threshold test, 2 the threshold test and a
 /// second condition that holds whenever the first is reached.
-fn threshold(checks: usize, op: CmpOp, x: VarId, t: ParamId) -> Guard {
+pub fn threshold(checks: usize, op: CmpOp, x: VarId, t: ParamId) -> Guard {
     let threshold = Guard::when(LinExpr::var(x).plus_const(1), op, LinExpr::param(t));
     match checks {
         0 => Guard::always(),
@@ -514,7 +541,7 @@ fn threshold(checks: usize, op: CmpOp, x: VarId, t: ParamId) -> Guard {
 /// no-candidate cells (`b` in `wait`, `a` in `mid`). `shape` picks how
 /// many conditions the two `(wait, a)` candidates carry
 /// ([`CELL_SHAPES`]).
-fn threshold_efsm(shape: usize) -> Efsm {
+pub fn threshold_efsm(shape: usize) -> Efsm {
     let shape = CELL_SHAPES[shape];
     let mut b = EfsmBuilder::new("threshold", ["a", "b"]);
     let t = b.add_param("t");
@@ -551,7 +578,7 @@ fn threshold_efsm(shape: usize) -> Efsm {
 
 /// One `(state, message)` cell of a [`RandomMachine`].
 #[derive(Debug, Clone, Copy)]
-enum Edge {
+pub enum Edge {
     Empty,
     /// One unguarded transition.
     Plain(usize),
@@ -566,13 +593,13 @@ enum Edge {
 /// state included — and final states keep their (ignored) outgoing
 /// edges; cells may be empty; the wide draws exceed 256 states.
 #[derive(Debug, Clone)]
-struct RandomMachine {
+pub struct RandomMachine {
     /// Per state: is it final, and its two cells.
     states: Vec<(bool, [Edge; 2])>,
     start: usize,
 }
 
-fn random_machine() -> impl Strategy<Value = RandomMachine> {
+pub fn random_machine() -> impl Strategy<Value = RandomMachine> {
     let cell = (0u8..8, any::<usize>(), any::<usize>());
     let state = (0u8..4, cell.clone(), cell);
     (
@@ -600,7 +627,7 @@ impl RandomMachine {
     /// The machine as a statechart of top-level leaves: with `guarded`,
     /// over one variable and one parameter; without, `Split` cells
     /// collapse to their first target.
-    fn hsm(&self, guarded: bool) -> HierarchicalMachine {
+    pub fn hsm(&self, guarded: bool) -> HierarchicalMachine {
         let mut b = HsmBuilder::new("random", ["a", "b"]);
         let registers = guarded.then(|| (b.add_param("t"), b.add_var("x")));
         let ids: Vec<_> = (0..self.states.len())
@@ -647,7 +674,7 @@ impl RandomMachine {
 
 /// One `(state, message)` cell of a [`RandomEfsm`].
 #[derive(Debug, Clone, Copy)]
-enum Cell {
+pub enum Cell {
     Empty,
     /// One unguarded transition.
     Plain(usize),
@@ -671,14 +698,14 @@ enum Cell {
 /// counts `y` up on `c` without bound, so that machine's configuration
 /// space is infinite whatever the rest of it does.
 #[derive(Debug, Clone)]
-struct RandomEfsm {
+pub struct RandomEfsm {
     states: Vec<[Cell; 3]>,
-    start: usize,
-    finish: Option<usize>,
-    runaway: bool,
+    pub start: usize,
+    pub finish: Option<usize>,
+    pub runaway: bool,
 }
 
-fn random_efsm() -> impl Strategy<Value = RandomEfsm> {
+pub fn random_efsm() -> impl Strategy<Value = RandomEfsm> {
     let cell = (
         0u8..8,
         0..CELL_SHAPES.len(),
@@ -724,7 +751,7 @@ fn random_efsm() -> impl Strategy<Value = RandomEfsm> {
 }
 
 impl RandomEfsm {
-    fn build(&self) -> Efsm {
+    pub fn build(&self) -> Efsm {
         const MESSAGES: [&str; 3] = ["a", "b", "c"];
         let mut b = EfsmBuilder::new("random-efsm", MESSAGES);
         let t = b.add_param("t");
@@ -784,7 +811,7 @@ impl RandomEfsm {
 /// The commit protocol on each lowering that serves it: the generated
 /// FSM (dense), the EFSM bound at r = 4 (unfolded) and at r = 64 (over
 /// the unfolding budget: interpreted). Built once.
-fn commit_subjects() -> &'static [Subject; 3] {
+pub fn commit_subjects() -> &'static [Subject; 3] {
     static SUBJECTS: OnceLock<[Subject; 3]> = OnceLock::new();
     SUBJECTS.get_or_init(|| {
         let config = |r| CommitConfig::new(r).expect("valid replication factor");
@@ -797,101 +824,10 @@ fn commit_subjects() -> &'static [Subject; 3] {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Dense tables of random generated machines.
-    #[test]
-    fn generated_machines(model in two_counter(), shards in shards(), ops in script()) {
-        check(&Subject::machine(&model), shards, &ops)?;
-    }
-
-    /// A guarded machine with cells of every shape: unfolded onto the
-    /// dense table or, where an always-true `Inc` leaves it unbounded,
-    /// on the interpreter.
-    #[test]
-    fn threshold_efsms_in_every_cell_shape(
-        t in 1i64..6,
-        shape in 0..CELL_SHAPES.len(),
-        shards in shards(),
-        ops in script(),
-    ) {
-        let subject = Subject::efsm(threshold_efsm(shape), vec![t]);
-        if shape == 6 {
-            prop_assert_eq!(subject.compiled.tier(), Tier::Compiled);
-        }
-        check(&subject, shards, &ops)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random flat statecharts, guarded and not, some past 256 states,
-    /// with final start states and final states that keep their edges.
-    #[test]
-    fn random_statecharts(
-        machine in random_machine(),
-        t in 1i64..5,
-        shards in shards(),
-        ops in script(),
-    ) {
-        check(&Subject::hsm(machine.hsm(false), vec![]), shards, &ops)?;
-        check(&Subject::hsm(machine.hsm(true), vec![t]), shards, &ops)?;
-    }
-
-    /// The commit protocol, generated and unfolded at r = 4 and
-    /// interpreted at r = 64.
-    #[test]
-    fn commit_protocol(shards in shards(), ops in script()) {
-        let tiers = [Tier::Compiled, Tier::Compiled, Tier::Interpreted];
-        for (subject, tier) in commit_subjects().iter().zip(tiers) {
-            prop_assert_eq!(subject.compiled.tier(), tier);
-            check(subject, shards, &ops)?;
-        }
-    }
-
-    /// The session-lifecycle statechart, flattened: entry and exit
-    /// actions, an internal transition, and absorbed messages.
-    #[test]
-    fn session_lifecycle_flattened(shards in shards(), ops in script()) {
-        static SUBJECT: OnceLock<Subject> = OnceLock::new();
-        let subject = SUBJECT.get_or_init(|| Subject::hsm(session_lifecycle(), vec![]));
-        check(subject, shards, &ops)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Random guarded EFSMs, on whichever tier `Engine::compile`
-    /// decides for them; a runaway counter must leave the machine on
-    /// the interpreter.
-    #[test]
-    fn random_efsms(machine in random_efsm(), t in 1i64..5, shards in shards(), ops in script()) {
-        let subject = Subject::efsm(machine.build(), vec![t]);
-        if machine.runaway && machine.finish != Some(machine.start) {
-            prop_assert_eq!(subject.compiled.tier(), Tier::Interpreted, "{:?}", &subject.compiled);
-        }
-        check(&subject, shards, &ops)?;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Drain-and-switch under load.
-// ---------------------------------------------------------------------
-
-/// The commit EFSM bound at replication factor `r`: one alphabet for
-/// every `r`, a different fingerprint for each.
-fn commit_engine(r: u32) -> Engine {
-    let config = CommitConfig::new(r).unwrap();
-    Engine::compile(Spec::efsm(commit_efsm(), commit_efsm_params(&config))).unwrap()
-}
-
 /// Applies a script's single-session operations to `rt`, whose live
 /// sessions `live` holds. Whole-pool operations would also move the
 /// sessions a drain keeps on the outgoing engine, so they are skipped.
-fn load(rt: &mut Runtime, live: &mut Vec<SessionId>, ops: &[Op]) {
+pub fn load(rt: &mut Runtime, live: &mut Vec<SessionId>, ops: &[Op]) {
     for &op in ops {
         match op {
             Op::Spawn => live.push(rt.spawn()),
@@ -902,82 +838,6 @@ fn load(rt: &mut Runtime, live: &mut Vec<SessionId>, ops: &[Op]) {
             Op::Reset(pick) if !live.is_empty() => rt.reset(live[pick % live.len()]),
             Op::Release(pick) if !live.is_empty() => rt.release(live.remove(pick % live.len())),
             _ => {}
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The swap state machine under random interleaved load: whatever
-    /// the pool looks like, a rollout either completes onto the
-    /// incoming engine or aborts back to the outgoing one, with every
-    /// surviving handle still addressable and every dropped handle
-    /// loudly stale.
-    #[test]
-    fn swap_under_random_load(
-        before in script(),
-        during in script(),
-        shards in 1usize..4,
-        finish in any::<bool>(),
-    ) {
-        let outgoing = commit_engine(4);
-        let incoming = commit_engine(3);
-        let mut rt = outgoing.runtime().sharded(shards);
-        let mut old = Vec::new();
-        load(&mut rt, &mut old, &before);
-        let old_states: Vec<u32> = old.iter().map(|&s| rt.state(s)).collect();
-
-        match rt.begin_swap(incoming.clone()).unwrap() {
-            SwapOutcome::Migrated { .. } => {
-                prop_assert!(false, "fingerprints differ; migration impossible");
-            }
-            SwapOutcome::Completed => {
-                prop_assert!(old.is_empty());
-                prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
-            }
-            SwapOutcome::Draining { sessions } => {
-                prop_assert_eq!(sessions, old.len());
-
-                // Mid-drain load: new spawns land on the incoming
-                // engine, old sessions keep draining.
-                let mut young = Vec::new();
-                load(&mut rt, &mut young, &during);
-                prop_assert_eq!(rt.len(), old.len() + young.len());
-
-                let update = rt.message_id(MESSAGE_NAMES[0]).unwrap();
-                if finish {
-                    for &s in &old {
-                        rt.release(s);
-                    }
-                    rt.finish_swap().unwrap();
-                    prop_assert!(!rt.swap_in_progress());
-                    prop_assert_eq!(rt.engine().fingerprint(), incoming.fingerprint());
-                    for &s in &old {
-                        prop_assert!(rt.try_deliver(s, update).is_err());
-                    }
-                    for &s in &young {
-                        rt.deliver(s, update);
-                    }
-                    prop_assert_eq!(rt.len(), young.len());
-                } else {
-                    let dropped = rt.abort_swap().unwrap();
-                    prop_assert_eq!(dropped, young.len());
-                    prop_assert!(!rt.swap_in_progress());
-                    prop_assert_eq!(rt.engine().fingerprint(), outgoing.fingerprint());
-                    for (&s, &state) in old.iter().zip(&old_states) {
-                        prop_assert_eq!(rt.state(s), state);
-                    }
-                    for &s in &young {
-                        prop_assert!(rt.try_deliver(s, update).is_err());
-                    }
-                    prop_assert_eq!(rt.len(), old.len());
-                    // Rolled back cleanly: the pool still serves, and
-                    // the next rollout can start.
-                    load(&mut rt, &mut old, &during);
-                    rt.begin_swap(incoming.clone()).unwrap();
-                }
-            }
         }
     }
 }

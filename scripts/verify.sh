@@ -92,7 +92,7 @@ done <<'ROWS'
 -E --include=*.rs%CompiledMachine::compile\(|Artifact::from_machine%crates/ src/ examples/ tests/%%lower with FlatIr::from_machine, then CompiledMachine::compile_ir or Artifact::new (CHANGES.md: one machine for every back end)
 -E --include=*.rs%\b(StateMachine|Efsm)\b%crates/render/src%%the renderers consume only the lowered machine (FlatIr) and its Notes (CHANGES.md: one machine for every back end)
 -E%\b(criterion_group|criterion_main|storage_throughput|BENCH_storage|MergeStrategy|keep_self_loops|annotate_states|SinglePass)\b|vendor/criterion%crates/ src/ examples/ tests/ docs/ Cargo.toml%%benchmark/ is the one measuring instrument: the criterion shim, its benches and storage_throughput were deleted, and the generator options only they set became constants (CHANGES.md: one measuring instrument)
--E%\b(CountOp|TierOp|PoolOp|kernel_matches_scalar|finished_count_tracks_states|sharded_matches_flat|on_the_heap)\b|reference::Queue%crates/ src/ examples/ tests/ docs/%%the runtime's operations are checked by one script type against one reference (crates/runtime/tests/operations.rs), and the calendar against a set of pending keys; the per-suite op scripts and the heap scheduler were deleted (CHANGES.md: one operation oracle)
+-E%\b(CountOp|TierOp|PoolOp|kernel_matches_scalar|finished_count_tracks_states|sharded_matches_flat|on_the_heap)\b|reference::Queue%crates/ src/ examples/ tests/ docs/%%the runtime's operations are checked by one script type against one reference (crates/runtime/tests/oracle/mod.rs), and the calendar against a set of pending keys; the per-suite op scripts and the heap scheduler were deleted (CHANGES.md: one operation oracle)
 ROWS
 set +f
 
