@@ -1,15 +1,22 @@
 //! The corpus sweep: every machine the workspace's model crates build
 //! goes through the analyzer, and none may carry a deny-level finding —
 //! the same gate `scripts/verify.sh` enforces on every run. Warnings
-//! must be fixed or explicitly accepted here, with a reason.
+//! must be fixed or explicitly accepted here, with a reason. Each
+//! machine's minimization has the expected size, is idempotent, and is
+//! decided equivalent to the machine by `stategen_core::equivalent`.
 
 use stategen_analysis::{analyze, analyze_bound, minimize, Analysis, AnalysisConfig};
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel};
-use stategen_core::{generate, FlatIr, Level, Lint, ProtocolEngine};
+use stategen_core::{generate, FlatIr, Level, Lint};
 use stategen_models::{
     broadcast_efsm, broadcast_efsm_params, redundant_ring, session_lifecycle,
     session_lifecycle_guarded, BroadcastModel, RoundsModel, TerminationModel,
 };
+
+#[path = "../../core/tests/support/mod.rs"]
+mod support;
+
+use support::decide;
 
 /// One corpus machine: the IR, the binding the EFSM-shaped ones deploy
 /// under (`None` = analyze binding-free), the lint configuration with
@@ -166,39 +173,16 @@ fn minimization_matches_the_expected_counts() {
     }
 }
 
+/// The quotient is the machine under the entry's binding, decided over
+/// every reachable pair of configurations.
 #[test]
 fn minimized_machines_are_observation_equivalent() {
-    // Seeded pseudo-random traces through the direct IR interpreter:
-    // the quotient must emit the same actions and agree on
-    // `is_finished` at every step, for every corpus machine.
     for entry in corpus() {
         let (smaller, _) = minimize(&entry.ir);
         let binding = entry.params.clone().unwrap_or_default();
-        let mut rng: u64 = 0x5eed_0001;
-        for _ in 0..64 {
-            let mut original = entry.ir.instance(binding.clone());
-            let mut quotient = smaller.instance(binding.clone());
-            for _ in 0..48 {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let m = &entry.ir.messages()[(rng >> 33) as usize % entry.ir.messages().len()];
-                let want = original.deliver_ref(m).unwrap().to_vec();
-                let got = quotient.deliver_ref(m).unwrap();
-                assert_eq!(
-                    got,
-                    want.as_slice(),
-                    "`{}` diverged on `{m}`",
-                    entry.ir.name()
-                );
-                assert_eq!(
-                    original.is_finished(),
-                    quotient.is_finished(),
-                    "`{}` finished-flag diverged on `{m}`",
-                    entry.ir.name()
-                );
-            }
-        }
+        let messages: Vec<&str> = entry.ir.messages().iter().map(String::as_str).collect();
+        let quotient = smaller.instance(binding.clone());
+        decide(entry.ir.instance(binding), quotient, &messages);
     }
 }
 

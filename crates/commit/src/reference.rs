@@ -162,6 +162,37 @@ impl ReferenceCommit {
     }
 }
 
+impl ReferenceCommit {
+    /// The seven protocol variables: the instance's configuration.
+    fn protocol_fields(&self) -> (bool, u32, bool, u32, bool, bool, bool) {
+        (
+            self.update_received,
+            self.votes_received,
+            self.vote_sent,
+            self.commits_received,
+            self.commit_sent,
+            self.could_choose,
+            self.has_chosen,
+        )
+    }
+}
+
+/// Two instances are equal when their seven protocol variables are:
+/// the `CommitConfig` and the action buffer are not part of it.
+impl PartialEq for ReferenceCommit {
+    fn eq(&self, other: &Self) -> bool {
+        self.protocol_fields() == other.protocol_fields()
+    }
+}
+
+impl Eq for ReferenceCommit {}
+
+impl std::hash::Hash for ReferenceCommit {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.protocol_fields().hash(state);
+    }
+}
+
 impl ProtocolEngine for ReferenceCommit {
     fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
         let message: CommitMessage = message

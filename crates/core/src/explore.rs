@@ -1,8 +1,14 @@
 //! The one breadth-first search over a reachable state space, run by
 //! the paper's generator (§3.4, steps 1–3), the unfolder
-//! ([`unfold`](crate::unfold)) and
-//! [`HierarchicalMachine::flatten_ir`](crate::HierarchicalMachine::flatten_ir):
-//! roots, a budget, and a callback that visits one entry's successors.
+//! ([`unfold`](crate::unfold)),
+//! [`HierarchicalMachine::flatten_ir`](crate::HierarchicalMachine::flatten_ir)
+//! and [`equivalent`]: roots, a budget, and a callback that visits one
+//! entry's successors.
+
+use std::collections::HashMap;
+use std::hash::Hash;
+
+use crate::machine::ProtocolEngine;
 
 /// The reached set of a breadth-first search: entries `(head, row)` — a
 /// `u32` head and a `width`-wide `i64` row — numbered in discovery
@@ -133,4 +139,110 @@ pub(crate) fn explore<R: AsRef<[i64]>, E>(
         entry += 1;
     }
     Ok(set)
+}
+
+/// What [`equivalent`] decided about two engines. It never passes
+/// silently: a search cut by its budget says so.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict<A, B> {
+    /// Every reachable pair answers every message alike. Carries the
+    /// pairs, in breadth-first order from the start pair, for the
+    /// caller's own per-pair checks.
+    Equivalent(Vec<(A, B)>),
+    /// A shortest trace, by message name, after which the two differ:
+    /// on its last message's result or on `is_finished` after it. Empty
+    /// if they differ on `is_finished` at the start.
+    Distinguished(Vec<String>),
+    /// The search passed its budget of pairs while delivering to pairs
+    /// this many messages from the start; nothing is decided.
+    Bounded(usize),
+}
+
+/// Decides whether `a` and `b` are the same protocol over `messages`:
+/// a breadth-first search over the pairs of configurations reachable
+/// from `(a, b)` delivers every message to both sides of every pair and
+/// compares the two [`ProtocolEngine::deliver_ref`] results (an unknown
+/// message's error included) and then `is_finished`. Equality and
+/// hashing say which configurations are one, so they must cover an
+/// engine's configuration and nothing else. At most `budget` pairs are
+/// explored.
+///
+/// # Panics
+///
+/// Panics if `budget` is 0: the start pair alone passes it.
+pub fn equivalent<A, B, M>(a: A, b: B, messages: &[M], budget: usize) -> Verdict<A, B>
+where
+    A: ProtocolEngine + Clone + Eq + Hash,
+    B: ProtocolEngine + Clone + Eq + Hash,
+    M: AsRef<str>,
+{
+    enum Stop {
+        Differs(u32, usize),
+        Bounded(u32),
+    }
+    if a.is_finished() != b.is_finished() {
+        return Verdict::Distinguished(Vec::new());
+    }
+    // Each side's configurations, interned to dense ids: a pair is the
+    // row `[id_a, id_b]`. Entry `e > 0` was first reached from
+    // `parents[e - 1]`: its parent entry and the message index.
+    let (mut side_a, mut side_b) = ((HashMap::new(), Vec::new()), (HashMap::new(), Vec::new()));
+    let mut parents: Vec<(u32, usize)> = Vec::new();
+    let root = [intern(&mut side_a, a), intern(&mut side_b, b)];
+    let searched = explore(2, [(0, root)], budget, |pairs, entry| {
+        let (from_a, from_b) = (pairs.row(entry)[0] as usize, pairs.row(entry)[1] as usize);
+        for (m, message) in messages.iter().enumerate() {
+            let (mut a, mut b) = (side_a.1[from_a].clone(), side_b.1[from_b].clone());
+            let message = message.as_ref();
+            if a.deliver_ref(message) != b.deliver_ref(message)
+                || a.is_finished() != b.is_finished()
+            {
+                return Err(Stop::Differs(entry, m));
+            }
+            let next = [intern(&mut side_a, a), intern(&mut side_b, b)];
+            match pairs.visit(0, &next) {
+                None => return Err(Stop::Bounded(entry)),
+                Some((_, true)) => parents.push((entry, m)),
+                Some((_, false)) => {}
+            }
+        }
+        Ok(())
+    });
+    // The message indices that first reached `entry`, from the start.
+    let path = |mut entry: u32| {
+        let mut path = Vec::new();
+        while entry > 0 {
+            let (parent, m) = parents[entry as usize - 1];
+            path.push(m);
+            entry = parent;
+        }
+        path.reverse();
+        path
+    };
+    match searched {
+        Ok(pairs) => Verdict::Equivalent(
+            (pairs.rows().chunks_exact(2))
+                .map(|row| {
+                    let (a, b) = (&side_a.1[row[0] as usize], &side_b.1[row[1] as usize]);
+                    (a.clone(), b.clone())
+                })
+                .collect(),
+        ),
+        Err(Stop::Differs(entry, last)) => {
+            let trace = path(entry).into_iter().chain([last]);
+            Verdict::Distinguished(trace.map(|m| messages[m].as_ref().to_string()).collect())
+        }
+        Err(Stop::Bounded(entry)) => Verdict::Bounded(path(entry).len()),
+    }
+}
+
+/// The dense id of `engine`'s configuration among `side`'s, as a row
+/// word: interned on first sight.
+fn intern<E: Clone + Eq + Hash>(side: &mut (HashMap<E, u32>, Vec<E>), engine: E) -> i64 {
+    let (ids, configs) = side;
+    let id = *ids.entry(engine).or_insert_with_key(|engine| {
+        configs.push(engine.clone());
+        configs.len() as u32 - 1
+    });
+    i64::from(id)
 }

@@ -1476,6 +1476,23 @@ impl<'h> HsmInstance<'h> {
     }
 }
 
+/// Two instances are equal when they are in one configuration: the
+/// same active leaf, history memory and registers. The step count and
+/// the action buffer are not part of it.
+impl PartialEq for HsmInstance<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.leaf, &self.memory, &self.vars) == (other.leaf, &other.memory, &other.vars)
+    }
+}
+
+impl Eq for HsmInstance<'_> {}
+
+impl std::hash::Hash for HsmInstance<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.leaf, &self.memory, &self.vars).hash(state);
+    }
+}
+
 impl ProtocolEngine for HsmInstance<'_> {
     fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
         let id = self

@@ -669,6 +669,22 @@ impl<'i> IrInstance<'i> {
     }
 }
 
+/// Two instances are equal when they are in one configuration: the
+/// same state and registers. The step count is not part of it.
+impl PartialEq for IrInstance<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.current, &self.vars) == (other.current, &other.vars)
+    }
+}
+
+impl Eq for IrInstance<'_> {}
+
+impl std::hash::Hash for IrInstance<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.current, &self.vars).hash(state);
+    }
+}
+
 impl ProtocolEngine for IrInstance<'_> {
     fn deliver_ref(&mut self, message: &str) -> Result<&[Action], InterpError> {
         let id = self

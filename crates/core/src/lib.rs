@@ -75,7 +75,9 @@
 //! [`FlatIr`] — flat machines via [`FlatIr::from_machine`], EFSMs via
 //! [`FlatIr::from_efsm`]) and [`HsmInstance`] (one session of a
 //! statechart, unflattened). Both speak the [`ProtocolEngine`]
-//! vocabulary, and every suite pins the served tiers to them.
+//! vocabulary. [`equivalent`] decides that two such engines are one
+//! protocol, by a search over their reachable pairs of configurations,
+//! or returns a shortest trace that tells them apart.
 //!
 //! Hierarchical statecharts sit *in front of* the lowerings rather than
 //! adding a third: author a [`HierarchicalMachine`] (composite states,
@@ -85,10 +87,10 @@
 //! [`flatten_ir`](HierarchicalMachine::flatten_ir) — reachable
 //! configurations become flat states, and inherited transitions plus
 //! synthesized exit/entry action sequences become ordinary (possibly
-//! guarded) transitions of the unified [`FlatIr`]. The property suites
-//! assert `HsmInstance ≡ IrInstance(flatten_ir) ≡ Runtime(compiled)`
-//! over random statecharts and traces (and the guarded four-way
-//! equivalence in `stategen-runtime`'s `hsm_guarded_props`).
+//! guarded) transitions of the unified [`FlatIr`]. `stategen-runtime`'s
+//! `hsm_props` and `hsm_guarded_props` decide `HsmInstance ≡
+//! IrInstance(flatten_ir)` with [`equivalent`] on random statecharts,
+//! guarded and unguarded.
 //!
 //! ## Example
 //!
@@ -153,6 +155,7 @@ pub use error::{
     ArtifactError, CompileError, GenerateError, HsmError, InterpError, ParseNameError, SchemaError,
     StategenError, SwapError,
 };
+pub use explore::{equivalent, Verdict};
 pub use fingerprint::{fnv1a, fold_params, Fnv64};
 pub use generator::{
     generate, generate_with, merge_equivalent_states, prune_unreachable, GenerateOptions,

@@ -75,6 +75,22 @@ macro_rules! engine_wrapper {
             }
         }
 
+        /// Two engines are equal when they are in the same generated
+        /// state; the action buffer is not part of it.
+        impl PartialEq for $name {
+            fn eq(&self, other: &Self) -> bool {
+                self.state == other.state
+            }
+        }
+
+        impl Eq for $name {}
+
+        impl ::std::hash::Hash for $name {
+            fn hash<H: ::std::hash::Hasher>(&self, state: &mut H) {
+                self.state.hash(state);
+            }
+        }
+
         impl Default for $name {
             fn default() -> Self {
                 Self::new()

@@ -1,103 +1,54 @@
-//! Property suite: the broadcast EFSM served by `stategen-runtime` —
-//! compiled (unfolded onto the dense table) and interpreted — is
-//! observationally equivalent to the `IrInstance` reference on random
-//! message traces, for a range of participant counts, in a session of
-//! its own and in a second session of the same runtime fed the same
-//! trace.
+//! One broadcast EFSM serves the whole family (n = 4..=13), decided by
+//! `stategen_core::equivalent` over every reachable pair of
+//! configurations: bound to n, it is the generated broadcast FSM, and
+//! its unfolded dense table — what `Engine::compile` serves — is the
+//! EFSM, one table state per reachable configuration. That the runtime
+//! serves those tables as `IrInstance` steps the IR is the runtime's
+//! operation oracle's job (`stategen-runtime`'s `tests/oracle`).
 
 use std::sync::OnceLock;
 
-use proptest::prelude::*;
-
-use stategen_core::{FlatIr, ProtocolEngine};
+use stategen_core::{generate, unfold, FlatIr, IrInstance};
 use stategen_models::{broadcast_efsm, broadcast_efsm_params, BroadcastModel};
-use stategen_runtime::{Engine, Spec};
+
+#[path = "../../core/tests/support/mod.rs"]
+mod support;
+
+use support::{decide, Table};
 
 const MESSAGES: [&str; 3] = ["initial", "echo", "ready"];
 
-/// The broadcast EFSM's lowered IR, walked by the reference.
+/// The broadcast EFSM's lowered IR.
 fn ir() -> &'static FlatIr {
     static IR: OnceLock<FlatIr> = OnceLock::new();
     IR.get_or_init(|| FlatIr::from_efsm(&broadcast_efsm()))
 }
 
-fn check(n: u32, messages: &[usize]) {
-    let params = broadcast_efsm_params(&BroadcastModel::new(n));
-    let mut interp = ir().instance(params.clone());
-    let spec = Spec::efsm(broadcast_efsm(), params);
-    let mut runtimes = [Engine::compile(spec.clone()), Engine::interpret(spec)]
-        .map(|engine| engine.expect("binds four parameters").runtime());
-    let sessions = runtimes.each_mut().map(|rt| [rt.spawn(), rt.spawn()]);
-    for (step, &mi) in messages.iter().enumerate() {
-        let name = MESSAGES[mi % MESSAGES.len()];
-        let want = interp.deliver(name).unwrap();
-        for (rt, &[single, other]) in runtimes.iter_mut().zip(&sessions) {
-            let tier = rt.engine().tier();
-            let mid = rt.message_id(name).unwrap();
-            assert_eq!(
-                rt.deliver(single, mid),
-                &want[..],
-                "n={n} step {step} ({name}) on {tier}: interp state {}",
-                interp.state_name()
-            );
-            rt.deliver(other, mid);
-            assert_eq!(
-                rt.vars(single),
-                interp.vars(),
-                "n={n} step {step} on {tier}"
-            );
-            assert_eq!(
-                rt.state(single),
-                interp.current_state(),
-                "n={n} step {step}"
-            );
-            assert_eq!(
-                rt.state_name(single),
-                interp.state_name(),
-                "n={n} step {step}"
-            );
-            assert_eq!(
-                rt.is_finished(single),
-                interp.is_finished(),
-                "n={n} step {step}"
-            );
-            let (a, b) = (rt.snapshot(single), rt.snapshot(other));
-            assert_eq!(
-                (a.state, a.vars),
-                (b.state, b.vars),
-                "n={n} step {step} on {tier}"
-            );
+fn efsm(n: u32) -> IrInstance<'static> {
+    ir().instance(broadcast_efsm_params(&BroadcastModel::new(n)))
+}
+
+#[test]
+fn compiled_matches_interpreter() {
+    for n in 4..=13 {
+        let params = broadcast_efsm_params(&BroadcastModel::new(n));
+        let (table, _) = unfold(ir(), &params).expect("within the unfolding budget");
+        let pairs = decide(efsm(n), Table::new(&table), &MESSAGES);
+        assert_eq!(pairs.len(), table.state_count(), "n={n}");
+        for (e, t) in pairs {
+            assert_eq!(e.state_name_str(), table.state_name(t.state), "n={n}");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Seeded random traces for a spread of participant counts: one
-    /// EFSM serves the whole family.
-    #[test]
-    fn compiled_matches_interpreter(n in 4u32..=13, messages in prop::collection::vec(0usize..3, 0..120)) {
-        check(n, &messages);
-    }
-}
-
-/// Exhaustive equivalence over every message sequence of length ≤ 6 for
-/// n = 4 (3^6 = 729 sequences), mirroring the interpreter-vs-FSM suite
-/// in the crate's unit tests.
 #[test]
 fn exhaustive_short_traces_n4() {
-    let mut sequence = Vec::new();
-    fn recurse(sequence: &mut Vec<usize>, depth: usize) {
-        check(4, sequence);
-        if depth == 0 {
-            return;
-        }
-        for m in 0..3 {
-            sequence.push(m);
-            recurse(sequence, depth - 1);
-            sequence.pop();
-        }
+    for n in 4..=13 {
+        let machine = generate(&BroadcastModel::new(n)).unwrap().machine;
+        decide(
+            FlatIr::from_machine(&machine).instance(vec![]),
+            efsm(n),
+            &MESSAGES,
+        );
     }
-    recurse(&mut sequence, 6);
 }

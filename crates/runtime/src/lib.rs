@@ -85,10 +85,12 @@
 //! Two tiers — the paper's two deployment policies (§4.2): generate the
 //! FSM for one binding, or interpret the model; the same machine reports the same tier
 //! whether it arrived as a spec or as an artifact. All tiers are
-//! behaviourally equivalent — the conformance suite in
-//! this crate drives the same trace corpus through both engines of
-//! every spec shape and asserts identical action sequences, finished
-//! flags, state names and variables.
+//! behaviourally equivalent: this crate's operation oracle
+//! (`tests/oracle`) runs one script of operations through both engines
+//! of every spec shape, sharded, observed and artifact-booted, against
+//! one `IrInstance` per session, and `stategen_core::equivalent`
+//! decides that each dense table, unfolding, quotient and flattening is
+//! the machine it was lowered from.
 //!
 //! ## Crash safety: snapshots, restore, and timeouts
 //!

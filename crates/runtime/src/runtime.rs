@@ -924,7 +924,10 @@ impl Runtime {
         self.finished_count() == self.len()
     }
 
-    /// Total transitions taken across all sessions.
+    /// Total transitions this runtime's sessions took: neither
+    /// [`Runtime::reset`] nor [`Runtime::reset_all`] lowers it, and
+    /// [`Runtime::restore`] and an in-place [`Runtime::begin_swap`]
+    /// carry it over.
     pub fn steps(&self) -> u64 {
         self.shards.iter().map(|s| s.store.steps()).sum()
     }
@@ -1084,6 +1087,9 @@ impl Runtime {
     /// sessions.
     ///
     /// The timer wheel starts empty; re-arm deadlines that still matter.
+    /// The metric counters ([`Runtime::metrics`]) start at zero too, but
+    /// for `restores` = 1: a snapshot carries sessions and step counts,
+    /// not counters. (An in-place [`Runtime::begin_swap`] keeps them.)
     ///
     /// # Errors
     ///
@@ -1414,7 +1420,10 @@ impl Runtime {
     /// relaxed atomics written by at most one thread each.
     ///
     /// Counters are always on: they cost one cache-local add per event
-    /// and need no [`Runtime::attach_recorder`] call.
+    /// and need no [`Runtime::attach_recorder`] call. They count from
+    /// the runtime's creation: a [`Runtime::restore`]d runtime starts
+    /// them at zero (`restores` at 1), while an in-place
+    /// [`Runtime::begin_swap`] keeps them.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for shard in &self.shards {
@@ -1805,7 +1814,7 @@ mod tests {
         assert!(sharded.all_finished());
         sharded.reset_all();
         assert_eq!(sharded.finished_count(), 0);
-        assert_eq!(sharded.steps(), 0);
+        assert_eq!(sharded.steps(), flat.steps());
     }
 
     /// The finished count is eager on every shard: after any mix of
@@ -1936,6 +1945,34 @@ mod tests {
         // The restored pool keeps executing.
         restored.deliver(s1, a);
         assert!(restored.is_finished(s1));
+    }
+
+    /// A restored runtime counts from zero but for its one restore; an
+    /// in-place swap keeps every counter.
+    #[test]
+    fn restore_restarts_the_counters_and_a_swap_keeps_them() {
+        let mut rt = compiled_runtime();
+        let a = rt.message_id("a").unwrap();
+        let s = rt.spawn();
+        rt.deliver(s, a);
+        let before = rt.metrics();
+        assert_eq!((before.spawns, before.deliveries), (1, 1));
+        let walked = Engine::interpret(Spec::machine(finishing_machine())).unwrap();
+        let migrated = SwapOutcome::Migrated { sessions: 1 };
+        assert_eq!(rt.begin_swap(walked), Ok(migrated));
+        let swapped = MetricsSnapshot {
+            swaps_completed: 1,
+            swap_migrated_sessions: 1,
+            ..before
+        };
+        assert_eq!(rt.metrics(), swapped);
+        let restored = Runtime::restore(rt.engine(), &rt.snapshot_all()).unwrap();
+        let restarted = MetricsSnapshot {
+            restores: 1,
+            ..MetricsSnapshot::default()
+        };
+        assert_eq!(restored.metrics(), restarted);
+        assert_eq!(restored.steps(), rt.steps());
     }
 
     #[test]

@@ -1,21 +1,27 @@
-//! API conformance: every execution tier behind the `Spec → Engine →
-//! Runtime` pipeline produces identical action sequences, finished
-//! flags, state names and variable registers on a shared trace corpus —
-//! for all three spec shapes, flat machine, EFSM and (guarded and
-//! unguarded) statechart, `Engine::interpret` is a genuinely
-//! interpreted engine with `Engine::compile`'s fingerprint, and the
-//! flattened statecharts are held to the direct statechart interpreter
-//! — plus `Send + 'static` / object-safety compile tests for the owned
-//! surface.
+//! API conformance of the `Spec → Engine → Runtime` pipeline: for all
+//! three spec shapes — flat machine, EFSM and (guarded and unguarded)
+//! statechart — `Engine::interpret` is a genuinely interpreted engine
+//! with `Engine::compile`'s fingerprint, alphabet, states and binding;
+//! the flattened statecharts are decided equivalent to the direct
+//! statechart interpreter; the build-time generated code is the
+//! machine `Spec::generated` serves; plus `Send + 'static` /
+//! object-safety compile tests for the owned surface, duplicate
+//! deliveries after finish, and the unfolding decision of every
+//! deployed machine.
 //!
-//! The corpus mixes exhaustive short traces with seeded pseudo-random
-//! long ones, so both the dense early state space and deep runs are
-//! covered deterministically.
+//! That a runtime serves an engine as `IrInstance` steps its IR is the
+//! operation oracle's job (`oracle/mod.rs`, run by `kernel_props.rs`
+//! and the other property suites on the commit machine and EFSM,
+//! random machines, EFSMs and statecharts); that the commit
+//! protocol's artefacts are one protocol is `stategen-commit`'s
+//! `equivalence.rs`.
+
+mod oracle;
 
 use std::borrow::Cow;
-use std::collections::HashSet;
-use std::hash::Hash;
 
+use oracle::flattens_exactly;
+use oracle::support::decide;
 use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel, MESSAGE_NAMES};
 use stategen_core::{generate, FlatIr, HsmInstance, StateMachine};
 use stategen_models::{
@@ -24,35 +30,10 @@ use stategen_models::{
 };
 use stategen_runtime::{Engine, ProtocolEngine, Runtime, Spec, Tier};
 
-/// Deterministic LCG over message indices (no RNG dependency; the
-/// corpus must be identical on every run and machine).
-fn corpus(seed: u64, len: usize, alphabet: usize) -> Vec<usize> {
-    let mut state = seed
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize % alphabet
-        })
-        .collect()
-}
-
 fn commit_machine(r: u32) -> StateMachine {
     generate(&CommitModel::new(CommitConfig::new(r).unwrap()))
         .unwrap()
         .machine
-}
-
-/// One observation of one session after one delivery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observation {
-    actions: Vec<String>,
-    finished: bool,
-    state_name: String,
-    vars: Vec<i64>,
 }
 
 /// Both engines of one spec: `interpret` really interprets, `compile`
@@ -71,221 +52,54 @@ fn both_engines(spec: Spec, tier: Tier) -> (Engine, Engine) {
     (interpreted, compiled)
 }
 
-/// Drives one runtime session through a name trace, recording the
-/// observable behaviour after every delivery.
-fn observe(rt: &mut Runtime, trace: &[&str]) -> Vec<Observation> {
-    let session = rt.spawn();
-    trace
-        .iter()
-        .map(|name| {
-            let actions: Vec<String> = rt
-                .deliver(session, rt.message_id(name).expect("message in alphabet"))
-                .iter()
-                .map(|a| a.message().to_string())
-                .collect();
-            Observation {
-                actions,
-                finished: rt.is_finished(session),
-                state_name: rt.state_name(session).to_string(),
-                vars: rt.vars(session).to_vec(),
-            }
-        })
-        .collect()
-}
-
-/// The same trace corpus for one machine family member, in name form.
-fn commit_traces() -> Vec<Vec<&'static str>> {
-    let mut traces: Vec<Vec<&'static str>> = Vec::new();
-    // Exhaustive traces up to length 4 (5^4 = 625).
-    let mut stack = vec![Vec::new()];
-    while let Some(trace) = stack.pop() {
-        traces.push(trace.iter().map(|&m| MESSAGE_NAMES[m]).collect());
-        if trace.len() < 4 {
-            for m in 0..MESSAGE_NAMES.len() {
-                let mut next = trace.clone();
-                next.push(m);
-                stack.push(next);
-            }
-        }
-    }
-    // Seeded long traces.
-    for seed in 0..32 {
-        traces.push(
-            corpus(seed, 120, MESSAGE_NAMES.len())
-                .into_iter()
-                .map(|m| MESSAGE_NAMES[m])
-                .collect(),
-        );
-    }
-    traces
-}
-
-/// All pipeline tiers agree on the commit protocol: the interpreted
-/// and compiled engines of the flat machine, and of the EFSM, match on
-/// actions, finished flags, state names *and* registers; the EFSM (a
-/// different artifact of the same algorithm) matches the flat machine
-/// on actions and finished flags.
+/// The commit protocol's flat machine and EFSM, at three family
+/// members: each spec's two engines are one machine, and the compiled
+/// ones land on the dense table.
 #[test]
 fn commit_tiers_agree_on_trace_corpus() {
     for r in [2u32, 4, 7] {
         let config = CommitConfig::new(r).unwrap();
-        let (interpreted, compiled) =
-            both_engines(Spec::machine(commit_machine(r)), Tier::Compiled);
+        both_engines(Spec::machine(commit_machine(r)), Tier::Compiled);
         let efsm = Spec::efsm(commit_efsm(), commit_efsm_params(&config));
-        let (efsm_interpreted, efsm) = both_engines(efsm, Tier::Compiled);
-        let mut rt_interp = interpreted.runtime();
-        let mut rt_compiled = compiled.runtime();
-        let mut rt_efsm = efsm.runtime();
-        let mut rt_efsm_interp = efsm_interpreted.runtime();
-        for trace in commit_traces() {
-            let o_interp = observe(&mut rt_interp, &trace);
-            let o_compiled = observe(&mut rt_compiled, &trace);
-            let o_efsm = observe(&mut rt_efsm, &trace);
-            assert_eq!(
-                o_interp, o_compiled,
-                "r={r} interpreted vs compiled on {trace:?}"
-            );
-            assert_eq!(
-                observe(&mut rt_efsm_interp, &trace),
-                o_efsm,
-                "r={r} interpreted vs compiled EFSM on {trace:?}"
-            );
-            for (step, (a, b)) in o_compiled.iter().zip(&o_efsm).enumerate() {
-                assert_eq!(
-                    a.actions, b.actions,
-                    "r={r} step {step}: compiled vs EFSM actions on {trace:?}"
-                );
-                assert_eq!(
-                    a.finished, b.finished,
-                    "r={r} step {step}: compiled vs EFSM finished on {trace:?}"
-                );
-            }
-        }
+        both_engines(efsm, Tier::Compiled);
     }
 }
 
-/// The flattened statecharts (compiled *and* interpreted flat forms),
-/// unguarded on the dense tier and guarded unfolded onto it, match
-/// the direct statechart interpreter — the semantic reference — on
-/// actions, finished flags, synthesized configuration names and
-/// variables.
+/// The session lifecycle statechart, unguarded on the dense tier and
+/// guarded unfolded onto it: both engines of each are one machine, and
+/// its flattening is the direct statechart interpreter — the semantic
+/// reference — configuration name and registers alike.
 #[test]
 fn hsm_tiers_agree_on_trace_corpus() {
-    let plain = (session_lifecycle(), vec![], Tier::Compiled);
-    let guarded = (session_lifecycle_guarded(), vec![2], Tier::Compiled);
-    for (hsm, params, tier) in [plain, guarded] {
-        let alphabet: Vec<String> = hsm.messages().to_vec();
+    let plain = (session_lifecycle(), vec![]);
+    let guarded = (session_lifecycle_guarded(), vec![2]);
+    for (hsm, params) in [plain, guarded] {
         let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
-        let (interpreted, compiled) = both_engines(spec, tier);
-        let mut rt_compiled = compiled.runtime();
-        let mut rt_interp = interpreted.runtime();
-        for seed in 0..64u64 {
-            let trace: Vec<&str> = corpus(seed, 80, alphabet.len())
-                .into_iter()
-                .map(|m| alphabet[m].as_str())
-                .collect();
-            // The direct interpreter is the reference.
-            let mut reference = HsmInstance::with_params(&hsm, params.clone());
-            let expected: Vec<Observation> = trace
-                .iter()
-                .map(|name| {
-                    let actions = reference
-                        .deliver(name)
-                        .unwrap()
-                        .into_iter()
-                        .map(|a| a.message().to_string())
-                        .collect();
-                    Observation {
-                        actions,
-                        finished: reference.is_finished(),
-                        state_name: reference.state_name().into_owned(),
-                        vars: reference.vars().to_vec(),
-                    }
-                })
-                .collect();
-            assert_eq!(
-                expected,
-                observe(&mut rt_compiled, &trace),
-                "flattened+compiled diverged from HsmInstance ({tier}, seed {seed})"
-            );
-            assert_eq!(
-                expected,
-                observe(&mut rt_interp, &trace),
-                "flattened+interpreted diverged from HsmInstance ({tier}, seed {seed})"
-            );
-        }
+        both_engines(spec, Tier::Compiled);
+        flattens_exactly(&hsm, &params);
     }
 }
 
-/// The build-time `generated` tier agrees with the pipeline: driven
-/// directly, the rendered `match` code matches the machine
-/// `Spec::generated` builds from the same model, served interpreted and
-/// compiled through the facade, on actions, finished flags and state
-/// names — and its `receive` reaches exactly the pipeline's states from
-/// `START` (33 at r = 4, 85 at r = 7).
+/// The build-time `generated` tier is the pipeline's machine: the
+/// rendered `match` code is decided equivalent to the machine
+/// `Spec::generated` builds from the same model, state name for state
+/// name, reaching exactly its states (33 at r = 4, 85 at r = 7), which
+/// both engines serve.
 #[test]
 fn generated_tier_agrees_through_the_facade() {
-    type Receive<S> = fn(S, &str) -> Option<(S, &'static [&'static str])>;
-    fn check<G: ProtocolEngine + Default, S: Copy + Eq + Hash>(
-        r: u32,
-        states: usize,
-        (start, messages, receive): (S, &[&str], Receive<S>),
-    ) {
-        let mut reached = HashSet::from([start]);
-        let mut queue = vec![start];
-        while let Some(state) = queue.pop() {
-            for message in messages {
-                if let Some((next, _)) = receive(state, message) {
-                    if reached.insert(next) {
-                        queue.push(next);
-                    }
-                }
-            }
+    fn check<G: ProtocolEngine + Clone + Eq + std::hash::Hash + Default>(r: u32, states: usize) {
+        let model = CommitModel::new(CommitConfig::new(r).unwrap());
+        let (_, compiled) = both_engines(Spec::generated(&model).unwrap(), Tier::Compiled);
+        let ir = FlatIr::from_machine(&generate(&model).unwrap().machine);
+        let pairs = decide(G::default(), ir.instance(vec![]), &MESSAGE_NAMES);
+        for (generated, interpreted) in &pairs {
+            assert_eq!(generated.state_name(), interpreted.state_name(), "r={r}");
         }
-        let spec = Spec::generated(&CommitModel::new(CommitConfig::new(r).unwrap())).unwrap();
-        let (interpreted, compiled) = both_engines(spec, Tier::Compiled);
-        assert_eq!((reached.len(), compiled.state_count()), (states, states));
-        let mut rt_interp = interpreted.runtime();
-        let mut rt_compiled = compiled.runtime();
-        for trace in commit_traces() {
-            let mut generated = G::default();
-            let expected: Vec<Observation> = trace
-                .iter()
-                .map(|name| Observation {
-                    actions: generated
-                        .deliver(name)
-                        .unwrap()
-                        .into_iter()
-                        .map(|a| a.message().to_string())
-                        .collect(),
-                    finished: generated.is_finished(),
-                    state_name: generated.state_name().into_owned(),
-                    vars: Vec::new(),
-                })
-                .collect();
-            assert_eq!(
-                expected,
-                observe(&mut rt_interp, &trace),
-                "r={r} generated vs facade-interpreted on {trace:?}"
-            );
-            assert_eq!(
-                expected,
-                observe(&mut rt_compiled, &trace),
-                "r={r} generated vs facade-compiled on {trace:?}"
-            );
-        }
+        assert_eq!((pairs.len(), compiled.state_count()), (states, states));
     }
-    use stategen_generated::{commit_r4, commit_r7, GeneratedCommitR4, GeneratedCommitR7};
-    check::<GeneratedCommitR4, _>(
-        4,
-        33,
-        (commit_r4::START, commit_r4::MESSAGES, commit_r4::receive),
-    );
-    check::<GeneratedCommitR7, _>(
-        7,
-        85,
-        (commit_r7::START, commit_r7::MESSAGES, commit_r7::receive),
-    );
+    use stategen_generated::{GeneratedCommitR4, GeneratedCommitR7};
+    check::<GeneratedCommitR4>(4, 33);
+    check::<GeneratedCommitR7>(7, 85);
 }
 
 /// The `Session` view speaks the same `ProtocolEngine` vocabulary as
@@ -449,8 +263,9 @@ fn finished_sessions_absorb_duplicate_deliveries_on_all_tiers() {
 /// the `build_deploy` corpus ships, the commit EFSM through r = 54 and
 /// the broadcast EFSM unfold onto the dense table. The commit EFSM at
 /// r = 55 is the first past the budget; it runs on the interpreter,
-/// says why, and agrees with `Engine::interpret` step for step.
-/// (`scripts/verify.sh` re-runs this in release.)
+/// says why, and is `Engine::interpret`'s machine (the oracle serves
+/// the fallback, at r = 64, against the reference). (`scripts/verify.sh`
+/// re-runs this in release.)
 #[test]
 fn no_deployed_machine_falls_back() {
     let commit = |r| {
@@ -476,13 +291,5 @@ fn no_deployed_machine_falls_back() {
     assert_eq!(fallback.tier(), Tier::Interpreted);
     let why = " — interpreted: over budget at 4097 configurations #";
     assert!(format!("{fallback:?}").contains(why), "{fallback:?}");
-    let [mut a, mut b] = [fallback, Engine::interpret(commit(55)).unwrap()].map(|e| e.runtime());
-    let (sa, sb) = (a.spawn(), b.spawn());
-    for (step, mi) in corpus(55, 200, MESSAGE_NAMES.len()).into_iter().enumerate() {
-        let m = a.message_id(MESSAGE_NAMES[mi]).unwrap();
-        assert_eq!(a.deliver(sa, m), b.deliver(sb, m), "step {step}");
-        assert_eq!(a.state_name(sa), b.state_name(sb), "step {step}");
-        assert_eq!(a.vars(sa), b.vars(sb), "step {step}");
-        assert_eq!(a.is_finished(sa), b.is_finished(sb), "step {step}");
-    }
+    both_engines(commit(55), Tier::Interpreted);
 }

@@ -1,301 +1,81 @@
-//! Property suite for the *guarded* statechart pipeline: the direct
-//! statechart interpreter, the interpreted flat IR and the
-//! `Runtime`-served facade — compiled and interpreted — must be
-//! trace-equivalent on randomized guarded hierarchical machines —
+//! The *guarded* statechart pipeline. On random guarded charts
+//! (`oracle::RandomChart`, the one hierarchical recipe `hsm_props.rs`
+//! draws unguarded) the direct statechart interpreter and the
+//! interpreted flat IR are decided one protocol —
 //!
 //! ```text
 //! HsmInstance (guarded) ≡ IrInstance(flatten_ir)
-//!                       ≡ Runtime(Engine::compile(Spec::hsm_with_params))
-//!                       ≡ Runtime(Engine::interpret(Spec::hsm_with_params))
 //! ```
 //!
-//! What that proves: the guarded run-to-completion kernel (innermost
-//! handler with guard fall-through, staged pre-transition-value
-//! updates), the candidate enumeration the flattener emits per
-//! `(configuration, message)` cell, the unfolding of the carried
-//! guards/updates (or the interpreter fallback past its budget), and
-//! the facade's per-session variable registers all implement *one*
-//! semantics. The statechart guard
-//! semantics themselves (inherited guarded transitions across levels,
-//! disjoint sibling guards, update ordering around exit/entry
-//! sequences) are pinned by the closed-form units at the bottom.
+//! by `stategen_core::equivalent` over every reachable pair of
+//! configurations, with equal configuration names and registers over
+//! the pairs. That proves the guarded run-to-completion kernel
+//! (innermost handler with guard fall-through, staged pre-transition
+//! updates) and the candidate enumeration the flattener emits per
+//! `(configuration, message)` cell implement *one* semantics. The
+//! `Runtime`-served charts, compiled (unfolded) and interpreted, are
+//! the operation oracle's: `guarded_batch_dispatch_matches_reference`
+//! runs random charts, guarded and not, through `oracle::check`. The
+//! statechart guard semantics themselves (inherited guarded transitions
+//! across levels, disjoint sibling guards, update ordering around
+//! exit/entry sequences) are pinned by the closed-form units at the
+//! bottom.
 
+mod oracle;
+
+use oracle::support::decide;
+use oracle::{check, flattens_exactly, random_chart, script, shards, Subject};
 use proptest::prelude::*;
-
 use stategen_core::efsm::{CmpOp, Guard, LinExpr, Update};
-use stategen_core::{Action, HierarchicalMachine, HsmBuilder, HsmStateId, ProtocolEngine};
+use stategen_core::{Action, HierarchicalMachine, HsmBuilder, ProtocolEngine};
 use stategen_runtime::{Engine, Spec, Tier};
-
-/// The fixed alphabet random machines draw from.
-const ALPHABET: [&str; 3] = ["m0", "m1", "m2"];
-
-/// Flat seed data from which a random (but always valid) *guarded*
-/// hierarchical machine is derived — the guarded extension of the
-/// `hsm_props` recipe: per-state structure seeds, transition seeds
-/// (some of which become complementary guarded pairs), a start seed and
-/// the parameter value the trial binds.
-#[derive(Debug, Clone)]
-struct Recipe {
-    states: Vec<u64>,
-    transitions: Vec<(u64, u64, u64, u64)>,
-    start: u64,
-    budget: u64,
-}
-
-fn recipe() -> impl Strategy<Value = Recipe> {
-    (
-        prop::collection::vec(any::<u64>(), 1..=10),
-        prop::collection::vec(
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-            0..=14,
-        ),
-        any::<u64>(),
-        1u64..=3,
-    )
-        .prop_map(|(states, transitions, start, budget)| Recipe {
-            states,
-            transitions,
-            start,
-            budget,
-        })
-}
-
-/// Materialises a recipe into a guarded machine with one parameter
-/// (`budget`) and two variables (`x`, `y`).
-///
-/// The tree derivation matches `hsm_props` (parent among earlier
-/// states, depth ≤ 3, history/entry/exit/final bits). Transition seeds
-/// pick source, message and kind: unguarded external/internal/history
-/// transitions as before, plus *complementary threshold pairs*
-/// (`v+1 < budget` / `v+1 ≥ budget` with `Inc`/`Set` updates) and lone
-/// guarded internals — every guard shape the EFSM lowering
-/// distinguishes (fused thresholds on both signs, `Set` staging).
-/// Builder rejections (duplicate guards, shadowed declarations) are
-/// simply skipped, mirroring how a generator would probe the builder.
-fn build_random_guarded_hsm(recipe: &Recipe) -> HierarchicalMachine {
-    let n = recipe.states.len();
-    let mut b = HsmBuilder::new("random-guarded-hsm", ALPHABET);
-    let budget = b.add_param("budget");
-    let vars = [b.add_var("x"), b.add_var("y")];
-    let mut ids: Vec<HsmStateId> = Vec::with_capacity(n);
-    let mut depth: Vec<u32> = Vec::with_capacity(n);
-    let mut children = vec![0usize; n];
-    for (i, &seed) in recipe.states.iter().enumerate() {
-        let parent_pick = (seed % (i as u64 + 1)) as usize;
-        let (id, d) = if i == 0 || parent_pick == i || depth[parent_pick] >= 3 {
-            (b.add_state(format!("s{i}")), 0)
-        } else {
-            children[parent_pick] += 1;
-            (
-                b.add_child(ids[parent_pick], format!("s{i}")),
-                depth[parent_pick] + 1,
-            )
-        };
-        ids.push(id);
-        depth.push(d);
-    }
-    let mut history_comps = Vec::new();
-    for (i, &seed) in recipe.states.iter().enumerate() {
-        let is_composite = children[i] > 0;
-        if is_composite && seed & (1 << 8) != 0 {
-            b.enable_history(ids[i]);
-            history_comps.push(ids[i]);
-        }
-        if seed & (1 << 9) != 0 {
-            b.on_entry(ids[i], vec![Action::send(format!("enter{i}"))]);
-        }
-        if seed & (1 << 10) != 0 {
-            b.on_exit(ids[i], vec![Action::send(format!("exit{i}"))]);
-        }
-        if !is_composite && seed & (3 << 11) == 3 << 11 {
-            b.mark_final(ids[i]);
-        }
-    }
-    for &(s_seed, m_seed, kind_seed, t_seed) in &recipe.transitions {
-        let from = ids[(s_seed % n as u64) as usize];
-        let message = ALPHABET[(m_seed % ALPHABET.len() as u64) as usize];
-        let actions: Vec<Action> = (0..kind_seed >> 4 & 3)
-            .map(|k| Action::send(format!("a{k}")))
-            .collect();
-        let v = vars[(t_seed >> 4 & 1) as usize];
-        let other = vars[1 - (t_seed >> 4 & 1) as usize];
-        let below = Guard::when(
-            LinExpr::var(v).plus_const(1),
-            CmpOp::Lt,
-            LinExpr::param(budget),
-        );
-        let at = Guard::when(
-            LinExpr::var(v).plus_const(1),
-            CmpOp::Ge,
-            LinExpr::param(budget),
-        );
-        // Rejections (duplicate/shadowed declarations) are skipped.
-        match kind_seed % 6 {
-            0 => {
-                let _ = b.try_add_internal_transition(from, message, actions);
-            }
-            1 if !history_comps.is_empty() => {
-                let comp = history_comps[(t_seed % history_comps.len() as u64) as usize];
-                let _ = b.try_add_history_transition(from, message, comp, actions);
-            }
-            2 => {
-                let to = ids[(t_seed % n as u64) as usize];
-                let _ = b.try_add_transition(from, message, to, actions);
-            }
-            // A lone guarded declaration: enabled only below the budget,
-            // so the message falls through to inherited handlers (or is
-            // absorbed) once the threshold is reached.
-            3 => {
-                let to = ids[(t_seed % n as u64) as usize];
-                let _ = b.try_add_guarded_transition(
-                    from,
-                    message,
-                    below.clone(),
-                    vec![Update::Inc(v)],
-                    to,
-                    actions,
-                );
-            }
-            // A complementary pair: both sides of the threshold are
-            // reachable, exercising priority scan, fused ≤-canonical
-            // checks of both signs, and Inc/Set staging.
-            _ => {
-                let to_low = ids[(t_seed % n as u64) as usize];
-                let to_high = ids[((t_seed >> 8) % n as u64) as usize];
-                let _ = b.try_add_guarded_transition(
-                    from,
-                    message,
-                    below,
-                    vec![Update::Inc(v)],
-                    to_low,
-                    actions.clone(),
-                );
-                let high_updates = if t_seed & (1 << 16) != 0 {
-                    vec![Update::Set(v, LinExpr::constant(0))]
-                } else {
-                    vec![Update::Inc(other)]
-                };
-                let _ =
-                    b.try_add_guarded_transition(from, message, at, high_updates, to_high, actions);
-            }
-        }
-    }
-    let start = ids[(recipe.start % n as u64) as usize];
-    b.try_build(start)
-        .expect("recipe-derived machines are valid by construction")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The four-way equivalence on random guarded machines and traces:
-    /// identical action sequences, configuration names, variable
-    /// registers, completion flags and step counts at every step.
+    /// The chart and its flattening are one protocol, configuration
+    /// name and registers alike; both engines of the spec are one
+    /// machine, and the compiled one does not walk the IR.
     #[test]
-    fn guarded_flattening_preserves_behaviour(
-        r in recipe(),
-        trace in prop::collection::vec(0usize..ALPHABET.len(), 0..48),
-    ) {
-        let hsm = build_random_guarded_hsm(&r);
-        let params = vec![r.budget as i64];
+    fn guarded_flattening_preserves_behaviour(chart in random_chart(true)) {
+        let (hsm, params) = (chart.build(), chart.params());
         prop_assert!(hsm.is_guarded());
-        let ir = hsm.flatten_ir();
         let spec = Spec::hsm_with_params(hsm.clone(), params.clone());
         let engine = Engine::compile(spec.clone())
             .expect("flattened candidate lists carry no duplicate guards");
-        // On the dense table, unfolded, or — an unbounded `Inc` on the
-        // `at` side of a pair — on the interpreter, saying why.
         let lowering = format!("{engine:?}");
         prop_assert!(!lowering.contains("walked as it stands"), "{}", lowering);
         let walking = Engine::interpret(spec).expect("guarded statechart interprets");
         prop_assert_eq!(walking.tier(), Tier::Interpreted);
         prop_assert_eq!(walking.fingerprint(), engine.fingerprint());
-
-        let mut reference = hsm.instance_with(params.clone());
-        let mut interp = ir.instance(params.clone());
-        let mut rt = engine.runtime();
-        let session = rt.spawn();
-        let mut walked = walking.runtime();
-        let walked_session = walked.spawn();
-
-        prop_assert_eq!(reference.state_name(), interp.state_name());
-        prop_assert_eq!(interp.state_name(), rt.state_name(session));
-        for (step, &mi) in trace.iter().enumerate() {
-            let name = ALPHABET[mi];
-            let mid = engine.message_id(name).expect("declared message");
-            let want = reference.deliver_ref(name).expect("declared message").to_vec();
-            let from_interp = interp.deliver_ref(name).expect("declared message");
-            prop_assert_eq!(&want, &from_interp.to_vec(), "step {}", step);
-            let from_rt = rt.deliver(session, mid).to_vec();
-            prop_assert_eq!(want.as_slice(), &from_rt[..], "step {}", step);
-            prop_assert_eq!(want.as_slice(), walked.deliver(walked_session, mid), "step {}", step);
-            prop_assert_eq!(rt.snapshot(session), walked.snapshot(walked_session), "step {}", step);
-            prop_assert_eq!(reference.state_name(), interp.state_name(), "step {}", step);
-            prop_assert_eq!(interp.state_name(), rt.state_name(session), "step {}", step);
-            prop_assert_eq!(reference.vars(), interp.vars(), "step {}", step);
-            prop_assert_eq!(interp.vars(), rt.vars(session), "step {}", step);
-            prop_assert_eq!(reference.is_finished(), interp.is_finished(), "step {}", step);
-            prop_assert_eq!(interp.is_finished(), rt.is_finished(session), "step {}", step);
-        }
-        prop_assert_eq!(reference.steps(), interp.steps());
-        prop_assert_eq!(interp.steps(), rt.steps());
-        prop_assert_eq!(rt.steps(), walked.steps());
-
-        // Reset restores the initial configuration and zeroed registers
-        // identically everywhere.
-        reference.reset();
-        interp.reset();
-        rt.reset(session);
-        prop_assert_eq!(reference.state_name(), interp.state_name());
-        prop_assert_eq!(interp.state_name(), rt.state_name(session));
-        prop_assert_eq!(reference.vars(), rt.vars(session));
-        prop_assert_eq!(reference.steps(), 0);
+        flattens_exactly(&hsm, &params);
     }
 
-    /// Batch dispatch over the facade: a sharded `Runtime` stepping many
-    /// guarded sessions in lock-step stays bit-identical to the direct
-    /// interpreter receiving the same broadcast trace.
+    /// A message outside the alphabet errors identically through the
+    /// chart and its flattening, and moves neither.
+    #[test]
+    fn guarded_unknown_messages_agree(chart in random_chart(true)) {
+        let (hsm, params) = (chart.build(), chart.params());
+        let ir = hsm.flatten_ir();
+        let pairs = decide(hsm.instance_with(params.clone()), ir.instance(params), &["zap"]);
+        prop_assert_eq!(pairs.len(), 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random charts, guarded (unfolded) and unguarded (dense), served
+    /// every way the runtime serves a machine, against the reference.
     #[test]
     fn guarded_batch_dispatch_matches_reference(
-        r in recipe(),
-        trace in prop::collection::vec(0usize..ALPHABET.len(), 0..24),
+        guarded in any::<bool>(),
+        mut chart in random_chart(true),
+        shards in shards(),
+        ops in script(),
     ) {
-        let hsm = build_random_guarded_hsm(&r);
-        let params = vec![r.budget as i64];
-        let engine = Engine::compile(Spec::hsm_with_params(hsm.clone(), params.clone()))
-            .expect("guarded statechart compiles");
-        let mut rt = engine.runtime().sharded(2);
-        rt.spawn_many(6);
-        let sessions: Vec<_> = (0..3).map(|_| rt.spawn()).collect();
-        let mut reference = hsm.instance_with(params);
-        let mut transitions = 0u64;
-        for &mi in &trace {
-            let mid = engine.message_id(ALPHABET[mi]).expect("declared message");
-            let before = reference.steps();
-            reference.deliver_ref(ALPHABET[mi]).expect("declared message");
-            transitions += (reference.steps() - before) * rt.len() as u64;
-            prop_assert_eq!(rt.deliver_all(mid), (reference.steps() - before) * 9);
-        }
-        prop_assert_eq!(rt.steps(), transitions);
-        for s in sessions {
-            prop_assert_eq!(rt.state_name(s), reference.state_name());
-            prop_assert_eq!(rt.vars(s), reference.vars());
-            prop_assert_eq!(rt.is_finished(s), reference.is_finished());
-        }
-    }
-
-    /// Unknown messages error identically through every leg.
-    #[test]
-    fn guarded_unknown_messages_agree(r in recipe()) {
-        let hsm = build_random_guarded_hsm(&r);
-        let params = vec![r.budget as i64];
-        let ir = hsm.flatten_ir();
-        let mut reference = hsm.instance_with(params.clone());
-        let mut interp = ir.instance(params);
-        prop_assert_eq!(
-            reference.deliver_ref("zap").map(<[Action]>::to_vec).unwrap_err(),
-            interp.deliver_ref("zap").map(<[Action]>::to_vec).unwrap_err()
-        );
+        chart.budget = chart.budget.filter(|_| guarded);
+        check(&Subject::hsm(chart.build(), chart.params()), shards, &ops)?;
     }
 }
 

@@ -5,6 +5,7 @@
 
 mod oracle;
 
+use oracle::support::two_counter;
 use oracle::*;
 use proptest::prelude::*;
 use stategen_runtime::Tier;

@@ -1,262 +1,105 @@
-//! Property suite for `stategen_analysis::minimize`: the quotient
-//! machine must be observation-equivalent to the original on **every
-//! execution tier** —
+//! `stategen_analysis::minimize` decided: the quotient is the machine,
+//! by `stategen_core::equivalent` over every reachable pair of
+//! configurations —
 //!
 //! ```text
-//! IrInstance(ir) ≡ IrInstance(minimize(ir))                 (interpreted)
-//!                ≡ Runtime(minimize(ir))                    (dense tables)
-//!                ≡ Runtime(minimize(ir), binding)           (guarded, unfolded)
-//! HsmInstance(hsm) ≡ minimize(hsm.flatten_ir())             (flattened statechart)
+//! IrInstance(ir) ≡ IrInstance(minimize(ir))        (random unguarded, random guarded under a binding)
+//! HsmInstance(hsm) ≡ IrInstance(minimize(flatten_ir(hsm)))   (the redundant ring)
 //! ```
 //!
-//! and minimization must be idempotent: a second pass over the quotient
-//! merges nothing and returns the identical IR. The machines are random
-//! — adversarial shapes (duplicate targets, absorbing regions, redundant
-//! twins, complementary guard pairs) arise from the seeds rather than
-//! being hand-picked, so the partition refinement is exercised well away
-//! from the tidy corpus machines.
+//! — and minimization is idempotent: a second pass over the quotient
+//! merges nothing and returns the identical IR. The random machines
+//! are the operation oracle's (`oracle::RandomMachine`,
+//! `oracle::RandomEfsm`), so adversarial shapes (duplicate targets,
+//! absorbing regions, redundant twins, complementary guard pairs) arise
+//! from the seeds; serving a quotient is the oracle's job too.
 //!
 //! The deterministic tests at the bottom pin the `Spec::analyzed()`
 //! gate: deny-level findings reject the spec before compilation, clean
 //! machines pass through untouched, and configuration overrides move
 //! the line.
 
-use proptest::prelude::*;
+mod oracle;
 
+use oracle::support::decide;
+use oracle::{random_efsm, random_machine, RandomEfsm, RandomMachine};
+use proptest::prelude::*;
 use stategen_analysis::minimize;
-use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, Update};
 use stategen_core::{
-    Action, Artifact, CompiledMachine, FlatIr, FlatState, FlatTransition, Level, Lint,
-    ProtocolEngine, StateMachineBuilder, StateRole, StategenError,
+    unfold, CompiledMachine, FlatIr, Level, Lint, StateMachineBuilder, StateRole, StategenError,
 };
 use stategen_models::redundant_ring;
-use stategen_runtime::{AnalysisConfig, Engine, Runtime, SessionId, Spec};
+use stategen_runtime::{AnalysisConfig, Spec};
 
-const ALPHABET: [&str; 3] = ["m0", "m1", "m2"];
-
-/// Materialises a random *unguarded* flat IR: up to 8 states, a
-/// sprinkling of finish roles, at most one transition per
-/// `(state, message)` cell (the dense tier's well-formedness condition),
-/// and deliberately reused names/actions so behavioural twins are
-/// common.
-fn build_random_ir(states: &[u64], start: u64) -> FlatIr {
-    let n = states.len();
-    let flat: Vec<FlatState> = states
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            // Roughly one state in eight is a finish state (never the
-            // only state, so something is reachable and live).
-            let role = if seed % 8 == 0 && n > 1 {
-                StateRole::Finish
-            } else {
-                StateRole::Normal
-            };
-            let transitions = (0..ALPHABET.len())
-                .filter(|m| seed >> (8 + 2 * m) & 3 != 0)
-                .map(|m| {
-                    let target = (seed >> (16 + 4 * m)) % n as u64;
-                    let actions = if seed >> (32 + m) & 1 != 0 {
-                        vec![Action::send(format!("a{}", seed >> (40 + m) & 1))]
-                    } else {
-                        vec![]
-                    };
-                    FlatTransition::new(m, Guard::always(), vec![], actions, target as u32)
-                })
-                .collect();
-            FlatState::new(format!("s{}", i % 3), role, transitions)
-        })
-        .collect();
-    FlatIr::from_parts(
-        "random-flat",
-        ALPHABET.iter().map(|m| m.to_string()).collect(),
-        vec![],
-        vec![],
-        flat,
-        (start % n as u64) as u32,
-    )
+/// A random machine's unguarded IR: its statechart of top-level leaves,
+/// flattened.
+fn unguarded(machine: &RandomMachine) -> FlatIr {
+    machine.hsm(false).flatten_ir()
 }
 
-/// Materialises a random *guarded* EFSM: one `budget` parameter, two
-/// variables, and per `(state, message)` cell either nothing, an
-/// unguarded transition, or a complementary threshold pair — with no
-/// duplicate guards for the lowering to reject.
-fn build_random_efsm(states: &[u64], start: u64) -> stategen_core::Efsm {
-    let n = states.len();
-    let mut b = EfsmBuilder::new("random-efsm", ALPHABET);
-    let budget = b.add_param("budget");
-    let vars = [b.add_var("x"), b.add_var("y")];
-    let ids: Vec<_> = (0..n).map(|i| b.add_state(format!("s{}", i % 3))).collect();
-    for (i, &seed) in states.iter().enumerate() {
-        for (m, message) in ALPHABET.iter().enumerate() {
-            let v = vars[(seed >> (4 + m) & 1) as usize];
-            let to_low = ids[((seed >> (8 + 4 * m)) % n as u64) as usize];
-            let to_high = ids[((seed >> (20 + 4 * m)) % n as u64) as usize];
-            let actions: Vec<Action> = (0..(seed >> (32 + m)) & 1)
-                .map(|k| Action::send(format!("a{k}")))
-                .collect();
-            match seed >> (40 + 2 * m) & 3 {
-                0 => {}
-                1 => b.add_transition(ids[i], message, Guard::always(), vec![], actions, to_low),
-                _ => {
-                    b.add_transition(
-                        ids[i],
-                        message,
-                        Guard::when(
-                            LinExpr::var(v).plus_const(1),
-                            CmpOp::Lt,
-                            LinExpr::param(budget),
-                        ),
-                        vec![Update::Inc(v)],
-                        actions.clone(),
-                        to_low,
-                    );
-                    b.add_transition(
-                        ids[i],
-                        message,
-                        Guard::when(
-                            LinExpr::var(v).plus_const(1),
-                            CmpOp::Ge,
-                            LinExpr::param(budget),
-                        ),
-                        vec![Update::Set(v, LinExpr::constant(0))],
-                        actions,
-                        to_high,
-                    );
-                }
-            }
-        }
-    }
-    let fin = ids[((start >> 8) % n as u64) as usize];
-    let fin = (start & 1 == 0 && fin.index() != (start % n as u64) as usize).then_some(fin);
-    b.build(ids[(start % n as u64) as usize], fin)
-}
-
-/// One served session of `ir` bound to `params`, lowered exactly as
-/// `Engine::compile` lowers a spec.
-fn served(ir: &FlatIr, params: &[i64]) -> (Runtime, SessionId) {
-    let artifact = Artifact::new(ir.clone(), params.to_vec()).expect("binding arity");
-    let mut rt = Engine::from_artifact(&artifact)
-        .expect("the quotient lowers")
-        .runtime();
-    let session = rt.spawn();
-    (rt, session)
+/// A random EFSM's IR, without the runaway counter.
+fn guarded(mut efsm: RandomEfsm) -> FlatIr {
+    efsm.runaway = false;
+    FlatIr::from_efsm(&efsm.build())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Interpreted + dense tiers: the quotient of a random unguarded IR
-    /// emits the same actions and agrees on completion at every step of
-    /// a random trace, both under the direct interpreter and compiled
-    /// into the dense tables.
+    /// The quotient of a random unguarded IR keeps one transition per
+    /// cell, so it compiles onto the dense table, and is the IR.
     #[test]
-    fn minimize_preserves_unguarded_behaviour(
-        states in prop::collection::vec(any::<u64>(), 1..=8),
-        start in any::<u64>(),
-        trace in prop::collection::vec(0usize..ALPHABET.len(), 0..40),
-    ) {
-        let ir = build_random_ir(&states, start);
+    fn minimize_preserves_unguarded_behaviour(machine in random_machine()) {
+        let ir = unguarded(&machine);
         let (small, stats) = minimize(&ir);
         prop_assert!(stats.states_after <= stats.states_before);
         CompiledMachine::compile_ir(&small).expect("the quotient keeps one transition per cell");
-        let mut reference = ir.instance(vec![]);
-        let mut interp = small.instance(vec![]);
-        let (mut rt, session) = served(&small, &[]);
-        let mut dense = rt.session(session);
-        for (step, &mi) in trace.iter().enumerate() {
-            let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
-            prop_assert_eq!(
-                interp.deliver_ref(ALPHABET[mi]).unwrap(), want.as_slice(),
-                "interpreted tier diverged at step {}", step
-            );
-            prop_assert_eq!(
-                dense.deliver_ref(ALPHABET[mi]).unwrap(), want.as_slice(),
-                "dense tier diverged at step {}", step
-            );
-            prop_assert_eq!(reference.is_finished(), interp.is_finished(), "step {}", step);
-            prop_assert_eq!(reference.is_finished(), dense.is_finished(), "step {}", step);
-        }
+        decide(ir.instance(vec![]), small.instance(vec![]), &["a", "b"]);
     }
 
-    /// Guarded machines: the quotient of a random guarded EFSM, bound and
-    /// compiled as `Engine::compile` lowers it, tracks the original
-    /// interpreter under every budget binding.
+    /// The quotient of a random guarded EFSM is the EFSM under every
+    /// threshold binding whose configuration space is finite (the one
+    /// `unfold` lowers); the others cannot be decided, and are drawn
+    /// again.
     #[test]
-    fn minimize_preserves_guarded_behaviour(
-        states in prop::collection::vec(any::<u64>(), 1..=6),
-        start in any::<u64>(),
-        budget in 1i64..=3,
-        trace in prop::collection::vec(0usize..ALPHABET.len(), 0..40),
-    ) {
-        let efsm = build_random_efsm(&states, start);
-        let ir = FlatIr::from_efsm(&efsm);
+    fn minimize_preserves_guarded_behaviour(efsm in random_efsm(), t in 1i64..=3) {
+        let ir = guarded(efsm);
+        prop_assume!(unfold(&ir, &[t]).is_ok());
         let (small, _) = minimize(&ir);
-        let params = vec![budget];
-        let mut reference = ir.instance(params.clone());
-        let mut interp = small.instance(params.clone());
-        let (mut rt, session) = served(&small, &params);
-        let mut fast = rt.session(session);
-        for (step, &mi) in trace.iter().enumerate() {
-            let want = reference.deliver_ref(ALPHABET[mi]).unwrap().to_vec();
-            prop_assert_eq!(
-                interp.deliver_ref(ALPHABET[mi]).unwrap(), want.as_slice(),
-                "interpreted tier diverged at step {}", step
-            );
-            prop_assert_eq!(
-                fast.deliver_ref(ALPHABET[mi]).unwrap(), want.as_slice(),
-                "compiled tier diverged at step {}", step
-            );
-            prop_assert_eq!(reference.is_finished(), interp.is_finished(), "step {}", step);
-            prop_assert_eq!(reference.is_finished(), fast.is_finished(), "step {}", step);
-        }
-    }
-
-    /// Flattened-statechart tier: the *hierarchical* interpreter is the
-    /// reference; its flattening, minimized and compiled dense, must
-    /// reproduce every trace. On the ring family the quotient is always
-    /// exactly three states however wide the ring was.
-    #[test]
-    fn minimize_preserves_statechart_behaviour(
-        k in 1usize..=9,
-        trace in prop::collection::vec(0usize..3, 0..40),
-    ) {
-        let hsm = redundant_ring(k);
-        let (small, stats) = minimize(&hsm.flatten_ir());
-        prop_assert_eq!(stats.states_before, k + 2);
-        prop_assert_eq!(stats.states_after, 3);
-        CompiledMachine::compile_ir(&small).expect("unguarded quotient");
-        let mut reference = hsm.instance();
-        let (mut rt, session) = served(&small, &[]);
-        let mut dense = rt.session(session);
-        for (step, &mi) in trace.iter().enumerate() {
-            let m = ["go", "step", "stop"][mi];
-            let want = reference.deliver_ref(m).unwrap().to_vec();
-            prop_assert_eq!(
-                dense.deliver_ref(m).unwrap(), want.as_slice(),
-                "flattened tier diverged at step {}", step
-            );
-            prop_assert_eq!(reference.is_finished(), dense.is_finished(), "step {}", step);
-        }
+        decide(ir.instance(vec![t]), small.instance(vec![t]), &["a", "b", "c"]);
     }
 
     /// Idempotence: on every random shape, minimizing the quotient
     /// merges nothing and reproduces it exactly.
     #[test]
     fn minimize_is_idempotent(
-        states in prop::collection::vec(any::<u64>(), 1..=8),
-        start in any::<u64>(),
-        guarded in any::<bool>(),
+        machine in random_machine(),
+        efsm in random_efsm(),
+        guarded_shape in any::<bool>(),
     ) {
-        let ir = if guarded {
-            FlatIr::from_efsm(&build_random_efsm(&states[..states.len().min(6)], start))
-        } else {
-            build_random_ir(&states, start)
-        };
+        let ir = if guarded_shape { guarded(efsm) } else { unguarded(&machine) };
         let (once, _) = minimize(&ir);
         let (twice, stats) = minimize(&once);
         prop_assert_eq!(stats.merged(), 0);
         prop_assert_eq!(twice, once);
+    }
+}
+
+/// The flattened statechart: the *hierarchical* interpreter is the
+/// reference for its flattening's quotient, which on the ring family is
+/// always exactly three states however wide the ring was.
+#[test]
+fn minimize_preserves_statechart_behaviour() {
+    for k in 1..=9 {
+        let hsm = redundant_ring(k);
+        let (small, stats) = minimize(&hsm.flatten_ir());
+        assert_eq!((stats.states_before, stats.states_after), (k + 2, 3));
+        CompiledMachine::compile_ir(&small).expect("unguarded quotient");
+        decide(
+            hsm.instance(),
+            small.instance(vec![]),
+            &["go", "step", "stop"],
+        );
     }
 }
 

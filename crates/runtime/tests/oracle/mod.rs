@@ -22,12 +22,19 @@
 //! of one machine. Timers and drain-and-switch swaps are not in the
 //! script: `timer_props.rs` and `artifact_swap_props.rs` cover them.
 //!
-//! The machine families live here too. `kernel_props.rs`,
-//! `snapshot_props.rs`, `telemetry_props.rs` and
-//! `artifact_swap_props.rs` each run some of them through [`check`],
-//! so each suite leaves some of this module unused.
+//! The machine families live here too, among them the one random
+//! hierarchical statechart ([`RandomChart`]), beside the
+//! [`support::TwoCounter`] family shared with `stategen-core`'s suites. `kernel_props.rs`,
+//! `snapshot_props.rs`, `telemetry_props.rs`, `artifact_swap_props.rs`
+//! and `hsm_guarded_props.rs` run some of them through [`check`];
+//! `hsm_props.rs`, `hsm_guarded_props.rs` and `minimize_props.rs` decide
+//! lowerings of them with [`support::decide`] (`stategen-core`'s
+//! `tests/lowering`, compiled here by path). Each suite leaves some of this module unused.
 
 #![allow(dead_code)]
+
+#[path = "../../../core/tests/support/mod.rs"]
+pub mod support;
 
 use std::sync::OnceLock;
 
@@ -36,7 +43,7 @@ use stategen_commit::{commit_efsm, commit_efsm_params, CommitConfig, CommitModel
 use stategen_core::efsm::{CmpOp, EfsmBuilder, Guard, LinExpr, ParamId, Update, VarId};
 use stategen_core::{
     generate, AbstractModel, Action, Efsm, FlatIr, HierarchicalMachine, HsmBuilder, IrInstance,
-    Outcome, ProtocolEngine, StateComponent, StateSpace, StateVector,
+    ProtocolEngine,
 };
 use stategen_runtime::{
     Artifact, Engine, MessageId, MetricsSnapshot, Runtime, RuntimeSnapshot, SessionId, Spec,
@@ -267,9 +274,8 @@ pub fn check(subject: &Subject, shards: usize, ops: &[Op]) -> Result<(), TestCas
     // Every counter the operations move; `snapshots` is left out, since
     // the checks below take snapshots of their own.
     let mut tally = MetricsSnapshot::default();
-    // The transitions every reference took: `Runtime::steps`, which a
-    // restore carries over, a single reset leaves alone and `reset_all`
-    // zeroes.
+    // The transitions every reference took: `Runtime::steps`, which no
+    // reset lowers and a restore or swap carries over.
     let mut steps = 0;
     for (step, &op) in ops.iter().enumerate() {
         match op {
@@ -334,7 +340,6 @@ pub fn check(subject: &Subject, shards: usize, ops: &[Op]) -> Result<(), TestCas
                     reference.reset();
                 }
                 tally.resets += live.len() as u64;
-                steps = 0;
                 for s in &mut served {
                     s.rt.reset_all();
                 }
@@ -442,68 +447,6 @@ pub fn check(subject: &Subject, shards: usize, ops: &[Op]) -> Result<(), TestCas
 // ---------------------------------------------------------------------
 // Machine families.
 // ---------------------------------------------------------------------
-
-/// A randomised threshold model: two counters and a flag; `a` bumps
-/// counter 0, `b` bumps counter 1; crossing `threshold` on the sum
-/// fires an action; completion when counter 1 reaches its max. Its
-/// generated machines have many states, so a churned pool spreads over
-/// many table rows.
-#[derive(Debug, Clone)]
-pub struct TwoCounter {
-    max0: u32,
-    max1: u32,
-    threshold: u32,
-}
-
-impl AbstractModel for TwoCounter {
-    fn machine_name(&self) -> String {
-        format!("two-counter@{}x{}t{}", self.max0, self.max1, self.threshold)
-    }
-
-    fn state_space(&self) -> Result<StateSpace, stategen_core::SchemaError> {
-        StateSpace::new(vec![
-            StateComponent::int("c0", self.max0),
-            StateComponent::int("c1", self.max1),
-            StateComponent::boolean("fired"),
-        ])
-    }
-
-    fn messages(&self) -> Vec<String> {
-        vec!["a".into(), "b".into()]
-    }
-
-    fn start_state(&self) -> StateVector {
-        self.state_space().expect("schema").zero_vector()
-    }
-
-    fn transition(&self, state: &StateVector, message: &str) -> Outcome {
-        let idx = if message == "a" { 0 } else { 1 };
-        let max = if idx == 0 { self.max0 } else { self.max1 };
-        if state.get(idx) == max {
-            return Outcome::Ignored;
-        }
-        let mut t = state.clone();
-        t.set(idx, state.get(idx) + 1);
-        let mut actions = Vec::new();
-        if t.get(0) + t.get(1) >= self.threshold && !t.flag(2) {
-            t.set_flag(2, true);
-            actions.push(Action::send("fire"));
-        }
-        Outcome::to(t, actions)
-    }
-
-    fn is_final_state(&self, state: &StateVector) -> bool {
-        state.get(1) == self.max1
-    }
-}
-
-pub fn two_counter() -> impl Strategy<Value = TwoCounter> {
-    (1u32..6, 1u32..6, 1u32..8).prop_map(|(max0, max1, threshold)| TwoCounter {
-        max0,
-        max1,
-        threshold,
-    })
-}
 
 /// The guard sizes `(first candidate, second candidate)` one `(state,
 /// message)` cell can have — `None` for a one-candidate cell — in
@@ -805,6 +748,165 @@ impl RandomEfsm {
             }
         }
         b.build(ids[self.start], self.finish.map(|f| ids[f]))
+    }
+}
+
+/// Flat seeds from which a random, always valid, hierarchical
+/// statechart over `m0`/`m1`/`m2` is derived. State `i`'s seed picks a
+/// parent among states `0..i` (or the top level), at most three levels
+/// deep, and its history, entry, exit and final bits; each transition
+/// seed picks a source, a message, a kind (internal, history, external
+/// and, if guarded, a lone guarded transition or a complementary
+/// threshold pair) and targets. A guarded chart declares one parameter,
+/// bound to `budget`, and two variables that no transition takes past
+/// it, so its configuration space is finite.
+#[derive(Debug, Clone)]
+pub struct RandomChart {
+    states: Vec<u64>,
+    transitions: Vec<(u64, u64, u64, u64)>,
+    start: u64,
+    /// The parameter's value, 1–3, if the chart is guarded.
+    pub budget: Option<i64>,
+}
+
+pub fn random_chart(guarded: bool) -> impl Strategy<Value = RandomChart> {
+    let transition = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>());
+    (
+        prop::collection::vec(any::<u64>(), 1..=10),
+        prop::collection::vec(transition, 0..=14),
+        any::<u64>(),
+        1i64..=3,
+    )
+        .prop_map(move |(states, transitions, start, budget)| RandomChart {
+            states,
+            transitions,
+            start,
+            budget: guarded.then_some(budget),
+        })
+}
+
+impl RandomChart {
+    pub const ALPHABET: [&'static str; 3] = ["m0", "m1", "m2"];
+
+    /// The parameter binding: the budget, if guarded.
+    pub fn params(&self) -> Vec<i64> {
+        self.budget.into_iter().collect()
+    }
+
+    pub fn build(&self) -> HierarchicalMachine {
+        let n = self.states.len();
+        let mut b = HsmBuilder::new("random-chart", Self::ALPHABET);
+        let registers =
+            (self.budget).map(|_| (b.add_param("budget"), [b.add_var("x"), b.add_var("y")]));
+        let (mut ids, mut depth, mut children) = (Vec::new(), Vec::new(), vec![0usize; n]);
+        for (i, &seed) in self.states.iter().enumerate() {
+            let parent = (seed % (i as u64 + 1)) as usize;
+            if i == 0 || parent == i || depth[parent] >= 3 {
+                ids.push(b.add_state(format!("s{i}")));
+                depth.push(0);
+            } else {
+                children[parent] += 1;
+                ids.push(b.add_child(ids[parent], format!("s{i}")));
+                depth.push(depth[parent] + 1);
+            }
+        }
+        // History needs a composite and final a leaf, so these bits are
+        // read once the tree is known.
+        let mut history = Vec::new();
+        for (i, &seed) in self.states.iter().enumerate() {
+            let composite = children[i] > 0;
+            if composite && seed & (1 << 8) != 0 {
+                b.enable_history(ids[i]);
+                history.push(ids[i]);
+            }
+            if seed & (1 << 9) != 0 {
+                b.on_entry(ids[i], vec![Action::send(format!("enter{i}"))]);
+            }
+            if seed & (1 << 10) != 0 {
+                b.on_exit(ids[i], vec![Action::send(format!("exit{i}"))]);
+            }
+            if !composite && seed & (3 << 11) == 3 << 11 {
+                b.mark_final(ids[i]);
+            }
+        }
+        let kinds = if registers.is_some() { 6 } else { 3 };
+        for &(s_seed, m_seed, kind_seed, t_seed) in &self.transitions {
+            let from = ids[(s_seed % n as u64) as usize];
+            let message = Self::ALPHABET[(m_seed % 3) as usize];
+            let actions: Vec<Action> = (0..kind_seed >> 4 & 3)
+                .map(|k| Action::send(format!("a{k}")))
+                .collect();
+            let to = ids[(t_seed % n as u64) as usize];
+            // A duplicate or shadowed declaration is rejected and skipped,
+            // as a generator probing the builder would.
+            let _ = match (kind_seed % kinds, registers) {
+                (0, _) => b.try_add_internal_transition(from, message, actions),
+                (1, _) if !history.is_empty() => {
+                    let composite = history[(t_seed % history.len() as u64) as usize];
+                    b.try_add_history_transition(from, message, composite, actions)
+                }
+                (1 | 2, _) | (_, None) => b.try_add_transition(from, message, to, actions),
+                (kind, Some((budget, vars))) => {
+                    let (v, other) = (
+                        vars[(t_seed >> 4 & 1) as usize],
+                        vars[1 - (t_seed >> 4 & 1) as usize],
+                    );
+                    let next = LinExpr::var(v).plus_const(1);
+                    let below = Guard::when(next.clone(), CmpOp::Lt, LinExpr::param(budget));
+                    let low = vec![Update::Inc(v)];
+                    let lone = b.try_add_guarded_transition(
+                        from,
+                        message,
+                        below,
+                        low,
+                        to,
+                        actions.clone(),
+                    );
+                    if kind == 3 {
+                        // Alone: below the budget only, so the message falls
+                        // through to inherited handlers once it is reached.
+                        lone
+                    } else {
+                        // A pair: both sides of the threshold, and staged
+                        // `Set`s reading the pre-transition registers.
+                        let at = Guard::when(next, CmpOp::Ge, LinExpr::param(budget));
+                        let high = match t_seed & (1 << 16) != 0 {
+                            true => Update::Set(v, LinExpr::constant(0)),
+                            false => Update::Set(other, LinExpr::var(v)),
+                        };
+                        let to_high = ids[((t_seed >> 8) % n as u64) as usize];
+                        b.try_add_guarded_transition(
+                            from,
+                            message,
+                            at,
+                            vec![high],
+                            to_high,
+                            actions,
+                        )
+                    }
+                }
+            };
+        }
+        b.try_build(ids[(self.start % n as u64) as usize])
+            .expect("recipe-derived machines are valid by construction")
+    }
+}
+
+/// Decides `hsm`'s flattening equivalent to `hsm` bound to `params`,
+/// configuration name and registers alike at every reachable pair, and
+/// each message a transition on both sides or on neither.
+pub fn flattens_exactly(hsm: &HierarchicalMachine, params: &[i64]) {
+    let ir = hsm.flatten_ir();
+    let messages: Vec<&str> = hsm.messages().iter().map(String::as_str).collect();
+    let chart = hsm.instance_with(params.to_vec());
+    for (chart, flat) in support::decide(chart, ir.instance(params.to_vec()), &messages) {
+        assert_eq!(chart.state_name(), flat.state_name());
+        assert_eq!(chart.vars(), flat.vars());
+        for m in &messages {
+            let (mut c, mut f) = (chart.clone(), flat.clone());
+            let _ = (c.deliver_ref(m), f.deliver_ref(m));
+            assert_eq!(c.steps() - chart.steps(), f.steps() - flat.steps(), "{m}");
+        }
     }
 }
 

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q (includes the HSM property + facade conformance suites) =="
+echo "== cargo test -q (includes the decided lowering equivalences and the operation oracle) =="
 cargo test -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
@@ -44,7 +44,7 @@ chaos%13%pinned seeds under loss, duplication, reordering and a peer crash/resta
 artifact_suite%1%the loader rejects every truncation, bit flip and splice without panicking; pinned images and fingerprints hold%cargo test -q --release -p stategen-core --test artifact_props
 fingerprint%17%the FNV word path hashes exactly as the byte loop%cargo test -q --release -p stategen-core --lib fingerprint
 rollout%1%pinned drain-and-switch hot-swap seeds survive a mid-swap crash%cargo test -q --release -p asa-storage --test rollout rollout_pinned_seed
-analyzer_corpus%16%every model machine is deny-clean, and minimization is observation-equivalent and idempotent on the corpus%cargo test -q --release -p stategen-analysis --test corpus
+analyzer_corpus%16%every model machine is deny-clean, and its minimization is decided equivalent to it (stategen_core::equivalent) and idempotent%cargo test -q --release -p stategen-analysis --test corpus
 exhausted_generation%1%a slot's u32 generation retires it instead of wrapping (release arithmetic wraps, debug panics)%cargo test -q --release -p stategen-runtime --lib exhausted_generation
 foreign_message_id%1%a foreign message id in a batch panics with one message on every tier, not only under debug assertions%cargo test -q --release -p stategen-runtime --lib deliver_all_rejects_foreign_message_ids
 lowering_decision%18%a bound guarded machine unfolds iff its configuration space fits the budget%cargo test -q --release -p stategen-runtime --lib lowering_is_decided_by_the_bound_configuration_space
@@ -57,6 +57,7 @@ saturating_time%8%never-firing timers saturate at SimTime::MAX instead of wrappi
 message_schedule%8%the storage stack's message schedule is the pinned one (six fingerprints)%cargo test -q --release -p asa-storage --lib message_schedule_is_the_pinned_one
 reference_peer%13%the table peer matches the reference peer trace for trace under random chaos%cargo test -q --release -p asa-storage --lib table_peer_matches_the_reference_peer_on_random_chaos
 two_crash_checkpoint%13%the peer's checkpoint stays exact through two crashes (release builds skip the debug write-time checks)%cargo test -q --release -p asa-storage --lib journaled_checkpoint_and_indexes_stay_exact_through_two_crashes
+lowering_equivalence%15%table1 decides generated FSM ≡ commit EFSM ≡ reference algorithm for every Table 1 row (r = 4 … 46) over reachable pairs, failing on a distinguishing trace or a cut search; bound 10 s%timeout 10 cargo run --release -q -p repro-bench --bin table1
 benchmark_package%6%benchmark/ is a workspace of its own: its fmt, clippy, tests and BENCHMARK.json manifest%bash benchmark/check.sh
 GATES
 
@@ -93,6 +94,7 @@ done <<'ROWS'
 -E --include=*.rs%\b(StateMachine|Efsm)\b%crates/render/src%%the renderers consume only the lowered machine (FlatIr) and its Notes (CHANGES.md: one machine for every back end)
 -E%\b(criterion_group|criterion_main|storage_throughput|BENCH_storage|MergeStrategy|keep_self_loops|annotate_states|SinglePass)\b|vendor/criterion%crates/ src/ examples/ tests/ docs/ Cargo.toml%%benchmark/ is the one measuring instrument: the criterion shim, its benches and storage_throughput were deleted, and the generator options only they set became constants (CHANGES.md: one measuring instrument)
 -E%\b(CountOp|TierOp|PoolOp|kernel_matches_scalar|finished_count_tracks_states|sharded_matches_flat|on_the_heap)\b|reference::Queue%crates/ src/ examples/ tests/ docs/%%the runtime's operations are checked by one script type against one reference (crates/runtime/tests/oracle/mod.rs), and the calendar against a set of pending keys; the per-suite op scripts and the heap scheduler were deleted (CHANGES.md: one operation oracle)
+-E%efsm_large_r|check_compiled(_efsm)?_equivalence|build_random_(guarded_)?hsm|HsmRecipe|build_random_(ir|efsm)|commit_traces%crates/ src/ examples/ tests/ docs/ scripts/%^scripts/verify\.sh:%lowerings are decided equivalent by stategen_core::equivalent, not sampled: the trace suites' file and samplers above were deleted (CHANGES.md: decide that two lowerings agree)
 ROWS
 set +f
 
